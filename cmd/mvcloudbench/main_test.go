@@ -25,13 +25,17 @@ func TestParseMix(t *testing.T) {
 
 // TestRunInProcess runs a small in-process load, writes the snapshot,
 // and immediately gates the same run against it — which must pass.
+// 3000 requests, not a few hundred: the self-compare holds two real p95s
+// to the 2× latency gate, and with sub-millisecond misses the p95 of the
+// ~30 compare or sweep requests in a 300-request run is one scheduling
+// hiccup wide.
 func TestRunInProcess(t *testing.T) {
 	dir := t.TempDir()
 	outPath := filepath.Join(dir, "LOAD_test.json")
 
 	var sb strings.Builder
 	err := run([]string{
-		"-seed", "11", "-requests", "300", "-concurrency", "8",
+		"-seed", "11", "-requests", "3000", "-concurrency", "8",
 		"-date", "2026-08-08", "-out", outPath,
 	}, &sb)
 	if err != nil {
@@ -49,7 +53,7 @@ func TestRunInProcess(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rep.Date != "2026-08-08" || rep.Requests != 300 {
+	if rep.Date != "2026-08-08" || rep.Requests != 3000 {
 		t.Errorf("snapshot header: %+v", rep)
 	}
 	for _, ep := range []string{"advise", "compare", "sweep"} {
@@ -65,7 +69,7 @@ func TestRunInProcess(t *testing.T) {
 	// Same seed and config against the just-written baseline must gate ok.
 	sb.Reset()
 	err = run([]string{
-		"-seed", "11", "-requests", "300", "-concurrency", "8",
+		"-seed", "11", "-requests", "3000", "-concurrency", "8",
 		"-date", "2026-08-08", "-compare", outPath,
 	}, &sb)
 	if err != nil {

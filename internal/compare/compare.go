@@ -529,8 +529,9 @@ func (n normalized) solveCell(shared *core.Shared, k Key, prov pricing.Provider)
 		out.Results = append(out.Results, ScenarioResult{Scenario: s, Rec: rec})
 	}
 	// The budget sweep re-prices MV1 at every sweep budget on the cell's
-	// session: the knapsack items and the baseline are already cached, so
-	// each budget costs one DP plus the exact re-bill.
+	// session: the knapsack items and the baseline are already cached and
+	// the DP runs on the session's scratch, so each budget costs a merge
+	// of a few dozen frontier states plus the exact re-bill.
 	if len(n.sweepBudgets) > 0 {
 		out.breakEven = make([]budgetOutcome, 0, len(n.sweepBudgets))
 		sess := adv.Session()

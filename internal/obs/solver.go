@@ -30,4 +30,9 @@ var (
 	// flushed once per solve.
 	SearchEvals = Default.Counter("mvcloud_solver_search_evals_total",
 		"Objective evaluations across all local-search solves.")
+
+	// DPStates counts the pareto states the knapsack / min-cost-cover DP
+	// built, added once per solve: solver work in problem-size units.
+	DPStates = Default.Counter("mvcloud_solver_dp_states_total",
+		"Pareto frontier states built by the knapsack and min-cost-cover DP, added once per solve.")
 )

@@ -200,7 +200,7 @@ func (inc *IncrementalEvaluator) Add(i int) {
 		// A group sibling (duplicate point) may already be serving
 		// queries; the new member is billed for the group's capped
 		// refresh count from the moment it is selected.
-		inc.maintSum += time.Duration(min64(inc.served[inc.k.group[i]], inc.runs)) * inc.perRun[i]
+		inc.maintSum += time.Duration(min(inc.served[inc.k.group[i]], inc.runs)) * inc.perRun[i]
 	}
 	ri := inc.k.rows[i]
 	for _, q32 := range inc.k.cand2q[i] {
@@ -234,7 +234,7 @@ func (inc *IncrementalEvaluator) Drop(i int) {
 	} else if inc.runs > 0 {
 		// Shed this member's share of the group's capped refresh bill
 		// before re-routing (the re-route below no longer counts i).
-		inc.maintSum -= time.Duration(min64(inc.served[inc.k.group[i]], inc.runs)) * inc.perRun[i]
+		inc.maintSum -= time.Duration(min(inc.served[inc.k.group[i]], inc.runs)) * inc.perRun[i]
 	}
 	for _, q32 := range inc.k.cand2q[i] {
 		q := int(q32)
@@ -294,7 +294,7 @@ func (inc *IncrementalEvaluator) adjustServed(i int, delta int64) {
 	before := inc.served[g]
 	after := before + delta
 	inc.served[g] = after
-	cb, ca := min64(before, inc.runs), min64(after, inc.runs)
+	cb, ca := min(before, inc.runs), min(after, inc.runs)
 	if cb == ca {
 		return
 	}
@@ -305,13 +305,6 @@ func (inc *IncrementalEvaluator) adjustServed(i int, delta int64) {
 			inc.maintSum += time.Duration(ca-cb) * inc.perRun[j]
 		}
 	}
-}
-
-func min64(a, b int64) int64 {
-	if a < b {
-		return a
-	}
-	return b
 }
 
 // maintenance returns TmaintenanceV for the current subset under the

@@ -50,6 +50,7 @@ type KernelSession struct {
 	idxBuf    []int
 	valBuf    []int64
 	wtBuf     []int64
+	dp        frontierDP
 	bestCand  []int32
 	bestRows  []int64
 }
@@ -150,7 +151,7 @@ func (s *KernelSession) evaluateSel(sel []int32) (time.Duration, costmodel.Bill,
 		if !sc.deferred {
 			maint += sc.maint[ci]
 		} else if sc.runs > 0 {
-			maint += time.Duration(min64(served[k.group[ci]], sc.runs)) * sc.perRun[ci]
+			maint += time.Duration(min(served[k.group[ci]], sc.runs)) * sc.perRun[ci]
 		}
 	}
 	plan := s.Ev.Base.WithViews(sizeSum, proc, maint, mat)
@@ -313,7 +314,7 @@ func (s *KernelSession) solveMV1(budget money.Money) (sel []int32, t time.Durati
 		}
 	}
 	s.valBuf, s.wtBuf = values, weights
-	picked, err := Knapsack01(values, weights, slack.Micros())
+	picked, err := s.dp.knapsack01(values, weights, slack.Micros())
 	if err != nil {
 		return nil, 0, costmodel.Bill{}, false, err
 	}
@@ -371,7 +372,7 @@ func (s *KernelSession) SolveMV2(limit time.Duration) (Selection, error) {
 			}
 		}
 		s.wtBuf, s.valBuf, s.idxBuf = costs, gains, idx
-		picked, ok, err := MinCostCover(costs, gains, int64(need))
+		picked, ok, err := s.dp.minCostCover(costs, gains, int64(need))
 		if err != nil {
 			return Selection{}, err
 		}

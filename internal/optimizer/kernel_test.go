@@ -198,10 +198,11 @@ func TestRepriceForRejectsForeignEvaluator(t *testing.T) {
 	}
 }
 
-// TestKernelSessionBudgetSweep mirrors the comparison engine's
-// break-even usage: a sweep of MV1 budgets on one session must equal
-// fresh Evaluator solves at every budget.
-func TestKernelSessionBudgetSweep(t *testing.T) {
+// sweepFixture binds one session on the paper's 16-node lattice where
+// all 8 candidates cost money (base bill ≈ $0.93, ≈ $0.11 per view), so
+// MV1 budgets really run the knapsack.
+func sweepFixture(t testing.TB) (*KernelSession, *Evaluator, []views.Candidate) {
+	t.Helper()
 	l, err := lattice.New(schema.Sales(), 50_000_000)
 	if err != nil {
 		t.Fatal(err)
@@ -239,6 +240,14 @@ func TestKernelSessionBudgetSweep(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	return sess, ev, cands
+}
+
+// TestKernelSessionBudgetSweep mirrors the comparison engine's
+// break-even usage: a sweep of MV1 budgets on one session must equal
+// fresh Evaluator solves at every budget.
+func TestKernelSessionBudgetSweep(t *testing.T) {
+	sess, ev, cands := sweepFixture(t)
 	for d := 5; d <= 60; d += 5 {
 		budget := money.FromDollars(float64(d))
 		want, err := ev.SolveMV1(cands, budget)

@@ -9,54 +9,112 @@ package optimizer
 
 import (
 	"fmt"
-	"math"
-	"sync"
+	"slices"
+	"sort"
+
+	"vmcloud/internal/obs"
 )
 
-// maxDPCells bounds the size of the dynamic-programming tables; larger
-// capacities are scaled down (with conservative rounding) to fit.
+// maxDPCells bounds the DP's resolution: a capacity too large for
+// n × (capacity+1) ≤ maxDPCells is scaled down (with conservative
+// rounding) until it fits. Nothing of that size is allocated — frontierDP
+// is sparse — but the scale factor decides which selections tie, so it
+// is part of the answer.
 const maxDPCells = 1 << 21
 
-// dpScratch is the reusable backing of one DP solve: the value row and
-// the flat keep matrix (n rows × (cap+1) columns). Tables are bounded by
-// maxDPCells (≤ ~18 MB worst case, dropped by the GC when idle), so
-// pooling them caps the solver's steady-state allocation at zero — the
-// advisory hot paths (every MV1/MV2 solve, every budget of a break-even
-// sweep) otherwise churn multi-megabyte tables per call, and re-clearing
-// a warm table measures faster than faulting in fresh zeroed pages.
-type dpScratch struct {
-	dp   []int64
-	keep []bool
+// state is one pareto-optimal point of a prefix frontier: the scaled
+// weight a subset of the first k items uses and the best value any
+// subset reaches at that weight or below.
+type state struct{ w, v int64 }
+
+// frontierDP is the sparse (Nemhauser–Ullmann) form of the 0/1-knapsack
+// DP. Where the table DP holds f_k(c) — the best value of the first k
+// items within capacity c — for every c, prefix frontier P_k holds only
+// the points where f_k steps up: states ascending in w and strictly
+// ascending in v, so f_k(c) is the v of the last state with w ≤ c.
+// P_{k+1} is one linear merge of P_k with its copy shifted by item k, so
+// |P_k| ≤ min(2ᵏ, capacity+1) and a solve costs what its items can
+// actually reach, not what the capacity could hold.
+//
+// All prefixes P_0 … P_{n-1} stay in one arena: the backtrack decides
+// item i from f_i alone (two binary searches in P_i), so P_n is never
+// built. The zero value is ready to use; a KernelSession keeps one so a
+// break-even sweep re-solves without allocating.
+type frontierDP struct {
+	states []state // P_0 | P_1 | … back to back
+	starts []int   // P_k = states[starts[k]:starts[k+1]]
+	scaled []int64 // the items' scaled weights (gains for the cover)
+	chosen []int   // the answer; valid until the next solve
 }
 
-var dpPool = sync.Pool{New: func() any { return &dpScratch{} }}
-
-// grabScratch returns pooled scratch with dp sized to cells and filled
-// with fill (each DP has its own empty-state sentinel, so the fill
-// happens exactly once here), and keep sized (and cleared) to n×cells.
-func grabScratch(n int, cells int64, fill int64) *dpScratch {
-	need := int(cells)
-	keepNeed := n * need
-	s := dpPool.Get().(*dpScratch)
-	if cap(s.dp) < need {
-		s.dp = make([]int64, need)
-	}
-	s.dp = s.dp[:need]
-	for i := range s.dp {
-		s.dp[i] = fill
-	}
-	if cap(s.keep) < keepNeed {
-		s.keep = make([]bool, keepNeed)
-	}
-	s.keep = s.keep[:keepNeed]
-	for i := range s.keep {
-		s.keep[i] = false
-	}
-	//mvlint:allow noretain -- grabScratch IS the pool's lending API; every caller pairs it with release()
-	return s
+// reset starts a solve from P_0 = {origin}.
+func (d *frontierDP) reset(origin state) {
+	d.states = append(d.states[:0], origin)
+	d.starts = append(d.starts[:0], 0, 1)
 }
 
-func (s *dpScratch) release() { dpPool.Put(s) }
+// prefix returns P_k.
+func (d *frontierDP) prefix(k int) []state {
+	return d.states[d.starts[k]:d.starts[k+1]]
+}
+
+// extend appends the next prefix: the pareto frontier of the last prefix
+// P united with the first cut states of P each moved to
+// (max(0, w+dw), v+dv). Both inputs ascend in w, so this is one merge
+// that keeps a state only if it beats the value of everything lighter.
+func (d *frontierDP) extend(cut int, dw, dv int64) {
+	k := len(d.starts) - 2
+	// Grown up front so the appends below never move the arena out from
+	// under prev.
+	d.states = slices.Grow(d.states, d.starts[k+1]-d.starts[k]+cut)
+	prev := d.prefix(k)
+	out, base := d.states, len(d.states)
+	for i, j := 0, 0; i < len(prev) || j < cut; {
+		var s state
+		if j < cut {
+			s = state{max(0, prev[j].w+dw), prev[j].v + dv}
+		}
+		if j == cut || (i < len(prev) && prev[i].w <= s.w) {
+			s = prev[i]
+			i++
+		} else {
+			j++
+		}
+		switch last := len(out) - 1; {
+		case last < base:
+			out = append(out, s)
+		case out[last].w == s.w:
+			out[last].v = max(out[last].v, s.v)
+		case s.v > out[last].v:
+			out = append(out, s)
+		}
+	}
+	d.states = out
+	d.starts = append(d.starts, len(out))
+}
+
+// reach counts the states of frontier f with w ≤ c. When it is non-zero,
+// f[reach-1].v is the table DP's f(c).
+func reach(f []state, c int64) int {
+	return sort.Search(len(f), func(i int) bool { return f[i].w > c })
+}
+
+// ceilDiv is ⌈a/b⌉ for a ≥ 0 and b > 0, without the overflow of
+// (a+b-1)/b near math.MaxInt64.
+func ceilDiv(a, b int64) int64 {
+	q := a / b
+	if a%b != 0 {
+		q++
+	}
+	return q
+}
+
+// dpScale is the factor that fits limit+1 cells per item into
+// maxDPCells: 1 while they fit, ⌈(limit+1)/per⌉ beyond, written so that
+// limit = math.MaxInt64 does not overflow.
+func dpScale(n int, limit int64) int64 {
+	return limit/int64(maxDPCells/n) + 1
+}
 
 // Knapsack01 solves the 0/1 knapsack problem: choose a subset of items
 // maximizing Σ values[i] subject to Σ weights[i] ≤ capacity. Values and
@@ -64,6 +122,11 @@ func (s *dpScratch) release() { dpPool.Put(s) }
 // order. When the capacity is large, weights are scaled down with
 // round-up so the returned subset never exceeds the true capacity.
 func Knapsack01(values, weights []int64, capacity int64) ([]int, error) {
+	return new(frontierDP).knapsack01(values, weights, capacity)
+}
+
+// knapsack01 is Knapsack01 on d's scratch; the result aliases d.chosen.
+func (d *frontierDP) knapsack01(values, weights []int64, capacity int64) ([]int, error) {
 	if len(values) != len(weights) {
 		return nil, fmt.Errorf("optimizer: %d values vs %d weights", len(values), len(weights))
 	}
@@ -79,46 +142,42 @@ func Knapsack01(values, weights []int64, capacity int64) ([]int, error) {
 	if n == 0 {
 		return nil, nil
 	}
-	// Scale weights so the DP table fits. Round weights UP so that a
-	// selection feasible in scaled units is feasible in true units.
-	scale := int64(1)
-	if capacity+1 > int64(maxDPCells/max(n, 1)) {
-		scale = (capacity + 1 + int64(maxDPCells/max(n, 1)) - 1) / int64(maxDPCells/max(n, 1))
-	}
+	// Round weights UP so that a selection feasible in scaled units is
+	// feasible in true units.
+	scale := dpScale(n, capacity)
 	scaledCap := capacity / scale
-	w := make([]int64, n)
+	w := d.scaled[:0]
 	for i := range weights {
-		w[i] = (weights[i] + scale - 1) / scale
+		w = append(w, ceilDiv(weights[i], scale))
 	}
+	d.scaled = w
 
-	// dp[c] is the best value achievable with total scaled weight ≤ c.
-	// Zero-initialization is correct because every state is reachable (the
-	// empty selection has weight 0 ≤ c and value 0); no unreachable-state
-	// sentinel is needed in this "at most c" formulation. keep is a flat
-	// n×(scaledCap+1) matrix from the shared pool.
-	cells := scaledCap + 1
-	scr := grabScratch(n, cells, 0)
-	defer scr.release()
-	dp, keep := scr.dp, scr.keep
-	for i := 0; i < n; i++ {
-		row := keep[int64(i)*cells : int64(i+1)*cells]
-		for c := scaledCap; c >= w[i]; c-- {
-			if cand := dp[c-w[i]] + values[i]; cand > dp[c] {
-				dp[c] = cand
-				row[c] = true
-			}
-		}
+	// Every state is reachable (the empty selection weighs 0), so P_0 is
+	// the single state (0, 0) and every prefix starts at weight 0.
+	d.reset(state{0, 0})
+	for i := 0; i < n-1; i++ {
+		// Only states that still fit after taking item i are shifted.
+		d.extend(reach(d.prefix(i), scaledCap-w[i]), w[i], values[i])
 	}
-	// Trace back.
-	var chosen []int
+	obs.DPStates.Add(int64(len(d.states)))
+
+	// Trace back with the table DP's rule (denseKnapsack01 in the tests):
+	// item i is taken at capacity c iff f_i(c − w_i) + v_i > f_i(c),
+	// strictly.
+	chosen := d.chosen[:0]
 	c := scaledCap
 	for i := n - 1; i >= 0; i-- {
-		if keep[int64(i)*cells+c] {
+		if c < w[i] {
+			continue
+		}
+		f := d.prefix(i)
+		if f[reach(f, c-w[i])-1].v+values[i] > f[reach(f, c)-1].v {
 			chosen = append(chosen, i)
 			c -= w[i]
 		}
 	}
-	reverse(chosen)
+	slices.Reverse(chosen)
+	d.chosen = chosen
 	return chosen, nil
 }
 
@@ -128,6 +187,12 @@ func Knapsack01(values, weights []int64, capacity int64) ([]int, error) {
 // scaled down with round-down, so the returned subset always truly covers
 // the need.
 func MinCostCover(costs, gains []int64, need int64) ([]int, bool, error) {
+	return new(frontierDP).minCostCover(costs, gains, need)
+}
+
+// minCostCover is MinCostCover on d's scratch; the indices alias
+// d.chosen.
+func (d *frontierDP) minCostCover(costs, gains []int64, need int64) ([]int, bool, error) {
 	if len(costs) != len(gains) {
 		return nil, false, fmt.Errorf("optimizer: %d costs vs %d gains", len(costs), len(gains))
 	}
@@ -149,17 +214,16 @@ func MinCostCover(costs, gains []int64, need int64) ([]int, bool, error) {
 	}
 	// Scale gains down (round DOWN) so a scaled cover is a true cover; the
 	// need is scaled up correspondingly.
-	scale := int64(1)
-	if need+1 > int64(maxDPCells/max(n, 1)) {
-		scale = (need + 1 + int64(maxDPCells/max(n, 1)) - 1) / int64(maxDPCells/max(n, 1))
-	}
-	g := make([]int64, n)
+	scale := dpScale(n, need)
+	target := ceilDiv(need, scale)
+	g := d.scaled[:0]
 	var scaledTotal int64
 	for i := range gains {
-		g[i] = gains[i] / scale
-		scaledTotal += g[i]
+		gi := gains[i] / scale
+		scaledTotal += gi
+		g = append(g, min(gi, target)) // gain past the target is no gain
 	}
-	target := (need + scale - 1) / scale
+	d.scaled = g
 	if scaledTotal < target {
 		// Rounding destroyed feasibility; fall back to taking everything
 		// (feasible in true units by the totalGain check above).
@@ -170,57 +234,37 @@ func MinCostCover(costs, gains []int64, need int64) ([]int, bool, error) {
 		return all, true, nil
 	}
 
-	const inf = math.MaxInt64 / 4
-	// dp[s] = min cost to reach scaled gain ≥ s (s capped at target).
-	// Tables come from the shared pool; keep is flat n×(target+1).
-	cells := target + 1
-	scr := grabScratch(n, cells, inf)
-	defer scr.release()
-	dp, keep := scr.dp, scr.keep
-	dp[0] = 0
-	for i := 0; i < n; i++ {
-		row := keep[int64(i)*cells : int64(i+1)*cells]
-		for s := target; s >= 1; s-- {
-			from := s - g[i]
-			if from < 0 {
-				from = 0
-			}
-			if from == s {
-				continue // zero-gain item never helps coverage
-			}
-			if dp[from] < inf && dp[from]+costs[i] < dp[s] {
-				dp[s] = dp[from] + costs[i]
-				row[s] = true
-			}
+	// The cover is the same DP run in deficit space. A state is (scaled
+	// gain still missing, −cost): taking item i moves the deficit down by
+	// g_i, stopping at 0, and the value down by c_i, so the table DP's
+	// dp_i[s] — the min cost of the first i items reaching gain ≥ s — is
+	// −f_i(target − s), and "unreachable" is an empty reach.
+	d.reset(state{target, 0})
+	for i := 0; i < n-1; i++ {
+		d.extend(len(d.prefix(i)), -g[i], -costs[i])
+	}
+	obs.DPStates.Add(int64(len(d.states)))
+
+	// Trace back with the table DP's rule: at remaining need s item i
+	// is taken iff g_i > 0, dp_i[s − g_i] is reachable and
+	// dp_i[s − g_i] + c_i < dp_i[s], strictly. c is target − s.
+	chosen := d.chosen[:0]
+	c := int64(0)
+	for i := n - 1; i >= 0 && c < target; i-- {
+		if g[i] == 0 {
+			continue // zero-gain item never helps coverage
 		}
-	}
-	if dp[target] >= inf {
-		return nil, false, nil
-	}
-	var chosen []int
-	s := target
-	for i := n - 1; i >= 0; i-- {
-		if s > 0 && keep[int64(i)*cells+s] {
+		f := d.prefix(i)
+		with := reach(f, min(target, c+g[i]))
+		if with == 0 {
+			continue
+		}
+		if without := reach(f, c); without == 0 || f[with-1].v-costs[i] > f[without-1].v {
 			chosen = append(chosen, i)
-			s -= g[i]
-			if s < 0 {
-				s = 0
-			}
+			c = min(target, c+g[i])
 		}
 	}
-	reverse(chosen)
+	slices.Reverse(chosen)
+	d.chosen = chosen
 	return chosen, true, nil
-}
-
-func reverse(xs []int) {
-	for i, j := 0, len(xs)-1; i < j; i, j = i+1, j-1 {
-		xs[i], xs[j] = xs[j], xs[i]
-	}
-}
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

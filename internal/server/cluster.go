@@ -254,8 +254,9 @@ func (s *Server) runForward(ctx context.Context, spec memoSpec, label, account, 
 	out := s.forward(ctx, spec.endpoint, account, key, cacheKey, em)
 	// The frontend memoizes exactly what a worker would: successful,
 	// non-degraded bodies. Degraded and stale bodies are
-	// timing-dependent; sheds and errors have nothing to cache.
-	if out.err == nil && !out.degraded && !out.shed && len(out.body) > 0 {
+	// timing-dependent; sheds and errors have nothing to cache, and
+	// nobody is waiting for an abandoned forward's answer.
+	if out.err == nil && !out.degraded && !out.shed && len(out.body) > 0 && !abandoned(ctx) {
 		s.cache.Put(cacheKey, out.body)
 	}
 	s.flight.finish(cacheKey, call, out)

@@ -58,6 +58,70 @@ func TestFlightGroupCoalesces(t *testing.T) {
 	}
 }
 
+// TestLeaderReprobesCacheAfterJoin pins the probe→join window
+// deterministically: request A misses the cache, and before it joins the
+// flight group an identical request B runs start to finish (solve, cache
+// fill, key retired). A then finds no flight and becomes leader — it
+// must notice the now-resident response instead of solving again.
+func TestLeaderReprobesCacheAfterJoin(t *testing.T) {
+	s := testServer()
+	body := adviseBody("mv1", `"budget":25`)
+
+	var inner *httptest.ResponseRecorder
+	s.beforeJoin = func() {
+		s.beforeJoin = nil // B itself, and anything later, joins unhooked
+		inner = do(t, s, "POST", "/v1/advise", body)
+	}
+	outer := do(t, s, "POST", "/v1/advise", body)
+
+	if inner == nil || inner.Code != 200 || inner.Header().Get("X-Cache") != "miss" {
+		t.Fatalf("request inside the window: %+v", inner)
+	}
+	if outer.Code != 200 || outer.Header().Get("X-Cache") != "hit" {
+		t.Errorf("request that probed before the fill: status %d X-Cache %q, want 200 hit",
+			outer.Code, outer.Header().Get("X-Cache"))
+	}
+	if !bytes.Equal(outer.Body.Bytes(), inner.Body.Bytes()) {
+		t.Error("the two responses differ")
+	}
+	if got := s.stats.solveCount(); got != 1 {
+		t.Errorf("%d solves, want 1", got)
+	}
+	if n := s.flight.len(); n != 0 {
+		t.Errorf("%d flight keys still registered", n)
+	}
+	drainSolves(t, s, time.Second)
+}
+
+// TestSolvePastDeadlineIsCached is the other side of "abandoned solves
+// are not memoized": a solve that outlives its deadline but still has
+// its waiter (requests stay for DegradeGrace) delivers a normal 200, and
+// that body must be cached — otherwise every retry of a slow key solves
+// again. Injected latency holds the solve until the deadline fires; the
+// knapsack path then runs to completion regardless.
+func TestSolvePastDeadlineIsCached(t *testing.T) {
+	s := New(Options{
+		RequestTimeout: 20 * time.Millisecond,
+		DegradeGrace:   30 * time.Second,
+		Chaos:          &ChaosConfig{Seed: 1, LatencyProb: 1, Latency: 10 * time.Second},
+	})
+	body := adviseBody("mv1", `"budget":25`)
+
+	w := do(t, s, "POST", "/v1/advise", body)
+	if w.Code != 200 || w.Header().Get("X-Cache") != "miss" || w.Header().Get("X-Degraded") != "" {
+		t.Fatalf("late solve: status %d X-Cache %q X-Degraded %q: %s",
+			w.Code, w.Header().Get("X-Cache"), w.Header().Get("X-Degraded"), w.Body.String())
+	}
+	again := do(t, s, "POST", "/v1/advise", body)
+	if again.Code != 200 || again.Header().Get("X-Cache") != "hit" {
+		t.Errorf("repeat after a late solve: status %d X-Cache %q, want 200 hit",
+			again.Code, again.Header().Get("X-Cache"))
+	}
+	if got := s.stats.solveCount(); got != 1 {
+		t.Errorf("%d solves, want 1", got)
+	}
+}
+
 // TestSingleflightStampede is the regression test for stampede
 // suppression: K identical cold /v1/advise requests fired concurrently
 // must execute exactly one underlying solve, and every response must be

@@ -83,6 +83,7 @@ func TestMetricsEndpointValidates(t *testing.T) {
 		"mvcloud_solver_kernel_rebinds_total",
 		"mvcloud_solver_incremental_moves_total",
 		"mvcloud_solver_search_evals_total",
+		"mvcloud_solver_dp_states_total",
 	} {
 		if _, ok := findSample(samples, name, nil); !ok {
 			t.Errorf("missing solver series %s", name)
@@ -109,6 +110,19 @@ func TestMetricsEndpointValidates(t *testing.T) {
 	// The scrape itself is in flight while rendering, so the gauge reads 1.
 	if v, ok := findSample(samples, "mvcloud_http_inflight_requests", nil); !ok || v != 1 {
 		t.Errorf("inflight gauge = %g during scrape, want 1 (the scrape itself)", v)
+	}
+
+	// One mv1 miss whose views all cost money runs the knapsack DP, so
+	// the solver's work counter has moved by the next scrape (and the
+	// render still validates with traffic behind it).
+	req := httptest.NewRequest("POST", "/v1/advise", strings.NewReader(adviseBody("mv1", `"budget":25`)))
+	w := httptest.NewRecorder()
+	s.ServeHTTP(w, req)
+	if w.Code != 200 || w.Header().Get("X-Cache") != "miss" {
+		t.Fatalf("mv1 advise: status %d, X-Cache %q: %s", w.Code, w.Header().Get("X-Cache"), w.Body.String())
+	}
+	if v, _ := findSample(scrape(t, s), "mvcloud_solver_dp_states_total", nil); v <= 0 {
+		t.Errorf("mvcloud_solver_dp_states_total = %g after a DP miss, want > 0", v)
 	}
 }
 

@@ -214,6 +214,10 @@ type Server struct {
 	// tenants lazily registers per-account request counters for
 	// /metrics (bounded; see tenant.go).
 	tenants tenantMetrics
+	// beforeJoin, when set, runs between the miss path's cache probe and
+	// its flight join (test hook: the window a concurrent solve can
+	// finish in).
+	beforeJoin func()
 }
 
 // New builds a server. Cluster-frontend servers (Options.Cluster set)
@@ -617,9 +621,7 @@ func (s *Server) finishMemoized(w http.ResponseWriter, r *http.Request, spec mem
 		// A differently-spelled equivalent request may have already
 		// cached the canonical response.
 		if cached, ok := s.cache.Get(cacheKey); ok {
-			s.stats.advise(spec.endpoint, label, true)
-			writeBody(w, http.StatusOK, cached, "hit")
-			ps.em.observe(outcomeHit, time.Since(ps.start))
+			s.respondHit(w, spec.endpoint, label, cached, ps)
 			return
 		}
 	} else if s.cluster == nil {
@@ -641,8 +643,21 @@ func (s *Server) finishMemoized(w http.ResponseWriter, r *http.Request, spec mem
 	// leaves early, the flight group cancels the solve rather than
 	// letting it run detached. The leader's trace rides the outcome, so
 	// followers can surface the phase breakdown too.
+	if s.beforeJoin != nil {
+		s.beforeJoin()
+	}
 	call, leader := s.flight.join(cacheKey)
 	if leader {
+		// The cache probe and the join are not one step: a solve for this
+		// key may have filled the cache and retired its flight in between
+		// (it fills before it retires, so a leader that finds no flight
+		// finds the entry). Without this re-probe a late arrival in a
+		// stampede leads a second solve.
+		if cached, ok := s.cache.Get(cacheKey); ok {
+			s.flight.finish(cacheKey, call, outcome{body: cached})
+			s.respondHit(w, spec.endpoint, label, cached, ps)
+			return
+		}
 		sctx, cancel := context.WithTimeout(context.Background(), s.opts.RequestTimeout)
 		s.flight.setCancel(call, cancel)
 		if s.cluster != nil {
@@ -673,6 +688,13 @@ func (s *Server) finishMemoized(w http.ResponseWriter, r *http.Request, spec mem
 		writeError(w, http.StatusServiceUnavailable, "request cancelled")
 		ps.em.observe(outcomeError, time.Since(ps.start))
 	}
+}
+
+// respondHit serves a resident response found on the miss path.
+func (s *Server) respondHit(w http.ResponseWriter, endpoint, label string, body []byte, ps probeState) {
+	s.stats.advise(endpoint, label, true)
+	writeBody(w, http.StatusOK, body, "hit")
+	ps.em.observe(outcomeHit, time.Since(ps.start))
 }
 
 // respondSolved maps a finished solve's outcome onto the HTTP response
@@ -771,7 +793,6 @@ func (s *Server) runSolve(ctx context.Context, spec memoSpec, label, cacheKey st
 		s.flight.finish(cacheKey, call, outcome{err: ctx.Err()})
 		return
 	}
-	defer adm.release()
 
 	s.stats.solve()
 	tr := obs.NewTrace()
@@ -782,11 +803,24 @@ func (s *Server) runSolve(ctx context.Context, spec memoSpec, label, cacheKey st
 	s.m.observePhases(tr)
 	s.logSlowSolve(spec.endpoint, label, tr)
 	// Degraded bodies are timing-dependent — the one kind of response
-	// that must never be memoized.
-	if err == nil && !degraded {
+	// that must never be memoized. Nor is the result of an abandoned
+	// solve (the knapsack path has no cancellation point, so it finishes
+	// anyway): nobody is waiting for it.
+	if err == nil && !degraded && !abandoned(ctx) {
 		s.cache.Put(cacheKey, b)
 	}
+	// The slot is free before any waiter can see the outcome, so a
+	// client's next request is never shed against its own finished solve.
+	adm.release()
 	s.flight.finish(cacheKey, call, outcome{body: b, err: err, phases: tr, degraded: degraded, panicked: panicked})
+}
+
+// abandoned reports whether the flight group cancelled the solve context
+// because its last waiter left. A solve that merely ran past its
+// deadline still has waiters (they stay for DegradeGrace) and is not
+// abandoned: its result is served and memoized like any other.
+func abandoned(ctx context.Context) bool {
+	return errors.Is(ctx.Err(), context.Canceled)
 }
 
 // safeSolve runs the endpoint's solve with panic containment: a panic
