@@ -80,6 +80,22 @@ func TestTelemetryFastPathsAreMarked(t *testing.T) {
 		"Trace.ObserveSince":      "internal/obs/trace.go",
 		"Trace.Observe":           "internal/obs/trace.go",
 		"endpointMetrics.observe": "internal/server/metrics.go",
+		// The wire encoder: what a miss runs between the solver and the
+		// socket stays free of fmt, closures and string concatenation.
+		"Money.AppendString":            "internal/money/money.go",
+		"DataSize.AppendString":         "internal/units/units.go",
+		"Table.AppendTo":                "internal/report/report.go",
+		"AppendString":                  "internal/jsonenc/jsonenc.go",
+		"QuoteTail":                     "internal/jsonenc/jsonenc.go",
+		"AppendFloat":                   "internal/jsonenc/jsonenc.go",
+		"Recommendation.AppendReport":   "internal/core/core.go",
+		"RecommendationJSON.AppendJSON": "internal/core/encode.go",
+		"ParetoPointJSON.AppendJSON":    "internal/core/encode.go",
+		"Comparison.AppendReport":       "internal/compare/compare.go",
+		"Sweep.AppendReport":            "internal/compare/sweep.go",
+		"ComparisonJSON.AppendJSON":     "internal/compare/encode.go",
+		"SweepJSON.AppendJSON":          "internal/compare/encode.go",
+		"AdviseResponse.AppendJSON":     "internal/server/server.go",
 	}
 	files := map[string][]string{}
 	for fn, file := range want {

@@ -14,7 +14,7 @@ import (
 //
 //	go test ./internal/compare -bench BenchmarkCompare -benchtime 5x
 
-func benchRequest(b *testing.B) Request {
+func benchRequest(b testing.TB) Request {
 	return Request{
 		Workload:       testWorkload(b, 10),
 		FactRows:       50_000_000,

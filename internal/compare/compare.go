@@ -17,8 +17,9 @@ import (
 	"fmt"
 	"runtime"
 	"sort"
-	"strings"
+	"strconv"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"vmcloud/internal/core"
@@ -154,7 +155,18 @@ type Key struct {
 
 // String renders "provider/instance×n".
 func (k Key) String() string {
-	return fmt.Sprintf("%s/%s×%d", k.Provider, k.InstanceType, k.Instances)
+	return string(k.AppendString(make([]byte, 0, 32)))
+}
+
+// AppendString appends the String form to dst.
+//
+//mvlint:hotpath
+func (k Key) AppendString(dst []byte) []byte {
+	dst = append(dst, k.Provider...)
+	dst = append(dst, '/')
+	dst = append(dst, k.InstanceType...)
+	dst = append(dst, "×"...)
+	return strconv.AppendInt(dst, int64(k.Instances), 10)
 }
 
 func (k Key) less(o Key) bool {
@@ -380,28 +392,27 @@ func (n normalized) shared() (*core.Shared, error) {
 	})
 }
 
-// fanOut runs solve(i) for i in [0, jobs) on a bounded worker pool —
-// the shared concurrency scaffold of the grid engines. Workers beyond
-// the job count are not spawned.
+// fanOut runs solve(i) for i in [0, jobs) on at most workers
+// goroutines, the caller's included — the shared concurrency scaffold
+// of the grid engines. Every goroutine claims the next unsolved index
+// from one atomic cursor, so one worker (or one job) runs inline and
+// spawns nothing.
 func fanOut(workers, jobs int, solve func(int)) {
-	if workers > jobs {
-		workers = jobs
+	var next atomic.Int64
+	work := func() {
+		for i := int(next.Add(1)) - 1; i < jobs; i = int(next.Add(1)) - 1 {
+			solve(i)
+		}
 	}
-	ch := make(chan int)
 	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
+	for w := min(workers, jobs) - 1; w > 0; w-- {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for i := range ch {
-				solve(i)
-			}
+			work()
 		}()
 	}
-	for i := 0; i < jobs; i++ {
-		ch <- i
-	}
-	close(ch)
+	work()
 	wg.Wait()
 }
 
@@ -698,60 +709,105 @@ func buildBreakEven(budgets []money.Money, configs []ConfigResult) *BreakEven {
 
 // Render produces the human-readable comparison report.
 func (c *Comparison) Render() string {
-	var sb strings.Builder
+	return string(c.AppendReport(make([]byte, 0, 2048)))
+}
+
+var (
+	matrixHeaders    = []string{"configuration", "workload time", "total cost", "feasible", "views"}
+	winnerHeaders    = []string{"scenario", "configuration", "workload time", "total cost", "feasible"}
+	frontierHeaders  = []string{"configuration", "α", "workload time", "cost", "views"}
+	breakEvenHeaders = []string{"budget", "winner"}
+)
+
+// AppendReport appends the Render text to dst.
+//
+//mvlint:hotpath
+func (c *Comparison) AppendReport(dst []byte) []byte {
 	for _, s := range c.Scenarios {
 		if s == "pareto" {
 			continue
 		}
-		t := report.NewTable(fmt.Sprintf("scenario %s — cost/time matrix", s),
-			"configuration", "workload time", "total cost", "feasible", "views")
-		for _, cfg := range c.Configs {
+		dst = append(dst, "scenario "...)
+		dst = append(dst, s...)
+		dst = append(dst, " — cost/time matrix\n"...)
+		t := report.NewTable("", matrixHeaders...)
+		for i := range c.Configs {
+			cfg := &c.Configs[i]
 			rec, ok := cfg.Result(s)
 			if !ok {
 				continue
 			}
-			t.AddRow(cfg.Key.String(),
-				fmt.Sprintf("%.3fh", rec.Selection.Time.Hours()),
-				rec.Selection.Bill.Total(),
-				rec.Selection.Feasible,
-				len(rec.Selection.Points))
+			t.Cell(cfg.Key.AppendString(t.Buf()))
+			t.Cell(report.AppendHours(t.Buf(), rec.Selection.Time))
+			t.Cell(rec.Selection.Bill.Total().AppendString(t.Buf()))
+			t.Cell(strconv.AppendBool(t.Buf(), rec.Selection.Feasible))
+			t.Cell(strconv.AppendInt(t.Buf(), int64(len(rec.Selection.Points)), 10))
+			t.EndRow()
 		}
-		sb.WriteString(t.String())
+		dst = t.AppendTo(dst)
 	}
 	if len(c.Winners) > 0 {
-		t := report.NewTable("winners", "scenario", "configuration", "workload time", "total cost", "feasible")
+		t := report.NewTable("winners", winnerHeaders...)
 		for _, w := range c.Winners {
-			t.AddRow(w.Scenario, w.Key.String(), fmt.Sprintf("%.3fh", w.Time.Hours()), w.Cost, w.Feasible)
+			t.Cell(append(t.Buf(), w.Scenario...))
+			t.Cell(w.Key.AppendString(t.Buf()))
+			t.Cell(report.AppendHours(t.Buf(), w.Time))
+			t.Cell(w.Cost.AppendString(t.Buf()))
+			t.Cell(strconv.AppendBool(t.Buf(), w.Feasible))
+			t.EndRow()
 		}
-		sb.WriteString(t.String())
+		dst = t.AppendTo(dst)
 	}
 	if len(c.Pareto) > 0 {
-		t := report.NewTable("cross-provider pareto frontier", "configuration", "α", "workload time", "cost", "views")
+		t := report.NewTable("cross-provider pareto frontier", frontierHeaders...)
 		for _, p := range c.Pareto {
-			t.AddRow(p.Key.String(), fmt.Sprintf("%.2f", p.Point.Alpha),
-				fmt.Sprintf("%.3fh", p.Point.Time.Hours()), p.Point.Cost, p.Point.Views)
+			t.Cell(p.Key.AppendString(t.Buf()))
+			t.Cell(strconv.AppendFloat(t.Buf(), p.Point.Alpha, 'f', 2, 64))
+			t.Cell(report.AppendHours(t.Buf(), p.Point.Time))
+			t.Cell(p.Point.Cost.AppendString(t.Buf()))
+			t.Cell(strconv.AppendInt(t.Buf(), int64(p.Point.Views), 10))
+			t.EndRow()
 		}
-		sb.WriteString(t.String())
+		dst = t.AppendTo(dst)
 	}
 	if c.BreakEven != nil {
-		t := report.NewTable("budget break-even sweep (mv1 winner per budget)", "budget", "winner")
+		t := report.NewTable("budget break-even sweep (mv1 winner per budget)", breakEvenHeaders...)
 		for i, b := range c.BreakEven.Budgets {
-			t.AddRow(b, c.BreakEven.Winners[i].String())
+			t.Cell(b.AppendString(t.Buf()))
+			t.Cell(c.BreakEven.Winners[i].AppendString(t.Buf()))
+			t.EndRow()
 		}
-		sb.WriteString(t.String())
+		dst = t.AppendTo(dst)
 		for _, f := range c.BreakEven.Flips {
-			fmt.Fprintf(&sb, "winner flips from %s to %s at ≈%v\n", f.From, f.To, f.Budget)
+			dst = append(dst, "winner flips from "...)
+			dst = f.From.AppendString(dst)
+			dst = append(dst, " to "...)
+			dst = f.To.AppendString(dst)
+			dst = append(dst, " at ≈"...)
+			dst = f.Budget.AppendString(dst)
+			dst = append(dst, '\n')
 		}
 		if len(c.BreakEven.Flips) == 0 {
-			sb.WriteString("no winner flips across the swept budget range\n")
+			dst = append(dst, "no winner flips across the swept budget range\n"...)
 		}
 	}
-	if len(c.Skipped) > 0 {
-		names := make([]string, len(c.Skipped))
-		for i, k := range c.Skipped {
-			names[i] = k.String()
-		}
-		fmt.Fprintf(&sb, "skipped (instance type not offered): %s\n", strings.Join(names, ", "))
+	return appendSkipped(dst, c.Skipped)
+}
+
+// appendSkipped appends the report line naming configurations whose
+// instance type the provider does not offer, if there are any.
+//
+//mvlint:hotpath
+func appendSkipped(dst []byte, skipped []Key) []byte {
+	if len(skipped) == 0 {
+		return dst
 	}
-	return sb.String()
+	dst = append(dst, "skipped (instance type not offered): "...)
+	for i, k := range skipped {
+		if i > 0 {
+			dst = append(dst, ", "...)
+		}
+		dst = k.AppendString(dst)
+	}
+	return append(dst, '\n')
 }

@@ -313,42 +313,81 @@ type ComparisonJSON struct {
 	Degraded bool `json:"degraded,omitempty"`
 	// Report is the human-readable rendering (Comparison.Render).
 	Report string `json:"report"`
+	// src, set by Comparison.AppendJSON, has the encoder render the
+	// report from the comparison straight into its output; Report is
+	// then unused.
+	src *Comparison
 }
 
 // JSON renders the comparison in wire form.
-func (c *Comparison) JSON() ComparisonJSON {
+func (c *Comparison) JSON() ComparisonJSON { return c.wire(false) }
+
+// AppendJSON appends the wire form's encoding to dst — the bytes of
+// json.Marshal(c.JSON()), with no report rendered into a string on the
+// way: the encoder renders each one directly into dst.
+func (c *Comparison) AppendJSON(dst []byte) ([]byte, error) {
+	return c.wire(true).AppendJSON(dst)
+}
+
+// recWire converts one cell's recommendation, leaving the report to the
+// encoder when lazy.
+func recWire(r *core.Recommendation, lazy bool) core.RecommendationJSON {
+	if lazy {
+		return r.LazyJSON()
+	}
+	return r.JSON()
+}
+
+// wire builds the wire form. When lazy, reports are left to the encoder
+// (see core.Recommendation.LazyJSON) and the result is only good for
+// AppendJSON while c is unchanged.
+func (c *Comparison) wire(lazy bool) ComparisonJSON {
 	out := ComparisonJSON{
 		Scenarios: c.Scenarios,
 		Skipped:   c.Skipped,
 		Degraded:  c.Degraded,
-		Report:    c.Render(),
 	}
-	for _, cfg := range c.Configs {
-		cj := ConfigResultJSON{
-			Key:         cfg.Key,
-			DatasetSize: cfg.DatasetSize.String(),
-			Pareto:      core.ParetoJSON(cfg.Pareto),
-		}
-		if len(cfg.Pareto) == 0 {
-			cj.Pareto = nil
-		}
-		for _, r := range cfg.Results {
-			cj.Results = append(cj.Results, ScenarioResultJSON{Scenario: r.Scenario, Recommendation: r.Rec.JSON()})
-		}
-		out.Configs = append(out.Configs, cj)
+	if lazy {
+		out.src = c
+	} else {
+		out.Report = c.Render()
 	}
-	for _, w := range c.Winners {
-		out.Winners = append(out.Winners, WinnerJSON{
+	if len(c.Configs) > 0 {
+		out.Configs = make([]ConfigResultJSON, len(c.Configs))
+	}
+	for i := range c.Configs {
+		cfg := &c.Configs[i]
+		cj := ConfigResultJSON{Key: cfg.Key, DatasetSize: cfg.DatasetSize.String()}
+		if len(cfg.Pareto) > 0 {
+			cj.Pareto = core.ParetoJSON(cfg.Pareto)
+		}
+		if len(cfg.Results) > 0 {
+			cj.Results = make([]ScenarioResultJSON, len(cfg.Results))
+		}
+		for k := range cfg.Results {
+			r := &cfg.Results[k]
+			cj.Results[k] = ScenarioResultJSON{Scenario: r.Scenario, Recommendation: recWire(&r.Rec, lazy)}
+		}
+		out.Configs[i] = cj
+	}
+	if len(c.Winners) > 0 {
+		out.Winners = make([]WinnerJSON, len(c.Winners))
+	}
+	for i, w := range c.Winners {
+		out.Winners[i] = WinnerJSON{
 			Scenario: w.Scenario,
 			Key:      w.Key,
 			Time:     w.Time.String(),
 			Hours:    w.Time.Hours(),
 			Cost:     w.Cost,
 			Feasible: w.Feasible,
-		})
+		}
 	}
-	for _, p := range c.Pareto {
-		out.Pareto = append(out.Pareto, ParetoEntryJSON{
+	if len(c.Pareto) > 0 {
+		out.Pareto = make([]ParetoEntryJSON, len(c.Pareto))
+	}
+	for i, p := range c.Pareto {
+		out.Pareto[i] = ParetoEntryJSON{
 			Key: p.Key,
 			ParetoPointJSON: core.ParetoPointJSON{
 				Alpha:    p.Point.Alpha,
@@ -358,12 +397,15 @@ func (c *Comparison) JSON() ComparisonJSON {
 				Views:    p.Point.Views,
 				Degraded: p.Point.Degraded,
 			},
-		})
+		}
 	}
 	if c.BreakEven != nil {
 		be := &BreakEvenJSON{Budgets: c.BreakEven.Budgets, Winners: c.BreakEven.Winners}
-		for _, f := range c.BreakEven.Flips {
-			be.Flips = append(be.Flips, FlipJSON{Budget: f.Budget, From: f.From, To: f.To})
+		if len(c.BreakEven.Flips) > 0 {
+			be.Flips = make([]FlipJSON, len(c.BreakEven.Flips))
+		}
+		for i, f := range c.BreakEven.Flips {
+			be.Flips[i] = FlipJSON{Budget: f.Budget, From: f.From, To: f.To}
 		}
 		out.BreakEven = be
 	}

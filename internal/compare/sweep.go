@@ -11,6 +11,7 @@ package compare
 import (
 	"context"
 	"fmt"
+	"strconv"
 	"strings"
 	"time"
 
@@ -236,28 +237,35 @@ func (n normalized) solveSweepCell(shared *core.Shared, scenario string, k Key, 
 // the bill decomposed per cell (compute/storage/transfer — what is
 // price), plus the winner line.
 func (s *Sweep) Render() string {
-	var sb strings.Builder
-	t := report.NewTable(fmt.Sprintf("scenario %s — tariff grid", s.Scenario),
-		"configuration", "workload time", "total cost", "compute", "storage", "transfer", "feasible", "views")
-	for _, c := range s.Cells {
+	return string(s.AppendReport(make([]byte, 0, 1024)))
+}
+
+var gridHeaders = []string{"configuration", "workload time", "total cost", "compute", "storage", "transfer", "feasible", "views"}
+
+// AppendReport appends the Render text to dst.
+//
+//mvlint:hotpath
+func (s *Sweep) AppendReport(dst []byte) []byte {
+	dst = append(dst, "scenario "...)
+	dst = append(dst, s.Scenario...)
+	dst = append(dst, " — tariff grid\n"...)
+	t := report.NewTable("", gridHeaders...)
+	for i := range s.Cells {
+		c := &s.Cells[i]
 		bill := c.Rec.Selection.Bill
-		t.AddRow(c.Key.String(),
-			fmt.Sprintf("%.3fh", c.Rec.Selection.Time.Hours()),
-			bill.Total(),
-			bill.Compute.Total(),
-			bill.Storage,
-			bill.Transfer,
-			c.Rec.Selection.Feasible,
-			len(c.Rec.Selection.Points))
+		t.Cell(c.Key.AppendString(t.Buf()))
+		t.Cell(report.AppendHours(t.Buf(), c.Rec.Selection.Time))
+		t.Cell(bill.Total().AppendString(t.Buf()))
+		t.Cell(bill.Compute.Total().AppendString(t.Buf()))
+		t.Cell(bill.Storage.AppendString(t.Buf()))
+		t.Cell(bill.Transfer.AppendString(t.Buf()))
+		t.Cell(strconv.AppendBool(t.Buf(), c.Rec.Selection.Feasible))
+		t.Cell(strconv.AppendInt(t.Buf(), int64(len(c.Rec.Selection.Points)), 10))
+		t.EndRow()
 	}
-	sb.WriteString(t.String())
-	fmt.Fprintf(&sb, "best configuration: %s\n", s.Best)
-	if len(s.Skipped) > 0 {
-		names := make([]string, len(s.Skipped))
-		for i, k := range s.Skipped {
-			names[i] = k.String()
-		}
-		fmt.Fprintf(&sb, "skipped (instance type not offered): %s\n", strings.Join(names, ", "))
-	}
-	return sb.String()
+	dst = t.AppendTo(dst)
+	dst = append(dst, "best configuration: "...)
+	dst = s.Best.AppendString(dst)
+	dst = append(dst, '\n')
+	return appendSkipped(dst, s.Skipped)
 }

@@ -155,23 +155,43 @@ type SweepJSON struct {
 	Degraded bool `json:"degraded,omitempty"`
 	// Report is the human-readable rendering (Sweep.Render).
 	Report string `json:"report"`
+	// src, set by Sweep.AppendJSON, has the encoder render the report
+	// from the sweep straight into its output; Report is then unused.
+	src *Sweep
 }
 
 // JSON renders the sweep in wire form.
-func (s *Sweep) JSON() SweepJSON {
+func (s *Sweep) JSON() SweepJSON { return s.wire(false) }
+
+// AppendJSON appends the wire form's encoding to dst; see
+// Comparison.AppendJSON.
+func (s *Sweep) AppendJSON(dst []byte) ([]byte, error) {
+	return s.wire(true).AppendJSON(dst)
+}
+
+// wire builds the wire form; see Comparison.wire.
+func (s *Sweep) wire(lazy bool) SweepJSON {
 	out := SweepJSON{
 		Scenario: s.Scenario,
 		Best:     s.Best,
 		Skipped:  s.Skipped,
 		Degraded: s.Degraded,
-		Report:   s.Render(),
 	}
-	for _, c := range s.Cells {
-		out.Cells = append(out.Cells, SweepCellJSON{
+	if lazy {
+		out.src = s
+	} else {
+		out.Report = s.Render()
+	}
+	if len(s.Cells) > 0 {
+		out.Cells = make([]SweepCellJSON, len(s.Cells))
+	}
+	for i := range s.Cells {
+		c := &s.Cells[i]
+		out.Cells[i] = SweepCellJSON{
 			Key:            c.Key,
 			DatasetSize:    c.DatasetSize.String(),
-			Recommendation: c.Rec.JSON(),
-		})
+			Recommendation: recWire(&c.Rec, lazy),
+		}
 	}
 	return out
 }

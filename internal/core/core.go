@@ -8,6 +8,7 @@ package core
 import (
 	"context"
 	"fmt"
+	"strconv"
 	"strings"
 	"sync"
 	"time"
@@ -394,23 +395,52 @@ func (r Recommendation) CostImprovement() float64 {
 
 // Render produces a human-readable report.
 func (r Recommendation) Render() string {
-	var sb strings.Builder
-	fmt.Fprintf(&sb, "Scenario %s — %s\n", r.Scenario, feasibility(r.Selection.Feasible))
-	t := report.NewTable("",
-		"", "workload time", "total cost", "compute", "storage", "transfer")
-	t.AddRow("without views", fmt.Sprintf("%.3fh", r.BaselineTime.Hours()),
-		r.BaselineBill.Total(), r.BaselineBill.Compute.Total(), r.BaselineBill.Storage, r.BaselineBill.Transfer)
-	t.AddRow("with views", fmt.Sprintf("%.3fh", r.Selection.Time.Hours()),
-		r.Selection.Bill.Total(), r.Selection.Bill.Compute.Total(), r.Selection.Bill.Storage, r.Selection.Bill.Transfer)
-	sb.WriteString(t.String())
-	fmt.Fprintf(&sb, "time improvement: %s   cost improvement: %s\n",
-		report.Percent(r.TimeImprovement()), report.Percent(r.CostImprovement()))
+	return string(r.AppendReport(make([]byte, 0, 1024)))
+}
+
+var recommendationHeaders = []string{"", "workload time", "total cost", "compute", "storage", "transfer"}
+
+// AppendReport appends the Render text to dst.
+//
+//mvlint:hotpath
+func (r Recommendation) AppendReport(dst []byte) []byte {
+	dst = append(dst, "Scenario "...)
+	dst = append(dst, r.Scenario...)
+	dst = append(dst, " — "...)
+	dst = append(dst, feasibility(r.Selection.Feasible)...)
+	dst = append(dst, '\n')
+	t := report.NewTable("", recommendationHeaders...)
+	billRow(t, "without views", r.BaselineTime, r.BaselineBill)
+	billRow(t, "with views", r.Selection.Time, r.Selection.Bill)
+	dst = t.AppendTo(dst)
+	dst = append(dst, "time improvement: "...)
+	dst = report.AppendPercent(dst, r.TimeImprovement())
+	dst = append(dst, "   cost improvement: "...)
+	dst = report.AppendPercent(dst, r.CostImprovement())
+	dst = append(dst, "\nmaterialize: "...)
 	if len(r.ViewNames) == 0 {
-		sb.WriteString("materialize: nothing\n")
-	} else {
-		fmt.Fprintf(&sb, "materialize: %s\n", strings.Join(r.ViewNames, ", "))
+		dst = append(dst, "nothing"...)
 	}
-	return sb.String()
+	for i, name := range r.ViewNames {
+		if i > 0 {
+			dst = append(dst, ", "...)
+		}
+		dst = append(dst, name...)
+	}
+	return append(dst, '\n')
+}
+
+// billRow adds one configuration's time and bill breakdown to t.
+//
+//mvlint:hotpath
+func billRow(t *report.Table, label string, d time.Duration, b costmodel.Bill) {
+	t.Cell(append(t.Buf(), label...))
+	t.Cell(report.AppendHours(t.Buf(), d))
+	t.Cell(b.Total().AppendString(t.Buf()))
+	t.Cell(b.Compute.Total().AppendString(t.Buf()))
+	t.Cell(b.Storage.AppendString(t.Buf()))
+	t.Cell(b.Transfer.AppendString(t.Buf()))
+	t.EndRow()
 }
 
 func feasibility(ok bool) string {
@@ -511,7 +541,7 @@ func (a *Advisor) AdviseDeadline(limit time.Duration) (Recommendation, error) {
 
 // AdviseTradeoff solves scenario MV3 with the given α weight on time.
 func (a *Advisor) AdviseTradeoff(alpha float64) (Recommendation, error) {
-	return a.advise(fmt.Sprintf("MV3 (tradeoff, α=%.2g)", alpha),
+	return a.advise("MV3 (tradeoff, α="+strconv.FormatFloat(alpha, 'g', 2, 64)+")",
 		func() (optimizer.Selection, error) { return a.sess.SolveMV3(alpha, optimizer.RawTradeoff) },
 		func(warm optimizer.Selection) (optimizer.Selection, error) {
 			return search.SolveMV3(a.Ev, a.Candidates, alpha, optimizer.RawTradeoff, a.warmOpts(warm))

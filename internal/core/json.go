@@ -295,6 +295,9 @@ type RecommendationJSON struct {
 	Gains  ImprovementJSON `json:"improvement"`
 	// Report is the human-readable rendering (Recommendation.Render).
 	Report string `json:"report"`
+	// rec, set by LazyJSON, has AppendJSON render the report from the
+	// recommendation straight into its output; Report is then unused.
+	rec *Recommendation
 }
 
 // BaselineJSON is the no-view reference configuration.
@@ -310,15 +313,32 @@ type ImprovementJSON struct {
 	Cost float64 `json:"cost"`
 }
 
-// JSON renders the recommendation in wire form.
+// JSON renders the recommendation in wire form. The result shares the
+// recommendation's view names and points; treat it as read-only.
 func (r Recommendation) JSON() RecommendationJSON {
+	j := r.wire()
+	j.Report = r.Render()
+	return j
+}
+
+// LazyJSON is JSON for a caller that only goes on to encode the result:
+// the report is not rendered into a string here but by AppendJSON,
+// directly into the encoder's output. r must stay unchanged until then.
+func (r *Recommendation) LazyJSON() RecommendationJSON {
+	j := r.wire()
+	j.rec = r
+	return j
+}
+
+// wire fills every wire field but the report.
+func (r Recommendation) wire() RecommendationJSON {
 	views := r.ViewNames
 	if views == nil {
 		views = []string{}
 	}
 	points := make([][]int, len(r.Selection.Points))
 	for i, p := range r.Selection.Points {
-		points[i] = []int(p.Clone())
+		points[i] = p
 	}
 	return RecommendationJSON{
 		Scenario: r.Scenario,
@@ -339,7 +359,6 @@ func (r Recommendation) JSON() RecommendationJSON {
 			Time: r.TimeImprovement(),
 			Cost: r.CostImprovement(),
 		},
-		Report: r.Render(),
 	}
 }
 

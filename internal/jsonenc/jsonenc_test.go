@@ -1,0 +1,130 @@
+package jsonenc
+
+import (
+	"bytes"
+	"encoding/json"
+	"errors"
+	"math"
+	"testing"
+)
+
+// checkString holds all three forms of the escaper to encoding/json:
+// AppendString over a string and over a []byte, and QuoteTail over the
+// raw text rendered onto the end of a buffer.
+func checkString(t *testing.T, s string) {
+	t.Helper()
+	want, err := json.Marshal(s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	prefix := []byte(`{"report":`)
+	if got := AppendString(bytes.Clone(prefix), s); !bytes.Equal(got[len(prefix):], want) {
+		t.Errorf("AppendString(%q) = %s, want %s", s, got[len(prefix):], want)
+	}
+	if got := AppendString(nil, []byte(s)); !bytes.Equal(got, want) {
+		t.Errorf("AppendString([]byte(%q)) = %s, want %s", s, got, want)
+	}
+	// Exactly-sized, so QuoteTail has to grow the buffer itself.
+	raw := append(bytes.Clone(prefix), s...)
+	got := QuoteTail(raw[:len(raw):len(raw)], len(prefix))
+	if !bytes.HasPrefix(got, prefix) || !bytes.Equal(got[len(prefix):], want) {
+		t.Errorf("QuoteTail(%q) = %s, want %s%s", s, got, prefix, want)
+	}
+	if n := escapedLen([]byte(s)); n != len(want)-2 {
+		t.Errorf("escapedLen(%q) = %d, want %d", s, n, len(want)-2)
+	}
+}
+
+func FuzzAppendJSONString(f *testing.F) {
+	f.Fuzz(func(t *testing.T, s string) { checkString(t, s) })
+}
+
+func TestAppendStringEveryByte(t *testing.T) {
+	for b := 0; b < 256; b++ {
+		checkString(t, string([]byte{byte(b)}))
+		checkString(t, string([]byte{'a', byte(b), 'z'}))
+	}
+}
+
+func TestAppendStrings(t *testing.T) {
+	for _, ss := range [][]string{nil, {}, {"a"}, {"year×country", "<&>", ""}} {
+		want, _ := json.Marshal(ss)
+		if got := AppendStrings(nil, ss); !bytes.Equal(got, want) {
+			t.Errorf("AppendStrings(%q) = %s, want %s", ss, got, want)
+		}
+	}
+}
+
+type appender string
+
+func (a appender) AppendJSON(dst []byte) ([]byte, error) {
+	if a == "" {
+		return dst, errors.New("empty")
+	}
+	return AppendString(dst, string(a)), nil
+}
+
+func TestAppendArray(t *testing.T) {
+	for _, c := range []struct {
+		xs   []appender
+		want string
+	}{
+		{nil, `null`}, {[]appender{}, `[]`}, {[]appender{"a"}, `["a"]`}, {[]appender{"a", "<", "c"}, `["a","\u003c","c"]`},
+	} {
+		got, err := AppendArray([]byte("x"), c.xs)
+		if err != nil || string(got) != "x"+c.want {
+			t.Errorf("AppendArray(%q) = %s, %v; want x%s", c.xs, got, err, c.want)
+		}
+	}
+	if _, err := AppendArray(nil, []appender{"a", ""}); err == nil {
+		t.Error("AppendArray swallowed an element's error")
+	}
+}
+
+func TestAppendFloat(t *testing.T) {
+	for _, f := range []float64{
+		0, math.Copysign(0, -1), 1, -1, 0.5, 0.1 + 0.2, 100, 1e20, 1e21, 1.5e21, -1e21, 123456789012345678,
+		1e-6, 1e-7, 9.99e-7, -1e-7, 1.234e-9, 1e-10, 1e-100, 1e100,
+		math.MaxFloat64, -math.MaxFloat64, math.SmallestNonzeroFloat64, math.MaxInt64, 2.0 / 3,
+	} {
+		want, err := json.Marshal(f)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := AppendFloat([]byte("x"), f)
+		if err != nil || string(got) != "x"+string(want) {
+			t.Errorf("AppendFloat(%g) = %s, %v; want x%s", f, got, err, want)
+		}
+	}
+}
+
+// TestAppendFloatUnsupported: what has no JSON form must fail exactly
+// as encoding/json fails, and append nothing — an encoder that let it
+// through would put invalid JSON in the response cache.
+func TestAppendFloatUnsupported(t *testing.T) {
+	for _, f := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		_, wantErr := json.Marshal(f)
+		var want *json.UnsupportedValueError
+		if !errors.As(wantErr, &want) {
+			t.Fatalf("json.Marshal(%g) error = %v", f, wantErr)
+		}
+		got, err := AppendFloat([]byte("x"), f)
+		var uv *json.UnsupportedValueError
+		if !errors.As(err, &uv) || uv.Str != want.Str || err.Error() != wantErr.Error() {
+			t.Errorf("AppendFloat(%g) error = %v, want %v", f, err, wantErr)
+		}
+		if string(got) != "x" {
+			t.Errorf("AppendFloat(%g) appended %q", f, got[1:])
+		}
+	}
+}
+
+func BenchmarkAppendString(b *testing.B) {
+	s := "| aws-2012/small×5 | 12.345h | $123.45 | true | 3 |\n"
+	buf := make([]byte, 0, 256)
+	b.SetBytes(int64(len(s)))
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		buf = AppendString(buf[:0], s)
+	}
+}

@@ -12,7 +12,17 @@ import (
 
 // MarshalJSON renders the amount as a quoted dollar string.
 func (m Money) MarshalJSON() ([]byte, error) {
-	return json.Marshal(m.String())
+	return m.AppendJSON(make([]byte, 0, 24)), nil
+}
+
+// AppendJSON appends the quoted dollar string to dst. The display form
+// holds only digits, '-', '$' and '.', so it needs no escaping.
+//
+//mvlint:hotpath
+func (m Money) AppendJSON(dst []byte) []byte {
+	dst = append(dst, '"')
+	dst = m.AppendString(dst)
+	return append(dst, '"')
 }
 
 // UnmarshalJSON parses a dollar string ("$1.08", "1.08") or a JSON number

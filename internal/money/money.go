@@ -188,23 +188,35 @@ func Sum(ms ...Money) Money {
 // String renders the amount as dollars, e.g. "$0.12", "-$2131.76".
 // At least two decimals are shown; trailing sub-cent digits are trimmed.
 func (m Money) String() string {
-	neg := m < 0
-	u := int64(m)
-	if neg {
+	var b [24]byte // "-$9223372036854.775808" is 22 bytes
+	return string(m.AppendString(b[:0]))
+}
+
+// AppendString appends the String form to dst.
+//
+//mvlint:hotpath
+func (m Money) AppendString(dst []byte) []byte {
+	// The magnitude is taken in uint64: -MinMoney does not fit an int64.
+	u := uint64(m)
+	if m < 0 {
+		dst = append(dst, '-')
 		u = -u
 	}
-	whole := u / 1e6
+	dst = append(dst, '$')
+	dst = strconv.AppendUint(dst, u/1e6, 10)
 	frac := u % 1e6
-	s := fmt.Sprintf("%06d", frac)
+	var d [6]byte
+	for i := len(d) - 1; i >= 0; i-- {
+		d[i] = byte('0' + frac%10)
+		frac /= 10
+	}
 	// Trim trailing zeros but keep at least two decimals.
-	for len(s) > 2 && s[len(s)-1] == '0' {
-		s = s[:len(s)-1]
+	n := len(d)
+	for n > 2 && d[n-1] == '0' {
+		n--
 	}
-	sign := ""
-	if neg {
-		sign = "-"
-	}
-	return fmt.Sprintf("%s$%d.%s", sign, whole, s)
+	dst = append(dst, '.')
+	return append(dst, d[:n]...)
 }
 
 // Parse parses strings like "$1.08", "1.08", "-$0.0000004" into Money.
@@ -244,14 +256,26 @@ func Parse(s string) (Money, error) {
 			return 0, fmt.Errorf("money: cannot parse %q: %v", orig, err)
 		}
 	}
-	if whole > math.MaxInt64/1_000_000-1 {
+	if whole < 0 || frac < 0 { // a second sign inside the number
+		return 0, fmt.Errorf("money: cannot parse %q", orig)
+	}
+	if whole > math.MaxInt64/1_000_000 {
 		return 0, ErrOverflow
 	}
-	v := Money(whole*1e6 + frac)
+	// Like AppendString, work on the magnitude in uint64, so that the
+	// whole range parses — MinMoney has no positive counterpart.
+	mag := uint64(whole)*1_000_000 + uint64(frac)
+	limit := uint64(math.MaxInt64)
 	if neg {
-		v = -v
+		limit++
 	}
-	return v, nil
+	if mag > limit {
+		return 0, ErrOverflow
+	}
+	if neg {
+		mag = -mag
+	}
+	return Money(mag), nil
 }
 
 // MustParse is like Parse but panics on error. Intended for static tariff

@@ -1,6 +1,7 @@
 package money
 
 import (
+	"encoding/json"
 	"math"
 	"testing"
 	"testing/quick"
@@ -251,5 +252,58 @@ func TestOverflowBoundaries(t *testing.T) {
 	}
 	if got := Money(math.MaxInt64).Add(Money(math.MaxInt64)); got != MaxMoney {
 		t.Error("double max should saturate")
+	}
+}
+
+// TestStringEdges pins the display form at the ends of the range — the
+// magnitude of MinMoney does not fit an int64 — and round-trips every
+// case through Parse and through JSON.
+func TestStringEdges(t *testing.T) {
+	cases := []struct {
+		m    Money
+		want string
+	}{
+		{0, "$0.00"},
+		{Microdollar, "$0.000001"},
+		{-Microdollar, "-$0.000001"},
+		{10 * Cent, "$0.10"},
+		{-10 * Cent, "-$0.10"},
+		{MaxMoney, "$9223372036854.775807"},
+		{MinMoney, "-$9223372036854.775808"},
+		{MinMoney + 1, "-$9223372036854.775807"},
+	}
+	for _, c := range cases {
+		if got := c.m.String(); got != c.want {
+			t.Errorf("Money(%d).String() = %q, want %q", int64(c.m), got, c.want)
+		}
+		if got := string(c.m.AppendString([]byte("x"))); got != "x"+c.want {
+			t.Errorf("Money(%d).AppendString = %q, want %q", int64(c.m), got, "x"+c.want)
+		}
+		if back, err := Parse(c.want); err != nil || back != c.m {
+			t.Errorf("Parse(%q) = %d, %v; want %d", c.want, int64(back), err, int64(c.m))
+		}
+		b, err := json.Marshal(c.m)
+		if err != nil || string(b) != `"`+c.want+`"` {
+			t.Errorf("json.Marshal(Money(%d)) = %s, %v", int64(c.m), b, err)
+		}
+		var back Money
+		if err := json.Unmarshal(b, &back); err != nil || back != c.m {
+			t.Errorf("json.Unmarshal(%s) = %d, %v; want %d", b, int64(back), err, int64(c.m))
+		}
+	}
+	for _, s := range []string{"$9223372036854.775808", "-$9223372036854.775809", "$9223372036855", "$--5", "$1.-5"} {
+		if m, err := Parse(s); err == nil {
+			t.Errorf("Parse(%q) = %d, want an error", s, int64(m))
+		}
+	}
+}
+
+func BenchmarkMoneyAppendString(b *testing.B) {
+	buf := make([]byte, 0, 32)
+	m := MustParse("$2131.76")
+	b.SetBytes(int64(len(m.String())))
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		buf = m.AppendString(buf[:0])
 	}
 }

@@ -10,13 +10,10 @@ type tableJSON struct {
 	Rows    [][]string `json:"rows"`
 }
 
-// Rows returns the formatted cell rows accumulated by AddRow.
-func (t *Table) Rows() [][]string { return t.rows }
-
 // MarshalJSON renders the table as {title, headers, rows} with the cells
 // already %v-formatted.
 func (t *Table) MarshalJSON() ([]byte, error) {
-	rows := t.rows
+	rows := t.Rows()
 	if rows == nil {
 		rows = [][]string{}
 	}

@@ -1,8 +1,14 @@
 package report
 
 import (
+	"errors"
+	"fmt"
+	"math"
+	"math/rand"
+	"reflect"
 	"strings"
 	"testing"
+	"time"
 )
 
 func TestTableRender(t *testing.T) {
@@ -122,5 +128,183 @@ func TestPercent(t *testing.T) {
 func TestPad(t *testing.T) {
 	if pad("ab", 4) != "ab  " || pad("abcd", 2) != "abcd" {
 		t.Error("pad wrong")
+	}
+}
+
+// referenceRender is the table renderer AppendTo replaced — cells as
+// strings, fmt and strings.Join — kept as the layout reference.
+func referenceRender(title string, headers []string, rows [][]string) string {
+	widths := make([]int, len(headers))
+	for i, h := range headers {
+		widths[i] = len([]rune(h))
+	}
+	for _, row := range rows {
+		for i, c := range row {
+			if i < len(widths) && len([]rune(c)) > widths[i] {
+				widths[i] = len([]rune(c))
+			}
+		}
+	}
+	var sb strings.Builder
+	if title != "" {
+		fmt.Fprintf(&sb, "%s\n", title)
+	}
+	line := func(cells []string) string {
+		parts := make([]string, len(widths))
+		for i := range widths {
+			c := ""
+			if i < len(cells) {
+				c = cells[i]
+			}
+			parts[i] = pad(c, widths[i])
+		}
+		return "| " + strings.Join(parts, " | ") + " |"
+	}
+	sep := make([]string, len(widths))
+	for i, wd := range widths {
+		sep[i] = strings.Repeat("-", wd)
+	}
+	out := []string{line(headers), "|-" + strings.Join(sep, "-|-") + "-|"}
+	for _, row := range rows {
+		out = append(out, line(row))
+	}
+	fmt.Fprintln(&sb, strings.Join(out, "\n"))
+	return sb.String()
+}
+
+// TestAppendToMatchesReference renders seeded random tables — ragged
+// rows, empty and multi-byte cells, invalid UTF-8, no columns, more
+// cells than the inline arenas hold — through both renderers.
+func TestAppendToMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(15))
+	alphabet := []string{"a", "B", "7", " ", "×", "—", "α", "$", ".", "\xff", "|", "😀"}
+	word := func() string {
+		var sb strings.Builder
+		for n := rng.Intn(9); n > 0; n-- {
+			sb.WriteString(alphabet[rng.Intn(len(alphabet))])
+		}
+		return sb.String()
+	}
+	for trial := 0; trial < 300; trial++ {
+		title := ""
+		if rng.Intn(2) == 0 {
+			title = word()
+		}
+		headers := make([]string, rng.Intn(7))
+		if trial%50 == 0 {
+			headers = make([]string, 20) // past AppendTo's inline width array
+		}
+		for i := range headers {
+			headers[i] = word()
+		}
+		tb := NewTable(title, headers...)
+		nrows := rng.Intn(6)
+		if trial%25 == 0 {
+			nrows = 40 // past the table's inline arenas
+		}
+		rows := make([][]string, nrows)
+		for r := range rows {
+			rows[r] = make([]string, rng.Intn(len(headers)+2))
+			cells := make([]any, len(rows[r]))
+			for i := range rows[r] {
+				rows[r][i] = word()
+				cells[i] = rows[r][i]
+			}
+			if r%2 == 0 {
+				tb.AddRow(cells...)
+				continue
+			}
+			for _, c := range rows[r] {
+				tb.Cell(append(tb.Buf(), c...))
+			}
+			tb.EndRow()
+		}
+		want := referenceRender(title, headers, rows)
+		if got := tb.String(); got != want {
+			t.Fatalf("trial %d:\ngot:\n%s\nwant:\n%s", trial, got, want)
+		}
+		if got := string(tb.AppendTo([]byte("prefix"))); got != "prefix"+want {
+			t.Fatalf("trial %d: AppendTo disturbed its prefix:\n%s", trial, got)
+		}
+		var sb strings.Builder
+		if err := tb.Render(&sb); err != nil || sb.String() != want {
+			t.Fatalf("trial %d: Render = %q, %v", trial, sb.String(), err)
+		}
+		if got := tb.Rows(); len(rows) > 0 && !reflect.DeepEqual(got, rows) {
+			t.Fatalf("trial %d: Rows() = %q, want %q", trial, got, rows)
+		}
+	}
+}
+
+type appendStringer int
+
+func (a appendStringer) AppendString(dst []byte) []byte { return append(dst, "appended"...) }
+
+// TestAddRowFormatsLikeV: whatever AddRow is handed comes out as fmt's
+// %v would print it.
+func TestAddRowFormatsLikeV(t *testing.T) {
+	values := []any{"s", 42, -7, true, false, 0.5, int64(9), uint8(3), nil, []int{1, 2}, time.Second, errors.New("e")}
+	tb := NewTable("")
+	tb.AddRow(values...)
+	for i, v := range values {
+		if got, want := tb.Rows()[0][i], fmt.Sprintf("%v", v); got != want {
+			t.Errorf("cell %d = %q, want %q", i, got, want)
+		}
+	}
+	tb.AddRow(appendStringer(1))
+	if got := tb.Rows()[1][0]; got != "appended" {
+		t.Errorf("AppendString cell = %q", got)
+	}
+}
+
+var reportHeaders = []string{"configuration", "workload time", "total cost", "feasible", "views"}
+
+func reportTable() *Table {
+	tb := NewTable("", reportHeaders...)
+	for i := 0; i < 4; i++ {
+		tb.Cell(append(tb.Buf(), "aws-2012/small×5"...))
+		tb.Cell(AppendHours(tb.Buf(), 12345*time.Second))
+		tb.Cell(append(tb.Buf(), "$123.45"...))
+		tb.Cell(append(tb.Buf(), "true"...))
+		tb.Cell(append(tb.Buf(), "3"...))
+		tb.EndRow()
+	}
+	return tb
+}
+
+// TestTableAppendToAllocs: rendering into a buffer that is large enough
+// allocates nothing, and a report-sized table fills within its inline
+// arenas — one allocation for the table, none per row or cell.
+func TestTableAppendToAllocs(t *testing.T) {
+	tb := reportTable()
+	buf := make([]byte, 0, 4096)
+	if allocs := testing.AllocsPerRun(100, func() { buf = tb.AppendTo(buf[:0]) }); allocs != 0 {
+		t.Errorf("AppendTo into a pre-sized buffer: %.1f allocs, want 0", allocs)
+	}
+	if allocs := testing.AllocsPerRun(100, func() { reportTable() }); allocs > 1 {
+		t.Errorf("building a report-sized table: %.1f allocs, want at most 1", allocs)
+	}
+}
+
+func TestAppendHoursPercent(t *testing.T) {
+	for _, d := range []time.Duration{0, time.Hour, 90 * time.Minute, 12345 * time.Second, -time.Minute, 1<<63 - 1} {
+		if got, want := string(AppendHours(nil, d)), fmt.Sprintf("%.3fh", d.Hours()); got != want {
+			t.Errorf("AppendHours(%v) = %q, want %q", d, got, want)
+		}
+	}
+	for _, r := range []float64{0, 0.25, -0.031, 1, 0.9995, 12.3456, math.Inf(1), math.NaN()} {
+		if got, want := Percent(r), fmt.Sprintf("%.1f%%", r*100); got != want {
+			t.Errorf("Percent(%v) = %q, want %q", r, got, want)
+		}
+	}
+}
+
+func BenchmarkTableAppendTo(b *testing.B) {
+	tb := reportTable()
+	buf := tb.AppendTo(make([]byte, 0, 4096))
+	b.SetBytes(int64(len(buf)))
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		buf = tb.AppendTo(buf[:0])
 	}
 }

@@ -214,3 +214,26 @@ func BenchmarkClusterAdviseCacheHitHot(b *testing.B) {
 		}
 	}
 }
+
+// compareMiss2x2Body is the named load-compare-2x2 shape — the compare
+// request mvcloudbench and the repo benchmark's compare-cold workload
+// send: 2 providers × fleets {3,5}, budget + limit + alpha → mv1/mv2/mv3
+// on the 16-cuboid lattice plus the 8-step break-even sweep. n perturbs
+// fact_rows, so every n is a distinct canonical problem.
+func compareMiss2x2Body(n int) []byte {
+	return fmt.Appendf(nil, `{"budget":25,"limit":"4h","alpha":0.8,"providers":["aws-2012","cumulus"],"fleet_sizes":[3,5],"fact_rows":%d,"queries":10,"frequency":30}`, 50_000_000+n)
+}
+
+// BenchmarkCompareMiss2x2 measures a whole load-compare-2x2 miss through
+// ServeHTTP on a warm server: decode, canonicalize, four cells × three
+// scenarios, the break-even sweep, and the 21 KB encode.
+func BenchmarkCompareMiss2x2(b *testing.B) {
+	s := New(Options{CacheSize: 1})
+	w := postCompare(b, s, compareMiss2x2Body(0))
+	b.SetBytes(int64(w.Body.Len()))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		postCompare(b, s, compareMiss2x2Body(1+i%100_000))
+	}
+}

@@ -53,6 +53,7 @@ import (
 
 	"vmcloud/internal/compare"
 	"vmcloud/internal/core"
+	"vmcloud/internal/jsonenc"
 	"vmcloud/internal/money"
 	"vmcloud/internal/obs"
 	"vmcloud/internal/pricing"
@@ -436,6 +437,66 @@ type AdviseResponse struct {
 	// than a converged result. Omitted when false, so non-degraded
 	// responses are byte-identical to earlier server versions.
 	Degraded bool `json:"degraded,omitempty"`
+}
+
+// AppendJSON appends the response's wire form to dst, byte for byte
+// what encoding/json writes for the struct (see internal/core's
+// encoders; TestAppendJSONMatchesReflection).
+//
+//mvlint:hotpath
+func (r AdviseResponse) AppendJSON(dst []byte) ([]byte, error) {
+	var err error
+	dst = append(dst, `{"scenario":`...)
+	dst = jsonenc.AppendString(dst, r.Scenario)
+	dst = append(dst, `,"dataset_size":`...)
+	dst = jsonenc.AppendString(dst, r.DatasetSize)
+	dst = append(dst, `,"candidates":`...)
+	dst = strconv.AppendInt(dst, int64(r.Candidates), 10)
+	if r.Recommendation != nil {
+		dst = append(dst, `,"recommendation":`...)
+		if dst, err = r.Recommendation.AppendJSON(dst); err != nil {
+			return dst, err
+		}
+	}
+	if len(r.Pareto) > 0 {
+		dst = append(dst, `,"pareto":`...)
+		if dst, err = jsonenc.AppendArray(dst, r.Pareto); err != nil {
+			return dst, err
+		}
+	}
+	if r.Degraded {
+		dst = append(dst, `,"degraded":true`...)
+	}
+	return append(dst, '}'), nil
+}
+
+// MarshalJSON implements json.Marshaler through AppendJSON.
+func (r AdviseResponse) MarshalJSON() ([]byte, error) { return r.AppendJSON(nil) }
+
+// encodeBufPool holds the scratch the miss path encodes into, so that
+// a body is sized once, exactly, when it is copied out for the cache.
+var encodeBufPool = sync.Pool{New: func() any { return &reqBuf{b: make([]byte, 0, 32<<10)} }}
+
+// encodeBody runs a wire encoder and returns the newline-terminated
+// response body in a slice of exactly its length — the cache owns it
+// from here, and its byte bound counts len, not cap. The encode phase
+// is timed on tr.
+func encodeBody(tr *obs.Trace, v interface {
+	AppendJSON([]byte) ([]byte, error)
+}) ([]byte, error) {
+	t0 := tr.StartTimer()
+	buf := encodeBufPool.Get().(*reqBuf)
+	b, err := v.AppendJSON(buf.b[:0])
+	var body []byte
+	if err == nil {
+		body = make([]byte, len(b)+1)
+		copy(body, b)
+		body[len(b)] = '\n'
+	}
+	buf.b = b[:0]
+	encodeBufPool.Put(buf)
+	tr.ObserveSince(obs.PhaseEncode, t0)
+	return body, err
 }
 
 // memoSpec wires one deterministic POST endpoint into the shared
@@ -907,13 +968,8 @@ func adviseSlow(s *Server, w http.ResponseWriter, r *http.Request, ps probeState
 			if err != nil {
 				return nil, false, err
 			}
-			t0 := tr.StartTimer()
-			b, err := json.Marshal(resp)
-			tr.ObserveSince(obs.PhaseEncode, t0)
-			if err != nil {
-				return nil, false, err
-			}
-			return append(b, '\n'), resp.Degraded, nil
+			b, err := encodeBody(tr, &resp)
+			return b, resp.Degraded, err
 		},
 	}, ps)
 }
@@ -959,13 +1015,8 @@ func compareSlow(s *Server, w http.ResponseWriter, r *http.Request, ps probeStat
 			if err != nil {
 				return nil, false, err
 			}
-			t0 := tr.StartTimer()
-			b, err := json.Marshal(comp.JSON())
-			tr.ObserveSince(obs.PhaseEncode, t0)
-			if err != nil {
-				return nil, false, err
-			}
-			return append(b, '\n'), comp.Degraded, nil
+			b, err := encodeBody(tr, comp)
+			return b, comp.Degraded, err
 		},
 	}, ps)
 }
@@ -1012,13 +1063,8 @@ func sweepSlow(s *Server, w http.ResponseWriter, r *http.Request, ps probeState)
 			if err != nil {
 				return nil, false, err
 			}
-			t0 := tr.StartTimer()
-			b, err := json.Marshal(sw.JSON())
-			tr.ObserveSince(obs.PhaseEncode, t0)
-			if err != nil {
-				return nil, false, err
-			}
-			return append(b, '\n'), sw.Degraded, nil
+			b, err := encodeBody(tr, sw)
+			return b, sw.Degraded, err
 		},
 	}, ps)
 }
@@ -1098,7 +1144,7 @@ func (s *Server) solve(ctx context.Context, req AdviseRequest, tr *obs.Trace) (A
 		if err != nil {
 			return AdviseResponse{}, err
 		}
-		rj := rec.JSON()
+		rj := rec.LazyJSON()
 		resp.Recommendation = &rj
 		resp.Degraded = rec.Selection.Degraded
 	case "mv2":
@@ -1110,7 +1156,7 @@ func (s *Server) solve(ctx context.Context, req AdviseRequest, tr *obs.Trace) (A
 		if err != nil {
 			return AdviseResponse{}, err
 		}
-		rj := rec.JSON()
+		rj := rec.LazyJSON()
 		resp.Recommendation = &rj
 		resp.Degraded = rec.Selection.Degraded
 	case "mv3":
@@ -1118,7 +1164,7 @@ func (s *Server) solve(ctx context.Context, req AdviseRequest, tr *obs.Trace) (A
 		if err != nil {
 			return AdviseResponse{}, err
 		}
-		rj := rec.JSON()
+		rj := rec.LazyJSON()
 		resp.Recommendation = &rj
 		resp.Degraded = rec.Selection.Degraded
 	case "pareto":

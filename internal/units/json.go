@@ -10,9 +10,13 @@ import (
 // bytes. The string form rounds to two decimals, so a marshal/unmarshal
 // round trip is for display, not byte-exact accounting.
 
-// MarshalJSON renders the size as a quoted unit string.
+// MarshalJSON renders the size as a quoted unit string. The display
+// form holds only digits, '-', '.', a space and the unit letters, so it
+// needs no escaping.
 func (s DataSize) MarshalJSON() ([]byte, error) {
-	return json.Marshal(s.String())
+	b := append(make([]byte, 0, 32), '"')
+	b = s.AppendString(b)
+	return append(b, '"'), nil
 }
 
 // UnmarshalJSON parses a size string or a JSON number of bytes.

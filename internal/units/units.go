@@ -59,30 +59,38 @@ func (s DataSize) MulFloat(f float64) DataSize {
 
 // String renders the size with a binary unit suffix, e.g. "500.00 GB".
 func (s DataSize) String() string {
-	neg := s < 0
-	v := s
-	if neg {
+	var b [32]byte
+	return string(s.AppendString(b[:0]))
+}
+
+// AppendString appends the String form to dst.
+//
+//mvlint:hotpath
+func (s DataSize) AppendString(dst []byte) []byte {
+	// The magnitude is taken in uint64: -math.MinInt64 does not fit.
+	v := uint64(s)
+	if s < 0 {
+		dst = append(dst, '-')
 		v = -v
 	}
-	var out string
+	unit, suffix := Byte, " B"
 	switch {
-	case v >= PB:
-		out = fmt.Sprintf("%.2f PB", float64(v)/float64(PB))
-	case v >= TB:
-		out = fmt.Sprintf("%.2f TB", float64(v)/float64(TB))
-	case v >= GB:
-		out = fmt.Sprintf("%.2f GB", float64(v)/float64(GB))
-	case v >= MB:
-		out = fmt.Sprintf("%.2f MB", float64(v)/float64(MB))
-	case v >= KB:
-		out = fmt.Sprintf("%.2f KB", float64(v)/float64(KB))
+	case v >= uint64(PB):
+		unit, suffix = PB, " PB"
+	case v >= uint64(TB):
+		unit, suffix = TB, " TB"
+	case v >= uint64(GB):
+		unit, suffix = GB, " GB"
+	case v >= uint64(MB):
+		unit, suffix = MB, " MB"
+	case v >= uint64(KB):
+		unit, suffix = KB, " KB"
 	default:
-		out = fmt.Sprintf("%d B", v)
+		dst = strconv.AppendUint(dst, v, 10)
+		return append(dst, suffix...)
 	}
-	if neg {
-		out = "-" + out
-	}
-	return out
+	dst = strconv.AppendFloat(dst, float64(v)/float64(unit), 'f', 2, 64)
+	return append(dst, suffix...)
 }
 
 // ParseDataSize parses strings like "500GB", "1.5 TB", "10gb", "42" (bytes).
