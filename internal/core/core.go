@@ -359,8 +359,8 @@ func New(cfg Config) (*Advisor, error) {
 	return sh.Advisor(prov, cfg.InstanceType, cfg.Instances)
 }
 
-// Session exposes the advisor's kernel binding: the exact scenario
-// solvers over the shared structure (bit-equal to the Evaluator's), plus
+// Session exposes the advisor's kernel binding: the Section 5 scenario
+// solvers over the shared structure, re-priced for this tariff, plus
 // the incremental engine the search solvers reuse. The comparison
 // engine's break-even sweeps run on it directly. The session owns
 // mutable scratch (it is what the advisor's mutex guards), so callers

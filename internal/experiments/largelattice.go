@@ -158,8 +158,8 @@ func RunLargeLattice(cfg LargeLatticeConfig) (*LargeLatticeResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	ev, cands := adv.Ev, adv.Candidates
-	baseT, baseBill, err := ev.Evaluate(nil)
+	ev, cands, sess := adv.Ev, adv.Candidates, adv.Session()
+	baseT, baseBill, err := sess.Base()
 	if err != nil {
 		return nil, err
 	}
@@ -174,7 +174,7 @@ func RunLargeLattice(cfg LargeLatticeConfig) (*LargeLatticeResult, error) {
 		MaxEvals:     cfg.MaxEvals,
 	}
 
-	knap1, err := ev.SolveMV1(cands, res.Budget)
+	knap1, err := sess.SolveMV1(res.Budget)
 	if err != nil {
 		return nil, err
 	}
@@ -183,13 +183,14 @@ func RunLargeLattice(cfg LargeLatticeConfig) (*LargeLatticeResult, error) {
 		Seed:     cfg.Seed,
 		MaxEvals: cfg.MaxEvals,
 		Starts:   [][]lattice.Point{knap1.Points},
+		Engine:   sess.Engine(),
 	})
 	if err != nil {
 		return nil, err
 	}
 	res.SearchMV1 = outcome(search1)
 
-	knap3, err := ev.SolveMV3(cands, cfg.Alpha, optimizer.RawTradeoff)
+	knap3, err := sess.SolveMV3(cfg.Alpha, optimizer.RawTradeoff)
 	if err != nil {
 		return nil, err
 	}
@@ -200,6 +201,7 @@ func RunLargeLattice(cfg LargeLatticeConfig) (*LargeLatticeResult, error) {
 			Seed:     cfg.Seed,
 			MaxEvals: cfg.MaxEvals,
 			Starts:   [][]lattice.Point{knap3.Points},
+			Engine:   sess.Engine(),
 		})
 	if err != nil {
 		return nil, err

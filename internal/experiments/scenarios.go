@@ -42,7 +42,7 @@ func RunMV1() ([]MV1Row, error) {
 		if err != nil {
 			return nil, err
 		}
-		sel, err := s.Ev.SolveMV1(s.Cands, budget)
+		sel, err := s.sess.SolveMV1(budget)
 		if err != nil {
 			return nil, err
 		}
@@ -93,7 +93,7 @@ func RunMV2() ([]MV2Row, error) {
 		if err != nil {
 			return nil, err
 		}
-		sel, err := s.Ev.SolveMV2(s.Cands, limit)
+		sel, err := s.sess.SolveMV2(limit)
 		if err != nil {
 			return nil, err
 		}
@@ -137,7 +137,7 @@ func RunMV3(alpha float64) ([]MV3Row, error) {
 		if err != nil {
 			return nil, err
 		}
-		sel, err := s.Ev.SolveMV3(s.Cands, alpha, optimizer.RawTradeoff)
+		sel, err := s.sess.SolveMV3(alpha, optimizer.RawTradeoff)
 		if err != nil {
 			return nil, err
 		}

@@ -87,6 +87,9 @@ type Setup struct {
 	W          workload.Workload
 	Ev         *optimizer.Evaluator
 	Cands      []views.Candidate
+	// sess is the Section 5 solver bound to Ev and Cands; the Run*
+	// reproductions solve on it.
+	sess *optimizer.KernelSession
 }
 
 // NewSetup wires the experimental configuration for a workload size.
@@ -131,6 +134,10 @@ func NewSetup(nQueries int, regime Regime) (*Setup, error) {
 	if err != nil {
 		return nil, err
 	}
+	sess, err := optimizer.NewSession(ev, cands)
+	if err != nil {
+		return nil, err
+	}
 	return &Setup{
 		Regime:     regime,
 		NumQueries: nQueries,
@@ -140,6 +147,7 @@ func NewSetup(nQueries int, regime Regime) (*Setup, error) {
 		W:          w,
 		Ev:         ev,
 		Cands:      cands,
+		sess:       sess,
 	}, nil
 }
 

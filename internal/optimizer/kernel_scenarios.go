@@ -9,19 +9,22 @@ import (
 	"vmcloud/internal/lattice"
 	"vmcloud/internal/money"
 	"vmcloud/internal/units"
+	"vmcloud/internal/views"
 )
 
-// KernelSession is one tariff binding of a ComparisonKernel: the pinned
-// structure re-priced for one provider × instance × fleet configuration.
-// It exposes the Evaluator's scenario solvers (SolveMV1/MV2/MV3) with
-// identical semantics — the selections, times and bills are bit-equal to
-// the Evaluator's, pinned by TestKernelSessionMatchesEvaluator — but
-// every exact subset evaluation runs over the kernel's flat arrays
-// (integer row comparisons and precomputed durations) instead of
-// per-point lattice walks, and the linearized knapsack items and the
-// no-view baseline are computed once per session instead of once per
-// solve. A comparison fan-out thus pays the structural cost once per
-// problem and only the O(arithmetic) re-bill per tariff cell.
+// KernelSession is the paper's Section 5 solver: one tariff binding of a
+// ComparisonKernel — the pinned structure re-priced for one provider ×
+// instance × fleet configuration — with the three scenario procedures
+// (SolveMV1/MV2/MV3) on it. Each linearizes the candidates into items,
+// picks a subset (knapsack, min-cost cover, marginal rule) and re-prices
+// that subset exactly with the Section 4 cost model. Every exact subset
+// evaluation runs over the kernel's flat arrays (integer row comparisons
+// and precomputed durations), and the items and the no-view baseline are
+// computed once per session, so a comparison fan-out pays the structural
+// cost once per problem and only the O(arithmetic) re-bill per tariff
+// cell. The Evaluator's definitions are the oracle:
+// TestKernelSessionMatchesEvaluator holds Base, Items and every returned
+// (Time, Bill) to them bit for bit.
 //
 // A session is NOT safe for concurrent use (it owns scratch state and an
 // incremental engine); fan-outs bind one session per worker cell.
@@ -55,6 +58,20 @@ type KernelSession struct {
 	bestRows  []int64
 }
 
+// NewSession pins a candidate set against an evaluator and binds the one
+// session: NewComparisonKernel + RepriceFor for callers that price a
+// single tariff. Fan-outs build the kernel once and RepriceFor per cell.
+func NewSession(ev *Evaluator, cands []views.Candidate) (*KernelSession, error) {
+	if ev == nil {
+		return nil, fmt.Errorf("optimizer: nil evaluator")
+	}
+	k, err := NewComparisonKernel(ev.Est.Lat, ev.W, cands)
+	if err != nil {
+		return nil, err
+	}
+	return k.RepriceFor(ev)
+}
+
 // RepriceFor binds the kernel to one tariff: the evaluator supplies the
 // cluster, billing period and plan template of a single provider ×
 // instance × fleet configuration; everything structural is reused from
@@ -81,8 +98,8 @@ func (k *ComparisonKernel) RepriceFor(ev *Evaluator) (*KernelSession, error) {
 // answering lists instead of rebuilding them.
 func (s *KernelSession) Engine() *IncrementalEvaluator { return s.inc }
 
-// Base returns the exact no-view baseline (Evaluate(nil)), computed once
-// per session.
+// Base returns the exact no-view baseline — workload time and bill with
+// nothing materialized — computed once per session.
 func (s *KernelSession) Base() (time.Duration, costmodel.Bill, error) {
 	if !s.haveBase {
 		var proc time.Duration
@@ -100,9 +117,9 @@ func (s *KernelSession) Base() (time.Duration, costmodel.Bill, error) {
 }
 
 // evaluateSel prices the candidate subset sel (candidate indices, in
-// selection order) exactly, mirroring Evaluator.Evaluate of the same
-// points: cheapest-answering routing with the first-strictly-fewer-rows
-// tie rule, policy-aware maintenance, and the full tiered bill.
+// selection order) exactly — the Section 4 cost model of those points:
+// cheapest-answering routing with the first-strictly-fewer-rows tie
+// rule, policy-aware maintenance, and the full tiered bill.
 //
 //mvlint:hotpath
 func (s *KernelSession) evaluateSel(sel []int32) (time.Duration, costmodel.Bill, error) {
@@ -163,8 +180,7 @@ func (s *KernelSession) evaluateSel(sel []int32) (time.Duration, costmodel.Bill,
 }
 
 // selectionFor assembles a Selection for an already-priced subset
-// (points in selection order, feasibility check) — mirroring the tail of
-// Evaluator.finishItems.
+// (points in selection order, feasibility check).
 func (s *KernelSession) selectionFor(sel []int32, t time.Duration, bill costmodel.Bill, strategy string, feasible func(time.Duration, costmodel.Bill) bool) Selection {
 	pts := make([]lattice.Point, len(sel))
 	for i, ci := range sel {
@@ -179,8 +195,7 @@ func (s *KernelSession) selectionFor(sel []int32, t time.Duration, bill costmode
 	return out
 }
 
-// finishSel prices the subset and assembles its Selection, mirroring
-// Evaluator.finishItems.
+// finishSel prices the subset and assembles its Selection.
 func (s *KernelSession) finishSel(sel []int32, strategy string, feasible func(time.Duration, costmodel.Bill) bool) (Selection, error) {
 	t, bill, err := s.evaluateSel(sel)
 	if err != nil {
@@ -189,25 +204,9 @@ func (s *KernelSession) finishSel(sel []int32, strategy string, feasible func(ti
 	return s.selectionFor(sel, t, bill, strategy, feasible), nil
 }
 
-// finishBaseline mirrors Evaluator.finish(nil, ...): the no-view
-// selection with nil points.
-func (s *KernelSession) finishBaseline(strategy string, feasible func(time.Duration, costmodel.Bill) bool) (Selection, error) {
-	t, bill, err := s.Base()
-	if err != nil {
-		return Selection{}, err
-	}
-	out := Selection{Points: nil, Time: t, Bill: bill, Strategy: strategy}
-	if feasible != nil {
-		out.Feasible = feasible(t, bill)
-	} else {
-		out.Feasible = true
-	}
-	return out, nil
-}
-
-// Items returns the linearized knapsack items (Evaluator.BuildItems of
-// the pinned candidates), computed once per session. The slice is shared
-// — callers must not mutate it.
+// Items returns the linearized knapsack items of the pinned candidates
+// (the Section 5.2 weights, see Item), computed once per session. The
+// slice is shared — callers must not mutate it.
 func (s *KernelSession) Items() []Item {
 	if s.haveItems {
 		return s.items
@@ -246,20 +245,25 @@ func (s *KernelSession) Items() []Item {
 	return items
 }
 
-// SolveMV1 solves scenario MV1 (Formula 13) exactly as
-// Evaluator.SolveMV1 does — same items, same knapsack, same exact
-// repair — with the baseline and items served from the session caches.
+// SolveMV1 implements scenario MV1 (Formula 13): minimize workload time
+// subject to total cost ≤ budget, via 0/1 knapsack DP on the items.
+// Views that pay for themselves (CostDelta ≤ 0) are always taken; the
+// budget slack left by the no-view baseline is spent on the rest. If the
+// linearized pick overshoots the exact budget, the lowest-density views
+// are dropped until the exact bill fits.
 func (s *KernelSession) SolveMV1(budget money.Money) (Selection, error) {
 	feasible := func(_ time.Duration, b costmodel.Bill) bool { return b.Total() <= budget }
 	sel, t, bill, baselineOnly, err := s.solveMV1(budget)
 	if err != nil {
 		return Selection{}, err
 	}
+	out := s.selectionFor(sel, t, bill, "mv1-knapsack", feasible)
 	if baselineOnly {
-		// Even without views the budget does not cover the workload.
-		return s.finishBaseline("mv1-knapsack", feasible)
+		// Even without views the budget does not cover the workload:
+		// the infeasible baseline, with nil points.
+		out.Points = nil
 	}
-	return s.selectionFor(sel, t, bill, "mv1-knapsack", feasible), nil
+	return out, nil
 }
 
 // BudgetOutcome solves MV1 at the given budget and returns only the
@@ -269,31 +273,24 @@ func (s *KernelSession) SolveMV1(budget money.Money) (Selection, error) {
 // break-even budget sweep re-price dozens of budgets per cell without
 // allocation churn.
 func (s *KernelSession) BudgetOutcome(budget money.Money) (time.Duration, money.Money, bool, error) {
-	_, t, bill, baselineOnly, err := s.solveMV1(budget)
+	_, t, bill, _, err := s.solveMV1(budget)
 	if err != nil {
 		return 0, 0, false, err
-	}
-	if baselineOnly {
-		bt, bb, err := s.Base()
-		if err != nil {
-			return 0, 0, false, err
-		}
-		return bt, bb.Total(), bb.Total() <= budget, nil
 	}
 	return t, bill.Total(), bill.Total() <= budget, nil
 }
 
 // solveMV1 is the shared MV1 core: the chosen subset with its exact
-// price, or baselineOnly when even the no-view baseline busts the
-// budget. The returned slice aliases session scratch.
+// price, or the no-view baseline's with baselineOnly set when even that
+// busts the budget. The returned slice aliases session scratch.
 func (s *KernelSession) solveMV1(budget money.Money) (sel []int32, t time.Duration, bill costmodel.Bill, baselineOnly bool, err error) {
 	feasible := func(_ time.Duration, b costmodel.Bill) bool { return b.Total() <= budget }
-	_, baseBill, err := s.Base()
+	baseT, baseBill, err := s.Base()
 	if err != nil {
 		return nil, 0, costmodel.Bill{}, false, err
 	}
 	if baseBill.Total() > budget {
-		return nil, 0, costmodel.Bill{}, true, nil
+		return nil, baseT, baseBill, true, nil
 	}
 	items := s.Items()
 	slack := budget.Sub(baseBill.Total())
@@ -342,8 +339,20 @@ func (s *KernelSession) solveMV1(budget money.Money) (sel []int32, t time.Durati
 	return chosen, t, bill, false, nil
 }
 
-// SolveMV2 solves scenario MV2 (Formula 14) exactly as
-// Evaluator.SolveMV2 does.
+// density ranks a chosen item for the MV1 exact repair: time saved per
+// dollar, lowest dropped first.
+func density(it Item) float64 {
+	if it.CostDelta <= 0 {
+		return float64(it.TimeSaved) + 1e18 // free views sort last (never dropped first)
+	}
+	//mvlint:allow moneyfloat -- score-space repair ranking, not billing arithmetic; goldens pin these exact floats
+	return float64(it.TimeSaved) / float64(it.CostDelta)
+}
+
+// SolveMV2 implements scenario MV2 (Formula 14): minimize total cost
+// subject to workload time ≤ limit. Self-paying views are always taken;
+// if the time limit is still exceeded, a min-cost-coverage DP buys the
+// cheapest additional time savings.
 func (s *KernelSession) SolveMV2(limit time.Duration) (Selection, error) {
 	feasible := func(t time.Duration, _ costmodel.Bill) bool { return t <= limit }
 	items := s.Items()
@@ -376,24 +385,26 @@ func (s *KernelSession) SolveMV2(limit time.Duration) (Selection, error) {
 		if err != nil {
 			return Selection{}, err
 		}
-		if !ok {
+		if ok {
+			for _, p := range picked {
+				chosen = append(chosen, int32(idx[p]))
+			}
+		} else {
 			// Constraint unreachable: return the best effort (all
 			// time-saving views) marked infeasible.
 			for _, i := range idx {
 				chosen = append(chosen, int32(i))
 			}
-			return s.finishSel(chosen, "mv2-knapsack", feasible)
-		}
-		for _, p := range picked {
-			chosen = append(chosen, int32(idx[p]))
 		}
 	}
 	s.selBuf = chosen
 	return s.finishSel(chosen, "mv2-knapsack", feasible)
 }
 
-// SolveMV3 solves scenario MV3 (Formula 15) exactly as
-// Evaluator.SolveMV3 does.
+// SolveMV3 implements scenario MV3 (Formula 15): minimize
+// α·TprocessingQ + (1−α)·C. With an additive objective and no constraint,
+// the optimum over the linearized items is to take every view whose
+// marginal objective change is negative.
 func (s *KernelSession) SolveMV3(alpha float64, mode TradeoffMode) (Selection, error) {
 	if alpha < 0 || alpha > 1 {
 		return Selection{}, fmt.Errorf("optimizer: alpha %g out of [0,1]", alpha)

@@ -46,10 +46,13 @@ func randomProvider(seed int64) pricing.Provider {
 	return p
 }
 
-// TestKernelSessionMatchesEvaluator is the kernel's exactness anchor:
+// TestKernelSessionMatchesEvaluator holds the solver to the definitions:
 // for random workloads, tariffs, fleet sizes and both maintenance
-// policies, a RepriceFor session must reproduce the Evaluator's scenario
-// solvers bit for bit — selections, times, bills, items, baseline.
+// policies, a RepriceFor session's baseline is Evaluate(nil), its items
+// are BuildItems, and every selection it returns carries exactly the
+// (Time, Bill) Evaluate gives its points — the flat-array pricing and
+// the lattice-walk pricing agree bit for bit — with Feasible the
+// scenario's constraint on that pair.
 func TestKernelSessionMatchesEvaluator(t *testing.T) {
 	l, err := lattice.New(schema.Sales(), 80_000_000)
 	if err != nil {
@@ -122,49 +125,45 @@ func TestKernelSessionMatchesEvaluator(t *testing.T) {
 						seed, cell, policy, gotItems, wantItems)
 				}
 
+				check := func(scenario string, sel Selection, met func(time.Duration, costmodel.Bill) bool) {
+					t.Helper()
+					wantT, wantBill, err := ev.Evaluate(sel.Points)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if sel.Time != wantT || sel.Bill != wantBill {
+						t.Fatalf("seed %d cell %d policy %v: %s priced %v at (%v,%v), Evaluate gives (%v,%v)",
+							seed, cell, policy, scenario, sel.Points, sel.Time, sel.Bill, wantT, wantBill)
+					}
+					if sel.Feasible != met(wantT, wantBill) {
+						t.Fatalf("seed %d cell %d policy %v: %s Feasible=%v disagrees with its constraint on (%v,%v)",
+							seed, cell, policy, scenario, sel.Feasible, wantT, wantBill.Total())
+					}
+				}
+
 				budget := baseBill.Total().MulFloat(0.4 + 1.2*rng.Float64())
-				wantMV1, err := ev.SolveMV1(cands, budget)
+				mv1, err := sess.SolveMV1(budget)
 				if err != nil {
 					t.Fatal(err)
 				}
-				gotMV1, err := sess.SolveMV1(budget)
-				if err != nil {
-					t.Fatal(err)
-				}
-				assertSelectionsEqual(t, "mv1", seed, cell, gotMV1, wantMV1)
+				check("mv1", mv1, func(_ time.Duration, b costmodel.Bill) bool { return b.Total() <= budget })
 
 				limit := time.Duration(float64(baseT) * (0.3 + rng.Float64()))
-				wantMV2, err := ev.SolveMV2(cands, limit)
+				mv2, err := sess.SolveMV2(limit)
 				if err != nil {
 					t.Fatal(err)
 				}
-				gotMV2, err := sess.SolveMV2(limit)
-				if err != nil {
-					t.Fatal(err)
-				}
-				assertSelectionsEqual(t, "mv2", seed, cell, gotMV2, wantMV2)
+				check("mv2", mv2, func(tm time.Duration, _ costmodel.Bill) bool { return tm <= limit })
 
 				for _, mode := range []TradeoffMode{RawTradeoff, NormalizedTradeoff} {
-					alpha := rng.Float64()
-					wantMV3, err := ev.SolveMV3(cands, alpha, mode)
+					mv3, err := sess.SolveMV3(rng.Float64(), mode)
 					if err != nil {
 						t.Fatal(err)
 					}
-					gotMV3, err := sess.SolveMV3(alpha, mode)
-					if err != nil {
-						t.Fatal(err)
-					}
-					assertSelectionsEqual(t, "mv3", seed, cell, gotMV3, wantMV3)
+					check("mv3", mv3, func(time.Duration, costmodel.Bill) bool { return true })
 				}
 			}
 		}
-	}
-}
-
-func assertSelectionsEqual(t *testing.T, scenario string, seed int64, cell int, got, want Selection) {
-	t.Helper()
-	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("seed %d cell %d: %s diverged:\ngot  %+v\nwant %+v", seed, cell, scenario, got, want)
 	}
 }
 
@@ -215,10 +214,6 @@ func sweepFixture(t testing.TB) (*KernelSession, *Evaluator, []views.Candidate) 
 	if err != nil {
 		t.Fatal(err)
 	}
-	kern, err := NewComparisonKernel(l, w, cands)
-	if err != nil {
-		t.Fatal(err)
-	}
 	cl, err := cluster.New(pricing.AWS2012(), "small", 5)
 	if err != nil {
 		t.Fatal(err)
@@ -236,30 +231,55 @@ func sweepFixture(t testing.TB) (*KernelSession, *Evaluator, []views.Candidate) 
 	if err != nil {
 		t.Fatal(err)
 	}
-	sess, err := kern.RepriceFor(ev)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return sess, ev, cands
+	return session(t, ev, cands), ev, cands
 }
 
-// TestKernelSessionBudgetSweep mirrors the comparison engine's
-// break-even usage: a sweep of MV1 budgets on one session must equal
-// fresh Evaluator solves at every budget.
+// TestKernelSessionBudgetSweep is the comparison engine's break-even
+// usage: a sweep of MV1 budgets on one session. BudgetOutcome must be
+// SolveMV1's scalars at every budget, and both the definitions' exact
+// price of the selected points.
 func TestKernelSessionBudgetSweep(t *testing.T) {
-	sess, ev, cands := sweepFixture(t)
+	sess, ev, _ := sweepFixture(t)
 	for d := 5; d <= 60; d += 5 {
 		budget := money.FromDollars(float64(d))
-		want, err := ev.SolveMV1(cands, budget)
+		sel, err := sess.SolveMV1(budget)
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := sess.SolveMV1(budget)
+		gotT, gotCost, gotOK, err := sess.BudgetOutcome(budget)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("budget %v diverged:\ngot  %+v\nwant %+v", budget, got, want)
+		if gotT != sel.Time || gotCost != sel.Bill.Total() || gotOK != sel.Feasible {
+			t.Fatalf("budget %v: BudgetOutcome (%v,%v,%v) vs SolveMV1 (%v,%v,%v)",
+				budget, gotT, gotCost, gotOK, sel.Time, sel.Bill.Total(), sel.Feasible)
 		}
+		wantT, wantBill, err := ev.Evaluate(sel.Points)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if sel.Time != wantT || sel.Bill != wantBill || sel.Feasible != (wantBill.Total() <= budget) {
+			t.Fatalf("budget %v: SolveMV1 priced %v at (%v,%v,%v), Evaluate gives (%v,%v)",
+				budget, sel.Points, sel.Time, sel.Bill.Total(), sel.Feasible, wantT, wantBill.Total())
+		}
+	}
+}
+
+// A sweep of unreachable deadlines keeps its scratch too: the best-effort
+// return stores the grown selection buffer like every other path, so a
+// warm infeasible SolveMV2 allocates the returned Points and nothing else.
+func TestSolveMV2InfeasibleReusesScratch(t *testing.T) {
+	sess, _, _ := sweepFixture(t)
+	allocs := testing.AllocsPerRun(20, func() {
+		sel, err := sess.SolveMV2(time.Second)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if sel.Feasible || len(sel.Points) == 0 {
+			t.Fatalf("1-second limit: feasible=%v with %d views, want a best-effort infeasible selection", sel.Feasible, len(sel.Points))
+		}
+	})
+	if allocs != 1 {
+		t.Errorf("warm infeasible SolveMV2 allocates %.0f times per run, want 1 (the returned Points)", allocs)
 	}
 }

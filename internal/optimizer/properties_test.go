@@ -4,7 +4,6 @@ import (
 	"testing"
 	"time"
 
-	"vmcloud/internal/costmodel"
 	"vmcloud/internal/lattice"
 	"vmcloud/internal/money"
 )
@@ -15,10 +14,11 @@ import (
 // in).
 func TestMV3SelectionMonotoneInAlpha(t *testing.T) {
 	ev, cands := fixture(t, 10)
+	sess := session(t, ev, cands)
 	alphas := []float64{0, 0.1, 0.25, 0.4, 0.55, 0.7, 0.85, 1}
 	var prev map[string]bool
 	for _, alpha := range alphas {
-		sel, err := ev.SolveMV3(cands, alpha, RawTradeoff)
+		sel, err := sess.SolveMV3(alpha, RawTradeoff)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -59,6 +59,7 @@ func TestEvaluateTimeMonotoneInViewSet(t *testing.T) {
 // MV1 budget monotonicity: a larger budget never yields a slower selection.
 func TestMV1MonotoneInBudget(t *testing.T) {
 	ev, cands := fixture(t, 10)
+	sess := session(t, ev, cands)
 	_, baseBill, err := ev.Evaluate(nil)
 	if err != nil {
 		t.Fatal(err)
@@ -66,7 +67,7 @@ func TestMV1MonotoneInBudget(t *testing.T) {
 	prev := time.Duration(1<<62 - 1)
 	for _, extra := range []float64{0, 0.25, 0.5, 1, 2, 4} {
 		budget := baseBill.Total().Add(money.FromDollars(extra))
-		sel, err := ev.SolveMV1(cands, budget)
+		sel, err := sess.SolveMV1(budget)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -86,6 +87,7 @@ func TestMV1MonotoneInBudget(t *testing.T) {
 // (among feasible selections).
 func TestMV2MonotoneInLimit(t *testing.T) {
 	ev, cands := fixture(t, 10)
+	sess := session(t, ev, cands)
 	baseT := ev.Est.WorkloadTime(ev.W, nil)
 	type point struct {
 		frac float64
@@ -94,7 +96,7 @@ func TestMV2MonotoneInLimit(t *testing.T) {
 	var pts []point
 	for _, frac := range []float64{0.95, 0.8, 0.6, 0.45} {
 		limit := time.Duration(float64(baseT) * frac)
-		sel, err := ev.SolveMV2(cands, limit)
+		sel, err := sess.SolveMV2(limit)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -119,7 +121,7 @@ func TestMV2MonotoneInLimit(t *testing.T) {
 // The bill of any selection is internally consistent: total = parts.
 func TestBillDecompositionConsistent(t *testing.T) {
 	ev, cands := fixture(t, 5)
-	sel, err := ev.SolveMV3(cands, 0.5, RawTradeoff)
+	sel, err := session(t, ev, cands).SolveMV3(0.5, RawTradeoff)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -161,60 +163,5 @@ func TestItemDeltasAreConservative(t *testing.T) {
 			t.Errorf("view %v: exact Δ$%.4f exceeds linear bound Δ$%.4f",
 				ev.Est.Lat.Name(it.Cand.Point), exact, linear)
 		}
-	}
-}
-
-// The exact-marginal greedy sees synergies the item knapsack cannot: it
-// must match or beat the DP, and come close to the exhaustive oracle.
-func TestExactGreedyClosesOracleGap(t *testing.T) {
-	ev, cands := fixture(t, 10)
-	if len(cands) > 8 {
-		cands = cands[:8]
-	}
-	_, baseBill, err := ev.Evaluate(nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	budget := baseBill.Total().Add(money.FromDollars(1))
-
-	dp, err := ev.SolveMV1(cands, budget)
-	if err != nil {
-		t.Fatal(err)
-	}
-	eg, err := ev.SolveExactGreedyMV1(cands, budget)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !eg.Feasible || eg.Bill.Total() > budget {
-		t.Fatalf("exact greedy violated the budget: %v > %v", eg.Bill.Total(), budget)
-	}
-	if eg.Time > dp.Time {
-		t.Errorf("exact greedy (%v) worse than item knapsack (%v)", eg.Time, dp.Time)
-	}
-	oracle, err := ev.SolveExhaustive(cands,
-		func(tm time.Duration, _ costmodel.Bill) float64 { return tm.Hours() },
-		func(_ time.Duration, b costmodel.Bill) bool { return b.Total() <= budget },
-	)
-	if err != nil {
-		t.Fatal(err)
-	}
-	baseT := ev.Est.WorkloadTime(ev.W, nil)
-	oracleGain := float64(baseT - oracle.Time)
-	egGain := float64(baseT - eg.Time)
-	if oracleGain > 0 && egGain < 0.9*oracleGain {
-		t.Errorf("exact greedy gain %v < 90%% of oracle gain %v",
-			time.Duration(egGain), time.Duration(oracleGain))
-	}
-}
-
-// Exact greedy under an infeasible budget returns the no-view selection.
-func TestExactGreedyInfeasibleBudget(t *testing.T) {
-	ev, cands := fixture(t, 3)
-	sel, err := ev.SolveExactGreedyMV1(cands, money.FromDollars(0.0001))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sel.Feasible || len(sel.Points) != 0 {
-		t.Errorf("micro-budget selection: feasible=%v points=%d", sel.Feasible, len(sel.Points))
 	}
 }

@@ -50,13 +50,14 @@ func TestSolversOnRandomWorkloads(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		sess := session(t, ev, cands)
 		baseT, baseBill, err := ev.Evaluate(nil)
 		if err != nil {
 			t.Fatal(err)
 		}
 
 		// MV1 with the baseline budget: always feasible, never slower.
-		mv1, err := ev.SolveMV1(cands, baseBill.Total())
+		mv1, err := sess.SolveMV1(baseBill.Total())
 		if err != nil {
 			t.Fatalf("seed %d: MV1: %v", seed, err)
 		}
@@ -73,7 +74,7 @@ func TestSolversOnRandomWorkloads(t *testing.T) {
 		// MV2 with a generous limit: feasible, bill never above baseline
 		// (the no-view plan is itself feasible, so the solver may at worst
 		// return it).
-		mv2, err := ev.SolveMV2(cands, baseT)
+		mv2, err := sess.SolveMV2(baseT)
 		if err != nil {
 			t.Fatalf("seed %d: MV2: %v", seed, err)
 		}
@@ -90,7 +91,7 @@ func TestSolversOnRandomWorkloads(t *testing.T) {
 
 		// MV3 at a few alphas: objective never worse than baseline.
 		for _, alpha := range []float64{0, 0.5, 1} {
-			mv3, err := ev.SolveMV3(cands, alpha, RawTradeoff)
+			mv3, err := sess.SolveMV3(alpha, RawTradeoff)
 			if err != nil {
 				t.Fatalf("seed %d: MV3(%g): %v", seed, alpha, err)
 			}

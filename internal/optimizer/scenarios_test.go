@@ -60,6 +60,32 @@ func fixture(t testing.TB, nQueries int) (*Evaluator, []views.Candidate) {
 	return ev, cands
 }
 
+// session binds the Section 5 solver to an oracle fixture. Every
+// behavioural test solves on the session and checks the answer against
+// ev's definitions (Evaluate, BuildItems, SolveExhaustive).
+func session(t testing.TB, ev *Evaluator, cands []views.Candidate) *KernelSession {
+	t.Helper()
+	sess, err := NewSession(ev, cands)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return sess
+}
+
+func TestNewSessionErrors(t *testing.T) {
+	ev, cands := fixture(t, 3)
+	if _, err := NewSession(nil, cands); err == nil {
+		t.Error("nil evaluator accepted")
+	}
+	sess, err := NewSession(ev, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if items := sess.Items(); items != nil {
+		t.Errorf("Items() of an empty pool = %v", items)
+	}
+}
+
 func TestNewEvaluatorErrors(t *testing.T) {
 	ev, _ := fixture(t, 3)
 	if _, err := NewEvaluator(nil, ev.W, ev.Base); err == nil {
@@ -117,7 +143,7 @@ func TestSolveMV1ImprovesTimeWithinBudget(t *testing.T) {
 	}
 	baseT := ev.Est.WorkloadTime(ev.W, nil)
 	budget := baseBill.Total() // the paper's comparison: same budget as without views
-	sel, err := ev.SolveMV1(cands, budget)
+	sel, err := session(t, ev, cands).SolveMV1(budget)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -137,15 +163,19 @@ func TestSolveMV1ImprovesTimeWithinBudget(t *testing.T) {
 
 func TestSolveMV1InfeasibleBudget(t *testing.T) {
 	ev, cands := fixture(t, 3)
-	sel, err := ev.SolveMV1(cands, money.FromDollars(0.000001))
+	sel, err := session(t, ev, cands).SolveMV1(money.FromDollars(0.000001))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if sel.Feasible {
 		t.Error("micro-budget reported feasible")
 	}
-	if len(sel.Points) != 0 {
-		t.Error("views selected under infeasible budget")
+	if sel.Points != nil {
+		t.Errorf("views selected under infeasible budget: %v", sel.Points)
+	}
+	if baseT, baseBill, _ := ev.Evaluate(nil); sel.Time != baseT || sel.Bill != baseBill {
+		t.Errorf("infeasible budget priced (%v, %v), want the no-view baseline (%v, %v)",
+			sel.Time, sel.Bill.Total(), baseT, baseBill.Total())
 	}
 }
 
@@ -154,7 +184,7 @@ func TestSolveMV1RespectsTightBudget(t *testing.T) {
 	_, baseBill, _ := ev.Evaluate(nil)
 	// A hair above baseline: can afford little.
 	budget := baseBill.Total().Add(money.FromDollars(0.10))
-	sel, err := ev.SolveMV1(cands, budget)
+	sel, err := session(t, ev, cands).SolveMV1(budget)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -170,7 +200,7 @@ func TestSolveMV1AgainstExhaustiveOracle(t *testing.T) {
 	}
 	_, baseBill, _ := ev.Evaluate(nil)
 	budget := baseBill.Total().Add(money.FromDollars(1))
-	dp, err := ev.SolveMV1(cands, budget)
+	dp, err := session(t, ev, cands).SolveMV1(budget)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -201,7 +231,7 @@ func TestSolveMV2MeetsTimeLimit(t *testing.T) {
 	ev, cands := fixture(t, 10)
 	baseT := ev.Est.WorkloadTime(ev.W, nil)
 	limit := baseT / 2
-	sel, err := ev.SolveMV2(cands, limit)
+	sel, err := session(t, ev, cands).SolveMV2(limit)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -215,7 +245,7 @@ func TestSolveMV2MeetsTimeLimit(t *testing.T) {
 
 func TestSolveMV2UnreachableLimit(t *testing.T) {
 	ev, cands := fixture(t, 10)
-	sel, err := ev.SolveMV2(cands, time.Second)
+	sel, err := session(t, ev, cands).SolveMV2(time.Second)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -231,7 +261,7 @@ func TestSolveMV2AgainstExhaustiveOracle(t *testing.T) {
 	ev, cands := fixture(t, 5)
 	baseT := ev.Est.WorkloadTime(ev.W, nil)
 	limit := baseT * 6 / 10
-	dp, err := ev.SolveMV2(cands, limit)
+	dp, err := session(t, ev, cands).SolveMV2(limit)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -256,8 +286,9 @@ func TestSolveMV2AgainstExhaustiveOracle(t *testing.T) {
 
 func TestSolveMV3AlphaExtremes(t *testing.T) {
 	ev, cands := fixture(t, 10)
+	sess := session(t, ev, cands)
 	// α=1: only time matters; every time-saving view should be taken.
-	selT, err := ev.SolveMV3(cands, 1, RawTradeoff)
+	selT, err := sess.SolveMV3(1, RawTradeoff)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -272,7 +303,7 @@ func TestSolveMV3AlphaExtremes(t *testing.T) {
 		t.Errorf("α=1 picked %d views, want all %d time-savers", len(selT.Points), nSaving)
 	}
 	// α=0: only cost matters; only self-paying views should be taken.
-	selC, err := ev.SolveMV3(cands, 0, RawTradeoff)
+	selC, err := sess.SolveMV3(0, RawTradeoff)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -283,17 +314,20 @@ func TestSolveMV3AlphaExtremes(t *testing.T) {
 			}
 		}
 	}
-	if _, err := ev.SolveMV3(cands, 1.5, RawTradeoff); err == nil {
-		t.Error("alpha > 1 accepted")
+	for _, alpha := range []float64{1.5, -0.1} {
+		if _, err := sess.SolveMV3(alpha, RawTradeoff); err == nil {
+			t.Errorf("alpha %g accepted", alpha)
+		}
 	}
 }
 
 func TestSolveMV3ImprovesObjective(t *testing.T) {
 	ev, cands := fixture(t, 10)
+	sess := session(t, ev, cands)
 	baseT, baseBill, _ := ev.Evaluate(nil)
 	for _, mode := range []TradeoffMode{RawTradeoff, NormalizedTradeoff} {
 		for _, alpha := range []float64{0.3, 0.65, 0.7} {
-			sel, err := ev.SolveMV3(cands, alpha, mode)
+			sel, err := sess.SolveMV3(alpha, mode)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -317,30 +351,6 @@ func TestSolveExhaustiveGuards(t *testing.T) {
 	}
 	if _, err := ev.SolveExhaustive(cands, nil, nil); err == nil {
 		t.Error("nil objective accepted")
-	}
-}
-
-func TestSolveGreedyMV1(t *testing.T) {
-	ev, cands := fixture(t, 10)
-	_, baseBill, _ := ev.Evaluate(nil)
-	budget := baseBill.Total().Add(money.FromDollars(0.5))
-	greedy, err := ev.SolveGreedyMV1(cands, budget)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !greedy.Feasible {
-		t.Fatal("greedy infeasible with headroom")
-	}
-	if greedy.Bill.Total() > budget {
-		t.Errorf("greedy bill %v exceeds budget", greedy.Bill.Total())
-	}
-	dp, err := ev.SolveMV1(cands, budget)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// The DP should never be beaten badly by greedy; both must be feasible.
-	if dp.Feasible && greedy.Time < dp.Time*9/10 {
-		t.Errorf("greedy time %v much better than dp %v — dp regression", greedy.Time, dp.Time)
 	}
 }
 

@@ -19,6 +19,7 @@ import (
 	"vmcloud/internal/costmodel"
 	"vmcloud/internal/money"
 	"vmcloud/internal/optimizer"
+	"vmcloud/internal/pricing"
 	"vmcloud/internal/workload"
 )
 
@@ -61,25 +62,41 @@ func Sweep(cfg Config, w workload.Workload) ([]Option, error) {
 	if alpha == 0 {
 		alpha = 0.5
 	}
-	var out []Option
+	// Reject a bad size before building anything.
 	for _, nb := range sizes {
 		if nb <= 0 {
 			return nil, fmt.Errorf("scaling: non-positive fleet size %d", nb)
 		}
-		c := cfg.Base
-		c.Instances = nb
-		c.Workload = w
-		adv, err := core.New(c)
+	}
+	// Fleet size is a tariff parameter: the lattice, candidates and
+	// kernel are built once, and each size is one re-pricing of them.
+	c := cfg.Base
+	c.Workload = w
+	sh, err := core.NewShared(c)
+	if err != nil {
+		return nil, err
+	}
+	prov := pricing.AWS2012()
+	if c.Provider != nil {
+		prov = *c.Provider
+	}
+	if c.Granularity != nil {
+		prov.Compute.Granularity = *c.Granularity
+	}
+	var out []Option
+	for _, nb := range sizes {
+		adv, err := sh.Advisor(prov, c.InstanceType, nb)
 		if err != nil {
 			return nil, err
 		}
-		baseT, baseBill, err := adv.Ev.Evaluate(nil)
+		sess := adv.Session()
+		baseT, baseBill, err := sess.Base()
 		if err != nil {
 			return nil, err
 		}
 		out = append(out, Option{Instances: nb, WithViews: false, Time: baseT, Bill: baseBill})
 
-		sel, err := adv.Ev.SolveMV3(adv.Candidates, alpha, optimizer.NormalizedTradeoff)
+		sel, err := sess.SolveMV3(alpha, optimizer.NormalizedTradeoff)
 		if err != nil {
 			return nil, err
 		}

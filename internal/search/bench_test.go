@@ -81,9 +81,13 @@ func BenchmarkSearchMV1Large(b *testing.B) {
 // instance — what the search's wall-clock cost buys over.
 func BenchmarkKnapsackMV1Large(b *testing.B) {
 	ev, cands, budget := largeFixture(b)
+	sess, err := optimizer.NewSession(ev, cands)
+	if err != nil {
+		b.Fatal(err)
+	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := ev.SolveMV1(cands, budget); err != nil {
+		if _, err := sess.SolveMV1(budget); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -300,7 +300,11 @@ func TestHillClimbSwapEscapesAddDropOptimum(t *testing.T) {
 func TestWarmStartNeverWorse(t *testing.T) {
 	ev, cands := fixture(t, 10, 8)
 	budget := money.FromDollars(25)
-	warm, err := ev.SolveMV1(cands, budget)
+	sess, err := optimizer.NewSession(ev, cands)
+	if err != nil {
+		t.Fatal(err)
+	}
+	warm, err := sess.SolveMV1(budget)
 	if err != nil {
 		t.Fatal(err)
 	}

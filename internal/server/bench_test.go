@@ -114,11 +114,10 @@ func BenchmarkCompareCacheHit(b *testing.B) {
 }
 
 // BenchmarkAdviseCacheHitWithMetrics measures the hit path while a
-// scraper hammers /metrics from another goroutine — the bench.sh
-// --compare gate covers it, so a future exposition change that makes
-// scraping contend with serving (a lock on the record path, say) shows
-// up as an ns/op regression here rather than as mystery tail latency in
-// production. Exposition reads the same atomics the hot path writes and
+// scraper hammers /metrics from another goroutine, so a future
+// exposition change that makes scraping contend with serving (a lock on
+// the record path, say) shows up as an ns/op regression here rather
+// than as mystery tail latency in production. Exposition reads the same atomics the hot path writes and
 // takes only the registration mutex, which Observe/Inc never touch.
 func BenchmarkAdviseCacheHitWithMetrics(b *testing.B) {
 	s := New(Options{})

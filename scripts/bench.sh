@@ -1,22 +1,14 @@
 #!/usr/bin/env bash
 # bench.sh — run every benchmark under internal/... and emit a single
-# JSON summary (BENCH_<date>.json by default) so the benchmark
-# trajectory can be tracked commit over commit.
+# JSON summary (BENCH_<date>.json by default, git-ignored). A smoke and a
+# working aid: performance claims are made with the repo benchmark
+# (bench/README.md), and the hard gates are counts, not nanoseconds
+# (TestMissAllocBudget, TestCacheHitAllocBudget, TestFrontierWorkBound).
 #
 # Usage:
 #   ./scripts/bench.sh                # full run, writes BENCH_YYYY-MM-DD.json
 #   BENCHTIME=10x ./scripts/bench.sh  # shorter per-benchmark budget
 #   OUT=/tmp/bench.json ./scripts/bench.sh
-#
-#   ./scripts/bench.sh --compare [baseline.json]
-#       Run fresh (to a temp file unless OUT is set) and diff against the
-#       baseline — by default the latest committed BENCH_*.json. Prints
-#       per-benchmark ns/op and allocs/op deltas and exits non-zero when
-#       any search/optimizer/server/compare/mapreduce benchmark regresses
-#       >25% in ns/op or >50% in allocs/op (emitting ::warning::
-#       annotations for CI). The allocs gate is what locks in the
-#       comparison kernel's structure-sharing and the sort-free shuffle:
-#       those wins die by allocation creep long before ns/op notices.
 #
 # The JSON shape:
 #   {"date":"...","go":"...","goos":"...","goarch":"...","benchtime":"...",
@@ -25,38 +17,16 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-COMPARE=0
-BASELINE=""
-while [ $# -gt 0 ]; do
-  case "$1" in
-    --compare)
-      COMPARE=1
-      if [ $# -gt 1 ] && [ "${2#--}" = "$2" ]; then
-        BASELINE="$2"
-        shift
-      fi
-      ;;
-    *)
-      echo "bench.sh: unknown argument $1" >&2
-      exit 2
-      ;;
-  esac
-  shift
-done
-
-BENCHTIME="${BENCHTIME:-100x}"
-TMP_OUT=""
-if [ "$COMPARE" = 1 ]; then
-  if [ -z "${OUT:-}" ]; then
-    OUT="$(mktemp /tmp/bench_compare.XXXXXX.json)"
-    TMP_OUT="$OUT"
-  fi
-else
-  OUT="${OUT:-BENCH_$(date +%F).json}"
+if [ $# -gt 0 ]; then
+  echo "bench.sh: unknown argument $1" >&2
+  exit 2
 fi
 
+BENCHTIME="${BENCHTIME:-100x}"
+OUT="${OUT:-BENCH_$(date +%F).json}"
+
 raw="$(mktemp)"
-trap 'rm -f "$raw" ${TMP_OUT:+"$TMP_OUT"}' EXIT
+trap 'rm -f "$raw"' EXIT
 
 go test -run '^$' -bench . -benchmem -benchtime "$BENCHTIME" ./internal/... | tee "$raw" >&2
 
@@ -93,75 +63,3 @@ END { print "]}" }
 
 count="$(grep -o '"name"' "$OUT" | wc -l | tr -d ' ')"
 echo "wrote $OUT ($count benchmarks)" >&2
-
-if [ "$COMPARE" = 0 ]; then
-  exit 0
-fi
-
-if [ -z "$BASELINE" ]; then
-  # Latest committed summary, never the file this run just wrote — a
-  # fresh-vs-itself diff would make the gate vacuously green.
-  BASELINE="$(ls BENCH_*.json 2>/dev/null | grep -vxF "$(basename "$OUT")" | sort | tail -1 || true)"
-fi
-if [ -z "$BASELINE" ] || [ ! -f "$BASELINE" ]; then
-  echo "bench.sh --compare: no committed BENCH_*.json baseline found" >&2
-  exit 2
-fi
-echo "comparing against $BASELINE" >&2
-
-python3 - "$BASELINE" "$OUT" <<'PYEOF'
-import json, sys
-
-GATED = ("internal/search", "internal/optimizer", "internal/server",
-         "internal/compare", "internal/mapreduce")
-THRESHOLD = 0.25        # >25% ns/op regression of a gated benchmark fails
-ALLOC_THRESHOLD = 0.50  # >50% allocs/op regression of a gated benchmark fails
-
-def load(path):
-    with open(path) as f:
-        doc = json.load(f)
-    return {(b["package"], b["name"]): b for b in doc["benchmarks"]}
-
-base = load(sys.argv[1])
-fresh = load(sys.argv[2])
-
-def delta(new, old):
-    if not old:
-        return float("inf")
-    return (new - old) / old
-
-rows, regressions = [], []
-for key in sorted(set(base) | set(fresh)):
-    pkg, name = key
-    b, f = base.get(key), fresh.get(key)
-    if b is None:
-        rows.append((pkg, name, "(new)", "", ""))
-        continue
-    if f is None:
-        rows.append((pkg, name, "(removed)", "", ""))
-        continue
-    dns = delta(f["ns_per_op"], b["ns_per_op"])
-    dal = delta(f.get("allocs_per_op", 0), b.get("allocs_per_op", 0))
-    gated = any(pkg.endswith(g) for g in GATED)
-    if gated and dns > THRESHOLD:
-        regressions.append((pkg, name, "ns/op", dns, THRESHOLD))
-    if gated and b.get("allocs_per_op") and dal > ALLOC_THRESHOLD:
-        regressions.append((pkg, name, "allocs/op", dal, ALLOC_THRESHOLD))
-    rows.append((pkg, name,
-                 f"{b['ns_per_op']:.0f} -> {f['ns_per_op']:.0f} ns/op ({dns:+.1%})",
-                 f"{b.get('allocs_per_op', 0):.0f} -> {f.get('allocs_per_op', 0):.0f} allocs/op"
-                 + (f" ({dal:+.1%})" if dal != float("inf") else ""),
-                 "GATED" if gated else ""))
-
-wp = max(len(r[0]) for r in rows)
-wn = max(len(r[1]) for r in rows)
-for pkg, name, ns, allocs, tag in rows:
-    print(f"{pkg:<{wp}}  {name:<{wn}}  {ns:<42} {allocs:<32} {tag}")
-
-if regressions:
-    for pkg, name, metric, d, thr in regressions:
-        print(f"::warning::{pkg} {name} {metric} regressed {d:+.1%} vs baseline (>{thr:.0%} gate)")
-    print(f"bench.sh --compare: {len(regressions)} gated regression(s)", file=sys.stderr)
-    sys.exit(1)
-print("bench.sh --compare: no gated regression (ns/op > 25% or allocs/op > 50%)", file=sys.stderr)
-PYEOF
