@@ -13,10 +13,18 @@ import "math/bits"
 // bitset is a fixed-width set of node ids packed into 64-bit words.
 type bitset []uint64
 
-func newBitset(n int) bitset { return make(bitset, (n+63)/64) }
-
 func (b bitset) set(i int)      { b[i>>6] |= 1 << (uint(i) & 63) }
 func (b bitset) has(i int) bool { return b[i>>6]&(1<<(uint(i)&63)) != 0 }
+
+// addWith unions other and the single id i into b.
+//
+//mvlint:hotpath
+func (b bitset) addWith(other bitset, i int) {
+	for w, word := range other {
+		b[w] |= word
+	}
+	b.set(i)
+}
 
 // appendIDs appends the set members in ascending order.
 func (b bitset) appendIDs(out []int) []int {
@@ -31,53 +39,49 @@ func (b bitset) appendIDs(out []int) []int {
 }
 
 // MaxIndexNodes caps the answerability index: the bitsets cost
-// N²/4 bytes across the lattice (plus the pair walk to fill them), which
-// is ~16 MB at 8192 nodes and a memory blow-up well before the schema
-// layer's 2²⁰-node cap. Larger lattices skip the index and fall back to
-// O(dims) point comparisons — still far cheaper than the pre-index
-// per-call encode-and-scan paths.
+// N²/4 bytes across the lattice, which is ~16 MB at 8192 nodes and a
+// memory blow-up well before the schema layer's 2²⁰-node cap. Larger
+// lattices skip the index and fall back to O(dims) point comparisons —
+// still far cheaper than the pre-index per-call encode-and-scan paths.
 const MaxIndexNodes = 1 << 13
 
 // buildIndex fills desc/anc: desc[i] holds the ids strictly coarser than
 // i (the queries i can answer besides itself), anc[i] the ids strictly
-// finer (the cuboids that can answer i besides itself). Enumeration is
-// output-sized: for each node only its actual descendants are walked via
-// mixed-radix strides, not all N² pairs.
+// finer (the cuboids that can answer i besides itself). One level up in
+// one dimension is one mixed-radix stride up in id, so a node's
+// descendants are its direct children plus theirs, gathered coarsest
+// node first as whole-word ORs; ancestors mirror that from the base.
+// All 2·N bitsets are cut from one slab of words, their headers from
+// one slab of headers.
 func (l *Lattice) buildIndex() {
 	n := len(l.nodes)
 	if n > MaxIndexNodes {
 		return // desc/anc stay nil; id queries use the partial order
 	}
-	dims := len(l.radices)
-	strides := make([]int, dims)
-	s := 1
-	for i := dims - 1; i >= 0; i-- {
-		strides[i] = s
-		s *= l.radices[i]
+	words := (n + 63) / 64
+	slab := make([]uint64, 2*n*words)
+	sets := make([]bitset, 2*n)
+	for i := range sets {
+		sets[i] = slab[i*words : (i+1)*words : (i+1)*words]
 	}
-	l.desc = make([]bitset, n)
-	l.anc = make([]bitset, n)
-	for id := 0; id < n; id++ {
-		l.desc[id] = newBitset(n)
-		l.anc[id] = newBitset(n)
-	}
-	pt := make(Point, dims)
-	var rec func(origin, dim, cur int)
-	rec = func(origin, dim, cur int) {
-		if dim == dims {
-			if cur != origin {
-				l.desc[origin].set(cur)
-				l.anc[cur].set(origin)
+	l.desc, l.anc = sets[:n:n], sets[n:]
+	for id := n - 1; id >= 0; id-- {
+		stride := 1
+		for d := len(l.radices) - 1; d >= 0; d-- {
+			if l.nodes[id].Point[d]+1 < l.radices[d] {
+				l.desc[id].addWith(l.desc[id+stride], id+stride)
 			}
-			return
-		}
-		for lv := pt[dim]; lv < l.radices[dim]; lv++ {
-			rec(origin, dim+1, cur+(lv-pt[dim])*strides[dim])
+			stride *= l.radices[d]
 		}
 	}
 	for id := 0; id < n; id++ {
-		l.decode(id, pt)
-		rec(id, 0, id)
+		stride := 1
+		for d := len(l.radices) - 1; d >= 0; d-- {
+			if l.nodes[id].Point[d] > 0 {
+				l.anc[id].addWith(l.anc[id-stride], id-stride)
+			}
+			stride *= l.radices[d]
+		}
 	}
 }
 

@@ -19,6 +19,20 @@ func TestIndexMatchesPartialOrder(t *testing.T) {
 			}
 			return New(s, 50_000_000)
 		},
+		func() (*Lattice, error) {
+			// Unequal radices (3 × 2 × 5): strides differ per dimension.
+			lv := func(name string, card int) schema.Level { return schema.Level{Name: name, Cardinality: card} }
+			return New(&schema.Schema{
+				Name: "ragged",
+				Dimensions: []schema.Dimension{
+					schema.NewDimension("a", lv("a0", 90), lv("a1", 9)),
+					schema.NewDimension("b", lv("b0", 40)),
+					schema.NewDimension("c", lv("c0", 4000), lv("c1", 400), lv("c2", 40), lv("c3", 4)),
+				},
+				Measures: []schema.Measure{{Name: "value", Kind: schema.Sum}},
+				RowBytes: 40,
+			}, 5_000_000)
+		},
 	} {
 		l, err := build()
 		if err != nil {
@@ -33,7 +47,30 @@ func TestIndexMatchesPartialOrder(t *testing.T) {
 				if got := l.CanAnswerID(i, j); got != want {
 					t.Fatalf("%s: CanAnswerID(%v→%v) = %v, partial order says %v", l.Schema.Name, pi, pj, got, want)
 				}
+				strict := want && i != j
+				if l.desc[i].has(j) != strict || l.anc[j].has(i) != strict {
+					t.Fatalf("%s: %v→%v strictly finer = %v, but desc says %v and anc says %v",
+						l.Schema.Name, pi, pj, strict, l.desc[i].has(j), l.anc[j].has(i))
+				}
 			}
+		}
+	}
+}
+
+// TestBuildIndexAllocs pins the index at two allocations — one slab of
+// words, one of bitset headers — however many cuboids it covers.
+func TestBuildIndexAllocs(t *testing.T) {
+	for _, dims := range []int{2, 4} {
+		s, err := schema.Synthetic(dims, 4)
+		if err != nil {
+			t.Fatal(err)
+		}
+		l, err := New(s, 1_000_000)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := testing.AllocsPerRun(10, l.buildIndex); got != 2 {
+			t.Errorf("%d cuboids: buildIndex allocates %v times, want 2", l.NumNodes(), got)
 		}
 	}
 }

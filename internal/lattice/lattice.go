@@ -104,9 +104,13 @@ func New(s *schema.Schema, factRows int64) (*Lattice, error) {
 		total *= d.NumLevels()
 	}
 	l.nodes = make([]Node, total)
-	pt := make(Point, len(s.Dimensions))
+	// Every node's point is cut from one slab, capped at its own
+	// coordinates so an append on one point cannot reach the next.
+	dims := len(s.Dimensions)
+	points := make([]int, total*dims)
 	base := true
 	for id := 0; id < total; id++ {
+		pt := Point(points[id*dims : (id+1)*dims : (id+1)*dims])
 		l.decode(id, pt)
 		keys := int64(1)
 		for i, lv := range pt {
@@ -121,7 +125,7 @@ func New(s *schema.Schema, factRows int64) (*Lattice, error) {
 			base = false
 		}
 		l.nodes[id] = Node{
-			Point:      pt.Clone(),
+			Point:      pt,
 			Rows:       rows,
 			Size:       s.RowBytes.MulInt(rows),
 			Groups:     groups,

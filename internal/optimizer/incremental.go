@@ -5,7 +5,9 @@ import (
 	"time"
 
 	"vmcloud/internal/costmodel"
+	"vmcloud/internal/money"
 	"vmcloud/internal/obs"
+	"vmcloud/internal/simtime"
 	"vmcloud/internal/units"
 	"vmcloud/internal/views"
 )
@@ -61,6 +63,10 @@ type IncrementalEvaluator struct {
 	matSum   time.Duration
 	sizeSum  units.DataSize
 
+	// transfer is the period's egress charge (Formula 3), the one bill
+	// term no selection changes.
+	transfer money.Money
+
 	// moves counts Add/Drop calls over the engine's lifetime. A plain
 	// field, not an atomic or a telemetry counter: the solvers own the
 	// engine exclusively during a solve, and the search wrapper flushes
@@ -105,6 +111,7 @@ func (k *ComparisonKernel) Bind(ev *Evaluator) (*IncrementalEvaluator, error) {
 		curTerm:        make([]time.Duration, k.nq),
 		served:         make([]int64, len(k.groupMembers)),
 	}
+	inc.transfer = costmodel.TransferCost(ev.Base.Cluster.Provider, ev.Base.MonthlyEgress).MulFloat(ev.Base.Months)
 	inc.resetEmpty()
 	return inc, nil
 }
@@ -320,16 +327,34 @@ func (inc *IncrementalEvaluator) maintenance() time.Duration {
 }
 
 // Score prices the current subset exactly: the running aggregates feed
-// the same Plan.Bill the Evaluator uses (full tiered, rounded billing —
-// no linearization), so the result is bit-equal to Evaluate of the same
-// points.
+// the same formulas as Plan.Bill (full tiered, rounded billing — no
+// linearization), so the result is bit-equal to Evaluate of the same
+// points. Only the four view-dependent terms are priced per call; the
+// egress charge does not depend on the selection and was priced at Bind,
+// where the evaluator's base plan had already been validated.
 //
 //mvlint:hotpath
 func (inc *IncrementalEvaluator) Score() (time.Duration, costmodel.Bill, error) {
-	plan := inc.ev.Base.WithViews(inc.sizeSum, inc.proc, inc.maintenance(), inc.matSum)
-	bill, err := plan.Bill()
+	base := &inc.ev.Base
+	maint := inc.maintenance()
+	if inc.sizeSum < 0 || inc.proc < 0 || maint < 0 || inc.matSum < 0 {
+		// Overflowed aggregates: Plan.Bill owns the rejection.
+		_, err := base.WithViews(inc.sizeSum, inc.proc, maint, inc.matSum).Bill()
+		return 0, costmodel.Bill{}, err
+	}
+	var b costmodel.Bill
+	b.Compute.Processing = base.Cluster.ComputeCost(inc.proc).MulFloat(base.Months)
+	b.Compute.Maintenance = base.Cluster.ComputeCost(maint).MulFloat(base.Months)
+	b.Compute.Materialization = base.Cluster.ComputeCost(inc.matSum)
+	var err error
+	b.Storage, err = costmodel.StorageCost(base.Cluster.Provider, simtime.Timeline{
+		Initial: base.DatasetSize + inc.sizeSum,
+		Horizon: simtime.Months(base.Months),
+		Events:  base.Inserts,
+	})
 	if err != nil {
 		return 0, costmodel.Bill{}, err
 	}
-	return inc.proc, bill, nil
+	b.Transfer = inc.transfer
+	return inc.proc, b, nil
 }

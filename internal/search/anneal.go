@@ -14,13 +14,13 @@ func annealEnergy(e eval, penalty float64) float64 {
 // anneal runs simulated annealing with a geometric cooling schedule from
 // the given start. Each temperature level proposes opts.AnnealMoves
 // random add/drop/swap moves; improving moves are always accepted,
-// worsening ones with probability exp(−Δ/T). Moves are applied to the
-// incremental engine and undone on rejection, so a proposal costs
-// O(affected queries). The initial temperature is calibrated from the
-// observed energy deltas of a short warm-up walk, so the schedule adapts
-// to the objective's units. Returns the best state seen (not the final
-// one), wrapped in the stop sentinel if the budget ran dry or the solve
-// deadline passed.
+// worsening ones with probability exp(−Δ/T). An uncached proposal is
+// priced by stepping the incremental engine onto it, and the step is
+// undone only on rejection, so a proposal costs O(affected queries). The
+// initial temperature is calibrated from the observed energy deltas of a
+// short warm-up walk, so the schedule adapts to the objective's units.
+// Returns the best state seen (not the final one), wrapped in the stop
+// sentinel if the budget ran dry or the solve deadline passed.
 func (s *solver) anneal(start []bool, startEval eval) ([]bool, eval, error) {
 	n := len(start)
 	if n == 0 {
@@ -34,7 +34,7 @@ func (s *solver) anneal(start []bool, startEval eval) ([]bool, eval, error) {
 	bestEval := curEval
 	// Pin the engine at the start state (free: no evaluation is charged;
 	// the annealed walk then advances it move by move).
-	if err := s.inc.Reset(cur); err != nil {
+	if err := s.pin(cur); err != nil {
 		return best, eval{}, err
 	}
 
@@ -44,7 +44,7 @@ func (s *solver) anneal(start []bool, startEval eval) ([]bool, eval, error) {
 	var deltaSum float64
 	deltas := 0
 	for k := 0; k < 8; k++ {
-		i, j := s.proposeMove(cur)
+		i, j := s.proposeMove()
 		if i < 0 {
 			break
 		}
@@ -66,13 +66,15 @@ func (s *solver) anneal(start []bool, startEval eval) ([]bool, eval, error) {
 
 	for temp > floor {
 		for m := 0; m < s.opts.AnnealMoves; m++ {
-			i, j := s.proposeMove(cur)
+			i, j := s.proposeMove()
 			if i < 0 {
 				return best, bestEval, nil
 			}
-			// Probe first: a rejected proposal (or a cache hit) then
-			// never touches the engine; only accepted moves advance it.
-			e, err := s.probeMove(i, j)
+			// A cached neighbor is priced without touching the engine;
+			// an uncached one leaves the engine standing on it, so an
+			// accepted move costs no second trip and only a rejected one
+			// is walked back.
+			e, stepped, err := s.stepMove(i, j)
 			if err != nil {
 				if stopped(err) {
 					return best, bestEval, err
@@ -81,13 +83,17 @@ func (s *solver) anneal(start []bool, startEval eval) ([]bool, eval, error) {
 			}
 			delta := annealEnergy(e, penalty) - annealEnergy(curEval, penalty)
 			if delta <= 0 || s.rng.Float64() < math.Exp(-delta/temp) {
-				applyMove(cur, i, j)
-				s.applyEngineMove(i, j)
+				s.applyMove(cur, i, j)
+				if !stepped {
+					s.flip(i, j)
+				}
 				curEval = e
 				if better(curEval, bestEval) {
 					copy(best, cur)
 					bestEval = curEval
 				}
+			} else if stepped {
+				s.flip(j, i)
 			}
 		}
 		temp *= s.opts.Cooling
@@ -95,30 +101,22 @@ func (s *solver) anneal(start []bool, startEval eval) ([]bool, eval, error) {
 	return best, bestEval, nil
 }
 
-// proposeMove draws one random neighborhood move: (i, -1) flips bit i
-// (add or drop), (i, j) swaps selected i for unselected j. Swap is only
-// proposed when both sides exist. Returns (-1, -1) when the state has no
-// neighbors (n == 0). The index partition lives in solver scratch
-// buffers — proposals run tens of thousands of times per solve and must
-// not allocate.
-func (s *solver) proposeMove(sel []bool) (int, int) {
-	n := len(sel)
+// proposeMove draws one random neighborhood move from the current
+// state: (i, -1) flips bit i (add or drop), (i, j) swaps selected i for
+// unselected j, each the r-th entry of its ascending index list. Swap is
+// only proposed when both sides exist. Returns (-1, -1) when the state
+// has no neighbors (n == 0).
+//
+//mvlint:hotpath
+func (s *solver) proposeMove() (int, int) {
+	n := len(s.cands)
 	if n == 0 {
 		return -1, -1
 	}
-	selected, unselected := s.selBuf[:0], s.unsBuf[:0]
-	for i, on := range sel {
-		if on {
-			selected = append(selected, i)
-		} else {
-			unselected = append(unselected, i)
-		}
-	}
-	s.selBuf, s.unsBuf = selected, unselected
 	// One third swaps when possible, the rest flips.
-	if len(selected) > 0 && len(unselected) > 0 && s.rng.Intn(3) == 0 {
-		i := selected[s.rng.Intn(len(selected))]
-		j := unselected[s.rng.Intn(len(unselected))]
+	if len(s.selIdx) > 0 && len(s.unsIdx) > 0 && s.rng.Intn(3) == 0 {
+		i := s.selIdx[s.rng.Intn(len(s.selIdx))]
+		j := s.unsIdx[s.rng.Intn(len(s.unsIdx))]
 		return i, j
 	}
 	return s.rng.Intn(n), -1

@@ -18,6 +18,14 @@ import (
 // the cmd/experiments -large scenario share.
 func largeFixture(b testing.TB) (*optimizer.Evaluator, []views.Candidate, money.Money) {
 	b.Helper()
+	return syntheticFixture(b, 20, 32)
+}
+
+// syntheticFixture wires a 4×4 synthetic schema (256 cuboids) with the
+// given workload and candidate-pool sizes; the budget sits 1% above the
+// no-view bill. (40, 48) is the repo benchmark's search-large shape.
+func syntheticFixture(b testing.TB, queries, pool int) (*optimizer.Evaluator, []views.Candidate, money.Money) {
+	b.Helper()
 	sch, err := schema.Synthetic(4, 4)
 	if err != nil {
 		b.Fatal(err)
@@ -26,7 +34,7 @@ func largeFixture(b testing.TB) (*optimizer.Evaluator, []views.Candidate, money.
 	if err != nil {
 		b.Fatal(err)
 	}
-	w, err := workload.Random(l, 20, 8, 1)
+	w, err := workload.Random(l, queries, 8, 1)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -54,7 +62,7 @@ func largeFixture(b testing.TB) (*optimizer.Evaluator, []views.Candidate, money.
 	if err != nil {
 		b.Fatal(err)
 	}
-	cands, err := views.GenerateCandidates(l, w, 32)
+	cands, err := views.GenerateCandidates(l, w, pool)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -101,6 +109,22 @@ func BenchmarkSearchMV1Sales(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := SolveMV1(ev, cands, budget, Options{Seed: 1}); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkSearchParetoSales is the search-mode pareto sweep a wire
+// request pays on the sales lattice: core.Advisor.ParetoFront's shape
+// (11 α steps sharing one evaluation cache under an 11 × 4,096 budget)
+// over 8 candidates, where only 2⁸ states exist to be cached.
+func BenchmarkSearchParetoSales(b *testing.B) {
+	ev, cands := fixture(b, 10, 8)
+	const steps = 11
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := ParetoSweep(ev, cands, steps, optimizer.NormalizedTradeoff, Options{Seed: 1, MaxEvals: steps * DefaultMaxEvals}); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -17,7 +17,9 @@ package search
 // Every neighbor is priced by delta moves against the incremental
 // engine (cache hits don't even touch it: neighbor keys are XORs of the
 // selection words), so a full scan costs O(neighbors × affected
-// queries), not O(neighbors × workload × selection).
+// queries), not O(neighbors × workload × selection). A swap row — one
+// selected candidate against every unselected one — takes its candidate
+// out of the engine once for the whole row (probeSwapRow).
 //
 // The scan order is deterministic (ascending candidate index, adds/drops
 // before swaps) and ties keep the earliest neighbor, so identical inputs
@@ -43,11 +45,6 @@ func (s *solver) hillClimb(start []bool) ([]bool, eval, error) {
 		bestI, bestJ := -1, -1
 		bestEval := curEval
 		improved := false
-		consider := func(i, j int, e eval) {
-			if better(e, bestEval) {
-				bestI, bestJ, bestEval, improved = i, j, e, true
-			}
-		}
 		scan := func() error {
 			// Adds and drops: flip one bit.
 			for i := 0; i < n; i++ {
@@ -55,22 +52,19 @@ func (s *solver) hillClimb(start []bool) ([]bool, eval, error) {
 				if err != nil {
 					return err
 				}
-				consider(i, -1, e)
-			}
-			// Swaps: one selected out, one unselected in.
-			for i := 0; i < n; i++ {
-				if !cur[i] {
-					continue
+				if better(e, bestEval) {
+					bestI, bestJ, bestEval, improved = i, -1, e, true
 				}
-				for j := 0; j < n; j++ {
-					if cur[j] {
-						continue
-					}
-					e, err := s.probeMove(i, j)
-					if err != nil {
-						return err
-					}
-					consider(i, j, e)
+			}
+			// Swaps: one selected out, one unselected in. A row leaves
+			// the engine and the index lists as it found them.
+			for _, i := range s.selIdx {
+				j, e, err := s.probeSwapRow(i, bestEval)
+				if j >= 0 {
+					bestI, bestJ, bestEval, improved = i, j, e, true
+				}
+				if err != nil {
+					return err
 				}
 			}
 			return nil
@@ -79,8 +73,8 @@ func (s *solver) hillClimb(start []bool) ([]bool, eval, error) {
 			if stopped(err) {
 				// Apply the best move found so far, if any, then stop.
 				if improved {
-					applyMove(cur, bestI, bestJ)
-					s.applyEngineMove(bestI, bestJ)
+					s.applyMove(cur, bestI, bestJ)
+					s.flip(bestI, bestJ)
 					curEval = bestEval
 				}
 				return cur, curEval, err
@@ -90,17 +84,8 @@ func (s *solver) hillClimb(start []bool) ([]bool, eval, error) {
 		if !improved {
 			return cur, curEval, nil
 		}
-		applyMove(cur, bestI, bestJ)
-		s.applyEngineMove(bestI, bestJ)
+		s.applyMove(cur, bestI, bestJ)
+		s.flip(bestI, bestJ)
 		curEval = bestEval
 	}
-}
-
-// applyMove mutates sel: a flip of i (j < 0) or a swap i→out, j→in.
-func applyMove(sel []bool, i, j int) {
-	if j < 0 {
-		sel[i] = !sel[i]
-		return
-	}
-	sel[i], sel[j] = false, true
 }

@@ -2,14 +2,17 @@
 // for the view-selection problem on large cuboid lattices.
 //
 // The paper's knapsack formulation (Section 5.2) linearizes each view's
-// effect on the bill and the workload time; on the 16-node sales lattice
-// the approximation error is negligible, but once the candidate space
+// effect on the bill and the workload time. The approximation is not
+// free even on the 16-node sales lattice — the repo benchmark's oracle
+// measures the knapsack's answers 8.7–13.2% off the exhaustive optimum
+// on 7-candidate pools (ROADMAP item 1) — and as the candidate space
 // grows (4–5 dimension schemas, hundreds–thousands of cuboids) the
 // double-counting of shared query savings and the tier/rounding errors of
-// CostDelta bite. The solvers here sidestep linearization entirely: every
-// move is priced by the exact optimizer.Evaluator (cheapest-answering
-// routing plus the full tiered, rounded bill), so what the search
-// optimizes is exactly what the final selection is billed for.
+// CostDelta bite harder. The solvers here sidestep linearization
+// entirely: every move is priced by the exact optimizer.Evaluator
+// (cheapest-answering routing plus the full tiered, rounded bill), so
+// what the search optimizes is exactly what the final selection is
+// billed for.
 //
 // Three engines are provided, composed by the Solve restart wrapper:
 //
@@ -26,10 +29,10 @@ package search
 
 import (
 	"context"
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"math/rand"
+	"slices"
 	"time"
 
 	"vmcloud/internal/costmodel"
@@ -232,64 +235,71 @@ type cachedEval struct {
 	bill costmodel.Bill
 }
 
-// evalCache memoizes priced subsets under uint64-word selection keys.
-// Pools of ≤ 64 candidates (every product surface today) key a plain
-// map[uint64] — zero allocations on both hit and miss; wider pools pack
-// the words into a string key.
+// evalCache memoizes priced subsets in one flat open-addressed table
+// keyed by the selection words, whatever the pool width. A solver prices
+// at most min(MaxEvals, 2ⁿ) distinct subsets — every put follows a unit
+// of evaluation budget, and n candidates have 2ⁿ subsets — so the table
+// is sized for that once and never grows: 512 slots for an 8-candidate
+// request, 8,192 for the default budget on a large pool. Keys and values
+// sit densely in insertion order; a slot holds its entry's index + 1.
 type evalCache struct {
-	small map[uint64]cachedEval
-	big   map[string]cachedEval
-	buf   []byte // scratch for big keys
+	nwords int
+	slots  []uint32     // power-of-two length, 0 = empty
+	keys   []uint64     // nwords per entry
+	vals   []cachedEval // one per entry
+	key    []uint64     // scratch: the probed subset with its flips applied
 }
 
-func newEvalCache(nwords int) *evalCache {
-	c := &evalCache{}
-	if nwords <= 1 {
-		c.small = make(map[uint64]cachedEval)
-	} else {
-		c.big = make(map[string]cachedEval)
-		c.buf = make([]byte, 8*nwords)
+func newEvalCache(n, maxEvals int) *evalCache {
+	entries := maxEvals
+	if n < 31 && 1<<n < entries {
+		entries = 1 << n
 	}
-	return c
-}
-
-func (c *evalCache) len() int {
-	if c.small != nil {
-		return len(c.small)
+	slots := 2 // a third of the slots always stay empty, so every probe ends
+	for slots < entries+entries/2 {
+		slots <<= 1
 	}
-	return len(c.big)
+	nwords := (n + 63) / 64
+	return &evalCache{
+		nwords: nwords,
+		slots:  make([]uint32, slots),
+		keys:   make([]uint64, 0, entries*nwords),
+		vals:   make([]cachedEval, 0, entries),
+		key:    make([]uint64, nwords),
+	}
 }
 
-// smallKey folds a ≤1-word selection (possibly with up to two flipped
-// bits) into the uint64 key.
+func (c *evalCache) len() int { return len(c.vals) }
+
+// find loads words with candidates flip1/flip2 (-1 = none) toggled into
+// c.key and returns the slot holding that subset, or the empty slot
+// where it belongs.
 //
 //mvlint:hotpath
-func smallKey(words []uint64, flip1, flip2 int) uint64 {
-	var k uint64
-	if len(words) > 0 {
-		k = words[0]
-	}
+func (c *evalCache) find(words []uint64, flip1, flip2 int) int {
+	copy(c.key, words)
 	if flip1 >= 0 {
-		k ^= 1 << uint(flip1)
+		c.key[flip1>>6] ^= 1 << (uint(flip1) & 63)
 	}
 	if flip2 >= 0 {
-		k ^= 1 << uint(flip2)
+		c.key[flip2>>6] ^= 1 << (uint(flip2) & 63)
 	}
-	return k
-}
-
-//mvlint:hotpath
-func (c *evalCache) bigKey(words []uint64, flip1, flip2 int) []byte {
-	for w, word := range words {
-		if flip1 >= 0 && flip1>>6 == w {
-			word ^= 1 << (uint(flip1) & 63)
-		}
-		if flip2 >= 0 && flip2>>6 == w {
-			word ^= 1 << (uint(flip2) & 63)
-		}
-		binary.LittleEndian.PutUint64(c.buf[8*w:], word)
+	var h uint64
+	for _, w := range c.key { // splitmix64's finalizer, chained across words
+		h ^= w
+		h = (h ^ h>>30) * 0xbf58476d1ce4e5b9
+		h = (h ^ h>>27) * 0x94d049bb133111eb
+		h ^= h >> 31
 	}
-	return c.buf
+	mask := len(c.slots) - 1
+	slot := int(h) & mask
+	for e := c.slots[slot]; e != 0; e = c.slots[slot] {
+		if at := int(e-1) * c.nwords; slices.Equal(c.keys[at:at+c.nwords], c.key) {
+			break
+		}
+		slot = (slot + 1) & mask
+	}
+	return slot
 }
 
 // get looks up the subset `words` with candidates flip1/flip2 (-1 =
@@ -298,23 +308,24 @@ func (c *evalCache) bigKey(words []uint64, flip1, flip2 int) []byte {
 //
 //mvlint:hotpath
 func (c *evalCache) get(words []uint64, flip1, flip2 int) (cachedEval, bool) {
-	if c.small != nil {
-		ce, ok := c.small[smallKey(words, flip1, flip2)]
-		return ce, ok
+	if e := c.slots[c.find(words, flip1, flip2)]; e != 0 {
+		return c.vals[e-1], true
 	}
-	ce, ok := c.big[string(c.bigKey(words, flip1, flip2))]
-	return ce, ok
+	return cachedEval{}, false
 }
 
 // put stores the subset exactly as given (no flips).
 //
 //mvlint:hotpath
 func (c *evalCache) put(words []uint64, ce cachedEval) {
-	if c.small != nil {
-		c.small[smallKey(words, -1, -1)] = ce
+	slot := c.find(words, -1, -1)
+	if e := c.slots[slot]; e != 0 {
+		c.vals[e-1] = ce
 		return
 	}
-	c.big[string(c.bigKey(words, -1, -1))] = ce
+	c.keys = append(c.keys, c.key...)
+	c.vals = append(c.vals, ce)
+	c.slots[slot] = uint32(len(c.vals))
 }
 
 // solver carries one search session: the pinned incremental evaluation
@@ -332,16 +343,17 @@ type solver struct {
 	cache    *evalCache
 	evals    int
 	maxEvals int
-	// done is Options.Ctx's done channel (nil when no deadline was set;
-	// a receive on a nil channel blocks forever, so the non-blocking
-	// probe in probeMove stays correct without a nil check).
+	// done is Options.Ctx's done channel, nil when no deadline was set
+	// (see stepMove).
 	done <-chan struct{}
 	// degraded latches once the deadline interrupts the pipeline; it
 	// flows onto every selection this solver emits from then on.
 	degraded bool
-	// scratch buffers reused across move proposals.
-	selBuf []int
-	unsBuf []int
+	// selIdx and unsIdx list the selected and unselected candidates of
+	// the state the engine stands on, ascending; pin and applyMove keep
+	// them current for the swap rows and move proposals that read them.
+	selIdx []int
+	unsIdx []int
 }
 
 func newSolver(ev *optimizer.Evaluator, cands []views.Candidate, obj Objective, opts Options) (*solver, error) {
@@ -373,26 +385,15 @@ func newSolver(ev *optimizer.Evaluator, cands []views.Candidate, obj Objective, 
 		obj:      obj,
 		opts:     opts,
 		rng:      rand.New(rand.NewSource(opts.Seed)),
-		cache:    newEvalCache((n + 63) / 64),
+		cache:    newEvalCache(n, opts.MaxEvals),
 		maxEvals: opts.MaxEvals,
-		selBuf:   make([]int, 0, n),
-		unsBuf:   make([]int, 0, n),
+		selIdx:   make([]int, 0, n),
+		unsIdx:   make([]int, 0, n),
 	}
 	if opts.Ctx != nil {
 		s.done = opts.Ctx.Done()
 	}
 	return s, nil
-}
-
-// pointKey renders a lattice point as a comparable map key. Level
-// indices are varint-encoded, so arbitrarily deep hand-built hierarchies
-// cannot alias.
-func pointKey(p lattice.Point) string {
-	b := make([]byte, 0, 2*len(p))
-	for _, lv := range p {
-		b = binary.AppendVarint(b, int64(lv))
-	}
-	return string(b)
 }
 
 // score applies the active objective to a cached exact evaluation.
@@ -428,85 +429,151 @@ func (s *solver) scoreState() (eval, error) {
 	return s.score(c), nil
 }
 
-// evaluate re-pins the engine to an arbitrary subset (the full
-// re-pricing path — restarts only, never per move) and prices it.
+// pin re-pins the engine to an arbitrary subset — the full re-pricing
+// path, taken at restarts only, never per move.
+func (s *solver) pin(sel []bool) error {
+	s.partition(sel)
+	return s.inc.Reset(sel)
+}
+
+// partition rebuilds the two ascending index lists from a state bitmap.
+//
+//mvlint:hotpath
+func (s *solver) partition(sel []bool) {
+	s.selIdx, s.unsIdx = s.selIdx[:0], s.unsIdx[:0]
+	for i, on := range sel {
+		if on {
+			s.selIdx = append(s.selIdx, i)
+		} else {
+			s.unsIdx = append(s.unsIdx, i)
+		}
+	}
+}
+
+// evaluate pins an arbitrary subset and prices it.
 func (s *solver) evaluate(sel []bool) (eval, error) {
-	if err := s.inc.Reset(sel); err != nil {
+	if err := s.pin(sel); err != nil {
 		return eval{}, err
 	}
 	return s.scoreState()
 }
 
-// flip toggles candidate i in the engine.
+// flip toggles candidates a, then b, in the engine (-1 = none): flip(i,
+// j) is the engine side of applyMove(sel, i, j), flip(j, i) undoes it.
 //
 //mvlint:hotpath
-func (s *solver) flip(i int) {
-	if s.inc.Selected(i) {
-		s.inc.Drop(i)
-	} else {
-		s.inc.Add(i)
+func (s *solver) flip(a, b int) {
+	for _, i := range [2]int{a, b} {
+		if i < 0 {
+			continue
+		}
+		if s.inc.Selected(i) {
+			s.inc.Drop(i)
+		} else {
+			s.inc.Add(i)
+		}
 	}
 }
 
-// probeMove prices the neighbor reached by a flip of i (j < 0) or a
-// swap dropping selected i for unselected j, leaving the engine in its
-// current state. The neighbor key is derived by an XOR on the selection
-// words, so cache hits never touch the engine at all.
+// stepMove prices the neighbor reached by a flip of i (j < 0) or a swap
+// dropping selected i for unselected j. The neighbor's key is an XOR on
+// the selection words, so a cache hit never touches the engine (stepped
+// false). A miss moves the engine onto the neighbor to price it and
+// leaves it there (stepped true): the caller keeps the move or reverts
+// it with flip(j, i). On an error the engine has not moved.
 //
 //mvlint:hotpath
-func (s *solver) probeMove(i, j int) (eval, error) {
+func (s *solver) stepMove(i, j int) (e eval, stepped bool, err error) {
 	select {
 	case <-s.done:
 		// The deadline gate sits on move probes only — never on start
 		// pricing (scoreState via evaluate) — so warm starts are always
-		// priced and a degraded incumbent can never lose to its own warm
-		// start. A nil done channel (no deadline) blocks forever and
-		// falls through to default.
-		return eval{}, errDeadline
+		// priced and a degraded incumbent can never lose to its own
+		// warm start. A nil done channel (no deadline) blocks forever
+		// and falls through to default.
+		return eval{}, false, errDeadline
 	default:
 	}
 	if c, ok := s.cache.get(s.inc.Words(), i, j); ok {
-		return s.score(c), nil
+		return s.score(c), false, nil
 	}
 	if s.evals >= s.maxEvals {
-		return eval{}, errEvalBudget
+		return eval{}, false, errEvalBudget
 	}
 	s.evals++
-	s.applyEngineMove(i, j)
+	s.flip(i, j)
 	t, bill, err := s.inc.Score()
-	if err == nil {
-		s.cache.put(s.inc.Words(), cachedEval{t: t, bill: bill})
-	}
-	s.undoEngineMove(i, j)
 	if err != nil {
-		return eval{}, err
+		s.flip(j, i)
+		return eval{}, false, err
 	}
-	return s.score(cachedEval{t: t, bill: bill}), nil
+	c := cachedEval{t: t, bill: bill}
+	s.cache.put(s.inc.Words(), c)
+	return s.score(c), true, nil
 }
 
-// applyEngineMove commits a move to the engine: a flip of i (j < 0) or
-// a swap dropping i for j — the engine-side mirror of applyMove.
+// probeMove is stepMove leaving the engine where it was.
 //
 //mvlint:hotpath
-func (s *solver) applyEngineMove(i, j int) {
-	if j < 0 {
-		s.flip(i)
-		return
+func (s *solver) probeMove(i, j int) (eval, error) {
+	e, stepped, err := s.stepMove(i, j)
+	if stepped {
+		s.flip(j, i)
 	}
-	s.inc.Drop(i)
-	s.inc.Add(j)
+	return e, err
 }
 
-// undoEngineMove reverts applyEngineMove.
+// probeSwapRow probes every swap of selected i for an unselected j, in
+// ascending j — the states, order, deadline gate, budget accounting and
+// cache keys of probeMove(i, j) — and returns the first j that strictly
+// beats best and every earlier j, or -1. The row's first uncached swap
+// takes i out of the engine and only j is put back, so each further one
+// is a single flip of j away (Add j, Score, Drop j: the engine's state
+// is a pure function of the selected set, so the price is the same).
+// However the row ends — last j, budget, deadline, pricing error — i is
+// back in the engine on return, and the best swap so far is reported
+// beside the error.
 //
 //mvlint:hotpath
-func (s *solver) undoEngineMove(i, j int) {
-	if j < 0 {
-		s.flip(i)
-		return
+func (s *solver) probeSwapRow(i int, best eval) (bestJ int, _ eval, err error) {
+	bestJ = -1
+	out := false // i is out of the engine
+	for _, j := range s.unsIdx {
+		var e eval
+		var stepped bool
+		if out {
+			e, stepped, err = s.stepMove(j, -1)
+		} else {
+			e, stepped, err = s.stepMove(i, j)
+			out = stepped
+		}
+		if stepped {
+			s.inc.Drop(j)
+		}
+		if err != nil {
+			break
+		}
+		if better(e, best) {
+			bestJ, best = j, e
+		}
 	}
-	s.inc.Drop(j)
-	s.inc.Add(i)
+	if out {
+		s.inc.Add(i)
+	}
+	return bestJ, best, err
+}
+
+// applyMove records a flip of i (j < 0) or a swap i→out, j→in in the
+// state bitmap and the index lists.
+//
+//mvlint:hotpath
+func (s *solver) applyMove(sel []bool, i, j int) {
+	if j < 0 {
+		sel[i] = !sel[i]
+	} else {
+		sel[i], sel[j] = false, true
+	}
+	s.partition(sel)
 }
 
 // selection assembles the final optimizer.Selection for a state.
@@ -538,18 +605,25 @@ func (s *solver) starts() [][]bool {
 	n := len(s.cands)
 	var out [][]bool
 	add := func(sel []bool) { out = append(out, sel) }
-	index := make(map[string]int, n)
-	for i, c := range s.cands {
-		index[pointKey(c.Point)] = i
-	}
-	for _, pts := range s.opts.Starts {
-		sel := make([]bool, n)
-		for _, p := range pts {
-			if i, ok := index[pointKey(p)]; ok {
-				sel[i] = true
+	if len(s.opts.Starts) > 0 {
+		// Candidate index + 1 by dense lattice id; a point the lattice
+		// does not know, or that is no candidate's, selects nothing.
+		lat := s.inc.Evaluator().Est.Lat
+		index := make([]int32, lat.NumNodes())
+		for i, c := range s.cands {
+			if id, err := lat.ID(c.Point); err == nil {
+				index[id] = int32(i) + 1
 			}
 		}
-		add(sel)
+		for _, pts := range s.opts.Starts {
+			sel := make([]bool, n)
+			for _, p := range pts {
+				if id, err := lat.ID(p); err == nil && index[id] > 0 {
+					sel[index[id]-1] = true
+				}
+			}
+			add(sel)
+		}
 	}
 	add(make([]bool, n)) // empty: the no-view baseline
 	// Prefixes of the candidate order (HRU picks best-first): half and full.

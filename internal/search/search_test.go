@@ -326,3 +326,56 @@ func TestWarmStartNeverWorse(t *testing.T) {
 		}
 	}
 }
+
+// TestSwapProbeMoveBound gates the engine work of a solve in moves
+// (Add/Drop calls, deterministic). On largeFixture, mv1, seed 1, the
+// solver spent 15,204 moves for its 4,096 evaluations when every swap
+// probe was a Drop i / Add j / Score / Drop j / Add i round trip and
+// every accepted annealing step was priced, undone and redone. A swap
+// row now takes i out once and annealing keeps the step it just priced;
+// the floor is two moves per evaluation (8,192) plus re-pins.
+func TestSwapProbeMoveBound(t *testing.T) {
+	const parentMoves = 15204
+	ev, cands, budget := largeFixture(t)
+	s, err := newSolver(ev, cands, BudgetObjective(budget), Options{Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := s.solve(nil); err != nil {
+		t.Fatal(err)
+	}
+	moves := s.inc.Moves()
+	t.Logf("%d engine moves for %d evaluations", moves, s.evals)
+	if s.evals != DefaultMaxEvals {
+		t.Fatalf("%d evaluations, want the full budget of %d", s.evals, DefaultMaxEvals)
+	}
+	if moves*100 > parentMoves*65 {
+		t.Fatalf("%d engine moves, want at most 0.65 × %d", moves, parentMoves)
+	}
+}
+
+// TestWarmSolveAllocs: on a shared engine a solve allocates its solver,
+// its evaluation table (three slabs sized up front), its start bitmaps
+// and per-stage state copies — a count that does not grow with the
+// number of evaluations.
+func TestWarmSolveAllocs(t *testing.T) {
+	ev, cands, budget := largeFixture(t)
+	inc, err := optimizer.NewIncrementalEvaluator(ev, cands)
+	if err != nil {
+		t.Fatal(err)
+	}
+	allocs := func(maxEvals int) float64 {
+		return testing.AllocsPerRun(5, func() {
+			if _, err := Solve(ev, cands, BudgetObjective(budget), Options{Seed: 1, MaxEvals: maxEvals, Engine: inc}); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	few, full := allocs(64), allocs(DefaultMaxEvals)
+	t.Logf("allocs per warm solve: %v at 64 evaluations, %v at %d", few, full, DefaultMaxEvals)
+	// A longer solve runs more stages (each copies its state bitmap a
+	// couple of times); it must not allocate per evaluation.
+	if full > few+64 || full > 128 {
+		t.Fatalf("warm solve allocates %v times at %d evaluations (%v at 64): per-evaluation allocation", full, DefaultMaxEvals, few)
+	}
+}

@@ -136,13 +136,13 @@ func TestMissAllocBudget(t *testing.T) {
 		body       func(n int) []byte
 		budget     float64
 	}{
-		{"load-compare-2x2", "/v1/compare", compareMiss2x2Body, 720}, // 678; 695 under -race
+		{"load-compare-2x2", "/v1/compare", compareMiss2x2Body, 550}, // 515; 531 under -race
 		{"paper16-mv1", "/v1/advise", func(n int) []byte {
 			return fmt.Appendf(nil, `{"scenario":"mv1","budget":25,"queries":10,"frequency":30,"fact_rows":%d}`, 200_000_000+n)
-		}, 485}, // 455; 468 under -race
+		}, 315}, // 292; 305 under -race
 		{"sweep-2x2", "/v1/sweep", func(n int) []byte {
 			return fmt.Appendf(nil, `{"budget":25,"providers":["aws-2012","cumulus"],"fleet_sizes":[3,5],"fact_rows":%d,"queries":10,"frequency":30}`, 50_000_000+n)
-		}, 620}, // 585; 599 under -race
+		}, 455}, // 422; 435 under -race
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			s := New(Options{CacheSize: 1})

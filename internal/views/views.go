@@ -35,85 +35,125 @@ type Candidate struct {
 // Views with no positive benefit for the workload are never returned; the
 // base cuboid is excluded (materializing it duplicates the fact table).
 //
-// The loop maintains the incremental assignment directly: curRows[q] is
-// the scan size of query q's cheapest chosen source, so a round's
-// benefit per node is Σ_q freq × max(0, curRows[q] − rows(v)) over the
-// queries v can answer — one answerability-index probe per (node, query)
-// instead of re-running CheapestAnswering against the whole chosen set
-// per (node, query, round).
+// A round's benefit of node v is Σ_q freq × max(0, curRows[q] − rows(v))
+// over the queries v can answer, where curRows[q] is the scan size of
+// q's cheapest chosen source. The loop maintains that sum per node
+// instead of recomputing it: a pick lowers curRows for a few queries,
+// and only those queries' answerers see their benefit change. The
+// maintained value equals the recomputed one exactly — curRows only ever
+// falls, every delta is an int64 (addition is associative even where it
+// wraps) — so the argmax, its first-by-node-id tie rule and the recorded
+// benefits are those of the round-by-round definition.
 func GenerateCandidates(l *lattice.Lattice, w workload.Workload, k int) ([]Candidate, error) {
+	cands, _, err := generateCandidates(l, w, k)
+	return cands, err
+}
+
+// hruQuery is one query's routing state in the candidate loop.
+type hruQuery struct {
+	id      int   // lattice node id of the query point
+	freq    int64 // monthly executions
+	curRows int64 // rows of the cheapest chosen source (initially the base table)
+}
+
+// generateCandidates is GenerateCandidates plus its work count: the
+// number of answerer-list entries visited, at most Σ_q |answerers(q)| ×
+// (1 + picks that lowered curRows[q]).
+func generateCandidates(l *lattice.Lattice, w workload.Workload, k int) ([]Candidate, int, error) {
 	if err := w.Validate(l); err != nil {
-		return nil, err
+		return nil, 0, err
 	}
 	if k <= 0 {
-		return nil, fmt.Errorf("views: non-positive candidate budget %d", k)
+		return nil, 0, fmt.Errorf("views: non-positive candidate budget %d", k)
 	}
-	// Per-query routing state: id and the rows of the current cheapest
-	// chosen source (initially the base table).
-	baseRows := l.NodeByID(0).Rows
-	nq := len(w.Queries)
-	qid := make([]int, nq)
-	qfreq := make([]int64, nq)
-	curRows := make([]int64, nq)
+	nodes := l.Nodes()
+	baseRows := nodes[0].Rows
+	// Answerer lists in CSR form: ansIDs[ansOff[q]:ansOff[q+1]] are the
+	// nodes that can answer query q — its strict ancestors and itself,
+	// without the base. A point has Π(level+1) finer-or-equal nodes, so
+	// the slab is sized exactly before it is filled.
+	qs := make([]hruQuery, len(w.Queries))
+	ansOff := make([]int, len(qs)+1)
 	for i, q := range w.Queries {
 		id, err := l.ID(q.Point)
 		if err != nil {
-			return nil, err
+			return nil, 0, err
 		}
-		qid[i] = id
-		qfreq[i] = int64(q.Frequency)
-		curRows[i] = baseRows
+		qs[i] = hruQuery{id: id, freq: int64(q.Frequency), curRows: baseRows}
+		finerOrEqual := 1
+		for _, lv := range q.Point {
+			finerOrEqual *= lv + 1
+		}
+		ansOff[i+1] = ansOff[i] + finerOrEqual - 1
 	}
-	base := l.Base()
-	var pool []lattice.Node
-	var poolIDs []int
-	for id, n := range l.Nodes() {
-		if !n.Point.Equal(base) {
-			pool = append(pool, n)
-			poolIDs = append(poolIDs, id)
+	ansIDs := make([]int, 0, ansOff[len(qs)])
+	benefit := make([]int64, len(nodes))
+	for i := range qs {
+		// AncestorIDs lists the base (id 0) first; the query's own node
+		// takes its slot. A query at the base has no ancestors and no
+		// answerer but the base itself.
+		if ansIDs = l.AncestorIDs(qs[i].id, ansIDs); len(ansIDs) > ansOff[i] {
+			ansIDs[ansOff[i]] = qs[i].id
 		}
 	}
-	var selected []Candidate
+	visited := len(ansIDs)
+	for i := range qs {
+		for _, u := range ansIDs[ansOff[i]:ansOff[i+1]] {
+			if r := nodes[u].Rows; r < baseRows {
+				benefit[u] += qs[i].freq * (baseRows - r)
+			}
+		}
+	}
+	selected := make([]Candidate, 0, min(k, len(nodes)-1))
 	for len(selected) < k {
-		bestIdx := -1
-		var bestBenefit int64
+		// A chosen node needs no mark: every query it answers now scans
+		// at most its rows, so its maintained benefit is exactly zero.
+		best := -1
 		var bestPerByte float64
-		for i, n := range pool {
-			if n.Point == nil {
-				continue // already selected
-			}
-			var b int64
-			for q := 0; q < nq; q++ {
-				if n.Rows < curRows[q] && l.CanAnswerID(poolIDs[i], qid[q]) {
-					b += qfreq[q] * (curRows[q] - n.Rows)
-				}
-			}
+		for id := 1; id < len(nodes); id++ {
+			b := benefit[id]
 			if b <= 0 {
 				continue
 			}
-			perByte := float64(b) / float64(n.Size)
-			if bestIdx == -1 || perByte > bestPerByte {
-				bestIdx, bestBenefit, bestPerByte = i, b, perByte
+			perByte := float64(b) / float64(nodes[id].Size)
+			if best == -1 || perByte > bestPerByte {
+				best, bestPerByte = id, perByte
 			}
 		}
-		if bestIdx == -1 {
+		if best == -1 {
 			break // nothing beneficial left
 		}
-		n := pool[bestIdx]
+		n := nodes[best]
 		selected = append(selected, Candidate{
 			Point:   n.Point,
 			Rows:    n.Rows,
 			Size:    n.Size,
-			Benefit: bestBenefit,
+			Benefit: benefit[best],
 		})
-		for q := 0; q < nq; q++ {
-			if n.Rows < curRows[q] && l.CanAnswerID(poolIDs[bestIdx], qid[q]) {
-				curRows[q] = n.Rows
+		for i := range qs {
+			if q := &qs[i]; n.Rows < q.curRows && l.CanAnswerID(best, q.id) {
+				answerers := ansIDs[ansOff[i]:ansOff[i+1]]
+				lowerQuery(benefit, nodes, answerers, q.freq, q.curRows, n.Rows)
+				visited += len(answerers)
+				q.curRows = n.Rows
 			}
 		}
-		pool[bestIdx].Point = nil
 	}
-	return selected, nil
+	return selected, visited, nil
+}
+
+// lowerQuery re-prices one query's answerers after its cheapest source
+// fell from old to cur rows: answerer u was credited freq × (old −
+// rows(u)) when rows(u) < old, and is now owed freq × (cur − rows(u))
+// when rows(u) < cur, nothing otherwise.
+//
+//mvlint:hotpath
+func lowerQuery(benefit []int64, nodes []lattice.Node, answerers []int, freq, old, cur int64) {
+	for _, u := range answerers {
+		if r := nodes[u].Rows; r < old {
+			benefit[u] -= freq * (old - max(cur, r))
+		}
+	}
 }
 
 // Points extracts the lattice points of a candidate list.

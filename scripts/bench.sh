@@ -3,7 +3,11 @@
 # JSON summary (BENCH_<date>.json by default, git-ignored). A smoke and a
 # working aid: performance claims are made with the repo benchmark
 # (bench/README.md), and the hard gates are counts, not nanoseconds
-# (TestMissAllocBudget, TestCacheHitAllocBudget, TestFrontierWorkBound).
+# (TestMissAllocBudget, TestCacheHitAllocBudget, TestFrontierWorkBound,
+# TestSwapProbeMoveBound, TestGenerateCandidatesWorkBound). The sweep
+# includes the repo benchmark's search-large operation without its
+# harness (BenchmarkAdviseSearchCold256, internal/core) and its candidate
+# generation alone (BenchmarkGenerateCandidatesLarge, internal/views).
 #
 # Usage:
 #   ./scripts/bench.sh                # full run, writes BENCH_YYYY-MM-DD.json
