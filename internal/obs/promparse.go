@@ -9,10 +9,10 @@ import (
 )
 
 // This file is the read side of the exposition format: a small parser
-// and validator for Prometheus text format 0.0.4. It exists for two
-// consumers — the server's metrics-format tests (CI validates every
-// /metrics render) and the load harness, which scrapes the server-side
-// latency histograms after a run and embeds them in LOAD_<date>.json.
+// and validator for Prometheus text format 0.0.4. It exists for the
+// metrics-format tests: CI validates every /metrics render, in-process
+// and from a live daemon, and the server's tests read their counters
+// back through it.
 
 // Sample is one parsed sample line.
 type Sample struct {

@@ -215,10 +215,10 @@ func BenchmarkClusterAdviseCacheHitHot(b *testing.B) {
 }
 
 // compareMiss2x2Body is the named load-compare-2x2 shape — the compare
-// request mvcloudbench and the repo benchmark's compare-cold workload
-// send: 2 providers × fleets {3,5}, budget + limit + alpha → mv1/mv2/mv3
-// on the 16-cuboid lattice plus the 8-step break-even sweep. n perturbs
-// fact_rows, so every n is a distinct canonical problem.
+// request the repo benchmark's compare-cold workload sends: 2 providers
+// × fleets {3,5}, budget + limit + alpha → mv1/mv2/mv3 on the 16-cuboid
+// lattice plus the 8-step break-even sweep. n perturbs fact_rows, so
+// every n is a distinct canonical problem.
 func compareMiss2x2Body(n int) []byte {
 	return fmt.Appendf(nil, `{"budget":25,"limit":"4h","alpha":0.8,"providers":["aws-2012","cumulus"],"fleet_sizes":[3,5],"fact_rows":%d,"queries":10,"frequency":30}`, 50_000_000+n)
 }

@@ -7,12 +7,12 @@ import (
 )
 
 // ChaosConfig is the fault-injection harness: a deterministic chaos
-// layer wrapped around the solve path, used by the overload loadgen
-// scenarios and the race-mode e2e tests to exercise degradation,
-// shedding, and panic containment without depending on real machine
-// load. All decisions are pure functions of (Seed, site, cache key), so
-// a given request either always or never gets a given fault regardless
-// of goroutine scheduling — runs are reproducible and assertions can be
+// layer wrapped around the solve path, used by the overload and
+// race-mode e2e tests (e2e_test.go) to exercise degradation, shedding,
+// and panic containment without depending on real machine load. All
+// decisions are pure functions of (Seed, site, cache key), so a given
+// request either always or never gets a given fault regardless of
+// goroutine scheduling — runs are reproducible and assertions can be
 // exact.
 type ChaosConfig struct {
 	// Seed selects the fault pattern; two servers with the same seed and

@@ -26,9 +26,8 @@ type LocalClusterOptions struct {
 
 // LocalCluster is the whole topology inside one process: the frontend,
 // its workers, and the fault-injectable transport between them. It
-// backs `mvcloudd -cluster N`, the cluster loadgen scenarios, and the
-// tier-1 chaos tests — everything runs under `go test -race` with no
-// sockets.
+// backs `mvcloudd -cluster N` and the tier-1 chaos tests — everything
+// runs under `go test -race` with no sockets.
 type LocalCluster struct {
 	Frontend *Server
 	Workers  []*Server
@@ -73,7 +72,7 @@ func NewLocalCluster(opts LocalClusterOptions) *LocalCluster {
 }
 
 // ServeHTTP delegates to the frontend — a LocalCluster drops in
-// wherever a *Server handler does (httptest, loadgen HandlerTarget).
+// wherever a *Server handler does (httptest, http.Server).
 func (lc *LocalCluster) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	lc.Frontend.ServeHTTP(w, r)
 }

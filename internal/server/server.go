@@ -282,21 +282,10 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	s.mux.ServeHTTP(w, r)
 }
 
-// Metrics renders the server's metric registry followed by the
-// process-wide solver registry — exactly what GET /metrics serves.
-// Exposed for the load harness, which embeds the server-side latency
-// histograms in its report.
-func (s *Server) Metrics(w io.Writer) error {
-	if err := s.reg.WritePrometheus(w); err != nil {
-		return err
-	}
-	return obs.Default.WritePrometheus(w)
-}
-
 // InflightSolves reports the number of live solve goroutines (queued,
 // running, or finishing). After every request has drained it must
-// return to zero — the leak-detection hook for tests and the load
-// harness, replacing "count goroutines and hope".
+// return to zero — the leak-detection hook for tests, replacing "count
+// goroutines and hope".
 func (s *Server) InflightSolves() int64 { return s.inflightSolves.Load() }
 
 func (s *Server) counted(endpoint string, h http.HandlerFunc) http.HandlerFunc {
