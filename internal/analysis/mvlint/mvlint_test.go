@@ -96,6 +96,35 @@ func TestTelemetryFastPathsAreMarked(t *testing.T) {
 		"ComparisonJSON.AppendJSON":     "internal/compare/encode.go",
 		"SweepJSON.AppendJSON":          "internal/compare/encode.go",
 		"AdviseResponse.AppendJSON":     "internal/server/server.go",
+		// The request half: bytes to canonical key — the decoder
+		// primitives, every DecodeJSON, every key encoder.
+		"Decoder.Object":              "internal/jsondec/jsondec.go",
+		"Decoder.Array":               "internal/jsondec/jsondec.go",
+		"Decoder.More":                "internal/jsondec/jsondec.go",
+		"Decoder.Key":                 "internal/jsondec/jsondec.go",
+		"Decoder.Once":                "internal/jsondec/jsondec.go",
+		"Decoder.String":              "internal/jsondec/jsondec.go",
+		"Decoder.Int64":               "internal/jsondec/jsondec.go",
+		"Decoder.Int":                 "internal/jsondec/jsondec.go",
+		"Decoder.Float":               "internal/jsondec/jsondec.go",
+		"Decoder.Strings":             "internal/jsondec/jsondec.go",
+		"Decoder.Ints":                "internal/jsondec/jsondec.go",
+		"Decoder.Raw":                 "internal/jsondec/jsondec.go",
+		"Decoder.End":                 "internal/jsondec/jsondec.go",
+		"AppendInts":                  "internal/jsonenc/jsonenc.go",
+		"AppendCompact":               "internal/jsonenc/jsonenc.go",
+		"EndObject":                   "internal/jsonenc/jsonenc.go",
+		"DecodeJSON":                  "internal/money/json.go",
+		"QueryJSON.DecodeJSON":        "internal/workload/json.go",
+		"QueryJSON.AppendJSON":        "internal/workload/json.go",
+		"ConfigJSON.DecodeMember":     "internal/core/request.go",
+		"ConfigJSON.AppendKeyMembers": "internal/core/request.go",
+		"RequestJSON.DecodeJSON":      "internal/compare/request.go",
+		"RequestJSON.AppendKey":       "internal/compare/request.go",
+		"SweepRequestJSON.DecodeJSON": "internal/compare/request.go",
+		"SweepRequestJSON.AppendKey":  "internal/compare/request.go",
+		"AdviseRequest.DecodeJSON":    "internal/server/request.go",
+		"AdviseRequest.AppendKey":     "internal/server/request.go",
 	}
 	files := map[string][]string{}
 	for fn, file := range want {

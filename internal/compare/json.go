@@ -6,10 +6,8 @@ import (
 	"time"
 
 	"vmcloud/internal/core"
-	"vmcloud/internal/lattice"
 	"vmcloud/internal/money"
 	"vmcloud/internal/pricing"
-	"vmcloud/internal/schema"
 	"vmcloud/internal/views"
 	"vmcloud/internal/workload"
 )
@@ -202,7 +200,8 @@ func normalizeGrid(cj *core.ConfigJSON, providers *[]string, instanceTypes *[]st
 	*providers = dedupeSorted(*providers)
 	for _, name := range *providers {
 		if !pricing.Exists(name) {
-			return fmt.Errorf("pricing: unknown provider %q (have %v)", name, pricing.ProviderNames())
+			_, err := pricing.Lookup(name) // words the rejection
+			return err
 		}
 	}
 	if len(*instanceTypes) == 0 {
@@ -223,7 +222,8 @@ func normalizeGrid(cj *core.ConfigJSON, providers *[]string, instanceTypes *[]st
 
 // resolveGrid resolves the normalized shared fields both wire forms
 // carry: provider lookups, maintenance policy, job overhead, and the
-// workload against the sales lattice.
+// workload (see core.ConfigJSON.ResolveWorkload; no lattice is built
+// here, compare's one is core.NewShared's).
 func resolveGrid(names []string, cj core.ConfigJSON) ([]pricing.Provider, workload.Workload, views.MaintenancePolicy, time.Duration, error) {
 	var provs []pricing.Provider
 	for _, name := range names {
@@ -245,11 +245,7 @@ func resolveGrid(names []string, cj core.ConfigJSON) ([]pricing.Provider, worklo
 		}
 		overhead = d
 	}
-	l, err := lattice.New(schema.Sales(), cj.FactRows)
-	if err != nil {
-		return nil, workload.Workload{}, 0, 0, err
-	}
-	w, err := workload.FromJSON(l, cj.Workload)
+	w, err := cj.ResolveWorkload()
 	if err != nil {
 		return nil, workload.Workload{}, 0, 0, err
 	}

@@ -6,10 +6,8 @@ import (
 	"time"
 
 	"vmcloud/internal/costmodel"
-	"vmcloud/internal/lattice"
 	"vmcloud/internal/money"
 	"vmcloud/internal/pricing"
-	"vmcloud/internal/schema"
 	"vmcloud/internal/units"
 	"vmcloud/internal/views"
 	"vmcloud/internal/workload"
@@ -50,6 +48,13 @@ type ConfigJSON struct {
 	// solver is "knapsack" (which ignores it), so seed spellings cannot
 	// fragment the response cache.
 	Seed int64 `json:"seed,omitempty"`
+
+	// resolved is the workload Normalize resolved Workload from, and
+	// resolvedFor the first element of the Workload slice it wrote
+	// beside it: ResolveWorkload hands resolved on only while Workload
+	// is still that slice.
+	resolved    workload.Workload
+	resolvedFor *workload.QueryJSON
 }
 
 // Normalize fills every defaulted field with its concrete value and
@@ -71,9 +76,10 @@ func (cj *ConfigJSON) Normalize() error {
 		cj.Provider = ""
 	} else {
 		if cj.Provider == "" {
-			cj.Provider = pricing.AWS2012().Name
+			cj.Provider = pricing.AWS2012Name
 		}
-		if _, err := pricing.Lookup(cj.Provider); err != nil {
+		if !pricing.Exists(cj.Provider) {
+			_, err := pricing.Lookup(cj.Provider) // words the rejection
 			return err
 		}
 	}
@@ -143,43 +149,38 @@ func (cj *ConfigJSON) Normalize() error {
 		cj.Seed = 0
 	}
 	if cj.JobOverhead == "" {
-		cj.JobOverhead = "2m"
+		cj.JobOverhead = defaultJobOverhead
+	} else {
+		d, err := time.ParseDuration(cj.JobOverhead)
+		if err != nil {
+			return fmt.Errorf("core: job_overhead: %w", err)
+		}
+		if d < 0 {
+			return fmt.Errorf("core: negative job_overhead %v", d)
+		}
+		cj.JobOverhead = d.String()
 	}
-	d, err := time.ParseDuration(cj.JobOverhead)
-	if err != nil {
-		return fmt.Errorf("core: job_overhead: %w", err)
-	}
-	if d < 0 {
-		return fmt.Errorf("core: negative job_overhead %v", d)
-	}
-	cj.JobOverhead = d.String()
 
-	// Resolve the workload to its explicit form against the lattice this
-	// config will build.
-	l, err := lattice.New(schema.Sales(), cj.FactRows)
-	if err != nil {
-		return err
-	}
+	// Resolve the workload to its explicit form. The sales schema's
+	// level names, points and query names do not depend on fact_rows,
+	// so this reads package-level tables and builds no lattice; the one
+	// lattice of a request is NewShared's.
 	var w workload.Workload
 	if len(cj.Workload) > 0 {
-		w, err = workload.FromJSON(l, cj.Workload)
-		if err != nil {
-			return err
-		}
-		cj.Queries = 0
+		w, err = workload.FromJSON(cj.Workload)
 	} else {
 		if cj.Queries == 0 {
 			cj.Queries = 10
 		}
-		w, err = workload.Sales(l, cj.Queries)
-		if err != nil {
-			return err
-		}
-		// The workload below is now explicit; zero the shorthand so both
-		// spellings of the same problem share one canonical form (and
-		// re-normalizing is a fixed point).
-		cj.Queries = 0
+		w, err = workload.SalesPrefix(cj.Queries)
 	}
+	if err != nil {
+		return err
+	}
+	// The workload below is now explicit; zero the shorthand so both
+	// spellings of the same problem share one canonical form (and
+	// re-normalizing is a fixed point).
+	cj.Queries = 0
 	if cj.Frequency < 0 {
 		return fmt.Errorf("core: negative frequency %d", cj.Frequency)
 	}
@@ -189,8 +190,24 @@ func (cj *ConfigJSON) Normalize() error {
 		}
 		cj.Frequency = 0
 	}
-	cj.Workload = w.JSON(l)
+	cj.Workload = w.JSON()
+	cj.resolved, cj.resolvedFor = w, &cj.Workload[0]
 	return nil
+}
+
+// defaultJobOverhead is the canonical spelling of the default, "2m".
+const defaultJobOverhead = "2m0s"
+
+// ResolveWorkload returns the workload of a normalized config: the one
+// Normalize resolved when cj still holds the wire form Normalize wrote
+// (the common case — canonicalize, then solve — re-parses nothing),
+// otherwise Workload resolved afresh (a config decoded from a canonical
+// key, or one given another workload since).
+func (cj *ConfigJSON) ResolveWorkload() (workload.Workload, error) {
+	if n := len(cj.Workload); n > 0 && n == len(cj.resolved.Queries) && &cj.Workload[0] == cj.resolvedFor {
+		return cj.resolved, nil
+	}
+	return workload.FromJSON(cj.Workload)
 }
 
 // Config resolves the wire form into a Config ready for New. It calls
@@ -239,11 +256,7 @@ func (cj ConfigJSON) Resolve() (Config, error) {
 		return Config{}, fmt.Errorf("core: job_overhead: %w", err)
 	}
 	cfg.JobOverhead = d
-	l, err := lattice.New(schema.Sales(), cj.FactRows)
-	if err != nil {
-		return Config{}, err
-	}
-	cfg.Workload, err = workload.FromJSON(l, cj.Workload)
+	cfg.Workload, err = cj.ResolveWorkload()
 	if err != nil {
 		return Config{}, err
 	}

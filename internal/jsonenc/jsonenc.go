@@ -168,6 +168,73 @@ func AppendStrings(dst []byte, ss []string) []byte {
 	return append(dst, ']')
 }
 
+// AppendInts appends a JSON array of integers, null for a nil slice.
+//
+//mvlint:hotpath
+func AppendInts(dst []byte, xs []int) []byte {
+	if xs == nil {
+		return append(dst, "null"...)
+	}
+	dst = append(dst, '[')
+	for i, x := range xs {
+		if i > 0 {
+			dst = append(dst, ',')
+		}
+		dst = strconv.AppendInt(dst, int64(x), 10)
+	}
+	return append(dst, ']')
+}
+
+// AppendCompact appends the valid JSON text src as encoding/json
+// writes a json.RawMessage into its output: insignificant whitespace
+// dropped, and < > & U+2028 U+2029 — which valid JSON holds only
+// inside strings — written as \u escapes.
+//
+//mvlint:hotpath
+func AppendCompact(dst, src []byte) []byte {
+	inString := false
+	start := 0 // src[start:i] is text not yet copied
+	for i := 0; i < len(src); i++ {
+		c := src[i]
+		switch {
+		case c == '<' || c == '>' || c == '&':
+			dst = append(dst, src[start:i]...)
+			dst = append(dst, '\\', 'u', '0', '0', hex[c>>4], hex[c&0xf])
+			start = i + 1
+		case c == 0xE2 && i+2 < len(src) && src[i+1] == 0x80 && src[i+2]&^1 == 0xA8:
+			dst = append(dst, src[start:i]...)
+			dst = append(dst, '\\', 'u', '2', '0', '2', hex[src[i+2]&0xf])
+			i += 2
+			start = i + 1
+		case inString:
+			if c == '\\' {
+				i++
+			} else if c == '"' {
+				inString = false
+			}
+		case c == '"':
+			inString = true
+		case c == ' ' || c == '\t' || c == '\r' || c == '\n':
+			dst = append(dst, src[start:i]...)
+			start = i + 1
+		}
+	}
+	return append(dst, src[start:]...)
+}
+
+// EndObject closes the object whose members were appended from
+// dst[mark:] on, each with a leading comma: the first comma becomes
+// the opening brace, so omitempty members need no "first" flag.
+//
+//mvlint:hotpath
+func EndObject(dst []byte, mark int) []byte {
+	if len(dst) == mark {
+		return append(dst, '{', '}')
+	}
+	dst[mark] = '{'
+	return append(dst, '}')
+}
+
 // AppendArray appends a JSON array of wire structs, each through its own
 // encoder; null for a nil slice.
 //

@@ -128,3 +128,51 @@ func BenchmarkAppendString(b *testing.B) {
 		buf = AppendString(buf[:0], s)
 	}
 }
+
+func TestAppendInts(t *testing.T) {
+	for _, xs := range [][]int{nil, {}, {5}, {3, -5, 0, math.MaxInt64, math.MinInt64}} {
+		want, _ := json.Marshal(xs)
+		if got := AppendInts([]byte("x"), xs); string(got) != "x"+string(want) {
+			t.Errorf("AppendInts(%v) = %s, want x%s", xs, got, want)
+		}
+	}
+}
+
+// TestAppendCompact holds AppendCompact to what encoding/json writes
+// for a json.RawMessage member: every text below, plain, indented and
+// with whitespace around it.
+func TestAppendCompact(t *testing.T) {
+	for _, src := range []string{
+		`{}`, `[]`, `0`, `"a b"`, `null`,
+		`{"name":"tiny","compute":{"granularity":"per-hour","instances":[{"name":"small","price_per_hour":"$0.10","ecu":1}]},"free":true}`,
+		`{"a":"< > & < \" \\ \\\" \\\\","b":[1, 2 ,3],"c":" \t ","d":"\\"}`,
+		"{\"sep\":\"a b c\",\"times\":\"year×country\",\"e2\":\"\xe2\x80\xa7 \xe2\x80\"}",
+		`[" ",{" ":" "},"\n"]`,
+	} {
+		var indented bytes.Buffer
+		if err := json.Indent(&indented, []byte(src), " ", "\t"); err != nil {
+			t.Fatalf("%s: %v", src, err)
+		}
+		for _, text := range [][]byte{[]byte(src), indented.Bytes(), []byte(" \n" + src + "\r\t ")} {
+			want, err := json.Marshal(struct {
+				R json.RawMessage `json:"r"`
+			}{text})
+			if err != nil {
+				t.Fatalf("%s: %v", text, err)
+			}
+			got := append(AppendCompact([]byte(`{"r":`), text), '}')
+			if !bytes.Equal(got, want) {
+				t.Errorf("AppendCompact(%s) = %s, want %s", text, got, want)
+			}
+		}
+	}
+}
+
+func TestEndObject(t *testing.T) {
+	if got := EndObject([]byte("x"), 1); string(got) != "x{}" {
+		t.Errorf("empty object = %s", got)
+	}
+	if got := EndObject([]byte(`x,"a":1,"b":2`), 1); string(got) != `x{"a":1,"b":2}` {
+		t.Errorf("object = %s", got)
+	}
+}

@@ -224,18 +224,30 @@ func (l *Lattice) Apex() Point {
 // PointOf builds a Point from per-dimension level names, e.g.
 // PointOf("year", "country").
 func (l *Lattice) PointOf(levelNames ...string) (Point, error) {
-	if len(levelNames) != len(l.Schema.Dimensions) {
-		return nil, fmt.Errorf("lattice: want %d level names, got %d", len(l.Schema.Dimensions), len(levelNames))
+	id, err := l.IDOf(levelNames...)
+	if err != nil {
+		return nil, err
 	}
 	p := make(Point, len(levelNames))
+	l.decode(id, p)
+	return p, nil
+}
+
+// IDOf is the dense node id of PointOf(levelNames...), without the
+// point.
+func (l *Lattice) IDOf(levelNames ...string) (int, error) {
+	if len(levelNames) != len(l.Schema.Dimensions) {
+		return 0, fmt.Errorf("lattice: want %d level names, got %d", len(l.Schema.Dimensions), len(levelNames))
+	}
+	id := 0
 	for i, name := range levelNames {
 		idx, err := l.Schema.Dimensions[i].LevelIndex(name)
 		if err != nil {
-			return nil, err
+			return 0, err
 		}
-		p[i] = idx
+		id = id*l.radices[i] + idx
 	}
-	return p, nil
+	return id, nil
 }
 
 // Name renders a point as "year×country".

@@ -3,6 +3,8 @@ package money
 import (
 	"encoding/json"
 	"fmt"
+
+	"vmcloud/internal/jsondec"
 )
 
 // Money marshals as its display string ("$1.08") so JSON payloads stay
@@ -43,4 +45,20 @@ func (m *Money) UnmarshalJSON(data []byte) error {
 	}
 	*m = FromDollars(f)
 	return nil
+}
+
+// DecodeJSON reads what UnmarshalJSON accepts from d's fast grammar: a
+// dollar string or a number of dollars. An amount Parse rejects is
+// declined, so that UnmarshalJSON words the rejection.
+//
+//mvlint:hotpath
+func DecodeJSON(d *jsondec.Decoder) Money {
+	if d.Peek() != '"' {
+		return FromDollars(d.Float())
+	}
+	m, err := Parse(d.String())
+	if err != nil {
+		d.Decline()
+	}
+	return m
 }

@@ -9,11 +9,15 @@ import (
 	"vmcloud/internal/units"
 )
 
+// AWS2012Name names the AWS2012 tariff, the one a config without a
+// provider gets.
+const AWS2012Name = "aws-2012"
+
 // AWS2012 returns the provider fixture reproducing the paper's Tables 2
 // (EC2 compute), 3 (bandwidth) and 4 (S3 storage) exactly.
 func AWS2012() Provider {
 	return Provider{
-		Name: "aws-2012",
+		Name: AWS2012Name,
 		Compute: ComputeTariff{
 			Granularity: units.BillPerHour,
 			Instances: map[string]InstanceType{

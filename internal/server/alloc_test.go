@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"net/http"
 	"net/url"
+	"strings"
 	"testing"
 )
 
@@ -139,5 +140,86 @@ func TestClusterFrontendCacheHitAllocBudget(t *testing.T) {
 	})
 	if allocs > 2 {
 		t.Errorf("cluster-frontend hit path costs %.1f allocs/request, budget 2", allocs)
+	}
+}
+
+// TestCanonicalHitAllocBudget gates the re-spelled hit beside the
+// byte-identical one: a body never seen before whose canonical key is
+// resident — decode, normalize, AppendKey into the pooled buffer, one
+// copy-free probe, the raw key remembered — on all three endpoints. The
+// advise one cost 84 allocations with encoding/json, a lattice and a
+// provider copy on the way; budgets are the measured figures + 5%.
+func TestCanonicalHitAllocBudget(t *testing.T) {
+	for _, c := range []struct {
+		endpoint, body string
+		budget         float64
+	}{
+		{"/v1/advise", adviseShapeBody, 10.5},    // 10
+		{"/v1/compare", compareShapeBody, 19.95}, // 19
+		{"/v1/sweep", sweepShapeBody, 16.8},      // 16
+	} {
+		t.Run(c.endpoint, func(t *testing.T) {
+			s := testServer()
+			if w := do(t, s, "POST", c.endpoint, c.body); w.Code != 200 {
+				t.Fatalf("prime: %d: %s", w.Code, w.Body.String())
+			}
+			spellings := respellings(c.body, 1024)
+			body := &resettableBody{}
+			req := &http.Request{Method: "POST", URL: &url.URL{Path: c.endpoint}, Body: body}
+			w := &nullResponseWriter{h: make(http.Header)}
+			n := 0
+			allocs := testing.AllocsPerRun(200, func() {
+				body.Reset(spellings[n])
+				n++
+				w.status = 0
+				s.ServeHTTP(w, req)
+				if w.status != 200 || w.h.Get("X-Cache") != "hit" {
+					t.Fatalf("status %d, X-Cache %q; want a 200 hit", w.status, w.h.Get("X-Cache"))
+				}
+			})
+			if allocs > c.budget {
+				t.Errorf("re-spelled hit costs %.1f allocs/request, budget %.1f", allocs, c.budget)
+			}
+			if n := s.m.advise.decodeFallback.Value() + s.m.compare.decodeFallback.Value() + s.m.sweep.decodeFallback.Value(); n != 0 {
+				t.Errorf("%d bodies took the encoding/json path", n)
+			}
+		})
+	}
+}
+
+// TestPoolsDropLargeBuffers is the regression test for the request and
+// encode pools keeping whatever a buffer grew to: a body at the 1 MiB
+// request cap, then a small one, must leave no buffer of that size
+// reachable from the pool. (sync.Pool may also drop buffers by itself;
+// before the fix this test failed whenever it did not.)
+func TestPoolsDropLargeBuffers(t *testing.T) {
+	s := testServer()
+	small := `{"scenario":"mv1","budget":25,"fact_rows":10000000}`
+	huge := small[:len(small)-1] + strings.Repeat(" ", maxRequestBytes-len(small)) + "}"
+	if w := do(t, s, "POST", "/v1/advise", huge); w.Code != 200 {
+		t.Fatalf("1 MiB body: %d: %.200s", w.Code, w.Body.String())
+	}
+	if w := do(t, s, "POST", "/v1/advise", small); w.Code != 200 {
+		t.Fatalf("small body: %d: %s", w.Code, w.Body.String())
+	}
+	// Drain the pool: Get hands out what is reachable before it makes
+	// anything new, and nothing is put back meanwhile.
+	for i := 0; i < 1000; i++ {
+		if rb := reqBufPool.Get().(*reqBuf); cap(rb.b) > maxPooledBuf {
+			t.Fatalf("the request pool holds a %d-byte buffer after a small request", cap(rb.b))
+		}
+	}
+
+	big := &reqBuf{b: make([]byte, 0, maxPooledBuf+1)}
+	putBuf(&encodeBufPool, big)
+	kept := &reqBuf{b: make([]byte, 10, maxPooledBuf)}
+	putBuf(&encodeBufPool, kept)
+	if len(kept.b) != 0 {
+		t.Error("a pooled buffer was not emptied")
+	}
+	for i := 0; i < 1000; i++ {
+		if rb := encodeBufPool.Get().(*reqBuf); rb == big {
+			t.Fatal("the encode pool kept a buffer over maxPooledBuf")
+		}
 	}
 }

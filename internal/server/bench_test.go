@@ -236,3 +236,100 @@ func BenchmarkCompareMiss2x2(b *testing.B) {
 		postCompare(b, s, compareMiss2x2Body(1+i%100_000))
 	}
 }
+
+// The request half, on the repo benchmark's body shapes (bench/gen.go):
+// what a re-spelled hit and every miss pay before any solver runs.
+// BenchmarkCanon* is bytes to canonical key in-process (decode,
+// normalize, AppendKey), BenchmarkReloadAdvise the canonical key decoded
+// back into a request (a re-miss after eviction, a cluster worker's
+// forwarded body), BenchmarkAdviseCanonicalHit a whole re-spelled hit
+// through ServeHTTP.
+var (
+	adviseShapeBody  = `{"scenario":"mv1","budget":"$31.25","provider":"cumulus","instances":4,"fact_rows":73412088,"queries":7,"frequency":12,"months":6}`
+	compareShapeBody = `{"budget":"$31.25","limit":"3h12m5s","alpha":0.8123,"providers":["aws-2012","cumulus"],"fleet_sizes":[3,5],"fact_rows":73412088,"queries":7,"frequency":12,"months":6}`
+	sweepShapeBody   = `{"budget":"$31.25","providers":["aws-2012","cumulus"],"fleet_sizes":[3,5],"fact_rows":73412088,"queries":7,"frequency":12,"months":6}`
+)
+
+func benchCanon(b *testing.B, endpoint, body string) {
+	s := New(Options{})
+	buf := make([]byte, 0, 4096)
+	b.SetBytes(int64(len(body)))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		// As served: a fresh request per body, and string(...) for the
+		// copy out of the pooled buffer.
+		if _, _, err := s.canonicalize(buf, string([]byte(body)), newMemoRequest(endpoint), s.m.advise.decodeFallback); err != nil {
+			b.Fatal(err)
+		}
+	}
+	if n := s.m.advise.decodeFallback.Value(); n != 0 {
+		b.Fatalf("%d bodies took the encoding/json path", n)
+	}
+}
+
+func BenchmarkCanonAdvise(b *testing.B)  { benchCanon(b, "advise", adviseShapeBody) }
+func BenchmarkCanonCompare(b *testing.B) { benchCanon(b, "compare", compareShapeBody) }
+func BenchmarkCanonSweep(b *testing.B)   { benchCanon(b, "sweep", sweepShapeBody) }
+
+func BenchmarkReloadAdvise(b *testing.B) {
+	s := New(Options{})
+	kb, _, err := s.canonicalize(nil, adviseShapeBody, &adviseRequest{}, s.m.advise.decodeFallback)
+	if err != nil {
+		b.Fatal(err)
+	}
+	key := string(kb)
+	b.SetBytes(int64(len(key)))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := decodeRequest(key, &adviseRequest{}, s.m.advise.decodeFallback); err != nil {
+			b.Fatal(err)
+		}
+	}
+	if n := s.m.advise.decodeFallback.Value(); n != 0 {
+		b.Fatalf("%d keys took the encoding/json path", n)
+	}
+}
+
+// respellings returns n byte-different spellings of one body: the i-th
+// carries i, in binary, as spaces and tabs before the closing brace.
+func respellings(body string, n int) [][]byte {
+	out := make([][]byte, n)
+	for i := range out {
+		b := []byte(body[:len(body)-1])
+		for bit := 1; bit < n; bit <<= 1 {
+			if i&bit != 0 {
+				b = append(b, '\t')
+			} else {
+				b = append(b, ' ')
+			}
+		}
+		out[i] = append(b, '}')
+	}
+	return out
+}
+
+func BenchmarkAdviseCanonicalHit(b *testing.B) {
+	s := New(Options{})
+	postAdvise(b, s, []byte(adviseShapeBody))
+	// More spellings than the raw-key LRU holds, cycled: every request
+	// misses it and hits the response cache under the canonical key.
+	spellings := respellings(adviseShapeBody, 1024)
+	body := &resettableBody{}
+	req := &http.Request{Method: "POST", URL: &url.URL{Path: "/v1/advise"}, Body: body}
+	nw := &nullResponseWriter{h: make(http.Header)}
+	b.SetBytes(int64(len(spellings[0])))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		body.Reset(spellings[i%len(spellings)])
+		s.ServeHTTP(nw, req)
+		if nw.status != 200 || nw.h.Get("X-Cache") != "hit" {
+			b.Fatalf("status %d, X-Cache %q", nw.status, nw.h.Get("X-Cache"))
+		}
+	}
+	if n := s.m.advise.decodeFallback.Value(); n != 0 {
+		b.Fatalf("%d bodies took the encoding/json path", n)
+	}
+}

@@ -247,11 +247,11 @@ func (s *Server) hedgeDelay(em *endpointMetrics) time.Duration {
 // fills the frontend cache and publishes the outcome to the flight
 // group. ctx is the solve's deadline context, cancelled by the flight
 // group when the last waiter leaves.
-func (s *Server) runForward(ctx context.Context, spec memoSpec, label, account, key, cacheKey string, em *endpointMetrics, call *flightCall) {
+func (s *Server) runForward(ctx context.Context, endpoint, label, account, key, cacheKey string, em *endpointMetrics, call *flightCall) {
 	s.inflightSolves.Add(1)
 	defer s.inflightSolves.Add(-1)
 	s.stats.solve()
-	out := s.forward(ctx, spec.endpoint, account, key, cacheKey, em)
+	out := s.forward(ctx, endpoint, account, key, cacheKey, em)
 	// The frontend memoizes exactly what a worker would: successful,
 	// non-degraded bodies. Degraded and stale bodies are
 	// timing-dependent; sheds and errors have nothing to cache, and

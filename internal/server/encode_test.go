@@ -128,21 +128,23 @@ func TestAdviseResponseAppendJSONMatchesReflection(t *testing.T) {
 // in nanoseconds, which do not: one request through ServeHTTP that
 // misses both caches — decode, canonicalize, solve, encode, cache fill
 // — on the named problems (every run a distinct fact_rows, so every run
-// a distinct canonical problem). Budgets sit within 10% of the measured
-// figures; the compare miss cost 3666 before the append-only encoder.
+// a distinct canonical problem). Budgets sit within 5% of the measured
+// figures; the compare miss cost 3666 before the append-only encoder and
+// 515 before the request half lost its reflection and its two extra
+// lattices (advise 292, sweep 422).
 func TestMissAllocBudget(t *testing.T) {
 	for _, c := range []struct {
 		name, path string
 		body       func(n int) []byte
 		budget     float64
 	}{
-		{"load-compare-2x2", "/v1/compare", compareMiss2x2Body, 550}, // 515; 531 under -race
+		{"load-compare-2x2", "/v1/compare", compareMiss2x2Body, 410}, // 390; 391 under -race
 		{"paper16-mv1", "/v1/advise", func(n int) []byte {
 			return fmt.Appendf(nil, `{"scenario":"mv1","budget":25,"queries":10,"frequency":30,"fact_rows":%d}`, 200_000_000+n)
-		}, 315}, // 292; 305 under -race
+		}, 182}, // 173; 174 under -race
 		{"sweep-2x2", "/v1/sweep", func(n int) []byte {
 			return fmt.Appendf(nil, `{"budget":25,"providers":["aws-2012","cumulus"],"fleet_sizes":[3,5],"fact_rows":%d,"queries":10,"frequency":30}`, 50_000_000+n)
-		}, 455}, // 422; 435 under -race
+		}, 313}, // 298; 300 under -race
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			s := New(Options{CacheSize: 1})

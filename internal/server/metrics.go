@@ -40,6 +40,9 @@ var outcomeNames = [numOutcomes]string{"hit", "coalesced", "solve", "error", "sh
 type endpointMetrics struct {
 	requests [numOutcomes]*obs.Counter
 	latency  [numOutcomes]*obs.Histogram
+	// decodeFallback counts bodies the request decoder's fast grammar
+	// declined and encoding/json decoded (or rejected) instead.
+	decodeFallback *obs.Counter
 }
 
 // observe records one finished request: two atomic ops, no allocation —
@@ -72,7 +75,11 @@ var memoizedEndpoints = [...]string{"advise", "compare", "sweep"}
 var plainEndpoints = [...]string{"tariffs", "stats", "healthz", "metrics", "version"}
 
 func newEndpointMetrics(reg *obs.Registry, endpoint string) *endpointMetrics {
-	em := &endpointMetrics{}
+	em := &endpointMetrics{
+		decodeFallback: reg.Counter("mvcloud_request_decode_fallback_total",
+			"Request bodies outside the hand-written decoder's grammar, decoded by encoding/json instead.",
+			"endpoint", endpoint),
+	}
 	for o := outcomeKind(0); o < numOutcomes; o++ {
 		em.requests[o] = reg.Counter("mvcloud_http_requests_total",
 			"Finished HTTP requests by endpoint and serving outcome.",

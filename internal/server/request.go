@@ -1,0 +1,366 @@
+package server
+
+import (
+	"context"
+	"encoding/json"
+	"errors"
+	"fmt"
+	"strconv"
+	"strings"
+	"time"
+
+	"vmcloud/internal/compare"
+	"vmcloud/internal/core"
+	"vmcloud/internal/jsondec"
+	"vmcloud/internal/jsonenc"
+	"vmcloud/internal/money"
+	"vmcloud/internal/obs"
+)
+
+// request.go is the request half of the memoized endpoints: bytes to a
+// canonical key. A body is read by the hand-written decoders
+// (DecodeJSON, in jsondec's fast grammar), canonicalized (normalize),
+// and written back out as its cache key (AppendKey) — no reflection and
+// no lattice on the way. A body outside the fast grammar goes through
+// encoding/json over the same struct tags instead, which is also where
+// every rejection of a malformed body is worded.
+
+// AdviseRequest is the body of POST /v1/advise: a scenario selector, its
+// parameter, and the advisory problem (flattened ConfigJSON fields).
+type AdviseRequest struct {
+	// Scenario is "mv1" (budget), "mv2" (deadline), "mv3" (tradeoff) or
+	// "pareto"; default "mv1".
+	Scenario string `json:"scenario,omitempty"`
+	// Budget is the MV1 spending limit ("$25.00" or a number of dollars);
+	// required for mv1.
+	Budget *money.Money `json:"budget,omitempty"`
+	// Limit is the MV2 response-time limit as a Go duration ("4h");
+	// required for mv2.
+	Limit string `json:"limit,omitempty"`
+	// Alpha is the MV3 weight on time in [0,1]; default 0.5.
+	Alpha *float64 `json:"alpha,omitempty"`
+	// Steps is the pareto sweep resolution; default 11.
+	Steps int `json:"steps,omitempty"`
+
+	core.ConfigJSON
+}
+
+// DecodeJSON fills r from d as encoding/json fills it through the
+// struct tags; the caller checks d.End and d.OK. See core.ConfigJSON's
+// codec for the embedded members.
+//
+//mvlint:hotpath
+func (r *AdviseRequest) DecodeJSON(d *jsondec.Decoder) {
+	var seen, config uint32
+	for more := d.Object(); more; more = d.More('}') {
+		switch key := d.Key(); key {
+		case "scenario":
+			d.Once(&seen, 0)
+			r.Scenario = d.String()
+		case "budget":
+			d.Once(&seen, 1)
+			b := money.DecodeJSON(d)
+			r.Budget = &b
+		case "limit":
+			d.Once(&seen, 2)
+			r.Limit = d.String()
+		case "alpha":
+			d.Once(&seen, 3)
+			a := d.Float()
+			r.Alpha = &a
+		case "steps":
+			d.Once(&seen, 4)
+			r.Steps = d.Int()
+		default:
+			r.ConfigJSON.DecodeMember(d, key, &config)
+		}
+	}
+}
+
+// AppendKey appends what encoding/json writes for r: of a normalized
+// request, the canonical cache key.
+//
+//mvlint:hotpath
+func (r *AdviseRequest) AppendKey(dst []byte) ([]byte, error) {
+	var err error
+	mark := len(dst)
+	if r.Scenario != "" {
+		dst = append(dst, `,"scenario":`...)
+		dst = jsonenc.AppendString(dst, r.Scenario)
+	}
+	if r.Budget != nil {
+		dst = append(dst, `,"budget":`...)
+		dst = r.Budget.AppendJSON(dst)
+	}
+	if r.Limit != "" {
+		dst = append(dst, `,"limit":`...)
+		dst = jsonenc.AppendString(dst, r.Limit)
+	}
+	if r.Alpha != nil {
+		dst = append(dst, `,"alpha":`...)
+		if dst, err = jsonenc.AppendFloat(dst, *r.Alpha); err != nil {
+			return dst, err
+		}
+	}
+	if r.Steps != 0 {
+		dst = append(dst, `,"steps":`...)
+		dst = strconv.AppendInt(dst, int64(r.Steps), 10)
+	}
+	if dst, err = r.ConfigJSON.AppendKeyMembers(dst); err != nil {
+		return dst, err
+	}
+	return jsonenc.EndObject(dst, mark), nil
+}
+
+// normalize canonicalizes the request in place: scenario defaults and
+// parameter validation, scenario-irrelevant parameters zeroed (so they
+// cannot fragment the cache), and the config fully resolved.
+func (s *Server) normalize(req *AdviseRequest) error {
+	req.Scenario = strings.ToLower(strings.TrimSpace(req.Scenario))
+	if req.Scenario == "" {
+		req.Scenario = "mv1"
+	}
+	switch req.Scenario {
+	case "mv1":
+		if req.Budget == nil {
+			return errors.New("budget required for scenario mv1")
+		}
+		if req.Budget.IsNegative() {
+			return fmt.Errorf("negative budget %v", *req.Budget)
+		}
+		req.Limit, req.Alpha, req.Steps = "", nil, 0
+	case "mv2":
+		if req.Limit == "" {
+			return errors.New("limit required for scenario mv2")
+		}
+		d, err := time.ParseDuration(req.Limit)
+		if err != nil {
+			return fmt.Errorf("limit: %v", err)
+		}
+		if d <= 0 {
+			return fmt.Errorf("non-positive limit %v", d)
+		}
+		req.Limit = d.String()
+		req.Budget, req.Alpha, req.Steps = nil, nil, 0
+	case "mv3":
+		if req.Alpha == nil {
+			a := 0.5
+			req.Alpha = &a
+		}
+		if *req.Alpha < 0 || *req.Alpha > 1 {
+			return fmt.Errorf("alpha %g out of [0,1]", *req.Alpha)
+		}
+		req.Budget, req.Limit, req.Steps = nil, "", 0
+	case "pareto":
+		if req.Steps == 0 {
+			req.Steps = 11
+		}
+		if req.Steps < 2 || req.Steps > s.opts.MaxParetoSteps {
+			return fmt.Errorf("steps %d out of [2,%d]", req.Steps, s.opts.MaxParetoSteps)
+		}
+		req.Budget, req.Limit, req.Alpha = nil, "", nil
+	default:
+		return fmt.Errorf("unknown scenario %q (want mv1, mv2, mv3 or pareto)", req.Scenario)
+	}
+	if err := req.ConfigJSON.Normalize(); err != nil {
+		return err
+	}
+	return s.checkCeilings(&req.ConfigJSON)
+}
+
+// checkCeilings applies the server-side limits every endpoint shares to
+// a normalized config.
+func (s *Server) checkCeilings(cj *core.ConfigJSON) error {
+	if cj.FactRows > s.opts.MaxFactRows {
+		return fmt.Errorf("fact_rows %d exceeds the server limit %d", cj.FactRows, s.opts.MaxFactRows)
+	}
+	if len(cj.Workload) > s.opts.MaxQueries {
+		return fmt.Errorf("workload of %d queries exceeds the server limit %d", len(cj.Workload), s.opts.MaxQueries)
+	}
+	if cj.CandidateBudget > s.opts.MaxCandidates {
+		return fmt.Errorf("candidate_budget %d exceeds the server limit %d", cj.CandidateBudget, s.opts.MaxCandidates)
+	}
+	return nil
+}
+
+// normalizeCompare canonicalizes a compare request and applies the
+// server-side ceilings.
+func (s *Server) normalizeCompare(req *compare.RequestJSON) error {
+	if err := req.Normalize(); err != nil {
+		return err
+	}
+	if err := s.checkCeilings(&req.ConfigJSON); err != nil {
+		return err
+	}
+	if req.Steps > s.opts.MaxParetoSteps {
+		return fmt.Errorf("steps %d exceeds the server limit %d", req.Steps, s.opts.MaxParetoSteps)
+	}
+	if req.BreakEvenSteps > s.opts.MaxParetoSteps {
+		return fmt.Errorf("break_even_steps %d exceeds the server limit %d", req.BreakEvenSteps, s.opts.MaxParetoSteps)
+	}
+	if n := req.Configs(); n > s.opts.MaxCompareConfigs {
+		return fmt.Errorf("comparison grid of %d configurations exceeds the server limit %d", n, s.opts.MaxCompareConfigs)
+	}
+	return nil
+}
+
+// normalizeSweep canonicalizes a sweep request and applies the
+// server-side ceilings.
+func (s *Server) normalizeSweep(req *compare.SweepRequestJSON) error {
+	if err := req.Normalize(); err != nil {
+		return err
+	}
+	if err := s.checkCeilings(&req.ConfigJSON); err != nil {
+		return err
+	}
+	if n := req.Configs(); n > s.opts.MaxCompareConfigs {
+		return fmt.Errorf("sweep grid of %d configurations exceeds the server limit %d", n, s.opts.MaxCompareConfigs)
+	}
+	return nil
+}
+
+// memoRequest is one memoized endpoint's request: the state a miss
+// carries from the body to the solve, and the four things the shared
+// flow (finishMemoized) does with it. The three implementations below
+// differ in their struct and their solver, nothing else.
+type memoRequest interface {
+	// DecodeJSON and AppendKey are the request struct's codec.
+	DecodeJSON(d *jsondec.Decoder)
+	AppendKey(dst []byte) ([]byte, error)
+	// reset zeroes the struct and returns it for encoding/json to fill:
+	// the path of a body the fast grammar declined.
+	reset() any
+	// normalize canonicalizes the decoded request under s's ceilings and
+	// returns its stats label.
+	normalize(s *Server) (label string, err error)
+	// solve computes the newline-terminated response body of the
+	// normalized request, recording per-phase durations on tr (never
+	// nil) and timing its own encode step. ctx carries the solve
+	// deadline down to the search solver; degraded reports a result cut
+	// short by it, which must not be cached.
+	solve(ctx context.Context, s *Server, tr *obs.Trace) (body []byte, degraded bool, err error)
+}
+
+type adviseRequest struct{ AdviseRequest }
+
+func (r *adviseRequest) reset() any {
+	r.AdviseRequest = AdviseRequest{}
+	return &r.AdviseRequest
+}
+
+func (r *adviseRequest) normalize(s *Server) (string, error) {
+	err := s.normalize(&r.AdviseRequest)
+	return r.Scenario, err
+}
+
+func (r *adviseRequest) solve(ctx context.Context, s *Server, tr *obs.Trace) ([]byte, bool, error) {
+	resp, err := s.solve(ctx, r.AdviseRequest, tr)
+	if err != nil {
+		return nil, false, err
+	}
+	b, err := encodeBody(tr, &resp)
+	return b, resp.Degraded, err
+}
+
+type compareRequest struct{ compare.RequestJSON }
+
+func (r *compareRequest) reset() any {
+	r.RequestJSON = compare.RequestJSON{}
+	return &r.RequestJSON
+}
+
+func (r *compareRequest) normalize(s *Server) (string, error) {
+	return "compare", s.normalizeCompare(&r.RequestJSON)
+}
+
+func (r *compareRequest) solve(ctx context.Context, s *Server, tr *obs.Trace) ([]byte, bool, error) {
+	creq, err := r.Resolve()
+	if err != nil {
+		return nil, false, err
+	}
+	creq.Workers = s.opts.CompareWorkers
+	creq.Trace = tr
+	creq.Ctx = ctx
+	comp, err := compare.Run(creq)
+	if err != nil {
+		return nil, false, err
+	}
+	b, err := encodeBody(tr, comp)
+	return b, comp.Degraded, err
+}
+
+type sweepRequest struct{ compare.SweepRequestJSON }
+
+func (r *sweepRequest) reset() any {
+	r.SweepRequestJSON = compare.SweepRequestJSON{}
+	return &r.SweepRequestJSON
+}
+
+func (r *sweepRequest) normalize(s *Server) (string, error) {
+	return "sweep", s.normalizeSweep(&r.SweepRequestJSON)
+}
+
+func (r *sweepRequest) solve(ctx context.Context, s *Server, tr *obs.Trace) ([]byte, bool, error) {
+	sreq, err := r.Resolve()
+	if err != nil {
+		return nil, false, err
+	}
+	sreq.Workers = s.opts.CompareWorkers
+	sreq.Trace = tr
+	sreq.Ctx = ctx
+	sw, err := compare.RunSweep(sreq)
+	if err != nil {
+		return nil, false, err
+	}
+	b, err := encodeBody(tr, sw)
+	return b, sw.Degraded, err
+}
+
+// canonicalize is bytes to canonical key: it decodes the body src into
+// req, normalizes it, and appends its canonical key to dst. The errors
+// are 400 bodies.
+func (s *Server) canonicalize(dst []byte, src string, req memoRequest, declined *obs.Counter) ([]byte, string, error) {
+	if err := decodeRequest(src, req, declined); err != nil {
+		return dst, "", fmt.Errorf("parse request: %v", err)
+	}
+	label, err := req.normalize(s)
+	if err != nil {
+		return dst, "", err
+	}
+	dst, err = req.AppendKey(dst)
+	return dst, label, err
+}
+
+// decodeRequest fills req from src, a request body or a canonical key.
+// The decoded strings are substrings of src, so src must not be a
+// pooled buffer. A body outside the fast grammar is counted on declined
+// and left to strictDecode.
+func decodeRequest(src string, req memoRequest, declined *obs.Counter) error {
+	d := jsondec.New(src)
+	req.DecodeJSON(&d)
+	d.End()
+	if d.OK() {
+		return nil
+	}
+	declined.Inc()
+	return strictDecode(src, req.reset())
+}
+
+// strictDecode is encoding/json over the struct tags, strictly: unknown
+// members are rejected, and so is anything but whitespace after the one
+// value. It decides what a body outside the fast grammar means, words
+// every rejection of a malformed body, and is what the tests hold the
+// hand-written decoders to.
+func strictDecode(src string, v any) error {
+	dec := json.NewDecoder(strings.NewReader(src))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(v); err != nil {
+		return err
+	}
+	if rest := src[dec.InputOffset():]; strings.TrimLeft(rest, " \t\r\n") != "" {
+		// Decode stops after one value; json.Unmarshal, which reads the
+		// whole input first, words what follows it.
+		return json.Unmarshal([]byte(src), new(json.RawMessage))
+	}
+	return nil
+}

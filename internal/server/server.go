@@ -51,10 +51,8 @@ import (
 	"sync/atomic"
 	"time"
 
-	"vmcloud/internal/compare"
 	"vmcloud/internal/core"
 	"vmcloud/internal/jsonenc"
-	"vmcloud/internal/money"
 	"vmcloud/internal/obs"
 	"vmcloud/internal/pricing"
 	"vmcloud/internal/report"
@@ -297,91 +295,6 @@ func (s *Server) counted(endpoint string, h http.HandlerFunc) http.HandlerFunc {
 	}
 }
 
-// AdviseRequest is the body of POST /v1/advise: a scenario selector, its
-// parameter, and the advisory problem (flattened ConfigJSON fields).
-type AdviseRequest struct {
-	// Scenario is "mv1" (budget), "mv2" (deadline), "mv3" (tradeoff) or
-	// "pareto"; default "mv1".
-	Scenario string `json:"scenario,omitempty"`
-	// Budget is the MV1 spending limit ("$25.00" or a number of dollars);
-	// required for mv1.
-	Budget *money.Money `json:"budget,omitempty"`
-	// Limit is the MV2 response-time limit as a Go duration ("4h");
-	// required for mv2.
-	Limit string `json:"limit,omitempty"`
-	// Alpha is the MV3 weight on time in [0,1]; default 0.5.
-	Alpha *float64 `json:"alpha,omitempty"`
-	// Steps is the pareto sweep resolution; default 11.
-	Steps int `json:"steps,omitempty"`
-
-	core.ConfigJSON
-}
-
-// normalize canonicalizes the request in place: scenario defaults and
-// parameter validation, scenario-irrelevant parameters zeroed (so they
-// cannot fragment the cache), and the config fully resolved.
-func (s *Server) normalize(req *AdviseRequest) error {
-	req.Scenario = strings.ToLower(strings.TrimSpace(req.Scenario))
-	if req.Scenario == "" {
-		req.Scenario = "mv1"
-	}
-	switch req.Scenario {
-	case "mv1":
-		if req.Budget == nil {
-			return errors.New("budget required for scenario mv1")
-		}
-		if req.Budget.IsNegative() {
-			return fmt.Errorf("negative budget %v", *req.Budget)
-		}
-		req.Limit, req.Alpha, req.Steps = "", nil, 0
-	case "mv2":
-		if req.Limit == "" {
-			return errors.New("limit required for scenario mv2")
-		}
-		d, err := time.ParseDuration(req.Limit)
-		if err != nil {
-			return fmt.Errorf("limit: %v", err)
-		}
-		if d <= 0 {
-			return fmt.Errorf("non-positive limit %v", d)
-		}
-		req.Limit = d.String()
-		req.Budget, req.Alpha, req.Steps = nil, nil, 0
-	case "mv3":
-		if req.Alpha == nil {
-			a := 0.5
-			req.Alpha = &a
-		}
-		if *req.Alpha < 0 || *req.Alpha > 1 {
-			return fmt.Errorf("alpha %g out of [0,1]", *req.Alpha)
-		}
-		req.Budget, req.Limit, req.Steps = nil, "", 0
-	case "pareto":
-		if req.Steps == 0 {
-			req.Steps = 11
-		}
-		if req.Steps < 2 || req.Steps > s.opts.MaxParetoSteps {
-			return fmt.Errorf("steps %d out of [2,%d]", req.Steps, s.opts.MaxParetoSteps)
-		}
-		req.Budget, req.Limit, req.Alpha = nil, "", nil
-	default:
-		return fmt.Errorf("unknown scenario %q (want mv1, mv2, mv3 or pareto)", req.Scenario)
-	}
-	if err := req.ConfigJSON.Normalize(); err != nil {
-		return err
-	}
-	if req.FactRows > s.opts.MaxFactRows {
-		return fmt.Errorf("fact_rows %d exceeds the server limit %d", req.FactRows, s.opts.MaxFactRows)
-	}
-	if len(req.Workload) > s.opts.MaxQueries {
-		return fmt.Errorf("workload of %d queries exceeds the server limit %d", len(req.Workload), s.opts.MaxQueries)
-	}
-	if req.CandidateBudget > s.opts.MaxCandidates {
-		return fmt.Errorf("candidate_budget %d exceeds the server limit %d", req.CandidateBudget, s.opts.MaxCandidates)
-	}
-	return nil
-}
-
 // outcome is a finished solve: the marshaled response body or an error,
 // plus the leader's per-phase trace (shared with followers; a Trace is
 // read-safe under concurrency) and the overload disposition — shed by
@@ -466,6 +379,22 @@ func (r AdviseResponse) MarshalJSON() ([]byte, error) { return r.AppendJSON(nil)
 // a body is sized once, exactly, when it is copied out for the cache.
 var encodeBufPool = sync.Pool{New: func() any { return &reqBuf{b: make([]byte, 0, 32<<10)} }}
 
+// maxPooledBuf is the largest buffer the request and encode pools keep.
+// A request body may run to maxRequestBytes and a compare response to
+// hundreds of KB; pooling whatever a buffer grew to would pin the
+// largest one ever seen behind every small request that follows.
+const maxPooledBuf = 64 << 10
+
+// putBuf returns rb to pool, emptied — or drops it when it has grown
+// past maxPooledBuf.
+func putBuf(pool *sync.Pool, rb *reqBuf) {
+	if cap(rb.b) > maxPooledBuf {
+		return
+	}
+	rb.b = rb.b[:0]
+	pool.Put(rb)
+}
+
 // encodeBody runs a wire encoder and returns the newline-terminated
 // response body in a slice of exactly its length — the cache owns it
 // from here, and its byte bound counts len, not cap. The encode phase
@@ -482,34 +411,10 @@ func encodeBody(tr *obs.Trace, v interface {
 		copy(body, b)
 		body[len(b)] = '\n'
 	}
-	buf.b = b[:0]
-	encodeBufPool.Put(buf)
+	buf.b = b
+	putBuf(&encodeBufPool, buf)
 	tr.ObserveSince(obs.PhaseEncode, t0)
 	return body, err
-}
-
-// memoSpec wires one deterministic POST endpoint into the shared
-// memoization flow: raw-body fast path, canonical-key response cache,
-// bounded solve with background cache warm on timeout/cancel. The
-// endpoint name namespaces both caches, so identical bodies posted to
-// different endpoints can never alias.
-type memoSpec struct {
-	endpoint string
-	// canon decodes and canonicalizes the raw body into handler state and
-	// returns the canonical cache key plus the stats label.
-	canon func(raw []byte) (key, label string, err error)
-	// reload rebuilds handler state from a canonical key — the raw-body
-	// fast path hit but the cached response was evicted. The canonical
-	// key is itself a normalized request body.
-	reload func(key string) error
-	// solve computes the marshaled, newline-terminated response body from
-	// the handler state canon or reload established, recording per-phase
-	// durations on tr (never nil; solve implementations thread it into
-	// the core config and time their own encode step). ctx carries the
-	// solve deadline; implementations thread it into the core so the
-	// search degrades at the deadline, and report whether the result is
-	// degraded (true ⇒ the body must not be cached).
-	solve func(ctx context.Context, tr *obs.Trace) ([]byte, bool, error)
 }
 
 // maxRequestBytes bounds one request body.
@@ -575,12 +480,19 @@ type probeState struct {
 	// slice of it.
 	rawKey []byte
 	raw    []byte
+	// buf is the pooled buffer rawKey lies in; the miss path appends the
+	// canonical cache key behind it. prefix is the length of the
+	// "<endpoint>\x00<account>\x00" both key layouts start with.
+	buf    *reqBuf
+	prefix int
 	// account is the request's tenant namespace ("" for the default
 	// namespace); part of both cache key layouts.
 	account string
-	// label/key/cacheKey are set when the probe recovered the canonical
-	// key from the raw-key LRU (evicted-response case); empty otherwise.
-	label, key, cacheKey string
+	// label and recovered are set when the probe recovered the canonical
+	// cache key from the raw-key LRU (evicted-response case); recovered
+	// is that LRU's own bytes, read-only. Empty otherwise.
+	label     string
+	recovered []byte
 	// start is when serveMemoized began handling the request, and em the
 	// endpoint's outcome-split instruments — carried through so the slow
 	// path's latency observation covers body read and canonicalization.
@@ -590,15 +502,15 @@ type probeState struct {
 
 // slowFn is a handler's miss path. Implementations are top-level
 // functions (not per-request closures), so the hit path stays
-// allocation-free; they decode request state and hand a memoSpec to
+// allocation-free; each hands its endpoint's empty memoRequest to
 // finishMemoized.
 type slowFn func(s *Server, w http.ResponseWriter, r *http.Request, ps probeState)
 
 // serveMemoized runs the shared flow. A byte-identical body seen before
 // maps straight to its response cache key (the raw-key LRU stores
-// "<label>\x00<endpoint>\x00<canonical key>"), skipping JSON decoding and
-// canonicalization — which builds a lattice to resolve the workload — on
-// every repeat. The repeat-hit path is allocation-free: pooled read
+// "<label>\x00<endpoint>\x00<account>\x00<canonical key>"), skipping
+// decoding and canonicalization on every repeat. The repeat-hit path is
+// allocation-free: pooled read
 // buffer, byte-keyed LRU probes, interned labels, shared header values,
 // the response written straight from cache-owned bytes, and no
 // per-request closures (the slow path is a static slowFn). Cold keys go
@@ -618,7 +530,7 @@ func (s *Server) serveMemoized(w http.ResponseWriter, r *http.Request, endpoint 
 		s.tenants.record(account)
 	}
 	rb := reqBufPool.Get().(*reqBuf)
-	defer func() { rb.b = rb.b[:0]; reqBufPool.Put(rb) }()
+	defer putBuf(&reqBufPool, rb)
 	rb.b = append(rb.b[:0], endpoint...)
 	rb.b = append(rb.b, 0)
 	rb.b = append(rb.b, account...)
@@ -632,7 +544,7 @@ func (s *Server) serveMemoized(w http.ResponseWriter, r *http.Request, endpoint 
 		em.observe(outcomeError, time.Since(start))
 		return
 	}
-	ps := probeState{rawKey: rb.b, raw: rb.b[prefix:], account: account, start: start, em: em}
+	ps := probeState{rawKey: rb.b, raw: rb.b[prefix:], buf: rb, prefix: prefix, account: account, start: start, em: em}
 
 	if packed, ok := s.rawKeys.view(rb.b); ok {
 		if i := bytes.IndexByte(packed, 0); i >= 0 {
@@ -645,44 +557,58 @@ func (s *Server) serveMemoized(w http.ResponseWriter, r *http.Request, endpoint 
 			}
 			// Response evicted; the canonical key spares re-canonicalizing.
 			ps.label = internLabel(packed[:i])
-			ps.cacheKey = string(packed[i+1:])
-			ps.key = ps.cacheKey[prefix:]
+			ps.recovered = packed[i+1:]
 		}
 	}
 	slow(s, w, r, ps)
 }
 
-// finishMemoized is the shared miss path: canonicalize (or reload from
-// the recovered canonical key), re-probe the response cache for
-// differently-spelled equivalents, then solve under the flight group.
-func (s *Server) finishMemoized(w http.ResponseWriter, r *http.Request, spec memoSpec, ps probeState) {
-	key, label, cacheKey := ps.key, ps.label, ps.cacheKey
-	if key == "" {
+// finishMemoized is the shared miss path: bytes to canonical key
+// (decode, normalize, AppendKey — or the key recovered from the raw-key
+// LRU, decoded back into the request), a probe of the response cache for
+// differently-spelled equivalents, then the solve under the flight group.
+func (s *Server) finishMemoized(w http.ResponseWriter, r *http.Request, endpoint string, req memoRequest, ps probeState) {
+	label := ps.label
+	// kb is the cache key "<endpoint>\x00<account>\x00<canonical key>" as
+	// bytes — in the pooled buffer, or the raw-key LRU's own — for the
+	// copy-free probes; cacheKey is the string the flight group, the
+	// caches' writes and the solve goroutine hold on to.
+	kb := ps.recovered
+	var cacheKey string
+	if kb == nil {
+		// The decoded strings are substrings of the decoder's input and
+		// outlive the request (a solve may), so the body is copied out of
+		// the pooled buffer once, here.
+		mark := len(ps.buf.b)
 		var err error
-		key, label, err = spec.canon(ps.raw)
+		ps.buf.b, label, err = s.canonicalize(append(ps.buf.b, ps.rawKey[:ps.prefix]...), string(ps.raw), req, ps.em.decodeFallback)
+		kb = ps.buf.b[mark:]
 		if err != nil {
 			s.stats.failure()
 			writeError(w, http.StatusBadRequest, err.Error())
 			ps.em.observe(outcomeError, time.Since(ps.start))
 			return
 		}
-		cacheKey = spec.endpoint + "\x00" + ps.account + "\x00" + key
-		s.rawKeys.Put(string(ps.rawKey), []byte(label+"\x00"+cacheKey))
 		// A differently-spelled equivalent request may have already
 		// cached the canonical response.
-		if cached, ok := s.cache.Get(cacheKey); ok {
-			s.respondHit(w, spec.endpoint, label, cached, ps)
+		if cached, ok := s.cache.view(kb); ok {
+			s.rememberSpelling(ps, label, kb)
+			s.respondHit(w, endpoint, label, cached, ps)
 			return
 		}
-	} else if s.cluster == nil {
-		// The canonical key was recovered from the raw-key LRU; rebuild
-		// the handler state the local solve needs. A cluster frontend
+		cacheKey = string(kb)
+	} else {
+		cacheKey = string(kb)
+		// The canonical key is itself a normalized request body: decode it
+		// back into the state the local solve needs. A cluster frontend
 		// skips this: it forwards the canonical body instead of solving.
-		if err := spec.reload(key); err != nil {
-			s.stats.failure()
-			writeError(w, http.StatusInternalServerError, err.Error())
-			ps.em.observe(outcomeError, time.Since(ps.start))
-			return
+		if s.cluster == nil {
+			if err := decodeRequest(cacheKey[ps.prefix:], req, ps.em.decodeFallback); err != nil {
+				s.stats.failure()
+				writeError(w, http.StatusInternalServerError, err.Error())
+				ps.em.observe(outcomeError, time.Since(ps.start))
+				return
+			}
 		}
 	}
 
@@ -703,17 +629,18 @@ func (s *Server) finishMemoized(w http.ResponseWriter, r *http.Request, spec mem
 		// (it fills before it retires, so a leader that finds no flight
 		// finds the entry). Without this re-probe a late arrival in a
 		// stampede leads a second solve.
-		if cached, ok := s.cache.Get(cacheKey); ok {
+		if cached, ok := s.cache.view(kb); ok {
 			s.flight.finish(cacheKey, call, outcome{body: cached})
-			s.respondHit(w, spec.endpoint, label, cached, ps)
+			s.rememberSpelling(ps, label, kb)
+			s.respondHit(w, endpoint, label, cached, ps)
 			return
 		}
 		sctx, cancel := context.WithTimeout(context.Background(), s.opts.RequestTimeout)
 		s.flight.setCancel(call, cancel)
 		if s.cluster != nil {
-			go s.runForward(sctx, spec, label, ps.account, key, cacheKey, ps.em, call)
+			go s.runForward(sctx, endpoint, label, ps.account, cacheKey[ps.prefix:], cacheKey, ps.em, call)
 		} else {
-			go s.runSolve(sctx, spec, label, cacheKey, call)
+			go s.runSolve(sctx, endpoint, req, label, cacheKey, call)
 		}
 	}
 
@@ -726,7 +653,9 @@ func (s *Server) finishMemoized(w http.ResponseWriter, r *http.Request, spec mem
 	defer backstop.Stop()
 	select {
 	case <-call.done:
-		s.respondSolved(w, r, spec.endpoint, label, leader, call.out, ps)
+		if s.respondSolved(w, r, endpoint, label, leader, call.out, ps) {
+			s.rememberSpelling(ps, label, kb)
+		}
 	case <-backstop.C:
 		s.flight.leave(cacheKey, call)
 		s.stats.failure()
@@ -740,6 +669,21 @@ func (s *Server) finishMemoized(w http.ResponseWriter, r *http.Request, spec mem
 	}
 }
 
+// rememberSpelling maps the request's verbatim body to its canonical
+// cache key kb in the raw-key LRU, so that a byte-identical repeat skips
+// canonicalization. Only a body that was just answered 200 is
+// remembered: a body whose solve fails, or is shed, leaves no entry in
+// any cache. A body the probe already recovered the key for is in the
+// LRU as it is.
+func (s *Server) rememberSpelling(ps probeState, label string, kb []byte) {
+	if ps.recovered != nil {
+		return
+	}
+	packed := make([]byte, 0, len(label)+1+len(kb))
+	packed = append(append(append(packed, label...), 0), kb...)
+	s.rawKeys.Put(string(ps.rawKey), packed)
+}
+
 // respondHit serves a resident response found on the miss path.
 func (s *Server) respondHit(w http.ResponseWriter, endpoint, label string, body []byte, ps probeState) {
 	s.stats.advise(endpoint, label, true)
@@ -748,8 +692,9 @@ func (s *Server) respondHit(w http.ResponseWriter, endpoint, label string, body 
 }
 
 // respondSolved maps a finished solve's outcome onto the HTTP response
-// and the outcome-split instruments.
-func (s *Server) respondSolved(w http.ResponseWriter, r *http.Request, endpoint, label string, leader bool, out outcome, ps probeState) {
+// and the outcome-split instruments, and reports whether the response
+// was a 200.
+func (s *Server) respondSolved(w http.ResponseWriter, r *http.Request, endpoint, label string, leader bool, out outcome, ps probeState) bool {
 	if out.worker != "" {
 		w.Header().Set("X-Worker", out.worker)
 	}
@@ -761,6 +706,7 @@ func (s *Server) respondSolved(w http.ResponseWriter, r *http.Request, endpoint,
 		s.stats.staleServe()
 		writeBody(w, http.StatusOK, out.body, "stale")
 		ps.em.observe(outcomeStale, time.Since(ps.start))
+		return true
 	case out.shed:
 		s.stats.shedReq()
 		w.Header().Set("Retry-After", strconv.FormatInt(ceilSeconds(out.retryAfter), 10))
@@ -805,7 +751,9 @@ func (s *Server) respondSolved(w http.ResponseWriter, r *http.Request, endpoint,
 			writeBody(w, http.StatusOK, out.body, "coalesced")
 			ps.em.observe(outcomeCoalesced, time.Since(ps.start))
 		}
+		return true
 	}
+	return false
 }
 
 // ceilSeconds rounds d up to whole seconds for a Retry-After header,
@@ -822,15 +770,15 @@ func ceilSeconds(d time.Duration) int64 {
 // itself under panic containment, cache fill, and outcome publication.
 // ctx is the solve's deadline context, cancelled by the flight group
 // when the last waiter leaves.
-func (s *Server) runSolve(ctx context.Context, spec memoSpec, label, cacheKey string, call *flightCall) {
+func (s *Server) runSolve(ctx context.Context, endpoint string, req memoRequest, label, cacheKey string, call *flightCall) {
 	s.inflightSolves.Add(1)
 	defer s.inflightSolves.Add(-1)
 
-	adm := s.admissionFor(spec.endpoint)
+	adm := s.admissionFor(endpoint)
 	ok, retry := adm.admit(s.opts.RequestTimeout)
 	if !ok {
 		out := outcome{shed: true, retryAfter: retry}
-		if staleEligible(spec.endpoint) {
+		if staleEligible(endpoint) {
 			if b, hit := s.stale.Get(cacheKey); hit {
 				out.body, out.stale = b, true
 			}
@@ -848,10 +796,10 @@ func (s *Server) runSolve(ctx context.Context, spec memoSpec, label, cacheKey st
 	tr := obs.NewTrace()
 	t0 := tr.StartTimer()
 	s.chaos.sleep(ctx, cacheKey)
-	b, degraded, err, panicked := s.safeSolve(ctx, spec, cacheKey, tr)
+	b, degraded, err, panicked := s.safeSolve(ctx, req, cacheKey, tr)
 	tr.ObserveSince(obs.PhaseTotal, t0)
 	s.m.observePhases(tr)
-	s.logSlowSolve(spec.endpoint, label, tr)
+	s.logSlowSolve(endpoint, label, tr)
 	// Degraded bodies are timing-dependent — the one kind of response
 	// that must never be memoized. Nor is the result of an abandoned
 	// solve (the knapsack path has no cancellation point, so it finishes
@@ -878,7 +826,7 @@ func abandoned(ctx context.Context) bool {
 // of killing the daemon. The chaos panic is raised inside the recovered
 // region, so fault injection exercises the same containment real
 // panics would hit.
-func (s *Server) safeSolve(ctx context.Context, spec memoSpec, cacheKey string, tr *obs.Trace) (b []byte, degraded bool, err error, panicked bool) {
+func (s *Server) safeSolve(ctx context.Context, req memoRequest, cacheKey string, tr *obs.Trace) (b []byte, degraded bool, err error, panicked bool) {
 	defer func() {
 		if r := recover(); r != nil {
 			b, degraded = nil, false
@@ -889,7 +837,7 @@ func (s *Server) safeSolve(ctx context.Context, spec memoSpec, cacheKey string, 
 	if s.chaos.panics(cacheKey) {
 		panic("chaos: injected solver panic")
 	}
-	b, degraded, err = spec.solve(ctx, tr)
+	b, degraded, err = req.solve(ctx, s, tr)
 	return
 }
 
@@ -929,38 +877,9 @@ func (s *Server) handleAdvise(w http.ResponseWriter, r *http.Request) {
 }
 
 // adviseSlow is the advise miss path; being a top-level function keeps
-// its closures (and the decoded request they capture) off the hit path.
+// the decoded request off the hit path.
 func adviseSlow(s *Server, w http.ResponseWriter, r *http.Request, ps probeState) {
-	var req AdviseRequest
-	s.finishMemoized(w, r, memoSpec{
-		endpoint: "advise",
-		canon: func(raw []byte) (string, string, error) {
-			dec := json.NewDecoder(bytes.NewReader(raw))
-			dec.DisallowUnknownFields()
-			if err := dec.Decode(&req); err != nil {
-				return "", "", fmt.Errorf("parse request: %v", err)
-			}
-			if err := s.normalize(&req); err != nil {
-				return "", "", err
-			}
-			kb, err := json.Marshal(req)
-			if err != nil {
-				return "", "", err
-			}
-			return string(kb), req.Scenario, nil
-		},
-		reload: func(key string) error {
-			return json.Unmarshal([]byte(key), &req)
-		},
-		solve: func(ctx context.Context, tr *obs.Trace) ([]byte, bool, error) {
-			resp, err := s.solve(ctx, req, tr)
-			if err != nil {
-				return nil, false, err
-			}
-			b, err := encodeBody(tr, &resp)
-			return b, resp.Degraded, err
-		},
-	}, ps)
+	s.finishMemoized(w, r, "advise", &adviseRequest{}, ps)
 }
 
 // handleCompare serves POST /v1/compare: the advisory problem fanned out
@@ -971,43 +890,7 @@ func (s *Server) handleCompare(w http.ResponseWriter, r *http.Request) {
 }
 
 func compareSlow(s *Server, w http.ResponseWriter, r *http.Request, ps probeState) {
-	var req compare.RequestJSON
-	s.finishMemoized(w, r, memoSpec{
-		endpoint: "compare",
-		canon: func(raw []byte) (string, string, error) {
-			dec := json.NewDecoder(bytes.NewReader(raw))
-			dec.DisallowUnknownFields()
-			if err := dec.Decode(&req); err != nil {
-				return "", "", fmt.Errorf("parse request: %v", err)
-			}
-			if err := s.normalizeCompare(&req); err != nil {
-				return "", "", err
-			}
-			kb, err := json.Marshal(req)
-			if err != nil {
-				return "", "", err
-			}
-			return string(kb), "compare", nil
-		},
-		reload: func(key string) error {
-			return json.Unmarshal([]byte(key), &req)
-		},
-		solve: func(ctx context.Context, tr *obs.Trace) ([]byte, bool, error) {
-			creq, err := req.Resolve()
-			if err != nil {
-				return nil, false, err
-			}
-			creq.Workers = s.opts.CompareWorkers
-			creq.Trace = tr
-			creq.Ctx = ctx
-			comp, err := compare.Run(creq)
-			if err != nil {
-				return nil, false, err
-			}
-			b, err := encodeBody(tr, comp)
-			return b, comp.Degraded, err
-		},
-	}, ps)
+	s.finishMemoized(w, r, "compare", &compareRequest{}, ps)
 }
 
 // handleSweep serves POST /v1/sweep: a tariff-grid sweep of one
@@ -1019,91 +902,7 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 }
 
 func sweepSlow(s *Server, w http.ResponseWriter, r *http.Request, ps probeState) {
-	var req compare.SweepRequestJSON
-	s.finishMemoized(w, r, memoSpec{
-		endpoint: "sweep",
-		canon: func(raw []byte) (string, string, error) {
-			dec := json.NewDecoder(bytes.NewReader(raw))
-			dec.DisallowUnknownFields()
-			if err := dec.Decode(&req); err != nil {
-				return "", "", fmt.Errorf("parse request: %v", err)
-			}
-			if err := s.normalizeSweep(&req); err != nil {
-				return "", "", err
-			}
-			kb, err := json.Marshal(req)
-			if err != nil {
-				return "", "", err
-			}
-			return string(kb), "sweep", nil
-		},
-		reload: func(key string) error {
-			return json.Unmarshal([]byte(key), &req)
-		},
-		solve: func(ctx context.Context, tr *obs.Trace) ([]byte, bool, error) {
-			sreq, err := req.Resolve()
-			if err != nil {
-				return nil, false, err
-			}
-			sreq.Workers = s.opts.CompareWorkers
-			sreq.Trace = tr
-			sreq.Ctx = ctx
-			sw, err := compare.RunSweep(sreq)
-			if err != nil {
-				return nil, false, err
-			}
-			b, err := encodeBody(tr, sw)
-			return b, sw.Degraded, err
-		},
-	}, ps)
-}
-
-// normalizeSweep canonicalizes a sweep request and applies the
-// server-side ceilings.
-func (s *Server) normalizeSweep(req *compare.SweepRequestJSON) error {
-	if err := req.Normalize(); err != nil {
-		return err
-	}
-	if req.FactRows > s.opts.MaxFactRows {
-		return fmt.Errorf("fact_rows %d exceeds the server limit %d", req.FactRows, s.opts.MaxFactRows)
-	}
-	if len(req.ConfigJSON.Workload) > s.opts.MaxQueries {
-		return fmt.Errorf("workload of %d queries exceeds the server limit %d", len(req.ConfigJSON.Workload), s.opts.MaxQueries)
-	}
-	if req.CandidateBudget > s.opts.MaxCandidates {
-		return fmt.Errorf("candidate_budget %d exceeds the server limit %d", req.CandidateBudget, s.opts.MaxCandidates)
-	}
-	if n := req.Configs(); n > s.opts.MaxCompareConfigs {
-		return fmt.Errorf("sweep grid of %d configurations exceeds the server limit %d", n, s.opts.MaxCompareConfigs)
-	}
-	return nil
-}
-
-// normalizeCompare canonicalizes a compare request and applies the
-// server-side ceilings.
-func (s *Server) normalizeCompare(req *compare.RequestJSON) error {
-	if err := req.Normalize(); err != nil {
-		return err
-	}
-	if req.FactRows > s.opts.MaxFactRows {
-		return fmt.Errorf("fact_rows %d exceeds the server limit %d", req.FactRows, s.opts.MaxFactRows)
-	}
-	if len(req.ConfigJSON.Workload) > s.opts.MaxQueries {
-		return fmt.Errorf("workload of %d queries exceeds the server limit %d", len(req.ConfigJSON.Workload), s.opts.MaxQueries)
-	}
-	if req.CandidateBudget > s.opts.MaxCandidates {
-		return fmt.Errorf("candidate_budget %d exceeds the server limit %d", req.CandidateBudget, s.opts.MaxCandidates)
-	}
-	if req.Steps > s.opts.MaxParetoSteps {
-		return fmt.Errorf("steps %d exceeds the server limit %d", req.Steps, s.opts.MaxParetoSteps)
-	}
-	if req.BreakEvenSteps > s.opts.MaxParetoSteps {
-		return fmt.Errorf("break_even_steps %d exceeds the server limit %d", req.BreakEvenSteps, s.opts.MaxParetoSteps)
-	}
-	if n := req.Configs(); n > s.opts.MaxCompareConfigs {
-		return fmt.Errorf("comparison grid of %d configurations exceeds the server limit %d", n, s.opts.MaxCompareConfigs)
-	}
-	return nil
+	s.finishMemoized(w, r, "sweep", &sweepRequest{}, ps)
 }
 
 // solve runs the expensive path: advisor construction (lattice +

@@ -37,9 +37,15 @@ func mirrorType(t reflect.Type) reflect.Type {
 		}
 		return reflect.StructOf(fields)
 	case reflect.Slice:
-		return reflect.SliceOf(mirrorType(t.Elem()))
+		// A slice type of method-less elements is kept as it is, name and
+		// marshaler included (json.RawMessage).
+		if e := mirrorType(t.Elem()); e != t.Elem() {
+			return reflect.SliceOf(e)
+		}
 	case reflect.Pointer:
-		return reflect.PointerTo(mirrorType(t.Elem()))
+		if e := mirrorType(t.Elem()); e != t.Elem() {
+			return reflect.PointerTo(e)
+		}
 	}
 	return t
 }

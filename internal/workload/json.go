@@ -2,14 +2,17 @@ package workload
 
 import (
 	"fmt"
+	"strconv"
 
-	"vmcloud/internal/lattice"
+	"vmcloud/internal/jsondec"
+	"vmcloud/internal/jsonenc"
 )
 
 // QueryJSON is the wire form of a Query. A query's cuboid can be named
 // either by per-dimension level names ("year","country") or by the raw
 // lattice point ([2,3]); when both are present the levels win. Encoding
-// always emits both so responses are self-describing.
+// always emits both so responses are self-describing. The wire form
+// names levels of the sales schema only.
 type QueryJSON struct {
 	Name      string   `json:"name,omitempty"`
 	Levels    []string `json:"levels,omitempty"`
@@ -17,65 +20,103 @@ type QueryJSON struct {
 	Frequency int      `json:"frequency,omitempty"`
 }
 
-// JSON renders the workload in wire form, resolving level names against
-// the lattice's schema.
-func (w Workload) JSON(l *lattice.Lattice) []QueryJSON {
+// DecodeJSON fills q from an object of d's fast grammar, as
+// encoding/json fills it through the struct tags; see jsondec.
+//
+//mvlint:hotpath
+func (q *QueryJSON) DecodeJSON(d *jsondec.Decoder) {
+	var seen uint32
+	for more := d.Object(); more; more = d.More('}') {
+		switch d.Key() {
+		case "name":
+			d.Once(&seen, 0)
+			q.Name = d.String()
+		case "levels":
+			d.Once(&seen, 1)
+			q.Levels = d.Strings()
+		case "point":
+			d.Once(&seen, 2)
+			q.Point = d.Ints()
+		case "frequency":
+			d.Once(&seen, 3)
+			q.Frequency = d.Int()
+		default:
+			d.Decline()
+		}
+	}
+}
+
+// AppendJSON appends exactly what encoding/json writes for q.
+//
+//mvlint:hotpath
+func (q QueryJSON) AppendJSON(dst []byte) ([]byte, error) {
+	mark := len(dst)
+	if q.Name != "" {
+		dst = append(dst, `,"name":`...)
+		dst = jsonenc.AppendString(dst, q.Name)
+	}
+	if len(q.Levels) > 0 {
+		dst = append(dst, `,"levels":`...)
+		dst = jsonenc.AppendStrings(dst, q.Levels)
+	}
+	if len(q.Point) > 0 {
+		dst = append(dst, `,"point":`...)
+		dst = jsonenc.AppendInts(dst, q.Point)
+	}
+	if q.Frequency != 0 {
+		dst = append(dst, `,"frequency":`...)
+		dst = strconv.AppendInt(dst, int64(q.Frequency), 10)
+	}
+	return jsonenc.EndObject(dst, mark), nil
+}
+
+// JSON renders the workload in wire form, with the sales schema's level
+// names. The level slices are the sales tables' own: read-only.
+func (w Workload) JSON() []QueryJSON {
 	out := make([]QueryJSON, len(w.Queries))
 	for i, q := range w.Queries {
-		qj := QueryJSON{Name: q.Name, Point: q.Point, Frequency: q.Frequency}
-		if len(q.Point) == len(l.Schema.Dimensions) {
-			levels := make([]string, len(q.Point))
-			ok := true
-			for d, lv := range q.Point {
-				if lv < 0 || lv >= l.Schema.Dimensions[d].NumLevels() {
-					ok = false
-					break
-				}
-				levels[d] = l.Schema.Dimensions[d].Levels[lv].Name
-			}
-			if ok {
-				qj.Levels = levels
-			}
+		out[i] = QueryJSON{Name: q.Name, Point: q.Point, Frequency: q.Frequency}
+		if id, err := sales.lat.ID(q.Point); err == nil {
+			out[i].Levels = sales.levels[id]
 		}
-		out[i] = qj
 	}
 	return out
 }
 
-// FromJSON resolves a wire workload against a lattice and validates it.
-// Frequencies default to 1.
-func FromJSON(l *lattice.Lattice, qs []QueryJSON) (Workload, error) {
+// FromJSON resolves a wire workload against the sales schema and
+// validates it. Frequencies default to 1. Nothing here depends on the
+// size of the dataset, so nothing is built: names and points come from
+// the sales tables (the points shared, read-only), and the tables'
+// lattice words the rejections.
+func FromJSON(qs []QueryJSON) (Workload, error) {
 	if len(qs) == 0 {
 		return Workload{}, fmt.Errorf("workload: empty workload")
 	}
-	var w Workload
+	w := Workload{Queries: make([]Query, len(qs))}
 	for i, qj := range qs {
-		var p lattice.Point
+		var id int
 		var err error
 		switch {
 		case len(qj.Levels) > 0:
-			p, err = l.PointOf(qj.Levels...)
+			id, err = sales.lat.IDOf(qj.Levels...)
 		case len(qj.Point) > 0:
-			p = lattice.Point(qj.Point).Clone()
+			id, err = sales.lat.ID(qj.Point)
 		default:
 			err = fmt.Errorf("no levels or point given")
-		}
-		if err == nil {
-			_, err = l.Node(p) // validate before naming
 		}
 		if err != nil {
 			return Workload{}, fmt.Errorf("workload: query %d: %w", i, err)
 		}
-		q := Query{Name: qj.Name, Point: p, Frequency: qj.Frequency}
+		q := Query{Name: qj.Name, Point: sales.lat.NodeByID(id).Point, Frequency: qj.Frequency}
 		if q.Frequency == 0 {
 			q.Frequency = 1
 		}
 		if q.Name == "" {
-			q.Name = l.Name(p)
+			q.Name = sales.names[id]
 		}
-		w.Queries = append(w.Queries, q)
+		w.Queries[i] = q
 	}
-	if err := w.Validate(l); err != nil {
+	if err := w.Validate(sales.lat); err != nil {
 		return Workload{}, err
 	}
 	return w, nil

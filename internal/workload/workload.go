@@ -89,8 +89,8 @@ var salesOrder = [][2]string{
 // Sales builds the n-query sales workload (n ∈ 1..10) over the lattice.
 // All frequencies are 1, matching the paper's single-run-per-query setup.
 func Sales(l *lattice.Lattice, n int) (Workload, error) {
-	if n < 1 || n > len(salesOrder) {
-		return Workload{}, fmt.Errorf("workload: sales workload size %d out of range 1..%d", n, len(salesOrder))
+	if err := checkSalesSize(n); err != nil {
+		return Workload{}, err
 	}
 	var w Workload
 	for _, lv := range salesOrder[:n] {

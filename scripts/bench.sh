@@ -3,11 +3,17 @@
 # JSON summary (BENCH_<date>.json by default, git-ignored). A smoke and a
 # working aid: performance claims are made with the repo benchmark
 # (bench/README.md), and the hard gates are counts, not nanoseconds
-# (TestMissAllocBudget, TestCacheHitAllocBudget, TestFrontierWorkBound,
+# (TestMissAllocBudget, TestCacheHitAllocBudget,
+# TestCanonicalHitAllocBudget, TestFrontierWorkBound,
 # TestSwapProbeMoveBound, TestGenerateCandidatesWorkBound). The sweep
 # includes the repo benchmark's search-large operation without its
 # harness (BenchmarkAdviseSearchCold256, internal/core) and its candidate
-# generation alone (BenchmarkGenerateCandidatesLarge, internal/views).
+# generation alone (BenchmarkGenerateCandidatesLarge, internal/views),
+# and the request half of the wire path on the repo benchmark's body
+# shapes (internal/server): BenchmarkCanonAdvise, BenchmarkCanonCompare
+# and BenchmarkCanonSweep (bytes to canonical key), BenchmarkReloadAdvise
+# (a canonical key decoded back) and BenchmarkAdviseCanonicalHit (a whole
+# re-spelled hit through ServeHTTP), each with B/s and allocs/op.
 #
 # Usage:
 #   ./scripts/bench.sh                # full run, writes BENCH_YYYY-MM-DD.json
