@@ -15,6 +15,9 @@
 //	POST /v1/advise   solve mv1/mv2/mv3 or sweep the pareto frontier
 //	POST /v1/compare  fan the problem out across provider × instance ×
 //	                  fleet configurations and rank the outcomes
+//	POST /v1/sweep    re-price one objective across a tariff grid
+//	POST /v1/t/{account}/advise|compare|sweep
+//	                  the same three in a tenant's own cache namespace
 //	GET  /v1/tariffs  the built-in provider catalog
 //	GET  /v1/stats    serving and cache counters
 //	GET  /v1/version  build/VCS stamp of the running binary
@@ -28,9 +31,10 @@
 //
 // -cluster N serves the fault-tolerant cluster mode in a single
 // binary: a stateless frontend on -addr routing solves to N in-process
-// workers by rendezvous hashing, with health-checked failover, hedged
-// heavy requests, and shed-or-stale degradation. -cluster-seed keys
-// the ring (frontends sharing a worker tier must agree on it).
+// workers by rendezvous hashing, with health-checked failover (a slow
+// or silent worker is timed out per attempt and ejected by the failure
+// detector) and shed-or-stale degradation. -cluster-seed keys the ring
+// (frontends sharing a worker tier must agree on it).
 //
 // -debug-addr starts a second listener serving net/http/pprof under
 // /debug/pprof/ — a separate socket, so production traffic on -addr can

@@ -70,16 +70,20 @@ func TestTelemetryFastPathsAreMarked(t *testing.T) {
 	}
 	// receiver.method (or bare function) -> relative source file.
 	want := map[string]string{
-		"Counter.Add":             "internal/obs/counter.go",
-		"Counter.Inc":             "internal/obs/counter.go",
-		"shardIndex":              "internal/obs/counter.go",
-		"Gauge.Set":               "internal/obs/counter.go",
-		"Gauge.Add":               "internal/obs/counter.go",
-		"Histogram.Observe":       "internal/obs/histogram.go",
-		"Trace.StartTimer":        "internal/obs/trace.go",
-		"Trace.ObserveSince":      "internal/obs/trace.go",
-		"Trace.Observe":           "internal/obs/trace.go",
-		"endpointMetrics.observe": "internal/server/metrics.go",
+		"Counter.Add":          "internal/obs/counter.go",
+		"Counter.Inc":          "internal/obs/counter.go",
+		"shardIndex":           "internal/obs/counter.go",
+		"Gauge.Set":            "internal/obs/counter.go",
+		"Gauge.Add":            "internal/obs/counter.go",
+		"Histogram.Observe":    "internal/obs/histogram.go",
+		"Trace.StartTimer":     "internal/obs/trace.go",
+		"Trace.ObserveSince":   "internal/obs/trace.go",
+		"Trace.Observe":        "internal/obs/trace.go",
+		"endpoint.count":       "internal/server/endpoint.go",
+		"endpoint.observe":     "internal/server/endpoint.go",
+		"endpoint.respond":     "internal/server/endpoint.go",
+		"Server.respondAnswer": "internal/server/server.go",
+		"tenantMetrics.record": "internal/server/tenant.go",
 		// The wire encoder: what a miss runs between the solver and the
 		// socket stays free of fmt, closures and string concatenation.
 		"Money.AppendString":            "internal/money/money.go",

@@ -74,43 +74,6 @@ func (h *Histogram) Count() int64 {
 // Sum is the total observed duration.
 func (h *Histogram) Sum() time.Duration { return time.Duration(h.sum.Load()) }
 
-// Quantile returns an upper-bound estimate of the q-quantile (q in
-// [0,1]): the smallest bucket bound whose cumulative count reaches
-// q·total. Returns 0 when the histogram is empty; observations in the
-// +Inf bucket report the largest finite bound (the histogram cannot
-// resolve beyond it). The estimate is conservative by up to one bucket
-// width — exactly what a hedging delay wants, since hedging a little
-// late only costs latency while hedging early costs duplicated work.
-func (h *Histogram) Quantile(q float64) time.Duration {
-	if q < 0 {
-		q = 0
-	} else if q > 1 {
-		q = 1
-	}
-	total := h.Count()
-	if total == 0 {
-		return 0
-	}
-	need := int64(q*float64(total) + 0.5)
-	if need < 1 {
-		need = 1
-	}
-	var cum int64
-	for i := range h.counts {
-		cum += h.counts[i].Load()
-		if cum >= need {
-			if i < len(h.bounds) {
-				return h.bounds[i]
-			}
-			break
-		}
-	}
-	if len(h.bounds) == 0 {
-		return 0
-	}
-	return h.bounds[len(h.bounds)-1]
-}
-
 // snapshot reads the per-bucket counts (not cumulative). Not a
 // consistent cut across concurrent observers — fine for exposition.
 func (h *Histogram) snapshot(buf []int64) []int64 {

@@ -123,8 +123,8 @@ func (r *Registry) Counter(name, help string, labels ...string) *Counter {
 }
 
 // CounterFunc registers a counter series whose value is read from fn at
-// exposition time — for monotonic values owned elsewhere (the stats
-// mutex, a cache's eviction count).
+// exposition time — for monotonic values owned elsewhere (a cache's
+// eviction count, the cluster routing plane).
 func (r *Registry) CounterFunc(name, help string, fn func() float64, labels ...string) {
 	r.register(name, help, kindCounter, &series{fn: fn}, labels)
 }

@@ -32,13 +32,13 @@ type admission struct {
 	// running).
 	backlog atomic.Int64
 	// lat are the class endpoints' solve-latency histograms
-	// (mvcloud_http_request_duration_seconds{outcome="solve"}); their
-	// Sum/Count is the observed mean solve latency feeding the wait
-	// estimate and Retry-After.
+	// (mvcloud_http_request_duration_seconds{outcome="solve"|"degraded"},
+	// added by newEndpoint); their Sum/Count is the observed mean solve
+	// latency feeding the wait estimate and Retry-After.
 	lat []*obs.Histogram
 }
 
-func newAdmission(name string, workers, queue int, lat ...*obs.Histogram) *admission {
+func newAdmission(name string, workers, queue int) *admission {
 	if workers < 1 {
 		workers = 1
 	}
@@ -50,7 +50,6 @@ func newAdmission(name string, workers, queue int, lat ...*obs.Histogram) *admis
 		workers: workers,
 		queue:   queue,
 		sem:     make(chan struct{}, workers),
-		lat:     lat,
 	}
 }
 
@@ -132,18 +131,3 @@ func (a *admission) release() {
 	<-a.sem
 	a.backlog.Add(-1)
 }
-
-// admissionFor maps an endpoint to its class.
-func (s *Server) admissionFor(endpoint string) *admission {
-	if endpoint == "advise" {
-		return s.admCheap
-	}
-	return s.admHeavy
-}
-
-// staleEligible reports whether a shed request on this endpoint may be
-// served a stale evicted cache entry instead of a 429. Only advise
-// qualifies: its responses are small and per-problem, exactly what a
-// client polling under overload wants; compare/sweep grids are the
-// floods being shed in the first place.
-func staleEligible(endpoint string) bool { return endpoint == "advise" }

@@ -180,7 +180,7 @@ func TestCanonicalHitAllocBudget(t *testing.T) {
 			if allocs > c.budget {
 				t.Errorf("re-spelled hit costs %.1f allocs/request, budget %.1f", allocs, c.budget)
 			}
-			if n := s.m.advise.decodeFallback.Value() + s.m.compare.decodeFallback.Value() + s.m.sweep.decodeFallback.Value(); n != 0 {
+			if n := s.endpoint("advise").decodeFallback.Value() + s.endpoint("compare").decodeFallback.Value() + s.endpoint("sweep").decodeFallback.Value(); n != 0 {
 				t.Errorf("%d bodies took the encoding/json path", n)
 			}
 		})

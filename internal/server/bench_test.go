@@ -259,11 +259,11 @@ func benchCanon(b *testing.B, endpoint, body string) {
 	for i := 0; i < b.N; i++ {
 		// As served: a fresh request per body, and string(...) for the
 		// copy out of the pooled buffer.
-		if _, _, err := s.canonicalize(buf, string([]byte(body)), newMemoRequest(endpoint), s.m.advise.decodeFallback); err != nil {
+		if _, _, err := s.canonicalize(buf, string([]byte(body)), newMemoRequest(endpoint), s.endpoint("advise").decodeFallback); err != nil {
 			b.Fatal(err)
 		}
 	}
-	if n := s.m.advise.decodeFallback.Value(); n != 0 {
+	if n := s.endpoint("advise").decodeFallback.Value(); n != 0 {
 		b.Fatalf("%d bodies took the encoding/json path", n)
 	}
 }
@@ -274,7 +274,7 @@ func BenchmarkCanonSweep(b *testing.B)   { benchCanon(b, "sweep", sweepShapeBody
 
 func BenchmarkReloadAdvise(b *testing.B) {
 	s := New(Options{})
-	kb, _, err := s.canonicalize(nil, adviseShapeBody, &adviseRequest{}, s.m.advise.decodeFallback)
+	kb, _, err := s.canonicalize(nil, adviseShapeBody, &adviseRequest{}, s.endpoint("advise").decodeFallback)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -283,11 +283,11 @@ func BenchmarkReloadAdvise(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if err := decodeRequest(key, &adviseRequest{}, s.m.advise.decodeFallback); err != nil {
+		if err := decodeRequest(key, &adviseRequest{}, s.endpoint("advise").decodeFallback); err != nil {
 			b.Fatal(err)
 		}
 	}
-	if n := s.m.advise.decodeFallback.Value(); n != 0 {
+	if n := s.endpoint("advise").decodeFallback.Value(); n != 0 {
 		b.Fatalf("%d keys took the encoding/json path", n)
 	}
 }
@@ -329,7 +329,7 @@ func BenchmarkAdviseCanonicalHit(b *testing.B) {
 			b.Fatalf("status %d, X-Cache %q", nw.status, nw.h.Get("X-Cache"))
 		}
 	}
-	if n := s.m.advise.decodeFallback.Value(); n != 0 {
+	if n := s.endpoint("advise").decodeFallback.Value(); n != 0 {
 		b.Fatalf("%d bodies took the encoding/json path", n)
 	}
 }

@@ -17,9 +17,12 @@ import (
 // tiers, but routes every cold solve to a worker chosen by rendezvous
 // hashing on the canonical cache key — so each worker's LRU, kernel
 // sessions and pools stay hot for "its" problems — with health-checked
-// failover to the ring successor, optional hedging for heavy solves,
-// and shed-or-stale degradation when a key's whole candidate set is
-// down. Zero values select defaults.
+// failover to the ring successor, and shed-or-stale degradation when a
+// key's whole candidate set is down. A slow or silent worker is the
+// per-attempt timeout's and the failure detector's business
+// (TestClusterPartitionFailsOver, TestClusterHealthEjectionAndRecovery);
+// a solve is never sent to two workers at once. Zero values select
+// defaults.
 type ClusterOptions struct {
 	// Workers are the worker IDs forming the ring; required, and must
 	// be resolvable by Transport.
@@ -46,16 +49,6 @@ type ClusterOptions struct {
 	// MaxAttempts bounds the failover budget per request: the primary
 	// plus MaxAttempts-1 ring successors (default 2).
 	MaxAttempts int
-	// HedgeQuantile picks the per-class latency quantile after which a
-	// heavy (compare/sweep) solve is hedged to the next worker (default
-	// 0.95). Hedging starts only after HedgeMinObservations solves
-	// (default 20) and never fires below HedgeFloor (default 10ms).
-	HedgeQuantile        float64
-	HedgeMinObservations int
-	HedgeFloor           time.Duration
-	// HedgeAfter, when positive, is a fixed hedge delay overriding the
-	// quantile machinery (tests pin exact behaviour with it).
-	HedgeAfter time.Duration
 }
 
 func (o ClusterOptions) withDefaults(requestTimeout time.Duration) ClusterOptions {
@@ -71,15 +64,6 @@ func (o ClusterOptions) withDefaults(requestTimeout time.Duration) ClusterOption
 	if o.MaxAttempts <= 0 {
 		o.MaxAttempts = 2
 	}
-	if o.HedgeQuantile <= 0 || o.HedgeQuantile >= 1 {
-		o.HedgeQuantile = 0.95
-	}
-	if o.HedgeMinObservations <= 0 {
-		o.HedgeMinObservations = 20
-	}
-	if o.HedgeFloor <= 0 {
-		o.HedgeFloor = 10 * time.Millisecond
-	}
 	return o
 }
 
@@ -91,13 +75,10 @@ type clusterState struct {
 	health    *shard.Tracker
 	transport Transport
 
-	// forwards/failovers/hedges/hedgeWins count routing decisions:
-	// attempts sent, attempts that fell over to a successor, hedges
-	// launched, and hedges that beat the primary.
+	// forwards/failovers count routing decisions: attempts sent, and
+	// attempts that fell over to a successor.
 	forwards  atomic.Int64
 	failovers atomic.Int64
-	hedges    atomic.Int64
-	hedgeWins atomic.Int64
 	// allDown counts requests whose every candidate was unusable or
 	// failed — the shed-or-stale degradation path.
 	allDown atomic.Int64
@@ -127,10 +108,6 @@ func (cl *clusterState) registerClusterMetrics(reg *obs.Registry) {
 		func() float64 { return float64(cl.forwards.Load()) })
 	reg.CounterFunc("mvcloud_cluster_failovers_total", "Forwarded attempts that failed over to a ring successor.",
 		func() float64 { return float64(cl.failovers.Load()) })
-	reg.CounterFunc("mvcloud_cluster_hedges_total", "Hedged attempts launched for slow heavy solves.",
-		func() float64 { return float64(cl.hedges.Load()) })
-	reg.CounterFunc("mvcloud_cluster_hedge_wins_total", "Hedged attempts that returned before the primary.",
-		func() float64 { return float64(cl.hedgeWins.Load()) })
 	reg.CounterFunc("mvcloud_cluster_all_down_total", "Requests whose every ring candidate was down (shed or served stale).",
 		func() float64 { return float64(cl.allDown.Load()) })
 	reg.GaugeFunc("mvcloud_cluster_workers", "Workers in the ring.",
@@ -152,8 +129,6 @@ type clusterStatsJSON struct {
 	Workers   []shard.WorkerHealth `json:"workers"`
 	Forwards  int64                `json:"forwards"`
 	Failovers int64                `json:"failovers"`
-	Hedges    int64                `json:"hedges"`
-	HedgeWins int64                `json:"hedge_wins"`
 	AllDown   int64                `json:"all_down"`
 }
 
@@ -162,8 +137,6 @@ func (cl *clusterState) statsJSON() *clusterStatsJSON {
 		Workers:   cl.health.Snapshot(),
 		Forwards:  cl.forwards.Load(),
 		Failovers: cl.failovers.Load(),
-		Hedges:    cl.hedges.Load(),
-		HedgeWins: cl.hedgeWins.Load(),
 		AllDown:   cl.allDown.Load(),
 	}
 }
@@ -214,44 +187,17 @@ func (s *Server) CheckHealthNow() {
 	wg.Wait()
 }
 
-// hedgeEligible marks the heavy endpoints: a straggling compare/sweep
-// is expensive enough that duplicating it on the successor beats
-// waiting, while advise solves are too cheap to be worth hedging.
-func hedgeEligible(endpoint string) bool {
-	return endpoint == "compare" || endpoint == "sweep"
-}
-
-// hedgeDelay is how long a heavy forward waits before hedging: the
-// configured fixed delay, or the endpoint's observed solve-latency
-// quantile once enough solves have been seen. Zero means "don't
-// hedge".
-func (s *Server) hedgeDelay(em *endpointMetrics) time.Duration {
-	cl := s.cluster
-	if cl.opts.HedgeAfter > 0 {
-		return cl.opts.HedgeAfter
-	}
-	h := em.latency[outcomeSolve]
-	if h.Count() < int64(cl.opts.HedgeMinObservations) {
-		return 0
-	}
-	d := h.Quantile(cl.opts.HedgeQuantile)
-	if d < cl.opts.HedgeFloor {
-		d = cl.opts.HedgeFloor
-	}
-	return d
-}
-
 // runForward is the cluster-mode counterpart of runSolve: the solve
 // leader forwards the canonical request body to the ring-selected
-// worker (with failover and hedging) instead of solving locally, then
-// fills the frontend cache and publishes the outcome to the flight
-// group. ctx is the solve's deadline context, cancelled by the flight
-// group when the last waiter leaves.
-func (s *Server) runForward(ctx context.Context, endpoint, label, account, key, cacheKey string, em *endpointMetrics, call *flightCall) {
+// worker (with failover) instead of solving locally, then fills the
+// frontend cache and publishes the outcome to the flight group. ctx is
+// the solve's deadline context, cancelled by the flight group when the
+// last waiter leaves.
+func (s *Server) runForward(ctx context.Context, e *endpoint, account, key, cacheKey string, call *flightCall) {
 	s.inflightSolves.Add(1)
 	defer s.inflightSolves.Add(-1)
-	s.stats.solve()
-	out := s.forward(ctx, endpoint, account, key, cacheKey, em)
+	s.m.solves.Inc()
+	out := s.forward(ctx, e, account, key, cacheKey)
 	// The frontend memoizes exactly what a worker would: successful,
 	// non-degraded bodies. Degraded and stale bodies are
 	// timing-dependent; sheds and errors have nothing to cache, and
@@ -264,34 +210,23 @@ func (s *Server) runForward(ctx context.Context, endpoint, label, account, key, 
 
 // forward walks the key's ring preference order: the owner first, then
 // successors, skipping workers the failure detector has ejected, up to
-// the MaxAttempts failover budget. Heavy solves may hedge to the next
-// candidate after the hedge delay. When every candidate is down or
+// the MaxAttempts failover budget. When every candidate is down or
 // failed, the request degrades: the frontend's stale tier if it holds
 // the key, otherwise a shed with Retry-After set to the detector
 // cooldown — never a hang, never a raw 5xx.
-func (s *Server) forward(ctx context.Context, endpoint, account, body, cacheKey string, em *endpointMetrics) outcome {
+func (s *Server) forward(ctx context.Context, e *endpoint, account, body, cacheKey string) outcome {
 	cl := s.cluster
 	cands := cl.ring.Prefer(cacheKey, make([]string, 0, cl.ring.Len()))
 	bodyBytes := []byte(body)
 
 	attempts := 0
-	hedge := time.Duration(0)
-	if hedgeEligible(endpoint) {
-		hedge = s.hedgeDelay(em)
-	}
 	for i := 0; i < len(cands) && attempts < cl.opts.MaxAttempts; i++ {
 		w := cands[i]
 		if !cl.health.Usable(w, time.Now()) {
 			continue
 		}
 		attempts++
-		var out outcome
-		var failover bool
-		if hedge > 0 && attempts == 1 {
-			out, failover = s.forwardHedged(ctx, w, cands[i+1:], endpoint, account, bodyBytes, cacheKey, hedge)
-		} else {
-			out, failover = s.forwardOnce(ctx, w, endpoint, account, bodyBytes, cacheKey)
-		}
+		out, failover := s.forwardOnce(ctx, w, e, account, bodyBytes, cacheKey)
 		if !failover {
 			return out
 		}
@@ -303,11 +238,7 @@ func (s *Server) forward(ctx context.Context, endpoint, account, body, cacheKey 
 	// unlike admission sheds, where only advise qualifies — because an
 	// outdated answer beats no answer when the fleet is gone.
 	cl.allDown.Add(1)
-	out := outcome{shed: true, retryAfter: cl.health.Cooldown(), shedMsg: "no healthy worker for this request, retry later"}
-	if b, ok := s.stale.Get(cacheKey); ok {
-		out.body, out.stale = b, true
-	}
-	return out
+	return s.shedOrStale(true, cacheKey, outcome{retryAfter: cl.health.Cooldown(), shedMsg: "no healthy worker for this request, retry later"})
 }
 
 // forwardOnce sends one attempt to one worker under the per-attempt
@@ -315,13 +246,13 @@ func (s *Server) forward(ctx context.Context, endpoint, account, body, cacheKey 
 // unhealthy (transport failure or 5xx) and the caller should try the
 // next candidate; otherwise the outcome is final (success, shed
 // passthrough, or client error).
-func (s *Server) forwardOnce(ctx context.Context, worker, endpoint, account string, body []byte, cacheKey string) (outcome, bool) {
+func (s *Server) forwardOnce(ctx context.Context, worker string, e *endpoint, account string, body []byte, cacheKey string) (outcome, bool) {
 	cl := s.cluster
 	cl.forwards.Add(1)
 	actx, cancel := context.WithTimeout(ctx, cl.opts.AttemptTimeout)
 	defer cancel()
 	start := time.Now()
-	rep, err := cl.transport.Forward(actx, worker, "/v1/"+endpoint, account, body)
+	rep, err := cl.transport.Forward(actx, worker, "/v1/"+e.name, account, body)
 	lat := time.Since(start)
 	if err != nil || rep.Status >= 500 {
 		// Transport failure or worker-side 5xx: count against the
@@ -339,73 +270,11 @@ func (s *Server) forwardOnce(ctx context.Context, worker, endpoint, account stri
 		// The owner is alive but refusing work: pass the shed through
 		// with the worker's own backoff hint rather than failing over —
 		// a loaded fleet does not need the successor loaded too.
-		out := outcome{shed: true, retryAfter: rep.RetryAfter, worker: worker}
-		if staleEligible(endpoint) {
-			if b, ok := s.stale.Get(cacheKey); ok {
-				out.body, out.stale = b, true
-			}
-		}
-		return out, false
+		return s.shedOrStale(e.staleOK, cacheKey, outcome{retryAfter: rep.RetryAfter, worker: worker}), false
 	default:
 		// 4xx: the request itself is bad; retrying elsewhere cannot fix
 		// it.
 		return outcome{err: errors.New(workerErrorMessage(rep.Body)), worker: worker}, false
-	}
-}
-
-// forwardHedged races the primary attempt against a delayed hedge to
-// the next usable candidate: whichever returns a non-failover result
-// first wins, and the loser's context is cancelled on return. Both
-// attempts failing is a failover for the caller's loop.
-func (s *Server) forwardHedged(ctx context.Context, primary string, successors []string, endpoint, account string, body []byte, cacheKey string, delay time.Duration) (outcome, bool) {
-	cl := s.cluster
-	type attemptResult struct {
-		out      outcome
-		failover bool
-		hedged   bool
-	}
-	hctx, cancel := context.WithCancel(ctx)
-	defer cancel()
-	results := make(chan attemptResult, 2)
-	launch := func(worker string, hedged bool) {
-		go func() {
-			out, failover := s.forwardOnce(hctx, worker, endpoint, account, body, cacheKey)
-			results <- attemptResult{out, failover, hedged}
-		}()
-	}
-	launch(primary, false)
-
-	timer := time.NewTimer(delay)
-	defer timer.Stop()
-	pending := 1
-	hedgeLaunched := false
-	for {
-		select {
-		case r := <-results:
-			pending--
-			if !r.failover {
-				if r.hedged {
-					cl.hedgeWins.Add(1)
-				}
-				return r.out, false
-			}
-			if pending == 0 {
-				return outcome{}, true
-			}
-		case <-timer.C:
-			if hedgeLaunched {
-				continue
-			}
-			hedgeLaunched = true
-			for _, w := range successors {
-				if cl.health.Usable(w, time.Now()) {
-					cl.hedges.Add(1)
-					pending++
-					launch(w, true)
-					break
-				}
-			}
-		}
 	}
 }
 

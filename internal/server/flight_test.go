@@ -84,7 +84,7 @@ func TestLeaderReprobesCacheAfterJoin(t *testing.T) {
 	if !bytes.Equal(outer.Body.Bytes(), inner.Body.Bytes()) {
 		t.Error("the two responses differ")
 	}
-	if got := s.stats.solveCount(); got != 1 {
+	if got := s.m.solves.Value(); got != 1 {
 		t.Errorf("%d solves, want 1", got)
 	}
 	if n := s.flight.len(); n != 0 {
@@ -117,7 +117,7 @@ func TestSolvePastDeadlineIsCached(t *testing.T) {
 		t.Errorf("repeat after a late solve: status %d X-Cache %q, want 200 hit",
 			again.Code, again.Header().Get("X-Cache"))
 	}
-	if got := s.stats.solveCount(); got != 1 {
+	if got := s.m.solves.Value(); got != 1 {
 		t.Errorf("%d solves, want 1", got)
 	}
 }
@@ -159,7 +159,7 @@ func TestSingleflightStampede(t *testing.T) {
 	close(start)
 	wg.Wait()
 
-	if got := s.stats.solveCount(); got != 1 {
+	if got := s.m.solves.Value(); got != 1 {
 		t.Errorf("stampede of %d identical requests executed %d solves, want exactly 1", K, got)
 	}
 	if len(bodies) != 1 {

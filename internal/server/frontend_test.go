@@ -44,14 +44,13 @@ func drainCluster(t *testing.T, lc *LocalCluster, within time.Duration) {
 // on a throwaway cluster with the same seed and fleet size (routing is
 // a pure function of seed, worker IDs, and the canonical cache key, so
 // the answer transfers to any identically-configured cluster). The
-// probe cluster is healthy, so the caller's fault-detection tuning —
-// tight attempt timeouts, hedge delays — is replaced with generous
-// values: under -race a cold solve can outlast an AttemptTimeout sized
-// for a partition drill, and the probe must never shed.
+// probe cluster is healthy, so the caller's fault-detection tuning — a
+// tight attempt timeout — is replaced with a generous one: under -race
+// a cold solve can outlast an AttemptTimeout sized for a partition
+// drill, and the probe must never shed.
 func ownerOf(t *testing.T, opts LocalClusterOptions, path, body string) string {
 	t.Helper()
 	opts.Cluster.AttemptTimeout = time.Minute
-	opts.Cluster.HedgeAfter = 0
 	lc := testCluster(t, opts)
 	w := do(t, lc.Frontend, "POST", path, body)
 	if w.Code != 200 {
@@ -292,54 +291,6 @@ func TestClusterPartitionFailsOver(t *testing.T) {
 	drainCluster(t, lc, 5*time.Second)
 }
 
-// TestClusterHedgedRequestWins pins hedging: a heavy (compare) solve
-// whose primary is partitioned is duplicated onto the successor after
-// the hedge delay, and the hedge's answer is served long before the
-// primary's attempt timeout would fire.
-func TestClusterHedgedRequestWins(t *testing.T) {
-	opts := LocalClusterOptions{
-		Workers: 2,
-		Cluster: ClusterOptions{
-			Seed:           3,
-			AttemptTimeout: 5 * time.Second,
-			HedgeAfter:     30 * time.Millisecond,
-		},
-	}
-	body := sweepBody(`"fleet_sizes":[3]`)
-	owner := ownerOf(t, opts, "/v1/compare", body)
-
-	lc := testCluster(t, opts)
-	// Warm the workers so the hedge is answered from the successor's
-	// cache: the test pins the hedging mechanics, and a cold heavy
-	// solve under -race could outlast even the 5s attempt timeout.
-	for _, ws := range lc.Workers {
-		do(t, ws, "POST", "/v1/compare", body)
-		drainSolves(t, ws, 10*time.Second)
-	}
-	lc.PartitionWorker(owner)
-	start := time.Now()
-	w := do(t, lc.Frontend, "POST", "/v1/compare", body)
-	elapsed := time.Since(start)
-	if w.Code != 200 {
-		t.Fatalf("hedged compare: status %d: %s", w.Code, w.Body.String())
-	}
-	if got := w.Header().Get("X-Worker"); got == owner {
-		t.Errorf("served by the partitioned primary %q", got)
-	}
-	if elapsed >= 5*time.Second {
-		t.Errorf("response took %v — the hedge should beat the attempt timeout", elapsed)
-	}
-	cl := lc.Frontend.cluster
-	if cl.hedges.Load() != 1 || cl.hedgeWins.Load() != 1 {
-		t.Errorf("hedges = %d, hedgeWins = %d, want 1/1", cl.hedges.Load(), cl.hedgeWins.Load())
-	}
-	// The hedged win is a success, not a failover.
-	if got := cl.failovers.Load(); got != 0 {
-		t.Errorf("failovers = %d, want 0", got)
-	}
-	drainCluster(t, lc, 5*time.Second)
-}
-
 // TestClusterWorkerShedPassthrough: an alive-but-overloaded owner's
 // 429 is relayed with its Retry-After rather than treated as a failure
 // — failing over would load the successor exactly when the fleet can
@@ -434,38 +385,6 @@ func TestClusterStatsAndMetrics(t *testing.T) {
 	}
 	if v, _ := findSample(samples, "mvcloud_cluster_workers_ejected", nil); v != 0 {
 		t.Errorf("mvcloud_cluster_workers_ejected = %g, want 0", v)
-	}
-}
-
-// TestHedgeDelay pins the hedge-delay policy in isolation: fixed
-// override wins, too few observations disable hedging, and once the
-// class has history the delay is the observed quantile floored at
-// HedgeFloor.
-func TestHedgeDelay(t *testing.T) {
-	lc := testCluster(t, LocalClusterOptions{
-		Workers: 1,
-		Cluster: ClusterOptions{HedgeMinObservations: 5, HedgeFloor: time.Millisecond},
-	})
-	s := lc.Frontend
-	em := s.m.compare
-
-	if d := s.hedgeDelay(em); d != 0 {
-		t.Errorf("hedgeDelay with no history = %v, want 0", d)
-	}
-	for i := 0; i < 10; i++ {
-		em.observe(outcomeSolve, 100*time.Millisecond)
-	}
-	d := s.hedgeDelay(em)
-	if d < time.Millisecond {
-		t.Errorf("hedgeDelay with history = %v, want ≥ floor", d)
-	}
-	if d < 100*time.Millisecond {
-		t.Errorf("hedgeDelay = %v, want ≥ the observed 100ms latency (conservative quantile)", d)
-	}
-
-	s.cluster.opts.HedgeAfter = 7 * time.Millisecond
-	if d := s.hedgeDelay(em); d != 7*time.Millisecond {
-		t.Errorf("HedgeAfter override: hedgeDelay = %v, want 7ms", d)
 	}
 }
 

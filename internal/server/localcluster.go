@@ -19,8 +19,10 @@ type LocalClusterOptions struct {
 	// Cluster set and never see the frontend's worker-level chaos (solve
 	// latency/panic chaos belongs here instead).
 	Worker Options
-	// Cluster refines the routing plane (seed, health tuning, hedging).
-	// Workers and Transport are overwritten by NewLocalCluster.
+	// Cluster refines the routing plane (seed, health tuning, attempt
+	// timeout and failover budget — what TestClusterPartitionFailsOver and
+	// TestClusterHealthEjectionAndRecovery drive). Workers and Transport
+	// are overwritten by NewLocalCluster.
 	Cluster ClusterOptions
 }
 

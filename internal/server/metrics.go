@@ -10,55 +10,26 @@ import (
 	"vmcloud/internal/obs"
 )
 
-// outcomeKind classifies how a memoized request was served, the
-// `outcome` label of the HTTP metrics: a response-cache hit, a follower
-// coalesced onto another request's in-flight solve, a solve run by this
-// request (the leader), an error (bad request, timeout, cancel, failed
-// solve), or one of the overload outcomes — shed (429 under admission
-// control), degraded (solve stopped at its deadline with the best
-// incumbent), stale (shed request served an evicted cache entry), panic
-// (solve panicked and was contained to a 500).
-type outcomeKind uint8
-
-const (
-	outcomeHit outcomeKind = iota
-	outcomeCoalesced
-	outcomeSolve
-	outcomeError
-	outcomeShed
-	outcomeDegraded
-	outcomeStale
-	outcomePanic
-	numOutcomes
-)
-
-var outcomeNames = [numOutcomes]string{"hit", "coalesced", "solve", "error", "shed", "degraded", "stale", "panic"}
-
-// endpointMetrics is one POST endpoint's outcome-split instruments,
-// fully resolved at registration so the request path never touches a
-// label or a map.
-type endpointMetrics struct {
-	requests [numOutcomes]*obs.Counter
-	latency  [numOutcomes]*obs.Histogram
-	// decodeFallback counts bodies the request decoder's fast grammar
-	// declined and encoding/json decoded (or rejected) instead.
-	decodeFallback *obs.Counter
+// routeCounter is one route's arrival counter,
+// mvcloud_stats_requests_total{endpoint=name}.
+type routeCounter struct {
+	name string
+	n    *obs.Counter
 }
 
-// observe records one finished request: two atomic ops, no allocation —
-// this is what the cache-hit path pays for its telemetry.
-//
-//mvlint:hotpath
-func (em *endpointMetrics) observe(o outcomeKind, d time.Duration) {
-	em.requests[o].Inc()
-	em.latency[o].Observe(d)
-}
-
-// serverMetrics is the server's registered instrument set.
+// serverMetrics is the server's registered instrument set, less the
+// per-endpoint rows (endpoint.go).
 type serverMetrics struct {
-	advise  *endpointMetrics
-	compare *endpointMetrics
-	sweep   *endpointMetrics
+	// received counts requests per route as they arrive, all eight
+	// routes, in registration order (/v1/stats requests and by_endpoint).
+	received []routeCounter
+	// solves counts solves actually executed — the number the
+	// singleflight regression tests pin: under a K-way stampede of one key
+	// it must advance by exactly 1.
+	solves *obs.Counter
+	// scenarios counts answered requests (hit, miss or coalesced) per
+	// stats label, indexed like knownLabels.
+	scenarios [len(knownLabels)]*obs.Counter
 	// inflight tracks requests currently inside a handler.
 	inflight *obs.Gauge
 	// phases aggregates per-phase cold-solve durations across requests;
@@ -66,42 +37,20 @@ type serverMetrics struct {
 	phases [obs.NumPhases]*obs.Histogram
 }
 
-// memoizedEndpoints are the POST endpoints with outcome-split series.
-var memoizedEndpoints = [...]string{"advise", "compare", "sweep"}
-
-// plainEndpoints are the GET endpoints; they get request-count series
-// only (their latency is dominated by JSON encoding, not worth a
-// histogram each).
-var plainEndpoints = [...]string{"tariffs", "stats", "healthz", "metrics", "version"}
-
-func newEndpointMetrics(reg *obs.Registry, endpoint string) *endpointMetrics {
-	em := &endpointMetrics{
-		decodeFallback: reg.Counter("mvcloud_request_decode_fallback_total",
-			"Request bodies outside the hand-written decoder's grammar, decoded by encoding/json instead.",
-			"endpoint", endpoint),
-	}
-	for o := outcomeKind(0); o < numOutcomes; o++ {
-		em.requests[o] = reg.Counter("mvcloud_http_requests_total",
-			"Finished HTTP requests by endpoint and serving outcome.",
-			"endpoint", endpoint, "outcome", outcomeNames[o])
-		em.latency[o] = reg.Histogram("mvcloud_http_request_duration_seconds",
-			"HTTP request latency by endpoint and serving outcome.",
-			obs.DefLatencyBuckets,
-			"endpoint", endpoint, "outcome", outcomeNames[o])
-	}
-	return em
-}
-
-// newServerMetrics registers the server's full series set on reg. The
-// callback series (cache occupancy, the /v1/stats counters re-exported
-// as families, process uptime) read their sources at exposition time,
-// so they cost the hot path nothing at all.
+// newServerMetrics registers the series that belong to no single
+// endpoint. The callback series (cache occupancy, process uptime) read
+// state that has no other copy at exposition time, so they cost the hot
+// path nothing at all; every request counter is an instrument the
+// request path adds to directly.
 func (s *Server) newServerMetrics(reg *obs.Registry) serverMetrics {
 	m := serverMetrics{
-		advise:   newEndpointMetrics(reg, "advise"),
-		compare:  newEndpointMetrics(reg, "compare"),
-		sweep:    newEndpointMetrics(reg, "sweep"),
+		solves:   reg.Counter("mvcloud_stats_solves_total", "Solves actually executed (misses minus coalesced joins)."),
 		inflight: reg.Gauge("mvcloud_http_inflight_requests", "Requests currently inside a handler."),
+	}
+	for i, l := range knownLabels {
+		m.scenarios[i] = reg.Counter("mvcloud_stats_scenario_requests_total",
+			"Requests answered from the cache, a solve or a coalesced join, by scenario (/v1/stats by_scenario).",
+			"scenario", l)
 	}
 	for p := obs.Phase(0); p < obs.NumPhases; p++ {
 		m.phases[p] = reg.Histogram("mvcloud_solve_phase_duration_seconds",
@@ -122,40 +71,7 @@ func (s *Server) newServerMetrics(reg *obs.Registry) serverMetrics {
 			func() float64 { return float64(cache.Evictions()) }, "cache", c.name)
 	}
 
-	// The /v1/stats counters, re-exported as series so dashboards need
-	// only one source of truth. Per-endpoint request counts cover every
-	// route; the memoization split covers the POST endpoints.
-	st := s.stats
-	for _, e := range memoizedEndpoints {
-		e := e
-		reg.CounterFunc("mvcloud_stats_requests_total", "Requests received by endpoint (/v1/stats by_endpoint).",
-			func() float64 { return float64(st.endpointRequests(e)) }, "endpoint", e)
-		reg.CounterFunc("mvcloud_stats_cache_hits_total", "Response-cache hits by endpoint.",
-			func() float64 { return float64(st.endpointHits(e)) }, "endpoint", e)
-		reg.CounterFunc("mvcloud_stats_cache_misses_total", "Response-cache misses by endpoint.",
-			func() float64 { return float64(st.endpointMisses(e)) }, "endpoint", e)
-		reg.CounterFunc("mvcloud_stats_coalesced_total", "Requests served by joining an in-flight solve, by endpoint.",
-			func() float64 { return float64(st.endpointCoalesced(e)) }, "endpoint", e)
-	}
-	for _, e := range plainEndpoints {
-		e := e
-		reg.CounterFunc("mvcloud_stats_requests_total", "Requests received by endpoint (/v1/stats by_endpoint).",
-			func() float64 { return float64(st.endpointRequests(e)) }, "endpoint", e)
-	}
-	reg.CounterFunc("mvcloud_stats_solves_total", "Solves actually executed (misses minus coalesced joins).",
-		func() float64 { return float64(st.solveCount()) })
-	reg.CounterFunc("mvcloud_stats_errors_total", "Requests that failed (bad request, timeout, cancel, solve error).",
-		func() float64 { return float64(st.errorCount()) })
-	reg.CounterFunc("mvcloud_stats_shed_total", "Requests shed by admission control (429 + Retry-After).",
-		func() float64 { return float64(st.shedCount()) })
-	reg.CounterFunc("mvcloud_stats_degraded_total", "Responses served degraded (solve stopped at its deadline with the best incumbent).",
-		func() float64 { return float64(st.degradedCount()) })
-	reg.CounterFunc("mvcloud_stats_stale_total", "Shed requests served a stale evicted cache entry (X-Cache: stale).",
-		func() float64 { return float64(st.staleCount()) })
-	reg.CounterFunc("mvcloud_stats_solve_panics_total", "Solver panics contained to 500 responses.",
-		func() float64 { return float64(st.panicCount()) })
-
-	start := s.stats.start
+	start := s.start
 	reg.GaugeFunc("mvcloud_process_start_time_seconds", "Unix time the server was constructed.",
 		func() float64 { return float64(start.UnixNano()) / 1e9 })
 	reg.GaugeFunc("mvcloud_process_uptime_seconds", "Seconds since the server was constructed.",

@@ -54,7 +54,7 @@ func findSample(samples []obs.Sample, name string, labels map[string]string) (fl
 // TestMetricsEndpointValidates is the format gate CI leans on: every
 // render must satisfy the exposition contract (ValidateText), and the
 // registered series set must cover the three memoized endpoints across
-// all four outcomes plus the solver, cache, stats and process families —
+// all eight outcomes plus the solver, cache, stats and process families —
 // all present from the first scrape, before any traffic, because series
 // are preallocated at registration.
 func TestMetricsEndpointValidates(t *testing.T) {
@@ -97,14 +97,26 @@ func TestMetricsEndpointValidates(t *testing.T) {
 		}
 	}
 	for _, name := range []string{
-		"mvcloud_stats_solves_total", "mvcloud_stats_errors_total",
-		"mvcloud_stats_shed_total", "mvcloud_stats_degraded_total",
-		"mvcloud_stats_stale_total", "mvcloud_stats_solve_panics_total",
+		"mvcloud_stats_solves_total",
 		"mvcloud_process_start_time_seconds", "mvcloud_process_uptime_seconds",
 		"mvcloud_go_goroutines", "mvcloud_http_inflight_requests",
 	} {
 		if _, ok := findSample(samples, name, nil); !ok {
 			t.Errorf("missing series %s", name)
+		}
+	}
+	// Arrivals are counted on all eight routes, labels on all six.
+	for _, rc := range s.m.received {
+		if _, ok := findSample(samples, "mvcloud_stats_requests_total", map[string]string{"endpoint": rc.name}); !ok {
+			t.Errorf("missing series mvcloud_stats_requests_total{endpoint=%q}", rc.name)
+		}
+	}
+	if len(s.m.received) != 8 {
+		t.Errorf("%d routes counted, want 8", len(s.m.received))
+	}
+	for _, l := range knownLabels {
+		if _, ok := findSample(samples, "mvcloud_stats_scenario_requests_total", map[string]string{"scenario": l}); !ok {
+			t.Errorf("missing series mvcloud_stats_scenario_requests_total{scenario=%q}", l)
 		}
 	}
 	// The scrape itself is in flight while rendering, so the gauge reads 1.
@@ -127,8 +139,8 @@ func TestMetricsEndpointValidates(t *testing.T) {
 }
 
 // TestMetricsOutcomeCounts drives known traffic and checks the outcome
-// split: one solve, two hits, one error on advise; stats re-exports
-// agree with the HTTP-layer counters.
+// split: one solve, two hits, one error on advise, beside the executed
+// solves and the per-scenario count.
 func TestMetricsOutcomeCounts(t *testing.T) {
 	s := New(Options{})
 	body := `{"scenario":"mv1","budget":25,"queries":10,"frequency":30}`
@@ -157,8 +169,8 @@ func TestMetricsOutcomeCounts(t *testing.T) {
 			t.Errorf("duration_seconds_count{outcome=%q} = %g, want %g", oc, v, want)
 		}
 	}
-	if v, _ := findSample(samples, "mvcloud_stats_cache_hits_total", map[string]string{"endpoint": "advise"}); v != 2 {
-		t.Errorf("stats hits = %g, want 2", v)
+	if v, _ := findSample(samples, "mvcloud_stats_scenario_requests_total", map[string]string{"scenario": "mv1"}); v != 3 {
+		t.Errorf("stats mv1 requests = %g, want 3", v)
 	}
 	if v, _ := findSample(samples, "mvcloud_stats_solves_total", nil); v != 1 {
 		t.Errorf("stats solves = %g, want 1", v)

@@ -51,13 +51,10 @@ func TestShedRetryAfter(t *testing.T) {
 		t.Fatalf("advise during heavy overload: status %d: %s", w.Code, w.Body.String())
 	}
 
-	if got := s.stats.shedCount(); got != 1 {
-		t.Errorf("shed count = %d, want 1", got)
+	if got := statsOf(t, s).Advise.Shed; got != 1 {
+		t.Errorf("/v1/stats shed = %d, want 1", got)
 	}
 	samples := scrape(t, s)
-	if v, _ := findSample(samples, "mvcloud_stats_shed_total", nil); v != 1 {
-		t.Errorf("mvcloud_stats_shed_total = %g, want 1", v)
-	}
 	if v, _ := findSample(samples, "mvcloud_http_requests_total",
 		map[string]string{"endpoint": "sweep", "outcome": "shed"}); v != 1 {
 		t.Errorf("requests_total{sweep,shed} = %g, want 1", v)
@@ -106,8 +103,8 @@ func TestStaleServeUnderShed(t *testing.T) {
 	if w.Body.String() != wA.Body.String() {
 		t.Error("stale response is not byte-identical to the original")
 	}
-	if got := s.stats.staleCount(); got != 1 {
-		t.Errorf("stale count = %d, want 1", got)
+	if got := statsOf(t, s).Advise.Stale; got != 1 {
+		t.Errorf("/v1/stats stale = %d, want 1", got)
 	}
 
 	// A request with no stale entry has nothing to fall back on: 429.
@@ -116,9 +113,6 @@ func TestStaleServeUnderShed(t *testing.T) {
 	}
 
 	samples := scrape(t, s)
-	if v, _ := findSample(samples, "mvcloud_stats_stale_total", nil); v != 1 {
-		t.Errorf("mvcloud_stats_stale_total = %g, want 1", v)
-	}
 	if v, _ := findSample(samples, "mvcloud_http_requests_total",
 		map[string]string{"endpoint": "advise", "outcome": "stale"}); v != 1 {
 		t.Errorf("requests_total{advise,stale} = %g, want 1", v)
@@ -148,19 +142,18 @@ func TestPanicContainment(t *testing.T) {
 	if w := do(t, s, "POST", "/v1/compare", sweepBody(`"fleet_sizes":[3]`)); w.Code != 500 {
 		t.Errorf("second panicking solve: status %d, want 500", w.Code)
 	}
-	if got := s.stats.panicCount(); got != 2 {
-		t.Errorf("panic count = %d, want 2", got)
+	if st := statsOf(t, s).Advise; st.Panics != 2 || st.Errors != 2 {
+		t.Errorf("/v1/stats panics = %d, errors = %d, want 2 and 2 (a contained panic is also an error)", st.Panics, st.Errors)
 	}
 	if n := s.cache.Len(); n != 0 {
 		t.Errorf("panicked solve cached %d entries", n)
 	}
 	samples := scrape(t, s)
-	if v, _ := findSample(samples, "mvcloud_stats_solve_panics_total", nil); v != 2 {
-		t.Errorf("mvcloud_stats_solve_panics_total = %g, want 2", v)
-	}
-	if v, _ := findSample(samples, "mvcloud_http_requests_total",
-		map[string]string{"endpoint": "advise", "outcome": "panic"}); v != 1 {
-		t.Errorf("requests_total{advise,panic} = %g, want 1", v)
+	for _, ep := range []string{"advise", "compare"} {
+		if v, _ := findSample(samples, "mvcloud_http_requests_total",
+			map[string]string{"endpoint": ep, "outcome": "panic"}); v != 1 {
+			t.Errorf("requests_total{%s,panic} = %g, want 1", ep, v)
+		}
 	}
 	drainSolves(t, s, 5*time.Second)
 }
@@ -213,13 +206,10 @@ func TestDegradedAdvise(t *testing.T) {
 	if n := s.cache.Len(); n != 0 {
 		t.Errorf("degraded responses were cached (%d entries)", n)
 	}
-	if got := s.stats.degradedCount(); got != 2 {
-		t.Errorf("degraded count = %d, want 2", got)
+	if st := statsOf(t, s).Advise; st.Degraded != 2 || st.CacheMisses != 2 {
+		t.Errorf("/v1/stats degraded = %d, misses = %d, want 2 and 2 (a degraded answer is still a miss)", st.Degraded, st.CacheMisses)
 	}
 	samples := scrape(t, s)
-	if v, _ := findSample(samples, "mvcloud_stats_degraded_total", nil); v != 2 {
-		t.Errorf("mvcloud_stats_degraded_total = %g, want 2", v)
-	}
 	if v, _ := findSample(samples, "mvcloud_http_requests_total",
 		map[string]string{"endpoint": "advise", "outcome": "degraded"}); v != 2 {
 		t.Errorf("requests_total{advise,degraded} = %g, want 2", v)

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"slices"
 	"strconv"
 	"strings"
 	"time"
@@ -317,18 +318,19 @@ func (r *sweepRequest) solve(ctx context.Context, s *Server, tr *obs.Trace) ([]b
 }
 
 // canonicalize is bytes to canonical key: it decodes the body src into
-// req, normalizes it, and appends its canonical key to dst. The errors
-// are 400 bodies.
-func (s *Server) canonicalize(dst []byte, src string, req memoRequest, declined *obs.Counter) ([]byte, string, error) {
+// req, normalizes it, and appends its canonical key to dst; label is the
+// request's stats label as an index into knownLabels. The errors are 400
+// bodies.
+func (s *Server) canonicalize(dst []byte, src string, req memoRequest, declined *obs.Counter) (key []byte, label int, err error) {
 	if err := decodeRequest(src, req, declined); err != nil {
-		return dst, "", fmt.Errorf("parse request: %v", err)
+		return dst, 0, fmt.Errorf("parse request: %v", err)
 	}
-	label, err := req.normalize(s)
+	l, err := req.normalize(s)
 	if err != nil {
-		return dst, "", err
+		return dst, 0, err
 	}
 	dst, err = req.AppendKey(dst)
-	return dst, label, err
+	return dst, slices.Index(knownLabels[:], l), err
 }
 
 // decodeRequest fills req from src, a request body or a canonical key.

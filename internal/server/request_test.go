@@ -24,14 +24,28 @@ import (
 type wireBody struct{ endpoint, body string }
 
 func newMemoRequest(endpoint string) memoRequest {
-	switch endpoint {
-	case "advise":
-		return &adviseRequest{}
-	case "compare":
-		return &compareRequest{}
-	default:
-		return &sweepRequest{}
+	return tableServer.endpoint(endpoint).newReq()
+}
+
+// tableServer lends its endpoint table to the tests that need a row and
+// no server; memoizedEndpoints names the rows.
+var tableServer = testServer()
+
+var memoizedEndpoints = func() (names []string) {
+	for _, e := range tableServer.endpoints {
+		names = append(names, e.name)
 	}
+	return names
+}()
+
+// endpoint returns the row named name.
+func (s *Server) endpoint(name string) *endpoint {
+	for _, e := range s.endpoints {
+		if e.name == name {
+			return e
+		}
+	}
+	panic("no endpoint " + name)
 }
 
 // goldenRequests are the committed request bodies: the 24 problems of
@@ -170,7 +184,7 @@ func TestDecodeMatchesEncodingJSON(t *testing.T) {
 		for i := 0; i < 20; i++ {
 			spellings = append(spellings, string(wiretest.Respell(rng, []byte(g.body), writtenDefaults(g.endpoint)...)))
 		}
-		key, _, err := s.canonicalize(nil, g.body, newMemoRequest(g.endpoint), s.m.advise.decodeFallback)
+		key, _, err := s.canonicalize(nil, g.body, newMemoRequest(g.endpoint), s.endpoint("advise").decodeFallback)
 		if err != nil {
 			t.Fatalf("%s: %v", g.body, err)
 		}
@@ -201,7 +215,7 @@ func TestDecodeMatchesEncodingJSON(t *testing.T) {
 	if hostileAccepted < hostile/20 || hostileAccepted > hostile*19/20 {
 		t.Errorf("%d of %d hostile bodies accepted: the generator no longer straddles the grammar", hostileAccepted, hostile)
 	}
-	if n := s.m.advise.decodeFallback.Value(); n != 0 {
+	if n := s.endpoint("advise").decodeFallback.Value(); n != 0 {
 		t.Errorf("%d golden bodies took the encoding/json path", n)
 	}
 }
@@ -233,7 +247,7 @@ func TestDeclineRule(t *testing.T) {
 		if w.Code != c.status {
 			t.Errorf("%s: status %d, want %d: %s", name, w.Code, c.status, w.Body.String())
 		}
-		if n := s.m.advise.decodeFallback.Value(); n != 1 {
+		if n := s.endpoint("advise").decodeFallback.Value(); n != 1 {
 			t.Errorf("%s: fallback counter = %d, want 1", name, n)
 		}
 	}
@@ -403,7 +417,7 @@ func TestAppendKeyMatchesReflection(t *testing.T) {
 		spellings = append(spellings, string(want))
 		for _, src := range spellings {
 			req := newMemoRequest(g.endpoint)
-			got, _, err := s.canonicalize(nil, src, req, s.m.advise.decodeFallback)
+			got, _, err := s.canonicalize(nil, src, req, s.endpoint("advise").decodeFallback)
 			if err != nil || !bytes.Equal(got, want) {
 				t.Fatalf("%s: canonical key differs from the encoding/json path's (err %v):\nbody: %s\ngot:  %s\nwant: %s", g.endpoint, err, src, got, want)
 			}
@@ -434,7 +448,7 @@ func TestAppendKeyMatchesReflection(t *testing.T) {
 		}
 		checkKey(t, "random sweep request", w, &w.SweepRequestJSON)
 	}
-	if n := s.m.advise.decodeFallback.Value(); n != 0 {
+	if n := s.endpoint("advise").decodeFallback.Value(); n != 0 {
 		t.Errorf("%d golden bodies took the encoding/json path", n)
 	}
 }
@@ -495,7 +509,7 @@ func FuzzDecodeRequest(f *testing.F) {
 				continue
 			}
 			fast := newMemoRequest(e)
-			key, _, err := s.canonicalize(nil, src, fast, s.m.advise.decodeFallback)
+			key, _, err := s.canonicalize(nil, src, fast, s.endpoint("advise").decodeFallback)
 			ref := newMemoRequest(e)
 			v := ref.reset()
 			if serr := strictDecode(src, v); serr != nil {
@@ -565,15 +579,15 @@ func TestDecodeFallbackCounter(t *testing.T) {
 			}
 		}
 	}
-	for _, em := range []*endpointMetrics{s.m.advise, s.m.compare, s.m.sweep} {
-		if n := em.decodeFallback.Value(); n != 0 {
+	for _, e := range s.endpoints {
+		if n := e.decodeFallback.Value(); n != 0 {
 			t.Errorf("fallback counter = %d after well-spelled traffic, want 0", n)
 		}
 	}
 	if w := do(t, s, "POST", "/v1/sweep", `{"Budget":25,"fact_rows":10000000,"queries":5}`); w.Code != 200 {
 		t.Fatalf("case-folded body: %d %s", w.Code, w.Body.String())
 	}
-	if a, c, w := s.m.advise.decodeFallback.Value(), s.m.compare.decodeFallback.Value(), s.m.sweep.decodeFallback.Value(); a != 0 || c != 0 || w != 1 {
+	if a, c, w := s.endpoint("advise").decodeFallback.Value(), s.endpoint("compare").decodeFallback.Value(), s.endpoint("sweep").decodeFallback.Value(); a != 0 || c != 0 || w != 1 {
 		t.Errorf("fallback counters advise %d compare %d sweep %d after one case-folded sweep body, want 0 0 1", a, c, w)
 	}
 	page := do(t, s, "GET", "/metrics", "").Body.String()

@@ -12,11 +12,17 @@
 //	POST /v1/sweep   — re-price one objective across a tariff grid
 //	                   (providers × instance types × fleet sizes) and
 //	                   return every cell's bill plus the winner
+//	POST /v1/t/{account}/advise|compare|sweep
+//	                 — the same three in a tenant's own cache namespace
+//	                   (tenant.go; the X-Account header does the same on
+//	                   the default routes)
 //	GET  /v1/tariffs — the built-in provider catalog, structured and as
 //	                   pre-rendered tables
 //	GET  /v1/stats   — serving counters: requests, cache hits/misses,
 //	                   per-scenario breakdown
+//	GET  /v1/version — the build stamp
 //	GET  /healthz    — liveness probe
+//	GET  /metrics    — every instrument in Prometheus text format
 //
 // The advisor is deterministic: the same advisory problem always yields
 // the same recommendation — including the metaheuristic search solver,
@@ -183,11 +189,17 @@ type Server struct {
 	// flight coalesces concurrent identical cold solves so a stampede of
 	// K requests for one canonical key costs exactly one solve.
 	flight *flightGroup
-	stats  *stats
+	// start is when the server was constructed (uptime).
+	start time.Time
 	// reg is this server's metric namespace (plus obs.Default, rendered
-	// after it by GET /metrics); m holds the resolved instruments.
+	// after it by GET /metrics) and the only store of its counters —
+	// /v1/stats is rendered from the same instruments. m holds the ones
+	// that belong to no single endpoint.
 	reg *obs.Registry
 	m   serverMetrics
+	// endpoints is the table of memoized POST routes, one row each
+	// (endpoint.go).
+	endpoints []*endpoint
 	// admCheap and admHeavy are the two admission classes: bounded solve
 	// queues + worker pools for advise vs compare/sweep.
 	admCheap *admission
@@ -227,7 +239,7 @@ func New(opts Options) *Server {
 	s := &Server{
 		opts:   opts.withDefaults(),
 		flight: newFlightGroup(),
-		stats:  newStats(time.Now()),
+		start:  time.Now(),
 		reg:    obs.NewRegistry(),
 		closed: make(chan struct{}),
 	}
@@ -239,11 +251,13 @@ func New(opts Options) *Server {
 	s.cache.onEvict = func(key string, val []byte) { s.stale.Put(key, val) }
 	s.chaos = s.opts.Chaos
 	s.m = s.newServerMetrics(s.reg)
-	s.admCheap = newAdmission("cheap", s.opts.AdviseWorkers, s.opts.AdviseQueue,
-		s.m.advise.latency[outcomeSolve], s.m.advise.latency[outcomeDegraded])
-	s.admHeavy = newAdmission("heavy", s.opts.HeavyWorkers, s.opts.HeavyQueue,
-		s.m.compare.latency[outcomeSolve], s.m.compare.latency[outcomeDegraded],
-		s.m.sweep.latency[outcomeSolve], s.m.sweep.latency[outcomeDegraded])
+	s.admCheap = newAdmission("cheap", s.opts.AdviseWorkers, s.opts.AdviseQueue)
+	s.admHeavy = newAdmission("heavy", s.opts.HeavyWorkers, s.opts.HeavyQueue)
+	s.endpoints = []*endpoint{
+		newEndpoint(s.reg, "advise", func() memoRequest { return &adviseRequest{} }, s.admCheap, true),
+		newEndpoint(s.reg, "compare", func() memoRequest { return &compareRequest{} }, s.admHeavy, false),
+		newEndpoint(s.reg, "sweep", func() memoRequest { return &sweepRequest{} }, s.admHeavy, false),
+	}
 	if opts.Cluster != nil {
 		cl, err := newClusterState(*opts.Cluster, s.opts.RequestTimeout)
 		if err != nil {
@@ -257,16 +271,17 @@ func New(opts Options) *Server {
 	}
 	s.tenants.init(s.reg)
 	s.mux = http.NewServeMux()
-	s.mux.HandleFunc("POST /v1/advise", s.counted("advise", s.handleAdvise))
-	s.mux.HandleFunc("POST /v1/compare", s.counted("compare", s.handleCompare))
-	s.mux.HandleFunc("POST /v1/sweep", s.counted("sweep", s.handleSweep))
-	// Tenant-scoped aliases: the {account} path segment namespaces the
-	// memoization caches and the per-tenant stats, so tenants can
-	// neither poison nor read each other's entries. The default routes
-	// accept the same namespace via the X-Account header.
-	s.mux.HandleFunc("POST /v1/t/{account}/advise", s.counted("advise", s.handleAdvise))
-	s.mux.HandleFunc("POST /v1/t/{account}/compare", s.counted("compare", s.handleCompare))
-	s.mux.HandleFunc("POST /v1/t/{account}/sweep", s.counted("sweep", s.handleSweep))
+	for _, e := range s.endpoints {
+		// The handler is built here, once, so that a request allocates no
+		// closure. The tenant-scoped alias shares it: the {account} path
+		// segment namespaces the memoization caches and the per-tenant
+		// counters, so tenants can neither poison nor read each other's
+		// entries, and the default route accepts the same namespace via
+		// the X-Account header.
+		h := s.counted(e.name, func(w http.ResponseWriter, r *http.Request) { s.serveMemoized(w, r, e) })
+		s.mux.HandleFunc("POST /v1/"+e.name, h)
+		s.mux.HandleFunc("POST /v1/t/{account}/"+e.name, h)
+	}
 	s.mux.HandleFunc("GET /v1/tariffs", s.counted("tariffs", s.handleTariffs))
 	s.mux.HandleFunc("GET /v1/stats", s.counted("stats", s.handleStats))
 	s.mux.HandleFunc("GET /v1/version", s.counted("version", s.handleVersion))
@@ -286,9 +301,15 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 // goroutines and hope".
 func (s *Server) InflightSolves() int64 { return s.inflightSolves.Load() }
 
-func (s *Server) counted(endpoint string, h http.HandlerFunc) http.HandlerFunc {
+// counted registers route name's arrival counter and wraps h with it
+// and the in-flight gauge. The count moves before h runs, so GET
+// /v1/stats includes itself.
+func (s *Server) counted(name string, h http.HandlerFunc) http.HandlerFunc {
+	n := s.reg.Counter("mvcloud_stats_requests_total",
+		"Requests received by endpoint (/v1/stats by_endpoint).", "endpoint", name)
+	s.m.received = append(s.m.received, routeCounter{name, n})
 	return func(w http.ResponseWriter, r *http.Request) {
-		s.stats.request(endpoint)
+		n.Inc()
 		s.m.inflight.Add(1)
 		h(w, r)
 		s.m.inflight.Add(-1)
@@ -457,18 +478,24 @@ func readBody(r io.Reader, buf []byte, limit int) ([]byte, error) {
 	}
 }
 
-// knownLabels interns the stats labels the hit path touches, so parsing
-// a packed raw-key entry never allocates a fresh string.
+// knownLabels are the stats labels (/v1/stats by_scenario): the advise
+// scenarios, and the endpoint name for compare and sweep. A label
+// travels as its index here — the per-scenario counters are an array,
+// and the hit path reads a label back from a packed raw-key entry
+// without building a string.
 var knownLabels = [...]string{"mv1", "mv2", "mv3", "pareto", "compare", "sweep"}
 
+// internLabel returns b's index in knownLabels. Every label in a raw-key
+// entry was written from knownLabels (rememberSpelling).
+//
 //mvlint:hotpath
-func internLabel(b []byte) string {
-	for _, l := range knownLabels {
+func internLabel(b []byte) int {
+	for i, l := range knownLabels {
 		if string(b) == l {
-			return l
+			return i
 		}
 	}
-	return string(b)
+	return -1
 }
 
 // probeState carries what the cache probe learned into the slow path:
@@ -490,48 +517,37 @@ type probeState struct {
 	account string
 	// label and recovered are set when the probe recovered the canonical
 	// cache key from the raw-key LRU (evicted-response case); recovered
-	// is that LRU's own bytes, read-only. Empty otherwise.
-	label     string
+	// is that LRU's own bytes, read-only, and nil otherwise.
+	label     int
 	recovered []byte
-	// start is when serveMemoized began handling the request, and em the
-	// endpoint's outcome-split instruments — carried through so the slow
-	// path's latency observation covers body read and canonicalization.
+	// start is when serveMemoized began handling the request — carried
+	// through so the slow path's latency observation covers body read and
+	// canonicalization.
 	start time.Time
-	em    *endpointMetrics
 }
 
-// slowFn is a handler's miss path. Implementations are top-level
-// functions (not per-request closures), so the hit path stays
-// allocation-free; each hands its endpoint's empty memoRequest to
-// finishMemoized.
-type slowFn func(s *Server, w http.ResponseWriter, r *http.Request, ps probeState)
-
-// serveMemoized runs the shared flow. A byte-identical body seen before
-// maps straight to its response cache key (the raw-key LRU stores
-// "<label>\x00<endpoint>\x00<account>\x00<canonical key>"), skipping
-// decoding and canonicalization on every repeat. The repeat-hit path is
-// allocation-free: pooled read
-// buffer, byte-keyed LRU probes, interned labels, shared header values,
-// the response written straight from cache-owned bytes, and no
-// per-request closures (the slow path is a static slowFn). Cold keys go
-// through the flight group, so concurrent identical requests coalesce
-// onto a single solve.
-func (s *Server) serveMemoized(w http.ResponseWriter, r *http.Request, endpoint string, em *endpointMetrics, slow slowFn) {
+// serveMemoized runs the shared flow of endpoint e. A byte-identical
+// body seen before maps straight to its response cache key (the raw-key
+// LRU stores "<label>\x00<endpoint>\x00<account>\x00<canonical key>"),
+// skipping decoding and canonicalization on every repeat. The repeat-hit
+// path is allocation-free: pooled read buffer, byte-keyed LRU probes,
+// labels as indices, shared header values, the response written straight
+// from cache-owned bytes, and no per-request closures (the route's
+// handler is built once, in New). Cold keys go through the flight group,
+// so concurrent identical requests coalesce onto a single solve.
+func (s *Server) serveMemoized(w http.ResponseWriter, r *http.Request, e *endpoint) {
 	start := time.Now()
 	account, ok := accountFrom(r)
 	if !ok {
-		s.stats.failure()
-		writeError(w, http.StatusBadRequest, "invalid account id (want 1-64 chars of [a-zA-Z0-9_-])")
-		em.observe(outcomeError, time.Since(start))
+		e.fail(w, http.StatusBadRequest, "invalid account id (want 1-64 chars of [a-zA-Z0-9_-])", start)
 		return
 	}
 	if account != "" {
-		s.stats.tenantRequest(account)
 		s.tenants.record(account)
 	}
 	rb := reqBufPool.Get().(*reqBuf)
 	defer putBuf(&reqBufPool, rb)
-	rb.b = append(rb.b[:0], endpoint...)
+	rb.b = append(rb.b[:0], e.name...)
 	rb.b = append(rb.b, 0)
 	rb.b = append(rb.b, account...)
 	rb.b = append(rb.b, 0)
@@ -539,35 +555,32 @@ func (s *Server) serveMemoized(w http.ResponseWriter, r *http.Request, endpoint 
 	var err error
 	rb.b, err = readBody(r.Body, rb.b, prefix+maxRequestBytes)
 	if err != nil {
-		s.stats.failure()
-		writeError(w, http.StatusBadRequest, fmt.Sprintf("read request: %v", err))
-		em.observe(outcomeError, time.Since(start))
+		e.fail(w, http.StatusBadRequest, fmt.Sprintf("read request: %v", err), start)
 		return
 	}
-	ps := probeState{rawKey: rb.b, raw: rb.b[prefix:], buf: rb, prefix: prefix, account: account, start: start, em: em}
+	ps := probeState{rawKey: rb.b, raw: rb.b[prefix:], buf: rb, prefix: prefix, account: account, start: start}
 
 	if packed, ok := s.rawKeys.view(rb.b); ok {
 		if i := bytes.IndexByte(packed, 0); i >= 0 {
+			ps.label = internLabel(packed[:i])
 			// Fast path: the response for this verbatim body is resident.
 			if body, ok := s.cache.view(packed[i+1:]); ok {
-				s.stats.advise(endpoint, internLabel(packed[:i]), true)
-				writeBody(w, http.StatusOK, body, "hit")
-				em.observe(outcomeHit, time.Since(start))
+				s.respondAnswer(w, e, ps.label, outcomeHit, body, start)
 				return
 			}
 			// Response evicted; the canonical key spares re-canonicalizing.
-			ps.label = internLabel(packed[:i])
 			ps.recovered = packed[i+1:]
 		}
 	}
-	slow(s, w, r, ps)
+	s.finishMemoized(w, r, e, ps)
 }
 
 // finishMemoized is the shared miss path: bytes to canonical key
 // (decode, normalize, AppendKey — or the key recovered from the raw-key
 // LRU, decoded back into the request), a probe of the response cache for
 // differently-spelled equivalents, then the solve under the flight group.
-func (s *Server) finishMemoized(w http.ResponseWriter, r *http.Request, endpoint string, req memoRequest, ps probeState) {
+func (s *Server) finishMemoized(w http.ResponseWriter, r *http.Request, e *endpoint, ps probeState) {
+	req := e.newReq()
 	label := ps.label
 	// kb is the cache key "<endpoint>\x00<account>\x00<canonical key>" as
 	// bytes — in the pooled buffer, or the raw-key LRU's own — for the
@@ -581,19 +594,17 @@ func (s *Server) finishMemoized(w http.ResponseWriter, r *http.Request, endpoint
 		// the pooled buffer once, here.
 		mark := len(ps.buf.b)
 		var err error
-		ps.buf.b, label, err = s.canonicalize(append(ps.buf.b, ps.rawKey[:ps.prefix]...), string(ps.raw), req, ps.em.decodeFallback)
+		ps.buf.b, label, err = s.canonicalize(append(ps.buf.b, ps.rawKey[:ps.prefix]...), string(ps.raw), req, e.decodeFallback)
 		kb = ps.buf.b[mark:]
 		if err != nil {
-			s.stats.failure()
-			writeError(w, http.StatusBadRequest, err.Error())
-			ps.em.observe(outcomeError, time.Since(ps.start))
+			e.fail(w, http.StatusBadRequest, err.Error(), ps.start)
 			return
 		}
 		// A differently-spelled equivalent request may have already
 		// cached the canonical response.
 		if cached, ok := s.cache.view(kb); ok {
 			s.rememberSpelling(ps, label, kb)
-			s.respondHit(w, endpoint, label, cached, ps)
+			s.respondAnswer(w, e, label, outcomeHit, cached, ps.start)
 			return
 		}
 		cacheKey = string(kb)
@@ -603,10 +614,8 @@ func (s *Server) finishMemoized(w http.ResponseWriter, r *http.Request, endpoint
 		// back into the state the local solve needs. A cluster frontend
 		// skips this: it forwards the canonical body instead of solving.
 		if s.cluster == nil {
-			if err := decodeRequest(cacheKey[ps.prefix:], req, ps.em.decodeFallback); err != nil {
-				s.stats.failure()
-				writeError(w, http.StatusInternalServerError, err.Error())
-				ps.em.observe(outcomeError, time.Since(ps.start))
+			if err := decodeRequest(cacheKey[ps.prefix:], req, e.decodeFallback); err != nil {
+				e.fail(w, http.StatusInternalServerError, err.Error(), ps.start)
 				return
 			}
 		}
@@ -632,15 +641,15 @@ func (s *Server) finishMemoized(w http.ResponseWriter, r *http.Request, endpoint
 		if cached, ok := s.cache.view(kb); ok {
 			s.flight.finish(cacheKey, call, outcome{body: cached})
 			s.rememberSpelling(ps, label, kb)
-			s.respondHit(w, endpoint, label, cached, ps)
+			s.respondAnswer(w, e, label, outcomeHit, cached, ps.start)
 			return
 		}
 		sctx, cancel := context.WithTimeout(context.Background(), s.opts.RequestTimeout)
 		s.flight.setCancel(call, cancel)
 		if s.cluster != nil {
-			go s.runForward(sctx, endpoint, label, ps.account, cacheKey[ps.prefix:], cacheKey, ps.em, call)
+			go s.runForward(sctx, e, ps.account, cacheKey[ps.prefix:], cacheKey, call)
 		} else {
-			go s.runSolve(sctx, endpoint, req, label, cacheKey, call)
+			go s.runSolve(sctx, e, req, label, cacheKey, call)
 		}
 	}
 
@@ -653,19 +662,15 @@ func (s *Server) finishMemoized(w http.ResponseWriter, r *http.Request, endpoint
 	defer backstop.Stop()
 	select {
 	case <-call.done:
-		if s.respondSolved(w, r, endpoint, label, leader, call.out, ps) {
+		if s.respondSolved(w, r, e, label, leader, call.out, ps.start) {
 			s.rememberSpelling(ps, label, kb)
 		}
 	case <-backstop.C:
 		s.flight.leave(cacheKey, call)
-		s.stats.failure()
-		writeError(w, http.StatusServiceUnavailable, "request timed out")
-		ps.em.observe(outcomeError, time.Since(ps.start))
+		e.fail(w, http.StatusServiceUnavailable, "request timed out", ps.start)
 	case <-ctx.Done():
 		s.flight.leave(cacheKey, call)
-		s.stats.failure()
-		writeError(w, http.StatusServiceUnavailable, "request cancelled")
-		ps.em.observe(outcomeError, time.Since(ps.start))
+		e.fail(w, http.StatusServiceUnavailable, "request cancelled", ps.start)
 	}
 }
 
@@ -675,26 +680,30 @@ func (s *Server) finishMemoized(w http.ResponseWriter, r *http.Request, endpoint
 // remembered: a body whose solve fails, or is shed, leaves no entry in
 // any cache. A body the probe already recovered the key for is in the
 // LRU as it is.
-func (s *Server) rememberSpelling(ps probeState, label string, kb []byte) {
+func (s *Server) rememberSpelling(ps probeState, label int, kb []byte) {
 	if ps.recovered != nil {
 		return
 	}
-	packed := make([]byte, 0, len(label)+1+len(kb))
-	packed = append(append(append(packed, label...), 0), kb...)
+	l := knownLabels[label]
+	packed := make([]byte, 0, len(l)+1+len(kb))
+	packed = append(append(append(packed, l...), 0), kb...)
 	s.rawKeys.Put(string(ps.rawKey), packed)
 }
 
-// respondHit serves a resident response found on the miss path.
-func (s *Server) respondHit(w http.ResponseWriter, endpoint, label string, body []byte, ps probeState) {
-	s.stats.advise(endpoint, label, true)
-	writeBody(w, http.StatusOK, body, "hit")
-	ps.em.observe(outcomeHit, time.Since(ps.start))
+// respondAnswer serves a 200 that answers the request's own problem — a
+// hit, a solve (degraded or not) or a coalesced join — and counts it
+// under its scenario label.
+//
+//mvlint:hotpath
+func (s *Server) respondAnswer(w http.ResponseWriter, e *endpoint, label int, o outcomeKind, body []byte, start time.Time) {
+	s.m.scenarios[label].Inc()
+	e.respond(w, http.StatusOK, body, o, start)
 }
 
 // respondSolved maps a finished solve's outcome onto the HTTP response
 // and the outcome-split instruments, and reports whether the response
 // was a 200.
-func (s *Server) respondSolved(w http.ResponseWriter, r *http.Request, endpoint, label string, leader bool, out outcome, ps probeState) bool {
+func (s *Server) respondSolved(w http.ResponseWriter, r *http.Request, e *endpoint, label int, leader bool, out outcome, start time.Time) bool {
 	if out.worker != "" {
 		w.Header().Set("X-Worker", out.worker)
 	}
@@ -703,54 +712,38 @@ func (s *Server) respondSolved(w http.ResponseWriter, r *http.Request, endpoint,
 		// Admission (or an all-down ring neighborhood) refused the solve
 		// but an evicted cached response for this exact key survives:
 		// serve it, clearly marked.
-		s.stats.staleServe()
-		writeBody(w, http.StatusOK, out.body, "stale")
-		ps.em.observe(outcomeStale, time.Since(ps.start))
+		e.respond(w, http.StatusOK, out.body, outcomeStale, start)
 		return true
 	case out.shed:
-		s.stats.shedReq()
 		w.Header().Set("Retry-After", strconv.FormatInt(ceilSeconds(out.retryAfter), 10))
 		msg := out.shedMsg
 		if msg == "" {
 			msg = "overloaded: solve queue full, retry later"
 		}
-		writeError(w, http.StatusTooManyRequests, msg)
-		ps.em.observe(outcomeShed, time.Since(ps.start))
+		e.respond(w, http.StatusTooManyRequests, errorBody(msg), outcomeShed, start)
 	case out.panicked:
-		s.stats.panicked()
-		s.stats.failure()
-		writeError(w, http.StatusInternalServerError, out.err.Error())
-		ps.em.observe(outcomePanic, time.Since(ps.start))
+		e.respond(w, http.StatusInternalServerError, errorBody(out.err.Error()), outcomePanic, start)
 	case out.err != nil:
-		s.stats.failure()
 		status := http.StatusBadRequest
 		if errors.Is(out.err, context.Canceled) || errors.Is(out.err, context.DeadlineExceeded) {
 			status = http.StatusServiceUnavailable
 		}
-		writeError(w, status, out.err.Error())
-		ps.em.observe(outcomeError, time.Since(ps.start))
+		e.fail(w, status, out.err.Error(), start)
 	default:
 		if out.phases != nil && wantPhases(r) {
 			w.Header().Set("X-Solve-Phases", out.phases.String())
 		}
+		o := outcomeCoalesced
+		if leader {
+			o = outcomeSolve
+		}
 		if out.degraded {
 			w.Header()["X-Degraded"] = headerValTrue
+			if leader {
+				o = outcomeDegraded
+			}
 		}
-		switch {
-		case leader && out.degraded:
-			s.stats.advise(endpoint, label, false)
-			s.stats.degrade()
-			writeBody(w, http.StatusOK, out.body, "miss")
-			ps.em.observe(outcomeDegraded, time.Since(ps.start))
-		case leader:
-			s.stats.advise(endpoint, label, false)
-			writeBody(w, http.StatusOK, out.body, "miss")
-			ps.em.observe(outcomeSolve, time.Since(ps.start))
-		default:
-			s.stats.coalesce(endpoint, label)
-			writeBody(w, http.StatusOK, out.body, "coalesced")
-			ps.em.observe(outcomeCoalesced, time.Since(ps.start))
-		}
+		s.respondAnswer(w, e, label, o, out.body, start)
 		return true
 	}
 	return false
@@ -770,36 +763,29 @@ func ceilSeconds(d time.Duration) int64 {
 // itself under panic containment, cache fill, and outcome publication.
 // ctx is the solve's deadline context, cancelled by the flight group
 // when the last waiter leaves.
-func (s *Server) runSolve(ctx context.Context, endpoint string, req memoRequest, label, cacheKey string, call *flightCall) {
+func (s *Server) runSolve(ctx context.Context, e *endpoint, req memoRequest, label int, cacheKey string, call *flightCall) {
 	s.inflightSolves.Add(1)
 	defer s.inflightSolves.Add(-1)
 
-	adm := s.admissionFor(endpoint)
-	ok, retry := adm.admit(s.opts.RequestTimeout)
+	ok, retry := e.adm.admit(s.opts.RequestTimeout)
 	if !ok {
-		out := outcome{shed: true, retryAfter: retry}
-		if staleEligible(endpoint) {
-			if b, hit := s.stale.Get(cacheKey); hit {
-				out.body, out.stale = b, true
-			}
-		}
-		s.flight.finish(cacheKey, call, out)
+		s.flight.finish(cacheKey, call, s.shedOrStale(e.staleOK, cacheKey, outcome{retryAfter: retry}))
 		return
 	}
-	if !adm.acquire(ctx) {
+	if !e.adm.acquire(ctx) {
 		// Abandoned while queued: every waiter already left.
 		s.flight.finish(cacheKey, call, outcome{err: ctx.Err()})
 		return
 	}
 
-	s.stats.solve()
+	s.m.solves.Inc()
 	tr := obs.NewTrace()
 	t0 := tr.StartTimer()
 	s.chaos.sleep(ctx, cacheKey)
 	b, degraded, err, panicked := s.safeSolve(ctx, req, cacheKey, tr)
 	tr.ObserveSince(obs.PhaseTotal, t0)
 	s.m.observePhases(tr)
-	s.logSlowSolve(endpoint, label, tr)
+	s.logSlowSolve(e.name, knownLabels[label], tr)
 	// Degraded bodies are timing-dependent — the one kind of response
 	// that must never be memoized. Nor is the result of an abandoned
 	// solve (the knapsack path has no cancellation point, so it finishes
@@ -809,8 +795,21 @@ func (s *Server) runSolve(ctx context.Context, endpoint string, req memoRequest,
 	}
 	// The slot is free before any waiter can see the outcome, so a
 	// client's next request is never shed against its own finished solve.
-	adm.release()
+	e.adm.release()
 	s.flight.finish(cacheKey, call, outcome{body: b, err: err, phases: tr, degraded: degraded, panicked: panicked})
+}
+
+// shedOrStale marks out shed and, where the stale tier may answer
+// (staleOK) and still holds the key, attaches the evicted response to
+// serve in place of the 429.
+func (s *Server) shedOrStale(staleOK bool, cacheKey string, out outcome) outcome {
+	out.shed = true
+	if staleOK {
+		if b, hit := s.stale.Get(cacheKey); hit {
+			out.body, out.stale = b, true
+		}
+	}
+	return out
 }
 
 // abandoned reports whether the flight group cancelled the solve context
@@ -870,39 +869,6 @@ func (s *Server) logSlowSolve(endpoint, label string, tr *obs.Trace) {
 	s.slowMu.Lock()
 	s.opts.SlowLog.Write(b)
 	s.slowMu.Unlock()
-}
-
-func (s *Server) handleAdvise(w http.ResponseWriter, r *http.Request) {
-	s.serveMemoized(w, r, "advise", s.m.advise, adviseSlow)
-}
-
-// adviseSlow is the advise miss path; being a top-level function keeps
-// the decoded request off the hit path.
-func adviseSlow(s *Server, w http.ResponseWriter, r *http.Request, ps probeState) {
-	s.finishMemoized(w, r, "advise", &adviseRequest{}, ps)
-}
-
-// handleCompare serves POST /v1/compare: the advisory problem fanned out
-// across the provider × instance × fleet grid on the compare worker
-// pool, with the same canonicalized-request memoization as advise.
-func (s *Server) handleCompare(w http.ResponseWriter, r *http.Request) {
-	s.serveMemoized(w, r, "compare", s.m.compare, compareSlow)
-}
-
-func compareSlow(s *Server, w http.ResponseWriter, r *http.Request, ps probeState) {
-	s.finishMemoized(w, r, "compare", &compareRequest{}, ps)
-}
-
-// handleSweep serves POST /v1/sweep: a tariff-grid sweep of one
-// objective over one workload — the comparison kernel's raw re-pricing
-// study — memoized exactly like advise and compare under its own
-// endpoint namespace of the shared LRU.
-func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
-	s.serveMemoized(w, r, "sweep", s.m.sweep, sweepSlow)
-}
-
-func sweepSlow(s *Server, w http.ResponseWriter, r *http.Request, ps probeState) {
-	s.finishMemoized(w, r, "sweep", &sweepRequest{}, ps)
 }
 
 // solve runs the expensive path: advisor construction (lattice +
@@ -985,13 +951,11 @@ func (s *Server) handleTariffs(w http.ResponseWriter, r *http.Request) {
 	for _, name := range pricing.ProviderNames() {
 		p, err := pricing.Lookup(name)
 		if err != nil {
-			s.stats.failure()
 			writeError(w, http.StatusInternalServerError, err.Error())
 			return
 		}
 		raw, err := pricing.MarshalProvider(p)
 		if err != nil {
-			s.stats.failure()
 			writeError(w, http.StatusInternalServerError, err.Error())
 			return
 		}
@@ -1018,13 +982,7 @@ func (s *Server) handleTariffs(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
-	snap := s.stats.snapshot(time.Now(), s.cache.Len(), s.cache.Cap(),
-		s.cache.NamespaceStats(), s.rawKeys.NamespaceStats())
-	snap.Cache.Bytes = s.cache.Bytes() + s.rawKeys.Bytes()
-	if s.cluster != nil {
-		snap.Cluster = s.cluster.statsJSON()
-	}
-	writeJSON(w, http.StatusOK, snap)
+	writeJSON(w, http.StatusOK, s.statsSnapshot(time.Now()))
 }
 
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
@@ -1043,45 +1001,41 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 		writeError(w, http.StatusInternalServerError, err.Error())
 		return
 	}
-	writeBody(w, status, buf.Bytes(), "")
+	writeBody(w, status, buf.Bytes(), nil)
 }
 
 // Shared header values: assigning a preallocated []string into the
 // header map keeps the cache-hit path allocation-free where
 // Header().Set would build a fresh single-element slice per call. The
-// slices are never mutated and the keys are already in canonical form.
+// slices (these and xCache's) are never mutated and the keys are already
+// in canonical form.
 var (
-	headerValJSON      = []string{"application/json"}
-	headerValHit       = []string{"hit"}
-	headerValMiss      = []string{"miss"}
-	headerValCoalesced = []string{"coalesced"}
-	headerValStale     = []string{"stale"}
-	headerValTrue      = []string{"true"}
+	headerValJSON = []string{"application/json"}
+	headerValTrue = []string{"true"}
 )
 
-// writeBody sends a pre-marshaled, newline-terminated JSON body. The
-// body may alias cache-owned memory: it is only ever written to the
-// wire, never mutated.
+// writeBody sends a pre-marshaled, newline-terminated JSON body, with
+// the X-Cache header cache when it is non-nil. The body may alias
+// cache-owned memory: it is only ever written to the wire, never
+// mutated.
 //
 //mvlint:hotpath
-func writeBody(w http.ResponseWriter, status int, body []byte, cache string) {
+func writeBody(w http.ResponseWriter, status int, body []byte, cache []string) {
 	h := w.Header()
 	h["Content-Type"] = headerValJSON
-	switch cache {
-	case "hit":
-		h["X-Cache"] = headerValHit
-	case "miss":
-		h["X-Cache"] = headerValMiss
-	case "coalesced":
-		h["X-Cache"] = headerValCoalesced
-	case "stale":
-		h["X-Cache"] = headerValStale
+	if cache != nil {
+		h["X-Cache"] = cache
 	}
 	w.WriteHeader(status)
 	w.Write(body)
 }
 
-func writeError(w http.ResponseWriter, status int, msg string) {
+// errorBody is the JSON body of an error response.
+func errorBody(msg string) []byte {
 	b, _ := json.Marshal(map[string]string{"error": msg})
-	writeBody(w, status, append(b, '\n'), "")
+	return append(b, '\n')
+}
+
+func writeError(w http.ResponseWriter, status int, msg string) {
+	writeBody(w, status, errorBody(msg), nil)
 }

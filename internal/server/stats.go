@@ -1,211 +1,12 @@
 package server
 
-import (
-	"sync"
-	"time"
-)
+import "time"
 
-// stats aggregates serving counters for GET /v1/stats. A single mutex is
-// plenty: counter updates are nanoseconds next to an advisor solve.
-type stats struct {
-	mu         sync.Mutex
-	start      time.Time
-	requests   int64
-	byEndpoint map[string]int64
-	byScenario map[string]int64
-	hits       int64
-	misses     int64
-	errors     int64
-	// coalesced counts requests that neither hit the response cache nor
-	// ran their own solve: they joined another request's in-flight solve
-	// for the same canonical key (the stampede path).
-	coalesced int64
-	// solves counts solves actually executed — the number the
-	// singleflight regression test pins: under a K-way stampede of one
-	// key it must advance by exactly 1.
-	solves int64
-	// shed/degraded/stale/panics are the overload-path outcomes: requests
-	// refused by admission control, responses returned at the solve
-	// deadline with the best incumbent, shed requests served an evicted
-	// cache entry, and solver panics contained to 500s.
-	shed     int64
-	degraded int64
-	stale    int64
-	panics   int64
-	// hitsByEndpoint/missesByEndpoint split the memoization outcome per
-	// endpoint — once solver choice (and its seed) multiplies the key
-	// space, the aggregate alone can no longer tell which endpoint's
-	// cache is earning its memory.
-	hitsByEndpoint      map[string]int64
-	missesByEndpoint    map[string]int64
-	coalescedByEndpoint map[string]int64
-	// byTenant counts requests per account namespace, capped at
-	// maxTenantSeries distinct accounts (beyond that, "other") so a
-	// tenant-ID flood cannot balloon the stats map.
-	byTenant map[string]int64
-}
-
-// maxTenantSeries bounds the distinct accounts tracked individually in
-// stats and /metrics.
-const maxTenantSeries = 256
-
-func newStats(now time.Time) *stats {
-	return &stats{
-		start:               now,
-		byEndpoint:          make(map[string]int64),
-		byScenario:          make(map[string]int64),
-		hitsByEndpoint:      make(map[string]int64),
-		missesByEndpoint:    make(map[string]int64),
-		coalescedByEndpoint: make(map[string]int64),
-		byTenant:            make(map[string]int64),
-	}
-}
-
-// tenantRequest counts one request in an account namespace.
-func (s *stats) tenantRequest(account string) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if _, ok := s.byTenant[account]; !ok && len(s.byTenant) >= maxTenantSeries {
-		account = "other"
-	}
-	s.byTenant[account]++
-}
-
-func (s *stats) request(endpoint string) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.requests++
-	s.byEndpoint[endpoint]++
-}
-
-func (s *stats) advise(endpoint, scenario string, hit bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.byScenario[scenario]++
-	if hit {
-		s.hits++
-		s.hitsByEndpoint[endpoint]++
-	} else {
-		s.misses++
-		s.missesByEndpoint[endpoint]++
-	}
-}
-
-// coalesce records a request that joined another request's in-flight
-// solve instead of hitting the cache or solving itself.
-func (s *stats) coalesce(endpoint, scenario string) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.byScenario[scenario]++
-	s.coalesced++
-	s.coalescedByEndpoint[endpoint]++
-}
-
-// solve records one actually-executed solve.
-func (s *stats) solve() {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.solves++
-}
-
-// solveCount reads the executed-solve counter (test hook and /v1/stats).
-func (s *stats) solveCount() int64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.solves
-}
-
-// shedReq records a request refused by admission control.
-func (s *stats) shedReq() {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.shed++
-}
-
-// degrade records a response served degraded at the solve deadline.
-func (s *stats) degrade() {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.degraded++
-}
-
-// staleServe records a shed request served a stale evicted cache entry.
-func (s *stats) staleServe() {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.stale++
-}
-
-// panicked records a solver panic contained to a 500.
-func (s *stats) panicked() {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.panics++
-}
-
-func (s *stats) shedCount() int64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.shed
-}
-
-func (s *stats) degradedCount() int64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.degraded
-}
-
-func (s *stats) staleCount() int64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.stale
-}
-
-func (s *stats) panicCount() int64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.panics
-}
-
-func (s *stats) failure() {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.errors++
-}
-
-// The accessors below feed the /metrics CounterFunc re-exports: each
-// reads one counter under the mutex at exposition time, so dashboards
-// scrape the same numbers /v1/stats reports.
-
-func (s *stats) endpointRequests(endpoint string) int64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.byEndpoint[endpoint]
-}
-
-func (s *stats) endpointHits(endpoint string) int64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.hitsByEndpoint[endpoint]
-}
-
-func (s *stats) endpointMisses(endpoint string) int64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.missesByEndpoint[endpoint]
-}
-
-func (s *stats) endpointCoalesced(endpoint string) int64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.coalescedByEndpoint[endpoint]
-}
-
-func (s *stats) errorCount() int64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.errors
-}
+// GET /v1/stats is a view, not a store: every number in it is read, at
+// request time, from the obs instruments the request path adds to (or,
+// for occupancy, from the caches themselves), so it cannot disagree with
+// /metrics. TestStatsMatchesMetrics holds each field to the sample it is
+// read from.
 
 // statsJSON is the wire form of the counters.
 type statsJSON struct {
@@ -265,68 +66,64 @@ type cacheStatsJSON struct {
 	Bytes    int64 `json:"bytes"`
 }
 
-func (s *stats) snapshot(now time.Time, cacheLen, cacheCap int, resp, raw map[string]NamespaceStat) statsJSON {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	byEndpoint := make(map[string]int64, len(s.byEndpoint))
-	for k, v := range s.byEndpoint {
-		byEndpoint[k] = v
+// statsSnapshot renders the counters. A map key appears once its count
+// is non-zero, as when the maps were the store.
+func (s *Server) statsSnapshot(now time.Time) statsJSON {
+	snap := statsJSON{
+		UptimeSeconds: now.Sub(s.start).Seconds(),
+		ByEndpoint:    make(map[string]int64),
+		Advise:        adviseStatsJSON{Solves: s.m.solves.Value(), ByScenario: make(map[string]int64)},
+		Cache: cacheStatsJSON{Entries: s.cache.Len(), Capacity: s.cache.Cap(),
+			Bytes: s.cache.Bytes() + s.rawKeys.Bytes()},
+		Caches:  make(map[string]endpointCacheJSON),
+		Tenants: s.tenants.counts(),
 	}
-	byScenario := make(map[string]int64, len(s.byScenario))
-	for k, v := range s.byScenario {
-		byScenario[k] = v
-	}
-	caches := make(map[string]endpointCacheJSON)
-	for ns, st := range resp {
-		c := caches[ns]
-		c.Entries, c.Bytes = st.Entries, st.Bytes
-		caches[ns] = c
-	}
-	for ns, st := range raw {
-		c := caches[ns]
-		c.RawEntries, c.RawBytes = st.Entries, st.Bytes
-		caches[ns] = c
-	}
-	for ns, n := range s.hitsByEndpoint {
-		c := caches[ns]
-		c.Hits = n
-		caches[ns] = c
-	}
-	for ns, n := range s.missesByEndpoint {
-		c := caches[ns]
-		c.Misses = n
-		caches[ns] = c
-	}
-	for ns, n := range s.coalescedByEndpoint {
-		c := caches[ns]
-		c.Coalesced = n
-		caches[ns] = c
-	}
-	var tenants map[string]int64
-	if len(s.byTenant) > 0 {
-		tenants = make(map[string]int64, len(s.byTenant))
-		for k, v := range s.byTenant {
-			tenants[k] = v
+	for _, rc := range s.m.received {
+		if n := rc.n.Value(); n > 0 {
+			snap.ByEndpoint[rc.name] = n
+			snap.Requests += n
 		}
 	}
-	return statsJSON{
-		UptimeSeconds: now.Sub(s.start).Seconds(),
-		Requests:      s.requests,
-		ByEndpoint:    byEndpoint,
-		Advise: adviseStatsJSON{
-			CacheHits:   s.hits,
-			CacheMisses: s.misses,
-			Coalesced:   s.coalesced,
-			Solves:      s.solves,
-			Errors:      s.errors,
-			Shed:        s.shed,
-			Degraded:    s.degraded,
-			Stale:       s.stale,
-			Panics:      s.panics,
-			ByScenario:  byScenario,
-		},
-		Cache:   cacheStatsJSON{Entries: cacheLen, Capacity: cacheCap},
-		Caches:  caches,
-		Tenants: tenants,
+	for i, c := range s.m.scenarios {
+		if n := c.Value(); n > 0 {
+			snap.Advise.ByScenario[knownLabels[i]] = n
+		}
 	}
+	for ns, st := range s.cache.NamespaceStats() {
+		c := snap.Caches[ns]
+		c.Entries, c.Bytes = st.Entries, st.Bytes
+		snap.Caches[ns] = c
+	}
+	for ns, st := range s.rawKeys.NamespaceStats() {
+		c := snap.Caches[ns]
+		c.RawEntries, c.RawBytes = st.Entries, st.Bytes
+		snap.Caches[ns] = c
+	}
+	a := &snap.Advise
+	for _, e := range s.endpoints {
+		var n [numOutcomes]int64
+		for o := range n {
+			n[o] = e.requests[o].Value()
+		}
+		// A leader's answer is a miss whether or not the deadline degraded
+		// it, and a contained panic is also an error.
+		hits, misses, coalesced := n[outcomeHit], n[outcomeSolve]+n[outcomeDegraded], n[outcomeCoalesced]
+		if hits+misses+coalesced > 0 {
+			c := snap.Caches[e.name]
+			c.Hits, c.Misses, c.Coalesced = hits, misses, coalesced
+			snap.Caches[e.name] = c
+		}
+		a.CacheHits += hits
+		a.CacheMisses += misses
+		a.Coalesced += coalesced
+		a.Errors += n[outcomeError] + n[outcomePanic]
+		a.Shed += n[outcomeShed]
+		a.Degraded += n[outcomeDegraded]
+		a.Stale += n[outcomeStale]
+		a.Panics += n[outcomePanic]
+	}
+	if s.cluster != nil {
+		snap.Cluster = s.cluster.statsJSON()
+	}
+	return snap
 }

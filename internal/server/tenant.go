@@ -58,8 +58,12 @@ func validAccount(a string) bool {
 	return true
 }
 
+// maxTenantSeries bounds the distinct accounts counted individually.
+const maxTenantSeries = 256
+
 // tenantMetrics lazily registers one request counter per account on
-// the server registry (mvcloud_tenant_requests_total{account=...}).
+// the server registry (mvcloud_tenant_requests_total{account=...}); the
+// counters are also what /v1/stats reads its tenants section from.
 // Registration is guarded — the obs registry panics on duplicate
 // series — and bounded at maxTenantSeries accounts, beyond which
 // requests count against the "other" series, so a tenant-ID flood
@@ -76,13 +80,18 @@ func (t *tenantMetrics) init(reg *obs.Registry) {
 	t.counters = make(map[string]*obs.Counter)
 }
 
-// record counts one request for account. The steady-state path for a
-// known account is a read-locked map probe plus an atomic add.
+// record counts one request for account. The steady-state path — a
+// known account, or any account once the table is full — is a
+// read-locked map probe plus an atomic add: a flood of new account IDs
+// past the bound must not serialize on the write lock.
 //
 //mvlint:hotpath
 func (t *tenantMetrics) record(account string) {
 	t.mu.RLock()
 	c := t.counters[account]
+	if c == nil && len(t.counters) >= maxTenantSeries {
+		c = t.counters["other"]
+	}
 	t.mu.RUnlock()
 	if c == nil {
 		c = t.register(account)
@@ -90,26 +99,34 @@ func (t *tenantMetrics) record(account string) {
 	c.Inc()
 }
 
+// register adds account's series, or the shared "other" series once
+// maxTenantSeries accounts have their own.
 func (t *tenantMetrics) register(account string) *obs.Counter {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	if c := t.counters[account]; c != nil {
-		return c
+	if t.counters[account] == nil && len(t.counters) >= maxTenantSeries {
+		account = "other"
 	}
-	series := account
-	if len(t.counters) >= maxTenantSeries {
-		series = "other"
-	}
-	c := t.counters[series]
+	c := t.counters[account]
 	if c == nil {
 		c = t.reg.Counter("mvcloud_tenant_requests_total",
-			"Requests received per account namespace.", "account", series)
-		t.counters[series] = c
-	}
-	if series != account && len(t.counters) < maxTenantSeries {
-		// Alias the overflowed account to the shared series so its next
-		// request takes the fast path.
+			"Requests received per account namespace.", "account", account)
 		t.counters[account] = c
 	}
 	return c
+}
+
+// counts is the /v1/stats tenants section: requests per account, nil
+// before the first tenant-scoped request.
+func (t *tenantMetrics) counts() map[string]int64 {
+	t.mu.RLock()
+	defer t.mu.RUnlock()
+	if len(t.counters) == 0 {
+		return nil
+	}
+	out := make(map[string]int64, len(t.counters))
+	for account, c := range t.counters {
+		out[account] = c.Value()
+	}
+	return out
 }

@@ -7,6 +7,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"vmcloud/internal/obs"
 )
 
 // doAccount is do with an X-Account header.
@@ -123,8 +125,9 @@ func TestTenantStatsAndMetrics(t *testing.T) {
 }
 
 // TestTenantSeriesBounded: a flood of distinct account IDs cannot
-// balloon the stats map or the metric exposition — past
-// maxTenantSeries, new accounts land in "other".
+// balloon the counter table or the metric exposition — past
+// maxTenantSeries, new accounts land in "other" — and /v1/stats and
+// /metrics, being two views of that one table, agree on it.
 func TestTenantSeriesBounded(t *testing.T) {
 	s := testServer()
 	// Invalid JSON bodies keep this fast: the tenant is counted during
@@ -136,16 +139,52 @@ func TestTenantSeriesBounded(t *testing.T) {
 	if !strings.Contains(w.Body.String(), `"other":10`) {
 		t.Errorf(`/v1/stats overflow bucket: want "other":10 in %s`, w.Body.String())
 	}
-	s.stats.mu.Lock()
-	n := len(s.stats.byTenant)
-	s.stats.mu.Unlock()
+	s.tenants.mu.RLock()
+	n := len(s.tenants.counters)
+	s.tenants.mu.RUnlock()
 	if n > maxTenantSeries+1 {
-		t.Errorf("byTenant grew to %d series, cap is %d + other", n, maxTenantSeries)
+		t.Errorf("tenant table grew to %d series, cap is %d + other", n, maxTenantSeries)
 	}
 	samples := scrape(t, s)
 	if v, _ := findSample(samples, "mvcloud_tenant_requests_total",
 		map[string]string{"account": "other"}); v != 10 {
 		t.Errorf(`tenant_requests_total{account="other"} = %g, want 10`, v)
+	}
+	// An overflowed account repeats without growing the table, and an
+	// account with its own series keeps it.
+	doAccount(t, s, "POST", "/v1/advise", fmt.Sprintf("acct-%d", maxTenantSeries+3), "{nope")
+	doAccount(t, s, "POST", "/v1/advise", "acct-7", "{nope")
+	if got := s.tenants.counts(); len(got) != n || got["other"] != 11 || got["acct-7"] != 2 {
+		t.Errorf(`after two repeats: %d series, other = %d, acct-7 = %d; want %d, 11, 2`, len(got), got["other"], got["acct-7"], n)
+	}
+}
+
+// TestTenantOverflowTakesReadLock pins the fix of a dead alias branch:
+// once the table is full, a request from an account without a series
+// must resolve to "other" under the read lock — the write lock is for
+// registration only, or a tenant-ID flood serializes on it. The test
+// holds a read lock, which a writer would wait behind.
+func TestTenantOverflowTakesReadLock(t *testing.T) {
+	var tm tenantMetrics
+	tm.init(obs.NewRegistry())
+	for i := 0; i <= maxTenantSeries; i++ {
+		tm.record(fmt.Sprintf("acct-%d", i))
+	}
+	tm.mu.RLock()
+	defer tm.mu.RUnlock()
+	done := make(chan struct{})
+	go func() {
+		tm.record("a-newcomer")
+		tm.record(fmt.Sprintf("acct-%d", maxTenantSeries))
+		close(done)
+	}()
+	select {
+	case <-done:
+	case <-time.After(5 * time.Second):
+		t.Fatal("an overflowed account's request is waiting for the tenant table's write lock")
+	}
+	if got := tm.counters["other"].Value(); got != 3 {
+		t.Errorf("other = %d, want 3", got)
 	}
 }
 
