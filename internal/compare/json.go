@@ -227,7 +227,8 @@ func normalizeGrid(cj *core.ConfigJSON, providers *[]string, instanceTypes *[]st
 func resolveGrid(names []string, cj core.ConfigJSON) ([]pricing.Provider, workload.Workload, views.MaintenancePolicy, time.Duration, error) {
 	var provs []pricing.Provider
 	for _, name := range names {
-		p, err := pricing.Lookup(name)
+		// normalize deep-copies every provider it keeps.
+		p, err := pricing.LookupShared(name)
 		if err != nil {
 			return nil, workload.Workload{}, 0, 0, err
 		}

@@ -137,7 +137,7 @@ type Advisor struct {
 	// pricing-invariant structure re-priced for this advisor's tariff.
 	sess *optimizer.KernelSession
 	// names is the Shared candidate-name cache (see Shared.names).
-	names map[int]string
+	names []string
 	// ctx optionally bounds search solves (see Config.Ctx); nil-safe.
 	ctx context.Context
 }
@@ -145,10 +145,8 @@ type Advisor struct {
 // viewName renders a selected cuboid's name, via the shared cache when
 // the point is a known candidate.
 func (a *Advisor) viewName(p lattice.Point) string {
-	if id, err := a.Lat.ID(p); err == nil {
-		if s, ok := a.names[id]; ok {
-			return s
-		}
+	if id, err := a.Lat.ID(p); err == nil && a.names[id] != "" {
+		return a.names[id]
 	}
 	return a.Lat.Name(p)
 }
@@ -181,10 +179,11 @@ type Shared struct {
 	policy      views.MaintenancePolicy
 	jobOverhead time.Duration
 	// names caches the rendered cuboid name of every candidate by
-	// lattice id — selections only ever contain candidate points, and
-	// every tariff cell of a fan-out would otherwise re-join the same
-	// level strings per recommendation.
-	names map[int]string
+	// lattice id ("" for the rest) — selections only ever contain
+	// candidate points, and every tariff cell of a fan-out would
+	// otherwise re-join the same level strings per recommendation. On the
+	// default schema it is workload.SalesNames itself.
+	names []string
 	// trace is the optional per-phase span recorder; nil-safe, shared by
 	// every advisor stamped from this structure (its phase slots are
 	// atomic, so compare's parallel per-cell binds accumulate safely).
@@ -204,9 +203,6 @@ func NewShared(cfg Config) (*Shared, error) {
 	solver, err := CanonSolver(cfg.Solver)
 	if err != nil {
 		return nil, err
-	}
-	if cfg.Schema == nil {
-		cfg.Schema = schema.Sales()
 	}
 	if cfg.FactRows == 0 {
 		cfg.FactRows = 200_000_000
@@ -229,7 +225,17 @@ func NewShared(cfg Config) (*Shared, error) {
 
 	tr := cfg.Trace
 	t0 := tr.StartTimer()
-	l, err := lattice.New(cfg.Schema, cfg.FactRows)
+	// The default schema is the sales star schema, whose lattice shape,
+	// answerability index and cuboid names do not depend on the request:
+	// only the node statistics are derived per fact-row count.
+	var l *lattice.Lattice
+	var names []string
+	if cfg.Schema == nil {
+		l, err = workload.SalesLattice(cfg.FactRows)
+		names = workload.SalesNames()
+	} else {
+		l, err = lattice.New(cfg.Schema, cfg.FactRows)
+	}
 	if err != nil {
 		return nil, err
 	}
@@ -237,10 +243,6 @@ func NewShared(cfg Config) (*Shared, error) {
 		return nil, err
 	}
 	egress, err := cfg.Workload.ResultBytes(l)
-	if err != nil {
-		return nil, err
-	}
-	baseNode, err := l.Node(l.Base())
 	if err != nil {
 		return nil, err
 	}
@@ -263,10 +265,12 @@ func NewShared(cfg Config) (*Shared, error) {
 			solver = SolverSearch
 		}
 	}
-	names := make(map[int]string, len(cands))
-	for _, c := range cands {
-		if id, err := l.ID(c.Point); err == nil {
-			names[id] = l.Name(c.Point)
+	if names == nil {
+		names = make([]string, l.NumNodes())
+		for _, c := range cands {
+			if id, err := l.ID(c.Point); err == nil {
+				names[id] = l.Name(c.Point)
+			}
 		}
 	}
 	return &Shared{
@@ -277,7 +281,7 @@ func NewShared(cfg Config) (*Shared, error) {
 		Solver:      solver,
 		Seed:        cfg.Seed,
 		months:      cfg.Months,
-		datasetSize: baseNode.Size,
+		datasetSize: l.NodeByID(0).Size,
 		egress:      egress,
 		maintRuns:   cfg.MaintenanceRuns,
 		updateRatio: cfg.UpdateRatio,
@@ -349,9 +353,11 @@ func New(cfg Config) (*Advisor, error) {
 	if err != nil {
 		return nil, err
 	}
-	prov := pricing.AWS2012()
+	var prov pricing.Provider
 	if cfg.Provider != nil {
 		prov = *cfg.Provider
+	} else {
+		prov = pricing.AWS2012()
 	}
 	if cfg.Granularity != nil {
 		prov.Compute.Granularity = *cfg.Granularity

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -225,5 +226,77 @@ func TestAdvisorConcurrentSolves(t *testing.T) {
 		if err := <-errs; err != nil {
 			t.Error(err)
 		}
+	}
+}
+
+// TestDefaultSchemaMatchesExplicitSales: the default schema's lattice is
+// resized from the shared sales tables and its cuboid names are theirs;
+// spelling the schema out builds both from scratch. The two advisors
+// must be the same advisor — lattice statistics, candidate pool and the
+// rendered recommendation of every scenario.
+func TestDefaultSchemaMatchesExplicitSales(t *testing.T) {
+	for _, rows := range []int64{10_000, 200_000_000, 90_000_000_000} {
+		w, err := workload.SalesPrefix(10)
+		if err != nil {
+			t.Fatal(err)
+		}
+		implicit, err := New(Config{Workload: w, FactRows: rows})
+		if err != nil {
+			t.Fatal(err)
+		}
+		explicit, err := New(Config{Workload: w, FactRows: rows, Schema: schema.Sales()})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(implicit.Lat.Nodes(), explicit.Lat.Nodes()) {
+			t.Fatalf("rows %d: lattice nodes differ", rows)
+		}
+		if !reflect.DeepEqual(implicit.Candidates, explicit.Candidates) {
+			t.Fatalf("rows %d: candidate pools differ", rows)
+		}
+		a, err := implicit.AdviseBudget(money.FromDollars(25))
+		if err != nil {
+			t.Fatal(err)
+		}
+		b, err := explicit.AdviseBudget(money.FromDollars(25))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if a.Render() != b.Render() {
+			t.Fatalf("rows %d: recommendations differ\n%s\n%s", rows, a.Render(), b.Render())
+		}
+	}
+}
+
+// TestSharedAllocBudget gates the per-request structure build and the
+// per-cell tariff binding in counts, on the paper's problem as the wire
+// states it (default schema): NewShared is the lattice's node statistics,
+// the candidate pool and the slab kernel; Advisor is the cluster, the
+// estimator, the evaluator, the advisor and the session's six slabs.
+// They cost 94 and 15 before the structure was built in slabs.
+func TestSharedAllocBudget(t *testing.T) {
+	w, err := workload.SalesPrefix(10)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := Config{Workload: w}
+	var sh *Shared
+	if allocs := testing.AllocsPerRun(50, func() {
+		if sh, err = NewShared(cfg); err != nil {
+			t.Fatal(err)
+		}
+	}); allocs > 16 { // 15
+		t.Errorf("NewShared allocates %.0f times, budget 16", allocs)
+	}
+	prov, err := pricing.LookupShared(pricing.AWS2012Name)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if allocs := testing.AllocsPerRun(50, func() {
+		if _, err := sh.Advisor(prov, "small", 5); err != nil {
+			t.Fatal(err)
+		}
+	}); allocs > 11 { // 10
+		t.Errorf("Shared.Advisor allocates %.0f times, budget 11", allocs)
 	}
 }

@@ -222,7 +222,8 @@ func (cj ConfigJSON) Config() (Config, error) {
 // Resolve resolves an already-normalized wire config into a Config
 // without re-running Normalize — the hot path for servers that
 // canonicalized the request earlier. Callers holding arbitrary input
-// should use Config instead.
+// should use Config instead. A tariff named by Provider is the catalog's
+// own (pricing.LookupShared): Config.Provider is to be read, not edited.
 func (cj ConfigJSON) Resolve() (Config, error) {
 	cfg := Config{
 		InstanceType:    cj.InstanceType,
@@ -242,7 +243,7 @@ func (cj ConfigJSON) Resolve() (Config, error) {
 		}
 		cfg.Provider = &p
 	} else {
-		p, err := pricing.Lookup(cj.Provider)
+		p, err := pricing.LookupShared(cj.Provider)
 		if err != nil {
 			return Config{}, err
 		}

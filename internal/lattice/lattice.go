@@ -11,6 +11,7 @@ package lattice
 import (
 	"fmt"
 	"math"
+	"slices"
 	"strings"
 
 	"vmcloud/internal/schema"
@@ -108,32 +109,48 @@ func New(s *schema.Schema, factRows int64) (*Lattice, error) {
 	// coordinates so an append on one point cannot reach the next.
 	dims := len(s.Dimensions)
 	points := make([]int, total*dims)
-	base := true
 	for id := 0; id < total; id++ {
 		pt := Point(points[id*dims : (id+1)*dims : (id+1)*dims])
 		l.decode(id, pt)
-		keys := int64(1)
-		for i, lv := range pt {
-			keys = mulCap(keys, int64(s.Dimensions[i].Levels[lv].Cardinality))
-		}
-		groups := cardenas(keys, factRows)
-		rows := groups
-		// The base cuboid is the fact table itself, stored un-aggregated:
-		// scanning it touches every fact row, not just distinct keys.
-		if base {
-			rows = factRows
-			base = false
-		}
-		l.nodes[id] = Node{
-			Point:      pt,
-			Rows:       rows,
-			Size:       s.RowBytes.MulInt(rows),
-			Groups:     groups,
-			ResultSize: s.RowBytes.MulInt(groups),
-		}
+		l.nodes[id].Point = pt
 	}
+	l.sizeNodes()
 	l.buildIndex()
 	return l, nil
+}
+
+// WithFactRows returns the lattice of l's schema at another fact-row
+// count. Only a node's statistics depend on that count: the points, the
+// radices and the answerability index are shared with l, which both
+// lattices only ever read.
+func (l *Lattice) WithFactRows(factRows int64) (*Lattice, error) {
+	if factRows <= 0 {
+		return nil, fmt.Errorf("lattice: non-positive fact rows %d", factRows)
+	}
+	r := &Lattice{Schema: l.Schema, FactRows: factRows, nodes: slices.Clone(l.nodes), radices: l.radices, desc: l.desc, anc: l.anc}
+	r.sizeNodes()
+	return r, nil
+}
+
+// sizeNodes fills every node's statistics from its point and FactRows.
+func (l *Lattice) sizeNodes() {
+	s := l.Schema
+	for id := range l.nodes {
+		n := &l.nodes[id]
+		keys := int64(1)
+		for i, lv := range n.Point {
+			keys = mulCap(keys, int64(s.Dimensions[i].Levels[lv].Cardinality))
+		}
+		n.Groups = cardenas(keys, l.FactRows)
+		n.Rows = n.Groups
+		// The base cuboid is the fact table itself, stored un-aggregated:
+		// scanning it touches every fact row, not just distinct keys.
+		if id == 0 {
+			n.Rows = l.FactRows
+		}
+		n.Size = s.RowBytes.MulInt(n.Rows)
+		n.ResultSize = s.RowBytes.MulInt(n.Groups)
+	}
 }
 
 func mulCap(a, b int64) int64 {

@@ -1,6 +1,7 @@
 package lattice
 
 import (
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -276,5 +277,36 @@ func TestSizeScalesWithRows(t *testing.T) {
 		if n.Size != l.Schema.RowBytes.MulInt(n.Rows) {
 			t.Errorf("node %v size %v != rows %d × rowbytes", l.Name(n.Point), n.Size, n.Rows)
 		}
+	}
+}
+
+// TestWithFactRowsMatchesNew: a resized lattice is New's at that row
+// count — every node's statistics and every answerability answer — and
+// leaves the lattice it came from as it was.
+func TestWithFactRowsMatchesNew(t *testing.T) {
+	proto := mustLattice(t, 1)
+	before := append([]Node(nil), proto.Nodes()...)
+	for _, rows := range []int64{1, 9_999, 200_000_000, 100_000_000_000} {
+		got, err := proto.WithFactRows(rows)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := mustLattice(t, rows)
+		if got.FactRows != rows || !reflect.DeepEqual(got.Nodes(), want.Nodes()) {
+			t.Fatalf("rows %d: nodes differ from New's\n got %+v\nwant %+v", rows, got.Nodes(), want.Nodes())
+		}
+		for v := 0; v < got.NumNodes(); v++ {
+			for q := 0; q < got.NumNodes(); q++ {
+				if got.CanAnswerID(v, q) != want.CanAnswerID(v, q) {
+					t.Fatalf("rows %d: CanAnswerID(%d,%d) differs from New's", rows, v, q)
+				}
+			}
+		}
+	}
+	if !reflect.DeepEqual(proto.Nodes(), before) {
+		t.Error("WithFactRows changed the lattice it was called on")
+	}
+	if _, err := proto.WithFactRows(0); err == nil {
+		t.Error("zero fact rows accepted")
 	}
 }

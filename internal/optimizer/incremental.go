@@ -94,26 +94,45 @@ func NewIncrementalEvaluator(ev *Evaluator, cands []views.Candidate) (*Increment
 // pinned structure plus this evaluator's time scalars. The evaluator
 // must be wired over the kernel's lattice.
 func (k *ComparisonKernel) Bind(ev *Evaluator) (*IncrementalEvaluator, error) {
+	inc := new(IncrementalEvaluator)
+	if _, _, err := k.bindInto(inc, ev, 0, 0); err != nil {
+		return nil, err
+	}
+	return inc, nil
+}
+
+// bindInto is Bind into an engine the caller allocated. A binding is
+// per cell of a comparison fan-out, so its allocation count is part of
+// the per-tariff cost: every duration, int64 and int32 array comes from
+// one slab of its type, and a caller with arrays of its own to place
+// (RepriceFor's solver scratch) asks for spare64 and spare32 more
+// elements of the last two and gets them back.
+func (k *ComparisonKernel) bindInto(inc *IncrementalEvaluator, ev *Evaluator, spare64, spare32 int) ([]int64, []int32, error) {
 	if ev == nil || ev.Est == nil || ev.Est.Lat == nil {
-		return nil, fmt.Errorf("optimizer: incremental evaluator needs a wired evaluator")
+		return nil, nil, fmt.Errorf("optimizer: incremental evaluator needs a wired evaluator")
 	}
 	if ev.Est.Lat != k.Lat {
-		return nil, fmt.Errorf("optimizer: evaluator lattice differs from the kernel's")
+		return nil, nil, fmt.Errorf("optimizer: evaluator lattice differs from the kernel's")
 	}
 	obs.KernelRebinds.Inc()
-	inc := &IncrementalEvaluator{
+	groups := len(k.groupMembers)
+	// curTerm, then bindScalars' arena.
+	durations := make([]time.Duration, k.nq+4*k.n+k.nq+len(k.ansCand))
+	int64s := make([]int64, groups+spare64)
+	int32s := make([]int32, k.nq+spare32)
+	*inc = IncrementalEvaluator{
 		ev:             ev,
 		k:              k,
-		sessionScalars: k.bindScalars(ev),
+		sessionScalars: k.bindScalars(ev, durations[k.nq:]),
 		selected:       make([]bool, k.n),
 		words:          make([]uint64, (k.n+63)/64),
-		assigned:       make([]int32, k.nq),
-		curTerm:        make([]time.Duration, k.nq),
-		served:         make([]int64, len(k.groupMembers)),
+		assigned:       int32s[:k.nq:k.nq],
+		curTerm:        durations[:k.nq:k.nq],
+		served:         int64s[:groups:groups],
 	}
 	inc.transfer = costmodel.TransferCost(ev.Base.Cluster.Provider, ev.Base.MonthlyEgress).MulFloat(ev.Base.Months)
 	inc.resetEmpty()
-	return inc, nil
+	return int64s[groups:], int32s[k.nq:], nil
 }
 
 // Evaluator returns the exact evaluator this engine is bound to.

@@ -1,8 +1,9 @@
 package optimizer
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 	"time"
 
 	"vmcloud/internal/lattice"
@@ -67,27 +68,45 @@ type ComparisonKernel struct {
 
 // NewComparisonKernel pins the structure of an advisory problem. The
 // candidate points and query points are validated against the lattice.
+//
+// The structure is built in slabs, not grown: a counting pass sizes the
+// answering lists, and every array is then cut from one allocation per
+// element type. The build is on every cache miss the daemon serves, and
+// an append chain per candidate, per group and per query was a third of
+// that miss's allocations.
 func NewComparisonKernel(l *lattice.Lattice, w workload.Workload, cands []views.Candidate) (*ComparisonKernel, error) {
 	if l == nil {
 		return nil, fmt.Errorf("optimizer: comparison kernel needs a lattice")
 	}
 	obs.KernelBuilds.Inc()
 	n, nq := len(cands), len(w.Queries)
+	ints := make([]int, 2*n)
+	int64s := make([]int64, n+nq)
 	k := &ComparisonKernel{
-		Lat:    l,
-		W:      w,
-		Cands:  cands,
-		n:      n,
-		nq:     nq,
-		ids:    make([]int, n),
-		rows:   make([]int64, n),
-		size:   make([]units.DataSize, n),
-		group:  make([]int, n),
-		qFreq:  make([]int64, nq),
-		qOff:   make([]int32, nq+1),
-		cand2q: make([][]int32, n),
+		Lat:   l,
+		W:     w,
+		Cands: cands,
+		n:     n,
+		nq:    nq,
+		ids:   ints[:n:n],
+		group: ints[n:],
+		rows:  int64s[:n:n],
+		size:  make([]units.DataSize, n),
+		qFreq: int64s[n:],
 	}
-	groupOf := make(map[int]int, n)
+	baseNode := l.NodeByID(0)
+	k.baseRows = baseNode.Rows
+	k.baseSize = baseNode.Size
+
+	// What the counting pass needs, from one slab: qOff, which stays, and
+	// four that do not — each query's lattice id; order, the candidates
+	// that can ever be assigned; each candidate's answerable-query count;
+	// and each group's first member, then its size.
+	pre := make([]int32, 2*nq+1+3*n)
+	k.qOff, pre = pre[:nq+1:nq+1], pre[nq+1:]
+	qids, pre := pre[:nq:nq], pre[nq:]
+	order, answers, perGroup := pre[:0:n], pre[n:2*n:2*n], pre[2*n:2*n]
+
 	for i, c := range cands {
 		id, err := l.ID(c.Point)
 		if err != nil {
@@ -97,52 +116,76 @@ func NewComparisonKernel(l *lattice.Lattice, w workload.Workload, cands []views.
 		node := l.NodeByID(id)
 		k.rows[i] = node.Rows
 		k.size[i] = node.Size
-		g, ok := groupOf[id]
-		if !ok {
-			g = len(groupOf)
-			groupOf[id] = g
-			k.groupMembers = append(k.groupMembers, nil)
+		// Duplicate points share a group, numbered by first appearance. A
+		// pool is a handful of candidates, nearly always distinct, so a
+		// scan of the groups' first members stands in for a map.
+		g := 0
+		for g < len(perGroup) && k.ids[perGroup[g]] != id {
+			g++
+		}
+		if g == len(perGroup) {
+			perGroup = append(perGroup, int32(i))
 		}
 		k.group[i] = g
-		k.groupMembers[g] = append(k.groupMembers[g], int32(i))
+		// Only candidates that strictly beat the base can ever be
+		// assigned (CheapestAnswering replaces on fewer rows only).
+		if node.Rows < baseNode.Rows {
+			order = append(order, int32(i))
+		}
 	}
+	// (rows, candidate index) — the Evaluator's exact cheapest-answering
+	// tie order — is a total order, so every query's answering list is a
+	// subsequence of this one and is never sorted on its own.
+	slices.SortFunc(order, func(a, b int32) int {
+		if c := cmp.Compare(k.rows[a], k.rows[b]); c != 0 {
+			return c
+		}
+		return cmp.Compare(a, b)
+	})
 
-	baseNode := l.NodeByID(0)
-	k.baseRows = baseNode.Rows
-	k.baseSize = baseNode.Size
-
-	// Build the answering lists query by query, sorted by the tie rule.
-	type ansRef struct {
-		cand int32
-		rows int64
-	}
-	var scratch []ansRef
 	for q, query := range w.Queries {
 		qid, err := l.ID(query.Point)
 		if err != nil {
 			return nil, fmt.Errorf("optimizer: query %d: %w", q, err)
 		}
+		qids[q] = int32(qid)
 		k.qFreq[q] = int64(query.Frequency)
-		scratch = scratch[:0]
-		for i := 0; i < n; i++ {
-			// Only candidates that strictly beat the base can ever be
-			// assigned (CheapestAnswering replaces on fewer rows only).
-			if k.rows[i] >= baseNode.Rows || !l.CanAnswerID(k.ids[i], qid) {
-				continue
+		k.qOff[q+1] = k.qOff[q]
+		for _, i := range order {
+			if l.CanAnswerID(k.ids[i], qid) {
+				k.qOff[q+1]++
+				answers[i]++
 			}
-			scratch = append(scratch, ansRef{cand: int32(i), rows: k.rows[i]})
-			k.cand2q[i] = append(k.cand2q[i], int32(q))
 		}
-		sort.SliceStable(scratch, func(a, b int) bool {
-			if scratch[a].rows != scratch[b].rows {
-				return scratch[a].rows < scratch[b].rows
+	}
+	clear(perGroup)
+	for _, g := range k.group {
+		perGroup[g]++
+	}
+
+	// The lists themselves, each cut empty at its final capacity so that
+	// the appends below fill it in place.
+	total := int(k.qOff[nq])
+	lists := make([]int32, 2*total+n)
+	heads := make([][]int32, n+len(perGroup))
+	k.ansCand, lists = lists[:0:total], lists[total:]
+	k.cand2q, k.groupMembers = heads[:n:n], heads[n:]
+	for i, c := range answers {
+		k.cand2q[i], lists = lists[:0:c], lists[c:]
+	}
+	for g, c := range perGroup {
+		k.groupMembers[g], lists = lists[:0:c], lists[c:]
+	}
+	for i, g := range k.group {
+		k.groupMembers[g] = append(k.groupMembers[g], int32(i))
+	}
+	for q, qid := range qids {
+		for _, i := range order {
+			if l.CanAnswerID(k.ids[i], int(qid)) {
+				k.ansCand = append(k.ansCand, i)
+				k.cand2q[i] = append(k.cand2q[i], int32(q))
 			}
-			return scratch[a].cand < scratch[b].cand
-		})
-		for _, e := range scratch {
-			k.ansCand = append(k.ansCand, e.cand)
 		}
-		k.qOff[q+1] = int32(len(k.ansCand))
 	}
 	return k, nil
 }
@@ -177,11 +220,8 @@ type sessionScalars struct {
 // estimator's per-point lattice lookups; the kernel equivalence property
 // tests pin them bit-equal to Estimator.MaintenanceTime /
 // MaterializationTime / QueryTime.
-func (k *ComparisonKernel) bindScalars(ev *Evaluator) sessionScalars {
-	// All duration scalars live in one arena allocation: a binding is
-	// per-cell in comparison fan-outs, so its allocation count is part of
-	// the per-tariff cost.
-	arena := make([]time.Duration, 4*k.n+k.nq+len(k.ansCand))
+func (k *ComparisonKernel) bindScalars(ev *Evaluator, arena []time.Duration) sessionScalars {
+	// arena holds 4·n + nq + len(ansCand) durations, one cut per array.
 	next := func(n int) []time.Duration {
 		out := arena[:n:n]
 		arena = arena[n:]

@@ -34,7 +34,9 @@ type KernelSession struct {
 	// Ev is the bound exact evaluator (cluster, plan template, tariff).
 	Ev *Evaluator
 
-	inc *IncrementalEvaluator
+	// inc is the session's delta-evaluation engine, held by value: one
+	// allocation carries the session and its engine.
+	inc IncrementalEvaluator
 
 	// Lazily cached per-session values.
 	items     []Item
@@ -78,25 +80,21 @@ func NewSession(ev *Evaluator, cands []views.Candidate) (*KernelSession, error) 
 // the kernel. This is the whole per-cell rebuild of a cross-tariff
 // comparison.
 func (k *ComparisonKernel) RepriceFor(ev *Evaluator) (*KernelSession, error) {
-	inc, err := k.Bind(ev)
+	s := &KernelSession{Kern: k, Ev: ev}
+	groups := len(k.groupMembers)
+	int64s, int32s, err := k.bindInto(&s.inc, ev, groups+k.nq, k.nq)
 	if err != nil {
 		return nil, err
 	}
-	return &KernelSession{
-		Kern:      k,
-		Ev:        ev,
-		inc:       inc,
-		servedBuf: make([]int64, len(k.groupMembers)),
-		bestCand:  make([]int32, k.nq),
-		bestRows:  make([]int64, k.nq),
-	}, nil
+	s.servedBuf, s.bestRows, s.bestCand = int64s[:groups:groups], int64s[groups:], int32s
+	return s, nil
 }
 
 // Engine returns the session's incremental delta-evaluation engine — the
 // structure-sharing hook the metaheuristic search solvers accept via
 // search.Options.Engine, so a search solve reuses the session's pinned
 // answering lists instead of rebuilding them.
-func (s *KernelSession) Engine() *IncrementalEvaluator { return s.inc }
+func (s *KernelSession) Engine() *IncrementalEvaluator { return &s.inc }
 
 // Base returns the exact no-view baseline — workload time and bill with
 // nothing materialized — computed once per session.

@@ -269,13 +269,27 @@ func ProviderNames() []string {
 	return append([]string(nil), loadBuiltins().names...)
 }
 
-// Lookup returns a deep copy of a built-in provider by name.
+// Lookup returns a deep copy of a built-in provider by name, the
+// caller's to edit.
 func Lookup(name string) (Provider, error) {
+	p, err := LookupShared(name)
+	if err != nil {
+		return Provider{}, err
+	}
+	return p.Clone(), nil
+}
+
+// LookupShared returns a built-in provider by name without copying it:
+// the value's instance map and tier slices are the catalog's own, so the
+// caller may read and price against it but must not write through them.
+// The serving path, which resolves a provider per request and only ever
+// reads it, uses this; anything that edits a tariff wants Lookup.
+func LookupShared(name string) (Provider, error) {
 	p, ok := loadBuiltins().providers[name]
 	if !ok {
 		return Provider{}, fmt.Errorf("pricing: unknown provider %q (have %v)", name, ProviderNames())
 	}
-	return p.Clone(), nil
+	return p, nil
 }
 
 // Exists reports whether a built-in provider of that name exists — the

@@ -1,6 +1,7 @@
 package pricing
 
 import (
+	"reflect"
 	"testing"
 	"time"
 
@@ -103,6 +104,29 @@ func TestLookup(t *testing.T) {
 		if names[i-1] >= names[i] {
 			t.Errorf("ProviderNames not sorted: %v", names)
 		}
+	}
+}
+
+// LookupShared is Lookup without the copy: the same tariff, for every
+// name, refused in the same words, and free of allocations — which is
+// what the serving path resolves a named provider with on every miss.
+func TestLookupSharedMatchesLookup(t *testing.T) {
+	for _, name := range ProviderNames() {
+		want, err := Lookup(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := LookupShared(name)
+		if err != nil || !reflect.DeepEqual(got, want) {
+			t.Errorf("LookupShared(%s) = %+v, %v; Lookup gives %+v", name, got, err, want)
+		}
+	}
+	_, err := Lookup("nonexistent")
+	if _, sharedErr := LookupShared("nonexistent"); sharedErr == nil || sharedErr.Error() != err.Error() {
+		t.Errorf("LookupShared(nonexistent) = %v, Lookup says %v", sharedErr, err)
+	}
+	if allocs := testing.AllocsPerRun(20, func() { LookupShared(AWS2012Name) }); allocs != 0 {
+		t.Errorf("LookupShared allocates %.0f times, want 0", allocs)
 	}
 }
 

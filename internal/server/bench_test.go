@@ -237,6 +237,21 @@ func BenchmarkCompareMiss2x2(b *testing.B) {
 	}
 }
 
+// BenchmarkSweepMiss2x2 is the same for TestMissAllocBudget's sweep-2x2
+// problem: one objective re-priced over four cells.
+func BenchmarkSweepMiss2x2(b *testing.B) {
+	s := New(Options{CacheSize: 1})
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		body := fmt.Appendf(nil, `{"budget":25,"providers":["aws-2012","cumulus"],"fleet_sizes":[3,5],"fact_rows":%d,"queries":10,"frequency":30}`, 50_000_000+i%100_000)
+		w := httptest.NewRecorder()
+		s.ServeHTTP(w, httptest.NewRequest("POST", "/v1/sweep", bytes.NewReader(body)))
+		if w.Code != 200 {
+			b.Fatalf("status %d: %s", w.Code, w.Body.String())
+		}
+	}
+}
+
 // The request half, on the repo benchmark's body shapes (bench/gen.go):
 // what a re-spelled hit and every miss pay before any solver runs.
 // BenchmarkCanon* is bytes to canonical key in-process (decode,

@@ -187,15 +187,12 @@ func (s *Server) CheckHealthNow() {
 	wg.Wait()
 }
 
-// runForward is the cluster-mode counterpart of runSolve: the solve
-// leader forwards the canonical request body to the ring-selected
-// worker (with failover) instead of solving locally, then fills the
-// frontend cache and publishes the outcome to the flight group. ctx is
-// the solve's deadline context, cancelled by the flight group when the
-// last waiter leaves.
-func (s *Server) runForward(ctx context.Context, e *endpoint, account, key, cacheKey string, call *flightCall) {
-	s.inflightSolves.Add(1)
-	defer s.inflightSolves.Add(-1)
+// runForward is the cluster-mode counterpart of runSolve: the leader
+// forwards the canonical request body to the ring-selected worker (with
+// failover) instead of solving locally, and fills the frontend cache.
+// ctx is the solve's deadline context, cancelled by the flight group
+// when the last waiter leaves.
+func (s *Server) runForward(ctx context.Context, e *endpoint, account, key, cacheKey string) outcome {
 	s.m.solves.Inc()
 	out := s.forward(ctx, e, account, key, cacheKey)
 	// The frontend memoizes exactly what a worker would: successful,
@@ -205,7 +202,7 @@ func (s *Server) runForward(ctx context.Context, e *endpoint, account, key, cach
 	if out.err == nil && !out.degraded && !out.shed && len(out.body) > 0 && !abandoned(ctx) {
 		s.cache.Put(cacheKey, out.body)
 	}
-	s.flight.finish(cacheKey, call, out)
+	return out
 }
 
 // forward walks the key's ring preference order: the owner first, then

@@ -17,7 +17,7 @@ import (
 // from many clients at once while a fault is injected, and the
 // assertions are about what clients saw (only 200s and 429s with
 // Retry-After, every response accounted for by its X-Cache outcome)
-// and what the servers kept (no solve goroutine after drain). They run
+// and what the servers kept (no solve live after drain). They run
 // in the plain and -race CI steps with no skip or env gate. Wall time
 // is not measured here — that is bench/'s job.
 
@@ -216,7 +216,7 @@ func TestCoalescingRaceE2E(t *testing.T) {
 // and no queue. The contract under test is the whole admission-control
 // story — heavy solves are shed with 429 (tallied as sheds, not
 // errors), the cheap advise class keeps serving 200s with a bounded
-// p95, and after the run drains not a single solve goroutine is left
+// p95, and after the run drains not a single solve is left
 // behind.
 func TestOverloadShedsHeavyKeepsAdviseE2E(t *testing.T) {
 	srv := New(Options{

@@ -129,22 +129,24 @@ func TestAdviseResponseAppendJSONMatchesReflection(t *testing.T) {
 // misses both caches — decode, canonicalize, solve, encode, cache fill
 // — on the named problems (every run a distinct fact_rows, so every run
 // a distinct canonical problem). Budgets sit within 5% of the measured
-// figures; the compare miss cost 3666 before the append-only encoder and
+// figures; the compare miss cost 3666 before the append-only encoder,
 // 515 before the request half lost its reflection and its two extra
-// lattices (advise 292, sweep 422).
+// lattices (advise 292, sweep 422), and 390 before the leader solved in
+// place and the problem structure was built in slabs (advise 173, sweep
+// 298).
 func TestMissAllocBudget(t *testing.T) {
 	for _, c := range []struct {
 		name, path string
 		body       func(n int) []byte
 		budget     float64
 	}{
-		{"load-compare-2x2", "/v1/compare", compareMiss2x2Body, 410}, // 390; 391 under -race
+		{"load-compare-2x2", "/v1/compare", compareMiss2x2Body, 287}, // 273
 		{"paper16-mv1", "/v1/advise", func(n int) []byte {
 			return fmt.Appendf(nil, `{"scenario":"mv1","budget":25,"queries":10,"frequency":30,"fact_rows":%d}`, 200_000_000+n)
-		}, 182}, // 173; 174 under -race
+		}, 75}, // 71
 		{"sweep-2x2", "/v1/sweep", func(n int) []byte {
 			return fmt.Appendf(nil, `{"budget":25,"providers":["aws-2012","cumulus"],"fleet_sizes":[3,5],"fact_rows":%d,"queries":10,"frequency":30}`, 50_000_000+n)
-		}, 313}, // 298; 300 under -race
+		}, 190}, // 181
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			s := New(Options{CacheSize: 1})

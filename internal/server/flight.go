@@ -9,8 +9,8 @@ import (
 // request is computing the response for a cache key, later arrivals for
 // the same key wait on the same in-flight call instead of launching
 // duplicate solves. A stampede of K identical requests therefore costs
-// exactly one lattice build + solve; the K-1 followers are billed only a
-// channel wait. The group holds no history — an entry lives exactly as
+// exactly one lattice build + solve, run by the leader on its own request
+// goroutine; the K-1 followers are billed only a channel wait. The group holds no history — an entry lives exactly as
 // long as its solve, so memory is bounded by in-flight distinct keys.
 //
 // The group also owns solve-lifetime bookkeeping: every waiter (leader
@@ -29,12 +29,13 @@ type flightGroup struct {
 type flightCall struct {
 	done chan struct{}
 	out  outcome
-	// waiters counts requests currently blocked on done; when it drops
-	// to zero before the solve finishes, nobody wants the result and the
-	// solve is cancelled.
+	// waiters counts the requests that still want the outcome — the
+	// leader while its client is there, and every follower blocked on
+	// done; when it drops to zero before the solve finishes, nobody
+	// wants the result and the solve is cancelled.
 	waiters int
 	// cancel stops the solve's context; set by the leader via setCancel
-	// once the solve goroutine's context exists.
+	// once that context exists.
 	cancel context.CancelFunc
 }
 
@@ -44,8 +45,9 @@ func newFlightGroup() *flightGroup {
 
 // join returns the in-flight call for key, creating it if absent.
 // leader is true for the caller that must actually run the solve and
-// eventually call finish. Every joiner — leader included — must
-// eventually either observe done or call leave.
+// eventually call finish. Every follower must eventually either observe
+// done or call leave; the leader leaves when its client goes away
+// (context.AfterFunc in Server.lead) and otherwise finishes.
 func (g *flightGroup) join(key string) (c *flightCall, leader bool) {
 	g.mu.Lock()
 	defer g.mu.Unlock()
@@ -59,8 +61,8 @@ func (g *flightGroup) join(key string) (c *flightCall, leader bool) {
 }
 
 // setCancel attaches the solve's cancel function to the call. If every
-// waiter already left while the leader was starting the solve, the
-// solve is cancelled on the spot.
+// waiter already left before the leader attached it, the solve is
+// cancelled on the spot.
 func (g *flightGroup) setCancel(c *flightCall, cancel context.CancelFunc) {
 	g.mu.Lock()
 	c.cancel = cancel

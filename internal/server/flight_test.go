@@ -319,7 +319,7 @@ func keysOf(m map[string]int) []string {
 // forward immediately, (b) let the frontend re-elect onto the ring
 // successor within the same request, (c) retire the flight key so
 // later requests are not stuck joining a dead call, and (d) leave zero
-// solve goroutines anywhere in the topology — including on the killed
+// live solves anywhere in the topology — including on the killed
 // worker, whose request context dies with it.
 func TestFlightLeaderDeathOnKilledWorker(t *testing.T) {
 	opts := LocalClusterOptions{
@@ -366,7 +366,7 @@ func TestFlightLeaderDeathOnKilledWorker(t *testing.T) {
 		t.Errorf("failovers = %d, want 1", got)
 	}
 
-	// Every solve goroutine — frontend leader, dead worker's cancelled
+	// Every solve — frontend leader, dead worker's cancelled
 	// solve, successor's solve — must drain.
 	drainCluster(t, lc, 10*time.Second)
 	if n := lc.Frontend.flight.len(); n != 0 {

@@ -27,7 +27,7 @@ func testCluster(t *testing.T, opts LocalClusterOptions) *LocalCluster {
 	return lc
 }
 
-// drainCluster waits for every solve goroutine across the whole
+// drainCluster waits for every live solve across the whole
 // topology — frontend and workers — to exit.
 func drainCluster(t *testing.T, lc *LocalCluster, within time.Duration) {
 	t.Helper()
@@ -36,7 +36,7 @@ func drainCluster(t *testing.T, lc *LocalCluster, within time.Duration) {
 		time.Sleep(time.Millisecond)
 	}
 	if n := lc.InflightSolves(); n != 0 {
-		t.Fatalf("%d solve goroutines still live across the cluster after %v", n, within)
+		t.Fatalf("%d solves still live across the cluster after %v", n, within)
 	}
 }
 

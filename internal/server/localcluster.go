@@ -90,7 +90,7 @@ func (lc *LocalCluster) ReviveWorker(id string)    { lc.Transport.Revive(id) }
 func (lc *LocalCluster) PartitionWorker(id string) { lc.Transport.Partition(id) }
 func (lc *LocalCluster) HealWorker(id string)      { lc.Transport.Heal(id) }
 
-// InflightSolves sums the live solve goroutines across the frontend
+// InflightSolves sums the live solves across the frontend
 // and every worker — the whole-topology leak detector: after traffic
 // drains it must return to zero even when workers were killed
 // mid-solve.

@@ -9,8 +9,8 @@ import (
 	"time"
 )
 
-// drainSolves polls until no solve goroutine is live, failing the test
-// if any survives the deadline — the detached-goroutine leak detector.
+// drainSolves polls until no solve is live, failing the test
+// if any survives the deadline — the leaked-solve detector.
 func drainSolves(t *testing.T, s *Server, within time.Duration) {
 	t.Helper()
 	deadline := time.Now().Add(within)
@@ -18,7 +18,7 @@ func drainSolves(t *testing.T, s *Server, within time.Duration) {
 		time.Sleep(time.Millisecond)
 	}
 	if n := s.InflightSolves(); n != 0 {
-		t.Fatalf("%d solve goroutines still live after %v", n, within)
+		t.Fatalf("%d solves still live after %v", n, within)
 	}
 }
 

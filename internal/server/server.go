@@ -209,8 +209,8 @@ type Server struct {
 	stale *lruCache
 	// chaos is the optional fault-injection harness (Options.Chaos).
 	chaos *ChaosConfig
-	// inflightSolves counts live solve goroutines — the leak-detection
-	// hook behind InflightSolves.
+	// inflightSolves counts live solves — the leak-detection hook behind
+	// InflightSolves.
 	inflightSolves atomic.Int64
 	// slowMu serializes slow-solve log lines.
 	slowMu sync.Mutex
@@ -295,10 +295,10 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	s.mux.ServeHTTP(w, r)
 }
 
-// InflightSolves reports the number of live solve goroutines (queued,
-// running, or finishing). After every request has drained it must
-// return to zero — the leak-detection hook for tests, replacing "count
-// goroutines and hope".
+// InflightSolves reports the number of live solves (queued, running, or
+// finishing), each on its leader's request goroutine. After every
+// request has drained it must return to zero — the leak-detection hook
+// for tests, replacing "count goroutines and hope".
 func (s *Server) InflightSolves() int64 { return s.inflightSolves.Load() }
 
 // counted registers route name's arrival counter and wraps h with it
@@ -585,7 +585,7 @@ func (s *Server) finishMemoized(w http.ResponseWriter, r *http.Request, e *endpo
 	// kb is the cache key "<endpoint>\x00<account>\x00<canonical key>" as
 	// bytes — in the pooled buffer, or the raw-key LRU's own — for the
 	// copy-free probes; cacheKey is the string the flight group, the
-	// caches' writes and the solve goroutine hold on to.
+	// caches' writes and the solve hold on to.
 	kb := ps.recovered
 	var cacheKey string
 	if kb == nil {
@@ -621,17 +621,16 @@ func (s *Server) finishMemoized(w http.ResponseWriter, r *http.Request, e *endpo
 		}
 	}
 
-	// Singleflight: the first request for a cold key runs the solve; any
-	// concurrent identical request joins the same in-flight call. The
-	// solve runs under its own deadline context (not the request's — a
-	// follower may outlive the leader's request); when every waiter
-	// leaves early, the flight group cancels the solve rather than
-	// letting it run detached. The leader's trace rides the outcome, so
-	// followers can surface the phase breakdown too.
+	// Singleflight: the first request for a cold key leads — it runs the
+	// solve itself, on this goroutine — and any concurrent identical
+	// request follows, waiting on the same in-flight call. The leader's
+	// trace rides the outcome, so followers can surface the phase
+	// breakdown too.
 	if s.beforeJoin != nil {
 		s.beforeJoin()
 	}
 	call, leader := s.flight.join(cacheKey)
+	var out outcome
 	if leader {
 		// The cache probe and the join are not one step: a solve for this
 		// key may have filled the cache and retired its flight in between
@@ -644,33 +643,33 @@ func (s *Server) finishMemoized(w http.ResponseWriter, r *http.Request, e *endpo
 			s.respondAnswer(w, e, label, outcomeHit, cached, ps.start)
 			return
 		}
-		sctx, cancel := context.WithTimeout(context.Background(), s.opts.RequestTimeout)
-		s.flight.setCancel(call, cancel)
-		if s.cluster != nil {
-			go s.runForward(sctx, e, ps.account, cacheKey[ps.prefix:], cacheKey, call)
-		} else {
-			go s.runSolve(sctx, e, req, label, cacheKey, call)
+		var gone bool
+		if out, gone = s.lead(r.Context(), e, req, label, ps, cacheKey, call); gone {
+			e.fail(w, http.StatusServiceUnavailable, "request cancelled", ps.start)
+			return
+		}
+	} else {
+		// A follower waits past the solve deadline by DegradeGrace: the
+		// solve's own deadline fires first and delivers a degraded result,
+		// so this backstop only trips when a solve fails to degrade
+		// promptly (e.g. wedged outside the search loop).
+		backstop := time.NewTimer(s.opts.RequestTimeout + s.opts.DegradeGrace)
+		defer backstop.Stop()
+		select {
+		case <-call.done:
+			out = call.out
+		case <-backstop.C:
+			s.flight.leave(cacheKey, call)
+			e.fail(w, http.StatusServiceUnavailable, "request timed out", ps.start)
+			return
+		case <-r.Context().Done():
+			s.flight.leave(cacheKey, call)
+			e.fail(w, http.StatusServiceUnavailable, "request cancelled", ps.start)
+			return
 		}
 	}
-
-	// The request waits past the solve deadline by DegradeGrace: the
-	// solve's own deadline fires first and delivers a degraded result,
-	// so this backstop only trips when a solve fails to degrade
-	// promptly (e.g. wedged outside the search loop).
-	ctx := r.Context()
-	backstop := time.NewTimer(s.opts.RequestTimeout + s.opts.DegradeGrace)
-	defer backstop.Stop()
-	select {
-	case <-call.done:
-		if s.respondSolved(w, r, e, label, leader, call.out, ps.start) {
-			s.rememberSpelling(ps, label, kb)
-		}
-	case <-backstop.C:
-		s.flight.leave(cacheKey, call)
-		e.fail(w, http.StatusServiceUnavailable, "request timed out", ps.start)
-	case <-ctx.Done():
-		s.flight.leave(cacheKey, call)
-		e.fail(w, http.StatusServiceUnavailable, "request cancelled", ps.start)
+	if s.respondSolved(w, r, e, label, leader, out, ps.start) {
+		s.rememberSpelling(ps, label, kb)
 	}
 }
 
@@ -759,30 +758,70 @@ func ceilSeconds(d time.Duration) int64 {
 	return s
 }
 
-// runSolve is the solve leader's goroutine: admission, chaos, the solve
-// itself under panic containment, cache fill, and outcome publication.
-// ctx is the solve's deadline context, cancelled by the flight group
-// when the last waiter leaves.
-func (s *Server) runSolve(ctx context.Context, e *endpoint, req memoRequest, label int, cacheKey string, call *flightCall) {
+// lead runs the solve of the flight call this request leads, in place:
+// a miss stays on the goroutine that asked. The solve's context is its
+// own — parented on Background with the RequestTimeout deadline, because
+// a follower may outlive the leader's request — and that deadline is
+// what bounds the leader: admission.acquire, chaos.sleep, the search
+// gate and the cluster transport all honour it. The leader is one of the
+// call's waiters like any follower, so its client going away (rctx) is a
+// leave: with a follower still waiting the solve carries on for it, and
+// with none the flight group cancels the solve and retires the key. gone
+// reports that this happened; the outcome is then nobody's to serve here.
+//
+// net/http swallows a panic on a request goroutine, so every exit —
+// return or panic, from anywhere in the body (the solver, the slow-log
+// writer, the cache fill) — goes through the one deferred block: a panic
+// becomes the panicked outcome, the admission slot is released, and only
+// then is the outcome published and the key retired. The slot is free
+// before any waiter can see the outcome, so a client's next request is
+// never shed against its own finished solve.
+func (s *Server) lead(rctx context.Context, e *endpoint, req memoRequest, label int, ps probeState, cacheKey string, call *flightCall) (out outcome, gone bool) {
+	ctx, cancel := context.WithTimeout(context.Background(), s.opts.RequestTimeout)
+	s.flight.setCancel(call, cancel)
+	stop := context.AfterFunc(rctx, func() { s.flight.leave(cacheKey, call) })
 	s.inflightSolves.Add(1)
-	defer s.inflightSolves.Add(-1)
+	admitted := false
+	defer func() {
+		if p := recover(); p != nil {
+			out = outcome{err: fmt.Errorf("solve panic: %v", p), panicked: true}
+		}
+		if admitted {
+			e.adm.release()
+		}
+		s.flight.finish(cacheKey, call, out)
+		s.inflightSolves.Add(-1)
+		gone = !stop()
+	}()
 
+	if s.cluster != nil {
+		return s.runForward(ctx, e, ps.account, cacheKey[ps.prefix:], cacheKey), false
+	}
 	ok, retry := e.adm.admit(s.opts.RequestTimeout)
 	if !ok {
-		s.flight.finish(cacheKey, call, s.shedOrStale(e.staleOK, cacheKey, outcome{retryAfter: retry}))
-		return
+		return s.shedOrStale(e.staleOK, cacheKey, outcome{retryAfter: retry}), false
 	}
 	if !e.adm.acquire(ctx) {
 		// Abandoned while queued: every waiter already left.
-		s.flight.finish(cacheKey, call, outcome{err: ctx.Err()})
-		return
+		return outcome{err: ctx.Err()}, false
 	}
+	admitted = true
+	return s.runSolve(ctx, e, req, label, cacheKey), false
+}
 
+// runSolve is an admitted leader's work: chaos, the solve itself, its
+// telemetry and the cache fill. The chaos panic is raised here, inside
+// lead's recovered region, so fault injection exercises the same
+// containment a real panic would hit.
+func (s *Server) runSolve(ctx context.Context, e *endpoint, req memoRequest, label int, cacheKey string) outcome {
 	s.m.solves.Inc()
 	tr := obs.NewTrace()
 	t0 := tr.StartTimer()
 	s.chaos.sleep(ctx, cacheKey)
-	b, degraded, err, panicked := s.safeSolve(ctx, req, cacheKey, tr)
+	if s.chaos.panics(cacheKey) {
+		panic("chaos: injected solver panic")
+	}
+	b, degraded, err := req.solve(ctx, s, tr)
 	tr.ObserveSince(obs.PhaseTotal, t0)
 	s.m.observePhases(tr)
 	s.logSlowSolve(e.name, knownLabels[label], tr)
@@ -793,10 +832,7 @@ func (s *Server) runSolve(ctx context.Context, e *endpoint, req memoRequest, lab
 	if err == nil && !degraded && !abandoned(ctx) {
 		s.cache.Put(cacheKey, b)
 	}
-	// The slot is free before any waiter can see the outcome, so a
-	// client's next request is never shed against its own finished solve.
-	e.adm.release()
-	s.flight.finish(cacheKey, call, outcome{body: b, err: err, phases: tr, degraded: degraded, panicked: panicked})
+	return outcome{body: b, err: err, phases: tr, degraded: degraded}
 }
 
 // shedOrStale marks out shed and, where the stale tier may answer
@@ -818,26 +854,6 @@ func (s *Server) shedOrStale(staleOK bool, cacheKey string, out outcome) outcome
 // abandoned: its result is served and memoized like any other.
 func abandoned(ctx context.Context) bool {
 	return errors.Is(ctx.Err(), context.Canceled)
-}
-
-// safeSolve runs the endpoint's solve with panic containment: a panic
-// anywhere in the solve pipeline becomes a 500 for this request instead
-// of killing the daemon. The chaos panic is raised inside the recovered
-// region, so fault injection exercises the same containment real
-// panics would hit.
-func (s *Server) safeSolve(ctx context.Context, req memoRequest, cacheKey string, tr *obs.Trace) (b []byte, degraded bool, err error, panicked bool) {
-	defer func() {
-		if r := recover(); r != nil {
-			b, degraded = nil, false
-			err = fmt.Errorf("solve panic: %v", r)
-			panicked = true
-		}
-	}()
-	if s.chaos.panics(cacheKey) {
-		panic("chaos: injected solver panic")
-	}
-	b, degraded, err = req.solve(ctx, s, tr)
-	return
 }
 
 // wantPhases reports whether the request opted into the X-Solve-Phases
@@ -866,9 +882,11 @@ func (s *Server) logSlowSolve(endpoint, label string, tr *obs.Trace) {
 	b = append(b, `,"phases":`...)
 	b = tr.AppendJSON(b)
 	b = append(b, '}', '\n')
+	// Deferred: the writer is the operator's, and a panic in it is
+	// contained by the leader — the lock must not stay behind.
 	s.slowMu.Lock()
+	defer s.slowMu.Unlock()
 	s.opts.SlowLog.Write(b)
-	s.slowMu.Unlock()
 }
 
 // solve runs the expensive path: advisor construction (lattice +

@@ -47,6 +47,18 @@ var sales = func() salesTables {
 	return t
 }()
 
+// SalesLattice is the sales lattice at factRows. It shares the tables'
+// lattice's points and answerability index (lattice.WithFactRows), so
+// a caller that builds one per request pays for the sixteen nodes'
+// statistics and nothing else.
+func SalesLattice(factRows int64) (*lattice.Lattice, error) {
+	return sales.lat.WithFactRows(factRows)
+}
+
+// SalesNames is each sales cuboid's "year×country" name by lattice id;
+// shared and read-only.
+func SalesNames() []string { return sales.names }
+
 // SalesPrefix is Sales over the sales schema itself, from the tables:
 // the first n of the paper's ten queries, their points shared and
 // read-only.
