@@ -88,15 +88,21 @@ func TestTelemetryFastPathsAreMarked(t *testing.T) {
 		// socket stays free of fmt, closures and string concatenation.
 		"Money.AppendString":            "internal/money/money.go",
 		"DataSize.AppendString":         "internal/units/units.go",
-		"Table.AppendTo":                "internal/report/report.go",
+		"Table.Cell":                    "internal/report/report.go",
+		"Table.AppendText":              "internal/report/report.go",
+		"AppendHours":                   "internal/report/report.go",
+		"AppendPercent":                 "internal/report/report.go",
 		"AppendString":                  "internal/jsonenc/jsonenc.go",
-		"QuoteTail":                     "internal/jsonenc/jsonenc.go",
 		"AppendFloat":                   "internal/jsonenc/jsonenc.go",
-		"Recommendation.AppendReport":   "internal/core/core.go",
+		"AppendFixed":                   "internal/jsonenc/fixed.go",
+		"Text.Newline":                  "internal/jsonenc/text.go",
+		"Text.Str":                      "internal/jsonenc/text.go",
+		"Text.Bytes":                    "internal/jsonenc/text.go",
+		"Recommendation.appendReport":   "internal/core/core.go",
 		"RecommendationJSON.AppendJSON": "internal/core/encode.go",
 		"ParetoPointJSON.AppendJSON":    "internal/core/encode.go",
-		"Comparison.AppendReport":       "internal/compare/compare.go",
-		"Sweep.AppendReport":            "internal/compare/sweep.go",
+		"Comparison.appendReport":       "internal/compare/compare.go",
+		"Sweep.appendReport":            "internal/compare/sweep.go",
 		"ComparisonJSON.AppendJSON":     "internal/compare/encode.go",
 		"SweepJSON.AppendJSON":          "internal/compare/encode.go",
 		"AdviseResponse.AppendJSON":     "internal/server/server.go",

@@ -3,7 +3,7 @@
 // The cache-hit fast path, the search delta-probe loops and the
 // RepriceFor kernel sessions are pinned at (near-)zero allocations per
 // operation by committed benchmarks and alloc-budget tests. Those tests
-// catch regressions after the fact; this analyzer catches the four
+// catch regressions after the fact; this analyzer catches the five
 // construct classes that caused every historical regression at compile
 // review time, in any function whose doc comment carries
 // //mvlint:hotpath:
@@ -17,7 +17,12 @@
 //   - calls into package fmt — fmt formats through reflection and
 //     allocates on every call, error paths included;
 //   - string concatenation (+ / += on strings) — each one is a fresh
-//     allocation; hot keys are built in pooled []byte buffers instead.
+//     allocation; hot keys are built in pooled []byte buffers instead;
+//   - strconv.AppendFloat / FormatFloat with format 'f' and a constant
+//     non-negative precision — strconv has no fast path for a fixed
+//     number of decimals and runs its multiprecision decimal on every
+//     call (a fifth of the compare encode before jsonenc.AppendFixed);
+//     the shortest form, precision -1, has one and is left alone.
 //
 // The marker is a contract, not a hint: adding //mvlint:hotpath to a
 // function that violates it fails the build until the function is
@@ -27,6 +32,7 @@ package hotpath
 
 import (
 	"go/ast"
+	"go/constant"
 	"go/token"
 	"go/types"
 
@@ -36,7 +42,7 @@ import (
 // Analyzer is the hot-path allocation-discipline checker.
 var Analyzer = &analysis.Analyzer{
 	Name: "hotpath",
-	Doc:  "forbids closures, defer, fmt.* and string concatenation in functions marked //mvlint:hotpath",
+	Doc:  "forbids closures, defer, fmt.*, string concatenation and fixed-precision strconv float formatting in functions marked //mvlint:hotpath",
 	Run:  run,
 }
 
@@ -63,8 +69,17 @@ func checkFunc(pass *analysis.Pass, fn *ast.FuncDecl) {
 		case *ast.DeferStmt:
 			pass.Reportf(n.Pos(), "defer in hotpath function %s; unlock/cleanup explicitly on every return", name)
 		case *ast.CallExpr:
-			if callee := pass.CalleeFunc(n); callee != nil && callee.Pkg() != nil && callee.Pkg().Path() == "fmt" {
+			callee := pass.CalleeFunc(n)
+			if callee == nil || callee.Pkg() == nil {
+				break
+			}
+			switch callee.Pkg().Path() {
+			case "fmt":
 				pass.Reportf(n.Pos(), "fmt.%s in hotpath function %s allocates on every call; use a static error or preformatted bytes", callee.Name(), name)
+			case "strconv":
+				if fixedPrecision(pass, callee.Name(), n.Args) {
+					pass.Reportf(n.Pos(), "strconv.%s with a fixed precision in hotpath function %s takes strconv's multiprecision path; use jsonenc.AppendFixed", callee.Name(), name)
+				}
 			}
 		case *ast.BinaryExpr:
 			if n.Op == token.ADD && isString(pass.TypeOf(n.X)) {
@@ -77,6 +92,29 @@ func checkFunc(pass *analysis.Pass, fn *ast.FuncDecl) {
 		}
 		return true
 	})
+}
+
+// fixedPrecision reports whether the call is strconv.AppendFloat or
+// FormatFloat with the constant format 'f' and a constant precision
+// ≥ 0. The (fmt, prec, bitSize) triple ends both signatures.
+func fixedPrecision(pass *analysis.Pass, fn string, args []ast.Expr) bool {
+	if fn != "AppendFloat" && fn != "FormatFloat" || len(args) < 3 {
+		return false
+	}
+	format, ok := constInt(pass, args[len(args)-3])
+	if !ok || format != 'f' {
+		return false
+	}
+	prec, ok := constInt(pass, args[len(args)-2])
+	return ok && prec >= 0
+}
+
+func constInt(pass *analysis.Pass, e ast.Expr) (int64, bool) {
+	tv, ok := pass.TypesInfo.Types[e]
+	if !ok || tv.Value == nil {
+		return 0, false
+	}
+	return constant.Int64Val(constant.ToInt(tv.Value))
 }
 
 func isString(t types.Type) bool {

@@ -5,6 +5,7 @@ package hp
 
 import (
 	"fmt"
+	"strconv"
 	"sync"
 	"sync/atomic"
 )
@@ -50,6 +51,19 @@ func clean(dst []byte, a, b string) []byte {
 	dst = append(dst[:0], a...) // pooled-buffer key building is the sanctioned form
 	dst = append(dst, b...)
 	return dst
+}
+
+const decimals = 2
+
+//mvlint:hotpath
+func fixedFloat(dst []byte, f float64, prec int) ([]byte, string) {
+	dst = strconv.AppendFloat(dst, f, 'f', 3, 64)         // want `strconv\.AppendFloat with a fixed precision in hotpath function fixedFloat takes strconv's multiprecision path; use jsonenc\.AppendFixed`
+	s := strconv.FormatFloat(f, 'f', decimals, 64)        // want `strconv\.FormatFloat with a fixed precision in hotpath function fixedFloat`
+	dst = strconv.AppendFloat(dst, f, 'f', -1, 64)        // shortest round-trip form: strconv's fast path
+	dst = strconv.AppendFloat(dst, f, 'e', 3, 64)         // 'e' with a precision has a fast path too
+	dst = strconv.AppendFloat(dst, f, 'f', prec, 64)      // not a constant: the fall-through of a fast formatter looks like this
+	dst = strconv.AppendFloat(dst, f, 'f', 1, 64)         //mvlint:allow hotpath -- fixture: proves the escape hatch suppresses the finding
+	return strconv.AppendInt(dst, int64(decimals), 10), s // other strconv calls are fine
 }
 
 // cold is unmarked: the same constructs are fine off the hot path.

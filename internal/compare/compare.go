@@ -23,6 +23,7 @@ import (
 	"time"
 
 	"vmcloud/internal/core"
+	"vmcloud/internal/jsonenc"
 	"vmcloud/internal/money"
 	"vmcloud/internal/obs"
 	"vmcloud/internal/pricing"
@@ -712,6 +713,13 @@ func (c *Comparison) Render() string {
 	return string(c.AppendReport(make([]byte, 0, 2048)))
 }
 
+// AppendReport appends the Render text to dst.
+func (c *Comparison) AppendReport(dst []byte) []byte {
+	w := jsonenc.Text{Buf: dst}
+	c.appendReport(&w)
+	return w.Buf
+}
+
 var (
 	matrixHeaders    = []string{"configuration", "workload time", "total cost", "feasible", "views"}
 	winnerHeaders    = []string{"scenario", "configuration", "workload time", "total cost", "feasible"}
@@ -719,95 +727,107 @@ var (
 	breakEvenHeaders = []string{"budget", "winner"}
 )
 
-// AppendReport appends the Render text to dst.
+// appendReport writes the report through w: as Render's text, or as the
+// inside of the wire form's "report" string. Scenario, provider and
+// instance type names come from the request and go through w's
+// escaping, directly or as table cells.
 //
 //mvlint:hotpath
-func (c *Comparison) AppendReport(dst []byte) []byte {
+func (c *Comparison) appendReport(w *jsonenc.Text) {
+	var (
+		t  report.Table
+		sb [64]byte
+	)
 	for _, s := range c.Scenarios {
 		if s == "pareto" {
 			continue
 		}
-		dst = append(dst, "scenario "...)
-		dst = append(dst, s...)
-		dst = append(dst, " — cost/time matrix\n"...)
-		t := report.NewTable("", matrixHeaders...)
+		w.Buf = append(w.Buf, "scenario "...)
+		w.Str(s)
+		w.Buf = append(w.Buf, " — cost/time matrix"...)
+		w.Newline()
+		t.Reset("", matrixHeaders)
 		for i := range c.Configs {
 			cfg := &c.Configs[i]
 			rec, ok := cfg.Result(s)
 			if !ok {
 				continue
 			}
-			t.Cell(cfg.Key.AppendString(t.Buf()))
-			t.Cell(report.AppendHours(t.Buf(), rec.Selection.Time))
-			t.Cell(rec.Selection.Bill.Total().AppendString(t.Buf()))
-			t.Cell(strconv.AppendBool(t.Buf(), rec.Selection.Feasible))
-			t.Cell(strconv.AppendInt(t.Buf(), int64(len(rec.Selection.Points)), 10))
+			t.Cell(cfg.Key.AppendString(sb[:0]))
+			t.Cell(report.AppendHours(sb[:0], rec.Selection.Time))
+			t.Cell(rec.Selection.Bill.Total().AppendString(sb[:0]))
+			t.Cell(strconv.AppendBool(sb[:0], rec.Selection.Feasible))
+			t.Cell(strconv.AppendInt(sb[:0], int64(len(rec.Selection.Points)), 10))
 			t.EndRow()
 		}
-		dst = t.AppendTo(dst)
+		t.AppendText(w)
 	}
 	if len(c.Winners) > 0 {
-		t := report.NewTable("winners", winnerHeaders...)
-		for _, w := range c.Winners {
-			t.Cell(append(t.Buf(), w.Scenario...))
-			t.Cell(w.Key.AppendString(t.Buf()))
-			t.Cell(report.AppendHours(t.Buf(), w.Time))
-			t.Cell(w.Cost.AppendString(t.Buf()))
-			t.Cell(strconv.AppendBool(t.Buf(), w.Feasible))
+		t.Reset("winners", winnerHeaders)
+		for i := range c.Winners {
+			win := &c.Winners[i]
+			t.Cell(append(sb[:0], win.Scenario...))
+			t.Cell(win.Key.AppendString(sb[:0]))
+			t.Cell(report.AppendHours(sb[:0], win.Time))
+			t.Cell(win.Cost.AppendString(sb[:0]))
+			t.Cell(strconv.AppendBool(sb[:0], win.Feasible))
 			t.EndRow()
 		}
-		dst = t.AppendTo(dst)
+		t.AppendText(w)
 	}
 	if len(c.Pareto) > 0 {
-		t := report.NewTable("cross-provider pareto frontier", frontierHeaders...)
-		for _, p := range c.Pareto {
-			t.Cell(p.Key.AppendString(t.Buf()))
-			t.Cell(strconv.AppendFloat(t.Buf(), p.Point.Alpha, 'f', 2, 64))
-			t.Cell(report.AppendHours(t.Buf(), p.Point.Time))
-			t.Cell(p.Point.Cost.AppendString(t.Buf()))
-			t.Cell(strconv.AppendInt(t.Buf(), int64(p.Point.Views), 10))
+		t.Reset("cross-provider pareto frontier", frontierHeaders)
+		for i := range c.Pareto {
+			p := &c.Pareto[i]
+			t.Cell(p.Key.AppendString(sb[:0]))
+			t.Cell(jsonenc.AppendFixed(sb[:0], p.Point.Alpha, 2))
+			t.Cell(report.AppendHours(sb[:0], p.Point.Time))
+			t.Cell(p.Point.Cost.AppendString(sb[:0]))
+			t.Cell(strconv.AppendInt(sb[:0], int64(p.Point.Views), 10))
 			t.EndRow()
 		}
-		dst = t.AppendTo(dst)
+		t.AppendText(w)
 	}
 	if c.BreakEven != nil {
-		t := report.NewTable("budget break-even sweep (mv1 winner per budget)", breakEvenHeaders...)
+		t.Reset("budget break-even sweep (mv1 winner per budget)", breakEvenHeaders)
 		for i, b := range c.BreakEven.Budgets {
-			t.Cell(b.AppendString(t.Buf()))
-			t.Cell(c.BreakEven.Winners[i].AppendString(t.Buf()))
+			t.Cell(b.AppendString(sb[:0]))
+			t.Cell(c.BreakEven.Winners[i].AppendString(sb[:0]))
 			t.EndRow()
 		}
-		dst = t.AppendTo(dst)
+		t.AppendText(w)
 		for _, f := range c.BreakEven.Flips {
-			dst = append(dst, "winner flips from "...)
-			dst = f.From.AppendString(dst)
-			dst = append(dst, " to "...)
-			dst = f.To.AppendString(dst)
-			dst = append(dst, " at ≈"...)
-			dst = f.Budget.AppendString(dst)
-			dst = append(dst, '\n')
+			w.Buf = append(w.Buf, "winner flips from "...)
+			w.Bytes(f.From.AppendString(sb[:0]))
+			w.Buf = append(w.Buf, " to "...)
+			w.Bytes(f.To.AppendString(sb[:0]))
+			w.Buf = append(w.Buf, " at ≈"...)
+			w.Buf = f.Budget.AppendString(w.Buf)
+			w.Newline()
 		}
 		if len(c.BreakEven.Flips) == 0 {
-			dst = append(dst, "no winner flips across the swept budget range\n"...)
+			w.Buf = append(w.Buf, "no winner flips across the swept budget range"...)
+			w.Newline()
 		}
 	}
-	return appendSkipped(dst, c.Skipped)
+	appendSkipped(w, c.Skipped)
 }
 
-// appendSkipped appends the report line naming configurations whose
+// appendSkipped writes the report line naming configurations whose
 // instance type the provider does not offer, if there are any.
 //
 //mvlint:hotpath
-func appendSkipped(dst []byte, skipped []Key) []byte {
+func appendSkipped(w *jsonenc.Text, skipped []Key) {
 	if len(skipped) == 0 {
-		return dst
+		return
 	}
-	dst = append(dst, "skipped (instance type not offered): "...)
+	w.Buf = append(w.Buf, "skipped (instance type not offered): "...)
+	var sb [64]byte
 	for i, k := range skipped {
 		if i > 0 {
-			dst = append(dst, ", "...)
+			w.Buf = append(w.Buf, ", "...)
 		}
-		dst = k.AppendString(dst)
+		w.Bytes(k.AppendString(sb[:0]))
 	}
-	return append(dst, '\n')
+	w.Newline()
 }

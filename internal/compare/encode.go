@@ -221,8 +221,9 @@ func (c ComparisonJSON) AppendJSON(dst []byte) ([]byte, error) {
 	}
 	dst = append(dst, `,"report":`...)
 	if c.src != nil {
-		mark := len(dst)
-		dst = jsonenc.QuoteTail(c.src.AppendReport(dst), mark)
+		w := jsonenc.StringText(dst)
+		c.src.appendReport(&w)
+		dst = w.Close()
 	} else {
 		dst = jsonenc.AppendString(dst, c.Report)
 	}
@@ -270,8 +271,9 @@ func (s SweepJSON) AppendJSON(dst []byte) ([]byte, error) {
 	}
 	dst = append(dst, `,"report":`...)
 	if s.src != nil {
-		mark := len(dst)
-		dst = jsonenc.QuoteTail(s.src.AppendReport(dst), mark)
+		w := jsonenc.StringText(dst)
+		s.src.appendReport(&w)
+		dst = w.Close()
 	} else {
 		dst = jsonenc.AppendString(dst, s.Report)
 	}

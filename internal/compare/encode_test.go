@@ -159,16 +159,35 @@ func mustProvider(t testing.TB, name string) pricing.Provider {
 	return p
 }
 
-// BenchmarkCompareEncode measures the served encode of the
-// load-compare-2x2 comparison: twelve recommendations with their
-// reports, winners, the break-even sweep and the comparison report.
-func BenchmarkCompareEncode(b *testing.B) {
-	req := benchRequest(b)
-	req.Providers = []pricing.Provider{pricing.AWS2012(), mustProvider(b, "cumulus")}
+// benchComparison is the load-compare-2x2 comparison: twelve
+// recommendations with their reports, winners, the break-even sweep and
+// the comparison report.
+func benchComparison(tb testing.TB) *Comparison {
+	req := benchRequest(tb)
+	req.Providers = []pricing.Provider{pricing.AWS2012(), mustProvider(tb, "cumulus")}
 	comp, err := Run(req)
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
+	return comp
+}
+
+// TestEncodeAllocBudget gates the served encode of the 2×2 comparison in
+// allocations: what is left is the wire structs (Comparison.wire, and
+// per recommendation the points slice and two duration strings) — no
+// table, no report string, nothing per cell. It was 67 when every
+// report's table was a heap object.
+func TestEncodeAllocBudget(t *testing.T) {
+	comp := benchComparison(t)
+	buf := make([]byte, 0, 64<<10)
+	if allocs := testing.AllocsPerRun(50, func() { buf, _ = comp.AppendJSON(buf[:0]) }); allocs > 52 { // 50
+		t.Errorf("compare encode costs %.0f allocs, budget 52", allocs)
+	}
+}
+
+// BenchmarkCompareEncode measures the served encode of benchComparison.
+func BenchmarkCompareEncode(b *testing.B) {
+	comp := benchComparison(b)
 	buf, err := comp.AppendJSON(make([]byte, 0, 64<<10))
 	if err != nil {
 		b.Fatal(err)

@@ -16,6 +16,7 @@ import (
 	"time"
 
 	"vmcloud/internal/core"
+	"vmcloud/internal/jsonenc"
 	"vmcloud/internal/money"
 	"vmcloud/internal/obs"
 	"vmcloud/internal/pricing"
@@ -240,32 +241,44 @@ func (s *Sweep) Render() string {
 	return string(s.AppendReport(make([]byte, 0, 1024)))
 }
 
+// AppendReport appends the Render text to dst.
+func (s *Sweep) AppendReport(dst []byte) []byte {
+	w := jsonenc.Text{Buf: dst}
+	s.appendReport(&w)
+	return w.Buf
+}
+
 var gridHeaders = []string{"configuration", "workload time", "total cost", "compute", "storage", "transfer", "feasible", "views"}
 
-// AppendReport appends the Render text to dst.
+// appendReport writes the report through w; see Comparison.appendReport.
 //
 //mvlint:hotpath
-func (s *Sweep) AppendReport(dst []byte) []byte {
-	dst = append(dst, "scenario "...)
-	dst = append(dst, s.Scenario...)
-	dst = append(dst, " — tariff grid\n"...)
-	t := report.NewTable("", gridHeaders...)
+func (s *Sweep) appendReport(w *jsonenc.Text) {
+	w.Buf = append(w.Buf, "scenario "...)
+	w.Str(s.Scenario)
+	w.Buf = append(w.Buf, " — tariff grid"...)
+	w.Newline()
+	var (
+		t  report.Table
+		sb [64]byte
+	)
+	t.Headers = gridHeaders
 	for i := range s.Cells {
 		c := &s.Cells[i]
-		bill := c.Rec.Selection.Bill
-		t.Cell(c.Key.AppendString(t.Buf()))
-		t.Cell(report.AppendHours(t.Buf(), c.Rec.Selection.Time))
-		t.Cell(bill.Total().AppendString(t.Buf()))
-		t.Cell(bill.Compute.Total().AppendString(t.Buf()))
-		t.Cell(bill.Storage.AppendString(t.Buf()))
-		t.Cell(bill.Transfer.AppendString(t.Buf()))
-		t.Cell(strconv.AppendBool(t.Buf(), c.Rec.Selection.Feasible))
-		t.Cell(strconv.AppendInt(t.Buf(), int64(len(c.Rec.Selection.Points)), 10))
+		bill := &c.Rec.Selection.Bill
+		t.Cell(c.Key.AppendString(sb[:0]))
+		t.Cell(report.AppendHours(sb[:0], c.Rec.Selection.Time))
+		t.Cell(bill.Total().AppendString(sb[:0]))
+		t.Cell(bill.Compute.Total().AppendString(sb[:0]))
+		t.Cell(bill.Storage.AppendString(sb[:0]))
+		t.Cell(bill.Transfer.AppendString(sb[:0]))
+		t.Cell(strconv.AppendBool(sb[:0], c.Rec.Selection.Feasible))
+		t.Cell(strconv.AppendInt(sb[:0], int64(len(c.Rec.Selection.Points)), 10))
 		t.EndRow()
 	}
-	dst = t.AppendTo(dst)
-	dst = append(dst, "best configuration: "...)
-	dst = s.Best.AppendString(dst)
-	dst = append(dst, '\n')
-	return appendSkipped(dst, s.Skipped)
+	t.AppendText(w)
+	w.Buf = append(w.Buf, "best configuration: "...)
+	w.Bytes(s.Best.AppendString(sb[:0]))
+	w.Newline()
+	appendSkipped(w, s.Skipped)
 }

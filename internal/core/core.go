@@ -15,6 +15,7 @@ import (
 
 	"vmcloud/internal/cluster"
 	"vmcloud/internal/costmodel"
+	"vmcloud/internal/jsonenc"
 	"vmcloud/internal/lattice"
 	"vmcloud/internal/money"
 	"vmcloud/internal/obs"
@@ -404,48 +405,61 @@ func (r Recommendation) Render() string {
 	return string(r.AppendReport(make([]byte, 0, 1024)))
 }
 
+// AppendReport appends the Render text to dst.
+func (r Recommendation) AppendReport(dst []byte) []byte {
+	w := jsonenc.Text{Buf: dst}
+	r.appendReport(&w)
+	return w.Buf
+}
+
 var recommendationHeaders = []string{"", "workload time", "total cost", "compute", "storage", "transfer"}
 
-// AppendReport appends the Render text to dst.
+// appendReport writes the report through w: as Render's text, or — the
+// served route — as the inside of the wire form's "report" string. The
+// scenario and the view names come from the request and go through w's
+// escaping, as the table's cells do.
 //
 //mvlint:hotpath
-func (r Recommendation) AppendReport(dst []byte) []byte {
-	dst = append(dst, "Scenario "...)
-	dst = append(dst, r.Scenario...)
-	dst = append(dst, " — "...)
-	dst = append(dst, feasibility(r.Selection.Feasible)...)
-	dst = append(dst, '\n')
-	t := report.NewTable("", recommendationHeaders...)
-	billRow(t, "without views", r.BaselineTime, r.BaselineBill)
-	billRow(t, "with views", r.Selection.Time, r.Selection.Bill)
-	dst = t.AppendTo(dst)
-	dst = append(dst, "time improvement: "...)
-	dst = report.AppendPercent(dst, r.TimeImprovement())
-	dst = append(dst, "   cost improvement: "...)
-	dst = report.AppendPercent(dst, r.CostImprovement())
-	dst = append(dst, "\nmaterialize: "...)
+func (r *Recommendation) appendReport(w *jsonenc.Text) {
+	w.Buf = append(w.Buf, "Scenario "...)
+	w.Str(r.Scenario)
+	w.Buf = append(w.Buf, " — "...)
+	w.Buf = append(w.Buf, feasibility(r.Selection.Feasible)...)
+	w.Newline()
+	var t report.Table
+	t.Headers = recommendationHeaders
+	billRow(&t, "without views", r.BaselineTime, &r.BaselineBill)
+	billRow(&t, "with views", r.Selection.Time, &r.Selection.Bill)
+	t.AppendText(w)
+	w.Buf = append(w.Buf, "time improvement: "...)
+	w.Buf = report.AppendPercent(w.Buf, r.TimeImprovement())
+	w.Buf = append(w.Buf, "   cost improvement: "...)
+	w.Buf = report.AppendPercent(w.Buf, r.CostImprovement())
+	w.Newline()
+	w.Buf = append(w.Buf, "materialize: "...)
 	if len(r.ViewNames) == 0 {
-		dst = append(dst, "nothing"...)
+		w.Buf = append(w.Buf, "nothing"...)
 	}
 	for i, name := range r.ViewNames {
 		if i > 0 {
-			dst = append(dst, ", "...)
+			w.Buf = append(w.Buf, ", "...)
 		}
-		dst = append(dst, name...)
+		w.Str(name)
 	}
-	return append(dst, '\n')
+	w.Newline()
 }
 
 // billRow adds one configuration's time and bill breakdown to t.
 //
 //mvlint:hotpath
-func billRow(t *report.Table, label string, d time.Duration, b costmodel.Bill) {
-	t.Cell(append(t.Buf(), label...))
-	t.Cell(report.AppendHours(t.Buf(), d))
-	t.Cell(b.Total().AppendString(t.Buf()))
-	t.Cell(b.Compute.Total().AppendString(t.Buf()))
-	t.Cell(b.Storage.AppendString(t.Buf()))
-	t.Cell(b.Transfer.AppendString(t.Buf()))
+func billRow(t *report.Table, label string, d time.Duration, b *costmodel.Bill) {
+	var sb [32]byte
+	t.Cell(append(sb[:0], label...))
+	t.Cell(report.AppendHours(sb[:0], d))
+	t.Cell(b.Total().AppendString(sb[:0]))
+	t.Cell(b.Compute.Total().AppendString(sb[:0]))
+	t.Cell(b.Storage.AppendString(sb[:0]))
+	t.Cell(b.Transfer.AppendString(sb[:0]))
 	t.EndRow()
 }
 

@@ -113,8 +113,9 @@ func (j RecommendationJSON) AppendJSON(dst []byte) ([]byte, error) {
 	}
 	dst = append(dst, `,"report":`...)
 	if j.rec != nil {
-		mark := len(dst)
-		dst = jsonenc.QuoteTail(j.rec.AppendReport(dst), mark)
+		w := jsonenc.StringText(dst)
+		j.rec.appendReport(&w)
+		dst = w.Close()
 	} else {
 		dst = jsonenc.AppendString(dst, j.Report)
 	}

@@ -127,19 +127,37 @@ func TestAppendJSONUnsupportedFloat(t *testing.T) {
 	}
 }
 
-func BenchmarkAdviseEncode(b *testing.B) {
+// benchRecommendation is the paper's mv1 problem at a $25 budget.
+func benchRecommendation(tb testing.TB) core.Recommendation {
 	cfg, err := core.ConfigJSON{Queries: 10, Frequency: 30}.Config()
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	adv, err := core.New(cfg)
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	rec, err := adv.AdviseBudget(money.MustParse("$25"))
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
+	return rec
+}
+
+// TestEncodeAllocBudget gates the served encode of one recommendation
+// in allocations: the wire struct's points slice and two duration
+// strings. The report — table, cells, escaping — adds none; its table
+// was the fourth.
+func TestEncodeAllocBudget(t *testing.T) {
+	rec := benchRecommendation(t)
+	buf := make([]byte, 0, 4096)
+	if allocs := testing.AllocsPerRun(100, func() { buf, _ = rec.LazyJSON().AppendJSON(buf[:0]) }); allocs > 3 {
+		t.Errorf("advise encode costs %.0f allocs, budget 3", allocs)
+	}
+}
+
+func BenchmarkAdviseEncode(b *testing.B) {
+	rec := benchRecommendation(b)
 	buf, err := rec.LazyJSON().AppendJSON(make([]byte, 0, 4096))
 	if err != nil {
 		b.Fatal(err)

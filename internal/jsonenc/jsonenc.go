@@ -12,7 +12,6 @@ import (
 	"encoding/json"
 	"math"
 	"reflect"
-	"slices"
 	"strconv"
 	"unicode/utf8"
 )
@@ -48,26 +47,6 @@ const multi = 0xff
 func AppendString[S ~string | ~[]byte](dst []byte, s S) []byte {
 	dst = append(dst, '"')
 	dst = appendEscaped(dst, s)
-	return append(dst, '"')
-}
-
-// QuoteTail rewrites the raw text dst[mark:] as a JSON string literal
-// in place, with AppendString's escaping: callers render text straight
-// onto the end of the output and quote it where it lies, without an
-// intermediate string.
-//
-//mvlint:hotpath
-func QuoteTail(dst []byte, mark int) []byte {
-	n := len(dst) - mark
-	// The text moves up by the bytes the escapes add, plus the opening
-	// quote. Every escape is longer than what it replaces, so the write
-	// position of the forward pass below never overtakes the read
-	// position.
-	shift := escapedLen(dst[mark:]) - n + 1
-	dst = slices.Grow(dst, shift+1)[:len(dst)+shift]
-	copy(dst[mark+shift:], dst[mark:mark+n])
-	dst[mark] = '"'
-	dst = appendEscaped(dst[:mark+1], dst[mark+shift:mark+shift+n])
 	return append(dst, '"')
 }
 
@@ -109,37 +88,6 @@ func appendEscaped[S ~string | ~[]byte](dst []byte, s S) []byte {
 		start = i
 	}
 	return append(dst, s[start:]...)
-}
-
-// escapedLen is the number of bytes appendEscaped appends for s.
-//
-//mvlint:hotpath
-func escapedLen(s []byte) int {
-	n := len(s)
-	for i := 0; i < len(s); {
-		e := escape[s[i]]
-		if e == 0 {
-			i++
-			continue
-		}
-		size := 1
-		switch e {
-		case multi:
-			var r rune
-			r, size = utf8.DecodeRune(s[i:])
-			if r == utf8.RuneError && size == 1 {
-				n += 5
-			} else if r == '\u2028' || r == '\u2029' {
-				n += 3
-			}
-		case 'u':
-			n += 5
-		default:
-			n++
-		}
-		i += size
-	}
-	return n
 }
 
 func decodeRune[S ~string | ~[]byte](s S) (rune, int) {

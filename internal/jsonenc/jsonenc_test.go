@@ -6,12 +6,15 @@ import (
 	"errors"
 	"math"
 	"testing"
+	"unicode/utf8"
 )
 
-// checkString holds all three forms of the escaper to encoding/json:
-// AppendString over a string and over a []byte, and QuoteTail over the
-// raw text rendered onto the end of a buffer.
-func checkString(t *testing.T, s string) {
+// checkString holds every form of the escaper to encoding/json:
+// AppendString over a string and over a []byte, and the JSON sink fed
+// the text in two pieces, as a string and as bytes. cut is where the
+// pieces part, moved on to the start of a UTF-8 sequence: a renderer
+// hands the sink whole names and cells, never half a rune.
+func checkString(t *testing.T, s string, cut int) {
 	t.Helper()
 	want, err := json.Marshal(s)
 	if err != nil {
@@ -24,25 +27,55 @@ func checkString(t *testing.T, s string) {
 	if got := AppendString(nil, []byte(s)); !bytes.Equal(got, want) {
 		t.Errorf("AppendString([]byte(%q)) = %s, want %s", s, got, want)
 	}
-	// Exactly-sized, so QuoteTail has to grow the buffer itself.
-	raw := append(bytes.Clone(prefix), s...)
-	got := QuoteTail(raw[:len(raw):len(raw)], len(prefix))
-	if !bytes.HasPrefix(got, prefix) || !bytes.Equal(got[len(prefix):], want) {
-		t.Errorf("QuoteTail(%q) = %s, want %s%s", s, got, prefix, want)
+	for cut < len(s) && !utf8.RuneStart(s[cut]) {
+		cut++
 	}
-	if n := escapedLen([]byte(s)); n != len(want)-2 {
-		t.Errorf("escapedLen(%q) = %d, want %d", s, n, len(want)-2)
+	// Exactly-sized, so the sink has to grow the buffer itself.
+	w := StringText(prefix[:len(prefix):len(prefix)])
+	w.Str(s[:cut])
+	w.Bytes([]byte(s[cut:]))
+	if got := w.Close(); !bytes.HasPrefix(got, prefix) || !bytes.Equal(got[len(prefix):], want) {
+		t.Errorf("JSON sink(%q, %q) = %s, want %s%s", s[:cut], s[cut:], got, prefix, want)
+	}
+	raw := Text{Buf: bytes.Clone(prefix)}
+	raw.Str(s[:cut])
+	raw.Bytes([]byte(s[cut:]))
+	if got := raw.Close(); string(got) != string(prefix)+s {
+		t.Errorf("raw sink(%q, %q) = %q", s[:cut], s[cut:], got)
 	}
 }
 
 func FuzzAppendJSONString(f *testing.F) {
-	f.Fuzz(func(t *testing.T, s string) { checkString(t, s) })
+	f.Add("| aws-2012/small×5 | 12.345h |\n", uint(8))
+	f.Add("a\xe2\x80\xa8b", uint(2))
+	f.Fuzz(func(t *testing.T, s string, cut uint) { checkString(t, s, int(cut%uint(len(s)+1))) })
+}
+
+// TestTextNewline: a line end is the one thing the sink writes that is
+// not its caller's text.
+func TestTextNewline(t *testing.T) {
+	w := StringText(nil)
+	w.Str("a")
+	w.Newline()
+	w.Buf = append(w.Buf, "| - |"...)
+	w.Newline()
+	if got, want := string(w.Close()), `"a\n| - |\n"`; got != want {
+		t.Errorf("JSON sink = %s, want %s", got, want)
+	}
+	raw := Text{}
+	raw.Str("a")
+	raw.Newline()
+	if got := string(raw.Close()); got != "a\n" {
+		t.Errorf("raw sink = %q", got)
+	}
 }
 
 func TestAppendStringEveryByte(t *testing.T) {
 	for b := 0; b < 256; b++ {
-		checkString(t, string([]byte{byte(b)}))
-		checkString(t, string([]byte{'a', byte(b), 'z'}))
+		checkString(t, string([]byte{byte(b)}), 0)
+		for cut := 0; cut <= 3; cut++ {
+			checkString(t, string([]byte{'a', byte(b), 'z'}), cut)
+		}
 	}
 }
 

@@ -204,20 +204,31 @@ func (m Money) AppendString(dst []byte) []byte {
 	}
 	dst = append(dst, '$')
 	dst = strconv.AppendUint(dst, u/1e6, 10)
-	frac := u % 1e6
-	var d [6]byte
-	for i := len(d) - 1; i >= 0; i-- {
-		d[i] = byte('0' + frac%10)
-		frac /= 10
-	}
+	// The six fractional digits, two at a time from a table.
+	frac := uint32(u % 1e6)
+	hi, mid, lo := 2*(frac/10000), 2*(frac/100%100), 2*(frac%100)
+	dst = append(dst, '.',
+		digitPairs[hi], digitPairs[hi+1],
+		digitPairs[mid], digitPairs[mid+1],
+		digitPairs[lo], digitPairs[lo+1])
 	// Trim trailing zeros but keep at least two decimals.
-	n := len(d)
-	for n > 2 && d[n-1] == '0' {
+	n := len(dst)
+	for n > len(dst)-4 && dst[n-1] == '0' {
 		n--
 	}
-	dst = append(dst, '.')
-	return append(dst, d[:n]...)
+	return dst[:n]
 }
+
+const digitPairs = "00010203040506070809" +
+	"10111213141516171819" +
+	"20212223242526272829" +
+	"30313233343536373839" +
+	"40414243444546474849" +
+	"50515253545556575859" +
+	"60616263646566676869" +
+	"70717273747576777879" +
+	"80818283848586878889" +
+	"90919293949596979899"
 
 // Parse parses strings like "$1.08", "1.08", "-$0.0000004" into Money.
 // At most six fractional digits are accepted.

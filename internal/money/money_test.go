@@ -298,6 +298,25 @@ func TestStringEdges(t *testing.T) {
 	}
 }
 
+// TestStringEveryFraction holds the table-driven fractional digits to
+// one digit at a time, for every one of the million fractions.
+func TestStringEveryFraction(t *testing.T) {
+	var buf []byte
+	for frac := 0; frac < 1_000_000; frac++ {
+		want := []byte("$12.000000")
+		for i, f := len(want)-1, frac; f > 0; i, f = i-1, f/10 {
+			want[i] = byte('0' + f%10)
+		}
+		for len(want) > len("$12.00") && want[len(want)-1] == '0' {
+			want = want[:len(want)-1]
+		}
+		buf = Money(12_000_000 + frac).AppendString(buf[:0])
+		if string(buf) != string(want) {
+			t.Fatalf("Money(%d) = %q, want %q", 12_000_000+frac, buf, want)
+		}
+	}
+}
+
 func BenchmarkMoneyAppendString(b *testing.B) {
 	buf := make([]byte, 0, 32)
 	m := MustParse("$2131.76")

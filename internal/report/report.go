@@ -3,44 +3,60 @@
 package report
 
 import (
+	"encoding/binary"
 	"fmt"
 	"io"
 	"strconv"
 	"strings"
 	"time"
 	"unicode/utf8"
+
+	"vmcloud/internal/jsonenc"
 )
 
 // Table is a simple column-aligned text table.
+//
+// The zero Table with Headers set is ready to use, and the renderers on
+// the serving path declare theirs as a local: it holds no pointer into
+// itself, so it stays on the caller's stack, and a report-sized one
+// never touches the heap.
 type Table struct {
 	Title   string
 	Headers []string
 
-	// cells holds every cell's text back to back, row-major. ends[i] is
-	// the offset in cells one past cell i; rows[r] is the index in ends
-	// one past the last cell of row r.
-	cells []byte
-	ends  []int32
-	rows  []int32
-	// Inline backing for the three slices above, so that a report-sized
-	// table (a dozen rows of short cells) is one allocation; a larger
-	// one spills to the heap through append.
-	cellArena [320]byte
-	endArena  [48]int32
-	rowArena  [10]int32
+	// The rows are one byte stream: per cell a mark — text length and
+	// display width, a uint32 each — followed by the text, and per row a
+	// closing rowEnd word. The stream fills inline first and moves to
+	// spill, whole, when it outgrows it.
+	n      int
+	inline [512]byte
+	spill  []byte
 }
+
+const (
+	markSize = 8
+	rowEnd   = ^uint32(0)
+)
 
 // NewTable creates a table with the given headers.
 func NewTable(title string, headers ...string) *Table {
 	return &Table{Title: title, Headers: headers}
 }
 
+// Reset empties the table for reuse under a new title and headers.
+func (t *Table) Reset(title string, headers []string) {
+	t.Title, t.Headers = title, headers
+	t.n, t.spill = 0, nil
+}
+
 // AddRow appends a row. Strings, ints, bools and values with an
 // AppendString method (money.Money, units.DataSize) are formatted
 // directly; anything else is formatted as fmt's %v.
 func (t *Table) AddRow(cells ...any) {
+	var text []byte
 	for _, c := range cells {
-		t.Cell(appendValue(t.Buf(), c))
+		text = appendValue(text[:0], c)
+		t.Cell(text)
 	}
 	t.EndRow()
 }
@@ -60,51 +76,87 @@ func appendValue(dst []byte, c any) []byte {
 	}
 }
 
-// Buf, Cell and EndRow build a row without boxing its values, for
-// renderers on the serving path: append one cell's text to Buf() and
-// hand the result to Cell, then close the row with EndRow.
+// Cell and EndRow build a row without boxing its values, for renderers
+// on the serving path: format each cell into a scratch buffer, hand it
+// to Cell — which copies it — and close the row with EndRow.
 //
-//	t.Cell(bill.Total().AppendString(t.Buf()))
-//	t.Cell(append(t.Buf(), "with views"...))
+//	var sb [32]byte
+//	t.Cell(bill.Total().AppendString(sb[:0]))
+//	t.Cell(append(sb[:0], "with views"...))
 //	t.EndRow()
 //
-//mvlint:hotpath
-func (t *Table) Buf() []byte {
-	if t.cells == nil {
-		t.cells = t.cellArena[:0]
-	}
-	return t.cells
-}
-
-// Cell commits b — Buf() with one cell's text appended — as the next
-// cell of the current row.
+// The cell's display width, in runes, is taken here, once: its byte
+// length unless the text leaves ASCII.
 //
 //mvlint:hotpath
-func (t *Table) Cell(b []byte) {
-	if t.ends == nil {
-		t.ends = t.endArena[:0]
+func (t *Table) Cell(text []byte) {
+	width := len(text)
+	for _, c := range text {
+		if c >= utf8.RuneSelf {
+			width = utf8.RuneCount(text)
+			break
+		}
 	}
-	t.cells = b
-	t.ends = append(t.ends, int32(len(b)))
+	b := t.grow(markSize + len(text))
+	binary.LittleEndian.PutUint32(b, uint32(len(text)))
+	binary.LittleEndian.PutUint32(b[4:], uint32(width))
+	copy(b[markSize:], text)
 }
 
 // EndRow closes the current row.
 //
 //mvlint:hotpath
 func (t *Table) EndRow() {
-	if t.rows == nil {
-		t.rows = t.rowArena[:0]
-	}
-	t.rows = append(t.rows, int32(len(t.ends)))
+	binary.LittleEndian.PutUint32(t.grow(4), rowEnd)
 }
 
-// cell returns the text of cell i.
-func (t *Table) cell(i int) []byte {
-	start := int32(0)
-	if i > 0 {
-		start = t.ends[i-1]
+// grow extends the stream by k bytes and returns them.
+//
+//mvlint:hotpath
+func (t *Table) grow(k int) []byte {
+	if t.spill == nil && t.n+k <= len(t.inline) {
+		t.n += k
+		return t.inline[t.n-k : t.n]
 	}
-	return t.cells[start:t.ends[i]]
+	if t.spill == nil {
+		t.spill = append(make([]byte, 0, 4*len(t.inline)+k), t.inline[:t.n]...)
+	}
+	n := len(t.spill)
+	t.spill = append(t.spill, make([]byte, k)...)
+	return t.spill[n:]
+}
+
+// stream returns the rows recorded so far.
+func (t *Table) stream() []byte {
+	if t.spill != nil {
+		return t.spill
+	}
+	return t.inline[:t.n]
+}
+
+// nextCell splits the first cell off the stream s. At the end of a row
+// (or of the stream) ok is false and s is returned as it came.
+//
+//mvlint:hotpath
+func nextCell(s []byte) (text []byte, width int, rest []byte, ok bool) {
+	if len(s) < markSize {
+		return nil, 0, s, false
+	}
+	n := binary.LittleEndian.Uint32(s)
+	if n == rowEnd {
+		return nil, 0, s, false
+	}
+	end := markSize + int(n)
+	return s[markSize:end], int(binary.LittleEndian.Uint32(s[4:])), s[end:], true
+}
+
+// endRow steps s, which nextCell has exhausted, over the row's closing
+// word.
+func endRow(s []byte) []byte {
+	if len(s) < 4 {
+		return nil
+	}
+	return s[4:]
 }
 
 // AppendTo appends the rendered table to dst: the title line if there
@@ -113,65 +165,97 @@ func (t *Table) cell(i int) []byte {
 //
 //mvlint:hotpath
 func (t *Table) AppendTo(dst []byte) []byte {
+	w := jsonenc.Text{Buf: dst}
+	t.AppendText(&w)
+	return w.Buf
+}
+
+// AppendText writes what AppendTo appends through w. Titles, headers
+// and cells may hold anything and go through w's escaping; the rules
+// and the padding between them do not need it. Widths were counted on
+// the cells' own text, so a column is as wide in the rendered report as
+// it is once a JSON decoder has undone the escapes.
+//
+//mvlint:hotpath
+func (t *Table) AppendText(w *jsonenc.Text) {
 	var widthArena [16]int
 	widths := widthArena[:0]
 	for _, h := range t.Headers {
 		widths = append(widths, utf8.RuneCountInString(h))
 	}
-	first := 0
-	for _, end := range t.rows {
-		for i := first; i < int(end) && i-first < len(widths); i++ {
-			if n := utf8.RuneCount(t.cell(i)); n > widths[i-first] {
-				widths[i-first] = n
-			}
+	col := 0
+	for s := t.stream(); len(s) > 0; {
+		_, width, rest, ok := nextCell(s)
+		if !ok {
+			s, col = endRow(s), 0
+			continue
 		}
-		first = int(end)
+		if col < len(widths) && width > widths[col] {
+			widths[col] = width
+		}
+		s = rest
+		col++
 	}
 	if t.Title != "" {
-		dst = append(dst, t.Title...)
-		dst = append(dst, '\n')
+		w.Str(t.Title)
+		w.Newline()
 	}
-	dst = append(dst, "| "...)
+	w.Buf = append(w.Buf, "| "...)
 	for i, h := range t.Headers {
 		if i > 0 {
-			dst = append(dst, " | "...)
+			w.Buf = append(w.Buf, " | "...)
 		}
-		dst = append(dst, h...)
-		dst = appendRepeat(dst, ' ', widths[i]-utf8.RuneCountInString(h))
+		w.Str(h)
+		w.Buf = appendRun(w.Buf, spaces, widths[i]-utf8.RuneCountInString(h))
 	}
-	dst = append(dst, " |\n|-"...)
-	for i, w := range widths {
+	w.Buf = append(w.Buf, " |"...)
+	w.Newline()
+	w.Buf = append(w.Buf, "|-"...)
+	for i, width := range widths {
 		if i > 0 {
-			dst = append(dst, "-|-"...)
+			w.Buf = append(w.Buf, "-|-"...)
 		}
-		dst = appendRepeat(dst, '-', w)
+		w.Buf = appendRun(w.Buf, dashes, width)
 	}
-	dst = append(dst, "-|\n"...)
-	first = 0
-	for _, end := range t.rows {
-		dst = append(dst, "| "...)
-		// A short row is padded with empty cells; cells beyond the last
-		// header are not shown.
-		for col, w := range widths {
-			if col > 0 {
-				dst = append(dst, " | "...)
+	w.Buf = append(w.Buf, "-|"...)
+	w.Newline()
+	for s := t.stream(); len(s) > 0; s = endRow(s) {
+		w.Buf = append(w.Buf, "| "...)
+		// A short row is padded with empty cells.
+		for i, width := range widths {
+			if i > 0 {
+				w.Buf = append(w.Buf, " | "...)
 			}
-			if i := first + col; i < int(end) {
-				c := t.cell(i)
-				dst = append(dst, c...)
-				w -= utf8.RuneCount(c)
+			if text, tw, rest, ok := nextCell(s); ok {
+				w.Bytes(text)
+				width -= tw
+				s = rest
 			}
-			dst = appendRepeat(dst, ' ', w)
+			w.Buf = appendRun(w.Buf, spaces, width)
 		}
-		dst = append(dst, " |\n"...)
-		first = int(end)
+		for ok := true; ok; { // past any cells beyond the last header
+			_, _, s, ok = nextCell(s)
+		}
+		w.Buf = append(w.Buf, " |"...)
+		w.Newline()
 	}
-	return dst
 }
 
-func appendRepeat(dst []byte, b byte, n int) []byte {
-	for ; n > 0; n-- {
-		dst = append(dst, b)
+const (
+	spaces = "                                                                "
+	dashes = "----------------------------------------------------------------"
+)
+
+// appendRun appends the first n bytes of run, a constant string of one
+// repeated byte, going round again for an n beyond its length.
+//
+//mvlint:hotpath
+func appendRun(dst []byte, run string, n int) []byte {
+	for ; n > len(run); n -= len(run) {
+		dst = append(dst, run...)
+	}
+	if n > 0 {
+		dst = append(dst, run[:n]...)
 	}
 	return dst
 }
@@ -189,17 +273,18 @@ func (t *Table) String() string {
 
 // Rows returns the formatted cell rows accumulated so far.
 func (t *Table) Rows() [][]string {
-	if len(t.rows) == 0 {
-		return nil
-	}
-	out := make([][]string, len(t.rows))
-	first := 0
-	for r, end := range t.rows {
-		out[r] = make([]string, 0, int(end)-first)
-		for i := first; i < int(end); i++ {
-			out[r] = append(out[r], string(t.cell(i)))
+	var out [][]string
+	for s := t.stream(); len(s) > 0; s = endRow(s) {
+		row := []string{}
+		for {
+			text, _, rest, ok := nextCell(s)
+			if !ok {
+				break
+			}
+			row = append(row, string(text))
+			s = rest
 		}
-		first = int(end)
+		out = append(out, row)
 	}
 	return out
 }
@@ -314,7 +399,7 @@ func Percent(r float64) string { return string(AppendPercent(nil, r)) }
 //
 //mvlint:hotpath
 func AppendPercent(dst []byte, r float64) []byte {
-	dst = strconv.AppendFloat(dst, r*100, 'f', 1, 64)
+	dst = jsonenc.AppendFixed(dst, r*100, 1)
 	return append(dst, '%')
 }
 
@@ -323,6 +408,6 @@ func AppendPercent(dst []byte, r float64) []byte {
 //
 //mvlint:hotpath
 func AppendHours(dst []byte, d time.Duration) []byte {
-	dst = strconv.AppendFloat(dst, d.Hours(), 'f', 3, 64)
+	dst = jsonenc.AppendFixed(dst, d.Hours(), 3)
 	return append(dst, 'h')
 }

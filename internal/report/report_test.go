@@ -1,6 +1,7 @@
 package report
 
 import (
+	"encoding/json"
 	"errors"
 	"fmt"
 	"math"
@@ -9,6 +10,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"vmcloud/internal/jsonenc"
 )
 
 func TestTableRender(t *testing.T) {
@@ -215,7 +218,7 @@ func TestAppendToMatchesReference(t *testing.T) {
 				continue
 			}
 			for _, c := range rows[r] {
-				tb.Cell(append(tb.Buf(), c...))
+				tb.Cell([]byte(c))
 			}
 			tb.EndRow()
 		}
@@ -259,30 +262,55 @@ func TestAddRowFormatsLikeV(t *testing.T) {
 
 var reportHeaders = []string{"configuration", "workload time", "total cost", "feasible", "views"}
 
-func reportTable() *Table {
-	tb := NewTable("", reportHeaders...)
+// fillReportTable builds the comparison matrix of a 2×2 compare the way
+// the serving path's renderers do: a local Table, cells formatted into a
+// local scratch buffer.
+func fillReportTable(tb *Table) {
+	var sb [32]byte
+	tb.Reset("", reportHeaders)
 	for i := 0; i < 4; i++ {
-		tb.Cell(append(tb.Buf(), "aws-2012/small×5"...))
-		tb.Cell(AppendHours(tb.Buf(), 12345*time.Second))
-		tb.Cell(append(tb.Buf(), "$123.45"...))
-		tb.Cell(append(tb.Buf(), "true"...))
-		tb.Cell(append(tb.Buf(), "3"...))
+		tb.Cell(append(sb[:0], "aws-2012/small×5"...))
+		tb.Cell(AppendHours(sb[:0], 12345*time.Second))
+		tb.Cell(append(sb[:0], "$123.45"...))
+		tb.Cell(append(sb[:0], "true"...))
+		tb.Cell(append(sb[:0], "3"...))
 		tb.EndRow()
 	}
-	return tb
 }
 
-// TestTableAppendToAllocs: rendering into a buffer that is large enough
-// allocates nothing, and a report-sized table fills within its inline
-// arenas — one allocation for the table, none per row or cell.
+// TestTableAppendToAllocs: a report-sized table is built on its caller's
+// stack and rendered, in either form, into a buffer that is large
+// enough without allocating at all.
 func TestTableAppendToAllocs(t *testing.T) {
-	tb := reportTable()
 	buf := make([]byte, 0, 4096)
-	if allocs := testing.AllocsPerRun(100, func() { buf = tb.AppendTo(buf[:0]) }); allocs != 0 {
-		t.Errorf("AppendTo into a pre-sized buffer: %.1f allocs, want 0", allocs)
+	if allocs := testing.AllocsPerRun(100, func() {
+		var tb Table
+		fillReportTable(&tb)
+		buf = tb.AppendTo(buf[:0])
+		w := jsonenc.StringText(buf[:0])
+		tb.AppendText(&w)
+		buf = w.Close()
+	}); allocs != 0 {
+		t.Errorf("building and rendering a report-sized table: %.1f allocs, want 0", allocs)
 	}
-	if allocs := testing.AllocsPerRun(100, func() { reportTable() }); allocs > 1 {
-		t.Errorf("building a report-sized table: %.1f allocs, want at most 1", allocs)
+}
+
+// TestAppendTextJSON: the table written through a JSON sink is the
+// JSON string literal of the table written raw — hostile titles,
+// headers and cells escaped, padding counted on the raw text.
+func TestAppendTextJSON(t *testing.T) {
+	tb := NewTable("a \"title\"\n<&>", "h\x00", "×\u2028", "plain")
+	tb.AddRow("\"quoted\"", "line\nbreak", "\xff\xfe")
+	tb.AddRow("", "</script>", "tab\there")
+	tb.AddRow("ok")
+	want, err := json.Marshal(tb.String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	w := jsonenc.StringText([]byte("prefix"))
+	tb.AppendText(&w)
+	if got := string(w.Close()); got != "prefix"+string(want) {
+		t.Errorf("JSON sink:\ngot:  %s\nwant: prefix%s", got, want)
 	}
 }
 
@@ -300,7 +328,8 @@ func TestAppendHoursPercent(t *testing.T) {
 }
 
 func BenchmarkTableAppendTo(b *testing.B) {
-	tb := reportTable()
+	var tb Table
+	fillReportTable(&tb)
 	buf := tb.AppendTo(make([]byte, 0, 4096))
 	b.SetBytes(int64(len(buf)))
 	b.ReportAllocs()

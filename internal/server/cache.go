@@ -12,6 +12,12 @@ import (
 // interior bytes can never be mutated through an escaped slice; Put
 // takes ownership of the passed value (callers must not modify it
 // afterwards).
+//
+// A response entry also carries clen, its Content-Length header value,
+// formatted once when the body is filled in: a hit hands it to the
+// header map as it is, where formatting it per request would allocate on
+// the path that must not. Entries that are not responses (the raw-key
+// LRU's) have none.
 type lruCache struct {
 	mu       sync.Mutex
 	cap      int
@@ -30,8 +36,9 @@ type lruCache struct {
 }
 
 type lruEntry struct {
-	key string
-	val []byte
+	key  string
+	val  []byte
+	clen []string
 }
 
 func (e *lruEntry) size() int64 { return int64(len(e.key) + len(e.val)) }
@@ -67,33 +74,39 @@ func (c *lruCache) Get(key string) ([]byte, bool) {
 // map[string] lookup optimization applies — a hot-path probe allocates
 // nothing. The returned slice aliases cache-owned memory: values are
 // only ever replaced wholesale (never scribbled in place), so the view
-// stays byte-stable for as long as the caller holds it, but the caller
+// — and the entry's Content-Length value returned beside it — stays
+// byte-stable for as long as the caller holds it, but the caller
 // must treat it as read-only and must not retain it past the request.
 // Callers that hand the bytes to arbitrary code want Get's defensive
 // copy instead.
 //
 //mvlint:hotpath
-func (c *lruCache) view(key []byte) ([]byte, bool) {
+func (c *lruCache) view(key []byte) (val []byte, clen []string, ok bool) {
 	c.mu.Lock()
 	el, ok := c.entries[string(key)]
 	if !ok {
 		c.mu.Unlock()
-		return nil, false
+		return nil, nil, false
 	}
 	c.order.MoveToFront(el)
-	val := el.Value.(*lruEntry).val
+	e := el.Value.(*lruEntry)
+	val, clen = e.val, e.clen
 	c.mu.Unlock()
-	return val, true
+	return val, clen, true
 }
 
 // Put inserts or refreshes a value, evicting least recently used
 // entries while either bound is exceeded. An entry larger than the
 // byte bound is not cached at all.
-func (c *lruCache) Put(key string, val []byte) {
+func (c *lruCache) Put(key string, val []byte) { c.PutResponse(key, val, nil) }
+
+// PutResponse is Put for a response body, stored with its Content-Length
+// header value for view to hand back.
+func (c *lruCache) PutResponse(key string, val []byte, clen []string) {
 	if c.cap < 1 {
 		return
 	}
-	entry := &lruEntry{key: key, val: val}
+	entry := &lruEntry{key: key, val: val, clen: clen}
 	if c.capBytes > 0 && entry.size() > c.capBytes {
 		return
 	}
@@ -103,7 +116,7 @@ func (c *lruCache) Put(key string, val []byte) {
 		c.order.MoveToFront(el)
 		old := el.Value.(*lruEntry)
 		c.bytes += entry.size() - old.size()
-		old.val = val
+		old.val, old.clen = val, clen
 	} else {
 		c.entries[key] = c.order.PushFront(entry)
 		c.bytes += entry.size()

@@ -57,7 +57,7 @@ func TestLRUConcurrentStress(t *testing.T) {
 						}
 					}
 				case 3:
-					if v, ok := c.view([]byte(key)); ok {
+					if v, _, ok := c.view([]byte(key)); ok {
 						// Views are read-only: verify, never mutate.
 						if string(v) != string(valFor(ns, k)) {
 							t.Errorf("corrupt view for %q: %q", key, v)

@@ -200,7 +200,8 @@ func (s *Server) runForward(ctx context.Context, e *endpoint, account, key, cach
 	// timing-dependent; sheds and errors have nothing to cache, and
 	// nobody is waiting for an abandoned forward's answer.
 	if out.err == nil && !out.degraded && !out.shed && len(out.body) > 0 && !abandoned(ctx) {
-		s.cache.Put(cacheKey, out.body)
+		out.clen = contentLength(out.body)
+		s.cache.PutResponse(cacheKey, out.body, out.clen)
 	}
 	return out
 }

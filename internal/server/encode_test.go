@@ -9,6 +9,7 @@ import (
 	"net/http"
 	"net/url"
 	"os"
+	"strings"
 	"testing"
 
 	"vmcloud/internal/compare"
@@ -124,6 +125,31 @@ func TestAdviseResponseAppendJSONMatchesReflection(t *testing.T) {
 	}
 }
 
+// TestErrorBodyMatchesEncodingJSON: the hand-written error body is the
+// map json.Marshal used to build, byte for byte, whatever a message
+// holds — a decoder's complaint quotes the request back.
+func TestErrorBodyMatchesEncodingJSON(t *testing.T) {
+	msgs := []string{
+		"", "overloaded: solve queue full, retry later",
+		`invalid character '"' after object key`, `unknown scenario "<script>alert(1)</script>"`,
+		"a & b < c > d", "tab\there\nnewline\rreturn\x00nul\x1f", `back\slash`, "sep\u2028para\u2029",
+		"broken \xff\xfe utf-8 \xe2\x82", "×—α≈", strings.Repeat("long ", 1000),
+	}
+	rng := rand.New(rand.NewSource(24))
+	for i := 0; i < 200; i++ {
+		msgs = append(msgs, wiretest.String(rng))
+	}
+	for _, msg := range msgs {
+		want, err := json.Marshal(map[string]string{"error": msg})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := errorBody(msg); string(got) != string(want)+"\n" {
+			t.Errorf("errorBody(%q) = %s, want %s", msg, got, want)
+		}
+	}
+}
+
 // TestMissAllocBudget gates the miss path in counts, which repeat, not
 // in nanoseconds, which do not: one request through ServeHTTP that
 // misses both caches — decode, canonicalize, solve, encode, cache fill
@@ -133,20 +159,22 @@ func TestAdviseResponseAppendJSONMatchesReflection(t *testing.T) {
 // 515 before the request half lost its reflection and its two extra
 // lattices (advise 292, sweep 422), and 390 before the leader solved in
 // place and the problem structure was built in slabs (advise 173, sweep
-// 298).
+// 298), and 273 before the reports' tables moved to the stack (sweep
+// 181; advise went 71 → 72: a table fewer, a Content-Length value's two
+// more).
 func TestMissAllocBudget(t *testing.T) {
 	for _, c := range []struct {
 		name, path string
 		body       func(n int) []byte
 		budget     float64
 	}{
-		{"load-compare-2x2", "/v1/compare", compareMiss2x2Body, 287}, // 273
+		{"load-compare-2x2", "/v1/compare", compareMiss2x2Body, 271}, // 258
 		{"paper16-mv1", "/v1/advise", func(n int) []byte {
 			return fmt.Appendf(nil, `{"scenario":"mv1","budget":25,"queries":10,"frequency":30,"fact_rows":%d}`, 200_000_000+n)
-		}, 75}, // 71
+		}, 75}, // 72
 		{"sweep-2x2", "/v1/sweep", func(n int) []byte {
 			return fmt.Appendf(nil, `{"budget":25,"providers":["aws-2012","cumulus"],"fleet_sizes":[3,5],"fact_rows":%d,"queries":10,"frequency":30}`, 50_000_000+n)
-		}, 190}, // 181
+		}, 188}, // 179
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			s := New(Options{CacheSize: 1})

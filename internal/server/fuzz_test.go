@@ -43,7 +43,7 @@ func FuzzServeNever5xx(f *testing.F) {
 				return // cut short by the clock, never cached
 			}
 			rawKey := append(append(append(append([]byte(endpoint), 0), account...), 0), body...)
-			packed, ok := s.rawKeys.view(rawKey)
+			packed, _, ok := s.rawKeys.view(rawKey)
 			if !ok {
 				t.Fatalf("a 200 left no raw key: %s %q", path, body)
 			}

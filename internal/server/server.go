@@ -322,7 +322,10 @@ func (s *Server) counted(name string, h http.HandlerFunc) http.HandlerFunc {
 // admission control (optionally with a stale body to serve instead of
 // the 429), degraded at the solve deadline, or a contained panic.
 type outcome struct {
-	body   []byte
+	body []byte
+	// clen is body's Content-Length header value when the body went into
+	// the cache, the same slice the entry holds; nil otherwise.
+	clen   []string
 	err    error
 	phases *obs.Trace
 	// degraded marks a solve that stopped at its deadline with the best
@@ -560,12 +563,12 @@ func (s *Server) serveMemoized(w http.ResponseWriter, r *http.Request, e *endpoi
 	}
 	ps := probeState{rawKey: rb.b, raw: rb.b[prefix:], buf: rb, prefix: prefix, account: account, start: start}
 
-	if packed, ok := s.rawKeys.view(rb.b); ok {
+	if packed, _, ok := s.rawKeys.view(rb.b); ok {
 		if i := bytes.IndexByte(packed, 0); i >= 0 {
 			ps.label = internLabel(packed[:i])
 			// Fast path: the response for this verbatim body is resident.
-			if body, ok := s.cache.view(packed[i+1:]); ok {
-				s.respondAnswer(w, e, ps.label, outcomeHit, body, start)
+			if body, clen, ok := s.cache.view(packed[i+1:]); ok {
+				s.respondAnswer(w, e, ps.label, outcomeHit, body, clen, start)
 				return
 			}
 			// Response evicted; the canonical key spares re-canonicalizing.
@@ -602,9 +605,9 @@ func (s *Server) finishMemoized(w http.ResponseWriter, r *http.Request, e *endpo
 		}
 		// A differently-spelled equivalent request may have already
 		// cached the canonical response.
-		if cached, ok := s.cache.view(kb); ok {
+		if cached, clen, ok := s.cache.view(kb); ok {
 			s.rememberSpelling(ps, label, kb)
-			s.respondAnswer(w, e, label, outcomeHit, cached, ps.start)
+			s.respondAnswer(w, e, label, outcomeHit, cached, clen, ps.start)
 			return
 		}
 		cacheKey = string(kb)
@@ -637,10 +640,10 @@ func (s *Server) finishMemoized(w http.ResponseWriter, r *http.Request, e *endpo
 		// (it fills before it retires, so a leader that finds no flight
 		// finds the entry). Without this re-probe a late arrival in a
 		// stampede leads a second solve.
-		if cached, ok := s.cache.view(kb); ok {
-			s.flight.finish(cacheKey, call, outcome{body: cached})
+		if cached, clen, ok := s.cache.view(kb); ok {
+			s.flight.finish(cacheKey, call, outcome{body: cached, clen: clen})
 			s.rememberSpelling(ps, label, kb)
-			s.respondAnswer(w, e, label, outcomeHit, cached, ps.start)
+			s.respondAnswer(w, e, label, outcomeHit, cached, clen, ps.start)
 			return
 		}
 		var gone bool
@@ -694,9 +697,9 @@ func (s *Server) rememberSpelling(ps probeState, label int, kb []byte) {
 // under its scenario label.
 //
 //mvlint:hotpath
-func (s *Server) respondAnswer(w http.ResponseWriter, e *endpoint, label int, o outcomeKind, body []byte, start time.Time) {
+func (s *Server) respondAnswer(w http.ResponseWriter, e *endpoint, label int, o outcomeKind, body []byte, clen []string, start time.Time) {
 	s.m.scenarios[label].Inc()
-	e.respond(w, http.StatusOK, body, o, start)
+	e.respond(w, http.StatusOK, body, clen, o, start)
 }
 
 // respondSolved maps a finished solve's outcome onto the HTTP response
@@ -711,7 +714,7 @@ func (s *Server) respondSolved(w http.ResponseWriter, r *http.Request, e *endpoi
 		// Admission (or an all-down ring neighborhood) refused the solve
 		// but an evicted cached response for this exact key survives:
 		// serve it, clearly marked.
-		e.respond(w, http.StatusOK, out.body, outcomeStale, start)
+		e.respond(w, http.StatusOK, out.body, nil, outcomeStale, start)
 		return true
 	case out.shed:
 		w.Header().Set("Retry-After", strconv.FormatInt(ceilSeconds(out.retryAfter), 10))
@@ -719,9 +722,9 @@ func (s *Server) respondSolved(w http.ResponseWriter, r *http.Request, e *endpoi
 		if msg == "" {
 			msg = "overloaded: solve queue full, retry later"
 		}
-		e.respond(w, http.StatusTooManyRequests, errorBody(msg), outcomeShed, start)
+		e.respond(w, http.StatusTooManyRequests, errorBody(msg), nil, outcomeShed, start)
 	case out.panicked:
-		e.respond(w, http.StatusInternalServerError, errorBody(out.err.Error()), outcomePanic, start)
+		e.respond(w, http.StatusInternalServerError, errorBody(out.err.Error()), nil, outcomePanic, start)
 	case out.err != nil:
 		status := http.StatusBadRequest
 		if errors.Is(out.err, context.Canceled) || errors.Is(out.err, context.DeadlineExceeded) {
@@ -742,7 +745,7 @@ func (s *Server) respondSolved(w http.ResponseWriter, r *http.Request, e *endpoi
 				o = outcomeDegraded
 			}
 		}
-		s.respondAnswer(w, e, label, o, out.body, start)
+		s.respondAnswer(w, e, label, o, out.body, out.clen, start)
 		return true
 	}
 	return false
@@ -829,10 +832,12 @@ func (s *Server) runSolve(ctx context.Context, e *endpoint, req memoRequest, lab
 	// that must never be memoized. Nor is the result of an abandoned
 	// solve (the knapsack path has no cancellation point, so it finishes
 	// anyway): nobody is waiting for it.
+	out := outcome{body: b, err: err, phases: tr, degraded: degraded}
 	if err == nil && !degraded && !abandoned(ctx) {
-		s.cache.Put(cacheKey, b)
+		out.clen = contentLength(b)
+		s.cache.PutResponse(cacheKey, b, out.clen)
 	}
-	return outcome{body: b, err: err, phases: tr, degraded: degraded}
+	return out
 }
 
 // shedOrStale marks out shed and, where the stale tier may answer
@@ -1019,7 +1024,7 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 		writeError(w, http.StatusInternalServerError, err.Error())
 		return
 	}
-	writeBody(w, status, buf.Bytes(), nil)
+	writeBody(w, status, buf.Bytes(), nil, nil)
 }
 
 // Shared header values: assigning a preallocated []string into the
@@ -1032,15 +1037,28 @@ var (
 	headerValTrue = []string{"true"}
 )
 
-// writeBody sends a pre-marshaled, newline-terminated JSON body, with
-// the X-Cache header cache when it is non-nil. The body may alias
-// cache-owned memory: it is only ever written to the wire, never
-// mutated.
+// contentLength is the Content-Length header value of body.
+func contentLength(body []byte) []string {
+	return []string{strconv.Itoa(len(body))}
+}
+
+// writeBody sends a pre-marshaled, newline-terminated JSON body with
+// its Content-Length — clen when the caller holds the value (a cached
+// body's, formatted when the cache was filled), formatted here
+// otherwise — and the X-Cache header cache when it is non-nil. The
+// length is always declared: left to net/http, a body over 2 KB goes out
+// chunked, which is one more write to the socket per response. The body
+// may alias cache-owned memory: it is only ever written to the wire,
+// never mutated.
 //
 //mvlint:hotpath
-func writeBody(w http.ResponseWriter, status int, body []byte, cache []string) {
+func writeBody(w http.ResponseWriter, status int, body []byte, clen, cache []string) {
 	h := w.Header()
 	h["Content-Type"] = headerValJSON
+	if clen == nil {
+		clen = contentLength(body)
+	}
+	h["Content-Length"] = clen
 	if cache != nil {
 		h["X-Cache"] = cache
 	}
@@ -1048,12 +1066,16 @@ func writeBody(w http.ResponseWriter, status int, body []byte, cache []string) {
 	w.Write(body)
 }
 
-// errorBody is the JSON body of an error response.
+// errorBody is the JSON body of an error response: {"error":msg}, as
+// encoding/json writes it. Sheds are built here, so this runs hottest
+// when the daemon is overloaded.
 func errorBody(msg string) []byte {
-	b, _ := json.Marshal(map[string]string{"error": msg})
-	return append(b, '\n')
+	b := make([]byte, 0, len(`{"error":""}`)+len(msg)+1)
+	b = append(b, `{"error":`...)
+	b = jsonenc.AppendString(b, msg)
+	return append(b, '}', '\n')
 }
 
 func writeError(w http.ResponseWriter, status int, msg string) {
-	writeBody(w, status, errorBody(msg), nil)
+	writeBody(w, status, errorBody(msg), nil, nil)
 }

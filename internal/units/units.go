@@ -11,6 +11,7 @@ package units
 import (
 	"fmt"
 	"math"
+	"math/bits"
 	"strconv"
 	"strings"
 	"time"
@@ -65,6 +66,12 @@ func (s DataSize) String() string {
 
 // AppendString appends the String form to dst.
 //
+// The value is a ratio of integers with a power of two below, so its
+// two decimals are exact integer arithmetic, rounded half to even — what
+// fmt's %.2f prints of the same quotient. The unit is settled after the
+// rounding: a size within half a hundredth of the next unit is 1.00 of
+// that, not 1024.00 of this.
+//
 //mvlint:hotpath
 func (s DataSize) AppendString(dst []byte) []byte {
 	// The magnitude is taken in uint64: -math.MinInt64 does not fit.
@@ -73,25 +80,31 @@ func (s DataSize) AppendString(dst []byte) []byte {
 		dst = append(dst, '-')
 		v = -v
 	}
-	unit, suffix := Byte, " B"
-	switch {
-	case v >= uint64(PB):
-		unit, suffix = PB, " PB"
-	case v >= uint64(TB):
-		unit, suffix = TB, " TB"
-	case v >= uint64(GB):
-		unit, suffix = GB, " GB"
-	case v >= uint64(MB):
-		unit, suffix = MB, " MB"
-	case v >= uint64(KB):
-		unit, suffix = KB, " KB"
-	default:
+	if v < uint64(KB) {
 		dst = strconv.AppendUint(dst, v, 10)
-		return append(dst, suffix...)
+		return append(dst, " B"...)
 	}
-	dst = strconv.AppendFloat(dst, float64(v)/float64(unit), 'f', 2, 64)
-	return append(dst, suffix...)
+	// unit is 2^(10·(i+1)) for suffixes[i].
+	i := (bits.Len64(v)-1)/10 - 1
+	if i >= len(suffixes) {
+		i = len(suffixes) - 1
+	}
+	shift := uint(10 * (i + 1))
+	hi, lo := bits.Mul64(v, 100)
+	hundredths := hi<<(64-shift) | lo>>shift
+	rem, half := lo&(1<<shift-1), uint64(1)<<(shift-1)
+	if rem > half || rem == half && hundredths&1 == 1 {
+		hundredths++
+	}
+	if hundredths == 1024*100 && i < len(suffixes)-1 {
+		hundredths, i = 100, i+1
+	}
+	dst = strconv.AppendUint(dst, hundredths/100, 10)
+	dst = append(dst, '.', byte('0'+hundredths/10%10), byte('0'+hundredths%10))
+	return append(dst, suffixes[i]...)
 }
+
+var suffixes = [...]string{" KB", " MB", " GB", " TB", " PB"}
 
 // ParseDataSize parses strings like "500GB", "1.5 TB", "10gb", "42" (bytes).
 func ParseDataSize(s string) (DataSize, error) {

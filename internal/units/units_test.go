@@ -1,6 +1,10 @@
 package units
 
 import (
+	"math"
+	"math/rand"
+	"strconv"
+	"strings"
 	"testing"
 	"testing/quick"
 	"time"
@@ -56,6 +60,74 @@ func TestString(t *testing.T) {
 	for _, c := range cases {
 		if got := c.in.String(); got != c.want {
 			t.Errorf("(%d).String() = %q, want %q", c.in, got, c.want)
+		}
+	}
+}
+
+// TestStringUnitBoundaries: the unit is chosen after the value is
+// rounded, so a size just under a unit reads 1.00 of it rather than
+// 1024.00 of the one below — at every boundary, one byte either side,
+// both signs.
+func TestStringUnitBoundaries(t *testing.T) {
+	cases := []struct {
+		in   DataSize
+		want string
+	}{
+		{KB - 1, "1023 B"}, {KB, "1.00 KB"}, {KB + 1, "1.00 KB"},
+		{MB - 1, "1.00 MB"}, {MB, "1.00 MB"}, {MB + 1, "1.00 MB"},
+		{GB - 1, "1.00 GB"}, {GB, "1.00 GB"}, {GB + 1, "1.00 GB"},
+		{TB - 1, "1.00 TB"}, {TB, "1.00 TB"}, {TB + 1, "1.00 TB"},
+		{PB - 1, "1.00 PB"}, {PB, "1.00 PB"}, {PB + 1, "1.00 PB"},
+		{GB - 1000, "1.00 GB"},
+		// The last size that stays and the first that is promoted.
+		{MB - 6, "1023.99 KB"}, {MB - 5, "1.00 MB"},
+		{GB - 5243, "1023.99 MB"}, {GB - 5242, "1.00 GB"},
+		{1024*PB - 1, "1024.00 PB"}, // no unit above PB
+		{DataSize(math.MaxInt64), "8192.00 PB"},
+		{DataSize(math.MinInt64), "-8192.00 PB"},
+		// Exact halves round to even, as %.2f does.
+		{1152, "1.12 KB"}, {1408, "1.38 KB"}, {1536, "1.50 KB"},
+		{KB + 5, "1.00 KB"}, {KB + 6, "1.01 KB"},
+	}
+	for _, c := range cases {
+		for _, sign := range []DataSize{1, -1} {
+			in, want := c.in, c.want
+			if sign < 0 && in > 0 {
+				in, want = -in, "-"+want
+			}
+			if got := in.String(); got != want {
+				t.Errorf("DataSize(%d).String() = %q, want %q", int64(in), got, want)
+			}
+		}
+	}
+}
+
+// TestStringMatchesFloatFormat: where the old formatter was right — the
+// quotient exact in a float64 and not within rounding of the next unit —
+// the integer one prints the same bytes.
+func TestStringMatchesFloatFormat(t *testing.T) {
+	rng := rand.New(rand.NewSource(24))
+	for i := 0; i < 200_000; i++ {
+		v := rng.Int63n(1 << uint(11+rng.Intn(42))) // up to 2^53
+		if v < int64(KB) {
+			continue
+		}
+		unit, suffix := KB, " KB"
+		for _, u := range []struct {
+			u DataSize
+			s string
+		}{{PB, " PB"}, {TB, " TB"}, {GB, " GB"}, {MB, " MB"}} {
+			if v >= int64(u.u) {
+				unit, suffix = u.u, u.s
+				break
+			}
+		}
+		want := strconv.FormatFloat(float64(v)/float64(unit), 'f', 2, 64) + suffix
+		if strings.HasPrefix(want, "1024.00") && unit != PB {
+			continue
+		}
+		if got := DataSize(v).String(); got != want {
+			t.Fatalf("DataSize(%d).String() = %q, want %q", v, got, want)
 		}
 	}
 }

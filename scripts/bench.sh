@@ -13,7 +13,11 @@
 # shapes (internal/server): BenchmarkCanonAdvise, BenchmarkCanonCompare
 # and BenchmarkCanonSweep (bytes to canonical key), BenchmarkReloadAdvise
 # (a canonical key decoded back) and BenchmarkAdviseCanonicalHit (a whole
-# re-spelled hit through ServeHTTP), each with B/s and allocs/op.
+# re-spelled hit through ServeHTTP), each with B/s and allocs/op; and the
+# response half, BenchmarkCompareEncode (internal/compare) and
+# BenchmarkAdviseEncode (internal/core) — the served AppendJSON of a 2×2
+# comparison and of one recommendation — whose mb_per_s is how far
+# describing an answer is from copying it.
 #
 # Usage:
 #   ./scripts/bench.sh                # full run, writes BENCH_YYYY-MM-DD.json
@@ -23,7 +27,9 @@
 # The JSON shape:
 #   {"date":"...","go":"...","goos":"...","goarch":"...","benchtime":"...",
 #    "benchmarks":[{"package":"...","name":"...","iterations":N,
-#                   "ns_per_op":F,"bytes_per_op":F,"allocs_per_op":F}, ...]}
+#                   "ns_per_op":F,"mb_per_s":F,"bytes_per_op":F,
+#                   "allocs_per_op":F}, ...]}
+# (mb_per_s only for benchmarks that call b.SetBytes)
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -55,15 +61,17 @@ $1 == "pkg:" { pkg = $2 }
   name = $1
   sub(/-[0-9]+$/, "", name)
   iters = $2
-  ns = ""; bytes = ""; allocs = ""
+  ns = ""; mbs = ""; bytes = ""; allocs = ""
   for (i = 3; i < NF; i++) {
     if ($(i+1) == "ns/op") ns = $i
+    if ($(i+1) == "MB/s") mbs = $i
     if ($(i+1) == "B/op") bytes = $i
     if ($(i+1) == "allocs/op") allocs = $i
   }
   if (ns == "") next
   if (n++) printf ","
   printf "{\"package\":\"%s\",\"name\":\"%s\",\"iterations\":%s,\"ns_per_op\":%s", pkg, name, iters, ns
+  if (mbs != "") printf ",\"mb_per_s\":%s", mbs
   if (bytes != "") printf ",\"bytes_per_op\":%s", bytes
   if (allocs != "") printf ",\"allocs_per_op\":%s", allocs
   printf "}"
