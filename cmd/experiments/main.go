@@ -1,6 +1,9 @@
 // Command experiments regenerates every table and figure of the paper's
 // evaluation section: Figure 5(a)–(d), Tables 6–8, the nine worked
-// examples of Sections 3–4 and the introduction's motivating example.
+// examples of Sections 3–4 and the introduction's motivating example —
+// then checks the processing-cost model against the execution engine:
+// how well Formula 9 ranks the selections of the HRU candidates by the
+// rows the engine actually scans, at four fact-row scales.
 //
 // Usage:
 //
@@ -112,15 +115,24 @@ func run(csvDir string, alphaC, alphaD float64) error {
 	fmt.Println(experiments.Figure5cd(mv3c, "c"))
 	fmt.Println(experiments.Figure5cd(mv3d, "d"))
 
+	fmt.Println("== Model validation: Formula 9 vs measured engine scans ==")
+	vs, err := experiments.RunModelValidation()
+	if err != nil {
+		return err
+	}
+	val := experiments.ModelValidationTable(vs)
+	fmt.Println(val)
+
 	if csvDir != "" {
 		if err := os.MkdirAll(csvDir, 0o755); err != nil {
 			return err
 		}
 		for name, tbl := range map[string]*report.Table{
-			"table6.csv":   t6,
-			"table7.csv":   t7,
-			"table8.csv":   t8,
-			"examples.csv": ext,
+			"table6.csv":     t6,
+			"table7.csv":     t7,
+			"table8.csv":     t8,
+			"examples.csv":   ext,
+			"validation.csv": val,
 		} {
 			f, err := os.Create(filepath.Join(csvDir, name))
 			if err != nil {

@@ -11,7 +11,7 @@ func TestRunFullSuite(t *testing.T) {
 	if err := run(dir, 0.3, 0.7); err != nil {
 		t.Fatal(err)
 	}
-	for _, f := range []string{"table6.csv", "table7.csv", "table8.csv", "examples.csv"} {
+	for _, f := range []string{"table6.csv", "table7.csv", "table8.csv", "examples.csv", "validation.csv"} {
 		data, err := os.ReadFile(filepath.Join(dir, f))
 		if err != nil {
 			t.Errorf("%s: %v", f, err)

@@ -53,6 +53,60 @@ func TestRepoIsClean(t *testing.T) {
 	}
 }
 
+// TestEveryInternalPackageIsReached holds the module to what it ships:
+// every package under internal/ must be in the non-test import closure of
+// a command, an example or the root facade. A package only tests reach
+// is a second stack nobody runs; the two test-support packages are the
+// exception.
+func TestEveryInternalPackageIsReached(t *testing.T) {
+	if testing.Short() {
+		t.Skip("loads the whole module through go list; skipped in -short")
+	}
+	wd, err := os.Getwd()
+	if err != nil {
+		t.Fatal(err)
+	}
+	moduleDir, err := analysis.ModuleRoot(wd)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pkgs, err := analysis.LoadPackages(moduleDir, []string{"./..."})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const module = "vmcloud"
+	byPath := make(map[string]*analysis.Package, len(pkgs))
+	var stack []string
+	for _, p := range pkgs {
+		byPath[p.Path] = p
+		if p.Path == module || strings.HasPrefix(p.Path, module+"/cmd/") || strings.HasPrefix(p.Path, module+"/examples/") {
+			stack = append(stack, p.Path)
+		}
+	}
+	reached := map[string]bool{}
+	for len(stack) > 0 {
+		path := stack[len(stack)-1]
+		stack = stack[:len(stack)-1]
+		p, ok := byPath[path]
+		if !ok || reached[path] {
+			continue // outside the module, or already walked
+		}
+		reached[path] = true
+		for _, imp := range p.Types.Imports() {
+			stack = append(stack, imp.Path())
+		}
+	}
+	exempt := map[string]bool{
+		module + "/internal/wiretest":              true,
+		module + "/internal/analysis/analysistest": true,
+	}
+	for _, p := range pkgs {
+		if strings.HasPrefix(p.Path, module+"/internal/") && !reached[p.Path] && !exempt[p.Path] {
+			t.Errorf("%s is reached by no command, example or the root facade: serve it or delete it", p.Path)
+		}
+	}
+}
+
 // TestTelemetryFastPathsAreMarked pins the observability contract from
 // the other side: the telemetry instruments that sit on the zero-alloc
 // cache-hit path must carry //mvlint:hotpath, so the hotpath analyzer

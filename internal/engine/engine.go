@@ -1,12 +1,12 @@
 // Package engine executes aggregation queries over columnar tables: scan,
-// optional dimension filters, hash group-by to any coarser lattice point,
-// and measure re-aggregation.
+// hash group-by to any coarser lattice point, and measure re-aggregation.
 //
 // It is the single-node stand-in for the paper's Pig-on-Hadoop execution
 // layer. Because it can aggregate *any* table whose grain is fine enough —
 // not just the base fact table — the same code path both materializes views
 // and answers queries from them (rollup), which is exactly the capability
-// the paper's processing-cost model (Formula 9/10) prices.
+// the paper's processing-cost model (Formula 9/10) prices;
+// experiments.RunModelValidation checks that model against its scans.
 //
 // Measure semantics under re-aggregation: Sum sums, MinAgg takes the min,
 // MaxAgg takes the max, and Count *sums stored counts* — a base fact table
@@ -16,6 +16,7 @@ package engine
 
 import (
 	"fmt"
+	"sort"
 
 	"vmcloud/internal/lattice"
 	"vmcloud/internal/schema"
@@ -47,19 +48,8 @@ type Result struct {
 	Stats Stats
 }
 
-// Filter restricts a scan to rows whose key, lifted to the given level of
-// the given dimension, equals Code. Example: {Dim: 1, Level: 2, Code: 0}
-// keeps only rows in country 0.
-type Filter struct {
-	Dim   int
-	Level int
-	Code  int32
-}
-
 // Options tunes an aggregation.
 type Options struct {
-	// Filters are conjunctive dimension filters applied during the scan.
-	Filters []Filter
 	// Name overrides the output table name.
 	Name string
 }
@@ -85,10 +75,6 @@ func Aggregate(ds *storage.Dataset, src *storage.Table, target lattice.Point, op
 	if err != nil {
 		return nil, err
 	}
-	filters, err := buildFilters(ds, src, opts.Filters)
-	if err != nil {
-		return nil, err
-	}
 
 	name := opts.Name
 	if name == "" {
@@ -104,7 +90,7 @@ func Aggregate(ds *storage.Dataset, src *storage.Table, target lattice.Point, op
 	// row, zero per-group allocations.
 	n := src.Rows()
 	st := shardTable{idx: make(map[int64]int32)}
-	st.scan(src, target, filters, lifts, radices, kinds, 0, n)
+	st.scan(src, target, lifts, radices, kinds)
 
 	out, err := st.emit(name, target, kinds, len(target))
 	if err != nil {
@@ -159,45 +145,61 @@ func buildLifts(ds *storage.Dataset, src *storage.Table, target lattice.Point) (
 	return lifts, radices, nil
 }
 
-type boundFilter struct {
-	dim  int
-	code int32
-	lift liftFn
+// shardTable is Aggregate's private aggregation state: a composite-key
+// index into flat, slot-major key/measure buffers. Appending a group
+// costs amortized zero allocations, unlike a map of per-group objects.
+type shardTable struct {
+	idx  map[int64]int32 // composite key → slot
+	ids  []int64         // composite key per slot, first-seen order
+	keys []int32         // group keys, dims per slot
+	vals []int64         // measure accumulators, measures per slot
 }
 
-func buildFilters(ds *storage.Dataset, src *storage.Table, fs []Filter) ([]boundFilter, error) {
-	out := make([]boundFilter, 0, len(fs))
-	for _, f := range fs {
-		if f.Dim < 0 || f.Dim >= len(ds.Schema.Dimensions) {
-			return nil, fmt.Errorf("engine: filter dimension %d out of range", f.Dim)
-		}
-		dim := ds.Schema.Dimensions[f.Dim]
-		if f.Level < 0 || f.Level >= len(dim.Levels) {
-			return nil, fmt.Errorf("engine: filter level %d out of range for %s", f.Level, dim.Name)
-		}
-		if f.Level == len(dim.Levels)-1 {
-			if f.Code != 0 {
-				return nil, fmt.Errorf("engine: filter on ALL level with non-zero code %d", f.Code)
+// scan aggregates every row of src into the table.
+func (st *shardTable) scan(src *storage.Table, target lattice.Point, lifts []liftFn, radices []int64, kinds []schema.MeasureKind) {
+	nm := len(kinds)
+	rowKeys := make([]int32, len(target))
+	for r := 0; r < src.Rows(); r++ {
+		var composite int64
+		for d := range target {
+			var k int32
+			if lifts[d] != nil {
+				k = lifts[d](src.Keys[d][r])
 			}
-			continue // matches everything
+			rowKeys[d] = k
+			composite = composite*radices[d] + int64(k)
 		}
-		if f.Level < src.Point[f.Dim] {
-			return nil, fmt.Errorf("engine: filter level %s[%d] finer than table grain %d", dim.Name, f.Level, src.Point[f.Dim])
+		slot, ok := st.idx[composite]
+		if !ok {
+			slot = int32(len(st.ids))
+			st.idx[composite] = slot
+			st.ids = append(st.ids, composite)
+			st.keys = append(st.keys, rowKeys...)
+			for _, kind := range kinds {
+				st.vals = append(st.vals, identity(kind))
+			}
 		}
-		if int(f.Code) < 0 || int(f.Code) >= dim.Levels[f.Level].Cardinality {
-			return nil, fmt.Errorf("engine: filter code %d out of range for %s level %d", f.Code, dim.Name, f.Level)
+		base := int(slot) * nm
+		for m, kind := range kinds {
+			st.vals[base+m] = combine(kind, st.vals[base+m], src.Measures[m][r])
 		}
-		chain, err := ds.MapChain(f.Dim, src.Point[f.Dim], f.Level)
-		if err != nil {
+	}
+}
+
+// emit materializes the table's groups as a storage table in composite
+// key order (the deterministic output contract of Aggregate).
+func (st *shardTable) emit(name string, target lattice.Point, kinds []schema.MeasureKind, dims int) (*storage.Table, error) {
+	nm := len(kinds)
+	order := make([]int32, len(st.ids))
+	for i := range order {
+		order[i] = int32(i)
+	}
+	sort.Slice(order, func(i, j int) bool { return st.ids[order[i]] < st.ids[order[j]] })
+	out := storage.NewTable(name, target, nm, len(st.ids))
+	for _, slot := range order {
+		if err := out.Append(st.keys[int(slot)*dims:(int(slot)+1)*dims], st.vals[int(slot)*nm:(int(slot)+1)*nm]); err != nil {
 			return nil, err
 		}
-		lift := func(k int32) int32 {
-			for _, m := range chain {
-				k = m[k]
-			}
-			return k
-		}
-		out = append(out, boundFilter{dim: f.Dim, code: f.Code, lift: lift})
 	}
 	return out, nil
 }

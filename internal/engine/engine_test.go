@@ -1,10 +1,12 @@
 package engine
 
 import (
+	"fmt"
 	"testing"
 
 	"vmcloud/internal/datagen"
 	"vmcloud/internal/lattice"
+	"vmcloud/internal/schema"
 	"vmcloud/internal/storage"
 )
 
@@ -151,72 +153,144 @@ func TestAggregateArgumentErrors(t *testing.T) {
 	}
 }
 
-func TestFilters(t *testing.T) {
-	ds := salesDS(t, 20_000)
-	ex, _ := NewExecutor(ds)
-	yearAll, _ := ex.Lat.PointOf("year", "all")
-	// Sum per year for country 0 + country 1 + ... = sum per year unfiltered.
-	unfiltered, err := Aggregate(ds, ds.Facts, yearAll, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var totalFiltered int64
-	nCountries := ds.Schema.Dimensions[1].Levels[2].Cardinality
-	for c := 0; c < nCountries; c++ {
-		res, err := Aggregate(ds, ds.Facts, yearAll, Options{
-			Filters: []Filter{{Dim: 1, Level: 2, Code: int32(c)}},
-		})
+// referenceGroupBy is the engine's independent per-group oracle: it lifts
+// each fact row's keys to target through ds.MapChain and sums every
+// measure by composite key in a map — no slot table, no radices.
+func referenceGroupBy(t *testing.T, ds *storage.Dataset, target lattice.Point) map[string][]int64 {
+	t.Helper()
+	chains := make([][][]int32, len(target))
+	for d := range target {
+		chain, err := ds.MapChain(d, 0, target[d])
 		if err != nil {
 			t.Fatal(err)
 		}
-		totalFiltered += totalProfit(res.Table)
+		chains[d] = chain
 	}
-	if got, want := totalFiltered, totalProfit(unfiltered.Table); got != want {
-		t.Errorf("partitioned totals = %d, want %d", got, want)
+	out := map[string][]int64{}
+	for r := 0; r < ds.Facts.Rows(); r++ {
+		keys := make([]int32, len(target))
+		for d := range target {
+			if target[d] == len(ds.Schema.Dimensions[d].Levels)-1 {
+				continue // ALL: the constant key 0
+			}
+			keys[d] = ds.Facts.Keys[d][r]
+			for _, m := range chains[d] {
+				keys[d] = m[keys[d]]
+			}
+		}
+		k := fmt.Sprint(keys)
+		if out[k] == nil {
+			out[k] = make([]int64, len(ds.Facts.Measures))
+		}
+		for m, col := range ds.Facts.Measures {
+			out[k][m] += col[r]
+		}
+	}
+	return out
+}
+
+// assertMatchesReference compares an engine result with referenceGroupBy
+// group by group.
+func assertMatchesReference(t *testing.T, label string, got *storage.Table, want map[string][]int64) {
+	t.Helper()
+	if got.Rows() != len(want) {
+		t.Fatalf("%s: %d groups, reference has %d", label, got.Rows(), len(want))
+	}
+	for r := 0; r < got.Rows(); r++ {
+		keys := make([]int32, len(got.Keys))
+		for d, col := range got.Keys {
+			if col != nil {
+				keys[d] = col[r]
+			}
+		}
+		ref, ok := want[fmt.Sprint(keys)]
+		if !ok {
+			t.Fatalf("%s: group %v not in the reference", label, keys)
+		}
+		for m, col := range got.Measures {
+			if col[r] != ref[m] {
+				t.Fatalf("%s: group %v measure %d = %d, reference %d", label, keys, m, col[r], ref[m])
+			}
+		}
 	}
 }
 
-func TestFilterOnAllLevelMatchesEverything(t *testing.T) {
-	ds := salesDS(t, 5000)
-	ex, _ := NewExecutor(ds)
-	apex := ex.Lat.Apex()
-	res, err := Aggregate(ds, ds.Facts, apex, Options{
-		Filters: []Filter{{Dim: 0, Level: 3, Code: 0}},
-	})
+// Every sales cuboid, aggregated from the fact table and answered from a
+// materialized finer view, equals an independent map-based group-by.
+func TestAggregateMatchesReferenceGroupBy(t *testing.T) {
+	ds := salesDS(t, 20_000)
+	ex, err := NewExecutor(ds)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got, want := totalProfit(res.Table), totalProfit(ds.Facts); got != want {
-		t.Errorf("filtered total = %d, want %d", got, want)
+	// Between them the two maximal non-base cuboids answer every other one.
+	for _, names := range [][]string{{"day", "region"}, {"month", "department"}} {
+		p, _ := ex.Lat.PointOf(names...)
+		if _, err := ex.Materialize(p); err != nil {
+			t.Fatal(err)
+		}
 	}
-	if _, err := Aggregate(ds, ds.Facts, apex, Options{
-		Filters: []Filter{{Dim: 0, Level: 3, Code: 1}},
-	}); err == nil {
-		t.Error("non-zero ALL filter accepted")
+	if n := len(ex.Lat.Nodes()); n != 16 {
+		t.Fatalf("sales lattice has %d cuboids, want 16", n)
+	}
+	for _, n := range ex.Lat.Nodes() {
+		name := ex.Lat.Name(n.Point)
+		want := referenceGroupBy(t, ds, n.Point)
+		direct, err := Aggregate(ds, ds.Facts, n.Point, Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		assertMatchesReference(t, name+" from facts", direct.Table, want)
+		if n.Point.Equal(ex.Lat.Base()) {
+			continue
+		}
+		src := ex.SourceFor(n.Point)
+		if src == ds.Facts {
+			t.Fatalf("%s: no materialized view answers it", name)
+		}
+		viaView, err := ex.Answer(n.Point, Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		assertMatchesReference(t, name+" from "+src.Name, viaView.Table, want)
 	}
 }
 
-func TestFilterErrors(t *testing.T) {
-	ds := salesDS(t, 100)
-	ex, _ := NewExecutor(ds)
-	apex := ex.Lat.Apex()
-	bad := []Filter{
-		{Dim: 9, Level: 0, Code: 0},
-		{Dim: 0, Level: 9, Code: 0},
-		{Dim: 1, Level: 2, Code: 99},
+// Two views that answer a query with equal row counts must route it the
+// same way every time: the first-materialized one wins.
+func TestExecutorRoutingTieIsDeterministic(t *testing.T) {
+	s := &schema.Schema{
+		Name: "tie",
+		Dimensions: []schema.Dimension{
+			schema.NewDimension("a", schema.Level{Name: "a", Cardinality: 4}),
+			schema.NewDimension("b", schema.Level{Name: "b", Cardinality: 4}),
+		},
+		Measures: []schema.Measure{{Name: "v", Kind: schema.Sum}},
+		RowBytes: 16,
 	}
-	for i, f := range bad {
-		if _, err := Aggregate(ds, ds.Facts, apex, Options{Filters: []Filter{f}}); err == nil {
-			t.Errorf("bad filter %d accepted", i)
+	facts := storage.NewTable("facts", lattice.Point{0, 0}, 1, 16)
+	for a := int32(0); a < 4; a++ {
+		for b := int32(0); b < 4; b++ {
+			if err := facts.Append([]int32{a, b}, []int64{int64(a*4 + b)}); err != nil {
+				t.Fatal(err)
+			}
 		}
 	}
-	// Filter finer than the source grain must be rejected.
-	yearCountry, _ := ex.Lat.PointOf("year", "country")
-	coarse, _ := Aggregate(ds, ds.Facts, yearCountry, Options{})
-	if _, err := Aggregate(ds, coarse.Table, ex.Lat.Apex(), Options{
-		Filters: []Filter{{Dim: 0, Level: 0, Code: 0}},
-	}); err == nil {
-		t.Error("filter finer than source grain accepted")
+	ds := &storage.Dataset{Schema: s, Facts: facts}
+	aAll, bAll, apex := lattice.Point{0, 1}, lattice.Point{1, 0}, lattice.Point{1, 1}
+	for i := 0; i < 200; i++ {
+		ex, err := NewExecutor(ds)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, p := range []lattice.Point{aAll, bAll} {
+			if _, err := ex.Materialize(p); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if got := ex.SourceFor(apex).Name; got != "mv:a×all" {
+			t.Fatalf("executor %d routed the apex to %s, want the first-materialized mv:a×all", i, got)
+		}
 	}
 }
 

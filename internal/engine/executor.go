@@ -2,6 +2,7 @@ package engine
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"vmcloud/internal/lattice"
@@ -16,8 +17,8 @@ type Executor struct {
 	DS  *storage.Dataset
 	Lat *lattice.Lattice
 
-	views map[string]*storage.Table // keyed by lattice point name
-	stats Stats                     // cumulative work across all calls
+	views []*storage.Table // in first-materialization order: the routing tie-break
+	stats Stats            // cumulative work across all calls
 }
 
 // NewExecutor builds an executor over the dataset.
@@ -29,12 +30,13 @@ func NewExecutor(ds *storage.Dataset) (*Executor, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Executor{DS: ds, Lat: lat, views: map[string]*storage.Table{}}, nil
+	return &Executor{DS: ds, Lat: lat}, nil
 }
 
 // Materialize computes and retains the view at point p, sourcing from the
 // cheapest already-materialized finer view (or the base table). Returns the
-// materialization result. Re-materializing an existing view overwrites it.
+// materialization result. Re-materializing an existing view overwrites it
+// in place, keeping its routing precedence.
 func (e *Executor) Materialize(p lattice.Point) (*Result, error) {
 	if p.Equal(e.Lat.Base()) {
 		return nil, fmt.Errorf("engine: refusing to materialize the base cuboid")
@@ -44,39 +46,48 @@ func (e *Executor) Materialize(p lattice.Point) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	e.views[e.Lat.Name(p)] = res.Table
+	if i := e.find(p); i >= 0 {
+		e.views[i] = res.Table
+	} else {
+		e.views = append(e.views, res.Table)
+	}
 	e.stats.Add(res.Stats)
 	return res, nil
 }
 
+// find returns the index of the view at p, or -1.
+func (e *Executor) find(p lattice.Point) int {
+	return slices.IndexFunc(e.views, func(t *storage.Table) bool { return t.Point.Equal(p) })
+}
+
 // Drop discards the view at p, if materialized.
 func (e *Executor) Drop(p lattice.Point) {
-	delete(e.views, e.Lat.Name(p))
+	if i := e.find(p); i >= 0 {
+		e.views = slices.Delete(e.views, i, i+1)
+	}
 }
 
 // DropAll discards every materialized view.
 func (e *Executor) DropAll() {
-	e.views = map[string]*storage.Table{}
+	e.views = nil
 }
 
 // Views returns the currently materialized points, sorted by name.
 func (e *Executor) Views() []lattice.Point {
-	names := make([]string, 0, len(e.views))
-	for n := range e.views {
-		names = append(names, n)
+	out := make([]lattice.Point, len(e.views))
+	for i, t := range e.views {
+		out[i] = t.Point
 	}
-	sort.Strings(names)
-	out := make([]lattice.Point, 0, len(names))
-	for _, n := range names {
-		out = append(out, e.views[n].Point)
-	}
+	sort.Slice(out, func(i, j int) bool { return e.Lat.Name(out[i]) < e.Lat.Name(out[j]) })
 	return out
 }
 
 // View returns the materialized table at p, if present.
 func (e *Executor) View(p lattice.Point) (*storage.Table, bool) {
-	t, ok := e.views[e.Lat.Name(p)]
-	return t, ok
+	if i := e.find(p); i >= 0 {
+		return e.views[i], true
+	}
+	return nil, false
 }
 
 // Answer evaluates the query at point q against the cheapest answering
@@ -96,7 +107,9 @@ func (e *Executor) Answer(q lattice.Point, opts Options) (*Result, error) {
 
 // cheapestSource returns the smallest table (by actual rows) able to answer
 // point p; the base fact table always qualifies. A view exactly at p counts:
-// answering from it is a plain scan.
+// answering from it is a plain scan. Ties go to the base table, then to the
+// first-materialized view — the slice order lattice.CheapestAnswering
+// follows — so the route never depends on map iteration order.
 func (e *Executor) cheapestSource(p lattice.Point) *storage.Table {
 	best := e.DS.Facts
 	for _, t := range e.views {

@@ -1,8 +1,6 @@
 package storage
 
 import (
-	"bytes"
-	"path/filepath"
 	"testing"
 
 	"vmcloud/internal/lattice"
@@ -146,70 +144,6 @@ func TestSizeOnDisk(t *testing.T) {
 	ds := tinyDataset(t)
 	if got := ds.FactSize(); got != 6*32*units.Byte {
 		t.Errorf("FactSize = %v, want 192 B", got)
-	}
-}
-
-func TestPersistRoundTrip(t *testing.T) {
-	ds := tinyDataset(t)
-	var buf bytes.Buffer
-	if err := ds.Encode(&buf); err != nil {
-		t.Fatal(err)
-	}
-	got, err := ReadDataset(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Facts.Rows() != ds.Facts.Rows() {
-		t.Errorf("rows = %d, want %d", got.Facts.Rows(), ds.Facts.Rows())
-	}
-	for r := 0; r < ds.Facts.Rows(); r++ {
-		if got.Facts.Keys[0][r] != ds.Facts.Keys[0][r] ||
-			got.Facts.Keys[1][r] != ds.Facts.Keys[1][r] ||
-			got.Facts.Measures[0][r] != ds.Facts.Measures[0][r] {
-			t.Fatalf("row %d differs after round trip", r)
-		}
-	}
-	if got.Schema.Name != "tiny" || got.Schema.RowBytes != 32 {
-		t.Errorf("schema mangled: %+v", got.Schema)
-	}
-	if got.Labels["country"][1] != "Italy" {
-		t.Errorf("labels mangled: %v", got.Labels)
-	}
-	if len(got.Maps) != 2 {
-		t.Errorf("maps mangled: %v", got.Maps)
-	}
-}
-
-func TestPersistRejectsInvalid(t *testing.T) {
-	ds := tinyDataset(t)
-	delete(ds.Maps, schema.MapName("day", "month"))
-	var buf bytes.Buffer
-	if err := ds.Encode(&buf); err == nil {
-		t.Error("invalid dataset persisted")
-	}
-}
-
-func TestReadDatasetRejectsGarbage(t *testing.T) {
-	if _, err := ReadDataset(bytes.NewReader([]byte("not gob"))); err == nil {
-		t.Error("garbage decoded")
-	}
-}
-
-func TestSaveLoadFile(t *testing.T) {
-	ds := tinyDataset(t)
-	path := filepath.Join(t.TempDir(), "tiny.ds")
-	if err := ds.SaveFile(path); err != nil {
-		t.Fatal(err)
-	}
-	got, err := LoadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Facts.Rows() != 6 {
-		t.Errorf("rows after file round trip = %d", got.Facts.Rows())
-	}
-	if _, err := LoadFile(filepath.Join(t.TempDir(), "missing.ds")); err == nil {
-		t.Error("missing file loaded")
 	}
 }
 

@@ -1,6 +1,5 @@
 // Package storage provides the in-memory columnar tables the execution
-// engine and the materialized-view machinery operate on, plus binary
-// persistence.
+// engine and the materialized-view machinery operate on.
 //
 // A Table holds fact or view data at a fixed granularity: one dictionary-
 // encoded key column per schema dimension (at some hierarchy level) and one
@@ -129,7 +128,7 @@ func (t *Table) SortByKeys() {
 }
 
 // Dataset bundles a schema, its base fact table, the hierarchy rollup maps
-// and optional display labels. It is the unit of persistence.
+// and optional display labels.
 type Dataset struct {
 	Schema *schema.Schema
 	Facts  *Table

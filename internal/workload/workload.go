@@ -144,47 +144,3 @@ func (w Workload) ScanTime(l *lattice.Lattice, materialized []lattice.Point, tim
 	}
 	return total
 }
-
-// PigScript renders the query as a Piglet script over the denormalized
-// sales relation — how the paper expressed its workload (Pig Latin on
-// Hadoop). The grand-total query uses GROUP ALL.
-func (q Query) PigScript(l *lattice.Lattice) (string, error) {
-	if len(q.Point) != 2 {
-		return "", fmt.Errorf("workload: PigScript supports the 2-dimensional sales schema, point %v", q.Point)
-	}
-	timeLevel := l.Schema.Dimensions[0].Levels[q.Point[0]].Name
-	geoLevel := l.Schema.Dimensions[1].Levels[q.Point[1]].Name
-	var keys []string
-	if timeLevel != "all" {
-		keys = append(keys, timeLevel)
-	}
-	if geoLevel != "all" {
-		keys = append(keys, geoLevel)
-	}
-	var grouping string
-	switch len(keys) {
-	case 0:
-		// Grand total: Pig 0.7's GROUP rel ALL.
-		grouping = "GROUP raw ALL"
-	case 1:
-		grouping = "GROUP raw BY " + keys[0]
-	default:
-		grouping = "GROUP raw BY (" + join(keys, ", ") + ")"
-	}
-	return fmt.Sprintf(`raw = LOAD 'sales' AS (day, month, year, department, region, country, profit);
-grp = %s;
-out = FOREACH grp GENERATE group, SUM(raw.profit) AS total;
-STORE out INTO 'result';
-`, grouping), nil
-}
-
-func join(parts []string, sep string) string {
-	out := ""
-	for i, p := range parts {
-		if i > 0 {
-			out += sep
-		}
-		out += p
-	}
-	return out
-}

@@ -1,7 +1,6 @@
 package workload
 
 import (
-	"strings"
 	"testing"
 	"time"
 
@@ -137,48 +136,4 @@ func TestScanTime(t *testing.T) {
 	if w.ScanTime(l, nil, perGB) <= noViews {
 		t.Error("higher frequency should increase scan time")
 	}
-}
-
-func TestPigScript(t *testing.T) {
-	l := salesLattice(t)
-	w, _ := Sales(l, 10)
-	// Two-key query.
-	s, err := w.Queries[0].PigScript(l)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(s, "GROUP raw BY (year, country)") {
-		t.Errorf("Q1 script:\n%s", s)
-	}
-	// Partially-ALL query: day×country is two keys; check a one-key query
-	// like year×all is rendered without parens.
-	yearAll := Query{Point: mustPoint(t, l, "year", "all"), Frequency: 1}
-	s, err = yearAll.PigScript(l)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(s, "GROUP raw BY year;") {
-		t.Errorf("year×all script:\n%s", s)
-	}
-	// Grand total uses Pig's GROUP ALL.
-	s, err = w.Queries[9].PigScript(l)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(s, "GROUP raw ALL;") {
-		t.Errorf("apex script:\n%s", s)
-	}
-	bad := Query{Point: lattice.Point{0}}
-	if _, err := bad.PigScript(l); err == nil {
-		t.Error("1-dim point accepted")
-	}
-}
-
-func mustPoint(t *testing.T, l *lattice.Lattice, names ...string) lattice.Point {
-	t.Helper()
-	p, err := l.PointOf(names...)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return p
 }
