@@ -14,7 +14,6 @@ import (
 	"vmcloud/internal/money"
 	"vmcloud/internal/optimizer"
 	"vmcloud/internal/pricing"
-	"vmcloud/internal/scaling"
 	"vmcloud/internal/schema"
 	"vmcloud/internal/simtime"
 	"vmcloud/internal/units"
@@ -268,11 +267,25 @@ func BenchmarkAblationScaleOutVsViews(b *testing.B) {
 	}
 	var without, with int
 	for i := 0; i < b.N; i++ {
-		opts, err := scaling.Sweep(scaling.Config{FleetSizes: []int{2, 5, 10, 20, 40}}, w)
+		cmp, err := Compare(CompareRequest{
+			Providers:  []Provider{AWS2012()},
+			FleetSizes: []int{2, 5, 10, 20, 40},
+			Workload:   w,
+			Scenarios:  []string{"mv3"},
+		})
 		if err != nil {
 			b.Fatal(err)
 		}
-		without, with = scaling.Crossover(opts, 16*time.Hour)
+		without, with = -1, -1
+		for _, cr := range cmp.Configs { // fleets ascending
+			r, _ := cr.Result("mv3")
+			if without == -1 && r.BaselineTime <= 16*time.Hour {
+				without = cr.Instances
+			}
+			if with == -1 && r.Selection.Time <= 16*time.Hour {
+				with = cr.Instances
+			}
+		}
 	}
 	b.ReportMetric(float64(without), "instances-no-views")
 	b.ReportMetric(float64(with), "instances-with-views")
@@ -311,25 +324,4 @@ func BenchmarkAblationCandidateBudget(b *testing.B) {
 			b.ReportMetric(sel.Time.Hours(), "h-selected")
 		})
 	}
-}
-
-// BenchmarkAblationPipelinedMaterialization compares Formula 7's
-// materialize-everything-from-base cost against the pipelined plan the
-// execution engine actually uses (coarser views built from finer ones).
-func BenchmarkAblationPipelinedMaterialization(b *testing.B) {
-	s, err := experiments.NewSetup(10, experiments.OneShot())
-	if err != nil {
-		b.Fatal(err)
-	}
-	pts := make([]lattice.Point, len(s.Cands))
-	for i, c := range s.Cands {
-		pts[i] = c.Point
-	}
-	var formula7, pipelined time.Duration
-	for i := 0; i < b.N; i++ {
-		formula7 = s.Est.TotalMaterializationTime(pts)
-		pipelined = s.Est.TotalMaterializationTimePipelined(pts)
-	}
-	b.ReportMetric(formula7.Hours(), "h-formula7")
-	b.ReportMetric(pipelined.Hours(), "h-pipelined")
 }

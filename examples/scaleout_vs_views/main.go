@@ -3,6 +3,10 @@
 // optimizer's view set, then answer the operational question: to bring the
 // daily workload under a deadline, is it cheaper to rent more instances or
 // to materialize views?
+//
+// One vmcloud.Compare call over the fleet sizes answers it: every
+// recommendation carries the configuration's bill and time without views
+// (BaselineTime/BaselineBill) beside the ones with its selection.
 package main
 
 import (
@@ -12,8 +16,16 @@ import (
 
 	"vmcloud"
 	"vmcloud/internal/report"
-	"vmcloud/internal/scaling"
 )
+
+// option is one provisioning alternative: a fleet with or without the
+// optimizer's views.
+type option struct {
+	instances int
+	withViews bool
+	time      time.Duration
+	bill      vmcloud.Money
+}
 
 func main() {
 	l, err := vmcloud.NewLattice(vmcloud.SalesSchema(), 200_000_000)
@@ -28,25 +40,33 @@ func main() {
 		w.Queries[i].Frequency = 30
 	}
 
-	opts, err := scaling.Sweep(scaling.Config{FleetSizes: []int{2, 5, 10, 20, 40}}, w)
+	cmp, err := vmcloud.Compare(vmcloud.CompareRequest{
+		Providers:  []vmcloud.Provider{vmcloud.AWS2012()},
+		FleetSizes: []int{2, 5, 10, 20, 40},
+		Workload:   w,
+		Scenarios:  []string{"mv3"},
+	})
 	if err != nil {
 		log.Fatal(err)
 	}
 
 	t := report.NewTable("fleet sweep — 10-query sales workload, daily",
 		"instances", "views", "workload time", "monthly bill")
-	for _, o := range opts {
-		label := "—"
-		if o.WithViews {
-			label = fmt.Sprintf("%d", o.Views)
-		}
-		t.AddRow(o.Instances, label, fmt.Sprintf("%.2fh", o.Time.Hours()), o.Bill.Total())
+	var opts []option
+	for _, cr := range cmp.Configs {
+		r, _ := cr.Result("mv3")
+		sel := r.Selection
+		t.AddRow(cr.Instances, "—", fmt.Sprintf("%.2fh", r.BaselineTime.Hours()), r.BaselineBill.Total())
+		t.AddRow(cr.Instances, fmt.Sprintf("%d", len(sel.Points)), fmt.Sprintf("%.2fh", sel.Time.Hours()), sel.Bill.Total())
+		opts = append(opts,
+			option{cr.Instances, false, r.BaselineTime, r.BaselineBill.Total()},
+			option{cr.Instances, true, sel.Time, sel.Bill.Total()})
 	}
 	fmt.Println(t)
 
 	deadline := 16 * time.Hour
 	fmt.Printf("Question: the month's workload must fit in %v of cluster time.\n\n", deadline)
-	without, with := scaling.Crossover(opts, deadline)
+	without, with := crossover(opts, deadline)
 	if without > 0 {
 		fmt.Printf("  scale-out answer: %d view-less instances\n", without)
 	} else {
@@ -55,9 +75,36 @@ func main() {
 	if with > 0 {
 		fmt.Printf("  views answer:     %d instances with materialized views\n", with)
 	}
-	best, ok := scaling.CheapestMeeting(opts, deadline)
-	if ok {
+	if best, ok := cheapestMeeting(opts, deadline); ok {
 		fmt.Printf("  cheapest overall: %d instances, views=%v, %v/month (%.2fh)\n",
-			best.Instances, best.WithViews, best.Bill.Total(), best.Time.Hours())
+			best.instances, best.withViews, best.bill, best.time.Hours())
 	}
+}
+
+// crossover returns the smallest fleet meeting the limit without views
+// and the smallest meeting it with them (-1 when none does): how much
+// hardware the views replace.
+func crossover(opts []option, limit time.Duration) (withoutViews, withViews int) {
+	withoutViews, withViews = -1, -1
+	for _, o := range opts {
+		smallest := &withoutViews
+		if o.withViews {
+			smallest = &withViews
+		}
+		if o.time <= limit && (*smallest == -1 || o.instances < *smallest) {
+			*smallest = o.instances
+		}
+	}
+	return withoutViews, withViews
+}
+
+// cheapestMeeting returns the lowest-bill option whose workload time
+// meets the limit, and whether any does.
+func cheapestMeeting(opts []option, limit time.Duration) (best option, found bool) {
+	for _, o := range opts {
+		if o.time <= limit && (!found || o.bill < best.bill) {
+			best, found = o, true
+		}
+	}
+	return best, found
 }

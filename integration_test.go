@@ -9,7 +9,6 @@ import (
 	"vmcloud/internal/datagen"
 	"vmcloud/internal/engine"
 	"vmcloud/internal/pricing"
-	"vmcloud/internal/scaling"
 	"vmcloud/internal/units"
 	"vmcloud/internal/views"
 	"vmcloud/internal/workload"
@@ -47,13 +46,7 @@ func TestMeasuredCalibration(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ex.ResetStats()
-	for _, q := range w.Queries {
-		if _, err := ex.Answer(q.Point, engine.Options{}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	measured := cl.TimeForStats(ex.CumulativeStats())
+	measured := cl.TimeFor(scanned(t, ex, w))
 
 	// Analytical: the estimator's prediction at full scale on an identical
 	// but unscaled cluster (no per-job overhead on either path).
@@ -101,13 +94,7 @@ func TestMeasuredViewSpeedup(t *testing.T) {
 	}
 
 	// Measured: bytes scanned without views...
-	ex.ResetStats()
-	for _, q := range w.Queries {
-		if _, err := ex.Answer(q.Point, engine.Options{}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	withoutBytes := ex.CumulativeStats().BytesScanned
+	withoutBytes := scanned(t, ex, w)
 
 	// ...then with the candidates materialized (materialization excluded
 	// from the query-path measurement).
@@ -116,13 +103,7 @@ func TestMeasuredViewSpeedup(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	ex.ResetStats()
-	for _, q := range w.Queries {
-		if _, err := ex.Answer(q.Point, engine.Options{}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	withBytes := ex.CumulativeStats().BytesScanned
+	withBytes := scanned(t, ex, w)
 
 	measuredReduction := 1 - float64(withBytes)/float64(withoutBytes)
 	if measuredReduction < 0.5 {
@@ -138,12 +119,35 @@ func TestMeasuredViewSpeedup(t *testing.T) {
 	}
 }
 
+// scanned runs every query of w on the smallest table that answers it,
+// the routing Formula 9 assumes, and returns the bytes the engine scanned.
+func scanned(t *testing.T, ex *engine.Executor, w workload.Workload) units.DataSize {
+	t.Helper()
+	var total units.DataSize
+	for _, q := range w.Queries {
+		src := ex.DS.Facts
+		for _, p := range ex.Views() {
+			if v, _ := ex.View(p); p.FinerOrEqual(q.Point) && v.Rows() < src.Rows() {
+				src = v
+			}
+		}
+		res, err := engine.Aggregate(ex.DS, src, q.Point, engine.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		total += res.Stats.BytesScanned
+	}
+	return total
+}
+
 // linearTime is a unit-throughput volume→time stand-in for ratio checks.
 func linearTime(s units.DataSize) time.Duration {
 	return time.Duration(s)
 }
 
-// TestScaleOutFacade exercises the scaling sweep through realistic knobs.
+// TestScaleOutFacade asks the introduction's scale-out question through
+// the facade: one Compare over instance types and fleet sizes, each
+// configuration priced with and without views.
 func TestScaleOutFacade(t *testing.T) {
 	l, err := NewLattice(SalesSchema(), 200_000_000)
 	if err != nil {
@@ -156,43 +160,31 @@ func TestScaleOutFacade(t *testing.T) {
 	for i := range w.Queries {
 		w.Queries[i].Frequency = 30
 	}
-	opts, err := scaling.SweepTypes(
-		scaling.Config{FleetSizes: []int{2, 5}},
-		[]string{"small", "large"},
-		w,
-	)
+	cmp, err := Compare(CompareRequest{
+		Providers:     []Provider{AWS2012()},
+		InstanceTypes: []string{"small", "large"},
+		FleetSizes:    []int{2, 5},
+		Workload:      w,
+		Scenarios:     []string{"mv3"},
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(opts) != 8 { // 2 types × 2 sizes × (with/without)
-		t.Fatalf("options = %d, want 8", len(opts))
+	if len(cmp.Configs) != 4 { // 2 types × 2 sizes
+		t.Fatalf("configs = %d, want 4", len(cmp.Configs))
 	}
 	// Large instances are 4× the price for 4× the ECU: faster wall clock.
-	var smallT, largeT time.Duration
-	for _, o := range opts {
-		if o.Instances == 2 && !o.WithViews {
-			switch o.InstanceType {
-			case "small":
-				smallT = o.Time
-			case "large":
-				largeT = o.Time
-			}
+	baseline := map[string]time.Duration{}
+	for _, cr := range cmp.Configs {
+		r, ok := cr.Result("mv3")
+		if !ok || r.Selection.Time > r.BaselineTime {
+			t.Errorf("%v: views slower than none: %v vs %v", cr.Key, r.Selection.Time, r.BaselineTime)
+		}
+		if cr.Instances == 2 {
+			baseline[cr.InstanceType] = r.BaselineTime
 		}
 	}
-	if largeT >= smallT {
-		t.Errorf("large instances not faster: %v vs %v", largeT, smallT)
-	}
-	if _, ok := scaling.CheapestTypedMeeting(opts, time.Nanosecond); ok {
-		t.Error("impossible limit met")
-	}
-	best, ok := scaling.CheapestTypedMeeting(opts, 1000*time.Hour)
-	if !ok {
-		t.Fatal("generous limit unmet")
-	}
-	if best.InstanceType == "" {
-		t.Error("typed option lost its type")
-	}
-	if _, err := scaling.SweepTypes(scaling.Config{}, nil, w); err == nil {
-		t.Error("empty type list accepted")
+	if baseline["large"] >= baseline["small"] {
+		t.Errorf("large instances not faster: %v vs %v", baseline["large"], baseline["small"])
 	}
 }

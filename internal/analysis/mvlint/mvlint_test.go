@@ -1,11 +1,14 @@
 package mvlint_test
 
 import (
+	"fmt"
 	"go/ast"
 	"go/parser"
 	"go/token"
+	"go/types"
 	"os"
 	"path/filepath"
+	"sort"
 	"strings"
 	"testing"
 
@@ -36,14 +39,7 @@ func TestRepoIsClean(t *testing.T) {
 	if testing.Short() {
 		t.Skip("repo-wide lint shells out to go list; skipped in -short")
 	}
-	wd, err := os.Getwd()
-	if err != nil {
-		t.Fatal(err)
-	}
-	moduleDir, err := analysis.ModuleRoot(wd)
-	if err != nil {
-		t.Fatal(err)
-	}
+	moduleDir := moduleRoot(t)
 	diags, err := analysis.Run(moduleDir, []string{"./..."}, mvlint.Suite())
 	if err != nil {
 		t.Fatal(err)
@@ -62,19 +58,11 @@ func TestEveryInternalPackageIsReached(t *testing.T) {
 	if testing.Short() {
 		t.Skip("loads the whole module through go list; skipped in -short")
 	}
-	wd, err := os.Getwd()
-	if err != nil {
-		t.Fatal(err)
-	}
-	moduleDir, err := analysis.ModuleRoot(wd)
-	if err != nil {
-		t.Fatal(err)
-	}
+	moduleDir := moduleRoot(t)
 	pkgs, err := analysis.LoadPackages(moduleDir, []string{"./..."})
 	if err != nil {
 		t.Fatal(err)
 	}
-	const module = "vmcloud"
 	byPath := make(map[string]*analysis.Package, len(pkgs))
 	var stack []string
 	for _, p := range pkgs {
@@ -107,6 +95,273 @@ func TestEveryInternalPackageIsReached(t *testing.T) {
 	}
 }
 
+// declarationAllow names the declarations only tests call that stay
+// anyway, each with its reason: an oracle other packages' tests compare
+// the product against.
+var declarationAllow = map[string]string{
+	module + "/internal/obs.ValidateText": "the exposition-format oracle: " +
+		"cmd/mvcloudd's, server's and obs's tests hold every /metrics render to it",
+}
+
+// TestEveryDeclarationIsReached holds internal/ to what the product
+// calls, one declaration down from TestEveryInternalPackageIsReached:
+// every package-level func, method, var and const declared there must be
+// reached from a command, an example, the root facade or bench/. Code only
+// a package's own tests use belongs in its _test.go files.
+func TestEveryDeclarationIsReached(t *testing.T) {
+	if testing.Short() {
+		t.Skip("loads the whole module and bench/ through go list; skipped in -short")
+	}
+	moduleDir := moduleRoot(t)
+	var pkgs []*analysis.Package
+	for _, dir := range []string{moduleDir, filepath.Join(moduleDir, "bench")} {
+		loaded, err := analysis.LoadPackages(dir, []string{"./..."})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, p := range loaded {
+			// The test-support packages are neither checked nor roots.
+			if p.Path != module+"/internal/wiretest" && p.Path != module+"/internal/analysis/analysistest" {
+				pkgs = append(pkgs, p)
+			}
+		}
+	}
+	checked := func(path string) bool { return strings.HasPrefix(path, module+"/internal/") }
+	for _, msg := range unreached(pkgs, checked, declarationAllow) {
+		t.Error(msg)
+	}
+	if len(declarationAllow) > 8 {
+		t.Errorf("declarationAllow has %d entries; delete code rather than excuse it", len(declarationAllow))
+	}
+}
+
+// TestUnreachedFixture runs the declaration check on
+// testdata/src/reach: lib is checked, cmd is the root.
+func TestUnreachedFixture(t *testing.T) {
+	if testing.Short() {
+		t.Skip("loads the fixture through go list; skipped in -short")
+	}
+	const fixture = module + "/internal/analysis/testdata/src/reach"
+	pkgs, err := analysis.LoadPackages(moduleRoot(t), []string{
+		"./internal/analysis/testdata/src/reach/lib",
+		"./internal/analysis/testdata/src/reach/cmd",
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := unreached(pkgs, func(path string) bool { return path == fixture+"/lib" }, map[string]string{
+		fixture + "/lib.Oracle": "a root, with its helper",
+		fixture + "/lib.Used":   "stale: reached anyway",
+		fixture + "/lib.Gone":   "stale: names nothing",
+	})
+	want := []string{
+		"allowlist entry " + fixture + "/lib.Gone names no declaration",
+		"allowlist entry " + fixture + "/lib.Used is reached without it: drop the entry",
+		fixture + "/lib.Unused is reached by nothing the product runs",
+		fixture + "/lib.helper is reached by nothing the product runs",
+	}
+	var trimmed []string
+	for _, msg := range got {
+		trimmed = append(trimmed, strings.SplitN(msg, " (", 2)[0])
+	}
+	if strings.Join(trimmed, "\n") != strings.Join(want, "\n") {
+		t.Errorf("got:\n%s\nwant:\n%s", strings.Join(got, "\n"), strings.Join(want, "\n"))
+	}
+}
+
+// unreached returns, sorted, every package-level func, method, var and
+// const declared in a package checked selects that no root reaches, and
+// every stale allow entry. Roots are the declarations of unchecked
+// packages, init funcs, blank vars, allowlisted declarations, and methods
+// whose name some interface declares (the ones the closure's types
+// mention, plus the ones fmt, errors and the json/text codecs call by
+// reflection): a call through an interface names no concrete method.
+// Reach is a fixpoint: a use inside an unreached declaration does not
+// count, so a helper only dead code calls is reported too.
+//
+// Objects are keyed "path.Name" or "path.Recv.Name", never by identity:
+// each package is type-checked against export data, so a caller's
+// *types.Func is not the object in the declaring package's Defs.
+func unreached(pkgs []*analysis.Package, checked func(path string) bool, allow map[string]string) []string {
+	viaInterface := map[string]bool{"String": true, "Error": true, "MarshalJSON": true,
+		"UnmarshalJSON": true, "MarshalText": true, "UnmarshalText": true}
+	seen := map[types.Type]bool{}
+	for _, p := range pkgs {
+		for _, tv := range p.TypesInfo.Types {
+			interfaceMethods(tv.Type, viaInterface, seen)
+		}
+	}
+
+	declared := map[string]token.Position{}
+	edges := map[string][]string{} // declaration -> declarations it uses
+	var roots []string
+	for _, p := range pkgs {
+		for _, f := range p.Files {
+			for _, unit := range declUnits(f) {
+				var owners []string // nil: the unit is a root
+				if checked(p.Path) {
+					for _, id := range unit.names {
+						key, _ := objKey(p.TypesInfo.Defs[id])
+						if id.Name == "_" || id.Name == "init" || key == "" {
+							continue
+						}
+						declared[key] = p.Fset.Position(id.Pos())
+						if fd, ok := unit.node.(*ast.FuncDecl); ok && fd.Recv != nil && viaInterface[id.Name] {
+							roots = append(roots, key)
+						} else {
+							owners = append(owners, key)
+						}
+					}
+				}
+				ast.Inspect(unit.node, func(n ast.Node) bool {
+					id, ok := n.(*ast.Ident)
+					if !ok {
+						return true
+					}
+					used, ok := objKey(p.TypesInfo.Uses[id])
+					if !ok {
+						return true
+					}
+					if owners == nil {
+						roots = append(roots, used)
+					}
+					for _, o := range owners {
+						edges[o] = append(edges[o], used)
+					}
+					return true
+				})
+			}
+		}
+	}
+
+	reach := func(skip string) map[string]bool {
+		live := map[string]bool{}
+		stack := append([]string(nil), roots...)
+		for key := range allow {
+			if key != skip {
+				stack = append(stack, key)
+			}
+		}
+		for len(stack) > 0 {
+			key := stack[len(stack)-1]
+			stack = stack[:len(stack)-1]
+			if !live[key] {
+				live[key] = true
+				stack = append(stack, edges[key]...)
+			}
+		}
+		return live
+	}
+	live := reach("")
+	var out []string
+	for key, pos := range declared {
+		if !live[key] {
+			out = append(out, fmt.Sprintf("%s is reached by nothing the product runs (%s): delete it or move it into a _test.go file", key, pos))
+		}
+	}
+	for key := range allow {
+		if _, ok := declared[key]; !ok {
+			out = append(out, fmt.Sprintf("allowlist entry %s names no declaration", key))
+		} else if reach(key)[key] {
+			out = append(out, fmt.Sprintf("allowlist entry %s is reached without it: drop the entry", key))
+		}
+	}
+	sort.Strings(out)
+	return out
+}
+
+// declUnit is one top-level declaration as the check attributes uses:
+// a func, one var or const spec, or a type or import declaration, which
+// defines no name the check counts.
+type declUnit struct {
+	names []*ast.Ident
+	node  ast.Node
+}
+
+func declUnits(f *ast.File) []declUnit {
+	var units []declUnit
+	for _, decl := range f.Decls {
+		switch d := decl.(type) {
+		case *ast.FuncDecl:
+			units = append(units, declUnit{[]*ast.Ident{d.Name}, d})
+		case *ast.GenDecl:
+			for _, spec := range d.Specs {
+				if vs, ok := spec.(*ast.ValueSpec); ok {
+					units = append(units, declUnit{vs.Names, vs})
+				} else {
+					units = append(units, declUnit{nil, spec})
+				}
+			}
+		}
+	}
+	return units
+}
+
+// objKey keys a package-level func, method, var or const by package path,
+// receiver type name and name; ok is false for anything else.
+func objKey(obj types.Object) (key string, ok bool) {
+	if obj == nil || obj.Pkg() == nil {
+		return "", false
+	}
+	prefix := obj.Pkg().Path() + "."
+	switch o := obj.(type) {
+	case *types.Func:
+		o = o.Origin()
+		recv := o.Type().(*types.Signature).Recv()
+		if recv == nil {
+			return prefix + o.Name(), true
+		}
+		t := recv.Type()
+		if ptr, ok := t.(*types.Pointer); ok {
+			t = ptr.Elem()
+		}
+		if named, ok := types.Unalias(t).(*types.Named); ok {
+			return prefix + named.Origin().Obj().Name() + "." + o.Name(), true
+		}
+	case *types.Var, *types.Const:
+		if obj.Pkg().Scope().Lookup(obj.Name()) == obj {
+			return prefix + obj.Name(), true
+		}
+	}
+	return "", false
+}
+
+// interfaceMethods adds to into the method names of every interface t
+// is or mentions through a signature, pointer or container.
+func interfaceMethods(t types.Type, into map[string]bool, seen map[types.Type]bool) {
+	if t == nil || seen[t] {
+		return
+	}
+	seen[t] = true
+	switch u := types.Unalias(t).(type) {
+	case *types.Named:
+		if it, ok := u.Underlying().(*types.Interface); ok {
+			interfaceMethods(it, into, seen)
+		}
+	case *types.Interface:
+		for i := 0; i < u.NumMethods(); i++ {
+			into[u.Method(i).Name()] = true
+		}
+	case *types.Signature:
+		for _, tup := range []*types.Tuple{u.Params(), u.Results()} {
+			for i := 0; i < tup.Len(); i++ {
+				interfaceMethods(tup.At(i).Type(), into, seen)
+			}
+		}
+	case *types.Pointer:
+		interfaceMethods(u.Elem(), into, seen)
+	case *types.Slice:
+		interfaceMethods(u.Elem(), into, seen)
+	case *types.Array:
+		interfaceMethods(u.Elem(), into, seen)
+	case *types.Chan:
+		interfaceMethods(u.Elem(), into, seen)
+	case *types.Map:
+		interfaceMethods(u.Key(), into, seen)
+		interfaceMethods(u.Elem(), into, seen)
+	}
+}
+
 // TestTelemetryFastPathsAreMarked pins the observability contract from
 // the other side: the telemetry instruments that sit on the zero-alloc
 // cache-hit path must carry //mvlint:hotpath, so the hotpath analyzer
@@ -114,25 +369,16 @@ func TestEveryInternalPackageIsReached(t *testing.T) {
 // would silently exempt the instrument from the discipline; this test
 // turns that into a failure.
 func TestTelemetryFastPathsAreMarked(t *testing.T) {
-	wd, err := os.Getwd()
-	if err != nil {
-		t.Fatal(err)
-	}
-	moduleDir, err := analysis.ModuleRoot(wd)
-	if err != nil {
-		t.Fatal(err)
-	}
+	moduleDir := moduleRoot(t)
 	// receiver.method (or bare function) -> relative source file.
 	want := map[string]string{
 		"Counter.Add":          "internal/obs/counter.go",
 		"Counter.Inc":          "internal/obs/counter.go",
 		"shardIndex":           "internal/obs/counter.go",
-		"Gauge.Set":            "internal/obs/counter.go",
 		"Gauge.Add":            "internal/obs/counter.go",
 		"Histogram.Observe":    "internal/obs/histogram.go",
 		"Trace.StartTimer":     "internal/obs/trace.go",
 		"Trace.ObserveSince":   "internal/obs/trace.go",
-		"Trace.Observe":        "internal/obs/trace.go",
 		"endpoint.count":       "internal/server/endpoint.go",
 		"endpoint.observe":     "internal/server/endpoint.go",
 		"endpoint.respond":     "internal/server/endpoint.go",
@@ -218,6 +464,22 @@ func TestTelemetryFastPathsAreMarked(t *testing.T) {
 			}
 		}
 	}
+}
+
+const module = "vmcloud"
+
+// moduleRoot is the directory of the go.mod above the test's package.
+func moduleRoot(t *testing.T) string {
+	t.Helper()
+	wd, err := os.Getwd()
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir, err := analysis.ModuleRoot(wd)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return dir
 }
 
 // funcKey renders a FuncDecl as receiver.method or a bare name.

@@ -13,7 +13,7 @@
 //     the type exists to prevent (literal tariff constants in fixtures
 //     are fine);
 //   - comparisons where either side is a Dollars() call — compare in
-//     Money (<, Cmp), not in float space;
+//     Money (<, ==), not in float space;
 //   - arithmetic whose operands are BOTH money-derived floats
 //     (Dollars() calls) — that is money math and belongs in
 //     Add/Sub/MulInt/MulFloat.
@@ -87,7 +87,7 @@ func checkConversion(pass *analysis.Pass, call *ast.CallExpr) {
 		return
 	}
 	if at := pass.TypeOf(call.Args[0]); at != nil && isMoney(at) {
-		pass.Reportf(call.Pos(), "raw float conversion of money.Money bypasses exact arithmetic; use Money methods (Add/Sub/MulInt/MulFloat, Cmp) or Dollars() strictly for display")
+		pass.Reportf(call.Pos(), "raw float conversion of money.Money bypasses exact arithmetic; use Money methods (Add/Sub/MulInt/MulFloat), compare Money directly, or Dollars() strictly for display")
 	}
 }
 

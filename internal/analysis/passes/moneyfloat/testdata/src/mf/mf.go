@@ -28,7 +28,7 @@ func cheaper(a, b money.Money) bool {
 }
 
 func cheaperExact(a, b money.Money) bool {
-	return a.Cmp(b) < 0 // Money compares exactly
+	return a < b // Money compares exactly
 }
 
 func span(a, b money.Money) float64 {

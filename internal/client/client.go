@@ -20,47 +20,33 @@ import (
 	"time"
 )
 
-// Default policy: modest, CLI-appropriate persistence.
+// The retry policy: modest, CLI-appropriate persistence.
 const (
-	DefaultMaxRetries  = 4
-	DefaultBaseBackoff = 200 * time.Millisecond
-	DefaultMaxBackoff  = 10 * time.Second
-	DefaultBudget      = 30 * time.Second
+	// maxRetries caps the retries after the initial attempt.
+	maxRetries = 4
+	// baseBackoff is the first backoff step; each retry doubles it, so
+	// the largest step is 1.6s. A server Retry-After hint overrides the
+	// computed backoff.
+	baseBackoff = 200 * time.Millisecond
+	// budget caps the cumulative time spent waiting between retries. A
+	// wait that would overrun the remaining budget — e.g. a long
+	// Retry-After from a deeply backed-up server — fails fast instead of
+	// sleeping through it.
+	budget = 30 * time.Second
 )
 
 // Client posts JSON bodies to BaseURL and retries retryable failures.
-// The zero value (plus BaseURL) is usable; fields tune the policy.
+// The zero value (plus BaseURL) is usable.
 type Client struct {
 	// BaseURL is the server root, e.g. "http://localhost:8080".
 	BaseURL string
 	// HTTP is the underlying transport; nil means http.DefaultClient.
 	HTTP *http.Client
-	// MaxRetries caps the retries after the initial attempt; default 4.
-	// Negative disables retries entirely.
-	MaxRetries int
-	// BaseBackoff is the first backoff step (default 200ms); each retry
-	// doubles it up to MaxBackoff (default 10s). A server Retry-After
-	// hint overrides the computed backoff.
-	BaseBackoff time.Duration
-	MaxBackoff  time.Duration
-	// Budget caps the cumulative time spent waiting between retries
-	// (default 30s). A wait that would overrun the remaining budget —
-	// e.g. a long Retry-After from a deeply backed-up server — fails
-	// fast instead of sleeping through it.
-	Budget time.Duration
 	// Seed makes the backoff jitter deterministic; same seed, same
 	// wait sequence.
 	Seed int64
-	// AttemptTimeout caps one attempt's wall clock. Zero derives the cap
-	// from the context deadline: the remaining time is split evenly over
-	// the attempts still available, so one stalled attempt cannot eat
-	// the whole deadline before the retry policy ever gets a say.
-	// Negative disables per-attempt capping (one attempt may run to the
-	// context deadline — the pre-cap behaviour).
-	AttemptTimeout time.Duration
 
-	// sleep is the wait hook, replaced in tests; nil means a real
-	// context-aware sleep.
+	// sleep is the wait hook; nil means a real context-aware sleep.
 	sleep func(ctx context.Context, d time.Duration) error
 }
 
@@ -85,50 +71,17 @@ func (e *StatusError) Retryable() bool {
 	return e.Status == http.StatusTooManyRequests || e.Status >= 500
 }
 
-// Result is one successful response plus the serving metadata a
-// cluster frontend forwards alongside the body: the cache disposition
-// and the degraded-at-deadline marker.
-type Result struct {
-	Body []byte
-	// XCache is the response's X-Cache header ("hit", "miss",
-	// "coalesced", "stale" or empty).
-	XCache string
-	// Degraded reports X-Degraded: true — the solve stopped at its
-	// deadline with the best incumbent.
-	Degraded bool
-}
-
 // Do posts body as JSON to path and returns the response body,
 // retrying per the client's policy. It is safe for concurrent use;
 // concurrent calls share the seed but jitter independently.
 func (c *Client) Do(ctx context.Context, path string, body []byte) ([]byte, error) {
-	res, err := c.DoResult(ctx, path, body)
-	if err != nil {
-		return nil, err
-	}
-	return res.Body, nil
-}
-
-// DoResult is Do with the response metadata attached.
-func (c *Client) DoResult(ctx context.Context, path string, body []byte) (*Result, error) {
-	maxRetries := c.MaxRetries
-	if maxRetries == 0 {
-		maxRetries = DefaultMaxRetries
-	}
-	if maxRetries < 0 {
-		maxRetries = 0
-	}
-	budget := c.Budget
-	if budget == 0 {
-		budget = DefaultBudget
-	}
 	// xorshift64* keyed on the seed: deterministic jitter without any
 	// global randomness, stepped once per retry.
 	rng := uint64(c.Seed)*2685821657736338717 + 1
 
 	var slept time.Duration
 	for attempt := 0; ; attempt++ {
-		actx, cancel := c.attemptContext(ctx, attempt, maxRetries)
+		actx, cancel := attemptContext(ctx, attempt)
 		out, err := c.post(actx, path, body)
 		cancel()
 		if err == nil {
@@ -147,7 +100,7 @@ func (c *Client) DoResult(ctx context.Context, path string, body []byte) (*Resul
 		rng ^= rng << 13
 		rng ^= rng >> 7
 		rng ^= rng << 17
-		wait := c.backoff(attempt, rng)
+		wait := backoff(attempt, rng)
 		if se != nil && se.RetryAfter > 0 {
 			// The server's hint is derived from its actual queue depth
 			// and solve latency; trust it over the blind exponential.
@@ -164,49 +117,27 @@ func (c *Client) DoResult(ctx context.Context, path string, body []byte) (*Resul
 	}
 }
 
-// attemptContext bounds one attempt. An explicit AttemptTimeout wins;
-// otherwise the context's remaining time is split evenly across this
-// attempt and every retry still allowed, so each attempt gets a fair
-// slice instead of the first stalled one consuming the whole deadline.
-func (c *Client) attemptContext(ctx context.Context, attempt, maxRetries int) (context.Context, context.CancelFunc) {
-	to := c.AttemptTimeout
-	if to < 0 {
+// attemptContext bounds one attempt: the context's remaining time is
+// split evenly across this attempt and every retry still allowed, so
+// each attempt gets a fair slice instead of the first stalled one
+// consuming the whole deadline before the retry policy ever gets a say.
+func attemptContext(ctx context.Context, attempt int) (context.Context, context.CancelFunc) {
+	dl, ok := ctx.Deadline()
+	if !ok {
 		return ctx, func() {}
 	}
-	if to == 0 {
-		dl, ok := ctx.Deadline()
-		if !ok {
-			return ctx, func() {}
-		}
-		attemptsLeft := maxRetries - attempt + 1
-		if attemptsLeft < 1 {
-			attemptsLeft = 1
-		}
-		to = time.Until(dl) / time.Duration(attemptsLeft)
-		if to <= 0 {
-			// Deadline already passed; let post observe the dead context.
-			return ctx, func() {}
-		}
+	to := time.Until(dl) / time.Duration(maxRetries-attempt+1)
+	if to <= 0 {
+		// Deadline already passed; let post observe the dead context.
+		return ctx, func() {}
 	}
 	return context.WithTimeout(ctx, to)
 }
 
 // backoff is the jittered exponential wait before retry attempt+1:
-// uniformly in [step/2, step) where step doubles from BaseBackoff and
-// caps at MaxBackoff.
-func (c *Client) backoff(attempt int, rng uint64) time.Duration {
-	base := c.BaseBackoff
-	if base <= 0 {
-		base = DefaultBaseBackoff
-	}
-	maxb := c.MaxBackoff
-	if maxb <= 0 {
-		maxb = DefaultMaxBackoff
-	}
-	step := base << uint(attempt)
-	if step <= 0 || step > maxb { // <=0 guards shift overflow
-		step = maxb
-	}
+// uniformly in [step/2, step) where step doubles from baseBackoff.
+func backoff(attempt int, rng uint64) time.Duration {
+	step := baseBackoff << uint(attempt)
 	frac := float64(rng>>11) / float64(1<<53) // uniform [0,1)
 	return step/2 + time.Duration(frac*float64(step/2))
 }
@@ -226,7 +157,7 @@ func (c *Client) doSleep(ctx context.Context, d time.Duration) error {
 }
 
 // post is one attempt: POST, drain, classify.
-func (c *Client) post(ctx context.Context, path string, body []byte) (*Result, error) {
+func (c *Client) post(ctx context.Context, path string, body []byte) ([]byte, error) {
 	httpc := c.HTTP
 	if httpc == nil {
 		httpc = http.DefaultClient
@@ -256,9 +187,5 @@ func (c *Client) post(ctx context.Context, path string, body []byte) (*Result, e
 		}
 		return nil, se
 	}
-	return &Result{
-		Body:     data,
-		XCache:   resp.Header.Get("X-Cache"),
-		Degraded: resp.Header.Get("X-Degraded") == "true",
-	}, nil
+	return data, nil
 }

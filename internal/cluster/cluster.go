@@ -9,7 +9,6 @@ import (
 	"fmt"
 	"time"
 
-	"vmcloud/internal/engine"
 	"vmcloud/internal/money"
 	"vmcloud/internal/pricing"
 	"vmcloud/internal/units"
@@ -89,11 +88,6 @@ func (c *Cluster) TimeForJob(work units.DataSize) time.Duration {
 	return c.JobOverhead + c.TimeFor(work)
 }
 
-// TimeForStats converts engine work counters into cluster time.
-func (c *Cluster) TimeForStats(s engine.Stats) time.Duration {
-	return c.TimeFor(s.BytesScanned)
-}
-
 // ComputeCost bills the whole fleet for a run of duration d: every instance
 // is charged for the full wall clock at the provider's billing granularity
 // (the paper's Example 2: 2 × RoundUp(50 h) × $0.12).
@@ -105,32 +99,6 @@ func (c *Cluster) ComputeCost(d time.Duration) money.Money {
 // CostForWork is TimeFor followed by ComputeCost.
 func (c *Cluster) CostForWork(work units.DataSize) money.Money {
 	return c.ComputeCost(c.TimeFor(work))
-}
-
-// ElasticComputeCost bills a set of jobs as if the fleet were provisioned
-// per job and released immediately after — the "variable resources" model
-// the paper defers to future work (Section 4). Every job is rounded up to
-// the provider's billing granularity separately, so under hour-rounded
-// tariffs elasticity is far more expensive for many small jobs than
-// keeping one pooled fleet running (ComputeCost over the summed duration),
-// while under per-second billing the two converge.
-func (c *Cluster) ElasticComputeCost(jobs []time.Duration) money.Money {
-	var total money.Money
-	for _, d := range jobs {
-		total = total.Add(c.ComputeCost(d))
-	}
-	return total
-}
-
-// PooledComputeCost bills the same jobs on one continuously-rented fleet:
-// a single round-up over the summed wall clock (the paper's Formula 4
-// treatment, cf. Example 2's RoundUp(50 h)).
-func (c *Cluster) PooledComputeCost(jobs []time.Duration) money.Money {
-	var sum time.Duration
-	for _, d := range jobs {
-		sum += d
-	}
-	return c.ComputeCost(sum)
 }
 
 // HourlyRate returns the fleet's total price per billed hour.

@@ -4,7 +4,6 @@ import (
 	"testing"
 	"time"
 
-	"vmcloud/internal/engine"
 	"vmcloud/internal/money"
 	"vmcloud/internal/pricing"
 	"vmcloud/internal/units"
@@ -92,14 +91,6 @@ func (c *Cluster) scaleFreeTime(t *testing.T, w units.DataSize) time.Duration {
 	return c.TimeFor(w)
 }
 
-func TestTimeForStats(t *testing.T) {
-	c := twoSmalls(t)
-	s := engine.Stats{BytesScanned: 100 * units.GB}
-	if got := c.TimeForStats(s); got != 2*time.Hour {
-		t.Errorf("TimeForStats(100GB) = %v, want 2h", got)
-	}
-}
-
 func TestCostForWork(t *testing.T) {
 	c := twoSmalls(t)
 	// 100 GB → 2 h → 2 instances × 2 h × $0.12 = $0.48.
@@ -135,40 +126,5 @@ func TestFinerGranularityCheaper(t *testing.T) {
 	want := money.FromDollars(0.09).MulFloat(float64(d) / float64(time.Hour)).MulInt(2)
 	if nimbus.ComputeCost(d) != want {
 		t.Errorf("nimbus 10m = %v, want %v", nimbus.ComputeCost(d), want)
-	}
-}
-
-func TestElasticVsPooledBilling(t *testing.T) {
-	c := twoSmalls(t) // hour-rounded AWS billing
-	jobs := []time.Duration{12 * time.Minute, 12 * time.Minute, 12 * time.Minute}
-
-	pooled := c.PooledComputeCost(jobs)   // 36m → 1 started hour → $0.24
-	elastic := c.ElasticComputeCost(jobs) // 3 × 1 started hour → $0.72
-	if pooled != money.FromDollars(0.24) {
-		t.Errorf("pooled = %v, want $0.24", pooled)
-	}
-	if elastic != money.FromDollars(0.72) {
-		t.Errorf("elastic = %v, want $0.72", elastic)
-	}
-	if elastic <= pooled {
-		t.Error("hour-rounded elastic should cost more than pooled for small jobs")
-	}
-
-	// Under per-second billing the two converge.
-	nimbus, err := New(pricing.NimbusCompute(), "small", 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pn := nimbus.PooledComputeCost(jobs)
-	en := nimbus.ElasticComputeCost(jobs)
-	diff := en.Sub(pn)
-	if diff < 0 {
-		diff = -diff
-	}
-	if diff > money.FromDollars(0.01) {
-		t.Errorf("per-second elastic %v vs pooled %v differ by %v", en, pn, diff)
-	}
-	if c.ElasticComputeCost(nil) != 0 {
-		t.Error("no jobs should cost nothing")
 	}
 }

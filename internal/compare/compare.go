@@ -609,8 +609,10 @@ func better(scenario string, alpha float64, a, b Winner) bool {
 			return a.Time < b.Time
 		}
 	default: // mv3
-		oa := alpha*a.Time.Hours() + (1-alpha)*a.Cost.Dollars()
-		ob := alpha*b.Time.Hours() + (1-alpha)*b.Cost.Dollars()
+		// The float64 conversions round each product before the add, so no port
+		// fuses them into one multiply-add (scripts/nofma.sh).
+		oa := float64(alpha*a.Time.Hours()) + float64((1-alpha)*a.Cost.Dollars())
+		ob := float64(alpha*b.Time.Hours()) + float64((1-alpha)*b.Cost.Dollars())
 		if oa != ob {
 			return oa < ob
 		}

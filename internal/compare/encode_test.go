@@ -118,7 +118,7 @@ func TestAppendJSONMatchesReflection(t *testing.T) {
 		search := testRequest(t)
 		search.Solver, search.Seed, search.Scenarios = "search", 42, []string{"mv1", "pareto"}
 		tight := testRequest(t)
-		tight.Budget, tight.Limit = money.FromCents(1), time.Second // nothing feasible
+		tight.Budget, tight.Limit = money.Cent, time.Second // nothing feasible
 		for name, req := range map[string]Request{"full": full, "grid": grid, "skipped": skipped, "search": search, "tight": tight} {
 			comp, err := Run(req)
 			if err != nil {

@@ -70,9 +70,9 @@ func TestItemizeNilCluster(t *testing.T) {
 	// Itemize must not panic on a plan without a cluster (e.g. when called
 	// on hand-built bills).
 	inv := Itemize(Plan{MonthlyProcessing: time.Hour}, Bill{
-		Compute: Breakdown{Processing: money.Dollar},
+		Compute: Breakdown{Processing: money.FromDollars(1)},
 	})
-	if len(inv.Items) != 1 || inv.GrandTotal != money.Dollar {
+	if len(inv.Items) != 1 || inv.GrandTotal != money.FromDollars(1) {
 		t.Errorf("invoice = %+v", inv)
 	}
 }

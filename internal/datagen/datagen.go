@@ -30,12 +30,6 @@ type Config struct {
 	HotDeptSkew float64
 }
 
-// Default returns the configuration used by the experiment harness: 200k
-// rows ≈ 10 MB, standing in for the paper's 10 GB extract at 1/1000 scale.
-func Default() Config {
-	return Config{Rows: 200_000, Seed: 1, HotDeptSkew: 1.2}
-}
-
 // countries and the paper's named examples (France→Auvergne→Puy-de-Dôme,
 // Italy→Campanie→Naples) head the label lists.
 var countries = []string{

@@ -165,10 +165,3 @@ func TestConfigErrors(t *testing.T) {
 		t.Error("skew ≤ 1 accepted")
 	}
 }
-
-func TestDefaultConfig(t *testing.T) {
-	cfg := Default()
-	if cfg.Rows <= 0 || cfg.HotDeptSkew <= 1 {
-		t.Errorf("Default() = %+v not generatable", cfg)
-	}
-}

@@ -10,15 +10,14 @@ import (
 )
 
 // Executor owns a dataset, its lattice, and a set of materialized views,
-// and routes each query to the cheapest table able to answer it (the
-// smallest answering view, else the base fact table) — the processing model
-// the paper's Formula 9 assumes.
+// and builds each view from the cheapest table able to answer it (the
+// smallest finer view, else the base fact table) — the routing the paper's
+// Formula 9 assumes for queries.
 type Executor struct {
 	DS  *storage.Dataset
 	Lat *lattice.Lattice
 
 	views []*storage.Table // in first-materialization order: the routing tie-break
-	stats Stats            // cumulative work across all calls
 }
 
 // NewExecutor builds an executor over the dataset.
@@ -51,25 +50,12 @@ func (e *Executor) Materialize(p lattice.Point) (*Result, error) {
 	} else {
 		e.views = append(e.views, res.Table)
 	}
-	e.stats.Add(res.Stats)
 	return res, nil
 }
 
 // find returns the index of the view at p, or -1.
 func (e *Executor) find(p lattice.Point) int {
 	return slices.IndexFunc(e.views, func(t *storage.Table) bool { return t.Point.Equal(p) })
-}
-
-// Drop discards the view at p, if materialized.
-func (e *Executor) Drop(p lattice.Point) {
-	if i := e.find(p); i >= 0 {
-		e.views = slices.Delete(e.views, i, i+1)
-	}
-}
-
-// DropAll discards every materialized view.
-func (e *Executor) DropAll() {
-	e.views = nil
 }
 
 // Views returns the currently materialized points, sorted by name.
@@ -90,21 +76,6 @@ func (e *Executor) View(p lattice.Point) (*storage.Table, bool) {
 	return nil, false
 }
 
-// Answer evaluates the query at point q against the cheapest answering
-// table.
-func (e *Executor) Answer(q lattice.Point, opts Options) (*Result, error) {
-	src := e.cheapestSource(q)
-	if opts.Name == "" {
-		opts.Name = "q:" + e.Lat.Name(q)
-	}
-	res, err := Aggregate(e.DS, src, q, opts)
-	if err != nil {
-		return nil, err
-	}
-	e.stats.Add(res.Stats)
-	return res, nil
-}
-
 // cheapestSource returns the smallest table (by actual rows) able to answer
 // point p; the base fact table always qualifies. A view exactly at p counts:
 // answering from it is a plain scan. Ties go to the base table, then to the
@@ -119,14 +90,3 @@ func (e *Executor) cheapestSource(p lattice.Point) *storage.Table {
 	}
 	return best
 }
-
-// SourceFor exposes the routing decision: the table Answer would scan for a
-// query at p.
-func (e *Executor) SourceFor(p lattice.Point) *storage.Table { return e.cheapestSource(p) }
-
-// CumulativeStats returns the total work performed by this executor across
-// all Materialize and Answer calls.
-func (e *Executor) CumulativeStats() Stats { return e.stats }
-
-// ResetStats zeroes the cumulative work counters.
-func (e *Executor) ResetStats() { e.stats = Stats{} }

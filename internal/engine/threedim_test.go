@@ -79,7 +79,7 @@ func TestThreeDimLatticeShape(t *testing.T) {
 	if l.NumNodes() != 27 { // 3×3×3 levels incl. ALL
 		t.Fatalf("nodes = %d, want 27", l.NumNodes())
 	}
-	apex, _ := l.Node(l.Apex())
+	apex := l.NodeByID(l.NumNodes() - 1)
 	if apex.Rows != 1 {
 		t.Errorf("apex rows = %d", apex.Rows)
 	}
@@ -121,7 +121,7 @@ func TestThreeDimViewRouting(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if src := ex.SourceFor(q); src.Name != "mv:week×state×category" {
+	if src := ex.cheapestSource(q); src.Name != "mv:week×state×category" {
 		t.Errorf("routed to %s", src.Name)
 	}
 	fromView, err := ex.Answer(q, Options{})

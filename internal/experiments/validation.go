@@ -14,95 +14,6 @@ import (
 	"vmcloud/internal/workload"
 )
 
-// ValidationRow compares, for one workload query, the measured engine scan
-// against the analytical model's prediction: the cost models assume query
-// time is proportional to the scanned source's size, so the measured
-// rows-scanned ratio between the with-views and no-views runs should track
-// the lattice's row-count ratio.
-type ValidationRow struct {
-	Query string
-	// Source is the table the executor routed the query to with views on.
-	Source string
-	// MeasuredBase/MeasuredView are rows actually scanned by the engine.
-	MeasuredBase int64
-	MeasuredView int64
-	// AnalyticBase/AnalyticView are the lattice estimates at local scale.
-	AnalyticBase int64
-	AnalyticView int64
-}
-
-// MeasuredRatio is the observed scan reduction (view/base).
-func (r ValidationRow) MeasuredRatio() float64 {
-	if r.MeasuredBase == 0 {
-		return 0
-	}
-	return float64(r.MeasuredView) / float64(r.MeasuredBase)
-}
-
-// AnalyticRatio is the predicted scan reduction.
-func (r ValidationRow) AnalyticRatio() float64 {
-	if r.AnalyticBase == 0 {
-		return 0
-	}
-	return float64(r.AnalyticView) / float64(r.AnalyticBase)
-}
-
-// RunEngineValidation executes the n-query sales workload for real on a
-// generated dataset of sampleRows facts — once against the base table,
-// once with the HRU candidate views materialized — and reports measured
-// versus analytical scan volumes per query. This is the "engine validates
-// the plan" leg of DESIGN.md §4.
-func RunEngineValidation(sampleRows, nQueries int) ([]ValidationRow, error) {
-	ds, err := datagen.GenerateSales(datagen.Config{Rows: sampleRows, Seed: 17})
-	if err != nil {
-		return nil, err
-	}
-	ex, err := engine.NewExecutor(ds)
-	if err != nil {
-		return nil, err
-	}
-	w, err := workload.Sales(ex.Lat, nQueries)
-	if err != nil {
-		return nil, err
-	}
-	cands, err := views.GenerateCandidates(ex.Lat, w, CandidateBudget)
-	if err != nil {
-		return nil, err
-	}
-	for _, c := range cands {
-		if _, err := ex.Materialize(c.Point); err != nil {
-			return nil, err
-		}
-	}
-	baseNode, err := ex.Lat.Node(ex.Lat.Base())
-	if err != nil {
-		return nil, err
-	}
-	var rows []ValidationRow
-	for _, q := range w.Queries {
-		src := ex.SourceFor(q.Point)
-		withViews, err := ex.Answer(q.Point, engine.Options{})
-		if err != nil {
-			return nil, fmt.Errorf("experiments: %s with views: %w", q.Name, err)
-		}
-		// Re-answer from the base table for the no-view measurement.
-		direct, err := engine.Aggregate(ds, ds.Facts, q.Point, engine.Options{})
-		if err != nil {
-			return nil, fmt.Errorf("experiments: %s from base: %w", q.Name, err)
-		}
-		_, analyticView := ex.Lat.CheapestAnswering(views.Points(cands), q.Point)
-		rows = append(rows, ValidationRow{
-			Query:        q.Name,
-			Source:       src.Name,
-			MeasuredBase: direct.Stats.RowsScanned,
-			MeasuredView: withViews.Stats.RowsScanned,
-			AnalyticBase: baseNode.Rows,
-			AnalyticView: analyticView.Rows,
-		})
-	}
-	return rows, nil
-}
-
 // validationScales are the fact-row scales RunModelValidation measures at:
 // from well below the sales lattice's saturation, where the Cardenas
 // estimate overstates the Zipf-skewed fine cuboids, to 1M rows.

@@ -5,70 +5,6 @@ import (
 	"testing"
 )
 
-func TestEngineValidationScanRatios(t *testing.T) {
-	rows, err := RunEngineValidation(50_000, 10)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rows) != 10 {
-		t.Fatalf("rows = %d, want 10", len(rows))
-	}
-	for _, r := range rows {
-		if r.MeasuredBase != 50_000 {
-			t.Errorf("%s: base scan = %d, want 50000", r.Query, r.MeasuredBase)
-		}
-		if r.MeasuredView > r.MeasuredBase {
-			t.Errorf("%s: views increased scanned rows (%d > %d)", r.Query, r.MeasuredView, r.MeasuredBase)
-		}
-		// The model's core assumption: measured and analytic scan ratios
-		// agree. The analytic side uses Cardenas estimates, the measured
-		// side real data with skew, so allow a generous ×3 band — what
-		// matters is the order of magnitude of the reduction.
-		m, a := r.MeasuredRatio(), r.AnalyticRatio()
-		if m == 0 && a == 0 {
-			continue
-		}
-		if m > 0 && a > 0 {
-			ratio := m / a
-			if ratio > 3 || ratio < 1.0/3 {
-				t.Errorf("%s: measured ratio %.5f vs analytic %.5f (off ×%.1f)",
-					r.Query, m, a, math.Max(ratio, 1/ratio))
-			}
-		}
-	}
-	// Queries answerable by small views must show a large measured
-	// reduction (the whole point of materialization).
-	first := rows[0] // profit per year and country
-	if first.MeasuredRatio() > 0.05 {
-		t.Errorf("year×country only reduced scans to %.3f of base", first.MeasuredRatio())
-	}
-}
-
-func TestEngineValidationRouting(t *testing.T) {
-	rows, err := RunEngineValidation(20_000, 10)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, r := range rows {
-		if r.Query == "profit per day and department" {
-			// Base-grain query: no view can answer it.
-			if r.Source != "facts" {
-				t.Errorf("base-grain query routed to %s", r.Source)
-			}
-			if r.MeasuredView != r.MeasuredBase {
-				t.Errorf("base-grain query scans differ: %d vs %d", r.MeasuredView, r.MeasuredBase)
-			}
-			continue
-		}
-		// A query is only expected to leave the base table when some
-		// candidate actually answers it more cheaply (the HRU pre-selection
-		// may drop big fine-grained views like day×region).
-		if r.AnalyticView < r.AnalyticBase && r.Source == "facts" {
-			t.Errorf("%s has an answering candidate but routed to the base table", r.Query)
-		}
-	}
-}
-
 // TestModelValidationRanks gates the committed validation table (ROADMAP
 // item 5): at each scale Formula 9 must rank all 2⁸ selections of the HRU
 // candidates at least as well as it did when committed (τ-b 0.5247,

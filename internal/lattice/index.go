@@ -121,18 +121,6 @@ func (l *Lattice) AncestorIDs(id int, out []int) []int {
 	return l.anc[id].appendIDs(out)
 }
 
-// DescendantIDs appends to out the ids strictly coarser than id,
-// ascending. Pass a reused slice to avoid allocation.
-func (l *Lattice) DescendantIDs(id int, out []int) []int {
-	if l.desc == nil {
-		p := l.nodes[id].Point
-		return l.relatedIDsSlow(id, out, func(n Node) bool {
-			return p.FinerOrEqual(n.Point)
-		})
-	}
-	return l.desc[id].appendIDs(out)
-}
-
 // relatedIDsSlow enumerates related ids by partial-order comparison for
 // unindexed (over-cap) lattices.
 func (l *Lattice) relatedIDsSlow(id int, out []int, keep func(Node) bool) []int {

@@ -229,15 +229,6 @@ func (l *Lattice) checkPoint(p Point) error {
 // Base returns the finest cuboid (the fact table grain).
 func (l *Lattice) Base() Point { return make(Point, len(l.radices)) }
 
-// Apex returns the coarsest cuboid (ALL in every dimension).
-func (l *Lattice) Apex() Point {
-	p := make(Point, len(l.radices))
-	for i, r := range l.radices {
-		p[i] = r - 1
-	}
-	return p
-}
-
 // PointOf builds a Point from per-dimension level names, e.g.
 // PointOf("year", "country").
 func (l *Lattice) PointOf(levelNames ...string) (Point, error) {
@@ -280,81 +271,6 @@ func (l *Lattice) Name(p Point) string {
 // query at query — i.e. view is finer-or-equal in every dimension.
 func (l *Lattice) CanAnswer(view, query Point) bool {
 	return view.FinerOrEqual(query)
-}
-
-// Ancestors returns all cuboids strictly finer than p (candidates to answer
-// p besides p itself), base first. With the precomputed index this is a
-// bit scan over anc[id], not an N-point partial-order sweep.
-func (l *Lattice) Ancestors(p Point) []Node {
-	id, err := l.ID(p)
-	if err != nil || l.anc == nil {
-		return l.relatedSlow(p, func(n Node) bool {
-			return n.Point.FinerOrEqual(p) && !n.Point.Equal(p)
-		})
-	}
-	return l.nodesAt(l.anc[id])
-}
-
-// Descendants returns all cuboids strictly coarser than p (queries p can
-// answer besides itself).
-func (l *Lattice) Descendants(p Point) []Node {
-	id, err := l.ID(p)
-	if err != nil || l.desc == nil {
-		return l.relatedSlow(p, func(n Node) bool {
-			return p.FinerOrEqual(n.Point) && !n.Point.Equal(p)
-		})
-	}
-	return l.nodesAt(l.desc[id])
-}
-
-// nodesAt materializes the nodes of a bitset in ascending id order.
-func (l *Lattice) nodesAt(b bitset) []Node {
-	var out []Node
-	for _, id := range b.appendIDs(nil) {
-		out = append(out, l.nodes[id])
-	}
-	return out
-}
-
-// relatedSlow is the pre-index fallback for points that do not validate
-// against the lattice (wrong arity or out-of-range levels): such points
-// historically matched by pairwise comparison, never by id.
-func (l *Lattice) relatedSlow(p Point, keep func(Node) bool) []Node {
-	var out []Node
-	for _, n := range l.nodes {
-		if keep(n) {
-			out = append(out, n)
-		}
-	}
-	return out
-}
-
-// Children returns the direct coarser neighbours of p (one level up in
-// exactly one dimension).
-func (l *Lattice) Children(p Point) []Node {
-	var out []Node
-	for i := range p {
-		if p[i]+1 < l.radices[i] {
-			q := p.Clone()
-			q[i]++
-			out = append(out, l.nodes[l.encode(q)])
-		}
-	}
-	return out
-}
-
-// Parents returns the direct finer neighbours of p (one level down in
-// exactly one dimension).
-func (l *Lattice) Parents(p Point) []Node {
-	var out []Node
-	for i := range p {
-		if p[i] > 0 {
-			q := p.Clone()
-			q[i]--
-			out = append(out, l.nodes[l.encode(q)])
-		}
-	}
-	return out
 }
 
 // CheapestAnswering returns, among the given materialized points plus the

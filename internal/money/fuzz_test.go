@@ -46,8 +46,8 @@ func FuzzDataFlow(f *testing.F) {
 		if n != 0 {
 			_ = ma.DivInt(n)
 		}
-		if !strings.HasPrefix(ma.Abs().String(), "-") == ma.Abs().IsNegative() {
-			t.Fatal("Abs sign inconsistent")
+		if strings.HasPrefix(ma.String(), "-") != ma.IsNegative() {
+			t.Fatal("String sign disagrees with IsNegative")
 		}
 	})
 }

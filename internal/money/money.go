@@ -21,13 +21,8 @@ import (
 // The zero value is $0.
 type Money int64
 
-// Common amounts.
-const (
-	Microdollar Money = 1
-	Millidollar Money = 1_000
-	Cent        Money = 10_000
-	Dollar      Money = 1_000_000
-)
+// Cent is one US cent.
+const Cent Money = 10_000
 
 // MaxMoney and MinMoney bound the representable range.
 const (
@@ -45,12 +40,6 @@ func FromDollars(d float64) Money {
 	return Money(math.Round(d * 1e6))
 }
 
-// FromCents converts an integer number of cents to Money.
-func FromCents(c int64) Money { return Money(c) * Cent }
-
-// FromMicros builds a Money from a raw micro-dollar count.
-func FromMicros(u int64) Money { return Money(u) }
-
 // Micros returns the raw micro-dollar count.
 func (m Money) Micros() int64 { return int64(m) }
 
@@ -59,22 +48,11 @@ func (m Money) Micros() int64 { return int64(m) }
 // billing arithmetic.
 func (m Money) Dollars() float64 { return float64(m) / 1e6 }
 
-// IsZero reports whether the amount is exactly $0.
-func (m Money) IsZero() bool { return m == 0 }
-
 // IsNegative reports whether the amount is below $0.
 func (m Money) IsNegative() bool { return m < 0 }
 
 // Neg returns -m.
 func (m Money) Neg() Money { return -m }
-
-// Abs returns the absolute value of m.
-func (m Money) Abs() Money {
-	if m < 0 {
-		return -m
-	}
-	return m
-}
 
 // Add returns m + o, saturating at the range bounds on overflow.
 func (m Money) Add(o Money) Money {
@@ -146,26 +124,6 @@ func abs64(v int64) int64 {
 		return -v
 	}
 	return v
-}
-
-// Cmp compares m and o, returning -1, 0 or +1.
-func (m Money) Cmp(o Money) int {
-	switch {
-	case m < o:
-		return -1
-	case m > o:
-		return 1
-	default:
-		return 0
-	}
-}
-
-// Min returns the smaller of a and b.
-func Min(a, b Money) Money {
-	if a < b {
-		return a
-	}
-	return b
 }
 
 // Max returns the larger of a and b.

@@ -70,11 +70,6 @@ type Gauge struct {
 	v atomic.Int64
 }
 
-// Set replaces the gauge value.
-//
-//mvlint:hotpath
-func (g *Gauge) Set(v int64) { g.v.Store(v) }
-
 // Add moves the gauge by delta (negative to decrement).
 //
 //mvlint:hotpath

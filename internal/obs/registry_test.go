@@ -31,7 +31,7 @@ func TestWritePrometheusScalars(t *testing.T) {
 	r.CounterFunc("test_evictions_total", "evictions", func() float64 { return 7 })
 	a.Inc()
 	b.Add(3)
-	g.Set(5)
+	g.Add(5)
 
 	got := render(t, r)
 	want := strings.Join([]string{
@@ -243,10 +243,10 @@ func TestHistogramConcurrency(t *testing.T) {
 	}
 }
 
-// TestGauge: Set/Add/Value semantics, including negative excursions.
+// TestGauge: Add/Value semantics, including negative excursions.
 func TestGauge(t *testing.T) {
 	g := obs.NewRegistry().Gauge("test_gauge", "fixture")
-	g.Set(10)
+	g.Add(10)
 	g.Add(-3)
 	g.Add(1)
 	if got := g.Value(); got != 8 {

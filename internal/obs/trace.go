@@ -91,16 +91,6 @@ func (t *Trace) ObserveSince(p Phase, t0 time.Time) {
 	t.durs[p].Add(int64(time.Since(t0)))
 }
 
-// Observe accumulates an already-measured duration into phase p.
-//
-//mvlint:hotpath
-func (t *Trace) Observe(p Phase, d time.Duration) {
-	if t == nil {
-		return
-	}
-	t.durs[p].Add(int64(d))
-}
-
 // Duration reads the accumulated time for phase p.
 func (t *Trace) Duration(p Phase) time.Duration {
 	if t == nil {

@@ -190,9 +190,6 @@ func NewComparisonKernel(l *lattice.Lattice, w workload.Workload, cands []views.
 	return k, nil
 }
 
-// Len returns the pinned candidate count.
-func (k *ComparisonKernel) Len() int { return k.n }
-
 // sessionScalars are the tariff-dependent scalars one RepriceFor binding
 // derives from the kernel: every duration the estimator would compute,
 // per candidate and per query, against one concrete cluster.
@@ -219,7 +216,7 @@ type sessionScalars struct {
 // TimeForJob per distinct volume) instead of calling back into the
 // estimator's per-point lattice lookups; the kernel equivalence property
 // tests pin them bit-equal to Estimator.MaintenanceTime /
-// MaterializationTime / QueryTime.
+// MaterializationTime and the per-query scan time.
 func (k *ComparisonKernel) bindScalars(ev *Evaluator, arena []time.Duration) sessionScalars {
 	// arena holds 4·n + nq + len(ansCand) durations, one cut per array.
 	next := func(n int) []time.Duration {

@@ -159,7 +159,7 @@ func fuzzCorpusCase(t *testing.T, path string) (*lattice.Lattice, workload.Workl
 	if seed%3 == 0 {
 		w.Queries = append(w.Queries,
 			workload.Query{Name: "base", Point: l.Base(), Frequency: 1 + rng.Intn(maxFreq)},
-			workload.Query{Name: "apex", Point: l.Apex(), Frequency: 1 + rng.Intn(maxFreq)},
+			workload.Query{Name: "apex", Point: l.NodeByID(l.NumNodes() - 1).Point, Frequency: 1 + rng.Intn(maxFreq)},
 			workload.Query{Name: "again", Point: w.Queries[0].Point, Frequency: 1 + rng.Intn(maxFreq)},
 		)
 	}

@@ -423,7 +423,9 @@ func (s *KernelSession) SolveMV3(alpha float64, mode TradeoffMode) (Selection, e
 	}
 	chosen := s.selBuf[:0]
 	for i, it := range items {
-		delta := alpha*(-it.TimeSaved.Hours())*tScale + (1-alpha)*it.CostDelta.Dollars()*cScale
+		// The float64 conversions round each product before the add, so no port
+		// fuses them into one multiply-add (scripts/nofma.sh).
+		delta := float64(alpha*(-it.TimeSaved.Hours())*tScale) + float64((1-alpha)*it.CostDelta.Dollars()*cScale)
 		if delta < 0 {
 			chosen = append(chosen, int32(i))
 		}

@@ -181,17 +181,11 @@ func (d *frontierDP) knapsack01(values, weights []int64, capacity int64) ([]int,
 	return chosen, nil
 }
 
-// MinCostCover chooses a subset minimizing Σ costs[i] subject to
-// Σ gains[i] ≥ need. Costs and gains must be non-negative. Returns the
-// chosen indices and whether the need is coverable at all. Gains are
-// scaled down with round-down, so the returned subset always truly covers
-// the need.
-func MinCostCover(costs, gains []int64, need int64) ([]int, bool, error) {
-	return new(frontierDP).minCostCover(costs, gains, need)
-}
-
-// minCostCover is MinCostCover on d's scratch; the indices alias
-// d.chosen.
+// minCostCover chooses a subset minimizing Σ costs[i] subject to
+// Σ gains[i] ≥ need, on d's scratch; the indices alias d.chosen. Costs
+// and gains must be non-negative. It returns the chosen indices and
+// whether the need is coverable at all. Gains are scaled down with
+// round-down, so the returned subset always truly covers the need.
 func (d *frontierDP) minCostCover(costs, gains []int64, need int64) ([]int, bool, error) {
 	if len(costs) != len(gains) {
 		return nil, false, fmt.Errorf("optimizer: %d costs vs %d gains", len(costs), len(gains))

@@ -12,6 +12,11 @@ import (
 	"vmcloud/internal/obs"
 )
 
+// MinCostCover is minCostCover on fresh scratch.
+func MinCostCover(costs, gains []int64, need int64) ([]int, bool, error) {
+	return new(frontierDP).minCostCover(costs, gains, need)
+}
+
 // bruteKnapsack maximizes value under the weight cap by enumeration.
 func bruteKnapsack(values, weights []int64, cap int64) int64 {
 	n := len(values)

@@ -14,11 +14,11 @@ import (
 // Evaluator is the oracle: the paper's definitions stated as plain
 // lattice walks, with no solver attached. Evaluate is the Section 4 cost
 // model (workload time via cheapest-answering routing, the full
-// tiered/rounded bill), BuildItems the Section 5.2 linearized weights,
-// SolveExhaustive the optimum by enumeration. The Section 5 solver is
-// KernelSession, which computes the same quantities over the kernel's
-// flat arrays; the tests and the repo benchmark's oracle hold it to these
-// three definitions.
+// tiered/rounded bill), BuildItems (in the package's tests) the Section
+// 5.2 linearized weights, SolveExhaustive the optimum by enumeration.
+// The Section 5 solver is KernelSession, which computes the same
+// quantities over the kernel's flat arrays; the tests and the repo
+// benchmark's oracle hold it to these three definitions.
 type Evaluator struct {
 	Est *views.Estimator
 	W   workload.Workload
@@ -75,57 +75,6 @@ type Item struct {
 	CostDelta money.Money
 }
 
-// BuildItems computes the knapsack items for a candidate set — the
-// definition KernelSession.Items is checked against.
-func (ev *Evaluator) BuildItems(cands []views.Candidate) ([]Item, error) {
-	if len(cands) == 0 {
-		return nil, nil
-	}
-	l := ev.Est.Lat
-	// Assignment: each query credits its best candidate (fewest rows among
-	// answering candidates that beat the base).
-	baseNode, err := l.Node(l.Base())
-	if err != nil {
-		return nil, err
-	}
-	assignedSaving := make([]time.Duration, len(cands))
-	for _, q := range ev.W.Queries {
-		best := -1
-		bestRows := baseNode.Rows
-		for i, c := range cands {
-			if !l.CanAnswer(c.Point, q.Point) {
-				continue
-			}
-			if c.Rows < bestRows {
-				best, bestRows = i, c.Rows
-			}
-		}
-		if best < 0 {
-			continue
-		}
-		tBase := ev.Est.QueryTime(q.Point, nil)
-		tView := ev.Est.QueryTime(q.Point, []lattice.Point{cands[best].Point})
-		if tView < tBase {
-			assignedSaving[best] += time.Duration(int64(q.Frequency)) * (tBase - tView)
-		}
-	}
-
-	months := ev.Base.Months
-	hourly := ev.Base.Cluster.HourlyRate() // $ per cluster-hour, exact
-	storageRate := ev.Base.Cluster.Provider.Storage.Table.RateFor(ev.Base.DatasetSize)
-	items := make([]Item, len(cands))
-	for i, c := range cands {
-		maint := ev.Est.MaintenanceTime(c.Point)
-		mat := ev.Est.MaterializationTime(c.Point)
-		cost := storageRate.MulFloat(c.Size.GBs() * months)
-		cost = cost.Add(hourly.MulFloat(maint.Hours() * months))
-		cost = cost.Add(hourly.MulFloat(mat.Hours()))
-		cost = cost.Sub(hourly.MulFloat(assignedSaving[i].Hours() * months))
-		items[i] = Item{Cand: c, TimeSaved: assignedSaving[i], CostDelta: cost}
-	}
-	return items, nil
-}
-
 // Selection is a solved scenario: the chosen views with their exact
 // re-priced time and bill.
 type Selection struct {
@@ -170,7 +119,9 @@ func Objective(alpha float64, t time.Duration, bill costmodel.Bill, mode Tradeof
 			cv /= baseBill.Total().Dollars()
 		}
 	}
-	return alpha*tv + (1-alpha)*cv
+	// The float64 conversions round each product before the add, so no port
+	// fuses them into one multiply-add (scripts/nofma.sh).
+	return float64(alpha*tv) + float64((1-alpha)*cv)
 }
 
 // SolveExhaustive enumerates every subset of candidates (n ≤ 20), prices

@@ -15,6 +15,58 @@ import (
 	"vmcloud/internal/workload"
 )
 
+// BuildItems computes the knapsack items for a candidate set — the
+// definition KernelSession.Items is checked against.
+func (ev *Evaluator) BuildItems(cands []views.Candidate) ([]Item, error) {
+	if len(cands) == 0 {
+		return nil, nil
+	}
+	l := ev.Est.Lat
+	// Assignment: each query credits its best candidate (fewest rows among
+	// answering candidates that beat the base).
+	baseNode, err := l.Node(l.Base())
+	if err != nil {
+		return nil, err
+	}
+	assignedSaving := make([]time.Duration, len(cands))
+	for _, q := range ev.W.Queries {
+		best := -1
+		bestRows := baseNode.Rows
+		for i, c := range cands {
+			if !l.CanAnswer(c.Point, q.Point) {
+				continue
+			}
+			if c.Rows < bestRows {
+				best, bestRows = i, c.Rows
+			}
+		}
+		if best < 0 {
+			continue
+		}
+		_, base := l.CheapestAnswering(nil, q.Point)
+		_, view := l.CheapestAnswering([]lattice.Point{cands[best].Point}, q.Point)
+		tBase, tView := ev.Est.Cl.TimeForJob(base.Size), ev.Est.Cl.TimeForJob(view.Size)
+		if tView < tBase {
+			assignedSaving[best] += time.Duration(int64(q.Frequency)) * (tBase - tView)
+		}
+	}
+
+	months := ev.Base.Months
+	hourly := ev.Base.Cluster.HourlyRate() // $ per cluster-hour, exact
+	storageRate := ev.Base.Cluster.Provider.Storage.Table.RateFor(ev.Base.DatasetSize)
+	items := make([]Item, len(cands))
+	for i, c := range cands {
+		maint := ev.Est.MaintenanceTime(c.Point)
+		mat := ev.Est.MaterializationTime(c.Point)
+		cost := storageRate.MulFloat(c.Size.GBs() * months)
+		cost = cost.Add(hourly.MulFloat(maint.Hours() * months))
+		cost = cost.Add(hourly.MulFloat(mat.Hours()))
+		cost = cost.Sub(hourly.MulFloat(assignedSaving[i].Hours() * months))
+		items[i] = Item{Cand: c, TimeSaved: assignedSaving[i], CostDelta: cost}
+	}
+	return items, nil
+}
+
 // fixture reproduces the paper's experimental setting analytically:
 // a 10 GB sales dataset on a 5-instance cluster, n-query workload run
 // daily, exact (sub-hour) billing so small dollar differences register.

@@ -182,15 +182,6 @@ func parseGranularity(s string) (units.BillingGranularity, error) {
 	}
 }
 
-// SaveProviderFile writes a provider to a JSON file.
-func SaveProviderFile(p Provider, path string) error {
-	data, err := MarshalProvider(p)
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(data, '\n'), 0o644)
-}
-
 // LoadProviderFile reads a provider from a JSON file.
 func LoadProviderFile(path string) (Provider, error) {
 	f, err := os.Open(path)

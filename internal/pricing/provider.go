@@ -80,6 +80,12 @@ func (s StorageTariff) CostFor(size units.DataSize, months float64) money.Money 
 
 // TransferTariff prices data movement (Table 3). Ingress was free on 2012
 // AWS; egress is tiered per GB.
+//
+// The two ingress fields are inert: the cost model bills only egress
+// (Formula 3 charges the query results shipped out; the dataset is
+// already in the cloud), so no bill reads them. They stay because they
+// are part of the tariff wire form — parsed, validated and echoed by
+// /v1/tariffs — and dropping them would change those bytes.
 type TransferTariff struct {
 	// IngressFree marks inbound transfer as free of charge.
 	IngressFree bool
@@ -93,14 +99,6 @@ type TransferTariff struct {
 // EgressCost returns the charge for transferring size out of the cloud.
 func (t TransferTariff) EgressCost(size units.DataSize) money.Money {
 	return t.Egress.Cost(size)
-}
-
-// IngressCost returns the charge for transferring size into the cloud.
-func (t TransferTariff) IngressCost(size units.DataSize) money.Money {
-	if t.IngressFree || size <= 0 {
-		return 0
-	}
-	return t.IngressPerGB.MulFloat(size.GBs())
 }
 
 // Provider bundles the three billed dimensions of a cloud service provider.

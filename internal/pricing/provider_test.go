@@ -65,18 +65,8 @@ func TestStorageTariffCostFor(t *testing.T) {
 
 func TestTransferTariff(t *testing.T) {
 	aws := AWS2012()
-	if aws.Transfer.IngressCost(500*units.GB) != 0 {
-		t.Error("AWS ingress should be free")
-	}
 	if got, want := aws.Transfer.EgressCost(10*units.GB), money.FromDollars(1.08); got != want {
 		t.Errorf("EgressCost(10GB) = %v, want %v", got, want)
-	}
-	nimbus := NimbusCompute()
-	if got, want := nimbus.Transfer.IngressCost(100*units.GB), money.FromDollars(1); got != want {
-		t.Errorf("nimbus ingress(100GB) = %v, want %v", got, want)
-	}
-	if nimbus.Transfer.IngressCost(-units.GB) != 0 {
-		t.Error("negative ingress should cost zero")
 	}
 }
 
@@ -188,9 +178,6 @@ func TestNewFixtureTierShapes(t *testing.T) {
 	if want := money.FromDollars(0.10).MulInt(2048); got != want {
 		t.Errorf("meridian 2TB egress = %v, want %v", got, want)
 	}
-	if got := me.Transfer.IngressCost(100 * units.GB); got != money.FromDollars(0.5) {
-		t.Errorf("meridian ingress(100GB) = %v, want $0.50", got)
-	}
 	if me.Compute.Granularity != units.BillPerMinute {
 		t.Errorf("meridian granularity = %v, want per-minute", me.Compute.Granularity)
 	}
@@ -243,7 +230,7 @@ func TestProviderValidateRejectsBadConfigs(t *testing.T) {
 
 	p = AWS2012()
 	p.Compute.Instances = map[string]InstanceType{
-		"small": {Name: "mismatch", PricePerHour: money.Dollar, ECU: 1},
+		"small": {Name: "mismatch", PricePerHour: money.FromDollars(1), ECU: 1},
 	}
 	if err := p.Validate(); err == nil {
 		t.Error("mismatched instance key accepted")
@@ -251,7 +238,7 @@ func TestProviderValidateRejectsBadConfigs(t *testing.T) {
 
 	p = AWS2012()
 	p.Compute.Instances = map[string]InstanceType{
-		"small": {Name: "small", PricePerHour: -money.Dollar, ECU: 1},
+		"small": {Name: "small", PricePerHour: -money.FromDollars(1), ECU: 1},
 	}
 	if err := p.Validate(); err == nil {
 		t.Error("negative instance price accepted")
@@ -259,7 +246,7 @@ func TestProviderValidateRejectsBadConfigs(t *testing.T) {
 
 	p = AWS2012()
 	p.Compute.Instances = map[string]InstanceType{
-		"small": {Name: "small", PricePerHour: money.Dollar, ECU: 0},
+		"small": {Name: "small", PricePerHour: money.FromDollars(1), ECU: 0},
 	}
 	if err := p.Validate(); err == nil {
 		t.Error("zero-ECU instance accepted")

@@ -260,12 +260,6 @@ func appendRun(dst []byte, run string, n int) []byte {
 	return dst
 }
 
-// Render writes the table to w.
-func (t *Table) Render(w io.Writer) error {
-	_, err := w.Write(t.AppendTo(nil))
-	return err
-}
-
 // String renders to a string.
 func (t *Table) String() string {
 	return string(t.AppendTo(nil))

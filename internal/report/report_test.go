@@ -229,10 +229,6 @@ func TestAppendToMatchesReference(t *testing.T) {
 		if got := string(tb.AppendTo([]byte("prefix"))); got != "prefix"+want {
 			t.Fatalf("trial %d: AppendTo disturbed its prefix:\n%s", trial, got)
 		}
-		var sb strings.Builder
-		if err := tb.Render(&sb); err != nil || sb.String() != want {
-			t.Fatalf("trial %d: Render = %q, %v", trial, sb.String(), err)
-		}
 		if got := tb.Rows(); len(rows) > 0 && !reflect.DeepEqual(got, rows) {
 			t.Fatalf("trial %d: Rows() = %q, want %q", trial, got, rows)
 		}

@@ -52,9 +52,6 @@ func (d Dimension) LevelIndex(name string) (int, error) {
 	return 0, fmt.Errorf("schema: dimension %s has no level %q", d.Name, name)
 }
 
-// Finest returns the finest (index 0) level.
-func (d Dimension) Finest() Level { return d.Levels[0] }
-
 // NumLevels returns the number of levels including ALL.
 func (d Dimension) NumLevels() int { return len(d.Levels) }
 
@@ -154,16 +151,6 @@ func (s *Schema) Dimension(name string) (Dimension, int, error) {
 		}
 	}
 	return Dimension{}, 0, fmt.Errorf("schema %s: no dimension %q", s.Name, name)
-}
-
-// Measure returns the measure with the given name.
-func (s *Schema) Measure(name string) (Measure, int, error) {
-	for i, m := range s.Measures {
-		if m.Name == name {
-			return m, i, nil
-		}
-	}
-	return Measure{}, 0, fmt.Errorf("schema %s: no measure %q", s.Name, name)
 }
 
 // MapName names the hierarchy mapping from one level to the next coarser

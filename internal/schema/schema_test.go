@@ -24,8 +24,8 @@ func TestSalesShape(t *testing.T) {
 	if timeDim.NumLevels() != 4 {
 		t.Errorf("time levels = %d, want 4 (day, month, year, all)", timeDim.NumLevels())
 	}
-	if timeDim.Finest().Name != "day" {
-		t.Errorf("finest time level = %q, want day", timeDim.Finest().Name)
+	if timeDim.Levels[0].Name != "day" {
+		t.Errorf("finest time level = %q, want day", timeDim.Levels[0].Name)
 	}
 	if timeDim.Levels[3].Name != AllLevel || timeDim.Levels[3].Cardinality != 1 {
 		t.Errorf("top level = %+v, want ALL/1", timeDim.Levels[3])
@@ -43,17 +43,6 @@ func TestSalesShape(t *testing.T) {
 	}
 	if _, _, err := s.Dimension("product"); err == nil {
 		t.Error("unknown dimension accepted")
-	}
-}
-
-func TestMeasureLookup(t *testing.T) {
-	s := Sales()
-	m, idx, err := s.Measure("profit")
-	if err != nil || idx != 0 || m.Kind != Sum {
-		t.Errorf("Measure(profit) = %+v, %d, %v", m, idx, err)
-	}
-	if _, _, err := s.Measure("revenue"); err == nil {
-		t.Error("unknown measure accepted")
 	}
 }
 
@@ -138,7 +127,7 @@ func TestSynthetic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if c := deep.Dimensions[0].Finest().Cardinality; c < 1 {
+	if c := deep.Dimensions[0].Levels[0].Cardinality; c < 1 {
 		t.Fatalf("deep hierarchy finest cardinality %d overflowed", c)
 	}
 }

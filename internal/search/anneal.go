@@ -8,7 +8,9 @@ import "math"
 // The penalty weight is derived per run from the start state's scale so
 // the criterion behaves the same whether scores are hours or dollars.
 func annealEnergy(e eval, penalty float64) float64 {
-	return e.score + penalty*e.viol
+	// The float64 conversion rounds the product before the add, so no port
+	// fuses the two into one multiply-add (scripts/nofma.sh).
+	return e.score + float64(penalty*e.viol)
 }
 
 // anneal runs simulated annealing with a geometric cooling schedule from

@@ -642,7 +642,9 @@ func (s *solver) starts() [][]bool {
 		add(full)
 	}
 	for r := 0; r < s.opts.Restarts; r++ {
-		p := 0.15 + 0.7*s.rng.Float64()
+		// The float64 conversion rounds the product before the add, so no port
+		// fuses the two into one multiply-add (scripts/nofma.sh).
+		p := 0.15 + float64(0.7*s.rng.Float64())
 		sel := make([]bool, n)
 		for i := range sel {
 			sel[i] = s.rng.Float64() < p

@@ -192,7 +192,7 @@ func TestSolveRespectsEvalBudget(t *testing.T) {
 func TestSolveInfeasibleBudget(t *testing.T) {
 	ev, cands := fixture(t, 10, 8)
 	// A one-cent budget cannot cover even the no-view baseline.
-	sel, err := SolveMV1(ev, cands, money.FromCents(1), Options{Seed: 1})
+	sel, err := SolveMV1(ev, cands, money.Cent, Options{Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -27,8 +27,8 @@ type ClusterOptions struct {
 	// Workers are the worker IDs forming the ring; required, and must
 	// be resolvable by Transport.
 	Workers []string
-	// Transport moves solves to workers; required (MemTransport for
-	// in-process fleets, HTTPTransport for real ones).
+	// Transport moves solves to workers; required (MemTransport runs
+	// the fleet in-process).
 	Transport Transport
 	// Seed keys the rendezvous ring and must agree across every
 	// frontend sharing the worker tier.

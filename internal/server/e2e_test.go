@@ -319,8 +319,8 @@ func TestClusterChaosKillAllButOneE2E(t *testing.T) {
 	go func() {
 		defer close(killed)
 		time.Sleep(150 * time.Millisecond)
-		lc.KillWorker("worker-0")
-		lc.KillWorker("worker-1")
+		lc.Transport.Kill("worker-0")
+		lc.Transport.Kill("worker-1")
 	}()
 
 	load := e2eLoad{seed: 19, requests: 500, clients: 16, repeat: 0.3, mix: [3]int{6, 1, 1}}
@@ -376,7 +376,7 @@ func TestClusterPartitionChaosE2E(t *testing.T) {
 	go func() {
 		defer close(partitioned)
 		time.Sleep(100 * time.Millisecond)
-		lc.PartitionWorker("worker-1")
+		lc.Transport.Partition("worker-1")
 	}()
 
 	load := e2eLoad{seed: 29, requests: 200, clients: 8, repeat: 0.4, mix: [3]int{8, 1, 1}}

@@ -112,10 +112,3 @@ func (g *flightGroup) finish(key string, c *flightCall, out outcome) {
 		cancel()
 	}
 }
-
-// len reports the number of in-flight keys (test hook).
-func (g *flightGroup) len() int {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	return len(g.calls)
-}

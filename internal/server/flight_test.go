@@ -353,7 +353,7 @@ func TestFlightLeaderDeathOnKilledWorker(t *testing.T) {
 	if lc.InflightSolves() == 0 {
 		t.Fatal("solve never started")
 	}
-	lc.KillWorker(owner)
+	lc.Transport.Kill(owner)
 
 	w := <-done
 	if w.Code != 200 {

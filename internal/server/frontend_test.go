@@ -134,7 +134,7 @@ func TestClusterFailoverOnDeadWorker(t *testing.T) {
 	owner := ownerOf(t, opts, "/v1/advise", body)
 
 	lc := testCluster(t, opts)
-	lc.KillWorker(owner)
+	lc.Transport.Kill(owner)
 	w := do(t, lc.Frontend, "POST", "/v1/advise", body)
 	if w.Code != 200 {
 		t.Fatalf("failover: status %d: %s", w.Code, w.Body.String())
@@ -171,8 +171,8 @@ func TestClusterAllDownDegrades(t *testing.T) {
 		t.Fatal("eviction did not populate the frontend stale tier")
 	}
 	drainCluster(t, lc, 5*time.Second)
-	for _, id := range lc.WorkerIDs() {
-		lc.KillWorker(id)
+	for _, id := range lc.ids {
+		lc.Transport.Kill(id)
 	}
 
 	// A's response is only in the stale tier: served, clearly marked.
@@ -217,7 +217,7 @@ func TestClusterHealthEjectionAndRecovery(t *testing.T) {
 			Health: shardHealth(2, 30*time.Millisecond),
 		},
 	})
-	lc.KillWorker("worker-0")
+	lc.Transport.Kill("worker-0")
 	lc.Frontend.CheckHealthNow()
 	lc.Frontend.CheckHealthNow()
 
@@ -234,7 +234,7 @@ func TestClusterHealthEjectionAndRecovery(t *testing.T) {
 		t.Fatal("worker-0 probed before its cooldown elapsed")
 	}
 
-	lc.ReviveWorker("worker-0")
+	lc.Transport.Revive("worker-0")
 	time.Sleep(40 * time.Millisecond)
 	lc.Frontend.CheckHealthNow()
 	if ejected(lc, "worker-0") {
@@ -272,7 +272,7 @@ func TestClusterPartitionFailsOver(t *testing.T) {
 		do(t, ws, "POST", "/v1/advise", body)
 		drainSolves(t, ws, 5*time.Second)
 	}
-	lc.PartitionWorker(owner)
+	lc.Transport.Partition(owner)
 	start := time.Now()
 	w := do(t, lc.Frontend, "POST", "/v1/advise", body)
 	elapsed := time.Since(start)

@@ -79,29 +79,6 @@ func (lc *LocalCluster) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	lc.Frontend.ServeHTTP(w, r)
 }
 
-// WorkerIDs returns the ring member IDs in index order
-// ("worker-0" ... "worker-N-1").
-func (lc *LocalCluster) WorkerIDs() []string { return append([]string(nil), lc.ids...) }
-
-// KillWorker / ReviveWorker / PartitionWorker / HealWorker inject and
-// clear transport faults on one worker by ID.
-func (lc *LocalCluster) KillWorker(id string)      { lc.Transport.Kill(id) }
-func (lc *LocalCluster) ReviveWorker(id string)    { lc.Transport.Revive(id) }
-func (lc *LocalCluster) PartitionWorker(id string) { lc.Transport.Partition(id) }
-func (lc *LocalCluster) HealWorker(id string)      { lc.Transport.Heal(id) }
-
-// InflightSolves sums the live solves across the frontend
-// and every worker — the whole-topology leak detector: after traffic
-// drains it must return to zero even when workers were killed
-// mid-solve.
-func (lc *LocalCluster) InflightSolves() int64 {
-	n := lc.Frontend.InflightSolves()
-	for _, w := range lc.Workers {
-		n += w.InflightSolves()
-	}
-	return n
-}
-
 // Close stops the frontend's background loops. Workers have none, but
 // Close covers them too in case they grow some.
 func (lc *LocalCluster) Close() {

@@ -209,8 +209,8 @@ type Server struct {
 	stale *lruCache
 	// chaos is the optional fault-injection harness (Options.Chaos).
 	chaos *ChaosConfig
-	// inflightSolves counts live solves — the leak-detection hook behind
-	// InflightSolves.
+	// inflightSolves counts live solves — what the tests' leak detector
+	// reads.
 	inflightSolves atomic.Int64
 	// slowMu serializes slow-solve log lines.
 	slowMu sync.Mutex
@@ -294,12 +294,6 @@ func New(opts Options) *Server {
 func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	s.mux.ServeHTTP(w, r)
 }
-
-// InflightSolves reports the number of live solves (queued, running, or
-// finishing), each on its leader's request goroutine. After every
-// request has drained it must return to zero — the leak-detection hook
-// for tests, replacing "count goroutines and hope".
-func (s *Server) InflightSolves() int64 { return s.inflightSolves.Load() }
 
 // counted registers route name's arrival counter and wraps h with it
 // and the in-flight gauge. The count moves before h runs, so GET

@@ -10,19 +10,16 @@ import (
 	"strconv"
 	"sync"
 	"time"
-
-	"vmcloud/internal/client"
 )
 
 // WorkerReply is what one forwarded attempt observed from a worker:
 // the status, the response body, and the serving metadata the frontend
-// relays (degradation marker, shed backoff hint, cache disposition).
+// relays (degradation marker, shed backoff hint).
 type WorkerReply struct {
 	Status     int
 	Body       []byte
 	Degraded   bool
 	RetryAfter time.Duration
-	XCache     string
 }
 
 // Transport moves one solve request from the frontend to a named
@@ -30,11 +27,8 @@ type WorkerReply struct {
 // timeout is the only thing that turns a network partition into a
 // detectable failure — and must be safe for concurrent use.
 //
-// Two implementations ship: MemTransport runs the whole topology
-// in-process (tier-1 tests, -cluster single-binary mode) and
-// HTTPTransport speaks to real workers over TCP via the retrying
-// client (with retries disabled — failover policy belongs to the
-// frontend, which knows the ring, not to the transport).
+// MemTransport, the one implementation, runs the whole topology
+// in-process (tier-1 tests, -cluster single-binary mode).
 type Transport interface {
 	// Forward posts body to path on worker, with account carried as the
 	// tenant namespace. A reply is returned for any HTTP response,
@@ -114,20 +108,6 @@ func (t *MemTransport) Kill(worker string) {
 	}
 }
 
-// Revive brings a killed worker back.
-func (t *MemTransport) Revive(worker string) {
-	w := t.worker(worker)
-	if w == nil {
-		return
-	}
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	if w.killed {
-		w.killed = false
-		w.killedCh = make(chan struct{})
-	}
-}
-
 // Partition black-holes worker: forwards to it hang until their
 // context deadline instead of failing fast.
 func (t *MemTransport) Partition(worker string) {
@@ -138,17 +118,6 @@ func (t *MemTransport) Partition(worker string) {
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	w.partitioned = true
-}
-
-// Heal ends worker's partition.
-func (t *MemTransport) Heal(worker string) {
-	w := t.worker(worker)
-	if w == nil {
-		return
-	}
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	w.partitioned = false
 }
 
 // Forward implements Transport against the in-process fleet.
@@ -253,80 +222,8 @@ func (r *memRecorder) reply() *WorkerReply {
 		Status:     r.status,
 		Body:       append([]byte(nil), r.body.Bytes()...),
 		Degraded:   r.h.Get("X-Degraded") == "true",
-		XCache:     r.h.Get("X-Cache"),
 		RetryAfter: parseRetryAfter(r.h.Get("Retry-After")),
 	}
-}
-
-// HTTPTransport forwards over TCP to real worker processes via the
-// retrying client — with retries disabled, because the frontend owns
-// failover (it knows the ring and the health state; the transport
-// retrying underneath it would double-charge the retry budget).
-type HTTPTransport struct {
-	clients map[string]*client.Client
-	httpc   *http.Client
-}
-
-// NewHTTPTransport builds a transport over worker ID → base URL
-// (e.g. "worker-0" → "http://10.0.0.5:8080"). httpc is the shared
-// underlying client; nil uses http.DefaultClient.
-func NewHTTPTransport(workers map[string]string, httpc *http.Client) *HTTPTransport {
-	t := &HTTPTransport{clients: make(map[string]*client.Client, len(workers)), httpc: httpc}
-	for id, base := range workers {
-		t.clients[id] = &client.Client{BaseURL: base, HTTP: httpc, MaxRetries: -1}
-	}
-	return t
-}
-
-// Forward implements Transport over HTTP.
-func (t *HTTPTransport) Forward(ctx context.Context, worker, path, account string, body []byte) (*WorkerReply, error) {
-	cl := t.clients[worker]
-	if cl == nil {
-		return nil, errUnknownWorker
-	}
-	if account != "" {
-		// The tenant namespace rides the path, not a header, so the
-		// retrying client needs no header plumbing.
-		path = "/v1/t/" + account + path[len("/v1"):]
-	}
-	res, err := cl.DoResult(ctx, path, body)
-	if err == nil {
-		return &WorkerReply{Status: http.StatusOK, Body: res.Body, Degraded: res.Degraded, XCache: res.XCache}, nil
-	}
-	var se *client.StatusError
-	if errors.As(err, &se) {
-		return &WorkerReply{
-			Status:     se.Status,
-			Body:       []byte(se.Body),
-			RetryAfter: se.RetryAfter,
-		}, nil
-	}
-	return nil, err
-}
-
-// Check implements Transport: GET /healthz on the worker.
-func (t *HTTPTransport) Check(ctx context.Context, worker string) error {
-	cl := t.clients[worker]
-	if cl == nil {
-		return errUnknownWorker
-	}
-	httpc := t.httpc
-	if httpc == nil {
-		httpc = http.DefaultClient
-	}
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, cl.BaseURL+"/healthz", nil)
-	if err != nil {
-		return err
-	}
-	resp, err := httpc.Do(req)
-	if err != nil {
-		return err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return fmt.Errorf("healthz returned %d", resp.StatusCode)
-	}
-	return nil
 }
 
 // parseRetryAfter reads a whole-seconds Retry-After value, 0 when

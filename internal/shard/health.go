@@ -95,7 +95,9 @@ func (t *Tracker) ReportSuccess(worker string, latency time.Duration, now time.T
 		s.ewma = latency
 	} else {
 		a := t.cfg.EWMAAlpha
-		s.ewma = time.Duration(a*float64(latency) + (1-a)*float64(s.ewma))
+		// The float64 conversions round each product before the add, so no port
+		// fuses them into one multiply-add (scripts/nofma.sh).
+		s.ewma = time.Duration(float64(a*float64(latency)) + float64((1-a)*float64(s.ewma)))
 	}
 	if t.cfg.EjectLatency > 0 && s.ewma > t.cfg.EjectLatency {
 		if !s.ejected {

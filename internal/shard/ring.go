@@ -59,21 +59,6 @@ func New(seed int64, workers []string) (*Ring, error) {
 	return r, nil
 }
 
-// Without builds the ring that remains after removing worker id —
-// membership-change helper for failover tests and rebalancing.
-func (r *Ring) Without(id string) (*Ring, error) {
-	rest := make([]string, 0, len(r.workers))
-	for _, w := range r.workers {
-		if w != id {
-			rest = append(rest, w)
-		}
-	}
-	if len(rest) == len(r.workers) {
-		return nil, fmt.Errorf("shard: worker %q not in ring", id)
-	}
-	return New(int64(r.seed), rest)
-}
-
 // Workers returns the sorted member list (shared, read-only).
 func (r *Ring) Workers() []string { return r.workers }
 
@@ -117,26 +102,6 @@ func mix(wh, kh uint64) uint64 {
 //mvlint:hotpath
 func (r *Ring) Owner(key string) string {
 	kh := hashString(r.seed, key)
-	best := 0
-	bestScore := mix(r.wh[0], kh)
-	for i := 1; i < len(r.wh); i++ {
-		if s := mix(r.wh[i], kh); s > bestScore {
-			best, bestScore = i, s
-		}
-	}
-	return r.workers[best]
-}
-
-// OwnerBytes is Owner for a byte-slice key (hot paths that hold the
-// canonical key in a pooled buffer probe without building a string).
-//
-//mvlint:hotpath
-func (r *Ring) OwnerBytes(key []byte) string {
-	kh := fnv1aOffset ^ r.seed
-	for i := 0; i < len(key); i++ {
-		kh ^= uint64(key[i])
-		kh *= fnv1aPrime
-	}
 	best := 0
 	bestScore := mix(r.wh[0], kh)
 	for i := 1; i < len(r.wh); i++ {

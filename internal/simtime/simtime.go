@@ -30,9 +30,6 @@ func (iv Interval) Length() Months {
 	return iv.End - iv.Start
 }
 
-// Valid reports whether the interval is well-formed (Start ≤ End, Start ≥ 0).
-func (iv Interval) Valid() bool { return iv.Start >= 0 && iv.End >= iv.Start }
-
 // String implements fmt.Stringer.
 func (iv Interval) String() string {
 	return fmt.Sprintf("[%gmo, %gmo)", float64(iv.Start), float64(iv.End))
@@ -106,30 +103,4 @@ func (tl Timeline) Intervals() ([]SizedInterval, error) {
 	}
 	out = append(out, SizedInterval{Interval{start, tl.Horizon}, cur})
 	return out, nil
-}
-
-// FinalSize returns the stored volume at the end of the horizon.
-func (tl Timeline) FinalSize() units.DataSize {
-	s := tl.Initial
-	for _, e := range tl.Events {
-		if e.At >= 0 && e.At < tl.Horizon {
-			s += e.Delta
-		}
-	}
-	return s
-}
-
-// GBMonths integrates the timeline: the total of size×duration over all
-// intervals, in GB-months. This is the quantity a flat per-GB-month tariff
-// would bill.
-func (tl Timeline) GBMonths() (float64, error) {
-	ivs, err := tl.Intervals()
-	if err != nil {
-		return 0, err
-	}
-	var total float64
-	for _, iv := range ivs {
-		total += iv.Size.GBs() * float64(iv.Length())
-	}
-	return total, nil
 }

@@ -119,33 +119,6 @@ func TestIntervalsZeroHorizon(t *testing.T) {
 	}
 }
 
-func TestFinalSize(t *testing.T) {
-	tl := Timeline{
-		Initial: 512 * units.GB,
-		Horizon: 12,
-		Events:  []Event{{At: 7, Delta: 2048 * units.GB}, {At: 20, Delta: units.GB}},
-	}
-	if got := tl.FinalSize(); got != 2560*units.GB {
-		t.Errorf("FinalSize = %v, want 2560 GB", got)
-	}
-}
-
-func TestGBMonths(t *testing.T) {
-	tl := Timeline{
-		Initial: 512 * units.GB,
-		Horizon: 12,
-		Events:  []Event{{At: 7, Delta: 2048 * units.GB}},
-	}
-	got, err := tl.GBMonths()
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := 512.0*7 + 2560.0*5
-	if got != want {
-		t.Errorf("GBMonths = %v, want %v", got, want)
-	}
-}
-
 // Property: intervals always partition [0, Horizon) — contiguous, ordered,
 // covering, regardless of event order.
 func TestIntervalsPartitionProperty(t *testing.T) {
@@ -181,14 +154,8 @@ func TestIntervalHelpers(t *testing.T) {
 	if iv.Length() != 5 {
 		t.Error("Length wrong")
 	}
-	if !iv.Valid() {
-		t.Error("Valid wrong")
-	}
 	if (Interval{Start: 3, End: 1}).Length() != 0 {
 		t.Error("negative length should clamp to 0")
-	}
-	if (Interval{Start: -1, End: 0}).Valid() {
-		t.Error("negative start should be invalid")
 	}
 	if iv.String() != "[2mo, 7mo)" {
 		t.Errorf("String = %q", iv.String())

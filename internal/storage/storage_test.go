@@ -5,7 +5,6 @@ import (
 
 	"vmcloud/internal/lattice"
 	"vmcloud/internal/schema"
-	"vmcloud/internal/units"
 )
 
 // tinyDataset builds a 2-dimension dataset with a handful of rows by hand.
@@ -137,13 +136,6 @@ func TestMapChain(t *testing.T) {
 	}
 	if _, err := ds.MapChain(0, 0, 9); err == nil {
 		t.Error("out-of-range target level accepted")
-	}
-}
-
-func TestSizeOnDisk(t *testing.T) {
-	ds := tinyDataset(t)
-	if got := ds.FactSize(); got != 6*32*units.Byte {
-		t.Errorf("FactSize = %v, want 192 B", got)
 	}
 }
 

@@ -14,7 +14,6 @@ import (
 
 	"vmcloud/internal/lattice"
 	"vmcloud/internal/schema"
-	"vmcloud/internal/units"
 )
 
 // Table is a columnar relation at a fixed lattice point.
@@ -209,13 +208,3 @@ func (ds *Dataset) MapChain(dim int, from, to int) ([][]int32, error) {
 	}
 	return chain, nil
 }
-
-// SizeOnDisk estimates the serialized size of a table with the dataset's
-// schema row width: rows × RowBytes. The paper's models consume sizes at
-// this grain (GB of stored data), not exact byte layouts.
-func (ds *Dataset) SizeOnDisk(t *Table) units.DataSize {
-	return ds.Schema.RowBytes.MulInt(int64(t.Rows()))
-}
-
-// FactSize returns the estimated stored size of the base fact table.
-func (ds *Dataset) FactSize() units.DataSize { return ds.SizeOnDisk(ds.Facts) }

@@ -38,18 +38,6 @@ func FromGB(gb float64) DataSize {
 // GBs returns the size as a float64 number of gigabytes.
 func (s DataSize) GBs() float64 { return float64(s) / float64(GB) }
 
-// TBs returns the size as a float64 number of terabytes.
-func (s DataSize) TBs() float64 { return float64(s) / float64(TB) }
-
-// Bytes returns the raw byte count.
-func (s DataSize) Bytes() int64 { return int64(s) }
-
-// Add returns s + o.
-func (s DataSize) Add(o DataSize) DataSize { return s + o }
-
-// Sub returns s - o.
-func (s DataSize) Sub(o DataSize) DataSize { return s - o }
-
 // MulInt returns s * n.
 func (s DataSize) MulInt(n int64) DataSize { return s * DataSize(n) }
 
@@ -133,15 +121,6 @@ func ParseDataSize(s string) (DataSize, error) {
 	return DataSize(math.Round(f * float64(mult))), nil
 }
 
-// MustParseDataSize is ParseDataSize that panics on error, for fixtures.
-func MustParseDataSize(s string) DataSize {
-	v, err := ParseDataSize(s)
-	if err != nil {
-		panic(err)
-	}
-	return v
-}
-
 // BillingGranularity selects how a provider rounds compute time before
 // charging it. AWS in 2012 charged every started instance-hour; modern
 // providers charge per second. Exact is useful for analytical comparisons.
@@ -207,7 +186,3 @@ func ceilDiv(a, b int64) int64 {
 func HoursToDuration(h float64) time.Duration {
 	return time.Duration(math.Round(h * float64(time.Hour)))
 }
-
-// DurationFromHours is an alias of HoursToDuration kept for readability at
-// call sites that mirror the paper's "t = 0.2 hour" parameters.
-func DurationFromHours(h float64) time.Duration { return HoursToDuration(h) }

@@ -257,29 +257,16 @@ func TestHoursToDuration(t *testing.T) {
 	if HoursToDuration(0.2) != 12*time.Minute {
 		t.Errorf("0.2h = %v, want 12m", HoursToDuration(0.2))
 	}
-	if DurationFromHours(1.5) != 90*time.Minute {
-		t.Errorf("1.5h = %v, want 90m", DurationFromHours(1.5))
+	if HoursToDuration(1.5) != 90*time.Minute {
+		t.Errorf("1.5h = %v, want 90m", HoursToDuration(1.5))
 	}
 }
 
 func TestDataSizeArithmetic(t *testing.T) {
-	a, b := 500*GB, 50*GB
-	if a.Add(b) != 550*GB {
-		t.Error("Add wrong")
-	}
-	if a.Sub(b) != 450*GB {
-		t.Error("Sub wrong")
-	}
-	if b.MulInt(2) != 100*GB {
+	if (50 * GB).MulInt(2) != 100*GB {
 		t.Error("MulInt wrong")
 	}
 	if (100 * GB).MulFloat(0.5) != 50*GB {
 		t.Error("MulFloat wrong")
-	}
-	if a.Bytes() != int64(500)*1<<30 {
-		t.Error("Bytes wrong")
-	}
-	if (2 * TB).TBs() != 2 {
-		t.Error("TBs wrong")
 	}
 }

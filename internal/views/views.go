@@ -8,7 +8,6 @@ package views
 
 import (
 	"fmt"
-	"sort"
 	"time"
 
 	"vmcloud/internal/cluster"
@@ -165,15 +164,6 @@ func Points(cands []Candidate) []lattice.Point {
 	return out
 }
 
-// TotalSize sums candidate sizes.
-func TotalSize(cands []Candidate) units.DataSize {
-	var s units.DataSize
-	for _, c := range cands {
-		s += c.Size
-	}
-	return s
-}
-
 // MaintenancePolicy selects when views are refreshed.
 type MaintenancePolicy int
 
@@ -226,34 +216,6 @@ func (e *Estimator) TotalMaterializationTime(ps []lattice.Point) time.Duration {
 	var total time.Duration
 	for _, p := range ps {
 		total += e.MaterializationTime(p)
-	}
-	return total
-}
-
-// TotalMaterializationTimePipelined estimates building the whole view set
-// in one pass where each view is computed from the smallest finer view
-// built before it (falling back to the base table) — the strategy
-// engine.Executor.Materialize actually uses. Formula 7 charges every view
-// a full base scan; pipelining is strictly cheaper whenever the set
-// contains comparable views, an optimization the paper does not model.
-func (e *Estimator) TotalMaterializationTimePipelined(ps []lattice.Point) time.Duration {
-	// Build finest-first so coarser views can reuse finer ones.
-	order := make([]lattice.Point, len(ps))
-	copy(order, ps)
-	sort.SliceStable(order, func(i, j int) bool {
-		ni, erri := e.Lat.Node(order[i])
-		nj, errj := e.Lat.Node(order[j])
-		if erri != nil || errj != nil {
-			return false
-		}
-		return ni.Rows > nj.Rows
-	})
-	var total time.Duration
-	var built []lattice.Point
-	for _, p := range order {
-		_, src := e.Lat.CheapestAnswering(built, p)
-		total += e.Cl.TimeForJob(src.Size)
-		built = append(built, p)
 	}
 	return total
 }
@@ -315,13 +277,6 @@ func (e *Estimator) MaintenanceTimeForWorkload(ps []lattice.Point, w workload.Wo
 	return total
 }
 
-// QueryTime estimates t_iV: the scan of the cheapest source answering q
-// among the materialized set (or the base table).
-func (e *Estimator) QueryTime(q lattice.Point, materialized []lattice.Point) time.Duration {
-	_, node := e.Lat.CheapestAnswering(materialized, q)
-	return e.Cl.TimeForJob(node.Size)
-}
-
 // WorkloadTime is Formula 9: Σ t_iV over the workload (frequency-weighted),
 // per month.
 func (e *Estimator) WorkloadTime(w workload.Workload, materialized []lattice.Point) time.Duration {
@@ -338,10 +293,4 @@ func (e *Estimator) ViewsSize(ps []lattice.Point) units.DataSize {
 		}
 	}
 	return total
-}
-
-// SortCandidatesBySize orders candidates by ascending size (stable), a
-// useful presentation order for reports.
-func SortCandidatesBySize(cands []Candidate) {
-	sort.SliceStable(cands, func(i, j int) bool { return cands[i].Size < cands[j].Size })
 }

@@ -134,8 +134,9 @@ func TestEstimatorTimes(t *testing.T) {
 	}
 
 	// Query from view is much faster than from base.
-	qBase := e.QueryTime(yearCountry, nil)
-	qView := e.QueryTime(yearCountry, []lattice.Point{monthCountry})
+	q := workload.Workload{Queries: []workload.Query{{Name: "yc", Point: yearCountry, Frequency: 1}}}
+	qBase := e.WorkloadTime(q, nil)
+	qView := e.WorkloadTime(q, []lattice.Point{monthCountry})
 	if qView >= qBase {
 		t.Errorf("query from view %v not faster than base %v", qView, qBase)
 	}
@@ -181,13 +182,6 @@ func TestViewsSizeAndHelpers(t *testing.T) {
 		{Point: mc, Size: n2.Size},
 		{Point: yc, Size: n1.Size},
 	}
-	if TotalSize(cands) != n1.Size+n2.Size {
-		t.Error("TotalSize wrong")
-	}
-	SortCandidatesBySize(cands)
-	if cands[0].Size > cands[1].Size {
-		t.Error("SortCandidatesBySize wrong")
-	}
 	pts := Points(cands)
 	if len(pts) != 2 || !pts[0].Equal(cands[0].Point) {
 		t.Error("Points wrong")
@@ -221,52 +215,6 @@ func TestUnits(t *testing.T) {
 	_ = e
 }
 
-func TestPipelinedMaterializationCheaper(t *testing.T) {
-	l, cl := salesSetup(t)
-	e := NewEstimator(l, cl)
-	w, _ := workload.Sales(l, 10)
-	cands, _ := GenerateCandidates(l, w, 8)
-	pts := Points(cands)
-
-	formula7 := e.TotalMaterializationTime(pts)
-	pipelined := e.TotalMaterializationTimePipelined(pts)
-	if pipelined > formula7 {
-		t.Errorf("pipelined %v costs more than Formula 7's %v", pipelined, formula7)
-	}
-	// With 8 comparable sales views the saving must be substantial: only
-	// the finest views pay a base scan.
-	if pipelined > formula7/2 {
-		t.Errorf("pipelined %v saved too little vs %v", pipelined, formula7)
-	}
-	// Single view: identical (nothing to reuse).
-	one := []lattice.Point{pts[0]}
-	if e.TotalMaterializationTimePipelined(one) != e.TotalMaterializationTime(one) {
-		t.Error("single-view pipelined differs from Formula 7")
-	}
-	// Empty set costs nothing.
-	if e.TotalMaterializationTimePipelined(nil) != 0 {
-		t.Error("empty set should cost 0")
-	}
-}
-
-func TestPipelinedMatchesExecutorSourcing(t *testing.T) {
-	// The estimator's pipelined plan must mirror what the executor does:
-	// materializing month×country then year×country scans the view, not
-	// the base, for the second build.
-	l, cl := salesSetup(t)
-	e := NewEstimator(l, cl)
-	mc, _ := l.PointOf("month", "country")
-	yc, _ := l.PointOf("year", "country")
-	mcNode, _ := l.Node(mc)
-	baseNode, _ := l.Node(l.Base())
-
-	got := e.TotalMaterializationTimePipelined([]lattice.Point{mc, yc})
-	want := cl.TimeForJob(baseNode.Size) + cl.TimeForJob(mcNode.Size)
-	if got != want {
-		t.Errorf("pipelined = %v, want base-scan + view-scan = %v", got, want)
-	}
-}
-
 func TestDeferredMaintenanceCapsAtQueryHits(t *testing.T) {
 	l, cl := salesSetup(t)
 	e := NewEstimator(l, cl)
@@ -293,7 +241,7 @@ func TestDeferredMaintenanceCapsAtQueryHits(t *testing.T) {
 	}
 
 	// A view serving no queries costs nothing under the deferred policy.
-	apex := l.Apex()
+	apex := l.NodeByID(l.NumNodes() - 1).Point
 	unused := []lattice.Point{apex}
 	// Build a workload that never touches the apex view... base-grain only.
 	baseOnly := workload.Workload{Queries: []workload.Query{{

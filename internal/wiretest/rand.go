@@ -59,8 +59,8 @@ func Money(rng *rand.Rand) money.Money {
 	switch rng.Intn(6) {
 	case 0:
 		return 0
-	case 1:
-		return []money.Money{money.MaxMoney, money.MinMoney, money.Microdollar, -money.Cent}[rng.Intn(4)]
+	case 1: // the range ends, one micro-dollar, minus a cent
+		return []money.Money{money.MaxMoney, money.MinMoney, 1, -money.Cent}[rng.Intn(4)]
 	default:
 		return money.Money(rng.Int63n(500_000_000) - 1_000_000)
 	}

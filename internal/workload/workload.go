@@ -44,15 +44,6 @@ func (w Workload) Validate(l *lattice.Lattice) error {
 	return nil
 }
 
-// TotalFrequency sums the monthly execution counts.
-func (w Workload) TotalFrequency() int {
-	n := 0
-	for _, q := range w.Queries {
-		n += q.Frequency
-	}
-	return n
-}
-
 // ResultBytes estimates the monthly query-result egress volume: each
 // execution returns one row per group at the schema's row width (the s(Ri)
 // of the paper's Formula 3). Note this uses the cuboid's aggregated group

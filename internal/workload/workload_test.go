@@ -59,7 +59,7 @@ func TestSalesWorkloadPrefixes(t *testing.T) {
 		t.Errorf("Q9 point = %v, want base", base)
 	}
 	apex := w10.Queries[9].Point
-	if !apex.Equal(l.Apex()) {
+	if !apex.Equal(l.NodeByID(l.NumNodes() - 1).Point) {
 		t.Errorf("Q10 point = %v, want apex", apex)
 	}
 }
@@ -78,18 +78,6 @@ func TestValidate(t *testing.T) {
 	w.Queries[0].Point = lattice.Point{99, 0}
 	if err := w.Validate(l); err == nil {
 		t.Error("bad point accepted")
-	}
-}
-
-func TestTotalFrequency(t *testing.T) {
-	l := salesLattice(t)
-	w, _ := Sales(l, 3)
-	if w.TotalFrequency() != 3 {
-		t.Errorf("TotalFrequency = %d", w.TotalFrequency())
-	}
-	w.Queries[1].Frequency = 5
-	if w.TotalFrequency() != 7 {
-		t.Errorf("TotalFrequency = %d", w.TotalFrequency())
 	}
 }
 
