@@ -27,7 +27,15 @@
 //   - a range over a map may only aggregate order-insensitively:
 //     assignments, scalar accumulation and delete/len/cap/min/max are
 //     fine, but any other call (append included), send or return inside
-//     the loop is flagged — collect keys, sort, then iterate instead.
+//     the loop is flagged — collect keys, sort, then iterate instead;
+//   - a float product may not reach an add or subtract unrounded: as an
+//     operand of + or -, as the right side of += or -=, or through a
+//     local assigned from it. The spec lets an implementation fuse
+//     x*y + z into one multiply-add, "possibly across statements", and
+//     arm64, ppc64le, s390x and riscv64 do, so a near-tie could resolve
+//     differently there than on amd64. An explicit conversion,
+//     float64(x*y) + z, forces the rounding (scripts/nofma.sh checks the
+//     compiled result).
 //
 // Intentional exceptions carry
 // //mvlint:allow determinism -- <reason> on the flagged line.
@@ -35,6 +43,7 @@ package determinism
 
 import (
 	"go/ast"
+	"go/token"
 	"go/types"
 
 	"vmcloud/internal/analysis"
@@ -43,7 +52,7 @@ import (
 // Analyzer is the determinism invariant checker.
 var Analyzer = &analysis.Analyzer{
 	Name: "determinism",
-	Doc:  "bans time.Now, unseeded math/rand and order-sensitive map iteration in solver packages",
+	Doc:  "bans time.Now, unseeded math/rand, order-sensitive map iteration and fusable float products in solver packages",
 	Scope: []string{
 		"internal/optimizer",
 		"internal/search",
@@ -68,17 +77,121 @@ var seededConstructors = map[string]bool{
 
 func run(pass *analysis.Pass) error {
 	for _, f := range pass.Files {
+		products := productLocals(pass, f)
 		ast.Inspect(f, func(n ast.Node) bool {
 			switch n := n.(type) {
 			case *ast.CallExpr:
 				checkCall(pass, n)
 			case *ast.RangeStmt:
 				checkMapRange(pass, n)
+			case *ast.BinaryExpr:
+				if (n.Op == token.ADD || n.Op == token.SUB) && isFloat(pass, n) {
+					checkAddend(pass, products, n.X, n.Op)
+					checkAddend(pass, products, n.Y, n.Op)
+				}
+			case *ast.AssignStmt:
+				if (n.Tok == token.ADD_ASSIGN || n.Tok == token.SUB_ASSIGN) && isFloat(pass, n.Lhs[0]) {
+					op := token.ADD
+					if n.Tok == token.SUB_ASSIGN {
+						op = token.SUB
+					}
+					checkAddend(pass, products, n.Lhs[0], op)
+					checkAddend(pass, products, n.Rhs[0], op)
+				}
 			}
 			return true
 		})
 	}
 	return nil
+}
+
+// productLocals finds the local variables of a file that are ever
+// assigned an unrounded float product, by := , = or var.
+func productLocals(pass *analysis.Pass, f *ast.File) map[*types.Var]bool {
+	vars := map[*types.Var]bool{}
+	record := func(lhs []*ast.Ident, rhs []ast.Expr) {
+		if len(lhs) != len(rhs) {
+			return
+		}
+		for k, id := range lhs {
+			if id == nil || product(pass, rhs[k]) == nil {
+				continue
+			}
+			if v, ok := pass.TypesInfo.ObjectOf(id).(*types.Var); ok && v.Parent() != pass.Pkg.Scope() {
+				vars[v] = true
+			}
+		}
+	}
+	ast.Inspect(f, func(n ast.Node) bool {
+		switch n := n.(type) {
+		case *ast.AssignStmt:
+			if n.Tok == token.DEFINE || n.Tok == token.ASSIGN {
+				ids := make([]*ast.Ident, len(n.Lhs))
+				for k, e := range n.Lhs {
+					ids[k], _ = ast.Unparen(e).(*ast.Ident)
+				}
+				record(ids, n.Rhs)
+			}
+		case *ast.ValueSpec:
+			record(n.Names, n.Values)
+		}
+		return true
+	})
+	return vars
+}
+
+// checkAddend reports e, an operand of a float + or -, when it is an
+// unrounded product or a local holding one.
+func checkAddend(pass *analysis.Pass, products map[*types.Var]bool, e ast.Expr, op token.Token) {
+	if p := product(pass, e); p != nil {
+		pass.Reportf(p.Pos(), "float product reaches a %s unrounded, and arm64, ppc64le, s390x and riscv64 may fuse the two into one multiply-add; round it with an explicit float64(...)", op)
+		return
+	}
+	if id, ok := peel(e).(*ast.Ident); ok {
+		if v, ok := pass.TypesInfo.Uses[id].(*types.Var); ok && products[v] {
+			pass.Reportf(id.Pos(), "%s holds an unrounded float product and reaches a %s, which may fuse across statements; round it where it is assigned with an explicit float64(...)", id.Name, op)
+		}
+	}
+}
+
+// product returns e as a non-constant float multiplication, looking
+// through parentheses and unary signs, or nil.
+func product(pass *analysis.Pass, e ast.Expr) *ast.BinaryExpr {
+	b, ok := peel(e).(*ast.BinaryExpr)
+	if !ok || b.Op != token.MUL || !isFloat(pass, b) {
+		return nil
+	}
+	if tv, ok := pass.TypesInfo.Types[b]; ok && tv.Value != nil {
+		return nil // folded at compile time
+	}
+	return b
+}
+
+// peel strips the parentheses and unary signs a fused operation sees
+// through.
+func peel(e ast.Expr) ast.Expr {
+	for {
+		switch x := e.(type) {
+		case *ast.ParenExpr:
+			e = x.X
+		case *ast.UnaryExpr:
+			if x.Op != token.ADD && x.Op != token.SUB {
+				return e
+			}
+			e = x.X
+		default:
+			return e
+		}
+	}
+}
+
+func isFloat(pass *analysis.Pass, e ast.Expr) bool {
+	t := pass.TypeOf(e)
+	if t == nil {
+		return false
+	}
+	b, ok := t.Underlying().(*types.Basic)
+	return ok && b.Info()&types.IsFloat != 0
 }
 
 func checkCall(pass *analysis.Pass, call *ast.CallExpr) {

@@ -57,3 +57,46 @@ func allowedClock() time.Time {
 	//mvlint:allow determinism -- fixture: proves the escape hatch suppresses the finding
 	return time.Now()
 }
+
+func fusedOperand(x, y, z float64) float64 {
+	return x*y + z // want `float product reaches a \+ unrounded`
+}
+
+func fusedNegatedOperand(x, y, z float64) float64 {
+	return z - (-x * y) // want `float product reaches a - unrounded`
+}
+
+func fusedAssign(x, y, z float64) float64 {
+	z += x * y // want `float product reaches a \+ unrounded`
+	z -= 2 * y // want `float product reaches a - unrounded`
+	return z
+}
+
+func fusedLocal(x, y, z float64) float64 {
+	p := x * y
+	var q = y * z
+	return z + p - q // want `p holds an unrounded float product and reaches a \+` `q holds an unrounded float product and reaches a -`
+}
+
+type hours float64
+
+func fusedNamed(x, y hours) hours {
+	return x*y + 1 // want `float product reaches a \+ unrounded`
+}
+
+func rounded(x, y, z float64) float64 {
+	p := float64(x * y) // an explicit conversion rounds the product: never fused
+	z += float64(x * y)
+	z -= float64(2 * y)
+	return float64(x*y) + z + p
+}
+
+func notFusable(a, b, c int, x, y float64) (int, float64) {
+	const k = 2.5 * 4               // folded at compile time
+	return a*b + c, x * y / (x + k) // integer products never fuse; a product feeding a divide does not fuse
+}
+
+func allowedFused(x, y, z float64) float64 {
+	//mvlint:allow determinism -- fixture: proves the escape hatch suppresses the finding
+	return x*y + z
+}

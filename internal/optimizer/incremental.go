@@ -1,6 +1,7 @@
 package optimizer
 
 import (
+	"errors"
 	"fmt"
 	"time"
 
@@ -37,8 +38,11 @@ import (
 //
 // Full re-pricing still runs in exactly two places: Reset (pinning an
 // arbitrary subset, used for search restarts) and the Bill arithmetic in
-// Score (tier boundaries and billing rounding are global, so the exact
-// bill is always recomputed from the aggregates — never linearized).
+// Score and Probe (tier boundaries and billing rounding are global, so
+// the exact bill is always recomputed from the aggregates — never
+// linearized). Probe prices a neighbor — one flip or one swap away —
+// from the same aggregates without writing them, so a search moves the
+// engine only onto the states it keeps.
 //
 // The structural half (answering lists, groups, candidate scalars) lives
 // in the shared ComparisonKernel; this type adds the tariff-dependent
@@ -73,6 +77,15 @@ type IncrementalEvaluator struct {
 	// the delta to obs.IncrementalMoves once per solve, so the inner
 	// loop's per-move cost stays a single increment.
 	moves int64
+
+	// Probe scratch, all false/zero/empty between probes. taken marks
+	// the queries a swap's incoming candidate takes from the outgoing
+	// one; gDelta is each point group's served-count change under
+	// deferred maintenance, listed once in gTouched (gHit) for the sum.
+	taken    []bool
+	gDelta   []int64
+	gHit     []bool
+	gTouched []int32
 }
 
 // NewIncrementalEvaluator pins a candidate set against an evaluator: a
@@ -103,8 +116,8 @@ func (k *ComparisonKernel) Bind(ev *Evaluator) (*IncrementalEvaluator, error) {
 
 // bindInto is Bind into an engine the caller allocated. A binding is
 // per cell of a comparison fan-out, so its allocation count is part of
-// the per-tariff cost: every duration, int64 and int32 array comes from
-// one slab of its type, and a caller with arrays of its own to place
+// the per-tariff cost: every duration, int64, int32 and bool array comes
+// from one slab of its type, and a caller with arrays of its own to place
 // (RepriceFor's solver scratch) asks for spare64 and spare32 more
 // elements of the last two and gets them back.
 func (k *ComparisonKernel) bindInto(inc *IncrementalEvaluator, ev *Evaluator, spare64, spare32 int) ([]int64, []int32, error) {
@@ -115,24 +128,29 @@ func (k *ComparisonKernel) bindInto(inc *IncrementalEvaluator, ev *Evaluator, sp
 		return nil, nil, fmt.Errorf("optimizer: evaluator lattice differs from the kernel's")
 	}
 	obs.KernelRebinds.Inc()
-	groups := len(k.groupMembers)
+	n, nq, groups := k.n, k.nq, len(k.groupMembers)
 	// curTerm, then bindScalars' arena.
-	durations := make([]time.Duration, k.nq+4*k.n+k.nq+len(k.ansCand))
-	int64s := make([]int64, groups+spare64)
-	int32s := make([]int32, k.nq+spare32)
+	durations := make([]time.Duration, nq+4*n+nq+len(k.ansCand))
+	int64s := make([]int64, 2*groups+spare64)
+	int32s := make([]int32, nq+groups+spare32)
+	bools := make([]bool, n+nq+groups)
 	*inc = IncrementalEvaluator{
 		ev:             ev,
 		k:              k,
-		sessionScalars: k.bindScalars(ev, durations[k.nq:]),
-		selected:       make([]bool, k.n),
-		words:          make([]uint64, (k.n+63)/64),
-		assigned:       int32s[:k.nq:k.nq],
-		curTerm:        durations[:k.nq:k.nq],
+		sessionScalars: k.bindScalars(ev, durations[nq:]),
+		selected:       bools[:n:n],
+		words:          make([]uint64, (n+63)/64),
+		assigned:       int32s[:nq:nq],
+		curTerm:        durations[:nq:nq],
 		served:         int64s[:groups:groups],
+		taken:          bools[n : n+nq : n+nq],
+		gDelta:         int64s[groups : 2*groups : 2*groups],
+		gHit:           bools[n+nq:],
+		gTouched:       int32s[nq : nq : nq+groups],
 	}
 	inc.transfer = costmodel.TransferCost(ev.Base.Cluster.Provider, ev.Base.MonthlyEgress).MulFloat(ev.Base.Months)
 	inc.resetEmpty()
-	return int64s[groups:], int32s[k.nq:], nil
+	return int64s[2*groups:], int32s[nq+groups:], nil
 }
 
 // Evaluator returns the exact evaluator this engine is bound to.
@@ -228,22 +246,19 @@ func (inc *IncrementalEvaluator) Add(i int) {
 		// refresh count from the moment it is selected.
 		inc.maintSum += time.Duration(min(inc.served[inc.k.group[i]], inc.runs)) * inc.perRun[i]
 	}
-	ri := inc.k.rows[i]
-	for _, q32 := range inc.k.cand2q[i] {
+	pos := inc.k.cand2pos[i]
+	for x, q32 := range inc.k.cand2q[i] {
 		q := int(q32)
-		cur := inc.assigned[q]
-		if cur >= 0 {
-			rc := inc.k.rows[cur]
-			if ri > rc || (ri == rc && int32(i) > cur) {
-				continue
-			}
+		if inc.beats(i, inc.assigned[q]) {
+			inc.route(q, int32(i), inc.ansTerm[pos[x]])
 		}
-		inc.route(q, int32(i))
 	}
 }
 
 // Drop unmaterializes candidate i: only queries currently assigned to it
 // are re-routed, to their cheapest remaining selected source (or base).
+// A query's source is the first selected entry of its answering list, so
+// the search for the next one starts just after i.
 //
 //mvlint:hotpath
 func (inc *IncrementalEvaluator) Drop(i int) {
@@ -262,27 +277,50 @@ func (inc *IncrementalEvaluator) Drop(i int) {
 		// before re-routing (the re-route below no longer counts i).
 		inc.maintSum -= time.Duration(min(inc.served[inc.k.group[i]], inc.runs)) * inc.perRun[i]
 	}
-	for _, q32 := range inc.k.cand2q[i] {
+	pos := inc.k.cand2pos[i]
+	for x, q32 := range inc.k.cand2q[i] {
 		q := int(q32)
-		if inc.assigned[q] != int32(i) {
-			continue
+		if inc.assigned[q] == int32(i) {
+			next, term := inc.nextSource(q, pos[x], -1)
+			inc.route(q, next, term)
 		}
-		next := int32(-1)
-		for idx := inc.k.qOff[q]; idx < inc.k.qOff[q+1]; idx++ {
-			if c := inc.k.ansCand[idx]; inc.selected[c] {
-				next = c
-				break
-			}
-		}
-		inc.route(q, next)
 	}
 }
 
-// route reassigns query q to candidate to (-1 = base), updating the
-// processing aggregate and the deferred-maintenance serving counters.
+// beats reports whether candidate i takes a query from its current
+// source cur (-1 = base) under the tie rule: fewer rows, ties to the
+// lower candidate index.
 //
 //mvlint:hotpath
-func (inc *IncrementalEvaluator) route(q int, to int32) {
+func (inc *IncrementalEvaluator) beats(i int, cur int32) bool {
+	if cur < 0 {
+		return true
+	}
+	ri, rc := inc.k.rows[i], inc.k.rows[cur]
+	return ri < rc || (ri == rc && int32(i) < cur)
+}
+
+// nextSource returns the source of query q, and its term, once the
+// selected entry at answering-list index pos is gone: the first later
+// entry that is selected or is the incoming candidate in (-1 = none),
+// else the base table.
+//
+//mvlint:hotpath
+func (inc *IncrementalEvaluator) nextSource(q int, pos int32, in int) (int32, time.Duration) {
+	for idx := pos + 1; idx < inc.k.qOff[q+1]; idx++ {
+		if c := inc.k.ansCand[idx]; inc.selected[c] || int(c) == in {
+			return c, inc.ansTerm[idx]
+		}
+	}
+	return -1, inc.qBase[q]
+}
+
+// route reassigns query q to candidate to (-1 = base) at processing
+// term term, updating the processing aggregate and the deferred-
+// maintenance serving counters.
+//
+//mvlint:hotpath
+func (inc *IncrementalEvaluator) route(q int, to int32, term time.Duration) {
 	from := inc.assigned[q]
 	if inc.deferred && inc.runs > 0 {
 		if from >= 0 {
@@ -290,17 +328,6 @@ func (inc *IncrementalEvaluator) route(q int, to int32) {
 		}
 		if to >= 0 {
 			inc.adjustServed(int(to), inc.k.qFreq[q])
-		}
-	}
-	var term time.Duration
-	if to < 0 {
-		term = inc.qBase[q]
-	} else {
-		for idx := inc.k.qOff[q]; idx < inc.k.qOff[q+1]; idx++ {
-			if inc.k.ansCand[idx] == to {
-				term = inc.ansTerm[idx]
-				break
-			}
 		}
 	}
 	inc.proc += term - inc.curTerm[q]
@@ -333,41 +360,201 @@ func (inc *IncrementalEvaluator) adjustServed(i int, delta int64) {
 	}
 }
 
-// maintenance returns TmaintenanceV for the current subset under the
-// estimator's policy. In deferred mode a dropped-to-zero maintSum and
-// runs<=0 mirror MaintenanceTimeForWorkload exactly.
-//
-//mvlint:hotpath
-func (inc *IncrementalEvaluator) maintenance() time.Duration {
-	if inc.deferred && inc.runs <= 0 {
-		return 0
-	}
-	return inc.maintSum
-}
-
-// Score prices the current subset exactly: the running aggregates feed
-// the same formulas as Plan.Bill (full tiered, rounded billing — no
-// linearization), so the result is bit-equal to Evaluate of the same
-// points. Only the four view-dependent terms are priced per call; the
-// egress charge does not depend on the selection and was priced at Bind,
-// where the evaluator's base plan had already been validated.
+// Score prices the current subset exactly from the running aggregates.
+// Under deferred maintenance with no refresh runs maintSum is never
+// moved off zero, which is MaintenanceTimeForWorkload's answer there.
 //
 //mvlint:hotpath
 func (inc *IncrementalEvaluator) Score() (time.Duration, costmodel.Bill, error) {
+	return inc.bill(inc.proc, inc.maintSum, inc.matSum, inc.sizeSum)
+}
+
+// errProbeSwap rejects a swap probe whose outgoing candidate is not
+// selected or whose incoming one is.
+var errProbeSwap = errors.New("optimizer: a swap probe takes out a selected candidate and brings in an unselected one")
+
+// probe is the view-dependent aggregates of the neighbor a Probe prices.
+type probe struct {
+	proc, maint, mat time.Duration
+	size             units.DataSize
+}
+
+// Probe prices a neighbor of the current subset without moving to it:
+// candidate i flipped (j < 0), or selected i swapped for unselected j.
+// The result is bit-equal to moving onto the neighbor and calling
+// Score — every aggregate is an integer sum, so the neighbor's are the
+// current ones plus the changes of the queries the move re-routes, in
+// any order — and no engine state is written: Words, Moves and every
+// later price are as if the probe never ran. Deferred maintenance is
+// priced the same way, from per-group served-count changes kept in probe
+// scratch and capped at the refresh count as adjustServed caps them.
+//
+//mvlint:hotpath
+func (inc *IncrementalEvaluator) Probe(i, j int) (time.Duration, costmodel.Bill, error) {
+	in, out := i, -1 // the candidates the move brings in and takes out
+	if inc.selected[i] {
+		in, out = j, i
+	}
+	if j >= 0 && (out < 0 || inc.selected[j]) {
+		return 0, costmodel.Bill{}, errProbeSwap
+	}
+	p := probe{proc: inc.proc, maint: inc.maintSum, mat: inc.matSum, size: inc.sizeSum}
+	// in's pass goes first: it marks the queries it takes from out, which
+	// out's pass then leaves alone.
+	if in >= 0 {
+		inc.probeAdd(&p, in, out)
+	}
+	if out >= 0 {
+		inc.probeDrop(&p, out, in)
+	}
+	if inc.deferred && inc.runs > 0 {
+		p.maint += inc.probeMaint(in, out)
+	}
+	return inc.bill(p.proc, p.maint, p.mat, p.size)
+}
+
+// probeAdd is Add(i) into p: the queries i beats their source on are
+// re-routed to it. Those it takes from out, the candidate the same move
+// drops, are marked taken for probeDrop.
+//
+//mvlint:hotpath
+func (inc *IncrementalEvaluator) probeAdd(p *probe, i, out int) {
+	p.size += inc.k.size[i]
+	p.mat += inc.mat[i]
+	if !inc.deferred {
+		p.maint += inc.maint[i]
+	}
+	serve := inc.deferred && inc.runs > 0
+	pos := inc.k.cand2pos[i]
+	for x, q32 := range inc.k.cand2q[i] {
+		q := int(q32)
+		cur := inc.assigned[q]
+		if !inc.beats(i, cur) {
+			continue
+		}
+		if cur >= 0 && int(cur) == out {
+			inc.taken[q] = true
+		}
+		p.proc += inc.ansTerm[pos[x]] - inc.curTerm[q]
+		if serve {
+			inc.probeServe(q, cur, int32(i))
+		}
+	}
+}
+
+// probeDrop is Drop(i) into p, with in (-1 = none) already selected for
+// the re-route: a query i serves goes to the first later entry of its
+// list that is selected or is in, unless probeAdd marked it taken by in.
+//
+//mvlint:hotpath
+func (inc *IncrementalEvaluator) probeDrop(p *probe, i, in int) {
+	p.size -= inc.k.size[i]
+	p.mat -= inc.mat[i]
+	if !inc.deferred {
+		p.maint -= inc.maint[i]
+	}
+	serve := inc.deferred && inc.runs > 0
+	pos := inc.k.cand2pos[i]
+	for x, q32 := range inc.k.cand2q[i] {
+		q := int(q32)
+		if inc.assigned[q] != int32(i) {
+			continue
+		}
+		if inc.taken[q] {
+			inc.taken[q] = false
+			continue
+		}
+		next, term := inc.nextSource(q, pos[x], in)
+		p.proc += term - inc.curTerm[q]
+		if serve {
+			inc.probeServe(q, int32(i), next)
+		}
+	}
+}
+
+// probeServe is route's served-count bookkeeping for a probe under
+// deferred maintenance: query q's executions move from source from to
+// source to (-1 = base) in the group scratch, and probeMaint prices the
+// net change.
+//
+//mvlint:hotpath
+func (inc *IncrementalEvaluator) probeServe(q int, from, to int32) {
+	if from >= 0 {
+		inc.probeShift(from, -inc.k.qFreq[q])
+	}
+	if to >= 0 {
+		inc.probeShift(to, inc.k.qFreq[q])
+	}
+}
+
+// probeShift adds delta to candidate i's group's served-count change,
+// listing the group in gTouched the first time it moves.
+//
+//mvlint:hotpath
+func (inc *IncrementalEvaluator) probeShift(i int32, delta int64) {
+	g := inc.k.group[i]
+	if !inc.gHit[g] {
+		inc.gHit[g] = true
+		inc.gTouched = append(inc.gTouched, int32(g))
+	}
+	inc.gDelta[g] += delta
+}
+
+// probeMaint returns the deferred-maintenance change of a probed move
+// and clears the group scratch. It is Add's, Drop's and adjustServed's
+// arithmetic on the net served-count changes: the outgoing candidate
+// sheds its capped bill at the old count, the incoming one is billed at
+// its group's new count, and every member selected on both sides of the
+// move is re-capped where its group's count moved.
+//
+//mvlint:hotpath
+func (inc *IncrementalEvaluator) probeMaint(in, out int) time.Duration {
+	var d time.Duration
+	if out >= 0 {
+		d -= time.Duration(min(inc.served[inc.k.group[out]], inc.runs)) * inc.perRun[out]
+	}
+	if in >= 0 {
+		g := inc.k.group[in]
+		d += time.Duration(min(inc.served[g]+inc.gDelta[g], inc.runs)) * inc.perRun[in]
+	}
+	for _, g := range inc.gTouched {
+		cb, ca := min(inc.served[g], inc.runs), min(inc.served[g]+inc.gDelta[g], inc.runs)
+		if cb != ca {
+			for _, m := range inc.k.groupMembers[g] {
+				if inc.selected[m] && int(m) != out {
+					d += time.Duration(ca-cb) * inc.perRun[m]
+				}
+			}
+		}
+		inc.gDelta[g], inc.gHit[g] = 0, false
+	}
+	inc.gTouched = inc.gTouched[:0]
+	return d
+}
+
+// bill prices a subset from its view-dependent aggregates — the one bill
+// function Score and Probe share. The aggregates feed the same formulas
+// as Plan.Bill (full tiered, rounded billing — no linearization), so the
+// result is bit-equal to Evaluate of the same points. Only the four
+// view-dependent terms are priced per call; the egress charge does not
+// depend on the selection and was priced at Bind, where the evaluator's
+// base plan had already been validated.
+//
+//mvlint:hotpath
+func (inc *IncrementalEvaluator) bill(proc, maint, mat time.Duration, size units.DataSize) (time.Duration, costmodel.Bill, error) {
 	base := &inc.ev.Base
-	maint := inc.maintenance()
-	if inc.sizeSum < 0 || inc.proc < 0 || maint < 0 || inc.matSum < 0 {
+	if size < 0 || proc < 0 || maint < 0 || mat < 0 {
 		// Overflowed aggregates: Plan.Bill owns the rejection.
-		_, err := base.WithViews(inc.sizeSum, inc.proc, maint, inc.matSum).Bill()
+		_, err := base.WithViews(size, proc, maint, mat).Bill()
 		return 0, costmodel.Bill{}, err
 	}
 	var b costmodel.Bill
-	b.Compute.Processing = base.Cluster.ComputeCost(inc.proc).MulFloat(base.Months)
+	b.Compute.Processing = base.Cluster.ComputeCost(proc).MulFloat(base.Months)
 	b.Compute.Maintenance = base.Cluster.ComputeCost(maint).MulFloat(base.Months)
-	b.Compute.Materialization = base.Cluster.ComputeCost(inc.matSum)
+	b.Compute.Materialization = base.Cluster.ComputeCost(mat)
 	var err error
 	b.Storage, err = costmodel.StorageCost(base.Cluster.Provider, simtime.Timeline{
-		Initial: base.DatasetSize + inc.sizeSum,
+		Initial: base.DatasetSize + size,
 		Horizon: simtime.Months(base.Months),
 		Events:  base.Inserts,
 	})
@@ -375,5 +562,5 @@ func (inc *IncrementalEvaluator) Score() (time.Duration, costmodel.Bill, error) 
 		return 0, costmodel.Bill{}, err
 	}
 	b.Transfer = inc.transfer
-	return inc.proc, b, nil
+	return proc, b, nil
 }

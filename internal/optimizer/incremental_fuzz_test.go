@@ -2,21 +2,28 @@ package optimizer
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 
 	"vmcloud/internal/views"
 )
 
 // FuzzIncrementalMoves drives the delta engine with arbitrary move
-// sequences over fuzzer-chosen instances and checks the admissibility
-// invariant after every move: incremental Score == Evaluator.Evaluate of
-// the resulting subset, exactly. The byte stream doubles as the move
+// sequences over fuzzer-chosen instances. Before every move it prices
+// read-only the move's flip and, when the subset has a selected and an
+// unselected candidate, a swap of a random such pair (checkProbe: each
+// probe leaves Words and Moves alone and equals, bit for bit, both the
+// engine's Score once moved onto that neighbor and Evaluator.Evaluate of
+// it). freqShift scales every query frequency by 2^(freqShift % 48), up
+// to where the aggregates overflow and Plan.Bill rejects the subset: the
+// three must then fail alike. The byte stream doubles as the move
 // script: each byte picks the candidate to flip.
 func FuzzIncrementalMoves(f *testing.F) {
-	f.Add(int64(1), false, []byte{0, 1, 2, 1, 0})
-	f.Add(int64(42), true, []byte{11, 3, 3, 7, 9, 11, 0, 250})
-	f.Add(int64(-5), true, []byte{})
-	f.Fuzz(func(t *testing.T, seed int64, deferredPolicy bool, moves []byte) {
+	f.Add(int64(1), false, uint8(0), []byte{0, 1, 2, 1, 0})
+	f.Add(int64(42), true, uint8(0), []byte{11, 3, 3, 7, 9, 11, 0, 250})
+	f.Add(int64(-5), true, uint8(0), []byte{})
+	f.Add(int64(3), false, uint8(40), []byte{0, 1, 2, 3, 4, 5})
+	f.Fuzz(func(t *testing.T, seed int64, deferredPolicy bool, freqShift uint8, moves []byte) {
 		if len(moves) > 128 {
 			moves = moves[:128]
 		}
@@ -26,31 +33,96 @@ func FuzzIncrementalMoves(f *testing.F) {
 		}
 		rng := rand.New(rand.NewSource(seed))
 		ev, cands := incrementalFixture(t, rng, policy)
+		if shift := freqShift % 48; shift > 0 {
+			w := ev.W
+			w.Queries = slices.Clone(w.Queries)
+			for q := range w.Queries {
+				w.Queries[q].Frequency <<= shift
+			}
+			var err error
+			if ev, err = NewEvaluator(ev.Est, w, ev.Base); err != nil {
+				t.Fatal(err)
+			}
+		}
 		inc, err := NewIncrementalEvaluator(ev, cands)
 		if err != nil {
 			t.Fatal(err)
 		}
 		sel := make([]bool, len(cands))
-		for step, b := range moves {
+		for _, b := range moves {
 			i := int(b) % len(cands)
-			if sel[i] {
-				inc.Drop(i)
-			} else {
-				inc.Add(i)
+			checkProbe(t, ev, cands, inc, sel, i, -1)
+			if out, in, ok := randomSwap(rng, sel); ok {
+				checkProbe(t, ev, cands, inc, sel, out, in)
 			}
+			toggle(inc, i)
 			sel[i] = !sel[i]
-			gotT, gotBill, err := inc.Score()
-			if err != nil {
-				t.Fatal(err)
-			}
-			wantT, wantBill, err := ev.Evaluate(selectedPoints(cands, sel))
-			if err != nil {
-				t.Fatal(err)
-			}
-			if gotT != wantT || gotBill != wantBill {
-				t.Fatalf("step %d (flip %d) sel %v:\nincremental (%v, %+v)\nexact       (%v, %+v)",
-					step, i, sel, gotT, gotBill, wantT, wantBill)
-			}
 		}
 	})
+}
+
+// checkProbe holds inc.Probe(i, j) — the subset sel (which inc stands
+// on) with i flipped, or with selected i swapped for unselected j — to
+// the engine moved onto that neighbor and to Evaluate of it: the same
+// time, every bill field, or the same error. The probe must leave the
+// selection words and the move count as they were; the engine is moved
+// back afterwards.
+func checkProbe(t *testing.T, ev *Evaluator, cands []views.Candidate, inc *IncrementalEvaluator, sel []bool, i, j int) {
+	t.Helper()
+	words, moves := slices.Clone(inc.Words()), inc.Moves()
+	pt, pb, perr := inc.Probe(i, j)
+	if !slices.Equal(inc.Words(), words) || inc.Moves() != moves {
+		t.Fatalf("probe (%d, %d) moved the engine: words %x → %x, moves %d → %d", i, j, words, inc.Words(), moves, inc.Moves())
+	}
+	next := slices.Clone(sel)
+	next[i] = !next[i]
+	toggle(inc, i)
+	if j >= 0 {
+		next[j] = !next[j]
+		toggle(inc, j)
+	}
+	st, sb, serr := inc.Score()
+	if j >= 0 {
+		toggle(inc, j)
+	}
+	toggle(inc, i)
+	et, eb, eerr := ev.Evaluate(selectedPoints(cands, next))
+	if errText(perr) != errText(serr) || errText(perr) != errText(eerr) ||
+		pt != st || pb != sb || pt != et || pb != eb {
+		t.Fatalf("probe (%d, %d) of %v:\nprobe    (%v, %+v, %v)\nmoved    (%v, %+v, %v)\nevaluate (%v, %+v, %v)",
+			i, j, sel, pt, pb, perr, st, sb, serr, et, eb, eerr)
+	}
+}
+
+// randomSwap draws a selected candidate and an unselected one, if the
+// subset has both.
+func randomSwap(rng *rand.Rand, sel []bool) (out, in int, ok bool) {
+	var on, off []int
+	for c, s := range sel {
+		if s {
+			on = append(on, c)
+		} else {
+			off = append(off, c)
+		}
+	}
+	if len(on) == 0 || len(off) == 0 {
+		return 0, 0, false
+	}
+	return on[rng.Intn(len(on))], off[rng.Intn(len(off))], true
+}
+
+// toggle adds candidate i to the engine's subset or drops it.
+func toggle(inc *IncrementalEvaluator, i int) {
+	if inc.Selected(i) {
+		inc.Drop(i)
+	} else {
+		inc.Add(i)
+	}
+}
+
+func errText(err error) string {
+	if err == nil {
+		return ""
+	}
+	return err.Error()
 }

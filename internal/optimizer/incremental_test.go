@@ -3,6 +3,7 @@ package optimizer
 import (
 	"math/rand"
 	"testing"
+	"time"
 
 	"vmcloud/internal/cluster"
 	"vmcloud/internal/costmodel"
@@ -92,7 +93,8 @@ func selectedPoints(cands []views.Candidate, sel []bool) []lattice.Point {
 // of the delta engine: on random instances, after every Add/Drop of a
 // random walk the incremental Score must equal Evaluator.Evaluate of the
 // resulting subset EXACTLY — same time.Duration, same Bill (every money
-// field), under both maintenance policies. Any deviation means the
+// field), under both maintenance policies. Every tenth step the whole
+// neighborhood is probed read-only as well. Any deviation means the
 // incremental engine optimizes a different function than the ground
 // truth it claims to accelerate.
 func TestIncrementalMatchesEvaluateRandomWalk(t *testing.T) {
@@ -121,6 +123,9 @@ func TestIncrementalMatchesEvaluateRandomWalk(t *testing.T) {
 			}
 			check(-1)
 			for step := 0; step < 60; step++ {
+				if step%10 == 0 {
+					checkNeighborhood(t, ev, cands, inc, sel)
+				}
 				i := rng.Intn(len(cands))
 				if sel[i] {
 					inc.Drop(i)
@@ -131,6 +136,38 @@ func TestIncrementalMatchesEvaluateRandomWalk(t *testing.T) {
 				}
 				check(step)
 			}
+		}
+	}
+}
+
+// checkNeighborhood probes every neighbor a search prices — each flip,
+// and each swap of a selected candidate for an unselected one — and
+// holds it to the moved engine and to Evaluate (checkProbe).
+func checkNeighborhood(t *testing.T, ev *Evaluator, cands []views.Candidate, inc *IncrementalEvaluator, sel []bool) {
+	t.Helper()
+	for i := range sel {
+		checkProbe(t, ev, cands, inc, sel, i, -1)
+		for j := range sel {
+			if sel[i] && !sel[j] {
+				checkProbe(t, ev, cands, inc, sel, i, j)
+			}
+		}
+	}
+}
+
+// TestProbeRejectsMalformedSwap: a swap must take out a selected
+// candidate and bring in an unselected one.
+func TestProbeRejectsMalformedSwap(t *testing.T) {
+	ev, cands := incrementalFixture(t, rand.New(rand.NewSource(3)), views.ImmediateMaintenance)
+	inc, err := NewIncrementalEvaluator(ev, cands)
+	if err != nil {
+		t.Fatal(err)
+	}
+	inc.Add(0)
+	inc.Add(1)
+	for _, m := range [][2]int{{2, 3}, {0, 1}, {2, 0}} {
+		if _, _, err := inc.Probe(m[0], m[1]); err == nil {
+			t.Errorf("Probe(%d, %d) with only 0 and 1 selected: no error", m[0], m[1])
 		}
 	}
 }
@@ -273,4 +310,72 @@ func TestIncrementalWords(t *testing.T) {
 	if inc.Len() != len(cands) {
 		t.Fatalf("Len = %d, want %d", inc.Len(), len(cands))
 	}
+}
+
+// BenchmarkIncrementalProbe prices neighbors on the repo benchmark's
+// search-large shape (a 4×4 synthetic schema of 256 cuboids, 40 queries,
+// a 48-candidate pool, half of it selected) two ways: a read-only flip
+// probe, and the Add, Score, Drop round trip a search used to step
+// through for the same price. One op is every candidate flipped each
+// way; ns/probe and ns/roundtrip are per flip.
+func BenchmarkIncrementalProbe(b *testing.B) {
+	sch, err := schema.Synthetic(4, 4)
+	if err != nil {
+		b.Fatal(err)
+	}
+	l, err := lattice.New(sch, 1_000_000_000)
+	if err != nil {
+		b.Fatal(err)
+	}
+	w, err := workload.Random(l, 40, 8, 1)
+	if err != nil {
+		b.Fatal(err)
+	}
+	cl, err := cluster.New(pricing.AWS2012(), "small", 5)
+	if err != nil {
+		b.Fatal(err)
+	}
+	est := views.NewEstimator(l, cl)
+	est.MaintenanceRuns = 6
+	est.UpdateRatio = 0.5
+	ev, err := NewEvaluator(est, w, costmodel.Plan{Cluster: cl, Months: 1, DatasetSize: l.NodeByID(0).Size})
+	if err != nil {
+		b.Fatal(err)
+	}
+	cands, err := views.GenerateCandidates(l, w, 48)
+	if err != nil {
+		b.Fatal(err)
+	}
+	inc, err := NewIncrementalEvaluator(ev, cands)
+	if err != nil {
+		b.Fatal(err)
+	}
+	n := len(cands)
+	for i := 0; i < n/2; i++ {
+		inc.Add(i)
+	}
+	var probe, trip time.Duration
+	b.ReportAllocs()
+	b.ResetTimer()
+	for op := 0; op < b.N; op++ {
+		start := time.Now()
+		for i := 0; i < n; i++ {
+			if _, _, err := inc.Probe(i, -1); err != nil {
+				b.Fatal(err)
+			}
+		}
+		mid := time.Now()
+		for i := 0; i < n; i++ {
+			toggle(inc, i)
+			if _, _, err := inc.Score(); err != nil {
+				b.Fatal(err)
+			}
+			toggle(inc, i)
+		}
+		probe += mid.Sub(start)
+		trip += time.Since(mid)
+	}
+	flips := float64(b.N * n)
+	b.ReportMetric(float64(probe)/flips, "ns/probe")
+	b.ReportMetric(float64(trip)/flips, "ns/roundtrip")
 }

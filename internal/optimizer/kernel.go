@@ -62,8 +62,11 @@ type ComparisonKernel struct {
 	qOff    []int32
 	ansCand []int32
 	// cand2q[i] lists the queries candidate i can answer (the "affected
-	// queries" of an incremental move).
-	cand2q [][]int32
+	// queries" of an incremental move); cand2pos[i] parallels it with
+	// candidate i's index into ansCand for each, so a move reads its
+	// answering entry without searching the list.
+	cand2q   [][]int32
+	cand2pos [][]int32
 }
 
 // NewComparisonKernel pins the structure of an advisory problem. The
@@ -166,12 +169,13 @@ func NewComparisonKernel(l *lattice.Lattice, w workload.Workload, cands []views.
 	// The lists themselves, each cut empty at its final capacity so that
 	// the appends below fill it in place.
 	total := int(k.qOff[nq])
-	lists := make([]int32, 2*total+n)
-	heads := make([][]int32, n+len(perGroup))
+	lists := make([]int32, 3*total+n)
+	heads := make([][]int32, 2*n+len(perGroup))
 	k.ansCand, lists = lists[:0:total], lists[total:]
-	k.cand2q, k.groupMembers = heads[:n:n], heads[n:]
+	k.cand2q, k.cand2pos, k.groupMembers = heads[:n:n], heads[n:2*n:2*n], heads[2*n:]
 	for i, c := range answers {
 		k.cand2q[i], lists = lists[:0:c], lists[c:]
+		k.cand2pos[i], lists = lists[:0:c], lists[c:]
 	}
 	for g, c := range perGroup {
 		k.groupMembers[g], lists = lists[:0:c], lists[c:]
@@ -182,6 +186,7 @@ func NewComparisonKernel(l *lattice.Lattice, w workload.Workload, cands []views.
 	for q, qid := range qids {
 		for _, i := range order {
 			if l.CanAnswerID(k.ids[i], int(qid)) {
+				k.cand2pos[i] = append(k.cand2pos[i], int32(len(k.ansCand)))
 				k.ansCand = append(k.ansCand, i)
 				k.cand2q[i] = append(k.cand2q[i], int32(q))
 			}

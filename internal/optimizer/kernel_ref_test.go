@@ -121,6 +121,18 @@ func checkKernelMatchesReference(t *testing.T, name string, l *lattice.Lattice, 
 	flat("ansCand", slices.Equal(got.ansCand, want.ansCand))
 	flat("groupMembers", slices.EqualFunc(got.groupMembers, want.groupMembers, slices.Equal[[]int32]))
 	flat("cand2q", slices.EqualFunc(got.cand2q, want.cand2q, slices.Equal[[]int32]))
+	// cand2pos has no reference twin: it is held to what it indexes,
+	// candidate i's own entry in each of its queries' answering lists.
+	for i, qs := range got.cand2q {
+		if len(got.cand2pos[i]) != len(qs) {
+			t.Fatalf("%s: candidate %d has %d positions for %d queries", name, i, len(got.cand2pos[i]), len(qs))
+		}
+		for x, q := range qs {
+			if p := got.cand2pos[i][x]; p < got.qOff[q] || p >= got.qOff[q+1] || got.ansCand[p] != int32(i) {
+				t.Fatalf("%s: candidate %d's position %d for query %d is not its answering entry", name, i, p, q)
+			}
+		}
+	}
 }
 
 // fuzzCorpusCase reads one committed FuzzGenerateCandidates input and

@@ -16,9 +16,9 @@ func annealEnergy(e eval, penalty float64) float64 {
 // anneal runs simulated annealing with a geometric cooling schedule from
 // the given start. Each temperature level proposes opts.AnnealMoves
 // random add/drop/swap moves; improving moves are always accepted,
-// worsening ones with probability exp(−Δ/T). An uncached proposal is
-// priced by stepping the incremental engine onto it, and the step is
-// undone only on rejection, so a proposal costs O(affected queries). The
+// worsening ones with probability exp(−Δ/T). A proposal is priced
+// read-only off the incremental engine, O(affected queries), and the
+// engine steps onto it only when it is accepted. The
 // initial temperature is calibrated from the observed energy deltas of a
 // short warm-up walk, so the schedule adapts to the objective's units.
 // Returns the best state seen (not the final one), wrapped in the stop
@@ -42,7 +42,7 @@ func (s *solver) anneal(start []bool, startEval eval) ([]bool, eval, error) {
 
 	// Warm-up: sample a few random neighbors to calibrate T0 at the mean
 	// absolute energy delta — acceptance of a typical uphill move starts
-	// near exp(−1). Probes leave the engine untouched.
+	// near exp(−1).
 	var deltaSum float64
 	deltas := 0
 	for k := 0; k < 8; k++ {
@@ -72,11 +72,9 @@ func (s *solver) anneal(start []bool, startEval eval) ([]bool, eval, error) {
 			if i < 0 {
 				return best, bestEval, nil
 			}
-			// A cached neighbor is priced without touching the engine;
-			// an uncached one leaves the engine standing on it, so an
-			// accepted move costs no second trip and only a rejected one
-			// is walked back.
-			e, stepped, err := s.stepMove(i, j)
+			// Every proposal is priced without moving the engine; only an
+			// accepted one moves it.
+			e, err := s.probeMove(i, j)
 			if err != nil {
 				if stopped(err) {
 					return best, bestEval, err
@@ -86,16 +84,12 @@ func (s *solver) anneal(start []bool, startEval eval) ([]bool, eval, error) {
 			delta := annealEnergy(e, penalty) - annealEnergy(curEval, penalty)
 			if delta <= 0 || s.rng.Float64() < math.Exp(-delta/temp) {
 				s.applyMove(cur, i, j)
-				if !stepped {
-					s.flip(i, j)
-				}
+				s.flip(i, j)
 				curEval = e
 				if better(curEval, bestEval) {
 					copy(best, cur)
 					bestEval = curEval
 				}
-			} else if stepped {
-				s.flip(j, i)
 			}
 		}
 		temp *= s.opts.Cooling

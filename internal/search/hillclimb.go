@@ -14,12 +14,13 @@ package search
 //     the move that lets a budget-tight state trade a view for a better
 //     one without passing through an over-budget intermediate.
 //
-// Every neighbor is priced by delta moves against the incremental
-// engine (cache hits don't even touch it: neighbor keys are XORs of the
-// selection words), so a full scan costs O(neighbors × affected
-// queries), not O(neighbors × workload × selection). A swap row — one
-// selected candidate against every unselected one — takes its candidate
-// out of the engine once for the whole row (probeSwapRow).
+// Every neighbor is priced read-only off the incremental engine's
+// aggregates (cache hits don't even read those: neighbor keys are XORs
+// of the selection words), so a full scan costs O(neighbors × affected
+// queries), not O(neighbors × workload × selection), and the engine
+// moves only onto the best neighbor. A swap row — one selected
+// candidate against every unselected one — takes its candidate out of
+// the engine once for the whole row (probeSwapRow).
 //
 // The scan order is deterministic (ascending candidate index, adds/drops
 // before swaps) and ties keep the earliest neighbor, so identical inputs

@@ -205,10 +205,10 @@ func stopped(err error) bool {
 	return errors.Is(err, errEvalBudget) || errors.Is(err, errDeadline)
 }
 
-// eval is one exactly-priced subset under the current objective.
+// eval is one exactly-priced subset under the current objective: its
+// cached price and the objective's score and violation of it.
 type eval struct {
-	t     time.Duration
-	bill  costmodel.Bill
+	c     *cachedEval
 	score float64
 	viol  float64
 }
@@ -302,38 +302,34 @@ func (c *evalCache) find(words []uint64, flip1, flip2 int) int {
 	return slot
 }
 
-// get looks up the subset `words` with candidates flip1/flip2 (-1 =
-// none) toggled — neighbor states are keyed without touching the
-// evaluation engine.
+// at returns the entry in slot, or nil when the slot is empty.
 //
 //mvlint:hotpath
-func (c *evalCache) get(words []uint64, flip1, flip2 int) (cachedEval, bool) {
-	if e := c.slots[c.find(words, flip1, flip2)]; e != 0 {
-		return c.vals[e-1], true
+func (c *evalCache) at(slot int) *cachedEval {
+	if e := c.slots[slot]; e != 0 {
+		return &c.vals[e-1]
 	}
-	return cachedEval{}, false
+	return nil
 }
 
-// put stores the subset exactly as given (no flips).
+// insert stores ce in the empty slot the last find returned, under the
+// key that find loaded — a miss is hashed once — and returns the entry.
 //
 //mvlint:hotpath
-func (c *evalCache) put(words []uint64, ce cachedEval) {
-	slot := c.find(words, -1, -1)
-	if e := c.slots[slot]; e != 0 {
-		c.vals[e-1] = ce
-		return
-	}
+func (c *evalCache) insert(slot int, ce cachedEval) *cachedEval {
 	c.keys = append(c.keys, c.key...)
 	c.vals = append(c.vals, ce)
 	c.slots[slot] = uint32(len(c.vals))
+	return &c.vals[len(c.vals)-1]
 }
 
 // solver carries one search session: the pinned incremental evaluation
 // engine, the candidate pool, the active objective, the shared
-// evaluation cache and the PRNG. The engine holds the "current" subset;
-// neighbors are priced by applying delta moves and undoing them, so a
-// move costs O(affected queries) instead of a full workload × selection
-// recomputation.
+// evaluation cache and the PRNG. The engine holds the "current" subset
+// (inside a swap row, the current subset less the row's candidate);
+// neighbors are priced read-only from its aggregates, so a probe costs
+// O(affected queries) instead of a full workload × selection
+// recomputation, and the engine moves only when the search does.
 type solver struct {
 	inc      *optimizer.IncrementalEvaluator
 	cands    []views.Candidate
@@ -344,14 +340,14 @@ type solver struct {
 	evals    int
 	maxEvals int
 	// done is Options.Ctx's done channel, nil when no deadline was set
-	// (see stepMove).
+	// (see lookup).
 	done <-chan struct{}
 	// degraded latches once the deadline interrupts the pipeline; it
 	// flows onto every selection this solver emits from then on.
 	degraded bool
 	// selIdx and unsIdx list the selected and unselected candidates of
-	// the state the engine stands on, ascending; pin and applyMove keep
-	// them current for the swap rows and move proposals that read them.
+	// the search's current state, ascending; pin and applyMove keep them
+	// current for the swap rows and move proposals that read them.
 	selIdx []int
 	unsIdx []int
 }
@@ -397,8 +393,8 @@ func newSolver(ev *optimizer.Evaluator, cands []views.Candidate, obj Objective, 
 }
 
 // score applies the active objective to a cached exact evaluation.
-func (s *solver) score(c cachedEval) eval {
-	e := eval{t: c.t, bill: c.bill, score: s.obj.Score(c.t, c.bill)}
+func (s *solver) score(c *cachedEval) eval {
+	e := eval{c: c, score: s.obj.Score(c.t, c.bill)}
 	if s.obj.Violation != nil {
 		e.viol = s.obj.Violation(c.t, c.bill)
 	}
@@ -412,8 +408,8 @@ func (s *solver) score(c cachedEval) eval {
 //
 //mvlint:hotpath
 func (s *solver) scoreState() (eval, error) {
-	words := s.inc.Words()
-	if c, ok := s.cache.get(words, -1, -1); ok {
+	slot := s.cache.find(s.inc.Words(), -1, -1)
+	if c := s.cache.at(slot); c != nil {
 		return s.score(c), nil
 	}
 	if s.evals >= s.maxEvals {
@@ -424,9 +420,7 @@ func (s *solver) scoreState() (eval, error) {
 	if err != nil {
 		return eval{}, err
 	}
-	c := cachedEval{t: t, bill: bill}
-	s.cache.put(words, c)
-	return s.score(c), nil
+	return s.score(s.cache.insert(slot, cachedEval{t: t, bill: bill})), nil
 }
 
 // pin re-pins the engine to an arbitrary subset — the full re-pricing
@@ -458,8 +452,8 @@ func (s *solver) evaluate(sel []bool) (eval, error) {
 	return s.scoreState()
 }
 
-// flip toggles candidates a, then b, in the engine (-1 = none): flip(i,
-// j) is the engine side of applyMove(sel, i, j), flip(j, i) undoes it.
+// flip moves the engine by a flip of a (b < 0) or a swap of selected a
+// for unselected b: the engine side of applyMove(sel, a, b).
 //
 //mvlint:hotpath
 func (s *solver) flip(a, b int) {
@@ -475,15 +469,13 @@ func (s *solver) flip(a, b int) {
 	}
 }
 
-// stepMove prices the neighbor reached by a flip of i (j < 0) or a swap
-// dropping selected i for unselected j. The neighbor's key is an XOR on
-// the selection words, so a cache hit never touches the engine (stepped
-// false). A miss moves the engine onto the neighbor to price it and
-// leaves it there (stepped true): the caller keeps the move or reverts
-// it with flip(j, i). On an error the engine has not moved.
+// lookup is the front half of every probe of the engine's neighbor with
+// a and b flipped (-1 = none): the deadline gate, then the cache. A hit
+// is returned scored (e.c != nil); a miss returns the slot its entry
+// belongs in, or errEvalBudget when no evaluation is left to price it.
 //
 //mvlint:hotpath
-func (s *solver) stepMove(i, j int) (e eval, stepped bool, err error) {
+func (s *solver) lookup(a, b int) (slot int, e eval, err error) {
 	select {
 	case <-s.done:
 		// The deadline gate sits on move probes only — never on start
@@ -491,73 +483,84 @@ func (s *solver) stepMove(i, j int) (e eval, stepped bool, err error) {
 		// priced and a degraded incumbent can never lose to its own
 		// warm start. A nil done channel (no deadline) blocks forever
 		// and falls through to default.
-		return eval{}, false, errDeadline
+		return 0, eval{}, errDeadline
 	default:
 	}
-	if c, ok := s.cache.get(s.inc.Words(), i, j); ok {
-		return s.score(c), false, nil
+	slot = s.cache.find(s.inc.Words(), a, b)
+	if c := s.cache.at(slot); c != nil {
+		return slot, s.score(c), nil
 	}
 	if s.evals >= s.maxEvals {
-		return eval{}, false, errEvalBudget
+		return slot, eval{}, errEvalBudget
 	}
-	s.evals++
-	s.flip(i, j)
-	t, bill, err := s.inc.Score()
-	if err != nil {
-		s.flip(j, i)
-		return eval{}, false, err
-	}
-	c := cachedEval{t: t, bill: bill}
-	s.cache.put(s.inc.Words(), c)
-	return s.score(c), true, nil
+	return slot, eval{}, nil
 }
 
-// probeMove is stepMove leaving the engine where it was.
+// price is the back half of a miss: one evaluation charged, the engine's
+// neighbor priced read-only (IncrementalEvaluator.Probe of a flip of a,
+// or of a swap of selected a for unselected b), and the result stored in
+// the slot lookup returned.
+//
+//mvlint:hotpath
+func (s *solver) price(slot, a, b int) (eval, error) {
+	s.evals++
+	t, bill, err := s.inc.Probe(a, b)
+	if err != nil {
+		return eval{}, err
+	}
+	return s.score(s.cache.insert(slot, cachedEval{t: t, bill: bill})), nil
+}
+
+// probeMove prices the neighbor reached by a flip of i (j < 0) or a swap
+// dropping selected i for unselected j. Its key is an XOR on the
+// selection words and its price is read off the engine's aggregates, so
+// the engine does not move, hit or miss.
 //
 //mvlint:hotpath
 func (s *solver) probeMove(i, j int) (eval, error) {
-	e, stepped, err := s.stepMove(i, j)
-	if stepped {
-		s.flip(j, i)
+	slot, e, err := s.lookup(i, j)
+	if e.c != nil || err != nil {
+		return e, err
 	}
-	return e, err
+	return s.price(slot, i, j)
 }
 
-// probeSwapRow probes every swap of selected i for an unselected j, in
+// probeSwapRow prices every swap of selected i for an unselected j, in
 // ascending j — the states, order, deadline gate, budget accounting and
 // cache keys of probeMove(i, j) — and returns the first j that strictly
 // beats best and every earlier j, or -1. The row's first uncached swap
-// takes i out of the engine and only j is put back, so each further one
-// is a single flip of j away (Add j, Score, Drop j: the engine's state
-// is a pure function of the selected set, so the price is the same).
-// However the row ends — last j, budget, deadline, pricing error — i is
-// back in the engine on return, and the best swap so far is reported
-// beside the error.
+// takes i out of the engine, so it and every later one is priced as a
+// flip of j alone (the engine's state is a pure function of the
+// selected set, so the price is the same). However the row ends — last
+// j, budget, deadline, pricing error — i is back in the engine on
+// return, and the best swap so far is reported beside the error.
 //
 //mvlint:hotpath
 func (s *solver) probeSwapRow(i int, best eval) (bestJ int, _ eval, err error) {
 	bestJ = -1
-	out := false // i is out of the engine
+	in := i // i while it is still in the engine, then -1
 	for _, j := range s.unsIdx {
+		var slot int
 		var e eval
-		var stepped bool
-		if out {
-			e, stepped, err = s.stepMove(j, -1)
-		} else {
-			e, stepped, err = s.stepMove(i, j)
-			out = stepped
-		}
-		if stepped {
-			s.inc.Drop(j)
-		}
-		if err != nil {
+		if slot, e, err = s.lookup(in, j); err != nil {
 			break
+		}
+		if e.c == nil {
+			if in >= 0 {
+				// The engine's words lose bit i and the key loaded by
+				// lookup stays the same, so slot is still where it goes.
+				s.inc.Drop(i)
+				in = -1
+			}
+			if e, err = s.price(slot, j, -1); err != nil {
+				break
+			}
 		}
 		if better(e, best) {
 			bestJ, best = j, e
 		}
 	}
-	if out {
+	if in < 0 {
 		s.inc.Add(i)
 	}
 	return bestJ, best, err
@@ -568,12 +571,26 @@ func (s *solver) probeSwapRow(i int, best eval) (bestJ int, _ eval, err error) {
 //
 //mvlint:hotpath
 func (s *solver) applyMove(sel []bool, i, j int) {
-	if j < 0 {
-		sel[i] = !sel[i]
-	} else {
-		sel[i], sel[j] = false, true
+	s.toggle(sel, i)
+	if j >= 0 {
+		s.toggle(sel, j)
 	}
-	s.partition(sel)
+}
+
+// toggle flips candidate i in the state bitmap and moves it from one
+// ascending index list to the other.
+//
+//mvlint:hotpath
+func (s *solver) toggle(sel []bool, i int) {
+	from, to := &s.unsIdx, &s.selIdx
+	if sel[i] {
+		from, to = to, from
+	}
+	sel[i] = !sel[i]
+	at, _ := slices.BinarySearch(*from, i)
+	*from = slices.Delete(*from, at, at+1)
+	at, _ = slices.BinarySearch(*to, i)
+	*to = slices.Insert(*to, at, i)
 }
 
 // selection assembles the final optimizer.Selection for a state.
@@ -586,8 +603,8 @@ func (s *solver) selection(sel []bool, e eval) optimizer.Selection {
 	}
 	return optimizer.Selection{
 		Points:   pts,
-		Time:     e.t,
-		Bill:     e.bill,
+		Time:     e.c.t,
+		Bill:     e.c.bill,
 		Feasible: e.viol == 0,
 		Strategy: s.obj.Name + "-search",
 		Degraded: s.degraded,

@@ -329,13 +329,15 @@ func TestWarmStartNeverWorse(t *testing.T) {
 
 // TestSwapProbeMoveBound gates the engine work of a solve in moves
 // (Add/Drop calls, deterministic). On largeFixture, mv1, seed 1, the
-// solver spent 15,204 moves for its 4,096 evaluations when every swap
-// probe was a Drop i / Add j / Score / Drop j / Add i round trip and
-// every accepted annealing step was priced, undone and redone. A swap
-// row now takes i out once and annealing keeps the step it just priced;
-// the floor is two moves per evaluation (8,192) plus re-pins.
+// solver spent 15,204 moves for its 4,096 evaluations when every probe
+// stepped the engine onto its neighbor and back, and 7,996 once a swap
+// row took its candidate out once and annealing kept the step it had
+// just priced. Probes are now read-only ("price, then move"): the
+// engine moves only to apply a move the search keeps, to take a swap
+// row's candidate out and put it back, and to re-pin a start — 3,028
+// moves, 0.74 per evaluation, which the gate sits just above.
 func TestSwapProbeMoveBound(t *testing.T) {
-	const parentMoves = 15204
+	const maxMoves = 3100
 	ev, cands, budget := largeFixture(t)
 	s, err := newSolver(ev, cands, BudgetObjective(budget), Options{Seed: 1})
 	if err != nil {
@@ -345,12 +347,12 @@ func TestSwapProbeMoveBound(t *testing.T) {
 		t.Fatal(err)
 	}
 	moves := s.inc.Moves()
-	t.Logf("%d engine moves for %d evaluations", moves, s.evals)
+	t.Logf("%d engine moves for %d evaluations: %.2f per evaluation", moves, s.evals, float64(moves)/float64(s.evals))
 	if s.evals != DefaultMaxEvals {
 		t.Fatalf("%d evaluations, want the full budget of %d", s.evals, DefaultMaxEvals)
 	}
-	if moves*100 > parentMoves*65 {
-		t.Fatalf("%d engine moves, want at most 0.65 × %d", moves, parentMoves)
+	if moves > maxMoves {
+		t.Fatalf("%d engine moves, want at most %d", moves, maxMoves)
 	}
 }
 

@@ -28,8 +28,12 @@
 #   {"date":"...","go":"...","goos":"...","goarch":"...","benchtime":"...",
 #    "benchmarks":[{"package":"...","name":"...","iterations":N,
 #                   "ns_per_op":F,"mb_per_s":F,"bytes_per_op":F,
-#                   "allocs_per_op":F}, ...]}
-# (mb_per_s only for benchmarks that call b.SetBytes)
+#                   "allocs_per_op":F,"metrics":{"<unit>":F,...}}, ...]}
+# (mb_per_s only for benchmarks that call b.SetBytes; metrics only for
+# those that call b.ReportMetric, keyed by its unit — moves/op of
+# BenchmarkAdviseSearchCold256, the engine work of a search-large
+# operation, and ns/probe beside ns/roundtrip of
+# BenchmarkIncrementalProbe, internal/optimizer)
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -61,12 +65,15 @@ $1 == "pkg:" { pkg = $2 }
   name = $1
   sub(/-[0-9]+$/, "", name)
   iters = $2
-  ns = ""; mbs = ""; bytes = ""; allocs = ""
-  for (i = 3; i < NF; i++) {
-    if ($(i+1) == "ns/op") ns = $i
-    if ($(i+1) == "MB/s") mbs = $i
-    if ($(i+1) == "B/op") bytes = $i
-    if ($(i+1) == "allocs/op") allocs = $i
+  ns = ""; mbs = ""; bytes = ""; allocs = ""; custom = ""
+  # Value/unit pairs follow the iteration count.
+  for (i = 3; i < NF; i += 2) {
+    unit = $(i+1)
+    if (unit == "ns/op") ns = $i
+    else if (unit == "MB/s") mbs = $i
+    else if (unit == "B/op") bytes = $i
+    else if (unit == "allocs/op") allocs = $i
+    else custom = custom (custom == "" ? "" : ",") "\"" unit "\":" $i
   }
   if (ns == "") next
   if (n++) printf ","
@@ -74,6 +81,7 @@ $1 == "pkg:" { pkg = $2 }
   if (mbs != "") printf ",\"mb_per_s\":%s", mbs
   if (bytes != "") printf ",\"bytes_per_op\":%s", bytes
   if (allocs != "") printf ",\"allocs_per_op\":%s", allocs
+  if (custom != "") printf ",\"metrics\":{%s}", custom
   printf "}"
 }
 END { print "]}" }
