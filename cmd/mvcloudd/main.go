@@ -1,5 +1,5 @@
 // Command mvcloudd is the advisory daemon: a long-running HTTP server
-// exposing the view-materialization advisor as a JSON API, with an LRU
+// exposing the view-materialization advisor as a JSON API, with a bounded
 // cache over solved recommendations (the advisor is deterministic, so
 // identical configurations are served from memory).
 //

@@ -5,7 +5,7 @@
 // Two kinds of values are tracked, per function:
 //
 //   - results of a method named view returning []byte — the
-//     lruCache.view contract: the slice aliases cache-owned memory and
+//     sieveCache.view contract: the slice aliases cache-owned memory and
 //     is valid only until the request returns;
 //   - values obtained from (*sync.Pool).Get, and anything reached
 //     through them (fields, subslices) — pooled scratch is recycled the
@@ -37,7 +37,7 @@ import (
 // Analyzer is the borrowed-buffer retention checker.
 var Analyzer = &analysis.Analyzer{
 	Name: "noretain",
-	Doc:  "flags retention or escape of lruCache.view buffers and sync.Pool-backed scratch past their contract scope",
+	Doc:  "flags retention or escape of sieveCache.view buffers and sync.Pool-backed scratch past their contract scope",
 	Run:  run,
 }
 
@@ -263,7 +263,7 @@ func (tr *tracker) call(call *ast.CallExpr) {
 		}
 		return
 	}
-	// Put methods take ownership (lruCache.Put documents exactly this);
+	// Put methods take ownership (sieveCache.Put documents exactly this);
 	// handing them a borrowed buffer retains it. Returning pooled
 	// scratch to its sync.Pool is the recycle idiom, not a retention.
 	fn := tr.pass.CalleeFunc(call)

@@ -31,7 +31,7 @@ func (*resettableBody) Close() error { return nil }
 // TestCacheHitAllocBudget pins the zero-alloc claim for the cache-hit
 // fast path: a byte-identical repeat of a cached request must cost no
 // heap allocation at all end to end through ServeHTTP (pooled read
-// buffer, byte-keyed LRU probes, interned labels, shared header values,
+// buffer, byte-keyed cache probes, interned labels, shared header values,
 // response written straight from cache-owned bytes), on all three
 // memoized endpoints. bench/ reports the same number as
 // server.hit_allocs; this test is the gate that keeps it at zero.

@@ -10,7 +10,7 @@ import (
 )
 
 // The acceptance bar for the serving layer: an advise request answered
-// from the LRU cache must be at least an order of magnitude faster than
+// from the response cache must be at least an order of magnitude faster than
 // the cold path (advisor construction + candidate generation + knapsack
 // solve + response marshaling). Run with:
 //
@@ -328,7 +328,7 @@ func respellings(body string, n int) [][]byte {
 func BenchmarkAdviseCanonicalHit(b *testing.B) {
 	s := New(Options{})
 	postAdvise(b, s, []byte(adviseShapeBody))
-	// More spellings than the raw-key LRU holds, cycled: every request
+	// More spellings than the raw-key cache holds, cycled: every request
 	// misses it and hits the response cache under the canonical key.
 	spellings := respellings(adviseShapeBody, 1024)
 	body := &resettableBody{}

@@ -1,30 +1,33 @@
 package server
 
-import (
-	"container/list"
-	"sync"
-)
+import "sync"
 
-// lruCache is a size-bounded, mutex-guarded LRU map from canonical
-// request keys to marshaled response bodies. It is bounded both in
-// entry count and in resident bytes (keys + values), so operators can
-// cap the daemon's cache memory. Get returns a defensive copy, so the
-// interior bytes can never be mutated through an escaped slice; Put
-// takes ownership of the passed value (callers must not modify it
-// afterwards).
+// sieveCache is a size-bounded, mutex-guarded map from canonical request
+// keys to marshaled response bodies, evicting by SIEVE ("SIEVE is
+// Simpler than LRU", NSDI 2024). It is bounded in entry count and in
+// resident bytes (keys + values), so operators can cap the daemon's
+// cache memory. Get returns a defensive copy, so the interior bytes can
+// never be mutated through an escaped slice; Put takes ownership of val.
+//
+// Entries sit in one list in insertion order. A hit only sets the
+// entry's visited bit; nothing is relinked. Eviction walks a hand from
+// the oldest end toward the newest, clearing the visited bits it passes,
+// evicts the first unvisited entry and leaves the hand on its successor,
+// so a run of once-asked keys cannot flush a set that is asked again.
 //
 // A response entry also carries clen, its Content-Length header value,
-// formatted once when the body is filled in: a hit hands it to the
-// header map as it is, where formatting it per request would allocate on
-// the path that must not. Entries that are not responses (the raw-key
-// LRU's) have none.
-type lruCache struct {
+// formatted once at fill time so a hit hands it to the header map
+// without allocating. Raw-key entries have none.
+type sieveCache struct {
 	mu       sync.Mutex
 	cap      int
 	capBytes int64
 	bytes    int64
-	order    *list.List // front = most recently used
-	entries  map[string]*list.Element
+	entries  map[string]*sieveEntry
+	// root is the list's sentinel (root.newer oldest, root.older newest);
+	// the next eviction walks from hand, from the oldest if hand is root.
+	root sieveEntry
+	hand *sieveEntry
 	// evictions counts entries removed by the capacity bounds (not
 	// replacements), exported as mvcloud_cache_evictions_total.
 	evictions int64
@@ -35,99 +38,97 @@ type lruCache struct {
 	onEvict func(key string, val []byte)
 }
 
-type lruEntry struct {
-	key  string
-	val  []byte
-	clen []string
+type sieveEntry struct {
+	key          string
+	val          []byte
+	clen         []string
+	visited      bool
+	newer, older *sieveEntry
 }
 
-func (e *lruEntry) size() int64 { return int64(len(e.key) + len(e.val)) }
+func (e *sieveEntry) size() int64 { return int64(len(e.key) + len(e.val)) }
 
-// newLRUCache builds a cache holding at most capacity entries and
+// newSieveCache builds a cache holding at most capacity entries and
 // maxBytes resident bytes; capacity < 1 disables caching (every Get
 // misses, every Put is dropped), maxBytes < 1 means unbounded bytes.
-func newLRUCache(capacity int, maxBytes int64) *lruCache {
-	return &lruCache{
-		cap:      capacity,
-		capBytes: maxBytes,
-		order:    list.New(),
-		entries:  make(map[string]*list.Element),
-	}
+func newSieveCache(capacity int, maxBytes int64) *sieveCache {
+	c := &sieveCache{cap: capacity, capBytes: maxBytes, entries: make(map[string]*sieveEntry)}
+	c.root.newer, c.root.older, c.hand = &c.root, &c.root, &c.root
+	return c
 }
 
-// Get returns a copy of the cached value and marks the key most recently
-// used. Copying keeps the cached bytes unaliased: a caller scribbling on
-// the returned slice cannot corrupt what later readers are served.
-func (c *lruCache) Get(key string) ([]byte, bool) {
+// Get returns a copy of the cached value and marks the key visited.
+// Copying keeps the cached bytes unaliased: a caller scribbling on the
+// returned slice cannot corrupt what later readers are served.
+func (c *sieveCache) Get(key string) ([]byte, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	el, ok := c.entries[key]
+	e, ok := c.entries[key]
 	if !ok {
 		return nil, false
 	}
-	c.order.MoveToFront(el)
-	return append([]byte(nil), el.Value.(*lruEntry).val...), true
+	e.visited = true
+	return append([]byte(nil), e.val...), true
 }
 
-// view returns the cached value without copying and marks the key most
-// recently used. The key is taken as bytes so the compiler's
-// map[string] lookup optimization applies — a hot-path probe allocates
-// nothing. The returned slice aliases cache-owned memory: values are
-// only ever replaced wholesale (never scribbled in place), so the view
-// — and the entry's Content-Length value returned beside it — stays
-// byte-stable for as long as the caller holds it, but the caller
-// must treat it as read-only and must not retain it past the request.
-// Callers that hand the bytes to arbitrary code want Get's defensive
-// copy instead.
+// view returns the cached value without copying and marks the key
+// visited. The key is taken as bytes so the compiler's map[string]
+// lookup optimization applies — a hot-path probe allocates nothing. The
+// returned slice aliases cache-owned memory: values are only ever
+// replaced wholesale (never scribbled in place), so the view — and the
+// entry's Content-Length value returned beside it — stays byte-stable
+// for as long as the caller holds it, but the caller must treat it as
+// read-only and must not retain it past the request. Callers that hand
+// the bytes to arbitrary code want Get's defensive copy instead.
 //
 //mvlint:hotpath
-func (c *lruCache) view(key []byte) (val []byte, clen []string, ok bool) {
+func (c *sieveCache) view(key []byte) (val []byte, clen []string, ok bool) {
 	c.mu.Lock()
-	el, ok := c.entries[string(key)]
-	if !ok {
-		c.mu.Unlock()
-		return nil, nil, false
+	e, ok := c.entries[string(key)]
+	if ok {
+		e.visited = true
+		val, clen = e.val, e.clen
 	}
-	c.order.MoveToFront(el)
-	e := el.Value.(*lruEntry)
-	val, clen = e.val, e.clen
 	c.mu.Unlock()
-	return val, clen, true
+	return val, clen, ok
 }
 
-// Put inserts or refreshes a value, evicting least recently used
-// entries while either bound is exceeded. An entry larger than the
-// byte bound is not cached at all.
-func (c *lruCache) Put(key string, val []byte) { c.PutResponse(key, val, nil) }
+// Put inserts or refreshes (a visit, in place) a value, evicting while a
+// bound would be exceeded. An entry over the byte bound is not cached.
+func (c *sieveCache) Put(key string, val []byte) { c.PutResponse(key, val, nil) }
 
 // PutResponse is Put for a response body, stored with its Content-Length
 // header value for view to hand back.
-func (c *lruCache) PutResponse(key string, val []byte, clen []string) {
-	if c.cap < 1 {
-		return
-	}
-	entry := &lruEntry{key: key, val: val, clen: clen}
-	if c.capBytes > 0 && entry.size() > c.capBytes {
+func (c *sieveCache) PutResponse(key string, val []byte, clen []string) {
+	size := int64(len(key) + len(val))
+	if c.cap < 1 || (c.capBytes > 0 && size > c.capBytes) {
 		return
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if el, ok := c.entries[key]; ok {
-		c.order.MoveToFront(el)
-		old := el.Value.(*lruEntry)
-		c.bytes += entry.size() - old.size()
-		old.val, old.clen = val, clen
-	} else {
-		c.entries[key] = c.order.PushFront(entry)
-		c.bytes += entry.size()
+	if e, ok := c.entries[key]; ok {
+		c.bytes += size - e.size()
+		e.val, e.clen, e.visited = val, clen, true
+		c.evict(0, 0)
+		return
 	}
-	for c.order.Len() > c.cap || (c.capBytes > 0 && c.bytes > c.capBytes) {
-		oldest := c.order.Back()
-		if oldest == nil {
-			break
+	// Make room first, so the hand never lands on the entry being added.
+	c.evict(1, size)
+	e := &sieveEntry{key: key, val: val, clen: clen, newer: &c.root, older: c.root.older}
+	e.older.newer, c.root.older = e, e
+	c.entries[key] = e
+	c.bytes += size
+}
+
+// evict removes entries until n more entries of size bytes fit.
+func (c *sieveCache) evict(n int, size int64) {
+	for len(c.entries)+n > c.cap || (c.capBytes > 0 && c.bytes+size > c.capBytes) {
+		e := c.hand
+		for ; e == &c.root || e.visited; e = e.newer {
+			e.visited = false
 		}
-		c.order.Remove(oldest)
-		e := oldest.Value.(*lruEntry)
+		c.hand = e.newer
+		e.older.newer, e.newer.older = e.newer, e.older
 		delete(c.entries, e.key)
 		c.bytes -= e.size()
 		c.evictions++
@@ -147,12 +148,11 @@ type NamespaceStat struct {
 // the prefix up to the first NUL byte, which under the server's key
 // scheme is the endpoint name. Keys without a NUL fall under "". The
 // walk is O(entries), fine for a stats endpoint over a bounded cache.
-func (c *lruCache) NamespaceStats() map[string]NamespaceStat {
+func (c *sieveCache) NamespaceStats() map[string]NamespaceStat {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	out := make(map[string]NamespaceStat)
-	for el := c.order.Front(); el != nil; el = el.Next() {
-		e := el.Value.(*lruEntry)
+	for e := c.root.newer; e != &c.root; e = e.newer {
 		ns := ""
 		for i := 0; i < len(e.key); i++ {
 			if e.key[i] == 0 {
@@ -169,25 +169,25 @@ func (c *lruCache) NamespaceStats() map[string]NamespaceStat {
 }
 
 // Len returns the current entry count.
-func (c *lruCache) Len() int {
+func (c *sieveCache) Len() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.order.Len()
+	return len(c.entries)
 }
 
 // Bytes returns the resident key+value byte count.
-func (c *lruCache) Bytes() int64 {
+func (c *sieveCache) Bytes() int64 {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return c.bytes
 }
 
 // Evictions returns the lifetime capacity-eviction count.
-func (c *lruCache) Evictions() int64 {
+func (c *sieveCache) Evictions() int64 {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return c.evictions
 }
 
 // Cap returns the configured entry capacity.
-func (c *lruCache) Cap() int { return c.cap }
+func (c *sieveCache) Cap() int { return c.cap }

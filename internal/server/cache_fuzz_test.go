@@ -1,0 +1,155 @@
+package server
+
+import (
+	"bytes"
+	"fmt"
+	"slices"
+	"testing"
+)
+
+// cacheModel is SIEVE written the plain way — a slice in insertion order
+// and an index for the hand — for FuzzCacheOps to hold sieveCache to.
+type cacheModel struct {
+	cap      int
+	capBytes int64
+	order    []modelEntry // oldest first
+	hand     int          // next eviction starts here; -1 means the oldest
+	evicted  []string     // key=val, in eviction order
+}
+
+type modelEntry struct {
+	key, val string
+	visited  bool
+}
+
+func (m *cacheModel) bytes() (n int64) {
+	for _, e := range m.order {
+		n += int64(len(e.key) + len(e.val))
+	}
+	return n
+}
+
+func (m *cacheModel) find(key string) int {
+	return slices.IndexFunc(m.order, func(e modelEntry) bool { return e.key == key })
+}
+
+func (m *cacheModel) get(key string) (string, bool) {
+	i := m.find(key)
+	if i < 0 {
+		return "", false
+	}
+	m.order[i].visited = true
+	return m.order[i].val, true
+}
+
+func (m *cacheModel) put(key, val string) {
+	size := int64(len(key) + len(val))
+	if m.cap < 1 || (m.capBytes > 0 && size > m.capBytes) {
+		return
+	}
+	if i := m.find(key); i >= 0 {
+		m.order[i].val, m.order[i].visited = val, true
+		m.evict(0, 0)
+		return
+	}
+	m.evict(1, size)
+	m.order = append(m.order, modelEntry{key: key, val: val})
+}
+
+func (m *cacheModel) evict(n int, size int64) {
+	for len(m.order)+n > m.cap || (m.capBytes > 0 && m.bytes()+size > m.capBytes) {
+		i := max(m.hand, 0)
+		for m.order[i].visited {
+			m.order[i].visited = false
+			if i++; i == len(m.order) {
+				i = 0
+			}
+		}
+		m.evicted = append(m.evicted, m.order[i].key+"="+m.order[i].val)
+		m.order = slices.Delete(m.order, i, i+1)
+		if m.hand = i; i == len(m.order) {
+			m.hand = -1
+		}
+	}
+}
+
+// FuzzCacheOps runs a random sequence of Put, PutResponse, Get and view
+// calls with random value sizes against both bounds and checks the cache
+// against cacheModel after every call: the same answers, the same
+// entries in the same order with the same visited bits, the same hand,
+// and the same evictions reaching onEvict once each, in order. It also
+// checks the structure itself: Len() ≤ Cap(), Bytes() is the sum of the
+// resident sizes, the map and the list hold the same entries, and the
+// hand is the sentinel or a resident entry.
+func FuzzCacheOps(f *testing.F) {
+	f.Add(uint8(4), uint8(0), []byte{0, 3, 4, 5, 8, 1, 12, 2, 2, 0, 16, 7, 3, 0})
+	f.Add(uint8(9), uint8(40), []byte{1, 20, 5, 9, 9, 0, 13, 15, 2, 0, 17, 23, 21, 4, 6, 0})
+	f.Add(uint8(0), uint8(0), []byte{0, 1, 2, 0})
+	f.Add(uint8(3), uint8(12), []byte{0, 10, 4, 11, 8, 2, 2, 0, 12, 9, 0, 1})
+	f.Fuzz(func(t *testing.T, capacity, maxBytes uint8, ops []byte) {
+		if len(ops) > 512 {
+			ops = ops[:512]
+		}
+		c := newSieveCache(int(capacity%10)-1, int64(maxBytes%64))
+		m := &cacheModel{cap: c.cap, capBytes: c.capBytes, hand: -1}
+		var evicted []string
+		c.onEvict = func(key string, val []byte) { evicted = append(evicted, key+"="+string(val)) }
+		for k := 0; k+1 < len(ops); k += 2 {
+			key := fmt.Sprintf("k%d", ops[k]/4%12)
+			val := string(bytes.Repeat([]byte{'a' + byte(k%26)}, int(ops[k+1]%24)))
+			op := ops[k] % 4
+			var got []byte
+			var ok bool
+			switch op {
+			case 0:
+				c.Put(key, []byte(val))
+			case 1:
+				c.PutResponse(key, []byte(val), []string{fmt.Sprint(len(val))})
+			case 2:
+				got, ok = c.Get(key)
+			case 3:
+				got, _, ok = c.view([]byte(key))
+			}
+			if op < 2 {
+				m.put(key, val)
+			} else if want, wantOK := m.get(key); ok != wantOK || string(got) != want {
+				t.Fatalf("op %d: %s(%q) = %q, %v; model %q, %v", k/2, [...]string{2: "Get", 3: "view"}[op], key, got, ok, want, wantOK)
+			}
+			checkAgainstModel(t, c, m, evicted)
+		}
+	})
+}
+
+func checkAgainstModel(t *testing.T, c *sieveCache, m *cacheModel, evicted []string) {
+	t.Helper()
+	if c.Len() > max(c.Cap(), 0) {
+		t.Fatalf("Len() = %d > Cap() = %d", c.Len(), c.Cap())
+	}
+	var resident []modelEntry
+	var size int64
+	for e := c.root.newer; e != &c.root; e = e.newer {
+		if e.newer.older != e || c.entries[e.key] != e {
+			t.Fatalf("list entry %q is not linked both ways or not the map's", e.key)
+		}
+		resident = append(resident, modelEntry{e.key, string(e.val), e.visited})
+		size += e.size()
+	}
+	if len(resident) != len(c.entries) || c.Len() != len(c.entries) {
+		t.Fatalf("list holds %d entries, map %d, Len() %d", len(resident), len(c.entries), c.Len())
+	}
+	if c.Bytes() != size {
+		t.Fatalf("Bytes() = %d, resident entries sum to %d", c.Bytes(), size)
+	}
+	if c.hand != &c.root && c.entries[c.hand.key] != c.hand {
+		t.Fatalf("hand on %q, which is not resident", c.hand.key)
+	}
+	if !slices.Equal(resident, m.order) {
+		t.Fatalf("cache holds %v, model %v", resident, m.order)
+	}
+	if wantHand := m.hand; (c.hand == &c.root) != (wantHand < 0) || wantHand >= 0 && c.hand.key != m.order[wantHand].key {
+		t.Fatalf("hand on %q, model's at %d", c.hand.key, wantHand)
+	}
+	if !slices.Equal(evicted, m.evicted) || c.Evictions() != int64(len(evicted)) {
+		t.Fatalf("onEvict saw %v (Evictions() = %d), model evicted %v", evicted, c.Evictions(), m.evicted)
+	}
+}

@@ -6,7 +6,7 @@ import (
 	"testing"
 )
 
-// TestLRUConcurrentStress hammers Get/Put/view/NamespaceStats/Bytes/Len
+// TestCacheConcurrentStress hammers Get/Put/view/NamespaceStats/Bytes/Len
 // from many goroutines — run under -race this is the memory-model check
 // for the serving caches — and then asserts the byte-accounting
 // invariants hold exactly: the resident byte counter must equal the sum
@@ -14,7 +14,7 @@ import (
 // partition the cache, and both configured bounds must be respected.
 // Writers concurrently scribble on every Get result, so a defensive-copy
 // regression shows up as corrupted reads.
-func TestLRUConcurrentStress(t *testing.T) {
+func TestCacheConcurrentStress(t *testing.T) {
 	const (
 		workers  = 16
 		rounds   = 500
@@ -22,7 +22,7 @@ func TestLRUConcurrentStress(t *testing.T) {
 		maxBytes = 4096
 		keySpace = 200
 	)
-	c := newLRUCache(capacity, maxBytes)
+	c := newSieveCache(capacity, maxBytes)
 	namespaces := []string{"advise", "compare", "sweep"}
 	valFor := func(ns string, k int) []byte {
 		// Value length varies with the key so refreshes change entry sizes.

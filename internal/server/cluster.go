@@ -15,7 +15,7 @@ import (
 // ClusterOptions turns a Server into a stateless cluster frontend: it
 // keeps its own canonicalization, memoization, singleflight and stale
 // tiers, but routes every cold solve to a worker chosen by rendezvous
-// hashing on the canonical cache key — so each worker's LRU, kernel
+// hashing on the canonical cache key — so each worker's cache, kernel
 // sessions and pools stay hot for "its" problems — with health-checked
 // failover to the ring successor, and shed-or-stale degradation when a
 // key's whole candidate set is down. A slow or silent worker is the

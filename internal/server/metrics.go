@@ -60,14 +60,14 @@ func (s *Server) newServerMetrics(reg *obs.Registry) serverMetrics {
 
 	for _, c := range []struct {
 		name  string
-		cache *lruCache
+		cache *sieveCache
 	}{{"responses", s.cache}, {"rawkeys", s.rawKeys}} {
 		cache := c.cache
 		reg.GaugeFunc("mvcloud_cache_entries", "Resident entries per memoization cache.",
 			func() float64 { return float64(cache.Len()) }, "cache", c.name)
 		reg.GaugeFunc("mvcloud_cache_bytes", "Resident key+value bytes per memoization cache.",
 			func() float64 { return float64(cache.Bytes()) }, "cache", c.name)
-		reg.CounterFunc("mvcloud_cache_evictions_total", "LRU evictions per memoization cache.",
+		reg.CounterFunc("mvcloud_cache_evictions_total", "Capacity evictions per memoization cache.",
 			func() float64 { return float64(cache.Evictions()) }, "cache", c.name)
 	}
 

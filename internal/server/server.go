@@ -29,7 +29,7 @@
 // whose seed is part of the canonicalized request (and zeroed for the
 // seed-independent knapsack solver, so seed spellings cannot fragment
 // the key space). Advise and compare responses are therefore memoized in
-// a shared size-bounded LRU cache keyed by the endpoint plus the
+// a shared size-bounded cache keyed by the endpoint plus the
 // canonicalized request (defaults applied, workload resolved, tariff
 // re-marshaled), so a repeated configuration skips lattice construction,
 // candidate generation and the solve entirely. Handlers are safe for
@@ -181,11 +181,11 @@ func (o Options) withDefaults() Options {
 type Server struct {
 	opts  Options
 	mux   *http.ServeMux
-	cache *lruCache
+	cache *sieveCache
 	// rawKeys maps verbatim request bodies to their canonical cache key,
 	// letting byte-identical repeats skip JSON decoding and request
 	// canonicalization (which builds a lattice to resolve the workload).
-	rawKeys *lruCache
+	rawKeys *sieveCache
 	// flight coalesces concurrent identical cold solves so a stampede of
 	// K requests for one canonical key costs exactly one solve.
 	flight *flightGroup
@@ -206,7 +206,7 @@ type Server struct {
 	admHeavy *admission
 	// stale holds responses evicted from the primary cache; shed advise
 	// requests may be served from it (X-Cache: stale) instead of a 429.
-	stale *lruCache
+	stale *sieveCache
 	// chaos is the optional fault-injection harness (Options.Chaos).
 	chaos *ChaosConfig
 	// inflightSolves counts live solves — what the tests' leak detector
@@ -243,9 +243,9 @@ func New(opts Options) *Server {
 		reg:    obs.NewRegistry(),
 		closed: make(chan struct{}),
 	}
-	s.cache = newLRUCache(s.opts.CacheSize, s.opts.CacheMaxBytes)
-	s.rawKeys = newLRUCache(s.opts.CacheSize, s.opts.CacheMaxBytes)
-	s.stale = newLRUCache(s.opts.CacheSize, s.opts.CacheMaxBytes)
+	s.cache = newSieveCache(s.opts.CacheSize, s.opts.CacheMaxBytes)
+	s.rawKeys = newSieveCache(s.opts.CacheSize, s.opts.CacheMaxBytes)
+	s.stale = newSieveCache(s.opts.CacheSize, s.opts.CacheMaxBytes)
 	// Responses the primary cache evicts for capacity become the stale
 	// serving tier (graceful degradation under overload).
 	s.cache.onEvict = func(key string, val []byte) { s.stale.Put(key, val) }
@@ -440,7 +440,7 @@ const maxRequestBytes = 1 << 20
 
 // reqBuf is a pooled request-read buffer. The buffer accumulates
 // "<endpoint>\x00<verbatim body>" — exactly the raw-key layout — so the
-// hit path probes both LRUs without assembling a single string.
+// hit path probes both caches without assembling a single string.
 type reqBuf struct{ b []byte }
 
 var reqBufPool = sync.Pool{New: func() any { return &reqBuf{b: make([]byte, 0, 4096)} }}
@@ -496,7 +496,7 @@ func internLabel(b []byte) int {
 }
 
 // probeState carries what the cache probe learned into the slow path:
-// the verbatim body and, when the raw-key LRU still knew the body but
+// the verbatim body and, when the raw-key cache still knew the body but
 // the response was evicted, the recovered canonical key.
 type probeState struct {
 	// rawKey is the pooled "<endpoint>\x00<account>\x00<body>" buffer
@@ -513,8 +513,8 @@ type probeState struct {
 	// namespace); part of both cache key layouts.
 	account string
 	// label and recovered are set when the probe recovered the canonical
-	// cache key from the raw-key LRU (evicted-response case); recovered
-	// is that LRU's own bytes, read-only, and nil otherwise.
+	// cache key from the raw-key cache (evicted-response case); recovered
+	// is that cache's own bytes, read-only, and nil otherwise.
 	label     int
 	recovered []byte
 	// start is when serveMemoized began handling the request — carried
@@ -525,9 +525,9 @@ type probeState struct {
 
 // serveMemoized runs the shared flow of endpoint e. A byte-identical
 // body seen before maps straight to its response cache key (the raw-key
-// LRU stores "<label>\x00<endpoint>\x00<account>\x00<canonical key>"),
+// cache stores "<label>\x00<endpoint>\x00<account>\x00<canonical key>"),
 // skipping decoding and canonicalization on every repeat. The repeat-hit
-// path is allocation-free: pooled read buffer, byte-keyed LRU probes,
+// path is allocation-free: pooled read buffer, byte-keyed cache probes,
 // labels as indices, shared header values, the response written straight
 // from cache-owned bytes, and no per-request closures (the route's
 // handler is built once, in New). Cold keys go through the flight group,
@@ -574,13 +574,13 @@ func (s *Server) serveMemoized(w http.ResponseWriter, r *http.Request, e *endpoi
 
 // finishMemoized is the shared miss path: bytes to canonical key
 // (decode, normalize, AppendKey — or the key recovered from the raw-key
-// LRU, decoded back into the request), a probe of the response cache for
+// cache, decoded back into the request), a probe of the response cache for
 // differently-spelled equivalents, then the solve under the flight group.
 func (s *Server) finishMemoized(w http.ResponseWriter, r *http.Request, e *endpoint, ps probeState) {
 	req := e.newReq()
 	label := ps.label
 	// kb is the cache key "<endpoint>\x00<account>\x00<canonical key>" as
-	// bytes — in the pooled buffer, or the raw-key LRU's own — for the
+	// bytes — in the pooled buffer, or the raw-key cache's own — for the
 	// copy-free probes; cacheKey is the string the flight group, the
 	// caches' writes and the solve hold on to.
 	kb := ps.recovered
@@ -671,11 +671,11 @@ func (s *Server) finishMemoized(w http.ResponseWriter, r *http.Request, e *endpo
 }
 
 // rememberSpelling maps the request's verbatim body to its canonical
-// cache key kb in the raw-key LRU, so that a byte-identical repeat skips
+// cache key kb in the raw-key cache, so that a byte-identical repeat skips
 // canonicalization. Only a body that was just answered 200 is
 // remembered: a body whose solve fails, or is shed, leaves no entry in
 // any cache. A body the probe already recovered the key for is in the
-// LRU as it is.
+// cache as it is.
 func (s *Server) rememberSpelling(ps probeState, label int, kb []byte) {
 	if ps.recovered != nil {
 		return

@@ -159,7 +159,7 @@ func TestEvictedResponseRecovery(t *testing.T) {
 			if first.Code != 200 {
 				t.Fatalf("prime: %d %s", first.Code, first.Body.String())
 			}
-			s.cache = newLRUCache(s.opts.CacheSize, s.opts.CacheMaxBytes) // evict every response, keep rawKeys
+			s.cache = newSieveCache(s.opts.CacheSize, s.opts.CacheMaxBytes) // evict every response, keep rawKeys
 			again := do(t, s, "POST", "/v1/advise", scenario.body)
 			if again.Code != 200 || again.Header().Get("X-Cache") != "miss" {
 				t.Fatalf("recovery: status %d, X-Cache %q: %s",
@@ -220,7 +220,7 @@ func TestConcurrentAdvise(t *testing.T) {
 
 // TestConcurrentColdMisses has parallel clients racing on distinct
 // uncached configs — exercising the compute-then-insert path under
-// contention and LRU eviction (cache smaller than the config count).
+// contention and cache eviction (cache smaller than the config count).
 func TestConcurrentColdMisses(t *testing.T) {
 	s := New(Options{CacheSize: 4})
 	const clients = 12

@@ -59,7 +59,7 @@ func TestSweepEndpoint(t *testing.T) {
 }
 
 // A sweep and a compare of the same body must not alias in the cache —
-// the endpoint namespaces the shared LRU.
+// the endpoint namespaces the shared cache.
 func TestSweepCompareCacheNamespacing(t *testing.T) {
 	s := testServer()
 	body := sweepBody("")

@@ -7,7 +7,7 @@
 // property is exact rather than probabilistic: a key's owner changes
 // only when its owner leaves the worker set, so losing one of N workers
 // remaps exactly the ~1/N of the keyspace that worker owned — every
-// other worker's LRU, kernel sessions and pools stay hot for "their"
+// other worker's cache, kernel sessions and pools stay hot for "their"
 // problems. The ring is deterministic and seedable: two frontends built
 // with the same seed and worker set route every key identically, which
 // is what lets a fleet of stateless frontends share a worker tier
