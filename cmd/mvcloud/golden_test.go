@@ -88,3 +88,68 @@ func TestSearchCLIGoldens(t *testing.T) {
 		})
 	}
 }
+
+// TestAdviseCLIGoldens pins the exact stdout of knapsack advise runs:
+// an mv1 recommendation with its itemized invoice, an mv3 trade-off, and
+// a tariff read from a JSON file with -provider-file. CI diffs the first
+// against `go run ./cmd/mvcloud -scenario mv1 -invoice …`.
+func TestAdviseCLIGoldens(t *testing.T) {
+	base := runOpts{scenario: "mv1", budget: "25.00", limit: "4h", alpha: 0.5,
+		steps: 11, queries: 10, freq: 30, provider: "aws-2012",
+		instance: "small", fleet: 5, rows: 10_000_000, solver: "knapsack"}
+	mv1 := base
+	mv1.invoice = true
+	mv3 := base
+	mv3.scenario, mv3.alpha = "mv3", 0.65
+	file := base
+	file.providerFile = "testdata/handmade_tariff.json"
+	file.invoice = true
+	cases := []struct {
+		name string
+		o    runOpts
+	}{
+		{"mv1_invoice", mv1},
+		{"mv3_alpha065", mv3},
+		{"mv1_provider_file", file},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			var buf bytes.Buffer
+			if err := run(c.o, &buf); err != nil {
+				t.Fatal(err)
+			}
+			checkGolden(t, c.name, buf.Bytes())
+		})
+	}
+}
+
+// TestCompareCLIGolden pins the exact stdout of the compare subcommand,
+// as the report table and as the /v1/compare wire JSON. CI diffs the
+// table against `go run ./cmd/mvcloud compare …`.
+func TestCompareCLIGolden(t *testing.T) {
+	args := []string{"-providers", "aws-2012,stratus", "-fleets", "3,5", "-rows", "10000000"}
+	cases := []struct {
+		name string
+		args []string
+	}{
+		{"compare_table", args},
+		{"compare_json", append(args[:len(args):len(args)], "-json")},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			f, err := os.CreateTemp(t.TempDir(), "stdout")
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer f.Close()
+			if err := runCompareArgs(c.args, f); err != nil {
+				t.Fatal(err)
+			}
+			got, err := os.ReadFile(f.Name())
+			if err != nil {
+				t.Fatal(err)
+			}
+			checkGolden(t, c.name, got)
+		})
+	}
+}
