@@ -61,32 +61,11 @@ func TestSweepCLIGolden(t *testing.T) {
 // engine must keep these byte-identical: a pinned seed must keep
 // selecting — and pricing — exactly the same views after the refactor.
 func TestSearchCLIGoldens(t *testing.T) {
-	cases := []struct {
-		name string
-		o    runOpts
-	}{
-		{"mv1_search_seed42", runOpts{scenario: "mv1", budget: "25.00", limit: "4h", alpha: 0.5,
-			steps: 5, queries: 10, freq: 30, provider: "aws-2012",
-			instance: "small", fleet: 5, rows: 10_000_000, invoice: true,
-			solver: "search", seed: 42}},
-		{"mv2_search_seed7", runOpts{scenario: "mv2", budget: "25.00", limit: "4h", alpha: 0.5,
-			steps: 5, queries: 10, freq: 30, provider: "aws-2012",
-			instance: "small", fleet: 5, rows: 10_000_000,
-			solver: "search", seed: 7}},
-		{"pareto_search_seed5", runOpts{scenario: "pareto", budget: "25.00", limit: "4h", alpha: 0.5,
-			steps: 5, queries: 10, freq: 30, provider: "aws-2012",
-			instance: "small", fleet: 5, rows: 10_000_000,
-			solver: "search", seed: 5}},
-	}
-	for _, c := range cases {
-		t.Run(c.name, func(t *testing.T) {
-			var buf bytes.Buffer
-			if err := run(c.o, &buf); err != nil {
-				t.Fatal(err)
-			}
-			checkGolden(t, c.name, buf.Bytes())
-		})
-	}
+	checkAdviseGoldens(t, []golden{
+		{"mv1_search_seed42", []string{"-scenario", "mv1", "-invoice", "-solver", "search", "-seed", "42"}},
+		{"mv2_search_seed7", []string{"-scenario", "mv2", "-solver", "search", "-seed", "7"}},
+		{"pareto_search_seed5", []string{"-scenario", "pareto", "-steps", "5", "-solver", "search", "-seed", "5"}},
+	})
 }
 
 // TestAdviseCLIGoldens pins the exact stdout of knapsack advise runs:
@@ -94,28 +73,25 @@ func TestSearchCLIGoldens(t *testing.T) {
 // a tariff read from a JSON file with -provider-file. CI diffs the first
 // against `go run ./cmd/mvcloud -scenario mv1 -invoice …`.
 func TestAdviseCLIGoldens(t *testing.T) {
-	base := runOpts{scenario: "mv1", budget: "25.00", limit: "4h", alpha: 0.5,
-		steps: 11, queries: 10, freq: 30, provider: "aws-2012",
-		instance: "small", fleet: 5, rows: 10_000_000, solver: "knapsack"}
-	mv1 := base
-	mv1.invoice = true
-	mv3 := base
-	mv3.scenario, mv3.alpha = "mv3", 0.65
-	file := base
-	file.providerFile = "testdata/handmade_tariff.json"
-	file.invoice = true
-	cases := []struct {
-		name string
-		o    runOpts
-	}{
-		{"mv1_invoice", mv1},
-		{"mv3_alpha065", mv3},
-		{"mv1_provider_file", file},
-	}
+	checkAdviseGoldens(t, []golden{
+		{"mv1_invoice", []string{"-scenario", "mv1", "-invoice"}},
+		{"mv3_alpha065", []string{"-scenario", "mv3", "-alpha", "0.65"}},
+		{"mv1_provider_file", []string{"-scenario", "mv1", "-invoice", "-provider-file", "testdata/handmade_tariff.json"}},
+	})
+}
+
+type golden struct {
+	name string
+	args []string
+}
+
+// checkAdviseGoldens runs each advise command on the paper's sales
+// lattice at 10M fact rows and checks its stdout against its golden.
+func checkAdviseGoldens(t *testing.T, cases []golden) {
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
 			var buf bytes.Buffer
-			if err := run(c.o, &buf); err != nil {
+			if err := runAdviseArgs(withFast(c.args...), &buf); err != nil {
 				t.Fatal(err)
 			}
 			checkGolden(t, c.name, buf.Bytes())
@@ -127,29 +103,17 @@ func TestAdviseCLIGoldens(t *testing.T) {
 // as the report table and as the /v1/compare wire JSON. CI diffs the
 // table against `go run ./cmd/mvcloud compare …`.
 func TestCompareCLIGolden(t *testing.T) {
-	args := []string{"-providers", "aws-2012,stratus", "-fleets", "3,5", "-rows", "10000000"}
-	cases := []struct {
-		name string
-		args []string
-	}{
+	args := withFast("-providers", "aws-2012,stratus", "-fleets", "3,5")
+	for _, c := range []golden{
 		{"compare_table", args},
-		{"compare_json", append(args[:len(args):len(args)], "-json")},
-	}
-	for _, c := range cases {
+		{"compare_json", append(args, "-json")},
+	} {
 		t.Run(c.name, func(t *testing.T) {
-			f, err := os.CreateTemp(t.TempDir(), "stdout")
-			if err != nil {
+			var buf bytes.Buffer
+			if err := runCompareArgs(c.args, &buf); err != nil {
 				t.Fatal(err)
 			}
-			defer f.Close()
-			if err := runCompareArgs(c.args, f); err != nil {
-				t.Fatal(err)
-			}
-			got, err := os.ReadFile(f.Name())
-			if err != nil {
-				t.Fatal(err)
-			}
-			checkGolden(t, c.name, got)
+			checkGolden(t, c.name, buf.Bytes())
 		})
 	}
 }

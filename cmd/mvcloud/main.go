@@ -9,16 +9,8 @@
 //	mvcloud -scenario mv3 -alpha 0.65
 //	mvcloud -scenario pareto -steps 11
 //	mvcloud -scenario mv1 -solver search -seed 42   # metaheuristic engine
+//	mvcloud -scenario mv1 -provider-file tariff.json # a tariff in the pricing JSON format
 //	mvcloud -tariffs            # print the built-in provider catalog
-//
-// With -server, the same flags are posted as wire-form JSON to a
-// running mvcloudd instead of solving in-process; overload sheds (429 +
-// Retry-After) and transient failures are retried with jittered backoff
-// under a retry budget (see internal/client):
-//
-//	mvcloud -server http://localhost:8080 -scenario mv1 -budget 25.00
-//	mvcloud compare -server http://localhost:8080 -budget 25.00
-//	mvcloud sweep -server http://localhost:8080 -scenario mv1 -budget 25.00
 //
 // The compare subcommand fans the same advisory problem out across every
 // provider in the catalog (or a chosen subset) and prints the ranked
@@ -35,89 +27,56 @@
 //
 //	mvcloud sweep -scenario mv1 -budget 25.00 -fleets 1,3,5,8
 //	mvcloud sweep -scenario mv3 -alpha 0.65 -providers aws-2012,stratus -json
+//
+// Every command reads its flags into the request mvcloudd's endpoint
+// takes (/v1/advise, /v1/compare, /v1/sweep) and answers it through the
+// same Normalize and Resolve steps the daemon does, so a local answer
+// and a served one cannot drift apart. -server differs only in
+// transport: the request is posted to a running mvcloudd instead, with
+// overload sheds (429 + Retry-After) and transient failures retried with
+// jittered backoff under a retry budget (see internal/client), and the
+// daemon's JSON printed — the bytes -json prints locally:
+//
+//	mvcloud -server http://localhost:8080 -scenario mv1 -budget 25.00
+//	mvcloud compare -server http://localhost:8080 -budget 25.00
+//	mvcloud sweep -server http://localhost:8080 -scenario mv1 -budget 25.00
 package main
 
 import (
-	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
 	"os"
 	"strconv"
 	"strings"
-	"time"
 
 	"vmcloud/internal/compare"
 	"vmcloud/internal/core"
 	"vmcloud/internal/costmodel"
-	"vmcloud/internal/lattice"
 	"vmcloud/internal/money"
 	"vmcloud/internal/pricing"
 	"vmcloud/internal/report"
-	"vmcloud/internal/schema"
-	"vmcloud/internal/workload"
+	"vmcloud/internal/server"
 )
 
 func main() {
-	if len(os.Args) > 1 && os.Args[1] == "compare" {
-		if err := runCompareArgs(os.Args[2:], os.Stdout); err != nil {
-			fmt.Fprintln(os.Stderr, "mvcloud compare:", err)
-			os.Exit(1)
+	name, run, args := "mvcloud", runAdviseArgs, os.Args[1:]
+	if len(args) > 0 {
+		switch args[0] {
+		case "compare":
+			name, run, args = "mvcloud compare", runCompareArgs, args[1:]
+		case "sweep":
+			name, run, args = "mvcloud sweep", runSweepArgs, args[1:]
 		}
-		return
 	}
-	if len(os.Args) > 1 && os.Args[1] == "sweep" {
-		if err := runSweepArgs(os.Args[2:], os.Stdout); err != nil {
-			fmt.Fprintln(os.Stderr, "mvcloud sweep:", err)
-			os.Exit(1)
-		}
-		return
-	}
-	var (
-		scenario  = flag.String("scenario", "mv1", "mv1 (budget), mv2 (deadline), mv3 (tradeoff) or pareto")
-		budgetStr = flag.String("budget", "25.00", "MV1 budget in dollars")
-		limitStr  = flag.String("limit", "4h", "MV2 response-time limit (Go duration)")
-		alpha     = flag.Float64("alpha", 0.5, "MV3 weight on time (0..1)")
-		steps     = flag.Int("steps", 11, "pareto sweep steps")
-		queries   = flag.Int("queries", 10, "sales workload size (1..10)")
-		freq      = flag.Int("freq", 30, "executions of each query per month")
-		provider  = flag.String("provider", "aws-2012", "tariff name (see -tariffs)")
-		provFile  = flag.String("provider-file", "", "load the tariff from a JSON file instead of -provider")
-		instance  = flag.String("instance", "small", "instance type")
-		fleet     = flag.Int("fleet", 5, "number of instances")
-		rows      = flag.Int64("rows", 200_000_000, "fact table rows (≈size/50B)")
-		solver    = flag.String("solver", "knapsack", "optimization engine: knapsack, search or auto")
-		seed      = flag.Int64("seed", 0, "search solver seed (identical seeds reproduce identical selections)")
-		tariffs   = flag.Bool("tariffs", false, "print the provider catalog and exit")
-		invoice   = flag.Bool("invoice", false, "print an itemized invoice for the recommendation")
-		serverURL = flag.String("server", "", "base URL of a running mvcloudd; POST /v1/advise there (with shed-aware retries) instead of solving in-process")
-	)
-	flag.Parse()
-
-	if *tariffs {
-		printTariffs()
-		return
-	}
-	o := runOpts{
-		scenario: *scenario, budget: *budgetStr, limit: *limitStr,
-		alpha: *alpha, steps: *steps, queries: *queries, freq: *freq,
-		provider: *provider, providerFile: *provFile,
-		instance: *instance, fleet: *fleet, rows: *rows, invoice: *invoice,
-		solver: *solver, seed: *seed,
-	}
-	var err error
-	if *serverURL != "" {
-		err = remoteAdvise(*serverURL, o, os.Stdout)
-	} else {
-		err = run(o, os.Stdout)
-	}
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "mvcloud:", err)
+	if err := run(args, os.Stdout); err != nil && !errors.Is(err, flag.ErrHelp) {
+		fmt.Fprintln(os.Stderr, name+":", err)
 		os.Exit(1)
 	}
 }
 
-func printTariffs() {
+func printTariffs(out io.Writer) {
 	for _, name := range pricing.ProviderNames() {
 		p, _ := pricing.Lookup(name)
 		t := report.NewTable(fmt.Sprintf("%s — compute (%s billing)", p.Name, p.Compute.Granularity),
@@ -126,7 +85,7 @@ func printTariffs() {
 			it, _ := p.Compute.Instance(in)
 			t.AddRow(it.Name, it.PricePerHour, it.RAM, it.ECU, it.LocalStorage)
 		}
-		fmt.Println(t)
+		fmt.Fprintln(out, t)
 		st := report.NewTable(fmt.Sprintf("%s — storage ($/GB/month, %s)", p.Name, p.Storage.Table.Mode), "up to", "price")
 		for _, tier := range p.Storage.Table.Tiers {
 			bound := "∞"
@@ -135,322 +94,252 @@ func printTariffs() {
 			}
 			st.AddRow(bound, tier.PricePerGB)
 		}
-		fmt.Println(st)
+		fmt.Fprintln(out, st)
 	}
 }
 
-type runOpts struct {
-	scenario, budget, limit string
-	alpha                   float64
-	steps, queries, freq    int
-	provider, providerFile  string
-	instance                string
-	fleet                   int
-	rows                    int64
-	invoice                 bool
-	solver                  string
-	seed                    int64
-}
+// runAdviseArgs parses and runs the advise command, mvcloud without a
+// subcommand.
+func runAdviseArgs(args []string, out io.Writer) error {
+	fs := flag.NewFlagSet("mvcloud", flag.ContinueOnError)
+	var (
+		scenario  = fs.String("scenario", "mv1", "mv1 (budget), mv2 (deadline), mv3 (tradeoff) or pareto")
+		budgetStr = fs.String("budget", "25.00", "MV1 budget in dollars")
+		limit     = fs.String("limit", "4h", "MV2 response-time limit (Go duration)")
+		alpha     = fs.Float64("alpha", 0.5, "MV3 weight on time (0..1)")
+		steps     = fs.Int("steps", 11, "pareto sweep steps")
+		queries   = fs.Int("queries", 10, "sales workload size (1..10)")
+		freq      = fs.Int("freq", 30, "executions of each query per month")
+		provider  = fs.String("provider", "aws-2012", "tariff name (see -tariffs)")
+		provFile  = fs.String("provider-file", "", "read the tariff from a JSON file instead of -provider")
+		instance  = fs.String("instance", "small", "instance type")
+		fleet     = fs.Int("fleet", 5, "number of instances")
+		rows      = fs.Int64("rows", 200_000_000, "fact table rows (≈size/50B)")
+		solver    = fs.String("solver", "knapsack", "optimization engine: knapsack, search or auto")
+		seed      = fs.Int64("seed", 0, "search solver seed (identical seeds reproduce identical selections)")
+		tariffs   = fs.Bool("tariffs", false, "print the provider catalog and exit")
+		invoice   = fs.Bool("invoice", false, "print an itemized invoice for the recommendation")
+		serverURL = fs.String("server", "", "base URL of a running mvcloudd; POST /v1/advise there (with shed-aware retries) instead of solving in-process")
+	)
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
+	if *tariffs {
+		printTariffs(out)
+		return nil
+	}
+	budget, err := money.Parse(*budgetStr)
+	if err != nil {
+		return err
+	}
+	req := server.AdviseRequest{
+		Scenario: *scenario, Budget: &budget, Limit: *limit, Alpha: alpha, Steps: *steps,
+		ConfigJSON: core.ConfigJSON{
+			Provider: *provider, InstanceType: *instance, Instances: *fleet, FactRows: *rows,
+			Queries: *queries, Frequency: *freq, Solver: *solver, Seed: *seed,
+		},
+	}
+	if *provFile != "" {
+		if req.ProviderSpec, err = os.ReadFile(*provFile); err != nil {
+			return err
+		}
+	}
+	if *serverURL != "" {
+		return post(*serverURL, *seed, "/v1/advise", &req, out)
+	}
 
-func run(o runOpts, out io.Writer) error {
-	var prov pricing.Provider
-	var err error
-	if o.providerFile != "" {
-		prov, err = pricing.LoadProviderFile(o.providerFile)
-	} else {
-		prov, err = pricing.Lookup(o.provider)
+	if err := req.Normalize(); err != nil {
+		return err
 	}
+	cfg, err := req.Resolve()
 	if err != nil {
 		return err
 	}
-	l, err := lattice.New(schema.Sales(), o.rows)
-	if err != nil {
-		return err
-	}
-	w, err := workload.Sales(l, o.queries)
-	if err != nil {
-		return err
-	}
-	for i := range w.Queries {
-		w.Queries[i].Frequency = o.freq
-	}
-	adv, err := core.New(core.Config{
-		Provider:     &prov,
-		InstanceType: o.instance,
-		Instances:    o.fleet,
-		FactRows:     o.rows,
-		Workload:     w,
-		Solver:       o.solver,
-		Seed:         o.seed,
-	})
+	adv, err := core.New(cfg)
 	if err != nil {
 		return err
 	}
 	fmt.Fprintf(out, "cluster: %s   workload: %d queries × %d/month   candidates: %d   solver: %s\n\n",
-		adv.Cl, o.queries, o.freq, len(adv.Candidates), adv.Solver)
-
-	printRec := func(rec core.Recommendation) {
-		fmt.Fprint(out, rec.Render())
-		if o.invoice {
-			plan := adv.PlanFor(rec.Selection)
-			fmt.Fprintln(out, "\nitemized invoice:")
-			fmt.Fprint(out, costmodel.Itemize(plan, rec.Selection.Bill))
-		}
+		adv.Cl, *queries, *freq, len(adv.Candidates), adv.Solver)
+	rec, front, err := req.Advise(adv)
+	if err != nil {
+		return err
 	}
-
-	switch o.scenario {
-	case "mv1":
-		budget, err := money.Parse(o.budget)
-		if err != nil {
-			return err
-		}
-		rec, err := adv.AdviseBudget(budget)
-		if err != nil {
-			return err
-		}
-		printRec(rec)
-	case "mv2":
-		limit, err := time.ParseDuration(o.limit)
-		if err != nil {
-			return err
-		}
-		rec, err := adv.AdviseDeadline(limit)
-		if err != nil {
-			return err
-		}
-		printRec(rec)
-	case "mv3":
-		rec, err := adv.AdviseTradeoff(o.alpha)
-		if err != nil {
-			return err
-		}
-		printRec(rec)
-	case "pareto":
-		front, err := adv.ParetoFront(o.steps)
-		if err != nil {
-			return err
-		}
+	if front != nil {
 		t := report.NewTable("time/cost Pareto frontier", "α", "workload time", "monthly bill", "views")
 		for _, p := range front {
 			t.AddRow(fmt.Sprintf("%.2f", p.Alpha), fmt.Sprintf("%.3fh", p.Time.Hours()), p.Cost, p.Views)
 		}
 		fmt.Fprintln(out, t)
-	default:
-		return fmt.Errorf("unknown scenario %q (want mv1, mv2, mv3 or pareto)", o.scenario)
+		return nil
+	}
+	fmt.Fprint(out, rec.Render())
+	if *invoice {
+		fmt.Fprintln(out, "\nitemized invoice:")
+		fmt.Fprint(out, costmodel.Itemize(adv.PlanFor(rec.Selection), rec.Selection.Bill))
 	}
 	return nil
 }
 
 // runCompareArgs parses and runs the compare subcommand.
-func runCompareArgs(args []string, out *os.File) error {
+func runCompareArgs(args []string, out io.Writer) error {
+	req, g, err := compareRequest(args)
+	if err != nil {
+		return err
+	}
+	if g.server != "" {
+		return post(g.server, g.seed, "/v1/compare", &req, out)
+	}
+	if err := req.Normalize(); err != nil {
+		return err
+	}
+	creq, err := req.Resolve()
+	if err != nil {
+		return err
+	}
+	creq.Workers = g.workers
+	comp, err := compare.Run(creq)
+	if err != nil {
+		return err
+	}
+	return g.print(out, comp)
+}
+
+// compareRequest reads the compare flags into the /v1/compare request.
+func compareRequest(args []string) (compare.RequestJSON, gridFlags, error) {
 	fs := flag.NewFlagSet("compare", flag.ContinueOnError)
 	var (
 		scenarios = fs.String("scenarios", "", "comma-separated subset of mv1,mv2,mv3,pareto (default: derived from -budget/-limit)")
 		budgetStr = fs.String("budget", "25.00", "MV1 budget in dollars")
-		limitStr  = fs.String("limit", "4h", "MV2 response-time limit (Go duration)")
+		limit     = fs.String("limit", "4h", "MV2 response-time limit (Go duration)")
 		alpha     = fs.Float64("alpha", 0.5, "MV3 weight on time (0..1)")
 		steps     = fs.Int("steps", 11, "pareto sweep steps per configuration")
-		queries   = fs.Int("queries", 10, "sales workload size (1..10)")
-		freq      = fs.Int("freq", 30, "executions of each query per month")
-		providers = fs.String("providers", "", "comma-separated tariff names (default: the full catalog)")
-		instances = fs.String("instances", "small", "comma-separated instance types to try")
-		fleets    = fs.String("fleets", "5", "comma-separated cluster sizes to try")
-		rows      = fs.Int64("rows", 200_000_000, "fact table rows (≈size/50B)")
-		solver    = fs.String("solver", "knapsack", "optimization engine: knapsack, search or auto")
-		seed      = fs.Int64("seed", 0, "search solver seed")
 		breakEven = fs.Int("break-even", 8, "budget sweep resolution (negative disables)")
-		workers   = fs.Int("workers", 0, "fan-out worker pool size (0 = GOMAXPROCS, 1 = sequential)")
-		asJSON    = fs.Bool("json", false, "print the comparison in the /v1/compare wire format")
-		serverURL = fs.String("server", "", "base URL of a running mvcloudd; POST /v1/compare there instead of solving in-process")
+		g         gridFlags
 	)
+	g.register(fs, "comparison", "/v1/compare")
 	if err := fs.Parse(args); err != nil {
-		return err
+		return compare.RequestJSON{}, g, err
 	}
-	o := compareOpts{
-		scenarios: *scenarios, budget: *budgetStr, limit: *limitStr, alpha: *alpha,
-		steps: *steps, queries: *queries, freq: *freq, providers: *providers,
-		instances: *instances, fleets: *fleets, rows: *rows, breakEven: *breakEven,
-		workers: *workers, solver: *solver, seed: *seed,
-	}
-	if *serverURL != "" {
-		return remoteCompare(*serverURL, o, out)
-	}
-	req, err := buildCompareRequest(o)
+	budget, err := money.Parse(*budgetStr)
 	if err != nil {
-		return err
+		return compare.RequestJSON{}, g, err
 	}
-	comp, err := compare.Run(req)
-	if err != nil {
-		return err
+	req := compare.RequestJSON{
+		Scenarios: splitList(*scenarios), Budget: &budget, Limit: *limit, Alpha: alpha,
+		Steps: *steps, BreakEvenSteps: *breakEven,
 	}
-	if *asJSON {
-		enc := json.NewEncoder(out)
-		enc.SetIndent("", "  ")
-		return enc.Encode(comp.JSON())
-	}
-	fmt.Fprint(out, comp.Render())
-	return nil
-}
-
-type compareOpts struct {
-	scenarios, budget, limit     string
-	alpha                        float64
-	steps, queries, freq         int
-	providers, instances, fleets string
-	rows                         int64
-	breakEven, workers           int
-	solver                       string
-	seed                         int64
-}
-
-// gridInputs are the workload and tariff-grid flags the compare and
-// sweep subcommands share; resolveGrid is the single place they are
-// turned into request fields, so the two subcommands cannot drift.
-type gridInputs struct {
-	queries, freq                int
-	rows                         int64
-	providers, instances, fleets string
-}
-
-func resolveGrid(o gridInputs) (w workload.Workload, provs []pricing.Provider, instanceTypes []string, fleetSizes []int, err error) {
-	l, err := lattice.New(schema.Sales(), o.rows)
-	if err != nil {
-		return w, nil, nil, nil, err
-	}
-	w, err = workload.Sales(l, o.queries)
-	if err != nil {
-		return w, nil, nil, nil, err
-	}
-	for i := range w.Queries {
-		w.Queries[i].Frequency = o.freq
-	}
-	for _, name := range splitList(o.providers) {
-		p, err := pricing.Lookup(name)
-		if err != nil {
-			return w, nil, nil, nil, err
-		}
-		provs = append(provs, p)
-	}
-	instanceTypes = splitList(o.instances)
-	for _, f := range splitList(o.fleets) {
-		n, err := strconv.Atoi(f)
-		if err != nil {
-			return w, nil, nil, nil, fmt.Errorf("bad fleet size %q: %v", f, err)
-		}
-		fleetSizes = append(fleetSizes, n)
-	}
-	return w, provs, instanceTypes, fleetSizes, nil
-}
-
-func buildCompareRequest(o compareOpts) (compare.Request, error) {
-	budget, err := money.Parse(o.budget)
-	if err != nil {
-		return compare.Request{}, err
-	}
-	limit, err := time.ParseDuration(o.limit)
-	if err != nil {
-		return compare.Request{}, err
-	}
-	w, provs, instanceTypes, fleetSizes, err := resolveGrid(gridInputs{
-		queries: o.queries, freq: o.freq, rows: o.rows,
-		providers: o.providers, instances: o.instances, fleets: o.fleets,
-	})
-	if err != nil {
-		return compare.Request{}, err
-	}
-	req := compare.Request{
-		Workload:       w,
-		Providers:      provs,
-		InstanceTypes:  instanceTypes,
-		FleetSizes:     fleetSizes,
-		FactRows:       o.rows,
-		Budget:         budget,
-		Limit:          limit,
-		Alpha:          o.alpha,
-		Steps:          o.steps,
-		BreakEvenSteps: o.breakEven,
-		Workers:        o.workers,
-		Solver:         o.solver,
-		Seed:           o.seed,
-	}
-	if o.scenarios != "" {
-		req.Scenarios = splitList(o.scenarios)
-	}
-	return req, nil
+	req.Providers, req.InstanceTypes, req.FleetSizes, req.ConfigJSON, err = g.grid()
+	return req, g, err
 }
 
 // runSweepArgs parses and runs the sweep subcommand.
 func runSweepArgs(args []string, out io.Writer) error {
+	req, g, err := sweepRequest(args)
+	if err != nil {
+		return err
+	}
+	if g.server != "" {
+		return post(g.server, g.seed, "/v1/sweep", &req, out)
+	}
+	if err := req.Normalize(); err != nil {
+		return err
+	}
+	sreq, err := req.Resolve()
+	if err != nil {
+		return err
+	}
+	sreq.Workers = g.workers
+	sw, err := compare.RunSweep(sreq)
+	if err != nil {
+		return err
+	}
+	return g.print(out, sw)
+}
+
+// sweepRequest reads the sweep flags into the /v1/sweep request.
+func sweepRequest(args []string) (compare.SweepRequestJSON, gridFlags, error) {
 	fs := flag.NewFlagSet("sweep", flag.ContinueOnError)
 	var (
 		scenario  = fs.String("scenario", "", "objective to sweep: mv1, mv2 or mv3 (default: derived from -budget/-limit)")
 		budgetStr = fs.String("budget", "", "MV1 budget in dollars")
-		limitStr  = fs.String("limit", "", "MV2 response-time limit (Go duration)")
+		limit     = fs.String("limit", "", "MV2 response-time limit (Go duration)")
 		alpha     = fs.Float64("alpha", 0.5, "MV3 weight on time (0..1)")
-		queries   = fs.Int("queries", 10, "sales workload size (1..10)")
-		freq      = fs.Int("freq", 30, "executions of each query per month")
-		providers = fs.String("providers", "", "comma-separated tariff names (default: the full catalog)")
-		instances = fs.String("instances", "small", "comma-separated instance types to try")
-		fleets    = fs.String("fleets", "5", "comma-separated cluster sizes to try")
-		rows      = fs.Int64("rows", 200_000_000, "fact table rows (≈size/50B)")
-		solver    = fs.String("solver", "knapsack", "optimization engine: knapsack, search or auto")
-		seed      = fs.Int64("seed", 0, "search solver seed")
-		workers   = fs.Int("workers", 0, "fan-out worker pool size (0 = GOMAXPROCS, 1 = sequential)")
-		asJSON    = fs.Bool("json", false, "print the sweep in the /v1/sweep wire format")
-		serverURL = fs.String("server", "", "base URL of a running mvcloudd; POST /v1/sweep there instead of solving in-process")
+		g         gridFlags
 	)
+	g.register(fs, "sweep", "/v1/sweep")
 	if err := fs.Parse(args); err != nil {
-		return err
+		return compare.SweepRequestJSON{}, g, err
 	}
-	if *serverURL != "" {
-		return remoteSweep(*serverURL, sweepOpts{
-			scenario: *scenario, budget: *budgetStr, limit: *limitStr, alpha: *alpha,
-			queries: *queries, freq: *freq, providers: *providers,
-			instances: *instances, fleets: *fleets, rows: *rows,
-			solver: *solver, seed: *seed,
-		}, out)
-	}
-	req := compare.SweepRequest{
-		Scenario: *scenario,
-		Alpha:    *alpha,
-		FactRows: *rows,
-		Solver:   *solver,
-		Seed:     *seed,
-		Workers:  *workers,
-	}
+	req := compare.SweepRequestJSON{Scenario: *scenario, Limit: *limit, Alpha: alpha}
 	if *budgetStr != "" {
 		budget, err := money.Parse(*budgetStr)
 		if err != nil {
-			return err
+			return compare.SweepRequestJSON{}, g, err
 		}
-		req.Budget = budget
-	}
-	if *limitStr != "" {
-		limit, err := time.ParseDuration(*limitStr)
-		if err != nil {
-			return err
-		}
-		req.Limit = limit
+		req.Budget = &budget
 	}
 	var err error
-	req.Workload, req.Providers, req.InstanceTypes, req.FleetSizes, err = resolveGrid(gridInputs{
-		queries: *queries, freq: *freq, rows: *rows,
-		providers: *providers, instances: *instances, fleets: *fleets,
-	})
+	req.Providers, req.InstanceTypes, req.FleetSizes, req.ConfigJSON, err = g.grid()
+	return req, g, err
+}
+
+// gridFlags are the flags compare and sweep share: the workload, the
+// engine, the tariff grid, and how the answer is had and printed.
+type gridFlags struct {
+	queries, freq, workers       int
+	rows, seed                   int64
+	providers, instances, fleets string
+	solver, server               string
+	asJSON                       bool
+}
+
+// register defines g's flags on fs for the command that answers a
+// request with a result (what -json names) at path.
+func (g *gridFlags) register(fs *flag.FlagSet, result, path string) {
+	fs.IntVar(&g.queries, "queries", 10, "sales workload size (1..10)")
+	fs.IntVar(&g.freq, "freq", 30, "executions of each query per month")
+	fs.StringVar(&g.providers, "providers", "", "comma-separated tariff names (default: the full catalog)")
+	fs.StringVar(&g.instances, "instances", "small", "comma-separated instance types to try")
+	fs.StringVar(&g.fleets, "fleets", "5", "comma-separated cluster sizes to try")
+	fs.Int64Var(&g.rows, "rows", 200_000_000, "fact table rows (≈size/50B)")
+	fs.StringVar(&g.solver, "solver", "knapsack", "optimization engine: knapsack, search or auto")
+	fs.Int64Var(&g.seed, "seed", 0, "search solver seed")
+	fs.IntVar(&g.workers, "workers", 0, "fan-out worker pool size (0 = GOMAXPROCS, 1 = sequential)")
+	fs.BoolVar(&g.asJSON, "json", false, "print the "+result+" in the "+path+" wire format")
+	fs.StringVar(&g.server, "server", "", "base URL of a running mvcloudd; POST "+path+" there instead of solving in-process")
+}
+
+// grid reads the tariff-grid lists and the shared problem fields of a
+// compare or sweep request. A fleet size is a decimal integer, in either
+// mode.
+func (g *gridFlags) grid() (providers, instances []string, fleets []int, cj core.ConfigJSON, err error) {
+	for _, f := range splitList(g.fleets) {
+		n, err := strconv.Atoi(f)
+		if err != nil {
+			return nil, nil, nil, cj, fmt.Errorf("bad fleet size %q: %v", f, err)
+		}
+		fleets = append(fleets, n)
+	}
+	cj = core.ConfigJSON{FactRows: g.rows, Queries: g.queries, Frequency: g.freq, Solver: g.solver, Seed: g.seed}
+	return splitList(g.providers), splitList(g.instances), fleets, cj, nil
+}
+
+// print writes a locally solved comparison or sweep: its report, or with
+// -json its wire body indented exactly as -server prints the daemon's.
+func (g *gridFlags) print(out io.Writer, r interface {
+	Render() string
+	AppendJSON([]byte) ([]byte, error)
+}) error {
+	if !g.asJSON {
+		_, err := io.WriteString(out, r.Render())
+		return err
+	}
+	body, err := r.AppendJSON(nil)
 	if err != nil {
 		return err
 	}
-	sw, err := compare.RunSweep(req)
-	if err != nil {
-		return err
-	}
-	if *asJSON {
-		enc := json.NewEncoder(out)
-		enc.SetIndent("", "  ")
-		return enc.Encode(sw.JSON())
-	}
-	fmt.Fprint(out, sw.Render())
-	return nil
+	return printJSON(out, body)
 }
 
 func splitList(s string) []string {

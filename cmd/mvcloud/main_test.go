@@ -2,128 +2,139 @@ package main
 
 import (
 	"io"
-	"os"
+	"net/http/httptest"
+	"reflect"
 	"testing"
+
+	"vmcloud/internal/server"
 )
 
+// fast keeps lattice math quick in every test run.
+var fast = []string{"-rows", "10000000"}
+
+func withFast(args ...string) []string { return append(args, fast...) }
+
 func TestRunScenarios(t *testing.T) {
-	const rows = 10_000_000 // keep lattice math fast
-	cases := []struct {
-		name     string
-		scenario string
-	}{
-		{"mv1", "mv1"},
-		{"mv2", "mv2"},
-		{"mv3", "mv3"},
-		{"pareto", "pareto"},
-	}
-	for _, c := range cases {
-		o := runOpts{scenario: c.scenario, budget: "25.00", limit: "4h", alpha: 0.5,
-			steps: 5, queries: 5, freq: 30, provider: "aws-2012",
-			instance: "small", fleet: 5, rows: rows, invoice: true}
-		if err := run(o, io.Discard); err != nil {
-			t.Errorf("%s: %v", c.name, err)
+	for _, scenario := range []string{"mv1", "mv2", "mv3", "pareto"} {
+		args := withFast("-scenario", scenario, "-steps", "5", "-queries", "5", "-invoice")
+		if err := runAdviseArgs(args, io.Discard); err != nil {
+			t.Errorf("%s: %v", scenario, err)
 		}
 	}
 }
 
 func TestRunErrors(t *testing.T) {
-	base := runOpts{budget: "1", limit: "1h", alpha: 0.5, steps: 5, queries: 3,
-		freq: 1, provider: "aws-2012", instance: "small", fleet: 5, rows: 10_000_000}
-	for name, mut := range map[string]func(*runOpts){
-		"unknown scenario":      func(o *runOpts) { o.scenario = "warp" },
-		"bad budget":            func(o *runOpts) { o.scenario = "mv1"; o.budget = "not-money" },
-		"bad duration":          func(o *runOpts) { o.scenario = "mv2"; o.limit = "not-a-duration" },
-		"unknown provider":      func(o *runOpts) { o.scenario = "mv1"; o.provider = "nonexistent-cloud" },
-		"oversized workload":    func(o *runOpts) { o.scenario = "mv1"; o.queries = 99 },
-		"missing provider file": func(o *runOpts) { o.scenario = "mv1"; o.providerFile = "/nonexistent/tariff.json" },
+	for name, args := range map[string][]string{
+		"unknown scenario":      {"-scenario", "warp"},
+		"bad budget":            {"-scenario", "mv1", "-budget", "not-money"},
+		"bad duration":          {"-scenario", "mv2", "-limit", "not-a-duration"},
+		"unknown provider":      {"-scenario", "mv1", "-provider", "nonexistent-cloud"},
+		"oversized workload":    {"-scenario", "mv1", "-queries", "99"},
+		"missing provider file": {"-scenario", "mv1", "-provider-file", "/nonexistent/tariff.json"},
+		"unknown flag":          {"-warp-factor", "9"},
 	} {
-		o := base
-		mut(&o)
-		if err := run(o, io.Discard); err == nil {
+		if err := runAdviseArgs(withFast(args...), io.Discard); err == nil {
 			t.Errorf("%s: accepted", name)
 		}
 	}
 }
 
 func TestPrintTariffs(t *testing.T) {
-	printTariffs() // must not panic
+	printTariffs(io.Discard) // must not panic
+	if err := runAdviseArgs([]string{"-tariffs"}, io.Discard); err != nil {
+		t.Error(err)
+	}
 }
 
 func TestBuildCompareRequest(t *testing.T) {
-	req, err := buildCompareRequest(compareOpts{
-		budget: "25.00", limit: "4h", alpha: 0.5, steps: 5, queries: 5, freq: 30,
-		providers: "aws-2012, stratus", instances: "small,large", fleets: "3,5",
-		rows: 10_000_000, breakEven: -1,
-	})
+	req, g, err := compareRequest([]string{"-budget", "25.00", "-limit", "4h", "-steps", "5",
+		"-queries", "5", "-providers", "aws-2012, stratus", "-instances", "small,large",
+		"-fleets", "3,5", "-rows", "10000000", "-break-even", "-1", "-workers", "2"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(req.Providers) != 2 || req.Providers[0].Name != "aws-2012" {
+	if !reflect.DeepEqual(req.Providers, []string{"aws-2012", "stratus"}) {
 		t.Errorf("providers = %v", req.Providers)
 	}
-	if len(req.InstanceTypes) != 2 || len(req.FleetSizes) != 2 {
+	if !reflect.DeepEqual(req.InstanceTypes, []string{"small", "large"}) || !reflect.DeepEqual(req.FleetSizes, []int{3, 5}) {
 		t.Errorf("grid = %v × %v", req.InstanceTypes, req.FleetSizes)
 	}
-	if req.BreakEvenSteps != -1 {
-		t.Errorf("break-even = %d", req.BreakEvenSteps)
+	if req.BreakEvenSteps != -1 || req.Steps != 5 || req.FactRows != 10_000_000 || req.Queries != 5 {
+		t.Errorf("request = %+v", req)
+	}
+	if g.workers != 2 {
+		t.Errorf("workers = %d", g.workers)
 	}
 }
 
 func TestRunCompareArgs(t *testing.T) {
-	args := []string{"-rows", "10000000", "-queries", "4", "-fleets", "5",
-		"-budget", "25.00", "-limit", "4h", "-break-even", "3"}
-	if err := runCompareArgs(args, os.Stdout); err != nil {
+	args := withFast("-queries", "4", "-fleets", "5", "-budget", "25.00", "-limit", "4h", "-break-even", "3")
+	if err := runCompareArgs(args, io.Discard); err != nil {
 		t.Errorf("table output: %v", err)
 	}
-	if err := runCompareArgs(append(args, "-json"), os.Stdout); err != nil {
+	if err := runCompareArgs(append(args, "-json"), io.Discard); err != nil {
 		t.Errorf("json output: %v", err)
 	}
 }
 
+// TestRunCompareArgsErrors holds both modes to the same flag parsing: a
+// fleet size is a decimal integer whether the request is solved here or
+// posted to -server.
 func TestRunCompareArgsErrors(t *testing.T) {
-	for name, args := range map[string][]string{
-		"unknown provider": {"-providers", "atlantis", "-rows", "10000000"},
-		"bad budget":       {"-budget", "not-money", "-rows", "10000000"},
-		"bad limit":        {"-limit", "not-a-duration", "-rows", "10000000"},
-		"bad fleet":        {"-fleets", "three", "-rows", "10000000"},
-		"bad scenario":     {"-scenarios", "warp", "-rows", "10000000"},
+	ts := httptest.NewServer(server.New(server.Options{}))
+	defer ts.Close()
+	cases := map[string][]string{
+		"unknown provider": {"-providers", "atlantis"},
+		"bad budget":       {"-budget", "not-money"},
+		"bad limit":        {"-limit", "not-a-duration"},
+		"bad fleet":        {"-fleets", "three"},
+		"bad scenario":     {"-scenarios", "warp"},
 		"unknown flag":     {"-warp-factor", "9"},
-	} {
-		if err := runCompareArgs(args, os.Stdout); err == nil {
-			t.Errorf("%s: accepted", name)
+	}
+	for _, f := range []string{"3.5", "5x", "0x10"} {
+		cases["fleet "+f] = []string{"-fleets", f}
+		cases["remote fleet "+f] = []string{"-fleets", f, "-server", ts.URL}
+	}
+	for name, args := range cases {
+		if err := runCompareArgs(withFast(args...), io.Discard); err == nil {
+			t.Errorf("compare %s: accepted", name)
+		}
+	}
+	for _, f := range []string{"3.5", "5x", "0x10"} {
+		for _, remote := range [][]string{nil, {"-server", ts.URL}} {
+			args := withFast(append([]string{"-budget", "25.00", "-fleets", f}, remote...)...)
+			if err := runSweepArgs(args, io.Discard); err == nil {
+				t.Errorf("sweep %v: accepted", args)
+			}
 		}
 	}
 }
 
 func TestRunSearchSolver(t *testing.T) {
 	for _, scenario := range []string{"mv1", "mv2", "mv3", "pareto"} {
-		o := runOpts{scenario: scenario, budget: "25.00", limit: "4h", alpha: 0.5,
-			steps: 5, queries: 5, freq: 30, provider: "aws-2012",
-			instance: "small", fleet: 5, rows: 10_000_000,
-			solver: "search", seed: 42}
-		if err := run(o, io.Discard); err != nil {
+		args := withFast("-scenario", scenario, "-steps", "5", "-queries", "5", "-solver", "search", "-seed", "42")
+		if err := runAdviseArgs(args, io.Discard); err != nil {
 			t.Errorf("%s with -solver search: %v", scenario, err)
 		}
 	}
-	o := runOpts{scenario: "mv1", budget: "25.00", limit: "4h", alpha: 0.5,
-		steps: 5, queries: 5, freq: 30, provider: "aws-2012",
-		instance: "small", fleet: 5, rows: 10_000_000, solver: "quantum"}
-	if err := run(o, io.Discard); err == nil {
+	if err := runAdviseArgs(withFast("-solver", "quantum"), io.Discard); err == nil {
 		t.Error("unknown -solver accepted")
 	}
 }
 
 func TestCompareRequestCarriesSolver(t *testing.T) {
-	req, err := buildCompareRequest(compareOpts{
-		budget: "25.00", limit: "4h", alpha: 0.5, steps: 5, queries: 5, freq: 30,
-		providers: "aws-2012", instances: "small", fleets: "5",
-		rows: 10_000_000, breakEven: -1, solver: "search", seed: 7,
-	})
+	req, _, err := compareRequest(withFast("-solver", "search", "-seed", "7"))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if req.Solver != "search" || req.Seed != 7 {
 		t.Fatalf("solver/seed = %q/%d, want search/7", req.Solver, req.Seed)
+	}
+	sreq, _, err := sweepRequest(withFast("-solver", "search", "-seed", "7"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sreq.Solver != "search" || sreq.Seed != 7 {
+		t.Fatalf("sweep solver/seed = %q/%d, want search/7", sreq.Solver, sreq.Seed)
 	}
 }

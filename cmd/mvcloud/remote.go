@@ -1,179 +1,43 @@
-// Remote mode: with -server, mvcloud becomes a thin client for a
-// running mvcloudd — the same flags are assembled into the wire-form
-// request JSON, posted through internal/client (which retries 429
-// sheds after the server's Retry-After hint and transient failures
-// with jittered backoff under a retry budget), and the server's JSON
-// response is printed verbatim.
+// Remote mode: with -server, the request a command built is posted to a
+// running mvcloudd through internal/client (which retries 429 sheds
+// after the server's Retry-After hint and transient failures with
+// jittered backoff under a retry budget), and the server's JSON response
+// is printed, indented.
 package main
 
 import (
 	"context"
 	"encoding/json"
-	"fmt"
 	"io"
 	"net/http"
-	"os"
 	"time"
 
 	"vmcloud/internal/client"
-	"vmcloud/internal/compare"
-	"vmcloud/internal/core"
-	"vmcloud/internal/money"
-	"vmcloud/internal/server"
 )
 
-// newRemote builds the retrying client for one CLI invocation. The
-// seed doubles as the jitter seed so retried runs are reproducible.
-func newRemote(base string, seed int64) *client.Client {
-	return &client.Client{
-		BaseURL: base,
-		HTTP:    &http.Client{Timeout: 2 * time.Minute},
-		Seed:    seed,
-	}
-}
-
-// postJSON marshals req, posts it and pretty-prints the response.
-func postJSON(c *client.Client, path string, req any, out io.Writer) error {
+// post sends req to path on the daemon at base and prints the answer.
+// The search seed doubles as the jitter seed, so retried runs are
+// reproducible.
+func post(base string, seed int64, path string, req any, out io.Writer) error {
 	body, err := json.Marshal(req)
 	if err != nil {
 		return err
+	}
+	c := &client.Client{
+		BaseURL: base,
+		HTTP:    &http.Client{Timeout: 2 * time.Minute},
+		Seed:    seed,
 	}
 	resp, err := c.Do(context.Background(), path, body)
 	if err != nil {
 		return err
 	}
-	var buf json.RawMessage = resp
+	return printJSON(out, resp)
+}
+
+// printJSON prints a JSON body indented by two spaces.
+func printJSON(out io.Writer, body []byte) error {
 	enc := json.NewEncoder(out)
 	enc.SetIndent("", "  ")
-	return enc.Encode(buf)
-}
-
-// remoteAdvise posts the advisory problem to POST /v1/advise.
-func remoteAdvise(base string, o runOpts, out io.Writer) error {
-	req := server.AdviseRequest{
-		Scenario: o.scenario,
-		ConfigJSON: core.ConfigJSON{
-			Provider:     o.provider,
-			InstanceType: o.instance,
-			Instances:    o.fleet,
-			FactRows:     o.rows,
-			Queries:      o.queries,
-			Frequency:    o.freq,
-			Solver:       o.solver,
-			Seed:         o.seed,
-		},
-	}
-	if o.providerFile != "" {
-		spec, err := os.ReadFile(o.providerFile)
-		if err != nil {
-			return err
-		}
-		req.ProviderSpec = spec
-		req.Provider = ""
-	}
-	switch o.scenario {
-	case "mv1":
-		budget, err := money.Parse(o.budget)
-		if err != nil {
-			return err
-		}
-		req.Budget = &budget
-	case "mv2":
-		req.Limit = o.limit
-	case "mv3":
-		req.Alpha = &o.alpha
-	case "pareto":
-		req.Steps = o.steps
-	default:
-		return fmt.Errorf("unknown scenario %q (want mv1, mv2, mv3 or pareto)", o.scenario)
-	}
-	return postJSON(newRemote(base, o.seed), "/v1/advise", &req, out)
-}
-
-// remoteCompare posts the comparison to POST /v1/compare.
-func remoteCompare(base string, o compareOpts, out io.Writer) error {
-	budget, err := money.Parse(o.budget)
-	if err != nil {
-		return err
-	}
-	fleets, err := parseFleets(o.fleets)
-	if err != nil {
-		return err
-	}
-	alpha := o.alpha
-	req := compare.RequestJSON{
-		Scenarios:      splitList(o.scenarios),
-		Budget:         &budget,
-		Limit:          o.limit,
-		Alpha:          &alpha,
-		Steps:          o.steps,
-		Providers:      splitList(o.providers),
-		InstanceTypes:  splitList(o.instances),
-		FleetSizes:     fleets,
-		BreakEvenSteps: o.breakEven,
-		ConfigJSON: core.ConfigJSON{
-			FactRows:  o.rows,
-			Queries:   o.queries,
-			Frequency: o.freq,
-			Solver:    o.solver,
-			Seed:      o.seed,
-		},
-	}
-	return postJSON(newRemote(base, o.seed), "/v1/compare", &req, out)
-}
-
-// sweepOpts carries the sweep flags into remote mode.
-type sweepOpts struct {
-	scenario, budget, limit      string
-	alpha                        float64
-	queries, freq                int
-	providers, instances, fleets string
-	rows                         int64
-	solver                       string
-	seed                         int64
-}
-
-// remoteSweep posts the tariff-grid sweep to POST /v1/sweep.
-func remoteSweep(base string, o sweepOpts, out io.Writer) error {
-	fleets, err := parseFleets(o.fleets)
-	if err != nil {
-		return err
-	}
-	alpha := o.alpha
-	req := compare.SweepRequestJSON{
-		Scenario:      o.scenario,
-		Limit:         o.limit,
-		Alpha:         &alpha,
-		Providers:     splitList(o.providers),
-		InstanceTypes: splitList(o.instances),
-		FleetSizes:    fleets,
-		ConfigJSON: core.ConfigJSON{
-			FactRows:  o.rows,
-			Queries:   o.queries,
-			Frequency: o.freq,
-			Solver:    o.solver,
-			Seed:      o.seed,
-		},
-	}
-	if o.budget != "" {
-		budget, err := money.Parse(o.budget)
-		if err != nil {
-			return err
-		}
-		req.Budget = &budget
-	}
-	return postJSON(newRemote(base, o.seed), "/v1/sweep", &req, out)
-}
-
-// parseFleets reads a comma-separated fleet-size list into ints.
-func parseFleets(s string) ([]int, error) {
-	var out []int
-	for _, f := range splitList(s) {
-		var n int
-		if _, err := fmt.Sscanf(f, "%d", &n); err != nil {
-			return nil, fmt.Errorf("bad fleet size %q: %v", f, err)
-		}
-		out = append(out, n)
-	}
-	return out, nil
+	return enc.Encode(json.RawMessage(body))
 }

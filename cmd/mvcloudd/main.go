@@ -71,7 +71,7 @@ func main() {
 		graceTO  = flag.Duration("shutdown-grace", 10*time.Second, "graceful shutdown drain window")
 		maxRows  = flag.Int64("max-fact-rows", 0, "largest accepted fact_rows (0 = server default)")
 		maxSteps = flag.Int("max-pareto-steps", 0, "largest accepted pareto sweep (0 = server default)")
-		maxGrid  = flag.Int("max-compare-configs", 0, "largest accepted compare grid (0 = server default)")
+		maxGrid  = flag.Int("max-compare-configs", 0, "largest accepted compare or sweep grid (0 = server default)")
 		cmpWork  = flag.Int("compare-workers", 0, "compare fan-out worker pool size (0 = GOMAXPROCS)")
 		advWork  = flag.Int("advise-workers", 0, "concurrent advise solves admitted (0 = GOMAXPROCS)")
 		hvyWork  = flag.Int("heavy-workers", 0, "concurrent compare/sweep solves admitted (0 = GOMAXPROCS)")

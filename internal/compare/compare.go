@@ -459,31 +459,9 @@ func Run(req Request) (*Comparison, error) {
 	if err != nil {
 		return nil, err
 	}
-	keys, providers, skipped := n.cells()
-	if len(keys) == 0 {
-		return nil, fmt.Errorf("compare: no runnable configurations (every provider × instance pairing was skipped)")
-	}
-	shared, err := n.shared()
+	results, skipped, err := n.solveGrid()
 	if err != nil {
 		return nil, err
-	}
-
-	results := make([]ConfigResult, len(keys))
-	errs := make([]error, len(keys))
-	fanOut(n.Workers, len(keys), func(i int) {
-		// Cooperative cancellation between cells: a cell that has not
-		// started when the deadline passes is abandoned outright (cells in
-		// flight stop via the search solver's own deadline gate).
-		if n.Ctx != nil && n.Ctx.Err() != nil {
-			errs[i] = n.Ctx.Err()
-			return
-		}
-		results[i], errs[i] = n.solveCell(shared, keys[i], providers[i])
-	})
-	for i, err := range errs {
-		if err != nil {
-			return nil, fmt.Errorf("compare: %s: %w", keys[i], err)
-		}
 	}
 
 	comp := &Comparison{
@@ -503,6 +481,38 @@ func Run(req Request) (*Comparison, error) {
 		comp.BreakEven = buildBreakEven(n.sweepBudgets, results)
 	}
 	return comp, nil
+}
+
+// solveGrid builds the shared structure once and solves every runnable
+// cell of the grid on it, on the bounded worker pool — the one grid solve
+// of Run and RunSweep.
+func (n normalized) solveGrid() ([]ConfigResult, []Key, error) {
+	keys, providers, skipped := n.cells()
+	if len(keys) == 0 {
+		return nil, nil, fmt.Errorf("compare: no runnable configurations (every provider × instance pairing was skipped)")
+	}
+	shared, err := n.shared()
+	if err != nil {
+		return nil, nil, err
+	}
+	results := make([]ConfigResult, len(keys))
+	errs := make([]error, len(keys))
+	fanOut(n.Workers, len(keys), func(i int) {
+		// Cooperative cancellation between cells: a cell that has not
+		// started when the deadline passes is abandoned outright (cells in
+		// flight stop via the search solver's own deadline gate).
+		if n.Ctx != nil && n.Ctx.Err() != nil {
+			errs[i] = n.Ctx.Err()
+			return
+		}
+		results[i], errs[i] = n.solveCell(shared, keys[i], providers[i])
+	})
+	for i, err := range errs {
+		if err != nil {
+			return nil, nil, fmt.Errorf("compare: %s: %w", keys[i], err)
+		}
+	}
+	return results, skipped, nil
 }
 
 // solveCell re-prices the shared structure for one tariff cell and

@@ -163,75 +163,24 @@ func RunSweep(req SweepRequest) (*Sweep, error) {
 	if err != nil {
 		return nil, err
 	}
-	keys, providers, skipped := n.cells()
-	if len(keys) == 0 {
-		return nil, fmt.Errorf("compare: no runnable configurations (every provider × instance pairing was skipped)")
-	}
-	shared, err := n.shared()
+	// A sweep cell is a compare cell of the one scenario, with no
+	// break-even sweep (normalize), and its winner is compare's.
+	results, skipped, err := n.solveGrid()
 	if err != nil {
 		return nil, err
 	}
-
-	cells := make([]SweepCell, len(keys))
-	errs := make([]error, len(keys))
-	fanOut(n.Workers, len(keys), func(i int) {
-		if n.Ctx != nil && n.Ctx.Err() != nil {
-			errs[i] = n.Ctx.Err()
-			return
-		}
-		cells[i], errs[i] = n.solveSweepCell(shared, scenario, keys[i], providers[i])
-	})
-	for i, err := range errs {
-		if err != nil {
-			return nil, fmt.Errorf("compare: %s: %w", keys[i], err)
-		}
+	sw := &Sweep{
+		Scenario: scenario,
+		Cells:    make([]SweepCell, len(results)),
+		Best:     pickWinner(scenario, n.Alpha, results).Key,
+		Skipped:  skipped,
+		Degraded: anyDegraded(results),
 	}
-
-	sw := &Sweep{Scenario: scenario, Cells: cells, Skipped: skipped}
-	for _, c := range cells {
-		if c.Rec.Selection.Degraded {
-			sw.Degraded = true
-			break
-		}
+	for i := range results {
+		r := &results[i]
+		sw.Cells[i] = SweepCell{Key: r.Key, DatasetSize: r.DatasetSize, Rec: r.Results[0].Rec}
 	}
-	best := Winner{}
-	first := true
-	for _, c := range cells {
-		w := Winner{
-			Scenario: scenario,
-			Key:      c.Key,
-			Time:     c.Rec.Selection.Time,
-			Cost:     c.Rec.Selection.Bill.Total(),
-			Feasible: c.Rec.Selection.Feasible,
-		}
-		if first || better(scenario, n.Alpha, w, best) {
-			best, first = w, false
-		}
-	}
-	sw.Best = best.Key
 	return sw, nil
-}
-
-// solveSweepCell re-prices the shared structure for one cell and solves
-// the swept objective.
-func (n normalized) solveSweepCell(shared *core.Shared, scenario string, k Key, prov pricing.Provider) (SweepCell, error) {
-	adv, err := shared.Advisor(prov, k.InstanceType, k.Instances)
-	if err != nil {
-		return SweepCell{}, err
-	}
-	var rec core.Recommendation
-	switch scenario {
-	case "mv1":
-		rec, err = adv.AdviseBudget(n.Budget)
-	case "mv2":
-		rec, err = adv.AdviseDeadline(n.Limit)
-	default: // mv3
-		rec, err = adv.AdviseTradeoff(n.Alpha)
-	}
-	if err != nil {
-		return SweepCell{}, err
-	}
-	return SweepCell{Key: k, DatasetSize: core.DatasetSizeOf(adv), Rec: rec}, nil
 }
 
 // Render produces the human-readable sweep report: the full grid with

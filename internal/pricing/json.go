@@ -3,8 +3,6 @@ package pricing
 import (
 	"encoding/json"
 	"fmt"
-	"io"
-	"os"
 
 	"vmcloud/internal/money"
 	"vmcloud/internal/units"
@@ -180,18 +178,4 @@ func parseGranularity(s string) (units.BillingGranularity, error) {
 	default:
 		return 0, fmt.Errorf("pricing: unknown billing granularity %q", s)
 	}
-}
-
-// LoadProviderFile reads a provider from a JSON file.
-func LoadProviderFile(path string) (Provider, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return Provider{}, err
-	}
-	defer f.Close()
-	data, err := io.ReadAll(f)
-	if err != nil {
-		return Provider{}, err
-	}
-	return UnmarshalProvider(data)
 }

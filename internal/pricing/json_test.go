@@ -1,8 +1,6 @@
 package pricing
 
 import (
-	"os"
-	"path/filepath"
 	"strings"
 	"testing"
 	"time"
@@ -131,26 +129,5 @@ func TestUnmarshalErrors(t *testing.T) {
 func TestMarshalRejectsInvalid(t *testing.T) {
 	if _, err := MarshalProvider(Provider{}); err == nil {
 		t.Error("invalid provider marshalled")
-	}
-}
-
-func TestSaveLoadProviderFile(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "aws.json")
-	data, err := MarshalProvider(AWS2012())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(path, data, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	p, err := LoadProviderFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if p.Name != "aws-2012" {
-		t.Errorf("loaded name = %q", p.Name)
-	}
-	if _, err := LoadProviderFile(filepath.Join(t.TempDir(), "missing.json")); err == nil {
-		t.Error("missing file loaded")
 	}
 }

@@ -274,7 +274,7 @@ func benchCanon(b *testing.B, endpoint, body string) {
 	for i := 0; i < b.N; i++ {
 		// As served: a fresh request per body, and string(...) for the
 		// copy out of the pooled buffer.
-		if _, _, err := s.canonicalize(buf, string([]byte(body)), newMemoRequest(endpoint), s.endpoint("advise").decodeFallback); err != nil {
+		if _, _, err := s.endpoint(endpoint).canonicalize(buf, string([]byte(body)), newMemoRequest(endpoint)); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -289,7 +289,7 @@ func BenchmarkCanonSweep(b *testing.B)   { benchCanon(b, "sweep", sweepShapeBody
 
 func BenchmarkReloadAdvise(b *testing.B) {
 	s := New(Options{})
-	kb, _, err := s.canonicalize(nil, adviseShapeBody, &adviseRequest{}, s.endpoint("advise").decodeFallback)
+	kb, _, err := s.endpoint("advise").canonicalize(nil, adviseShapeBody, &adviseRequest{})
 	if err != nil {
 		b.Fatal(err)
 	}

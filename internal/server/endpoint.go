@@ -62,6 +62,15 @@ type endpoint struct {
 	// compare/sweep grids are the floods being shed in the first place.
 	staleOK bool
 
+	// The ceilings: the server-side bounds checkCeilings holds a
+	// normalized request to, beyond what its Normalize rejects. A request
+	// reports 0 for a field it does not carry, which no bound here is
+	// below. stepsText words a pareto steps rejection (steps, bound), grid
+	// names the grid in a grid-size one.
+	maxFactRows                      int64
+	maxSteps, maxBreakEven, maxCells int
+	stepsText, grid                  string
+
 	// The instruments are fully resolved at registration, so the request
 	// path never touches a label or a map. requests is also what /v1/stats
 	// reads its hit/miss/coalesced/error/overload counts from.
@@ -72,15 +81,13 @@ type endpoint struct {
 	decodeFallback *obs.Counter
 }
 
-// newEndpoint registers the row's series on reg and adds its solve
-// latencies to adm's wait estimate.
-func newEndpoint(reg *obs.Registry, name string, newReq func() memoRequest, adm *admission, staleOK bool) *endpoint {
-	e := &endpoint{
-		name: name, newReq: newReq, adm: adm, staleOK: staleOK,
-		decodeFallback: reg.Counter("mvcloud_request_decode_fallback_total",
-			"Request bodies outside the hand-written decoder's grammar, decoded by encoding/json instead.",
-			"endpoint", name),
-	}
+// newEndpoint completes row e: it registers the row's series on reg and
+// adds its solve latencies to its admission class's wait estimate.
+func newEndpoint(reg *obs.Registry, e endpoint) *endpoint {
+	name := e.name
+	e.decodeFallback = reg.Counter("mvcloud_request_decode_fallback_total",
+		"Request bodies outside the hand-written decoder's grammar, decoded by encoding/json instead.",
+		"endpoint", name)
 	for o := outcomeKind(0); o < numOutcomes; o++ {
 		e.requests[o] = reg.Counter("mvcloud_http_requests_total",
 			"Finished HTTP requests by endpoint and serving outcome.",
@@ -90,8 +97,8 @@ func newEndpoint(reg *obs.Registry, name string, newReq func() memoRequest, adm 
 			obs.DefLatencyBuckets,
 			"endpoint", name, "outcome", outcomeNames[o])
 	}
-	adm.lat = append(adm.lat, e.latency[outcomeSolve], e.latency[outcomeDegraded])
-	return e
+	e.adm.lat = append(e.adm.lat, e.latency[outcomeSolve], e.latency[outcomeDegraded])
+	return &e
 }
 
 // count records the request's outcome. It runs before the response is

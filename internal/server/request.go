@@ -20,11 +20,12 @@ import (
 
 // request.go is the request half of the memoized endpoints: bytes to a
 // canonical key. A body is read by the hand-written decoders
-// (DecodeJSON, in jsondec's fast grammar), canonicalized (normalize),
-// and written back out as its cache key (AppendKey) — no reflection and
-// no lattice on the way. A body outside the fast grammar goes through
-// encoding/json over the same struct tags instead, which is also where
-// every rejection of a malformed body is worded.
+// (DecodeJSON, in jsondec's fast grammar), canonicalized (normalize,
+// then the endpoint row's ceilings), and written back out as its cache
+// key (AppendKey) — no reflection and no lattice on the way. A body
+// outside the fast grammar goes through encoding/json over the same
+// struct tags instead, which is also where every rejection of a
+// malformed body is worded.
 
 // AdviseRequest is the body of POST /v1/advise: a scenario selector, its
 // parameter, and the advisory problem (flattened ConfigJSON fields).
@@ -113,10 +114,12 @@ func (r *AdviseRequest) AppendKey(dst []byte) ([]byte, error) {
 	return jsonenc.EndObject(dst, mark), nil
 }
 
-// normalize canonicalizes the request in place: scenario defaults and
+// Normalize canonicalizes the request in place: scenario defaults and
 // parameter validation, scenario-irrelevant parameters zeroed (so they
-// cannot fragment the cache), and the config fully resolved.
-func (s *Server) normalize(req *AdviseRequest) error {
+// cannot fragment the cache), and the config fully resolved. The range
+// of a pareto sweep's steps is the daemon's to bound (checkCeilings);
+// without it the advisor itself rejects fewer than 2.
+func (req *AdviseRequest) Normalize() error {
 	req.Scenario = strings.ToLower(strings.TrimSpace(req.Scenario))
 	if req.Scenario == "" {
 		req.Scenario = "mv1"
@@ -156,74 +159,68 @@ func (s *Server) normalize(req *AdviseRequest) error {
 		if req.Steps == 0 {
 			req.Steps = 11
 		}
-		if req.Steps < 2 || req.Steps > s.opts.MaxParetoSteps {
-			return fmt.Errorf("steps %d out of [2,%d]", req.Steps, s.opts.MaxParetoSteps)
-		}
 		req.Budget, req.Limit, req.Alpha = nil, "", nil
 	default:
 		return fmt.Errorf("unknown scenario %q (want mv1, mv2, mv3 or pareto)", req.Scenario)
 	}
-	if err := req.ConfigJSON.Normalize(); err != nil {
-		return err
-	}
-	return s.checkCeilings(&req.ConfigJSON)
+	return req.ConfigJSON.Normalize()
 }
 
-// checkCeilings applies the server-side limits every endpoint shares to
-// a normalized config.
-func (s *Server) checkCeilings(cj *core.ConfigJSON) error {
-	if cj.FactRows > s.opts.MaxFactRows {
-		return fmt.Errorf("fact_rows %d exceeds the server limit %d", cj.FactRows, s.opts.MaxFactRows)
+// Advise solves the normalized request's scenario on adv: the
+// recommendation of mv1, mv2 or mv3, or the pareto frontier. It is where
+// a scenario name becomes a solve, for the daemon and the CLI alike.
+func (req *AdviseRequest) Advise(adv *core.Advisor) (rec core.Recommendation, front []core.ParetoPoint, err error) {
+	switch req.Scenario {
+	case "mv1":
+		rec, err = adv.AdviseBudget(*req.Budget)
+	case "mv2":
+		var limit time.Duration
+		if limit, err = time.ParseDuration(req.Limit); err == nil {
+			rec, err = adv.AdviseDeadline(limit)
+		}
+	case "mv3":
+		rec, err = adv.AdviseTradeoff(*req.Alpha)
+	case "pareto":
+		front, err = adv.ParetoFront(req.Steps)
+	default:
+		err = fmt.Errorf("unknown scenario %q", req.Scenario)
 	}
-	if len(cj.Workload) > s.opts.MaxQueries {
-		return fmt.Errorf("workload of %d queries exceeds the server limit %d", len(cj.Workload), s.opts.MaxQueries)
-	}
-	if cj.CandidateBudget > s.opts.MaxCandidates {
-		return fmt.Errorf("candidate_budget %d exceeds the server limit %d", cj.CandidateBudget, s.opts.MaxCandidates)
-	}
-	return nil
+	return rec, front, err
 }
 
-// normalizeCompare canonicalizes a compare request and applies the
-// server-side ceilings.
-func (s *Server) normalizeCompare(req *compare.RequestJSON) error {
-	if err := req.Normalize(); err != nil {
-		return err
-	}
-	if err := s.checkCeilings(&req.ConfigJSON); err != nil {
-		return err
-	}
-	if req.Steps > s.opts.MaxParetoSteps {
-		return fmt.Errorf("steps %d exceeds the server limit %d", req.Steps, s.opts.MaxParetoSteps)
-	}
-	if req.BreakEvenSteps > s.opts.MaxParetoSteps {
-		return fmt.Errorf("break_even_steps %d exceeds the server limit %d", req.BreakEvenSteps, s.opts.MaxParetoSteps)
-	}
-	if n := req.Configs(); n > s.opts.MaxCompareConfigs {
-		return fmt.Errorf("comparison grid of %d configurations exceeds the server limit %d", n, s.opts.MaxCompareConfigs)
-	}
-	return nil
-}
+// The ceilings every endpoint shares and nothing configures: the length
+// of an explicit workload, and candidate_budget (the sales lattice has
+// 16 cuboids).
+const (
+	maxQueries    = 64
+	maxCandidates = 16
+)
 
-// normalizeSweep canonicalizes a sweep request and applies the
-// server-side ceilings.
-func (s *Server) normalizeSweep(req *compare.SweepRequestJSON) error {
-	if err := req.Normalize(); err != nil {
-		return err
-	}
-	if err := s.checkCeilings(&req.ConfigJSON); err != nil {
-		return err
-	}
-	if n := req.Configs(); n > s.opts.MaxCompareConfigs {
-		return fmt.Errorf("sweep grid of %d configurations exceeds the server limit %d", n, s.opts.MaxCompareConfigs)
+// checkCeilings holds a normalized request to e's ceilings: first the
+// config's, then the pareto steps, the break-even sweep and the grid.
+func (e *endpoint) checkCeilings(req memoRequest) error {
+	cj, steps, breakEven, cells := req.size()
+	switch {
+	case cj.FactRows > e.maxFactRows:
+		return fmt.Errorf("fact_rows %d exceeds the server limit %d", cj.FactRows, e.maxFactRows)
+	case len(cj.Workload) > maxQueries:
+		return fmt.Errorf("workload of %d queries exceeds the server limit %d", len(cj.Workload), maxQueries)
+	case cj.CandidateBudget > maxCandidates:
+		return fmt.Errorf("candidate_budget %d exceeds the server limit %d", cj.CandidateBudget, maxCandidates)
+	case steps != 0 && (steps < 2 || steps > e.maxSteps):
+		return fmt.Errorf(e.stepsText, steps, e.maxSteps)
+	case breakEven > e.maxBreakEven:
+		return fmt.Errorf("break_even_steps %d exceeds the server limit %d", breakEven, e.maxBreakEven)
+	case cells > e.maxCells:
+		return fmt.Errorf("%s of %d configurations exceeds the server limit %d", e.grid, cells, e.maxCells)
 	}
 	return nil
 }
 
 // memoRequest is one memoized endpoint's request: the state a miss
-// carries from the body to the solve, and the four things the shared
-// flow (finishMemoized) does with it. The three implementations below
-// differ in their struct and their solver, nothing else.
+// carries from the body to the solve, and what the shared flow
+// (finishMemoized) does with it. The three implementations below differ
+// in their struct and their solver, nothing else.
 type memoRequest interface {
 	// DecodeJSON and AppendKey are the request struct's codec.
 	DecodeJSON(d *jsondec.Decoder)
@@ -231,9 +228,13 @@ type memoRequest interface {
 	// reset zeroes the struct and returns it for encoding/json to fill:
 	// the path of a body the fast grammar declined.
 	reset() any
-	// normalize canonicalizes the decoded request under s's ceilings and
-	// returns its stats label.
-	normalize(s *Server) (label string, err error)
+	// normalize canonicalizes the decoded request and returns its stats
+	// label.
+	normalize() (label string, err error)
+	// size reports what the ceilings bound in the normalized request: its
+	// config, pareto steps, break-even steps and grid cells, 0 for what
+	// the request does not carry.
+	size() (cj *core.ConfigJSON, steps, breakEven, cells int)
 	// solve computes the newline-terminated response body of the
 	// normalized request, recording per-phase durations on tr (never
 	// nil) and timing its own encode step. ctx carries the solve
@@ -249,15 +250,52 @@ func (r *adviseRequest) reset() any {
 	return &r.AdviseRequest
 }
 
-func (r *adviseRequest) normalize(s *Server) (string, error) {
-	err := s.normalize(&r.AdviseRequest)
+func (r *adviseRequest) normalize() (string, error) {
+	err := r.Normalize()
 	return r.Scenario, err
 }
 
-func (r *adviseRequest) solve(ctx context.Context, s *Server, tr *obs.Trace) ([]byte, bool, error) {
-	resp, err := s.solve(ctx, r.AdviseRequest, tr)
+func (r *adviseRequest) size() (*core.ConfigJSON, int, int, int) {
+	return &r.ConfigJSON, r.Steps, 0, 0
+}
+
+// solve builds the advisor (lattice + candidate generation) and solves
+// the scenario. The request is already normalized, so the config
+// resolves without re-canonicalizing. ctx carries the solve deadline into
+// the search, whose result surfaces as Degraded when the deadline stopped
+// it early.
+func (r *adviseRequest) solve(ctx context.Context, _ *Server, tr *obs.Trace) ([]byte, bool, error) {
+	cfg, err := r.ConfigJSON.Resolve()
 	if err != nil {
 		return nil, false, err
+	}
+	cfg.Trace = tr
+	cfg.Ctx = ctx
+	adv, err := core.New(cfg)
+	if err != nil {
+		return nil, false, err
+	}
+	rec, front, err := r.Advise(adv)
+	if err != nil {
+		return nil, false, err
+	}
+	resp := AdviseResponse{
+		Scenario:    r.Scenario,
+		DatasetSize: core.DatasetSizeOf(adv).String(),
+		Candidates:  len(adv.Candidates),
+	}
+	if front != nil {
+		resp.Pareto = core.ParetoJSON(front)
+		for _, p := range front {
+			if p.Degraded {
+				resp.Degraded = true
+				break
+			}
+		}
+	} else {
+		rj := rec.LazyJSON()
+		resp.Recommendation = &rj
+		resp.Degraded = rec.Selection.Degraded
 	}
 	b, err := encodeBody(tr, &resp)
 	return b, resp.Degraded, err
@@ -270,8 +308,12 @@ func (r *compareRequest) reset() any {
 	return &r.RequestJSON
 }
 
-func (r *compareRequest) normalize(s *Server) (string, error) {
-	return "compare", s.normalizeCompare(&r.RequestJSON)
+func (r *compareRequest) normalize() (string, error) {
+	return "compare", r.Normalize()
+}
+
+func (r *compareRequest) size() (*core.ConfigJSON, int, int, int) {
+	return &r.ConfigJSON, r.Steps, r.BreakEvenSteps, r.Configs()
 }
 
 func (r *compareRequest) solve(ctx context.Context, s *Server, tr *obs.Trace) ([]byte, bool, error) {
@@ -297,8 +339,12 @@ func (r *sweepRequest) reset() any {
 	return &r.SweepRequestJSON
 }
 
-func (r *sweepRequest) normalize(s *Server) (string, error) {
-	return "sweep", s.normalizeSweep(&r.SweepRequestJSON)
+func (r *sweepRequest) normalize() (string, error) {
+	return "sweep", r.Normalize()
+}
+
+func (r *sweepRequest) size() (*core.ConfigJSON, int, int, int) {
+	return &r.ConfigJSON, 0, 0, r.Configs()
 }
 
 func (r *sweepRequest) solve(ctx context.Context, s *Server, tr *obs.Trace) ([]byte, bool, error) {
@@ -317,15 +363,18 @@ func (r *sweepRequest) solve(ctx context.Context, s *Server, tr *obs.Trace) ([]b
 	return b, sw.Degraded, err
 }
 
-// canonicalize is bytes to canonical key: it decodes the body src into
-// req, normalizes it, and appends its canonical key to dst; label is the
-// request's stats label as an index into knownLabels. The errors are 400
-// bodies.
-func (s *Server) canonicalize(dst []byte, src string, req memoRequest, declined *obs.Counter) (key []byte, label int, err error) {
-	if err := decodeRequest(src, req, declined); err != nil {
+// canonicalize is bytes to canonical key on endpoint e: it decodes the
+// body src into req, normalizes it, holds it to e's ceilings, and appends
+// its canonical key to dst; label is the request's stats label as an
+// index into knownLabels. The errors are 400 bodies.
+func (e *endpoint) canonicalize(dst []byte, src string, req memoRequest) (key []byte, label int, err error) {
+	if err := decodeRequest(src, req, e.decodeFallback); err != nil {
 		return dst, 0, fmt.Errorf("parse request: %v", err)
 	}
-	l, err := req.normalize(s)
+	l, err := req.normalize()
+	if err == nil {
+		err = e.checkCeilings(req)
+	}
 	if err != nil {
 		return dst, 0, err
 	}

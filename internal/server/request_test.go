@@ -184,7 +184,7 @@ func TestDecodeMatchesEncodingJSON(t *testing.T) {
 		for i := 0; i < 20; i++ {
 			spellings = append(spellings, string(wiretest.Respell(rng, []byte(g.body), writtenDefaults(g.endpoint)...)))
 		}
-		key, _, err := s.canonicalize(nil, g.body, newMemoRequest(g.endpoint), s.endpoint("advise").decodeFallback)
+		key, _, err := s.endpoint(g.endpoint).canonicalize(nil, g.body, newMemoRequest(g.endpoint))
 		if err != nil {
 			t.Fatalf("%s: %v", g.body, err)
 		}
@@ -262,7 +262,11 @@ func marshalReference(t testing.TB, s *Server, endpoint, body string) []byte {
 	if err := strictDecode(body, v); err != nil {
 		t.Fatalf("%s: %v", body, err)
 	}
-	if _, err := req.normalize(s); err != nil {
+	_, err := req.normalize()
+	if err == nil {
+		err = s.endpoint(endpoint).checkCeilings(req)
+	}
+	if err != nil {
 		t.Fatalf("%s: %v", body, err)
 	}
 	key, err := json.Marshal(v)
@@ -417,7 +421,7 @@ func TestAppendKeyMatchesReflection(t *testing.T) {
 		spellings = append(spellings, string(want))
 		for _, src := range spellings {
 			req := newMemoRequest(g.endpoint)
-			got, _, err := s.canonicalize(nil, src, req, s.endpoint("advise").decodeFallback)
+			got, _, err := s.endpoint(g.endpoint).canonicalize(nil, src, req)
 			if err != nil || !bytes.Equal(got, want) {
 				t.Fatalf("%s: canonical key differs from the encoding/json path's (err %v):\nbody: %s\ngot:  %s\nwant: %s", g.endpoint, err, src, got, want)
 			}
@@ -509,13 +513,16 @@ func FuzzDecodeRequest(f *testing.F) {
 				continue
 			}
 			fast := newMemoRequest(e)
-			key, _, err := s.canonicalize(nil, src, fast, s.endpoint("advise").decodeFallback)
+			key, _, err := s.endpoint(e).canonicalize(nil, src, fast)
 			ref := newMemoRequest(e)
 			v := ref.reset()
 			if serr := strictDecode(src, v); serr != nil {
 				t.Fatalf("%s: strict decode of an accepted body: %v", e, serr)
 			}
-			_, nerr := ref.normalize(s)
+			_, nerr := ref.normalize()
+			if nerr == nil {
+				nerr = s.endpoint(e).checkCeilings(ref)
+			}
 			if (err == nil) != (nerr == nil) || (err != nil && err.Error() != nerr.Error()) {
 				t.Fatalf("%s: canonicalize says %v, the encoding/json path %v, on\n%s", e, err, nerr, src)
 			}

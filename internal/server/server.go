@@ -109,15 +109,11 @@ type Options struct {
 	Cluster *ClusterOptions
 	// MaxFactRows rejects absurd dataset sizes; default 100 billion rows.
 	MaxFactRows int64
-	// MaxQueries bounds an explicit workload; default 64.
-	MaxQueries int
-	// MaxCandidates bounds candidate_budget; default 16 (the lattice has
-	// 16 cuboids).
-	MaxCandidates int
-	// MaxParetoSteps bounds a pareto sweep; default 101.
+	// MaxParetoSteps bounds a pareto sweep and a compare's break-even
+	// sweep; default 101.
 	MaxParetoSteps int
 	// MaxCompareConfigs bounds the provider × instance × fleet grid a
-	// single compare request may fan out; default 64.
+	// single compare or sweep request may fan out; default 64.
 	MaxCompareConfigs int
 	// CompareWorkers bounds the compare fan-out worker pool; default
 	// GOMAXPROCS.
@@ -143,12 +139,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.MaxFactRows == 0 {
 		o.MaxFactRows = 100_000_000_000
-	}
-	if o.MaxQueries == 0 {
-		o.MaxQueries = 64
-	}
-	if o.MaxCandidates == 0 {
-		o.MaxCandidates = 16
 	}
 	if o.MaxParetoSteps == 0 {
 		o.MaxParetoSteps = 101
@@ -253,10 +243,23 @@ func New(opts Options) *Server {
 	s.m = s.newServerMetrics(s.reg)
 	s.admCheap = newAdmission("cheap", s.opts.AdviseWorkers, s.opts.AdviseQueue)
 	s.admHeavy = newAdmission("heavy", s.opts.HeavyWorkers, s.opts.HeavyQueue)
+	// The endpoint table: one row per memoized route, each carrying its
+	// own ceilings.
+	o := &s.opts
 	s.endpoints = []*endpoint{
-		newEndpoint(s.reg, "advise", func() memoRequest { return &adviseRequest{} }, s.admCheap, true),
-		newEndpoint(s.reg, "compare", func() memoRequest { return &compareRequest{} }, s.admHeavy, false),
-		newEndpoint(s.reg, "sweep", func() memoRequest { return &sweepRequest{} }, s.admHeavy, false),
+		newEndpoint(s.reg, endpoint{
+			name: "advise", newReq: func() memoRequest { return &adviseRequest{} }, adm: s.admCheap, staleOK: true,
+			maxFactRows: o.MaxFactRows, maxSteps: o.MaxParetoSteps, stepsText: "steps %d out of [2,%d]",
+		}),
+		newEndpoint(s.reg, endpoint{
+			name: "compare", newReq: func() memoRequest { return &compareRequest{} }, adm: s.admHeavy,
+			maxFactRows: o.MaxFactRows, maxSteps: o.MaxParetoSteps, stepsText: "steps %d exceeds the server limit %d",
+			maxBreakEven: o.MaxParetoSteps, maxCells: o.MaxCompareConfigs, grid: "comparison grid",
+		}),
+		newEndpoint(s.reg, endpoint{
+			name: "sweep", newReq: func() memoRequest { return &sweepRequest{} }, adm: s.admHeavy,
+			maxFactRows: o.MaxFactRows, maxCells: o.MaxCompareConfigs, grid: "sweep grid",
+		}),
 	}
 	if opts.Cluster != nil {
 		cl, err := newClusterState(*opts.Cluster, s.opts.RequestTimeout)
@@ -591,7 +594,7 @@ func (s *Server) finishMemoized(w http.ResponseWriter, r *http.Request, e *endpo
 		// the pooled buffer once, here.
 		mark := len(ps.buf.b)
 		var err error
-		ps.buf.b, label, err = s.canonicalize(append(ps.buf.b, ps.rawKey[:ps.prefix]...), string(ps.raw), req, e.decodeFallback)
+		ps.buf.b, label, err = e.canonicalize(append(ps.buf.b, ps.rawKey[:ps.prefix]...), string(ps.raw), req)
 		kb = ps.buf.b[mark:]
 		if err != nil {
 			e.fail(w, http.StatusBadRequest, err.Error(), ps.start)
@@ -886,74 +889,6 @@ func (s *Server) logSlowSolve(endpoint, label string, tr *obs.Trace) {
 	s.slowMu.Lock()
 	defer s.slowMu.Unlock()
 	s.opts.SlowLog.Write(b)
-}
-
-// solve runs the expensive path: advisor construction (lattice +
-// candidate generation) and the scenario solve. The request is already
-// normalized, so the config resolves without re-canonicalizing. ctx
-// carries the solve deadline into the search, whose result surfaces as
-// Degraded when the deadline stopped it early.
-func (s *Server) solve(ctx context.Context, req AdviseRequest, tr *obs.Trace) (AdviseResponse, error) {
-	cfg, err := req.ConfigJSON.Resolve()
-	if err != nil {
-		return AdviseResponse{}, err
-	}
-	cfg.Trace = tr
-	cfg.Ctx = ctx
-	adv, err := core.New(cfg)
-	if err != nil {
-		return AdviseResponse{}, err
-	}
-	resp := AdviseResponse{
-		Scenario:    req.Scenario,
-		DatasetSize: core.DatasetSizeOf(adv).String(),
-		Candidates:  len(adv.Candidates),
-	}
-	switch req.Scenario {
-	case "mv1":
-		rec, err := adv.AdviseBudget(*req.Budget)
-		if err != nil {
-			return AdviseResponse{}, err
-		}
-		rj := rec.LazyJSON()
-		resp.Recommendation = &rj
-		resp.Degraded = rec.Selection.Degraded
-	case "mv2":
-		limit, err := time.ParseDuration(req.Limit)
-		if err != nil {
-			return AdviseResponse{}, err
-		}
-		rec, err := adv.AdviseDeadline(limit)
-		if err != nil {
-			return AdviseResponse{}, err
-		}
-		rj := rec.LazyJSON()
-		resp.Recommendation = &rj
-		resp.Degraded = rec.Selection.Degraded
-	case "mv3":
-		rec, err := adv.AdviseTradeoff(*req.Alpha)
-		if err != nil {
-			return AdviseResponse{}, err
-		}
-		rj := rec.LazyJSON()
-		resp.Recommendation = &rj
-		resp.Degraded = rec.Selection.Degraded
-	case "pareto":
-		front, err := adv.ParetoFront(req.Steps)
-		if err != nil {
-			return AdviseResponse{}, err
-		}
-		resp.Pareto = core.ParetoJSON(front)
-		for _, p := range front {
-			if p.Degraded {
-				resp.Degraded = true
-				break
-			}
-		}
-	default:
-		return AdviseResponse{}, fmt.Errorf("unknown scenario %q", req.Scenario)
-	}
-	return resp, nil
 }
 
 // TariffsResponse is the body of GET /v1/tariffs: each built-in provider
