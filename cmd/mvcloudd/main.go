@@ -31,9 +31,9 @@
 //
 // -cluster N serves the fault-tolerant cluster mode in a single
 // binary: a stateless frontend on -addr routing solves to N in-process
-// workers by rendezvous hashing, with health-checked failover (a slow
-// or silent worker is timed out per attempt and ejected by the failure
-// detector) and shed-or-stale degradation. -cluster-seed keys the ring
+// workers by rendezvous hashing, with failover (a slow or silent worker
+// is timed out per attempt, and three failed forwards eject it) and
+// shed-or-stale degradation. -cluster-seed keys the ring
 // (frontends sharing a worker tier must agree on it).
 //
 // -debug-addr starts a second listener serving net/http/pprof under

@@ -10,6 +10,7 @@ import (
 	"path/filepath"
 	"sort"
 	"strings"
+	"sync"
 	"testing"
 
 	"vmcloud/internal/analysis"
@@ -109,23 +110,7 @@ var declarationAllow = map[string]string{
 // reached from a command, an example, the root facade or bench/. Code only
 // a package's own tests use belongs in its _test.go files.
 func TestEveryDeclarationIsReached(t *testing.T) {
-	if testing.Short() {
-		t.Skip("loads the whole module and bench/ through go list; skipped in -short")
-	}
-	moduleDir := moduleRoot(t)
-	var pkgs []*analysis.Package
-	for _, dir := range []string{moduleDir, filepath.Join(moduleDir, "bench")} {
-		loaded, err := analysis.LoadPackages(dir, []string{"./..."})
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, p := range loaded {
-			// The test-support packages are neither checked nor roots.
-			if p.Path != module+"/internal/wiretest" && p.Path != module+"/internal/analysis/analysistest" {
-				pkgs = append(pkgs, p)
-			}
-		}
-	}
+	pkgs := loadProduct(t)
 	checked := func(path string) bool { return strings.HasPrefix(path, module+"/internal/") }
 	for _, msg := range unreached(pkgs, checked, declarationAllow) {
 		t.Error(msg)
@@ -133,6 +118,43 @@ func TestEveryDeclarationIsReached(t *testing.T) {
 	if len(declarationAllow) > 8 {
 		t.Errorf("declarationAllow has %d entries; delete code rather than excuse it", len(declarationAllow))
 	}
+}
+
+// productPkgs memoizes loadProduct: the two whole-module gates share
+// one load.
+var productPkgs struct {
+	once sync.Once
+	pkgs []*analysis.Package
+	err  error
+}
+
+// loadProduct loads every package of the module and of bench/, less the
+// test-support packages, which are neither checked nor roots. It skips
+// the test in -short.
+func loadProduct(t *testing.T) []*analysis.Package {
+	t.Helper()
+	if testing.Short() {
+		t.Skip("loads the whole module and bench/ through go list; skipped in -short")
+	}
+	moduleDir := moduleRoot(t)
+	productPkgs.once.Do(func() {
+		for _, dir := range []string{moduleDir, filepath.Join(moduleDir, "bench")} {
+			loaded, err := analysis.LoadPackages(dir, []string{"./..."})
+			if err != nil {
+				productPkgs.err = err
+				return
+			}
+			for _, p := range loaded {
+				if p.Path != module+"/internal/wiretest" && p.Path != module+"/internal/analysis/analysistest" {
+					productPkgs.pkgs = append(productPkgs.pkgs, p)
+				}
+			}
+		}
+	})
+	if productPkgs.err != nil {
+		t.Fatal(productPkgs.err)
+	}
+	return productPkgs.pkgs
 }
 
 // TestUnreachedFixture runs the declaration check on
@@ -268,6 +290,187 @@ func unreached(pkgs []*analysis.Package, checked func(path string) bool, allow m
 	}
 	sort.Strings(out)
 	return out
+}
+
+// optionStructs are the settings structs every exported field of which
+// some product code must set.
+var optionStructs = []string{
+	module + "/internal/server.Options",
+	module + "/internal/server.ClusterOptions",
+	module + "/internal/server.LocalClusterOptions",
+	module + "/internal/search.Options",
+}
+
+// optionAllow names the option fields only tests set that stay anyway,
+// each with its reason.
+var optionAllow = map[string]string{
+	module + "/internal/server.Options.Chaos": "the fault harness the overload and chaos contracts switch on",
+	module + "/internal/server.Options.SlowLog": "tests read the slow-solve log from a writer " +
+		"of their own; the product logs to stderr",
+	module + "/internal/server.Options.DegradeGrace": "the degradation tests widen it so that " +
+		"under -race the 503 backstop never beats the degraded answer",
+	module + "/internal/server.ClusterOptions.AttemptTimeout": "the partition contracts " +
+		"need it at sub-second values",
+	module + "/internal/server.ClusterOptions.Cooldown": "the detector contract needs it at a sub-second value",
+}
+
+// TestEveryOptionIsSet holds the settings structs to what the product
+// turns: every exported field of optionStructs must be written by some
+// non-test file of the module or bench/ — a composite-literal key, an
+// assignment or an increment — other than its own type's withDefaults.
+// A field nothing sets is a constant in disguise.
+func TestEveryOptionIsSet(t *testing.T) {
+	for _, msg := range unsetOptions(loadProduct(t), optionStructs, optionAllow) {
+		t.Error(msg)
+	}
+	if len(optionAllow) > 5 {
+		t.Errorf("optionAllow has %d entries; make a setting a constant rather than excuse it", len(optionAllow))
+	}
+}
+
+// TestUnsetOptionsFixture runs the option check on
+// testdata/src/options: lib declares the struct, cmd sets some of it.
+func TestUnsetOptionsFixture(t *testing.T) {
+	if testing.Short() {
+		t.Skip("loads the fixture through go list; skipped in -short")
+	}
+	const opts = module + "/internal/analysis/testdata/src/options/lib.Options"
+	pkgs, err := analysis.LoadPackages(moduleRoot(t), []string{
+		"./internal/analysis/testdata/src/options/lib",
+		"./internal/analysis/testdata/src/options/cmd",
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := unsetOptions(pkgs, []string{opts}, map[string]string{
+		opts + ".Allowed": "set by nothing, excused",
+		opts + ".Keyed":   "stale: set anyway",
+		opts + ".Gone":    "stale: names nothing",
+	})
+	want := []string{
+		"allowlist entry " + opts + ".Gone names no option field",
+		"allowlist entry " + opts + ".Keyed is set without it: drop the entry",
+		opts + ".Defaulted is set by no product code",
+		opts + ".TestOnly is set by no product code",
+		opts + ".Unset is set by no product code",
+	}
+	var trimmed []string
+	for _, msg := range got {
+		trimmed = append(trimmed, strings.SplitN(msg, " (", 2)[0])
+	}
+	if strings.Join(trimmed, "\n") != strings.Join(want, "\n") {
+		t.Errorf("got:\n%s\nwant:\n%s", strings.Join(got, "\n"), strings.Join(want, "\n"))
+	}
+}
+
+// unsetOptions returns, sorted, every exported field of the structs
+// (keyed "path.Type") that no file of pkgs writes outside the struct's
+// own withDefaults and allow does not excuse, and every stale allow
+// entry. Fields are keyed "path.Type.Field" and matched by the type that
+// declares them, never by identity: each package is type-checked
+// against export data (see objKey).
+func unsetOptions(pkgs []*analysis.Package, structs []string, allow map[string]string) []string {
+	declared := map[string]token.Position{}
+	for _, p := range pkgs {
+		for _, name := range structs {
+			path, typ, _ := strings.Cut(name, ".")
+			if path != p.Path {
+				continue
+			}
+			st := p.Types.Scope().Lookup(typ).Type().Underlying().(*types.Struct)
+			for i := 0; i < st.NumFields(); i++ {
+				if f := st.Field(i); f.Exported() {
+					declared[name+"."+f.Name()] = p.Fset.Position(f.Pos())
+				}
+			}
+		}
+	}
+
+	written := map[string]bool{}
+	for _, p := range pkgs {
+		// write records a write to field x (a selector), unless it happens
+		// in the withDefaults of the type that declares the field.
+		write := func(x ast.Expr, defaults string) {
+			se, _ := x.(*ast.SelectorExpr)
+			sel := p.TypesInfo.Selections[se]
+			if sel == nil || sel.Kind() != types.FieldVal {
+				return
+			}
+			// Follow promoted fields down to the struct that declares it.
+			t := sel.Recv()
+			for _, i := range sel.Index()[:len(sel.Index())-1] {
+				t = derefStruct(t).Field(i).Type()
+			}
+			if owner := namedKey(t); owner != defaults {
+				written[owner+"."+se.Sel.Name] = true
+			}
+		}
+		for _, f := range p.Files {
+			for _, decl := range f.Decls {
+				defaults := ""
+				if fd, ok := decl.(*ast.FuncDecl); ok && fd.Recv != nil && fd.Name.Name == "withDefaults" {
+					defaults = namedKey(p.TypesInfo.TypeOf(fd.Recv.List[0].Type))
+				}
+				ast.Inspect(decl, func(n ast.Node) bool {
+					switch n := n.(type) {
+					case *ast.CompositeLit:
+						owner := namedKey(p.TypesInfo.TypeOf(n))
+						for _, elt := range n.Elts {
+							if kv, ok := elt.(*ast.KeyValueExpr); ok && owner != defaults {
+								if id, ok := kv.Key.(*ast.Ident); ok {
+									written[owner+"."+id.Name] = true
+								}
+							}
+						}
+					case *ast.AssignStmt:
+						for _, lhs := range n.Lhs {
+							write(lhs, defaults)
+						}
+					case *ast.IncDecStmt:
+						write(n.X, defaults)
+					}
+					return true
+				})
+			}
+		}
+	}
+
+	var out []string
+	for key, pos := range declared {
+		if !written[key] && allow[key] == "" {
+			out = append(out, fmt.Sprintf("%s is set by no product code (%s): make it a constant or delete it", key, pos))
+		}
+	}
+	for key := range allow {
+		if _, ok := declared[key]; !ok {
+			out = append(out, fmt.Sprintf("allowlist entry %s names no option field", key))
+		} else if written[key] {
+			out = append(out, fmt.Sprintf("allowlist entry %s is set without it: drop the entry", key))
+		}
+	}
+	sort.Strings(out)
+	return out
+}
+
+// namedKey keys a named type, or a pointer to one, "path.Name"; "" for
+// anything else.
+func namedKey(t types.Type) string {
+	if ptr, ok := t.(*types.Pointer); ok {
+		t = ptr.Elem()
+	}
+	named, ok := types.Unalias(t).(*types.Named)
+	if !ok || named.Obj().Pkg() == nil {
+		return ""
+	}
+	return named.Obj().Pkg().Path() + "." + named.Obj().Name()
+}
+
+// derefStruct is the struct t or *t is.
+func derefStruct(t types.Type) *types.Struct {
+	if ptr, ok := t.Underlying().(*types.Pointer); ok {
+		t = ptr.Elem()
+	}
+	return t.Underlying().(*types.Struct)
 }
 
 // declUnit is one top-level declaration as the check attributes uses:

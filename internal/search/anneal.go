@@ -14,7 +14,7 @@ func annealEnergy(e eval, penalty float64) float64 {
 }
 
 // anneal runs simulated annealing with a geometric cooling schedule from
-// the given start. Each temperature level proposes opts.AnnealMoves
+// the given start. Each temperature level proposes DefaultAnnealMoves
 // random add/drop/swap moves; improving moves are always accepted,
 // worsening ones with probability exp(−Δ/T). A proposal is priced
 // read-only off the incremental engine, O(affected queries), and the
@@ -67,7 +67,7 @@ func (s *solver) anneal(start []bool, startEval eval) ([]bool, eval, error) {
 	floor := temp * 1e-3
 
 	for temp > floor {
-		for m := 0; m < s.opts.AnnealMoves; m++ {
+		for m := 0; m < DefaultAnnealMoves; m++ {
 			i, j := s.proposeMove()
 			if i < 0 {
 				return best, bestEval, nil
@@ -92,7 +92,7 @@ func (s *solver) anneal(start []bool, startEval eval) ([]bool, eval, error) {
 				}
 			}
 		}
-		temp *= s.opts.Cooling
+		temp *= DefaultCooling
 	}
 	return best, bestEval, nil
 }

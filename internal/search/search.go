@@ -99,14 +99,16 @@ func TradeoffObjective(alpha float64, mode optimizer.TradeoffMode, baseT time.Du
 	}
 }
 
-// Defaults applied by Options.withDefaults.
+// The search's fixed tuning, and the evaluation budget
+// Options.withDefaults applies.
 const (
 	// DefaultMaxEvals bounds exact evaluator calls per solve.
 	DefaultMaxEvals = 4096
-	// DefaultRestarts is the number of seeded-random restarts layered on
-	// top of the deterministic starts.
+	// DefaultRestarts is the number of seeded-random starting subsets
+	// tried in addition to the deterministic starts (empty set,
+	// greedy-density prefixes, caller-provided Starts).
 	DefaultRestarts = 3
-	// DefaultCooling is the geometric cooling rate.
+	// DefaultCooling is the annealing pass's geometric cooling rate.
 	DefaultCooling = 0.92
 	// DefaultAnnealMoves is the number of proposals per temperature step.
 	DefaultAnnealMoves = 24
@@ -123,20 +125,6 @@ type Options struct {
 	// re-visits are free). 0 selects DefaultMaxEvals; negative is
 	// rejected.
 	MaxEvals int
-	// Restarts is the number of seeded-random starting subsets tried in
-	// addition to the deterministic starts (empty set, greedy-density
-	// prefixes, caller-provided Starts). 0 selects DefaultRestarts;
-	// negative means none.
-	Restarts int
-	// DisableAnneal skips the simulated-annealing diversification pass,
-	// leaving pure multi-start hill climbing.
-	DisableAnneal bool
-	// Cooling is the geometric cooling rate in (0,1); 0 selects
-	// DefaultCooling.
-	Cooling float64
-	// AnnealMoves is the number of proposals per temperature level; 0
-	// selects DefaultAnnealMoves.
-	AnnealMoves int
 	// Starts are explicit warm-start subsets (points must be candidate
 	// points; unknown points are ignored).
 	Starts [][]lattice.Point
@@ -166,24 +154,6 @@ func (o Options) withDefaults() (Options, error) {
 	}
 	if o.MaxEvals == 0 {
 		o.MaxEvals = DefaultMaxEvals
-	}
-	if o.Restarts == 0 {
-		o.Restarts = DefaultRestarts
-	}
-	if o.Restarts < 0 {
-		o.Restarts = 0
-	}
-	if o.Cooling == 0 {
-		o.Cooling = DefaultCooling
-	}
-	if o.Cooling <= 0 || o.Cooling >= 1 {
-		return o, fmt.Errorf("search: cooling rate %g out of (0,1)", o.Cooling)
-	}
-	if o.AnnealMoves == 0 {
-		o.AnnealMoves = DefaultAnnealMoves
-	}
-	if o.AnnealMoves < 0 {
-		return o, fmt.Errorf("search: negative AnnealMoves %d", o.AnnealMoves)
 	}
 	return o, nil
 }
@@ -616,7 +586,7 @@ func (s *solver) selection(sel []bool, e eval) optimizer.Selection {
 // them before anything else — a warm-started solve is then never worse
 // than its warm start), then the empty set, greedy benefit-order
 // prefixes (candidates arrive in HRU selection order, so prefixes are
-// natural warm starts), then Restarts random subsets with inclusion
+// natural warm starts), then DefaultRestarts random subsets with inclusion
 // probability drawn per restart.
 func (s *solver) starts() [][]bool {
 	n := len(s.cands)
@@ -658,7 +628,7 @@ func (s *solver) starts() [][]bool {
 		}
 		add(full)
 	}
-	for r := 0; r < s.opts.Restarts; r++ {
+	for r := 0; r < DefaultRestarts; r++ {
 		// The float64 conversion rounds the product before the add, so no port
 		// fuses the two into one multiply-add (scripts/nofma.sh).
 		p := 0.15 + float64(0.7*s.rng.Float64())
@@ -739,12 +709,8 @@ func (s *solver) run(extraStart []bool) (optimizer.Selection, []bool, error) {
 	// died; a climb from there is nearly free thanks to the cache).
 	stages := []func([]bool, eval) ([]bool, eval, error){
 		func(cur []bool, _ eval) ([]bool, eval, error) { return s.hillClimb(cur) },
-	}
-	if !s.opts.DisableAnneal {
-		stages = append(stages,
-			func(cur []bool, e eval) ([]bool, eval, error) { return s.anneal(cur, e) },
-			func(cur []bool, _ eval) ([]bool, eval, error) { return s.hillClimb(cur) },
-		)
+		func(cur []bool, e eval) ([]bool, eval, error) { return s.anneal(cur, e) },
+		func(cur []bool, _ eval) ([]bool, eval, error) { return s.hillClimb(cur) },
 	}
 	dry := false
 	for _, start := range starts {

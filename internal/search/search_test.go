@@ -226,9 +226,6 @@ func TestSolveOptionValidation(t *testing.T) {
 	ev, cands := fixture(t, 3, 4)
 	cases := []Options{
 		{MaxEvals: -1},
-		{Cooling: 1.5},
-		{Cooling: -0.1},
-		{AnnealMoves: -2},
 	}
 	for _, opts := range cases {
 		if _, err := SolveMV1(ev, cands, money.FromDollars(25), opts); err == nil {

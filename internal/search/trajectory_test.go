@@ -69,8 +69,8 @@ func trajectoryPools(t *testing.T) []trajectoryPool {
 // TestSearchTrajectoryPinned holds every solver stage to the exact probe
 // sequence recorded in testdata/trajectory.json: four pools (20, 38 and
 // 80 candidates on 256 cuboids, 8 on the sales lattice) × mv1/mv2/mv3 ×
-// three seeds × {default, no annealing, a budget that runs dry inside a
-// swap row, a deadline that is dead at the first probe}. The file was
+// three seeds × {default, a budget that runs dry inside a swap row, a
+// deadline that is dead at the first probe}. The file was
 // captured before the flat evaluation table, the swap-row protocol and
 // the maintained index lists went in; those changes are only correct if
 // nothing here moves.
@@ -82,7 +82,6 @@ func TestSearchTrajectoryPinned(t *testing.T) {
 		opts Options
 	}{
 		{"default", Options{}},
-		{"noanneal", Options{DisableAnneal: true}},
 		{"evals300", Options{MaxEvals: 300}},
 		{"dead", Options{Ctx: dead}},
 	}

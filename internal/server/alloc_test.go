@@ -111,8 +111,6 @@ func BenchmarkAdviseCacheHitHot(b *testing.B) {
 func TestClusterFrontendCacheHitAllocBudget(t *testing.T) {
 	lc := NewLocalCluster(LocalClusterOptions{
 		Workers: 2,
-		// No background health loop: AllocsPerRun needs a quiet process.
-		Cluster: ClusterOptions{HealthInterval: -1},
 	})
 	defer lc.Close()
 	bodyStr := adviseBody("mv1", `"budget":25`)

@@ -189,7 +189,6 @@ func BenchmarkAdviseCacheMissDistinct(b *testing.B) {
 func BenchmarkClusterAdviseCacheHitHot(b *testing.B) {
 	lc := NewLocalCluster(LocalClusterOptions{
 		Workers: 2,
-		Cluster: ClusterOptions{HealthInterval: -1},
 	})
 	defer lc.Close()
 	w := postAdvise(b, lc.Frontend, benchBody)

@@ -28,17 +28,6 @@ type ChaosConfig struct {
 	// PanicProb is the probability a solve panics inside the recovered
 	// region (exercising panic containment end to end).
 	PanicProb float64
-	// WorkerKillProb is the probability a cluster worker starts dead
-	// (keyed per worker ID, not per request): its transport refuses
-	// every forward with an immediate connection-reset-style error
-	// until the worker is revived. Exercises failover and health
-	// ejection.
-	WorkerKillProb float64
-	// PartitionProb is the probability a cluster worker starts
-	// partitioned (keyed per worker ID): forwards to it hang until the
-	// attempt deadline instead of failing fast — the nastier fault,
-	// since only timeouts reveal it.
-	PartitionProb float64
 }
 
 // roll maps (seed, site, key) to [0, 1) via FNV-1a. site keeps the
@@ -71,25 +60,6 @@ func (c *ChaosConfig) sleep(ctx context.Context, key string) {
 	case <-t.C:
 	case <-ctx.Done():
 	}
-}
-
-// killsWorker reports whether the seed selects worker id to start
-// dead. Keyed by worker, not request: a killed worker fails every
-// forward, exactly like a crashed process.
-func (c *ChaosConfig) killsWorker(id string) bool {
-	if c == nil || c.WorkerKillProb <= 0 {
-		return false
-	}
-	return c.roll("worker-kill", id) < c.WorkerKillProb
-}
-
-// partitionsWorker reports whether the seed selects worker id to start
-// network-partitioned (forwards hang rather than fail fast).
-func (c *ChaosConfig) partitionsWorker(id string) bool {
-	if c == nil || c.PartitionProb <= 0 {
-		return false
-	}
-	return c.roll("partition", id) < c.PartitionProb
 }
 
 // panics reports whether the seed selects this key for an injected

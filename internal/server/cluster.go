@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"net/http"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -16,53 +15,41 @@ import (
 // keeps its own canonicalization, memoization, singleflight and stale
 // tiers, but routes every cold solve to a worker chosen by rendezvous
 // hashing on the canonical cache key — so each worker's cache, kernel
-// sessions and pools stay hot for "its" problems — with health-checked
-// failover to the ring successor, and shed-or-stale degradation when a
-// key's whole candidate set is down. A slow or silent worker is the
-// per-attempt timeout's and the failure detector's business
-// (TestClusterPartitionFailsOver, TestClusterHealthEjectionAndRecovery);
-// a solve is never sent to two workers at once. Zero values select
-// defaults.
+// sessions and pools stay hot for "its" problems — with failover to the
+// ring successor, and shed-or-stale degradation when a key's whole
+// candidate set is down. The frontend learns worker health from its own
+// forwards only: failed ones eject a worker (shard.Tracker), and there
+// is no background prober. A slow or silent worker is the per-attempt
+// timeout's business (TestClusterPartitionFailsOver); a solve is never
+// sent to two workers at once. Zero values select defaults.
 type ClusterOptions struct {
 	// Workers are the worker IDs forming the ring; required, and must
-	// be resolvable by Transport.
+	// be registered with Transport.
 	Workers []string
-	// Transport moves solves to workers; required (MemTransport runs
-	// the fleet in-process).
-	Transport Transport
+	// Transport moves solves to the in-process workers; required.
+	Transport *MemTransport
 	// Seed keys the rendezvous ring and must agree across every
 	// frontend sharing the worker tier.
 	Seed int64
-	// Health tunes the failure detector (consecutive-failure and
-	// latency-EWMA ejection, half-open cooldown).
-	Health shard.HealthConfig
-	// HealthInterval is the active health-check period (default 1s).
-	// Negative disables the background loop — tests drive the detector
-	// deterministically through CheckHealthNow.
-	HealthInterval time.Duration
-	// CheckTimeout bounds one health probe (default 500ms).
-	CheckTimeout time.Duration
 	// AttemptTimeout bounds one forwarded attempt (default half the
 	// request timeout, so a partition burning the first attempt still
 	// leaves the successor a full try inside the request's deadline).
 	AttemptTimeout time.Duration
-	// MaxAttempts bounds the failover budget per request: the primary
-	// plus MaxAttempts-1 ring successors (default 2).
-	MaxAttempts int
+	// Cooldown is how long an ejected worker stays out before the next
+	// forward to it probes it half-open (default 2s).
+	Cooldown time.Duration
 }
 
+// maxAttempts bounds the failover budget per request: the owner plus
+// one ring successor.
+const maxAttempts = 2
+
 func (o ClusterOptions) withDefaults(requestTimeout time.Duration) ClusterOptions {
-	if o.HealthInterval == 0 {
-		o.HealthInterval = time.Second
-	}
-	if o.CheckTimeout <= 0 {
-		o.CheckTimeout = 500 * time.Millisecond
-	}
 	if o.AttemptTimeout <= 0 {
 		o.AttemptTimeout = requestTimeout / 2
 	}
-	if o.MaxAttempts <= 0 {
-		o.MaxAttempts = 2
+	if o.Cooldown <= 0 {
+		o.Cooldown = 2 * time.Second
 	}
 	return o
 }
@@ -73,7 +60,7 @@ type clusterState struct {
 	opts      ClusterOptions
 	ring      *shard.Ring
 	health    *shard.Tracker
-	transport Transport
+	transport *MemTransport
 
 	// forwards/failovers count routing decisions: attempts sent, and
 	// attempts that fell over to a successor.
@@ -97,7 +84,7 @@ func newClusterState(opts ClusterOptions, requestTimeout time.Duration) (*cluste
 	return &clusterState{
 		opts:      o,
 		ring:      ring,
-		health:    shard.NewTracker(o.Health, ring.Workers()),
+		health:    shard.NewTracker(o.Cooldown, ring.Workers()),
 		transport: o.Transport,
 	}, nil
 }
@@ -141,52 +128,6 @@ func (cl *clusterState) statsJSON() *clusterStatsJSON {
 	}
 }
 
-// healthLoop drives active health checks until the server closes.
-func (s *Server) healthLoop() {
-	t := time.NewTicker(s.cluster.opts.HealthInterval)
-	defer t.Stop()
-	for {
-		select {
-		case <-s.closed:
-			return
-		case <-t.C:
-			s.CheckHealthNow()
-		}
-	}
-}
-
-// CheckHealthNow probes every worker once, concurrently, and feeds the
-// failure detector. The background loop calls it each interval; tests
-// call it directly for deterministic detector transitions. Ejected
-// workers are probed only when their cooldown grants the half-open
-// slot, so a dead worker costs one probe per cooldown, not one per
-// interval.
-func (s *Server) CheckHealthNow() {
-	cl := s.cluster
-	if cl == nil {
-		return
-	}
-	var wg sync.WaitGroup
-	for _, w := range cl.ring.Workers() {
-		if cl.health.Ejected(w) && !cl.health.Usable(w, time.Now()) {
-			continue
-		}
-		wg.Add(1)
-		go func(w string) {
-			defer wg.Done()
-			ctx, cancel := context.WithTimeout(context.Background(), cl.opts.CheckTimeout)
-			defer cancel()
-			start := time.Now()
-			if err := cl.transport.Check(ctx, w); err != nil {
-				cl.health.ReportFailure(w, time.Now())
-			} else {
-				cl.health.ReportSuccess(w, time.Since(start), time.Now())
-			}
-		}(w)
-	}
-	wg.Wait()
-}
-
 // runForward is the cluster-mode counterpart of runSolve: the leader
 // forwards the canonical request body to the ring-selected worker (with
 // failover) instead of solving locally, and fills the frontend cache.
@@ -208,7 +149,7 @@ func (s *Server) runForward(ctx context.Context, e *endpoint, account, key, cach
 
 // forward walks the key's ring preference order: the owner first, then
 // successors, skipping workers the failure detector has ejected, up to
-// the MaxAttempts failover budget. When every candidate is down or
+// the maxAttempts failover budget. When every candidate is down or
 // failed, the request degrades: the frontend's stale tier if it holds
 // the key, otherwise a shed with Retry-After set to the detector
 // cooldown — never a hang, never a raw 5xx.
@@ -218,7 +159,7 @@ func (s *Server) forward(ctx context.Context, e *endpoint, account, body, cacheK
 	bodyBytes := []byte(body)
 
 	attempts := 0
-	for i := 0; i < len(cands) && attempts < cl.opts.MaxAttempts; i++ {
+	for i := 0; i < len(cands) && attempts < maxAttempts; i++ {
 		w := cands[i]
 		if !cl.health.Usable(w, time.Now()) {
 			continue
@@ -241,9 +182,10 @@ func (s *Server) forward(ctx context.Context, e *endpoint, account, body, cacheK
 
 // forwardOnce sends one attempt to one worker under the per-attempt
 // timeout and classifies the result. failover=true means the worker is
-// unhealthy (transport failure or 5xx) and the caller should try the
-// next candidate; otherwise the outcome is final (success, shed
-// passthrough, or client error).
+// unhealthy (transport failure, per-attempt timeout or 5xx) and the
+// caller should try the next candidate; otherwise the outcome is final
+// (success, shed passthrough, client error, or the solve's own context
+// ending).
 func (s *Server) forwardOnce(ctx context.Context, worker string, e *endpoint, account string, body []byte, cacheKey string) (outcome, bool) {
 	cl := s.cluster
 	cl.forwards.Add(1)
@@ -253,6 +195,12 @@ func (s *Server) forwardOnce(ctx context.Context, worker string, e *endpoint, ac
 	rep, err := cl.transport.Forward(actx, worker, "/v1/"+e.name, account, body)
 	lat := time.Since(start)
 	if err != nil || rep.Status >= 500 {
+		if ctx.Err() != nil {
+			// The solve itself is over — its last waiter left, or the
+			// request deadline passed — so the failure says nothing about
+			// the worker, and a successor would get the same dead context.
+			return outcome{err: ctx.Err()}, false
+		}
 		// Transport failure or worker-side 5xx: count against the
 		// detector and fail over. (A contained worker panic rides this
 		// path too — the successor re-solves, and a deterministic panic
@@ -260,7 +208,7 @@ func (s *Server) forwardOnce(ctx context.Context, worker string, e *endpoint, ac
 		cl.health.ReportFailure(worker, time.Now())
 		return outcome{}, true
 	}
-	cl.health.ReportSuccess(worker, lat, time.Now())
+	cl.health.ReportSuccess(worker, lat)
 	switch {
 	case rep.Status == http.StatusOK:
 		return outcome{body: rep.Body, degraded: rep.Degraded, worker: worker}, false
@@ -276,9 +224,6 @@ func (s *Server) forwardOnce(ctx context.Context, worker string, e *endpoint, ac
 	}
 }
 
-// Close releases the server's background resources (today: the cluster
-// health-check loop). Safe to call on a non-cluster server and safe to
-// call twice.
-func (s *Server) Close() {
-	s.closeOnce.Do(func() { close(s.closed) })
-}
+// Close releases nothing: a server starts no background goroutine. It
+// stays so that callers which defer it need not know that.
+func (s *Server) Close() {}

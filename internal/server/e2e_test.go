@@ -303,11 +303,8 @@ func TestClusterChaosKillAllButOneE2E(t *testing.T) {
 		Worker:   Options{RequestTimeout: time.Minute},
 		Cluster: ClusterOptions{
 			Seed: 17,
-			// A dead worker refuses instantly, but a fast detector keeps
-			// even the first post-kill requests from burning attempts on
-			// corpses; the short cooldown bounds Retry-After on the
-			// all-down sheds.
-			HealthInterval: 20 * time.Millisecond,
+			// A dead worker refuses instantly: its first three failed
+			// forwards, each answered by a successor, eject it.
 			AttemptTimeout: 10 * time.Second,
 		},
 	})
@@ -367,8 +364,6 @@ func TestClusterPartitionChaosE2E(t *testing.T) {
 		Worker:   Options{RequestTimeout: time.Minute},
 		Cluster: ClusterOptions{
 			Seed:           23,
-			HealthInterval: 20 * time.Millisecond,
-			CheckTimeout:   50 * time.Millisecond,
 			AttemptTimeout: 250 * time.Millisecond,
 		},
 	})

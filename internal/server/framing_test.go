@@ -173,7 +173,7 @@ func TestResponseFraming(t *testing.T) {
 	// A cluster frontend: the miss is a worker's body forwarded, the hit
 	// comes from the frontend's own cache.
 	t.Run("cluster", func(t *testing.T) {
-		lc := NewLocalCluster(LocalClusterOptions{Workers: 2, Cluster: ClusterOptions{HealthInterval: -1}})
+		lc := NewLocalCluster(LocalClusterOptions{Workers: 2})
 		defer lc.Close()
 		addr := serve(t, lc.Frontend)
 		for _, e := range endpoints {

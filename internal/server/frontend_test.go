@@ -1,27 +1,18 @@
 package server
 
 import (
+	"context"
+	"fmt"
+	"net/http/httptest"
 	"strconv"
 	"strings"
 	"testing"
 	"time"
-
-	"vmcloud/internal/shard"
 )
 
-// shardHealth is shorthand for the detector tuning tests use.
-func shardHealth(failThreshold int, cooldown time.Duration) shard.HealthConfig {
-	return shard.HealthConfig{FailThreshold: failThreshold, Cooldown: cooldown}
-}
-
-// testCluster builds a LocalCluster with the background health loop
-// disabled (tests drive the failure detector through CheckHealthNow)
-// and registers cleanup.
+// testCluster builds a LocalCluster and registers cleanup.
 func testCluster(t *testing.T, opts LocalClusterOptions) *LocalCluster {
 	t.Helper()
-	if opts.Cluster.HealthInterval == 0 {
-		opts.Cluster.HealthInterval = -1
-	}
 	lc := NewLocalCluster(opts)
 	t.Cleanup(lc.Close)
 	return lc
@@ -206,40 +197,104 @@ func TestClusterAllDownDegrades(t *testing.T) {
 	drainCluster(t, lc, 5*time.Second)
 }
 
+// ownedBodies finds n advise bodies the ring gives one owner, by
+// forwarding candidates on a healthy probe cluster with the same seed
+// and fleet size (see ownerOf), and returns that owner and the bodies.
+func ownedBodies(t *testing.T, opts LocalClusterOptions, n int) (string, []string) {
+	t.Helper()
+	probe := testCluster(t, LocalClusterOptions{Workers: opts.Workers, Cluster: ClusterOptions{Seed: opts.Cluster.Seed}})
+	byOwner := map[string][]string{}
+	for budget := 25; ; budget++ {
+		body := adviseBody("mv1", fmt.Sprintf(`"budget":%d`, budget))
+		w := do(t, probe.Frontend, "POST", "/v1/advise", body)
+		if w.Code != 200 {
+			t.Fatalf("owner probe: status %d: %s", w.Code, w.Body.String())
+		}
+		owner := w.Header().Get("X-Worker")
+		if byOwner[owner] = append(byOwner[owner], body); len(byOwner[owner]) == n {
+			drainCluster(t, probe, 5*time.Second)
+			return owner, byOwner[owner]
+		}
+	}
+}
+
 // TestClusterHealthEjectionAndRecovery drives the failure detector
-// deterministically: consecutive probe failures eject a worker, the
-// cooldown grants a half-open probe, and a successful probe closes the
-// breaker.
+// through forwards, its only input: a killed owner is ejected after
+// exactly three failed forwards, each answered by the successor; inside
+// the cooldown no forward reaches the corpse; once the worker is back,
+// the first forward after the cooldown is the half-open probe that
+// closes the breaker. The healthy successor is never ejected.
 func TestClusterHealthEjectionAndRecovery(t *testing.T) {
-	lc := testCluster(t, LocalClusterOptions{
-		Workers: 2,
-		Cluster: ClusterOptions{
-			Health: shardHealth(2, 30*time.Millisecond),
-		},
-	})
-	lc.Transport.Kill("worker-0")
-	lc.Frontend.CheckHealthNow()
-	lc.Frontend.CheckHealthNow()
+	opts := LocalClusterOptions{Workers: 2, Cluster: ClusterOptions{Seed: 3, Cooldown: 500 * time.Millisecond}}
+	owner, bodies := ownedBodies(t, opts, 5)
+	lc := testCluster(t, opts)
+	cl := lc.Frontend.cluster
+	// Warm the successor's own cache, so that every failover answers at
+	// once and the cooldown times the detector, not a cold solve.
+	successor := lc.ids[0]
+	for i, id := range lc.ids {
+		if id != owner {
+			successor = id
+			for _, body := range bodies[:4] {
+				do(t, lc.Workers[i], "POST", "/v1/advise", body)
+			}
+			drainSolves(t, lc.Workers[i], 5*time.Second)
+		}
+	}
+	post := func(body string) string {
+		t.Helper()
+		w := do(t, lc.Frontend, "POST", "/v1/advise", body)
+		if w.Code != 200 {
+			t.Fatalf("status %d: %s", w.Code, w.Body.String())
+		}
+		if ejected(lc, successor) {
+			t.Fatalf("the healthy successor %s was ejected", successor)
+		}
+		return w.Header().Get("X-Worker")
+	}
 
-	if !ejected(lc, "worker-0") {
-		t.Fatal("worker-0 not ejected after 2 failed probes")
+	lc.Transport.Kill(owner)
+	for i, body := range bodies[:3] {
+		if ejected(lc, owner) {
+			t.Fatalf("%s ejected after %d failed forwards, want 3", owner, i)
+		}
+		if got := post(body); got == owner {
+			t.Fatalf("forward %d served by the dead owner", i+1)
+		}
+		if got := cl.failovers.Load(); got != int64(i+1) {
+			t.Fatalf("failovers = %d after %d requests, want one each", got, i+1)
+		}
 	}
-	if ejected(lc, "worker-1") {
-		t.Fatal("healthy worker-1 ejected")
+	if !ejected(lc, owner) {
+		t.Fatalf("%s not ejected after 3 failed forwards", owner)
+	}
+	ejectedAt := time.Now()
+
+	// Inside the cooldown the ring skips the corpse: one forward, to the
+	// successor, and no failover.
+	before := cl.forwards.Load()
+	if got := post(bodies[3]); got == owner {
+		t.Fatal("served by the ejected owner inside its cooldown")
+	}
+	if d := time.Since(ejectedAt); d >= opts.Cluster.Cooldown {
+		t.Fatalf("the in-cooldown request ended %v after the ejection, past the %v cooldown", d, opts.Cluster.Cooldown)
+	}
+	if got := cl.forwards.Load() - before; got != 1 {
+		t.Errorf("%d forwards for one request inside the cooldown, want 1 (none to the corpse)", got)
+	}
+	if got := cl.failovers.Load(); got != 3 {
+		t.Errorf("failovers = %d inside the cooldown, want still 3", got)
 	}
 
-	// Still inside the cooldown: no probe slot, stays ejected.
-	lc.Frontend.CheckHealthNow()
-	if !ejected(lc, "worker-0") {
-		t.Fatal("worker-0 probed before its cooldown elapsed")
+	lc.Transport.Revive(owner)
+	time.Sleep(time.Until(ejectedAt.Add(opts.Cluster.Cooldown)))
+	if got := post(bodies[4]); got != owner {
+		t.Errorf("first forward after the cooldown served by %q, want the revived owner %q", got, owner)
 	}
-
-	lc.Transport.Revive("worker-0")
-	time.Sleep(40 * time.Millisecond)
-	lc.Frontend.CheckHealthNow()
-	if ejected(lc, "worker-0") {
-		t.Fatal("worker-0 still ejected after a successful half-open probe")
+	if ejected(lc, owner) {
+		t.Error("owner still ejected after a successful half-open forward")
 	}
+	drainCluster(t, lc, 5*time.Second)
 }
 
 func ejected(lc *LocalCluster, id string) bool {
@@ -388,31 +443,55 @@ func TestClusterStatsAndMetrics(t *testing.T) {
 	}
 }
 
-// TestClusterChaosSeededFaults: the deterministic chaos harness
-// pre-kills/partitions the same workers for the same seed, so chaos
-// runs reproduce exactly.
-func TestClusterChaosSeededFaults(t *testing.T) {
-	faults := func(seed int64) (killed []string) {
-		c := &ChaosConfig{Seed: seed, WorkerKillProb: 0.5}
-		for _, id := range []string{"worker-0", "worker-1", "worker-2", "worker-3"} {
-			if c.killsWorker(id) {
-				killed = append(killed, id)
-			}
+// TestAbandonedForwardIsNotAWorkerFailure: a client that leaves while
+// its forward is in flight cancels the solve context, and the
+// transport error that follows is the request's, not the worker's.
+// Three such leaves on one owner's keys — the ejection threshold —
+// eject nothing, fail nothing over, shed nothing, and the whole
+// topology drains.
+func TestAbandonedForwardIsNotAWorkerFailure(t *testing.T) {
+	opts := LocalClusterOptions{
+		Workers: 2,
+		// Worker solves sleep, so each forward is still in flight when
+		// its client leaves.
+		Worker:  Options{AdviseWorkers: 32, Chaos: &ChaosConfig{Seed: 1, LatencyProb: 1, Latency: 10 * time.Second}},
+		Cluster: ClusterOptions{Seed: 5},
+	}
+	owner, bodies := ownedBodies(t, opts, 3)
+	lc := testCluster(t, opts)
+	var ownerSrv *Server
+	for i, id := range lc.ids {
+		if id == owner {
+			ownerSrv = lc.Workers[i]
 		}
-		return
 	}
-	a, b := faults(9), faults(9)
-	if strings.Join(a, ",") != strings.Join(b, ",") {
-		t.Errorf("same seed chose different victims: %v vs %v", a, b)
+	for i, body := range bodies {
+		ctx, cancel := context.WithCancel(context.Background())
+		done := make(chan int, 1)
+		go func() {
+			w := httptest.NewRecorder()
+			lc.Frontend.ServeHTTP(w, httptest.NewRequest("POST", "/v1/advise", strings.NewReader(body)).WithContext(ctx))
+			done <- w.Code
+		}()
+		waitFor(t, 5*time.Second, "the forward to reach "+owner, func() bool { return ownerSrv.InflightSolves() == 1 })
+		cancel()
+		if code := <-done; code != 503 {
+			t.Errorf("request %d: status %d after its client left, want 503", i+1, code)
+		}
+		waitFor(t, 5*time.Second, "the abandoned forward to end", func() bool { return lc.Frontend.InflightSolves() == 0 })
 	}
-	// With prob 0.5 over 4 workers, seeds that kill at least one worker
-	// exist in any short scan; pin one seed's choice is stable rather
-	// than a specific victim set.
-	found := false
-	for seed := int64(0); seed < 16 && !found; seed++ {
-		found = len(faults(seed)) > 0
+
+	cl := lc.Frontend.cluster
+	for _, w := range cl.health.Snapshot() {
+		if w.Ejected || w.ConsecFails != 0 {
+			t.Errorf("%s: ejected %v with %d consecutive failures, from abandoned forwards alone", w.Worker, w.Ejected, w.ConsecFails)
+		}
 	}
-	if !found {
-		t.Error("no seed in [0,16) kills any worker at prob 0.5 — roll is broken")
+	if got := cl.forwards.Load(); got != 3 {
+		t.Errorf("forwards = %d, want 3 (one each, no failover attempt)", got)
 	}
+	if f, d := cl.failovers.Load(), cl.allDown.Load(); f != 0 || d != 0 {
+		t.Errorf("failovers = %d, all_down = %d, want 0 and 0", f, d)
+	}
+	drainCluster(t, lc, 5*time.Second)
 }

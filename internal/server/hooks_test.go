@@ -26,6 +26,34 @@ func (g *flightGroup) len() int {
 	return len(g.calls)
 }
 
+// Kill marks worker dead: new forwards fail instantly, forwards in
+// flight observe a connection reset, and the worker-side request
+// contexts are cancelled (a dead process stops solving).
+func (t *MemTransport) Kill(worker string) {
+	w := t.worker(worker)
+	if w == nil {
+		return
+	}
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	if !w.killed {
+		w.killed = true
+		close(w.killedCh)
+	}
+}
+
+// Partition black-holes worker: forwards to it hang until their
+// context deadline instead of failing fast.
+func (t *MemTransport) Partition(worker string) {
+	w := t.worker(worker)
+	if w == nil {
+		return
+	}
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	w.partitioned = true
+}
+
 // Revive brings a killed worker back.
 func (t *MemTransport) Revive(worker string) {
 	w := t.worker(worker)

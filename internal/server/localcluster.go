@@ -12,15 +12,14 @@ type LocalClusterOptions struct {
 	Workers int
 	// Frontend seeds the frontend server's Options. Frontend.Cluster is
 	// built by NewLocalCluster (Workers, Transport, and any fields set
-	// in Cluster below); Frontend.Chaos worker-kill/partition
-	// probabilities select which workers start dead or partitioned.
+	// in Cluster below).
 	Frontend Options
 	// Worker seeds every worker server's Options. Workers never get
-	// Cluster set and never see the frontend's worker-level chaos (solve
-	// latency/panic chaos belongs here instead).
+	// Cluster set; solve latency/panic chaos belongs here, and worker
+	// kills and partitions go through LocalCluster.Transport.
 	Worker Options
-	// Cluster refines the routing plane (seed, health tuning, attempt
-	// timeout and failover budget — what TestClusterPartitionFailsOver and
+	// Cluster refines the routing plane (seed, attempt timeout and
+	// ejection cooldown — what TestClusterPartitionFailsOver and
 	// TestClusterHealthEjectionAndRecovery drive). Workers and Transport
 	// are overwritten by NewLocalCluster.
 	Cluster ClusterOptions
@@ -39,9 +38,7 @@ type LocalCluster struct {
 	ids       []string
 }
 
-// NewLocalCluster builds the fleet, the transport, and the frontend,
-// applying any seeded worker-kill/partition chaos from
-// opts.Frontend.Chaos before the frontend's first health check.
+// NewLocalCluster builds the fleet, the transport, and the frontend.
 func NewLocalCluster(opts LocalClusterOptions) *LocalCluster {
 	n := opts.Workers
 	if n <= 0 {
@@ -53,16 +50,6 @@ func NewLocalCluster(opts LocalClusterOptions) *LocalCluster {
 		w := New(opts.Worker)
 		lc.Workers = append(lc.Workers, w)
 		lc.Transport.Register(lc.ids[i], w)
-	}
-	// Seeded chaos faults apply before the frontend exists, so its
-	// health loop's very first sweep sees the broken fleet.
-	for _, id := range lc.ids {
-		if opts.Frontend.Chaos.killsWorker(id) {
-			lc.Transport.Kill(id)
-		}
-		if opts.Frontend.Chaos.partitionsWorker(id) {
-			lc.Transport.Partition(id)
-		}
 	}
 	copts := opts.Cluster
 	copts.Workers = lc.ids
@@ -79,11 +66,6 @@ func (lc *LocalCluster) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	lc.Frontend.ServeHTTP(w, r)
 }
 
-// Close stops the frontend's background loops. Workers have none, but
-// Close covers them too in case they grow some.
-func (lc *LocalCluster) Close() {
-	lc.Frontend.Close()
-	for _, w := range lc.Workers {
-		w.Close()
-	}
-}
+// Close releases nothing: the topology starts no background goroutine.
+// It stays so that callers which defer it need not know that.
+func (lc *LocalCluster) Close() {}

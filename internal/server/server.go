@@ -98,14 +98,15 @@ type Options struct {
 	AdviseQueue int
 	HeavyQueue  int
 	// Chaos, when non-nil, enables the deterministic fault-injection
-	// harness (seeded injected solve latency and panics, plus worker
-	// kill/partition faults in cluster mode); used by the overload and
-	// cluster-chaos load scenarios and tests, never in normal serving.
+	// harness (seeded injected solve latency and panics); used by the
+	// overload and chaos tests, never in normal serving. A cluster
+	// frontend forwards every solve, so only its workers' Chaos injects
+	// anything; worker kills and partitions are MemTransport's.
 	Chaos *ChaosConfig
 	// Cluster, when non-nil, runs this server as a stateless cluster
 	// frontend: requests are canonicalized, memoized and coalesced
 	// locally, but cold solves are forwarded to the ring-selected
-	// worker over Cluster.Transport instead of solving in-process.
+	// in-process worker over Cluster.Transport instead of solving here.
 	Cluster *ClusterOptions
 	// MaxFactRows rejects absurd dataset sizes; default 100 billion rows.
 	MaxFactRows int64
@@ -208,10 +209,6 @@ type Server struct {
 	// frontend: cold solves are forwarded to ring-selected workers
 	// instead of running locally (Options.Cluster).
 	cluster *clusterState
-	// closed stops background goroutines (the cluster health loop);
-	// closeOnce makes Close idempotent.
-	closed    chan struct{}
-	closeOnce sync.Once
 	// tenants lazily registers per-account request counters for
 	// /metrics (bounded; see tenant.go).
 	tenants tenantMetrics
@@ -221,17 +218,15 @@ type Server struct {
 	beforeJoin func()
 }
 
-// New builds a server. Cluster-frontend servers (Options.Cluster set)
-// start a background health-check loop; call Close to stop it. New
-// panics on an invalid cluster configuration — a frontend that cannot
-// route is a construction error, not a runtime condition.
+// New builds a server. New panics on an invalid cluster configuration —
+// a frontend that cannot route is a construction error, not a runtime
+// condition.
 func New(opts Options) *Server {
 	s := &Server{
 		opts:   opts.withDefaults(),
 		flight: newFlightGroup(),
 		start:  time.Now(),
 		reg:    obs.NewRegistry(),
-		closed: make(chan struct{}),
 	}
 	s.cache = newSieveCache(s.opts.CacheSize, s.opts.CacheMaxBytes)
 	s.rawKeys = newSieveCache(s.opts.CacheSize, s.opts.CacheMaxBytes)
@@ -268,9 +263,6 @@ func New(opts Options) *Server {
 		}
 		s.cluster = cl
 		cl.registerClusterMetrics(s.reg)
-		if cl.opts.HealthInterval > 0 {
-			go s.healthLoop()
-		}
 	}
 	s.tenants.init(s.reg)
 	s.mux = http.NewServeMux()

@@ -5,7 +5,6 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
-	"fmt"
 	"net/http"
 	"strconv"
 	"sync"
@@ -20,23 +19,6 @@ type WorkerReply struct {
 	Body       []byte
 	Degraded   bool
 	RetryAfter time.Duration
-}
-
-// Transport moves one solve request from the frontend to a named
-// worker. Implementations must honor ctx — the frontend's per-attempt
-// timeout is the only thing that turns a network partition into a
-// detectable failure — and must be safe for concurrent use.
-//
-// MemTransport, the one implementation, runs the whole topology
-// in-process (tier-1 tests, -cluster single-binary mode).
-type Transport interface {
-	// Forward posts body to path on worker, with account carried as the
-	// tenant namespace. A reply is returned for any HTTP response,
-	// including 4xx/5xx; err is reserved for transport-level failure
-	// (connection refused/reset, timeout, partition).
-	Forward(ctx context.Context, worker, path, account string, body []byte) (*WorkerReply, error)
-	// Check probes worker's liveness (GET /healthz or equivalent).
-	Check(ctx context.Context, worker string) error
 }
 
 // errWorkerDown and errWorkerPartitioned are the transport-level
@@ -63,11 +45,13 @@ type memWorker struct {
 	killedCh chan struct{}
 }
 
-// MemTransport runs a worker fleet in-process: forwards are direct
-// ServeHTTP calls on the workers' serving stacks, with kill and
-// partition faults injectable per worker. It powers `mvcloudd -cluster
-// N`, the race-mode chaos e2e, and every tier-1 cluster test — the
-// whole topology inside one process, no sockets.
+// MemTransport moves solves from a cluster frontend to its workers,
+// in-process: forwards are direct ServeHTTP calls on the workers'
+// serving stacks, through a per-worker kill and partition fault state
+// the package's tests set (hooks_test.go). It powers `mvcloudd -cluster
+// N`, the race-mode chaos e2e, and every tier-1 cluster test — the whole
+// topology inside one process, no sockets. It is safe for concurrent
+// use.
 type MemTransport struct {
 	mu      sync.Mutex
 	workers map[string]*memWorker
@@ -92,35 +76,12 @@ func (t *MemTransport) worker(name string) *memWorker {
 	return t.workers[name]
 }
 
-// Kill marks worker dead: new forwards fail instantly, forwards in
-// flight observe a connection reset, and the worker-side request
-// contexts are cancelled (a dead process stops solving).
-func (t *MemTransport) Kill(worker string) {
-	w := t.worker(worker)
-	if w == nil {
-		return
-	}
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	if !w.killed {
-		w.killed = true
-		close(w.killedCh)
-	}
-}
-
-// Partition black-holes worker: forwards to it hang until their
-// context deadline instead of failing fast.
-func (t *MemTransport) Partition(worker string) {
-	w := t.worker(worker)
-	if w == nil {
-		return
-	}
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	w.partitioned = true
-}
-
-// Forward implements Transport against the in-process fleet.
+// Forward posts body to path on worker, with account carried as the
+// tenant namespace. A reply is returned for any HTTP response, including
+// 4xx/5xx; err is reserved for transport-level failure (refused, reset,
+// partition, ctx done). It honours ctx: the frontend's per-attempt
+// timeout is the only thing that turns a partition into a detectable
+// failure.
 func (t *MemTransport) Forward(ctx context.Context, worker, path, account string, body []byte) (*WorkerReply, error) {
 	w := t.worker(worker)
 	if w == nil {
@@ -168,35 +129,6 @@ func (t *MemTransport) Forward(ctx context.Context, worker, path, account string
 	case <-ctx.Done():
 		return nil, ctx.Err()
 	}
-}
-
-// Check implements Transport: a killed worker fails, a partitioned one
-// hangs out the probe deadline, a live one answers /healthz.
-func (t *MemTransport) Check(ctx context.Context, worker string) error {
-	w := t.worker(worker)
-	if w == nil {
-		return errUnknownWorker
-	}
-	w.mu.Lock()
-	killed, partitioned := w.killed, w.partitioned
-	w.mu.Unlock()
-	if killed {
-		return errWorkerDown
-	}
-	if partitioned {
-		<-ctx.Done()
-		return errWorkerPartitioned
-	}
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, "/healthz", nil)
-	if err != nil {
-		return err
-	}
-	rec := newMemRecorder()
-	w.srv.ServeHTTP(rec, req)
-	if rec.status != http.StatusOK {
-		return fmt.Errorf("healthz returned %d", rec.status)
-	}
-	return nil
 }
 
 // memRecorder captures one in-process worker response: status,

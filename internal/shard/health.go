@@ -6,34 +6,11 @@ import (
 	"time"
 )
 
-// HealthConfig tunes the failure detector. Zero values take defaults.
-type HealthConfig struct {
-	// FailThreshold is the consecutive-failure count that ejects a
-	// worker (default 3).
-	FailThreshold int
-	// EjectLatency ejects a worker whose latency EWMA exceeds it — a
-	// node that answers, but so slowly it drags the fleet (0 disables).
-	EjectLatency time.Duration
-	// EWMAAlpha is the smoothing factor for the latency EWMA in (0,1];
-	// default 0.3 (new samples weigh 30%).
-	EWMAAlpha float64
-	// Cooldown is how long an ejected worker stays out before it may be
-	// probed half-open (default 2s).
-	Cooldown time.Duration
-}
+// failThreshold is the consecutive-failure count that ejects a worker.
+const failThreshold = 3
 
-func (c HealthConfig) withDefaults() HealthConfig {
-	if c.FailThreshold <= 0 {
-		c.FailThreshold = 3
-	}
-	if c.EWMAAlpha <= 0 || c.EWMAAlpha > 1 {
-		c.EWMAAlpha = 0.3
-	}
-	if c.Cooldown <= 0 {
-		c.Cooldown = 2 * time.Second
-	}
-	return c
-}
+// ewmaAlpha weighs a new latency sample in the EWMA /v1/stats reports.
+const ewmaAlpha = 0.3
 
 // workerState is one worker's detector state.
 type workerState struct {
@@ -47,25 +24,27 @@ type workerState struct {
 	probing bool
 }
 
-// Tracker is the frontend's per-worker failure detector: consecutive
-// request failures or a latency EWMA over the ceiling eject a worker;
-// after a cooldown it turns half-open and a single probe request
-// decides between recovery and another cooldown round.
+// Tracker is the frontend's per-worker failure detector, fed only by
+// the frontend's own forwards: failThreshold consecutive failed forwards
+// eject a worker; after the cooldown it turns half-open and the next
+// forward to it is the single probe that decides between recovery and
+// another cooldown round.
 //
 // The Tracker never reads the clock — callers pass `now` — so detector
 // transitions are a pure function of the reported event sequence and
 // tests drive it with a synthetic clock.
 type Tracker struct {
-	cfg HealthConfig
+	cooldown time.Duration
 
 	mu sync.Mutex
 	ws map[string]*workerState
 }
 
-// NewTracker builds a detector for the worker set. All workers start
+// NewTracker builds a detector for the worker set whose ejected workers
+// stay out for cooldown before their half-open probe. All workers start
 // healthy.
-func NewTracker(cfg HealthConfig, workers []string) *Tracker {
-	t := &Tracker{cfg: cfg.withDefaults(), ws: make(map[string]*workerState, len(workers))}
+func NewTracker(cooldown time.Duration, workers []string) *Tracker {
+	t := &Tracker{cooldown: cooldown, ws: make(map[string]*workerState, len(workers))}
 	for _, w := range workers {
 		t.ws[w] = &workerState{}
 	}
@@ -81,12 +60,11 @@ func (t *Tracker) state(worker string) *workerState {
 	return s
 }
 
-// ReportSuccess records a successful request (or health probe) with its
-// observed latency. A success resets the failure streak and, for an
-// ejected worker, closes the breaker — unless the latency EWMA is still
-// over the ceiling, in which case the worker stays out (slow is a
-// failure mode, not a recovery).
-func (t *Tracker) ReportSuccess(worker string, latency time.Duration, now time.Time) {
+// ReportSuccess records a successful request with its observed latency.
+// A success resets the failure streak and, for an ejected worker, closes
+// the breaker. The latency feeds the EWMA Snapshot reports; it ejects
+// nothing.
+func (t *Tracker) ReportSuccess(worker string, latency time.Duration) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	s := t.state(worker)
@@ -94,30 +72,17 @@ func (t *Tracker) ReportSuccess(worker string, latency time.Duration, now time.T
 	if s.ewma == 0 {
 		s.ewma = latency
 	} else {
-		a := t.cfg.EWMAAlpha
 		// The float64 conversions round each product before the add, so no port
 		// fuses them into one multiply-add (scripts/nofma.sh).
-		s.ewma = time.Duration(float64(a*float64(latency)) + float64((1-a)*float64(s.ewma)))
-	}
-	if t.cfg.EjectLatency > 0 && s.ewma > t.cfg.EjectLatency {
-		if !s.ejected {
-			s.ejected = true
-			s.ejectedAt = now
-		} else {
-			// Still too slow: restart the cooldown so the next probe
-			// waits a full window.
-			s.ejectedAt = now
-		}
-		s.probing = false
-		return
+		s.ewma = time.Duration(float64(ewmaAlpha*float64(latency)) + float64((1-ewmaAlpha)*float64(s.ewma)))
 	}
 	s.ejected = false
 	s.probing = false
 }
 
-// ReportFailure records a failed request or probe. Reaching the
-// consecutive-failure threshold ejects the worker; a failed half-open
-// probe restarts the cooldown.
+// ReportFailure records a failed request. Reaching failThreshold
+// consecutive failures ejects the worker; a failed half-open probe
+// restarts the cooldown.
 func (t *Tracker) ReportFailure(worker string, now time.Time) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
@@ -129,7 +94,7 @@ func (t *Tracker) ReportFailure(worker string, now time.Time) {
 		s.ejectedAt = now
 		return
 	}
-	if !s.ejected && s.consecFails >= t.cfg.FailThreshold {
+	if !s.ejected && s.consecFails >= failThreshold {
 		s.ejected = true
 		s.ejectedAt = now
 	}
@@ -151,24 +116,16 @@ func (t *Tracker) Usable(worker string, now time.Time) bool {
 	if s.probing {
 		return false
 	}
-	if now.Sub(s.ejectedAt) >= t.cfg.Cooldown {
+	if now.Sub(s.ejectedAt) >= t.cooldown {
 		s.probing = true
 		return true
 	}
 	return false
 }
 
-// Ejected reports whether worker is currently ejected (half-open
-// counts as ejected until a probe succeeds).
-func (t *Tracker) Ejected(worker string) bool {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.state(worker).ejected
-}
-
-// Cooldown is the configured ejection cooldown — frontends surface it
-// as Retry-After when every candidate for a key is down.
-func (t *Tracker) Cooldown() time.Duration { return t.cfg.Cooldown }
+// Cooldown is the ejection cooldown — frontends surface it as
+// Retry-After when every candidate for a key is down.
+func (t *Tracker) Cooldown() time.Duration { return t.cooldown }
 
 // WorkerHealth is one worker's externally visible detector state.
 type WorkerHealth struct {

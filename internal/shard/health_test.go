@@ -13,9 +13,17 @@ func newClock() *clock { return &clock{t: time.Unix(1_700_000_000, 0)} }
 func (c *clock) now() time.Time                    { return c.t }
 func (c *clock) advance(d time.Duration) time.Time { c.t = c.t.Add(d); return c.t }
 
+// Ejected reports whether worker is currently ejected (half-open
+// counts as ejected until a probe succeeds).
+func (t *Tracker) Ejected(worker string) bool {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	return t.state(worker).ejected
+}
+
 func TestTrackerEjectsOnConsecutiveFailures(t *testing.T) {
 	c := newClock()
-	tr := NewTracker(HealthConfig{FailThreshold: 3, Cooldown: 2 * time.Second}, []string{"w0"})
+	tr := NewTracker(2*time.Second, []string{"w0"})
 
 	tr.ReportFailure("w0", c.now())
 	tr.ReportFailure("w0", c.now())
@@ -33,10 +41,10 @@ func TestTrackerEjectsOnConsecutiveFailures(t *testing.T) {
 
 func TestTrackerSuccessResetsStreak(t *testing.T) {
 	c := newClock()
-	tr := NewTracker(HealthConfig{FailThreshold: 3}, []string{"w0"})
+	tr := NewTracker(2*time.Second, []string{"w0"})
 	tr.ReportFailure("w0", c.now())
 	tr.ReportFailure("w0", c.now())
-	tr.ReportSuccess("w0", time.Millisecond, c.now())
+	tr.ReportSuccess("w0", time.Millisecond)
 	tr.ReportFailure("w0", c.now())
 	tr.ReportFailure("w0", c.now())
 	if !tr.Usable("w0", c.now()) {
@@ -46,8 +54,10 @@ func TestTrackerSuccessResetsStreak(t *testing.T) {
 
 func TestTrackerHalfOpenSingleProbe(t *testing.T) {
 	c := newClock()
-	tr := NewTracker(HealthConfig{FailThreshold: 1, Cooldown: 2 * time.Second}, []string{"w0"})
-	tr.ReportFailure("w0", c.now())
+	tr := NewTracker(2*time.Second, []string{"w0"})
+	for i := 0; i < 3; i++ {
+		tr.ReportFailure("w0", c.now())
+	}
 	if tr.Usable("w0", c.now()) {
 		t.Fatal("usable while cooling down")
 	}
@@ -75,7 +85,7 @@ func TestTrackerHalfOpenSingleProbe(t *testing.T) {
 		t.Fatal("no new probe slot after second cooldown")
 	}
 	// A successful probe closes the breaker for everyone.
-	tr.ReportSuccess("w0", time.Millisecond, c.now())
+	tr.ReportSuccess("w0", time.Millisecond)
 	if !tr.Usable("w0", c.now()) || !tr.Usable("w0", c.now()) {
 		t.Fatal("not fully usable after successful probe")
 	}
@@ -84,46 +94,9 @@ func TestTrackerHalfOpenSingleProbe(t *testing.T) {
 	}
 }
 
-func TestTrackerLatencyEWMAEjection(t *testing.T) {
-	c := newClock()
-	tr := NewTracker(HealthConfig{
-		FailThreshold: 100, // only latency can eject here
-		EjectLatency:  100 * time.Millisecond,
-		EWMAAlpha:     0.5,
-		Cooldown:      time.Second,
-	}, []string{"w0"})
-
-	tr.ReportSuccess("w0", 10*time.Millisecond, c.now())
-	if !tr.Usable("w0", c.now()) {
-		t.Fatal("fast worker ejected")
-	}
-	// Repeated slow responses pull the EWMA over the ceiling.
-	for i := 0; i < 10; i++ {
-		tr.ReportSuccess("w0", 500*time.Millisecond, c.now())
-	}
-	if tr.Usable("w0", c.now()) {
-		t.Fatal("slow worker not ejected despite EWMA over ceiling")
-	}
-
-	// The half-open probe succeeding fast drags the EWMA back down and
-	// eventually recovers the worker.
-	for i := 0; i < 20; i++ {
-		c.advance(time.Second)
-		if tr.Usable("w0", c.now()) {
-			tr.ReportSuccess("w0", time.Millisecond, c.now())
-		}
-		if !tr.Ejected("w0") {
-			break
-		}
-	}
-	if tr.Ejected("w0") {
-		t.Fatal("slow worker never recovered after fast probes")
-	}
-}
-
 func TestTrackerUnknownWorkerStartsHealthy(t *testing.T) {
 	c := newClock()
-	tr := NewTracker(HealthConfig{}, nil)
+	tr := NewTracker(2*time.Second, nil)
 	if !tr.Usable("late-joiner", c.now()) {
 		t.Fatal("unknown worker not usable")
 	}
@@ -131,8 +104,10 @@ func TestTrackerUnknownWorkerStartsHealthy(t *testing.T) {
 
 func TestTrackerSnapshotSorted(t *testing.T) {
 	c := newClock()
-	tr := NewTracker(HealthConfig{FailThreshold: 1}, []string{"w2", "w0", "w1"})
-	tr.ReportFailure("w1", c.now())
+	tr := NewTracker(2*time.Second, []string{"w2", "w0", "w1"})
+	for i := 0; i < 3; i++ {
+		tr.ReportFailure("w1", c.now())
+	}
 	snap := tr.Snapshot()
 	if len(snap) != 3 {
 		t.Fatalf("snapshot has %d workers, want 3", len(snap))
@@ -144,5 +119,23 @@ func TestTrackerSnapshotSorted(t *testing.T) {
 	}
 	if !snap[1].Ejected || snap[0].Ejected || snap[2].Ejected {
 		t.Fatalf("snapshot ejection flags wrong: %+v", snap)
+	}
+}
+
+// TestTrackerLatencyIsTelemetry: the latency EWMA (α = 0.3) is what
+// Snapshot reports, and no latency, however slow, ejects a worker.
+func TestTrackerLatencyIsTelemetry(t *testing.T) {
+	c := newClock()
+	tr := NewTracker(2*time.Second, []string{"w0"})
+	tr.ReportSuccess("w0", 10*time.Millisecond)
+	tr.ReportSuccess("w0", 110*time.Millisecond)
+	if got, want := tr.Snapshot()[0].EWMA, 40*time.Millisecond; got != want {
+		t.Errorf("EWMA = %v, want %v", got, want)
+	}
+	for i := 0; i < 10; i++ {
+		tr.ReportSuccess("w0", time.Hour)
+	}
+	if !tr.Usable("w0", c.now()) || tr.Ejected("w0") {
+		t.Fatal("a slow but answering worker was ejected")
 	}
 }
