@@ -163,7 +163,6 @@ func run(ctx context.Context, o options) error {
 			Worker:   base,
 			Cluster:  server.ClusterOptions{Seed: o.clusterSeed},
 		})
-		defer lc.Close()
 		o.logf("mvcloudd cluster mode: frontend + %d in-process workers (ring seed %d)",
 			o.clusterWorkers, o.clusterSeed)
 		api = lc

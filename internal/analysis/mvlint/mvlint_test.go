@@ -311,7 +311,6 @@ var optionAllow = map[string]string{
 		"under -race the 503 backstop never beats the degraded answer",
 	module + "/internal/server.ClusterOptions.AttemptTimeout": "the partition contracts " +
 		"need it at sub-second values",
-	module + "/internal/server.ClusterOptions.Cooldown": "the detector contract needs it at a sub-second value",
 }
 
 // TestEveryOptionIsSet holds the settings structs to what the product
@@ -323,7 +322,7 @@ func TestEveryOptionIsSet(t *testing.T) {
 	for _, msg := range unsetOptions(loadProduct(t), optionStructs, optionAllow) {
 		t.Error(msg)
 	}
-	if len(optionAllow) > 5 {
+	if len(optionAllow) > 4 {
 		t.Errorf("optionAllow has %d entries; make a setting a constant rather than excuse it", len(optionAllow))
 	}
 }

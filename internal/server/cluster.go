@@ -35,21 +35,19 @@ type ClusterOptions struct {
 	// request timeout, so a partition burning the first attempt still
 	// leaves the successor a full try inside the request's deadline).
 	AttemptTimeout time.Duration
-	// Cooldown is how long an ejected worker stays out before the next
-	// forward to it probes it half-open (default 2s).
-	Cooldown time.Duration
 }
 
 // maxAttempts bounds the failover budget per request: the owner plus
 // one ring successor.
 const maxAttempts = 2
 
+// ejectCooldown is how long an ejected worker stays out before the next
+// forward to it probes it half-open.
+const ejectCooldown = 2 * time.Second
+
 func (o ClusterOptions) withDefaults(requestTimeout time.Duration) ClusterOptions {
 	if o.AttemptTimeout <= 0 {
 		o.AttemptTimeout = requestTimeout / 2
-	}
-	if o.Cooldown <= 0 {
-		o.Cooldown = 2 * time.Second
 	}
 	return o
 }
@@ -84,7 +82,7 @@ func newClusterState(opts ClusterOptions, requestTimeout time.Duration) (*cluste
 	return &clusterState{
 		opts:      o,
 		ring:      ring,
-		health:    shard.NewTracker(o.Cooldown, ring.Workers()),
+		health:    shard.NewTracker(ejectCooldown, ring.Workers()),
 		transport: o.Transport,
 	}, nil
 }
@@ -150,7 +148,8 @@ func (s *Server) runForward(ctx context.Context, e *endpoint, account, key, cach
 // forward walks the key's ring preference order: the owner first, then
 // successors, skipping workers the failure detector has ejected, up to
 // the maxAttempts failover budget. When every candidate is down or
-// failed, the request degrades: the frontend's stale tier if it holds
+// failed, or the request deadline passes with waiters still there, the
+// request degrades: the frontend's stale tier if it holds
 // the key, otherwise a shed with Retry-After set to the detector
 // cooldown — never a hang, never a raw 5xx.
 func (s *Server) forward(ctx context.Context, e *endpoint, account, body, cacheKey string) outcome {
@@ -169,23 +168,29 @@ func (s *Server) forward(ctx context.Context, e *endpoint, account, body, cacheK
 		if !failover {
 			return out
 		}
+		if ctx.Err() != nil {
+			// The request deadline passed: a successor would get the same
+			// dead context, so degrade now.
+			break
+		}
 		cl.failovers.Add(1)
 	}
 
-	// Every candidate down, ejected, or failed: degrade rather than
-	// error. The stale tier is consulted for every endpoint here —
-	// unlike admission sheds, where only advise qualifies — because an
-	// outdated answer beats no answer when the fleet is gone.
+	// Every candidate down, ejected, or failed, or the deadline gone:
+	// degrade rather than error. The stale tier is consulted for every
+	// endpoint here — unlike admission sheds, where only advise qualifies
+	// — because an outdated answer beats no answer when the fleet is gone.
 	cl.allDown.Add(1)
 	return s.shedOrStale(true, cacheKey, outcome{retryAfter: cl.health.Cooldown(), shedMsg: "no healthy worker for this request, retry later"})
 }
 
 // forwardOnce sends one attempt to one worker under the per-attempt
-// timeout and classifies the result. failover=true means the worker is
-// unhealthy (transport failure, per-attempt timeout or 5xx) and the
-// caller should try the next candidate; otherwise the outcome is final
-// (success, shed passthrough, client error, or the solve's own context
-// ending).
+// timeout and classifies the result. failover=true means the attempt
+// produced no answer: the worker is unhealthy (transport failure,
+// per-attempt timeout or 5xx) and the caller should try the next
+// candidate, or the request deadline passed and the caller should
+// degrade. Otherwise the outcome is final (success, shed passthrough,
+// client error, or the solve abandoned by its last waiter).
 func (s *Server) forwardOnce(ctx context.Context, worker string, e *endpoint, account string, body []byte, cacheKey string) (outcome, bool) {
 	cl := s.cluster
 	cl.forwards.Add(1)
@@ -198,8 +203,15 @@ func (s *Server) forwardOnce(ctx context.Context, worker string, e *endpoint, ac
 		if ctx.Err() != nil {
 			// The solve itself is over — its last waiter left, or the
 			// request deadline passed — so the failure says nothing about
-			// the worker, and a successor would get the same dead context.
-			return outcome{err: ctx.Err()}, false
+			// the worker. The detector only frees the half-open probe slot
+			// this forward may hold. An abandoned solve has nobody to
+			// answer; a deadline still has waiters, who get forward's
+			// shed-or-stale.
+			cl.health.ReportAbandoned(worker)
+			if abandoned(ctx) {
+				return outcome{err: ctx.Err()}, false
+			}
+			return outcome{}, true
 		}
 		// Transport failure or worker-side 5xx: count against the
 		// detector and fail over. (A contained worker panic rides this

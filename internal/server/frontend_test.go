@@ -8,6 +8,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"vmcloud/internal/shard"
 )
 
 // testCluster builds a LocalCluster and registers cleanup.
@@ -225,10 +227,12 @@ func ownedBodies(t *testing.T, opts LocalClusterOptions, n int) (string, []strin
 // the first forward after the cooldown is the half-open probe that
 // closes the breaker. The healthy successor is never ejected.
 func TestClusterHealthEjectionAndRecovery(t *testing.T) {
-	opts := LocalClusterOptions{Workers: 2, Cluster: ClusterOptions{Seed: 3, Cooldown: 500 * time.Millisecond}}
+	const cooldown = 500 * time.Millisecond
+	opts := LocalClusterOptions{Workers: 2, Cluster: ClusterOptions{Seed: 3}}
 	owner, bodies := ownedBodies(t, opts, 5)
 	lc := testCluster(t, opts)
 	cl := lc.Frontend.cluster
+	cl.health = shard.NewTracker(cooldown, lc.ids)
 	// Warm the successor's own cache, so that every failover answers at
 	// once and the cooldown times the detector, not a cold solve.
 	successor := lc.ids[0]
@@ -276,8 +280,8 @@ func TestClusterHealthEjectionAndRecovery(t *testing.T) {
 	if got := post(bodies[3]); got == owner {
 		t.Fatal("served by the ejected owner inside its cooldown")
 	}
-	if d := time.Since(ejectedAt); d >= opts.Cluster.Cooldown {
-		t.Fatalf("the in-cooldown request ended %v after the ejection, past the %v cooldown", d, opts.Cluster.Cooldown)
+	if d := time.Since(ejectedAt); d >= cooldown {
+		t.Fatalf("the in-cooldown request ended %v after the ejection, past the %v cooldown", d, cooldown)
 	}
 	if got := cl.forwards.Load() - before; got != 1 {
 		t.Errorf("%d forwards for one request inside the cooldown, want 1 (none to the corpse)", got)
@@ -287,7 +291,7 @@ func TestClusterHealthEjectionAndRecovery(t *testing.T) {
 	}
 
 	lc.Transport.Revive(owner)
-	time.Sleep(time.Until(ejectedAt.Add(opts.Cluster.Cooldown)))
+	time.Sleep(time.Until(ejectedAt.Add(cooldown)))
 	if got := post(bodies[4]); got != owner {
 		t.Errorf("first forward after the cooldown served by %q, want the revived owner %q", got, owner)
 	}
@@ -297,13 +301,15 @@ func TestClusterHealthEjectionAndRecovery(t *testing.T) {
 	drainCluster(t, lc, 5*time.Second)
 }
 
-func ejected(lc *LocalCluster, id string) bool {
+func ejected(lc *LocalCluster, id string) bool { return workerHealth(lc, id).Ejected }
+
+func workerHealth(lc *LocalCluster, id string) shard.WorkerHealth {
 	for _, w := range lc.Frontend.cluster.health.Snapshot() {
 		if w.Worker == id {
-			return w.Ejected
+			return w
 		}
 	}
-	return false
+	return shard.WorkerHealth{}
 }
 
 // TestClusterPartitionFailsOver pins the nastier fault: a partitioned
@@ -492,6 +498,97 @@ func TestAbandonedForwardIsNotAWorkerFailure(t *testing.T) {
 	}
 	if f, d := cl.failovers.Load(), cl.allDown.Load(); f != 0 || d != 0 {
 		t.Errorf("failovers = %d, all_down = %d, want 0 and 0", f, d)
+	}
+	drainCluster(t, lc, 5*time.Second)
+}
+
+// TestAbandonedProbeFreesTheSlot: the forward holding an ejected
+// worker's single half-open probe slot can be abandoned by its client
+// too. That settles nothing about the worker — it stays ejected with its
+// streak untouched — but the slot is freed, so the next forward probes
+// in its place and closes the breaker instead of the worker staying out
+// of the ring for good.
+func TestAbandonedProbeFreesTheSlot(t *testing.T) {
+	opts := LocalClusterOptions{Workers: 2, Cluster: ClusterOptions{Seed: 3}}
+	owner, bodies := ownedBodies(t, opts, 2)
+	lc := testCluster(t, opts)
+	cl := lc.Frontend.cluster
+	cl.health = shard.NewTracker(time.Millisecond, lc.ids)
+	for i := 0; i < 3; i++ {
+		cl.health.ReportFailure(owner, time.Now())
+	}
+	time.Sleep(time.Millisecond)
+
+	// The partitioned owner swallows the probe, so it is still in flight
+	// when its client leaves.
+	lc.Transport.Partition(owner)
+	ctx, cancel := context.WithCancel(context.Background())
+	done := make(chan int, 1)
+	go func() {
+		w := httptest.NewRecorder()
+		lc.Frontend.ServeHTTP(w, httptest.NewRequest("POST", "/v1/advise", strings.NewReader(bodies[0])).WithContext(ctx))
+		done <- w.Code
+	}()
+	waitFor(t, 5*time.Second, "the half-open probe to reach "+owner, func() bool { return workerHealth(lc, owner).Probing })
+	cancel()
+	if code := <-done; code != 503 {
+		t.Errorf("status %d after the probe's client left, want 503", code)
+	}
+	waitFor(t, 5*time.Second, "the abandoned probe to end", func() bool { return lc.Frontend.InflightSolves() == 0 })
+	if h := workerHealth(lc, owner); !h.Ejected || h.Probing || h.ConsecFails != 3 {
+		t.Errorf("after the abandoned probe: ejected %v, probing %v, %d consecutive failures; want true, false, 3",
+			h.Ejected, h.Probing, h.ConsecFails)
+	}
+
+	lc.Transport.Revive(owner)
+	w := do(t, lc.Frontend, "POST", "/v1/advise", bodies[1])
+	if w.Code != 200 {
+		t.Fatalf("status %d: %s", w.Code, w.Body.String())
+	}
+	if got := w.Header().Get("X-Worker"); got != owner {
+		t.Errorf("the next forward was served by %q, want the probed owner %q", got, owner)
+	}
+	if ejected(lc, owner) {
+		t.Error("owner still ejected after the next probe succeeded")
+	}
+	if got := cl.failovers.Load(); got != 0 {
+		t.Errorf("failovers = %d, want 0", got)
+	}
+	drainCluster(t, lc, 5*time.Second)
+}
+
+// TestClusterForwardPastDeadlineDegrades: a forward still in flight when the
+// request deadline passes has waiters left, so the request degrades as
+// when the whole ring is down — a 429 with Retry-After here, where no
+// stale copy exists — never a raw 503. The deadline is the request's,
+// not the worker's: nothing is held against the owner, and no successor
+// is tried with the dead context.
+func TestClusterForwardPastDeadlineDegrades(t *testing.T) {
+	opts := LocalClusterOptions{
+		Workers:  2,
+		Frontend: Options{RequestTimeout: 200 * time.Millisecond},
+		// The attempt timeout outlasts the request, so the request
+		// deadline is what ends the forward.
+		Cluster: ClusterOptions{Seed: 5, AttemptTimeout: 10 * time.Second},
+	}
+	owner, bodies := ownedBodies(t, opts, 1)
+	lc := testCluster(t, opts)
+	lc.Transport.Partition(owner)
+	w := do(t, lc.Frontend, "POST", "/v1/advise", bodies[0])
+	if w.Code != 429 {
+		t.Fatalf("status %d past the deadline, want 429: %s", w.Code, w.Body.String())
+	}
+	if secs, err := strconv.Atoi(w.Header().Get("Retry-After")); err != nil || secs < 1 {
+		t.Errorf("Retry-After = %q, want a positive integer", w.Header().Get("Retry-After"))
+	}
+	cl := lc.Frontend.cluster
+	for _, h := range cl.health.Snapshot() {
+		if h.Ejected || h.ConsecFails != 0 {
+			t.Errorf("%s: ejected %v with %d consecutive failures, from a request deadline alone", h.Worker, h.Ejected, h.ConsecFails)
+		}
+	}
+	if f, a, d := cl.forwards.Load(), cl.failovers.Load(), cl.allDown.Load(); f != 1 || a != 0 || d != 1 {
+		t.Errorf("forwards = %d, failovers = %d, all_down = %d; want 1, 0, 1", f, a, d)
 	}
 	drainCluster(t, lc, 5*time.Second)
 }

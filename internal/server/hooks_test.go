@@ -54,7 +54,7 @@ func (t *MemTransport) Partition(worker string) {
 	w.partitioned = true
 }
 
-// Revive brings a killed worker back.
+// Revive brings a killed or partitioned worker back.
 func (t *MemTransport) Revive(worker string) {
 	w := t.worker(worker)
 	if w == nil {
@@ -62,6 +62,7 @@ func (t *MemTransport) Revive(worker string) {
 	}
 	w.mu.Lock()
 	defer w.mu.Unlock()
+	w.partitioned = false
 	if w.killed {
 		w.killed = false
 		w.killedCh = make(chan struct{})

@@ -18,10 +18,9 @@ type LocalClusterOptions struct {
 	// Cluster set; solve latency/panic chaos belongs here, and worker
 	// kills and partitions go through LocalCluster.Transport.
 	Worker Options
-	// Cluster refines the routing plane (seed, attempt timeout and
-	// ejection cooldown — what TestClusterPartitionFailsOver and
-	// TestClusterHealthEjectionAndRecovery drive). Workers and Transport
-	// are overwritten by NewLocalCluster.
+	// Cluster refines the routing plane (seed and attempt timeout — what
+	// TestClusterPartitionFailsOver drives). Workers and Transport are
+	// overwritten by NewLocalCluster.
 	Cluster ClusterOptions
 }
 

@@ -100,12 +100,23 @@ func (t *Tracker) ReportFailure(worker string, now time.Time) {
 	}
 }
 
+// ReportAbandoned records a request that ended for its own reasons — its
+// client left, or its deadline passed — before the worker answered. That
+// says nothing about the worker, so the failure streak stays as it is;
+// but a half-open probe slot the request held is freed, and the next
+// forward probes in its place.
+func (t *Tracker) ReportAbandoned(worker string) {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	t.state(worker).probing = false
+}
+
 // Usable reports whether the frontend may route a request to worker
 // right now. A healthy worker is always usable. An ejected worker is
 // unusable until its cooldown elapses; then the first Usable call takes
 // the single half-open probe slot (returning true), and subsequent
-// calls return false until ReportSuccess or ReportFailure settles the
-// probe.
+// calls return false until ReportSuccess, ReportFailure or
+// ReportAbandoned settles the probe.
 func (t *Tracker) Usable(worker string, now time.Time) bool {
 	t.mu.Lock()
 	defer t.mu.Unlock()

@@ -94,6 +94,42 @@ func TestTrackerHalfOpenSingleProbe(t *testing.T) {
 	}
 }
 
+// TestTrackerAbandonedProbeFreesSlot: a half-open probe whose request
+// ends on its own leaves the verdict open — the worker stays ejected
+// with its streak untouched — and the next caller gets the slot.
+func TestTrackerAbandonedProbeFreesSlot(t *testing.T) {
+	c := newClock()
+	tr := NewTracker(2*time.Second, []string{"w0"})
+	for i := 0; i < 3; i++ {
+		tr.ReportFailure("w0", c.now())
+	}
+	c.advance(2 * time.Second)
+	if !tr.Usable("w0", c.now()) {
+		t.Fatal("no half-open probe slot after cooldown")
+	}
+	tr.ReportAbandoned("w0")
+	if !tr.Ejected("w0") {
+		t.Fatal("an abandoned probe closed the breaker")
+	}
+	if got := tr.Snapshot()[0].ConsecFails; got != 3 {
+		t.Fatalf("consec_fails = %d after an abandoned probe, want still 3", got)
+	}
+	if !tr.Usable("w0", c.now()) {
+		t.Fatal("the abandoned probe kept its slot")
+	}
+	tr.ReportSuccess("w0", time.Millisecond)
+	if tr.Ejected("w0") {
+		t.Fatal("still ejected after the next probe succeeded")
+	}
+
+	// On a healthy worker an abandoned request changes nothing.
+	tr.ReportFailure("w0", c.now())
+	tr.ReportAbandoned("w0")
+	if got := tr.Snapshot()[0].ConsecFails; got != 1 {
+		t.Fatalf("consec_fails = %d, want the streak of 1 untouched", got)
+	}
+}
+
 func TestTrackerUnknownWorkerStartsHealthy(t *testing.T) {
 	c := newClock()
 	tr := NewTracker(2*time.Second, nil)
