@@ -268,9 +268,9 @@ func BenchmarkAblationScaleOutVsViews(b *testing.B) {
 	var without, with int
 	for i := 0; i < b.N; i++ {
 		cmp, err := Compare(CompareRequest{
+			Config:     AdvisorConfig{Workload: w},
 			Providers:  []Provider{AWS2012()},
 			FleetSizes: []int{2, 5, 10, 20, 40},
-			Workload:   w,
 			Scenarios:  []string{"mv3"},
 		})
 		if err != nil {

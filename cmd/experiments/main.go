@@ -50,7 +50,7 @@ func main() {
 // paper's evaluation: the setting the internal/search engine exists for).
 func runLarge(seed int64) error {
 	fmt.Println("== Large lattice: linearized knapsack vs metaheuristic search ==")
-	res, err := experiments.RunLargeLattice(experiments.LargeLatticeConfig{Seed: seed})
+	res, err := experiments.RunLargeLattice(seed)
 	if err != nil {
 		return err
 	}

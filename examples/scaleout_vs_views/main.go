@@ -41,9 +41,9 @@ func main() {
 	}
 
 	cmp, err := vmcloud.Compare(vmcloud.CompareRequest{
+		Config:     vmcloud.AdvisorConfig{Workload: w},
 		Providers:  []vmcloud.Provider{vmcloud.AWS2012()},
 		FleetSizes: []int{2, 5, 10, 20, 40},
-		Workload:   w,
 		Scenarios:  []string{"mv3"},
 	})
 	if err != nil {

@@ -161,10 +161,10 @@ func TestScaleOutFacade(t *testing.T) {
 		w.Queries[i].Frequency = 30
 	}
 	cmp, err := Compare(CompareRequest{
+		Config:        AdvisorConfig{Workload: w},
 		Providers:     []Provider{AWS2012()},
 		InstanceTypes: []string{"small", "large"},
 		FleetSizes:    []int{2, 5},
-		Workload:      w,
 		Scenarios:     []string{"mv3"},
 	})
 	if err != nil {

@@ -295,6 +295,9 @@ func unreached(pkgs []*analysis.Package, checked func(path string) bool, allow m
 // optionStructs are the settings structs every exported field of which
 // some product code must set.
 var optionStructs = []string{
+	module + "/internal/core.Config",
+	module + "/internal/compare.Request",
+	module + "/internal/compare.SweepRequest",
 	module + "/internal/server.Options",
 	module + "/internal/server.ClusterOptions",
 	module + "/internal/server.LocalClusterOptions",

@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"vmcloud/internal/core"
 	"vmcloud/internal/money"
 )
 
@@ -16,8 +17,7 @@ import (
 
 func benchRequest(b testing.TB) Request {
 	return Request{
-		Workload:       testWorkload(b, 10),
-		FactRows:       50_000_000,
+		Config:         core.Config{Workload: testWorkload(b, 10), FactRows: 50_000_000},
 		Scenarios:      []string{"mv1", "mv2", "mv3"},
 		Budget:         money.FromDollars(25),
 		Limit:          4 * time.Hour,

@@ -6,6 +6,8 @@ import (
 	"errors"
 	"testing"
 	"time"
+
+	"vmcloud/internal/core"
 )
 
 // TestRunCancelledReturnsPromptly pins the deadline-propagation
@@ -38,11 +40,9 @@ func TestSweepCancelledReturnsPromptly(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	req := SweepRequest{
-		Workload:   testWorkload(t, 5),
-		FactRows:   testRows,
+		Config:     core.Config{Workload: testWorkload(t, 5), FactRows: testRows, Ctx: ctx},
 		Scenario:   "mv3",
 		FleetSizes: []int{3, 5},
-		Ctx:        ctx,
 	}
 
 	start := time.Now()

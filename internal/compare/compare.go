@@ -13,7 +13,6 @@
 package compare
 
 import (
-	"context"
 	"fmt"
 	"runtime"
 	"sort"
@@ -25,12 +24,9 @@ import (
 	"vmcloud/internal/core"
 	"vmcloud/internal/jsonenc"
 	"vmcloud/internal/money"
-	"vmcloud/internal/obs"
 	"vmcloud/internal/pricing"
 	"vmcloud/internal/report"
 	"vmcloud/internal/units"
-	"vmcloud/internal/views"
-	"vmcloud/internal/workload"
 )
 
 // Scenario names accepted by Request.Scenarios, in canonical order.
@@ -80,9 +76,23 @@ func canonScenarios(explicit []string, haveBudget, haveLimit bool) ([]string, er
 	return out, nil
 }
 
-// Request describes a cross-provider comparison. Zero values follow the
-// repo convention of selecting the paper's experimental defaults.
+// Request describes a cross-provider comparison: one advisory problem
+// (the embedded core.Config) priced on every cell of a provider ×
+// instance type × fleet size grid. It mirrors its wire form,
+// RequestJSON. Zero values follow the repo convention of selecting the
+// paper's experimental defaults.
 type Request struct {
+	// Config is the advisory problem every cell prices; Workload is
+	// required. Its tariff fields (Provider, InstanceType, Instances)
+	// must be left zero, as the grid lists below replace them, and so
+	// must Schema: a grid prices the sales schema only. Trace and Ctx
+	// span the whole fan-out: Trace accumulates every cell's phases (its
+	// slots are atomic), and cells not yet started when Ctx expires are
+	// abandoned (Run returns the context error) while search cells in
+	// flight stop at their best incumbent, marking the comparison
+	// Degraded.
+	core.Config
+
 	// Providers are the tariffs to compare; empty means the full built-in
 	// catalog (pricing.Catalog).
 	Providers []pricing.Provider
@@ -93,23 +103,6 @@ type Request struct {
 	// FleetSizes are the cluster sizes (nbIC) to try; empty means {5}.
 	FleetSizes []int
 
-	// Workload is required: the queries every configuration is priced for.
-	Workload workload.Workload
-	// FactRows, Months, CandidateBudget, MaintenanceRuns, UpdateRatio,
-	// MaintenancePolicy and JobOverhead parameterize each advisory problem
-	// exactly as core.Config does (zero values = paper defaults).
-	FactRows          int64
-	Months            float64
-	CandidateBudget   int
-	MaintenanceRuns   int
-	UpdateRatio       float64
-	MaintenancePolicy views.MaintenancePolicy
-	JobOverhead       time.Duration
-	// Solver and Seed select the optimization engine per configuration,
-	// exactly as core.Config does ("knapsack" default, "search", "auto").
-	Solver string
-	Seed   int64
-
 	// Scenarios selects which objectives to solve per configuration, from
 	// "mv1", "mv2", "mv3" and "pareto". Empty derives the set from the
 	// parameters given: mv1 when Budget > 0, mv2 when Limit > 0, and mv3
@@ -119,8 +112,8 @@ type Request struct {
 	Budget money.Money
 	// Limit is the MV2 response-time limit; required when mv2 is requested.
 	Limit time.Duration
-	// Alpha is the MV3 weight on time; zero selects 0.5.
-	Alpha float64
+	// Alpha is the MV3 weight on time in [0,1]; nil selects 0.5.
+	Alpha *float64
 	// Steps is the per-configuration pareto sweep resolution; zero
 	// selects 11.
 	Steps int
@@ -133,18 +126,6 @@ type Request struct {
 	// Workers bounds the fan-out worker pool; zero selects GOMAXPROCS.
 	// One worker reproduces the sequential baseline.
 	Workers int
-
-	// Trace, when non-nil, accumulates per-phase durations across the
-	// whole fan-out (its phase slots are atomic, so concurrent cells
-	// record safely). Nil records nothing.
-	Trace *obs.Trace
-
-	// Ctx, when non-nil, bounds the whole fan-out: cells not yet started
-	// when it expires are abandoned (Run returns the context error), and
-	// search-solver cells already in flight stop at their best incumbent,
-	// marking the comparison Degraded (see core.Config.Ctx). Nil means no
-	// deadline.
-	Ctx context.Context
 }
 
 // Key identifies one fanned-out configuration.
@@ -276,11 +257,22 @@ type Comparison struct {
 type normalized struct {
 	Request
 	scenarios    map[string]bool
+	alpha        float64
 	sweepBudgets []money.Money
 }
 
 func (r Request) normalize() (normalized, error) {
-	n := normalized{Request: r, scenarios: map[string]bool{}}
+	switch {
+	case r.Provider != nil:
+		return normalized{}, fmt.Errorf("compare: use Providers (a list) instead of Config.Provider")
+	case r.InstanceType != "":
+		return normalized{}, fmt.Errorf("compare: use InstanceTypes (a list) instead of Config.InstanceType")
+	case r.Instances != 0:
+		return normalized{}, fmt.Errorf("compare: use FleetSizes (a list) instead of Config.Instances")
+	case r.Schema != nil:
+		return normalized{}, fmt.Errorf("compare: Config.Schema must be nil (a grid prices the sales schema only)")
+	}
+	n := normalized{Request: r, scenarios: map[string]bool{}, alpha: defaultAlpha}
 	if len(n.Providers) == 0 {
 		cat := pricing.Catalog()
 		for _, name := range pricing.ProviderNames() {
@@ -331,11 +323,11 @@ func (r Request) normalize() (normalized, error) {
 	if n.scenarios["mv2"] && n.Limit <= 0 {
 		return normalized{}, fmt.Errorf("compare: scenario mv2 requires a positive limit")
 	}
-	if n.Alpha == 0 {
-		n.Alpha = defaultAlpha
+	if n.Alpha != nil {
+		n.alpha = *n.Alpha
 	}
-	if n.Alpha < 0 || n.Alpha > 1 {
-		return normalized{}, fmt.Errorf("compare: alpha %g out of [0,1]", n.Alpha)
+	if n.alpha < 0 || n.alpha > 1 {
+		return normalized{}, fmt.Errorf("compare: alpha %g out of [0,1]", n.alpha)
 	}
 	if n.Steps == 0 {
 		n.Steps = defaultParetoSteps
@@ -370,27 +362,6 @@ func (r Request) normalize() (normalized, error) {
 		n.Workers = 1
 	}
 	return n, nil
-}
-
-// shared builds the pricing-invariant structure of a normalized request
-// — the one place the grid engines (Run, RunSweep) translate the shared
-// problem fields into a core.Config, so a future field cannot be
-// threaded into one engine and silently defaulted in the other.
-func (n normalized) shared() (*core.Shared, error) {
-	return core.NewShared(core.Config{
-		FactRows:          n.FactRows,
-		Months:            n.Months,
-		Workload:          n.Workload,
-		CandidateBudget:   n.CandidateBudget,
-		MaintenanceRuns:   n.MaintenanceRuns,
-		UpdateRatio:       n.UpdateRatio,
-		MaintenancePolicy: n.MaintenancePolicy,
-		JobOverhead:       n.JobOverhead,
-		Solver:            n.Solver,
-		Seed:              n.Seed,
-		Trace:             n.Trace,
-		Ctx:               n.Ctx,
-	})
 }
 
 // fanOut runs solve(i) for i in [0, jobs) on at most workers
@@ -475,7 +446,7 @@ func Run(req Request) (*Comparison, error) {
 			comp.Pareto = mergeFrontiers(results)
 			continue
 		}
-		comp.Winners = append(comp.Winners, pickWinner(s, n.Alpha, results))
+		comp.Winners = append(comp.Winners, pickWinner(s, n.alpha, results))
 	}
 	if len(n.sweepBudgets) > 0 {
 		comp.BreakEven = buildBreakEven(n.sweepBudgets, results)
@@ -491,7 +462,7 @@ func (n normalized) solveGrid() ([]ConfigResult, []Key, error) {
 	if len(keys) == 0 {
 		return nil, nil, fmt.Errorf("compare: no runnable configurations (every provider × instance pairing was skipped)")
 	}
-	shared, err := n.shared()
+	shared, err := core.NewShared(n.Config)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -537,7 +508,7 @@ func (n normalized) solveCell(shared *core.Shared, k Key, prov pricing.Provider)
 		case "mv2":
 			rec, err = adv.AdviseDeadline(n.Limit)
 		case "mv3":
-			rec, err = adv.AdviseTradeoff(n.Alpha)
+			rec, err = adv.AdviseTradeoff(n.alpha)
 		case "pareto":
 			out.Pareto, err = adv.ParetoFront(n.Steps)
 			if err != nil {

@@ -2,6 +2,7 @@ package compare
 
 import (
 	"encoding/json"
+	"strings"
 	"testing"
 	"time"
 
@@ -33,8 +34,7 @@ func testWorkload(t testing.TB, n int) workload.Workload {
 
 func testRequest(t testing.TB) Request {
 	return Request{
-		Workload:  testWorkload(t, 5),
-		FactRows:  testRows,
+		Config:    core.Config{Workload: testWorkload(t, 5), FactRows: testRows},
 		Scenarios: []string{"mv1", "mv2", "mv3", "pareto"},
 		Budget:    money.FromDollars(25),
 		Limit:     4 * time.Hour,
@@ -244,18 +244,34 @@ func TestRunDoesNotMutateRequest(t *testing.T) {
 }
 
 func TestRunValidation(t *testing.T) {
-	w := testWorkload(t, 3)
+	cfg := core.Config{Workload: testWorkload(t, 3), FactRows: testRows}
+	badAlpha := 1.5
 	cases := map[string]Request{
-		"mv1 without budget":  {Workload: w, FactRows: testRows, Scenarios: []string{"mv1"}},
-		"mv2 without limit":   {Workload: w, FactRows: testRows, Scenarios: []string{"mv2"}},
-		"unknown scenario":    {Workload: w, FactRows: testRows, Scenarios: []string{"warp"}},
-		"bad alpha":           {Workload: w, FactRows: testRows, Scenarios: []string{"mv3"}, Alpha: 1.5},
-		"bad fleet":           {Workload: w, FactRows: testRows, Scenarios: []string{"mv3"}, FleetSizes: []int{0}},
-		"no runnable configs": {Workload: w, FactRows: testRows, Scenarios: []string{"mv3"}, InstanceTypes: []string{"mega"}},
+		"mv1 without budget":  {Config: cfg, Scenarios: []string{"mv1"}},
+		"mv2 without limit":   {Config: cfg, Scenarios: []string{"mv2"}},
+		"unknown scenario":    {Config: cfg, Scenarios: []string{"warp"}},
+		"bad alpha":           {Config: cfg, Scenarios: []string{"mv3"}, Alpha: &badAlpha},
+		"bad fleet":           {Config: cfg, Scenarios: []string{"mv3"}, FleetSizes: []int{0}},
+		"no runnable configs": {Config: cfg, Scenarios: []string{"mv3"}, InstanceTypes: []string{"mega"}},
+	}
+	// The embedded config's tariff fields are the grid lists' job, and a
+	// grid prices the sales schema only.
+	aws := pricing.AWS2012()
+	for field, set := range map[string]func(*core.Config){
+		"Provider":     func(c *core.Config) { c.Provider = &aws },
+		"InstanceType": func(c *core.Config) { c.InstanceType = "small" },
+		"Instances":    func(c *core.Config) { c.Instances = 5 },
+		"Schema":       func(c *core.Config) { c.Schema = schema.Sales() },
+	} {
+		req := Request{Config: cfg, Scenarios: []string{"mv3"}}
+		set(&req.Config)
+		cases["Config."+field] = req
 	}
 	for name, req := range cases {
 		if _, err := Run(req); err == nil {
 			t.Errorf("%s: accepted", name)
+		} else if strings.HasPrefix(name, "Config.") && !strings.Contains(err.Error(), name) {
+			t.Errorf("%s: rejected with %q, which does not name the field", name, err)
 		}
 	}
 }
@@ -348,5 +364,32 @@ func TestRequestJSONResolveRoundTrip(t *testing.T) {
 	}
 	if _, err := json.Marshal(cj); err != nil {
 		t.Fatal(err)
+	}
+
+	// α = 0 is a cost-only caller, served as α = 0 and not as the 0.5
+	// default: every cell is labelled α=0 and the winner is the cheapest.
+	zero := 0.0
+	rj = RequestJSON{Scenarios: []string{"mv3"}, Alpha: &zero}
+	rj.ConfigJSON.FactRows = testRows
+	rj.ConfigJSON.Queries = 5
+	if err := rj.Normalize(); err != nil {
+		t.Fatal(err)
+	}
+	if req, err = rj.Resolve(); err != nil {
+		t.Fatal(err)
+	}
+	if comp, err = Run(req); err != nil {
+		t.Fatal(err)
+	}
+	cheapest := comp.Winners[0].Cost
+	for _, c := range comp.Configs {
+		rec, _ := c.Result("mv3")
+		if rec.Scenario != "MV3 (tradeoff, α=0)" {
+			t.Errorf("%s: served %q for α = 0", c.Key, rec.Scenario)
+		}
+		cheapest = min(cheapest, rec.Selection.Bill.Total())
+	}
+	if w := comp.Winners[0]; w.Cost != cheapest {
+		t.Errorf("α = 0 winner %s costs %v; the cheapest cell costs %v", w.Key, w.Cost, cheapest)
 	}
 }

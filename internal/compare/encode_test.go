@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"vmcloud/internal/core"
 	"vmcloud/internal/money"
 	"vmcloud/internal/pricing"
 	"vmcloud/internal/units"
@@ -129,10 +130,14 @@ func TestAppendJSONMatchesReflection(t *testing.T) {
 			}
 			checkComparison(t, name, comp)
 		}
+		problem := core.Config{Workload: testWorkload(t, 5), FactRows: testRows}
+		searched := problem
+		searched.Solver, searched.Seed = "search", 42
+		alpha := 0.65
 		for _, req := range []SweepRequest{
-			{Workload: testWorkload(t, 5), FactRows: testRows, Budget: money.FromDollars(25), FleetSizes: []int{3, 5}},
-			{Workload: testWorkload(t, 5), FactRows: testRows, Limit: 4 * time.Hour, InstanceTypes: []string{"small", "xlarge"}},
-			{Workload: testWorkload(t, 5), FactRows: testRows, Alpha: 0.65, Solver: "search", Seed: 42},
+			{Config: problem, Budget: money.FromDollars(25), FleetSizes: []int{3, 5}},
+			{Config: problem, Limit: 4 * time.Hour, InstanceTypes: []string{"small", "xlarge"}},
+			{Config: searched, Alpha: &alpha},
 		} {
 			sw, err := RunSweep(req)
 			if err != nil {

@@ -64,18 +64,17 @@ func TestKernelCompareMatchesPerConfigAdvisors(t *testing.T) {
 			for _, solver := range []string{core.SolverKnapsack, core.SolverSearch} {
 				t.Run(fmt.Sprintf("seed%d_policy%d_%s", seed, policy, solver), func(t *testing.T) {
 					req := Request{
-						Providers:         randomCatalog(seed, 3),
-						FleetSizes:        []int{2, 5},
-						Workload:          testWorkload(t, 7),
-						FactRows:          testRows,
-						Scenarios:         []string{"mv1", "mv2", "mv3", "pareto"},
-						Budget:            money.FromDollars(10 + float64(seed)*7),
-						Limit:             4 * time.Hour,
-						Steps:             5,
-						BreakEvenSteps:    4,
-						MaintenancePolicy: policy,
-						Solver:            solver,
-						Seed:              seed * 101,
+						Config: core.Config{
+							Workload: testWorkload(t, 7), FactRows: testRows,
+							MaintenancePolicy: policy, Solver: solver, Seed: seed * 101,
+						},
+						Providers:      randomCatalog(seed, 3),
+						FleetSizes:     []int{2, 5},
+						Scenarios:      []string{"mv1", "mv2", "mv3", "pareto"},
+						Budget:         money.FromDollars(10 + float64(seed)*7),
+						Limit:          4 * time.Hour,
+						Steps:          5,
+						BreakEvenSteps: 4,
 					}
 					comp, err := Run(req)
 					if err != nil {
@@ -88,16 +87,11 @@ func TestKernelCompareMatchesPerConfigAdvisors(t *testing.T) {
 								prov = p.Clone()
 							}
 						}
-						adv, err := core.New(core.Config{
-							Provider:          &prov,
-							InstanceType:      cfg.InstanceType,
-							Instances:         cfg.Instances,
-							FactRows:          req.FactRows,
-							Workload:          req.Workload,
-							MaintenancePolicy: policy,
-							Solver:            solver,
-							Seed:              req.Seed,
-						})
+						// The cell's own advisor: the request's problem on
+						// the cell's tariff.
+						cell := req.Config
+						cell.Provider, cell.InstanceType, cell.Instances = &prov, cfg.InstanceType, cfg.Instances
+						adv, err := core.New(cell)
 						if err != nil {
 							t.Fatal(err)
 						}

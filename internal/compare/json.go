@@ -8,8 +8,6 @@ import (
 	"vmcloud/internal/core"
 	"vmcloud/internal/money"
 	"vmcloud/internal/pricing"
-	"vmcloud/internal/views"
-	"vmcloud/internal/workload"
 )
 
 // RequestJSON is the wire form of Request, as accepted by POST
@@ -62,57 +60,18 @@ func (rj *RequestJSON) Normalize() error {
 	if err != nil {
 		return err
 	}
-	want := map[string]bool{}
-	for _, s := range rj.Scenarios {
-		want[s] = true
+	if err := normalizeParams(rj.Scenarios, &rj.Budget, &rj.Limit, &rj.Alpha); err != nil {
+		return err
 	}
-
-	// Scenario parameters: validate what is needed, zero what is not (so
-	// irrelevant parameters cannot fragment the cache).
-	if want["mv1"] {
-		if rj.Budget == nil {
-			return fmt.Errorf("compare: budget required for scenario mv1")
-		}
-		if *rj.Budget <= 0 {
-			return fmt.Errorf("compare: non-positive budget %v", *rj.Budget)
-		}
-		if rj.BreakEvenSteps == 0 {
-			rj.BreakEvenSteps = defaultBreakEvenSteps
-		}
-		if rj.BreakEvenSteps < 0 {
-			rj.BreakEvenSteps = -1
-		}
-	} else {
-		rj.Budget = nil
+	switch {
+	case !slices.Contains(rj.Scenarios, "mv1"):
 		rj.BreakEvenSteps = 0
+	case rj.BreakEvenSteps == 0:
+		rj.BreakEvenSteps = defaultBreakEvenSteps
+	case rj.BreakEvenSteps < 0:
+		rj.BreakEvenSteps = -1
 	}
-	if want["mv2"] {
-		if rj.Limit == "" {
-			return fmt.Errorf("compare: limit required for scenario mv2")
-		}
-		d, err := time.ParseDuration(rj.Limit)
-		if err != nil {
-			return fmt.Errorf("compare: limit: %v", err)
-		}
-		if d <= 0 {
-			return fmt.Errorf("compare: non-positive limit %v", d)
-		}
-		rj.Limit = d.String()
-	} else {
-		rj.Limit = ""
-	}
-	if want["mv3"] {
-		if rj.Alpha == nil {
-			a := defaultAlpha
-			rj.Alpha = &a
-		}
-		if *rj.Alpha < 0 || *rj.Alpha > 1 {
-			return fmt.Errorf("compare: alpha %g out of [0,1]", *rj.Alpha)
-		}
-	} else {
-		rj.Alpha = nil
-	}
-	if want["pareto"] {
+	if slices.Contains(rj.Scenarios, "pareto") {
 		if rj.Steps == 0 {
 			rj.Steps = defaultParetoSteps
 		}
@@ -144,36 +103,17 @@ func (rj RequestJSON) Configs() int {
 // ready for Run.
 func (rj RequestJSON) Resolve() (Request, error) {
 	req := Request{
-		InstanceTypes:   rj.InstanceTypes,
-		FleetSizes:      rj.FleetSizes,
-		FactRows:        rj.FactRows,
-		Months:          rj.Months,
-		CandidateBudget: rj.CandidateBudget,
-		MaintenanceRuns: rj.MaintenanceRuns,
-		UpdateRatio:     rj.UpdateRatio,
-		Scenarios:       rj.Scenarios,
-		Steps:           rj.Steps,
-		BreakEvenSteps:  rj.BreakEvenSteps,
-		Solver:          rj.Solver,
-		Seed:            rj.Seed,
+		InstanceTypes:  rj.InstanceTypes,
+		FleetSizes:     rj.FleetSizes,
+		Scenarios:      rj.Scenarios,
+		Alpha:          rj.Alpha,
+		Steps:          rj.Steps,
+		BreakEvenSteps: rj.BreakEvenSteps,
 	}
 	var err error
-	req.Providers, req.Workload, req.MaintenancePolicy, req.JobOverhead, err = resolveGrid(rj.Providers, rj.ConfigJSON)
+	req.Config, req.Providers, req.Budget, req.Limit, err = resolveGrid(rj.ConfigJSON, rj.Providers, rj.Budget, rj.Limit)
 	if err != nil {
 		return Request{}, err
-	}
-	if rj.Budget != nil {
-		req.Budget = *rj.Budget
-	}
-	if rj.Limit != "" {
-		d, err := time.ParseDuration(rj.Limit)
-		if err != nil {
-			return Request{}, fmt.Errorf("compare: limit: %v", err)
-		}
-		req.Limit = d
-	}
-	if rj.Alpha != nil {
-		req.Alpha = *rj.Alpha
 	}
 	return req, nil
 }
@@ -220,37 +160,74 @@ func normalizeGrid(cj *core.ConfigJSON, providers *[]string, instanceTypes *[]st
 	return nil
 }
 
-// resolveGrid resolves the normalized shared fields both wire forms
-// carry: provider lookups, maintenance policy, job overhead, and the
-// workload (see core.ConfigJSON.ResolveWorkload; no lattice is built
-// here, compare's one is core.NewShared's).
-func resolveGrid(names []string, cj core.ConfigJSON) ([]pricing.Provider, workload.Workload, views.MaintenancePolicy, time.Duration, error) {
-	var provs []pricing.Provider
+// normalizeParams canonicalizes the scenario parameters both wire forms
+// carry: those the scenarios need are validated (α defaulted to 0.5),
+// the rest zeroed, so irrelevant parameters cannot fragment the cache.
+func normalizeParams(scenarios []string, budget **money.Money, limit *string, alpha **float64) error {
+	if !slices.Contains(scenarios, "mv1") {
+		*budget = nil
+	} else if *budget == nil {
+		return fmt.Errorf("compare: budget required for scenario mv1")
+	} else if **budget <= 0 {
+		return fmt.Errorf("compare: non-positive budget %v", **budget)
+	}
+	if !slices.Contains(scenarios, "mv2") {
+		*limit = ""
+	} else if *limit == "" {
+		return fmt.Errorf("compare: limit required for scenario mv2")
+	} else {
+		d, err := time.ParseDuration(*limit)
+		if err != nil {
+			return fmt.Errorf("compare: limit: %v", err)
+		}
+		if d <= 0 {
+			return fmt.Errorf("compare: non-positive limit %v", d)
+		}
+		*limit = d.String()
+	}
+	if !slices.Contains(scenarios, "mv3") {
+		*alpha = nil
+		return nil
+	}
+	if *alpha == nil {
+		a := defaultAlpha
+		*alpha = &a
+	}
+	if **alpha < 0 || **alpha > 1 {
+		return fmt.Errorf("compare: alpha %g out of [0,1]", **alpha)
+	}
+	return nil
+}
+
+// resolveGrid resolves what both normalized wire forms share: the
+// advisory problem (core.ConfigJSON.Resolve, whose Provider stays nil
+// as the grid forms name no single tariff), the grid's tariffs, and the
+// MV1 and MV2 parameters.
+func resolveGrid(cj core.ConfigJSON, names []string, budget *money.Money, limit string) (core.Config, []pricing.Provider, money.Money, time.Duration, error) {
+	cfg, err := cj.Resolve()
+	if err != nil {
+		return core.Config{}, nil, 0, 0, err
+	}
+	provs := make([]pricing.Provider, 0, len(names))
 	for _, name := range names {
 		// normalize deep-copies every provider it keeps.
 		p, err := pricing.LookupShared(name)
 		if err != nil {
-			return nil, workload.Workload{}, 0, 0, err
+			return core.Config{}, nil, 0, 0, err
 		}
 		provs = append(provs, p)
 	}
-	var policy views.MaintenancePolicy
-	if cj.MaintenancePolicy == "deferred" {
-		policy = views.DeferredMaintenance
+	var b money.Money
+	if budget != nil {
+		b = *budget
 	}
-	var overhead time.Duration
-	if cj.JobOverhead != "" {
-		d, err := time.ParseDuration(cj.JobOverhead)
-		if err != nil {
-			return nil, workload.Workload{}, 0, 0, fmt.Errorf("compare: job_overhead: %v", err)
+	var d time.Duration
+	if limit != "" {
+		if d, err = time.ParseDuration(limit); err != nil {
+			return core.Config{}, nil, 0, 0, fmt.Errorf("compare: limit: %v", err)
 		}
-		overhead = d
 	}
-	w, err := cj.ResolveWorkload()
-	if err != nil {
-		return nil, workload.Workload{}, 0, 0, err
-	}
-	return provs, w, policy, overhead, nil
+	return cfg, provs, b, d, nil
 }
 
 // ScenarioResultJSON is one matrix cell on the wire.

@@ -9,7 +9,6 @@
 package compare
 
 import (
-	"context"
 	"fmt"
 	"strconv"
 	"strings"
@@ -18,37 +17,25 @@ import (
 	"vmcloud/internal/core"
 	"vmcloud/internal/jsonenc"
 	"vmcloud/internal/money"
-	"vmcloud/internal/obs"
 	"vmcloud/internal/pricing"
 	"vmcloud/internal/report"
 	"vmcloud/internal/units"
-	"vmcloud/internal/views"
-	"vmcloud/internal/workload"
 )
 
 // SweepRequest describes a tariff-grid sweep: the advisory problem of
-// Request restricted to a single objective. Zero values follow the repo
-// convention of selecting the paper's experimental defaults.
+// Request (the embedded core.Config, under the same rules) restricted to
+// a single objective. It mirrors its wire form, SweepRequestJSON. Zero
+// values follow the repo convention of selecting the paper's
+// experimental defaults.
 type SweepRequest struct {
+	core.Config
+
 	// Providers are the tariffs to sweep; empty means the full built-in
 	// catalog. InstanceTypes and FleetSizes span the grid exactly as in
 	// Request.
 	Providers     []pricing.Provider
 	InstanceTypes []string
 	FleetSizes    []int
-
-	// Workload is required; the remaining problem fields parameterize the
-	// advisory problem exactly as core.Config does.
-	Workload          workload.Workload
-	FactRows          int64
-	Months            float64
-	CandidateBudget   int
-	MaintenanceRuns   int
-	UpdateRatio       float64
-	MaintenancePolicy views.MaintenancePolicy
-	JobOverhead       time.Duration
-	Solver            string
-	Seed              int64
 
 	// Scenario is the single objective swept: "mv1", "mv2" or "mv3".
 	// Empty derives it from the parameters given: mv1 when Budget > 0,
@@ -58,18 +45,11 @@ type SweepRequest struct {
 	Budget money.Money
 	// Limit is the MV2 response-time limit; required for mv2.
 	Limit time.Duration
-	// Alpha is the MV3 weight on time; zero selects 0.5.
-	Alpha float64
+	// Alpha is the MV3 weight on time in [0,1]; nil selects 0.5.
+	Alpha *float64
 
 	// Workers bounds the fan-out worker pool; zero selects GOMAXPROCS.
 	Workers int
-
-	// Trace, when non-nil, accumulates per-phase durations across the
-	// whole grid; see Request.Trace.
-	Trace *obs.Trace
-
-	// Ctx, when non-nil, bounds the whole grid; see Request.Ctx.
-	Ctx context.Context
 }
 
 // SweepCell is one grid cell: the objective solved on one tariff.
@@ -126,27 +106,16 @@ func (r SweepRequest) normalize() (normalized, string, error) {
 		return normalized{}, "", err
 	}
 	n, err := Request{
-		Providers:         r.Providers,
-		InstanceTypes:     r.InstanceTypes,
-		FleetSizes:        r.FleetSizes,
-		Workload:          r.Workload,
-		FactRows:          r.FactRows,
-		Months:            r.Months,
-		CandidateBudget:   r.CandidateBudget,
-		MaintenanceRuns:   r.MaintenanceRuns,
-		UpdateRatio:       r.UpdateRatio,
-		MaintenancePolicy: r.MaintenancePolicy,
-		JobOverhead:       r.JobOverhead,
-		Solver:            r.Solver,
-		Seed:              r.Seed,
-		Scenarios:         []string{scenario},
-		Budget:            r.Budget,
-		Limit:             r.Limit,
-		Alpha:             r.Alpha,
-		BreakEvenSteps:    -1, // the sweep has no budget sub-sweep
-		Workers:           r.Workers,
-		Trace:             r.Trace,
-		Ctx:               r.Ctx,
+		Config:         r.Config,
+		Providers:      r.Providers,
+		InstanceTypes:  r.InstanceTypes,
+		FleetSizes:     r.FleetSizes,
+		Scenarios:      []string{scenario},
+		Budget:         r.Budget,
+		Limit:          r.Limit,
+		Alpha:          r.Alpha,
+		BreakEvenSteps: -1, // the sweep has no budget sub-sweep
+		Workers:        r.Workers,
 	}.normalize()
 	if err != nil {
 		return normalized{}, "", err
@@ -172,7 +141,7 @@ func RunSweep(req SweepRequest) (*Sweep, error) {
 	sw := &Sweep{
 		Scenario: scenario,
 		Cells:    make([]SweepCell, len(results)),
-		Best:     pickWinner(scenario, n.Alpha, results).Key,
+		Best:     pickWinner(scenario, n.alpha, results).Key,
 		Skipped:  skipped,
 		Degraded: anyDegraded(results),
 	}

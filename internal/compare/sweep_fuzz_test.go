@@ -3,7 +3,10 @@ package compare
 import (
 	"bytes"
 	"encoding/json"
+	"slices"
 	"testing"
+
+	"vmcloud/internal/money"
 )
 
 // FuzzSweepRequestNormalize hammers the /v1/sweep wire-request
@@ -13,8 +16,10 @@ import (
 // point, (b) resolve into a runnable SweepRequest, (c) canonicalize
 // order- and duplicate-insensitively over the grid lists — two
 // spellings of the same sweep must marshal to identical cache keys —
-// and (d) keep genuinely different grids on different keys: growing the
-// fleet grid must change the canonical form, never collide.
+// (d) keep genuinely different grids on different keys: growing the
+// fleet grid must change the canonical form, never collide, and (e)
+// mean what the key says: the resolved native request normalizes to the
+// key's own α, budget, limit and grid lists.
 func FuzzSweepRequestNormalize(f *testing.F) {
 	seeds := []string{
 		`{}`,
@@ -34,6 +39,7 @@ func FuzzSweepRequestNormalize(f *testing.F) {
 		`{"budget":25,"providers":["nonesuch"]}`,
 		`{"budget":25,"instance_types":["small"],"solver":"search","seed":9}`,
 		`{"budget":25,"workload":[{"levels":["year","country"],"frequency":30}]}`,
+		`{"scenario":"mv3","alpha":0}`,
 	}
 	for _, s := range seeds {
 		f.Add([]byte(s))
@@ -60,9 +66,11 @@ func FuzzSweepRequestNormalize(f *testing.F) {
 		if !bytes.Equal(first, second) {
 			t.Fatalf("Normalize is not a fixed point:\nfirst:  %s\nsecond: %s\ninput: %s", first, second, data)
 		}
-		if _, err := rj.Resolve(); err != nil {
+		req, err := rj.Resolve()
+		if err != nil {
 			t.Fatalf("accepted sweep failed to resolve: %v\ninput: %s", err, data)
 		}
+		checkResolvedSweep(t, rj, req, data)
 
 		// Equal sweeps, different spelling: re-decode the original input
 		// and scramble the grid lists (reverse order, duplicate the first
@@ -110,6 +118,40 @@ func FuzzSweepRequestNormalize(f *testing.F) {
 			t.Fatalf("different grids collided on one cache key: %s\ninput: %s", first, data)
 		}
 	})
+}
+
+// checkResolvedSweep is property (e): the native request resolved from
+// a canonical key normalizes to that key's own parameters and grid.
+func checkResolvedSweep(t *testing.T, rj SweepRequestJSON, req SweepRequest, data []byte) {
+	t.Helper()
+	n, scenario, err := req.normalize()
+	if err != nil {
+		t.Fatalf("resolved sweep failed to normalize: %v\ninput: %s", err, data)
+	}
+	if scenario != rj.Scenario {
+		t.Errorf("scenario %q, key says %q\ninput: %s", scenario, rj.Scenario, data)
+	}
+	if rj.Alpha != nil && n.alpha != *rj.Alpha {
+		t.Errorf("α %g, key says %g\ninput: %s", n.alpha, *rj.Alpha, data)
+	}
+	var budget money.Money
+	if rj.Budget != nil {
+		budget = *rj.Budget
+	}
+	if n.Budget != budget {
+		t.Errorf("budget %v, key says %v\ninput: %s", n.Budget, budget, data)
+	}
+	if limit := n.Limit.String(); (rj.Limit != "" || n.Limit != 0) && limit != rj.Limit {
+		t.Errorf("limit %s, key says %q\ninput: %s", limit, rj.Limit, data)
+	}
+	names := make([]string, len(n.Providers))
+	for i, p := range n.Providers {
+		names[i] = p.Name
+	}
+	if !slices.Equal(names, rj.Providers) || !slices.Equal(n.InstanceTypes, rj.InstanceTypes) || !slices.Equal(n.FleetSizes, rj.FleetSizes) {
+		t.Errorf("grid %v × %v × %v, key says %v × %v × %v\ninput: %s",
+			names, n.InstanceTypes, n.FleetSizes, rj.Providers, rj.InstanceTypes, rj.FleetSizes, data)
+	}
 }
 
 func reverse(s []string) {

@@ -1,9 +1,6 @@
 package compare
 
 import (
-	"fmt"
-	"time"
-
 	"vmcloud/internal/core"
 	"vmcloud/internal/money"
 )
@@ -50,39 +47,8 @@ func (rj *SweepRequestJSON) Normalize() error {
 	}
 	rj.Scenario = scenario
 
-	// Scenario parameters: validate what is needed, zero what is not (so
-	// irrelevant parameters cannot fragment the cache).
-	switch scenario {
-	case "mv1":
-		if rj.Budget == nil {
-			return fmt.Errorf("compare: budget required for scenario mv1")
-		}
-		if *rj.Budget <= 0 {
-			return fmt.Errorf("compare: non-positive budget %v", *rj.Budget)
-		}
-		rj.Limit, rj.Alpha = "", nil
-	case "mv2":
-		if rj.Limit == "" {
-			return fmt.Errorf("compare: limit required for scenario mv2")
-		}
-		d, err := time.ParseDuration(rj.Limit)
-		if err != nil {
-			return fmt.Errorf("compare: limit: %v", err)
-		}
-		if d <= 0 {
-			return fmt.Errorf("compare: non-positive limit %v", d)
-		}
-		rj.Limit = d.String()
-		rj.Budget, rj.Alpha = nil, nil
-	default: // mv3
-		if rj.Alpha == nil {
-			a := defaultAlpha
-			rj.Alpha = &a
-		}
-		if *rj.Alpha < 0 || *rj.Alpha > 1 {
-			return fmt.Errorf("compare: alpha %g out of [0,1]", *rj.Alpha)
-		}
-		rj.Budget, rj.Limit = nil, ""
+	if err := normalizeParams([]string{scenario}, &rj.Budget, &rj.Limit, &rj.Alpha); err != nil {
+		return err
 	}
 
 	// Shared problem fields: reuse the advise canonicalization, then strip
@@ -105,34 +71,15 @@ func (rj SweepRequestJSON) Configs() int {
 // SweepRequest ready for RunSweep.
 func (rj SweepRequestJSON) Resolve() (SweepRequest, error) {
 	req := SweepRequest{
-		InstanceTypes:   rj.InstanceTypes,
-		FleetSizes:      rj.FleetSizes,
-		FactRows:        rj.FactRows,
-		Months:          rj.Months,
-		CandidateBudget: rj.CandidateBudget,
-		MaintenanceRuns: rj.MaintenanceRuns,
-		UpdateRatio:     rj.UpdateRatio,
-		Scenario:        rj.Scenario,
-		Solver:          rj.Solver,
-		Seed:            rj.Seed,
+		InstanceTypes: rj.InstanceTypes,
+		FleetSizes:    rj.FleetSizes,
+		Scenario:      rj.Scenario,
+		Alpha:         rj.Alpha,
 	}
 	var err error
-	req.Providers, req.Workload, req.MaintenancePolicy, req.JobOverhead, err = resolveGrid(rj.Providers, rj.ConfigJSON)
+	req.Config, req.Providers, req.Budget, req.Limit, err = resolveGrid(rj.ConfigJSON, rj.Providers, rj.Budget, rj.Limit)
 	if err != nil {
 		return SweepRequest{}, err
-	}
-	if rj.Budget != nil {
-		req.Budget = *rj.Budget
-	}
-	if rj.Limit != "" {
-		d, err := time.ParseDuration(rj.Limit)
-		if err != nil {
-			return SweepRequest{}, fmt.Errorf("compare: limit: %v", err)
-		}
-		req.Limit = d
-	}
-	if rj.Alpha != nil {
-		req.Alpha = *rj.Alpha
 	}
 	return req, nil
 }

@@ -14,8 +14,7 @@ import (
 
 func sweepRequest(t testing.TB) SweepRequest {
 	return SweepRequest{
-		Workload:   testWorkload(t, 10),
-		FactRows:   testRows,
+		Config:     core.Config{Workload: testWorkload(t, 10), FactRows: testRows},
 		Scenario:   "mv1",
 		Budget:     money.FromDollars(25),
 		FleetSizes: []int{3, 5},
@@ -266,5 +265,32 @@ func TestSweepRequestJSONResolveRoundTrip(t *testing.T) {
 		if !c.Rec.Selection.Feasible {
 			t.Errorf("%s infeasible at a 4h limit", c.Key)
 		}
+	}
+
+	// α = 0 is served as α = 0, not as the 0.5 default: every cell is
+	// labelled α=0 and the best cell is the cheapest.
+	zero := 0.0
+	rj = SweepRequestJSON{Scenario: "mv3", Alpha: &zero}
+	rj.ConfigJSON.FactRows = testRows
+	if err := rj.Normalize(); err != nil {
+		t.Fatal(err)
+	}
+	if req, err = rj.Resolve(); err != nil {
+		t.Fatal(err)
+	}
+	if sw, err = RunSweep(req); err != nil {
+		t.Fatal(err)
+	}
+	cheapest := sw.Cells[0]
+	for _, c := range sw.Cells {
+		if c.Rec.Scenario != "MV3 (tradeoff, α=0)" {
+			t.Errorf("%s: served %q for α = 0", c.Key, c.Rec.Scenario)
+		}
+		if c.Rec.Selection.Bill.Total() < cheapest.Rec.Selection.Bill.Total() {
+			cheapest = c
+		}
+	}
+	if best := sw.Best; best != cheapest.Key {
+		t.Errorf("α = 0 best cell %s; the cheapest is %s", best, cheapest.Key)
 	}
 }

@@ -56,8 +56,6 @@ type Config struct {
 	MaintenancePolicy views.MaintenancePolicy
 	// JobOverhead is the per-job startup floor; default 2 minutes.
 	JobOverhead time.Duration
-	// Granularity overrides the provider's billing rounding if non-nil.
-	Granularity *units.BillingGranularity
 	// Solver selects the optimization engine: SolverKnapsack (default)
 	// runs the paper's linearized 0/1 knapsack DPs, SolverSearch runs the
 	// exact-evaluator metaheuristics of internal/search, and SolverAuto
@@ -196,8 +194,8 @@ type Shared struct {
 }
 
 // NewShared builds the tariff-independent structure of a config. The
-// per-tariff fields (Provider, InstanceType, Instances, Granularity) are
-// ignored here; they parameterize Advisor.
+// per-tariff fields (Provider, InstanceType, Instances) are ignored
+// here; they parameterize Advisor.
 func NewShared(cfg Config) (*Shared, error) {
 	// Validate the cheap, purely-syntactic fields before any expensive
 	// construction (lattice, candidate generation).
@@ -354,16 +352,10 @@ func New(cfg Config) (*Advisor, error) {
 	if err != nil {
 		return nil, err
 	}
-	var prov pricing.Provider
 	if cfg.Provider != nil {
-		prov = *cfg.Provider
-	} else {
-		prov = pricing.AWS2012()
+		return sh.Advisor(*cfg.Provider, cfg.InstanceType, cfg.Instances)
 	}
-	if cfg.Granularity != nil {
-		prov.Compute.Granularity = *cfg.Granularity
-	}
-	return sh.Advisor(prov, cfg.InstanceType, cfg.Instances)
+	return sh.Advisor(pricing.AWS2012(), cfg.InstanceType, cfg.Instances)
 }
 
 // Session exposes the advisor's kernel binding: the Section 5 scenario

@@ -224,6 +224,8 @@ func (cj ConfigJSON) Config() (Config, error) {
 // canonicalized the request earlier. Callers holding arbitrary input
 // should use Config instead. A tariff named by Provider is the catalog's
 // own (pricing.LookupShared): Config.Provider is to be read, not edited.
+// A config that names no tariff (the grid wire forms, whose tariffs are
+// lists of their own) resolves with a nil Provider, New's default.
 func (cj ConfigJSON) Resolve() (Config, error) {
 	cfg := Config{
 		InstanceType:    cj.InstanceType,
@@ -242,7 +244,7 @@ func (cj ConfigJSON) Resolve() (Config, error) {
 			return Config{}, err
 		}
 		cfg.Provider = &p
-	} else {
+	} else if cj.Provider != "" {
 		p, err := pricing.LookupShared(cj.Provider)
 		if err != nil {
 			return Config{}, err

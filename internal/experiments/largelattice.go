@@ -15,67 +15,28 @@ import (
 	"vmcloud/internal/workload"
 )
 
-// LargeLatticeConfig parameterizes the beyond-the-paper stress
-// experiment: a synthetic multi-dimension schema whose cuboid lattice
-// dwarfs the 16-node sales lattice, solved by both the linearized
-// knapsack and the exact-evaluator metaheuristic search under identical
-// constraints and a fixed evaluation budget. Zero values select the
-// canonical 4-dimension × 4-level (256-cuboid) setting.
-type LargeLatticeConfig struct {
-	// Dims and Levels shape the synthetic schema (Levels counts ALL).
-	Dims, Levels int
-	// FactRows sizes the base cuboid.
-	FactRows int64
-	// Queries and MaxFreq shape the seeded-random workload.
-	Queries, MaxFreq int
-	// CandidateBudget caps the HRU candidate pre-selection.
-	CandidateBudget int
-	// Seed drives both the workload generator and the search solver.
-	Seed int64
-	// MaxEvals is the search solver's exact-evaluation budget.
-	MaxEvals int
-	// BudgetFactor sets the MV1 budget at BaselineBill × factor, so the
-	// constraint binds without being unreachable.
-	BudgetFactor float64
-	// Alpha is the MV3 tradeoff weight.
-	Alpha float64
-}
-
-func (c LargeLatticeConfig) withDefaults() LargeLatticeConfig {
-	if c.Dims == 0 {
-		c.Dims = 4
-	}
-	if c.Levels == 0 {
-		c.Levels = 4
-	}
-	if c.FactRows == 0 {
-		c.FactRows = 1_000_000_000
-	}
-	if c.Queries == 0 {
-		c.Queries = 20
-	}
-	if c.MaxFreq == 0 {
-		c.MaxFreq = 8
-	}
-	if c.CandidateBudget == 0 {
-		c.CandidateBudget = 32
-	}
-	// Seed 0 is a valid, distinct seed on every other surface (CLI,
-	// daemon, facade) — no default remapping, or "-large-seed 0" would
-	// silently fail to reproduce a seed-0 advisor run.
-	if c.MaxEvals == 0 {
-		// Match the advisor's default so the printed numbers reproduce
-		// exactly through the CLI/daemon/facade search path.
-		c.MaxEvals = search.DefaultMaxEvals
-	}
-	if c.BudgetFactor == 0 {
-		c.BudgetFactor = 1.01
-	}
-	if c.Alpha == 0 {
-		c.Alpha = 0.5
-	}
-	return c
-}
+// The beyond-the-paper stress experiment: a synthetic multi-dimension
+// schema whose cuboid lattice dwarfs the 16-node sales lattice, solved
+// by both the linearized knapsack and the exact-evaluator metaheuristic
+// search under identical constraints and the advisor's evaluation
+// budget. The setting is the canonical 4-dimension × 4-level
+// (256-cuboid) one; only the seed varies.
+const (
+	// largeDims and largeLevels shape the synthetic schema (levels count
+	// ALL).
+	largeDims, largeLevels = 4, 4
+	// largeFactRows sizes the base cuboid.
+	largeFactRows = 1_000_000_000
+	// largeQueries and largeMaxFreq shape the seeded-random workload.
+	largeQueries, largeMaxFreq = 20, 8
+	// largeCandidates caps the HRU candidate pre-selection.
+	largeCandidates = 32
+	// largeBudgetFactor sets the MV1 budget at BaselineBill × factor, so
+	// the constraint binds without being unreachable.
+	largeBudgetFactor = 1.01
+	// largeAlpha is the MV3 tradeoff weight.
+	largeAlpha = 0.5
+)
 
 // SolverOutcome is one solver's exactly re-priced selection.
 type SolverOutcome struct {
@@ -119,27 +80,25 @@ func (r *LargeLatticeResult) MV3Objective(o SolverOutcome) float64 {
 	return optimizer.Objective(r.Alpha, o.Time, o.Bill, optimizer.RawTradeoff, 0, costmodel.Bill{})
 }
 
-// RunLargeLattice generates the lattice and workload, pre-selects
-// candidates, and solves MV1 and MV3 with both engines. The advisor
-// stack is built through core.New with the same Config fields every
-// advisor-facing surface uses, and the search runs exactly as the
-// advisor's search dispatch does — knapsack warm start, default
-// evaluation budget (unless overridden) — so at the default MaxEvals the
-// printed numbers reproduce through the CLI/daemon/facade. The warm
-// start means search's exact objective can never be worse than the
-// knapsack's: the experiment measures how much exact-evaluator local
-// moves recover from the linearization error.
-func RunLargeLattice(cfg LargeLatticeConfig) (*LargeLatticeResult, error) {
-	cfg = cfg.withDefaults()
-	sch, err := schema.Synthetic(cfg.Dims, cfg.Levels)
+// RunLargeLattice generates the lattice and workload for a seed, which
+// drives both the workload generator and the search solver, and solves
+// MV1 and MV3 with both engines. The search rows are the advisor's own
+// answers (core.New with SolverSearch: knapsack warm start, default
+// evaluation budget), so the printed numbers reproduce through the
+// CLI/daemon/facade; the knapsack rows are the same advisor's session
+// solves. The warm start means search's exact objective can never be
+// worse than the knapsack's: the experiment measures how much
+// exact-evaluator local moves recover from the linearization error.
+func RunLargeLattice(seed int64) (*LargeLatticeResult, error) {
+	sch, err := schema.Synthetic(largeDims, largeLevels)
 	if err != nil {
 		return nil, err
 	}
-	l, err := lattice.New(sch, cfg.FactRows)
+	l, err := lattice.New(sch, largeFactRows)
 	if err != nil {
 		return nil, err
 	}
-	w, err := workload.Random(l, cfg.Queries, cfg.MaxFreq, cfg.Seed)
+	w, err := workload.Random(l, largeQueries, largeMaxFreq, seed)
 	if err != nil {
 		return nil, err
 	}
@@ -148,17 +107,18 @@ func RunLargeLattice(cfg LargeLatticeConfig) (*LargeLatticeResult, error) {
 	// subset to buy is a combinatorial question, not "take everything".
 	adv, err := core.New(core.Config{
 		Schema:          sch,
-		FactRows:        cfg.FactRows,
+		FactRows:        largeFactRows,
 		Workload:        w,
-		CandidateBudget: cfg.CandidateBudget,
+		CandidateBudget: largeCandidates,
 		MaintenanceRuns: 6,
 		UpdateRatio:     0.50,
-		Seed:            cfg.Seed,
+		Solver:          core.SolverSearch,
+		Seed:            seed,
 	})
 	if err != nil {
 		return nil, err
 	}
-	ev, cands, sess := adv.Ev, adv.Candidates, adv.Session()
+	sess := adv.Session()
 	baseT, baseBill, err := sess.Base()
 	if err != nil {
 		return nil, err
@@ -166,12 +126,12 @@ func RunLargeLattice(cfg LargeLatticeConfig) (*LargeLatticeResult, error) {
 	res := &LargeLatticeResult{
 		SchemaName:   sch.Name,
 		Nodes:        l.NumNodes(),
-		Candidates:   len(cands),
+		Candidates:   len(adv.Candidates),
 		BaselineTime: baseT,
 		BaselineBill: baseBill,
-		Budget:       baseBill.Total().MulFloat(cfg.BudgetFactor),
-		Alpha:        cfg.Alpha,
-		MaxEvals:     cfg.MaxEvals,
+		Budget:       baseBill.Total().MulFloat(largeBudgetFactor),
+		Alpha:        largeAlpha,
+		MaxEvals:     search.DefaultMaxEvals,
 	}
 
 	knap1, err := sess.SolveMV1(res.Budget)
@@ -179,34 +139,22 @@ func RunLargeLattice(cfg LargeLatticeConfig) (*LargeLatticeResult, error) {
 		return nil, err
 	}
 	res.KnapsackMV1 = outcome(knap1)
-	search1, err := search.SolveMV1(ev, cands, res.Budget, search.Options{
-		Seed:     cfg.Seed,
-		MaxEvals: cfg.MaxEvals,
-		Starts:   [][]lattice.Point{knap1.Points},
-		Engine:   sess.Engine(),
-	})
+	search1, err := adv.AdviseBudget(res.Budget)
 	if err != nil {
 		return nil, err
 	}
-	res.SearchMV1 = outcome(search1)
+	res.SearchMV1 = outcome(search1.Selection)
 
-	knap3, err := sess.SolveMV3(cfg.Alpha, optimizer.RawTradeoff)
+	knap3, err := sess.SolveMV3(largeAlpha, optimizer.RawTradeoff)
 	if err != nil {
 		return nil, err
 	}
 	res.KnapsackMV3 = outcome(knap3)
-	search3, err := search.Solve(ev, cands,
-		search.TradeoffObjective(cfg.Alpha, optimizer.RawTradeoff, 0, costmodel.Bill{}),
-		search.Options{
-			Seed:     cfg.Seed,
-			MaxEvals: cfg.MaxEvals,
-			Starts:   [][]lattice.Point{knap3.Points},
-			Engine:   sess.Engine(),
-		})
+	search3, err := adv.AdviseTradeoff(largeAlpha)
 	if err != nil {
 		return nil, err
 	}
-	res.SearchMV3 = outcome(search3)
+	res.SearchMV3 = outcome(search3.Selection)
 	return res, nil
 }
 

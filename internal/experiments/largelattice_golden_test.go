@@ -16,7 +16,7 @@ var updateGolden = flag.Bool("update", false, "rewrite golden files from the cur
 // generation, knapsack, and the seeded search — against any behavioral
 // drift from the incremental evaluation engine.
 func TestLargeLatticeGolden(t *testing.T) {
-	r, err := RunLargeLattice(LargeLatticeConfig{Seed: 1})
+	r, err := RunLargeLattice(1)
 	if err != nil {
 		t.Fatal(err)
 	}

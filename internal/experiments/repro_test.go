@@ -10,13 +10,12 @@ import (
 )
 
 // TestLargeLatticeReproducibleViaAdvisor pins the reproducibility claim
-// of RunLargeLattice's doc comment: at the default evaluation budget the
-// experiment's search numbers come out byte-exact from the product path
-// (core.New with Solver "search" + the same seed), because the advisor's
-// search dispatch warm-starts from the knapsack exactly as the
-// experiment does.
+// of RunLargeLattice's doc comment: the experiment's search numbers come
+// out byte-exact from the product path (core.New with Solver "search" +
+// the same seed), built here independently of the experiment's own
+// settings.
 func TestLargeLatticeReproducibleViaAdvisor(t *testing.T) {
-	r, err := RunLargeLattice(LargeLatticeConfig{Seed: 1})
+	r, err := RunLargeLattice(1)
 	if err != nil {
 		t.Fatal(err)
 	}

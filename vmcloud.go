@@ -142,9 +142,11 @@ type ParetoPoint = core.ParetoPoint
 func NewAdvisor(cfg AdvisorConfig) (*Advisor, error) { return core.New(cfg) }
 
 // CompareRequest describes a cross-provider comparison: the advisory
-// problem fanned out across provider × instance type × cluster size
-// configurations. Zero values select the paper's defaults; an empty
-// Providers list compares the full built-in catalog.
+// problem (its embedded Config: AdvisorConfig{Workload: w, ...}, tariff
+// fields and Schema left zero) fanned out across provider × instance
+// type × cluster size configurations. Zero values select the paper's
+// defaults; an empty Providers list compares the full built-in catalog,
+// and a nil Alpha means 0.5.
 type CompareRequest = compare.Request
 
 // Comparison is the merged cross-provider report: the cost/time matrix,
@@ -165,9 +167,10 @@ func Compare(req CompareRequest) (*Comparison, error) { return compare.Run(req) 
 
 // SweepRequest describes a tariff-grid sweep: a single objective (mv1,
 // mv2 or mv3) re-priced across provider × instance type × fleet size
-// cells over one workload. The grid shares one pricing-invariant
-// structure (lattice, candidates, answering lists); each cell costs only
-// a tariff re-bind — the structure-sharing comparison kernel.
+// cells over one problem, its embedded Config as in CompareRequest (a
+// nil Alpha means 0.5). The grid shares one pricing-invariant structure
+// (lattice, candidates, answering lists); each cell costs only a tariff
+// re-bind — the structure-sharing comparison kernel.
 type SweepRequest = compare.SweepRequest
 
 // TariffSweep is the solved grid: every cell's exact recommendation and

@@ -134,10 +134,9 @@ func ExampleCompare() {
 	l, _ := NewLattice(SalesSchema(), 10_000_000)
 	w, _ := SalesWorkload(l, 5)
 	comp, _ := Compare(CompareRequest{
-		Workload: w,
-		FactRows: 10_000_000,
-		Budget:   Dollars(25),
-		Limit:    4 * time.Hour,
+		Config: AdvisorConfig{Workload: w, FactRows: 10_000_000},
+		Budget: Dollars(25),
+		Limit:  4 * time.Hour,
 	})
 	fmt.Println("configurations:", len(comp.Configs))
 	for _, win := range comp.Winners {
@@ -154,8 +153,7 @@ func ExampleSweep() {
 	l, _ := NewLattice(SalesSchema(), 10_000_000)
 	w, _ := SalesWorkload(l, 5)
 	sw, _ := Sweep(SweepRequest{
-		Workload:   w,
-		FactRows:   10_000_000,
+		Config:     AdvisorConfig{Workload: w, FactRows: 10_000_000},
 		Budget:     Dollars(25),
 		FleetSizes: []int{3, 5},
 	})
