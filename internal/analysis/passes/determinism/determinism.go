@@ -12,7 +12,9 @@
 // must produce identical bytes: the canonical memoization keys,
 // the seeded-search determinism tests and the cross-provider
 // equivalence suites all assume identical inputs produce identical
-// bytes. The three ways that property has historically rotted in
+// bytes. The bill those solvers minimize is computed in
+// internal/{money,costmodel,pricing,units,cluster}, so the same contract
+// holds there. The three ways that property has historically rotted in
 // codebases like this are time.Now creeping into a cost term, the
 // global math/rand source (seeded per-process, shared across
 // goroutines), and map iteration feeding anything ordered — output
@@ -60,6 +62,11 @@ var Analyzer = &analysis.Analyzer{
 		"internal/lattice",
 		"internal/core",
 		"internal/shard",
+		"internal/money",
+		"internal/costmodel",
+		"internal/pricing",
+		"internal/units",
+		"internal/cluster",
 	},
 	Run: run,
 }

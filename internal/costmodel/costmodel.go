@@ -37,10 +37,11 @@ func TransferCost(p pricing.Provider, monthlyEgress units.DataSize) money.Money 
 // times the interval length in months.
 func StorageCost(p pricing.Provider, tl simtime.Timeline) (money.Money, error) {
 	// Fast path for the dominant case — no volume-change events, one
-	// constant interval [0, Horizon). The evaluation engine re-prices a
-	// bill per search move, and slicing a single-interval timeline
-	// through Intervals costs sort and slice allocations for nothing.
-	// Invalid timelines fall through so error behavior is unchanged.
+	// constant interval [0, Horizon). Evaluator.Evaluate bills through
+	// here for every subset an oracle prices, and slicing a
+	// single-interval timeline through Intervals costs sort and slice
+	// allocations for nothing. Invalid timelines fall through so error
+	// behavior is unchanged.
 	if len(tl.Events) == 0 && tl.Horizon >= 0 && tl.Initial >= 0 {
 		if tl.Horizon == 0 {
 			return 0, nil

@@ -1,6 +1,8 @@
 package money
 
 import (
+	"math"
+	"math/big"
 	"strings"
 	"testing"
 )
@@ -48,6 +50,56 @@ func FuzzDataFlow(f *testing.F) {
 		}
 		if strings.HasPrefix(ma.String(), "-") != ma.IsNegative() {
 			t.Fatal("String sign disagrees with IsNegative")
+		}
+	})
+}
+
+// mulFloatReference is MulFloat as first written: math.Round of the
+// product, clamped to the range. The truncate-and-compare rounding must
+// agree with it on every input, NaN and ±0 included.
+func mulFloatReference(m Money, f float64) Money {
+	r := math.Round(float64(float64(m) * f))
+	if r >= math.MaxInt64 {
+		return MaxMoney
+	}
+	if r <= math.MinInt64 {
+		return MinMoney
+	}
+	return Money(r)
+}
+
+// mulIntReference is m × n in arbitrary precision, clamped to the range.
+func mulIntReference(m Money, n int64) Money {
+	p := new(big.Int).Mul(big.NewInt(int64(m)), big.NewInt(n))
+	switch {
+	case p.Cmp(big.NewInt(math.MaxInt64)) > 0:
+		return MaxMoney
+	case p.Cmp(big.NewInt(math.MinInt64)) < 0:
+		return MinMoney
+	}
+	return Money(p.Int64())
+}
+
+// FuzzMoneyMul holds the two multiplications to their definitions:
+// MulFloat to the math.Round form, MulInt to a clamped math/big product.
+func FuzzMoneyMul(f *testing.F) {
+	f.Add(int64(MinMoney), int64(-1), 1.0)
+	f.Add(int64(-1), int64(math.MinInt64), 1.0)
+	f.Add(int64(1), int64(3), 0.5)
+	f.Add(int64(1), int64(-3), -2.5)
+	f.Add(int64(1), int64(7), 0.49999999999999994)
+	f.Add(int64(1), int64(2), 1<<52-0.5)
+	f.Add(int64(-1), int64(2), 1<<52+1.0)
+	f.Add(int64(3), int64(0), math.NaN())
+	f.Add(int64(3), int64(1), math.Inf(1))
+	f.Add(int64(-3), int64(1), math.Inf(-1))
+	f.Add(int64(5), int64(1), math.Copysign(0, -1))
+	f.Fuzz(func(t *testing.T, m, n int64, x float64) {
+		if got, want := Money(m).MulFloat(x), mulFloatReference(Money(m), x); got != want {
+			t.Fatalf("Money(%d).MulFloat(%v) = %d, want %d", m, x, got, want)
+		}
+		if got, want := Money(m).MulInt(n), mulIntReference(Money(m), n); got != want {
+			t.Fatalf("Money(%d).MulInt(%d) = %d, want %d", m, n, got, want)
 		}
 	})
 }

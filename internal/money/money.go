@@ -13,6 +13,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"math/bits"
 	"strconv"
 	"strings"
 )
@@ -70,25 +71,58 @@ func (m Money) Add(o Money) Money {
 // Sub returns m - o, saturating on overflow.
 func (m Money) Sub(o Money) Money { return m.Add(-o) }
 
-// MulInt returns m * n, saturating on overflow.
+// MulInt returns m * n, saturating on overflow. The product is taken
+// on the magnitudes in 128 bits, so the one case a division check would
+// miss — MinMoney × −1, whose two's-complement product wraps back to
+// MinMoney — saturates like every other overflow.
 func (m Money) MulInt(n int64) Money {
-	if m == 0 || n == 0 {
-		return 0
+	neg := (m < 0) != (n < 0)
+	a, b := uint64(m), uint64(n)
+	if m < 0 {
+		a = -a
 	}
-	r := int64(m) * n
-	if r/n != int64(m) {
-		if (m > 0) == (n > 0) {
-			return MaxMoney
+	if n < 0 {
+		b = -b
+	}
+	hi, lo := bits.Mul64(a, b)
+	limit := uint64(math.MaxInt64)
+	if neg {
+		limit++ // |MinMoney|
+	}
+	if hi != 0 || lo > limit {
+		if neg {
+			return MinMoney
 		}
-		return MinMoney
+		return MaxMoney
 	}
-	return Money(r)
+	if neg {
+		lo = -lo
+	}
+	return Money(lo)
 }
 
 // MulFloat returns m * f rounded half away from zero to the nearest
 // micro-dollar. Use for fractional quantities such as GB-months.
+//
+// Below 2⁵² in magnitude the product's fractional part, x − trunc(x), is
+// exact, so rounding is a truncation and one compare of that part with
+// ½ — math.Round's answer without its bit manipulation. Larger products
+// (already integers), ±Inf and NaN take math.Round and the range clamps.
 func (m Money) MulFloat(f float64) Money {
-	r := math.Round(float64(m) * f)
+	// The conversion rounds the product before the subtraction below, so
+	// no port fuses the two into one multiply-subtract (scripts/nofma.sh).
+	x := float64(float64(m) * f)
+	if math.Abs(x) < 1<<52 {
+		i := int64(x)
+		switch frac := x - float64(i); {
+		case frac >= 0.5:
+			i++
+		case frac <= -0.5:
+			i--
+		}
+		return Money(i)
+	}
+	r := math.Round(x)
 	if r >= math.MaxInt64 {
 		return MaxMoney
 	}

@@ -122,6 +122,14 @@ func TestMulIntSaturates(t *testing.T) {
 	if got := FromDollars(0.12).MulInt(50); got != FromDollars(6) {
 		t.Errorf("$0.12*50 = %v, want $6", got)
 	}
+	// The product that wraps back onto an operand: MinInt64 × −1 is
+	// MinInt64 in two's complement, and so is MinInt64 / −1.
+	if got := MinMoney.MulInt(-1); got != MaxMoney {
+		t.Errorf("MinMoney*-1 = %d, want MaxMoney", got)
+	}
+	if got := Money(-1).MulInt(math.MinInt64); got != MaxMoney {
+		t.Errorf("-1u*MinInt64 = %d, want MaxMoney", got)
+	}
 }
 
 func TestMulFloat(t *testing.T) {

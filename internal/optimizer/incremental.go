@@ -6,9 +6,7 @@ import (
 	"time"
 
 	"vmcloud/internal/costmodel"
-	"vmcloud/internal/money"
 	"vmcloud/internal/obs"
-	"vmcloud/internal/simtime"
 	"vmcloud/internal/units"
 	"vmcloud/internal/views"
 )
@@ -18,11 +16,11 @@ import (
 // every Add/Drop move updates running aggregates in O(affected queries)
 // instead of the Evaluator's O(|workload| × |selection|) full
 // recomputation. Score() rebuilds the exact tiered bill from the
-// aggregates via the same Plan.Bill the Evaluator uses, so an
-// IncrementalEvaluator state is bit-equal — time, bill, size — to
+// aggregates through the binding's compiled Plan.Bill (compiledBill), so
+// an IncrementalEvaluator state is bit-equal — time, bill, size — to
 // Evaluator.Evaluate of the same subset (the property tests in
-// incremental_test.go enforce this on random lattices and move
-// sequences).
+// incremental_test.go and bill_test.go enforce this on random lattices,
+// move sequences and tariffs).
 //
 // Invariants maintained across moves:
 //
@@ -67,9 +65,9 @@ type IncrementalEvaluator struct {
 	matSum   time.Duration
 	sizeSum  units.DataSize
 
-	// transfer is the period's egress charge (Formula 3), the one bill
-	// term no selection changes.
-	transfer money.Money
+	// billing is the binding's Plan.Bill, compiled: Score and Probe
+	// price their aggregates through it.
+	billing compiledBill
 
 	// moves counts Add/Drop calls over the engine's lifetime. A plain
 	// field, not an atomic or a telemetry counter: the solvers own the
@@ -148,7 +146,7 @@ func (k *ComparisonKernel) bindInto(inc *IncrementalEvaluator, ev *Evaluator, sp
 		gHit:           bools[n+nq:],
 		gTouched:       int32s[nq : nq : nq+groups],
 	}
-	inc.transfer = costmodel.TransferCost(ev.Base.Cluster.Provider, ev.Base.MonthlyEgress).MulFloat(ev.Base.Months)
+	inc.billing = compileBill(&ev.Base)
 	inc.resetEmpty()
 	return int64s[2*groups:], int32s[nq+groups:], nil
 }
@@ -366,7 +364,7 @@ func (inc *IncrementalEvaluator) adjustServed(i int, delta int64) {
 //
 //mvlint:hotpath
 func (inc *IncrementalEvaluator) Score() (time.Duration, costmodel.Bill, error) {
-	return inc.bill(inc.proc, inc.maintSum, inc.matSum, inc.sizeSum)
+	return inc.billing.price(inc.proc, inc.maintSum, inc.matSum, inc.sizeSum)
 }
 
 // errProbeSwap rejects a swap probe whose outgoing candidate is not
@@ -410,7 +408,7 @@ func (inc *IncrementalEvaluator) Probe(i, j int) (time.Duration, costmodel.Bill,
 	if inc.deferred && inc.runs > 0 {
 		p.maint += inc.probeMaint(in, out)
 	}
-	return inc.bill(p.proc, p.maint, p.mat, p.size)
+	return inc.billing.price(p.proc, p.maint, p.mat, p.size)
 }
 
 // probeAdd is Add(i) into p: the queries i beats their source on are
@@ -530,37 +528,4 @@ func (inc *IncrementalEvaluator) probeMaint(in, out int) time.Duration {
 	}
 	inc.gTouched = inc.gTouched[:0]
 	return d
-}
-
-// bill prices a subset from its view-dependent aggregates — the one bill
-// function Score and Probe share. The aggregates feed the same formulas
-// as Plan.Bill (full tiered, rounded billing — no linearization), so the
-// result is bit-equal to Evaluate of the same points. Only the four
-// view-dependent terms are priced per call; the egress charge does not
-// depend on the selection and was priced at Bind, where the evaluator's
-// base plan had already been validated.
-//
-//mvlint:hotpath
-func (inc *IncrementalEvaluator) bill(proc, maint, mat time.Duration, size units.DataSize) (time.Duration, costmodel.Bill, error) {
-	base := &inc.ev.Base
-	if size < 0 || proc < 0 || maint < 0 || mat < 0 {
-		// Overflowed aggregates: Plan.Bill owns the rejection.
-		_, err := base.WithViews(size, proc, maint, mat).Bill()
-		return 0, costmodel.Bill{}, err
-	}
-	var b costmodel.Bill
-	b.Compute.Processing = base.Cluster.ComputeCost(proc).MulFloat(base.Months)
-	b.Compute.Maintenance = base.Cluster.ComputeCost(maint).MulFloat(base.Months)
-	b.Compute.Materialization = base.Cluster.ComputeCost(mat)
-	var err error
-	b.Storage, err = costmodel.StorageCost(base.Cluster.Provider, simtime.Timeline{
-		Initial: base.DatasetSize + size,
-		Horizon: simtime.Months(base.Months),
-		Events:  base.Inserts,
-	})
-	if err != nil {
-		return 0, costmodel.Bill{}, err
-	}
-	b.Transfer = inc.transfer
-	return proc, b, nil
 }

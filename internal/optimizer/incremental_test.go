@@ -317,7 +317,9 @@ func TestIncrementalWords(t *testing.T) {
 // a 48-candidate pool, half of it selected) two ways: a read-only flip
 // probe, and the Add, Score, Drop round trip a search used to step
 // through for the same price. One op is every candidate flipped each
-// way; ns/probe and ns/roundtrip are per flip.
+// way, plus as many Scores of the pinned state; ns/probe and
+// ns/roundtrip are per flip, and ns/bill — the exact bill alone, with
+// no routing — is per Score.
 func BenchmarkIncrementalProbe(b *testing.B) {
 	sch, err := schema.Synthetic(4, 4)
 	if err != nil {
@@ -354,7 +356,7 @@ func BenchmarkIncrementalProbe(b *testing.B) {
 	for i := 0; i < n/2; i++ {
 		inc.Add(i)
 	}
-	var probe, trip time.Duration
+	var probe, trip, bill time.Duration
 	b.ReportAllocs()
 	b.ResetTimer()
 	for op := 0; op < b.N; op++ {
@@ -372,10 +374,18 @@ func BenchmarkIncrementalProbe(b *testing.B) {
 			}
 			toggle(inc, i)
 		}
+		end := time.Now()
+		for i := 0; i < n; i++ {
+			if _, _, err := inc.Score(); err != nil {
+				b.Fatal(err)
+			}
+		}
 		probe += mid.Sub(start)
-		trip += time.Since(mid)
+		trip += end.Sub(mid)
+		bill += time.Since(end)
 	}
 	flips := float64(b.N * n)
 	b.ReportMetric(float64(probe)/flips, "ns/probe")
 	b.ReportMetric(float64(trip)/flips, "ns/roundtrip")
+	b.ReportMetric(float64(bill)/flips, "ns/bill")
 }

@@ -104,8 +104,7 @@ func (s *KernelSession) Base() (time.Duration, costmodel.Bill, error) {
 		for q := 0; q < s.Kern.nq; q++ {
 			proc += s.inc.qBase[q]
 		}
-		plan := s.Ev.Base.WithViews(0, proc, 0, 0)
-		bill, err := plan.Bill()
+		_, bill, err := s.inc.billing.price(proc, 0, 0, 0)
 		if err != nil {
 			return 0, costmodel.Bill{}, err
 		}
@@ -169,12 +168,7 @@ func (s *KernelSession) evaluateSel(sel []int32) (time.Duration, costmodel.Bill,
 			maint += time.Duration(min(served[k.group[ci]], sc.runs)) * sc.perRun[ci]
 		}
 	}
-	plan := s.Ev.Base.WithViews(sizeSum, proc, maint, mat)
-	bill, err := plan.Bill()
-	if err != nil {
-		return 0, costmodel.Bill{}, err
-	}
-	return proc, bill, nil
+	return s.inc.billing.price(proc, maint, mat, sizeSum)
 }
 
 // selectionFor assembles a Selection for an already-priced subset

@@ -258,8 +258,8 @@ var loadBuiltins = sync.OnceValue(func() builtins {
 func Catalog() map[string]Provider {
 	b := loadBuiltins()
 	out := make(map[string]Provider, len(b.providers))
-	for n, p := range b.providers {
-		out[n] = p.Clone()
+	for _, n := range b.names {
+		out[n] = b.providers[n].Clone()
 	}
 	return out
 }

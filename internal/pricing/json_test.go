@@ -126,6 +126,26 @@ func TestUnmarshalErrors(t *testing.T) {
 	}
 }
 
+// threeBadInstances is a tariff whose every instance is invalid.
+const threeBadInstances = `{"name":"x","compute":{"instances":[` +
+	`{"name":"c","price_per_hour":"$1","ecu":0},` +
+	`{"name":"a","price_per_hour":"$1","ecu":0},` +
+	`{"name":"b","price_per_hour":"$1","ecu":0}]},` +
+	`"storage":{"tiers":[{"price_per_gb":"$1"}]},"transfer":{"egress":{"tiers":[{"price_per_gb":"$1"}]}}}`
+
+// TestValidateNamesFirstBadInstance: a tariff with several bad instances
+// is rejected for the first in name order, every time — the instance map
+// is never ranged in its random order.
+func TestValidateNamesFirstBadInstance(t *testing.T) {
+	const want = "pricing: provider x instance a has non-positive ECU"
+	for i := 0; i < 50; i++ {
+		_, err := UnmarshalProvider([]byte(threeBadInstances))
+		if err == nil || err.Error() != want {
+			t.Fatalf("call %d: error %v, want %q", i, err, want)
+		}
+	}
+}
+
 func TestMarshalRejectsInvalid(t *testing.T) {
 	if _, err := MarshalProvider(Provider{}); err == nil {
 		t.Error("invalid provider marshalled")

@@ -2,7 +2,8 @@ package pricing
 
 import (
 	"fmt"
-	"sort"
+	"maps"
+	"slices"
 	"time"
 
 	"vmcloud/internal/money"
@@ -44,12 +45,7 @@ func (c ComputeTariff) Instance(name string) (InstanceType, error) {
 
 // InstanceNames returns the sorted list of instance type names.
 func (c ComputeTariff) InstanceNames() []string {
-	names := make([]string, 0, len(c.Instances))
-	for n := range c.Instances {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	return names
+	return slices.Sorted(maps.Keys(c.Instances))
 }
 
 // HourCost charges one instance of the given type for a run of duration d,
@@ -134,15 +130,25 @@ func (p Provider) Validate() error {
 	if len(p.Compute.Instances) == 0 {
 		return fmt.Errorf("pricing: provider %s has no instance types", p.Name)
 	}
+	// A tariff with several bad instances is rejected for the first in
+	// name order, so identical tariffs always get the same error. The
+	// minimum is taken in one pass over the map: Validate runs per
+	// provider on every comparison request, and sorting the names would
+	// allocate.
+	bad, found := "", false
 	for name, it := range p.Compute.Instances {
-		if it.Name != name {
-			return fmt.Errorf("pricing: provider %s instance key %q does not match name %q", p.Name, name, it.Name)
+		if (it.Name != name || it.PricePerHour < 0 || it.ECU <= 0) && (!found || name < bad) {
+			bad, found = name, true
 		}
-		if it.PricePerHour < 0 {
-			return fmt.Errorf("pricing: provider %s instance %s has negative price", p.Name, name)
-		}
-		if it.ECU <= 0 {
-			return fmt.Errorf("pricing: provider %s instance %s has non-positive ECU", p.Name, name)
+	}
+	if found {
+		switch it := p.Compute.Instances[bad]; {
+		case it.Name != bad:
+			return fmt.Errorf("pricing: provider %s instance key %q does not match name %q", p.Name, bad, it.Name)
+		case it.PricePerHour < 0:
+			return fmt.Errorf("pricing: provider %s instance %s has negative price", p.Name, bad)
+		default:
+			return fmt.Errorf("pricing: provider %s instance %s has non-positive ECU", p.Name, bad)
 		}
 	}
 	if err := p.Storage.Table.Validate(); err != nil {

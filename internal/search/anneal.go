@@ -99,9 +99,9 @@ func (s *solver) anneal(start []bool, startEval eval) ([]bool, eval, error) {
 
 // proposeMove draws one random neighborhood move from the current
 // state: (i, -1) flips bit i (add or drop), (i, j) swaps selected i for
-// unselected j, each the r-th entry of its ascending index list. Swap is
-// only proposed when both sides exist. Returns (-1, -1) when the state
-// has no neighbors (n == 0).
+// unselected j, each the r-th set or clear bit of the state words in
+// ascending order. Swap is only proposed when both sides exist. Returns
+// (-1, -1) when the state has no neighbors (n == 0).
 //
 //mvlint:hotpath
 func (s *solver) proposeMove() (int, int) {
@@ -110,9 +110,9 @@ func (s *solver) proposeMove() (int, int) {
 		return -1, -1
 	}
 	// One third swaps when possible, the rest flips.
-	if len(s.selIdx) > 0 && len(s.unsIdx) > 0 && s.rng.Intn(3) == 0 {
-		i := s.selIdx[s.rng.Intn(len(s.selIdx))]
-		j := s.unsIdx[s.rng.Intn(len(s.unsIdx))]
+	if count := s.selectedCount(); count > 0 && count < n && s.rng.Intn(3) == 0 {
+		i := s.nth(false, s.rng.Intn(count))
+		j := s.nth(true, s.rng.Intn(n-count))
 		return i, j
 	}
 	return s.rng.Intn(n), -1

@@ -1,5 +1,7 @@
 package search
 
+import "math/bits"
+
 // hillClimb runs steepest-ascent local search from the given start: each
 // round it prices every neighbor in the add/drop/swap neighborhood and
 // moves to the strictly best improving one, stopping at a local optimum
@@ -57,15 +59,19 @@ func (s *solver) hillClimb(start []bool) ([]bool, eval, error) {
 					bestI, bestJ, bestEval, improved = i, -1, e, true
 				}
 			}
-			// Swaps: one selected out, one unselected in. A row leaves
-			// the engine and the index lists as it found them.
-			for _, i := range s.selIdx {
-				j, e, err := s.probeSwapRow(i, bestEval)
-				if j >= 0 {
-					bestI, bestJ, bestEval, improved = i, j, e, true
-				}
-				if err != nil {
-					return err
+			// Swaps: one selected out, one unselected in, each walked in
+			// ascending order off the state words. A row leaves the
+			// engine and the state as it found them.
+			for w, word := range s.state {
+				for ; word != 0; word &= word - 1 {
+					i := w<<6 | bits.TrailingZeros64(word)
+					j, e, err := s.probeSwapRow(i, bestEval)
+					if j >= 0 {
+						bestI, bestJ, bestEval, improved = i, j, e, true
+					}
+					if err != nil {
+						return err
+					}
 				}
 			}
 			return nil

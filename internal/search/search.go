@@ -31,6 +31,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math/bits"
 	"math/rand"
 	"slices"
 	"time"
@@ -315,11 +316,11 @@ type solver struct {
 	// degraded latches once the deadline interrupts the pipeline; it
 	// flows onto every selection this solver emits from then on.
 	degraded bool
-	// selIdx and unsIdx list the selected and unselected candidates of
-	// the search's current state, ascending; pin and applyMove keep them
-	// current for the swap rows and move proposals that read them.
-	selIdx []int
-	unsIdx []int
+	// state is the search's current subset in the engine's word layout
+	// (candidate i at bit i%64 of word i/64, bits past n clear); pin and
+	// applyMove keep it current for the swap rows and move proposals that
+	// walk its set and clear bits.
+	state []uint64
 }
 
 func newSolver(ev *optimizer.Evaluator, cands []views.Candidate, obj Objective, opts Options) (*solver, error) {
@@ -353,8 +354,7 @@ func newSolver(ev *optimizer.Evaluator, cands []views.Candidate, obj Objective, 
 		rng:      rand.New(rand.NewSource(opts.Seed)),
 		cache:    newEvalCache(n, opts.MaxEvals),
 		maxEvals: opts.MaxEvals,
-		selIdx:   make([]int, 0, n),
-		unsIdx:   make([]int, 0, n),
+		state:    make([]uint64, (n+63)/64),
 	}
 	if opts.Ctx != nil {
 		s.done = opts.Ctx.Done()
@@ -396,22 +396,57 @@ func (s *solver) scoreState() (eval, error) {
 // pin re-pins the engine to an arbitrary subset — the full re-pricing
 // path, taken at restarts only, never per move.
 func (s *solver) pin(sel []bool) error {
-	s.partition(sel)
+	clear(s.state)
+	for i, on := range sel {
+		if on {
+			s.state[i>>6] |= 1 << (uint(i) & 63)
+		}
+	}
 	return s.inc.Reset(sel)
 }
 
-// partition rebuilds the two ascending index lists from a state bitmap.
+// unselected returns word w of the current state's complement: the
+// unselected candidates' bits, those past n masked off.
 //
 //mvlint:hotpath
-func (s *solver) partition(sel []bool) {
-	s.selIdx, s.unsIdx = s.selIdx[:0], s.unsIdx[:0]
-	for i, on := range sel {
-		if on {
-			s.selIdx = append(s.selIdx, i)
-		} else {
-			s.unsIdx = append(s.unsIdx, i)
-		}
+func (s *solver) unselected(w int) uint64 {
+	free := ^s.state[w]
+	if rest := len(s.cands) - w<<6; rest < 64 {
+		free &= 1<<uint(rest) - 1
 	}
+	return free
+}
+
+// selectedCount returns the number of candidates in the current state.
+//
+//mvlint:hotpath
+func (s *solver) selectedCount() int {
+	c := 0
+	for _, w := range s.state {
+		c += bits.OnesCount64(w)
+	}
+	return c
+}
+
+// nth returns the r-th (from 0, ascending) selected candidate of the
+// current state, or the r-th unselected one when free is set.
+//
+//mvlint:hotpath
+func (s *solver) nth(free bool, r int) int {
+	for w, x := range s.state {
+		if free {
+			x = s.unselected(w)
+		}
+		if c := bits.OnesCount64(x); r >= c {
+			r -= c
+			continue
+		}
+		for ; r > 0; r-- {
+			x &= x - 1
+		}
+		return w<<6 | bits.TrailingZeros64(x)
+	}
+	return -1
 }
 
 // evaluate pins an arbitrary subset and prices it.
@@ -509,25 +544,29 @@ func (s *solver) probeMove(i, j int) (eval, error) {
 func (s *solver) probeSwapRow(i int, best eval) (bestJ int, _ eval, err error) {
 	bestJ = -1
 	in := i // i while it is still in the engine, then -1
-	for _, j := range s.unsIdx {
-		var slot int
-		var e eval
-		if slot, e, err = s.lookup(in, j); err != nil {
-			break
-		}
-		if e.c == nil {
-			if in >= 0 {
-				// The engine's words lose bit i and the key loaded by
-				// lookup stays the same, so slot is still where it goes.
-				s.inc.Drop(i)
-				in = -1
+row:
+	for w := range s.state {
+		for free := s.unselected(w); free != 0; free &= free - 1 {
+			j := w<<6 | bits.TrailingZeros64(free)
+			var slot int
+			var e eval
+			if slot, e, err = s.lookup(in, j); err != nil {
+				break row
 			}
-			if e, err = s.price(slot, j, -1); err != nil {
-				break
+			if e.c == nil {
+				if in >= 0 {
+					// The engine's words lose bit i and the key loaded by
+					// lookup stays the same, so slot is still where it goes.
+					s.inc.Drop(i)
+					in = -1
+				}
+				if e, err = s.price(slot, j, -1); err != nil {
+					break row
+				}
 			}
-		}
-		if better(e, best) {
-			bestJ, best = j, e
+			if better(e, best) {
+				bestJ, best = j, e
+			}
 		}
 	}
 	if in < 0 {
@@ -537,30 +576,16 @@ func (s *solver) probeSwapRow(i int, best eval) (bestJ int, _ eval, err error) {
 }
 
 // applyMove records a flip of i (j < 0) or a swap i→out, j→in in the
-// state bitmap and the index lists.
+// stage's bitmap and the solver's state words.
 //
 //mvlint:hotpath
 func (s *solver) applyMove(sel []bool, i, j int) {
-	s.toggle(sel, i)
-	if j >= 0 {
-		s.toggle(sel, j)
+	for _, k := range [2]int{i, j} {
+		if k >= 0 {
+			sel[k] = !sel[k]
+			s.state[k>>6] ^= 1 << (uint(k) & 63)
+		}
 	}
-}
-
-// toggle flips candidate i in the state bitmap and moves it from one
-// ascending index list to the other.
-//
-//mvlint:hotpath
-func (s *solver) toggle(sel []bool, i int) {
-	from, to := &s.unsIdx, &s.selIdx
-	if sel[i] {
-		from, to = to, from
-	}
-	sel[i] = !sel[i]
-	at, _ := slices.BinarySearch(*from, i)
-	*from = slices.Delete(*from, at, at+1)
-	at, _ = slices.BinarySearch(*to, i)
-	*to = slices.Insert(*to, at, i)
 }
 
 // selection assembles the final optimizer.Selection for a state.

@@ -9,7 +9,6 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
-	"sort"
 	"testing"
 	"time"
 
@@ -176,32 +175,41 @@ func TestSearchTrajectoryPinned(t *testing.T) {
 }
 
 // checkEngineInSync holds the solver's view of its current state — the
-// two ascending index lists — to the engine's selection words. A swap
-// row that failed to put its candidate back on an early return, or an
-// annealing step kept in the engine but not in the lists, breaks it.
+// state words — to the engine's selection words, and the walks over them
+// to a plain scan: selectedCount and nth must name the set and clear bits
+// below n in ascending order, and no bit past n may be set. A swap row
+// that failed to put its candidate back on an early return, or an
+// annealing step kept in the engine but not in the state, breaks it.
 func checkEngineInSync(t *testing.T, name string, s *solver) {
 	t.Helper()
+	if !reflect.DeepEqual(s.state, s.inc.Words()) {
+		t.Fatalf("%s: engine holds %x, solver believes %x", name, s.inc.Words(), s.state)
+	}
 	n := len(s.cands)
-	words := make([]uint64, (n+63)/64)
-	seen := make([]bool, n)
-	for _, list := range [][]int{s.selIdx, s.unsIdx} {
-		if !sort.IntsAreSorted(list) {
-			t.Fatalf("%s: index list not ascending: %v", name, list)
+	var set, clear []int
+	for i := 0; i < len(s.state)*64; i++ {
+		on := s.state[i>>6]&(1<<(uint(i)&63)) != 0
+		switch {
+		case i >= n && on:
+			t.Fatalf("%s: bit %d set past the %d candidates", name, i, n)
+		case i >= n:
+		case on:
+			set = append(set, i)
+		default:
+			clear = append(clear, i)
 		}
-		for _, i := range list {
-			if seen[i] {
-				t.Fatalf("%s: candidate %d listed twice (selected %v, unselected %v)", name, i, s.selIdx, s.unsIdx)
-			}
-			seen[i] = true
+	}
+	if got := s.selectedCount(); got != len(set) {
+		t.Fatalf("%s: selectedCount %d, scan finds %d selected", name, got, len(set))
+	}
+	for r, want := range set {
+		if got := s.nth(false, r); got != want {
+			t.Fatalf("%s: selected #%d is %d, scan says %d", name, r, got, want)
 		}
 	}
-	if len(s.selIdx)+len(s.unsIdx) != n {
-		t.Fatalf("%s: lists cover %d of %d candidates", name, len(s.selIdx)+len(s.unsIdx), n)
-	}
-	for _, i := range s.selIdx {
-		words[i>>6] |= 1 << (uint(i) & 63)
-	}
-	if !reflect.DeepEqual(words, s.inc.Words()) {
-		t.Fatalf("%s: engine holds %x, solver believes %x", name, s.inc.Words(), words)
+	for r, want := range clear {
+		if got := s.nth(true, r); got != want {
+			t.Fatalf("%s: unselected #%d is %d, scan says %d", name, r, got, want)
+		}
 	}
 }

@@ -115,6 +115,27 @@ func TestEndpoints(t *testing.T) {
 	}
 }
 
+// TestInlineTariffErrorIsStable: identical requests carrying an invalid
+// inline tariff get identical 400 bodies, naming the first bad instance
+// in name order.
+func TestInlineTariffErrorIsStable(t *testing.T) {
+	body := fmt.Sprintf(`{"scenario":"mv1","budget":25,"fact_rows":%d,"queries":3,"provider_spec":{"name":"x","compute":{"instances":[`+
+		`{"name":"c","price_per_hour":"$1","ecu":0},{"name":"a","price_per_hour":"$1","ecu":0},{"name":"b","price_per_hour":"$1","ecu":0}]},`+
+		`"storage":{"tiers":[{"price_per_gb":"$1"}]},"transfer":{"egress":{"tiers":[{"price_per_gb":"$1"}]}}}}`, testRows)
+	var first string
+	for i := 0; i < 20; i++ {
+		w := do(t, testServer(), "POST", "/v1/advise", body)
+		if w.Code != 400 || !strings.Contains(w.Body.String(), "instance a has non-positive ECU") {
+			t.Fatalf("post %d: status %d, body %s", i, w.Code, w.Body.String())
+		}
+		if i == 0 {
+			first = w.Body.String()
+		} else if w.Body.String() != first {
+			t.Fatalf("post %d: body %s, first was %s", i, w.Body.String(), first)
+		}
+	}
+}
+
 // TestCacheHit checks that a repeated identical request — and an
 // equivalent one spelled differently — is served from the cache.
 func TestCacheHit(t *testing.T) {

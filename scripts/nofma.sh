@@ -11,7 +11,9 @@
 # port, disassembles them with `go tool objdump`, and reports every
 # fused instruction (FMADD/FMSUB/FNMADD/FNMSUB in either precision;
 # MADBR/MSDBR/MAEBR/MSEBR and their memory forms on s390x) inside a
-# function of internal/{optimizer,search,compare,lattice,core,shard}.
+# function of internal/{optimizer,search,compare,lattice,core,shard} or
+# of the packages the bill is computed in,
+# internal/{money,costmodel,pricing,units,cluster}.
 # Integer multiply-add (arm64 MADD/MSUB) is not floating point and is
 # not reported.
 #
@@ -40,7 +42,7 @@ for arch in arm64 ppc64le s390x riscv64; do
 			if ! go tool objdump "$bin" | awk -v where="$arch $cmd${gcflags:+ -gcflags=$gcflags}" '
 				/^TEXT / {
 					fn = $2
-					scoped = fn ~ /^vmcloud\/internal\/(optimizer|search|compare|lattice|core|shard)\./
+					scoped = fn ~ /^vmcloud\/internal\/(optimizer|search|compare|lattice|core|shard|money|costmodel|pricing|units|cluster)\./
 					next
 				}
 				scoped && /\t(FN?M(ADD|SUB)[SD]?|M[AS][DE]BR?)[ \t]/ {
