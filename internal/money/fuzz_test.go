@@ -103,3 +103,58 @@ func FuzzMoneyMul(f *testing.F) {
 		}
 	})
 }
+
+// clampBig converts an arbitrary-precision result to Money, clamped to
+// the range.
+func clampBig(v *big.Int) Money {
+	switch {
+	case v.Cmp(big.NewInt(math.MaxInt64)) > 0:
+		return MaxMoney
+	case v.Cmp(big.NewInt(math.MinInt64)) < 0:
+		return MinMoney
+	}
+	return Money(v.Int64())
+}
+
+// divIntReference is m / n rounded half away from zero in arbitrary
+// precision, clamped to the range.
+func divIntReference(m Money, n int64) Money {
+	bn := big.NewInt(n)
+	q, r := new(big.Int).QuoRem(big.NewInt(int64(m)), bn, new(big.Int))
+	twice := new(big.Int).Lsh(new(big.Int).Abs(r), 1)
+	if r.Sign() != 0 && twice.Cmp(new(big.Int).Abs(bn)) >= 0 {
+		q.Add(q, big.NewInt(int64(r.Sign()*bn.Sign())))
+	}
+	return clampBig(q)
+}
+
+// FuzzMoneyArith holds Add, Sub, Neg and DivInt to their definitions:
+// the exact sum, difference, negation and half-away-from-zero quotient in
+// math/big, clamped to the range.
+func FuzzMoneyArith(f *testing.F) {
+	f.Add(int64(0), int64(math.MinInt64))
+	f.Add(int64(-1), int64(math.MinInt64))
+	f.Add(int64(math.MinInt64), int64(-1))
+	f.Add(int64(math.MaxInt64), int64(math.MinInt64))
+	f.Add(int64(math.MaxInt64), int64(1))
+	f.Add(int64(1<<62), int64(math.MinInt64))
+	f.Add(int64(-3), int64(2))
+	f.Add(int64(7), int64(0))
+	f.Fuzz(func(t *testing.T, m, o int64) {
+		bm, bo := big.NewInt(m), big.NewInt(o)
+		if got, want := Money(m).Add(Money(o)), clampBig(new(big.Int).Add(bm, bo)); got != want {
+			t.Fatalf("Money(%d).Add(%d) = %d, want %d", m, o, got, want)
+		}
+		if got, want := Money(m).Sub(Money(o)), clampBig(new(big.Int).Sub(bm, bo)); got != want {
+			t.Fatalf("Money(%d).Sub(%d) = %d, want %d", m, o, got, want)
+		}
+		if got, want := Money(m).Neg(), clampBig(new(big.Int).Neg(bm)); got != want {
+			t.Fatalf("Money(%d).Neg() = %d, want %d", m, got, want)
+		}
+		if o != 0 {
+			if got, want := Money(m).DivInt(o), divIntReference(Money(m), o); got != want {
+				t.Fatalf("Money(%d).DivInt(%d) = %d, want %d", m, o, got, want)
+			}
+		}
+	})
+}

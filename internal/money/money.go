@@ -52,24 +52,42 @@ func (m Money) Dollars() float64 { return float64(m) / 1e6 }
 // IsNegative reports whether the amount is below $0.
 func (m Money) IsNegative() bool { return m < 0 }
 
-// Neg returns -m.
-func (m Money) Neg() Money { return -m }
+// Neg returns -m, saturating: -MinMoney is MaxMoney.
+func (m Money) Neg() Money {
+	if m == MinMoney {
+		return MaxMoney
+	}
+	return -m
+}
 
 // Add returns m + o, saturating at the range bounds on overflow.
 func (m Money) Add(o Money) Money {
 	s := m + o
-	// Overflow iff operands share a sign and the sum's sign differs.
-	if (m > 0 && o > 0 && s < 0) || (m < 0 && o < 0 && s > 0) {
-		if m > 0 {
-			return MaxMoney
+	// Overflow iff the operands share a sign and the sum's sign differs
+	// from both.
+	if (m^s)&(o^s) < 0 {
+		if m < 0 {
+			return MinMoney
 		}
-		return MinMoney
+		return MaxMoney
 	}
 	return s
 }
 
-// Sub returns m - o, saturating on overflow.
-func (m Money) Sub(o Money) Money { return m.Add(-o) }
+// Sub returns m - o, saturating on overflow. It is not Add(-o): -o
+// wraps at MinMoney.
+func (m Money) Sub(o Money) Money {
+	s := m - o
+	// Overflow iff the operands differ in sign and the difference's sign
+	// differs from m's.
+	if (m^o)&(m^s) < 0 {
+		if m < 0 {
+			return MinMoney
+		}
+		return MaxMoney
+	}
+	return s
+}
 
 // MulInt returns m * n, saturating on overflow. The product is taken
 // on the magnitudes in 128 bits, so the one case a division check would
@@ -132,32 +150,36 @@ func (m Money) MulFloat(f float64) Money {
 	return Money(r)
 }
 
-// DivInt returns m / n rounded half away from zero.
+// DivInt returns m / n rounded half away from zero, saturating: the one
+// quotient out of range, MinMoney / −1, is MaxMoney.
 // It panics if n == 0.
 func (m Money) DivInt(n int64) Money {
 	if n == 0 {
 		panic("money: division by zero")
 	}
+	if m == MinMoney && n == -1 {
+		return MaxMoney
+	}
 	q := int64(m) / n
 	rem := int64(m) % n
-	// Round half away from zero.
-	if rem != 0 {
-		if abs64(rem)*2 >= abs64(n) {
-			if (m > 0) == (n > 0) {
-				q++
-			} else {
-				q--
-			}
+	// Round half away from zero: |rem| ≥ |n| − |rem|, on magnitudes in
+	// uint64, where neither |MinInt64| nor 2·|rem| overflows.
+	if r, d := abs64(rem), abs64(n); r >= d-r {
+		if (m > 0) == (n > 0) {
+			q++
+		} else {
+			q--
 		}
 	}
 	return Money(q)
 }
 
-func abs64(v int64) int64 {
+// abs64 returns |v| as a uint64, exact for every int64.
+func abs64(v int64) uint64 {
 	if v < 0 {
-		return -v
+		return -uint64(v)
 	}
-	return v
+	return uint64(v)
 }
 
 // Max returns the larger of a and b.

@@ -110,6 +110,21 @@ func TestAddSaturates(t *testing.T) {
 	if got := Dollar.Add(2 * Dollar); got != 3*Dollar {
 		t.Errorf("$1+$2 = %v, want $3", got)
 	}
+	// Sub saturates on its own sign test: -MinMoney wraps to MinMoney,
+	// so m.Add(-MinMoney) would subtract in the wrong direction.
+	for _, c := range []struct{ m, o, want Money }{
+		{0, MinMoney, MaxMoney},
+		{-1, MinMoney, MaxMoney}, // exactly 2⁶³−1, no saturation
+		{MinMoney, MinMoney, 0},
+		{MinMoney, 1, MinMoney},
+		{MaxMoney, -1, MaxMoney},
+		{MaxMoney, MaxMoney, 0},
+		{-2, MaxMoney, MinMoney},
+	} {
+		if got := c.m.Sub(c.o); got != c.want {
+			t.Errorf("(%d).Sub(%d) = %d, want %d", c.m, c.o, got, c.want)
+		}
+	}
 }
 
 func TestMulIntSaturates(t *testing.T) {
@@ -159,6 +174,15 @@ func TestDivInt(t *testing.T) {
 		{Money(3), 2, Money(2)},   // 1.5 micros rounds away from zero
 		{Money(-3), 2, Money(-2)}, // symmetric
 		{Money(1), 3, Money(0)},
+		// The one quotient out of range, and the divisor whose magnitude
+		// does not fit an int64.
+		{MinMoney, -1, MaxMoney},
+		{MinMoney, 1, MinMoney},
+		{MinMoney, math.MinInt64, Money(1)},
+		{MaxMoney, math.MinInt64, Money(-1)},       // −0.99999… rounds away
+		{Money(1 << 62), math.MinInt64, Money(-1)}, // exactly −½
+		{Money(1<<62 - 1), math.MinInt64, Money(0)},
+		{MinMoney, 3, Money(-3074457345618258603)},
 	}
 	for _, c := range cases {
 		if got := c.m.DivInt(c.n); got != c.want {
@@ -218,6 +242,12 @@ func TestSubInverse(t *testing.T) {
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
 	}
+	// At the range bounds, where -y does not exist for y = MinMoney.
+	for _, c := range [][2]Money{{0, MinMoney}, {MaxMoney, MinMoney}, {MaxMoney, MinMoney + 1}, {0, MaxMoney}} {
+		if x, y := c[0], c[1]; x.Add(y).Sub(y) != x {
+			t.Errorf("(%d).Add(%d).Sub(%d) = %d, want %d", x, y, y, x.Add(y).Sub(y), x)
+		}
+	}
 }
 
 // Property: MulInt distributes over Add away from bounds.
@@ -237,6 +267,12 @@ func TestNeg(t *testing.T) {
 	}
 	if !Money(-1).IsNegative() || Money(1).IsNegative() {
 		t.Error("IsNegative wrong")
+	}
+	if got := MinMoney.Neg(); got != MaxMoney {
+		t.Errorf("MinMoney.Neg() = %d, want MaxMoney", got)
+	}
+	if got := MaxMoney.Neg(); got != MinMoney+1 {
+		t.Errorf("MaxMoney.Neg() = %d, want %d", got, MinMoney+1)
 	}
 }
 

@@ -223,14 +223,21 @@ func (c *compiledBill) store(initial units.DataSize) (money.Money, error) {
 	return total.Add(c.hold(cur, c.horizon-start)), nil
 }
 
-// hold is StorageTariff.CostFor: size held for months.
+// hold is StorageTariff.CostFor: size held for months. One month held
+// is the cost itself: below 2⁵² in magnitude MulFloat(1) converts the
+// cost to a float64 exactly, multiplies by 1 exactly and finds no
+// fraction to round, so the multiply is skipped there and only there.
 //
 //mvlint:hotpath
 func (c *compiledBill) hold(size units.DataSize, months simtime.Months) money.Money {
 	if months <= 0 {
 		return 0
 	}
-	return c.storage.Cost(size).MulFloat(float64(months))
+	cost := c.storage.Cost(size)
+	if months == 1 && cost < 1<<52 && cost > -1<<52 {
+		return cost
+	}
+	return cost.MulFloat(float64(months))
 }
 
 // timelineErr is Timeline.Intervals' rejection of the base timeline

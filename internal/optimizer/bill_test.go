@@ -198,3 +198,43 @@ func TestComputeTermIntegerForm(t *testing.T) {
 		t.Errorf("term %+v, want coef %d and bound %d", tm, 120_000*5*12, maxExact/(120_000*5*12))
 	}
 }
+
+// TestHoldMatchesCostFor holds the storage term's shortcut — one month
+// held returned without the multiply by 1 — to StorageTariff.CostFor,
+// which always multiplies. The tables are every catalog storage table in
+// both tier modes, and a pricey two-tier table whose charge crosses 2⁵²
+// micro-dollars, where the multiply stops being the identity.
+func TestHoldMatchesCostFor(t *testing.T) {
+	tables := []pricing.TierTable{{Mode: pricing.Graduated, Tiers: []pricing.Tier{
+		{UpTo: 999*units.GB + 12345, PricePerGB: money.FromDollars(1_000_000) + 1},
+		{PricePerGB: money.FromDollars(3_000_000) + 3},
+	}}}
+	for _, name := range pricing.ProviderNames() {
+		prov, err := pricing.Lookup(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		tables = append(tables, prov.Storage.Table)
+	}
+	for _, table := range tables {
+		for _, mode := range []pricing.TierMode{pricing.Graduated, pricing.Slab} {
+			table.Mode = mode
+			tables = append(tables, table)
+		}
+	}
+	sizes := []units.DataSize{-1, 0, 1, units.GB - 1, units.GB, units.TB, units.TB + 1, 3 * units.TB, 1 << 50, 1 << 62, math.MaxInt64}
+	for _, table := range tables {
+		for _, tier := range table.Tiers {
+			sizes = append(sizes, tier.UpTo-1, tier.UpTo, tier.UpTo+1)
+		}
+		c := compiledBill{storage: table}
+		tariff := pricing.StorageTariff{Table: table}
+		for _, size := range sizes {
+			for _, months := range []float64{-1, 0, 0.5, 1, math.Nextafter(1, 2), 2, 12} {
+				if got, want := c.hold(size, simtime.Months(months)), tariff.CostFor(size, months); got != want {
+					t.Fatalf("%v table %+v: %v held %g months = %d, want %d", table.Mode, table.Tiers, size, months, got, want)
+				}
+			}
+		}
+	}
+}

@@ -24,11 +24,16 @@ import (
 //
 // Invariants maintained across moves:
 //
-//   - assigned[q] is the candidate index whose view answers query q under
-//     cheapest-answering routing (-1 = base table), with the Evaluator's
-//     exact tie rule: fewest rows wins, ties keep the lowest candidate
-//     index, and a view never beats the base without strictly fewer rows.
-//   - proc = Σ_q freq_q × TimeForJob(rows(assigned[q]))   (Formula 9)
+//   - assigned[q] is the position in query q's answering list
+//     (ansCand[qOff[q]:qOff[q+1]]) of the view that answers q under
+//     cheapest-answering routing, qOff[q+1] standing for the base table.
+//     The list is sorted by the Evaluator's exact tie rule — fewest rows
+//     wins, ties keep the lowest candidate index — and holds only views
+//     with strictly fewer rows than the base, so the source is the first
+//     selected entry, and a candidate at position pos beats it exactly
+//     when pos < assigned[q].
+//   - curTerm[q] = freq_q × TimeForJob(size of q's source), and
+//     proc = Σ_q curTerm[q]                               (Formula 9)
 //   - sizeSum/matSum = Σ over selected views               (Formula 7, §4.3)
 //   - maintSum matches the estimator's maintenance policy: immediate sums
 //     Formula 11 over selected views; deferred caps each view's refresh
@@ -55,7 +60,7 @@ type IncrementalEvaluator struct {
 	// Mutable state.
 	selected []bool
 	words    []uint64 // selection bitmap packed 64 per word (Words())
-	assigned []int32  // per query: candidate index or -1 (base)
+	assigned []int32  // per query: the source's answering-list position (qOff[q+1] = base)
 	curTerm  []time.Duration
 	served   []int64 // per group: monthly executions routed to the group
 
@@ -199,7 +204,7 @@ func (inc *IncrementalEvaluator) resetEmpty() {
 	}
 	inc.proc = 0
 	for q := range inc.assigned {
-		inc.assigned[q] = -1
+		inc.assigned[q] = inc.k.qOff[q+1]
 		inc.curTerm[q] = inc.qBase[q]
 		inc.proc += inc.qBase[q]
 	}
@@ -224,7 +229,7 @@ func (inc *IncrementalEvaluator) Reset(sel []bool) error {
 
 // Add materializes candidate i: aggregates grow by its scalars and only
 // the queries i can answer are re-routed (they move to i exactly when i
-// beats their current source under the tie rule).
+// sits before their current source on their answering list, take).
 //
 //mvlint:hotpath
 func (inc *IncrementalEvaluator) Add(i int) {
@@ -243,14 +248,42 @@ func (inc *IncrementalEvaluator) Add(i int) {
 		// queries; the new member is billed for the group's capped
 		// refresh count from the moment it is selected.
 		inc.maintSum += time.Duration(min(inc.served[inc.k.group[i]], inc.runs)) * inc.perRun[i]
-	}
-	pos := inc.k.cand2pos[i]
-	for x, q32 := range inc.k.cand2q[i] {
-		q := int(q32)
-		if inc.beats(i, inc.assigned[q]) {
-			inc.route(q, int32(i), inc.ansTerm[pos[x]])
+		// The served counts move first, off the sources take replaces.
+		pos := inc.k.cand2pos[i]
+		for x, q32 := range inc.k.cand2q[i] {
+			if at := inc.assigned[q32]; pos[x] < at {
+				q := int(q32)
+				if from := inc.source(q, at); from >= 0 {
+					inc.adjustServed(int(from), -inc.k.qFreq[q])
+				}
+				inc.adjustServed(i, inc.k.qFreq[q])
+			}
 		}
 	}
+	inc.proc += inc.take(i)
+}
+
+// take routes to candidate i every query on whose answering list it sits
+// before the source and returns the processing-time change. It is gain
+// with the route written back: each query's position and term are
+// stored whether they changed or not, so that the loop, like gain's, has
+// no jump on the routing.
+//
+//mvlint:hotpath
+func (inc *IncrementalEvaluator) take(i int) time.Duration {
+	qs, assigned, ansTerm := inc.k.cand2q[i], inc.assigned, inc.ansTerm
+	pos, curTerm := inc.k.cand2pos[i][:len(qs)], inc.curTerm[:len(assigned)]
+	var d time.Duration
+	for x, q := range qs {
+		to, at := pos[x], assigned[q]
+		cur, term := curTerm[q], ansTerm[to]
+		if to >= at {
+			to, term = at, cur
+		}
+		assigned[q], curTerm[q] = to, term
+		d += term - cur
+	}
+	return d
 }
 
 // Drop unmaterializes candidate i: only queries currently assigned to it
@@ -277,54 +310,52 @@ func (inc *IncrementalEvaluator) Drop(i int) {
 	}
 	pos := inc.k.cand2pos[i]
 	for x, q32 := range inc.k.cand2q[i] {
-		q := int(q32)
-		if inc.assigned[q] == int32(i) {
-			next, term := inc.nextSource(q, pos[x], -1)
+		if p := pos[x]; inc.assigned[q32] == p {
+			q := int(q32)
+			next, term := inc.nextSource(q, p, -1)
 			inc.route(q, next, term)
 		}
 	}
 }
 
-// beats reports whether candidate i takes a query from its current
-// source cur (-1 = base) under the tie rule: fewer rows, ties to the
-// lower candidate index.
+// nextSource returns the source of query q, as an answering-list
+// position, and its term, once the selected entry at position at is
+// gone: the first later entry that is selected or is the incoming
+// candidate in (-1 = none), else the base table (qOff[q+1]).
 //
 //mvlint:hotpath
-func (inc *IncrementalEvaluator) beats(i int, cur int32) bool {
-	if cur < 0 {
-		return true
-	}
-	ri, rc := inc.k.rows[i], inc.k.rows[cur]
-	return ri < rc || (ri == rc && int32(i) < cur)
-}
-
-// nextSource returns the source of query q, and its term, once the
-// selected entry at answering-list index pos is gone: the first later
-// entry that is selected or is the incoming candidate in (-1 = none),
-// else the base table.
-//
-//mvlint:hotpath
-func (inc *IncrementalEvaluator) nextSource(q int, pos int32, in int) (int32, time.Duration) {
-	for idx := pos + 1; idx < inc.k.qOff[q+1]; idx++ {
+func (inc *IncrementalEvaluator) nextSource(q int, at int32, in int) (int32, time.Duration) {
+	end := inc.k.qOff[q+1]
+	for idx := at + 1; idx < end; idx++ {
 		if c := inc.k.ansCand[idx]; inc.selected[c] || int(c) == in {
-			return c, inc.ansTerm[idx]
+			return idx, inc.ansTerm[idx]
 		}
 	}
-	return -1, inc.qBase[q]
+	return end, inc.qBase[q]
 }
 
-// route reassigns query q to candidate to (-1 = base) at processing
-// term term, updating the processing aggregate and the deferred-
-// maintenance serving counters.
+// source returns the candidate at position at of query q's answering
+// list, or -1 when at stands for the base table.
+//
+//mvlint:hotpath
+func (inc *IncrementalEvaluator) source(q int, at int32) int32 {
+	if at == inc.k.qOff[q+1] {
+		return -1
+	}
+	return inc.k.ansCand[at]
+}
+
+// route reassigns query q to the answering-list position to (qOff[q+1] =
+// base) at processing term term, updating the processing aggregate and
+// the deferred-maintenance serving counters.
 //
 //mvlint:hotpath
 func (inc *IncrementalEvaluator) route(q int, to int32, term time.Duration) {
-	from := inc.assigned[q]
 	if inc.deferred && inc.runs > 0 {
-		if from >= 0 {
+		if from := inc.source(q, inc.assigned[q]); from >= 0 {
 			inc.adjustServed(int(from), -inc.k.qFreq[q])
 		}
-		if to >= 0 {
+		if to := inc.source(q, to); to >= 0 {
 			inc.adjustServed(int(to), inc.k.qFreq[q])
 		}
 	}
@@ -411,9 +442,12 @@ func (inc *IncrementalEvaluator) Probe(i, j int) (time.Duration, costmodel.Bill,
 	return inc.billing.price(p.proc, p.maint, p.mat, p.size)
 }
 
-// probeAdd is Add(i) into p: the queries i beats their source on are
-// re-routed to it. Those it takes from out, the candidate the same move
-// drops, are marked taken for probeDrop.
+// probeAdd is Add(i) into p: the queries on whose answering lists i
+// sits before the source are re-routed to it (gain). Those it takes from
+// out, the candidate the same move drops, are marked taken for
+// probeDrop. The marks and the deferred served counts are a second walk
+// of i's queries, behind a loop-invariant test that a flip under
+// immediate maintenance fails.
 //
 //mvlint:hotpath
 func (inc *IncrementalEvaluator) probeAdd(p *probe, i, out int) {
@@ -422,22 +456,50 @@ func (inc *IncrementalEvaluator) probeAdd(p *probe, i, out int) {
 	if !inc.deferred {
 		p.maint += inc.maint[i]
 	}
+	p.proc += inc.gain(i)
 	serve := inc.deferred && inc.runs > 0
+	if !serve && out < 0 {
+		return
+	}
 	pos := inc.k.cand2pos[i]
 	for x, q32 := range inc.k.cand2q[i] {
-		q := int(q32)
-		cur := inc.assigned[q]
-		if !inc.beats(i, cur) {
+		at := inc.assigned[q32]
+		if pos[x] >= at {
 			continue
 		}
-		if cur >= 0 && int(cur) == out {
+		q := int(q32)
+		from := inc.source(q, at)
+		if from >= 0 && int(from) == out {
 			inc.taken[q] = true
 		}
-		p.proc += inc.ansTerm[pos[x]] - inc.curTerm[q]
 		if serve {
-			inc.probeServe(q, cur, int32(i))
+			inc.probeServe(q, from, int32(i))
 		}
 	}
+}
+
+// gain is the processing-time change of adding candidate i: the sum,
+// over the queries on whose answering lists i sits before the source, of
+// i's term less the source's. On the random states a search walks,
+// whether i takes a query is a coin flip for a branch predictor, so a
+// conditional move, not a jump, keeps or zeroes each query's change.
+// The loop is a function of its own, and curTerm is cut to assigned's
+// length, to keep its slices in registers.
+//
+//mvlint:hotpath
+func (inc *IncrementalEvaluator) gain(i int) time.Duration {
+	qs, assigned, ansTerm := inc.k.cand2q[i], inc.assigned, inc.ansTerm
+	pos, curTerm := inc.k.cand2pos[i][:len(qs)], inc.curTerm[:len(assigned)]
+	var d time.Duration
+	for x, q := range qs {
+		to, at := pos[x], assigned[q]
+		delta := ansTerm[to] - curTerm[q]
+		if to >= at {
+			delta = 0
+		}
+		d += delta
+	}
+	return d
 }
 
 // probeDrop is Drop(i) into p, with in (-1 = none) already selected for
@@ -454,18 +516,19 @@ func (inc *IncrementalEvaluator) probeDrop(p *probe, i, in int) {
 	serve := inc.deferred && inc.runs > 0
 	pos := inc.k.cand2pos[i]
 	for x, q32 := range inc.k.cand2q[i] {
-		q := int(q32)
-		if inc.assigned[q] != int32(i) {
+		at := pos[x]
+		if inc.assigned[q32] != at {
 			continue
 		}
+		q := int(q32)
 		if inc.taken[q] {
 			inc.taken[q] = false
 			continue
 		}
-		next, term := inc.nextSource(q, pos[x], in)
+		next, term := inc.nextSource(q, at, in)
 		p.proc += term - inc.curTerm[q]
 		if serve {
-			inc.probeServe(q, int32(i), next)
+			inc.probeServe(q, int32(i), inc.source(q, next))
 		}
 	}
 }

@@ -2,6 +2,7 @@ package optimizer
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 	"time"
 
@@ -317,9 +318,12 @@ func TestIncrementalWords(t *testing.T) {
 // a 48-candidate pool, half of it selected) two ways: a read-only flip
 // probe, and the Add, Score, Drop round trip a search used to step
 // through for the same price. One op is every candidate flipped each
-// way, plus as many Scores of the pinned state; ns/probe and
-// ns/roundtrip are per flip, and ns/bill — the exact bill alone, with
-// no routing — is per Score.
+// way, plus as many Scores of the pinned state, plus one replay of a
+// seeded random walk (walkSteps). ns/probe and ns/roundtrip are per
+// flip, and ns/bill — the exact bill alone, with no routing — is per
+// Score. ns/walk is per probe of the walk, the moves included: the flips
+// in a fixed cycle are a pattern a branch predictor learns, and the
+// walk's states are as random as a search's.
 func BenchmarkIncrementalProbe(b *testing.B) {
 	sch, err := schema.Synthetic(4, 4)
 	if err != nil {
@@ -353,14 +357,17 @@ func BenchmarkIncrementalProbe(b *testing.B) {
 		b.Fatal(err)
 	}
 	n := len(cands)
+	start := make([]bool, n)
 	for i := 0; i < n/2; i++ {
 		inc.Add(i)
+		start[i] = true
 	}
-	var probe, trip, bill time.Duration
+	walk := walkSteps(rand.New(rand.NewSource(1)), start, 256)
+	var probe, trip, bill, walked time.Duration
 	b.ReportAllocs()
 	b.ResetTimer()
 	for op := 0; op < b.N; op++ {
-		start := time.Now()
+		begin := time.Now()
 		for i := 0; i < n; i++ {
 			if _, _, err := inc.Probe(i, -1); err != nil {
 				b.Fatal(err)
@@ -380,12 +387,61 @@ func BenchmarkIncrementalProbe(b *testing.B) {
 				b.Fatal(err)
 			}
 		}
-		probe += mid.Sub(start)
+		last := time.Now()
+		for _, st := range walk {
+			if _, _, err := inc.Probe(st.i, st.j); err != nil {
+				b.Fatal(err)
+			}
+			if st.move {
+				toggle(inc, st.i)
+				if st.j >= 0 {
+					toggle(inc, st.j)
+				}
+			}
+		}
+		walkEnd := time.Now()
+		if err := inc.Reset(start); err != nil {
+			b.Fatal(err)
+		}
+		probe += mid.Sub(begin)
 		trip += end.Sub(mid)
-		bill += time.Since(end)
+		bill += last.Sub(end)
+		walked += walkEnd.Sub(last)
 	}
 	flips := float64(b.N * n)
 	b.ReportMetric(float64(probe)/flips, "ns/probe")
 	b.ReportMetric(float64(trip)/flips, "ns/roundtrip")
 	b.ReportMetric(float64(bill)/flips, "ns/bill")
+	b.ReportMetric(float64(walked)/float64(b.N*len(walk)), "ns/walk")
+}
+
+// walkStep is one probe of a random walk: a flip of i (j < 0) or a swap
+// of selected i for unselected j, moved onto when move is set.
+type walkStep struct {
+	i, j int
+	move bool
+}
+
+// walkSteps draws a walk of count probes from the subset sel, one in
+// four a swap and the rest flips, moving onto every fourth neighbor it
+// probes. sel is left as it was.
+func walkSteps(rng *rand.Rand, sel []bool, count int) []walkStep {
+	sel = slices.Clone(sel)
+	steps := make([]walkStep, count)
+	for k := range steps {
+		st := walkStep{i: rng.Intn(len(sel)), j: -1, move: k%4 == 3}
+		if rng.Intn(4) == 0 {
+			if out, in, ok := randomSwap(rng, sel); ok {
+				st.i, st.j = out, in
+			}
+		}
+		if st.move {
+			sel[st.i] = !sel[st.i]
+			if st.j >= 0 {
+				sel[st.j] = !sel[st.j]
+			}
+		}
+		steps[k] = st
+	}
+	return steps
 }

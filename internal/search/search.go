@@ -4,7 +4,7 @@
 // The paper's knapsack formulation (Section 5.2) linearizes each view's
 // effect on the bill and the workload time. The approximation is not
 // free even on the 16-node sales lattice — the repo benchmark's oracle
-// measures the knapsack's answers 8.7–13.2% off the exhaustive optimum
+// measures the knapsack's answers 8.69–15.84% off the exhaustive optimum
 // on 7-candidate pools (ROADMAP item 1) — and as the candidate space
 // grows (4–5 dimension schemas, hundreds–thousands of cuboids) the
 // double-counting of shared query savings and the tier/rounding errors of
@@ -481,15 +481,16 @@ func (s *solver) flip(a, b int) {
 //
 //mvlint:hotpath
 func (s *solver) lookup(a, b int) (slot int, e eval, err error) {
-	select {
-	case <-s.done:
-		// The deadline gate sits on move probes only — never on start
-		// pricing (scoreState via evaluate) — so warm starts are always
-		// priced and a degraded incumbent can never lose to its own
-		// warm start. A nil done channel (no deadline) blocks forever
-		// and falls through to default.
-		return 0, eval{}, errDeadline
-	default:
+	// The deadline gate sits on move probes only — never on start pricing
+	// (scoreState via evaluate) — so warm starts are always priced and a
+	// degraded incumbent can never lose to its own warm start. With no
+	// deadline there is no channel to poll, and the select is skipped.
+	if s.done != nil {
+		select {
+		case <-s.done:
+			return 0, eval{}, errDeadline
+		default:
+		}
 	}
 	slot = s.cache.find(s.inc.Words(), a, b)
 	if c := s.cache.at(slot); c != nil {
