@@ -80,6 +80,17 @@ func TestAdviseCLIGoldens(t *testing.T) {
 	})
 }
 
+// TestTariffsCLIGolden pins the exact stdout of mvcloud -tariffs: the
+// compute and storage tables of every catalog provider, the tables
+// GET /v1/tariffs serves.
+func TestTariffsCLIGolden(t *testing.T) {
+	var buf bytes.Buffer
+	if err := runAdviseArgs([]string{"-tariffs"}, &buf); err != nil {
+		t.Fatal(err)
+	}
+	checkGolden(t, "tariffs", buf.Bytes())
+}
+
 type golden struct {
 	name string
 	args []string

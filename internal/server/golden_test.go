@@ -9,6 +9,29 @@ import (
 
 var updateGolden = flag.Bool("update", false, "rewrite golden files from the current output")
 
+// checkGolden compares a response body against testdata/<name>.golden,
+// rewriting it under -update.
+func checkGolden(t *testing.T, name string, got []byte) {
+	t.Helper()
+	path := filepath.Join("testdata", name+".golden")
+	if *updateGolden {
+		if err := os.MkdirAll("testdata", 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, got, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatalf("missing golden (run go test ./internal/server -run Golden -update): %v", err)
+	}
+	if string(got) != string(want) {
+		t.Errorf("response drifted from committed golden %s:\ngot:  %s\nwant: %s", path, got, want)
+	}
+}
+
 // TestAdviseSearchGoldens pins the exact response bytes of seeded search
 // advisories on the paper's sales lattice. The incremental evaluation
 // engine must keep these byte-identical: any drift means the refactor
@@ -31,23 +54,18 @@ func TestAdviseSearchGoldens(t *testing.T) {
 			if w.Code != 200 {
 				t.Fatalf("status %d: %s", w.Code, w.Body.String())
 			}
-			path := filepath.Join("testdata", c.name+".golden")
-			if *updateGolden {
-				if err := os.MkdirAll("testdata", 0o755); err != nil {
-					t.Fatal(err)
-				}
-				if err := os.WriteFile(path, w.Body.Bytes(), 0o644); err != nil {
-					t.Fatal(err)
-				}
-				return
-			}
-			want, err := os.ReadFile(path)
-			if err != nil {
-				t.Fatalf("missing golden (run go test ./internal/server -run Golden -update): %v", err)
-			}
-			if got := w.Body.String(); got != string(want) {
-				t.Errorf("response drifted from pre-refactor golden %s:\ngot:  %s\nwant: %s", path, got, want)
-			}
+			checkGolden(t, c.name, w.Body.Bytes())
 		})
 	}
+}
+
+// TestTariffsGolden pins the GET /v1/tariffs body: every catalog
+// provider in the pricing wire format and its compute and storage
+// tables, the tables mvcloud -tariffs prints.
+func TestTariffsGolden(t *testing.T) {
+	w := do(t, testServer(), "GET", "/v1/tariffs", "")
+	if w.Code != 200 {
+		t.Fatalf("status %d: %s", w.Code, w.Body.String())
+	}
+	checkGolden(t, "tariffs", w.Body.Bytes())
 }
