@@ -79,22 +79,9 @@ func main() {
 func printTariffs(out io.Writer) {
 	for _, name := range pricing.ProviderNames() {
 		p, _ := pricing.Lookup(name)
-		t := report.NewTable(fmt.Sprintf("%s — compute (%s billing)", p.Name, p.Compute.Granularity),
-			"instance", "$/hour", "RAM", "ECU", "local storage")
-		for _, in := range p.Compute.InstanceNames() {
-			it, _ := p.Compute.Instance(in)
-			t.AddRow(it.Name, it.PricePerHour, it.RAM, it.ECU, it.LocalStorage)
+		for _, t := range server.TariffTables(p) {
+			fmt.Fprintln(out, t)
 		}
-		fmt.Fprintln(out, t)
-		st := report.NewTable(fmt.Sprintf("%s — storage ($/GB/month, %s)", p.Name, p.Storage.Table.Mode), "up to", "price")
-		for _, tier := range p.Storage.Table.Tiers {
-			bound := "∞"
-			if tier.UpTo != 0 {
-				bound = tier.UpTo.String()
-			}
-			st.AddRow(bound, tier.PricePerGB)
-		}
-		fmt.Fprintln(out, st)
 	}
 }
 

@@ -72,7 +72,6 @@ func main() {
 		maxRows  = flag.Int64("max-fact-rows", 0, "largest accepted fact_rows (0 = server default)")
 		maxSteps = flag.Int("max-pareto-steps", 0, "largest accepted pareto sweep (0 = server default)")
 		maxGrid  = flag.Int("max-compare-configs", 0, "largest accepted compare or sweep grid (0 = server default)")
-		cmpWork  = flag.Int("compare-workers", 0, "compare fan-out worker pool size (0 = GOMAXPROCS)")
 		advWork  = flag.Int("advise-workers", 0, "concurrent advise solves admitted (0 = GOMAXPROCS)")
 		hvyWork  = flag.Int("heavy-workers", 0, "concurrent compare/sweep solves admitted (0 = GOMAXPROCS)")
 		advQueue = flag.Int("advise-queue", 0, "advise solves queued beyond the workers before shedding 429 (0 = server default, negative = no queue)")
@@ -89,8 +88,7 @@ func main() {
 	if err := run(ctx, options{
 		addr: *addr, cacheSize: *cache, cacheMaxBytes: *cacheMB << 20, requestTimeout: *reqTO,
 		shutdownGrace: *graceTO, maxFactRows: *maxRows, maxParetoSteps: *maxSteps,
-		maxCompareConfigs: *maxGrid, compareWorkers: *cmpWork,
-		adviseWorkers: *advWork, heavyWorkers: *hvyWork,
+		maxCompareConfigs: *maxGrid, adviseWorkers: *advWork, heavyWorkers: *hvyWork,
 		adviseQueue: *advQueue, heavyQueue: *hvyQueue,
 		debugAddr: *dbgAddr, slowSolve: *slowTO,
 		clusterWorkers: *cluster, clusterSeed: *clSeed,
@@ -110,7 +108,6 @@ type options struct {
 	maxFactRows       int64
 	maxParetoSteps    int
 	maxCompareConfigs int
-	compareWorkers    int
 	// Admission-control sizing: bounded solve-worker pools and queues
 	// for the cheap (advise) and heavy (compare/sweep) endpoint
 	// classes; zero values take the server defaults.
@@ -148,7 +145,6 @@ func run(ctx context.Context, o options) error {
 		MaxFactRows:        o.maxFactRows,
 		MaxParetoSteps:     o.maxParetoSteps,
 		MaxCompareConfigs:  o.maxCompareConfigs,
-		CompareWorkers:     o.compareWorkers,
 		AdviseWorkers:      o.adviseWorkers,
 		HeavyWorkers:       o.heavyWorkers,
 		AdviseQueue:        o.adviseQueue,

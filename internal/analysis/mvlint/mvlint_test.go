@@ -292,21 +292,9 @@ func unreached(pkgs []*analysis.Package, checked func(path string) bool, allow m
 	return out
 }
 
-// optionStructs are the settings structs every exported field of which
-// some product code must set.
-var optionStructs = []string{
-	module + "/internal/core.Config",
-	module + "/internal/compare.Request",
-	module + "/internal/compare.SweepRequest",
-	module + "/internal/server.Options",
-	module + "/internal/server.ClusterOptions",
-	module + "/internal/server.LocalClusterOptions",
-	module + "/internal/search.Options",
-}
-
-// optionAllow names the option fields only tests set that stay anyway,
-// each with its reason.
-var optionAllow = map[string]string{
+// fieldAllow names the fields only tests set that stay anyway, each
+// with its reason.
+var fieldAllow = map[string]string{
 	module + "/internal/server.Options.Chaos": "the fault harness the overload and chaos contracts switch on",
 	module + "/internal/server.Options.SlowLog": "tests read the slow-solve log from a writer " +
 		"of their own; the product logs to stderr",
@@ -316,42 +304,47 @@ var optionAllow = map[string]string{
 		"need it at sub-second values",
 }
 
-// TestEveryOptionIsSet holds the settings structs to what the product
-// turns: every exported field of optionStructs must be written by some
-// non-test file of the module or bench/ — a composite-literal key, an
-// assignment or an increment — other than its own type's withDefaults.
-// A field nothing sets is a constant in disguise.
-func TestEveryOptionIsSet(t *testing.T) {
-	for _, msg := range unsetOptions(loadProduct(t), optionStructs, optionAllow) {
+// TestEveryFieldIsSet holds every struct the product builds to what the
+// product writes: each exported field of a package-level struct type
+// that some non-test file of the module or bench/ builds with a
+// composite literal must be written by some such file — a literal key,
+// an unkeyed literal, an assignment or an increment — other than its own
+// type's withDefaults. A field nothing sets is a constant in disguise.
+func TestEveryFieldIsSet(t *testing.T) {
+	for _, msg := range unsetFields(loadProduct(t), fieldAllow) {
 		t.Error(msg)
 	}
-	if len(optionAllow) > 4 {
-		t.Errorf("optionAllow has %d entries; make a setting a constant rather than excuse it", len(optionAllow))
+	if len(fieldAllow) > 4 {
+		t.Errorf("fieldAllow has %d entries; make a setting a constant rather than excuse it", len(fieldAllow))
 	}
 }
 
-// TestUnsetOptionsFixture runs the option check on
-// testdata/src/options: lib declares the struct, cmd sets some of it.
-func TestUnsetOptionsFixture(t *testing.T) {
+// TestUnsetFieldsFixture runs the field check on testdata/src/fields:
+// lib declares the structs, cmd builds and sets some of them.
+func TestUnsetFieldsFixture(t *testing.T) {
 	if testing.Short() {
 		t.Skip("loads the fixture through go list; skipped in -short")
 	}
-	const opts = module + "/internal/analysis/testdata/src/options/lib.Options"
+	const lib = module + "/internal/analysis/testdata/src/fields/lib"
+	const opts = lib + ".Options"
 	pkgs, err := analysis.LoadPackages(moduleRoot(t), []string{
-		"./internal/analysis/testdata/src/options/lib",
-		"./internal/analysis/testdata/src/options/cmd",
+		"./internal/analysis/testdata/src/fields/lib",
+		"./internal/analysis/testdata/src/fields/cmd",
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	got := unsetOptions(pkgs, []string{opts}, map[string]string{
-		opts + ".Allowed": "set by nothing, excused",
-		opts + ".Keyed":   "stale: set anyway",
-		opts + ".Gone":    "stale: names nothing",
+	got := unsetFields(pkgs, map[string]string{
+		opts + ".Allowed":   "set by nothing, excused",
+		opts + ".Keyed":     "stale: set anyway",
+		opts + ".Gone":      "stale: names nothing",
+		lib + ".Other.Free": "stale: Other is built by no literal",
 	})
 	want := []string{
-		"allowlist entry " + opts + ".Gone names no option field",
+		"allowlist entry " + opts + ".Gone names no checked field",
 		"allowlist entry " + opts + ".Keyed is set without it: drop the entry",
+		"allowlist entry " + lib + ".Other.Free names no checked field",
+		lib + ".Inner.Spare is set by no product code",
 		opts + ".Defaulted is set by no product code",
 		opts + ".TestOnly is set by no product code",
 		opts + ".Unset is set by no product code",
@@ -365,46 +358,43 @@ func TestUnsetOptionsFixture(t *testing.T) {
 	}
 }
 
-// unsetOptions returns, sorted, every exported field of the structs
-// (keyed "path.Type") that no file of pkgs writes outside the struct's
-// own withDefaults and allow does not excuse, and every stale allow
-// entry. Fields are keyed "path.Type.Field" and matched by the type that
-// declares them, never by identity: each package is type-checked
-// against export data (see objKey).
-func unsetOptions(pkgs []*analysis.Package, structs []string, allow map[string]string) []string {
-	declared := map[string]token.Position{}
+// unsetFields returns, sorted, every exported field that no file of pkgs
+// writes outside its struct's own withDefaults and allow does not
+// excuse, and every stale allow entry. The fields checked are those of
+// every package-level struct type of pkgs that some file of pkgs builds
+// with a composite literal. A literal writes the fields it keys, or all
+// of them when unkeyed; an assignment or increment to a.B.C writes C, B
+// and every embedded field a promoted selector passes through. Fields
+// are keyed "path.Type.Field" and matched by the type that declares
+// them, never by identity: each package is type-checked against export
+// data (see objKey).
+func unsetFields(pkgs []*analysis.Package, allow map[string]string) []string {
+	byPath := map[string]*analysis.Package{}
 	for _, p := range pkgs {
-		for _, name := range structs {
-			path, typ, _ := strings.Cut(name, ".")
-			if path != p.Path {
-				continue
-			}
-			st := p.Types.Scope().Lookup(typ).Type().Underlying().(*types.Struct)
-			for i := 0; i < st.NumFields(); i++ {
-				if f := st.Field(i); f.Exported() {
-					declared[name+"."+f.Name()] = p.Fset.Position(f.Pos())
-				}
-			}
-		}
+		byPath[p.Path] = p
 	}
-
+	declared := map[string]token.Position{}
 	written := map[string]bool{}
 	for _, p := range pkgs {
-		// write records a write to field x (a selector), unless it happens
-		// in the withDefaults of the type that declares the field.
+		// write records a write to the field x selects and to every field
+		// on the way to it, unless it happens in the withDefaults of the
+		// type that declares that field.
 		write := func(x ast.Expr, defaults string) {
-			se, _ := x.(*ast.SelectorExpr)
-			sel := p.TypesInfo.Selections[se]
-			if sel == nil || sel.Kind() != types.FieldVal {
-				return
-			}
-			// Follow promoted fields down to the struct that declares it.
-			t := sel.Recv()
-			for _, i := range sel.Index()[:len(sel.Index())-1] {
-				t = derefStruct(t).Field(i).Type()
-			}
-			if owner := namedKey(t); owner != defaults {
-				written[owner+"."+se.Sel.Name] = true
+			for {
+				se, _ := x.(*ast.SelectorExpr)
+				sel := p.TypesInfo.Selections[se]
+				if sel == nil || sel.Kind() != types.FieldVal {
+					return
+				}
+				t := sel.Recv()
+				for _, i := range sel.Index() {
+					f := derefStruct(t).Field(i)
+					if owner := namedKey(t); owner != defaults {
+						written[owner+"."+f.Name()] = true
+					}
+					t = f.Type()
+				}
+				x = se.X
 			}
 		}
 		for _, f := range p.Files {
@@ -416,12 +406,20 @@ func unsetOptions(pkgs []*analysis.Package, structs []string, allow map[string]s
 				ast.Inspect(decl, func(n ast.Node) bool {
 					switch n := n.(type) {
 					case *ast.CompositeLit:
-						owner := namedKey(p.TypesInfo.TypeOf(n))
-						for _, elt := range n.Elts {
-							if kv, ok := elt.(*ast.KeyValueExpr); ok && owner != defaults {
-								if id, ok := kv.Key.(*ast.Ident); ok {
-									written[owner+"."+id.Name] = true
-								}
+						typ := p.TypesInfo.TypeOf(n)
+						st, ok := typ.Underlying().(*types.Struct)
+						owner := namedKey(typ)
+						if !ok || owner == "" {
+							return true
+						}
+						declareFields(byPath, owner, declared)
+						for i, elt := range n.Elts {
+							name := st.Field(i).Name()
+							if kv, ok := elt.(*ast.KeyValueExpr); ok {
+								name = kv.Key.(*ast.Ident).Name
+							}
+							if owner != defaults {
+								written[owner+"."+name] = true
 							}
 						}
 					case *ast.AssignStmt:
@@ -445,13 +443,35 @@ func unsetOptions(pkgs []*analysis.Package, structs []string, allow map[string]s
 	}
 	for key := range allow {
 		if _, ok := declared[key]; !ok {
-			out = append(out, fmt.Sprintf("allowlist entry %s names no option field", key))
+			out = append(out, fmt.Sprintf("allowlist entry %s names no checked field", key))
 		} else if written[key] {
 			out = append(out, fmt.Sprintf("allowlist entry %s is set without it: drop the entry", key))
 		}
 	}
 	sort.Strings(out)
 	return out
+}
+
+// declareFields adds the exported fields of the struct type keyed owner
+// ("path.Type") to declared, at their positions in the declaring
+// package, when that package is loaded and declares the type at package
+// level.
+func declareFields(byPath map[string]*analysis.Package, owner string, declared map[string]token.Position) {
+	dot := strings.LastIndex(owner, ".")
+	p := byPath[owner[:dot]]
+	if p == nil {
+		return
+	}
+	obj, ok := p.Types.Scope().Lookup(owner[dot+1:]).(*types.TypeName)
+	if !ok {
+		return
+	}
+	st := obj.Type().Underlying().(*types.Struct)
+	for i := 0; i < st.NumFields(); i++ {
+		if f := st.Field(i); f.Exported() {
+			declared[owner+"."+f.Name()] = p.Fset.Position(f.Pos())
+		}
+	}
 }
 
 // namedKey keys a named type, or a pointer to one, "path.Name"; "" for

@@ -11,7 +11,7 @@
 //
 // The Plan type gathers one configuration's parameters (dataset size, view
 // set size, monthly processing/maintenance hours, one-off materialization
-// hours, monthly egress, insert events) and prices it into a Bill.
+// hours, monthly egress) and prices it into a Bill.
 package costmodel
 
 import (
@@ -117,9 +117,6 @@ type Plan struct {
 	Materialization time.Duration
 	// MonthlyEgress is Σ s(Ri) per month (Formula 3).
 	MonthlyEgress units.DataSize
-	// Inserts are volume-change events over the period (Formula 5's
-	// intervals); sizes add to DatasetSize+ViewsSize.
-	Inserts []simtime.Event
 }
 
 // Validate checks the plan's parameters.
@@ -139,10 +136,6 @@ func (p Plan) Validate() error {
 	return nil
 }
 
-// wholeMonths returns the number of monthly billing cycles: fractional
-// periods bill the fraction.
-func (p Plan) monthsFactor() float64 { return p.Months }
-
 // Bill prices the plan (Formulas 1–12).
 func (p Plan) Bill() (Bill, error) {
 	if err := p.Validate(); err != nil {
@@ -152,18 +145,15 @@ func (p Plan) Bill() (Bill, error) {
 
 	// Compute (Formula 6): each monthly quantity is billed per month at
 	// the provider's rounding (Example 2 rounds the monthly total up), the
-	// one-off materialization once.
-	b.Compute.Processing = p.Cluster.ComputeCost(p.MonthlyProcessing).MulFloat(p.monthsFactor())
-	b.Compute.Maintenance = p.Cluster.ComputeCost(p.MonthlyMaintenance).MulFloat(p.monthsFactor())
+	// one-off materialization once. A fractional period bills the
+	// fraction.
+	b.Compute.Processing = p.Cluster.ComputeCost(p.MonthlyProcessing).MulFloat(p.Months)
+	b.Compute.Maintenance = p.Cluster.ComputeCost(p.MonthlyMaintenance).MulFloat(p.Months)
 	b.Compute.Materialization = p.Cluster.ComputeCost(p.Materialization)
 
 	// Storage (Formula 5): dataset + views at rest for the whole period,
-	// plus insert events.
-	tl := simtime.Timeline{
-		Initial: p.DatasetSize + p.ViewsSize,
-		Horizon: simtime.Months(p.Months),
-		Events:  p.Inserts,
-	}
+	// one constant-volume interval.
+	tl := simtime.Timeline{Initial: p.DatasetSize + p.ViewsSize, Horizon: simtime.Months(p.Months)}
 	var err error
 	b.Storage, err = StorageCost(p.Cluster.Provider, tl)
 	if err != nil {
@@ -172,7 +162,7 @@ func (p Plan) Bill() (Bill, error) {
 
 	// Transfer (Formula 3): monthly egress priced at the tiered rate, per
 	// month.
-	b.Transfer = TransferCost(p.Cluster.Provider, p.MonthlyEgress).MulFloat(p.monthsFactor())
+	b.Transfer = TransferCost(p.Cluster.Provider, p.MonthlyEgress).MulFloat(p.Months)
 	return b, nil
 }
 

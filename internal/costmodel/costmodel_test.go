@@ -174,22 +174,6 @@ func TestMonthlyQuantitiesScaleWithMonths(t *testing.T) {
 	}
 }
 
-func TestPlanWithInserts(t *testing.T) {
-	p := Plan{
-		Cluster:     awsTwoSmalls(t),
-		Months:      12,
-		DatasetSize: 512 * units.GB,
-		Inserts:     []simtime.Event{{At: 7, Delta: 2048 * units.GB}},
-	}
-	b, err := p.Bill()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if b.Storage != money.FromDollars(2101.76) {
-		t.Errorf("storage with inserts = %v, want $2101.76", b.Storage)
-	}
-}
-
 func TestPlanValidate(t *testing.T) {
 	good := Plan{Cluster: awsTwoSmalls(t), Months: 1, DatasetSize: units.GB}
 	if err := good.Validate(); err != nil {

@@ -2,7 +2,6 @@ package optimizer
 
 import (
 	"math"
-	"sort"
 	"time"
 
 	"vmcloud/internal/costmodel"
@@ -15,12 +14,12 @@ import (
 // compiledBill is Plan.Bill (Formulas 1–12) for one tariff binding, with
 // everything a selection cannot change derived once at bind: the hourly
 // price and fleet size, the billing granularity and period, the storage
-// tier table and horizon, the base timeline's insert events sorted and
-// merged, and the egress charge. What is left per call is the arithmetic
-// on the four view-dependent aggregates. The served bill — Score, Probe
-// and the KernelSession's exact evaluations — is priced here; Plan.Bill,
-// through Evaluator.Evaluate, stays the formula-by-formula oracle it is
-// held to bit for bit (FuzzIncrementalMoves, TestCompiledBillMatchesPlanBill).
+// tier table and horizon, and the egress charge. What is left per call
+// is the arithmetic on the four view-dependent aggregates. The served
+// bill — Score, Probe and the KernelSession's exact evaluations — is
+// priced here; Plan.Bill, through Evaluator.Evaluate, stays the
+// formula-by-formula oracle it is held to bit for bit
+// (FuzzIncrementalMoves, TestCompiledBillMatchesPlanBill).
 type compiledBill struct {
 	// plan is the evaluator's validated plan template; it prices the
 	// rejection of overflowed aggregates.
@@ -36,11 +35,6 @@ type compiledBill struct {
 	dataset units.DataSize
 	storage pricing.TierTable
 	horizon simtime.Months
-	// steps are the insert events inside [0, horizon), stably sorted and
-	// merged per instant exactly as Timeline.Intervals merges them; they
-	// are valid only when timelineOK.
-	steps      []simtime.Event
-	timelineOK bool
 
 	transfer money.Money // Formula 3: the one term no selection changes
 }
@@ -78,7 +72,6 @@ func compileBill(plan *costmodel.Plan) compiledBill {
 	}
 	c.monthly = c.term(true)
 	c.once = c.term(false)
-	c.compileTimeline(plan.Inserts)
 	return c
 }
 
@@ -118,38 +111,6 @@ func exactProduct(a, b int64) (int64, bool) {
 		return -1, false
 	}
 	return a * b, true
-}
-
-// compileTimeline sorts and merges the base timeline's events once, as
-// Timeline.Intervals does on every call: events at or past the horizon
-// are dropped, the rest stably sorted by instant and merged per instant.
-// A timeline Intervals rejects whatever the initial volume — a negative
-// horizon, or an event before the period start in a non-empty one — is
-// marked not OK, and store defers its error to Intervals.
-func (c *compiledBill) compileTimeline(events []simtime.Event) {
-	c.timelineOK = !(c.horizon < 0)
-	if !c.timelineOK || c.horizon == 0 || len(events) == 0 {
-		return
-	}
-	evs := make([]simtime.Event, 0, len(events))
-	for _, e := range events {
-		if e.At < 0 {
-			c.timelineOK = false
-			return
-		}
-		if !(e.At >= c.horizon) {
-			evs = append(evs, e)
-		}
-	}
-	sort.SliceStable(evs, func(i, j int) bool { return evs[i].At < evs[j].At })
-	for i := 0; i < len(evs); {
-		step := simtime.Event{At: evs[i].At}
-		for i < len(evs) && evs[i].At == step.At {
-			step.Delta += evs[i].Delta
-			i++
-		}
-		c.steps = append(c.steps, step)
-	}
 }
 
 // price bills a subset from its view-dependent aggregates — monthly
@@ -196,31 +157,18 @@ func (c *compiledBill) compute(t *computeTerm, d time.Duration) money.Money {
 	return m
 }
 
-// store is StorageCost of the base timeline started at initial (Formula
-// 5): each constant-volume interval billed by the storage tier table for
-// its length, summed in time order.
+// store is StorageCost of the stored volume held for the whole period
+// (Formula 5): one constant-volume interval billed by the storage tier
+// table. A volume the aggregates overflowed is rejected with Plan.Bill's
+// error.
 //
 //mvlint:hotpath
-func (c *compiledBill) store(initial units.DataSize) (money.Money, error) {
-	if !c.timelineOK || initial < 0 {
-		return 0, c.timelineErr(initial)
+func (c *compiledBill) store(volume units.DataSize) (money.Money, error) {
+	if volume < 0 {
+		_, err := simtime.Timeline{Initial: volume, Horizon: c.horizon}.Intervals()
+		return 0, err
 	}
-	if c.horizon == 0 {
-		return 0, nil
-	}
-	var total money.Money
-	cur, start := initial, simtime.Months(0)
-	for _, st := range c.steps {
-		if st.At > start {
-			total = total.Add(c.hold(cur, st.At-start))
-			start = st.At
-		}
-		cur += st.Delta
-		if cur < 0 {
-			return 0, c.timelineErr(initial)
-		}
-	}
-	return total.Add(c.hold(cur, c.horizon-start)), nil
+	return c.hold(volume, c.horizon), nil
 }
 
 // hold is StorageTariff.CostFor: size held for months. One month held
@@ -238,11 +186,4 @@ func (c *compiledBill) hold(size units.DataSize, months simtime.Months) money.Mo
 		return cost
 	}
 	return cost.MulFloat(float64(months))
-}
-
-// timelineErr is Timeline.Intervals' rejection of the base timeline
-// started at initial, which store found invalid.
-func (c *compiledBill) timelineErr(initial units.DataSize) error {
-	_, err := simtime.Timeline{Initial: initial, Horizon: c.horizon, Events: c.plan.Inserts}.Intervals()
-	return err
 }

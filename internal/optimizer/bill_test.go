@@ -30,9 +30,9 @@ func sameOutcome(gotT time.Duration, gotB costmodel.Bill, gotErr error, wantT ti
 
 // TestCompiledBillMatchesPlanBill holds the served bill to the oracle.
 // For every catalog tariff × fleet {1, 3, 5} × period {0, 0.5, 1, 6, 12}
-// months × maintenance policy × insert timeline, the compiled bill of a
-// set of aggregates equals Plan.Bill of the plan carrying them, bit for
-// bit, errors included; and a short engine walk's Score equals Evaluate.
+// months × maintenance policy, the compiled bill of a set of aggregates
+// equals Plan.Bill of the plan carrying them, bit for bit, errors
+// included; and a short engine walk's Score equals Evaluate.
 //
 // The aggregates include, for each compute term with an integer form,
 // durations billed at exactly its bound and one hour past it, so both
@@ -40,10 +40,9 @@ func sameOutcome(gotT time.Duration, gotB costmodel.Bill, gotErr error, wantT ti
 // the bound past any time.Duration, so each tariff is also priced with
 // its instance at $10M and one micro-dollar an hour, which brings it
 // within reach; the odd price makes the float path's product one hour
-// past the bound inexact, so an integer form kept past it would show. The
-// timelines cover growth (with events merged at one instant and one
-// past the horizon), a shrink that drives small selections' stored
-// volume negative, and an event before the period start.
+// past the bound inexact, so an integer form kept past it would show.
+// They also include view bytes that overflow the stored volume, dataset
+// plus views, which both sides must reject with one error.
 func TestCompiledBillMatchesPlanBill(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
 	const maxHours = math.MaxInt64 / int64(time.Hour)
@@ -70,89 +69,75 @@ func TestCompiledBillMatchesPlanBill(t *testing.T) {
 					est := *seedEv.Est
 					est.Cl = cl
 					for _, months := range []float64{0, 0.5, 1, 6, 12} {
-						h := simtime.Months(months)
-						timelines := map[string][]simtime.Event{
-							"none": nil,
-							"growth": {
-								{At: h / 3, Delta: ds / 4},
-								{At: h / 2, Delta: ds / 7},
-								{At: h / 2, Delta: ds / 9},
-								{At: h, Delta: ds},
-							},
-							"shrink": {{At: h / 3, Delta: ds / 4}, {At: h / 2, Delta: -(ds + ds/4 + units.GB)}},
-							"early":  {{At: -1, Delta: ds}},
+						ev, err := NewEvaluator(&est, seedEv.W, costmodel.Plan{
+							Cluster:       cl,
+							Months:        months,
+							DatasetSize:   ds,
+							MonthlyEgress: seedEv.Base.MonthlyEgress,
+						})
+						if err != nil {
+							t.Fatal(err)
 						}
-						for tlName, events := range timelines {
-							ev, err := NewEvaluator(&est, seedEv.W, costmodel.Plan{
-								Cluster:       cl,
-								Months:        months,
-								DatasetSize:   ds,
-								MonthlyEgress: seedEv.Base.MonthlyEgress,
-								Inserts:       events,
-							})
-							if err != nil {
-								t.Fatal(err)
+						inc, err := NewIncrementalEvaluator(ev, cands)
+						if err != nil {
+							t.Fatal(err)
+						}
+						where := fmt.Sprintf("%s pricey=%v fleet %d months %g %v", name, pricey, fleet, months, policy)
+						check := func(proc, maint, mat time.Duration, size units.DataSize) {
+							t.Helper()
+							gotT, gotB, gotErr := inc.billing.price(proc, maint, mat, size)
+							wantB, wantErr := ev.Base.WithViews(size, proc, maint, mat).Bill()
+							if !sameOutcome(gotT, gotB, gotErr, proc, wantB, wantErr) {
+								t.Fatalf("%s: aggregates (%v, %v, %v, %v):\ncompiled (%v, %+v, %v)\nPlan.Bill (%v, %+v, %v)",
+									where, proc, maint, mat, size, gotT, gotB, gotErr, proc, wantB, wantErr)
 							}
-							inc, err := NewIncrementalEvaluator(ev, cands)
-							if err != nil {
-								t.Fatal(err)
+						}
+						hoursOf := func(h int64) []time.Duration {
+							if h < 1 || h > maxHours {
+								return nil
 							}
-							where := fmt.Sprintf("%s pricey=%v fleet %d months %g %s %v", name, pricey, fleet, months, tlName, policy)
-							check := func(proc, maint, mat time.Duration, size units.DataSize) {
-								t.Helper()
-								gotT, gotB, gotErr := inc.billing.price(proc, maint, mat, size)
-								wantB, wantErr := ev.Base.WithViews(size, proc, maint, mat).Bill()
-								if !sameOutcome(gotT, gotB, gotErr, proc, wantB, wantErr) {
-									t.Fatalf("%s: aggregates (%v, %v, %v, %v):\ncompiled (%v, %+v, %v)\nPlan.Bill (%v, %+v, %v)",
-										where, proc, maint, mat, size, gotT, gotB, gotErr, proc, wantB, wantErr)
-								}
+							// h billed hours, reached exactly and from just above h−1.
+							return []time.Duration{time.Duration(h) * time.Hour, time.Duration(h-1)*time.Hour + 1}
+						}
+						for _, tm := range []*computeTerm{&inc.billing.monthly, &inc.billing.once} {
+							if tm.maxHours < 0 {
+								continue
 							}
-							hoursOf := func(h int64) []time.Duration {
-								if h < 1 || h > maxHours {
-									return nil
-								}
-								// h billed hours, reached exactly and from just above h−1.
-								return []time.Duration{time.Duration(h) * time.Hour, time.Duration(h-1)*time.Hour + 1}
+							if tm.maxHours < maxHours {
+								bounds++
 							}
-							for _, tm := range []*computeTerm{&inc.billing.monthly, &inc.billing.once} {
-								if tm.maxHours < 0 {
-									continue
-								}
-								if tm.maxHours < maxHours {
-									bounds++
-								}
-								for _, hrs := range [][]time.Duration{hoursOf(tm.maxHours), hoursOf(tm.maxHours + 1)} {
-									for _, d := range hrs {
-										if tm.scaled {
-											check(d, 0, 0, units.GB)
-											check(time.Hour, d, 0, 2*units.GB)
-										} else {
-											check(0, 0, d, 3*units.GB)
-										}
+							for _, hrs := range [][]time.Duration{hoursOf(tm.maxHours), hoursOf(tm.maxHours + 1)} {
+								for _, d := range hrs {
+									if tm.scaled {
+										check(d, 0, 0, units.GB)
+										check(time.Hour, d, 0, 2*units.GB)
+									} else {
+										check(0, 0, d, 3*units.GB)
 									}
 								}
 							}
-							check(0, 0, 0, 0)
-							check(math.MaxInt64, math.MaxInt64, math.MaxInt64, units.TB)
-							check(-1, 0, 0, 0)
-							check(0, 0, 0, -1)
-							for k := 0; k < 20; k++ {
-								check(time.Duration(rng.Int63n(int64(5000*time.Hour))), time.Duration(rng.Int63n(int64(500*time.Hour))),
-									time.Duration(rng.Int63n(int64(50*time.Hour))), units.DataSize(rng.Int63n(int64(4*units.TB))))
-							}
-							// The engine prices its own states through the compiled
-							// bill: a short walk, held to Evaluate.
-							sel := make([]bool, len(cands))
-							for step := 0; step < 6; step++ {
-								i := rng.Intn(len(cands))
-								toggle(inc, i)
-								sel[i] = !sel[i]
-								gotT, gotB, gotErr := inc.Score()
-								wantT, wantB, wantErr := ev.Evaluate(selectedPoints(cands, sel))
-								if !sameOutcome(gotT, gotB, gotErr, wantT, wantB, wantErr) {
-									t.Fatalf("%s step %d:\nScore    (%v, %+v, %v)\nEvaluate (%v, %+v, %v)",
-										where, step, gotT, gotB, gotErr, wantT, wantB, wantErr)
-								}
+						}
+						check(0, 0, 0, 0)
+						check(math.MaxInt64, math.MaxInt64, math.MaxInt64, units.TB)
+						check(-1, 0, 0, 0)
+						check(0, 0, 0, -1)
+						check(0, 0, 0, math.MaxInt64-1) // dataset + views overflows
+						for k := 0; k < 20; k++ {
+							check(time.Duration(rng.Int63n(int64(5000*time.Hour))), time.Duration(rng.Int63n(int64(500*time.Hour))),
+								time.Duration(rng.Int63n(int64(50*time.Hour))), units.DataSize(rng.Int63n(int64(4*units.TB))))
+						}
+						// The engine prices its own states through the compiled
+						// bill: a short walk, held to Evaluate.
+						sel := make([]bool, len(cands))
+						for step := 0; step < 6; step++ {
+							i := rng.Intn(len(cands))
+							toggle(inc, i)
+							sel[i] = !sel[i]
+							gotT, gotB, gotErr := inc.Score()
+							wantT, wantB, wantErr := ev.Evaluate(selectedPoints(cands, sel))
+							if !sameOutcome(gotT, gotB, gotErr, wantT, wantB, wantErr) {
+								t.Fatalf("%s step %d:\nScore    (%v, %+v, %v)\nEvaluate (%v, %+v, %v)",
+									where, step, gotT, gotB, gotErr, wantT, wantB, wantErr)
 							}
 						}
 					}

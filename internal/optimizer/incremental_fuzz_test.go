@@ -1,10 +1,12 @@
 package optimizer
 
 import (
+	"math"
 	"math/rand"
 	"slices"
 	"testing"
 
+	"vmcloud/internal/units"
 	"vmcloud/internal/views"
 )
 
@@ -16,14 +18,18 @@ import (
 // engine's Score once moved onto that neighbor and Evaluator.Evaluate of
 // it). freqShift scales every query frequency by 2^(freqShift % 48), up
 // to where the aggregates overflow and Plan.Bill rejects the subset: the
-// three must then fail alike. The byte stream doubles as the move
-// script: each byte picks the candidate to flip.
+// three must then fail alike. fullDisk grows the dataset to within half
+// the pool's bytes of the largest DataSize, so that larger selections
+// overflow the stored volume, dataset plus views, and must fail alike
+// too. The byte stream doubles as the move script: each byte picks the
+// candidate to flip.
 func FuzzIncrementalMoves(f *testing.F) {
-	f.Add(int64(1), false, uint8(0), []byte{0, 1, 2, 1, 0})
-	f.Add(int64(42), true, uint8(0), []byte{11, 3, 3, 7, 9, 11, 0, 250})
-	f.Add(int64(-5), true, uint8(0), []byte{})
-	f.Add(int64(3), false, uint8(40), []byte{0, 1, 2, 3, 4, 5})
-	f.Fuzz(func(t *testing.T, seed int64, deferredPolicy bool, freqShift uint8, moves []byte) {
+	f.Add(int64(1), false, uint8(0), false, []byte{0, 1, 2, 1, 0})
+	f.Add(int64(42), true, uint8(0), false, []byte{11, 3, 3, 7, 9, 11, 0, 250})
+	f.Add(int64(-5), true, uint8(0), false, []byte{})
+	f.Add(int64(3), false, uint8(40), false, []byte{0, 1, 2, 3, 4, 5})
+	f.Add(int64(4), true, uint8(0), true, []byte{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 0, 1, 2})
+	f.Fuzz(func(t *testing.T, seed int64, deferredPolicy bool, freqShift uint8, fullDisk bool, moves []byte) {
 		if len(moves) > 128 {
 			moves = moves[:128]
 		}
@@ -33,14 +39,23 @@ func FuzzIncrementalMoves(f *testing.F) {
 		}
 		rng := rand.New(rand.NewSource(seed))
 		ev, cands := incrementalFixture(t, rng, policy)
+		w, plan := ev.W, ev.Base
 		if shift := freqShift % 48; shift > 0 {
-			w := ev.W
 			w.Queries = slices.Clone(w.Queries)
 			for q := range w.Queries {
 				w.Queries[q].Frequency <<= shift
 			}
+		}
+		if fullDisk {
+			var pool units.DataSize
+			for _, c := range cands {
+				pool += c.Size
+			}
+			plan.DatasetSize = math.MaxInt64 - pool/2
+		}
+		if freqShift%48 > 0 || fullDisk {
 			var err error
-			if ev, err = NewEvaluator(ev.Est, w, ev.Base); err != nil {
+			if ev, err = NewEvaluator(ev.Est, w, plan); err != nil {
 				t.Fatal(err)
 			}
 		}

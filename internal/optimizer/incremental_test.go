@@ -11,7 +11,6 @@ import (
 	"vmcloud/internal/lattice"
 	"vmcloud/internal/pricing"
 	"vmcloud/internal/schema"
-	"vmcloud/internal/simtime"
 	"vmcloud/internal/views"
 	"vmcloud/internal/workload"
 )
@@ -176,8 +175,7 @@ func TestProbeRejectsMalformedSwap(t *testing.T) {
 // TestScoreMatchesPlanBillAcrossTariffs pins the bill Score assembles —
 // three compute terms and storage priced per call, egress priced once at
 // Bind — to Plan.Bill through Evaluate on every catalog tariff, for whole,
-// fractional and zero billing periods, with and without insert events
-// (which take StorageCost off its single-interval path).
+// fractional and zero billing periods.
 func TestScoreMatchesPlanBillAcrossTariffs(t *testing.T) {
 	rng := rand.New(rand.NewSource(19))
 	for _, name := range pricing.ProviderNames() {
@@ -186,55 +184,47 @@ func TestScoreMatchesPlanBillAcrossTariffs(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, months := range []float64{0, 0.5, 1, 7.25} {
-			for _, withInserts := range []bool{false, true} {
-				seedEv, cands := incrementalFixture(t, rng, views.MaintenancePolicy(rng.Intn(2)))
-				cl, err := cluster.New(prov, "small", 1+rng.Intn(6))
+			seedEv, cands := incrementalFixture(t, rng, views.MaintenancePolicy(rng.Intn(2)))
+			cl, err := cluster.New(prov, "small", 1+rng.Intn(6))
+			if err != nil {
+				t.Fatal(err)
+			}
+			est := *seedEv.Est
+			est.Cl = cl
+			plan := costmodel.Plan{
+				Cluster:       cl,
+				Months:        months,
+				DatasetSize:   seedEv.Base.DatasetSize,
+				MonthlyEgress: seedEv.Base.MonthlyEgress,
+			}
+			ev, err := NewEvaluator(&est, seedEv.W, plan)
+			if err != nil {
+				t.Fatal(err)
+			}
+			inc, err := NewIncrementalEvaluator(ev, cands)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sel := make([]bool, len(cands))
+			for step := 0; step < 30; step++ {
+				i := rng.Intn(len(cands))
+				if sel[i] {
+					inc.Drop(i)
+				} else {
+					inc.Add(i)
+				}
+				sel[i] = !sel[i]
+				gotT, gotBill, err := inc.Score()
 				if err != nil {
 					t.Fatal(err)
 				}
-				est := *seedEv.Est
-				est.Cl = cl
-				plan := costmodel.Plan{
-					Cluster:       cl,
-					Months:        months,
-					DatasetSize:   seedEv.Base.DatasetSize,
-					MonthlyEgress: seedEv.Base.MonthlyEgress,
-				}
-				if withInserts {
-					plan.Inserts = []simtime.Event{
-						{At: simtime.Months(months / 3), Delta: plan.DatasetSize / 4},
-						{At: simtime.Months(months / 2), Delta: plan.DatasetSize / 7},
-					}
-				}
-				ev, err := NewEvaluator(&est, seedEv.W, plan)
+				wantT, wantBill, err := ev.Evaluate(selectedPoints(cands, sel))
 				if err != nil {
 					t.Fatal(err)
 				}
-				inc, err := NewIncrementalEvaluator(ev, cands)
-				if err != nil {
-					t.Fatal(err)
-				}
-				sel := make([]bool, len(cands))
-				for step := 0; step < 30; step++ {
-					i := rng.Intn(len(cands))
-					if sel[i] {
-						inc.Drop(i)
-					} else {
-						inc.Add(i)
-					}
-					sel[i] = !sel[i]
-					gotT, gotBill, err := inc.Score()
-					if err != nil {
-						t.Fatal(err)
-					}
-					wantT, wantBill, err := ev.Evaluate(selectedPoints(cands, sel))
-					if err != nil {
-						t.Fatal(err)
-					}
-					if gotT != wantT || gotBill != wantBill {
-						t.Fatalf("%s months %g inserts %v step %d:\nincremental (%v, %+v)\nexact       (%v, %+v)",
-							name, months, withInserts, step, gotT, gotBill, wantT, wantBill)
-					}
+				if gotT != wantT || gotBill != wantBill {
+					t.Fatalf("%s months %g step %d:\nincremental (%v, %+v)\nexact       (%v, %+v)",
+						name, months, step, gotT, gotBill, wantT, wantBill)
 				}
 			}
 		}

@@ -30,14 +30,14 @@ import (
 // many RepriceFor sessions (one per worker of a comparison fan-out) can
 // share one kernel.
 type ComparisonKernel struct {
-	// Lat, W and Cands are the pinned problem. Cands is held as given;
-	// candidate i of every bound session is Cands[i].
+	// Lat and Cands are the pinned problem, with the workload's queries
+	// resolved below. Cands is held as given; candidate i of every bound
+	// session is Cands[i].
 	Lat   *lattice.Lattice
-	W     workload.Workload
 	Cands []views.Candidate
 
 	n  int // len(Cands)
-	nq int // len(W.Queries)
+	nq int // the workload's query count
 
 	// Per-candidate scalars, indexed by candidate position.
 	ids  []int
@@ -87,7 +87,6 @@ func NewComparisonKernel(l *lattice.Lattice, w workload.Workload, cands []views.
 	int64s := make([]int64, n+nq)
 	k := &ComparisonKernel{
 		Lat:   l,
-		W:     w,
 		Cands: cands,
 		n:     n,
 		nq:    nq,

@@ -24,7 +24,7 @@ import (
 func referenceKernel(l *lattice.Lattice, w workload.Workload, cands []views.Candidate) (*ComparisonKernel, error) {
 	n, nq := len(cands), len(w.Queries)
 	k := &ComparisonKernel{
-		Lat: l, W: w, Cands: cands, n: n, nq: nq,
+		Lat: l, Cands: cands, n: n, nq: nq,
 		ids:    make([]int, n),
 		rows:   make([]int64, n),
 		size:   make([]units.DataSize, n),

@@ -3,8 +3,8 @@
 // objective scenarios MV1 (minimize workload time under a budget), MV2
 // (minimize monetary cost under a response-time limit) and MV3 (minimize
 // the weighted time/cost tradeoff), solved — as in the paper — as a 0/1
-// knapsack via dynamic programming, with an exhaustive oracle and a greedy
-// heuristic as baselines.
+// knapsack via dynamic programming, with an exhaustive oracle
+// (Evaluator.SolveExhaustive) as the baseline.
 package optimizer
 
 import (

@@ -22,7 +22,6 @@ import (
 // Otherwise the request is shed with 429 and a Retry-After derived from
 // that same estimate.
 type admission struct {
-	name    string
 	workers int
 	queue   int
 	// sem holds the worker slots; acquiring blocks until a slot frees or
@@ -38,7 +37,7 @@ type admission struct {
 	lat []*obs.Histogram
 }
 
-func newAdmission(name string, workers, queue int) *admission {
+func newAdmission(workers, queue int) *admission {
 	if workers < 1 {
 		workers = 1
 	}
@@ -46,7 +45,6 @@ func newAdmission(name string, workers, queue int) *admission {
 		queue = 0
 	}
 	return &admission{
-		name:    name,
 		workers: workers,
 		queue:   queue,
 		sem:     make(chan struct{}, workers),

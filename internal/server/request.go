@@ -321,7 +321,6 @@ func (r *compareRequest) solve(ctx context.Context, s *Server, tr *obs.Trace) ([
 	if err != nil {
 		return nil, false, err
 	}
-	creq.Workers = s.opts.CompareWorkers
 	creq.Trace = tr
 	creq.Ctx = ctx
 	comp, err := compare.Run(creq)
@@ -352,7 +351,6 @@ func (r *sweepRequest) solve(ctx context.Context, s *Server, tr *obs.Trace) ([]b
 	if err != nil {
 		return nil, false, err
 	}
-	sreq.Workers = s.opts.CompareWorkers
 	sreq.Trace = tr
 	sreq.Ctx = ctx
 	sw, err := compare.RunSweep(sreq)

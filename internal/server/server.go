@@ -116,9 +116,6 @@ type Options struct {
 	// MaxCompareConfigs bounds the provider × instance × fleet grid a
 	// single compare or sweep request may fan out; default 64.
 	MaxCompareConfigs int
-	// CompareWorkers bounds the compare fan-out worker pool; default
-	// GOMAXPROCS.
-	CompareWorkers int
 	// SlowSolveThreshold, when positive, logs a structured line to
 	// SlowLog for every cold solve whose wall time reaches it, with the
 	// per-phase breakdown. Zero disables slow-solve logging.
@@ -174,8 +171,8 @@ type Server struct {
 	mux   *http.ServeMux
 	cache *sieveCache
 	// rawKeys maps verbatim request bodies to their canonical cache key,
-	// letting byte-identical repeats skip JSON decoding and request
-	// canonicalization (which builds a lattice to resolve the workload).
+	// letting byte-identical repeats skip decoding, normalizing and
+	// re-encoding the request as its key (endpoint.canonicalize).
 	rawKeys *sieveCache
 	// flight coalesces concurrent identical cold solves so a stampede of
 	// K requests for one canonical key costs exactly one solve.
@@ -236,8 +233,8 @@ func New(opts Options) *Server {
 	s.cache.onEvict = func(key string, val []byte) { s.stale.Put(key, val) }
 	s.chaos = s.opts.Chaos
 	s.m = s.newServerMetrics(s.reg)
-	s.admCheap = newAdmission("cheap", s.opts.AdviseWorkers, s.opts.AdviseQueue)
-	s.admHeavy = newAdmission("heavy", s.opts.HeavyWorkers, s.opts.HeavyQueue)
+	s.admCheap = newAdmission(s.opts.AdviseWorkers, s.opts.AdviseQueue)
+	s.admHeavy = newAdmission(s.opts.HeavyWorkers, s.opts.HeavyQueue)
 	// The endpoint table: one row per memoized route, each carrying its
 	// own ceilings.
 	o := &s.opts
@@ -904,25 +901,31 @@ func (s *Server) handleTariffs(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 		resp.Providers = append(resp.Providers, raw)
-
-		ct := report.NewTable(fmt.Sprintf("%s — compute (%s billing)", p.Name, p.Compute.Granularity),
-			"instance", "$/hour", "RAM", "ECU", "local storage")
-		for _, in := range p.Compute.InstanceNames() {
-			it, _ := p.Compute.Instance(in)
-			ct.AddRow(it.Name, it.PricePerHour, it.RAM, it.ECU, it.LocalStorage)
-		}
-		st := report.NewTable(fmt.Sprintf("%s — storage ($/GB/month, %s)", p.Name, p.Storage.Table.Mode),
-			"up to", "price")
-		for _, tier := range p.Storage.Table.Tiers {
-			bound := "∞"
-			if tier.UpTo != 0 {
-				bound = tier.UpTo.String()
-			}
-			st.AddRow(bound, tier.PricePerGB)
-		}
-		resp.Tables = append(resp.Tables, ct, st)
+		resp.Tables = append(resp.Tables, TariffTables(p)...)
 	}
 	writeJSON(w, http.StatusOK, resp)
+}
+
+// TariffTables renders a provider's tariff for display: its compute
+// table, one row per instance type, and its storage tier table. GET
+// /v1/tariffs serves them and mvcloud -tariffs prints them.
+func TariffTables(p pricing.Provider) []*report.Table {
+	ct := report.NewTable(fmt.Sprintf("%s — compute (%s billing)", p.Name, p.Compute.Granularity),
+		"instance", "$/hour", "RAM", "ECU", "local storage")
+	for _, in := range p.Compute.InstanceNames() {
+		it, _ := p.Compute.Instance(in)
+		ct.AddRow(it.Name, it.PricePerHour, it.RAM, it.ECU, it.LocalStorage)
+	}
+	st := report.NewTable(fmt.Sprintf("%s — storage ($/GB/month, %s)", p.Name, p.Storage.Table.Mode),
+		"up to", "price")
+	for _, tier := range p.Storage.Table.Tiers {
+		bound := "∞"
+		if tier.UpTo != 0 {
+			bound = tier.UpTo.String()
+		}
+		st.AddRow(bound, tier.PricePerGB)
+	}
+	return []*report.Table{ct, st}
 }
 
 func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
