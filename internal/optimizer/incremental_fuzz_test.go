@@ -53,11 +53,9 @@ func FuzzIncrementalMoves(f *testing.F) {
 			}
 			plan.DatasetSize = math.MaxInt64 - pool/2
 		}
-		if freqShift%48 > 0 || fullDisk {
-			var err error
-			if ev, err = NewEvaluator(ev.Est, w, plan); err != nil {
-				t.Fatal(err)
-			}
+		ev, err := NewEvaluator(ev.Est, w, plan)
+		if err != nil {
+			t.Fatal(err)
 		}
 		inc, err := NewIncrementalEvaluator(ev, cands)
 		if err != nil {
