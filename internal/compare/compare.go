@@ -35,8 +35,6 @@ var scenarioOrder = []string{"mv1", "mv2", "mv3", "pareto"}
 // Defaults shared by the native (Request) and wire (RequestJSON)
 // normalization paths — change them here and both stay in sync.
 const (
-	defaultInstanceType   = "small"
-	defaultFleetSize      = 5
 	defaultAlpha          = 0.5
 	defaultParetoSteps    = 11
 	defaultBreakEvenSteps = 8
@@ -297,11 +295,11 @@ func (r Request) normalize() (normalized, error) {
 	}
 	n.Providers = cloned
 	if len(n.InstanceTypes) == 0 {
-		n.InstanceTypes = []string{defaultInstanceType}
+		n.InstanceTypes = []string{core.DefaultInstanceType}
 	}
 	n.InstanceTypes = dedupeSorted(n.InstanceTypes)
 	if len(n.FleetSizes) == 0 {
-		n.FleetSizes = []int{defaultFleetSize}
+		n.FleetSizes = []int{core.DefaultInstances}
 	}
 	n.FleetSizes = dedupeSortedInts(n.FleetSizes)
 	for _, f := range n.FleetSizes {

@@ -145,11 +145,11 @@ func normalizeGrid(cj *core.ConfigJSON, providers *[]string, instanceTypes *[]st
 		}
 	}
 	if len(*instanceTypes) == 0 {
-		*instanceTypes = []string{defaultInstanceType}
+		*instanceTypes = []string{core.DefaultInstanceType}
 	}
 	*instanceTypes = dedupeSorted(*instanceTypes)
 	if len(*fleetSizes) == 0 {
-		*fleetSizes = []int{defaultFleetSize}
+		*fleetSizes = []int{core.DefaultInstances}
 	}
 	*fleetSizes = dedupeSortedInts(*fleetSizes)
 	for _, f := range *fleetSizes {

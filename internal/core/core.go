@@ -29,6 +29,19 @@ import (
 	"vmcloud/internal/workload"
 )
 
+// The paper's experimental defaults: what a zero Config or ConfigJSON
+// field, and a zero Advisor tariff argument, stands for.
+const (
+	DefaultInstanceType    = "small"
+	DefaultInstances       = 5
+	DefaultFactRows        = 200_000_000 // ≈10 GB
+	DefaultMonths          = 1
+	DefaultCandidateBudget = 8
+	DefaultMaintenanceRuns = 4
+	DefaultUpdateRatio     = 0.20
+	DefaultJobOverhead     = 2 * time.Minute
+)
+
 // Config describes an advisory problem. Zero values select the paper's
 // experimental defaults.
 type Config struct {
@@ -204,22 +217,22 @@ func NewShared(cfg Config) (*Shared, error) {
 		return nil, err
 	}
 	if cfg.FactRows == 0 {
-		cfg.FactRows = 200_000_000
+		cfg.FactRows = DefaultFactRows
 	}
 	if cfg.Months == 0 {
-		cfg.Months = 1
+		cfg.Months = DefaultMonths
 	}
 	if cfg.CandidateBudget == 0 {
-		cfg.CandidateBudget = 8
+		cfg.CandidateBudget = DefaultCandidateBudget
 	}
 	if cfg.MaintenanceRuns == 0 {
-		cfg.MaintenanceRuns = 4
+		cfg.MaintenanceRuns = DefaultMaintenanceRuns
 	}
 	if cfg.UpdateRatio == 0 {
-		cfg.UpdateRatio = 0.20
+		cfg.UpdateRatio = DefaultUpdateRatio
 	}
 	if cfg.JobOverhead == 0 {
-		cfg.JobOverhead = 2 * time.Minute
+		cfg.JobOverhead = DefaultJobOverhead
 	}
 
 	tr := cfg.Trace
@@ -300,10 +313,10 @@ func NewShared(cfg Config) (*Shared, error) {
 func (sh *Shared) Advisor(prov pricing.Provider, instanceType string, instances int) (*Advisor, error) {
 	t0 := sh.trace.StartTimer()
 	if instanceType == "" {
-		instanceType = "small"
+		instanceType = DefaultInstanceType
 	}
 	if instances == 0 {
-		instances = 5
+		instances = DefaultInstances
 	}
 	cl, err := cluster.New(prov, instanceType, instances)
 	if err != nil {

@@ -84,37 +84,37 @@ func (cj *ConfigJSON) Normalize() error {
 		}
 	}
 	if cj.InstanceType == "" {
-		cj.InstanceType = "small"
+		cj.InstanceType = DefaultInstanceType
 	}
 	if cj.Instances == 0 {
-		cj.Instances = 5
+		cj.Instances = DefaultInstances
 	}
 	if cj.Instances < 0 {
 		return fmt.Errorf("core: negative fleet size %d", cj.Instances)
 	}
 	if cj.FactRows == 0 {
-		cj.FactRows = 200_000_000
+		cj.FactRows = DefaultFactRows
 	}
 	if cj.FactRows < 0 {
 		return fmt.Errorf("core: negative fact_rows %d", cj.FactRows)
 	}
 	if cj.Months == 0 {
-		cj.Months = 1
+		cj.Months = DefaultMonths
 	}
 	if cj.Months < 0 {
 		return fmt.Errorf("core: negative months %g", cj.Months)
 	}
 	if cj.CandidateBudget == 0 {
-		cj.CandidateBudget = 8
+		cj.CandidateBudget = DefaultCandidateBudget
 	}
 	if cj.MaintenanceRuns == 0 {
-		cj.MaintenanceRuns = 4
+		cj.MaintenanceRuns = DefaultMaintenanceRuns
 	}
 	if cj.MaintenanceRuns < 0 {
 		return fmt.Errorf("core: negative maintenance_runs %d", cj.MaintenanceRuns)
 	}
 	if cj.UpdateRatio == 0 {
-		cj.UpdateRatio = 0.20
+		cj.UpdateRatio = DefaultUpdateRatio
 	}
 	if cj.UpdateRatio < 0 || cj.UpdateRatio > 1 {
 		return fmt.Errorf("core: update_ratio %g out of [0,1]", cj.UpdateRatio)
@@ -149,7 +149,7 @@ func (cj *ConfigJSON) Normalize() error {
 		cj.Seed = 0
 	}
 	if cj.JobOverhead == "" {
-		cj.JobOverhead = defaultJobOverhead
+		cj.JobOverhead = defaultJobOverheadText
 	} else {
 		d, err := time.ParseDuration(cj.JobOverhead)
 		if err != nil {
@@ -195,8 +195,9 @@ func (cj *ConfigJSON) Normalize() error {
 	return nil
 }
 
-// defaultJobOverhead is the canonical spelling of the default, "2m".
-const defaultJobOverhead = "2m0s"
+// defaultJobOverheadText is DefaultJobOverhead's canonical spelling, its
+// String(), as a constant so that normalization does not format it.
+const defaultJobOverheadText = "2m0s"
 
 // ResolveWorkload returns the workload of a normalized config: the one
 // Normalize resolved when cj still holds the wire form Normalize wrote

@@ -36,6 +36,15 @@ func TestConfigJSONDefaults(t *testing.T) {
 	}
 }
 
+// TestDefaultJobOverheadText pins the wire default's constant spelling
+// to the duration it stands for, so Normalize writes without formatting
+// exactly what formatting would write.
+func TestDefaultJobOverheadText(t *testing.T) {
+	if got := DefaultJobOverhead.String(); got != defaultJobOverheadText {
+		t.Errorf("DefaultJobOverhead.String() = %q, the wire default is %q", got, defaultJobOverheadText)
+	}
+}
+
 // TestConfigJSONCanonical checks the property the serving cache depends
 // on: equivalent spellings normalize to identical structs.
 func TestConfigJSONCanonical(t *testing.T) {

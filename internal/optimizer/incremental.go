@@ -37,17 +37,23 @@ import (
 //   - sizeSum/matSum = Σ over selected views               (Formula 7, §4.3)
 //   - maintSum matches the estimator's maintenance policy: immediate sums
 //     Formula 11 over selected views; deferred caps each view's refresh
-//     count at the executions it serves, tracked per point group.
+//     count at the executions it serves, tracked per candidate in served
+//     (the kernel's pool names each point once).
+//
+// Every field is a function of the selected subset alone — integer
+// aggregates, routing keyed by answering-list position — so the moves
+// that reach a subset do not matter, and a move followed by its reverse
+// restores the state exactly.
 //
 // Full re-pricing still runs in exactly two places: Reset (pinning an
 // arbitrary subset, used for search restarts) and the Bill arithmetic in
 // Score and Probe (tier boundaries and billing rounding are global, so
 // the exact bill is always recomputed from the aggregates — never
-// linearized). Probe prices a neighbor — one flip or one swap away —
-// from the same aggregates without writing them, so a search moves the
-// engine only onto the states it keeps.
+// linearized). Probe prices a neighbor — one flip or one swap away.
+// Under immediate maintenance it reads the aggregates without writing
+// them; under deferred maintenance it moves onto the neighbor and back.
 //
-// The structural half (answering lists, groups, candidate scalars) lives
+// The structural half (answering lists, candidate scalars) lives
 // in the shared ComparisonKernel; this type adds the tariff-dependent
 // time scalars of one binding plus the mutable selection state, so one
 // kernel can serve many evaluators — one per tariff — without re-walking
@@ -62,7 +68,7 @@ type IncrementalEvaluator struct {
 	words    []uint64 // selection bitmap packed 64 per word (Words())
 	assigned []int32  // per query: the source's answering-list position (qOff[q+1] = base)
 	curTerm  []time.Duration
-	served   []int64 // per group: monthly executions routed to the group
+	served   []int64 // per candidate: monthly executions routed to it (deferred maintenance)
 
 	// Running aggregates.
 	proc     time.Duration
@@ -81,14 +87,9 @@ type IncrementalEvaluator struct {
 	// loop's per-move cost stays a single increment.
 	moves int64
 
-	// Probe scratch, all false/zero/empty between probes. taken marks
-	// the queries a swap's incoming candidate takes from the outgoing
-	// one; gDelta is each point group's served-count change under
-	// deferred maintenance, listed once in gTouched (gHit) for the sum.
-	taken    []bool
-	gDelta   []int64
-	gHit     []bool
-	gTouched []int32
+	// taken is Probe scratch, all false between probes: the queries a
+	// swap's incoming candidate takes from the outgoing one.
+	taken []bool
 }
 
 // NewIncrementalEvaluator pins a candidate set against an evaluator: a
@@ -131,12 +132,12 @@ func (k *ComparisonKernel) bindInto(inc *IncrementalEvaluator, ev *Evaluator, sp
 		return nil, nil, fmt.Errorf("optimizer: evaluator lattice differs from the kernel's")
 	}
 	obs.KernelRebinds.Inc()
-	n, nq, groups := k.n, k.nq, len(k.groupMembers)
+	n, nq := k.n, k.nq
 	// curTerm, then bindScalars' arena.
 	durations := make([]time.Duration, nq+4*n+nq+len(k.ansCand))
-	int64s := make([]int64, 2*groups+spare64)
-	int32s := make([]int32, nq+groups+spare32)
-	bools := make([]bool, n+nq+groups)
+	int64s := make([]int64, n+spare64)
+	int32s := make([]int32, nq+spare32)
+	bools := make([]bool, n+nq)
 	*inc = IncrementalEvaluator{
 		ev:             ev,
 		k:              k,
@@ -145,15 +146,12 @@ func (k *ComparisonKernel) bindInto(inc *IncrementalEvaluator, ev *Evaluator, sp
 		words:          make([]uint64, (n+63)/64),
 		assigned:       int32s[:nq:nq],
 		curTerm:        durations[:nq:nq],
-		served:         int64s[:groups:groups],
-		taken:          bools[n : n+nq : n+nq],
-		gDelta:         int64s[groups : 2*groups : 2*groups],
-		gHit:           bools[n+nq:],
-		gTouched:       int32s[nq : nq : nq+groups],
+		served:         int64s[:n:n],
+		taken:          bools[n:],
 	}
 	inc.billing = compileBill(&ev.Base)
 	inc.resetEmpty()
-	return int64s[2*groups:], int32s[nq+groups:], nil
+	return int64s[n:], int32s[nq:], nil
 }
 
 // Evaluator returns the exact evaluator this engine is bound to.
@@ -199,9 +197,7 @@ func (inc *IncrementalEvaluator) resetEmpty() {
 	for w := range inc.words {
 		inc.words[w] = 0
 	}
-	for g := range inc.served {
-		inc.served[g] = 0
-	}
+	clear(inc.served)
 	inc.proc = 0
 	for q := range inc.assigned {
 		inc.assigned[q] = inc.k.qOff[q+1]
@@ -244,11 +240,9 @@ func (inc *IncrementalEvaluator) Add(i int) {
 	if !inc.deferred {
 		inc.maintSum += inc.maint[i]
 	} else if inc.runs > 0 {
-		// A group sibling (duplicate point) may already be serving
-		// queries; the new member is billed for the group's capped
-		// refresh count from the moment it is selected.
-		inc.maintSum += time.Duration(min(inc.served[inc.k.group[i]], inc.runs)) * inc.perRun[i]
 		// The served counts move first, off the sources take replaces.
+		// An unselected candidate serves nothing, so i's capped refresh
+		// bill starts at zero and grows with the queries it takes.
 		pos := inc.k.cand2pos[i]
 		for x, q32 := range inc.k.cand2q[i] {
 			if at := inc.assigned[q32]; pos[x] < at {
@@ -304,9 +298,9 @@ func (inc *IncrementalEvaluator) Drop(i int) {
 	if !inc.deferred {
 		inc.maintSum -= inc.maint[i]
 	} else if inc.runs > 0 {
-		// Shed this member's share of the group's capped refresh bill
-		// before re-routing (the re-route below no longer counts i).
-		inc.maintSum -= time.Duration(min(inc.served[inc.k.group[i]], inc.runs)) * inc.perRun[i]
+		// Shed i's capped refresh bill before re-routing (the re-route
+		// below no longer counts i, which is unselected by then).
+		inc.maintSum -= time.Duration(min(inc.served[i], inc.runs)) * inc.perRun[i]
 	}
 	pos := inc.k.cand2pos[i]
 	for x, q32 := range inc.k.cand2q[i] {
@@ -364,28 +358,16 @@ func (inc *IncrementalEvaluator) route(q int, to int32, term time.Duration) {
 	inc.assigned[q] = to
 }
 
-// adjustServed shifts a point group's served count by delta and folds
-// the capped-refresh change of every selected group member into the
-// deferred maintenance aggregate. Groups almost always hold one
-// candidate; duplicates of one point share a counter exactly like the
-// Evaluator's per-point accounting.
+// adjustServed shifts candidate i's served count by delta and, while i
+// is selected, folds the change of its capped refresh count into the
+// deferred maintenance aggregate.
 //
 //mvlint:hotpath
 func (inc *IncrementalEvaluator) adjustServed(i int, delta int64) {
-	g := inc.k.group[i]
-	before := inc.served[g]
-	after := before + delta
-	inc.served[g] = after
-	cb, ca := min(before, inc.runs), min(after, inc.runs)
-	if cb == ca {
-		return
-	}
-	// Capped refresh count changed: update every selected candidate in
-	// the group (perRun is identical within a group).
-	for _, j := range inc.k.groupMembers[g] {
-		if inc.selected[j] {
-			inc.maintSum += time.Duration(ca-cb) * inc.perRun[j]
-		}
+	before := inc.served[i]
+	inc.served[i] = before + delta
+	if inc.selected[i] {
+		inc.maintSum += time.Duration(min(before+delta, inc.runs)-min(before, inc.runs)) * inc.perRun[i]
 	}
 }
 
@@ -408,15 +390,18 @@ type probe struct {
 	size             units.DataSize
 }
 
-// Probe prices a neighbor of the current subset without moving to it:
-// candidate i flipped (j < 0), or selected i swapped for unselected j.
-// The result is bit-equal to moving onto the neighbor and calling
-// Score — every aggregate is an integer sum, so the neighbor's are the
-// current ones plus the changes of the queries the move re-routes, in
-// any order — and no engine state is written: Words, Moves and every
-// later price are as if the probe never ran. Deferred maintenance is
-// priced the same way, from per-group served-count changes kept in probe
-// scratch and capped at the refresh count as adjustServed caps them.
+// Probe prices a neighbor of the current subset: candidate i flipped
+// (j < 0), or selected i swapped for unselected j. The result is
+// bit-equal to moving onto the neighbor and calling Score, and Words,
+// Moves and every later price are as if the probe never ran.
+//
+// Under immediate maintenance no engine state is written: every
+// aggregate is an integer sum, so the neighbor's are the current ones
+// plus the changes of the queries the move re-routes, in any order. This
+// is the path a search runs on every neighbor. Under deferred
+// maintenance Probe makes the move, scores it and makes the reverse
+// move, which restores the state exactly because the state is a function
+// of the selected subset alone.
 //
 //mvlint:hotpath
 func (inc *IncrementalEvaluator) Probe(i, j int) (time.Duration, costmodel.Bill, error) {
@@ -427,6 +412,9 @@ func (inc *IncrementalEvaluator) Probe(i, j int) (time.Duration, costmodel.Bill,
 	if j >= 0 && (out < 0 || inc.selected[j]) {
 		return 0, costmodel.Bill{}, errProbeSwap
 	}
+	if inc.deferred {
+		return inc.probeMoved(in, out)
+	}
 	p := probe{proc: inc.proc, maint: inc.maintSum, mat: inc.matSum, size: inc.sizeSum}
 	// in's pass goes first: it marks the queries it takes from out, which
 	// out's pass then leaves alone.
@@ -436,44 +424,50 @@ func (inc *IncrementalEvaluator) Probe(i, j int) (time.Duration, costmodel.Bill,
 	if out >= 0 {
 		inc.probeDrop(&p, out, in)
 	}
-	if inc.deferred && inc.runs > 0 {
-		p.maint += inc.probeMaint(in, out)
-	}
 	return inc.billing.price(p.proc, p.maint, p.mat, p.size)
 }
 
-// probeAdd is Add(i) into p: the queries on whose answering lists i
-// sits before the source are re-routed to it (gain). Those it takes from
-// out, the candidate the same move drops, are marked taken for
-// probeDrop. The marks and the deferred served counts are a second walk
-// of i's queries, behind a loop-invariant test that a flip under
-// immediate maintenance fails.
+// probeMoved is Probe under deferred maintenance: the move onto the
+// neighbor (in and out, -1 = none), Score, and the reverse move, with
+// the move count put back.
+func (inc *IncrementalEvaluator) probeMoved(in, out int) (time.Duration, costmodel.Bill, error) {
+	moves := inc.moves
+	if out >= 0 {
+		inc.Drop(out)
+	}
+	if in >= 0 {
+		inc.Add(in)
+	}
+	t, bill, err := inc.Score()
+	if in >= 0 {
+		inc.Drop(in)
+	}
+	if out >= 0 {
+		inc.Add(out)
+	}
+	inc.moves = moves
+	return t, bill, err
+}
+
+// probeAdd is Add(i) into p under immediate maintenance: the queries on
+// whose answering lists i sits before the source are re-routed to it
+// (gain). Those it takes from out, the candidate the same move drops,
+// are marked taken for probeDrop, in a second walk of i's queries that a
+// flip skips.
 //
 //mvlint:hotpath
 func (inc *IncrementalEvaluator) probeAdd(p *probe, i, out int) {
 	p.size += inc.k.size[i]
 	p.mat += inc.mat[i]
-	if !inc.deferred {
-		p.maint += inc.maint[i]
-	}
+	p.maint += inc.maint[i]
 	p.proc += inc.gain(i)
-	serve := inc.deferred && inc.runs > 0
-	if !serve && out < 0 {
+	if out < 0 {
 		return
 	}
 	pos := inc.k.cand2pos[i]
 	for x, q32 := range inc.k.cand2q[i] {
-		at := inc.assigned[q32]
-		if pos[x] >= at {
-			continue
-		}
-		q := int(q32)
-		from := inc.source(q, at)
-		if from >= 0 && int(from) == out {
-			inc.taken[q] = true
-		}
-		if serve {
-			inc.probeServe(q, from, int32(i))
+		if at := inc.assigned[q32]; pos[x] < at && inc.source(int(q32), at) == int32(out) {
+			inc.taken[q32] = true
 		}
 	}
 }
@@ -502,18 +496,16 @@ func (inc *IncrementalEvaluator) gain(i int) time.Duration {
 	return d
 }
 
-// probeDrop is Drop(i) into p, with in (-1 = none) already selected for
-// the re-route: a query i serves goes to the first later entry of its
-// list that is selected or is in, unless probeAdd marked it taken by in.
+// probeDrop is Drop(i) into p under immediate maintenance, with in (-1 =
+// none) already selected for the re-route: a query i serves goes to the
+// first later entry of its list that is selected or is in, unless
+// probeAdd marked it taken by in.
 //
 //mvlint:hotpath
 func (inc *IncrementalEvaluator) probeDrop(p *probe, i, in int) {
 	p.size -= inc.k.size[i]
 	p.mat -= inc.mat[i]
-	if !inc.deferred {
-		p.maint -= inc.maint[i]
-	}
-	serve := inc.deferred && inc.runs > 0
+	p.maint -= inc.maint[i]
 	pos := inc.k.cand2pos[i]
 	for x, q32 := range inc.k.cand2q[i] {
 		at := pos[x]
@@ -525,70 +517,7 @@ func (inc *IncrementalEvaluator) probeDrop(p *probe, i, in int) {
 			inc.taken[q] = false
 			continue
 		}
-		next, term := inc.nextSource(q, at, in)
+		_, term := inc.nextSource(q, at, in)
 		p.proc += term - inc.curTerm[q]
-		if serve {
-			inc.probeServe(q, int32(i), inc.source(q, next))
-		}
 	}
-}
-
-// probeServe is route's served-count bookkeeping for a probe under
-// deferred maintenance: query q's executions move from source from to
-// source to (-1 = base) in the group scratch, and probeMaint prices the
-// net change.
-//
-//mvlint:hotpath
-func (inc *IncrementalEvaluator) probeServe(q int, from, to int32) {
-	if from >= 0 {
-		inc.probeShift(from, -inc.k.qFreq[q])
-	}
-	if to >= 0 {
-		inc.probeShift(to, inc.k.qFreq[q])
-	}
-}
-
-// probeShift adds delta to candidate i's group's served-count change,
-// listing the group in gTouched the first time it moves.
-//
-//mvlint:hotpath
-func (inc *IncrementalEvaluator) probeShift(i int32, delta int64) {
-	g := inc.k.group[i]
-	if !inc.gHit[g] {
-		inc.gHit[g] = true
-		inc.gTouched = append(inc.gTouched, int32(g))
-	}
-	inc.gDelta[g] += delta
-}
-
-// probeMaint returns the deferred-maintenance change of a probed move
-// and clears the group scratch. It is Add's, Drop's and adjustServed's
-// arithmetic on the net served-count changes: the outgoing candidate
-// sheds its capped bill at the old count, the incoming one is billed at
-// its group's new count, and every member selected on both sides of the
-// move is re-capped where its group's count moved.
-//
-//mvlint:hotpath
-func (inc *IncrementalEvaluator) probeMaint(in, out int) time.Duration {
-	var d time.Duration
-	if out >= 0 {
-		d -= time.Duration(min(inc.served[inc.k.group[out]], inc.runs)) * inc.perRun[out]
-	}
-	if in >= 0 {
-		g := inc.k.group[in]
-		d += time.Duration(min(inc.served[g]+inc.gDelta[g], inc.runs)) * inc.perRun[in]
-	}
-	for _, g := range inc.gTouched {
-		cb, ca := min(inc.served[g], inc.runs), min(inc.served[g]+inc.gDelta[g], inc.runs)
-		if cb != ca {
-			for _, m := range inc.k.groupMembers[g] {
-				if inc.selected[m] && int(m) != out {
-					d += time.Duration(ca-cb) * inc.perRun[m]
-				}
-			}
-		}
-		inc.gDelta[g], inc.gHit[g] = 0, false
-	}
-	inc.gTouched = inc.gTouched[:0]
-	return d
 }

@@ -17,7 +17,8 @@ import (
 
 // incrementalFixture builds a random synthetic instance: lattice,
 // workload, candidate pool (HRU picks plus random extra nodes so the
-// pool is not limited to "obviously good" views), and an evaluator.
+// pool is not limited to "obviously good" views, every point once), and
+// an evaluator.
 func incrementalFixture(t testing.TB, rng *rand.Rand, policy views.MaintenancePolicy) (*Evaluator, []views.Candidate) {
 	t.Helper()
 	dims := 2 + rng.Intn(2)   // 2..3
@@ -64,15 +65,15 @@ func incrementalFixture(t testing.TB, rng *rand.Rand, policy views.MaintenancePo
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Pad with random non-base nodes — including some the HRU would never
-	// pick, and deliberate duplicates of already-chosen points.
+	// Pad with random non-base nodes not in the pool yet — including some
+	// the HRU would never pick — to 12 candidates, or every non-base node
+	// of a smaller lattice.
 	nodes := l.Nodes()
-	for len(cands) < 12 {
-		n := nodes[1+rng.Intn(len(nodes)-1)]
-		cands = append(cands, views.Candidate{Point: n.Point, Rows: n.Rows, Size: n.Size})
-	}
-	if rng.Intn(2) == 0 && len(cands) > 0 {
-		cands = append(cands, cands[rng.Intn(len(cands))]) // duplicate point
+	for _, k := range rng.Perm(len(nodes) - 1) {
+		n := nodes[1+k]
+		if len(cands) < 12 && !slices.ContainsFunc(cands, func(c views.Candidate) bool { return c.Point.Equal(n.Point) }) {
+			cands = append(cands, views.Candidate{Point: n.Point, Rows: n.Rows, Size: n.Size})
+		}
 	}
 	return ev, cands
 }

@@ -16,15 +16,17 @@ import (
 // ComparisonKernel is the pricing-invariant half of an advisory problem:
 // everything about (lattice, workload, candidate set) that no tariff can
 // change. The lattice index, the candidate scalars (rows, sizes, lattice
-// ids), the per-query answering lists with the exact cheapest-answering
-// tie rule, and the duplicate-point groups of the deferred-maintenance
-// accounting are all resolved here, exactly once. Cross-tariff studies —
-// the paper's central exercise of re-pricing one view-selection problem
-// under many cloud price structures — then bind the kernel to one tariff
-// at a time via RepriceFor, which recomputes only the time and money
-// scalars (O(candidates + queries + answering entries) of arithmetic, no
-// lattice walks), instead of rebuilding the whole advisory stack per
-// provider × instance × fleet cell.
+// ids) and the per-query answering lists with the exact
+// cheapest-answering tie rule are all resolved here, exactly once. A
+// pool names each lattice point at most once, as views.GenerateCandidates
+// builds it, so every per-candidate count — deferred maintenance's
+// served executions among them — is a per-point count. Cross-tariff
+// studies — the paper's central exercise of re-pricing one
+// view-selection problem under many cloud price structures — then bind
+// the kernel to one tariff at a time via RepriceFor, which recomputes
+// only the time and money scalars (O(candidates + queries + answering
+// entries) of arithmetic, no lattice walks), instead of rebuilding the
+// whole advisory stack per provider × instance × fleet cell.
 //
 // A kernel is immutable after construction and safe for concurrent use:
 // many RepriceFor sessions (one per worker of a comparison fan-out) can
@@ -43,11 +45,6 @@ type ComparisonKernel struct {
 	ids  []int
 	rows []int64
 	size []units.DataSize
-	// group maps candidates sharing one lattice point to one serving
-	// counter (deferred maintenance bills per point, not per duplicate);
-	// groupMembers inverts it.
-	group        []int
-	groupMembers [][]int32
 
 	baseRows int64
 	baseSize units.DataSize
@@ -70,12 +67,13 @@ type ComparisonKernel struct {
 }
 
 // NewComparisonKernel pins the structure of an advisory problem. The
-// candidate points and query points are validated against the lattice.
+// candidate points and query points are validated against the lattice,
+// and a pool that names one point twice is rejected.
 //
 // The structure is built in slabs, not grown: a counting pass sizes the
 // answering lists, and every array is then cut from one allocation per
 // element type. The build is on every cache miss the daemon serves, and
-// an append chain per candidate, per group and per query was a third of
+// an append chain per candidate and per query was a third of
 // that miss's allocations.
 func NewComparisonKernel(l *lattice.Lattice, w workload.Workload, cands []views.Candidate) (*ComparisonKernel, error) {
 	if l == nil {
@@ -83,15 +81,13 @@ func NewComparisonKernel(l *lattice.Lattice, w workload.Workload, cands []views.
 	}
 	obs.KernelBuilds.Inc()
 	n, nq := len(cands), len(w.Queries)
-	ints := make([]int, 2*n)
 	int64s := make([]int64, n+nq)
 	k := &ComparisonKernel{
 		Lat:   l,
 		Cands: cands,
 		n:     n,
 		nq:    nq,
-		ids:   ints[:n:n],
-		group: ints[n:],
+		ids:   make([]int, n),
 		rows:  int64s[:n:n],
 		size:  make([]units.DataSize, n),
 		qFreq: int64s[n:],
@@ -101,34 +97,28 @@ func NewComparisonKernel(l *lattice.Lattice, w workload.Workload, cands []views.
 	k.baseSize = baseNode.Size
 
 	// What the counting pass needs, from one slab: qOff, which stays, and
-	// four that do not — each query's lattice id; order, the candidates
-	// that can ever be assigned; each candidate's answerable-query count;
-	// and each group's first member, then its size.
-	pre := make([]int32, 2*nq+1+3*n)
+	// three that do not — each query's lattice id; order, the candidates
+	// that can ever be assigned; and each candidate's answerable-query
+	// count.
+	pre := make([]int32, 2*nq+1+2*n)
 	k.qOff, pre = pre[:nq+1:nq+1], pre[nq+1:]
 	qids, pre := pre[:nq:nq], pre[nq:]
-	order, answers, perGroup := pre[:0:n], pre[n:2*n:2*n], pre[2*n:2*n]
+	order, answers := pre[:0:n], pre[n:]
 
 	for i, c := range cands {
 		id, err := l.ID(c.Point)
 		if err != nil {
 			return nil, fmt.Errorf("optimizer: candidate %d: %w", i, err)
 		}
+		// A pool is a few dozen candidates, so a scan of the earlier ids
+		// stands in for a map.
+		if j := slices.Index(k.ids[:i], id); j >= 0 {
+			return nil, fmt.Errorf("optimizer: candidate %d repeats candidate %d's point %v", i, j, c.Point)
+		}
 		k.ids[i] = id
 		node := l.NodeByID(id)
 		k.rows[i] = node.Rows
 		k.size[i] = node.Size
-		// Duplicate points share a group, numbered by first appearance. A
-		// pool is a handful of candidates, nearly always distinct, so a
-		// scan of the groups' first members stands in for a map.
-		g := 0
-		for g < len(perGroup) && k.ids[perGroup[g]] != id {
-			g++
-		}
-		if g == len(perGroup) {
-			perGroup = append(perGroup, int32(i))
-		}
-		k.group[i] = g
 		// Only candidates that strictly beat the base can ever be
 		// assigned (CheapestAnswering replaces on fewer rows only).
 		if node.Rows < baseNode.Rows {
@@ -160,27 +150,17 @@ func NewComparisonKernel(l *lattice.Lattice, w workload.Workload, cands []views.
 			}
 		}
 	}
-	clear(perGroup)
-	for _, g := range k.group {
-		perGroup[g]++
-	}
 
 	// The lists themselves, each cut empty at its final capacity so that
 	// the appends below fill it in place.
 	total := int(k.qOff[nq])
-	lists := make([]int32, 3*total+n)
-	heads := make([][]int32, 2*n+len(perGroup))
+	lists := make([]int32, 3*total)
+	heads := make([][]int32, 2*n)
 	k.ansCand, lists = lists[:0:total], lists[total:]
-	k.cand2q, k.cand2pos, k.groupMembers = heads[:n:n], heads[n:2*n:2*n], heads[2*n:]
+	k.cand2q, k.cand2pos = heads[:n:n], heads[n:]
 	for i, c := range answers {
 		k.cand2q[i], lists = lists[:0:c], lists[c:]
 		k.cand2pos[i], lists = lists[:0:c], lists[c:]
-	}
-	for g, c := range perGroup {
-		k.groupMembers[g], lists = lists[:0:c], lists[c:]
-	}
-	for i, g := range k.group {
-		k.groupMembers[g] = append(k.groupMembers[g], int32(i))
 	}
 	for q, qid := range qids {
 		for _, i := range order {

@@ -17,10 +17,11 @@ import (
 )
 
 // referenceKernel is NewComparisonKernel as it was before the structure
-// was built in slabs: one append chain per candidate and per group, a
-// map from lattice id to group, and a stable sort of every query's
-// answering list by (rows, candidate index). Kept as the definition the
-// slab build is held to, field by field.
+// was built in slabs: one append chain per candidate, a map from lattice
+// id to candidate for the repeated-point check, and a stable sort of
+// every query's answering list by (rows, candidate index). Kept as the
+// definition the slab build is held to, field by field and error for
+// error.
 func referenceKernel(l *lattice.Lattice, w workload.Workload, cands []views.Candidate) (*ComparisonKernel, error) {
 	n, nq := len(cands), len(w.Queries)
 	k := &ComparisonKernel{
@@ -28,29 +29,24 @@ func referenceKernel(l *lattice.Lattice, w workload.Workload, cands []views.Cand
 		ids:    make([]int, n),
 		rows:   make([]int64, n),
 		size:   make([]units.DataSize, n),
-		group:  make([]int, n),
 		qFreq:  make([]int64, nq),
 		qOff:   make([]int32, nq+1),
 		cand2q: make([][]int32, n),
 	}
-	groupOf := make(map[int]int, n)
+	first := make(map[int]int, n)
 	for i, c := range cands {
 		id, err := l.ID(c.Point)
 		if err != nil {
 			return nil, fmt.Errorf("optimizer: candidate %d: %w", i, err)
 		}
+		if j, ok := first[id]; ok {
+			return nil, fmt.Errorf("optimizer: candidate %d repeats candidate %d's point %v", i, j, c.Point)
+		}
+		first[id] = i
 		k.ids[i] = id
 		node := l.NodeByID(id)
 		k.rows[i] = node.Rows
 		k.size[i] = node.Size
-		g, ok := groupOf[id]
-		if !ok {
-			g = len(groupOf)
-			groupOf[id] = g
-			k.groupMembers = append(k.groupMembers, nil)
-		}
-		k.group[i] = g
-		k.groupMembers[g] = append(k.groupMembers[g], int32(i))
 	}
 	baseNode := l.NodeByID(0)
 	k.baseRows = baseNode.Rows
@@ -90,10 +86,11 @@ func referenceKernel(l *lattice.Lattice, w workload.Workload, cands []views.Cand
 }
 
 // checkKernelMatchesReference builds both kernels and compares every
-// derived field. A list nobody is on is nil in the reference and empty
-// in the slab build; slices.Equal reads the two alike, as every reader
-// of the kernel does.
-func checkKernelMatchesReference(t *testing.T, name string, l *lattice.Lattice, w workload.Workload, cands []views.Candidate) {
+// derived field, or the error both builds reject the input with, which it
+// returns. A list nobody is on is nil in the reference and empty in the
+// slab build; slices.Equal reads the two alike, as every reader of the
+// kernel does.
+func checkKernelMatchesReference(t *testing.T, name string, l *lattice.Lattice, w workload.Workload, cands []views.Candidate) error {
 	t.Helper()
 	want, wantErr := referenceKernel(l, w, cands)
 	got, err := NewComparisonKernel(l, w, cands)
@@ -101,7 +98,7 @@ func checkKernelMatchesReference(t *testing.T, name string, l *lattice.Lattice, 
 		if wantErr == nil || err == nil || wantErr.Error() != err.Error() {
 			t.Fatalf("%s: error %v, reference %v", name, err, wantErr)
 		}
-		return
+		return err
 	}
 	if got.n != want.n || got.nq != want.nq || got.baseRows != want.baseRows || got.baseSize != want.baseSize {
 		t.Fatalf("%s: scalars (%d,%d,%d,%v), reference (%d,%d,%d,%v)", name,
@@ -115,11 +112,9 @@ func checkKernelMatchesReference(t *testing.T, name string, l *lattice.Lattice, 
 	flat("ids", slices.Equal(got.ids, want.ids))
 	flat("rows", slices.Equal(got.rows, want.rows))
 	flat("size", slices.Equal(got.size, want.size))
-	flat("group", slices.Equal(got.group, want.group))
 	flat("qFreq", slices.Equal(got.qFreq, want.qFreq))
 	flat("qOff", slices.Equal(got.qOff, want.qOff))
 	flat("ansCand", slices.Equal(got.ansCand, want.ansCand))
-	flat("groupMembers", slices.EqualFunc(got.groupMembers, want.groupMembers, slices.Equal[[]int32]))
 	flat("cand2q", slices.EqualFunc(got.cand2q, want.cand2q, slices.Equal[[]int32]))
 	// cand2pos has no reference twin: it is held to what it indexes,
 	// candidate i's own entry in each of its queries' answering lists.
@@ -133,6 +128,7 @@ func checkKernelMatchesReference(t *testing.T, name string, l *lattice.Lattice, 
 			}
 		}
 	}
+	return nil
 }
 
 // fuzzCorpusCase reads one committed FuzzGenerateCandidates input and
@@ -181,10 +177,10 @@ func fuzzCorpusCase(t *testing.T, path string) (*lattice.Lattice, workload.Workl
 // TestSlabKernelMatchesReference holds the slab-built kernel to the
 // construction it replaced on the inputs that exercise its ordering
 // rules: generated pools over the candidate generator's fuzz corpus, the
-// paper's ten queries, pools with duplicate points (the deferred-
-// maintenance groups), and pools full of equal-row candidates — the
+// paper's ten queries, and pools full of equal-row candidates — the
 // (rows, candidate index) order of an answering list is what the
-// Evaluator's cheapest-answering rule reads.
+// Evaluator's cheapest-answering rule reads — and on the inputs both
+// must refuse alike: a repeated point, a point outside the lattice.
 func TestSlabKernelMatchesReference(t *testing.T) {
 	corpus, err := filepath.Glob(filepath.Join("..", "views", "testdata", "fuzz", "FuzzGenerateCandidates", "*"))
 	if err != nil || len(corpus) == 0 {
@@ -215,13 +211,17 @@ func TestSlabKernelMatchesReference(t *testing.T) {
 	checkKernelMatchesReference(t, "paper, no candidates", sales, paper, nil)
 	checkKernelMatchesReference(t, "paper, no queries", sales, workload.Workload{}, cands)
 
-	// Every point twice, the second copies in reverse: groups of two whose
-	// members are far apart, numbered by first appearance.
+	// Every point twice, the second copies in reverse: the first repeat
+	// is the last point, named again right after itself.
 	dup := slices.Clone(cands)
 	for i := len(cands) - 1; i >= 0; i-- {
 		dup = append(dup, cands[i])
 	}
-	checkKernelMatchesReference(t, "duplicate points", sales, paper, dup)
+	last := len(cands) - 1
+	want := fmt.Sprintf("optimizer: candidate %d repeats candidate %d's point %v", last+1, last, cands[last].Point)
+	if err := checkKernelMatchesReference(t, "duplicate points", sales, paper, dup); err == nil || err.Error() != want {
+		t.Fatalf("duplicate points: error %v, want %q", err, want)
+	}
 
 	// Every cuboid of a 4×4 synthetic lattice, base included (never
 	// assignable), in three orders. Its cuboids repeat key counts, so
@@ -262,6 +262,26 @@ func TestSlabKernelMatchesReference(t *testing.T) {
 	checkKernelMatchesReference(t, "bad candidate", sales, paper, bad)
 	checkKernelMatchesReference(t, "bad query", sales,
 		workload.Workload{Queries: []workload.Query{{Name: "q", Point: lattice.Point{0}, Frequency: 1}}}, cands)
+}
+
+// TestRepeatedPointRejected: every way into the kernel refuses a pool
+// that names one lattice point twice, naming the repeat and the point,
+// while the Evaluator, the reference, still prices such a selection.
+func TestRepeatedPointRejected(t *testing.T) {
+	ev, cands := fixture(t, 10)
+	pool := append(slices.Clone(cands), cands[2])
+	want := fmt.Sprintf("optimizer: candidate %d repeats candidate 2's point %v", len(cands), cands[2].Point)
+	_, kerr := NewComparisonKernel(ev.Est.Lat, ev.W, pool)
+	_, ierr := NewIncrementalEvaluator(ev, pool)
+	_, serr := NewSession(ev, pool)
+	for name, err := range map[string]error{"NewComparisonKernel": kerr, "NewIncrementalEvaluator": ierr, "NewSession": serr} {
+		if err == nil || err.Error() != want {
+			t.Errorf("%s: error %v, want %q", name, err, want)
+		}
+	}
+	if _, _, err := ev.Evaluate([]lattice.Point{cands[2].Point, cands[2].Point}); err != nil {
+		t.Errorf("Evaluate of a repeated point: %v", err)
+	}
 }
 
 // TestComparisonKernelAllocBudget pins the slab build in counts: the

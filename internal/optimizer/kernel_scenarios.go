@@ -81,12 +81,11 @@ func NewSession(ev *Evaluator, cands []views.Candidate) (*KernelSession, error) 
 // comparison.
 func (k *ComparisonKernel) RepriceFor(ev *Evaluator) (*KernelSession, error) {
 	s := &KernelSession{Kern: k, Ev: ev}
-	groups := len(k.groupMembers)
-	int64s, int32s, err := k.bindInto(&s.inc, ev, groups+k.nq, k.nq)
+	int64s, int32s, err := k.bindInto(&s.inc, ev, k.n+k.nq, k.nq)
 	if err != nil {
 		return nil, err
 	}
-	s.servedBuf, s.bestRows, s.bestCand = int64s[:groups:groups], int64s[groups:], int32s
+	s.servedBuf, s.bestRows, s.bestCand = int64s[:k.n:k.n], int64s[k.n:], int32s
 	return s, nil
 }
 
@@ -126,9 +125,7 @@ func (s *KernelSession) evaluateSel(sel []int32) (time.Duration, costmodel.Bill,
 	deferred := sc.deferred && sc.runs > 0
 	served := s.servedBuf
 	if deferred {
-		for g := range served {
-			served[g] = 0
-		}
+		clear(served)
 	}
 	// Route every query to its cheapest answering source. Candidates are
 	// processed in selection order with a strict row comparison per
@@ -156,7 +153,7 @@ func (s *KernelSession) evaluateSel(sel []int32) (time.Duration, costmodel.Bill,
 		}
 		proc += time.Duration(k.qFreq[q]) * sc.candJob[best]
 		if deferred {
-			served[k.group[best]] += k.qFreq[q]
+			served[best] += k.qFreq[q]
 		}
 	}
 	for _, ci := range sel {
@@ -165,7 +162,7 @@ func (s *KernelSession) evaluateSel(sel []int32) (time.Duration, costmodel.Bill,
 		if !sc.deferred {
 			maint += sc.maint[ci]
 		} else if sc.runs > 0 {
-			maint += time.Duration(min(served[k.group[ci]], sc.runs)) * sc.perRun[ci]
+			maint += time.Duration(min(served[ci], sc.runs)) * sc.perRun[ci]
 		}
 	}
 	return s.inc.billing.price(proc, maint, mat, sizeSum)

@@ -2,6 +2,7 @@ package optimizer
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 
 	"vmcloud/internal/cluster"
@@ -34,18 +35,22 @@ func referenceSource(l *lattice.Lattice, cands []views.Candidate, sel []bool, qu
 	return best
 }
 
-// routingPool draws a candidate pool that holds the routing's tie cases:
-// every distinct pair of lattice points with equal rows (below the base's)
-// that the lattice has, up to pairs of them, both in; random other
-// non-base points; and dups duplicates of points already drawn.
+// routingPool draws a candidate pool of distinct points that holds the
+// routing's tie cases: every distinct pair of lattice points with equal
+// rows (below the base's) that the lattice has, up to pairs of them, both
+// in; random other non-base points, up to size or the lattice's count;
+// and dups more that each tie a point already drawn on rows, where the
+// lattice has one left.
 func routingPool(t *testing.T, rng *rand.Rand, l *lattice.Lattice, pairs, size, dups int) []views.Candidate {
 	t.Helper()
 	nodes := l.Nodes()
 	baseRows := nodes[0].Rows
-	cand := func(n lattice.Node) views.Candidate {
-		return views.Candidate{Point: n.Point, Rows: n.Rows, Size: n.Size}
-	}
+	drawn := make([]bool, len(nodes))
 	var cands []views.Candidate
+	draw := func(k int) {
+		drawn[k] = true
+		cands = append(cands, views.Candidate{Point: nodes[k].Point, Rows: nodes[k].Rows, Size: nodes[k].Size})
+	}
 	byRows := map[int64]int{}
 	for _, k := range rng.Perm(len(nodes)) {
 		n := nodes[k]
@@ -54,7 +59,8 @@ func routingPool(t *testing.T, rng *rand.Rand, l *lattice.Lattice, pairs, size, 
 		}
 		if j, ok := byRows[n.Rows]; ok {
 			if j >= 0 {
-				cands = append(cands, cand(nodes[j]), cand(n))
+				draw(j)
+				draw(k)
 				byRows[n.Rows] = -1
 			}
 			continue
@@ -64,11 +70,18 @@ func routingPool(t *testing.T, rng *rand.Rand, l *lattice.Lattice, pairs, size, 
 	if len(cands) == 0 {
 		t.Fatal("lattice has no two distinct points with equal rows")
 	}
-	for len(cands) < size {
-		cands = append(cands, cand(nodes[1+rng.Intn(len(nodes)-1)]))
+	for _, k := range rng.Perm(len(nodes)) {
+		if k > 0 && !drawn[k] && len(cands) < size {
+			draw(k)
+		}
 	}
 	for d := 0; d < dups; d++ {
-		cands = append(cands, cands[rng.Intn(len(cands))])
+		for _, k := range rng.Perm(len(nodes)) {
+			if k > 0 && !drawn[k] && slices.ContainsFunc(cands, func(c views.Candidate) bool { return c.Rows == nodes[k].Rows }) {
+				draw(k)
+				break
+			}
+		}
 	}
 	rng.Shuffle(len(cands), func(a, b int) { cands[a], cands[b] = cands[b], cands[a] })
 	return cands
@@ -77,7 +90,7 @@ func routingPool(t *testing.T, rng *rand.Rand, l *lattice.Lattice, pairs, size, 
 // TestRoutingMatchesReference walks random move sequences and, after
 // every Add and Drop, holds each query's source to referenceSource. Time
 // and bill alone would not catch a routing error between two views of
-// equal rows and size, which a tie or a duplicate point makes.
+// equal rows and size, which a tie makes.
 func TestRoutingMatchesReference(t *testing.T) {
 	cases := []struct {
 		name         string

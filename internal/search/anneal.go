@@ -16,8 +16,8 @@ func annealEnergy(e eval, penalty float64) float64 {
 // anneal runs simulated annealing with a geometric cooling schedule from
 // the given start. Each temperature level proposes DefaultAnnealMoves
 // random add/drop/swap moves; improving moves are always accepted,
-// worsening ones with probability exp(−Δ/T). A proposal is priced
-// read-only off the incremental engine, O(affected queries), and the
+// worsening ones with probability exp(−Δ/T). A proposal is priced by
+// the incremental engine's Probe, O(affected queries), and the
 // engine steps onto it only when it is accepted. The
 // initial temperature is calibrated from the observed energy deltas of a
 // short warm-up walk, so the schedule adapts to the objective's units.

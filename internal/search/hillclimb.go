@@ -16,10 +16,11 @@ import "math/bits"
 //     the move that lets a budget-tight state trade a view for a better
 //     one without passing through an over-budget intermediate.
 //
-// Every neighbor is priced read-only off the incremental engine's
-// aggregates (cache hits don't even read those: neighbor keys are XORs
-// of the selection words), so a full scan costs O(neighbors × affected
-// queries), not O(neighbors × workload × selection), and the engine
+// Every neighbor is priced by the incremental engine's Probe, which
+// leaves its state as it found it (cache hits don't even call it:
+// neighbor keys are XORs of the selection words), so a full scan costs
+// O(neighbors × affected queries), not O(neighbors × workload ×
+// selection), and the engine
 // moves only onto the best neighbor. A swap row — one selected
 // candidate against every unselected one — takes its candidate out of
 // the engine once for the whole row (probeSwapRow).

@@ -298,9 +298,10 @@ func (c *evalCache) insert(slot int, ce cachedEval) *cachedEval {
 // engine, the candidate pool, the active objective, the shared
 // evaluation cache and the PRNG. The engine holds the "current" subset
 // (inside a swap row, the current subset less the row's candidate);
-// neighbors are priced read-only from its aggregates, so a probe costs
-// O(affected queries) instead of a full workload × selection
-// recomputation, and the engine moves only when the search does.
+// neighbors are priced by IncrementalEvaluator.Probe, which leaves the
+// engine's state as it found it, so a probe costs O(affected queries)
+// instead of a full workload × selection recomputation, and the engine
+// moves only when the search does.
 type solver struct {
 	inc      *optimizer.IncrementalEvaluator
 	cands    []views.Candidate
@@ -503,7 +504,7 @@ func (s *solver) lookup(a, b int) (slot int, e eval, err error) {
 }
 
 // price is the back half of a miss: one evaluation charged, the engine's
-// neighbor priced read-only (IncrementalEvaluator.Probe of a flip of a,
+// neighbor priced (IncrementalEvaluator.Probe of a flip of a,
 // or of a swap of selected a for unselected b), and the result stored in
 // the slot lookup returned.
 //

@@ -133,16 +133,7 @@ func (cl *clusterState) statsJSON() *clusterStatsJSON {
 // when the last waiter leaves.
 func (s *Server) runForward(ctx context.Context, e *endpoint, account, key, cacheKey string) outcome {
 	s.m.solves.Inc()
-	out := s.forward(ctx, e, account, key, cacheKey)
-	// The frontend memoizes exactly what a worker would: successful,
-	// non-degraded bodies. Degraded and stale bodies are
-	// timing-dependent; sheds and errors have nothing to cache, and
-	// nobody is waiting for an abandoned forward's answer.
-	if out.err == nil && !out.degraded && !out.shed && len(out.body) > 0 && !abandoned(ctx) {
-		out.clen = contentLength(out.body)
-		s.cache.PutResponse(cacheKey, out.body, out.clen)
-	}
-	return out
+	return s.fill(ctx, cacheKey, s.forward(ctx, e, account, key, cacheKey))
 }
 
 // forward walks the key's ring preference order: the owner first, then

@@ -163,15 +163,23 @@ func (l e2eLoad) run(t *testing.T, s *Server) [3]e2eTally {
 
 // TestCoalescingRaceE2E drives the full in-process stack with a
 // duplicate-dense advise-heavy mix tuned to keep concurrent identical
-// requests in flight: 85% repeats over a small issued set make repeats
-// land while the leader is still solving. Its job is to put the
-// flightGroup leader/follower handoff, the cache-fill publication and
-// the zero-copy hit path in front of the race detector every CI run.
-// The server timeout is raised because the race detector serializes
-// enough that queue wait, not solve time, dominates; a 503 here would
-// be noise, not signal.
+// requests in flight: 85% repeats over a small issued set. Its job is to
+// put the flightGroup leader/follower handoff, the cache-fill publication
+// and the zero-copy hit path in front of the race detector every CI run.
+// Every solve first sleeps a fixed chaos latency, so a flight stays open
+// for that long whatever the solve costs: a repeat issued within it, as
+// the early repeats of the small issued set are, joins the flight instead
+// of racing a millisecond solve to the cache. The server timeout is
+// raised because the race detector serializes enough that queue wait, not
+// solve time, dominates; a 503 here would be noise, not signal.
 func TestCoalescingRaceE2E(t *testing.T) {
-	srv := New(Options{RequestTimeout: 5 * time.Minute})
+	srv := New(Options{
+		RequestTimeout: 5 * time.Minute,
+		// A slot per client: the sleeps overlap instead of queueing.
+		AdviseWorkers: 16,
+		HeavyWorkers:  16,
+		Chaos:         &ChaosConfig{LatencyProb: 1, Latency: 100 * time.Millisecond},
+	})
 	load := e2eLoad{seed: 7, requests: 500, clients: 16, repeat: 0.85, mix: [3]int{8, 1, 1}}
 	by := load.run(t, srv)
 	all := e2eTotal(by)
@@ -188,8 +196,8 @@ func TestCoalescingRaceE2E(t *testing.T) {
 		}
 	}
 	// 16 clients at 85% duplicates: repeats of a just-issued body land
-	// while its leader is still solving. Zero means the stampede
-	// suppression is not engaging at all.
+	// while its leader sleeps. Zero means the stampede suppression is not
+	// engaging at all.
 	if all.coalesced == 0 {
 		t.Error("no request was coalesced; singleflight path never exercised")
 	}

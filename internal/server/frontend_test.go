@@ -388,6 +388,42 @@ func TestClusterWorkerShedPassthrough(t *testing.T) {
 	drainCluster(t, lc, 5*time.Second)
 }
 
+// TestClusterWorkerClientErrorPassthrough: a worker's 4xx is the
+// request's fault, not the worker's. Workers stricter than the frontend
+// (a lower MaxFactRows) reject a body the frontend accepts; the frontend
+// answers 400 with the worker's exact error text and X-Worker, tries no
+// successor, ejects nobody, and caches nothing, so a repeat forwards
+// again.
+func TestClusterWorkerClientErrorPassthrough(t *testing.T) {
+	lc := testCluster(t, LocalClusterOptions{
+		Workers: 3,
+		Worker:  Options{MaxFactRows: testRows - 1},
+	})
+	body := adviseBody("mv1", `"budget":25`)
+	want := string(errorBody(fmt.Sprintf("fact_rows %d exceeds the server limit %d", testRows, testRows-1)))
+	cl := lc.Frontend.cluster
+	owner := ""
+	for i := int64(1); i <= 2; i++ {
+		w := do(t, lc.Frontend, "POST", "/v1/advise", body)
+		if w.Code != 400 || w.Body.String() != want {
+			t.Fatalf("request %d: status %d, body %q; want 400, %q", i, w.Code, w.Body.String(), want)
+		}
+		worker := w.Header().Get("X-Worker")
+		if !strings.HasPrefix(worker, "worker-") || (owner != "" && worker != owner) {
+			t.Errorf("request %d: X-Worker = %q, want the owner %q", i, worker, owner)
+		}
+		owner = worker
+		if f, a, d := cl.forwards.Load(), cl.failovers.Load(), cl.allDown.Load(); f != i || a != 0 || d != 0 {
+			t.Errorf("request %d: forwards = %d, failovers = %d, all_down = %d; want %d, 0, 0", i, f, a, d, i)
+		}
+		for _, h := range cl.health.Snapshot() {
+			if h.Ejected || h.ConsecFails != 0 {
+				t.Errorf("request %d: %s ejected %v with %d consecutive failures, from a client error", i, h.Worker, h.Ejected, h.ConsecFails)
+			}
+		}
+	}
+}
+
 // TestClusterDegradedNotMemoized: a worker that degrades at its solve
 // deadline marks the response, and the frontend relays the marker
 // without memoizing the timing-dependent body — the repeat forwards

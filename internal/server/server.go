@@ -814,14 +814,21 @@ func (s *Server) runSolve(ctx context.Context, e *endpoint, req memoRequest, lab
 	tr.ObserveSince(obs.PhaseTotal, t0)
 	s.m.observePhases(tr)
 	s.logSlowSolve(e.name, knownLabels[label], tr)
-	// Degraded bodies are timing-dependent — the one kind of response
-	// that must never be memoized. Nor is the result of an abandoned
-	// solve (the knapsack path has no cancellation point, so it finishes
-	// anyway): nobody is waiting for it.
-	out := outcome{body: b, err: err, phases: tr, degraded: degraded}
-	if err == nil && !degraded && !abandoned(ctx) {
-		out.clen = contentLength(b)
-		s.cache.PutResponse(cacheKey, b, out.clen)
+	return s.fill(ctx, cacheKey, outcome{body: b, err: err, phases: tr, degraded: degraded})
+}
+
+// fill memoizes a leader's outcome under cacheKey, solved here or
+// forwarded, and returns it with its Content-Length set when it was
+// cached. Only a successful, non-degraded body is: degraded and stale
+// bodies are timing-dependent, sheds and errors have nothing to cache,
+// and nobody is waiting for an abandoned solve's answer (the knapsack
+// path has no cancellation point, so it finishes anyway). A local solve
+// is never shed and never succeeds with an empty body, so those two
+// tests only ever fail for a forward.
+func (s *Server) fill(ctx context.Context, cacheKey string, out outcome) outcome {
+	if out.err == nil && !out.degraded && !out.shed && len(out.body) > 0 && !abandoned(ctx) {
+		out.clen = contentLength(out.body)
+		s.cache.PutResponse(cacheKey, out.body, out.clen)
 	}
 	return out
 }
