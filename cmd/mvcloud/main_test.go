@@ -1,9 +1,12 @@
 package main
 
 import (
+	"errors"
+	"flag"
 	"io"
 	"net/http/httptest"
 	"reflect"
+	"strings"
 	"testing"
 
 	"vmcloud/internal/server"
@@ -35,6 +38,24 @@ func TestRunErrors(t *testing.T) {
 	} {
 		if err := runAdviseArgs(withFast(args...), io.Discard); err == nil {
 			t.Errorf("%s: accepted", name)
+		}
+	}
+}
+
+// TestNaNAlpha: every command refuses -alpha NaN with the range error,
+// so the process exits non-zero instead of answering.
+func TestNaNAlpha(t *testing.T) {
+	for name, c := range map[string]struct {
+		run  func([]string, io.Writer) error
+		args []string
+	}{
+		"advise":  {runAdviseArgs, []string{"-scenario", "mv3", "-alpha", "NaN"}},
+		"compare": {runCompareArgs, []string{"-scenarios", "mv3", "-alpha", "NaN"}},
+		"sweep":   {runSweepArgs, []string{"-scenario", "mv3", "-alpha", "NaN"}},
+	} {
+		err := c.run(withFast(c.args...), io.Discard)
+		if err == nil || errors.Is(err, flag.ErrHelp) || !strings.Contains(err.Error(), "out of [0,1]") {
+			t.Errorf("%s -alpha NaN: error %v, want alpha out of [0,1]", name, err)
 		}
 	}
 }

@@ -324,7 +324,7 @@ func (r Request) normalize() (normalized, error) {
 	if n.Alpha != nil {
 		n.alpha = *n.Alpha
 	}
-	if n.alpha < 0 || n.alpha > 1 {
+	if !(n.alpha >= 0 && n.alpha <= 1) {
 		return normalized{}, fmt.Errorf("compare: alpha %g out of [0,1]", n.alpha)
 	}
 	if n.Steps == 0 {

@@ -2,6 +2,7 @@ package compare
 
 import (
 	"encoding/json"
+	"math"
 	"strings"
 	"testing"
 	"time"
@@ -240,6 +241,21 @@ func TestRunDoesNotMutateRequest(t *testing.T) {
 	}
 	if got := comp.Scenarios; len(got) != 2 || got[0] != "mv1" || got[1] != "mv3" {
 		t.Errorf("canonical scenarios = %v, want [mv1 mv3]", got)
+	}
+}
+
+// TestNaNAlphaRejected: a NaN α fails every range comparison, so the
+// range check is written to fail it too — a NaN is refused like any
+// other α outside [0,1], by a single comparison and by a sweep.
+func TestNaNAlphaRejected(t *testing.T) {
+	nan := math.NaN()
+	if _, err := Run(Request{Config: core.Config{Workload: testWorkload(t, 3), FactRows: testRows}, Scenarios: []string{"mv3"}, Alpha: &nan}); err == nil || !strings.Contains(err.Error(), "out of [0,1]") {
+		t.Errorf("Run: error %v, want alpha out of [0,1]", err)
+	}
+	req := sweepRequest(t)
+	req.Scenario, req.Budget, req.Alpha = "mv3", 0, &nan
+	if _, err := RunSweep(req); err == nil || !strings.Contains(err.Error(), "out of [0,1]") {
+		t.Errorf("RunSweep: error %v, want alpha out of [0,1]", err)
 	}
 }
 

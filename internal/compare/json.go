@@ -193,7 +193,7 @@ func normalizeParams(scenarios []string, budget **money.Money, limit *string, al
 		a := defaultAlpha
 		*alpha = &a
 	}
-	if **alpha < 0 || **alpha > 1 {
+	if !(**alpha >= 0 && **alpha <= 1) {
 		return fmt.Errorf("compare: alpha %g out of [0,1]", **alpha)
 	}
 	return nil

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 	"reflect"
 	"strings"
 	"testing"
@@ -135,8 +136,10 @@ func TestAdviseTradeoff(t *testing.T) {
 	if !strings.Contains(rec.Scenario, "α=0.5") {
 		t.Errorf("scenario label = %q", rec.Scenario)
 	}
-	if _, err := adv.AdviseTradeoff(-0.1); err == nil {
-		t.Error("negative alpha accepted")
+	for _, alpha := range []float64{-0.1, math.NaN()} {
+		if _, err := adv.AdviseTradeoff(alpha); err == nil || !strings.Contains(err.Error(), "out of [0,1]") {
+			t.Errorf("alpha %g: error %v, want out of [0,1]", alpha, err)
+		}
 	}
 }
 

@@ -5,7 +5,7 @@ package obs
 // off — a process has one solver engine, however many servers wrap it.
 //
 // The counters are deliberately coarse-grained: NewComparisonKernel and
-// Bind increment once per build/rebind (cheap relative to the work they
+// RepriceFor increment once per build/rebind (cheap relative to the work they
 // count), while the inner-loop quantities — incremental-evaluator moves
 // and search evaluations — are accumulated in plain solver-local fields
 // and flushed here once per solve, so the gated search benchmarks never
@@ -17,7 +17,7 @@ var (
 		"Comparison kernel constructions (one per distinct workload shape).")
 
 	// KernelRebinds counts tariff bindings of an existing kernel
-	// (Bind/RepriceFor), the structure-sharing fast path.
+	// (RepriceFor, the one binding), the structure-sharing fast path.
 	KernelRebinds = Default.Counter("mvcloud_solver_kernel_rebinds_total",
 		"Tariff bindings of an existing comparison kernel (RepriceFor fast path).")
 

@@ -78,10 +78,11 @@ func TestCompiledBillMatchesPlanBill(t *testing.T) {
 						if err != nil {
 							t.Fatal(err)
 						}
-						inc, err := NewIncrementalEvaluator(ev, cands)
+						sess, err := NewSession(ev, cands)
 						if err != nil {
 							t.Fatal(err)
 						}
+						inc := sess.Engine()
 						where := fmt.Sprintf("%s pricey=%v fleet %d months %g %v", name, pricey, fleet, months, policy)
 						check := func(proc, maint, mat time.Duration, size units.DataSize) {
 							t.Helper()

@@ -45,11 +45,15 @@ import (
 // that reach a subset do not matter, and a move followed by its reverse
 // restores the state exactly.
 //
-// Full re-pricing still runs in exactly two places: Reset (pinning an
-// arbitrary subset, used for search restarts) and the Bill arithmetic in
-// Score and Probe (tier boundaries and billing rounding are global, so
-// the exact bill is always recomputed from the aggregates — never
-// linearized). Probe prices a neighbor — one flip or one swap away.
+// This engine is the one served subset pricer: a search prices its
+// moves and probes on it, and a KernelSession prices each Section 5 pick
+// by moving its own engine onto the pick. Full re-pricing runs in
+// exactly two places: pinning an arbitrary subset from empty (Reset at
+// search restarts, KernelSession.priceSel for each pick) and the Bill
+// arithmetic in Score and Probe (tier boundaries and billing rounding
+// are global, so the exact bill is always recomputed from the
+// aggregates — never linearized). Probe prices a neighbor — one flip or
+// one swap away.
 // Under immediate maintenance it reads the aggregates without writing
 // them; under deferred maintenance it moves onto the neighbor and back.
 //
@@ -92,51 +96,23 @@ type IncrementalEvaluator struct {
 	taken []bool
 }
 
-// NewIncrementalEvaluator pins a candidate set against an evaluator: a
-// one-shot ComparisonKernel build followed by Bind. Callers re-pricing
-// the same problem under several tariffs should build the kernel once
-// and Bind per tariff instead.
-func NewIncrementalEvaluator(ev *Evaluator, cands []views.Candidate) (*IncrementalEvaluator, error) {
+// bindInto binds the kernel to one tariff in an engine the caller
+// allocated: the kernel's pinned structure plus this evaluator's time
+// scalars. The evaluator must be wired over the kernel's lattice. A
+// binding is per cell of a comparison fan-out, so its allocation count
+// is part of the per-tariff cost: every duration, int64, int32 and bool
+// array comes from one slab of its type.
+func (k *ComparisonKernel) bindInto(inc *IncrementalEvaluator, ev *Evaluator) error {
 	if ev == nil || ev.Est == nil || ev.Est.Lat == nil {
-		return nil, fmt.Errorf("optimizer: incremental evaluator needs a wired evaluator")
-	}
-	k, err := NewComparisonKernel(ev.Est.Lat, ev.W, cands)
-	if err != nil {
-		return nil, err
-	}
-	return k.Bind(ev)
-}
-
-// Bind derives a delta-evaluation engine for one tariff: the kernel's
-// pinned structure plus this evaluator's time scalars. The evaluator
-// must be wired over the kernel's lattice.
-func (k *ComparisonKernel) Bind(ev *Evaluator) (*IncrementalEvaluator, error) {
-	inc := new(IncrementalEvaluator)
-	if _, _, err := k.bindInto(inc, ev, 0, 0); err != nil {
-		return nil, err
-	}
-	return inc, nil
-}
-
-// bindInto is Bind into an engine the caller allocated. A binding is
-// per cell of a comparison fan-out, so its allocation count is part of
-// the per-tariff cost: every duration, int64, int32 and bool array comes
-// from one slab of its type, and a caller with arrays of its own to place
-// (RepriceFor's solver scratch) asks for spare64 and spare32 more
-// elements of the last two and gets them back.
-func (k *ComparisonKernel) bindInto(inc *IncrementalEvaluator, ev *Evaluator, spare64, spare32 int) ([]int64, []int32, error) {
-	if ev == nil || ev.Est == nil || ev.Est.Lat == nil {
-		return nil, nil, fmt.Errorf("optimizer: incremental evaluator needs a wired evaluator")
+		return fmt.Errorf("optimizer: incremental evaluator needs a wired evaluator")
 	}
 	if ev.Est.Lat != k.Lat {
-		return nil, nil, fmt.Errorf("optimizer: evaluator lattice differs from the kernel's")
+		return fmt.Errorf("optimizer: evaluator lattice differs from the kernel's")
 	}
 	obs.KernelRebinds.Inc()
 	n, nq := k.n, k.nq
 	// curTerm, then bindScalars' arena.
 	durations := make([]time.Duration, nq+4*n+nq+len(k.ansCand))
-	int64s := make([]int64, n+spare64)
-	int32s := make([]int32, nq+spare32)
 	bools := make([]bool, n+nq)
 	*inc = IncrementalEvaluator{
 		ev:             ev,
@@ -144,21 +120,22 @@ func (k *ComparisonKernel) bindInto(inc *IncrementalEvaluator, ev *Evaluator, sp
 		sessionScalars: k.bindScalars(ev, durations[nq:]),
 		selected:       bools[:n:n],
 		words:          make([]uint64, (n+63)/64),
-		assigned:       int32s[:nq:nq],
+		assigned:       make([]int32, nq),
 		curTerm:        durations[:nq:nq],
-		served:         int64s[:n:n],
+		served:         make([]int64, n),
 		taken:          bools[n:],
 	}
 	inc.billing = compileBill(&ev.Base)
 	inc.resetEmpty()
-	return int64s[n:], int32s[nq:], nil
+	return nil
 }
 
 // Evaluator returns the exact evaluator this engine is bound to.
 func (inc *IncrementalEvaluator) Evaluator() *Evaluator { return inc.ev }
 
 // Moves returns the lifetime Add/Drop move count. The search wrapper
-// diffs it around a solve to flush the delta into obs.IncrementalMoves.
+// diffs it around a solve to flush the delta into obs.IncrementalMoves;
+// a KernelSession's own pricing moves are not counted.
 func (inc *IncrementalEvaluator) Moves() int64 { return inc.moves }
 
 // PinnedTo reports whether this engine prices exactly the given

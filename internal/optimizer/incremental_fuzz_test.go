@@ -57,10 +57,11 @@ func FuzzIncrementalMoves(f *testing.F) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		inc, err := NewIncrementalEvaluator(ev, cands)
+		sess, err := NewSession(ev, cands)
 		if err != nil {
 			t.Fatal(err)
 		}
+		inc := sess.Engine()
 		sel := make([]bool, len(cands))
 		for _, b := range moves {
 			i := int(b) % len(cands)

@@ -103,10 +103,11 @@ func TestIncrementalMatchesEvaluateRandomWalk(t *testing.T) {
 		for trial := 0; trial < 12; trial++ {
 			rng := rand.New(rand.NewSource(int64(1000*int(policy) + trial)))
 			ev, cands := incrementalFixture(t, rng, policy)
-			inc, err := NewIncrementalEvaluator(ev, cands)
+			sess, err := NewSession(ev, cands)
 			if err != nil {
 				t.Fatal(err)
 			}
+			inc := sess.Engine()
 			sel := make([]bool, len(cands))
 			check := func(step int) {
 				gotT, gotBill, err := inc.Score()
@@ -160,10 +161,11 @@ func checkNeighborhood(t *testing.T, ev *Evaluator, cands []views.Candidate, inc
 // candidate and bring in an unselected one.
 func TestProbeRejectsMalformedSwap(t *testing.T) {
 	ev, cands := incrementalFixture(t, rand.New(rand.NewSource(3)), views.ImmediateMaintenance)
-	inc, err := NewIncrementalEvaluator(ev, cands)
+	sess, err := NewSession(ev, cands)
 	if err != nil {
 		t.Fatal(err)
 	}
+	inc := sess.Engine()
 	inc.Add(0)
 	inc.Add(1)
 	for _, m := range [][2]int{{2, 3}, {0, 1}, {2, 0}} {
@@ -175,7 +177,7 @@ func TestProbeRejectsMalformedSwap(t *testing.T) {
 
 // TestScoreMatchesPlanBillAcrossTariffs pins the bill Score assembles —
 // three compute terms and storage priced per call, egress priced once at
-// Bind — to Plan.Bill through Evaluate on every catalog tariff, for whole,
+// binding — to Plan.Bill through Evaluate on every catalog tariff, for whole,
 // fractional and zero billing periods.
 func TestScoreMatchesPlanBillAcrossTariffs(t *testing.T) {
 	rng := rand.New(rand.NewSource(19))
@@ -202,10 +204,11 @@ func TestScoreMatchesPlanBillAcrossTariffs(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			inc, err := NewIncrementalEvaluator(ev, cands)
+			sess, err := NewSession(ev, cands)
 			if err != nil {
 				t.Fatal(err)
 			}
+			inc := sess.Engine()
 			sel := make([]bool, len(cands))
 			for step := 0; step < 30; step++ {
 				i := rng.Intn(len(cands))
@@ -237,10 +240,11 @@ func TestScoreMatchesPlanBillAcrossTariffs(t *testing.T) {
 func TestIncrementalReset(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	ev, cands := incrementalFixture(t, rng, views.DeferredMaintenance)
-	inc, err := NewIncrementalEvaluator(ev, cands)
+	sess, err := NewSession(ev, cands)
 	if err != nil {
 		t.Fatal(err)
 	}
+	inc := sess.Engine()
 	for trial := 0; trial < 20; trial++ {
 		sel := make([]bool, len(cands))
 		for i := range sel {
@@ -272,10 +276,11 @@ func TestIncrementalReset(t *testing.T) {
 func TestIncrementalWords(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	ev, cands := incrementalFixture(t, rng, views.ImmediateMaintenance)
-	inc, err := NewIncrementalEvaluator(ev, cands)
+	sess, err := NewSession(ev, cands)
 	if err != nil {
 		t.Fatal(err)
 	}
+	inc := sess.Engine()
 	inc.Add(3)
 	inc.Add(3) // no-op
 	inc.Add(5)
@@ -343,10 +348,11 @@ func BenchmarkIncrementalProbe(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	inc, err := NewIncrementalEvaluator(ev, cands)
+	sess, err := NewSession(ev, cands)
 	if err != nil {
 		b.Fatal(err)
 	}
+	inc := sess.Engine()
 	n := len(cands)
 	start := make([]bool, n)
 	for i := 0; i < n/2; i++ {

@@ -272,9 +272,8 @@ func TestRepeatedPointRejected(t *testing.T) {
 	pool := append(slices.Clone(cands), cands[2])
 	want := fmt.Sprintf("optimizer: candidate %d repeats candidate 2's point %v", len(cands), cands[2].Point)
 	_, kerr := NewComparisonKernel(ev.Est.Lat, ev.W, pool)
-	_, ierr := NewIncrementalEvaluator(ev, pool)
 	_, serr := NewSession(ev, pool)
-	for name, err := range map[string]error{"NewComparisonKernel": kerr, "NewIncrementalEvaluator": ierr, "NewSession": serr} {
+	for name, err := range map[string]error{"NewComparisonKernel": kerr, "NewSession": serr} {
 		if err == nil || err.Error() != want {
 			t.Errorf("%s: error %v, want %q", name, err, want)
 		}

@@ -8,7 +8,6 @@ import (
 	"vmcloud/internal/costmodel"
 	"vmcloud/internal/lattice"
 	"vmcloud/internal/money"
-	"vmcloud/internal/units"
 	"vmcloud/internal/views"
 )
 
@@ -18,9 +17,9 @@ import (
 // (SolveMV1/MV2/MV3) on it. Each linearizes the candidates into items,
 // picks a subset (knapsack, min-cost cover, marginal rule) and re-prices
 // that subset exactly with the Section 4 cost model. Every exact subset
-// evaluation runs over the kernel's flat arrays (integer row comparisons
-// and precomputed durations), and the items and the no-view baseline are
-// computed once per session, so a comparison fan-out pays the structural
+// price moves the session's own incremental engine onto the subset and
+// scores it, and the items and the no-view baseline are computed once
+// per session, so a comparison fan-out pays the structural
 // cost once per problem and only the O(arithmetic) re-bill per tariff
 // cell. The Evaluator's definitions are the oracle:
 // TestKernelSessionMatchesEvaluator holds Base, Items and every returned
@@ -50,14 +49,11 @@ type KernelSession struct {
 	// once per budget, so per-solve slices would dominate the allocation
 	// profile otherwise. Selections returned to callers always carry
 	// freshly allocated Points — scratch never escapes.
-	servedBuf []int64
-	selBuf    []int32
-	idxBuf    []int
-	valBuf    []int64
-	wtBuf     []int64
-	dp        frontierDP
-	bestCand  []int32
-	bestRows  []int64
+	selBuf []int32
+	idxBuf []int
+	valBuf []int64
+	wtBuf  []int64
+	dp     frontierDP
 }
 
 // NewSession pins a candidate set against an evaluator and binds the one
@@ -66,6 +62,9 @@ type KernelSession struct {
 func NewSession(ev *Evaluator, cands []views.Candidate) (*KernelSession, error) {
 	if ev == nil {
 		return nil, fmt.Errorf("optimizer: nil evaluator")
+	}
+	if ev.Est == nil || ev.Est.Lat == nil {
+		return nil, fmt.Errorf("optimizer: incremental evaluator needs a wired evaluator")
 	}
 	k, err := NewComparisonKernel(ev.Est.Lat, ev.W, cands)
 	if err != nil {
@@ -81,11 +80,9 @@ func NewSession(ev *Evaluator, cands []views.Candidate) (*KernelSession, error) 
 // comparison.
 func (k *ComparisonKernel) RepriceFor(ev *Evaluator) (*KernelSession, error) {
 	s := &KernelSession{Kern: k, Ev: ev}
-	int64s, int32s, err := k.bindInto(&s.inc, ev, k.n+k.nq, k.nq)
-	if err != nil {
+	if err := k.bindInto(&s.inc, ev); err != nil {
 		return nil, err
 	}
-	s.servedBuf, s.bestRows, s.bestCand = int64s[:k.n:k.n], int64s[k.n:], int32s
 	return s, nil
 }
 
@@ -112,60 +109,22 @@ func (s *KernelSession) Base() (time.Duration, costmodel.Bill, error) {
 	return s.baseT, s.baseBill, nil
 }
 
-// evaluateSel prices the candidate subset sel (candidate indices, in
-// selection order) exactly — the Section 4 cost model of those points:
-// cheapest-answering routing with the first-strictly-fewer-rows tie
-// rule, policy-aware maintenance, and the full tiered bill.
+// priceSel moves the session's engine onto the candidate subset sel and
+// prices it exactly: the empty subset, one Add per pick, then Score. The
+// engine's state is a function of the selected set alone, so the price
+// does not depend on the order sel lists its picks. These moves are the
+// session's, not a search's, so the engine's move count is put back.
 //
 //mvlint:hotpath
-func (s *KernelSession) evaluateSel(sel []int32) (time.Duration, costmodel.Bill, error) {
-	k, sc := s.Kern, &s.inc.sessionScalars
-	var proc, maint, mat time.Duration
-	var sizeSum units.DataSize
-	deferred := sc.deferred && sc.runs > 0
-	served := s.servedBuf
-	if deferred {
-		clear(served)
-	}
-	// Route every query to its cheapest answering source. Candidates are
-	// processed in selection order with a strict row comparison per
-	// query, so the per-query winner is exactly CheapestAnswering's
-	// first-strictly-fewer-rows-in-scan-order choice (the loop nesting is
-	// swapped for locality; per query the candidate order is unchanged).
-	bestCand, bestRows := s.bestCand, s.bestRows
-	for q := 0; q < k.nq; q++ {
-		bestCand[q] = -1
-		bestRows[q] = k.baseRows
-	}
+func (s *KernelSession) priceSel(sel []int32) (time.Duration, costmodel.Bill, error) {
+	inc := &s.inc
+	moves := inc.moves
+	inc.resetEmpty()
 	for _, ci := range sel {
-		ri := k.rows[ci]
-		for _, q := range k.cand2q[ci] {
-			if ri < bestRows[q] {
-				bestRows[q], bestCand[q] = ri, ci
-			}
-		}
+		inc.Add(int(ci))
 	}
-	for q := 0; q < k.nq; q++ {
-		best := bestCand[q]
-		if best < 0 {
-			proc += sc.qBase[q]
-			continue
-		}
-		proc += time.Duration(k.qFreq[q]) * sc.candJob[best]
-		if deferred {
-			served[best] += k.qFreq[q]
-		}
-	}
-	for _, ci := range sel {
-		mat += sc.mat[ci]
-		sizeSum += k.size[ci]
-		if !sc.deferred {
-			maint += sc.maint[ci]
-		} else if sc.runs > 0 {
-			maint += time.Duration(min(served[ci], sc.runs)) * sc.perRun[ci]
-		}
-	}
-	return s.inc.billing.price(proc, maint, mat, sizeSum)
+	inc.moves = moves
+	return inc.Score()
 }
 
 // selectionFor assembles a Selection for an already-priced subset
@@ -186,7 +145,7 @@ func (s *KernelSession) selectionFor(sel []int32, t time.Duration, bill costmode
 
 // finishSel prices the subset and assembles its Selection.
 func (s *KernelSession) finishSel(sel []int32, strategy string, feasible func(time.Duration, costmodel.Bill) bool) (Selection, error) {
-	t, bill, err := s.evaluateSel(sel)
+	t, bill, err := s.priceSel(sel)
 	if err != nil {
 		return Selection{}, err
 	}
@@ -309,9 +268,10 @@ func (s *KernelSession) solveMV1(budget money.Money) (sel []int32, t time.Durati
 	}
 	s.selBuf, s.idxBuf = chosen, payIdx
 	// Exact repair: drop the worst time-per-dollar views while over
-	// budget. Intermediate states are evaluated without materializing
-	// their point lists — only the caller's final selection builds Points.
-	t, bill, err = s.evaluateSel(chosen)
+	// budget, one engine Drop per step. Intermediate states are priced
+	// without materializing their point lists — only the caller's final
+	// selection builds Points.
+	t, bill, err = s.priceSel(chosen)
 	if err != nil {
 		return nil, 0, costmodel.Bill{}, false, err
 	}
@@ -319,8 +279,10 @@ func (s *KernelSession) solveMV1(budget money.Money) (sel []int32, t time.Durati
 		sort.Slice(chosen, func(a, b int) bool {
 			return density(items[chosen[a]]) < density(items[chosen[b]])
 		})
+		s.inc.Drop(int(chosen[0]))
+		s.inc.moves-- // a repair step, not a search move (see priceSel)
 		chosen = chosen[1:]
-		t, bill, err = s.evaluateSel(chosen)
+		t, bill, err = s.inc.Score()
 		if err != nil {
 			return nil, 0, costmodel.Bill{}, false, err
 		}
@@ -395,7 +357,7 @@ func (s *KernelSession) SolveMV2(limit time.Duration) (Selection, error) {
 // the optimum over the linearized items is to take every view whose
 // marginal objective change is negative.
 func (s *KernelSession) SolveMV3(alpha float64, mode TradeoffMode) (Selection, error) {
-	if alpha < 0 || alpha > 1 {
+	if !(alpha >= 0 && alpha <= 1) {
 		return Selection{}, fmt.Errorf("optimizer: alpha %g out of [0,1]", alpha)
 	}
 	items := s.Items()

@@ -202,6 +202,12 @@ func TestRepriceForRejectsForeignEvaluator(t *testing.T) {
 // MV1 budgets really run the knapsack.
 func sweepFixture(t testing.TB) (*KernelSession, *Evaluator, []views.Candidate) {
 	t.Helper()
+	return paperSession(t, views.ImmediateMaintenance)
+}
+
+// paperSession is sweepFixture under the given maintenance policy.
+func paperSession(t testing.TB, policy views.MaintenancePolicy) (*KernelSession, *Evaluator, []views.Candidate) {
+	t.Helper()
 	l, err := lattice.New(schema.Sales(), 50_000_000)
 	if err != nil {
 		t.Fatal(err)
@@ -222,6 +228,7 @@ func sweepFixture(t testing.TB) (*KernelSession, *Evaluator, []views.Candidate) 
 	est := views.NewEstimator(l, cl)
 	est.MaintenanceRuns = 4
 	est.UpdateRatio = 0.2
+	est.Policy = policy
 	egress, err := w.ResultBytes(l)
 	if err != nil {
 		t.Fatal(err)
@@ -281,5 +288,52 @@ func TestSolveMV2InfeasibleReusesScratch(t *testing.T) {
 	})
 	if allocs != 1 {
 		t.Errorf("warm infeasible SolveMV2 allocates %.0f times per run, want 1 (the returned Points)", allocs)
+	}
+}
+
+// BenchmarkSessionSolves is the session layer on the paper's sales
+// problem: one session, per iteration SolveMV1, SolveMV2, SolveMV3 and
+// an 8-budget BudgetOutcome sweep (a compare cell's break-even search),
+// every pick priced exactly on the session's engine.
+func BenchmarkSessionSolves(b *testing.B) {
+	for _, c := range []struct {
+		name   string
+		policy views.MaintenancePolicy
+	}{{"immediate", views.ImmediateMaintenance}, {"deferred", views.DeferredMaintenance}} {
+		b.Run(c.name, func(b *testing.B) {
+			sess, ev, cands := paperSession(b, c.policy)
+			baseT, baseBill, err := ev.Evaluate(nil)
+			if err != nil {
+				b.Fatal(err)
+			}
+			allT, allBill, err := ev.Evaluate(views.Points(cands))
+			if err != nil {
+				b.Fatal(err)
+			}
+			lo, hi := min(baseBill.Total(), allBill.Total()), max(baseBill.Total(), allBill.Total())
+			budgets := make([]money.Money, 8)
+			for i := range budgets {
+				budgets[i] = lo.Add(money.Money(int64(hi.Sub(lo)) * int64(i+1) / 8))
+			}
+			limit := allT + (baseT-allT)/2
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := sess.SolveMV1(budgets[3]); err != nil {
+					b.Fatal(err)
+				}
+				if _, err := sess.SolveMV2(limit); err != nil {
+					b.Fatal(err)
+				}
+				if _, err := sess.SolveMV3(0.5, RawTradeoff); err != nil {
+					b.Fatal(err)
+				}
+				for _, budget := range budgets {
+					if _, _, _, err := sess.BudgetOutcome(budget); err != nil {
+						b.Fatal(err)
+					}
+				}
+			}
+		})
 	}
 }

@@ -132,10 +132,11 @@ func TestRoutingMatchesReference(t *testing.T) {
 					t.Fatal(err)
 				}
 				cands := routingPool(t, rng, l, 4, 16, tc.dups)
-				inc, err := NewIncrementalEvaluator(ev, cands)
+				sess, err := NewSession(ev, cands)
 				if err != nil {
 					t.Fatal(err)
 				}
+				inc := sess.Engine()
 				sel := make([]bool, len(cands))
 				for step := 0; step < 400; step++ {
 					i := rng.Intn(len(cands))

@@ -1,6 +1,8 @@
 package optimizer
 
 import (
+	"math"
+	"strings"
 	"testing"
 	"time"
 
@@ -366,9 +368,9 @@ func TestSolveMV3AlphaExtremes(t *testing.T) {
 			}
 		}
 	}
-	for _, alpha := range []float64{1.5, -0.1} {
-		if _, err := sess.SolveMV3(alpha, RawTradeoff); err == nil {
-			t.Errorf("alpha %g accepted", alpha)
+	for _, alpha := range []float64{1.5, -0.1, math.NaN()} {
+		if _, err := sess.SolveMV3(alpha, RawTradeoff); err == nil || !strings.Contains(err.Error(), "out of [0,1]") {
+			t.Errorf("alpha %g: error %v, want out of [0,1]", alpha, err)
 		}
 	}
 }

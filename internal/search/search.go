@@ -341,10 +341,11 @@ func newSolver(ev *optimizer.Evaluator, cands []views.Candidate, obj Objective, 
 			return nil, fmt.Errorf("search: Options.Engine is pinned to a different evaluator or candidate set")
 		}
 	} else {
-		inc, err = optimizer.NewIncrementalEvaluator(ev, cands)
+		sess, err := optimizer.NewSession(ev, cands)
 		if err != nil {
 			return nil, err
 		}
+		inc = sess.Engine()
 	}
 	n := len(cands)
 	s := &solver{
@@ -802,7 +803,7 @@ func SolveMV2(ev *optimizer.Evaluator, cands []views.Candidate, limit time.Durat
 // normalized mode prices the no-view baseline first (one extra exact
 // evaluation, cached and shared with the search).
 func SolveMV3(ev *optimizer.Evaluator, cands []views.Candidate, alpha float64, mode optimizer.TradeoffMode, opts Options) (optimizer.Selection, error) {
-	if alpha < 0 || alpha > 1 {
+	if !(alpha >= 0 && alpha <= 1) {
 		return optimizer.Selection{}, fmt.Errorf("search: alpha %g out of [0,1]", alpha)
 	}
 	var baseT time.Duration

@@ -1,6 +1,8 @@
 package search
 
 import (
+	"math"
+	"strings"
 	"testing"
 	"time"
 
@@ -232,8 +234,10 @@ func TestSolveOptionValidation(t *testing.T) {
 			t.Errorf("options %+v accepted", opts)
 		}
 	}
-	if _, err := SolveMV3(ev, cands, 1.5, optimizer.RawTradeoff, Options{}); err == nil {
-		t.Error("alpha 1.5 accepted")
+	for _, alpha := range []float64{1.5, math.NaN()} {
+		if _, err := SolveMV3(ev, cands, alpha, optimizer.RawTradeoff, Options{}); err == nil || !strings.Contains(err.Error(), "out of [0,1]") {
+			t.Errorf("alpha %g: error %v, want out of [0,1]", alpha, err)
+		}
 	}
 }
 
@@ -359,10 +363,11 @@ func TestSwapProbeMoveBound(t *testing.T) {
 // number of evaluations.
 func TestWarmSolveAllocs(t *testing.T) {
 	ev, cands, budget := largeFixture(t)
-	inc, err := optimizer.NewIncrementalEvaluator(ev, cands)
+	sess, err := optimizer.NewSession(ev, cands)
 	if err != nil {
 		t.Fatal(err)
 	}
+	inc := sess.Engine()
 	allocs := func(maxEvals int) float64 {
 		return testing.AllocsPerRun(5, func() {
 			if _, err := Solve(ev, cands, BudgetObjective(budget), Options{Seed: 1, MaxEvals: maxEvals, Engine: inc}); err != nil {

@@ -151,7 +151,7 @@ func (req *AdviseRequest) Normalize() error {
 			a := 0.5
 			req.Alpha = &a
 		}
-		if *req.Alpha < 0 || *req.Alpha > 1 {
+		if !(*req.Alpha >= 0 && *req.Alpha <= 1) {
 			return fmt.Errorf("alpha %g out of [0,1]", *req.Alpha)
 		}
 		req.Budget, req.Limit, req.Steps = nil, "", 0
