@@ -105,12 +105,14 @@ func TestRunCompareArgsErrors(t *testing.T) {
 	ts := httptest.NewServer(server.New(server.Options{}))
 	defer ts.Close()
 	cases := map[string][]string{
-		"unknown provider": {"-providers", "atlantis"},
-		"bad budget":       {"-budget", "not-money"},
-		"bad limit":        {"-limit", "not-a-duration"},
-		"bad fleet":        {"-fleets", "three"},
-		"bad scenario":     {"-scenarios", "warp"},
-		"unknown flag":     {"-warp-factor", "9"},
+		"unknown provider":      {"-providers", "atlantis"},
+		"bad budget":            {"-budget", "not-money"},
+		"bad limit":             {"-limit", "not-a-duration"},
+		"bad fleet":             {"-fleets", "three"},
+		"bad scenario":          {"-scenarios", "warp"},
+		"unknown flag":          {"-warp-factor", "9"},
+		"one break-even":        {"-break-even", "1"},
+		"remote one break-even": {"-break-even", "1", "-server", ts.URL},
 	}
 	for _, f := range []string{"3.5", "5x", "0x10"} {
 		cases["fleet "+f] = []string{"-fleets", f}
@@ -120,6 +122,10 @@ func TestRunCompareArgsErrors(t *testing.T) {
 		if err := runCompareArgs(withFast(args...), io.Discard); err == nil {
 			t.Errorf("compare %s: accepted", name)
 		}
+	}
+	const oneStep = "compare: break-even needs at least 2 steps, got 1"
+	if err := runCompareArgs(withFast("-break-even", "1"), io.Discard); err == nil || err.Error() != oneStep {
+		t.Errorf("compare -break-even 1: %v, want %q", err, oneStep)
 	}
 	for _, f := range []string{"3.5", "5x", "0x10"} {
 		for _, remote := range [][]string{nil, {"-server", ts.URL}} {

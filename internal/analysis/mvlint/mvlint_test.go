@@ -628,7 +628,7 @@ func TestTelemetryFastPathsAreMarked(t *testing.T) {
 		"ParetoPointJSON.AppendJSON":    "internal/core/encode.go",
 		"Comparison.appendReport":       "internal/compare/compare.go",
 		"Sweep.appendReport":            "internal/compare/sweep.go",
-		"ComparisonJSON.AppendJSON":     "internal/compare/encode.go",
+		"Comparison.AppendJSON":         "internal/compare/encode.go",
 		"SweepJSON.AppendJSON":          "internal/compare/encode.go",
 		"AdviseResponse.AppendJSON":     "internal/server/server.go",
 		// The request half: bytes to canonical key — the decoder

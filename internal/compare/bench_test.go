@@ -26,26 +26,50 @@ func benchRequest(b testing.TB) Request {
 	}
 }
 
-func runCompareBench(b *testing.B, workers int) {
+// wideRequest is the widest grid the daemon admits by default: the
+// catalog's five tariffs × two instance types × six fleets, 60 of the 64
+// cells allowed, and a break-even sweep of 101 budgets, the steps' cap.
+func wideRequest(b testing.TB) Request {
 	req := benchRequest(b)
+	req.InstanceTypes = []string{"small", "large"}
+	req.FleetSizes = []int{1, 2, 3, 4, 5, 6}
+	req.BreakEvenSteps = 101
+	return req
+}
+
+// runCompareBench reports, beside time and allocations, the break-even
+// sweep's work count: its MV1 solves per comparison (of cells × budgets
+// without the bound).
+func runCompareBench(b *testing.B, req Request, workers int) {
 	req.Workers = workers
 	b.ReportAllocs()
 	b.ResetTimer()
+	var comp *Comparison
 	for i := 0; i < b.N; i++ {
-		comp, err := Run(req)
-		if err != nil {
+		var err error
+		if comp, err = Run(req); err != nil {
 			b.Fatal(err)
 		}
 		if len(comp.Configs) == 0 {
 			b.Fatal("empty comparison")
 		}
 	}
+	b.ReportMetric(float64(comp.sweepSolves), "sweep-solves/op")
 }
 
 // BenchmarkCompareSequential is the baseline: one worker solves the
 // whole provider × fleet grid in order.
-func BenchmarkCompareSequential(b *testing.B) { runCompareBench(b, 1) }
+func BenchmarkCompareSequential(b *testing.B) { runCompareBench(b, benchRequest(b), 1) }
 
 // BenchmarkCompareParallel fans the same grid out over GOMAXPROCS
 // workers — the repo's first parallel solve path.
-func BenchmarkCompareParallel(b *testing.B) { runCompareBench(b, runtime.GOMAXPROCS(0)) }
+func BenchmarkCompareParallel(b *testing.B) {
+	runCompareBench(b, benchRequest(b), runtime.GOMAXPROCS(0))
+}
+
+// BenchmarkCompareWide solves wideRequest on GOMAXPROCS workers: the
+// grid where the break-even sweep, which runs on the caller's goroutine
+// after the fan-out, has the most cells and budgets to go through.
+func BenchmarkCompareWide(b *testing.B) {
+	runCompareBench(b, wideRequest(b), runtime.GOMAXPROCS(0))
+}

@@ -13,8 +13,12 @@
 package compare
 
 import (
+	"cmp"
+	"context"
 	"fmt"
+	"math"
 	"runtime"
+	"slices"
 	"sort"
 	"strconv"
 	"sync"
@@ -24,6 +28,7 @@ import (
 	"vmcloud/internal/core"
 	"vmcloud/internal/jsonenc"
 	"vmcloud/internal/money"
+	"vmcloud/internal/optimizer"
 	"vmcloud/internal/pricing"
 	"vmcloud/internal/report"
 	"vmcloud/internal/units"
@@ -47,27 +52,20 @@ const (
 // Both the native and the JSON request forms canonicalize through here,
 // so the CLI/facade and the server can never disagree on scenario rules.
 func canonScenarios(explicit []string, haveBudget, haveLimit bool) ([]string, error) {
-	want := map[string]bool{}
+	var want [4]bool // indexed as scenarioOrder
 	if len(explicit) == 0 {
-		want["mv3"] = true
-		if haveBudget {
-			want["mv1"] = true
-		}
-		if haveLimit {
-			want["mv2"] = true
-		}
+		want[0], want[1], want[2] = haveBudget, haveLimit, true
 	}
 	for _, s := range explicit {
-		switch s {
-		case "mv1", "mv2", "mv3", "pareto":
-			want[s] = true
-		default:
+		i := slices.Index(scenarioOrder, s)
+		if i < 0 {
 			return nil, fmt.Errorf("compare: unknown scenario %q (want mv1, mv2, mv3 or pareto)", s)
 		}
+		want[i] = true
 	}
 	out := make([]string, 0, len(want))
-	for _, s := range scenarioOrder {
-		if want[s] {
+	for i, s := range scenarioOrder {
+		if want[i] {
 			out = append(out, s)
 		}
 	}
@@ -175,8 +173,6 @@ type ConfigResult struct {
 	Results []ScenarioResult
 	// Pareto is this configuration's frontier (when "pareto" is requested).
 	Pareto []core.ParetoPoint
-	// breakEven[i] is this configuration's mv1 outcome at sweep budget i.
-	breakEven []budgetOutcome
 }
 
 // Result returns the recommendation solved for the given scenario.
@@ -187,13 +183,6 @@ func (c ConfigResult) Result(scenario string) (core.Recommendation, bool) {
 		}
 	}
 	return core.Recommendation{}, false
-}
-
-// budgetOutcome is one cell of the break-even sweep.
-type budgetOutcome struct {
-	time     time.Duration
-	cost     money.Money
-	feasible bool
 }
 
 // Winner names the best configuration for one scenario.
@@ -249,6 +238,10 @@ type Comparison struct {
 	// comparisons are exactly priced but timing-dependent, so callers
 	// must not memoize them.
 	Degraded bool
+
+	// sweepSolves counts the MV1 solves the break-even sweep ran: its
+	// work count, which the bound keeps below cells × budgets.
+	sweepSolves int
 }
 
 // normalized is a validated request with every default applied.
@@ -293,6 +286,9 @@ func (r Request) normalize() (normalized, error) {
 		seen[p.Name] = true
 		cloned = append(cloned, p.Clone())
 	}
+	// In name order, as the grid lists below are sorted, so that cells
+	// expands the grid in key order as it stands.
+	slices.SortFunc(cloned, func(a, b pricing.Provider) int { return cmp.Compare(a.Name, b.Name) })
 	n.Providers = cloned
 	if len(n.InstanceTypes) == 0 {
 		n.InstanceTypes = []string{core.DefaultInstanceType}
@@ -336,6 +332,9 @@ func (r Request) normalize() (normalized, error) {
 	if n.BreakEvenSteps == 0 {
 		n.BreakEvenSteps = defaultBreakEvenSteps
 	}
+	if n.scenarios["mv1"] && n.BreakEvenSteps == 1 {
+		return normalized{}, errBreakEvenSteps(n.BreakEvenSteps)
+	}
 	if n.scenarios["mv1"] && n.BreakEvenSteps >= 2 {
 		lo, hi := n.Budget.DivInt(2), n.Budget.MulInt(2)
 		for i := 0; i < n.BreakEvenSteps; i++ {
@@ -362,6 +361,12 @@ func (r Request) normalize() (normalized, error) {
 	return n, nil
 }
 
+// errBreakEvenSteps rejects a break-even sweep of one budget, which
+// could locate no flip.
+func errBreakEvenSteps(steps int) error {
+	return fmt.Errorf("compare: break-even needs at least 2 steps, got %d", steps)
+}
+
 // fanOut runs solve(i) for i in [0, jobs) on at most workers
 // goroutines, the caller's included — the shared concurrency scaffold
 // of the grid engines. Every goroutine claims the next unsolved index
@@ -386,20 +391,16 @@ func fanOut(workers, jobs int, solve func(int)) {
 	wg.Wait()
 }
 
-// cells expands the provider × instance × fleet grid in deterministic
-// order, separating configurations whose instance type the provider does
-// not offer.
+// cells expands the provider × instance × fleet grid in key order,
+// separating configurations whose instance type the provider does not
+// offer. normalize sorted all three lists.
 func (n normalized) cells() (keys []Key, providers []pricing.Provider, skipped []Key) {
-	provs := append([]pricing.Provider(nil), n.Providers...)
-	sort.Slice(provs, func(i, j int) bool { return provs[i].Name < provs[j].Name })
-	types := append([]string(nil), n.InstanceTypes...)
-	sort.Strings(types)
-	fleets := append([]int(nil), n.FleetSizes...)
-	sort.Ints(fleets)
-	for _, p := range provs {
-		for _, it := range types {
+	size := len(n.Providers) * len(n.InstanceTypes) * len(n.FleetSizes)
+	keys, providers = make([]Key, 0, size), make([]pricing.Provider, 0, size)
+	for _, p := range n.Providers {
+		for _, it := range n.InstanceTypes {
 			_, offered := p.Compute.Instances[it]
-			for _, f := range fleets {
+			for _, f := range n.FleetSizes {
 				k := Key{Provider: p.Name, InstanceType: it, Instances: f}
 				if !offered {
 					skipped = append(skipped, k)
@@ -428,7 +429,7 @@ func Run(req Request) (*Comparison, error) {
 	if err != nil {
 		return nil, err
 	}
-	results, skipped, err := n.solveGrid()
+	results, sessions, skipped, err := n.solveGrid()
 	if err != nil {
 		return nil, err
 	}
@@ -447,24 +448,32 @@ func Run(req Request) (*Comparison, error) {
 		comp.Winners = append(comp.Winners, pickWinner(s, n.alpha, results))
 	}
 	if len(n.sweepBudgets) > 0 {
-		comp.BreakEven = buildBreakEven(n.sweepBudgets, results)
+		if comp.BreakEven, comp.sweepSolves, err = breakEven(n.Ctx, n.sweepBudgets, results, sessions); err != nil {
+			return nil, err
+		}
 	}
 	return comp, nil
 }
 
 // solveGrid builds the shared structure once and solves every runnable
 // cell of the grid on it, on the bounded worker pool — the one grid solve
-// of Run and RunSweep.
-func (n normalized) solveGrid() ([]ConfigResult, []Key, error) {
+// of Run and RunSweep. With a break-even sweep to run, it returns each
+// cell's session beside its result, for the sweep to go on solving on
+// once the pool is done.
+func (n normalized) solveGrid() ([]ConfigResult, []*optimizer.KernelSession, []Key, error) {
 	keys, providers, skipped := n.cells()
 	if len(keys) == 0 {
-		return nil, nil, fmt.Errorf("compare: no runnable configurations (every provider × instance pairing was skipped)")
+		return nil, nil, nil, fmt.Errorf("compare: no runnable configurations (every provider × instance pairing was skipped)")
 	}
 	shared, err := core.NewShared(n.Config)
 	if err != nil {
-		return nil, nil, err
+		return nil, nil, nil, err
 	}
 	results := make([]ConfigResult, len(keys))
+	var sessions []*optimizer.KernelSession
+	if len(n.sweepBudgets) > 0 {
+		sessions = make([]*optimizer.KernelSession, len(keys))
+	}
 	errs := make([]error, len(keys))
 	fanOut(n.Workers, len(keys), func(i int) {
 		// Cooperative cancellation between cells: a cell that has not
@@ -474,25 +483,28 @@ func (n normalized) solveGrid() ([]ConfigResult, []Key, error) {
 			errs[i] = n.Ctx.Err()
 			return
 		}
-		results[i], errs[i] = n.solveCell(shared, keys[i], providers[i])
+		var sess *optimizer.KernelSession
+		results[i], sess, errs[i] = n.solveCell(shared, keys[i], providers[i])
+		if sessions != nil {
+			sessions[i] = sess
+		}
 	})
 	for i, err := range errs {
 		if err != nil {
-			return nil, nil, fmt.Errorf("compare: %s: %w", keys[i], err)
+			return nil, nil, nil, fmt.Errorf("compare: %s: %w", keys[i], err)
 		}
 	}
-	return results, skipped, nil
+	return results, sessions, skipped, nil
 }
 
 // solveCell re-prices the shared structure for one tariff cell and
-// solves every requested scenario plus the break-even budget sweep. Each
-// cell owns its advisor (a per-tariff kernel binding over the read-only
-// shared structure), so cells are fully independent and safe to run
-// concurrently.
-func (n normalized) solveCell(shared *core.Shared, k Key, prov pricing.Provider) (ConfigResult, error) {
+// solves every requested scenario on it. Each cell owns its advisor (a
+// per-tariff kernel binding over the read-only shared structure), so
+// cells are fully independent and safe to run concurrently.
+func (n normalized) solveCell(shared *core.Shared, k Key, prov pricing.Provider) (ConfigResult, *optimizer.KernelSession, error) {
 	adv, err := shared.Advisor(prov, k.InstanceType, k.Instances)
 	if err != nil {
-		return ConfigResult{}, err
+		return ConfigResult{}, nil, err
 	}
 	out := ConfigResult{Key: k, DatasetSize: core.DatasetSizeOf(adv)}
 	if mvs := len(n.Request.Scenarios) - boolToInt(n.scenarios["pareto"]); mvs > 0 {
@@ -510,31 +522,16 @@ func (n normalized) solveCell(shared *core.Shared, k Key, prov pricing.Provider)
 		case "pareto":
 			out.Pareto, err = adv.ParetoFront(n.Steps)
 			if err != nil {
-				return ConfigResult{}, err
+				return ConfigResult{}, nil, err
 			}
 			continue
 		}
 		if err != nil {
-			return ConfigResult{}, err
+			return ConfigResult{}, nil, err
 		}
 		out.Results = append(out.Results, ScenarioResult{Scenario: s, Rec: rec})
 	}
-	// The budget sweep re-prices MV1 at every sweep budget on the cell's
-	// session: the knapsack items and the baseline are already cached and
-	// the DP runs on the session's scratch, so each budget costs a merge
-	// of a few dozen frontier states plus the exact re-bill.
-	if len(n.sweepBudgets) > 0 {
-		out.breakEven = make([]budgetOutcome, 0, len(n.sweepBudgets))
-		sess := adv.Session()
-		for _, b := range n.sweepBudgets {
-			t, cost, feasible, err := sess.BudgetOutcome(b)
-			if err != nil {
-				return ConfigResult{}, err
-			}
-			out.breakEven = append(out.breakEven, budgetOutcome{time: t, cost: cost, feasible: feasible})
-		}
-	}
-	return out, nil
+	return out, adv.Session(), nil
 }
 
 // anyDegraded reports whether any cell carries a deadline-degraded
@@ -667,17 +664,75 @@ func mergeFrontiers(configs []ConfigResult) []ParetoEntry {
 	return out
 }
 
-func buildBreakEven(budgets []money.Money, configs []ConfigResult) *BreakEven {
-	be := &BreakEven{Budgets: budgets}
-	for bi := range budgets {
+// breakEven sweeps the mv1 budgets over the solved cells and names the
+// winner at each: the feasible cell with the least time, then the least
+// cost, then the first key, or, when no cell's baseline fits the budget,
+// the infeasible baseline that wins by the same order.
+//
+// Only cells that can win are solved. A cell whose baseline busts the
+// budget is its infeasible baseline, with no solve. Every other cell
+// returns a feasible answer, since the MV1 repair stops at the baseline
+// at worst, and none faster than its MinTime. So the cells are solved in
+// ascending (MinTime, key) order, and the first whose MinTime exceeds
+// the best time found ends the budget's pass: it and every cell after it
+// can neither win nor tie. The sessions are the cells' own, used here
+// after the fan-out has finished with them. Like the fan-out between
+// cells, the sweep gives up between budgets once ctx (nil for none) is
+// done. It returns the sweep and the number of solves it ran.
+func breakEven(ctx context.Context, budgets []money.Money, configs []ConfigResult, sessions []*optimizer.KernelSession) (*BreakEven, int, error) {
+	type cell struct {
+		baseT    time.Duration
+		baseCost money.Money
+		minT     time.Duration
+	}
+	cells := make([]cell, len(configs))
+	order := make([]int, len(configs))
+	for i, sess := range sessions {
+		baseT, baseBill, err := sess.Base()
+		if err != nil {
+			return nil, 0, fmt.Errorf("compare: %s: %w", configs[i].Key, err)
+		}
+		cells[i] = cell{baseT: baseT, baseCost: baseBill.Total(), minT: sess.MinTime()}
+		order[i] = i
+	}
+	// configs is in key order, so a stable sort by MinTime is the
+	// (MinTime, key) order.
+	slices.SortStableFunc(order, func(a, b int) int { return cmp.Compare(cells[a].minT, cells[b].minT) })
+	be := &BreakEven{Budgets: budgets, Winners: make([]Key, 0, len(budgets))}
+	solves := 0
+	for _, b := range budgets {
+		if ctx != nil && ctx.Err() != nil {
+			return nil, 0, fmt.Errorf("compare: break-even sweep: %w", ctx.Err())
+		}
 		var best Winner
 		first := true
-		for _, c := range configs {
-			o := c.breakEven[bi]
-			w := Winner{Key: c.Key, Time: o.time, Cost: o.cost, Feasible: o.feasible}
+		offer := func(w Winner) {
 			if first || better("mv1", 0.5, w, best) {
 				best, first = w, false
 			}
+		}
+		for i, c := range cells {
+			if c.baseCost > b {
+				offer(Winner{Key: configs[i].Key, Time: c.baseT, Cost: c.baseCost})
+			}
+		}
+		bestT := time.Duration(math.MaxInt64)
+		for _, i := range order {
+			if cells[i].baseCost > b {
+				continue
+			}
+			if cells[i].minT > bestT {
+				break
+			}
+			t, cost, feasible, err := sessions[i].BudgetOutcome(b)
+			if err != nil {
+				return nil, 0, fmt.Errorf("compare: %s: %w", configs[i].Key, err)
+			}
+			solves++
+			if feasible {
+				bestT = min(bestT, t)
+			}
+			offer(Winner{Key: configs[i].Key, Time: t, Cost: cost, Feasible: feasible})
 		}
 		be.Winners = append(be.Winners, best.Key)
 	}
@@ -686,7 +741,7 @@ func buildBreakEven(budgets []money.Money, configs []ConfigResult) *BreakEven {
 			be.Flips = append(be.Flips, Flip{Budget: budgets[i], From: be.Winners[i-1], To: be.Winners[i]})
 		}
 	}
-	return be
+	return be, solves, nil
 }
 
 // Render produces the human-readable comparison report.

@@ -3,16 +3,19 @@ package compare
 import (
 	"strconv"
 
+	"vmcloud/internal/core"
 	"vmcloud/internal/jsonenc"
 	"vmcloud/internal/money"
 )
 
-// The wire encoders of the compare family, written the way
-// internal/core's are: each AppendJSON reproduces encoding/json's bytes
-// for its struct, each MarshalJSON delegates to it. Key is embedded in
-// several wire structs (its members appear among theirs) and stands
-// alone in others, hence the two Key helpers; it has no MarshalJSON of
-// its own, which every struct embedding it would inherit.
+// The wire encoders of the compare family. A sweep's are written the
+// way internal/core's are: each AppendJSON reproduces encoding/json's
+// bytes for its struct, each MarshalJSON delegates to it. A comparison
+// has one writer, Comparison.AppendJSON, which reads the solved value;
+// its wire structs marshal by reflection, and are its reference. Key is
+// embedded in several wire structs (its members appear among theirs)
+// and stands alone in others, hence the two Key helpers; it has no
+// MarshalJSON of its own, which every struct embedding it would inherit.
 
 // appendKeyFields appends k's members without braces.
 //
@@ -52,59 +55,158 @@ func appendKeys(dst []byte, keys []Key) []byte {
 	return append(dst, ']')
 }
 
-// AppendJSON appends the matrix cell's wire form to dst.
+// AppendJSON appends c's wire form to dst: the bytes of
+// json.Marshal(c.JSON()), its reference. It is the one writer of the
+// comparison's shape and reads every member from c, so no wire struct is
+// built: each duration's text is rendered on the stack, each report is
+// written straight into dst, and each distinct answer in a row once
+// (appendResults). The eager wire structs of the comparison have no
+// encoder of their own; encoding/json marshals them by reflection.
 //
 //mvlint:hotpath
-func (r ScenarioResultJSON) AppendJSON(dst []byte) ([]byte, error) {
-	dst = append(dst, `{"scenario":`...)
-	dst = jsonenc.AppendString(dst, r.Scenario)
-	dst = append(dst, `,"recommendation":`...)
-	dst, err := r.Recommendation.AppendJSON(dst)
-	return append(dst, '}'), err
+func (c *Comparison) AppendJSON(dst []byte) ([]byte, error) {
+	var err error
+	dst = append(dst, `{"scenarios":`...)
+	dst = jsonenc.AppendStrings(dst, c.Scenarios)
+	dst = append(dst, `,"configs":`...)
+	if len(c.Configs) == 0 {
+		dst = append(dst, "null"...)
+	} else {
+		dst = append(dst, '[')
+		for i := range c.Configs {
+			if i > 0 {
+				dst = append(dst, ',')
+			}
+			if dst, err = appendConfigResult(dst, &c.Configs[i]); err != nil {
+				return dst, err
+			}
+		}
+		dst = append(dst, ']')
+	}
+	if len(c.Winners) > 0 {
+		dst = append(dst, `,"winners":[`...)
+		for i := range c.Winners {
+			if i > 0 {
+				dst = append(dst, ',')
+			}
+			if dst, err = appendWinner(dst, &c.Winners[i]); err != nil {
+				return dst, err
+			}
+		}
+		dst = append(dst, ']')
+	}
+	if len(c.Pareto) > 0 {
+		dst = append(dst, `,"pareto":[`...)
+		for i, p := range c.Pareto {
+			if i > 0 {
+				dst = append(dst, ',')
+			}
+			if dst, err = (ParetoEntryJSON{Key: p.Key, ParetoPointJSON: p.Point.JSON()}).AppendJSON(dst); err != nil {
+				return dst, err
+			}
+		}
+		dst = append(dst, ']')
+	}
+	if c.BreakEven != nil {
+		dst = append(dst, `,"break_even":`...)
+		dst = appendBreakEven(dst, c.BreakEven)
+	}
+	if len(c.Skipped) > 0 {
+		dst = append(dst, `,"skipped":`...)
+		dst = appendKeys(dst, c.Skipped)
+	}
+	if c.Degraded {
+		dst = append(dst, `,"degraded":true`...)
+	}
+	dst = append(dst, `,"report":`...)
+	w := jsonenc.StringText(dst)
+	c.appendReport(&w)
+	return append(w.Close(), '}'), nil
 }
 
-// MarshalJSON implements json.Marshaler through AppendJSON.
-func (r ScenarioResultJSON) MarshalJSON() ([]byte, error) { return r.AppendJSON(nil) }
-
-// AppendJSON appends the matrix row's wire form to dst.
+// appendConfigResult writes one matrix row: its key, dataset size,
+// scenario results and frontier.
 //
 //mvlint:hotpath
-func (c ConfigResultJSON) AppendJSON(dst []byte) ([]byte, error) {
+func appendConfigResult(dst []byte, cfg *ConfigResult) ([]byte, error) {
 	dst = append(dst, '{')
-	dst = appendKeyFields(dst, c.Key)
+	dst = appendKeyFields(dst, cfg.Key)
 	dst = append(dst, `,"dataset_size":`...)
-	dst = jsonenc.AppendString(dst, c.DatasetSize)
+	var sb [32]byte
+	dst = jsonenc.AppendString(dst, string(cfg.DatasetSize.AppendString(sb[:0])))
 	var err error
-	if len(c.Results) > 0 {
+	if len(cfg.Results) > 0 {
 		dst = append(dst, `,"results":`...)
-		if dst, err = jsonenc.AppendArray(dst, c.Results); err != nil {
+		if dst, err = appendResults(dst, cfg.Results); err != nil {
 			return dst, err
 		}
 	}
-	if len(c.Pareto) > 0 {
-		dst = append(dst, `,"pareto":`...)
-		if dst, err = jsonenc.AppendArray(dst, c.Pareto); err != nil {
-			return dst, err
+	if len(cfg.Pareto) > 0 {
+		dst = append(dst, `,"pareto":[`...)
+		for i, p := range cfg.Pareto {
+			if i > 0 {
+				dst = append(dst, ',')
+			}
+			if dst, err = p.JSON().AppendJSON(dst); err != nil {
+				return dst, err
+			}
 		}
+		dst = append(dst, ']')
 	}
 	return append(dst, '}'), nil
 }
 
-// MarshalJSON implements json.Marshaler through AppendJSON.
-func (c ConfigResultJSON) MarshalJSON() ([]byte, error) { return c.AppendJSON(nil) }
-
-// AppendJSON appends the winner's wire form to dst.
+// appendResults writes a solved row's matrix cells, each distinct answer
+// once: a scenario whose answer equals an earlier scenario's in the row
+// (core.Recommendation.SameAnswer) copies that one's bytes and writes
+// only its own scenario, feasibility, strategy and report heading.
 //
 //mvlint:hotpath
-func (w WinnerJSON) AppendJSON(dst []byte) ([]byte, error) {
+func appendResults(dst []byte, results []ScenarioResult) ([]byte, error) {
+	var spans [3]core.AnswerSpan // a row solves at most mv1, mv2 and mv3
+	dst = append(dst, '[')
+	for k := range results {
+		if k > 0 {
+			dst = append(dst, ',')
+		}
+		rec := &results[k].Rec
+		var same *core.AnswerSpan
+		for p := 0; p < min(k, len(spans)); p++ {
+			if results[p].Rec.SameAnswer(rec) {
+				same = &spans[p]
+				break
+			}
+		}
+		dst = append(dst, `{"scenario":`...)
+		dst = jsonenc.AppendString(dst, results[k].Scenario)
+		dst = append(dst, `,"recommendation":`...)
+		var (
+			span core.AnswerSpan
+			err  error
+		)
+		if dst, span, err = rec.AppendWire(dst, same); err != nil {
+			return dst, err
+		}
+		dst = append(dst, '}')
+		if k < len(spans) {
+			spans[k] = span
+		}
+	}
+	return append(dst, ']'), nil
+}
+
+// appendWinner writes one scenario's winner.
+//
+//mvlint:hotpath
+func appendWinner(dst []byte, w *Winner) ([]byte, error) {
 	dst = append(dst, `{"scenario":`...)
 	dst = jsonenc.AppendString(dst, w.Scenario)
 	dst = append(dst, ',')
 	dst = appendKeyFields(dst, w.Key)
 	dst = append(dst, `,"time":`...)
-	dst = jsonenc.AppendString(dst, w.Time)
+	dst = jsonenc.AppendString(dst, w.Time.String())
 	dst = append(dst, `,"time_hours":`...)
-	dst, err := jsonenc.AppendFloat(dst, w.Hours)
+	dst, err := jsonenc.AppendFloat(dst, w.Time.Hours())
 	if err != nil {
 		return dst, err
 	}
@@ -114,9 +216,6 @@ func (w WinnerJSON) AppendJSON(dst []byte) ([]byte, error) {
 	dst = strconv.AppendBool(dst, w.Feasible)
 	return append(dst, '}'), nil
 }
-
-// MarshalJSON implements json.Marshaler through AppendJSON.
-func (w WinnerJSON) MarshalJSON() ([]byte, error) { return w.AppendJSON(nil) }
 
 // AppendJSON appends the frontier entry's wire form to dst: the key's
 // members followed by the point's, in one object.
@@ -134,37 +233,36 @@ func (p ParetoEntryJSON) AppendJSON(dst []byte) ([]byte, error) {
 // the embedded point's MarshalJSON would be promoted and drop the key.
 func (p ParetoEntryJSON) MarshalJSON() ([]byte, error) { return p.AppendJSON(nil) }
 
-// AppendJSON appends the flip's wire form to dst.
+// appendBreakEven writes the budget sweep. No flips are null, as
+// Comparison.JSON leaves them.
 //
 //mvlint:hotpath
-func (f FlipJSON) AppendJSON(dst []byte) ([]byte, error) {
-	dst = append(dst, `{"budget":`...)
-	dst = f.Budget.AppendJSON(dst)
-	dst = append(dst, `,"from":`...)
-	dst = appendKey(dst, f.From)
-	dst = append(dst, `,"to":`...)
-	dst = appendKey(dst, f.To)
-	return append(dst, '}'), nil
-}
-
-// MarshalJSON implements json.Marshaler through AppendJSON.
-func (f FlipJSON) MarshalJSON() ([]byte, error) { return f.AppendJSON(nil) }
-
-// AppendJSON appends the budget sweep's wire form to dst.
-//
-//mvlint:hotpath
-func (b BreakEvenJSON) AppendJSON(dst []byte) ([]byte, error) {
+func appendBreakEven(dst []byte, be *BreakEven) []byte {
 	dst = append(dst, `{"budgets":`...)
-	dst = appendBudgets(dst, b.Budgets)
+	dst = appendBudgets(dst, be.Budgets)
 	dst = append(dst, `,"winners":`...)
-	dst = appendKeys(dst, b.Winners)
+	dst = appendKeys(dst, be.Winners)
 	dst = append(dst, `,"flips":`...)
-	dst, err := jsonenc.AppendArray(dst, b.Flips)
-	return append(dst, '}'), err
+	if len(be.Flips) == 0 {
+		dst = append(dst, "null"...)
+	} else {
+		dst = append(dst, '[')
+		for i, f := range be.Flips {
+			if i > 0 {
+				dst = append(dst, ',')
+			}
+			dst = append(dst, `{"budget":`...)
+			dst = f.Budget.AppendJSON(dst)
+			dst = append(dst, `,"from":`...)
+			dst = appendKey(dst, f.From)
+			dst = append(dst, `,"to":`...)
+			dst = appendKey(dst, f.To)
+			dst = append(dst, '}')
+		}
+		dst = append(dst, ']')
+	}
+	return append(dst, '}')
 }
-
-// MarshalJSON implements json.Marshaler through AppendJSON.
-func (b BreakEvenJSON) MarshalJSON() ([]byte, error) { return b.AppendJSON(nil) }
 
 // appendBudgets appends an array of amounts, null for a nil slice.
 //
@@ -182,56 +280,6 @@ func appendBudgets(dst []byte, budgets []money.Money) []byte {
 	}
 	return append(dst, ']')
 }
-
-// AppendJSON appends the comparison's wire form to dst.
-//
-//mvlint:hotpath
-func (c ComparisonJSON) AppendJSON(dst []byte) ([]byte, error) {
-	var err error
-	dst = append(dst, `{"scenarios":`...)
-	dst = jsonenc.AppendStrings(dst, c.Scenarios)
-	dst = append(dst, `,"configs":`...)
-	if dst, err = jsonenc.AppendArray(dst, c.Configs); err != nil {
-		return dst, err
-	}
-	if len(c.Winners) > 0 {
-		dst = append(dst, `,"winners":`...)
-		if dst, err = jsonenc.AppendArray(dst, c.Winners); err != nil {
-			return dst, err
-		}
-	}
-	if len(c.Pareto) > 0 {
-		dst = append(dst, `,"pareto":`...)
-		if dst, err = jsonenc.AppendArray(dst, c.Pareto); err != nil {
-			return dst, err
-		}
-	}
-	if c.BreakEven != nil {
-		dst = append(dst, `,"break_even":`...)
-		if dst, err = c.BreakEven.AppendJSON(dst); err != nil {
-			return dst, err
-		}
-	}
-	if len(c.Skipped) > 0 {
-		dst = append(dst, `,"skipped":`...)
-		dst = appendKeys(dst, c.Skipped)
-	}
-	if c.Degraded {
-		dst = append(dst, `,"degraded":true`...)
-	}
-	dst = append(dst, `,"report":`...)
-	if c.src != nil {
-		w := jsonenc.StringText(dst)
-		c.src.appendReport(&w)
-		dst = w.Close()
-	} else {
-		dst = jsonenc.AppendString(dst, c.Report)
-	}
-	return append(dst, '}'), nil
-}
-
-// MarshalJSON implements json.Marshaler through AppendJSON.
-func (c ComparisonJSON) MarshalJSON() ([]byte, error) { return c.AppendJSON(nil) }
 
 // AppendJSON appends the grid cell's wire form to dst.
 //

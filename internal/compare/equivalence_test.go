@@ -54,10 +54,11 @@ func randomCatalog(seed int64, n int) []pricing.Provider {
 // TestKernelCompareMatchesPerConfigAdvisors is the comparison kernel's
 // acceptance property: across random catalogs, both maintenance
 // policies, and both solvers (knapsack and seeded search), every cell of
-// compare.Run's matrix — recommendations, pareto frontiers and
-// break-even outcomes — must be byte-identical (JSON) and deeply equal
-// to what an independent per-config core.New advisor produces, i.e. the
-// pre-kernel fan-out.
+// compare.Run's matrix — recommendations and pareto frontiers — must be
+// byte-identical (JSON) and deeply equal to what an independent
+// per-config core.New advisor produces, i.e. the pre-kernel fan-out, and
+// the break-even sweep must name, at every budget, the winner of those
+// advisors' full MV1 solves.
 func TestKernelCompareMatchesPerConfigAdvisors(t *testing.T) {
 	for seed := int64(1); seed <= 4; seed++ {
 		for _, policy := range []views.MaintenancePolicy{views.ImmediateMaintenance, views.DeferredMaintenance} {
@@ -80,6 +81,7 @@ func TestKernelCompareMatchesPerConfigAdvisors(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
+					sweep := make([][]Winner, req.BreakEvenSteps)
 					for _, cfg := range comp.Configs {
 						var prov pricing.Provider
 						for _, p := range req.Providers {
@@ -127,19 +129,32 @@ func TestKernelCompareMatchesPerConfigAdvisors(t *testing.T) {
 						if !reflect.DeepEqual(cfg.Pareto, wantFront) {
 							t.Errorf("%s: pareto frontier diverged", cfg.Key)
 						}
-						// Break-even outcomes: the sweep's scalars must match a
-						// full MV1 solve on the per-config advisor at each budget.
-						for bi, bo := range cfg.breakEven {
+						// The break-even sweep: every cell's full MV1 solve on
+						// its per-config advisor at every budget.
+						for bi := range sweep {
 							b := sweepBudgetAt(req.Budget, bi, req.BreakEvenSteps)
-							want, err := adv.Session().SolveMV1(b)
+							sel, err := adv.Session().SolveMV1(b)
 							if err != nil {
 								t.Fatal(err)
 							}
-							if bo.time != want.Time || bo.cost != want.Bill.Total() || bo.feasible != want.Feasible {
-								t.Errorf("%s budget %v: break-even outcome diverged: got (%v,%v,%v) want (%v,%v,%v)",
-									cfg.Key, b, bo.time, bo.cost, bo.feasible,
-									want.Time, want.Bill.Total(), want.Feasible)
+							sweep[bi] = append(sweep[bi], Winner{Key: cfg.Key, Time: sel.Time, Cost: sel.Bill.Total(), Feasible: sel.Feasible})
+						}
+					}
+					// The bounded sweep names the winner of the unbounded one
+					// at every budget.
+					if comp.BreakEven == nil || len(comp.BreakEven.Winners) != len(sweep) {
+						t.Fatalf("break-even sweep %+v, want %d budgets", comp.BreakEven, len(sweep))
+					}
+					for bi, outs := range sweep {
+						best := outs[0]
+						for _, w := range outs[1:] {
+							if better("mv1", 0.5, w, best) {
+								best = w
 							}
+						}
+						if got := comp.BreakEven.Winners[bi]; got != best.Key {
+							t.Errorf("budget %v: break-even winner %s, per-config solves give %s",
+								comp.BreakEven.Budgets[bi], got, best.Key)
 						}
 					}
 				})

@@ -70,6 +70,8 @@ func (rj *RequestJSON) Normalize() error {
 		rj.BreakEvenSteps = defaultBreakEvenSteps
 	case rj.BreakEvenSteps < 0:
 		rj.BreakEvenSteps = -1
+	case rj.BreakEvenSteps == 1:
+		return errBreakEvenSteps(rj.BreakEvenSteps)
 	}
 	if slices.Contains(rj.Scenarios, "pareto") {
 		if rj.Steps == 0 {
@@ -287,44 +289,16 @@ type ComparisonJSON struct {
 	Degraded bool `json:"degraded,omitempty"`
 	// Report is the human-readable rendering (Comparison.Render).
 	Report string `json:"report"`
-	// src, set by Comparison.AppendJSON, has the encoder render the
-	// report from the comparison straight into its output; Report is
-	// then unused.
-	src *Comparison
 }
 
-// JSON renders the comparison in wire form.
-func (c *Comparison) JSON() ComparisonJSON { return c.wire(false) }
-
-// AppendJSON appends the wire form's encoding to dst — the bytes of
-// json.Marshal(c.JSON()), with no report rendered into a string on the
-// way: the encoder renders each one directly into dst.
-func (c *Comparison) AppendJSON(dst []byte) ([]byte, error) {
-	return c.wire(true).AppendJSON(dst)
-}
-
-// recWire converts one cell's recommendation, leaving the report to the
-// encoder when lazy.
-func recWire(r *core.Recommendation, lazy bool) core.RecommendationJSON {
-	if lazy {
-		return r.LazyJSON()
-	}
-	return r.JSON()
-}
-
-// wire builds the wire form. When lazy, reports are left to the encoder
-// (see core.Recommendation.LazyJSON) and the result is only good for
-// AppendJSON while c is unchanged.
-func (c *Comparison) wire(lazy bool) ComparisonJSON {
+// JSON renders the comparison in wire form. encoding/json marshals it to
+// the bytes Comparison.AppendJSON writes.
+func (c *Comparison) JSON() ComparisonJSON {
 	out := ComparisonJSON{
 		Scenarios: c.Scenarios,
 		Skipped:   c.Skipped,
 		Degraded:  c.Degraded,
-	}
-	if lazy {
-		out.src = c
-	} else {
-		out.Report = c.Render()
+		Report:    c.Render(),
 	}
 	if len(c.Configs) > 0 {
 		out.Configs = make([]ConfigResultJSON, len(c.Configs))
@@ -340,7 +314,7 @@ func (c *Comparison) wire(lazy bool) ComparisonJSON {
 		}
 		for k := range cfg.Results {
 			r := &cfg.Results[k]
-			cj.Results[k] = ScenarioResultJSON{Scenario: r.Scenario, Recommendation: recWire(&r.Rec, lazy)}
+			cj.Results[k] = ScenarioResultJSON{Scenario: r.Scenario, Recommendation: r.Rec.JSON()}
 		}
 		out.Configs[i] = cj
 	}
@@ -361,17 +335,7 @@ func (c *Comparison) wire(lazy bool) ComparisonJSON {
 		out.Pareto = make([]ParetoEntryJSON, len(c.Pareto))
 	}
 	for i, p := range c.Pareto {
-		out.Pareto[i] = ParetoEntryJSON{
-			Key: p.Key,
-			ParetoPointJSON: core.ParetoPointJSON{
-				Alpha:    p.Point.Alpha,
-				Time:     p.Point.Time.String(),
-				Hours:    p.Point.Time.Hours(),
-				Cost:     p.Point.Cost,
-				Views:    p.Point.Views,
-				Degraded: p.Point.Degraded,
-			},
-		}
+		out.Pareto[i] = ParetoEntryJSON{Key: p.Key, ParetoPointJSON: p.Point.JSON()}
 	}
 	if c.BreakEven != nil {
 		be := &BreakEvenJSON{Budgets: c.BreakEven.Budgets, Winners: c.BreakEven.Winners}
@@ -379,7 +343,7 @@ func (c *Comparison) wire(lazy bool) ComparisonJSON {
 			be.Flips = make([]FlipJSON, len(c.BreakEven.Flips))
 		}
 		for i, f := range c.BreakEven.Flips {
-			be.Flips[i] = FlipJSON{Budget: f.Budget, From: f.From, To: f.To}
+			be.Flips[i] = FlipJSON(f)
 		}
 		out.BreakEven = be
 	}

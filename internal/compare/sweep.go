@@ -134,7 +134,7 @@ func RunSweep(req SweepRequest) (*Sweep, error) {
 	}
 	// A sweep cell is a compare cell of the one scenario, with no
 	// break-even sweep (normalize), and its winner is compare's.
-	results, skipped, err := n.solveGrid()
+	results, _, skipped, err := n.solveGrid()
 	if err != nil {
 		return nil, err
 	}

@@ -110,13 +110,26 @@ type SweepJSON struct {
 // JSON renders the sweep in wire form.
 func (s *Sweep) JSON() SweepJSON { return s.wire(false) }
 
-// AppendJSON appends the wire form's encoding to dst; see
-// Comparison.AppendJSON.
+// AppendJSON appends the wire form's encoding to dst — the bytes of
+// json.Marshal(s.JSON()), with no report rendered into a string and no
+// recommendation copied on the way: the encoder writes each one, report
+// included, directly into dst.
 func (s *Sweep) AppendJSON(dst []byte) ([]byte, error) {
 	return s.wire(true).AppendJSON(dst)
 }
 
-// wire builds the wire form; see Comparison.wire.
+// recWire converts one cell's recommendation, leaving every member to
+// the encoder when lazy.
+func recWire(r *core.Recommendation, lazy bool) core.RecommendationJSON {
+	if lazy {
+		return r.LazyJSON()
+	}
+	return r.JSON()
+}
+
+// wire builds the wire form. When lazy, reports and recommendations are
+// left to the encoder (see core.Recommendation.LazyJSON) and the result
+// is only good for AppendJSON while s is unchanged.
 func (s *Sweep) wire(lazy bool) SweepJSON {
 	out := SweepJSON{
 		Scenario: s.Scenario,

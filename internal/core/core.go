@@ -426,11 +426,28 @@ var recommendationHeaders = []string{"", "workload time", "total cost", "compute
 //
 //mvlint:hotpath
 func (r *Recommendation) appendReport(w *jsonenc.Text) {
+	r.appendReportHead(w)
+	r.appendReportBody(w)
+}
+
+// appendReportHead writes the report's first line: the scenario and
+// whether its constraint is met.
+//
+//mvlint:hotpath
+func (r *Recommendation) appendReportHead(w *jsonenc.Text) {
 	w.Buf = append(w.Buf, "Scenario "...)
 	w.Str(r.Scenario)
 	w.Buf = append(w.Buf, " — "...)
 	w.Buf = append(w.Buf, feasibility(r.Selection.Feasible)...)
 	w.Newline()
+}
+
+// appendReportBody writes the rest of the report, which the answer
+// alone decides: the baseline, the selection's time and bill, the gains
+// and the views.
+//
+//mvlint:hotpath
+func (r *Recommendation) appendReportBody(w *jsonenc.Text) {
 	var t report.Table
 	t.Headers = recommendationHeaders
 	billRow(&t, "without views", r.BaselineTime, &r.BaselineBill)

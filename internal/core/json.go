@@ -312,8 +312,8 @@ type RecommendationJSON struct {
 	Gains  ImprovementJSON `json:"improvement"`
 	// Report is the human-readable rendering (Recommendation.Render).
 	Report string `json:"report"`
-	// rec, set by LazyJSON, has AppendJSON render the report from the
-	// recommendation straight into its output; Report is then unused.
+	// rec, set by LazyJSON, has AppendJSON write every member from the
+	// recommendation; the fields above are then unset.
 	rec *Recommendation
 }
 
@@ -333,22 +333,6 @@ type ImprovementJSON struct {
 // JSON renders the recommendation in wire form. The result shares the
 // recommendation's view names and points; treat it as read-only.
 func (r Recommendation) JSON() RecommendationJSON {
-	j := r.wire()
-	j.Report = r.Render()
-	return j
-}
-
-// LazyJSON is JSON for a caller that only goes on to encode the result:
-// the report is not rendered into a string here but by AppendJSON,
-// directly into the encoder's output. r must stay unchanged until then.
-func (r *Recommendation) LazyJSON() RecommendationJSON {
-	j := r.wire()
-	j.rec = r
-	return j
-}
-
-// wire fills every wire field but the report.
-func (r Recommendation) wire() RecommendationJSON {
 	views := r.ViewNames
 	if views == nil {
 		views = []string{}
@@ -376,7 +360,16 @@ func (r Recommendation) wire() RecommendationJSON {
 			Time: r.TimeImprovement(),
 			Cost: r.CostImprovement(),
 		},
+		Report: r.Render(),
 	}
+}
+
+// LazyJSON is JSON for a caller that only goes on to encode the result:
+// it copies nothing, and AppendJSON writes every member, the report
+// included, from r straight into its output (Recommendation.AppendWire).
+// Its fields are unset; r must stay unchanged until it is encoded.
+func (r *Recommendation) LazyJSON() RecommendationJSON {
+	return RecommendationJSON{rec: r}
 }
 
 // ParetoPointJSON is the wire form of one frontier point.
@@ -393,16 +386,21 @@ type ParetoPointJSON struct {
 func ParetoJSON(front []ParetoPoint) []ParetoPointJSON {
 	out := make([]ParetoPointJSON, len(front))
 	for i, p := range front {
-		out[i] = ParetoPointJSON{
-			Alpha:    p.Alpha,
-			Time:     p.Time.String(),
-			Hours:    p.Time.Hours(),
-			Cost:     p.Cost,
-			Views:    p.Views,
-			Degraded: p.Degraded,
-		}
+		out[i] = p.JSON()
 	}
 	return out
+}
+
+// JSON renders one frontier point in wire form.
+func (p ParetoPoint) JSON() ParetoPointJSON {
+	return ParetoPointJSON{
+		Alpha:    p.Alpha,
+		Time:     p.Time.String(),
+		Hours:    p.Time.Hours(),
+		Cost:     p.Cost,
+		Views:    p.Views,
+		Degraded: p.Degraded,
+	}
 }
 
 // DatasetSizeOf reports the base cuboid volume a config implies — handy

@@ -43,12 +43,15 @@ type KernelSession struct {
 	baseT     time.Duration
 	baseBill  costmodel.Bill
 	haveBase  bool
+	minT      time.Duration
+	haveMin   bool
 
-	// Scratch reused across solves (a session is single-threaded); the
-	// break-even budget sweeps of the comparison engine call SolveMV1
-	// once per budget, so per-solve slices would dominate the allocation
-	// profile otherwise. Selections returned to callers always carry
-	// freshly allocated Points — scratch never escapes.
+	// Scratch reused across solves (a session is single-threaded), cut
+	// at its size at the first solve (sizeScratch); the break-even
+	// budget sweeps of the comparison engine solve MV1 once per budget,
+	// so per-solve slices would dominate the allocation profile
+	// otherwise. Selections returned to callers always carry freshly
+	// allocated Points — scratch never escapes.
 	selBuf []int32
 	idxBuf []int
 	valBuf []int64
@@ -86,6 +89,23 @@ func (k *ComparisonKernel) RepriceFor(ev *Evaluator) (*KernelSession, error) {
 	return s, nil
 }
 
+// sizeScratch cuts the solves' scratch, at a session's first solve, at
+// the size a pool of n candidates needs, from one slab per element type:
+// no solve picks more than n views or runs its DP over more than n
+// items. Grown append by append instead, the scratch of a comparison's
+// fresh sessions was a quarter of a compare miss's allocations.
+func (s *KernelSession) sizeScratch() {
+	if s.selBuf != nil {
+		return
+	}
+	n := s.Kern.n
+	int64s := make([]int64, 3*n)
+	s.valBuf, s.wtBuf, s.dp.scaled = int64s[:0:n], int64s[n:n:2*n], int64s[2*n:2*n]
+	ints := make([]int, 3*n+1)
+	s.idxBuf, s.dp.chosen, s.dp.starts = ints[:0:n], ints[n:n:2*n], ints[2*n:2*n]
+	s.selBuf = make([]int32, 0, n)
+}
+
 // Engine returns the session's incremental delta-evaluation engine — the
 // structure-sharing hook the metaheuristic search solvers accept via
 // search.Options.Engine, so a search solve reuses the session's pinned
@@ -107,6 +127,27 @@ func (s *KernelSession) Base() (time.Duration, costmodel.Bill, error) {
 		s.baseT, s.baseBill, s.haveBase = proc, bill, true
 	}
 	return s.baseT, s.baseBill, nil
+}
+
+// MinTime returns the workload time with every pool candidate selected,
+// computed once per session: each query runs on the head of its
+// answering list, or on the base table when no candidate answers it.
+// Processing time does not rise under Add (TestMonotonicityLaws), so no
+// subset of the pool, and no selection a scenario returns, is faster.
+func (s *KernelSession) MinTime() time.Duration {
+	if !s.haveMin {
+		k := s.Kern
+		var t time.Duration
+		for q := 0; q < k.nq; q++ {
+			if head := k.qOff[q]; head < k.qOff[q+1] {
+				t += s.inc.ansTerm[head]
+			} else {
+				t += s.inc.qBase[q]
+			}
+		}
+		s.minT, s.haveMin = t, true
+	}
+	return s.minT
 }
 
 // priceSel moves the session's engine onto the candidate subset sel and
@@ -232,6 +273,7 @@ func (s *KernelSession) BudgetOutcome(budget money.Money) (time.Duration, money.
 // price, or the no-view baseline's with baselineOnly set when even that
 // busts the budget. The returned slice aliases session scratch.
 func (s *KernelSession) solveMV1(budget money.Money) (sel []int32, t time.Duration, bill costmodel.Bill, baselineOnly bool, err error) {
+	s.sizeScratch()
 	feasible := func(_ time.Duration, b costmodel.Bill) bool { return b.Total() <= budget }
 	baseT, baseBill, err := s.Base()
 	if err != nil {
@@ -270,15 +312,16 @@ func (s *KernelSession) solveMV1(budget money.Money) (sel []int32, t time.Durati
 	// Exact repair: drop the worst time-per-dollar views while over
 	// budget, one engine Drop per step. Intermediate states are priced
 	// without materializing their point lists — only the caller's final
-	// selection builds Points.
+	// selection builds Points. The densities are fixed, so one sort
+	// orders every step's drop.
 	t, bill, err = s.priceSel(chosen)
 	if err != nil {
 		return nil, 0, costmodel.Bill{}, false, err
 	}
+	if !feasible(t, bill) {
+		byDensity(chosen, items)
+	}
 	for !feasible(t, bill) && len(chosen) > 0 {
-		sort.Slice(chosen, func(a, b int) bool {
-			return density(items[chosen[a]]) < density(items[chosen[b]])
-		})
 		s.inc.Drop(int(chosen[0]))
 		s.inc.moves-- // a repair step, not a search move (see priceSel)
 		chosen = chosen[1:]
@@ -288,6 +331,17 @@ func (s *KernelSession) solveMV1(budget money.Money) (sel []int32, t time.Durati
 		}
 	}
 	return chosen, t, bill, false, nil
+}
+
+// byDensity orders the picks for the MV1 exact repair, the view to drop
+// first at the front. One sort serves every drop: what remains after a
+// drop is still in order, and a sort of ordered input swaps nothing,
+// ties included, so sorting again before each drop would leave the
+// picks and the order of their points as they are (TestRepairSortsOnce).
+func byDensity(chosen []int32, items []Item) {
+	sort.Slice(chosen, func(a, b int) bool {
+		return density(items[chosen[a]]) < density(items[chosen[b]])
+	})
 }
 
 // density ranks a chosen item for the MV1 exact repair: time saved per
@@ -305,6 +359,7 @@ func density(it Item) float64 {
 // if the time limit is still exceeded, a min-cost-coverage DP buys the
 // cheapest additional time savings.
 func (s *KernelSession) SolveMV2(limit time.Duration) (Selection, error) {
+	s.sizeScratch()
 	feasible := func(t time.Duration, _ costmodel.Bill) bool { return t <= limit }
 	items := s.Items()
 	baseTime, _, err := s.Base()
@@ -360,6 +415,7 @@ func (s *KernelSession) SolveMV3(alpha float64, mode TradeoffMode) (Selection, e
 	if !(alpha >= 0 && alpha <= 1) {
 		return Selection{}, fmt.Errorf("optimizer: alpha %g out of [0,1]", alpha)
 	}
+	s.sizeScratch()
 	items := s.Items()
 	tScale, cScale := 1.0, 1.0
 	if mode == NormalizedTradeoff {

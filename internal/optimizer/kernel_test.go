@@ -3,6 +3,7 @@ package optimizer
 import (
 	"math/rand"
 	"reflect"
+	"sort"
 	"testing"
 	"time"
 
@@ -335,5 +336,74 @@ func BenchmarkSessionSolves(b *testing.B) {
 				}
 			}
 		})
+	}
+}
+
+// TestRepairSortsOnce holds the MV1 exact repair's one sort to the loop
+// it replaced, which sorted the remaining picks before every drop: on
+// random picks with tied densities, free views among them, both drop
+// the same views in the same order and leave the survivors in the same
+// order (the order of the returned points).
+func TestRepairSortsOnce(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	for trial := 0; trial < 2000; trial++ {
+		n := 1 + rng.Intn(20)
+		items := make([]Item, n)
+		for i := range items {
+			// Few distinct values, so that densities tie often.
+			items[i] = Item{
+				TimeSaved: time.Duration(1+rng.Intn(4)) * time.Hour,
+				CostDelta: money.Money(rng.Intn(4)-1) * money.Cent,
+			}
+		}
+		chosen := make([]int32, n)
+		for i, p := range rng.Perm(n) {
+			chosen[i] = int32(p)
+		}
+		old := append([]int32(nil), chosen...)
+		byDensity(chosen, items)
+		for drops := rng.Intn(n + 1); drops > 0; drops-- {
+			sort.Slice(old, func(a, b int) bool { return density(items[old[a]]) < density(items[old[b]]) })
+			old, chosen = old[1:], chosen[1:]
+			if !reflect.DeepEqual(old, chosen) {
+				t.Fatalf("trial %d: after a drop the loop holds %v, the one sort %v", trial, old, chosen)
+			}
+		}
+	}
+}
+
+// TestMinTime: a session's MinTime is the time of the whole pool
+// selected, priced on its engine, and no scenario answers faster.
+func TestMinTime(t *testing.T) {
+	for _, n := range []int{1, 3, 5, 10} {
+		ev, cands := fixture(t, n)
+		for _, policy := range []views.MaintenancePolicy{views.ImmediateMaintenance, views.DeferredMaintenance} {
+			ev.Est.Policy = policy
+			sess := session(t, ev, cands)
+			all := make([]int32, len(cands))
+			for i := range all {
+				all[i] = int32(i)
+			}
+			want, _, err := sess.priceSel(all)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := sess.MinTime(); got != want {
+				t.Fatalf("%d queries, policy %v: MinTime %v, the whole pool prices at %v", n, policy, got, want)
+			}
+			_, baseBill, err := sess.Base()
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, extra := range []float64{0, 0.5, 2, 50} {
+				sel, err := sess.SolveMV1(baseBill.Total().Add(money.FromDollars(extra)))
+				if err != nil {
+					t.Fatal(err)
+				}
+				if sel.Time < want {
+					t.Errorf("%d queries: MV1 at base+$%g answers in %v, below MinTime %v", n, extra, sel.Time, want)
+				}
+			}
+		}
 	}
 }

@@ -47,8 +47,16 @@ type frontierDP struct {
 	chosen []int   // the answer; valid until the next solve
 }
 
+// dpStatesHint is the arena a frontier DP starts with, at its first
+// solve. The MV1 solves of compare-cold's requests (pools of up to 8
+// candidates) end below 40 states; a larger arena grows by doubling.
+const dpStatesHint = 64
+
 // reset starts a solve from P_0 = {origin}.
 func (d *frontierDP) reset(origin state) {
+	if d.states == nil {
+		d.states = make([]state, 0, dpStatesHint)
+	}
 	d.states = append(d.states[:0], origin)
 	d.starts = append(d.starts[:0], 0, 1)
 }

@@ -46,6 +46,8 @@ func TestCeilingTexts(t *testing.T) {
 			"compare: pareto needs at least 2 steps, got 1"},
 		{"compare steps above max", "/v1/compare", `{"scenarios":["pareto"],"steps":102,` + rows + `}`,
 			"steps 102 exceeds the server limit 101"},
+		{"compare break_even_steps 1", "/v1/compare", `{"budget":25,"break_even_steps":1,` + rows + `}`,
+			"compare: break-even needs at least 2 steps, got 1"},
 		{"compare break_even_steps", "/v1/compare", `{"budget":25,"break_even_steps":102,` + rows + `}`,
 			"break_even_steps 102 exceeds the server limit 101"},
 		{"compare grid", "/v1/compare", `{"budget":25,` + rows + `,` + fleets + `}`,

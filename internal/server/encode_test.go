@@ -18,19 +18,26 @@ import (
 )
 
 // checkServed holds one served body to encoding/json: decoded into its
-// wire struct, the struct must encode — by the hand-written encoder and
-// by reflection over the same fields — to exactly the bytes served.
-func checkServed[T interface {
-	AppendJSON([]byte) ([]byte, error)
-}](t *testing.T, what string, body []byte) T {
+// wire struct, the struct must encode — by reflection over its fields
+// alone, by json.Marshal, and by its hand-written encoder when it has
+// one — to exactly the bytes served.
+func checkServed[T any](t *testing.T, what string, body []byte) T {
 	t.Helper()
 	var resp T
 	if err := json.Unmarshal(body, &resp); err != nil {
 		t.Fatalf("%s: served body does not decode: %v", what, err)
 	}
-	wiretest.Check(t, what, resp)
-	if want, _ := wiretest.Reference(resp); string(body) != string(want)+"\n" {
-		t.Fatalf("%s: served body is not what encoding/json writes for it:\ngot:  %s\nwant: %s", what, body, want)
+	want, err := wiretest.Reference(resp)
+	if err != nil || string(body) != string(want)+"\n" {
+		t.Fatalf("%s: served body is not what encoding/json writes for it (err %v):\ngot:  %s\nwant: %s", what, err, body, want)
+	}
+	if got, err := json.Marshal(resp); err != nil || string(got) != string(want) {
+		t.Fatalf("%s: json.Marshal differs from the reflection encoder (err %v):\ngot:  %s\nwant: %s", what, err, got, want)
+	}
+	if v, ok := any(resp).(interface {
+		AppendJSON([]byte) ([]byte, error)
+	}); ok {
+		wiretest.Check(t, what, v)
 	}
 	return resp
 }
@@ -113,11 +120,17 @@ func TestAdviseResponseAppendJSONMatchesReflection(t *testing.T) {
 		case 0:
 			rec := wiretest.Recommendation(rng)
 			rj := rec.JSON()
-			if rng.Intn(2) == 0 {
-				rj = rec.LazyJSON()
-				rj.Report = rec.Render() // what the reference encodes
-			}
 			resp.Recommendation = &rj
+			if rng.Intn(2) == 0 {
+				// The served route: the lazy form writes every member
+				// from rec, the bytes the eager form's fields encode to.
+				lazy, lj := resp, rec.LazyJSON()
+				lazy.Recommendation = &lj
+				want, _ := resp.AppendJSON(nil)
+				if got, err := lazy.AppendJSON(nil); err != nil || string(got) != string(want) {
+					t.Fatalf("lazy advise response differs from eager (err %v):\ngot:  %s\nwant: %s", err, got, want)
+				}
+			}
 		case 1:
 			resp.Pareto = core.ParetoJSON(wiretest.Pareto(rng))
 		}
@@ -161,20 +174,24 @@ func TestErrorBodyMatchesEncodingJSON(t *testing.T) {
 // place and the problem structure was built in slabs (advise 173, sweep
 // 298), and 273 before the reports' tables moved to the stack (sweep
 // 181; advise went 71 → 72: a table fewer, a Content-Length value's two
-// more).
+// more), and 254 before the break-even sweep solved only the cells that
+// can win, every encode read each recommendation from the solved value
+// instead of copying it into a wire struct, a compare row wrote each
+// distinct answer once and a session cut its solve scratch at its size
+// (advise 69, sweep 180).
 func TestMissAllocBudget(t *testing.T) {
 	for _, c := range []struct {
 		name, path string
 		body       func(n int) []byte
 		budget     float64
 	}{
-		{"load-compare-2x2", "/v1/compare", compareMiss2x2Body, 271}, // 258
+		{"load-compare-2x2", "/v1/compare", compareMiss2x2Body, 199}, // 190
 		{"paper16-mv1", "/v1/advise", func(n int) []byte {
 			return fmt.Appendf(nil, `{"scenario":"mv1","budget":25,"queries":10,"frequency":30,"fact_rows":%d}`, 200_000_000+n)
-		}, 75}, // 72
+		}, 69}, // 66
 		{"sweep-2x2", "/v1/sweep", func(n int) []byte {
 			return fmt.Appendf(nil, `{"budget":25,"providers":["aws-2012","cumulus"],"fleet_sizes":[3,5],"fact_rows":%d,"queries":10,"frequency":30}`, 50_000_000+n)
-		}, 188}, // 179
+		}, 165}, // 158
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			s := New(Options{CacheSize: 1})
