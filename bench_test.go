@@ -186,11 +186,9 @@ func BenchmarkAblationKnapsackVsExhaustive(b *testing.B) {
 	})
 	b.Run("exhaustive", func(b *testing.B) {
 		var sel optimizer.Selection
+		sc := optimizer.Budget(budget)
 		for i := 0; i < b.N; i++ {
-			sel, err = s.Ev.SolveExhaustive(s.Cands,
-				func(t time.Duration, _ costmodel.Bill) float64 { return t.Hours() },
-				func(_ time.Duration, bill costmodel.Bill) bool { return bill.Total() <= budget },
-			)
+			sel, err = s.Ev.SolveExhaustive(s.Cands, sc.Score, sc.Met)
 			if err != nil {
 				b.Fatal(err)
 			}

@@ -40,7 +40,7 @@ func unboundedBreakEven(t *testing.T, budgets []money.Money, configs []ConfigRes
 				t.Fatalf("%s at %v: answers in %v, below MinTime %v", configs[i].Key, b, tm, sess.MinTime())
 			}
 			w := Winner{Key: configs[i].Key, Time: tm, Cost: cost, Feasible: feasible}
-			if i == 0 || better("mv1", 0.5, w, best) {
+			if i == 0 || w.outranks(optimizer.Budget(b), best) {
 				best = w
 			}
 		}

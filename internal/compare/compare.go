@@ -26,6 +26,7 @@ import (
 	"time"
 
 	"vmcloud/internal/core"
+	"vmcloud/internal/costmodel"
 	"vmcloud/internal/jsonenc"
 	"vmcloud/internal/money"
 	"vmcloud/internal/optimizer"
@@ -89,8 +90,8 @@ type Request struct {
 	// Degraded.
 	core.Config
 
-	// Providers are the tariffs to compare; empty means the full built-in
-	// catalog (pricing.Catalog).
+	// Providers are the tariffs to compare, read and never written or
+	// reordered; empty means the full built-in catalog.
 	Providers []pricing.Provider
 	// InstanceTypes are the configuration names to try on each provider;
 	// empty means {"small"}. Types a provider does not offer are skipped
@@ -147,14 +148,9 @@ func (k Key) AppendString(dst []byte) []byte {
 	return strconv.AppendInt(dst, int64(k.Instances), 10)
 }
 
-func (k Key) less(o Key) bool {
-	if k.Provider != o.Provider {
-		return k.Provider < o.Provider
-	}
-	if k.InstanceType != o.InstanceType {
-		return k.InstanceType < o.InstanceType
-	}
-	return k.Instances < o.Instances
+// compare orders keys by provider, instance type, then fleet size.
+func (k Key) compare(o Key) int {
+	return cmp.Or(cmp.Compare(k.Provider, o.Provider), cmp.Compare(k.InstanceType, o.InstanceType), cmp.Compare(k.Instances, o.Instances))
 }
 
 // ScenarioResult is one solved objective for one configuration.
@@ -249,6 +245,7 @@ type normalized struct {
 	Request
 	scenarios    map[string]bool
 	alpha        float64
+	tradeoff     optimizer.Scenario // mv3 in raw Formula 15, the units tariffs share
 	sweepBudgets []money.Money
 }
 
@@ -264,19 +261,20 @@ func (r Request) normalize() (normalized, error) {
 		return normalized{}, fmt.Errorf("compare: Config.Schema must be nil (a grid prices the sales schema only)")
 	}
 	n := normalized{Request: r, scenarios: map[string]bool{}, alpha: defaultAlpha}
-	if len(n.Providers) == 0 {
-		cat := pricing.Catalog()
+	// Cells only read the tariffs, so they alias the caller's or the
+	// catalog's; the slice is copied so the sort leaves the caller's alone.
+	providers := slices.Clone(n.Providers)
+	if len(providers) == 0 {
 		for _, name := range pricing.ProviderNames() {
-			n.Providers = append(n.Providers, cat[name])
+			p, err := pricing.LookupShared(name)
+			if err != nil {
+				return normalized{}, err
+			}
+			providers = append(providers, p)
 		}
 	}
 	seen := map[string]bool{}
-	// Deep-copy the tariffs once here: cells sharing a provider (several
-	// fleet sizes, several instance types) can then alias one read-only
-	// copy without a per-cell defensive clone, and the caller's slice is
-	// never retained.
-	cloned := make([]pricing.Provider, 0, len(n.Providers))
-	for _, p := range n.Providers {
+	for _, p := range providers {
 		if err := p.Validate(); err != nil {
 			return normalized{}, err
 		}
@@ -284,12 +282,11 @@ func (r Request) normalize() (normalized, error) {
 			return normalized{}, fmt.Errorf("compare: duplicate provider %q", p.Name)
 		}
 		seen[p.Name] = true
-		cloned = append(cloned, p.Clone())
 	}
 	// In name order, as the grid lists below are sorted, so that cells
 	// expands the grid in key order as it stands.
-	slices.SortFunc(cloned, func(a, b pricing.Provider) int { return cmp.Compare(a.Name, b.Name) })
-	n.Providers = cloned
+	slices.SortFunc(providers, func(a, b pricing.Provider) int { return cmp.Compare(a.Name, b.Name) })
+	n.Providers = providers
 	if len(n.InstanceTypes) == 0 {
 		n.InstanceTypes = []string{core.DefaultInstanceType}
 	}
@@ -320,8 +317,8 @@ func (r Request) normalize() (normalized, error) {
 	if n.Alpha != nil {
 		n.alpha = *n.Alpha
 	}
-	if !(n.alpha >= 0 && n.alpha <= 1) {
-		return normalized{}, fmt.Errorf("compare: alpha %g out of [0,1]", n.alpha)
+	if n.tradeoff, err = optimizer.Tradeoff(n.alpha, optimizer.RawTradeoff, 0, costmodel.Bill{}); err != nil {
+		return normalized{}, fmt.Errorf("compare: %w", err)
 	}
 	if n.Steps == 0 {
 		n.Steps = defaultParetoSteps
@@ -445,7 +442,7 @@ func Run(req Request) (*Comparison, error) {
 			comp.Pareto = mergeFrontiers(results)
 			continue
 		}
-		comp.Winners = append(comp.Winners, pickWinner(s, n.alpha, results))
+		comp.Winners = append(comp.Winners, pickWinner(s, n.scenario(s), results))
 	}
 	if len(n.sweepBudgets) > 0 {
 		if comp.BreakEven, comp.sweepSolves, err = breakEven(n.Ctx, n.sweepBudgets, results, sessions); err != nil {
@@ -559,60 +556,39 @@ func boolToInt(b bool) int {
 	return 0
 }
 
-// better reports whether outcome a beats b under the scenario's ranking:
-// mv1 prefers feasible, then faster, then cheaper; mv2 prefers feasible,
-// then cheaper, then faster; mv3 minimizes α·T[h] + (1−α)·C[$] (the raw
-// Formula 15 objective — cross-provider comparison needs absolute units).
-// Key order breaks remaining ties, so rankings are total and
-// deterministic.
-func better(scenario string, alpha float64, a, b Winner) bool {
-	if a.Feasible != b.Feasible {
-		return a.Feasible
-	}
-	switch scenario {
+// scenario is the named scenario at the request's parameters.
+func (n normalized) scenario(name string) optimizer.Scenario {
+	switch name {
 	case "mv1":
-		if a.Time != b.Time {
-			return a.Time < b.Time
-		}
-		if a.Cost != b.Cost {
-			return a.Cost < b.Cost
-		}
+		return optimizer.Budget(n.Budget)
 	case "mv2":
-		if a.Cost != b.Cost {
-			return a.Cost < b.Cost
-		}
-		if a.Time != b.Time {
-			return a.Time < b.Time
-		}
-	default: // mv3
-		// The float64 conversions round each product before the add, so no port
-		// fuses them into one multiply-add (scripts/nofma.sh).
-		oa := float64(alpha*a.Time.Hours()) + float64((1-alpha)*a.Cost.Dollars())
-		ob := float64(alpha*b.Time.Hours()) + float64((1-alpha)*b.Cost.Dollars())
-		if oa != ob {
-			return oa < ob
-		}
+		return optimizer.Deadline(n.Limit)
 	}
-	return a.Key.less(b.Key)
+	return n.tradeoff
 }
 
-func pickWinner(scenario string, alpha float64, configs []ConfigResult) Winner {
-	var best Winner
-	first := true
+// outranks reports whether w beats best under sc, the cell key breaking
+// the order's ties, so rankings are total and deterministic.
+func (w Winner) outranks(sc optimizer.Scenario, best Winner) bool {
+	a, b := optimizer.Outcome{Time: w.Time, Cost: w.Cost}, optimizer.Outcome{Time: best.Time, Cost: best.Cost}
+	return cmp.Or(sc.Compare(a, b), w.Key.compare(best.Key)) < 0
+}
+
+func pickWinner(name string, sc optimizer.Scenario, configs []ConfigResult) (best Winner) {
 	for _, c := range configs {
-		rec, ok := c.Result(scenario)
+		rec, ok := c.Result(name)
 		if !ok {
 			continue
 		}
 		w := Winner{
-			Scenario: scenario,
+			Scenario: name,
 			Key:      c.Key,
 			Time:     rec.Selection.Time,
 			Cost:     rec.Selection.Bill.Total(),
 			Feasible: rec.Selection.Feasible,
 		}
-		if first || better(scenario, alpha, w, best) {
-			best, first = w, false
+		if best.Provider == "" || w.outranks(sc, best) {
+			best = w
 		}
 	}
 	return best
@@ -627,31 +603,10 @@ func mergeFrontiers(configs []ConfigResult) []ParetoEntry {
 			all = append(all, ParetoEntry{Key: c.Key, Point: p})
 		}
 	}
-	var front []ParetoEntry
-	for i, p := range all {
-		dominated := false
-		for j, q := range all {
-			if i == j {
-				continue
-			}
-			if q.Point.Time <= p.Point.Time && q.Point.Cost <= p.Point.Cost &&
-				(q.Point.Time < p.Point.Time || q.Point.Cost < p.Point.Cost) {
-				dominated = true
-				break
-			}
-		}
-		if !dominated {
-			front = append(front, p)
-		}
-	}
+	front := core.NonDominated(all, func(e ParetoEntry) core.ParetoPoint { return e.Point })
 	sort.Slice(front, func(i, j int) bool {
-		if front[i].Point.Time != front[j].Point.Time {
-			return front[i].Point.Time < front[j].Point.Time
-		}
-		if front[i].Point.Cost != front[j].Point.Cost {
-			return front[i].Point.Cost < front[j].Point.Cost
-		}
-		return front[i].Key.less(front[j].Key)
+		p, q := front[i], front[j]
+		return cmp.Or(cmp.Compare(p.Point.Time, q.Point.Time), cmp.Compare(p.Point.Cost, q.Point.Cost), p.Key.compare(q.Key)) < 0
 	})
 	// Collapse duplicate (time, cost) points: keep the first key.
 	out := front[:0]
@@ -704,11 +659,11 @@ func breakEven(ctx context.Context, budgets []money.Money, configs []ConfigResul
 		if ctx != nil && ctx.Err() != nil {
 			return nil, 0, fmt.Errorf("compare: break-even sweep: %w", ctx.Err())
 		}
+		sc := optimizer.Budget(b)
 		var best Winner
-		first := true
 		offer := func(w Winner) {
-			if first || better("mv1", 0.5, w, best) {
-				best, first = w, false
+			if best.Provider == "" || w.outranks(sc, best) {
+				best = w
 			}
 		}
 		for i, c := range cells {

@@ -3,6 +3,7 @@ package compare
 import (
 	"encoding/json"
 	"math"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -53,7 +54,7 @@ func TestRunFullCatalog(t *testing.T) {
 		t.Fatalf("configs = %d, want %d (one per catalog provider)", got, want)
 	}
 	for i := 1; i < len(comp.Configs); i++ {
-		if !comp.Configs[i-1].Key.less(comp.Configs[i].Key) {
+		if comp.Configs[i-1].Key.compare(comp.Configs[i].Key) >= 0 {
 			t.Errorf("configs not sorted: %v before %v", comp.Configs[i-1].Key, comp.Configs[i].Key)
 		}
 	}
@@ -148,11 +149,15 @@ func TestWinnersAgreeWithIndependentAdvisors(t *testing.T) {
 	}
 	// Winners are best under each scenario's ranking over the independent
 	// solves.
+	n, err := req.normalize()
+	if err != nil {
+		t.Fatal(err)
+	}
 	for _, w := range comp.Winners {
 		for k, byScenario := range independent {
 			m := byScenario[w.Scenario]
 			other := Winner{Scenario: w.Scenario, Key: k, Time: m.time, Cost: m.cost, Feasible: m.feasible}
-			if better(w.Scenario, 0.5, other, w) {
+			if other.outranks(n.scenario(w.Scenario), w) {
 				t.Errorf("scenario %s: winner %v beaten by %v", w.Scenario, w.Key, k)
 			}
 		}
@@ -242,6 +247,40 @@ func TestRunDoesNotMutateRequest(t *testing.T) {
 	if got := comp.Scenarios; len(got) != 2 || got[0] != "mv1" || got[1] != "mv3" {
 		t.Errorf("canonical scenarios = %v, want [mv1 mv3]", got)
 	}
+}
+
+// TestRunLeavesCallerProviders: the cells read the caller's tariffs in
+// place, and the grid's name order is a sort of a copy of the slice, so
+// the caller's Providers keep their order and every tariff its contents.
+func TestRunLeavesCallerProviders(t *testing.T) {
+	req := testRequest(t)
+	names := pricing.ProviderNames()
+	var before []pricing.Provider
+	for i := len(names) - 1; i >= 0; i-- {
+		p, err := pricing.Lookup(names[i])
+		if err != nil {
+			t.Fatal(err)
+		}
+		req.Providers = append(req.Providers, p)
+		before = append(before, p.Clone())
+	}
+	if _, err := Run(req); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := RunSweep(SweepRequest{Config: req.Config, Providers: req.Providers, Scenario: "mv1", Budget: req.Budget}); err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(req.Providers, before) {
+		t.Errorf("caller's Providers changed: got order %v", providerNames(req.Providers))
+	}
+}
+
+func providerNames(ps []pricing.Provider) []string {
+	out := make([]string, len(ps))
+	for i, p := range ps {
+		out[i] = p.Name
+	}
+	return out
 }
 
 // TestNaNAlphaRejected: a NaN α fails every range comparison, so the

@@ -10,6 +10,7 @@ import (
 
 	"vmcloud/internal/core"
 	"vmcloud/internal/money"
+	"vmcloud/internal/optimizer"
 	"vmcloud/internal/pricing"
 	"vmcloud/internal/units"
 	"vmcloud/internal/views"
@@ -148,7 +149,7 @@ func TestKernelCompareMatchesPerConfigAdvisors(t *testing.T) {
 					for bi, outs := range sweep {
 						best := outs[0]
 						for _, w := range outs[1:] {
-							if better("mv1", 0.5, w, best) {
+							if w.outranks(optimizer.Budget(comp.BreakEven.Budgets[bi]), best) {
 								best = w
 							}
 						}

@@ -212,7 +212,7 @@ func resolveGrid(cj core.ConfigJSON, names []string, budget *money.Money, limit 
 	}
 	provs := make([]pricing.Provider, 0, len(names))
 	for _, name := range names {
-		// normalize deep-copies every provider it keeps.
+		// The catalog's own tariff: normalize and the cells only read it.
 		p, err := pricing.LookupShared(name)
 		if err != nil {
 			return core.Config{}, nil, 0, 0, err

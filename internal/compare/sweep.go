@@ -141,7 +141,7 @@ func RunSweep(req SweepRequest) (*Sweep, error) {
 	sw := &Sweep{
 		Scenario: scenario,
 		Cells:    make([]SweepCell, len(results)),
-		Best:     pickWinner(scenario, n.alpha, results).Key,
+		Best:     pickWinner(scenario, n.scenario(scenario), results).Key,
 		Skipped:  skipped,
 		Degraded: anyDegraded(results),
 	}

@@ -39,7 +39,7 @@ func TestSweepFullCatalog(t *testing.T) {
 	}
 	// Deterministically ordered by provider, instance, fleet.
 	for i := 1; i < len(sw.Cells); i++ {
-		if !sw.Cells[i-1].Key.less(sw.Cells[i].Key) {
+		if sw.Cells[i-1].Key.compare(sw.Cells[i].Key) >= 0 {
 			t.Errorf("cells out of order at %d: %v !< %v", i, sw.Cells[i-1].Key, sw.Cells[i].Key)
 		}
 	}

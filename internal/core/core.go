@@ -8,6 +8,7 @@ package core
 import (
 	"context"
 	"fmt"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -534,61 +535,46 @@ func (a *Advisor) searchOpts() search.Options {
 
 // advise runs one scenario through the configured engine and wraps the
 // selection into a recommendation — the single dispatch point between
-// the knapsack DPs and the metaheuristic search. The search path first
-// solves the (cheap) linearized knapsack and warm-starts from its
-// selection, so a search recommendation is never worse than the
-// knapsack's under the exact re-priced objective — the guarantee the
-// large-lattice experiments assert, held on the product path.
-func (a *Advisor) advise(scenario string, knapsack func() (optimizer.Selection, error), searcher func(warm optimizer.Selection) (optimizer.Selection, error)) (Recommendation, error) {
+// the knapsack DPs and the metaheuristic search, both handed the same
+// scenario. The search path first solves the (cheap) linearized knapsack
+// and warm-starts from its selection, so a search recommendation is
+// never worse than the knapsack's under the exact re-priced objective —
+// the guarantee the large-lattice experiments assert, held on the
+// product path.
+func (a *Advisor) advise(label string, sc optimizer.Scenario) (Recommendation, error) {
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	t0 := a.trace.StartTimer()
-	sel, err := knapsack()
+	sel, err := a.sess.Solve(sc)
 	if err == nil && a.useSearch() {
-		sel, err = searcher(sel)
+		opts := a.searchOpts()
+		opts.Starts = [][]lattice.Point{sel.Points}
+		sel, err = search.Solve(a.Ev, a.Candidates, sc, opts)
 	}
 	a.trace.ObserveSince(obs.PhaseSolve, t0)
 	if err != nil {
 		return Recommendation{}, err
 	}
-	return a.recommend(scenario, sel)
-}
-
-// warmOpts is searchOpts seeded with a warm-start selection.
-func (a *Advisor) warmOpts(warm optimizer.Selection) search.Options {
-	opts := a.searchOpts()
-	opts.Starts = [][]lattice.Point{warm.Points}
-	return opts
+	return a.recommend(label, sel)
 }
 
 // AdviseBudget solves scenario MV1: fastest workload within the budget.
 func (a *Advisor) AdviseBudget(budget money.Money) (Recommendation, error) {
-	return a.advise("MV1 (budget limit)",
-		func() (optimizer.Selection, error) { return a.sess.SolveMV1(budget) },
-		func(warm optimizer.Selection) (optimizer.Selection, error) {
-			return search.SolveMV1(a.Ev, a.Candidates, budget, a.warmOpts(warm))
-		},
-	)
+	return a.advise("MV1 (budget limit)", optimizer.Budget(budget))
 }
 
 // AdviseDeadline solves scenario MV2: cheapest bill within the time limit.
 func (a *Advisor) AdviseDeadline(limit time.Duration) (Recommendation, error) {
-	return a.advise("MV2 (response-time limit)",
-		func() (optimizer.Selection, error) { return a.sess.SolveMV2(limit) },
-		func(warm optimizer.Selection) (optimizer.Selection, error) {
-			return search.SolveMV2(a.Ev, a.Candidates, limit, a.warmOpts(warm))
-		},
-	)
+	return a.advise("MV2 (response-time limit)", optimizer.Deadline(limit))
 }
 
 // AdviseTradeoff solves scenario MV3 with the given α weight on time.
 func (a *Advisor) AdviseTradeoff(alpha float64) (Recommendation, error) {
-	return a.advise("MV3 (tradeoff, α="+strconv.FormatFloat(alpha, 'g', 2, 64)+")",
-		func() (optimizer.Selection, error) { return a.sess.SolveMV3(alpha, optimizer.RawTradeoff) },
-		func(warm optimizer.Selection) (optimizer.Selection, error) {
-			return search.SolveMV3(a.Ev, a.Candidates, alpha, optimizer.RawTradeoff, a.warmOpts(warm))
-		},
-	)
+	sc, err := optimizer.Tradeoff(alpha, optimizer.RawTradeoff, 0, costmodel.Bill{})
+	if err != nil {
+		return Recommendation{}, err
+	}
+	return a.advise("MV3 (tradeoff, α="+strconv.FormatFloat(alpha, 'g', 2, 64)+")", sc)
 }
 
 // ParetoPoint is one (time, cost) outcome on the tradeoff frontier.
@@ -614,21 +600,25 @@ func (a *Advisor) ParetoFront(steps int) ([]ParetoPoint, error) {
 	defer a.mu.Unlock()
 	t0 := a.trace.StartTimer()
 	defer a.trace.ObserveSince(obs.PhaseSolve, t0)
-	// The knapsack per-α sweep runs in both modes: in knapsack mode its
-	// selections are the frontier candidates; in search mode they become
-	// warm starts, carrying the advise dispatch's guarantee over to the
-	// sweep — the search frontier is never worse than the knapsack's at
-	// any α (warm starts are priced first; cached re-scores are free).
-	knapSels := make([]optimizer.Selection, steps)
-	for i := 0; i < steps; i++ {
-		alpha := float64(i) / float64(steps-1)
-		sel, err := a.sess.SolveMV3(alpha, optimizer.NormalizedTradeoff)
-		if err != nil {
+	// The knapsack and the search sweep the same scenarios, α over [0,1]
+	// in normalized Formula 15. The knapsack's selections are the frontier
+	// or, under search, its warm starts: the search frontier is then never
+	// worse than the knapsack's at any α (warm starts are priced first;
+	// cached re-scores are free).
+	baseT, baseBill, err := a.sess.Base()
+	if err != nil {
+		return nil, err
+	}
+	scs := make([]optimizer.Scenario, steps)
+	sels := make([]optimizer.Selection, steps)
+	for i := range scs {
+		if scs[i], err = optimizer.Tradeoff(float64(i)/float64(steps-1), optimizer.NormalizedTradeoff, baseT, baseBill); err != nil {
 			return nil, err
 		}
-		knapSels[i] = sel
+		if sels[i], err = a.sess.Solve(scs[i]); err != nil {
+			return nil, err
+		}
 	}
-	var all []ParetoPoint
 	if a.useSearch() {
 		// ParetoSweep's evaluation budget spans the whole sweep; scale it
 		// by the step count so every α gets a real search, not just the
@@ -638,54 +628,42 @@ func (a *Advisor) ParetoFront(steps int) ([]ParetoPoint, error) {
 		opts := a.searchOpts()
 		opts.MaxEvals = steps * search.DefaultMaxEvals
 		seen := make(map[string]bool)
-		for _, ksel := range knapSels {
+		for _, ksel := range sels {
 			key := fmt.Sprintf("%v", ksel.Points)
 			if !seen[key] {
 				seen[key] = true
 				opts.Starts = append(opts.Starts, ksel.Points)
 			}
 		}
-		sweep, err := search.ParetoSweep(a.Ev, a.Candidates, steps, optimizer.NormalizedTradeoff, opts)
-		if err != nil {
+		if sels, err = search.ParetoSweep(a.Ev, a.Candidates, scs, opts); err != nil {
 			return nil, err
 		}
-		for _, as := range sweep {
-			all = append(all, ParetoPoint{
-				Alpha:    as.Alpha,
-				Time:     as.Sel.Time,
-				Cost:     as.Sel.Bill.Total(),
-				Views:    len(as.Sel.Points),
-				Degraded: as.Sel.Degraded,
-			})
-		}
-	} else {
-		for i, sel := range knapSels {
-			all = append(all, ParetoPoint{
-				Alpha: float64(i) / float64(steps-1),
-				Time:  sel.Time,
-				Cost:  sel.Bill.Total(),
-				Views: len(sel.Points),
-			})
+	}
+	all := make([]ParetoPoint, len(sels))
+	for i, sel := range sels {
+		all[i] = ParetoPoint{
+			Alpha:    float64(i) / float64(steps-1),
+			Time:     sel.Time,
+			Cost:     sel.Bill.Total(),
+			Views:    len(sel.Points),
+			Degraded: sel.Degraded,
 		}
 	}
-	return paretoFilter(all), nil
+	return NonDominated(all, func(p ParetoPoint) ParetoPoint { return p }), nil
 }
 
-// paretoFilter keeps the non-dominated points of a sweep.
-func paretoFilter(all []ParetoPoint) []ParetoPoint {
-	var front []ParetoPoint
-	for i, p := range all {
-		dominated := false
-		for j, q := range all {
-			if i == j {
-				continue
-			}
-			if q.Time <= p.Time && q.Cost <= p.Cost && (q.Time < p.Time || q.Cost < p.Cost) {
-				dominated = true
-				break
-			}
-		}
-		if !dominated {
+// dominates reports whether p dominates q: no slower, no dearer, and
+// strictly better on one of the two. A point never dominates itself.
+func (p ParetoPoint) dominates(q ParetoPoint) bool {
+	return p.Time <= q.Time && p.Cost <= q.Cost && (p.Time < q.Time || p.Cost < q.Cost)
+}
+
+// NonDominated keeps, in order, the items whose point no other item's
+// point dominates: a sweep's frontier, or a comparison's across cells.
+func NonDominated[T any](all []T, point func(T) ParetoPoint) []T {
+	var front []T
+	for _, p := range all {
+		if !slices.ContainsFunc(all, func(q T) bool { return point(q).dominates(point(p)) }) {
 			front = append(front, p)
 		}
 	}

@@ -4,6 +4,7 @@ import (
 	"testing"
 	"time"
 
+	"vmcloud/internal/costmodel"
 	"vmcloud/internal/lattice"
 	"vmcloud/internal/money"
 	"vmcloud/internal/optimizer"
@@ -80,10 +81,14 @@ func TestSearchMatchesKnapsackOnPaperLattice(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		ko := optimizer.Objective(0.5, kt.Selection.Time, kt.Selection.Bill, optimizer.RawTradeoff, 0, kt.Selection.Bill)
-		so := optimizer.Objective(0.5, st.Selection.Time, st.Selection.Bill, optimizer.RawTradeoff, 0, st.Selection.Bill)
-		if so > ko+1e-9 {
-			t.Errorf("seed %d mv3: search objective %g worse than knapsack %g", seed, so, ko)
+		mv3, err := optimizer.Tradeoff(0.5, optimizer.RawTradeoff, 0, costmodel.Bill{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		ko := optimizer.Outcome{Time: kt.Selection.Time, Cost: kt.Selection.Bill.Total()}
+		so := optimizer.Outcome{Time: st.Selection.Time, Cost: st.Selection.Bill.Total()}
+		if mv3.Compare(so, ko) > 0 {
+			t.Errorf("seed %d mv3: search %+v ranks after knapsack %+v", seed, so, ko)
 		}
 	}
 }

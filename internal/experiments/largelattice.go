@@ -77,7 +77,8 @@ type LargeLatticeResult struct {
 
 // MV3Objective evaluates the raw Formula 15 objective for an outcome.
 func (r *LargeLatticeResult) MV3Objective(o SolverOutcome) float64 {
-	return optimizer.Objective(r.Alpha, o.Time, o.Bill, optimizer.RawTradeoff, 0, costmodel.Bill{})
+	sc, _ := optimizer.Tradeoff(r.Alpha, optimizer.RawTradeoff, 0, costmodel.Bill{}) // Alpha is largeAlpha, in [0,1]
+	return sc.Score(o.Time, o.Bill)
 }
 
 // RunLargeLattice generates the lattice and workload for a seed, which

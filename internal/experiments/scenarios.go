@@ -137,12 +137,15 @@ func RunMV3(alpha float64) ([]MV3Row, error) {
 		if err != nil {
 			return nil, err
 		}
-		sel, err := s.sess.SolveMV3(alpha, optimizer.RawTradeoff)
+		sc, err := optimizer.Tradeoff(alpha, optimizer.RawTradeoff, baseT, baseBill)
 		if err != nil {
 			return nil, err
 		}
-		objWithout := optimizer.Objective(alpha, baseT, baseBill, optimizer.RawTradeoff, baseT, baseBill)
-		objWith := optimizer.Objective(alpha, sel.Time, sel.Bill, optimizer.RawTradeoff, baseT, baseBill)
+		sel, err := s.sess.Solve(sc)
+		if err != nil {
+			return nil, err
+		}
+		objWithout, objWith := sc.Score(baseT, baseBill), sc.Score(sel.Time, sel.Bill)
 		rows = append(rows, MV3Row{
 			Queries:    n,
 			Alpha:      alpha,

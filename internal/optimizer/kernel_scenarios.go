@@ -168,29 +168,27 @@ func (s *KernelSession) priceSel(sel []int32) (time.Duration, costmodel.Bill, er
 	return inc.Score()
 }
 
-// selectionFor assembles a Selection for an already-priced subset
-// (points in selection order, feasibility check).
-func (s *KernelSession) selectionFor(sel []int32, t time.Duration, bill costmodel.Bill, strategy string, feasible func(time.Duration, costmodel.Bill) bool) Selection {
-	pts := make([]lattice.Point, len(sel))
+// selectionFor assembles a Selection for an already-priced subset:
+// points in selection order, nil for the empty subset, and feasible when
+// it meets sc.
+func (s *KernelSession) selectionFor(sel []int32, t time.Duration, bill costmodel.Bill, sc Scenario, strategy string) Selection {
+	var pts []lattice.Point
+	if len(sel) > 0 {
+		pts = make([]lattice.Point, len(sel))
+	}
 	for i, ci := range sel {
 		pts[i] = s.Kern.Cands[ci].Point
 	}
-	out := Selection{Points: pts, Time: t, Bill: bill, Strategy: strategy}
-	if feasible != nil {
-		out.Feasible = feasible(t, bill)
-	} else {
-		out.Feasible = true
-	}
-	return out
+	return Selection{Points: pts, Time: t, Bill: bill, Feasible: sc.Met(t, bill), Strategy: strategy}
 }
 
 // finishSel prices the subset and assembles its Selection.
-func (s *KernelSession) finishSel(sel []int32, strategy string, feasible func(time.Duration, costmodel.Bill) bool) (Selection, error) {
+func (s *KernelSession) finishSel(sel []int32, sc Scenario, strategy string) (Selection, error) {
 	t, bill, err := s.priceSel(sel)
 	if err != nil {
 		return Selection{}, err
 	}
-	return s.selectionFor(sel, t, bill, strategy, feasible), nil
+	return s.selectionFor(sel, t, bill, sc, strategy), nil
 }
 
 // Items returns the linearized knapsack items of the pinned candidates
@@ -234,25 +232,27 @@ func (s *KernelSession) Items() []Item {
 	return items
 }
 
-// SolveMV1 implements scenario MV1 (Formula 13): minimize workload time
-// subject to total cost ≤ budget, via 0/1 knapsack DP on the items.
-// Views that pay for themselves (CostDelta ≤ 0) are always taken; the
-// budget slack left by the no-view baseline is spent on the rest. If the
-// linearized pick overshoots the exact budget, the lowest-density views
-// are dropped until the exact bill fits.
+// Solve runs the scenario's Section 5 procedure: the MV1 knapsack, the
+// MV2 min-cost cover or the MV3 marginal rule.
+func (s *KernelSession) Solve(sc Scenario) (Selection, error) {
+	switch sc.name {
+	case "mv1":
+		sel, t, bill, err := s.solveMV1(sc)
+		if err != nil {
+			return Selection{}, err
+		}
+		return s.selectionFor(sel, t, bill, sc, "mv1-knapsack"), nil
+	case "mv2":
+		return s.solveMV2(sc)
+	case "mv3":
+		return s.solveMV3(sc)
+	}
+	return Selection{}, fmt.Errorf("optimizer: no scenario to solve")
+}
+
+// SolveMV1 is Solve(Budget(budget)).
 func (s *KernelSession) SolveMV1(budget money.Money) (Selection, error) {
-	feasible := func(_ time.Duration, b costmodel.Bill) bool { return b.Total() <= budget }
-	sel, t, bill, baselineOnly, err := s.solveMV1(budget)
-	if err != nil {
-		return Selection{}, err
-	}
-	out := s.selectionFor(sel, t, bill, "mv1-knapsack", feasible)
-	if baselineOnly {
-		// Even without views the budget does not cover the workload:
-		// the infeasible baseline, with nil points.
-		out.Points = nil
-	}
-	return out, nil
+	return s.Solve(Budget(budget))
 }
 
 // BudgetOutcome solves MV1 at the given budget and returns only the
@@ -262,28 +262,33 @@ func (s *KernelSession) SolveMV1(budget money.Money) (Selection, error) {
 // break-even budget sweep re-price dozens of budgets per cell without
 // allocation churn.
 func (s *KernelSession) BudgetOutcome(budget money.Money) (time.Duration, money.Money, bool, error) {
-	_, t, bill, _, err := s.solveMV1(budget)
+	sc := Budget(budget)
+	_, t, bill, err := s.solveMV1(sc)
 	if err != nil {
 		return 0, 0, false, err
 	}
-	return t, bill.Total(), bill.Total() <= budget, nil
+	return t, bill.Total(), sc.Met(t, bill), nil
 }
 
-// solveMV1 is the shared MV1 core: the chosen subset with its exact
-// price, or the no-view baseline's with baselineOnly set when even that
-// busts the budget. The returned slice aliases session scratch.
-func (s *KernelSession) solveMV1(budget money.Money) (sel []int32, t time.Duration, bill costmodel.Bill, baselineOnly bool, err error) {
+// solveMV1 implements scenario MV1 (Formula 13): minimize workload time
+// subject to total cost ≤ budget, via 0/1 knapsack DP on the items.
+// Views that pay for themselves (CostDelta ≤ 0) are always taken; the
+// budget slack left by the no-view baseline is spent on the rest. If the
+// linearized pick overshoots the exact budget, the lowest-density views
+// are dropped until the exact bill fits. It returns the chosen subset
+// with its exact price, or, when even no views bust the budget, the
+// infeasible no-view baseline. The slice aliases session scratch.
+func (s *KernelSession) solveMV1(sc Scenario) (sel []int32, t time.Duration, bill costmodel.Bill, err error) {
 	s.sizeScratch()
-	feasible := func(_ time.Duration, b costmodel.Bill) bool { return b.Total() <= budget }
 	baseT, baseBill, err := s.Base()
 	if err != nil {
-		return nil, 0, costmodel.Bill{}, false, err
+		return nil, 0, costmodel.Bill{}, err
 	}
-	if baseBill.Total() > budget {
-		return nil, baseT, baseBill, true, nil
+	if !sc.Met(baseT, baseBill) {
+		return nil, baseT, baseBill, nil
 	}
 	items := s.Items()
-	slack := budget.Sub(baseBill.Total())
+	slack := sc.maxCost.Sub(baseBill.Total())
 	chosen := s.selBuf[:0]
 	payIdx := s.idxBuf[:0]
 	for i, it := range items {
@@ -303,7 +308,7 @@ func (s *KernelSession) solveMV1(budget money.Money) (sel []int32, t time.Durati
 	s.valBuf, s.wtBuf = values, weights
 	picked, err := s.dp.knapsack01(values, weights, slack.Micros())
 	if err != nil {
-		return nil, 0, costmodel.Bill{}, false, err
+		return nil, 0, costmodel.Bill{}, err
 	}
 	for _, p := range picked {
 		chosen = append(chosen, int32(payIdx[p]))
@@ -316,21 +321,21 @@ func (s *KernelSession) solveMV1(budget money.Money) (sel []int32, t time.Durati
 	// orders every step's drop.
 	t, bill, err = s.priceSel(chosen)
 	if err != nil {
-		return nil, 0, costmodel.Bill{}, false, err
+		return nil, 0, costmodel.Bill{}, err
 	}
-	if !feasible(t, bill) {
+	if !sc.Met(t, bill) {
 		byDensity(chosen, items)
 	}
-	for !feasible(t, bill) && len(chosen) > 0 {
+	for !sc.Met(t, bill) && len(chosen) > 0 {
 		s.inc.Drop(int(chosen[0]))
 		s.inc.moves-- // a repair step, not a search move (see priceSel)
 		chosen = chosen[1:]
 		t, bill, err = s.inc.Score()
 		if err != nil {
-			return nil, 0, costmodel.Bill{}, false, err
+			return nil, 0, costmodel.Bill{}, err
 		}
 	}
-	return chosen, t, bill, false, nil
+	return chosen, t, bill, nil
 }
 
 // byDensity orders the picks for the MV1 exact repair, the view to drop
@@ -354,13 +359,17 @@ func density(it Item) float64 {
 	return float64(it.TimeSaved) / float64(it.CostDelta)
 }
 
-// SolveMV2 implements scenario MV2 (Formula 14): minimize total cost
+// SolveMV2 is Solve(Deadline(limit)).
+func (s *KernelSession) SolveMV2(limit time.Duration) (Selection, error) {
+	return s.Solve(Deadline(limit))
+}
+
+// solveMV2 implements scenario MV2 (Formula 14): minimize total cost
 // subject to workload time ≤ limit. Self-paying views are always taken;
 // if the time limit is still exceeded, a min-cost-coverage DP buys the
 // cheapest additional time savings.
-func (s *KernelSession) SolveMV2(limit time.Duration) (Selection, error) {
+func (s *KernelSession) solveMV2(sc Scenario) (Selection, error) {
 	s.sizeScratch()
-	feasible := func(t time.Duration, _ costmodel.Bill) bool { return t <= limit }
 	items := s.Items()
 	baseTime, _, err := s.Base()
 	if err != nil {
@@ -375,7 +384,7 @@ func (s *KernelSession) SolveMV2(limit time.Duration) (Selection, error) {
 			saved += it.TimeSaved
 		}
 	}
-	need := baseTime - limit - saved
+	need := baseTime - sc.maxTime - saved
 	if need > 0 {
 		costs, gains := s.wtBuf[:0], s.valBuf[:0]
 		idx := s.idxBuf[:0]
@@ -404,32 +413,40 @@ func (s *KernelSession) SolveMV2(limit time.Duration) (Selection, error) {
 		}
 	}
 	s.selBuf = chosen
-	return s.finishSel(chosen, "mv2-knapsack", feasible)
+	return s.finishSel(chosen, sc, "mv2-knapsack")
 }
 
-// SolveMV3 implements scenario MV3 (Formula 15): minimize
+// SolveMV3 is Solve(Tradeoff(alpha, mode, ...)) at the session's no-view
+// baseline.
+func (s *KernelSession) SolveMV3(alpha float64, mode TradeoffMode) (Selection, error) {
+	baseT, baseBill, err := s.Base()
+	if err != nil {
+		return Selection{}, err
+	}
+	sc, err := Tradeoff(alpha, mode, baseT, baseBill)
+	if err != nil {
+		return Selection{}, err
+	}
+	return s.Solve(sc)
+}
+
+// solveMV3 implements scenario MV3 (Formula 15): minimize
 // α·TprocessingQ + (1−α)·C. With an additive objective and no constraint,
 // the optimum over the linearized items is to take every view whose
 // marginal objective change is negative.
-func (s *KernelSession) SolveMV3(alpha float64, mode TradeoffMode) (Selection, error) {
-	if !(alpha >= 0 && alpha <= 1) {
-		return Selection{}, fmt.Errorf("optimizer: alpha %g out of [0,1]", alpha)
-	}
+func (s *KernelSession) solveMV3(sc Scenario) (Selection, error) {
 	s.sizeScratch()
 	items := s.Items()
 	tScale, cScale := 1.0, 1.0
-	if mode == NormalizedTradeoff {
-		t0, b0, err := s.Base()
-		if err != nil {
-			return Selection{}, err
+	if sc.mode == NormalizedTradeoff {
+		if sc.baseT > 0 {
+			tScale = 1 / sc.baseT.Hours()
 		}
-		if t0 > 0 {
-			tScale = 1 / t0.Hours()
-		}
-		if b0.Total() > 0 {
-			cScale = 1 / b0.Total().Dollars()
+		if c0 := sc.baseBill.Total(); c0 > 0 {
+			cScale = 1 / c0.Dollars()
 		}
 	}
+	alpha := float64(sc.alphaMicros) / alphaGrid
 	chosen := s.selBuf[:0]
 	for i, it := range items {
 		// The float64 conversions round each product before the add, so no port
@@ -440,5 +457,5 @@ func (s *KernelSession) SolveMV3(alpha float64, mode TradeoffMode) (Selection, e
 		}
 	}
 	s.selBuf = chosen
-	return s.finishSel(chosen, "mv3-marginal", nil)
+	return s.finishSel(chosen, sc, "mv3-marginal")
 }

@@ -126,7 +126,7 @@ func TestKernelSessionMatchesEvaluator(t *testing.T) {
 						seed, cell, policy, gotItems, wantItems)
 				}
 
-				check := func(scenario string, sel Selection, met func(time.Duration, costmodel.Bill) bool) {
+				check := func(sc Scenario, sel Selection) {
 					t.Helper()
 					wantT, wantBill, err := ev.Evaluate(sel.Points)
 					if err != nil {
@@ -134,11 +134,11 @@ func TestKernelSessionMatchesEvaluator(t *testing.T) {
 					}
 					if sel.Time != wantT || sel.Bill != wantBill {
 						t.Fatalf("seed %d cell %d policy %v: %s priced %v at (%v,%v), Evaluate gives (%v,%v)",
-							seed, cell, policy, scenario, sel.Points, sel.Time, sel.Bill, wantT, wantBill)
+							seed, cell, policy, sc.Name(), sel.Points, sel.Time, sel.Bill, wantT, wantBill)
 					}
-					if sel.Feasible != met(wantT, wantBill) {
+					if sel.Feasible != sc.Met(wantT, wantBill) {
 						t.Fatalf("seed %d cell %d policy %v: %s Feasible=%v disagrees with its constraint on (%v,%v)",
-							seed, cell, policy, scenario, sel.Feasible, wantT, wantBill.Total())
+							seed, cell, policy, sc.Name(), sel.Feasible, wantT, wantBill.Total())
 					}
 				}
 
@@ -147,21 +147,25 @@ func TestKernelSessionMatchesEvaluator(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				check("mv1", mv1, func(_ time.Duration, b costmodel.Bill) bool { return b.Total() <= budget })
+				check(Budget(budget), mv1)
 
 				limit := time.Duration(float64(baseT) * (0.3 + rng.Float64()))
 				mv2, err := sess.SolveMV2(limit)
 				if err != nil {
 					t.Fatal(err)
 				}
-				check("mv2", mv2, func(tm time.Duration, _ costmodel.Bill) bool { return tm <= limit })
+				check(Deadline(limit), mv2)
 
 				for _, mode := range []TradeoffMode{RawTradeoff, NormalizedTradeoff} {
-					mv3, err := sess.SolveMV3(rng.Float64(), mode)
+					sc, err := Tradeoff(rng.Float64(), mode, baseT, baseBill)
 					if err != nil {
 						t.Fatal(err)
 					}
-					check("mv3", mv3, func(time.Duration, costmodel.Bill) bool { return true })
+					mv3, err := sess.Solve(sc)
+					if err != nil {
+						t.Fatal(err)
+					}
+					check(sc, mv3)
 				}
 			}
 		}

@@ -91,12 +91,15 @@ func TestSolversOnRandomWorkloads(t *testing.T) {
 
 		// MV3 at a few alphas: objective never worse than baseline.
 		for _, alpha := range []float64{0, 0.5, 1} {
-			mv3, err := sess.SolveMV3(alpha, RawTradeoff)
+			sc, err := Tradeoff(alpha, RawTradeoff, 0, costmodel.Bill{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			mv3, err := sess.Solve(sc)
 			if err != nil {
 				t.Fatalf("seed %d: MV3(%g): %v", seed, alpha, err)
 			}
-			with := Objective(alpha, mv3.Time, mv3.Bill, RawTradeoff, baseT, baseBill)
-			without := Objective(alpha, baseT, baseBill, RawTradeoff, baseT, baseBill)
+			with, without := sc.Score(mv3.Time, mv3.Bill), sc.Score(baseT, baseBill)
 			if with > without+1e-9 {
 				t.Errorf("seed %d: MV3(%g) objective %.6f worse than baseline %.6f",
 					seed, alpha, with, without)

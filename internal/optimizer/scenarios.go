@@ -1,7 +1,10 @@
 package optimizer
 
 import (
+	"cmp"
 	"fmt"
+	"math"
+	"math/bits"
 	"time"
 
 	"vmcloud/internal/costmodel"
@@ -108,7 +111,8 @@ const (
 	NormalizedTradeoff
 )
 
-// Objective computes the MV3 objective value for a given time and bill.
+// Objective computes the MV3 objective value for a given time and bill:
+// Scenario.Score. It goes with ROADMAP item 3 (the repo benchmark calls it).
 func Objective(alpha float64, t time.Duration, bill costmodel.Bill, mode TradeoffMode, baseT time.Duration, baseBill costmodel.Bill) float64 {
 	tv, cv := t.Hours(), bill.Total().Dollars()
 	if mode == NormalizedTradeoff {
@@ -122,6 +126,161 @@ func Objective(alpha float64, t time.Duration, bill costmodel.Bill, mode Tradeof
 	// The float64 conversions round each product before the add, so no port
 	// fuses them into one multiply-add (scripts/nofma.sh).
 	return float64(alpha*tv) + float64((1-alpha)*cv)
+}
+
+// Scenario is one of the paper's Section 5 problems, defined once: MV1
+// (Formula 13, least time within a budget), MV2 (Formula 14, least bill
+// within a time limit) or MV3 (Formula 15, least α·T + (1−α)·C). Its
+// constraint (Met) and its total order on priced outcomes, in integers
+// (Compare), are what every solver and ranker reads. The zero Scenario
+// is no scenario, and solvers refuse it.
+type Scenario struct {
+	name string
+	// The constraint: the most an outcome that meets it may cost and take.
+	maxCost money.Money
+	maxTime time.Duration
+	// Formula 15: α in millionths, the mode and its baselines (Score),
+	// and the key's weights on T and C in 128 bits (hi, lo).
+	alphaMicros uint64
+	mode        TradeoffMode
+	baseT       time.Duration
+	baseBill    costmodel.Bill
+	wT, wC      [2]uint64
+}
+
+// alphaGrid is the number of steps of Tradeoff's α grid: α snaps to the
+// nearest multiple of 10⁻⁶.
+const alphaGrid = 1_000_000
+
+// Budget is scenario MV1 (Formula 13): least workload time with the
+// period bill within budget.
+func Budget(budget money.Money) Scenario {
+	return Scenario{name: "mv1", maxCost: budget, maxTime: math.MaxInt64, alphaMicros: alphaGrid}
+}
+
+// Deadline is scenario MV2 (Formula 14): least bill with the monthly
+// workload time within limit.
+func Deadline(limit time.Duration) Scenario {
+	return Scenario{name: "mv2", maxCost: money.MaxMoney, maxTime: limit}
+}
+
+// Tradeoff is scenario MV3 (Formula 15): least α·T + (1−α)·C,
+// unconstrained. α must lie in [0,1], and snaps to the 10⁻⁶ grid. The
+// normalized mode divides T and C by the no-view baseline (a zero
+// baseline leaves its term in hours or dollars); raw mode ignores it.
+func Tradeoff(alpha float64, mode TradeoffMode, baseT time.Duration, baseBill costmodel.Bill) (Scenario, error) {
+	if !(alpha >= 0 && alpha <= 1) {
+		return Scenario{}, fmt.Errorf("optimizer: alpha %g out of [0,1]", alpha)
+	}
+	s := Scenario{name: "mv3", maxCost: money.MaxMoney, maxTime: math.MaxInt64, alphaMicros: uint64(math.Round(alpha * alphaGrid))}
+	dT, dC := uint64(time.Hour), uint64(money.FromDollars(1))
+	if mode == NormalizedTradeoff {
+		s.mode, s.baseT, s.baseBill = mode, baseT, baseBill
+		if baseT > 0 {
+			dT = uint64(baseT)
+		}
+		if c0 := baseBill.Total(); c0 > 0 {
+			dC = uint64(c0)
+		}
+	}
+	s.wT[0], s.wT[1] = bits.Mul64(s.alphaMicros, dC)
+	s.wC[0], s.wC[1] = bits.Mul64(alphaGrid-s.alphaMicros, dT)
+	return s, nil
+}
+
+// Name is "mv1", "mv2" or "mv3", and "" for the zero Scenario.
+func (s *Scenario) Name() string { return s.name }
+
+// Met reports whether an outcome meets the constraint: the bill within
+// the budget (MV1) or the time within the limit (MV2); MV3 has none.
+func (s *Scenario) Met(t time.Duration, bill costmodel.Bill) bool {
+	return s.met(Outcome{t, bill.Total()})
+}
+
+func (s *Scenario) met(o Outcome) bool { return o.Cost <= s.maxCost && o.Time <= s.maxTime }
+
+// Violation is how far an outcome misses the constraint, 0 exactly when
+// it is Met: dollars over the budget (MV1), hours over the limit (MV2).
+// The search ranks two infeasible states by it (see DESIGN.md).
+func (s *Scenario) Violation(o Outcome) float64 {
+	if o.Cost > s.maxCost {
+		return o.Cost.Sub(s.maxCost).Dollars()
+	}
+	if o.Time > s.maxTime {
+		return (o.Time - s.maxTime).Hours()
+	}
+	return 0
+}
+
+// Score is the objective as a float: Formula 15 at the snapped α, α = 1
+// for MV1 (hours) and α = 0 for MV2 (dollars). The annealer's energy and
+// SolveExhaustive read it; every ranking is Compare's.
+func (s *Scenario) Score(t time.Duration, bill costmodel.Bill) float64 {
+	return Objective(float64(s.alphaMicros)/alphaGrid, t, bill, s.mode, s.baseT, s.baseBill)
+}
+
+// Outcome is a priced selection as a Scenario ranks it: the workload
+// time and the bill's total.
+type Outcome struct {
+	Time time.Duration
+	Cost money.Money
+}
+
+// Compare is the scenario's total order on outcomes, negative when a
+// ranks before b and 0 only when they are equal: an outcome that meets
+// the constraint first; then the objective, the time in ns (MV1), the
+// cost in µ$ (MV2) or Formula 15 cross-multiplied exactly (MV3, key);
+// then the lower cost; then the lower time.
+func (s *Scenario) Compare(a, b Outcome) int {
+	if am, bm := s.met(a), s.met(b); am != bm {
+		if am {
+			return -1
+		}
+		return 1
+	}
+	switch s.name { // MV2's objective is the cost, the first tie-break
+	case "mv1":
+		if a.Time != b.Time {
+			return cmp.Compare(a.Time, b.Time)
+		}
+	case "mv3":
+		ah, al := s.key(a)
+		bh, bl := s.key(b)
+		if c := cmp.Or(cmp.Compare(ah, bh), cmp.Compare(al, bl)); c != 0 {
+			return c
+		}
+	}
+	if a.Cost != b.Cost {
+		return cmp.Compare(a.Cost, b.Cost)
+	}
+	return cmp.Compare(a.Time, b.Time)
+}
+
+// key is o's MV3 objective α·T/dT + (1−α)·C/dC times 10⁶·dT·dC, with dT
+// and dC the ns and µ$ in a unit of T and C: T·wT + C·wC, wT = a·dC and
+// wC = (10⁶−a)·dT for a the α in millionths. It is 128 bits (hi, lo),
+// exact whenever it fits and saturated at 2¹²⁸−1 when it does not. Raw
+// mode's weights are below 2⁶², so every non-negative int64 outcome fits.
+// Normalized mode's keys fit while every time (ns) and cost (µ$),
+// baselines included, is at most 2⁵⁴ (5,004 hours, $18 billion): the key
+// is then at most 10⁶·2¹⁰⁸. The key reads a negative time or cost, which
+// no priced outcome has, as 0.
+func (s *Scenario) key(o Outcome) (hi, lo uint64) {
+	th, tl, tover := wide(uint64(max(o.Time, 0)), s.wT)
+	ch, cl, cover := wide(uint64(max(o.Cost, 0)), s.wC)
+	lo, carry := bits.Add64(tl, cl, 0)
+	if hi, carry = bits.Add64(th, ch, carry); tover || cover || carry != 0 {
+		return math.MaxUint64, math.MaxUint64
+	}
+	return hi, lo
+}
+
+// wide returns x·w in 128 bits, and whether it overflows them.
+func wide(x uint64, w [2]uint64) (hi, lo uint64, over bool) {
+	hi, lo = bits.Mul64(x, w[1])
+	h, l := bits.Mul64(x, w[0])
+	hi, carry := bits.Add64(hi, l, 0)
+	return hi, lo, h != 0 || carry != 0
 }
 
 // SolveExhaustive enumerates every subset of candidates (n ≤ 20), prices
@@ -141,10 +300,8 @@ func (ev *Evaluator) SolveExhaustive(
 		return Selection{}, fmt.Errorf("optimizer: objective required")
 	}
 	var (
-		bestFeasible   *Selection
-		bestInfeasible *Selection
-		bestFeasObj    float64
-		bestInfObj     float64
+		best    Selection
+		bestObj float64
 	)
 	n := len(cands)
 	pts := make([]lattice.Point, 0, n)
@@ -161,25 +318,18 @@ func (ev *Evaluator) SolveExhaustive(
 		}
 		obj := objective(t, bill)
 		ok := constraint == nil || constraint(t, bill)
-		sel := Selection{
-			Points:   append([]lattice.Point(nil), pts...),
-			Time:     t,
-			Bill:     bill,
-			Feasible: ok,
-			Strategy: "exhaustive",
-		}
-		if ok {
-			if bestFeasible == nil || obj < bestFeasObj {
-				s := sel
-				bestFeasible, bestFeasObj = &s, obj
+		// A feasible subset beats every infeasible one; between two of a
+		// kind the lower objective wins, the first on ties.
+		if mask == 0 || ok && !best.Feasible || ok == best.Feasible && obj < bestObj {
+			best = Selection{
+				Points:   append([]lattice.Point(nil), pts...),
+				Time:     t,
+				Bill:     bill,
+				Feasible: ok,
+				Strategy: "exhaustive",
 			}
-		} else if bestInfeasible == nil || obj < bestInfObj {
-			s := sel
-			bestInfeasible, bestInfObj = &s, obj
+			bestObj = obj
 		}
 	}
-	if bestFeasible != nil {
-		return *bestFeasible, nil
-	}
-	return *bestInfeasible, nil
+	return best, nil
 }

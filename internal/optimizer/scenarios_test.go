@@ -258,10 +258,8 @@ func TestSolveMV1AgainstExhaustiveOracle(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	oracle, err := ev.SolveExhaustive(cands,
-		func(tm time.Duration, _ costmodel.Bill) float64 { return tm.Hours() },
-		func(_ time.Duration, b costmodel.Bill) bool { return b.Total() <= budget },
-	)
+	sc := Budget(budget)
+	oracle, err := ev.SolveExhaustive(cands, sc.Score, sc.Met)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -319,10 +317,8 @@ func TestSolveMV2AgainstExhaustiveOracle(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	oracle, err := ev.SolveExhaustive(cands,
-		func(_ time.Duration, b costmodel.Bill) float64 { return b.Total().Dollars() },
-		func(tm time.Duration, _ costmodel.Bill) bool { return tm <= limit },
-	)
+	sc := Deadline(limit)
+	oracle, err := ev.SolveExhaustive(cands, sc.Score, sc.Met)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -381,12 +377,15 @@ func TestSolveMV3ImprovesObjective(t *testing.T) {
 	baseT, baseBill, _ := ev.Evaluate(nil)
 	for _, mode := range []TradeoffMode{RawTradeoff, NormalizedTradeoff} {
 		for _, alpha := range []float64{0.3, 0.65, 0.7} {
-			sel, err := sess.SolveMV3(alpha, mode)
+			sc, err := Tradeoff(alpha, mode, baseT, baseBill)
 			if err != nil {
 				t.Fatal(err)
 			}
-			with := Objective(alpha, sel.Time, sel.Bill, mode, baseT, baseBill)
-			without := Objective(alpha, baseT, baseBill, mode, baseT, baseBill)
+			sel, err := sess.Solve(sc)
+			if err != nil {
+				t.Fatal(err)
+			}
+			with, without := sc.Score(sel.Time, sel.Bill), sc.Score(baseT, baseBill)
 			if with > without {
 				t.Errorf("mode %v α=%g: objective %g worse than baseline %g", mode, alpha, with, without)
 			}
@@ -400,7 +399,8 @@ func TestSolveExhaustiveGuards(t *testing.T) {
 	for i := range big {
 		big[i] = cands[0]
 	}
-	if _, err := ev.SolveExhaustive(big, func(time.Duration, costmodel.Bill) float64 { return 0 }, nil); err == nil {
+	sc := Budget(0)
+	if _, err := ev.SolveExhaustive(big, sc.Score, nil); err == nil {
 		t.Error("21 candidates accepted")
 	}
 	if _, err := ev.SolveExhaustive(cands, nil, nil); err == nil {

@@ -2,15 +2,15 @@ package search
 
 import "math"
 
-// annealEnergy scalarizes an eval for the Metropolis criterion: the
-// score plus a violation penalty heavy enough that no feasible state is
-// ever worse than an infeasible one within the same neighborhood scale.
-// The penalty weight is derived per run from the start state's scale so
-// the criterion behaves the same whether scores are hours or dollars.
-func annealEnergy(e eval, penalty float64) float64 {
+// energy scalarizes an eval for the Metropolis criterion: the Score plus
+// a violation penalty heavy enough that no feasible state is ever worse
+// than an infeasible one within the same neighborhood scale. The penalty
+// weight is derived per run from the start state's scale so the criterion
+// behaves the same whether scores are hours or dollars.
+func (s *solver) energy(e eval, penalty float64) float64 {
 	// The float64 conversion rounds the product before the add, so no port
 	// fuses the two into one multiply-add (scripts/nofma.sh).
-	return e.score + float64(penalty*e.viol)
+	return s.obj.Score(e.c.o.Time, e.c.bill) + float64(penalty*e.viol)
 }
 
 // anneal runs simulated annealing with a geometric cooling schedule from
@@ -28,10 +28,11 @@ func (s *solver) anneal(start []bool, startEval eval) ([]bool, eval, error) {
 	if n == 0 {
 		return append([]bool(nil), start...), startEval, nil
 	}
-	penalty := 1000 * (math.Abs(startEval.score) + 1)
+	penalty := 1000 * (math.Abs(s.obj.Score(startEval.c.o.Time, startEval.c.bill)) + 1)
 
 	cur := append([]bool(nil), start...)
 	curEval := startEval
+	curEnergy := s.energy(curEval, penalty)
 	best := append([]bool(nil), cur...)
 	bestEval := curEval
 	// Pin the engine at the start state (free: no evaluation is charged;
@@ -57,7 +58,7 @@ func (s *solver) anneal(start []bool, startEval eval) ([]bool, eval, error) {
 			}
 			return best, eval{}, err
 		}
-		deltaSum += math.Abs(annealEnergy(e, penalty) - annealEnergy(curEval, penalty))
+		deltaSum += math.Abs(s.energy(e, penalty) - curEnergy)
 		deltas++
 	}
 	temp := 1.0
@@ -81,12 +82,13 @@ func (s *solver) anneal(start []bool, startEval eval) ([]bool, eval, error) {
 				}
 				return best, eval{}, err
 			}
-			delta := annealEnergy(e, penalty) - annealEnergy(curEval, penalty)
+			energy := s.energy(e, penalty)
+			delta := energy - curEnergy
 			if delta <= 0 || s.rng.Float64() < math.Exp(-delta/temp) {
 				s.applyMove(cur, i, j)
 				s.flip(i, j)
-				curEval = e
-				if better(curEval, bestEval) {
+				curEval, curEnergy = e, energy
+				if s.better(curEval, bestEval) {
 					copy(best, cur)
 					bestEval = curEval
 				}

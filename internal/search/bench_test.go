@@ -79,7 +79,7 @@ func BenchmarkSearchMV1Large(b *testing.B) {
 	ev, cands, budget := largeFixture(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := SolveMV1(ev, cands, budget, Options{Seed: 1}); err != nil {
+		if _, err := Solve(ev, cands, optimizer.Budget(budget), Options{Seed: 1}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -108,7 +108,7 @@ func BenchmarkSearchMV1Sales(b *testing.B) {
 	budget := money.FromDollars(25)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := SolveMV1(ev, cands, budget, Options{Seed: 1}); err != nil {
+		if _, err := Solve(ev, cands, optimizer.Budget(budget), Options{Seed: 1}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -121,10 +121,11 @@ func BenchmarkSearchMV1Sales(b *testing.B) {
 func BenchmarkSearchParetoSales(b *testing.B) {
 	ev, cands := fixture(b, 10, 8)
 	const steps = 11
+	scs := alphaSweep(b, ev, steps)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := ParetoSweep(ev, cands, steps, optimizer.NormalizedTradeoff, Options{Seed: 1, MaxEvals: steps * DefaultMaxEvals}); err != nil {
+		if _, err := ParetoSweep(ev, cands, scs, Options{Seed: 1, MaxEvals: steps * DefaultMaxEvals}); err != nil {
 			b.Fatal(err)
 		}
 	}

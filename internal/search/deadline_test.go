@@ -7,6 +7,7 @@ import (
 
 	"vmcloud/internal/lattice"
 	"vmcloud/internal/money"
+	"vmcloud/internal/optimizer"
 )
 
 // TestCancelledSolveReturnsPromptlyDegraded pins the degradation
@@ -21,7 +22,7 @@ func TestCancelledSolveReturnsPromptlyDegraded(t *testing.T) {
 
 	for _, seed := range []int64{0, 7, 42} {
 		start := time.Now()
-		sel, err := SolveMV1(ev, cands, money.FromDollars(25), Options{Seed: seed, Ctx: ctx})
+		sel, err := Solve(ev, cands, optimizer.Budget(money.FromDollars(25)), Options{Seed: seed, Ctx: ctx})
 		elapsed := time.Since(start)
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
@@ -61,11 +62,11 @@ func TestDegradedNeverWorseThanWarmStart(t *testing.T) {
 		budget := money.FromDollars(dollars)
 		// A converged solve stands in for the warm start a real caller
 		// would pass (the server passes the knapsack optimum).
-		warm, err := SolveMV1(ev, cands, budget, Options{Seed: 7})
+		warm, err := Solve(ev, cands, optimizer.Budget(budget), Options{Seed: 7})
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := SolveMV1(ev, cands, budget, Options{
+		got, err := Solve(ev, cands, optimizer.Budget(budget), Options{
 			Seed:   7,
 			Ctx:    dead,
 			Starts: [][]lattice.Point{warm.Points},
@@ -99,14 +100,14 @@ func TestMidSolveDeadlineKeepsDeterministicPrefix(t *testing.T) {
 	// Generous deadline: never fires, result must equal the ctx-free one.
 	ctx, cancel := context.WithTimeout(context.Background(), time.Hour)
 	defer cancel()
-	withCtx, err := SolveMV1(ev, cands, budget, Options{Seed: 7, Ctx: ctx})
+	withCtx, err := Solve(ev, cands, optimizer.Budget(budget), Options{Seed: 7, Ctx: ctx})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if withCtx.Degraded {
 		t.Fatal("one-hour deadline marked a fast solve degraded")
 	}
-	without, err := SolveMV1(ev, cands, budget, Options{Seed: 7})
+	without, err := Solve(ev, cands, optimizer.Budget(budget), Options{Seed: 7})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -120,7 +121,7 @@ func TestMidSolveDeadlineKeepsDeterministicPrefix(t *testing.T) {
 	tiny, cancel2 := context.WithTimeout(context.Background(), time.Microsecond)
 	defer cancel2()
 	start := time.Now()
-	sel, err := SolveMV1(ev, cands, budget, Options{Seed: 7, Ctx: tiny})
+	sel, err := Solve(ev, cands, optimizer.Budget(budget), Options{Seed: 7, Ctx: tiny})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -56,7 +56,7 @@ func (s *solver) hillClimb(start []bool) ([]bool, eval, error) {
 				if err != nil {
 					return err
 				}
-				if better(e, bestEval) {
+				if s.better(e, bestEval) {
 					bestI, bestJ, bestEval, improved = i, -1, e, true
 				}
 			}

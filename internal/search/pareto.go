@@ -2,56 +2,34 @@ package search
 
 import (
 	"fmt"
-	"time"
 
-	"vmcloud/internal/costmodel"
 	"vmcloud/internal/optimizer"
 	"vmcloud/internal/views"
 )
 
-// AlphaSelection is one weighted-sum solve of a pareto sweep.
-type AlphaSelection struct {
-	Alpha float64
-	Sel   optimizer.Selection
-}
-
-// ParetoSweep traces an approximate time/cost pareto front by sweeping
-// the MV3 weight α over [0,1] in the given number of steps and solving
-// each weighted-sum objective by metaheuristic search. All α steps share
-// one exact-evaluation cache and one evaluation budget (Options.MaxEvals
-// bounds the whole sweep, not each step), and each step warm-starts from
-// the previous step's best state — adjacent α optima are usually near
-// each other, so the sweep costs far less than independent solves.
-// Dominance filtering is left to the caller: the sweep returns every α
-// outcome, dominated or not.
-func ParetoSweep(ev *optimizer.Evaluator, cands []views.Candidate, steps int, mode optimizer.TradeoffMode, opts Options) ([]AlphaSelection, error) {
-	if steps < 2 {
-		return nil, fmt.Errorf("search: need at least 2 sweep steps, got %d", steps)
+// ParetoSweep solves each scenario in turn by metaheuristic search: an
+// MV3 sweep of α over [0,1] traces an approximate time/cost pareto
+// front. All steps share one exact-evaluation cache and one evaluation
+// budget (Options.MaxEvals bounds the whole sweep, not each step), and
+// each step warm-starts from the previous step's best state — adjacent α
+// optima are usually near each other, so the sweep costs far less than
+// independent solves. Dominance filtering is left to the caller: the
+// sweep returns one selection per scenario, dominated or not.
+func ParetoSweep(ev *optimizer.Evaluator, cands []views.Candidate, scs []optimizer.Scenario, opts Options) ([]optimizer.Selection, error) {
+	if len(scs) == 0 {
+		return nil, fmt.Errorf("search: a sweep needs at least one scenario")
 	}
-	var baseT time.Duration
-	var baseBill costmodel.Bill
-	if mode == optimizer.NormalizedTradeoff {
-		var err error
-		baseT, baseBill, err = ev.Evaluate(nil)
-		if err != nil {
-			return nil, err
-		}
-	}
-	s, err := newSolver(ev, cands, TradeoffObjective(0, mode, baseT, baseBill), opts)
+	s, err := newSolver(ev, cands, scs[0], opts)
 	if err != nil {
 		return nil, err
 	}
-	out := make([]AlphaSelection, 0, steps)
+	out := make([]optimizer.Selection, len(scs))
 	var warm []bool
-	for i := 0; i < steps; i++ {
-		alpha := float64(i) / float64(steps-1)
-		s.obj = TradeoffObjective(alpha, mode, baseT, baseBill)
-		sel, bits, err := s.solve(warm)
-		if err != nil {
+	for i, sc := range scs {
+		s.obj = sc
+		if out[i], warm, err = s.solve(warm); err != nil {
 			return nil, err
 		}
-		warm = bits
-		out = append(out, AlphaSelection{Alpha: alpha, Sel: sel})
 	}
 	return out, nil
 }

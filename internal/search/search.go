@@ -44,60 +44,21 @@ import (
 	"vmcloud/internal/views"
 )
 
-// Objective is what a solver minimizes: a scalar score plus a constraint
-// violation measure. Feasible states (Violation == 0) always beat
-// infeasible ones; among infeasible states smaller violations win, so the
-// search is pulled back into the feasible region before it optimizes.
-type Objective struct {
-	// Name tags the produced Selection.Strategy ("mv1", "mv2", "mv3").
-	Name string
-	// Score is the value minimized among feasible states.
-	Score func(t time.Duration, b costmodel.Bill) float64
-	// Violation quantifies the constraint breach; 0 means feasible. Nil
-	// means unconstrained.
-	Violation func(t time.Duration, b costmodel.Bill) float64
-}
+// Objective is optimizer.Scenario under the name the repo benchmark
+// still uses; it goes with ROADMAP item 3, as do the three below.
+type Objective = optimizer.Scenario
 
-// BudgetObjective is scenario MV1: minimize workload time subject to the
-// exact period bill staying within budget.
-func BudgetObjective(budget money.Money) Objective {
-	return Objective{
-		Name:  "mv1",
-		Score: func(t time.Duration, _ costmodel.Bill) float64 { return t.Hours() },
-		Violation: func(_ time.Duration, b costmodel.Bill) float64 {
-			if over := b.Total().Sub(budget); over > 0 {
-				return over.Dollars()
-			}
-			return 0
-		},
-	}
-}
+// BudgetObjective is optimizer.Budget (removed with ROADMAP item 3).
+func BudgetObjective(budget money.Money) Objective { return optimizer.Budget(budget) }
 
-// DeadlineObjective is scenario MV2: minimize the exact bill subject to
-// the monthly workload time staying within the limit.
-func DeadlineObjective(limit time.Duration) Objective {
-	return Objective{
-		Name:  "mv2",
-		Score: func(_ time.Duration, b costmodel.Bill) float64 { return b.Total().Dollars() },
-		Violation: func(t time.Duration, _ costmodel.Bill) float64 {
-			if t > limit {
-				return (t - limit).Hours()
-			}
-			return 0
-		},
-	}
-}
+// DeadlineObjective is optimizer.Deadline (removed with ROADMAP item 3).
+func DeadlineObjective(limit time.Duration) Objective { return optimizer.Deadline(limit) }
 
-// TradeoffObjective is scenario MV3: minimize α·T + (1−α)·C
-// (optimizer.Objective), unconstrained. baseT/baseBill feed the
-// normalized mode and are ignored for RawTradeoff.
+// TradeoffObjective is optimizer.Tradeoff, an α out of range giving the
+// zero scenario that Solve refuses (removed with ROADMAP item 3).
 func TradeoffObjective(alpha float64, mode optimizer.TradeoffMode, baseT time.Duration, baseBill costmodel.Bill) Objective {
-	return Objective{
-		Name: "mv3",
-		Score: func(t time.Duration, b costmodel.Bill) float64 {
-			return optimizer.Objective(alpha, t, b, mode, baseT, baseBill)
-		},
-	}
+	sc, _ := optimizer.Tradeoff(alpha, mode, baseT, baseBill)
+	return sc
 }
 
 // The search's fixed tuning, and the evaluation budget
@@ -176,33 +137,29 @@ func stopped(err error) bool {
 	return errors.Is(err, errEvalBudget) || errors.Is(err, errDeadline)
 }
 
-// eval is one exactly-priced subset under the current objective: its
-// cached price and the objective's score and violation of it.
+// eval is one exactly-priced subset under the current scenario: its
+// cached price and the scenario's violation of it.
 type eval struct {
-	c     *cachedEval
-	score float64
-	viol  float64
+	c    *cachedEval
+	viol float64
 }
 
-// better reports whether a strictly beats b: feasibility first, then
-// violation magnitude, then score. Ties are never "better", so climbers
+// better reports whether a strictly beats b: between two infeasible
+// states the smaller violation, to pull the search back into the feasible
+// region, else the scenario's order. Ties are never "better", so climbers
 // require strict improvement and terminate.
-func better(a, b eval) bool {
-	aFeas, bFeas := a.viol == 0, b.viol == 0
-	if aFeas != bFeas {
-		return aFeas
-	}
-	if !aFeas && a.viol != b.viol {
+func (s *solver) better(a, b eval) bool {
+	if a.viol > 0 && b.viol > 0 && a.viol != b.viol {
 		return a.viol < b.viol
 	}
-	return a.score < b.score
+	return s.obj.Compare(a.c.o, b.c.o) < 0
 }
 
-// cachedEval memoizes the exact evaluator output for one subset; the
-// objective-dependent score/violation are recomputed per objective so a
-// pareto sweep can share one cache across every α.
+// cachedEval memoizes the exact evaluator output for one subset: the
+// outcome a scenario ranks, and the bill. Nothing scenario-dependent is
+// kept, so a pareto sweep can share one cache across every α.
 type cachedEval struct {
-	t    time.Duration
+	o    optimizer.Outcome
 	bill costmodel.Bill
 }
 
@@ -295,7 +252,7 @@ func (c *evalCache) insert(slot int, ce cachedEval) *cachedEval {
 }
 
 // solver carries one search session: the pinned incremental evaluation
-// engine, the candidate pool, the active objective, the shared
+// engine, the candidate pool, the active scenario, the shared
 // evaluation cache and the PRNG. The engine holds the "current" subset
 // (inside a swap row, the current subset less the row's candidate);
 // neighbors are priced by IncrementalEvaluator.Probe, which leaves the
@@ -305,7 +262,7 @@ func (c *evalCache) insert(slot int, ce cachedEval) *cachedEval {
 type solver struct {
 	inc      *optimizer.IncrementalEvaluator
 	cands    []views.Candidate
-	obj      Objective
+	obj      optimizer.Scenario
 	opts     Options
 	rng      *rand.Rand
 	cache    *evalCache
@@ -324,12 +281,12 @@ type solver struct {
 	state []uint64
 }
 
-func newSolver(ev *optimizer.Evaluator, cands []views.Candidate, obj Objective, opts Options) (*solver, error) {
+func newSolver(ev *optimizer.Evaluator, cands []views.Candidate, sc optimizer.Scenario, opts Options) (*solver, error) {
 	if ev == nil {
 		return nil, fmt.Errorf("search: nil evaluator")
 	}
-	if obj.Score == nil {
-		return nil, fmt.Errorf("search: objective %q has no score", obj.Name)
+	if sc.Name() == "" {
+		return nil, fmt.Errorf("search: no scenario to solve")
 	}
 	opts, err := opts.withDefaults()
 	if err != nil {
@@ -351,7 +308,7 @@ func newSolver(ev *optimizer.Evaluator, cands []views.Candidate, obj Objective, 
 	s := &solver{
 		inc:      inc,
 		cands:    cands,
-		obj:      obj,
+		obj:      sc,
 		opts:     opts,
 		rng:      rand.New(rand.NewSource(opts.Seed)),
 		cache:    newEvalCache(n, opts.MaxEvals),
@@ -364,13 +321,9 @@ func newSolver(ev *optimizer.Evaluator, cands []views.Candidate, obj Objective, 
 	return s, nil
 }
 
-// score applies the active objective to a cached exact evaluation.
+// score applies the active scenario to a cached exact evaluation.
 func (s *solver) score(c *cachedEval) eval {
-	e := eval{c: c, score: s.obj.Score(c.t, c.bill)}
-	if s.obj.Violation != nil {
-		e.viol = s.obj.Violation(c.t, c.bill)
-	}
-	return e
+	return eval{c: c, viol: s.obj.Violation(c.o)}
 }
 
 // scoreState prices the engine's current subset, via the cache. Cache
@@ -392,7 +345,7 @@ func (s *solver) scoreState() (eval, error) {
 	if err != nil {
 		return eval{}, err
 	}
-	return s.score(s.cache.insert(slot, cachedEval{t: t, bill: bill})), nil
+	return s.score(s.cache.insert(slot, cachedEval{o: optimizer.Outcome{Time: t, Cost: bill.Total()}, bill: bill})), nil
 }
 
 // pin re-pins the engine to an arbitrary subset — the full re-pricing
@@ -516,7 +469,7 @@ func (s *solver) price(slot, a, b int) (eval, error) {
 	if err != nil {
 		return eval{}, err
 	}
-	return s.score(s.cache.insert(slot, cachedEval{t: t, bill: bill})), nil
+	return s.score(s.cache.insert(slot, cachedEval{o: optimizer.Outcome{Time: t, Cost: bill.Total()}, bill: bill})), nil
 }
 
 // probeMove prices the neighbor reached by a flip of i (j < 0) or a swap
@@ -567,7 +520,7 @@ row:
 					break row
 				}
 			}
-			if better(e, best) {
+			if s.better(e, best) {
 				bestJ, best = j, e
 			}
 		}
@@ -601,10 +554,10 @@ func (s *solver) selection(sel []bool, e eval) optimizer.Selection {
 	}
 	return optimizer.Selection{
 		Points:   pts,
-		Time:     e.c.t,
+		Time:     e.c.o.Time,
 		Bill:     e.c.bill,
-		Feasible: e.viol == 0,
-		Strategy: s.obj.Name + "-search",
+		Feasible: s.obj.Met(e.c.o.Time, e.c.bill),
+		Strategy: s.obj.Name() + "-search",
 		Degraded: s.degraded,
 	}
 }
@@ -673,16 +626,12 @@ func (s *solver) starts() [][]bool {
 // hill climbing, optionally interleaved with simulated annealing — and
 // returns the best exactly-priced selection found within the evaluation
 // budget. Identical inputs and seeds return identical selections.
-func Solve(ev *optimizer.Evaluator, cands []views.Candidate, obj Objective, opts Options) (optimizer.Selection, error) {
-	s, err := newSolver(ev, cands, obj, opts)
-	if err != nil {
-		return optimizer.Selection{}, err
-	}
-	sel, _, err := s.solve(nil)
+func Solve(ev *optimizer.Evaluator, cands []views.Candidate, sc optimizer.Scenario, opts Options) (optimizer.Selection, error) {
+	sel, _, err := SolveStats(ev, cands, sc, opts)
 	return sel, err
 }
 
-// solve runs the pipeline on the solver's current objective and flushes
+// solve runs the pipeline on the solver's current scenario and flushes
 // the solver telemetry once per solve: the inner loops count evaluations
 // and moves in plain solver-local fields, and only this wrapper pays the
 // (sharded, contention-free) atomic adds — so a million-move anneal
@@ -727,7 +676,7 @@ func (s *solver) run(extraStart []bool) (optimizer.Selection, []bool, error) {
 			}
 			return optimizer.Selection{}, nil, err
 		}
-		if better(e, bestEval) {
+		if s.better(e, bestEval) {
 			copy(bestSel, start)
 			bestEval = e
 		}
@@ -749,7 +698,7 @@ func (s *solver) run(extraStart []bool) (optimizer.Selection, []bool, error) {
 			if err != nil && !stopped(err) {
 				return optimizer.Selection{}, nil, err
 			}
-			if better(curEval, bestEval) {
+			if s.better(curEval, bestEval) {
 				copy(bestSel, cur)
 				bestEval = curEval
 			}
@@ -779,41 +728,11 @@ type Stats struct {
 
 // SolveStats is Solve plus instrumentation: it also reports how much of
 // the evaluation budget was consumed.
-func SolveStats(ev *optimizer.Evaluator, cands []views.Candidate, obj Objective, opts Options) (optimizer.Selection, Stats, error) {
-	s, err := newSolver(ev, cands, obj, opts)
+func SolveStats(ev *optimizer.Evaluator, cands []views.Candidate, sc optimizer.Scenario, opts Options) (optimizer.Selection, Stats, error) {
+	s, err := newSolver(ev, cands, sc, opts)
 	if err != nil {
 		return optimizer.Selection{}, Stats{}, err
 	}
 	sel, _, err := s.solve(nil)
 	return sel, Stats{Evals: s.evals, CachedStates: s.cache.len()}, err
-}
-
-// SolveMV1 solves scenario MV1 (fastest workload within the budget) by
-// metaheuristic search against the exact evaluator.
-func SolveMV1(ev *optimizer.Evaluator, cands []views.Candidate, budget money.Money, opts Options) (optimizer.Selection, error) {
-	return Solve(ev, cands, BudgetObjective(budget), opts)
-}
-
-// SolveMV2 solves scenario MV2 (cheapest bill within the time limit).
-func SolveMV2(ev *optimizer.Evaluator, cands []views.Candidate, limit time.Duration, opts Options) (optimizer.Selection, error) {
-	return Solve(ev, cands, DeadlineObjective(limit), opts)
-}
-
-// SolveMV3 solves scenario MV3 (weighted time/cost tradeoff). The
-// normalized mode prices the no-view baseline first (one extra exact
-// evaluation, cached and shared with the search).
-func SolveMV3(ev *optimizer.Evaluator, cands []views.Candidate, alpha float64, mode optimizer.TradeoffMode, opts Options) (optimizer.Selection, error) {
-	if !(alpha >= 0 && alpha <= 1) {
-		return optimizer.Selection{}, fmt.Errorf("search: alpha %g out of [0,1]", alpha)
-	}
-	var baseT time.Duration
-	var baseBill costmodel.Bill
-	if mode == optimizer.NormalizedTradeoff {
-		var err error
-		baseT, baseBill, err = ev.Evaluate(nil)
-		if err != nil {
-			return optimizer.Selection{}, err
-		}
-	}
-	return Solve(ev, cands, TradeoffObjective(alpha, mode, baseT, baseBill), opts)
 }

@@ -79,11 +79,11 @@ func TestSolveDeterministicAcrossRuns(t *testing.T) {
 	ev, cands := fixture(t, 10, 8)
 	budget := money.FromDollars(25)
 	for _, seed := range []int64{0, 1, 42} {
-		a, err := SolveMV1(ev, cands, budget, Options{Seed: seed})
+		a, err := Solve(ev, cands, optimizer.Budget(budget), Options{Seed: seed})
 		if err != nil {
 			t.Fatal(err)
 		}
-		b, err := SolveMV1(ev, cands, budget, Options{Seed: seed})
+		b, err := Solve(ev, cands, optimizer.Budget(budget), Options{Seed: seed})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -97,14 +97,12 @@ func TestSolveMV1MatchesExhaustiveOracle(t *testing.T) {
 	ev, cands := fixture(t, 10, 8)
 	for _, dollars := range []float64{18, 25, 40} {
 		budget := money.FromDollars(dollars)
-		oracle, err := ev.SolveExhaustive(cands,
-			func(tt time.Duration, _ costmodel.Bill) float64 { return tt.Hours() },
-			func(_ time.Duration, b costmodel.Bill) bool { return b.Total() <= budget },
-		)
+		sc := optimizer.Budget(budget)
+		oracle, err := ev.SolveExhaustive(cands, sc.Score, sc.Met)
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := SolveMV1(ev, cands, budget, Options{Seed: 7})
+		got, err := Solve(ev, cands, sc, Options{Seed: 7})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -125,14 +123,12 @@ func TestSolveMV2MatchesExhaustiveOracle(t *testing.T) {
 	}
 	for _, frac := range []float64{0.3, 0.6, 0.9} {
 		limit := time.Duration(float64(baseT) * frac)
-		oracle, err := ev.SolveExhaustive(cands,
-			func(_ time.Duration, b costmodel.Bill) float64 { return b.Total().Dollars() },
-			func(tt time.Duration, _ costmodel.Bill) bool { return tt <= limit },
-		)
+		sc := optimizer.Deadline(limit)
+		oracle, err := ev.SolveExhaustive(cands, sc.Score, sc.Met)
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := SolveMV2(ev, cands, limit, Options{Seed: 3})
+		got, err := Solve(ev, cands, sc, Options{Seed: 3})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -148,21 +144,19 @@ func TestSolveMV2MatchesExhaustiveOracle(t *testing.T) {
 func TestSolveMV3MatchesExhaustiveOracle(t *testing.T) {
 	ev, cands := fixture(t, 10, 8)
 	for _, alpha := range []float64{0, 0.35, 0.5, 0.8, 1} {
-		oracle, err := ev.SolveExhaustive(cands,
-			func(tt time.Duration, b costmodel.Bill) float64 {
-				return optimizer.Objective(alpha, tt, b, optimizer.RawTradeoff, 0, costmodel.Bill{})
-			},
-			nil,
-		)
+		sc, err := optimizer.Tradeoff(alpha, optimizer.RawTradeoff, 0, costmodel.Bill{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := SolveMV3(ev, cands, alpha, optimizer.RawTradeoff, Options{Seed: 11})
+		oracle, err := ev.SolveExhaustive(cands, sc.Score, sc.Met)
 		if err != nil {
 			t.Fatal(err)
 		}
-		gotObj := optimizer.Objective(alpha, got.Time, got.Bill, optimizer.RawTradeoff, 0, costmodel.Bill{})
-		wantObj := optimizer.Objective(alpha, oracle.Time, oracle.Bill, optimizer.RawTradeoff, 0, costmodel.Bill{})
+		got, err := Solve(ev, cands, sc, Options{Seed: 11})
+		if err != nil {
+			t.Fatal(err)
+		}
+		gotObj, wantObj := sc.Score(got.Time, got.Bill), sc.Score(oracle.Time, oracle.Bill)
 		if gotObj > wantObj+1e-9 {
 			t.Errorf("alpha %g: search objective %g worse than oracle %g", alpha, gotObj, wantObj)
 		}
@@ -172,7 +166,7 @@ func TestSolveMV3MatchesExhaustiveOracle(t *testing.T) {
 func TestSolveRespectsEvalBudget(t *testing.T) {
 	ev, cands := fixture(t, 10, 8)
 	for _, maxEvals := range []int{1, 10, 100} {
-		sel, stats, err := SolveStats(ev, cands, BudgetObjective(money.FromDollars(25)), Options{Seed: 1, MaxEvals: maxEvals})
+		sel, stats, err := SolveStats(ev, cands, optimizer.Budget(money.FromDollars(25)), Options{Seed: 1, MaxEvals: maxEvals})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -194,7 +188,7 @@ func TestSolveRespectsEvalBudget(t *testing.T) {
 func TestSolveInfeasibleBudget(t *testing.T) {
 	ev, cands := fixture(t, 10, 8)
 	// A one-cent budget cannot cover even the no-view baseline.
-	sel, err := SolveMV1(ev, cands, money.Cent, Options{Seed: 1})
+	sel, err := Solve(ev, cands, optimizer.Budget(money.Cent), Options{Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -208,7 +202,7 @@ func TestSolveInfeasibleBudget(t *testing.T) {
 
 func TestSolveEmptyCandidates(t *testing.T) {
 	ev, _ := fixture(t, 10, 8)
-	sel, err := SolveMV1(ev, nil, money.FromDollars(25), Options{Seed: 1})
+	sel, err := Solve(ev, nil, optimizer.Budget(money.FromDollars(25)), Options{Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -230,24 +224,43 @@ func TestSolveOptionValidation(t *testing.T) {
 		{MaxEvals: -1},
 	}
 	for _, opts := range cases {
-		if _, err := SolveMV1(ev, cands, money.FromDollars(25), opts); err == nil {
+		if _, err := Solve(ev, cands, optimizer.Budget(money.FromDollars(25)), opts); err == nil {
 			t.Errorf("options %+v accepted", opts)
 		}
 	}
+	// An α out of range has no scenario, and the solver refuses that.
 	for _, alpha := range []float64{1.5, math.NaN()} {
-		if _, err := SolveMV3(ev, cands, alpha, optimizer.RawTradeoff, Options{}); err == nil || !strings.Contains(err.Error(), "out of [0,1]") {
-			t.Errorf("alpha %g: error %v, want out of [0,1]", alpha, err)
+		if _, err := Solve(ev, cands, TradeoffObjective(alpha, optimizer.RawTradeoff, 0, costmodel.Bill{}), Options{}); err == nil || !strings.Contains(err.Error(), "no scenario") {
+			t.Errorf("alpha %g: error %v, want no scenario", alpha, err)
 		}
 	}
 }
 
-func TestParetoSweepDeterministicAndOrdered(t *testing.T) {
-	ev, cands := fixture(t, 10, 8)
-	a, err := ParetoSweep(ev, cands, 7, optimizer.NormalizedTradeoff, Options{Seed: 5})
+// alphaSweep is core.Advisor.ParetoFront's scenarios: α over [0,1] in
+// steps, in normalized Formula 15.
+func alphaSweep(t testing.TB, ev *optimizer.Evaluator, steps int) []optimizer.Scenario {
+	t.Helper()
+	baseT, baseBill, err := ev.Evaluate(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := ParetoSweep(ev, cands, 7, optimizer.NormalizedTradeoff, Options{Seed: 5})
+	scs := make([]optimizer.Scenario, steps)
+	for i := range scs {
+		if scs[i], err = optimizer.Tradeoff(float64(i)/float64(steps-1), optimizer.NormalizedTradeoff, baseT, baseBill); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return scs
+}
+
+func TestParetoSweepDeterministicAndOrdered(t *testing.T) {
+	ev, cands := fixture(t, 10, 8)
+	scs := alphaSweep(t, ev, 7)
+	a, err := ParetoSweep(ev, cands, scs, Options{Seed: 5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := ParetoSweep(ev, cands, scs, Options{Seed: 5})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -255,15 +268,18 @@ func TestParetoSweepDeterministicAndOrdered(t *testing.T) {
 		t.Fatalf("sweep lengths %d/%d, want 7", len(a), len(b))
 	}
 	for i := range a {
-		if a[i].Alpha != b[i].Alpha || !samePoints(a[i].Sel.Points, b[i].Sel.Points) {
+		if !samePoints(a[i].Points, b[i].Points) {
 			t.Fatalf("step %d differs across identical sweeps", i)
 		}
 	}
-	if a[0].Alpha != 0 || a[6].Alpha != 1 {
-		t.Fatalf("alpha range [%g,%g], want [0,1]", a[0].Alpha, a[6].Alpha)
+	// α = 0 is the cheapest bill and α = 1 the fastest time of the sweep.
+	for _, sel := range a {
+		if sel.Bill.Total() < a[0].Bill.Total() || sel.Time < a[6].Time {
+			t.Fatalf("a step (%v, %v) beats the sweep's ends (%v, %v)", sel.Time, sel.Bill.Total(), a[6].Time, a[0].Bill.Total())
+		}
 	}
-	if _, err := ParetoSweep(ev, cands, 1, optimizer.RawTradeoff, Options{}); err == nil {
-		t.Error("1-step sweep accepted")
+	if _, err := ParetoSweep(ev, cands, nil, Options{}); err == nil {
+		t.Error("empty sweep accepted")
 	}
 }
 
@@ -271,7 +287,7 @@ func TestHillClimbSwapEscapesAddDropOptimum(t *testing.T) {
 	// Structural check on the neighborhood: from the full set under a
 	// tight budget, drops alone must find their way back to feasibility.
 	ev, cands := fixture(t, 10, 8)
-	s, err := newSolver(ev, cands, BudgetObjective(money.FromDollars(20)), Options{Seed: 9})
+	s, err := newSolver(ev, cands, optimizer.Budget(money.FromDollars(20)), Options{Seed: 9})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -310,7 +326,7 @@ func TestWarmStartNeverWorse(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, maxEvals := range []int{2, 5, 50, 300} {
-		sel, err := SolveMV1(ev, cands, budget, Options{
+		sel, err := Solve(ev, cands, optimizer.Budget(budget), Options{
 			Seed:     1,
 			MaxEvals: maxEvals,
 			Starts:   [][]lattice.Point{warm.Points},
@@ -340,7 +356,7 @@ func TestWarmStartNeverWorse(t *testing.T) {
 func TestSwapProbeMoveBound(t *testing.T) {
 	const maxMoves = 3100
 	ev, cands, budget := largeFixture(t)
-	s, err := newSolver(ev, cands, BudgetObjective(budget), Options{Seed: 1})
+	s, err := newSolver(ev, cands, optimizer.Budget(budget), Options{Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -370,7 +386,7 @@ func TestWarmSolveAllocs(t *testing.T) {
 	inc := sess.Engine()
 	allocs := func(maxEvals int) float64 {
 		return testing.AllocsPerRun(5, func() {
-			if _, err := Solve(ev, cands, BudgetObjective(budget), Options{Seed: 1, MaxEvals: maxEvals, Engine: inc}); err != nil {
+			if _, err := Solve(ev, cands, optimizer.Budget(budget), Options{Seed: 1, MaxEvals: maxEvals, Engine: inc}); err != nil {
 				t.Fatal(err)
 			}
 		})

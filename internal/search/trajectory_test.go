@@ -90,10 +90,14 @@ func TestSearchTrajectoryPinned(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		objs := []Objective{
-			BudgetObjective(p.budget),
-			DeadlineObjective(time.Duration(float64(baseT) * 0.6)),
-			TradeoffObjective(0.5, optimizer.RawTradeoff, 0, costmodel.Bill{}),
+		mv3, err := optimizer.Tradeoff(0.5, optimizer.RawTradeoff, 0, costmodel.Bill{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		objs := []optimizer.Scenario{
+			optimizer.Budget(p.budget),
+			optimizer.Deadline(time.Duration(float64(baseT) * 0.6)),
+			mv3,
 		}
 		for _, obj := range objs {
 			for _, seed := range []int64{0, 1, 7} {
@@ -108,7 +112,7 @@ func TestSearchTrajectoryPinned(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
-					name := fmt.Sprintf("%s/%s/seed%d/%s", p.name, obj.Name, seed, v.name)
+					name := fmt.Sprintf("%s/%s/seed%d/%s", p.name, obj.Name(), seed, v.name)
 					checkEngineInSync(t, name, s)
 					row := trajectoryRow{
 						Case:   name,

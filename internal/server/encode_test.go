@@ -178,20 +178,21 @@ func TestErrorBodyMatchesEncodingJSON(t *testing.T) {
 // can win, every encode read each recommendation from the solved value
 // instead of copying it into a wire struct, a compare row wrote each
 // distinct answer once and a session cut its solve scratch at its size
-// (advise 69, sweep 180).
+// (advise 69, sweep 180), and 190 before a request stopped deep-copying
+// the tariffs it only reads (sweep 158).
 func TestMissAllocBudget(t *testing.T) {
 	for _, c := range []struct {
 		name, path string
 		body       func(n int) []byte
 		budget     float64
 	}{
-		{"load-compare-2x2", "/v1/compare", compareMiss2x2Body, 199}, // 190
+		{"load-compare-2x2", "/v1/compare", compareMiss2x2Body, 190}, // 182
 		{"paper16-mv1", "/v1/advise", func(n int) []byte {
 			return fmt.Appendf(nil, `{"scenario":"mv1","budget":25,"queries":10,"frequency":30,"fact_rows":%d}`, 200_000_000+n)
 		}, 69}, // 66
 		{"sweep-2x2", "/v1/sweep", func(n int) []byte {
 			return fmt.Appendf(nil, `{"budget":25,"providers":["aws-2012","cumulus"],"fleet_sizes":[3,5],"fact_rows":%d,"queries":10,"frequency":30}`, 50_000_000+n)
-		}, 165}, // 158
+		}, 157}, // 150
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			s := New(Options{CacheSize: 1})
