@@ -102,6 +102,10 @@ func TestEveryInternalPackageIsReached(t *testing.T) {
 var declarationAllow = map[string]string{
 	module + "/internal/obs.ValidateText": "the exposition-format oracle: " +
 		"cmd/mvcloudd's, server's and obs's tests hold every /metrics render to it",
+	module + "/internal/server.adviseAnswer.JSON": "the advise body's eager wire form, the " +
+		"reference server's tests hold the served writer to (Comparison.JSON and Sweep.JSON, " +
+		"the other two, are reached through bench/, which builds its advise responses itself), " +
+		"and the one product code that sets AdviseResponse.Degraded",
 }
 
 // TestEveryDeclarationIsReached holds internal/ to what the product
@@ -611,26 +615,30 @@ func TestTelemetryFastPathsAreMarked(t *testing.T) {
 		"tenantMetrics.record": "internal/server/tenant.go",
 		// The wire encoder: what a miss runs between the solver and the
 		// socket stays free of fmt, closures and string concatenation.
-		"Money.AppendString":            "internal/money/money.go",
-		"DataSize.AppendString":         "internal/units/units.go",
-		"Table.Cell":                    "internal/report/report.go",
-		"Table.AppendText":              "internal/report/report.go",
-		"AppendHours":                   "internal/report/report.go",
-		"AppendPercent":                 "internal/report/report.go",
-		"AppendString":                  "internal/jsonenc/jsonenc.go",
-		"AppendFloat":                   "internal/jsonenc/jsonenc.go",
-		"AppendFixed":                   "internal/jsonenc/fixed.go",
-		"Text.Newline":                  "internal/jsonenc/text.go",
-		"Text.Str":                      "internal/jsonenc/text.go",
-		"Text.Bytes":                    "internal/jsonenc/text.go",
-		"Recommendation.appendReport":   "internal/core/core.go",
-		"RecommendationJSON.AppendJSON": "internal/core/encode.go",
-		"ParetoPointJSON.AppendJSON":    "internal/core/encode.go",
-		"Comparison.appendReport":       "internal/compare/compare.go",
-		"Sweep.appendReport":            "internal/compare/sweep.go",
-		"Comparison.AppendJSON":         "internal/compare/encode.go",
-		"SweepJSON.AppendJSON":          "internal/compare/encode.go",
-		"AdviseResponse.AppendJSON":     "internal/server/server.go",
+		"Money.AppendString":          "internal/money/money.go",
+		"DataSize.AppendString":       "internal/units/units.go",
+		"DataSize.AppendJSON":         "internal/units/json.go",
+		"Table.Cell":                  "internal/report/report.go",
+		"Table.AppendText":            "internal/report/report.go",
+		"AppendHours":                 "internal/report/report.go",
+		"AppendPercent":               "internal/report/report.go",
+		"AppendString":                "internal/jsonenc/jsonenc.go",
+		"AppendFloat":                 "internal/jsonenc/jsonenc.go",
+		"AppendFixed":                 "internal/jsonenc/fixed.go",
+		"Text.Newline":                "internal/jsonenc/text.go",
+		"Text.Str":                    "internal/jsonenc/text.go",
+		"Text.Bytes":                  "internal/jsonenc/text.go",
+		"Recommendation.appendReport": "internal/core/core.go",
+		"Recommendation.AppendWire":   "internal/core/encode.go",
+		"Recommendation.appendAnswer": "internal/core/encode.go",
+		"appendTimed":                 "internal/core/encode.go",
+		"ParetoPoint.AppendWire":      "internal/core/encode.go",
+		"AppendFrontier":              "internal/core/encode.go",
+		"Comparison.appendReport":     "internal/compare/compare.go",
+		"Sweep.appendReport":          "internal/compare/sweep.go",
+		"Comparison.AppendJSON":       "internal/compare/encode.go",
+		"Sweep.AppendJSON":            "internal/compare/encode.go",
+		"adviseAnswer.AppendJSON":     "internal/server/server.go",
 		// The request half: bytes to canonical key — the decoder
 		// primitives, every DecodeJSON, every key encoder.
 		"Decoder.Object":              "internal/jsondec/jsondec.go",

@@ -8,14 +8,15 @@ import (
 	"vmcloud/internal/money"
 )
 
-// The wire encoders of the compare family. A sweep's are written the
-// way internal/core's are: each AppendJSON reproduces encoding/json's
-// bytes for its struct, each MarshalJSON delegates to it. A comparison
-// has one writer, Comparison.AppendJSON, which reads the solved value;
-// its wire structs marshal by reflection, and are its reference. Key is
-// embedded in several wire structs (its members appear among theirs)
-// and stands alone in others, hence the two Key helpers; it has no
-// MarshalJSON of its own, which every struct embedding it would inherit.
+// The wire writers of the compare family. A comparison and a sweep each
+// have one writer, Comparison.AppendJSON and Sweep.AppendJSON, which
+// reads the solved value and writes exactly the bytes encoding/json
+// writes for its wire form (JSON()) without building it. The wire
+// structs have no encoder of their own: encoding/json marshals them by
+// reflection, and they are the decode contract and the reference the
+// writers are held to. Key is embedded in several wire structs (its
+// members appear among theirs) and stands alone in others, hence the
+// two Key helpers.
 
 // appendKeyFields appends k's members without braces.
 //
@@ -101,9 +102,13 @@ func (c *Comparison) AppendJSON(dst []byte) ([]byte, error) {
 			if i > 0 {
 				dst = append(dst, ',')
 			}
-			if dst, err = (ParetoEntryJSON{Key: p.Key, ParetoPointJSON: p.Point.JSON()}).AppendJSON(dst); err != nil {
+			dst = append(dst, '{')
+			dst = appendKeyFields(dst, p.Key)
+			dst = append(dst, ',')
+			if dst, err = p.Point.AppendWire(dst); err != nil {
 				return dst, err
 			}
+			dst = append(dst, '}')
 		}
 		dst = append(dst, ']')
 	}
@@ -132,8 +137,7 @@ func appendConfigResult(dst []byte, cfg *ConfigResult) ([]byte, error) {
 	dst = append(dst, '{')
 	dst = appendKeyFields(dst, cfg.Key)
 	dst = append(dst, `,"dataset_size":`...)
-	var sb [32]byte
-	dst = jsonenc.AppendString(dst, string(cfg.DatasetSize.AppendString(sb[:0])))
+	dst = cfg.DatasetSize.AppendJSON(dst)
 	var err error
 	if len(cfg.Results) > 0 {
 		dst = append(dst, `,"results":`...)
@@ -142,16 +146,10 @@ func appendConfigResult(dst []byte, cfg *ConfigResult) ([]byte, error) {
 		}
 	}
 	if len(cfg.Pareto) > 0 {
-		dst = append(dst, `,"pareto":[`...)
-		for i, p := range cfg.Pareto {
-			if i > 0 {
-				dst = append(dst, ',')
-			}
-			if dst, err = p.JSON().AppendJSON(dst); err != nil {
-				return dst, err
-			}
+		dst = append(dst, `,"pareto":`...)
+		if dst, err = core.AppendFrontier(dst, cfg.Pareto); err != nil {
+			return dst, err
 		}
-		dst = append(dst, ']')
 	}
 	return append(dst, '}'), nil
 }
@@ -217,22 +215,6 @@ func appendWinner(dst []byte, w *Winner) ([]byte, error) {
 	return append(dst, '}'), nil
 }
 
-// AppendJSON appends the frontier entry's wire form to dst: the key's
-// members followed by the point's, in one object.
-//
-//mvlint:hotpath
-func (p ParetoEntryJSON) AppendJSON(dst []byte) ([]byte, error) {
-	dst = append(dst, '{')
-	dst = appendKeyFields(dst, p.Key)
-	dst = append(dst, ',')
-	dst, err := p.ParetoPointJSON.AppendFields(dst)
-	return append(dst, '}'), err
-}
-
-// MarshalJSON implements json.Marshaler through AppendJSON. Without it
-// the embedded point's MarshalJSON would be promoted and drop the key.
-func (p ParetoEntryJSON) MarshalJSON() ([]byte, error) { return p.AppendJSON(nil) }
-
 // appendBreakEven writes the budget sweep. No flips are null, as
 // Comparison.JSON leaves them.
 //
@@ -281,32 +263,38 @@ func appendBudgets(dst []byte, budgets []money.Money) []byte {
 	return append(dst, ']')
 }
 
-// AppendJSON appends the grid cell's wire form to dst.
+// AppendJSON appends s's wire form to dst: the bytes of
+// json.Marshal(s.JSON()), its reference. It is the one writer of the
+// sweep's shape and reads every member from s, as Comparison.AppendJSON
+// does: each cell's recommendation through its own writer, the report
+// straight into dst.
 //
 //mvlint:hotpath
-func (c SweepCellJSON) AppendJSON(dst []byte) ([]byte, error) {
-	dst = append(dst, '{')
-	dst = appendKeyFields(dst, c.Key)
-	dst = append(dst, `,"dataset_size":`...)
-	dst = jsonenc.AppendString(dst, c.DatasetSize)
-	dst = append(dst, `,"recommendation":`...)
-	dst, err := c.Recommendation.AppendJSON(dst)
-	return append(dst, '}'), err
-}
-
-// MarshalJSON implements json.Marshaler through AppendJSON.
-func (c SweepCellJSON) MarshalJSON() ([]byte, error) { return c.AppendJSON(nil) }
-
-// AppendJSON appends the sweep's wire form to dst.
-//
-//mvlint:hotpath
-func (s SweepJSON) AppendJSON(dst []byte) ([]byte, error) {
-	var err error
+func (s *Sweep) AppendJSON(dst []byte) ([]byte, error) {
 	dst = append(dst, `{"scenario":`...)
 	dst = jsonenc.AppendString(dst, s.Scenario)
 	dst = append(dst, `,"cells":`...)
-	if dst, err = jsonenc.AppendArray(dst, s.Cells); err != nil {
-		return dst, err
+	if len(s.Cells) == 0 {
+		dst = append(dst, "null"...)
+	} else {
+		dst = append(dst, '[')
+		for i := range s.Cells {
+			if i > 0 {
+				dst = append(dst, ',')
+			}
+			c := &s.Cells[i]
+			dst = append(dst, '{')
+			dst = appendKeyFields(dst, c.Key)
+			dst = append(dst, `,"dataset_size":`...)
+			dst = c.DatasetSize.AppendJSON(dst)
+			dst = append(dst, `,"recommendation":`...)
+			var err error
+			if dst, _, err = c.Rec.AppendWire(dst, nil); err != nil {
+				return dst, err
+			}
+			dst = append(dst, '}')
+		}
+		dst = append(dst, ']')
 	}
 	dst = append(dst, `,"best":`...)
 	dst = appendKey(dst, s.Best)
@@ -318,15 +306,7 @@ func (s SweepJSON) AppendJSON(dst []byte) ([]byte, error) {
 		dst = append(dst, `,"degraded":true`...)
 	}
 	dst = append(dst, `,"report":`...)
-	if s.src != nil {
-		w := jsonenc.StringText(dst)
-		s.src.appendReport(&w)
-		dst = w.Close()
-	} else {
-		dst = jsonenc.AppendString(dst, s.Report)
-	}
-	return append(dst, '}'), nil
+	w := jsonenc.StringText(dst)
+	s.appendReport(&w)
+	return append(w.Close(), '}'), nil
 }
-
-// MarshalJSON implements json.Marshaler through AppendJSON.
-func (s SweepJSON) MarshalJSON() ([]byte, error) { return s.AppendJSON(nil) }

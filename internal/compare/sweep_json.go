@@ -102,56 +102,25 @@ type SweepJSON struct {
 	Degraded bool `json:"degraded,omitempty"`
 	// Report is the human-readable rendering (Sweep.Render).
 	Report string `json:"report"`
-	// src, set by Sweep.AppendJSON, has the encoder render the report
-	// from the sweep straight into its output; Report is then unused.
-	src *Sweep
 }
 
-// JSON renders the sweep in wire form.
-func (s *Sweep) JSON() SweepJSON { return s.wire(false) }
-
-// AppendJSON appends the wire form's encoding to dst — the bytes of
-// json.Marshal(s.JSON()), with no report rendered into a string and no
-// recommendation copied on the way: the encoder writes each one, report
-// included, directly into dst.
-func (s *Sweep) AppendJSON(dst []byte) ([]byte, error) {
-	return s.wire(true).AppendJSON(dst)
-}
-
-// recWire converts one cell's recommendation, leaving every member to
-// the encoder when lazy.
-func recWire(r *core.Recommendation, lazy bool) core.RecommendationJSON {
-	if lazy {
-		return r.LazyJSON()
-	}
-	return r.JSON()
-}
-
-// wire builds the wire form. When lazy, reports and recommendations are
-// left to the encoder (see core.Recommendation.LazyJSON) and the result
-// is only good for AppendJSON while s is unchanged.
-func (s *Sweep) wire(lazy bool) SweepJSON {
+// JSON renders the sweep in wire form: the reference Sweep.AppendJSON's
+// bytes are held to, and what encoding/json marshals for a caller that
+// wants the struct.
+func (s *Sweep) JSON() SweepJSON {
 	out := SweepJSON{
 		Scenario: s.Scenario,
 		Best:     s.Best,
 		Skipped:  s.Skipped,
 		Degraded: s.Degraded,
-	}
-	if lazy {
-		out.src = s
-	} else {
-		out.Report = s.Render()
+		Report:   s.Render(),
 	}
 	if len(s.Cells) > 0 {
 		out.Cells = make([]SweepCellJSON, len(s.Cells))
 	}
 	for i := range s.Cells {
 		c := &s.Cells[i]
-		out.Cells[i] = SweepCellJSON{
-			Key:            c.Key,
-			DatasetSize:    c.DatasetSize.String(),
-			Recommendation: recWire(&c.Rec, lazy),
-		}
+		out.Cells[i] = SweepCellJSON{Key: c.Key, DatasetSize: c.DatasetSize.String(), Recommendation: c.Rec.JSON()}
 	}
 	return out
 }

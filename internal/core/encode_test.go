@@ -13,42 +13,47 @@ import (
 	"vmcloud/internal/wiretest"
 )
 
-// checkRecommendation holds a recommendation's routes to the wire
-// together: the eager wire form, encoding/json's reflection over its
-// fields, and the served routes, which read every member from the
-// solved value (LazyJSON, AppendWire). The value route is also taken a
-// second time after the first, under another scenario, feasibility and
-// strategy, with the answer's bytes copied from the first.
+// checkRecommendation holds a recommendation's writer, AppendWire,
+// which reads every member from the solved value, to json.Marshal of its
+// eager wire form. The writer is also taken a second time after the
+// first, under another scenario, feasibility and strategy, with the
+// answer's bytes copied from the first.
 func checkRecommendation(t *testing.T, what string, rec core.Recommendation) {
 	t.Helper()
 	eager := rec.JSON()
-	wiretest.Check(t, what, eager)
-	want, _ := eager.AppendJSON(nil)
-	if got, err := rec.LazyJSON().AppendJSON(nil); err != nil || string(got) != string(want) {
-		t.Fatalf("%s: lazy encoding differs from eager (err %v):\ngot:  %s\nwant: %s", what, err, got, want)
-	}
+	want := wiretest.Want(t, what, eager)
 	got, span, err := rec.AppendWire([]byte("["), nil)
 	if err != nil || string(got[1:]) != string(want) {
-		t.Fatalf("%s: encoding from the value differs from eager (err %v):\ngot:  %s\nwant: %s", what, err, got[1:], want)
+		t.Fatalf("%s: AppendWire differs from encoding/json (err %v):\ngot:  %s\nwant: %s", what, err, got[1:], want)
 	}
 	again := rec
 	again.Scenario, again.Selection.Feasible, again.Selection.Strategy = "<again>", !rec.Selection.Feasible, rec.Selection.Strategy+"\u2028"
 	if !again.SameAnswer(&rec) {
 		t.Fatalf("%s: a recommendation's answer differs from its own", what)
 	}
-	wantAgain, _ := again.JSON().AppendJSON(nil)
+	wantAgain := wiretest.Want(t, what, again.JSON())
 	mark := len(got)
 	if got, _, err = again.AppendWire(append(got, ','), &span); err != nil || string(got[mark+1:]) != string(wantAgain) {
-		t.Fatalf("%s: the copied answer differs from eager (err %v):\ngot:  %s\nwant: %s", what, err, got[mark+1:], wantAgain)
+		t.Fatalf("%s: the copied answer differs from encoding/json (err %v):\ngot:  %s\nwant: %s", what, err, got[mark+1:], wantAgain)
 	}
 	if eager.Report != rec.Render() || eager.Report != string(rec.AppendReport(nil)) {
 		t.Fatalf("%s: Render, AppendReport and the wire report disagree", what)
 	}
 }
 
-// TestAppendJSONMatchesReflection: the hand-written wire encoders write
-// the bytes encoding/json writes, for solved problems and for seeded
-// hostile values.
+// checkFrontier holds the frontier writer, AppendFrontier, to
+// json.Marshal of the eager wire form.
+func checkFrontier(t *testing.T, what string, front []core.ParetoPoint) {
+	t.Helper()
+	want := wiretest.Want(t, what, core.ParetoJSON(front))
+	if got, err := core.AppendFrontier([]byte("prefix"), front); err != nil || string(got) != "prefix"+string(want) {
+		t.Fatalf("%s: AppendFrontier differs from encoding/json (err %v):\ngot:  %s\nwant: prefix%s", what, err, got, want)
+	}
+}
+
+// TestAppendJSONMatchesReflection: the wire writers write the bytes
+// encoding/json writes for the wire structs, for solved problems and for
+// seeded hostile values.
 func TestAppendJSONMatchesReflection(t *testing.T) {
 	t.Run("solved", func(t *testing.T) {
 		past, cancel := context.WithDeadline(context.Background(), time.Unix(0, 0))
@@ -95,56 +100,67 @@ func TestAppendJSONMatchesReflection(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			for _, p := range core.ParetoJSON(front) {
-				wiretest.Check(t, "pareto point", p)
-			}
+			checkFrontier(t, "pareto", front)
 		}
 	})
 	t.Run("random", func(t *testing.T) {
 		rng := rand.New(rand.NewSource(15))
 		for i := 0; i < 600; i++ {
 			checkRecommendation(t, "random recommendation", wiretest.Recommendation(rng))
-			for _, p := range core.ParetoJSON(wiretest.Pareto(rng)) {
-				wiretest.Check(t, "random pareto point", p)
-			}
-			// Wire structs as a decoder or a caller may have left them:
-			// nil where JSON() forces empty, and any float.
-			j := wiretest.Recommendation(rng).JSON()
-			j.Hours, j.Base.Hours, j.Gains.Time, j.Gains.Cost = wiretest.Float(rng), wiretest.Float(rng), wiretest.Float(rng), wiretest.Float(rng)
-			j.Time, j.Base.Time, j.Report = wiretest.String(rng), wiretest.String(rng), wiretest.String(rng)
-			if i%3 == 0 {
-				j.Views, j.Points = nil, nil
-			}
-			wiretest.Check(t, "random wire recommendation", j)
+			checkFrontier(t, "random pareto", wiretest.Pareto(rng))
 		}
 	})
 }
 
-// TestAppendJSONUnsupportedFloat: a NaN or an infinity anywhere in a
-// wire struct is an error from its encoder, as it is from
-// encoding/json — never bytes.
+// TestAppendJSONUnsupportedFloat: a NaN or an infinity in a frontier
+// point is an error from its writer, as it is from encoding/json —
+// never bytes.
 func TestAppendJSONUnsupportedFloat(t *testing.T) {
-	rng := rand.New(rand.NewSource(1))
 	for _, bad := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
-		for field := 0; field < 4; field++ {
-			j := wiretest.Recommendation(rng).JSON()
-			*[]*float64{&j.Hours, &j.Base.Hours, &j.Gains.Time, &j.Gains.Cost}[field] = bad
-			if _, err := wiretest.Reference(j); err == nil {
-				t.Fatal("reference encoder accepted", bad)
-			}
-			if _, err := j.AppendJSON(nil); err == nil || !strings.Contains(err.Error(), "unsupported value") {
-				t.Errorf("field %d = %v: AppendJSON error = %v", field, bad, err)
-			}
+		p := core.ParetoPoint{Alpha: bad}
+		if _, err := wiretest.Reference(p.JSON()); err == nil {
+			t.Fatal("reference encoder accepted", bad)
 		}
-		p := core.ParetoPointJSON{Alpha: bad}
-		if _, err := p.AppendJSON(nil); err == nil {
-			t.Errorf("pareto alpha = %v: AppendJSON returned no error", bad)
+		if _, err := p.AppendWire(nil); err == nil || !strings.Contains(err.Error(), "unsupported value") {
+			t.Errorf("pareto alpha = %v: AppendWire error = %v", bad, err)
+		}
+		if _, err := core.AppendFrontier(nil, []core.ParetoPoint{{}, p}); err == nil {
+			t.Errorf("pareto alpha = %v: AppendFrontier returned no error", bad)
 		}
 	}
 }
 
-// benchRecommendation is the paper's mv1 problem at a $25 budget.
-func benchRecommendation(tb testing.TB) core.Recommendation {
+// TestEncodeAllocBudget gates the encode of a recommendation and of the
+// paper's 11-step frontier in allocations: none. The writers build no
+// wire struct — every member is read from the solved value, each
+// duration's text rendered on the stack, the report written into the
+// output. A recommendation cost 3 while its served encode built the wire
+// struct (its points slice and two duration strings), and 4 while the
+// report's table was a heap object; the frontier cost 13 through its
+// wire structs. Server's TestAdviseEncodeAllocBudget holds every
+// scenario's whole body to the same.
+func TestEncodeAllocBudget(t *testing.T) {
+	adv := benchAdvisor(t)
+	rec, err := adv.AdviseBudget(money.MustParse("$25"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	buf := make([]byte, 0, 4096)
+	if allocs := testing.AllocsPerRun(100, func() { buf, _, _ = rec.AppendWire(buf[:0], nil) }); allocs > 0 {
+		t.Errorf("advise encode costs %.0f allocs, budget 0", allocs)
+	}
+	front, err := adv.ParetoFront(11)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if allocs := testing.AllocsPerRun(100, func() { buf, _ = core.AppendFrontier(buf[:0], front) }); allocs > 0 {
+		t.Errorf("pareto encode costs %.0f allocs, budget 0", allocs)
+	}
+}
+
+// benchAdvisor is the paper's problem: ten queries, each run thirty
+// times a month.
+func benchAdvisor(tb testing.TB) *core.Advisor {
 	cfg, err := core.ConfigJSON{Queries: 10, Frequency: 30}.Config()
 	if err != nil {
 		tb.Fatal(err)
@@ -153,30 +169,17 @@ func benchRecommendation(tb testing.TB) core.Recommendation {
 	if err != nil {
 		tb.Fatal(err)
 	}
-	rec, err := adv.AdviseBudget(money.MustParse("$25"))
-	if err != nil {
-		tb.Fatal(err)
-	}
-	return rec
+	return adv
 }
 
-// TestEncodeAllocBudget gates the served encode of one recommendation
-// in allocations: none. LazyJSON copies nothing, and every member is
-// written from the recommendation, each duration's text on the stack.
-// It was 3 while LazyJSON built the wire struct (its points slice and
-// two duration strings), and 4 while the report's table was a heap
-// object.
-func TestEncodeAllocBudget(t *testing.T) {
-	rec := benchRecommendation(t)
-	buf := make([]byte, 0, 4096)
-	if allocs := testing.AllocsPerRun(100, func() { buf, _ = rec.LazyJSON().AppendJSON(buf[:0]) }); allocs > 0 {
-		t.Errorf("advise encode costs %.0f allocs, budget 0", allocs)
-	}
-}
-
+// BenchmarkAdviseEncode measures the served encode of the paper's mv1
+// answer at a $25 budget.
 func BenchmarkAdviseEncode(b *testing.B) {
-	rec := benchRecommendation(b)
-	buf, err := rec.LazyJSON().AppendJSON(make([]byte, 0, 4096))
+	rec, err := benchAdvisor(b).AdviseBudget(money.MustParse("$25"))
+	if err != nil {
+		b.Fatal(err)
+	}
+	buf, _, err := rec.AppendWire(make([]byte, 0, 4096), nil)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -184,6 +187,6 @@ func BenchmarkAdviseEncode(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		buf, _ = rec.LazyJSON().AppendJSON(buf[:0])
+		buf, _, _ = rec.AppendWire(buf[:0], nil)
 	}
 }

@@ -312,9 +312,6 @@ type RecommendationJSON struct {
 	Gains  ImprovementJSON `json:"improvement"`
 	// Report is the human-readable rendering (Recommendation.Render).
 	Report string `json:"report"`
-	// rec, set by LazyJSON, has AppendJSON write every member from the
-	// recommendation; the fields above are then unset.
-	rec *Recommendation
 }
 
 // BaselineJSON is the no-view reference configuration.
@@ -330,8 +327,10 @@ type ImprovementJSON struct {
 	Cost float64 `json:"cost"`
 }
 
-// JSON renders the recommendation in wire form. The result shares the
-// recommendation's view names and points; treat it as read-only.
+// JSON renders the recommendation in wire form: the reference
+// AppendWire's bytes are held to, and what encoding/json marshals for a
+// caller that wants the struct. The result shares the recommendation's
+// view names and points; treat it as read-only.
 func (r Recommendation) JSON() RecommendationJSON {
 	views := r.ViewNames
 	if views == nil {
@@ -362,14 +361,6 @@ func (r Recommendation) JSON() RecommendationJSON {
 		},
 		Report: r.Render(),
 	}
-}
-
-// LazyJSON is JSON for a caller that only goes on to encode the result:
-// it copies nothing, and AppendJSON writes every member, the report
-// included, from r straight into its output (Recommendation.AppendWire).
-// Its fields are unset; r must stay unchanged until it is encoded.
-func (r *Recommendation) LazyJSON() RecommendationJSON {
-	return RecommendationJSON{rec: r}
 }
 
 // ParetoPointJSON is the wire form of one frontier point.

@@ -1,11 +1,14 @@
 // Package jsonenc holds the append-only JSON primitives the wire
-// encoders (the AppendJSON methods of internal/core, internal/compare
-// and internal/server) are written in. Each primitive reproduces
-// encoding/json's output byte for byte — string escaping with HTML
-// safety on, the float format, null for nil slices — so a hand-written
-// encoder and the reflection encoder are interchangeable on the wire;
-// the tests in this package and the differential tests next to each
-// encoder hold the two together.
+// writers are written in: each served body's one writer, which reads
+// the solved value (Comparison.AppendJSON and Sweep.AppendJSON in
+// internal/compare, the advise body's in internal/server, over
+// Recommendation.AppendWire and ParetoPoint.AppendWire in
+// internal/core), and the request structs' key encoders. Each primitive
+// reproduces encoding/json's output byte for byte — string escaping
+// with HTML safety on, the float format, null for nil slices — so a
+// writer's bytes are the ones encoding/json's reflection writes for the
+// wire struct; the tests in this package and the differential tests
+// next to each writer hold the two together.
 package jsonenc
 
 import (

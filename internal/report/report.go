@@ -27,9 +27,10 @@ type Table struct {
 	// The rows are one byte stream: per cell a mark — text length and
 	// display width, a uint32 each — followed by the text, and per row a
 	// closing rowEnd word. The stream fills inline first and moves to
-	// spill, whole, when it outgrows it.
+	// spill, whole, when it outgrows it; inline holds a ten-cell sweep's
+	// grid (about 130 bytes a row).
 	n      int
-	inline [512]byte
+	inline [2048]byte
 	spill  []byte
 }
 

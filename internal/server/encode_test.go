@@ -14,30 +14,21 @@ import (
 
 	"vmcloud/internal/compare"
 	"vmcloud/internal/core"
+	"vmcloud/internal/units"
 	"vmcloud/internal/wiretest"
 )
 
 // checkServed holds one served body to encoding/json: decoded into its
-// wire struct, the struct must encode — by reflection over its fields
-// alone, by json.Marshal, and by its hand-written encoder when it has
-// one — to exactly the bytes served.
+// wire struct, the struct must marshal — by json.Marshal, which is
+// reflection over its fields alone — to exactly the bytes served.
 func checkServed[T any](t *testing.T, what string, body []byte) T {
 	t.Helper()
 	var resp T
 	if err := json.Unmarshal(body, &resp); err != nil {
 		t.Fatalf("%s: served body does not decode: %v", what, err)
 	}
-	want, err := wiretest.Reference(resp)
-	if err != nil || string(body) != string(want)+"\n" {
-		t.Fatalf("%s: served body is not what encoding/json writes for it (err %v):\ngot:  %s\nwant: %s", what, err, body, want)
-	}
-	if got, err := json.Marshal(resp); err != nil || string(got) != string(want) {
-		t.Fatalf("%s: json.Marshal differs from the reflection encoder (err %v):\ngot:  %s\nwant: %s", what, err, got, want)
-	}
-	if v, ok := any(resp).(interface {
-		AppendJSON([]byte) ([]byte, error)
-	}); ok {
-		wiretest.Check(t, what, v)
+	if want := wiretest.Want(t, what, resp); string(body) != string(want)+"\n" {
+		t.Fatalf("%s: served body is not what encoding/json writes for it:\ngot:  %s\nwant: %s", what, body, want)
 	}
 	return resp
 }
@@ -104,37 +95,66 @@ func TestServedBodiesMatchReflection(t *testing.T) {
 	}
 }
 
-// TestAdviseResponseAppendJSONMatchesReflection covers what no solve
-// returns: seeded hostile responses, with and without each optional
-// member.
-func TestAdviseResponseAppendJSONMatchesReflection(t *testing.T) {
+// TestAdviseBodyMatchesReflection covers what no solve returns: seeded
+// hostile answers, recommendations and frontiers (empty ones included),
+// degraded and not.
+func TestAdviseBodyMatchesReflection(t *testing.T) {
 	rng := rand.New(rand.NewSource(15))
 	for i := 0; i < 500; i++ {
-		resp := AdviseResponse{
-			Scenario:    wiretest.String(rng),
-			DatasetSize: wiretest.String(rng),
-			Candidates:  rng.Intn(40) - 2,
-			Degraded:    rng.Intn(4) == 0,
+		rec := wiretest.Recommendation(rng)
+		a := adviseAnswer{
+			scenario:   wiretest.String(rng),
+			size:       units.DataSize(rng.Int63n(1 << 50)),
+			candidates: rng.Intn(40) - 2,
+			rec:        &rec,
 		}
-		switch rng.Intn(3) {
-		case 0:
-			rec := wiretest.Recommendation(rng)
-			rj := rec.JSON()
-			resp.Recommendation = &rj
-			if rng.Intn(2) == 0 {
-				// The served route: the lazy form writes every member
-				// from rec, the bytes the eager form's fields encode to.
-				lazy, lj := resp, rec.LazyJSON()
-				lazy.Recommendation = &lj
-				want, _ := resp.AppendJSON(nil)
-				if got, err := lazy.AppendJSON(nil); err != nil || string(got) != string(want) {
-					t.Fatalf("lazy advise response differs from eager (err %v):\ngot:  %s\nwant: %s", err, got, want)
-				}
+		if rng.Intn(2) == 0 {
+			a.front = wiretest.Pareto(rng)
+			if a.front == nil {
+				a.front = []core.ParetoPoint{}
 			}
-		case 1:
-			resp.Pareto = core.ParetoJSON(wiretest.Pareto(rng))
 		}
-		wiretest.Check(t, "random advise response", resp)
+		want := wiretest.Want(t, "random advise response", a.JSON())
+		if got, err := a.AppendJSON([]byte("prefix")); err != nil || string(got) != "prefix"+string(want) {
+			t.Fatalf("advise body differs from encoding/json (err %v):\ngot:  %s\nwant: prefix%s", err, got, want)
+		}
+	}
+}
+
+// TestAdviseEncodeAllocBudget gates the served encode of every advise
+// scenario's body in allocations: none. The writer builds no wire
+// struct; the dataset size's text is rendered on the stack.
+func TestAdviseEncodeAllocBudget(t *testing.T) {
+	buf := make([]byte, 0, 4096)
+	for _, body := range []string{
+		adviseBody("mv1", `"budget":25`),
+		adviseBody("mv2", `"limit":"4h"`),
+		adviseBody("mv3", `"alpha":0.5`),
+		adviseBody("pareto", `"steps":11`),
+	} {
+		var req AdviseRequest
+		if err := json.Unmarshal([]byte(body), &req); err != nil {
+			t.Fatal(err)
+		}
+		if err := req.Normalize(); err != nil {
+			t.Fatal(err)
+		}
+		cfg, err := req.Resolve()
+		if err != nil {
+			t.Fatal(err)
+		}
+		adv, err := core.New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rec, front, err := req.Advise(adv)
+		if err != nil {
+			t.Fatal(err)
+		}
+		a := adviseAnswer{scenario: req.Scenario, size: core.DatasetSizeOf(adv), candidates: len(adv.Candidates), rec: &rec, front: front}
+		if allocs := testing.AllocsPerRun(50, func() { buf, _ = a.AppendJSON(buf[:0]) }); allocs > 0 {
+			t.Errorf("%s encode costs %.0f allocs, budget 0", req.Scenario, allocs)
+		}
 	}
 }
 
@@ -179,7 +199,10 @@ func TestErrorBodyMatchesEncodingJSON(t *testing.T) {
 // instead of copying it into a wire struct, a compare row wrote each
 // distinct answer once and a session cut its solve scratch at its size
 // (advise 69, sweep 180), and 190 before a request stopped deep-copying
-// the tariffs it only reads (sweep 158).
+// the tariffs it only reads (sweep 158). The advise and sweep bodies
+// were built as wire structs until they were written from the solved
+// value, as the comparison's is (advise mv1 66, mv3 68, pareto 93,
+// sweep 150).
 func TestMissAllocBudget(t *testing.T) {
 	for _, c := range []struct {
 		name, path string
@@ -189,10 +212,16 @@ func TestMissAllocBudget(t *testing.T) {
 		{"load-compare-2x2", "/v1/compare", compareMiss2x2Body, 190}, // 182
 		{"paper16-mv1", "/v1/advise", func(n int) []byte {
 			return fmt.Appendf(nil, `{"scenario":"mv1","budget":25,"queries":10,"frequency":30,"fact_rows":%d}`, 200_000_000+n)
+		}, 67}, // 64
+		{"paper16-mv3", "/v1/advise", func(n int) []byte {
+			return fmt.Appendf(nil, `{"scenario":"mv3","alpha":0.5,"queries":10,"frequency":30,"fact_rows":%d}`, 200_000_000+n)
 		}, 69}, // 66
+		{"paper16-pareto", "/v1/advise", func(n int) []byte {
+			return fmt.Appendf(nil, `{"scenario":"pareto","steps":11,"queries":10,"frequency":30,"fact_rows":%d}`, 200_000_000+n)
+		}, 84}, // 80
 		{"sweep-2x2", "/v1/sweep", func(n int) []byte {
 			return fmt.Appendf(nil, `{"budget":25,"providers":["aws-2012","cumulus"],"fleet_sizes":[3,5],"fact_rows":%d,"queries":10,"frequency":30}`, 50_000_000+n)
-		}, 157}, // 150
+		}, 151}, // 144
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			s := New(Options{CacheSize: 1})

@@ -279,26 +279,15 @@ func (r *adviseRequest) solve(ctx context.Context, _ *Server, tr *obs.Trace) ([]
 	if err != nil {
 		return nil, false, err
 	}
-	resp := AdviseResponse{
-		Scenario:    r.Scenario,
-		DatasetSize: core.DatasetSizeOf(adv).String(),
-		Candidates:  len(adv.Candidates),
+	ans := adviseAnswer{
+		scenario:   r.Scenario,
+		size:       core.DatasetSizeOf(adv),
+		candidates: len(adv.Candidates),
+		rec:        &rec,
+		front:      front,
 	}
-	if front != nil {
-		resp.Pareto = core.ParetoJSON(front)
-		for _, p := range front {
-			if p.Degraded {
-				resp.Degraded = true
-				break
-			}
-		}
-	} else {
-		rj := rec.LazyJSON()
-		resp.Recommendation = &rj
-		resp.Degraded = rec.Selection.Degraded
-	}
-	b, err := encodeBody(tr, &resp)
-	return b, resp.Degraded, err
+	b, err := encodeBody(tr, &ans)
+	return b, ans.degraded(), err
 }
 
 type compareRequest struct{ compare.RequestJSON }

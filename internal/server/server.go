@@ -62,6 +62,7 @@ import (
 	"vmcloud/internal/obs"
 	"vmcloud/internal/pricing"
 	"vmcloud/internal/report"
+	"vmcloud/internal/units"
 )
 
 // Options tunes a Server. Zero values select sensible defaults.
@@ -351,39 +352,73 @@ type AdviseResponse struct {
 	Degraded bool `json:"degraded,omitempty"`
 }
 
-// AppendJSON appends the response's wire form to dst, byte for byte
-// what encoding/json writes for the struct (see internal/core's
-// encoders; TestAppendJSONMatchesReflection).
+// adviseAnswer is a solved advise request, what its body is written
+// from: the recommendation, or for "pareto" the frontier (front non-nil).
+type adviseAnswer struct {
+	scenario   string
+	size       units.DataSize
+	candidates int
+	rec        *core.Recommendation
+	front      []core.ParetoPoint
+}
+
+// degraded reports whether the solve stopped at its deadline: the
+// recommendation, or some frontier point, is a best incumbent.
+func (a *adviseAnswer) degraded() bool {
+	if a.front == nil {
+		return a.rec.Selection.Degraded
+	}
+	for i := range a.front {
+		if a.front[i].Degraded {
+			return true
+		}
+	}
+	return false
+}
+
+// JSON renders the answer in wire form: the reference AppendJSON's
+// bytes are held to, as Comparison.JSON is the comparison writer's.
+func (a *adviseAnswer) JSON() AdviseResponse {
+	resp := AdviseResponse{Scenario: a.scenario, DatasetSize: a.size.String(), Candidates: a.candidates, Degraded: a.degraded()}
+	if a.front != nil {
+		resp.Pareto = core.ParetoJSON(a.front)
+	} else {
+		rj := a.rec.JSON()
+		resp.Recommendation = &rj
+	}
+	return resp
+}
+
+// AppendJSON appends a's wire form to dst: the bytes of
+// json.Marshal(a.JSON()), which it does not build. It is the advise
+// body's one writer and reads every member from the solved value, as
+// Comparison.AppendJSON does.
 //
 //mvlint:hotpath
-func (r AdviseResponse) AppendJSON(dst []byte) ([]byte, error) {
-	var err error
+func (a *adviseAnswer) AppendJSON(dst []byte) ([]byte, error) {
 	dst = append(dst, `{"scenario":`...)
-	dst = jsonenc.AppendString(dst, r.Scenario)
+	dst = jsonenc.AppendString(dst, a.scenario)
 	dst = append(dst, `,"dataset_size":`...)
-	dst = jsonenc.AppendString(dst, r.DatasetSize)
+	dst = a.size.AppendJSON(dst)
 	dst = append(dst, `,"candidates":`...)
-	dst = strconv.AppendInt(dst, int64(r.Candidates), 10)
-	if r.Recommendation != nil {
+	dst = strconv.AppendInt(dst, int64(a.candidates), 10)
+	var err error
+	switch {
+	case a.front == nil:
 		dst = append(dst, `,"recommendation":`...)
-		if dst, err = r.Recommendation.AppendJSON(dst); err != nil {
-			return dst, err
-		}
-	}
-	if len(r.Pareto) > 0 {
+		dst, _, err = a.rec.AppendWire(dst, nil)
+	case len(a.front) > 0:
 		dst = append(dst, `,"pareto":`...)
-		if dst, err = jsonenc.AppendArray(dst, r.Pareto); err != nil {
-			return dst, err
-		}
+		dst, err = core.AppendFrontier(dst, a.front)
 	}
-	if r.Degraded {
+	if err != nil {
+		return dst, err
+	}
+	if a.degraded() {
 		dst = append(dst, `,"degraded":true`...)
 	}
 	return append(dst, '}'), nil
 }
-
-// MarshalJSON implements json.Marshaler through AppendJSON.
-func (r AdviseResponse) MarshalJSON() ([]byte, error) { return r.AppendJSON(nil) }
 
 // encodeBufPool holds the scratch the miss path encodes into, so that
 // a body is sized once, exactly, when it is copied out for the cache.
@@ -405,7 +440,7 @@ func putBuf(pool *sync.Pool, rb *reqBuf) {
 	pool.Put(rb)
 }
 
-// encodeBody runs a wire encoder and returns the newline-terminated
+// encodeBody runs a body's writer and returns the newline-terminated
 // response body in a slice of exactly its length — the cache owns it
 // from here, and its byte bound counts len, not cap. The encode phase
 // is timed on tr.

@@ -10,13 +10,20 @@ import (
 // bytes. The string form rounds to two decimals, so a marshal/unmarshal
 // round trip is for display, not byte-exact accounting.
 
-// MarshalJSON renders the size as a quoted unit string. The display
-// form holds only digits, '-', '.', a space and the unit letters, so it
-// needs no escaping.
+// MarshalJSON renders the size as a quoted unit string.
 func (s DataSize) MarshalJSON() ([]byte, error) {
-	b := append(make([]byte, 0, 32), '"')
-	b = s.AppendString(b)
-	return append(b, '"'), nil
+	return s.AppendJSON(make([]byte, 0, 32)), nil
+}
+
+// AppendJSON appends the quoted unit string to dst. The display form
+// holds only digits, '-', '.', a space and the unit letters, so it needs
+// no escaping.
+//
+//mvlint:hotpath
+func (s DataSize) AppendJSON(dst []byte) []byte {
+	dst = append(dst, '"')
+	dst = s.AppendString(dst)
+	return append(dst, '"')
 }
 
 // UnmarshalJSON parses a size string or a JSON number of bytes.

@@ -1,8 +1,9 @@
-// Package wiretest is what the tests of the wire encoders (the
-// AppendJSON methods of internal/core, internal/compare and
-// internal/server) share: the reference encoding — encoding/json
-// itself, run over a method-less mirror of the value — and seeded
-// generators of hostile results to encode.
+// Package wiretest is what the tests of the wire writers (each served
+// body's one writer in internal/core, internal/compare and
+// internal/server, which reads the solved value) share: the reference
+// encoding — encoding/json itself, run over a method-less mirror of the
+// value's wire struct — and seeded generators of hostile results to
+// encode.
 package wiretest
 
 import (
@@ -82,22 +83,17 @@ func mirror(v reflect.Value) reflect.Value {
 	return out
 }
 
-// Check fails t unless v's hand-written encoder — called directly, and
-// through json.Marshal (which also proves the bytes are valid JSON) —
-// writes exactly the Reference bytes.
-func Check(t testing.TB, what string, v interface {
-	AppendJSON([]byte) ([]byte, error)
-}) {
+// Want returns json.Marshal(v), the bytes a served writer is held to,
+// and fails t unless they are Reference's: v's wire structs must marshal
+// by reflection alone, with no encoder of their own beside the writer.
+func Want(t testing.TB, what string, v any) []byte {
 	t.Helper()
 	want, err := Reference(v)
 	if err != nil {
 		t.Fatalf("%s: reference encoder: %v", what, err)
 	}
-	got, err := v.AppendJSON([]byte("prefix"))
-	if err != nil || string(got) != "prefix"+string(want) {
-		t.Fatalf("%s: AppendJSON differs from encoding/json (err %v):\ngot:  %s\nwant: prefix%s", what, err, got, want)
-	}
 	if got, err := json.Marshal(v); err != nil || string(got) != string(want) {
 		t.Fatalf("%s: json.Marshal differs from the reflection encoder (err %v):\ngot:  %s\nwant: %s", what, err, got, want)
 	}
+	return want
 }
