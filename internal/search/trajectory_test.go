@@ -20,10 +20,11 @@ import (
 
 var updateTrajectory = flag.Bool("update", false, "rewrite testdata/trajectory.json from the current solver")
 
-// trajectoryRow is one pinned solve: the whole answer plus the two
+// trajectoryRow is one pinned solve: the whole answer plus the three
 // counters that move if the solver visits states in a different order
 // (the evaluation budget is shared by every stage, so a changed probe
-// sequence changes where it runs dry and what gets cached).
+// sequence changes where it runs dry, what gets cached and how far the
+// engine walks).
 type trajectoryRow struct {
 	Case   string  `json:"case"`
 	Points [][]int `json:"points"`
@@ -35,6 +36,8 @@ type trajectoryRow struct {
 	Degraded     bool     `json:"degraded"`
 	Evals        int      `json:"evals"`
 	CachedStates int      `json:"cached_states"`
+	// Moves is the engine's Add/Drop count over the solve.
+	Moves int64 `json:"moves"`
 }
 
 type trajectoryPool struct {
@@ -126,6 +129,7 @@ func TestSearchTrajectoryPinned(t *testing.T) {
 						Degraded:     sel.Degraded,
 						Evals:        s.evals,
 						CachedStates: s.cache.len(),
+						Moves:        s.inc.Moves(),
 					}
 					for _, pt := range sel.Points {
 						row.Points = append(row.Points, pt)
