@@ -188,7 +188,9 @@ func BenchmarkAblationKnapsackVsExhaustive(b *testing.B) {
 		var sel optimizer.Selection
 		sc := optimizer.Budget(budget)
 		for i := 0; i < b.N; i++ {
-			sel, err = s.Ev.SolveExhaustive(s.Cands, sc.Score, sc.Met)
+			sel, err = s.Ev.SolveExhaustive(s.Cands, func(t time.Duration, bill costmodel.Bill) float64 {
+				return sc.Score(optimizer.Outcome{Time: t, Cost: bill.Total()})
+			}, sc.Met)
 			if err != nil {
 				b.Fatal(err)
 			}

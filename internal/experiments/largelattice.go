@@ -78,7 +78,7 @@ type LargeLatticeResult struct {
 // MV3Objective evaluates the raw Formula 15 objective for an outcome.
 func (r *LargeLatticeResult) MV3Objective(o SolverOutcome) float64 {
 	sc, _ := optimizer.Tradeoff(r.Alpha, optimizer.RawTradeoff, 0, costmodel.Bill{}) // Alpha is largeAlpha, in [0,1]
-	return sc.Score(o.Time, o.Bill)
+	return sc.Score(optimizer.Outcome{Time: o.Time, Cost: o.Bill.Total()})
 }
 
 // RunLargeLattice generates the lattice and workload for a seed, which

@@ -145,7 +145,8 @@ func RunMV3(alpha float64) ([]MV3Row, error) {
 		if err != nil {
 			return nil, err
 		}
-		objWithout, objWith := sc.Score(baseT, baseBill), sc.Score(sel.Time, sel.Bill)
+		objWithout := sc.Score(optimizer.Outcome{Time: baseT, Cost: baseBill.Total()})
+		objWith := sc.Score(optimizer.Outcome{Time: sel.Time, Cost: sel.Bill.Total()})
 		rows = append(rows, MV3Row{
 			Queries:    n,
 			Alpha:      alpha,

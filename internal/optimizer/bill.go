@@ -16,8 +16,8 @@ import (
 // price and fleet size, the billing granularity and period, the storage
 // tier table and horizon, and the egress charge. What is left per call
 // is the arithmetic on the four view-dependent aggregates. The served
-// bill — Score, Probe and the KernelSession's exact evaluations — is
-// priced here; Plan.Bill, through Evaluator.Evaluate, stays the
+// bill — Score, the KernelSession's exact evaluations, and Probe's time
+// and total (outcome) — is priced here; Plan.Bill, through Evaluator.Evaluate, stays the
 // formula-by-formula oracle it is held to bit for bit
 // (FuzzIncrementalMoves, TestCompiledBillMatchesPlanBill).
 type compiledBill struct {
@@ -120,21 +120,42 @@ func exactProduct(a, b int64) (int64, bool) {
 //
 //mvlint:hotpath
 func (c *compiledBill) price(proc, maint, mat time.Duration, size units.DataSize) (time.Duration, costmodel.Bill, error) {
-	if size < 0 || proc < 0 || maint < 0 || mat < 0 {
-		// Overflowed aggregates: Plan.Bill owns the rejection.
-		_, err := c.plan.WithViews(size, proc, maint, mat).Bill()
+	storage, err := c.checked(proc, maint, mat, size)
+	if err != nil {
 		return 0, costmodel.Bill{}, err
 	}
 	var b costmodel.Bill
 	b.Compute.Processing = c.compute(&c.monthly, proc)
 	b.Compute.Maintenance = c.compute(&c.monthly, maint)
 	b.Compute.Materialization = c.compute(&c.once, mat)
-	var err error
-	if b.Storage, err = c.store(c.dataset + size); err != nil {
-		return 0, costmodel.Bill{}, err
-	}
+	b.Storage = storage
 	b.Transfer = c.transfer
 	return proc, b, nil
+}
+
+// outcome is price reduced to what a Scenario ranks: the workload time
+// and the bill's total (Formula 1), summed as Bill.Total sums the terms.
+//
+//mvlint:hotpath
+func (c *compiledBill) outcome(proc, maint, mat time.Duration, size units.DataSize) (Outcome, error) {
+	storage, err := c.checked(proc, maint, mat, size)
+	if err != nil {
+		return Outcome{}, err
+	}
+	compute := money.Sum(c.compute(&c.monthly, proc), c.compute(&c.monthly, maint), c.compute(&c.once, mat))
+	return Outcome{proc, money.Sum(compute, storage, c.transfer)}, nil
+}
+
+// checked is the storage term of a subset's aggregates, and Plan.Bill's
+// error for aggregates a move overflowed.
+//
+//mvlint:hotpath
+func (c *compiledBill) checked(proc, maint, mat time.Duration, size units.DataSize) (money.Money, error) {
+	if size < 0 || proc < 0 || maint < 0 || mat < 0 {
+		_, err := c.plan.WithViews(size, proc, maint, mat).Bill()
+		return 0, err
+	}
+	return c.store(c.dataset + size)
 }
 
 // compute is one compute term of a non-negative duration.

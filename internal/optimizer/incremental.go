@@ -200,6 +200,21 @@ func (inc *IncrementalEvaluator) Reset(sel []bool) error {
 	return nil
 }
 
+// Price pins the engine to an arbitrary subset, as Reset does, and
+// prices it exactly, as Score does. Its moves are not counted: a search
+// ranks the subsets it walks by Probe's outcomes and prices here, once,
+// the bill of the answer it returns, which is no step of its walk (as
+// KernelSession.priceSel's moves are not).
+func (inc *IncrementalEvaluator) Price(sel []bool) (time.Duration, costmodel.Bill, error) {
+	moves := inc.moves
+	err := inc.Reset(sel)
+	inc.moves = moves
+	if err != nil {
+		return 0, costmodel.Bill{}, err
+	}
+	return inc.Score()
+}
+
 // Add materializes candidate i: aggregates grow by its scalars and only
 // the queries i can answer are re-routed (they move to i exactly when i
 // sits before their current source on their answering list, take).
@@ -368,9 +383,10 @@ type probe struct {
 }
 
 // Probe prices a neighbor of the current subset: candidate i flipped
-// (j < 0), or selected i swapped for unselected j. The result is
-// bit-equal to moving onto the neighbor and calling Score, and Words,
-// Moves and every later price are as if the probe never ran.
+// (j < 0), or selected i swapped for unselected j. It returns what a
+// Scenario ranks, the workload time and the bill's total, bit-equal to
+// moving onto the neighbor and calling Score; Words, Moves and every
+// later price are as if the probe never ran.
 //
 // Under immediate maintenance no engine state is written: every
 // aggregate is an integer sum, so the neighbor's are the current ones
@@ -381,13 +397,13 @@ type probe struct {
 // of the selected subset alone.
 //
 //mvlint:hotpath
-func (inc *IncrementalEvaluator) Probe(i, j int) (time.Duration, costmodel.Bill, error) {
+func (inc *IncrementalEvaluator) Probe(i, j int) (Outcome, error) {
 	in, out := i, -1 // the candidates the move brings in and takes out
 	if inc.selected[i] {
 		in, out = j, i
 	}
 	if j >= 0 && (out < 0 || inc.selected[j]) {
-		return 0, costmodel.Bill{}, errProbeSwap
+		return Outcome{}, errProbeSwap
 	}
 	if inc.deferred {
 		return inc.probeMoved(in, out)
@@ -401,13 +417,13 @@ func (inc *IncrementalEvaluator) Probe(i, j int) (time.Duration, costmodel.Bill,
 	if out >= 0 {
 		inc.probeDrop(&p, out, in)
 	}
-	return inc.billing.price(p.proc, p.maint, p.mat, p.size)
+	return inc.billing.outcome(p.proc, p.maint, p.mat, p.size)
 }
 
 // probeMoved is Probe under deferred maintenance: the move onto the
-// neighbor (in and out, -1 = none), Score, and the reverse move, with
-// the move count put back.
-func (inc *IncrementalEvaluator) probeMoved(in, out int) (time.Duration, costmodel.Bill, error) {
+// neighbor (in and out, -1 = none), the neighbor's outcome, and the
+// reverse move, with the move count put back.
+func (inc *IncrementalEvaluator) probeMoved(in, out int) (Outcome, error) {
 	moves := inc.moves
 	if out >= 0 {
 		inc.Drop(out)
@@ -415,7 +431,7 @@ func (inc *IncrementalEvaluator) probeMoved(in, out int) (time.Duration, costmod
 	if in >= 0 {
 		inc.Add(in)
 	}
-	t, bill, err := inc.Score()
+	o, err := inc.billing.outcome(inc.proc, inc.maintSum, inc.matSum, inc.sizeSum)
 	if in >= 0 {
 		inc.Drop(in)
 	}
@@ -423,7 +439,7 @@ func (inc *IncrementalEvaluator) probeMoved(in, out int) (time.Duration, costmod
 		inc.Add(out)
 	}
 	inc.moves = moves
-	return t, bill, err
+	return o, err
 }
 
 // probeAdd is Add(i) into p under immediate maintenance: the queries on

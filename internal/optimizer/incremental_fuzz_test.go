@@ -12,11 +12,12 @@ import (
 
 // FuzzIncrementalMoves drives the delta engine with arbitrary move
 // sequences over fuzzer-chosen instances. Before every move it prices
-// read-only the move's flip and, when the subset has a selected and an
-// unselected candidate, a swap of a random such pair (checkProbe: each
-// probe leaves Words and Moves alone and equals, bit for bit, both the
-// engine's Score once moved onto that neighbor and Evaluator.Evaluate of
-// it). freqShift scales every query frequency by 2^(freqShift % 48), up
+// read-only the move's flip, a swap of a random selected and unselected
+// pair when the subset has both, and a random pair that is no such swap
+// (checkProbe: each probe leaves Words and Moves alone; a flip or swap
+// equals the time and bill total of the engine's Score once moved onto
+// that neighbor, whose bill equals Evaluator.Evaluate's bit for bit, and
+// a malformed swap is rejected). freqShift scales every query frequency by 2^(freqShift % 48), up
 // to where the aggregates overflow and Plan.Bill rejects the subset: the
 // three must then fail alike. fullDisk grows the dataset to within half
 // the pool's bytes of the largest DataSize, so that larger selections
@@ -69,6 +70,9 @@ func FuzzIncrementalMoves(f *testing.F) {
 			if out, in, ok := randomSwap(rng, sel); ok {
 				checkProbe(t, ev, cands, inc, sel, out, in)
 			}
+			if j := rng.Intn(len(cands)); !sel[i] || sel[j] {
+				checkProbe(t, ev, cands, inc, sel, i, j)
+			}
 			toggle(inc, i)
 			sel[i] = !sel[i]
 		}
@@ -77,16 +81,24 @@ func FuzzIncrementalMoves(f *testing.F) {
 
 // checkProbe holds inc.Probe(i, j) — the subset sel (which inc stands
 // on) with i flipped, or with selected i swapped for unselected j — to
-// the engine moved onto that neighbor and to Evaluate of it: the same
-// time, every bill field, or the same error. The probe must leave the
-// selection words and the move count as they were; the engine is moved
-// back afterwards.
+// the engine moved onto that neighbor, and that to Evaluate of it: the
+// probe's time and cost are the moved Score's time and Bill.Total(), or
+// the three fail alike, and the moved bill is Evaluate's, field for
+// field. A pair that is no such swap must be rejected with errProbeSwap
+// and a zero outcome. The probe must leave the selection words and the
+// move count as they were; the engine is moved back afterwards.
 func checkProbe(t *testing.T, ev *Evaluator, cands []views.Candidate, inc *IncrementalEvaluator, sel []bool, i, j int) {
 	t.Helper()
 	words, moves := slices.Clone(inc.Words()), inc.Moves()
-	pt, pb, perr := inc.Probe(i, j)
+	po, perr := inc.Probe(i, j)
 	if !slices.Equal(inc.Words(), words) || inc.Moves() != moves {
 		t.Fatalf("probe (%d, %d) moved the engine: words %x → %x, moves %d → %d", i, j, words, inc.Words(), moves, inc.Moves())
+	}
+	if j >= 0 && (!sel[i] || sel[j]) {
+		if perr != errProbeSwap || po != (Outcome{}) {
+			t.Fatalf("malformed swap probe (%d, %d) of %v: (%+v, %v), want errProbeSwap", i, j, sel, po, perr)
+		}
+		return
 	}
 	next := slices.Clone(sel)
 	next[i] = !next[i]
@@ -102,9 +114,9 @@ func checkProbe(t *testing.T, ev *Evaluator, cands []views.Candidate, inc *Incre
 	toggle(inc, i)
 	et, eb, eerr := ev.Evaluate(selectedPoints(cands, next))
 	if errText(perr) != errText(serr) || errText(perr) != errText(eerr) ||
-		pt != st || pb != sb || pt != et || pb != eb {
-		t.Fatalf("probe (%d, %d) of %v:\nprobe    (%v, %+v, %v)\nmoved    (%v, %+v, %v)\nevaluate (%v, %+v, %v)",
-			i, j, sel, pt, pb, perr, st, sb, serr, et, eb, eerr)
+		po != (Outcome{st, sb.Total()}) || st != et || sb != eb {
+		t.Fatalf("probe (%d, %d) of %v:\nprobe    (%+v, %v)\nmoved    (%v, %+v, %v)\nevaluate (%v, %+v, %v)",
+			i, j, sel, po, perr, st, sb, serr, et, eb, eerr)
 	}
 }
 

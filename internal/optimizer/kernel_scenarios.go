@@ -442,8 +442,8 @@ func (s *KernelSession) solveMV3(sc Scenario) (Selection, error) {
 		if sc.baseT > 0 {
 			tScale = 1 / sc.baseT.Hours()
 		}
-		if c0 := sc.baseBill.Total(); c0 > 0 {
-			cScale = 1 / c0.Dollars()
+		if sc.baseC > 0 {
+			cScale = 1 / sc.baseC.Dollars()
 		}
 	}
 	alpha := float64(sc.alphaMicros) / alphaGrid

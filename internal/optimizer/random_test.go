@@ -99,7 +99,7 @@ func TestSolversOnRandomWorkloads(t *testing.T) {
 			if err != nil {
 				t.Fatalf("seed %d: MV3(%g): %v", seed, alpha, err)
 			}
-			with, without := sc.Score(mv3.Time, mv3.Bill), sc.Score(baseT, baseBill)
+			with, without := sc.Score(Outcome{mv3.Time, mv3.Bill.Total()}), sc.Score(Outcome{baseT, baseBill.Total()})
 			if with > without+1e-9 {
 				t.Errorf("seed %d: MV3(%g) objective %.6f worse than baseline %.6f",
 					seed, alpha, with, without)

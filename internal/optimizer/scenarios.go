@@ -114,13 +114,18 @@ const (
 // Objective computes the MV3 objective value for a given time and bill:
 // Scenario.Score. It goes with ROADMAP item 3 (the repo benchmark calls it).
 func Objective(alpha float64, t time.Duration, bill costmodel.Bill, mode TradeoffMode, baseT time.Duration, baseBill costmodel.Bill) float64 {
-	tv, cv := t.Hours(), bill.Total().Dollars()
+	return objective(alpha, Outcome{t, bill.Total()}, mode, baseT, baseBill.Total())
+}
+
+// objective is Objective of an outcome against a baseline time and cost.
+func objective(alpha float64, o Outcome, mode TradeoffMode, baseT time.Duration, baseC money.Money) float64 {
+	tv, cv := o.Time.Hours(), o.Cost.Dollars()
 	if mode == NormalizedTradeoff {
 		if baseT > 0 {
 			tv /= baseT.Hours()
 		}
-		if baseBill.Total() > 0 {
-			cv /= baseBill.Total().Dollars()
+		if baseC > 0 {
+			cv /= baseC.Dollars()
 		}
 	}
 	// The float64 conversions round each product before the add, so no port
@@ -144,7 +149,7 @@ type Scenario struct {
 	alphaMicros uint64
 	mode        TradeoffMode
 	baseT       time.Duration
-	baseBill    costmodel.Bill
+	baseC       money.Money // the baseline bill's total
 	wT, wC      [2]uint64
 }
 
@@ -175,12 +180,12 @@ func Tradeoff(alpha float64, mode TradeoffMode, baseT time.Duration, baseBill co
 	s := Scenario{name: "mv3", maxCost: money.MaxMoney, maxTime: math.MaxInt64, alphaMicros: uint64(math.Round(alpha * alphaGrid))}
 	dT, dC := uint64(time.Hour), uint64(money.FromDollars(1))
 	if mode == NormalizedTradeoff {
-		s.mode, s.baseT, s.baseBill = mode, baseT, baseBill
+		s.mode, s.baseT, s.baseC = mode, baseT, baseBill.Total()
 		if baseT > 0 {
 			dT = uint64(baseT)
 		}
-		if c0 := baseBill.Total(); c0 > 0 {
-			dC = uint64(c0)
+		if s.baseC > 0 {
+			dC = uint64(s.baseC)
 		}
 	}
 	s.wT[0], s.wT[1] = bits.Mul64(s.alphaMicros, dC)
@@ -212,11 +217,11 @@ func (s *Scenario) Violation(o Outcome) float64 {
 	return 0
 }
 
-// Score is the objective as a float: Formula 15 at the snapped α, α = 1
-// for MV1 (hours) and α = 0 for MV2 (dollars). The annealer's energy and
-// SolveExhaustive read it; every ranking is Compare's.
-func (s *Scenario) Score(t time.Duration, bill costmodel.Bill) float64 {
-	return Objective(float64(s.alphaMicros)/alphaGrid, t, bill, s.mode, s.baseT, s.baseBill)
+// Score is the objective of an outcome as a float: Formula 15 at the
+// snapped α, α = 1 for MV1 (hours) and α = 0 for MV2 (dollars). The
+// annealer's energy reads it; every ranking is Compare's.
+func (s *Scenario) Score(o Outcome) float64 {
+	return objective(float64(s.alphaMicros)/alphaGrid, o, s.mode, s.baseT, s.baseC)
 }
 
 // Outcome is a priced selection as a Scenario ranks it: the workload

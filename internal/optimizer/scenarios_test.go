@@ -259,7 +259,7 @@ func TestSolveMV1AgainstExhaustiveOracle(t *testing.T) {
 		t.Fatal(err)
 	}
 	sc := Budget(budget)
-	oracle, err := ev.SolveExhaustive(cands, sc.Score, sc.Met)
+	oracle, err := ev.SolveExhaustive(cands, scoreOf(sc), sc.Met)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -318,7 +318,7 @@ func TestSolveMV2AgainstExhaustiveOracle(t *testing.T) {
 		t.Fatal(err)
 	}
 	sc := Deadline(limit)
-	oracle, err := ev.SolveExhaustive(cands, sc.Score, sc.Met)
+	oracle, err := ev.SolveExhaustive(cands, scoreOf(sc), sc.Met)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -385,12 +385,17 @@ func TestSolveMV3ImprovesObjective(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			with, without := sc.Score(sel.Time, sel.Bill), sc.Score(baseT, baseBill)
+			with, without := sc.Score(Outcome{sel.Time, sel.Bill.Total()}), sc.Score(Outcome{baseT, baseBill.Total()})
 			if with > without {
 				t.Errorf("mode %v α=%g: objective %g worse than baseline %g", mode, alpha, with, without)
 			}
 		}
 	}
+}
+
+// scoreOf is sc.Score in SolveExhaustive's form, of a time and a bill.
+func scoreOf(sc Scenario) func(time.Duration, costmodel.Bill) float64 {
+	return func(t time.Duration, bill costmodel.Bill) float64 { return sc.Score(Outcome{t, bill.Total()}) }
 }
 
 func TestSolveExhaustiveGuards(t *testing.T) {
@@ -400,7 +405,7 @@ func TestSolveExhaustiveGuards(t *testing.T) {
 		big[i] = cands[0]
 	}
 	sc := Budget(0)
-	if _, err := ev.SolveExhaustive(big, sc.Score, nil); err == nil {
+	if _, err := ev.SolveExhaustive(big, scoreOf(sc), nil); err == nil {
 		t.Error("21 candidates accepted")
 	}
 	if _, err := ev.SolveExhaustive(cands, nil, nil); err == nil {

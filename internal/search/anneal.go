@@ -10,7 +10,7 @@ import "math"
 func (s *solver) energy(e eval, penalty float64) float64 {
 	// The float64 conversion rounds the product before the add, so no port
 	// fuses the two into one multiply-add (scripts/nofma.sh).
-	return s.obj.Score(e.c.o.Time, e.c.bill) + float64(penalty*e.viol)
+	return s.obj.Score(e.o) + float64(penalty*e.viol)
 }
 
 // anneal runs simulated annealing with a geometric cooling schedule from
@@ -28,7 +28,7 @@ func (s *solver) anneal(start []bool, startEval eval) ([]bool, eval, error) {
 	if n == 0 {
 		return append([]bool(nil), start...), startEval, nil
 	}
-	penalty := 1000 * (math.Abs(s.obj.Score(startEval.c.o.Time, startEval.c.bill)) + 1)
+	penalty := 1000 * (math.Abs(s.obj.Score(startEval.o)) + 1)
 
 	cur := append([]bool(nil), start...)
 	curEval := startEval

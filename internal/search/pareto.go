@@ -19,14 +19,23 @@ func ParetoSweep(ev *optimizer.Evaluator, cands []views.Candidate, scs []optimiz
 	if len(scs) == 0 {
 		return nil, fmt.Errorf("search: a sweep needs at least one scenario")
 	}
-	s, err := newSolver(ev, cands, scs[0], opts)
+	table := evalTables.Get().(*evalCache)
+	defer evalTables.Put(table)
+	s, err := newSolver(ev, cands, scs[0], opts, table)
 	if err != nil {
 		return nil, err
 	}
+	return s.sweep(scs)
+}
+
+// sweep is ParetoSweep's loop on one solver: each scenario solved in
+// turn, warm-started from the previous step's best state.
+func (s *solver) sweep(scs []optimizer.Scenario) ([]optimizer.Selection, error) {
 	out := make([]optimizer.Selection, len(scs))
 	var warm []bool
 	for i, sc := range scs {
 		s.obj = sc
+		var err error
 		if out[i], warm, err = s.solve(warm); err != nil {
 			return nil, err
 		}

@@ -34,6 +34,7 @@ import (
 	"math/bits"
 	"math/rand"
 	"slices"
+	"sync"
 	"time"
 
 	"vmcloud/internal/costmodel"
@@ -138,9 +139,10 @@ func stopped(err error) bool {
 }
 
 // eval is one exactly-priced subset under the current scenario: its
-// cached price and the scenario's violation of it.
+// outcome, as the evaluation table holds it, and the scenario's
+// violation of it.
 type eval struct {
-	c    *cachedEval
+	o    optimizer.Outcome
 	viol float64
 }
 
@@ -152,33 +154,38 @@ func (s *solver) better(a, b eval) bool {
 	if a.viol > 0 && b.viol > 0 && a.viol != b.viol {
 		return a.viol < b.viol
 	}
-	return s.obj.Compare(a.c.o, b.c.o) < 0
-}
-
-// cachedEval memoizes the exact evaluator output for one subset: the
-// outcome a scenario ranks, and the bill. Nothing scenario-dependent is
-// kept, so a pareto sweep can share one cache across every α.
-type cachedEval struct {
-	o    optimizer.Outcome
-	bill costmodel.Bill
+	return s.obj.Compare(a.o, b.o) < 0
 }
 
 // evalCache memoizes priced subsets in one flat open-addressed table
-// keyed by the selection words, whatever the pool width. A solver prices
-// at most min(MaxEvals, 2ⁿ) distinct subsets — every put follows a unit
-// of evaluation budget, and n candidates have 2ⁿ subsets — so the table
-// is sized for that once and never grows: 512 slots for an 8-candidate
-// request, 8,192 for the default budget on a large pool. Keys and values
-// sit densely in insertion order; a slot holds its entry's index + 1.
+// keyed by the selection words, whatever the pool width. An entry is the
+// subset's outcome, its time and bill total: nothing scenario-dependent
+// is kept, so a pareto sweep can share one table across every α, and
+// no bill: the bill of the state a solve returns is priced once, for its
+// answer (selection). A solver prices at most min(MaxEvals, 2ⁿ) distinct
+// subsets — every put follows a unit of evaluation budget, and n
+// candidates have 2ⁿ subsets — so the table is sized for that and never
+// grows: 512 slots for an 8-candidate request, 8,192 for the default
+// budget on a large pool. Keys and values sit densely in insertion
+// order; a slot holds its entry's index + 1.
 type evalCache struct {
 	nwords int
-	slots  []uint32     // power-of-two length, 0 = empty
-	keys   []uint64     // nwords per entry
-	vals   []cachedEval // one per entry
-	key    []uint64     // scratch: the probed subset with its flips applied
+	slots  []uint32            // power-of-two length, 0 = empty
+	keys   []uint64            // nwords per entry
+	vals   []optimizer.Outcome // one per entry
+	key    []uint64            // scratch: the probed subset with its flips applied
 }
 
-func newEvalCache(n, maxEvals int) *evalCache {
+// evalTables recycles evaluation tables across solves: the scope that
+// runs a solve (SolveStats, ParetoSweep) takes one and puts it back when
+// the solve returns, and the solver resets it (reset).
+var evalTables = sync.Pool{New: func() any { return new(evalCache) }}
+
+// reset empties the table for a solve over n candidates with maxEvals
+// evaluations. A table already of that size is emptied by clearing its
+// slot index, its keys and values truncated in place; any other gets
+// new arrays of the size.
+func (c *evalCache) reset(n, maxEvals int) {
 	entries := maxEvals
 	if n < 31 && 1<<n < entries {
 		entries = 1 << n
@@ -188,11 +195,16 @@ func newEvalCache(n, maxEvals int) *evalCache {
 		slots <<= 1
 	}
 	nwords := (n + 63) / 64
-	return &evalCache{
+	if c.nwords == nwords && len(c.slots) == slots && cap(c.vals) == entries {
+		clear(c.slots)
+		c.keys, c.vals = c.keys[:0], c.vals[:0]
+		return
+	}
+	*c = evalCache{
 		nwords: nwords,
 		slots:  make([]uint32, slots),
 		keys:   make([]uint64, 0, entries*nwords),
-		vals:   make([]cachedEval, 0, entries),
+		vals:   make([]optimizer.Outcome, 0, entries),
 		key:    make([]uint64, nwords),
 	}
 }
@@ -230,25 +242,24 @@ func (c *evalCache) find(words []uint64, flip1, flip2 int) int {
 	return slot
 }
 
-// at returns the entry in slot, or nil when the slot is empty.
+// at returns the entry in slot, and false when the slot is empty.
 //
 //mvlint:hotpath
-func (c *evalCache) at(slot int) *cachedEval {
+func (c *evalCache) at(slot int) (optimizer.Outcome, bool) {
 	if e := c.slots[slot]; e != 0 {
-		return &c.vals[e-1]
+		return c.vals[e-1], true
 	}
-	return nil
+	return optimizer.Outcome{}, false
 }
 
-// insert stores ce in the empty slot the last find returned, under the
-// key that find loaded — a miss is hashed once — and returns the entry.
+// insert stores o in the empty slot the last find returned, under the
+// key that find loaded — a miss is hashed once.
 //
 //mvlint:hotpath
-func (c *evalCache) insert(slot int, ce cachedEval) *cachedEval {
+func (c *evalCache) insert(slot int, o optimizer.Outcome) {
 	c.keys = append(c.keys, c.key...)
-	c.vals = append(c.vals, ce)
+	c.vals = append(c.vals, o)
 	c.slots[slot] = uint32(len(c.vals))
-	return &c.vals[len(c.vals)-1]
 }
 
 // solver carries one search session: the pinned incremental evaluation
@@ -281,7 +292,8 @@ type solver struct {
 	state []uint64
 }
 
-func newSolver(ev *optimizer.Evaluator, cands []views.Candidate, sc optimizer.Scenario, opts Options) (*solver, error) {
+// newSolver sets up a solve, with table as its evaluation table.
+func newSolver(ev *optimizer.Evaluator, cands []views.Candidate, sc optimizer.Scenario, opts Options, table *evalCache) (*solver, error) {
 	if ev == nil {
 		return nil, fmt.Errorf("search: nil evaluator")
 	}
@@ -305,13 +317,14 @@ func newSolver(ev *optimizer.Evaluator, cands []views.Candidate, sc optimizer.Sc
 		inc = sess.Engine()
 	}
 	n := len(cands)
+	table.reset(n, opts.MaxEvals)
 	s := &solver{
 		inc:      inc,
 		cands:    cands,
 		obj:      sc,
 		opts:     opts,
 		rng:      rand.New(rand.NewSource(opts.Seed)),
-		cache:    newEvalCache(n, opts.MaxEvals),
+		cache:    table,
 		maxEvals: opts.MaxEvals,
 		state:    make([]uint64, (n+63)/64),
 	}
@@ -321,9 +334,9 @@ func newSolver(ev *optimizer.Evaluator, cands []views.Candidate, sc optimizer.Sc
 	return s, nil
 }
 
-// score applies the active scenario to a cached exact evaluation.
-func (s *solver) score(c *cachedEval) eval {
-	return eval{c: c, viol: s.obj.Violation(c.o)}
+// score applies the active scenario to an exactly-priced outcome.
+func (s *solver) score(o optimizer.Outcome) eval {
+	return eval{o: o, viol: s.obj.Violation(o)}
 }
 
 // scoreState prices the engine's current subset, via the cache. Cache
@@ -334,8 +347,8 @@ func (s *solver) score(c *cachedEval) eval {
 //mvlint:hotpath
 func (s *solver) scoreState() (eval, error) {
 	slot := s.cache.find(s.inc.Words(), -1, -1)
-	if c := s.cache.at(slot); c != nil {
-		return s.score(c), nil
+	if o, ok := s.cache.at(slot); ok {
+		return s.score(o), nil
 	}
 	if s.evals >= s.maxEvals {
 		return eval{}, errEvalBudget
@@ -345,19 +358,26 @@ func (s *solver) scoreState() (eval, error) {
 	if err != nil {
 		return eval{}, err
 	}
-	return s.score(s.cache.insert(slot, cachedEval{o: optimizer.Outcome{Time: t, Cost: bill.Total()}, bill: bill})), nil
+	o := optimizer.Outcome{Time: t, Cost: bill.Total()}
+	s.cache.insert(slot, o)
+	return s.score(o), nil
 }
 
 // pin re-pins the engine to an arbitrary subset — the full re-pricing
 // path, taken at restarts only, never per move.
 func (s *solver) pin(sel []bool) error {
+	s.setState(sel)
+	return s.inc.Reset(sel)
+}
+
+// setState loads sel into the state words.
+func (s *solver) setState(sel []bool) {
 	clear(s.state)
 	for i, on := range sel {
 		if on {
 			s.state[i>>6] |= 1 << (uint(i) & 63)
 		}
 	}
-	return s.inc.Reset(sel)
 }
 
 // unselected returns word w of the current state's complement: the
@@ -431,11 +451,11 @@ func (s *solver) flip(a, b int) {
 
 // lookup is the front half of every probe of the engine's neighbor with
 // a and b flipped (-1 = none): the deadline gate, then the cache. A hit
-// is returned scored (e.c != nil); a miss returns the slot its entry
-// belongs in, or errEvalBudget when no evaluation is left to price it.
+// is returned scored; a miss returns the slot its entry belongs in, or
+// errEvalBudget when no evaluation is left to price it.
 //
 //mvlint:hotpath
-func (s *solver) lookup(a, b int) (slot int, e eval, err error) {
+func (s *solver) lookup(a, b int) (slot int, e eval, hit bool, err error) {
 	// The deadline gate sits on move probes only — never on start pricing
 	// (scoreState via evaluate) — so warm starts are always priced and a
 	// degraded incumbent can never lose to its own warm start. With no
@@ -443,18 +463,18 @@ func (s *solver) lookup(a, b int) (slot int, e eval, err error) {
 	if s.done != nil {
 		select {
 		case <-s.done:
-			return 0, eval{}, errDeadline
+			return 0, eval{}, false, errDeadline
 		default:
 		}
 	}
 	slot = s.cache.find(s.inc.Words(), a, b)
-	if c := s.cache.at(slot); c != nil {
-		return slot, s.score(c), nil
+	if o, ok := s.cache.at(slot); ok {
+		return slot, s.score(o), true, nil
 	}
 	if s.evals >= s.maxEvals {
-		return slot, eval{}, errEvalBudget
+		return slot, eval{}, false, errEvalBudget
 	}
-	return slot, eval{}, nil
+	return slot, eval{}, false, nil
 }
 
 // price is the back half of a miss: one evaluation charged, the engine's
@@ -465,11 +485,12 @@ func (s *solver) lookup(a, b int) (slot int, e eval, err error) {
 //mvlint:hotpath
 func (s *solver) price(slot, a, b int) (eval, error) {
 	s.evals++
-	t, bill, err := s.inc.Probe(a, b)
+	o, err := s.inc.Probe(a, b)
 	if err != nil {
 		return eval{}, err
 	}
-	return s.score(s.cache.insert(slot, cachedEval{o: optimizer.Outcome{Time: t, Cost: bill.Total()}, bill: bill})), nil
+	s.cache.insert(slot, o)
+	return s.score(o), nil
 }
 
 // probeMove prices the neighbor reached by a flip of i (j < 0) or a swap
@@ -479,8 +500,8 @@ func (s *solver) price(slot, a, b int) (eval, error) {
 //
 //mvlint:hotpath
 func (s *solver) probeMove(i, j int) (eval, error) {
-	slot, e, err := s.lookup(i, j)
-	if e.c != nil || err != nil {
+	slot, e, hit, err := s.lookup(i, j)
+	if hit || err != nil {
 		return e, err
 	}
 	return s.price(slot, i, j)
@@ -506,10 +527,11 @@ row:
 			j := w<<6 | bits.TrailingZeros64(free)
 			var slot int
 			var e eval
-			if slot, e, err = s.lookup(in, j); err != nil {
+			var hit bool
+			if slot, e, hit, err = s.lookup(in, j); err != nil {
 				break row
 			}
-			if e.c == nil {
+			if !hit {
 				if in >= 0 {
 					// The engine's words lose bit i and the key loaded by
 					// lookup stays the same, so slot is still where it goes.
@@ -544,8 +566,16 @@ func (s *solver) applyMove(sel []bool, i, j int) {
 	}
 }
 
-// selection assembles the final optimizer.Selection for a state.
-func (s *solver) selection(sel []bool, e eval) optimizer.Selection {
+// selection assembles the final optimizer.Selection for a state: the
+// one full bill of the solve, priced with the engine pinned to the state
+// (IncrementalEvaluator.Price, whose moves are not the search's). The
+// bill's time and total are the outcome the state was ranked by.
+func (s *solver) selection(sel []bool) (optimizer.Selection, error) {
+	s.setState(sel)
+	t, bill, err := s.inc.Price(sel)
+	if err != nil {
+		return optimizer.Selection{}, err
+	}
 	pts := make([]lattice.Point, 0, len(sel))
 	for i, on := range sel {
 		if on {
@@ -554,12 +584,12 @@ func (s *solver) selection(sel []bool, e eval) optimizer.Selection {
 	}
 	return optimizer.Selection{
 		Points:   pts,
-		Time:     e.c.o.Time,
-		Bill:     e.c.bill,
-		Feasible: s.obj.Met(e.c.o.Time, e.c.bill),
+		Time:     t,
+		Bill:     bill,
+		Feasible: s.obj.Met(t, bill),
 		Strategy: s.obj.Name() + "-search",
 		Degraded: s.degraded,
-	}
+	}, nil
 }
 
 // starts builds the starting subsets for the restart wrapper:
@@ -714,7 +744,8 @@ func (s *solver) run(extraStart []bool) (optimizer.Selection, []bool, error) {
 			break
 		}
 	}
-	return s.selection(bestSel, bestEval), bestSel, nil
+	sel, err := s.selection(bestSel)
+	return sel, bestSel, err
 }
 
 // Stats instruments a solve — exposed for tests and benchmarks via
@@ -729,7 +760,9 @@ type Stats struct {
 // SolveStats is Solve plus instrumentation: it also reports how much of
 // the evaluation budget was consumed.
 func SolveStats(ev *optimizer.Evaluator, cands []views.Candidate, sc optimizer.Scenario, opts Options) (optimizer.Selection, Stats, error) {
-	s, err := newSolver(ev, cands, sc, opts)
+	table := evalTables.Get().(*evalCache)
+	defer evalTables.Put(table)
+	s, err := newSolver(ev, cands, sc, opts, table)
 	if err != nil {
 		return optimizer.Selection{}, Stats{}, err
 	}

@@ -93,12 +93,19 @@ func TestSolveDeterministicAcrossRuns(t *testing.T) {
 	}
 }
 
+// scoreOf is sc.Score in SolveExhaustive's form, of a time and a bill.
+func scoreOf(sc optimizer.Scenario) func(time.Duration, costmodel.Bill) float64 {
+	return func(t time.Duration, bill costmodel.Bill) float64 {
+		return sc.Score(optimizer.Outcome{Time: t, Cost: bill.Total()})
+	}
+}
+
 func TestSolveMV1MatchesExhaustiveOracle(t *testing.T) {
 	ev, cands := fixture(t, 10, 8)
 	for _, dollars := range []float64{18, 25, 40} {
 		budget := money.FromDollars(dollars)
 		sc := optimizer.Budget(budget)
-		oracle, err := ev.SolveExhaustive(cands, sc.Score, sc.Met)
+		oracle, err := ev.SolveExhaustive(cands, scoreOf(sc), sc.Met)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -124,7 +131,7 @@ func TestSolveMV2MatchesExhaustiveOracle(t *testing.T) {
 	for _, frac := range []float64{0.3, 0.6, 0.9} {
 		limit := time.Duration(float64(baseT) * frac)
 		sc := optimizer.Deadline(limit)
-		oracle, err := ev.SolveExhaustive(cands, sc.Score, sc.Met)
+		oracle, err := ev.SolveExhaustive(cands, scoreOf(sc), sc.Met)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -148,7 +155,7 @@ func TestSolveMV3MatchesExhaustiveOracle(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		oracle, err := ev.SolveExhaustive(cands, sc.Score, sc.Met)
+		oracle, err := ev.SolveExhaustive(cands, scoreOf(sc), sc.Met)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -156,7 +163,7 @@ func TestSolveMV3MatchesExhaustiveOracle(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		gotObj, wantObj := sc.Score(got.Time, got.Bill), sc.Score(oracle.Time, oracle.Bill)
+		gotObj, wantObj := scoreOf(sc)(got.Time, got.Bill), scoreOf(sc)(oracle.Time, oracle.Bill)
 		if gotObj > wantObj+1e-9 {
 			t.Errorf("alpha %g: search objective %g worse than oracle %g", alpha, gotObj, wantObj)
 		}
@@ -287,7 +294,7 @@ func TestHillClimbSwapEscapesAddDropOptimum(t *testing.T) {
 	// Structural check on the neighborhood: from the full set under a
 	// tight budget, drops alone must find their way back to feasibility.
 	ev, cands := fixture(t, 10, 8)
-	s, err := newSolver(ev, cands, optimizer.Budget(money.FromDollars(20)), Options{Seed: 9})
+	s, err := newSolver(ev, cands, optimizer.Budget(money.FromDollars(20)), Options{Seed: 9}, new(evalCache))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -356,7 +363,7 @@ func TestWarmStartNeverWorse(t *testing.T) {
 func TestSwapProbeMoveBound(t *testing.T) {
 	const maxMoves = 3100
 	ev, cands, budget := largeFixture(t)
-	s, err := newSolver(ev, cands, optimizer.Budget(budget), Options{Seed: 1})
+	s, err := newSolver(ev, cands, optimizer.Budget(budget), Options{Seed: 1}, new(evalCache))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -107,7 +107,7 @@ func TestSearchTrajectoryPinned(t *testing.T) {
 				for _, v := range variants {
 					opts := v.opts
 					opts.Seed = seed
-					s, err := newSolver(p.ev, p.cands, obj, opts)
+					s, err := newSolver(p.ev, p.cands, obj, opts, new(evalCache))
 					if err != nil {
 						t.Fatal(err)
 					}
