@@ -12,7 +12,7 @@
 //	mvcloud -scenario mv1 -provider-file tariff.json # a tariff in the pricing JSON format
 //	mvcloud -tariffs            # print the built-in provider catalog
 //
-// The compare subcommand fans the same advisory problem out across every
+// The compare subcommand solves the same advisory problem on every
 // provider in the catalog (or a chosen subset) and prints the ranked
 // cross-provider comparison — cost/time matrix, per-scenario winners and
 // budget break-even points:
@@ -184,7 +184,6 @@ func runCompareArgs(args []string, out io.Writer) error {
 	if err != nil {
 		return err
 	}
-	creq.Workers = g.workers
 	comp, err := compare.Run(creq)
 	if err != nil {
 		return err
@@ -236,7 +235,6 @@ func runSweepArgs(args []string, out io.Writer) error {
 	if err != nil {
 		return err
 	}
-	sreq.Workers = g.workers
 	sw, err := compare.RunSweep(sreq)
 	if err != nil {
 		return err
@@ -274,7 +272,7 @@ func sweepRequest(args []string) (compare.SweepRequestJSON, gridFlags, error) {
 // gridFlags are the flags compare and sweep share: the workload, the
 // engine, the tariff grid, and how the answer is had and printed.
 type gridFlags struct {
-	queries, freq, workers       int
+	queries, freq                int
 	rows, seed                   int64
 	providers, instances, fleets string
 	solver, server               string
@@ -292,7 +290,6 @@ func (g *gridFlags) register(fs *flag.FlagSet, result, path string) {
 	fs.Int64Var(&g.rows, "rows", 200_000_000, "fact table rows (≈size/50B)")
 	fs.StringVar(&g.solver, "solver", "knapsack", "optimization engine: knapsack, search or auto")
 	fs.Int64Var(&g.seed, "seed", 0, "search solver seed")
-	fs.IntVar(&g.workers, "workers", 0, "fan-out worker pool size (0 = GOMAXPROCS, 1 = sequential)")
 	fs.BoolVar(&g.asJSON, "json", false, "print the "+result+" in the "+path+" wire format")
 	fs.StringVar(&g.server, "server", "", "base URL of a running mvcloudd; POST "+path+" there instead of solving in-process")
 }

@@ -68,9 +68,9 @@ func TestPrintTariffs(t *testing.T) {
 }
 
 func TestBuildCompareRequest(t *testing.T) {
-	req, g, err := compareRequest([]string{"-budget", "25.00", "-limit", "4h", "-steps", "5",
+	req, _, err := compareRequest([]string{"-budget", "25.00", "-limit", "4h", "-steps", "5",
 		"-queries", "5", "-providers", "aws-2012, stratus", "-instances", "small,large",
-		"-fleets", "3,5", "-rows", "10000000", "-break-even", "-1", "-workers", "2"})
+		"-fleets", "3,5", "-rows", "10000000", "-break-even", "-1"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -82,9 +82,6 @@ func TestBuildCompareRequest(t *testing.T) {
 	}
 	if req.BreakEvenSteps != -1 || req.Steps != 5 || req.FactRows != 10_000_000 || req.Queries != 5 {
 		t.Errorf("request = %+v", req)
-	}
-	if g.workers != 2 {
-		t.Errorf("workers = %d", g.workers)
 	}
 }
 

@@ -116,7 +116,7 @@ func TestLocalRemoteParity(t *testing.T) {
 		{"compare search", runCompareArgs, []string{"-scenarios", "mv1,mv3", "-alpha", "0.3", "-solver", "search", "-seed", "7",
 			"-providers", "aws-2012", "-fleets", "4,6", "-break-even", "4", "-queries", "6", "-freq", "12"}},
 		{"compare skipped cells", runCompareArgs, []string{"-limit", "9h", "-providers", "stratus,nimbus",
-			"-instances", "micro,xlarge", "-fleets", "1,4", "-workers", "1"}},
+			"-instances", "micro,xlarge", "-fleets", "1,4"}},
 		{"sweep mv1", runSweepArgs, []string{"-scenario", "mv1", "-budget", "25.00", "-fleets", "3,5"}},
 		{"sweep mv3", runSweepArgs, []string{"-scenario", "mv3", "-alpha", "0.65", "-providers", "aws-2012,stratus",
 			"-instances", "small,large", "-fleets", "2,8", "-queries", "6"}},

@@ -1,6 +1,6 @@
-// Package determinism bans wall-clock reads, unseeded randomness and
-// order-sensitive map iteration in the solver packages whose byte-exact
-// output the repo's goldens pin.
+// Package determinism bans wall-clock reads, unseeded randomness,
+// order-sensitive map iteration and goroutines in the solver packages
+// whose byte-exact output the repo's goldens pin.
 //
 // Every recommendation, golden response and committed experiment table
 // depends on internal/{optimizer,search,compare,lattice,core} being
@@ -18,7 +18,10 @@
 // codebases like this are time.Now creeping into a cost term, the
 // global math/rand source (seeded per-process, shared across
 // goroutines), and map iteration feeding anything ordered — output
-// rows, cache keys, candidate lists.
+// rows, cache keys, candidate lists. A fourth is kept out by
+// construction: a solver that starts no goroutine cannot make its answer
+// depend on scheduling, and the daemon gets its parallelism from
+// concurrent requests instead.
 //
 // Contract enforced per package in scope:
 //
@@ -37,7 +40,8 @@
 //     arm64, ppc64le, s390x and riscv64 do, so a near-tie could resolve
 //     differently there than on amd64. An explicit conversion,
 //     float64(x*y) + z, forces the rounding (scripts/nofma.sh checks the
-//     compiled result).
+//     compiled result);
+//   - no go statements: work runs on the caller's goroutine.
 //
 // Intentional exceptions carry
 // //mvlint:allow determinism -- <reason> on the flagged line.
@@ -54,7 +58,7 @@ import (
 // Analyzer is the determinism invariant checker.
 var Analyzer = &analysis.Analyzer{
 	Name: "determinism",
-	Doc:  "bans time.Now, unseeded math/rand, order-sensitive map iteration and fusable float products in solver packages",
+	Doc:  "bans time.Now, unseeded math/rand, order-sensitive map iteration, fusable float products and go statements in solver packages",
 	Scope: []string{
 		"internal/optimizer",
 		"internal/search",
@@ -91,6 +95,8 @@ func run(pass *analysis.Pass) error {
 				checkCall(pass, n)
 			case *ast.RangeStmt:
 				checkMapRange(pass, n)
+			case *ast.GoStmt:
+				pass.Reportf(n.Pos(), "a go statement makes solver work depend on scheduling; run it on the caller's goroutine")
 			case *ast.BinaryExpr:
 				if (n.Op == token.ADD || n.Op == token.SUB) && isFloat(pass, n) {
 					checkAddend(pass, products, n.X, n.Op)

@@ -96,6 +96,18 @@ func notFusable(a, b, c int, x, y float64) (int, float64) {
 	return a*b + c, x * y / (x + k) // integer products never fuse; a product feeding a divide does not fuse
 }
 
+func goroutine(solve func(int), jobs int) {
+	done := make(chan struct{})
+	go func() { // want `a go statement makes solver work depend on scheduling`
+		solve(0)
+		close(done)
+	}()
+	for i := 1; i < jobs; i++ { // the sanctioned form: in order, on the caller's goroutine
+		solve(i)
+	}
+	<-done
+}
+
 func allowedFused(x, y, z float64) float64 {
 	//mvlint:allow determinism -- fixture: proves the escape hatch suppresses the finding
 	return x*y + z

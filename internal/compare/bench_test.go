@@ -1,7 +1,6 @@
 package compare
 
 import (
-	"runtime"
 	"testing"
 	"time"
 
@@ -9,9 +8,8 @@ import (
 	"vmcloud/internal/money"
 )
 
-// The acceptance bar for the fan-out: solving the full catalog grid on
-// the worker pool must beat the sequential baseline (Workers = 1) on any
-// multi-core machine. Run with:
+// The compare miss in process: one request's grid solved in key order
+// on the benchmark's goroutine. Run with:
 //
 //	go test ./internal/compare -bench BenchmarkCompare -benchtime 5x
 
@@ -40,8 +38,7 @@ func wideRequest(b testing.TB) Request {
 // runCompareBench reports, beside time and allocations, the break-even
 // sweep's work count: its MV1 solves per comparison (of cells × budgets
 // without the bound).
-func runCompareBench(b *testing.B, req Request, workers int) {
-	req.Workers = workers
+func runCompareBench(b *testing.B, req Request) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	var comp *Comparison
@@ -57,19 +54,12 @@ func runCompareBench(b *testing.B, req Request, workers int) {
 	b.ReportMetric(float64(comp.sweepSolves), "sweep-solves/op")
 }
 
-// BenchmarkCompareSequential is the baseline: one worker solves the
-// whole provider × fleet grid in order.
-func BenchmarkCompareSequential(b *testing.B) { runCompareBench(b, benchRequest(b), 1) }
+// BenchmarkCompareSequential solves benchRequest: every catalog tariff
+// at fleets of 3 and 5, three scenarios and an 8-budget break-even
+// sweep.
+func BenchmarkCompareSequential(b *testing.B) { runCompareBench(b, benchRequest(b)) }
 
-// BenchmarkCompareParallel fans the same grid out over GOMAXPROCS
-// workers — the repo's first parallel solve path.
-func BenchmarkCompareParallel(b *testing.B) {
-	runCompareBench(b, benchRequest(b), runtime.GOMAXPROCS(0))
-}
-
-// BenchmarkCompareWide solves wideRequest on GOMAXPROCS workers: the
-// grid where the break-even sweep, which runs on the caller's goroutine
-// after the fan-out, has the most cells and budgets to go through.
-func BenchmarkCompareWide(b *testing.B) {
-	runCompareBench(b, wideRequest(b), runtime.GOMAXPROCS(0))
-}
+// BenchmarkCompareWide solves wideRequest: the grid where the break-even
+// sweep, which runs after the cells, has the most cells and budgets to
+// go through.
+func BenchmarkCompareWide(b *testing.B) { runCompareBench(b, wideRequest(b)) }

@@ -119,7 +119,6 @@ func FuzzBreakEvenBound(f *testing.F) {
 			Scenarios:      []string{"mv1"},
 			Budget:         money.Cent.MulInt(1 + int64(cents%20_000)),
 			BreakEvenSteps: 2 + int(steps%12),
-			Workers:        1,
 		}
 		if deferred {
 			req.MaintenancePolicy = views.DeferredMaintenance
@@ -168,7 +167,7 @@ func TestOneBreakEvenStepRejected(t *testing.T) {
 	}
 }
 
-// TestBreakEvenStopsWhenCancelled: the sweep runs after the fan-out, so
+// TestBreakEvenStopsWhenCancelled: the sweep runs after the grid, so
 // it checks the request's context itself, between budgets, and gives up
 // with its error once it is done.
 func TestBreakEvenStopsWhenCancelled(t *testing.T) {

@@ -11,9 +11,9 @@ import (
 )
 
 // TestRunCancelledReturnsPromptly pins the deadline-propagation
-// contract for the compare fan-out: a dead context stops the per-cell
-// workers at cell boundaries and the whole run unwinds promptly with
-// the context's error instead of grinding through the full grid.
+// contract for the compare grid: a dead context stops the cells at a
+// cell boundary and the whole run unwinds promptly with the context's
+// error instead of grinding through the full grid.
 func TestRunCancelledReturnsPromptly(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()

@@ -1,12 +1,12 @@
 // Package compare answers the question the single-provider advisor
 // cannot: "which cloud should this workload run on, and with which
-// materialized views?" It fans the advisor out across every requested
-// provider × instance type × cluster size configuration on a bounded
-// worker pool — one core.Advisor (and thus one optimizer.Evaluator) per
-// configuration, solves running concurrently — and merges the results
-// deterministically into a ranked Comparison: the full cost/time matrix,
-// the per-scenario winner, a cross-provider Pareto frontier, and the
-// budget break-even points where the winning provider flips.
+// materialized views?" It prices the advisor on every requested
+// provider × instance type × cluster size configuration — one
+// core.Advisor (and thus one per-tariff kernel binding) per
+// configuration, solved in key order on the caller's goroutine — and
+// merges the results into a ranked Comparison: the full cost/time
+// matrix, the per-scenario winner, a cross-provider Pareto frontier, and
+// the budget break-even points where the winning provider flips.
 //
 // This is the multi-CSP extension the paper lists as future work (§8),
 // in the spirit of Perriot et al.'s cross-tariff cost models.
@@ -17,12 +17,9 @@ import (
 	"context"
 	"fmt"
 	"math"
-	"runtime"
 	"slices"
 	"sort"
 	"strconv"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"vmcloud/internal/core"
@@ -83,11 +80,10 @@ type Request struct {
 	// required. Its tariff fields (Provider, InstanceType, Instances)
 	// must be left zero, as the grid lists below replace them, and so
 	// must Schema: a grid prices the sales schema only. Trace and Ctx
-	// span the whole fan-out: Trace accumulates every cell's phases (its
-	// slots are atomic), and cells not yet started when Ctx expires are
-	// abandoned (Run returns the context error) while search cells in
-	// flight stop at their best incumbent, marking the comparison
-	// Degraded.
+	// span the whole grid: Trace accumulates every cell's phases, and
+	// cells not yet started when Ctx expires are abandoned (Run returns
+	// the context error) while a search cell in flight stops at its best
+	// incumbent, marking the comparison Degraded.
 	core.Config
 
 	// Providers are the tariffs to compare, read and never written or
@@ -120,12 +116,11 @@ type Request struct {
 	// [Budget/2, 2·Budget]. Zero selects 8; negative disables the sweep.
 	BreakEvenSteps int
 
-	// Workers bounds the fan-out worker pool; zero selects GOMAXPROCS.
-	// One worker reproduces the sequential baseline.
+	// Deprecated: ignored; cells run in key order on the caller's goroutine.
 	Workers int
 }
 
-// Key identifies one fanned-out configuration.
+// Key identifies one grid configuration.
 type Key struct {
 	Provider     string `json:"provider"`
 	InstanceType string `json:"instance_type"`
@@ -349,12 +344,6 @@ func (r Request) normalize() (normalized, error) {
 		// drop the unused seed, matching the wire canonicalization.
 		n.Seed = 0
 	}
-	if n.Workers == 0 {
-		n.Workers = runtime.GOMAXPROCS(0)
-	}
-	if n.Workers < 1 {
-		n.Workers = 1
-	}
 	return n, nil
 }
 
@@ -362,30 +351,6 @@ func (r Request) normalize() (normalized, error) {
 // could locate no flip.
 func errBreakEvenSteps(steps int) error {
 	return fmt.Errorf("compare: break-even needs at least 2 steps, got %d", steps)
-}
-
-// fanOut runs solve(i) for i in [0, jobs) on at most workers
-// goroutines, the caller's included — the shared concurrency scaffold
-// of the grid engines. Every goroutine claims the next unsolved index
-// from one atomic cursor, so one worker (or one job) runs inline and
-// spawns nothing.
-func fanOut(workers, jobs int, solve func(int)) {
-	var next atomic.Int64
-	work := func() {
-		for i := int(next.Add(1)) - 1; i < jobs; i = int(next.Add(1)) - 1 {
-			solve(i)
-		}
-	}
-	var wg sync.WaitGroup
-	for w := min(workers, jobs) - 1; w > 0; w-- {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			work()
-		}()
-	}
-	work()
-	wg.Wait()
 }
 
 // cells expands the provider × instance × fleet grid in key order,
@@ -411,16 +376,15 @@ func (n normalized) cells() (keys []Key, providers []pricing.Provider, skipped [
 	return keys, providers, skipped
 }
 
-// Run solves every configuration on a bounded worker pool and merges the
-// outcomes. The result is deterministic: identical requests produce
-// identical comparisons regardless of worker count, scheduling, or the
-// order providers were listed in.
+// Run solves every configuration in key order and merges the outcomes.
+// The result is deterministic: identical requests produce identical
+// comparisons regardless of the order providers were listed in.
 //
 // The pricing-invariant structure — lattice, workload canonicalization,
 // HRU candidates, answering lists — is built exactly once (core.Shared's
-// comparison kernel) and shared read-only by every worker; each grid
-// cell then costs only a tariff re-bind (cluster + re-priced time
-// scalars) and the scenario solves.
+// comparison kernel) and read by every cell; each grid cell then costs
+// only a tariff re-bind (cluster + re-priced time scalars) and the
+// scenario solves.
 func Run(req Request) (*Comparison, error) {
 	n, err := req.normalize()
 	if err != nil {
@@ -453,10 +417,10 @@ func Run(req Request) (*Comparison, error) {
 }
 
 // solveGrid builds the shared structure once and solves every runnable
-// cell of the grid on it, on the bounded worker pool — the one grid solve
-// of Run and RunSweep. With a break-even sweep to run, it returns each
-// cell's session beside its result, for the sweep to go on solving on
-// once the pool is done.
+// cell of the grid on it, in key order on the caller's goroutine — the
+// one grid solve of Run and RunSweep. A failing cell ends the grid with
+// its error. With a break-even sweep to run, it returns each cell's
+// session beside its result, for the sweep to go on solving on.
 func (n normalized) solveGrid() ([]ConfigResult, []*optimizer.KernelSession, []Key, error) {
 	keys, providers, skipped := n.cells()
 	if len(keys) == 0 {
@@ -471,24 +435,19 @@ func (n normalized) solveGrid() ([]ConfigResult, []*optimizer.KernelSession, []K
 	if len(n.sweepBudgets) > 0 {
 		sessions = make([]*optimizer.KernelSession, len(keys))
 	}
-	errs := make([]error, len(keys))
-	fanOut(n.Workers, len(keys), func(i int) {
+	for i, k := range keys {
 		// Cooperative cancellation between cells: a cell that has not
-		// started when the deadline passes is abandoned outright (cells in
-		// flight stop via the search solver's own deadline gate).
+		// started when the deadline passes is abandoned outright (a cell
+		// in flight stops via the search solver's own deadline gate).
 		if n.Ctx != nil && n.Ctx.Err() != nil {
-			errs[i] = n.Ctx.Err()
-			return
+			return nil, nil, nil, fmt.Errorf("compare: %s: %w", k, n.Ctx.Err())
 		}
 		var sess *optimizer.KernelSession
-		results[i], sess, errs[i] = n.solveCell(shared, keys[i], providers[i])
+		if results[i], sess, err = n.solveCell(shared, k, providers[i]); err != nil {
+			return nil, nil, nil, fmt.Errorf("compare: %s: %w", k, err)
+		}
 		if sessions != nil {
 			sessions[i] = sess
-		}
-	})
-	for i, err := range errs {
-		if err != nil {
-			return nil, nil, nil, fmt.Errorf("compare: %s: %w", keys[i], err)
 		}
 	}
 	return results, sessions, skipped, nil
@@ -496,8 +455,8 @@ func (n normalized) solveGrid() ([]ConfigResult, []*optimizer.KernelSession, []K
 
 // solveCell re-prices the shared structure for one tariff cell and
 // solves every requested scenario on it. Each cell owns its advisor (a
-// per-tariff kernel binding over the read-only shared structure), so
-// cells are fully independent and safe to run concurrently.
+// per-tariff kernel binding over the read-only shared structure), and
+// the break-even sweep goes on solving on its session after the grid.
 func (n normalized) solveCell(shared *core.Shared, k Key, prov pricing.Provider) (ConfigResult, *optimizer.KernelSession, error) {
 	adv, err := shared.Advisor(prov, k.InstanceType, k.Instances)
 	if err != nil {
@@ -630,10 +589,10 @@ func mergeFrontiers(configs []ConfigResult) []ParetoEntry {
 // at worst, and none faster than its MinTime. So the cells are solved in
 // ascending (MinTime, key) order, and the first whose MinTime exceeds
 // the best time found ends the budget's pass: it and every cell after it
-// can neither win nor tie. The sessions are the cells' own, used here
-// after the fan-out has finished with them. Like the fan-out between
-// cells, the sweep gives up between budgets once ctx (nil for none) is
-// done. It returns the sweep and the number of solves it ran.
+// can neither win nor tie. The sessions are the cells' own, solved on
+// again here after the grid. Like the grid between cells, the sweep
+// gives up between budgets once ctx (nil for none) is done. It returns
+// the sweep and the number of solves it ran.
 func breakEven(ctx context.Context, budgets []money.Money, configs []ConfigResult, sessions []*optimizer.KernelSession) (*BreakEven, int, error) {
 	type cell struct {
 		baseT    time.Duration

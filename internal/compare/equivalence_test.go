@@ -57,7 +57,7 @@ func randomCatalog(seed int64, n int) []pricing.Provider {
 // policies, and both solvers (knapsack and seeded search), every cell of
 // compare.Run's matrix — recommendations and pareto frontiers — must be
 // byte-identical (JSON) and deeply equal to what an independent
-// per-config core.New advisor produces, i.e. the pre-kernel fan-out, and
+// per-config core.New advisor produces, i.e. the pre-kernel grid, and
 // the break-even sweep must name, at every budget, the winner of those
 // advisors' full MV1 solves.
 func TestKernelCompareMatchesPerConfigAdvisors(t *testing.T) {

@@ -14,7 +14,7 @@ import (
 // /v1/compare. It embeds the advise ConfigJSON for the shared problem
 // fields (fact_rows, months, workload, ...); the per-configuration
 // fields (provider, instance_type, instances) are replaced by the
-// fan-out lists and must be left empty.
+// grid lists and must be left empty.
 type RequestJSON struct {
 	// Scenarios selects the objectives ("mv1", "mv2", "mv3", "pareto");
 	// empty derives the set from the parameters given (see Request).
@@ -95,7 +95,7 @@ func (rj *RequestJSON) Normalize() error {
 	return nil
 }
 
-// Configs returns the size of the fan-out grid implied by a normalized
+// Configs returns the size of the grid implied by a normalized
 // request — what server-side ceilings are checked against.
 func (rj RequestJSON) Configs() int {
 	return len(rj.Providers) * len(rj.InstanceTypes) * len(rj.FleetSizes)

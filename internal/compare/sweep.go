@@ -47,9 +47,6 @@ type SweepRequest struct {
 	Limit time.Duration
 	// Alpha is the MV3 weight on time in [0,1]; nil selects 0.5.
 	Alpha *float64
-
-	// Workers bounds the fan-out worker pool; zero selects GOMAXPROCS.
-	Workers int
 }
 
 // SweepCell is one grid cell: the objective solved on one tariff.
@@ -115,7 +112,6 @@ func (r SweepRequest) normalize() (normalized, string, error) {
 		Limit:          r.Limit,
 		Alpha:          r.Alpha,
 		BreakEvenSteps: -1, // the sweep has no budget sub-sweep
-		Workers:        r.Workers,
 	}.normalize()
 	if err != nil {
 		return normalized{}, "", err
@@ -123,10 +119,9 @@ func (r SweepRequest) normalize() (normalized, string, error) {
 	return n, scenario, nil
 }
 
-// RunSweep solves the grid on a bounded worker pool. The
-// pricing-invariant structure is built once; every cell is a tariff
-// re-bind plus one scenario solve. The result is deterministic for
-// identical requests regardless of worker count or scheduling.
+// RunSweep solves the grid in key order. The pricing-invariant structure
+// is built once; every cell is a tariff re-bind plus one scenario solve.
+// The result is deterministic for identical requests.
 func RunSweep(req SweepRequest) (*Sweep, error) {
 	n, scenario, err := req.normalize()
 	if err != nil {

@@ -89,24 +89,26 @@ func mustLookup(t testing.TB, name string) pricing.Provider {
 	return p
 }
 
-func TestSweepWorkerIndependence(t *testing.T) {
-	req := sweepRequest(t)
-	seq := req
-	seq.Workers = 1
-	par := req
-	par.Workers = 8
-	a, err := RunSweep(seq)
+// The sweep must not depend on the order providers are listed.
+func TestSweepProviderOrderIndependence(t *testing.T) {
+	forward, reverse := sweepRequest(t), sweepRequest(t)
+	names := pricing.ProviderNames()
+	for i := range names {
+		forward.Providers = append(forward.Providers, mustLookup(t, names[i]))
+		reverse.Providers = append(reverse.Providers, mustLookup(t, names[len(names)-1-i]))
+	}
+	a, err := RunSweep(forward)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := RunSweep(par)
+	b, err := RunSweep(reverse)
 	if err != nil {
 		t.Fatal(err)
 	}
 	aj, _ := json.Marshal(a.JSON())
 	bj, _ := json.Marshal(b.JSON())
 	if string(aj) != string(bj) {
-		t.Error("sweep result depends on worker count")
+		t.Error("sweep result depends on the order providers are listed")
 	}
 }
 

@@ -125,10 +125,9 @@ func CanonSolver(s string) (string, error) {
 // the scenario solvers share one mutable kernel session (scratch
 // buffers, lazily cached items and baseline, the search engine's
 // selection state), so concurrent Advise*/ParetoFront calls are
-// serialized on an internal mutex — callers needing parallel solves of
-// one problem under different tariffs should build one advisor per
-// tariff (core.Shared.Advisor), which is what the comparison engine
-// does.
+// serialized on an internal mutex — callers solving one problem under
+// several tariffs build one advisor per tariff (core.Shared.Advisor),
+// as the comparison engine does.
 type Advisor struct {
 	Lat        *lattice.Lattice
 	Cl         *cluster.Cluster
@@ -193,17 +192,17 @@ type Shared struct {
 	jobOverhead time.Duration
 	// names caches the rendered cuboid name of every candidate by
 	// lattice id ("" for the rest) — selections only ever contain
-	// candidate points, and every tariff cell of a fan-out would
+	// candidate points, and every tariff cell of a comparison would
 	// otherwise re-join the same level strings per recommendation. On the
 	// default schema it is workload.SalesNames itself.
 	names []string
 	// trace is the optional per-phase span recorder; nil-safe, shared by
 	// every advisor stamped from this structure (its phase slots are
-	// atomic, so compare's parallel per-cell binds accumulate safely).
+	// atomic: advisors stamped from one Shared may solve on many
+	// goroutines).
 	trace *obs.Trace
 	// ctx optionally bounds search solves of every stamped advisor (see
-	// Config.Ctx); compare's per-cell fan-out also checks it between
-	// cells.
+	// Config.Ctx); compare's grid also checks it between cells.
 	ctx context.Context
 }
 

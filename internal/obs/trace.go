@@ -54,8 +54,8 @@ func (p Phase) String() string {
 // duration accumulators. It is deliberately not a general tracer —
 // phases are a closed enum, recording is an atomic add into the arena
 // (no interface boxing, no slices growing, no locks), and the atomics
-// make it safe for compare's parallel per-cell fan-out, where many
-// worker goroutines bind and solve concurrently under one trace.
+// make it safe to share: advisors stamped from one core.Shared may
+// solve on many goroutines under one trace.
 //
 // All methods are nil-safe: a nil *Trace records nothing, so the
 // solver packages thread it unconditionally and only the serving layer

@@ -32,7 +32,7 @@ func TestTraceNilSafe(t *testing.T) {
 }
 
 // TestTraceAccumulates: repeated observations into one phase add up
-// (compare's parallel fan-out records many binds under one trace).
+// (a comparison records one bind per cell under one trace).
 func TestTraceAccumulates(t *testing.T) {
 	tr := obs.NewTrace()
 	tr.Observe(obs.PhaseBind, 10*time.Millisecond)
@@ -104,9 +104,10 @@ func TestPhaseNames(t *testing.T) {
 	}
 }
 
-// TestTraceConcurrent: concurrent observers on one trace (compare's
-// per-cell workers) must not lose durations; -race covers the memory
-// model, the sum covers the arithmetic.
+// TestTraceConcurrent: concurrent observers on one trace (advisors
+// stamped from one core.Shared, solving on many goroutines) must not
+// lose durations; -race covers the memory model, the sum covers the
+// arithmetic.
 func TestTraceConcurrent(t *testing.T) {
 	tr := obs.NewTrace()
 	const goroutines = 8

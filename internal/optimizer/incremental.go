@@ -99,7 +99,7 @@ type IncrementalEvaluator struct {
 // bindInto binds the kernel to one tariff in an engine the caller
 // allocated: the kernel's pinned structure plus this evaluator's time
 // scalars. The evaluator must be wired over the kernel's lattice. A
-// binding is per cell of a comparison fan-out, so its allocation count
+// binding is per cell of a comparison grid, so its allocation count
 // is part of the per-tariff cost: every duration, int64, int32 and bool
 // array comes from one slab of its type.
 func (k *ComparisonKernel) bindInto(inc *IncrementalEvaluator, ev *Evaluator) error {

@@ -29,7 +29,7 @@ import (
 // whole advisory stack per provider × instance × fleet cell.
 //
 // A kernel is immutable after construction and safe for concurrent use:
-// many RepriceFor sessions (one per worker of a comparison fan-out) can
+// many RepriceFor sessions (one per cell of a comparison grid) can
 // share one kernel.
 type ComparisonKernel struct {
 	// Lat and Cands are the pinned problem, with the workload's queries

@@ -19,14 +19,14 @@ import (
 // that subset exactly with the Section 4 cost model. Every exact subset
 // price moves the session's own incremental engine onto the subset and
 // scores it, and the items and the no-view baseline are computed once
-// per session, so a comparison fan-out pays the structural
+// per session, so a comparison grid pays the structural
 // cost once per problem and only the O(arithmetic) re-bill per tariff
 // cell. The Evaluator's definitions are the oracle:
 // TestKernelSessionMatchesEvaluator holds Base, Items and every returned
 // (Time, Bill) to them bit for bit.
 //
 // A session is NOT safe for concurrent use (it owns scratch state and an
-// incremental engine); fan-outs bind one session per worker cell.
+// incremental engine); a comparison binds one session per cell.
 type KernelSession struct {
 	// Kern is the shared pricing-invariant structure.
 	Kern *ComparisonKernel
@@ -61,7 +61,7 @@ type KernelSession struct {
 
 // NewSession pins a candidate set against an evaluator and binds the one
 // session: NewComparisonKernel + RepriceFor for callers that price a
-// single tariff. Fan-outs build the kernel once and RepriceFor per cell.
+// single tariff. Grids build the kernel once and RepriceFor per cell.
 func NewSession(ev *Evaluator, cands []views.Candidate) (*KernelSession, error) {
 	if ev == nil {
 		return nil, fmt.Errorf("optimizer: nil evaluator")

@@ -28,14 +28,20 @@ func postAdvise(b *testing.B, s *Server, body []byte) *httptest.ResponseRecorder
 	return w
 }
 
-// BenchmarkAdviseCold measures the uncached path: every iteration uses a
-// fresh server, so the full lattice + candidates + DP + marshal pipeline
-// runs each time.
+// BenchmarkAdviseCold measures the uncached path on one server: every
+// iteration posts a distinct problem (benchBody at fact_rows + i), so
+// the full lattice + candidates + DP + encode pipeline runs each time,
+// and the server's own construction stays out of the loop.
 func BenchmarkAdviseCold(b *testing.B) {
+	s := New(Options{})
+	var body []byte
 	b.ReportAllocs()
+	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		s := New(Options{})
-		postAdvise(b, s, benchBody)
+		body = fmt.Appendf(body[:0], `{"scenario":"mv1","budget":25,"queries":10,"frequency":30,"fact_rows":%d}`, 200_000_000+i)
+		if w := postAdvise(b, s, body); w.Header().Get("X-Cache") != "miss" {
+			b.Fatalf("iteration %d: X-Cache %q, want a miss", i, w.Header().Get("X-Cache"))
+		}
 	}
 }
 
@@ -86,7 +92,7 @@ func postCompare(b *testing.B, s *Server, body []byte) *httptest.ResponseRecorde
 	return w
 }
 
-// BenchmarkCompareCold measures the uncached cross-provider fan-out:
+// BenchmarkCompareCold measures the uncached cross-provider grid:
 // every iteration solves the full catalog grid.
 func BenchmarkCompareCold(b *testing.B) {
 	b.ReportAllocs()

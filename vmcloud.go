@@ -143,8 +143,8 @@ func NewAdvisor(cfg AdvisorConfig) (*Advisor, error) { return core.New(cfg) }
 
 // CompareRequest describes a cross-provider comparison: the advisory
 // problem (its embedded Config: AdvisorConfig{Workload: w, ...}, tariff
-// fields and Schema left zero) fanned out across provider × instance
-// type × cluster size configurations. Zero values select the paper's
+// fields and Schema left zero) priced on every provider × instance
+// type × cluster size configuration. Zero values select the paper's
 // defaults; an empty Providers list compares the full built-in catalog,
 // and a nil Alpha means 0.5.
 type CompareRequest = compare.Request
@@ -161,8 +161,8 @@ type ComparisonJSON = compare.ComparisonJSON
 // CompareKey identifies one compared configuration.
 type CompareKey = compare.Key
 
-// Compare solves every requested configuration on a bounded worker pool
-// and returns the deterministic, ranked comparison.
+// Compare solves every requested configuration in key order on the
+// caller's goroutine and returns the deterministic, ranked comparison.
 func Compare(req CompareRequest) (*Comparison, error) { return compare.Run(req) }
 
 // SweepRequest describes a tariff-grid sweep: a single objective (mv1,
@@ -182,6 +182,6 @@ type TariffSweep = compare.Sweep
 // SweepJSON is the wire form of a TariffSweep.
 type SweepJSON = compare.SweepJSON
 
-// Sweep re-prices the single-objective grid on a bounded worker pool and
-// returns the deterministic sweep with its winner.
+// Sweep re-prices the single-objective grid in key order on the caller's
+// goroutine and returns the deterministic sweep with its winner.
 func Sweep(req SweepRequest) (*TariffSweep, error) { return compare.RunSweep(req) }
