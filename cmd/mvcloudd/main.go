@@ -36,6 +36,9 @@
 // shed-or-stale degradation. -cluster-seed keys the ring
 // (frontends sharing a worker tier must agree on it).
 //
+// Every serving flag sets the server.Options field it names; in cluster
+// mode the frontend and every worker get the same Options.
+//
 // -debug-addr starts a second listener serving net/http/pprof under
 // /debug/pprof/ — a separate socket, so production traffic on -addr can
 // never reach the profiler. -slow-solve logs a structured line with the
@@ -63,63 +66,27 @@ import (
 )
 
 func main() {
-	var (
-		addr     = flag.String("addr", ":8080", "listen address")
-		cache    = flag.Int("cache-size", 256, "max memoized recommendations (negative disables)")
-		cacheMB  = flag.Int64("cache-max-mb", 64, "max resident megabytes per cache (negative unbounds)")
-		reqTO    = flag.Duration("request-timeout", 30*time.Second, "per-request solve timeout")
-		graceTO  = flag.Duration("shutdown-grace", 10*time.Second, "graceful shutdown drain window")
-		maxRows  = flag.Int64("max-fact-rows", 0, "largest accepted fact_rows (0 = server default)")
-		maxSteps = flag.Int("max-pareto-steps", 0, "largest accepted pareto sweep (0 = server default)")
-		maxGrid  = flag.Int("max-compare-configs", 0, "largest accepted compare or sweep grid (0 = server default)")
-		advWork  = flag.Int("advise-workers", 0, "concurrent advise solves admitted (0 = GOMAXPROCS)")
-		hvyWork  = flag.Int("heavy-workers", 0, "concurrent compare/sweep solves admitted (0 = GOMAXPROCS)")
-		advQueue = flag.Int("advise-queue", 0, "advise solves queued beyond the workers before shedding 429 (0 = server default, negative = no queue)")
-		hvyQueue = flag.Int("heavy-queue", 0, "compare/sweep solves queued beyond the workers before shedding 429 (0 = server default, negative = no queue)")
-		dbgAddr  = flag.String("debug-addr", "", "pprof listen address (empty disables; use localhost:6060)")
-		slowTO   = flag.Duration("slow-solve", 0, "log cold solves at least this slow with their phase breakdown (0 disables)")
-		cluster  = flag.Int("cluster", 0, "run as a cluster frontend with this many in-process workers (0 = single-node)")
-		clSeed   = flag.Int64("cluster-seed", 0, "rendezvous ring seed (must agree across frontends sharing a worker tier)")
-	)
-	flag.Parse()
-
+	// flag.CommandLine exits on a bad flag, so parseFlags returns no
+	// error here.
+	o, _ := parseFlags(flag.CommandLine, os.Args[1:])
+	o.logf = log.Printf
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
-	if err := run(ctx, options{
-		addr: *addr, cacheSize: *cache, cacheMaxBytes: *cacheMB << 20, requestTimeout: *reqTO,
-		shutdownGrace: *graceTO, maxFactRows: *maxRows, maxParetoSteps: *maxSteps,
-		maxCompareConfigs: *maxGrid, adviseWorkers: *advWork, heavyWorkers: *hvyWork,
-		adviseQueue: *advQueue, heavyQueue: *hvyQueue,
-		debugAddr: *dbgAddr, slowSolve: *slowTO,
-		clusterWorkers: *cluster, clusterSeed: *clSeed,
-		logf: log.Printf,
-	}); err != nil {
+	if err := run(ctx, o); err != nil {
 		fmt.Fprintln(os.Stderr, "mvcloudd:", err)
 		os.Exit(1)
 	}
 }
 
 type options struct {
-	addr              string
-	cacheSize         int
-	cacheMaxBytes     int64
-	requestTimeout    time.Duration
-	shutdownGrace     time.Duration
-	maxFactRows       int64
-	maxParetoSteps    int
-	maxCompareConfigs int
-	// Admission-control sizing: bounded solve-worker pools and queues
-	// for the cheap (advise) and heavy (compare/sweep) endpoint
-	// classes; zero values take the server defaults.
-	adviseWorkers int
-	heavyWorkers  int
-	adviseQueue   int
-	heavyQueue    int
+	addr          string
+	shutdownGrace time.Duration
 	// debugAddr, when non-empty, starts a second listener serving
 	// net/http/pprof — isolated from the API socket by construction.
 	debugAddr string
-	// slowSolve is the slow-solve log threshold (0 disables).
-	slowSolve time.Duration
+	// server configures the single-node server, or in cluster mode the
+	// frontend and every worker alike.
+	server server.Options
 	// clusterWorkers, when positive, serves single-binary cluster mode:
 	// a frontend routing to this many in-process workers over the
 	// in-memory transport; clusterSeed keys the rendezvous ring.
@@ -133,43 +100,62 @@ type options struct {
 	logf       func(format string, args ...any)
 }
 
+// parseFlags binds every flag to the options field it sets and parses
+// args; -cache-max-mb is read in megabytes and stored in bytes.
+func parseFlags(fs *flag.FlagSet, args []string) (options, error) {
+	var o options
+	so := &o.server
+	fs.StringVar(&o.addr, "addr", ":8080", "listen address")
+	fs.IntVar(&so.CacheSize, "cache-size", 256, "max memoized recommendations (negative disables)")
+	fs.Int64Var(&so.CacheMaxBytes, "cache-max-mb", 64, "max resident megabytes per cache (negative unbounds)")
+	fs.DurationVar(&so.RequestTimeout, "request-timeout", 30*time.Second, "per-request solve timeout")
+	fs.DurationVar(&o.shutdownGrace, "shutdown-grace", 10*time.Second, "graceful shutdown drain window")
+	fs.Int64Var(&so.MaxFactRows, "max-fact-rows", 0, "largest accepted fact_rows (0 = server default)")
+	fs.IntVar(&so.MaxParetoSteps, "max-pareto-steps", 0, "largest accepted pareto sweep (0 = server default)")
+	fs.IntVar(&so.MaxCompareConfigs, "max-compare-configs", 0, "largest accepted compare or sweep grid (0 = server default)")
+	fs.IntVar(&so.AdviseWorkers, "advise-workers", 0, "concurrent advise solves admitted (0 = GOMAXPROCS)")
+	fs.IntVar(&so.HeavyWorkers, "heavy-workers", 0, "concurrent compare/sweep solves admitted (0 = GOMAXPROCS)")
+	fs.IntVar(&so.AdviseQueue, "advise-queue", 0, "advise solves queued beyond the workers before shedding 429 (0 = server default, negative = no queue)")
+	fs.IntVar(&so.HeavyQueue, "heavy-queue", 0, "compare/sweep solves queued beyond the workers before shedding 429 (0 = server default, negative = no queue)")
+	fs.StringVar(&o.debugAddr, "debug-addr", "", "pprof listen address (empty disables; use localhost:6060)")
+	fs.DurationVar(&so.SlowSolveThreshold, "slow-solve", 0, "log cold solves at least this slow with their phase breakdown (0 disables)")
+	fs.IntVar(&o.clusterWorkers, "cluster", 0, "run as a cluster frontend with this many in-process workers (0 = single-node)")
+	fs.Int64Var(&o.clusterSeed, "cluster-seed", 0, "rendezvous ring seed (must agree across frontends sharing a worker tier)")
+	err := fs.Parse(args)
+	so.CacheMaxBytes <<= 20
+	return o, err
+}
+
+// cluster is the single-binary cluster -cluster and -cluster-seed ask
+// for: the frontend and every worker get the daemon's server Options.
+func (o options) cluster() server.LocalClusterOptions {
+	return server.LocalClusterOptions{
+		Workers:  o.clusterWorkers,
+		Frontend: o.server,
+		Worker:   o.server,
+		Seed:     o.clusterSeed,
+	}
+}
+
 // run serves until ctx is cancelled, then drains gracefully.
 func run(ctx context.Context, o options) error {
 	if o.logf == nil {
 		o.logf = func(string, ...any) {}
 	}
-	base := server.Options{
-		CacheSize:          o.cacheSize,
-		CacheMaxBytes:      o.cacheMaxBytes,
-		RequestTimeout:     o.requestTimeout,
-		MaxFactRows:        o.maxFactRows,
-		MaxParetoSteps:     o.maxParetoSteps,
-		MaxCompareConfigs:  o.maxCompareConfigs,
-		AdviseWorkers:      o.adviseWorkers,
-		HeavyWorkers:       o.heavyWorkers,
-		AdviseQueue:        o.adviseQueue,
-		HeavyQueue:         o.heavyQueue,
-		SlowSolveThreshold: o.slowSolve,
-	}
 	var api http.Handler
 	if o.clusterWorkers > 0 {
-		lc := server.NewLocalCluster(server.LocalClusterOptions{
-			Workers:  o.clusterWorkers,
-			Frontend: base,
-			Worker:   base,
-			Cluster:  server.ClusterOptions{Seed: o.clusterSeed},
-		})
+		lc := server.NewLocalCluster(o.cluster())
 		o.logf("mvcloudd cluster mode: frontend + %d in-process workers (ring seed %d)",
 			o.clusterWorkers, o.clusterSeed)
 		api = lc
 	} else {
-		api = server.New(base)
+		api = server.New(o.server)
 	}
 	hs := &http.Server{
 		Handler:           api,
 		ReadHeaderTimeout: 5 * time.Second,
 		// WriteTimeout backstops the handler's own solve timeout.
-		WriteTimeout: o.requestTimeout + 10*time.Second,
+		WriteTimeout: o.server.RequestTimeout + 10*time.Second,
 		IdleTimeout:  2 * time.Minute,
 	}
 	ln, err := net.Listen("tcp", o.addr)
@@ -177,7 +163,7 @@ func run(ctx context.Context, o options) error {
 		return err
 	}
 	o.logf("mvcloudd listening on %s (cache %d entries, request timeout %v)",
-		ln.Addr(), o.cacheSize, o.requestTimeout)
+		ln.Addr(), o.server.CacheSize, o.server.RequestTimeout)
 	if o.ready != nil {
 		o.ready <- ln.Addr().String()
 	}

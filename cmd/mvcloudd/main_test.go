@@ -2,6 +2,7 @@ package main
 
 import (
 	"context"
+	"flag"
 	"fmt"
 	"io"
 	"net/http"
@@ -10,6 +11,7 @@ import (
 	"time"
 
 	"vmcloud/internal/obs"
+	"vmcloud/internal/server"
 )
 
 // TestServeAndShutdown boots the daemon on an ephemeral port, exercises
@@ -21,9 +23,9 @@ func TestServeAndShutdown(t *testing.T) {
 	errc := make(chan error, 1)
 	go func() {
 		errc <- run(ctx, options{
-			addr: "127.0.0.1:0", cacheSize: 32,
-			requestTimeout: 30 * time.Second, shutdownGrace: 5 * time.Second,
-			ready: ready,
+			addr: "127.0.0.1:0", shutdownGrace: 5 * time.Second,
+			server: server.Options{CacheSize: 32, RequestTimeout: 30 * time.Second},
+			ready:  ready,
 		})
 	}()
 	var base string
@@ -96,10 +98,12 @@ func TestDaemonTelemetry(t *testing.T) {
 	errc := make(chan error, 1)
 	go func() {
 		errc <- run(ctx, options{
-			addr: "127.0.0.1:0", debugAddr: "127.0.0.1:0", cacheSize: 32,
-			requestTimeout: 30 * time.Second, shutdownGrace: 5 * time.Second,
-			slowSolve: time.Nanosecond, // every cold solve logs
-			ready:     ready, debugReady: debugReady,
+			addr: "127.0.0.1:0", debugAddr: "127.0.0.1:0", shutdownGrace: 5 * time.Second,
+			server: server.Options{
+				CacheSize: 32, RequestTimeout: 30 * time.Second,
+				SlowSolveThreshold: time.Nanosecond, // every cold solve logs
+			},
+			ready: ready, debugReady: debugReady,
 		})
 	}()
 	var base, debugBase string
@@ -253,8 +257,8 @@ func TestServeClusterMode(t *testing.T) {
 	errc := make(chan error, 1)
 	go func() {
 		errc <- run(ctx, options{
-			addr: "127.0.0.1:0", cacheSize: 32,
-			requestTimeout: 30 * time.Second, shutdownGrace: 5 * time.Second,
+			addr: "127.0.0.1:0", shutdownGrace: 5 * time.Second,
+			server:         server.Options{CacheSize: 32, RequestTimeout: 30 * time.Second},
 			clusterWorkers: 3, clusterSeed: 42,
 			ready: ready,
 		})
@@ -314,5 +318,63 @@ func TestServeClusterMode(t *testing.T) {
 		}
 	case <-time.After(10 * time.Second):
 		t.Fatal("server never shut down")
+	}
+}
+
+// TestParseFlags parses one line that sets every flag to a value no
+// other flag gets, and holds each to the field it names: a flag bound to
+// the wrong field, or a field left out, changes the parsed value. No
+// flags at all must give the daemon's documented defaults.
+func TestParseFlags(t *testing.T) {
+	fs := flag.NewFlagSet("mvcloudd", flag.ContinueOnError)
+	o, err := parseFlags(fs, []string{
+		"-addr", "127.0.0.1:9001", "-cache-size", "11", "-cache-max-mb", "12",
+		"-request-timeout", "13s", "-shutdown-grace", "14s", "-max-fact-rows", "15",
+		"-max-pareto-steps", "16", "-max-compare-configs", "17", "-advise-workers", "18",
+		"-heavy-workers", "19", "-advise-queue", "20", "-heavy-queue", "-21",
+		"-debug-addr", "127.0.0.1:9002", "-slow-solve", "22ms", "-cluster", "5",
+		"-cluster-seed", "23",
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	set, all := 0, 0
+	fs.Visit(func(*flag.Flag) { set++ })
+	fs.VisitAll(func(*flag.Flag) { all++ })
+	if set != all {
+		t.Fatalf("the line sets %d of %d flags", set, all)
+	}
+	want := server.Options{
+		CacheSize:          11,
+		CacheMaxBytes:      12 << 20,
+		RequestTimeout:     13 * time.Second,
+		MaxFactRows:        15,
+		MaxParetoSteps:     16,
+		MaxCompareConfigs:  17,
+		AdviseWorkers:      18,
+		HeavyWorkers:       19,
+		AdviseQueue:        20,
+		HeavyQueue:         -21,
+		SlowSolveThreshold: 22 * time.Millisecond,
+	}
+	if o.server != want {
+		t.Errorf("server options\n got %+v\nwant %+v", o.server, want)
+	}
+	if o.addr != "127.0.0.1:9001" || o.shutdownGrace != 14*time.Second || o.debugAddr != "127.0.0.1:9002" {
+		t.Errorf("addr %q, shutdown grace %v, debug addr %q", o.addr, o.shutdownGrace, o.debugAddr)
+	}
+	wantCluster := server.LocalClusterOptions{Workers: 5, Frontend: want, Worker: want, Seed: 23}
+	if got := o.cluster(); got != wantCluster {
+		t.Errorf("cluster options\n got %+v\nwant %+v", got, wantCluster)
+	}
+
+	d, err := parseFlags(flag.NewFlagSet("mvcloudd", flag.ContinueOnError), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantDefaults := server.Options{CacheSize: 256, CacheMaxBytes: 64 << 20, RequestTimeout: 30 * time.Second}
+	if d.server != wantDefaults || d.addr != ":8080" || d.shutdownGrace != 10*time.Second ||
+		d.debugAddr != "" || d.clusterWorkers != 0 || d.clusterSeed != 0 {
+		t.Errorf("defaults: %+v", d)
 	}
 }

@@ -304,7 +304,7 @@ var fieldAllow = map[string]string{
 		"of their own; the product logs to stderr",
 	module + "/internal/server.Options.DegradeGrace": "the degradation tests widen it so that " +
 		"under -race the 503 backstop never beats the degraded answer",
-	module + "/internal/server.ClusterOptions.AttemptTimeout": "the partition contracts " +
+	module + "/internal/server.LocalClusterOptions.AttemptTimeout": "the partition contracts " +
 		"need it at sub-second values",
 }
 
@@ -312,8 +312,10 @@ var fieldAllow = map[string]string{
 // product writes: each exported field of a package-level struct type
 // that some non-test file of the module or bench/ builds with a
 // composite literal must be written by some such file — a literal key,
-// an unkeyed literal, an assignment or an increment — other than its own
-// type's withDefaults. A field nothing sets is a constant in disguise.
+// an unkeyed literal, an assignment, an increment or its address handed
+// to a function of package flag (fs.IntVar(&o.f, …)) — other than its
+// own type's withDefaults. A field nothing sets is a constant in
+// disguise.
 func TestEveryFieldIsSet(t *testing.T) {
 	for _, msg := range unsetFields(loadProduct(t), fieldAllow) {
 		t.Error(msg)
@@ -350,6 +352,7 @@ func TestUnsetFieldsFixture(t *testing.T) {
 		"allowlist entry " + lib + ".Other.Free names no checked field",
 		lib + ".Inner.Spare is set by no product code",
 		opts + ".Defaulted is set by no product code",
+		opts + ".ReadOnly is set by no product code",
 		opts + ".TestOnly is set by no product code",
 		opts + ".Unset is set by no product code",
 	}
@@ -367,8 +370,10 @@ func TestUnsetFieldsFixture(t *testing.T) {
 // excuse, and every stale allow entry. The fields checked are those of
 // every package-level struct type of pkgs that some file of pkgs builds
 // with a composite literal. A literal writes the fields it keys, or all
-// of them when unkeyed; an assignment or increment to a.B.C writes C, B
-// and every embedded field a promoted selector passes through. Fields
+// of them when unkeyed; an assignment or increment to a.B.C, or &a.B.C
+// as an argument of a flag function, writes C, B and every embedded
+// field a promoted selector passes through; any other &a.B.C is not a
+// write. Fields
 // are keyed "path.Type.Field" and matched by the type that declares
 // them, never by identity: each package is type-checked against export
 // data (see objKey).
@@ -432,6 +437,18 @@ func unsetFields(pkgs []*analysis.Package, allow map[string]string) []string {
 						}
 					case *ast.IncDecStmt:
 						write(n.X, defaults)
+					case *ast.CallExpr:
+						// A flag binding (fs.IntVar(&x.f, …)) writes the
+						// field whose address it is handed; any other &x.f
+						// may be a read.
+						if !isFlagFunc(p.TypesInfo, n.Fun) {
+							return true
+						}
+						for _, arg := range n.Args {
+							if u, ok := arg.(*ast.UnaryExpr); ok && u.Op == token.AND {
+								write(u.X, defaults)
+							}
+						}
 					}
 					return true
 				})
@@ -454,6 +471,17 @@ func unsetFields(pkgs []*analysis.Package, allow map[string]string) []string {
 	}
 	sort.Strings(out)
 	return out
+}
+
+// isFlagFunc reports whether fun names a function or method of package
+// flag.
+func isFlagFunc(info *types.Info, fun ast.Expr) bool {
+	se, ok := fun.(*ast.SelectorExpr)
+	if !ok {
+		return false
+	}
+	fn, _ := info.Uses[se.Sel].(*types.Func)
+	return fn != nil && fn.Pkg() != nil && fn.Pkg().Path() == "flag"
 }
 
 // declareFields adds the exported fields of the struct type keyed owner
@@ -603,7 +631,6 @@ func TestTelemetryFastPathsAreMarked(t *testing.T) {
 	want := map[string]string{
 		"Counter.Add":          "internal/obs/counter.go",
 		"Counter.Inc":          "internal/obs/counter.go",
-		"shardIndex":           "internal/obs/counter.go",
 		"Gauge.Add":            "internal/obs/counter.go",
 		"Histogram.Observe":    "internal/obs/histogram.go",
 		"Trace.StartTimer":     "internal/obs/trace.go",

@@ -11,6 +11,10 @@ type Options struct {
 	Assigned int
 	// Counted is incremented in cmd.
 	Counted int
+	// Pointed is set through its address in cmd (flag.IntVar).
+	Pointed int
+	// ReadOnly only has its address taken, to be read: reported.
+	ReadOnly int
 	// Nested is set by cmd's write through it to Nested.Depth.
 	Nested Inner
 	// Defaulted is set only by withDefaults: reported.

@@ -1,11 +1,11 @@
-// Package obs is the repo's stdlib-only telemetry kernel: sharded atomic
+// Package obs is the repo's stdlib-only telemetry kernel: atomic
 // counters, gauges and fixed-bucket latency histograms with label series
 // preallocated at registration, a Prometheus-text exposition writer, and
 // a per-phase span recorder for solve tracing.
 //
 // The design constraint is the serving layer's zero-alloc cache-hit
 // contract (internal/server TestCacheHitAllocBudget): every fast-path
-// instrument — Counter.Add/Inc, Gauge.Add/Set, Histogram.Observe,
+// instrument — Counter.Add/Inc, Gauge.Add, Histogram.Observe,
 // Trace.Observe — is an atomic operation on a series resolved once at
 // registration time. No maps, no label rendering, no interface boxing,
 // no fmt on the record path; all of that happens at registration or at

@@ -171,8 +171,8 @@ func TestRegistrationPanics(t *testing.T) {
 
 // TestCounterConcurrency hammers one counter from many goroutines while
 // a reader polls Value — the -race CI step turns any unsynchronized
-// access into a failure, and the final sum proves no increment is lost
-// across the shards.
+// access into a failure, and the final count proves no increment is
+// lost.
 func TestCounterConcurrency(t *testing.T) {
 	const goroutines = 16
 	const perG = 10000

@@ -664,8 +664,8 @@ func Solve(ev *optimizer.Evaluator, cands []views.Candidate, sc optimizer.Scenar
 // solve runs the pipeline on the solver's current scenario and flushes
 // the solver telemetry once per solve: the inner loops count evaluations
 // and moves in plain solver-local fields, and only this wrapper pays the
-// (sharded, contention-free) atomic adds — so a million-move anneal
-// costs exactly two counter flushes.
+// atomic adds — so a million-move anneal costs exactly two counter
+// flushes.
 func (s *solver) solve(extraStart []bool) (optimizer.Selection, []bool, error) {
 	evals0 := s.evals
 	moves0 := s.inc.Moves()

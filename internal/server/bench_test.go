@@ -92,13 +92,20 @@ func postCompare(b *testing.B, s *Server, body []byte) *httptest.ResponseRecorde
 	return w
 }
 
-// BenchmarkCompareCold measures the uncached cross-provider grid:
-// every iteration solves the full catalog grid.
+// BenchmarkCompareCold measures the uncached cross-provider grid on one
+// server: every iteration posts a distinct problem (compareBenchBody at
+// fact_rows + i), so the full catalog grid is solved each time, and the
+// server's own construction stays out of the loop.
 func BenchmarkCompareCold(b *testing.B) {
+	s := New(Options{})
+	var body []byte
 	b.ReportAllocs()
+	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		s := New(Options{})
-		postCompare(b, s, compareBenchBody)
+		body = fmt.Appendf(body[:0], `{"budget":25,"limit":"4h","queries":10,"frequency":30,"fact_rows":%d}`, 50_000_000+i)
+		if w := postCompare(b, s, body); w.Header().Get("X-Cache") != "miss" {
+			b.Fatalf("iteration %d: X-Cache %q, want a miss", i, w.Header().Get("X-Cache"))
+		}
 	}
 }
 

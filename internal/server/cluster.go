@@ -11,32 +11,6 @@ import (
 	"vmcloud/internal/shard"
 )
 
-// ClusterOptions turns a Server into a stateless cluster frontend: it
-// keeps its own canonicalization, memoization, singleflight and stale
-// tiers, but routes every cold solve to a worker chosen by rendezvous
-// hashing on the canonical cache key — so each worker's cache, kernel
-// sessions and pools stay hot for "its" problems — with failover to the
-// ring successor, and shed-or-stale degradation when a key's whole
-// candidate set is down. The frontend learns worker health from its own
-// forwards only: failed ones eject a worker (shard.Tracker), and there
-// is no background prober. A slow or silent worker is the per-attempt
-// timeout's business (TestClusterPartitionFailsOver); a solve is never
-// sent to two workers at once. Zero values select defaults.
-type ClusterOptions struct {
-	// Workers are the worker IDs forming the ring; required, and must
-	// be registered with Transport.
-	Workers []string
-	// Transport moves solves to the in-process workers; required.
-	Transport *MemTransport
-	// Seed keys the rendezvous ring and must agree across every
-	// frontend sharing the worker tier.
-	Seed int64
-	// AttemptTimeout bounds one forwarded attempt (default half the
-	// request timeout, so a partition burning the first attempt still
-	// leaves the successor a full try inside the request's deadline).
-	AttemptTimeout time.Duration
-}
-
 // maxAttempts bounds the failover budget per request: the owner plus
 // one ring successor.
 const maxAttempts = 2
@@ -45,20 +19,14 @@ const maxAttempts = 2
 // forward to it probes it half-open.
 const ejectCooldown = 2 * time.Second
 
-func (o ClusterOptions) withDefaults(requestTimeout time.Duration) ClusterOptions {
-	if o.AttemptTimeout <= 0 {
-		o.AttemptTimeout = requestTimeout / 2
-	}
-	return o
-}
-
 // clusterState is the frontend's routing plane: the ring, the failure
 // detector, and the fan-out counters.
 type clusterState struct {
-	opts      ClusterOptions
 	ring      *shard.Ring
 	health    *shard.Tracker
 	transport *MemTransport
+	// attemptTimeout bounds one forwarded attempt.
+	attemptTimeout time.Duration
 
 	// forwards/failovers count routing decisions: attempts sent, and
 	// attempts that fell over to a successor.
@@ -69,22 +37,20 @@ type clusterState struct {
 	allDown atomic.Int64
 }
 
-// newClusterState validates and builds the routing plane.
-func newClusterState(opts ClusterOptions, requestTimeout time.Duration) (*clusterState, error) {
-	if opts.Transport == nil {
-		return nil, errors.New("cluster: Transport required")
-	}
-	ring, err := shard.New(opts.Seed, opts.Workers)
+// newClusterState builds the routing plane over the named workers.
+func newClusterState(seed int64, workers []string, transport *MemTransport, attemptTimeout time.Duration) *clusterState {
+	ring, err := shard.New(seed, workers)
 	if err != nil {
-		return nil, err
+		// NewLocalCluster names its workers worker-0 … worker-(n-1) with
+		// n ≥ 1: never an empty set, an empty ID or a repeat.
+		panic("server: " + err.Error())
 	}
-	o := opts.withDefaults(requestTimeout)
 	return &clusterState{
-		opts:      o,
-		ring:      ring,
-		health:    shard.NewTracker(ejectCooldown, ring.Workers()),
-		transport: o.Transport,
-	}, nil
+		ring:           ring,
+		health:         shard.NewTracker(ejectCooldown, ring.Workers()),
+		transport:      transport,
+		attemptTimeout: attemptTimeout,
+	}
 }
 
 // registerClusterMetrics exposes the routing plane on /metrics.
@@ -185,7 +151,7 @@ func (s *Server) forward(ctx context.Context, e *endpoint, account, body, cacheK
 func (s *Server) forwardOnce(ctx context.Context, worker string, e *endpoint, account string, body []byte, cacheKey string) (outcome, bool) {
 	cl := s.cluster
 	cl.forwards.Add(1)
-	actx, cancel := context.WithTimeout(ctx, cl.opts.AttemptTimeout)
+	actx, cancel := context.WithTimeout(ctx, cl.attemptTimeout)
 	defer cancel()
 	start := time.Now()
 	rep, err := cl.transport.Forward(actx, worker, "/v1/"+e.name, account, body)

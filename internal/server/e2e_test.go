@@ -309,12 +309,10 @@ func TestClusterChaosKillAllButOneE2E(t *testing.T) {
 		Workers:  3,
 		Frontend: Options{RequestTimeout: time.Minute},
 		Worker:   Options{RequestTimeout: time.Minute},
-		Cluster: ClusterOptions{
-			Seed: 17,
-			// A dead worker refuses instantly: its first three failed
-			// forwards, each answered by a successor, eject it.
-			AttemptTimeout: 10 * time.Second,
-		},
+		Seed:     17,
+		// A dead worker refuses instantly: its first three failed
+		// forwards, each answered by a successor, eject it.
+		AttemptTimeout: 10 * time.Second,
 	})
 
 	// Kill all but worker-2 once the run is underway: requests in
@@ -367,13 +365,11 @@ func TestClusterChaosKillAllButOneE2E(t *testing.T) {
 // errors and drain clean.
 func TestClusterPartitionChaosE2E(t *testing.T) {
 	lc := testCluster(t, LocalClusterOptions{
-		Workers:  3,
-		Frontend: Options{RequestTimeout: time.Minute},
-		Worker:   Options{RequestTimeout: time.Minute},
-		Cluster: ClusterOptions{
-			Seed:           23,
-			AttemptTimeout: 250 * time.Millisecond,
-		},
+		Workers:        3,
+		Frontend:       Options{RequestTimeout: time.Minute},
+		Worker:         Options{RequestTimeout: time.Minute},
+		Seed:           23,
+		AttemptTimeout: 250 * time.Millisecond,
 	})
 	partitioned := make(chan struct{})
 	go func() {

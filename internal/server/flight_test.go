@@ -330,7 +330,8 @@ func TestFlightLeaderDeathOnKilledWorker(t *testing.T) {
 			AdviseWorkers: 32,
 			Chaos:         &ChaosConfig{Seed: 1, LatencyProb: 1, Latency: 400 * time.Millisecond},
 		},
-		Cluster: ClusterOptions{Seed: 21, AttemptTimeout: 10 * time.Second},
+		Seed:           21,
+		AttemptTimeout: 10 * time.Second,
 	}
 	body := adviseBody("mv1", `"budget":25`)
 	owner := ownerOf(t, opts, "/v1/advise", body)

@@ -43,7 +43,7 @@ func drainCluster(t *testing.T, lc *LocalCluster, within time.Duration) {
 // drill, and the probe must never shed.
 func ownerOf(t *testing.T, opts LocalClusterOptions, path, body string) string {
 	t.Helper()
-	opts.Cluster.AttemptTimeout = time.Minute
+	opts.AttemptTimeout = time.Minute
 	lc := testCluster(t, opts)
 	w := do(t, lc.Frontend, "POST", path, body)
 	if w.Code != 200 {
@@ -101,7 +101,7 @@ func TestClusterForwardAndMemoize(t *testing.T) {
 // worker's cache hot for "its" keys no matter which frontend a client
 // hits.
 func TestClusterRoutingDeterministic(t *testing.T) {
-	opts := LocalClusterOptions{Workers: 4, Cluster: ClusterOptions{Seed: 42}}
+	opts := LocalClusterOptions{Workers: 4, Seed: 42}
 	body := adviseBody("mv1", `"budget":31`)
 	a := ownerOf(t, opts, "/v1/advise", body)
 	b := ownerOf(t, opts, "/v1/advise", body)
@@ -111,7 +111,7 @@ func TestClusterRoutingDeterministic(t *testing.T) {
 	// A different seed should (for this key) be free to disagree; more
 	// importantly it must still serve. Exact divergence is pinned by the
 	// ring's own property tests.
-	if w := do(t, testCluster(t, LocalClusterOptions{Workers: 4, Cluster: ClusterOptions{Seed: 7}}).Frontend,
+	if w := do(t, testCluster(t, LocalClusterOptions{Workers: 4, Seed: 7}).Frontend,
 		"POST", "/v1/advise", body); w.Code != 200 {
 		t.Errorf("other-seed cluster: status %d", w.Code)
 	}
@@ -122,7 +122,7 @@ func TestClusterRoutingDeterministic(t *testing.T) {
 // frontend fails over to the ring successor, and the client sees a
 // plain 200 — the failure is invisible apart from the X-Worker header.
 func TestClusterFailoverOnDeadWorker(t *testing.T) {
-	opts := LocalClusterOptions{Workers: 3, Cluster: ClusterOptions{Seed: 5}}
+	opts := LocalClusterOptions{Workers: 3, Seed: 5}
 	body := adviseBody("mv1", `"budget":25`)
 	owner := ownerOf(t, opts, "/v1/advise", body)
 
@@ -204,7 +204,7 @@ func TestClusterAllDownDegrades(t *testing.T) {
 // and fleet size (see ownerOf), and returns that owner and the bodies.
 func ownedBodies(t *testing.T, opts LocalClusterOptions, n int) (string, []string) {
 	t.Helper()
-	probe := testCluster(t, LocalClusterOptions{Workers: opts.Workers, Cluster: ClusterOptions{Seed: opts.Cluster.Seed}})
+	probe := testCluster(t, LocalClusterOptions{Workers: opts.Workers, Seed: opts.Seed})
 	byOwner := map[string][]string{}
 	for budget := 25; ; budget++ {
 		body := adviseBody("mv1", fmt.Sprintf(`"budget":%d`, budget))
@@ -228,7 +228,7 @@ func ownedBodies(t *testing.T, opts LocalClusterOptions, n int) (string, []strin
 // closes the breaker. The healthy successor is never ejected.
 func TestClusterHealthEjectionAndRecovery(t *testing.T) {
 	const cooldown = 500 * time.Millisecond
-	opts := LocalClusterOptions{Workers: 2, Cluster: ClusterOptions{Seed: 3}}
+	opts := LocalClusterOptions{Workers: 2, Seed: 3}
 	owner, bodies := ownedBodies(t, opts, 5)
 	lc := testCluster(t, opts)
 	cl := lc.Frontend.cluster
@@ -318,8 +318,9 @@ func workerHealth(lc *LocalCluster, id string) shard.WorkerHealth {
 // serves.
 func TestClusterPartitionFailsOver(t *testing.T) {
 	opts := LocalClusterOptions{
-		Workers: 2,
-		Cluster: ClusterOptions{Seed: 11, AttemptTimeout: 100 * time.Millisecond},
+		Workers:        2,
+		Seed:           11,
+		AttemptTimeout: 100 * time.Millisecond,
 	}
 	body := adviseBody("mv1", `"budget":25`)
 	owner := ownerOf(t, opts, "/v1/advise", body)
@@ -496,8 +497,8 @@ func TestAbandonedForwardIsNotAWorkerFailure(t *testing.T) {
 		Workers: 2,
 		// Worker solves sleep, so each forward is still in flight when
 		// its client leaves.
-		Worker:  Options{AdviseWorkers: 32, Chaos: &ChaosConfig{Seed: 1, LatencyProb: 1, Latency: 10 * time.Second}},
-		Cluster: ClusterOptions{Seed: 5},
+		Worker: Options{AdviseWorkers: 32, Chaos: &ChaosConfig{Seed: 1, LatencyProb: 1, Latency: 10 * time.Second}},
+		Seed:   5,
 	}
 	owner, bodies := ownedBodies(t, opts, 3)
 	lc := testCluster(t, opts)
@@ -545,7 +546,7 @@ func TestAbandonedForwardIsNotAWorkerFailure(t *testing.T) {
 // in its place and closes the breaker instead of the worker staying out
 // of the ring for good.
 func TestAbandonedProbeFreesTheSlot(t *testing.T) {
-	opts := LocalClusterOptions{Workers: 2, Cluster: ClusterOptions{Seed: 3}}
+	opts := LocalClusterOptions{Workers: 2, Seed: 3}
 	owner, bodies := ownedBodies(t, opts, 2)
 	lc := testCluster(t, opts)
 	cl := lc.Frontend.cluster
@@ -605,7 +606,8 @@ func TestClusterForwardPastDeadlineDegrades(t *testing.T) {
 		Frontend: Options{RequestTimeout: 200 * time.Millisecond},
 		// The attempt timeout outlasts the request, so the request
 		// deadline is what ends the forward.
-		Cluster: ClusterOptions{Seed: 5, AttemptTimeout: 10 * time.Second},
+		Seed:           5,
+		AttemptTimeout: 10 * time.Second,
 	}
 	owner, bodies := ownedBodies(t, opts, 1)
 	lc := testCluster(t, opts)

@@ -3,25 +3,38 @@ package server
 import (
 	"fmt"
 	"net/http"
+	"time"
 )
 
 // LocalClusterOptions configures a single-process cluster: one
-// stateless frontend plus N workers wired over a MemTransport.
+// stateless frontend plus N workers wired over a MemTransport. The
+// frontend keeps its own canonicalization, memoization, singleflight and
+// stale tiers, but routes every cold solve to a worker chosen by
+// rendezvous hashing on the canonical cache key — so each worker's
+// cache, kernel sessions and pools stay hot for "its" problems — with
+// failover to the ring successor, and shed-or-stale degradation when a
+// key's whole candidate set is down. The frontend learns worker health
+// from its own forwards only: failed ones eject a worker (shard.Tracker),
+// and there is no background prober. A slow or silent worker is the
+// per-attempt timeout's business (TestClusterPartitionFailsOver); a
+// solve is never sent to two workers at once. Zero values select
+// defaults.
 type LocalClusterOptions struct {
 	// Workers is the fleet size; default 3.
 	Workers int
-	// Frontend seeds the frontend server's Options. Frontend.Cluster is
-	// built by NewLocalCluster (Workers, Transport, and any fields set
-	// in Cluster below).
+	// Frontend seeds the frontend server's Options.
 	Frontend Options
-	// Worker seeds every worker server's Options. Workers never get
-	// Cluster set; solve latency/panic chaos belongs here, and worker
-	// kills and partitions go through LocalCluster.Transport.
+	// Worker seeds every worker server's Options. Solve latency/panic
+	// chaos belongs here; worker kills and partitions go through
+	// LocalCluster.Transport.
 	Worker Options
-	// Cluster refines the routing plane (seed and attempt timeout — what
-	// TestClusterPartitionFailsOver drives). Workers and Transport are
-	// overwritten by NewLocalCluster.
-	Cluster ClusterOptions
+	// Seed keys the rendezvous ring: which worker owns which key.
+	Seed int64
+	// AttemptTimeout bounds one forwarded attempt (default half the
+	// frontend's request timeout, so a partition burning the first
+	// attempt still leaves the successor a full try inside the
+	// request's deadline).
+	AttemptTimeout time.Duration
 }
 
 // LocalCluster is the whole topology inside one process: the frontend,
@@ -37,7 +50,8 @@ type LocalCluster struct {
 	ids       []string
 }
 
-// NewLocalCluster builds the fleet, the transport, and the frontend.
+// NewLocalCluster builds the fleet, the transport, and the frontend,
+// and attaches the routing plane to the frontend.
 func NewLocalCluster(opts LocalClusterOptions) *LocalCluster {
 	n := opts.Workers
 	if n <= 0 {
@@ -50,12 +64,14 @@ func NewLocalCluster(opts LocalClusterOptions) *LocalCluster {
 		lc.Workers = append(lc.Workers, w)
 		lc.Transport.Register(lc.ids[i], w)
 	}
-	copts := opts.Cluster
-	copts.Workers = lc.ids
-	copts.Transport = lc.Transport
-	fopts := opts.Frontend
-	fopts.Cluster = &copts
-	lc.Frontend = New(fopts)
+	f := New(opts.Frontend)
+	attempt := opts.AttemptTimeout
+	if attempt <= 0 {
+		attempt = f.opts.RequestTimeout / 2
+	}
+	f.cluster = newClusterState(opts.Seed, lc.ids, lc.Transport, attempt)
+	f.cluster.registerClusterMetrics(f.reg)
+	lc.Frontend = f
 	return lc
 }
 

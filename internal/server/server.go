@@ -104,11 +104,6 @@ type Options struct {
 	// frontend forwards every solve, so only its workers' Chaos injects
 	// anything; worker kills and partitions are MemTransport's.
 	Chaos *ChaosConfig
-	// Cluster, when non-nil, runs this server as a stateless cluster
-	// frontend: requests are canonicalized, memoized and coalesced
-	// locally, but cold solves are forwarded to the ring-selected
-	// in-process worker over Cluster.Transport instead of solving here.
-	Cluster *ClusterOptions
 	// MaxFactRows rejects absurd dataset sizes; default 100 billion rows.
 	MaxFactRows int64
 	// MaxParetoSteps bounds a pareto sweep and a compare's break-even
@@ -205,7 +200,7 @@ type Server struct {
 	slowMu sync.Mutex
 	// cluster, when non-nil, turns this server into a stateless cluster
 	// frontend: cold solves are forwarded to ring-selected workers
-	// instead of running locally (Options.Cluster).
+	// instead of running locally. Only NewLocalCluster sets it.
 	cluster *clusterState
 	// tenants lazily registers per-account request counters for
 	// /metrics (bounded; see tenant.go).
@@ -216,9 +211,7 @@ type Server struct {
 	beforeJoin func()
 }
 
-// New builds a server. New panics on an invalid cluster configuration —
-// a frontend that cannot route is a construction error, not a runtime
-// condition.
+// New builds a single-node server.
 func New(opts Options) *Server {
 	s := &Server{
 		opts:   opts.withDefaults(),
@@ -253,14 +246,6 @@ func New(opts Options) *Server {
 			name: "sweep", newReq: func() memoRequest { return &sweepRequest{} }, adm: s.admHeavy,
 			maxFactRows: o.MaxFactRows, maxCells: o.MaxCompareConfigs, grid: "sweep grid",
 		}),
-	}
-	if opts.Cluster != nil {
-		cl, err := newClusterState(*opts.Cluster, s.opts.RequestTimeout)
-		if err != nil {
-			panic("server: " + err.Error())
-		}
-		s.cluster = cl
-		cl.registerClusterMetrics(s.reg)
 	}
 	s.tenants.init(s.reg)
 	s.mux = http.NewServeMux()
