@@ -267,10 +267,10 @@ func BenchmarkSweepMiss2x2(b *testing.B) {
 // The request half, on the repo benchmark's body shapes (bench/gen.go):
 // what a re-spelled hit and every miss pay before any solver runs.
 // BenchmarkCanon* is bytes to canonical key in-process (decode,
-// normalize, AppendKey), BenchmarkReloadAdvise the canonical key decoded
-// back into a request (a re-miss after eviction, a cluster worker's
-// forwarded body), BenchmarkAdviseCanonicalHit a whole re-spelled hit
-// through ServeHTTP.
+// normalize, AppendKey), which every miss pays, a re-miss after eviction
+// and a cluster worker's forwarded body included;
+// BenchmarkAdviseCanonicalHit is a whole re-spelled hit through
+// ServeHTTP.
 var (
 	adviseShapeBody  = `{"scenario":"mv1","budget":"$31.25","provider":"cumulus","instances":4,"fact_rows":73412088,"queries":7,"frequency":12,"months":6}`
 	compareShapeBody = `{"budget":"$31.25","limit":"3h12m5s","alpha":0.8123,"providers":["aws-2012","cumulus"],"fleet_sizes":[3,5],"fact_rows":73412088,"queries":7,"frequency":12,"months":6}`
@@ -298,26 +298,6 @@ func benchCanon(b *testing.B, endpoint, body string) {
 func BenchmarkCanonAdvise(b *testing.B)  { benchCanon(b, "advise", adviseShapeBody) }
 func BenchmarkCanonCompare(b *testing.B) { benchCanon(b, "compare", compareShapeBody) }
 func BenchmarkCanonSweep(b *testing.B)   { benchCanon(b, "sweep", sweepShapeBody) }
-
-func BenchmarkReloadAdvise(b *testing.B) {
-	s := New(Options{})
-	kb, _, err := s.endpoint("advise").canonicalize(nil, adviseShapeBody, &adviseRequest{})
-	if err != nil {
-		b.Fatal(err)
-	}
-	key := string(kb)
-	b.SetBytes(int64(len(key)))
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if err := decodeRequest(key, &adviseRequest{}, s.endpoint("advise").decodeFallback); err != nil {
-			b.Fatal(err)
-		}
-	}
-	if n := s.endpoint("advise").decodeFallback.Value(); n != 0 {
-		b.Fatalf("%d keys took the encoding/json path", n)
-	}
-}
 
 // respellings returns n byte-different spellings of one body: the i-th
 // carries i, in binary, as spaces and tabs before the closing brace.

@@ -7,13 +7,15 @@ import (
 )
 
 // ChaosConfig is the fault-injection harness: a deterministic chaos
-// layer wrapped around the solve path, used by the overload and
-// race-mode e2e tests (e2e_test.go) to exercise degradation, shedding,
-// and panic containment without depending on real machine load. All
-// decisions are pure functions of (Seed, site, cache key), so a given
-// request either always or never gets a given fault regardless of
-// goroutine scheduling — runs are reproducible and assertions can be
-// exact.
+// layer a test installs as a server's pre-solve hook (withChaos), used
+// by the overload and race-mode e2e tests (e2e_test.go) to exercise
+// degradation, shedding, and panic containment without depending on
+// real machine load. All decisions are pure functions of (Seed, site,
+// cache key), so a given request either always or never gets a given
+// fault regardless of goroutine scheduling — runs are reproducible and
+// assertions can be exact. A cluster frontend forwards every solve, so
+// only its workers' chaos injects anything; worker kills and partitions
+// are MemTransport's.
 type ChaosConfig struct {
 	// Seed selects the fault pattern; two servers with the same seed and
 	// probabilities inject faults on exactly the same request keys.
@@ -28,6 +30,32 @@ type ChaosConfig struct {
 	// PanicProb is the probability a solve panics inside the recovered
 	// region (exercising panic containment end to end).
 	PanicProb float64
+}
+
+// withChaos installs c as s's pre-solve hook and returns s. Install it
+// before s serves its first request.
+func withChaos(s *Server, c ChaosConfig) *Server {
+	s.beforeSolve = c.inject
+	return s
+}
+
+// withWorkerChaos installs c on every worker of lc and returns lc.
+func withWorkerChaos(lc *LocalCluster, c ChaosConfig) *LocalCluster {
+	for _, w := range lc.Workers {
+		withChaos(w, c)
+	}
+	return lc
+}
+
+// inject is the pre-solve hook: the latency, then the panic, for the
+// keys the seed selects. The server calls it inside the leader's
+// recovered region, so containment — not the injection itself — is what
+// gets tested.
+func (c *ChaosConfig) inject(ctx context.Context, key string) {
+	c.sleep(ctx, key)
+	if c.PanicProb > 0 && c.roll("panic", key) < c.PanicProb {
+		panic("chaos: injected solver panic")
+	}
 }
 
 // roll maps (seed, site, key) to [0, 1) via FNV-1a. site keeps the
@@ -48,10 +76,7 @@ func (c *ChaosConfig) roll(site string, key string) float64 {
 // sleep injects the configured latency for keys the seed selects,
 // returning early if the solve context dies first.
 func (c *ChaosConfig) sleep(ctx context.Context, key string) {
-	if c == nil || c.LatencyProb <= 0 || c.Latency <= 0 {
-		return
-	}
-	if c.roll("latency", key) >= c.LatencyProb {
+	if c.LatencyProb <= 0 || c.Latency <= 0 || c.roll("latency", key) >= c.LatencyProb {
 		return
 	}
 	t := time.NewTimer(c.Latency)
@@ -60,15 +85,4 @@ func (c *ChaosConfig) sleep(ctx context.Context, key string) {
 	case <-t.C:
 	case <-ctx.Done():
 	}
-}
-
-// panics reports whether the seed selects this key for an injected
-// solver panic. The caller raises the panic inside its recovered
-// region, so containment — not the injection itself — is what gets
-// tested.
-func (c *ChaosConfig) panics(key string) bool {
-	if c == nil || c.PanicProb <= 0 {
-		return false
-	}
-	return c.roll("panic", key) < c.PanicProb
 }

@@ -25,7 +25,8 @@ type clusterState struct {
 	ring      *shard.Ring
 	health    *shard.Tracker
 	transport *MemTransport
-	// attemptTimeout bounds one forwarded attempt.
+	// attemptTimeout bounds one forwarded attempt: half the frontend's
+	// RequestTimeout.
 	attemptTimeout time.Duration
 
 	// forwards/failovers count routing decisions: attempts sent, and

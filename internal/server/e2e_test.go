@@ -173,13 +173,12 @@ func (l e2eLoad) run(t *testing.T, s *Server) [3]e2eTally {
 // raised because the race detector serializes enough that queue wait, not
 // solve time, dominates; a 503 here would be noise, not signal.
 func TestCoalescingRaceE2E(t *testing.T) {
-	srv := New(Options{
+	srv := withChaos(New(Options{
 		RequestTimeout: 5 * time.Minute,
 		// A slot per client: the sleeps overlap instead of queueing.
 		AdviseWorkers: 16,
 		HeavyWorkers:  16,
-		Chaos:         &ChaosConfig{LatencyProb: 1, Latency: 100 * time.Millisecond},
-	})
+	}), ChaosConfig{LatencyProb: 1, Latency: 100 * time.Millisecond})
 	load := e2eLoad{seed: 7, requests: 500, clients: 16, repeat: 0.85, mix: [3]int{8, 1, 1}}
 	by := load.run(t, srv)
 	all := e2eTotal(by)
@@ -227,15 +226,14 @@ func TestCoalescingRaceE2E(t *testing.T) {
 // p95, and after the run drains not a single solve is left
 // behind.
 func TestOverloadShedsHeavyKeepsAdviseE2E(t *testing.T) {
-	srv := New(Options{
+	// Every heavy solve also sleeps, so the single worker stays busy and
+	// the flood behind it is genuinely shed. Deterministic: the chaos
+	// decisions depend only on (seed, key).
+	srv := withChaos(New(Options{
 		RequestTimeout: time.Minute,
 		HeavyWorkers:   1,
 		HeavyQueue:     -1,
-		// Every heavy solve also sleeps, so the single worker stays busy
-		// and the flood behind it is genuinely shed. Deterministic: the
-		// chaos decisions depend only on (seed, key).
-		Chaos: &ChaosConfig{Seed: 3, LatencyProb: 1, Latency: 50 * time.Millisecond},
-	})
+	}), ChaosConfig{Seed: 3, LatencyProb: 1, Latency: 50 * time.Millisecond})
 	// Mostly fresh bodies: each sweep is a new solve.
 	load := e2eLoad{seed: 11, requests: 300, clients: 16, repeat: 0.3, mix: [3]int{2, 1, 8}}
 	by := load.run(t, srv)
@@ -274,10 +272,7 @@ func TestOverloadShedsHeavyKeepsAdviseE2E(t *testing.T) {
 // panicking solves become 500s (counted as errors by the driver),
 // everything else still serves, and the run drains clean.
 func TestChaosPanicContainmentE2E(t *testing.T) {
-	srv := New(Options{
-		RequestTimeout: time.Minute,
-		Chaos:          &ChaosConfig{Seed: 9, PanicProb: 0.34},
-	})
+	srv := withChaos(New(Options{RequestTimeout: time.Minute}), ChaosConfig{Seed: 9, PanicProb: 0.34})
 	load := e2eLoad{seed: 13, requests: 200, clients: 8, repeat: 0.5, mix: [3]int{8, 1, 1}}
 	all := e2eTotal(load.run(t, srv))
 	// The seeded coin decides per key, so with ~1/3 probability over
@@ -310,10 +305,10 @@ func TestClusterChaosKillAllButOneE2E(t *testing.T) {
 		Frontend: Options{RequestTimeout: time.Minute},
 		Worker:   Options{RequestTimeout: time.Minute},
 		Seed:     17,
-		// A dead worker refuses instantly: its first three failed
-		// forwards, each answered by a successor, eject it.
-		AttemptTimeout: 10 * time.Second,
 	})
+	// A dead worker refuses instantly: its first three failed forwards,
+	// each answered by a successor, eject it.
+	lc.Frontend.cluster.attemptTimeout = 10 * time.Second
 
 	// Kill all but worker-2 once the run is underway: requests in
 	// flight on the victims observe a connection reset mid-solve and
@@ -365,12 +360,12 @@ func TestClusterChaosKillAllButOneE2E(t *testing.T) {
 // errors and drain clean.
 func TestClusterPartitionChaosE2E(t *testing.T) {
 	lc := testCluster(t, LocalClusterOptions{
-		Workers:        3,
-		Frontend:       Options{RequestTimeout: time.Minute},
-		Worker:         Options{RequestTimeout: time.Minute},
-		Seed:           23,
-		AttemptTimeout: 250 * time.Millisecond,
+		Workers:  3,
+		Frontend: Options{RequestTimeout: time.Minute},
+		Worker:   Options{RequestTimeout: time.Minute},
+		Seed:     23,
 	})
+	lc.Frontend.cluster.attemptTimeout = 250 * time.Millisecond
 	partitioned := make(chan struct{})
 	go func() {
 		defer close(partitioned)

@@ -204,25 +204,35 @@ func TestErrorBodyMatchesEncodingJSON(t *testing.T) {
 // value, as the comparison's is (advise mv1 66, mv3 68, pareto 93,
 // sweep 150). The compare miss cost 182 (sweep 144) while a request's
 // cells fanned out over a worker pool instead of running in key order.
+//
+// The evicted rows re-post one primed body whose response is gone but
+// whose raw key survives: it takes the same miss path as a new body. A
+// second route, which decoded the remembered canonical key back into a
+// request, cost 78 (compare 187).
 func TestMissAllocBudget(t *testing.T) {
 	for _, c := range []struct {
 		name, path string
 		body       func(n int) []byte
 		budget     float64
+		evicted    bool
 	}{
-		{"load-compare-2x2", "/v1/compare", compareMiss2x2Body, 184}, // 176
+		{"load-compare-2x2", "/v1/compare", compareMiss2x2Body, 184, false}, // 176
 		{"paper16-mv1", "/v1/advise", func(n int) []byte {
 			return fmt.Appendf(nil, `{"scenario":"mv1","budget":25,"queries":10,"frequency":30,"fact_rows":%d}`, 200_000_000+n)
-		}, 67}, // 64
+		}, 67, false}, // 64
 		{"paper16-mv3", "/v1/advise", func(n int) []byte {
 			return fmt.Appendf(nil, `{"scenario":"mv3","alpha":0.5,"queries":10,"frequency":30,"fact_rows":%d}`, 200_000_000+n)
-		}, 69}, // 66
+		}, 69, false}, // 66
 		{"paper16-pareto", "/v1/advise", func(n int) []byte {
 			return fmt.Appendf(nil, `{"scenario":"pareto","steps":11,"queries":10,"frequency":30,"fact_rows":%d}`, 200_000_000+n)
-		}, 84}, // 80
+		}, 84, false}, // 80
 		{"sweep-2x2", "/v1/sweep", func(n int) []byte {
 			return fmt.Appendf(nil, `{"budget":25,"providers":["aws-2012","cumulus"],"fleet_sizes":[3,5],"fact_rows":%d,"queries":10,"frequency":30}`, 50_000_000+n)
-		}, 144}, // 138
+		}, 144, false}, // 138
+		{"evicted-paper16-mv1", "/v1/advise", func(n int) []byte {
+			return fmt.Appendf(nil, `{"scenario":"mv1","budget":25,"queries":10,"frequency":30,"fact_rows":%d}`, 200_000_000+n)
+		}, 64, true}, // 61
+		{"evicted-load-compare-2x2", "/v1/compare", compareMiss2x2Body, 181, true}, // 173
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			s := New(Options{CacheSize: 1})
@@ -230,8 +240,21 @@ func TestMissAllocBudget(t *testing.T) {
 			req := &http.Request{Method: "POST", URL: &url.URL{Path: c.path}, Body: body}
 			w := &nullResponseWriter{h: make(http.Header)}
 			n := 0
+			if c.evicted {
+				// Prime the raw-key cache, then drop the response cache for
+				// good: every post below finds its body's raw key and no
+				// response.
+				body.Reset(c.body(0))
+				s.ServeHTTP(w, req)
+				if w.status != 200 || s.rawKeys.Len() != 1 {
+					t.Fatalf("prime: status %d, %d raw keys", w.status, s.rawKeys.Len())
+				}
+				s.cache = newSieveCache(0, 0)
+			}
 			allocs := testing.AllocsPerRun(50, func() {
-				n++
+				if !c.evicted {
+					n++
+				}
 				body.Reset(c.body(n))
 				w.status = 0
 				s.ServeHTTP(w, req)

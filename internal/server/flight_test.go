@@ -95,16 +95,14 @@ func TestLeaderReprobesCacheAfterJoin(t *testing.T) {
 
 // TestSolvePastDeadlineIsCached is the other side of "abandoned solves
 // are not memoized": a solve that outlives its deadline but still has
-// its waiter (requests stay for DegradeGrace) delivers a normal 200, and
+// its waiter (requests stay for degradeGrace) delivers a normal 200, and
 // that body must be cached — otherwise every retry of a slow key solves
 // again. Injected latency holds the solve until the deadline fires; the
 // knapsack path then runs to completion regardless.
 func TestSolvePastDeadlineIsCached(t *testing.T) {
-	s := New(Options{
-		RequestTimeout: 20 * time.Millisecond,
-		DegradeGrace:   30 * time.Second,
-		Chaos:          &ChaosConfig{Seed: 1, LatencyProb: 1, Latency: 10 * time.Second},
-	})
+	s := withChaos(New(Options{RequestTimeout: 20 * time.Millisecond}),
+		ChaosConfig{Seed: 1, LatencyProb: 1, Latency: 10 * time.Second})
+	s.degradeGrace = 30 * time.Second
 	body := adviseBody("mv1", `"budget":25`)
 
 	w := do(t, s, "POST", "/v1/advise", body)
@@ -322,21 +320,14 @@ func keysOf(m map[string]int) []string {
 // live solves anywhere in the topology — including on the killed
 // worker, whose request context dies with it.
 func TestFlightLeaderDeathOnKilledWorker(t *testing.T) {
-	opts := LocalClusterOptions{
-		Workers: 2,
-		// Slow, deterministic worker solves give the test a window to
-		// kill the serving worker mid-solve.
-		Worker: Options{
-			AdviseWorkers: 32,
-			Chaos:         &ChaosConfig{Seed: 1, LatencyProb: 1, Latency: 400 * time.Millisecond},
-		},
-		Seed:           21,
-		AttemptTimeout: 10 * time.Second,
-	}
+	opts := LocalClusterOptions{Workers: 2, Worker: Options{AdviseWorkers: 32}, Seed: 21}
 	body := adviseBody("mv1", `"budget":25`)
 	owner := ownerOf(t, opts, "/v1/advise", body)
 
-	lc := testCluster(t, opts)
+	// Slow, deterministic worker solves give the test a window to kill
+	// the serving worker mid-solve.
+	lc := withWorkerChaos(testCluster(t, opts), ChaosConfig{Seed: 1, LatencyProb: 1, Latency: 400 * time.Millisecond})
+	lc.Frontend.cluster.attemptTimeout = 10 * time.Second
 	done := make(chan *httptest.ResponseRecorder, 1)
 	go func() {
 		w := httptest.NewRecorder()

@@ -135,7 +135,7 @@ func TestResponseFraming(t *testing.T) {
 		// A follower: the leader's solve is held by injected latency until
 		// the second request has joined its flight.
 		t.Run(e.name+"/coalesced", func(t *testing.T) {
-			s := New(Options{Chaos: &ChaosConfig{Seed: 1, LatencyProb: 1, Latency: 200 * time.Millisecond}})
+			s := withChaos(New(Options{}), ChaosConfig{Seed: 1, LatencyProb: 1, Latency: 200 * time.Millisecond})
 			addr := serve(t, s)
 			leader := make(chan rawResponse, 1)
 			go func() { leader <- rawPost(t, addr, path, e.body) }()

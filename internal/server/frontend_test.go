@@ -37,13 +37,12 @@ func drainCluster(t *testing.T, lc *LocalCluster, within time.Duration) {
 // on a throwaway cluster with the same seed and fleet size (routing is
 // a pure function of seed, worker IDs, and the canonical cache key, so
 // the answer transfers to any identically-configured cluster). The
-// probe cluster is healthy, so the caller's fault-detection tuning — a
-// tight attempt timeout — is replaced with a generous one: under -race
-// a cold solve can outlast an AttemptTimeout sized for a partition
-// drill, and the probe must never shed.
+// probe cluster is healthy and keeps the default attempt timeout: a
+// caller sets a tight one on its own cluster only, so under -race a cold
+// probe solve never outlasts an attempt sized for a partition drill and
+// sheds.
 func ownerOf(t *testing.T, opts LocalClusterOptions, path, body string) string {
 	t.Helper()
-	opts.AttemptTimeout = time.Minute
 	lc := testCluster(t, opts)
 	w := do(t, lc.Frontend, "POST", path, body)
 	if w.Code != 200 {
@@ -317,18 +316,15 @@ func workerHealth(lc *LocalCluster, id string) shard.WorkerHealth {
 // per-attempt timeout reveals the failure — after which the successor
 // serves.
 func TestClusterPartitionFailsOver(t *testing.T) {
-	opts := LocalClusterOptions{
-		Workers:        2,
-		Seed:           11,
-		AttemptTimeout: 100 * time.Millisecond,
-	}
+	opts := LocalClusterOptions{Workers: 2, Seed: 11}
 	body := adviseBody("mv1", `"budget":25`)
 	owner := ownerOf(t, opts, "/v1/advise", body)
 
 	lc := testCluster(t, opts)
+	lc.Frontend.cluster.attemptTimeout = 100 * time.Millisecond
 	// Warm every worker's own cache so the successor answers the
 	// failover instantly: the test times the partition *detection* (one
-	// AttemptTimeout), and must not also race the successor's cold
+	// attempt timeout), and must not also race the successor's cold
 	// solve against that same 100ms budget under -race.
 	for _, ws := range lc.Workers {
 		do(t, ws, "POST", "/v1/advise", body)
@@ -430,15 +426,13 @@ func TestClusterWorkerClientErrorPassthrough(t *testing.T) {
 // without memoizing the timing-dependent body — the repeat forwards
 // again.
 func TestClusterDegradedNotMemoized(t *testing.T) {
-	lc := testCluster(t, LocalClusterOptions{
+	lc := withWorkerChaos(testCluster(t, LocalClusterOptions{
 		Workers: 2,
-		Worker: Options{
-			RequestTimeout: 100 * time.Millisecond,
-			DegradeGrace:   5 * time.Second,
-			AdviseWorkers:  32,
-			Chaos:          &ChaosConfig{Seed: 1, LatencyProb: 1, Latency: 10 * time.Second},
-		},
-	})
+		Worker:  Options{RequestTimeout: 100 * time.Millisecond, AdviseWorkers: 32},
+	}), ChaosConfig{Seed: 1, LatencyProb: 1, Latency: 10 * time.Second})
+	for _, w := range lc.Workers {
+		w.degradeGrace = 5 * time.Second
+	}
 	body := adviseBody("mv1", `"budget":25,"solver":"search"`)
 	for round := 1; round <= 2; round++ {
 		w := do(t, lc.Frontend, "POST", "/v1/advise", body)
@@ -493,15 +487,11 @@ func TestClusterStatsAndMetrics(t *testing.T) {
 // eject nothing, fail nothing over, shed nothing, and the whole
 // topology drains.
 func TestAbandonedForwardIsNotAWorkerFailure(t *testing.T) {
-	opts := LocalClusterOptions{
-		Workers: 2,
-		// Worker solves sleep, so each forward is still in flight when
-		// its client leaves.
-		Worker: Options{AdviseWorkers: 32, Chaos: &ChaosConfig{Seed: 1, LatencyProb: 1, Latency: 10 * time.Second}},
-		Seed:   5,
-	}
+	opts := LocalClusterOptions{Workers: 2, Worker: Options{AdviseWorkers: 32}, Seed: 5}
 	owner, bodies := ownedBodies(t, opts, 3)
-	lc := testCluster(t, opts)
+	// Worker solves sleep, so each forward is still in flight when its
+	// client leaves.
+	lc := withWorkerChaos(testCluster(t, opts), ChaosConfig{Seed: 1, LatencyProb: 1, Latency: 10 * time.Second})
 	var ownerSrv *Server
 	for i, id := range lc.ids {
 		if id == owner {
@@ -604,13 +594,13 @@ func TestClusterForwardPastDeadlineDegrades(t *testing.T) {
 	opts := LocalClusterOptions{
 		Workers:  2,
 		Frontend: Options{RequestTimeout: 200 * time.Millisecond},
-		// The attempt timeout outlasts the request, so the request
-		// deadline is what ends the forward.
-		Seed:           5,
-		AttemptTimeout: 10 * time.Second,
+		Seed:     5,
 	}
 	owner, bodies := ownedBodies(t, opts, 1)
 	lc := testCluster(t, opts)
+	// The attempt timeout outlasts the request, so the request deadline
+	// is what ends the forward.
+	lc.Frontend.cluster.attemptTimeout = 10 * time.Second
 	lc.Transport.Partition(owner)
 	w := do(t, lc.Frontend, "POST", "/v1/advise", bodies[0])
 	if w.Code != 429 {

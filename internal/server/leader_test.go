@@ -46,7 +46,7 @@ func soleFlightWaiters(s *Server) int {
 	return -1
 }
 
-// slowLogFunc adapts a function to Options.SlowLog. With
+// slowLogFunc adapts a function to the server's slow log. With
 // SlowSolveThreshold at 1ns it runs once per solve, on the leader,
 // between the solve and the cache fill: a seat inside the leader's body.
 type slowLogFunc func()
@@ -64,17 +64,13 @@ func TestLeaderPanicOutsideSolve(t *testing.T) {
 	release := make(chan struct{})
 	var panicking atomic.Bool
 	panicking.Store(true)
-	s := New(Options{
-		AdviseWorkers:      1,
-		AdviseQueue:        -1,
-		SlowSolveThreshold: time.Nanosecond,
-		SlowLog: slowLogFunc(func() {
-			if panicking.Load() {
-				close(entered)
-				<-release
-				panic("slow log: no space left on device")
-			}
-		}),
+	s := New(Options{AdviseWorkers: 1, AdviseQueue: -1, SlowSolveThreshold: time.Nanosecond})
+	s.slowLog = slowLogFunc(func() {
+		if panicking.Load() {
+			close(entered)
+			<-release
+			panic("slow log: no space left on device")
+		}
 	})
 	body := adviseBody("mv1", `"budget":25`)
 
@@ -153,7 +149,7 @@ func TestLeaderDisconnectOverTCP(t *testing.T) {
 	body := adviseBody("mv1", `"budget":25`)
 
 	t.Run("sole leader", func(t *testing.T) {
-		s := New(Options{Chaos: &ChaosConfig{Seed: 1, LatencyProb: 1, Latency: 10 * time.Second}})
+		s := withChaos(New(Options{}), ChaosConfig{Seed: 1, LatencyProb: 1, Latency: 10 * time.Second})
 		ts := httptest.NewServer(s)
 		defer ts.Close()
 
@@ -170,7 +166,7 @@ func TestLeaderDisconnectOverTCP(t *testing.T) {
 	})
 
 	t.Run("with a follower", func(t *testing.T) {
-		s := New(Options{Chaos: &ChaosConfig{Seed: 1, LatencyProb: 1, Latency: time.Second}})
+		s := withChaos(New(Options{}), ChaosConfig{Seed: 1, LatencyProb: 1, Latency: time.Second})
 		ts := httptest.NewServer(s)
 		defer ts.Close()
 
@@ -240,10 +236,8 @@ func goid() int64 {
 func TestMissStartsNoGoroutine(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	var solvedOn int64
-	s := New(Options{
-		SlowSolveThreshold: time.Nanosecond,
-		SlowLog:            slowLogFunc(func() { solvedOn = goid() }),
-	})
+	s := New(Options{SlowSolveThreshold: time.Nanosecond})
+	s.slowLog = slowLogFunc(func() { solvedOn = goid() })
 	probe := func() int64 {
 		ch := make(chan int64)
 		go func() { ch <- goid() }()

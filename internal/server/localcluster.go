@@ -3,7 +3,6 @@ package server
 import (
 	"fmt"
 	"net/http"
-	"time"
 )
 
 // LocalClusterOptions configures a single-process cluster: one
@@ -16,25 +15,21 @@ import (
 // key's whole candidate set is down. The frontend learns worker health
 // from its own forwards only: failed ones eject a worker (shard.Tracker),
 // and there is no background prober. A slow or silent worker is the
-// per-attempt timeout's business (TestClusterPartitionFailsOver); a
-// solve is never sent to two workers at once. Zero values select
-// defaults.
+// per-attempt timeout's business (TestClusterPartitionFailsOver): half
+// the frontend's RequestTimeout, so a partition burning the first
+// attempt still leaves the successor a full try inside the request's
+// deadline. A solve is never sent to two workers at once. Zero values
+// select defaults.
 type LocalClusterOptions struct {
 	// Workers is the fleet size; default 3.
 	Workers int
 	// Frontend seeds the frontend server's Options.
 	Frontend Options
-	// Worker seeds every worker server's Options. Solve latency/panic
-	// chaos belongs here; worker kills and partitions go through
-	// LocalCluster.Transport.
+	// Worker seeds every worker server's Options. Worker kills and
+	// partitions go through LocalCluster.Transport.
 	Worker Options
 	// Seed keys the rendezvous ring: which worker owns which key.
 	Seed int64
-	// AttemptTimeout bounds one forwarded attempt (default half the
-	// frontend's request timeout, so a partition burning the first
-	// attempt still leaves the successor a full try inside the
-	// request's deadline).
-	AttemptTimeout time.Duration
 }
 
 // LocalCluster is the whole topology inside one process: the frontend,
@@ -65,11 +60,7 @@ func NewLocalCluster(opts LocalClusterOptions) *LocalCluster {
 		lc.Transport.Register(lc.ids[i], w)
 	}
 	f := New(opts.Frontend)
-	attempt := opts.AttemptTimeout
-	if attempt <= 0 {
-		attempt = f.opts.RequestTimeout / 2
-	}
-	f.cluster = newClusterState(opts.Seed, lc.ids, lc.Transport, attempt)
+	f.cluster = newClusterState(opts.Seed, lc.ids, lc.Transport, f.opts.RequestTimeout/2)
 	f.cluster.registerClusterMetrics(f.reg)
 	lc.Frontend = f
 	return lc

@@ -302,7 +302,8 @@ func TestDebugPhasesOnCompareAndSweep(t *testing.T) {
 // nothing is written.
 func TestSlowSolveLog(t *testing.T) {
 	var buf bytes.Buffer
-	s := New(Options{SlowSolveThreshold: time.Nanosecond, SlowLog: &buf})
+	s := New(Options{SlowSolveThreshold: time.Nanosecond})
+	s.slowLog = &buf
 	body := `{"scenario":"mv1","budget":25,"queries":10,"frequency":30}`
 	req := httptest.NewRequest("POST", "/v1/advise", strings.NewReader(body))
 	w := httptest.NewRecorder()
@@ -341,7 +342,8 @@ func TestSlowSolveLog(t *testing.T) {
 
 	// Threshold far above any solve: silent.
 	var quiet bytes.Buffer
-	s2 := New(Options{SlowSolveThreshold: time.Hour, SlowLog: &quiet})
+	s2 := New(Options{SlowSolveThreshold: time.Hour})
+	s2.slowLog = &quiet
 	req = httptest.NewRequest("POST", "/v1/advise", strings.NewReader(body))
 	s2.ServeHTTP(httptest.NewRecorder(), req)
 	if quiet.Len() != 0 {

@@ -126,7 +126,7 @@ func TestStaleServeUnderShed(t *testing.T) {
 // 500, the panic is counted, and the daemon keeps serving — including
 // further panicking solves — without dying.
 func TestPanicContainment(t *testing.T) {
-	s := New(Options{Chaos: &ChaosConfig{Seed: 1, PanicProb: 1}})
+	s := withChaos(New(Options{}), ChaosConfig{Seed: 1, PanicProb: 1})
 
 	w := do(t, s, "POST", "/v1/advise", adviseBody("mv1", `"budget":25`))
 	if w.Code != 500 {
@@ -164,15 +164,14 @@ func TestPanicContainment(t *testing.T) {
 // "degraded":true on the wire, counted — and never cached, because a
 // degraded body is timing-dependent.
 func TestDegradedAdvise(t *testing.T) {
-	s := New(Options{
+	s := withChaos(New(Options{
 		RequestTimeout: 100 * time.Millisecond,
-		DegradeGrace:   5 * time.Second,
 		// A wide worker pool keeps the admission wait estimate (mean solve
 		// latency ≈ the deadline here, by construction) from shedding what
 		// this test wants degraded.
 		AdviseWorkers: 32,
-		Chaos:         &ChaosConfig{Seed: 1, LatencyProb: 1, Latency: 10 * time.Second},
-	})
+	}), ChaosConfig{Seed: 1, LatencyProb: 1, Latency: 10 * time.Second})
+	s.degradeGrace = 5 * time.Second
 	body := adviseBody("mv1", `"budget":25,"solver":"search"`)
 
 	for round := 1; round <= 2; round++ {
@@ -224,10 +223,8 @@ func TestDegradedAdvise(t *testing.T) {
 // (the old design's orphaned solves kept running and warmed the cache
 // with results nobody asked to wait for).
 func TestNoDetachedSolvesAfterCancelledRequests(t *testing.T) {
-	s := New(Options{
-		RequestTimeout: 30 * time.Second,
-		Chaos:          &ChaosConfig{Seed: 1, LatencyProb: 1, Latency: 10 * time.Second},
-	})
+	s := withChaos(New(Options{RequestTimeout: 30 * time.Second}),
+		ChaosConfig{Seed: 1, LatencyProb: 1, Latency: 10 * time.Second})
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel() // the client hung up before the handler even ran
 

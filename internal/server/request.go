@@ -353,10 +353,19 @@ func (r *sweepRequest) solve(ctx context.Context, s *Server, tr *obs.Trace) ([]b
 // canonicalize is bytes to canonical key on endpoint e: it decodes the
 // body src into req, normalizes it, holds it to e's ceilings, and appends
 // its canonical key to dst; label is the request's stats label as an
-// index into knownLabels. The errors are 400 bodies.
+// index into knownLabels. The errors are 400 bodies. The decoded strings
+// are substrings of src, so src must not be a pooled buffer. A body
+// outside the fast grammar is counted on e.decodeFallback and left to
+// strictDecode.
 func (e *endpoint) canonicalize(dst []byte, src string, req memoRequest) (key []byte, label int, err error) {
-	if err := decodeRequest(src, req, e.decodeFallback); err != nil {
-		return dst, 0, fmt.Errorf("parse request: %v", err)
+	d := jsondec.New(src)
+	req.DecodeJSON(&d)
+	d.End()
+	if !d.OK() {
+		e.decodeFallback.Inc()
+		if err := strictDecode(src, req.reset()); err != nil {
+			return dst, 0, fmt.Errorf("parse request: %v", err)
+		}
 	}
 	l, err := req.normalize()
 	if err == nil {
@@ -367,21 +376,6 @@ func (e *endpoint) canonicalize(dst []byte, src string, req memoRequest) (key []
 	}
 	dst, err = req.AppendKey(dst)
 	return dst, slices.Index(knownLabels[:], l), err
-}
-
-// decodeRequest fills req from src, a request body or a canonical key.
-// The decoded strings are substrings of src, so src must not be a
-// pooled buffer. A body outside the fast grammar is counted on declined
-// and left to strictDecode.
-func decodeRequest(src string, req memoRequest, declined *obs.Counter) error {
-	d := jsondec.New(src)
-	req.DecodeJSON(&d)
-	d.End()
-	if d.OK() {
-		return nil
-	}
-	declined.Inc()
-	return strictDecode(src, req.reset())
 }
 
 // strictDecode is encoding/json over the struct tags, strictly: unknown

@@ -80,12 +80,6 @@ type Options struct {
 	// degraded, and a solve all of whose waiters have left (timeout,
 	// disconnect) is cancelled outright rather than orphaned.
 	RequestTimeout time.Duration
-	// DegradeGrace is how much longer than RequestTimeout a request
-	// waits for its solve's degraded result before giving up with 503;
-	// default 2s. The solve's own deadline fires first, so under
-	// deadline pressure clients normally get a degraded 200, not a
-	// timeout.
-	DegradeGrace time.Duration
 	// AdviseWorkers and HeavyWorkers bound the concurrent solves of the
 	// cheap (advise) and heavy (compare + sweep) admission classes;
 	// default GOMAXPROCS each. The classes have separate pools, so a
@@ -98,12 +92,6 @@ type Options struct {
 	// as soon as every worker is busy).
 	AdviseQueue int
 	HeavyQueue  int
-	// Chaos, when non-nil, enables the deterministic fault-injection
-	// harness (seeded injected solve latency and panics); used by the
-	// overload and chaos tests, never in normal serving. A cluster
-	// frontend forwards every solve, so only its workers' Chaos injects
-	// anything; worker kills and partitions are MemTransport's.
-	Chaos *ChaosConfig
 	// MaxFactRows rejects absurd dataset sizes; default 100 billion rows.
 	MaxFactRows int64
 	// MaxParetoSteps bounds a pareto sweep and a compare's break-even
@@ -113,12 +101,9 @@ type Options struct {
 	// single compare or sweep request may fan out; default 64.
 	MaxCompareConfigs int
 	// SlowSolveThreshold, when positive, logs a structured line to
-	// SlowLog for every cold solve whose wall time reaches it, with the
-	// per-phase breakdown. Zero disables slow-solve logging.
+	// standard error for every cold solve whose wall time reaches it,
+	// with the per-phase breakdown. Zero disables slow-solve logging.
 	SlowSolveThreshold time.Duration
-	// SlowLog receives slow-solve log lines (one JSON object per line);
-	// defaults to os.Stderr when SlowSolveThreshold is set.
-	SlowLog io.Writer
 }
 
 func (o Options) withDefaults() Options {
@@ -140,9 +125,6 @@ func (o Options) withDefaults() Options {
 	if o.MaxCompareConfigs == 0 {
 		o.MaxCompareConfigs = 64
 	}
-	if o.DegradeGrace == 0 {
-		o.DegradeGrace = 2 * time.Second
-	}
 	if o.AdviseWorkers == 0 {
 		o.AdviseWorkers = runtime.GOMAXPROCS(0)
 	}
@@ -154,9 +136,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.HeavyQueue == 0 {
 		o.HeavyQueue = 256
-	}
-	if o.SlowSolveThreshold > 0 && o.SlowLog == nil {
-		o.SlowLog = os.Stderr
 	}
 	return o
 }
@@ -191,8 +170,13 @@ type Server struct {
 	// stale holds responses evicted from the primary cache; shed advise
 	// requests may be served from it (X-Cache: stale) instead of a 429.
 	stale *sieveCache
-	// chaos is the optional fault-injection harness (Options.Chaos).
-	chaos *ChaosConfig
+	// degradeGrace is how much longer than RequestTimeout a follower
+	// waits for its solve's degraded result before giving up with 503.
+	// The solve's own deadline fires first, so under deadline pressure
+	// clients normally get a degraded 200, not a timeout.
+	degradeGrace time.Duration
+	// slowLog receives slow-solve log lines (one JSON object per line).
+	slowLog io.Writer
 	// inflightSolves counts live solves — what the tests' leak detector
 	// reads.
 	inflightSolves atomic.Int64
@@ -209,15 +193,21 @@ type Server struct {
 	// its flight join (test hook: the window a concurrent solve can
 	// finish in).
 	beforeJoin func()
+	// beforeSolve, when set, runs at the top of an admitted local solve,
+	// inside lead's recovered region (test hook: injected latency and
+	// panics meet the same deadline and containment a real solve does).
+	beforeSolve func(ctx context.Context, cacheKey string)
 }
 
 // New builds a single-node server.
 func New(opts Options) *Server {
 	s := &Server{
-		opts:   opts.withDefaults(),
-		flight: newFlightGroup(),
-		start:  time.Now(),
-		reg:    obs.NewRegistry(),
+		opts:         opts.withDefaults(),
+		flight:       newFlightGroup(),
+		start:        time.Now(),
+		reg:          obs.NewRegistry(),
+		degradeGrace: 2 * time.Second,
+		slowLog:      os.Stderr,
 	}
 	s.cache = newSieveCache(s.opts.CacheSize, s.opts.CacheMaxBytes)
 	s.rawKeys = newSieveCache(s.opts.CacheSize, s.opts.CacheMaxBytes)
@@ -225,7 +215,6 @@ func New(opts Options) *Server {
 	// Responses the primary cache evicts for capacity become the stale
 	// serving tier (graceful degradation under overload).
 	s.cache.onEvict = func(key string, val []byte) { s.stale.Put(key, val) }
-	s.chaos = s.opts.Chaos
 	s.m = s.newServerMetrics(s.reg)
 	s.admCheap = newAdmission(s.opts.AdviseWorkers, s.opts.AdviseQueue)
 	s.admHeavy = newAdmission(s.opts.HeavyWorkers, s.opts.HeavyQueue)
@@ -507,9 +496,8 @@ func internLabel(b []byte) int {
 	return -1
 }
 
-// probeState carries what the cache probe learned into the slow path:
-// the verbatim body and, when the raw-key cache still knew the body but
-// the response was evicted, the recovered canonical key.
+// probeState carries the verbatim body the cache probe missed on into
+// the slow path.
 type probeState struct {
 	// rawKey is the pooled "<endpoint>\x00<account>\x00<body>" buffer
 	// (valid only for the duration of the request); raw is the body
@@ -524,11 +512,6 @@ type probeState struct {
 	// account is the request's tenant namespace ("" for the default
 	// namespace); part of both cache key layouts.
 	account string
-	// label and recovered are set when the probe recovered the canonical
-	// cache key from the raw-key cache (evicted-response case); recovered
-	// is that cache's own bytes, read-only, and nil otherwise.
-	label     int
-	recovered []byte
 	// start is when serveMemoized began handling the request — carried
 	// through so the slow path's latency observation covers body read and
 	// canonicalization.
@@ -567,68 +550,46 @@ func (s *Server) serveMemoized(w http.ResponseWriter, r *http.Request, e *endpoi
 		e.fail(w, http.StatusBadRequest, fmt.Sprintf("read request: %v", err), start)
 		return
 	}
-	ps := probeState{rawKey: rb.b, raw: rb.b[prefix:], buf: rb, prefix: prefix, account: account, start: start}
-
+	// Fast path: the response for this verbatim body is resident. A body
+	// whose response was evicted takes the miss path like any other.
 	if packed, _, ok := s.rawKeys.view(rb.b); ok {
 		if i := bytes.IndexByte(packed, 0); i >= 0 {
-			ps.label = internLabel(packed[:i])
-			// Fast path: the response for this verbatim body is resident.
 			if body, clen, ok := s.cache.view(packed[i+1:]); ok {
-				s.respondAnswer(w, e, ps.label, outcomeHit, body, clen, start)
+				s.respondAnswer(w, e, internLabel(packed[:i]), outcomeHit, body, clen, start)
 				return
 			}
-			// Response evicted; the canonical key spares re-canonicalizing.
-			ps.recovered = packed[i+1:]
 		}
 	}
-	s.finishMemoized(w, r, e, ps)
+	s.finishMemoized(w, r, e, probeState{rawKey: rb.b, raw: rb.b[prefix:], buf: rb, prefix: prefix, account: account, start: start})
 }
 
 // finishMemoized is the shared miss path: bytes to canonical key
-// (decode, normalize, AppendKey — or the key recovered from the raw-key
-// cache, decoded back into the request), a probe of the response cache for
+// (decode, normalize, AppendKey), a probe of the response cache for
 // differently-spelled equivalents, then the solve under the flight group.
 func (s *Server) finishMemoized(w http.ResponseWriter, r *http.Request, e *endpoint, ps probeState) {
 	req := e.newReq()
-	label := ps.label
 	// kb is the cache key "<endpoint>\x00<account>\x00<canonical key>" as
-	// bytes — in the pooled buffer, or the raw-key cache's own — for the
-	// copy-free probes; cacheKey is the string the flight group, the
-	// caches' writes and the solve hold on to.
-	kb := ps.recovered
-	var cacheKey string
-	if kb == nil {
-		// The decoded strings are substrings of the decoder's input and
-		// outlive the request (a solve may), so the body is copied out of
-		// the pooled buffer once, here.
-		mark := len(ps.buf.b)
-		var err error
-		ps.buf.b, label, err = e.canonicalize(append(ps.buf.b, ps.rawKey[:ps.prefix]...), string(ps.raw), req)
-		kb = ps.buf.b[mark:]
-		if err != nil {
-			e.fail(w, http.StatusBadRequest, err.Error(), ps.start)
-			return
-		}
-		// A differently-spelled equivalent request may have already
-		// cached the canonical response.
-		if cached, clen, ok := s.cache.view(kb); ok {
-			s.rememberSpelling(ps, label, kb)
-			s.respondAnswer(w, e, label, outcomeHit, cached, clen, ps.start)
-			return
-		}
-		cacheKey = string(kb)
-	} else {
-		cacheKey = string(kb)
-		// The canonical key is itself a normalized request body: decode it
-		// back into the state the local solve needs. A cluster frontend
-		// skips this: it forwards the canonical body instead of solving.
-		if s.cluster == nil {
-			if err := decodeRequest(cacheKey[ps.prefix:], req, e.decodeFallback); err != nil {
-				e.fail(w, http.StatusInternalServerError, err.Error(), ps.start)
-				return
-			}
-		}
+	// bytes in the pooled buffer, for the copy-free probes; cacheKey is
+	// the string the flight group, the caches' writes and the solve hold
+	// on to. The decoded strings are substrings of the decoder's input and
+	// outlive the request (a solve may), so the body is copied out of the
+	// pooled buffer once, here.
+	mark := len(ps.buf.b)
+	buf, label, err := e.canonicalize(append(ps.buf.b, ps.rawKey[:ps.prefix]...), string(ps.raw), req)
+	ps.buf.b = buf
+	if err != nil {
+		e.fail(w, http.StatusBadRequest, err.Error(), ps.start)
+		return
 	}
+	kb := buf[mark:]
+	// A differently-spelled equivalent request may have already cached
+	// the canonical response.
+	if cached, clen, ok := s.cache.view(kb); ok {
+		s.rememberSpelling(ps, label, kb)
+		s.respondAnswer(w, e, label, outcomeHit, cached, clen, ps.start)
+		return
+	}
+	cacheKey := string(kb)
 
 	// Singleflight: the first request for a cold key leads — it runs the
 	// solve itself, on this goroutine — and any concurrent identical
@@ -658,11 +619,11 @@ func (s *Server) finishMemoized(w http.ResponseWriter, r *http.Request, e *endpo
 			return
 		}
 	} else {
-		// A follower waits past the solve deadline by DegradeGrace: the
+		// A follower waits past the solve deadline by degradeGrace: the
 		// solve's own deadline fires first and delivers a degraded result,
 		// so this backstop only trips when a solve fails to degrade
 		// promptly (e.g. wedged outside the search loop).
-		backstop := time.NewTimer(s.opts.RequestTimeout + s.opts.DegradeGrace)
+		backstop := time.NewTimer(s.opts.RequestTimeout + s.degradeGrace)
 		defer backstop.Stop()
 		select {
 		case <-call.done:
@@ -686,12 +647,8 @@ func (s *Server) finishMemoized(w http.ResponseWriter, r *http.Request, e *endpo
 // cache key kb in the raw-key cache, so that a byte-identical repeat skips
 // canonicalization. Only a body that was just answered 200 is
 // remembered: a body whose solve fails, or is shed, leaves no entry in
-// any cache. A body the probe already recovered the key for is in the
-// cache as it is.
+// any cache.
 func (s *Server) rememberSpelling(ps probeState, label int, kb []byte) {
-	if ps.recovered != nil {
-		return
-	}
 	l := knownLabels[label]
 	packed := make([]byte, 0, len(l)+1+len(kb))
 	packed = append(append(append(packed, l...), 0), kb...)
@@ -771,8 +728,8 @@ func ceilSeconds(d time.Duration) int64 {
 // a miss stays on the goroutine that asked. The solve's context is its
 // own — parented on Background with the RequestTimeout deadline, because
 // a follower may outlive the leader's request — and that deadline is
-// what bounds the leader: admission.acquire, chaos.sleep, the search
-// gate and the cluster transport all honour it. The leader is one of the
+// what bounds the leader: admission.acquire, the search gate and the
+// cluster transport all honour it. The leader is one of the
 // call's waiters like any follower, so its client going away (rctx) is a
 // leave: with a follower still waiting the solve carries on for it, and
 // with none the flight group cancels the solve and retires the key. gone
@@ -818,17 +775,16 @@ func (s *Server) lead(rctx context.Context, e *endpoint, req memoRequest, label 
 	return s.runSolve(ctx, e, req, label, cacheKey), false
 }
 
-// runSolve is an admitted leader's work: chaos, the solve itself, its
-// telemetry and the cache fill. The chaos panic is raised here, inside
-// lead's recovered region, so fault injection exercises the same
-// containment a real panic would hit.
+// runSolve is an admitted leader's work: the solve itself, its
+// telemetry and the cache fill. It runs inside lead's recovered region,
+// beforeSolve included, so an injected fault meets the same containment
+// a real panic would hit.
 func (s *Server) runSolve(ctx context.Context, e *endpoint, req memoRequest, label int, cacheKey string) outcome {
 	s.m.solves.Inc()
 	tr := obs.NewTrace()
 	t0 := tr.StartTimer()
-	s.chaos.sleep(ctx, cacheKey)
-	if s.chaos.panics(cacheKey) {
-		panic("chaos: injected solver panic")
+	if s.beforeSolve != nil {
+		s.beforeSolve(ctx, cacheKey)
 	}
 	b, degraded, err := req.solve(ctx, s, tr)
 	tr.ObserveSince(obs.PhaseTotal, t0)
@@ -868,7 +824,7 @@ func (s *Server) shedOrStale(staleOK bool, cacheKey string, out outcome) outcome
 
 // abandoned reports whether the flight group cancelled the solve context
 // because its last waiter left. A solve that merely ran past its
-// deadline still has waiters (they stay for DegradeGrace) and is not
+// deadline still has waiters (they stay for degradeGrace) and is not
 // abandoned: its result is served and memoized like any other.
 func abandoned(ctx context.Context) bool {
 	return errors.Is(ctx.Err(), context.Canceled)
@@ -904,7 +860,7 @@ func (s *Server) logSlowSolve(endpoint, label string, tr *obs.Trace) {
 	// contained by the leader — the lock must not stay behind.
 	s.slowMu.Lock()
 	defer s.slowMu.Unlock()
-	s.opts.SlowLog.Write(b)
+	s.slowLog.Write(b)
 }
 
 // TariffsResponse is the body of GET /v1/tariffs: each built-in provider

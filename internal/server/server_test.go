@@ -167,27 +167,45 @@ func TestCacheHit(t *testing.T) {
 
 // TestEvictedResponseRecovery exercises the corner where a raw body still
 // maps to its canonical key but the response itself was evicted: the
-// handler must rebuild the request from the canonical key and re-solve.
+// body takes the one miss path — canonicalized like any new body — and
+// is re-solved to the same bytes, on every memoized endpoint, on a
+// tenant route, and on a cluster frontend (whose workers still hold the
+// answer). Remembering the body again refreshes its raw-key entry in
+// place.
 func TestEvictedResponseRecovery(t *testing.T) {
-	for _, scenario := range []struct{ name, body string }{
-		{"mv1", adviseBody("mv1", `"budget":25`)},
-		{"mv2", adviseBody("mv2", `"limit":"4h"`)},
-		{"pareto", adviseBody("pareto", `"steps":5`)},
+	for _, c := range []struct {
+		name, path, body string
+		cluster          bool
+	}{
+		{"mv1", "/v1/advise", adviseBody("mv1", `"budget":25`), false},
+		{"mv2", "/v1/advise", adviseBody("mv2", `"limit":"4h"`), false},
+		{"pareto", "/v1/advise", adviseBody("pareto", `"steps":5`), false},
+		{"compare", "/v1/compare", compareBody(`"providers":["aws-2012","cumulus"],"fleet_sizes":[3]`), false},
+		{"sweep", "/v1/sweep", sweepBody(`"fleet_sizes":[3,5]`), false},
+		{"tenant", "/v1/t/acme/advise", adviseBody("mv1", `"budget":25`), false},
+		{"cluster", "/v1/advise", adviseBody("mv1", `"budget":25`), true},
 	} {
-		t.Run(scenario.name, func(t *testing.T) {
+		t.Run(c.name, func(t *testing.T) {
 			s := testServer()
-			first := do(t, s, "POST", "/v1/advise", scenario.body)
+			if c.cluster {
+				s = testCluster(t, LocalClusterOptions{Workers: 2}).Frontend
+			}
+			first := do(t, s, "POST", c.path, c.body)
 			if first.Code != 200 {
 				t.Fatalf("prime: %d %s", first.Code, first.Body.String())
 			}
+			raw := s.rawKeys.Len()
 			s.cache = newSieveCache(s.opts.CacheSize, s.opts.CacheMaxBytes) // evict every response, keep rawKeys
-			again := do(t, s, "POST", "/v1/advise", scenario.body)
+			again := do(t, s, "POST", c.path, c.body)
 			if again.Code != 200 || again.Header().Get("X-Cache") != "miss" {
 				t.Fatalf("recovery: status %d, X-Cache %q: %s",
 					again.Code, again.Header().Get("X-Cache"), again.Body.String())
 			}
 			if first.Body.String() != again.Body.String() {
 				t.Error("re-solved response differs from original")
+			}
+			if n := s.rawKeys.Len(); n != raw {
+				t.Errorf("raw-key cache holds %d entries after the re-miss, want %d", n, raw)
 			}
 		})
 	}

@@ -152,12 +152,10 @@ func TestStatsMatchesMetrics(t *testing.T) {
 		},
 		{
 			name: "degraded",
-			opts: Options{
-				RequestTimeout: 100 * time.Millisecond, DegradeGrace: 5 * time.Second,
-				AdviseWorkers: 32, HeavyWorkers: 32,
-				Chaos: &ChaosConfig{Seed: 1, LatencyProb: 1, Latency: 10 * time.Second},
-			},
+			opts: Options{RequestTimeout: 100 * time.Millisecond, AdviseWorkers: 32, HeavyWorkers: 32},
 			drive: func(t *testing.T, s *Server) {
+				withChaos(s, ChaosConfig{Seed: 1, LatencyProb: 1, Latency: 10 * time.Second})
+				s.degradeGrace = 5 * time.Second
 				// The injected latency uses up the whole deadline. An advise
 				// search then answers with its incumbent; a compare or sweep
 				// grid has no cell to show for it and fails with a 503.
@@ -176,10 +174,12 @@ func TestStatsMatchesMetrics(t *testing.T) {
 				ByScenario: map[string]int64{"mv1": 1}},
 		},
 		{
-			name:  "panic",
-			opts:  Options{Chaos: &ChaosConfig{Seed: 1, PanicProb: 1}},
-			drive: func(t *testing.T, s *Server) { post(t, s, 0, "", 500, "") },
-			want:  adviseStatsJSON{Solves: 3, Errors: 3, Panics: 3, ByScenario: map[string]int64{}},
+			name: "panic",
+			drive: func(t *testing.T, s *Server) {
+				withChaos(s, ChaosConfig{Seed: 1, PanicProb: 1})
+				post(t, s, 0, "", 500, "")
+			},
+			want: adviseStatsJSON{Solves: 3, Errors: 3, Panics: 3, ByScenario: map[string]int64{}},
 		},
 	}
 	for _, row := range rows {
