@@ -237,8 +237,8 @@ func NewShared(cfg Config) (*Shared, error) {
 
 	tr := cfg.Trace
 	t0 := tr.StartTimer()
-	// The default schema is the sales star schema, whose lattice shape,
-	// answerability index and cuboid names do not depend on the request:
+	// The default schema is the sales star schema, whose lattice shape
+	// and cuboid names do not depend on the request:
 	// only the node statistics are derived per fact-row count.
 	var l *lattice.Lattice
 	var names []string

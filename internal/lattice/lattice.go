@@ -80,10 +80,9 @@ type Lattice struct {
 	FactRows int64
 	nodes    []Node // indexed by encoded point id
 	radices  []int  // levels per dimension
-	// Answerability index (index.go): desc[i] is the bitset of node ids
-	// strictly coarser than i, anc[i] of ids strictly finer.
-	desc []bitset
-	anc  []bitset
+	// strides[i] is the id step of one level in dimension i: the
+	// product of the radices after it.
+	strides []int
 }
 
 // New builds the lattice for the schema assuming factRows base rows.
@@ -99,10 +98,12 @@ func New(s *schema.Schema, factRows int64) (*Lattice, error) {
 	}
 	l := &Lattice{Schema: s, FactRows: factRows}
 	l.radices = make([]int, len(s.Dimensions))
+	l.strides = make([]int, len(s.Dimensions))
 	total := 1
-	for i, d := range s.Dimensions {
-		l.radices[i] = d.NumLevels()
-		total *= d.NumLevels()
+	for i := len(s.Dimensions) - 1; i >= 0; i-- {
+		l.radices[i] = s.Dimensions[i].NumLevels()
+		l.strides[i] = total
+		total *= l.radices[i]
 	}
 	l.nodes = make([]Node, total)
 	// Every node's point is cut from one slab, capped at its own
@@ -115,19 +116,18 @@ func New(s *schema.Schema, factRows int64) (*Lattice, error) {
 		l.nodes[id].Point = pt
 	}
 	l.sizeNodes()
-	l.buildIndex()
 	return l, nil
 }
 
 // WithFactRows returns the lattice of l's schema at another fact-row
 // count. Only a node's statistics depend on that count: the points, the
-// radices and the answerability index are shared with l, which both
-// lattices only ever read.
+// radices and the strides are shared with l, which both lattices only
+// ever read.
 func (l *Lattice) WithFactRows(factRows int64) (*Lattice, error) {
 	if factRows <= 0 {
 		return nil, fmt.Errorf("lattice: non-positive fact rows %d", factRows)
 	}
-	r := &Lattice{Schema: l.Schema, FactRows: factRows, nodes: slices.Clone(l.nodes), radices: l.radices, desc: l.desc, anc: l.anc}
+	r := &Lattice{Schema: l.Schema, FactRows: factRows, nodes: slices.Clone(l.nodes), radices: l.radices, strides: l.strides}
 	r.sizeNodes()
 	return r, nil
 }
@@ -197,6 +197,55 @@ func (l *Lattice) decode(id int, out Point) {
 	for i := len(l.radices) - 1; i >= 0; i-- {
 		out[i] = id % l.radices[i]
 		id /= l.radices[i]
+	}
+}
+
+// ID returns the dense node id of p (0 = base, NumNodes()-1 = apex),
+// validating the point. Ids are stable for the lattice's lifetime and
+// index Nodes() directly.
+func (l *Lattice) ID(p Point) (int, error) {
+	if err := l.checkPoint(p); err != nil {
+		return 0, err
+	}
+	return l.encode(p), nil
+}
+
+// NodeByID returns the cuboid at a dense id. It panics on an id outside
+// [0, NumNodes()) — ids come from ID or AncestorIDs, so an invalid one
+// is a programming error, not an input error.
+func (l *Lattice) NodeByID(id int) Node { return l.nodes[id] }
+
+// CanAnswerID reports whether the cuboid at id view can answer a query
+// at id query: CanAnswer on their points.
+func (l *Lattice) CanAnswerID(view, query int) bool {
+	return l.nodes[view].Point.FinerOrEqual(l.nodes[query].Point)
+}
+
+// AncestorIDs appends to out the ids strictly finer than id, ascending
+// (base first). Pass a reused slice to avoid allocation. The walk is an
+// odometer over the levels at or below id's own, read off the point of
+// each row's first node: it visits only the answering cuboids, never
+// the rest of the lattice.
+func (l *Lattice) AncestorIDs(id int, out []int) []int {
+	top := l.nodes[id].Point
+	last := len(top) - 1
+	for row := 0; ; {
+		// The ids of a row differ in the last dimension only.
+		for k := row; k <= row+top[last]; k++ {
+			if k == id {
+				return out
+			}
+			out = append(out, k)
+		}
+		// Some earlier dimension is still below top's level (the row did
+		// not reach id): raise the last such one by a level and reset
+		// every dimension after it.
+		p := l.nodes[row].Point
+		d := last - 1
+		for ; p[d] == top[d]; d-- {
+			row -= p[d] * l.strides[d]
+		}
+		row += l.strides[d]
 	}
 }
 
@@ -276,38 +325,16 @@ func (l *Lattice) CanAnswer(view, query Point) bool {
 // CheapestAnswering returns, among the given materialized points plus the
 // base cuboid, the one with the fewest rows that can answer the query.
 // It reflects the paper's processing model: a query runs against its
-// smallest answering view, or the base table when none applies.
+// smallest answering view, or the base table when none applies. A
+// materialized point that is not a cuboid of l is skipped.
 func (l *Lattice) CheapestAnswering(materialized []Point, query Point) (Point, Node) {
-	qid, err := l.ID(query)
-	if err != nil {
-		return l.cheapestAnsweringSlow(materialized, query)
-	}
-	best := l.Base()
-	bestNode := l.nodes[0] // base encodes to id 0
+	best, bestNode := l.Base(), l.nodes[0] // base encodes to id 0
 	for _, v := range materialized {
 		vid, err := l.ID(v)
-		if err != nil || !l.CanAnswerID(vid, qid) {
+		if err != nil || !l.CanAnswer(v, query) {
 			continue
 		}
 		if n := l.nodes[vid]; n.Rows < bestNode.Rows {
-			best, bestNode = v, n
-		}
-	}
-	return best, bestNode
-}
-
-// cheapestAnsweringSlow preserves the pre-index behavior for queries
-// that do not validate: answerability falls back to the pairwise
-// partial-order test.
-func (l *Lattice) cheapestAnsweringSlow(materialized []Point, query Point) (Point, Node) {
-	best := l.Base()
-	bestNode := l.nodes[l.encode(best)]
-	for _, v := range materialized {
-		if !l.CanAnswer(v, query) {
-			continue
-		}
-		n := l.nodes[l.encode(v)]
-		if n.Rows < bestNode.Rows {
 			best, bestNode = v, n
 		}
 	}

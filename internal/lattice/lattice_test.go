@@ -208,6 +208,13 @@ func TestCheapestAnswering(t *testing.T) {
 	if !p.Equal(l.Base()) {
 		t.Errorf("non-answering view used: %v", l.Name(p))
 	}
+
+	// A materialized point that is not a cuboid of the lattice is skipped,
+	// whatever the query is.
+	p, n = l.CheapestAnswering([]Point{{4, 0}}, Point{5, 5})
+	if !p.Equal(l.Base()) || n.Rows != l.FactRows {
+		t.Errorf("out-of-range view used: %v with %d rows", p, n.Rows)
+	}
 }
 
 func TestCardenas(t *testing.T) {

@@ -1,7 +1,7 @@
 package lattice
 
-// The partial-order walkers below are the reference the precomputed
-// index is checked against: plain sweeps over the nodes, no bitsets.
+// The partial-order walkers below are the reference AncestorIDs and
+// CanAnswerID are checked against: plain sweeps over every node.
 
 // Apex returns the coarsest cuboid (ALL in every dimension).
 func (l *Lattice) Apex() Point { return l.nodes[len(l.nodes)-1].Point.Clone() }
@@ -29,11 +29,13 @@ func (l *Lattice) related(keep func(Node) bool) []Node {
 // DescendantIDs is AncestorIDs' mirror: the ids strictly coarser than id,
 // ascending.
 func (l *Lattice) DescendantIDs(id int, out []int) []int {
-	if l.desc == nil {
-		p := l.nodes[id].Point
-		return l.relatedIDsSlow(id, out, func(n Node) bool { return p.FinerOrEqual(n.Point) })
+	p := l.nodes[id].Point
+	for j, n := range l.nodes {
+		if j != id && p.FinerOrEqual(n.Point) {
+			out = append(out, j)
+		}
 	}
-	return l.desc[id].appendIDs(out)
+	return out
 }
 
 // Children returns the direct coarser neighbours of p (one level up in

@@ -48,8 +48,8 @@ var sales = func() salesTables {
 }()
 
 // SalesLattice is the sales lattice at factRows. It shares the tables'
-// lattice's points and answerability index (lattice.WithFactRows), so
-// a caller that builds one per request pays for the sixteen nodes'
+// lattice's points, radices and strides (lattice.WithFactRows), so a
+// caller that builds one per request pays for the sixteen nodes'
 // statistics and nothing else.
 func SalesLattice(factRows int64) (*lattice.Lattice, error) {
 	return sales.lat.WithFactRows(factRows)
