@@ -43,19 +43,29 @@ type Cluster struct {
 
 // New builds a cluster of nb instances of the named type from the provider.
 func New(p pricing.Provider, instanceName string, nb int) (*Cluster, error) {
+	c := new(Cluster)
+	if err := c.Set(p, instanceName, nb); err != nil {
+		return nil, err
+	}
+	return c, nil
+}
+
+// Set makes c the cluster New builds, in place.
+func (c *Cluster) Set(p pricing.Provider, instanceName string, nb int) error {
 	if nb <= 0 {
-		return nil, fmt.Errorf("cluster: non-positive instance count %d", nb)
+		return fmt.Errorf("cluster: non-positive instance count %d", nb)
 	}
 	it, err := p.Compute.Instance(instanceName)
 	if err != nil {
-		return nil, err
+		return err
 	}
-	return &Cluster{
+	*c = Cluster{
 		Provider:         p,
 		Instance:         it,
 		NbInstances:      nb,
 		ThroughputPerECU: DefaultThroughputPerECU,
-	}, nil
+	}
+	return nil
 }
 
 // scale returns the effective DataScale.

@@ -23,6 +23,7 @@ import (
 	"vmcloud/internal/optimizer"
 	"vmcloud/internal/pricing"
 	"vmcloud/internal/report"
+	"vmcloud/internal/reuse"
 	"vmcloud/internal/schema"
 	"vmcloud/internal/search"
 	"vmcloud/internal/units"
@@ -91,6 +92,12 @@ type Config struct {
 	// candidate pool — so knapsack results are never degraded. Nil means
 	// no deadline.
 	Ctx context.Context
+	// Workspace, when non-nil, holds every array the build and the
+	// solves need, so that a caller that recycles one (the server does,
+	// one per cold request) allocates them once; nil means a new one.
+	// Whatever is built on a workspace may be used only until the next
+	// build on it (see Workspace).
+	Workspace *Workspace
 }
 
 // Solver names accepted by Config.Solver and the "solver" wire field.
@@ -143,6 +150,9 @@ type Advisor struct {
 	// trace is the optional per-phase span recorder inherited from the
 	// Shared; nil-safe.
 	trace *obs.Trace
+	// cell is the workspace cell the advisor lives in, whose arenas its
+	// answers are cut from.
+	cell *cell
 	// mu serializes solves: the session below owns scratch state.
 	mu sync.Mutex
 	// sess is the kernel binding the scenario solvers run on: the shared
@@ -172,7 +182,8 @@ func (a *Advisor) viewName(p lattice.Point) string {
 // lets cross-provider studies (internal/compare, the /v1/sweep grids)
 // fan one problem out over many tariffs at re-bill cost per cell.
 //
-// A Shared is immutable after construction and safe for concurrent use.
+// A Shared is immutable after construction and safe for concurrent use
+// until the next NewShared on its workspace (see Workspace).
 type Shared struct {
 	Lat        *lattice.Lattice
 	W          workload.Workload
@@ -204,6 +215,9 @@ type Shared struct {
 	// ctx optionally bounds search solves of every stamped advisor (see
 	// Config.Ctx); compare's grid also checks it between cells.
 	ctx context.Context
+	// ws is the workspace the structure was built on, whose cells the
+	// advisors take.
+	ws *Workspace
 }
 
 // NewShared builds the tariff-independent structure of a config. The
@@ -235,6 +249,12 @@ func NewShared(cfg Config) (*Shared, error) {
 		cfg.JobOverhead = DefaultJobOverhead
 	}
 
+	ws := cfg.Workspace
+	if ws == nil {
+		ws = new(Workspace)
+	}
+	ws.start()
+
 	tr := cfg.Trace
 	t0 := tr.StartTimer()
 	// The default schema is the sales star schema, whose lattice shape
@@ -243,7 +263,7 @@ func NewShared(cfg Config) (*Shared, error) {
 	var l *lattice.Lattice
 	var names []string
 	if cfg.Schema == nil {
-		l, err = workload.SalesLattice(cfg.FactRows)
+		l, err = workload.SalesLattice(&ws.lat, cfg.FactRows)
 		names = workload.SalesNames()
 	} else {
 		l, err = lattice.New(cfg.Schema, cfg.FactRows)
@@ -251,23 +271,22 @@ func NewShared(cfg Config) (*Shared, error) {
 	if err != nil {
 		return nil, err
 	}
-	if err := cfg.Workload.Validate(l); err != nil {
-		return nil, err
-	}
-	egress, err := cfg.Workload.ResultBytes(l)
+	// The one validation of the workload: the candidate pool and the
+	// kernel read the query ids it returns.
+	var egress units.DataSize
+	ws.qids, egress, err = cfg.Workload.Resolve(l, ws.qids[:0])
 	if err != nil {
 		return nil, err
 	}
 	tr.ObserveSince(obs.PhaseLattice, t0)
 	t0 = tr.StartTimer()
-	cands, err := views.GenerateCandidates(l, cfg.Workload, cfg.CandidateBudget)
+	cands, err := ws.pool.Generate(l, cfg.Workload, ws.qids, cfg.CandidateBudget)
 	if err != nil {
 		return nil, err
 	}
 	tr.ObserveSince(obs.PhaseCandidates, t0)
 	t0 = tr.StartTimer()
-	kern, err := optimizer.NewComparisonKernel(l, cfg.Workload, cands)
-	if err != nil {
+	if err := ws.kern.Pin(l, cfg.Workload, ws.qids, cands); err != nil {
 		return nil, err
 	}
 	tr.ObserveSince(obs.PhaseKernel, t0)
@@ -278,18 +297,19 @@ func NewShared(cfg Config) (*Shared, error) {
 		}
 	}
 	if names == nil {
-		names = make([]string, l.NumNodes())
+		names = reuse.Zeroed(ws.names, l.NumNodes())
+		ws.names = names
 		for _, c := range cands {
 			if id, err := l.ID(c.Point); err == nil {
 				names[id] = l.Name(c.Point)
 			}
 		}
 	}
-	return &Shared{
+	ws.sh = Shared{
 		Lat:         l,
 		W:           cfg.Workload,
 		Candidates:  cands,
-		Kern:        kern,
+		Kern:        &ws.kern,
 		Solver:      solver,
 		Seed:        cfg.Seed,
 		months:      cfg.Months,
@@ -302,7 +322,9 @@ func NewShared(cfg Config) (*Shared, error) {
 		names:       names,
 		trace:       tr,
 		ctx:         cfg.Ctx,
-	}, nil
+		ws:          ws,
+	}
+	return &ws.sh, nil
 }
 
 // Advisor re-prices the shared problem for one tariff: provider ×
@@ -318,44 +340,50 @@ func (sh *Shared) Advisor(prov pricing.Provider, instanceType string, instances 
 	if instances == 0 {
 		instances = DefaultInstances
 	}
-	cl, err := cluster.New(prov, instanceType, instances)
-	if err != nil {
+	c := sh.ws.cell()
+	if err := c.cl.Set(prov, instanceType, instances); err != nil {
 		return nil, err
 	}
-	cl.JobOverhead = sh.jobOverhead
-	est := views.NewEstimator(sh.Lat, cl)
-	est.MaintenanceRuns = sh.maintRuns
-	est.UpdateRatio = sh.updateRatio
-	est.Policy = sh.policy
+	c.cl.JobOverhead = sh.jobOverhead
+	c.est = views.Estimator{
+		Lat:             sh.Lat,
+		Cl:              &c.cl,
+		UpdateRatio:     sh.updateRatio,
+		MaintenanceRuns: sh.maintRuns,
+		Policy:          sh.policy,
+	}
 	base := costmodel.Plan{
-		Cluster:       cl,
+		Cluster:       &c.cl,
 		Months:        sh.months,
 		DatasetSize:   sh.datasetSize,
 		MonthlyEgress: sh.egress,
 	}
-	ev, err := optimizer.NewEvaluator(est, sh.W, base)
-	if err != nil {
+	// optimizer.NewEvaluator without its check of the workload, which
+	// NewShared validated against this lattice.
+	if err := base.Validate(); err != nil {
 		return nil, err
 	}
-	sess, err := sh.Kern.RepriceFor(ev)
-	if err != nil {
+	c.ev = optimizer.Evaluator{Est: &c.est, W: sh.W, Base: base}
+	if err := c.sess.Bind(sh.Kern, &c.ev); err != nil {
 		return nil, err
 	}
 	sh.trace.ObserveSince(obs.PhaseBind, t0)
-	return &Advisor{
+	c.adv = Advisor{
 		Lat:        sh.Lat,
-		Cl:         cl,
-		Est:        est,
+		Cl:         &c.cl,
+		Est:        &c.est,
 		W:          sh.W,
-		Ev:         ev,
+		Ev:         &c.ev,
 		Candidates: sh.Candidates,
 		Solver:     sh.Solver,
 		Seed:       sh.Seed,
 		trace:      sh.trace,
-		sess:       sess,
+		cell:       c,
+		sess:       &c.sess,
 		names:      sh.names,
 		ctx:        sh.ctx,
-	}, nil
+	}
+	return &c.adv, nil
 }
 
 // New builds an advisor from a config: the shared structure plus one
@@ -497,7 +525,7 @@ func (a *Advisor) recommend(scenario string, sel optimizer.Selection) (Recommend
 	if err != nil {
 		return Recommendation{}, err
 	}
-	names := make([]string, len(sel.Points))
+	names := a.cell.names.Cut(len(sel.Points))
 	for i, p := range sel.Points {
 		names[i] = a.viewName(p)
 	}
@@ -608,8 +636,10 @@ func (a *Advisor) ParetoFront(steps int) ([]ParetoPoint, error) {
 	if err != nil {
 		return nil, err
 	}
-	scs := make([]optimizer.Scenario, steps)
-	sels := make([]optimizer.Selection, steps)
+	c := a.cell
+	c.scs = reuse.Zeroed(c.scs, steps)
+	c.sels = reuse.Zeroed(c.sels, steps)
+	scs, sels := c.scs, c.sels
 	for i := range scs {
 		if scs[i], err = optimizer.Tradeoff(float64(i)/float64(steps-1), optimizer.NormalizedTradeoff, baseT, baseBill); err != nil {
 			return nil, err
@@ -638,7 +668,8 @@ func (a *Advisor) ParetoFront(steps int) ([]ParetoPoint, error) {
 			return nil, err
 		}
 	}
-	all := make([]ParetoPoint, len(sels))
+	c.all = reuse.Zeroed(c.all, len(sels))
+	all := c.all
 	for i, sel := range sels {
 		all[i] = ParetoPoint{
 			Alpha:    float64(i) / float64(steps-1),
@@ -648,7 +679,7 @@ func (a *Advisor) ParetoFront(steps int) ([]ParetoPoint, error) {
 			Degraded: sel.Degraded,
 		}
 	}
-	return NonDominated(all, func(p ParetoPoint) ParetoPoint { return p }), nil
+	return NonDominated(c.front.Cut(len(all))[:0], all, func(p ParetoPoint) ParetoPoint { return p }), nil
 }
 
 // dominates reports whether p dominates q: no slower, no dearer, and
@@ -657,10 +688,10 @@ func (p ParetoPoint) dominates(q ParetoPoint) bool {
 	return p.Time <= q.Time && p.Cost <= q.Cost && (p.Time < q.Time || p.Cost < q.Cost)
 }
 
-// NonDominated keeps, in order, the items whose point no other item's
-// point dominates: a sweep's frontier, or a comparison's across cells.
-func NonDominated[T any](all []T, point func(T) ParetoPoint) []T {
-	var front []T
+// NonDominated appends to front, in order, the items whose point no
+// other item's point dominates: a sweep's frontier, or a comparison's
+// across cells.
+func NonDominated[T any](front, all []T, point func(T) ParetoPoint) []T {
 	for _, p := range all {
 		if !slices.ContainsFunc(all, func(q T) bool { return point(q).dominates(point(p)) }) {
 			front = append(front, p)

@@ -397,9 +397,5 @@ func (p ParetoPoint) JSON() ParetoPointJSON {
 // DatasetSizeOf reports the base cuboid volume a config implies — handy
 // context for API responses.
 func DatasetSizeOf(a *Advisor) units.DataSize {
-	n, err := a.Lat.Node(a.Lat.Base())
-	if err != nil {
-		return 0
-	}
-	return n.Size
+	return a.Lat.NodeByID(0).Size
 }

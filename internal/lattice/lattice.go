@@ -11,9 +11,9 @@ package lattice
 import (
 	"fmt"
 	"math"
-	"slices"
 	"strings"
 
+	"vmcloud/internal/reuse"
 	"vmcloud/internal/schema"
 	"vmcloud/internal/units"
 )
@@ -119,15 +119,21 @@ func New(s *schema.Schema, factRows int64) (*Lattice, error) {
 	return l, nil
 }
 
-// WithFactRows returns the lattice of l's schema at another fact-row
-// count. Only a node's statistics depend on that count: the points, the
-// radices and the strides are shared with l, which both lattices only
-// ever read.
-func (l *Lattice) WithFactRows(factRows int64) (*Lattice, error) {
+// WithFactRows writes into r, and returns, the lattice of l's schema at
+// another fact-row count; a nil r stands for a new lattice. Only a
+// node's statistics depend on that count: the points, the radices and
+// the strides are shared with l, which both lattices only ever read, and
+// r's own node array is reused when it holds l's nodes.
+func (l *Lattice) WithFactRows(r *Lattice, factRows int64) (*Lattice, error) {
 	if factRows <= 0 {
 		return nil, fmt.Errorf("lattice: non-positive fact rows %d", factRows)
 	}
-	r := &Lattice{Schema: l.Schema, FactRows: factRows, nodes: slices.Clone(l.nodes), radices: l.radices, strides: l.strides}
+	if r == nil {
+		r = new(Lattice)
+	}
+	nodes := reuse.Zeroed(r.nodes, len(l.nodes))
+	copy(nodes, l.nodes)
+	*r = Lattice{Schema: l.Schema, FactRows: factRows, nodes: nodes, radices: l.radices, strides: l.strides}
 	r.sizeNodes()
 	return r, nil
 }

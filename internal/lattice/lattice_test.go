@@ -288,19 +288,31 @@ func TestSizeScalesWithRows(t *testing.T) {
 }
 
 // TestWithFactRowsMatchesNew: a resized lattice is New's at that row
-// count — every node's statistics and every answerability answer — and
-// leaves the lattice it came from as it was.
+// count — every node's statistics and every answerability answer —
+// whether it is new or written over an earlier one, and leaves the
+// lattice it came from as it was.
 func TestWithFactRowsMatchesNew(t *testing.T) {
 	proto := mustLattice(t, 1)
 	before := append([]Node(nil), proto.Nodes()...)
+	var into Lattice
 	for _, rows := range []int64{1, 9_999, 200_000_000, 100_000_000_000} {
-		got, err := proto.WithFactRows(rows)
+		got, err := proto.WithFactRows(nil, rows)
 		if err != nil {
 			t.Fatal(err)
 		}
 		want := mustLattice(t, rows)
 		if got.FactRows != rows || !reflect.DeepEqual(got.Nodes(), want.Nodes()) {
 			t.Fatalf("rows %d: nodes differ from New's\n got %+v\nwant %+v", rows, got.Nodes(), want.Nodes())
+		}
+		reused, err := proto.WithFactRows(&into, rows)
+		if err != nil || reused != &into {
+			t.Fatalf("rows %d: written over a lattice: %p, %v; want %p", rows, reused, err, &into)
+		}
+		if !reflect.DeepEqual(reused.Nodes(), want.Nodes()) {
+			t.Fatalf("rows %d: nodes written over an earlier lattice differ from New's", rows)
+		}
+		if allocs := testing.AllocsPerRun(10, func() { proto.WithFactRows(&into, rows) }); allocs != 0 {
+			t.Errorf("rows %d: written over a lattice of the same schema, WithFactRows allocates %v times", rows, allocs)
 		}
 		for v := 0; v < got.NumNodes(); v++ {
 			for q := 0; q < got.NumNodes(); q++ {
@@ -313,7 +325,7 @@ func TestWithFactRowsMatchesNew(t *testing.T) {
 	if !reflect.DeepEqual(proto.Nodes(), before) {
 		t.Error("WithFactRows changed the lattice it was called on")
 	}
-	if _, err := proto.WithFactRows(0); err == nil {
+	if _, err := proto.WithFactRows(nil, 0); err == nil {
 		t.Error("zero fact rows accepted")
 	}
 }

@@ -7,6 +7,7 @@ import (
 
 	"vmcloud/internal/costmodel"
 	"vmcloud/internal/obs"
+	"vmcloud/internal/reuse"
 	"vmcloud/internal/units"
 	"vmcloud/internal/views"
 )
@@ -94,6 +95,11 @@ type IncrementalEvaluator struct {
 	// taken is Probe scratch, all false between probes: the queries a
 	// swap's incoming candidate takes from the outgoing one.
 	taken []bool
+
+	// The slabs the duration and bool arrays are cut from, kept whole
+	// for the engine's next binding.
+	durations []time.Duration
+	bools     []bool
 }
 
 // bindInto binds the kernel to one tariff in an engine the caller
@@ -101,7 +107,8 @@ type IncrementalEvaluator struct {
 // scalars. The evaluator must be wired over the kernel's lattice. A
 // binding is per cell of a comparison grid, so its allocation count
 // is part of the per-tariff cost: every duration, int64, int32 and bool
-// array comes from one slab of its type.
+// array comes from one slab of its type, and an engine bound again
+// cuts them from the slabs of its last binding.
 func (k *ComparisonKernel) bindInto(inc *IncrementalEvaluator, ev *Evaluator) error {
 	if ev == nil || ev.Est == nil || ev.Est.Lat == nil {
 		return fmt.Errorf("optimizer: incremental evaluator needs a wired evaluator")
@@ -112,18 +119,20 @@ func (k *ComparisonKernel) bindInto(inc *IncrementalEvaluator, ev *Evaluator) er
 	obs.KernelRebinds.Inc()
 	n, nq := k.n, k.nq
 	// curTerm, then bindScalars' arena.
-	durations := make([]time.Duration, nq+4*n+nq+len(k.ansCand))
-	bools := make([]bool, n+nq)
+	durations := reuse.Zeroed(inc.durations, nq+4*n+nq+len(k.ansCand))
+	bools := reuse.Zeroed(inc.bools, n+nq)
 	*inc = IncrementalEvaluator{
 		ev:             ev,
 		k:              k,
 		sessionScalars: k.bindScalars(ev, durations[nq:]),
 		selected:       bools[:n:n],
-		words:          make([]uint64, (n+63)/64),
-		assigned:       make([]int32, nq),
+		words:          reuse.Zeroed(inc.words, (n+63)/64),
+		assigned:       reuse.Zeroed(inc.assigned, nq),
 		curTerm:        durations[:nq:nq],
-		served:         make([]int64, n),
+		served:         reuse.Zeroed(inc.served, n),
 		taken:          bools[n:],
+		durations:      durations,
+		bools:          bools,
 	}
 	inc.billing = compileBill(&ev.Base)
 	inc.resetEmpty()

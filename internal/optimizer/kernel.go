@@ -3,11 +3,13 @@ package optimizer
 import (
 	"cmp"
 	"fmt"
+	"math/bits"
 	"slices"
 	"time"
 
 	"vmcloud/internal/lattice"
 	"vmcloud/internal/obs"
+	"vmcloud/internal/reuse"
 	"vmcloud/internal/units"
 	"vmcloud/internal/views"
 	"vmcloud/internal/workload"
@@ -64,56 +66,82 @@ type ComparisonKernel struct {
 	// answering entry without searching the list.
 	cand2q   [][]int32
 	cand2pos [][]int32
+
+	// The slabs the arrays above are cut from, kept whole so that a
+	// kernel pinned again (Pin) cuts its arrays from them.
+	int64s []int64
+	pre    []int32
+	lists  []int32
+	heads  [][]int32
 }
 
 // NewComparisonKernel pins the structure of an advisory problem. The
 // candidate points and query points are validated against the lattice,
 // and a pool that names one point twice is rejected.
+func NewComparisonKernel(l *lattice.Lattice, w workload.Workload, cands []views.Candidate) (*ComparisonKernel, error) {
+	k := new(ComparisonKernel)
+	if err := k.Pin(l, w, nil, cands); err != nil {
+		return nil, err
+	}
+	return k, nil
+}
+
+// Pin makes k the kernel NewComparisonKernel builds for the problem,
+// on k's own arrays: a kernel pinned again reuses them, so everything
+// read from it before must no longer be used. qids are the workload's
+// query ids as workload.Resolve returns them, which Pin does not check
+// again; nil has Pin look each query point up and validate it.
 //
 // The structure is built in slabs, not grown: a counting pass sizes the
 // answering lists, and every array is then cut from one allocation per
 // element type. The build is on every cache miss the daemon serves, and
 // an append chain per candidate and per query was a third of
 // that miss's allocations.
-func NewComparisonKernel(l *lattice.Lattice, w workload.Workload, cands []views.Candidate) (*ComparisonKernel, error) {
+func (k *ComparisonKernel) Pin(l *lattice.Lattice, w workload.Workload, qids []int, cands []views.Candidate) error {
 	if l == nil {
-		return nil, fmt.Errorf("optimizer: comparison kernel needs a lattice")
+		return fmt.Errorf("optimizer: comparison kernel needs a lattice")
 	}
 	obs.KernelBuilds.Inc()
 	n, nq := len(cands), len(w.Queries)
-	int64s := make([]int64, n+nq)
-	k := &ComparisonKernel{
-		Lat:   l,
-		Cands: cands,
-		n:     n,
-		nq:    nq,
-		ids:   make([]int, n),
-		rows:  int64s[:n:n],
-		size:  make([]units.DataSize, n),
-		qFreq: int64s[n:],
+	// Each query's answerers, as a bit mask over order, 32 bits a word.
+	mw := (n + 31) / 32
+	int64s := reuse.Zeroed(k.int64s, n+nq)
+	// What the counting pass needs, from one slab: qOff, which stays, and
+	// three that do not — order, the candidates that can ever be
+	// assigned; each candidate's answerable-query count; and the
+	// answerer masks the fill pass reads instead of asking the lattice
+	// again.
+	pre := reuse.Zeroed(k.pre, nq+1+2*n+nq*mw)
+	lists, heads := k.lists, k.heads
+	*k = ComparisonKernel{
+		Lat:    l,
+		Cands:  cands,
+		n:      n,
+		nq:     nq,
+		ids:    reuse.Zeroed(k.ids, n),
+		rows:   int64s[:n:n],
+		size:   reuse.Zeroed(k.size, n),
+		qFreq:  int64s[n:],
+		int64s: int64s,
+		pre:    pre,
 	}
 	baseNode := l.NodeByID(0)
 	k.baseRows = baseNode.Rows
 	k.baseSize = baseNode.Size
 
-	// What the counting pass needs, from one slab: qOff, which stays, and
-	// three that do not — each query's lattice id; order, the candidates
-	// that can ever be assigned; and each candidate's answerable-query
-	// count.
-	pre := make([]int32, 2*nq+1+2*n)
 	k.qOff, pre = pre[:nq+1:nq+1], pre[nq+1:]
-	qids, pre := pre[:nq:nq], pre[nq:]
-	order, answers := pre[:0:n], pre[n:]
+	order, pre := pre[:0:n], pre[n:]
+	answers, masks := pre[:n:n], pre[n:]
 
 	for i, c := range cands {
 		id, err := l.ID(c.Point)
 		if err != nil {
-			return nil, fmt.Errorf("optimizer: candidate %d: %w", i, err)
+			return fmt.Errorf("optimizer: candidate %d: %w", i, err)
 		}
 		// A pool is a few dozen candidates, so a scan of the earlier ids
 		// stands in for a map.
 		if j := slices.Index(k.ids[:i], id); j >= 0 {
-			return nil, fmt.Errorf("optimizer: candidate %d repeats candidate %d's point %v", i, j, c.Point)
+			return fmt.Errorf("optimizer: candidate %d repeats candidate %d's point %v", i, j, c.Point)
 		}
 		k.ids[i] = id
 		node := l.NodeByID(id)
@@ -136,17 +164,23 @@ func NewComparisonKernel(l *lattice.Lattice, w workload.Workload, cands []views.
 	})
 
 	for q, query := range w.Queries {
-		qid, err := l.ID(query.Point)
-		if err != nil {
-			return nil, fmt.Errorf("optimizer: query %d: %w", q, err)
+		var qid int
+		if qids != nil {
+			qid = qids[q]
+		} else {
+			var err error
+			if qid, err = l.ID(query.Point); err != nil {
+				return fmt.Errorf("optimizer: query %d: %w", q, err)
+			}
 		}
-		qids[q] = int32(qid)
 		k.qFreq[q] = int64(query.Frequency)
 		k.qOff[q+1] = k.qOff[q]
-		for _, i := range order {
+		mask := masks[q*mw : (q+1)*mw]
+		for j, i := range order {
 			if l.CanAnswerID(k.ids[i], qid) {
 				k.qOff[q+1]++
 				answers[i]++
+				mask[j>>5] |= 1 << (j & 31)
 			}
 		}
 	}
@@ -154,24 +188,33 @@ func NewComparisonKernel(l *lattice.Lattice, w workload.Workload, cands []views.
 	// The lists themselves, each cut empty at its final capacity so that
 	// the appends below fill it in place.
 	total := int(k.qOff[nq])
-	lists := make([]int32, 3*total)
-	heads := make([][]int32, 2*n)
+	lists = reuse.Zeroed(lists, 3*total)
+	heads = reuse.Zeroed(heads, 2*n)
+	k.lists, k.heads = lists, heads
 	k.ansCand, lists = lists[:0:total], lists[total:]
 	k.cand2q, k.cand2pos = heads[:n:n], heads[n:]
 	for i, c := range answers {
 		k.cand2q[i], lists = lists[:0:c], lists[c:]
 		k.cand2pos[i], lists = lists[:0:c], lists[c:]
 	}
-	for q, qid := range qids {
-		for _, i := range order {
-			if l.CanAnswerID(k.ids[i], int(qid)) {
+	// The counting pass's masks name each query's answerers in order's
+	// order, so no pair is asked about twice.
+	for q := range nq {
+		for wi, word := range masks[q*mw : (q+1)*mw] {
+			for bw := uint32(word); bw != 0; bw &= bw - 1 {
+				i := order[wi<<5+bits.TrailingZeros32(bw)]
 				k.cand2pos[i] = append(k.cand2pos[i], int32(len(k.ansCand)))
 				k.ansCand = append(k.ansCand, i)
 				k.cand2q[i] = append(k.cand2q[i], int32(q))
 			}
 		}
 	}
-	return k, nil
+	return nil
+}
+
+// Bytes reports the size of the kernel's arrays.
+func (k *ComparisonKernel) Bytes() int {
+	return reuse.Bytes(k.ids) + reuse.Bytes(k.size) + reuse.Bytes(k.int64s) + reuse.Bytes(k.pre) + reuse.Bytes(k.lists) + reuse.Bytes(k.heads)
 }
 
 // sessionScalars are the tariff-dependent scalars one RepriceFor binding

@@ -8,6 +8,7 @@ import (
 	"vmcloud/internal/costmodel"
 	"vmcloud/internal/lattice"
 	"vmcloud/internal/money"
+	"vmcloud/internal/reuse"
 	"vmcloud/internal/views"
 )
 
@@ -50,13 +51,23 @@ type KernelSession struct {
 	// at its size at the first solve (sizeScratch); the break-even
 	// budget sweeps of the comparison engine solve MV1 once per budget,
 	// so per-solve slices would dominate the allocation profile
-	// otherwise. Selections returned to callers always carry freshly
-	// allocated Points — scratch never escapes.
+	// otherwise. Scratch never escapes.
+	sized  bool
 	selBuf []int32
 	idxBuf []int
 	valBuf []int64
 	wtBuf  []int64
 	dp     frontierDP
+
+	// points is where the Points of returned Selections are cut from.
+	points reuse.Arena[lattice.Point]
+
+	// The arrays above and the items are cut from these, kept whole for
+	// the session's next binding (Bind).
+	int64s []int64
+	ints   []int
+	sels   []int32
+	saving []time.Duration
 }
 
 // NewSession pins a candidate set against an evaluator and binds the one
@@ -82,11 +93,42 @@ func NewSession(ev *Evaluator, cands []views.Candidate) (*KernelSession, error) 
 // the kernel. This is the whole per-cell rebuild of a cross-tariff
 // comparison.
 func (k *ComparisonKernel) RepriceFor(ev *Evaluator) (*KernelSession, error) {
-	s := &KernelSession{Kern: k, Ev: ev}
-	if err := k.bindInto(&s.inc, ev); err != nil {
+	s := new(KernelSession)
+	if err := s.Bind(k, ev); err != nil {
 		return nil, err
 	}
 	return s, nil
+}
+
+// Bind makes s the session RepriceFor returns for k and ev, on s's own
+// arrays: a session bound again reuses the slabs of its engine, its
+// items, its solve scratch and its selections' points, so everything it
+// handed out before — Items, the Points of its Selections — must no
+// longer be used. A zero KernelSession is ready to bind.
+func (s *KernelSession) Bind(k *ComparisonKernel, ev *Evaluator) error {
+	s.points.Reset()
+	*s = KernelSession{
+		Kern:   k,
+		Ev:     ev,
+		inc:    s.inc,
+		items:  s.items[:0],
+		dp:     frontierDP{states: s.dp.states},
+		points: s.points,
+		int64s: s.int64s,
+		ints:   s.ints,
+		sels:   s.sels,
+		saving: s.saving,
+	}
+	return k.bindInto(&s.inc, ev)
+}
+
+// Bytes reports the size of the session's arrays: its engine's, its
+// items', its solve scratch's and its selections' points'.
+func (s *KernelSession) Bytes() int {
+	inc := &s.inc
+	return reuse.Bytes(inc.durations) + reuse.Bytes(inc.bools) + reuse.Bytes(inc.words) + reuse.Bytes(inc.assigned) + reuse.Bytes(inc.served) +
+		reuse.Bytes(s.items) + reuse.Bytes(s.int64s) + reuse.Bytes(s.ints) + reuse.Bytes(s.sels) + reuse.Bytes(s.saving) +
+		reuse.Bytes(s.dp.states) + s.points.Bytes()
 }
 
 // sizeScratch cuts the solves' scratch, at a session's first solve, at
@@ -95,15 +137,17 @@ func (k *ComparisonKernel) RepriceFor(ev *Evaluator) (*KernelSession, error) {
 // items. Grown append by append instead, the scratch of a comparison's
 // fresh sessions was a quarter of a compare miss's allocations.
 func (s *KernelSession) sizeScratch() {
-	if s.selBuf != nil {
+	if s.sized {
 		return
 	}
 	n := s.Kern.n
-	int64s := make([]int64, 3*n)
-	s.valBuf, s.wtBuf, s.dp.scaled = int64s[:0:n], int64s[n:n:2*n], int64s[2*n:2*n]
-	ints := make([]int, 3*n+1)
-	s.idxBuf, s.dp.chosen, s.dp.starts = ints[:0:n], ints[n:n:2*n], ints[2*n:2*n]
-	s.selBuf = make([]int32, 0, n)
+	s.int64s = reuse.Zeroed(s.int64s, 3*n)
+	s.valBuf, s.wtBuf, s.dp.scaled = s.int64s[:0:n], s.int64s[n:n:2*n], s.int64s[2*n:2*n]
+	s.ints = reuse.Zeroed(s.ints, 3*n+1)
+	s.idxBuf, s.dp.chosen, s.dp.starts = s.ints[:0:n], s.ints[n:n:2*n], s.ints[2*n:2*n]
+	s.sels = reuse.Zeroed(s.sels, n)
+	s.selBuf = s.sels[:0]
+	s.sized = true
 }
 
 // Engine returns the session's incremental delta-evaluation engine — the
@@ -174,7 +218,7 @@ func (s *KernelSession) priceSel(sel []int32) (time.Duration, costmodel.Bill, er
 func (s *KernelSession) selectionFor(sel []int32, t time.Duration, bill costmodel.Bill, sc Scenario, strategy string) Selection {
 	var pts []lattice.Point
 	if len(sel) > 0 {
-		pts = make([]lattice.Point, len(sel))
+		pts = s.points.Cut(len(sel))
 	}
 	for i, ci := range sel {
 		pts[i] = s.Kern.Cands[ci].Point
@@ -207,7 +251,8 @@ func (s *KernelSession) Items() []Item {
 	// among the answering candidates that beat the base, lowest candidate
 	// index on ties. The answering list is sorted by exactly that rule,
 	// so the best candidate is its head.
-	assignedSaving := make([]time.Duration, k.n)
+	assignedSaving := reuse.Zeroed(s.saving, k.n)
+	s.saving = assignedSaving
 	for q := 0; q < k.nq; q++ {
 		if k.qOff[q] == k.qOff[q+1] {
 			continue
@@ -220,7 +265,7 @@ func (s *KernelSession) Items() []Item {
 	months := s.Ev.Base.Months
 	hourly := s.Ev.Base.Cluster.HourlyRate()
 	storageRate := s.Ev.Base.Cluster.Provider.Storage.Table.RateFor(s.Ev.Base.DatasetSize)
-	items := make([]Item, k.n)
+	items := reuse.Zeroed(s.items, k.n)
 	for i, c := range k.Cands {
 		cost := storageRate.MulFloat(c.Size.GBs() * months)
 		cost = cost.Add(hourly.MulFloat(sc.maint[i].Hours() * months))

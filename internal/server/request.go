@@ -236,11 +236,12 @@ type memoRequest interface {
 	// the request does not carry.
 	size() (cj *core.ConfigJSON, steps, breakEven, cells int)
 	// solve computes the newline-terminated response body of the
-	// normalized request, recording per-phase durations on tr (never
-	// nil) and timing its own encode step. ctx carries the solve
+	// normalized request on ws, recording per-phase durations on tr
+	// (never nil) and timing its own encode step. ctx carries the solve
 	// deadline down to the search solver; degraded reports a result cut
-	// short by it, which must not be cached.
-	solve(ctx context.Context, s *Server, tr *obs.Trace) (body []byte, degraded bool, err error)
+	// short by it, which must not be cached. The body is a copy: nothing
+	// of ws outlives the call.
+	solve(ctx context.Context, tr *obs.Trace, ws *core.Workspace) (body []byte, degraded bool, err error)
 }
 
 type adviseRequest struct{ AdviseRequest }
@@ -264,13 +265,14 @@ func (r *adviseRequest) size() (*core.ConfigJSON, int, int, int) {
 // resolves without re-canonicalizing. ctx carries the solve deadline into
 // the search, whose result surfaces as Degraded when the deadline stopped
 // it early.
-func (r *adviseRequest) solve(ctx context.Context, _ *Server, tr *obs.Trace) ([]byte, bool, error) {
+func (r *adviseRequest) solve(ctx context.Context, tr *obs.Trace, ws *core.Workspace) ([]byte, bool, error) {
 	cfg, err := r.ConfigJSON.Resolve()
 	if err != nil {
 		return nil, false, err
 	}
 	cfg.Trace = tr
 	cfg.Ctx = ctx
+	cfg.Workspace = ws
 	adv, err := core.New(cfg)
 	if err != nil {
 		return nil, false, err
@@ -305,13 +307,14 @@ func (r *compareRequest) size() (*core.ConfigJSON, int, int, int) {
 	return &r.ConfigJSON, r.Steps, r.BreakEvenSteps, r.Configs()
 }
 
-func (r *compareRequest) solve(ctx context.Context, s *Server, tr *obs.Trace) ([]byte, bool, error) {
+func (r *compareRequest) solve(ctx context.Context, tr *obs.Trace, ws *core.Workspace) ([]byte, bool, error) {
 	creq, err := r.Resolve()
 	if err != nil {
 		return nil, false, err
 	}
 	creq.Trace = tr
 	creq.Ctx = ctx
+	creq.Workspace = ws
 	comp, err := compare.Run(creq)
 	if err != nil {
 		return nil, false, err
@@ -335,13 +338,14 @@ func (r *sweepRequest) size() (*core.ConfigJSON, int, int, int) {
 	return &r.ConfigJSON, 0, 0, r.Configs()
 }
 
-func (r *sweepRequest) solve(ctx context.Context, s *Server, tr *obs.Trace) ([]byte, bool, error) {
+func (r *sweepRequest) solve(ctx context.Context, tr *obs.Trace, ws *core.Workspace) ([]byte, bool, error) {
 	sreq, err := r.Resolve()
 	if err != nil {
 		return nil, false, err
 	}
 	sreq.Trace = tr
 	sreq.Ctx = ctx
+	sreq.Workspace = ws
 	sw, err := compare.RunSweep(sreq)
 	if err != nil {
 		return nil, false, err

@@ -414,6 +414,18 @@ func putBuf(pool *sync.Pool, rb *reqBuf) {
 	pool.Put(rb)
 }
 
+// workspacePool recycles the workspaces cold solves build on (see
+// DESIGN.md "Workspace"): one per solve, taken before the build and put
+// back once the body is written.
+var workspacePool = sync.Pool{New: func() any { return new(core.Workspace) }}
+
+// maxPooledWorkspace is the largest workspace (Workspace.Bytes) the pool
+// keeps. An advise on the paper's lattice leaves about 8 KB in its
+// workspace, a 2×2 compare about 19 KB and each further cell about
+// 4 KB; a workspace grown by a grid of dozens of cells would pin that
+// size behind every small solve that follows.
+const maxPooledWorkspace = 64 << 10
+
 // encodeBody runs a body's writer and returns the newline-terminated
 // response body in a slice of exactly its length — the cache owns it
 // from here, and its byte bound counts len, not cap. The encode phase
@@ -786,7 +798,15 @@ func (s *Server) runSolve(ctx context.Context, e *endpoint, req memoRequest, lab
 	if s.beforeSolve != nil {
 		s.beforeSolve(ctx, cacheKey)
 	}
-	b, degraded, err := req.solve(ctx, s, tr)
+	ws := workspacePool.Get().(*core.Workspace)
+	b, degraded, err := req.solve(ctx, tr, ws)
+	// The one release point: solve returned, so the body is a copy and
+	// nothing built on ws is read again. A solve that panicked never
+	// gets here, and its workspace is dropped; so is one grown past
+	// maxPooledWorkspace.
+	if ws.Bytes() <= maxPooledWorkspace {
+		workspacePool.Put(ws)
+	}
 	tr.ObserveSince(obs.PhaseTotal, t0)
 	s.m.observePhases(tr)
 	s.logSlowSolve(e.name, knownLabels[label], tr)

@@ -12,6 +12,7 @@ import (
 
 	"vmcloud/internal/cluster"
 	"vmcloud/internal/lattice"
+	"vmcloud/internal/reuse"
 	"vmcloud/internal/units"
 	"vmcloud/internal/workload"
 )
@@ -48,6 +49,45 @@ func GenerateCandidates(l *lattice.Lattice, w workload.Workload, k int) ([]Candi
 	return cands, err
 }
 
+// generateCandidates is GenerateCandidates plus its work count: the
+// number of answerer-list entries visited, at most Σ_q |answerers(q)| ×
+// (1 + picks that lowered curRows[q]).
+func generateCandidates(l *lattice.Lattice, w workload.Workload, k int) ([]Candidate, int, error) {
+	qids, _, err := w.Resolve(l, nil)
+	if err != nil {
+		return nil, 0, err
+	}
+	var p Pool
+	return p.generate(l, w, qids, k)
+}
+
+// Pool generates candidate pools into arrays it keeps: the pool itself
+// and the HRU loop's scratch. The zero value is ready to use. A Pool
+// that generates again reuses its arrays, so one that is handed from
+// solve to solve (core.Workspace) allocates nothing once they are
+// large enough.
+type Pool struct {
+	cands   []Candidate
+	qs      []hruQuery
+	ansOff  []int
+	ansIDs  []int
+	benefit []int64
+}
+
+// Generate is GenerateCandidates over the query ids that
+// workload.Resolve returned for w on l, which it does not check again.
+// The pool it returns is the Pool's own array, valid until the next
+// Generate.
+func (p *Pool) Generate(l *lattice.Lattice, w workload.Workload, qids []int, k int) ([]Candidate, error) {
+	cands, _, err := p.generate(l, w, qids, k)
+	return cands, err
+}
+
+// Bytes reports the size of the Pool's arrays.
+func (p *Pool) Bytes() int {
+	return reuse.Bytes(p.cands) + reuse.Bytes(p.qs) + reuse.Bytes(p.ansOff) + reuse.Bytes(p.ansIDs) + reuse.Bytes(p.benefit)
+}
+
 // hruQuery is one query's routing state in the candidate loop.
 type hruQuery struct {
 	id      int   // lattice node id of the query point
@@ -55,13 +95,8 @@ type hruQuery struct {
 	curRows int64 // rows of the cheapest chosen source (initially the base table)
 }
 
-// generateCandidates is GenerateCandidates plus its work count: the
-// number of answerer-list entries visited, at most Σ_q |answerers(q)| ×
-// (1 + picks that lowered curRows[q]).
-func generateCandidates(l *lattice.Lattice, w workload.Workload, k int) ([]Candidate, int, error) {
-	if err := w.Validate(l); err != nil {
-		return nil, 0, err
-	}
+// generate is Generate plus its work count.
+func (p *Pool) generate(l *lattice.Lattice, w workload.Workload, qids []int, k int) ([]Candidate, int, error) {
 	if k <= 0 {
 		return nil, 0, fmt.Errorf("views: non-positive candidate budget %d", k)
 	}
@@ -71,22 +106,18 @@ func generateCandidates(l *lattice.Lattice, w workload.Workload, k int) ([]Candi
 	// nodes that can answer query q — its strict ancestors and itself,
 	// without the base. A point has Π(level+1) finer-or-equal nodes, so
 	// the slab is sized exactly before it is filled.
-	qs := make([]hruQuery, len(w.Queries))
-	ansOff := make([]int, len(qs)+1)
+	qs := reuse.Zeroed(p.qs, len(w.Queries))
+	ansOff := reuse.Zeroed(p.ansOff, len(qs)+1)
 	for i, q := range w.Queries {
-		id, err := l.ID(q.Point)
-		if err != nil {
-			return nil, 0, err
-		}
-		qs[i] = hruQuery{id: id, freq: int64(q.Frequency), curRows: baseRows}
+		qs[i] = hruQuery{id: qids[i], freq: int64(q.Frequency), curRows: baseRows}
 		finerOrEqual := 1
 		for _, lv := range q.Point {
 			finerOrEqual *= lv + 1
 		}
 		ansOff[i+1] = ansOff[i] + finerOrEqual - 1
 	}
-	ansIDs := make([]int, 0, ansOff[len(qs)])
-	benefit := make([]int64, len(nodes))
+	ansIDs := reuse.Zeroed(p.ansIDs, ansOff[len(qs)])[:0]
+	benefit := reuse.Zeroed(p.benefit, len(nodes))
 	for i := range qs {
 		// AncestorIDs lists the base (id 0) first; the query's own node
 		// takes its slot. A query at the base has no ancestors and no
@@ -95,6 +126,7 @@ func generateCandidates(l *lattice.Lattice, w workload.Workload, k int) ([]Candi
 			ansIDs[ansOff[i]] = qs[i].id
 		}
 	}
+	p.qs, p.ansOff, p.ansIDs, p.benefit = qs, ansOff, ansIDs, benefit
 	visited := len(ansIDs)
 	for i := range qs {
 		for _, u := range ansIDs[ansOff[i]:ansOff[i+1]] {
@@ -103,7 +135,7 @@ func generateCandidates(l *lattice.Lattice, w workload.Workload, k int) ([]Candi
 			}
 		}
 	}
-	selected := make([]Candidate, 0, min(k, len(nodes)-1))
+	selected := reuse.Zeroed(p.cands, min(k, len(nodes)-1))[:0]
 	for len(selected) < k {
 		// A chosen node needs no mark: every query it answers now scans
 		// at most its rows, so its maintained benefit is exactly zero.
@@ -138,6 +170,7 @@ func generateCandidates(l *lattice.Lattice, w workload.Workload, k int) ([]Candi
 			}
 		}
 	}
+	p.cands = selected
 	return selected, visited, nil
 }
 
@@ -201,8 +234,7 @@ func NewEstimator(l *lattice.Lattice, cl *cluster.Cluster) *Estimator {
 
 // baseSize returns the base cuboid's data volume.
 func (e *Estimator) baseSize() units.DataSize {
-	n, _ := e.Lat.Node(e.Lat.Base())
-	return n.Size
+	return e.Lat.NodeByID(0).Size
 }
 
 // MaterializationTime estimates t_materialization(V_k): one job scanning

@@ -47,12 +47,14 @@ var sales = func() salesTables {
 	return t
 }()
 
-// SalesLattice is the sales lattice at factRows. It shares the tables'
+// SalesLattice writes into l, and returns, the sales lattice at
+// factRows; a nil l stands for a new lattice. It shares the tables'
 // lattice's points, radices and strides (lattice.WithFactRows), so a
 // caller that builds one per request pays for the sixteen nodes'
-// statistics and nothing else.
-func SalesLattice(factRows int64) (*lattice.Lattice, error) {
-	return sales.lat.WithFactRows(factRows)
+// statistics and nothing else, and a caller that hands back the same l
+// for every request pays for no allocation either.
+func SalesLattice(l *lattice.Lattice, factRows int64) (*lattice.Lattice, error) {
+	return sales.lat.WithFactRows(l, factRows)
 }
 
 // SalesNames is each sales cuboid's "year×country" name by lattice id;

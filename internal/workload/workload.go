@@ -5,8 +5,10 @@
 package workload
 
 import (
+	"errors"
 	"fmt"
 	"math/rand"
+	"slices"
 	"time"
 
 	"vmcloud/internal/lattice"
@@ -31,17 +33,50 @@ type Workload struct {
 // Validate checks the workload against a lattice.
 func (w Workload) Validate(l *lattice.Lattice) error {
 	if len(w.Queries) == 0 {
-		return fmt.Errorf("workload: empty workload")
+		return errEmpty
 	}
-	for i, q := range w.Queries {
-		if q.Frequency < 1 {
-			return fmt.Errorf("workload: query %d (%s) has frequency %d", i, q.Name, q.Frequency)
-		}
-		if _, err := l.Node(q.Point); err != nil {
-			return fmt.Errorf("workload: query %d (%s): %w", i, q.Name, err)
+	for i := range w.Queries {
+		if _, err := w.check(l, i); err != nil {
+			return err
 		}
 	}
 	return nil
+}
+
+var errEmpty = errors.New("workload: empty workload")
+
+// check validates query i against l and returns its lattice id.
+func (w Workload) check(l *lattice.Lattice, i int) (int, error) {
+	q := &w.Queries[i]
+	if q.Frequency < 1 {
+		return 0, fmt.Errorf("workload: query %d (%s) has frequency %d", i, q.Name, q.Frequency)
+	}
+	id, err := l.ID(q.Point)
+	if err != nil {
+		return 0, fmt.Errorf("workload: query %d (%s): %w", i, q.Name, err)
+	}
+	return id, nil
+}
+
+// Resolve validates the workload against l, as Validate does, and
+// returns each query's lattice id, appended to ids, with the
+// workload's monthly result egress (ResultBytes): a cold build checks
+// and looks up each query point once and then reads the ids.
+func (w Workload) Resolve(l *lattice.Lattice, ids []int) ([]int, units.DataSize, error) {
+	if len(w.Queries) == 0 {
+		return ids, 0, errEmpty
+	}
+	var egress units.DataSize
+	ids = slices.Grow(ids, len(w.Queries))
+	for i, q := range w.Queries {
+		id, err := w.check(l, i)
+		if err != nil {
+			return ids, 0, err
+		}
+		ids = append(ids, id)
+		egress += l.NodeByID(id).ResultSize.MulInt(int64(q.Frequency))
+	}
+	return ids, egress, nil
 }
 
 // ResultBytes estimates the monthly query-result egress volume: each
