@@ -457,6 +457,27 @@ func TestAppendKeyMatchesReflection(t *testing.T) {
 	}
 }
 
+// TestCanonicalKeyGolden pins the canonical key of every committed
+// request to testdata/canonical_keys.golden, one "<endpoint> <key>" line
+// each. TestAppendKeyMatchesReflection holds AppendKey to json.Marshal
+// of the same normalized struct, so a Normalize that changed the struct
+// would move both sides together; this is the bytes themselves, which
+// cache keys, ring placement and forwarded bodies are pinned to.
+func TestCanonicalKeyGolden(t *testing.T) {
+	s := testServer()
+	var got []byte
+	for _, g := range goldenRequests(t) {
+		got = append(got, g.endpoint...)
+		got = append(got, ' ')
+		var err error
+		if got, _, err = s.endpoint(g.endpoint).canonicalize(got, g.body, newMemoRequest(g.endpoint)); err != nil {
+			t.Fatalf("%s: %v", g.body, err)
+		}
+		got = append(got, '\n')
+	}
+	checkGolden(t, "canonical_keys", got)
+}
+
 // corpusEntries reads the []byte values of a committed go-fuzz corpus
 // directory.
 func corpusEntries(t testing.TB, dir string) [][]byte {
