@@ -49,10 +49,11 @@ type ConfigJSON struct {
 	// fragment the response cache.
 	Seed int64 `json:"seed,omitempty"`
 
-	// resolved is the workload Normalize resolved Workload from, and
-	// resolvedFor the first element of the Workload slice it wrote
-	// beside it: ResolveWorkload hands resolved on only while Workload
-	// is still that slice.
+	// resolved is the workload Normalize resolved Workload from (empty
+	// for the paper's, which it copied from the tables), and resolvedFor
+	// the first element of the Workload slice it wrote beside it:
+	// ResolveWorkload trusts them only while Workload is still that
+	// slice.
 	resolved    workload.Workload
 	resolvedFor *workload.QueryJSON
 }
@@ -164,7 +165,9 @@ func (cj *ConfigJSON) Normalize() error {
 	// Resolve the workload to its explicit form. The sales schema's
 	// level names, points and query names do not depend on fact_rows,
 	// so this reads package-level tables and builds no lattice; the one
-	// lattice of a request is NewShared's.
+	// lattice of a request is NewShared's. The paper's workload is copied
+	// from the tables in wire form and resolved only when a solve asks
+	// (ResolveWorkload).
 	var w workload.Workload
 	if len(cj.Workload) > 0 {
 		w, err = workload.FromJSON(cj.Workload)
@@ -172,7 +175,7 @@ func (cj *ConfigJSON) Normalize() error {
 		if cj.Queries == 0 {
 			cj.Queries = 10
 		}
-		w, err = workload.SalesPrefix(cj.Queries)
+		cj.Workload, err = workload.SalesJSON(cj.Queries, cj.Frequency)
 	}
 	if err != nil {
 		return err
@@ -184,13 +187,15 @@ func (cj *ConfigJSON) Normalize() error {
 	if cj.Frequency < 0 {
 		return fmt.Errorf("core: negative frequency %d", cj.Frequency)
 	}
-	if cj.Frequency > 0 {
-		for i := range w.Queries {
-			w.Queries[i].Frequency = cj.Frequency
+	if w.Queries != nil {
+		if cj.Frequency > 0 {
+			for i := range w.Queries {
+				w.Queries[i].Frequency = cj.Frequency
+			}
 		}
-		cj.Frequency = 0
+		cj.Workload = w.JSON()
 	}
-	cj.Workload = w.JSON()
+	cj.Frequency = 0
 	cj.resolved, cj.resolvedFor = w, &cj.Workload[0]
 	return nil
 }
@@ -199,14 +204,25 @@ func (cj *ConfigJSON) Normalize() error {
 // String(), as a constant so that normalization does not format it.
 const defaultJobOverheadText = "2m0s"
 
-// ResolveWorkload returns the workload of a normalized config: the one
-// Normalize resolved when cj still holds the wire form Normalize wrote
-// (the common case — canonicalize, then solve — re-parses nothing),
-// otherwise Workload resolved afresh (a config decoded from a canonical
-// key, or one given another workload since).
+// ResolveWorkload returns the workload of a normalized config. While cj
+// still holds the wire form Normalize wrote (the common case —
+// canonicalize, then solve — re-parses nothing), that is the workload
+// Normalize resolved, or for the paper's, its first queries at the
+// frequencies Workload names; otherwise Workload resolved afresh (a
+// config decoded from a canonical key, or one given another workload
+// since).
 func (cj *ConfigJSON) ResolveWorkload() (workload.Workload, error) {
-	if n := len(cj.Workload); n > 0 && n == len(cj.resolved.Queries) && &cj.Workload[0] == cj.resolvedFor {
-		return cj.resolved, nil
+	if n := len(cj.Workload); n > 0 && &cj.Workload[0] == cj.resolvedFor {
+		switch len(cj.resolved.Queries) {
+		case n:
+			return cj.resolved, nil
+		case 0:
+			w, err := workload.SalesPrefix(n)
+			for i := range w.Queries {
+				w.Queries[i].Frequency = cj.Workload[i].Frequency
+			}
+			return w, err
+		}
 	}
 	return workload.FromJSON(cj.Workload)
 }

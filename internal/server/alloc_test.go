@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"net/http"
 	"net/url"
+	"runtime"
 	"strings"
 	"testing"
 )
@@ -219,5 +220,53 @@ func TestPoolsDropLargeBuffers(t *testing.T) {
 		if rb := encodeBufPool.Get().(*reqBuf); rb == big {
 			t.Fatal("the encode pool kept a buffer over maxPooledBuf")
 		}
+	}
+}
+
+// TestCanonAllocBudget pins what bytes to canonical key costs on the
+// repo benchmark's three body shapes (BenchmarkCanon*), in allocations
+// and bytes per body: the body's copy out of the pooled buffer, the
+// request, and what decoding and normalizing keep. It cost 6 allocations
+// and 1,336 B (advise), 15 and 1,672 B (compare) and 12 and 1,528 B
+// (sweep) while Normalize rebuilt the paper's workload (a clone of its
+// queries, then their wire form, each query's cuboid looked up again)
+// and the decoder escaped through the memoRequest interface.
+func TestCanonAllocBudget(t *testing.T) {
+	for _, c := range []struct {
+		endpoint, body string
+		allocs         float64
+		bytes          uint64
+	}{
+		{"advise", adviseShapeBody, 4, 1_000},   // 952 B
+		{"compare", compareShapeBody, 13, 1_350}, // 1,288 B
+		{"sweep", sweepShapeBody, 10, 1_200},     // 1,144 B
+	} {
+		t.Run(c.endpoint, func(t *testing.T) {
+			e := testServer().endpoint(c.endpoint)
+			buf := make([]byte, 0, 4096)
+			canon := func() {
+				// As served: a new request per body, and string(...) for the
+				// copy out of the pooled buffer.
+				if _, _, err := e.canonicalize(buf, string([]byte(c.body)), newMemoRequest(c.endpoint)); err != nil {
+					t.Fatal(err)
+				}
+			}
+			const runs = 200
+			allocs := testing.AllocsPerRun(runs, canon)
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			for range runs {
+				canon()
+			}
+			runtime.ReadMemStats(&after)
+			bytes := (after.TotalAlloc - before.TotalAlloc) / runs
+			t.Logf("%s: %.0f allocs, %d B", c.endpoint, allocs, bytes)
+			if allocs > c.allocs {
+				t.Errorf("canonicalize costs %.0f allocs/body, budget %.0f", allocs, c.allocs)
+			}
+			if bytes > c.bytes {
+				t.Errorf("canonicalize allocates %d B/body, budget %d", bytes, c.bytes)
+			}
+		})
 	}
 }

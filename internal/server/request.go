@@ -222,8 +222,10 @@ func (e *endpoint) checkCeilings(req memoRequest) error {
 // (finishMemoized) does with it. The three implementations below differ
 // in their struct and their solver, nothing else.
 type memoRequest interface {
-	// DecodeJSON and AppendKey are the request struct's codec.
-	DecodeJSON(d *jsondec.Decoder)
+	// decode reads src with the request struct's DecodeJSON and reports
+	// whether src was inside the fast grammar; AppendKey is the struct's
+	// key writer.
+	decode(src string) bool
 	AppendKey(dst []byte) ([]byte, error)
 	// reset zeroes the struct and returns it for encoding/json to fill:
 	// the path of a body the fast grammar declined.
@@ -245,6 +247,16 @@ type memoRequest interface {
 }
 
 type adviseRequest struct{ AdviseRequest }
+
+// decode is DecodeJSON over all of src. Each request type has its own,
+// so that the decoder stays on the stack: a *jsondec.Decoder passed
+// through the memoRequest interface would escape, one allocation a body.
+func (r *adviseRequest) decode(src string) bool {
+	d := jsondec.New(src)
+	r.DecodeJSON(&d)
+	d.End()
+	return d.OK()
+}
 
 func (r *adviseRequest) reset() any {
 	r.AdviseRequest = AdviseRequest{}
@@ -294,6 +306,13 @@ func (r *adviseRequest) solve(ctx context.Context, tr *obs.Trace, ws *core.Works
 
 type compareRequest struct{ compare.RequestJSON }
 
+func (r *compareRequest) decode(src string) bool {
+	d := jsondec.New(src)
+	r.DecodeJSON(&d)
+	d.End()
+	return d.OK()
+}
+
 func (r *compareRequest) reset() any {
 	r.RequestJSON = compare.RequestJSON{}
 	return &r.RequestJSON
@@ -324,6 +343,13 @@ func (r *compareRequest) solve(ctx context.Context, tr *obs.Trace, ws *core.Work
 }
 
 type sweepRequest struct{ compare.SweepRequestJSON }
+
+func (r *sweepRequest) decode(src string) bool {
+	d := jsondec.New(src)
+	r.DecodeJSON(&d)
+	d.End()
+	return d.OK()
+}
 
 func (r *sweepRequest) reset() any {
 	r.SweepRequestJSON = compare.SweepRequestJSON{}
@@ -362,10 +388,7 @@ func (r *sweepRequest) solve(ctx context.Context, tr *obs.Trace, ws *core.Worksp
 // outside the fast grammar is counted on e.decodeFallback and left to
 // strictDecode.
 func (e *endpoint) canonicalize(dst []byte, src string, req memoRequest) (key []byte, label int, err error) {
-	d := jsondec.New(src)
-	req.DecodeJSON(&d)
-	d.End()
-	if !d.OK() {
+	if !req.decode(src) {
 		e.decodeFallback.Inc()
 		if err := strictDecode(src, req.reset()); err != nil {
 			return dst, 0, fmt.Errorf("parse request: %v", err)

@@ -14,7 +14,6 @@ import (
 
 	"vmcloud/internal/compare"
 	"vmcloud/internal/core"
-	"vmcloud/internal/jsondec"
 	"vmcloud/internal/money"
 	"vmcloud/internal/wiretest"
 	"vmcloud/internal/workload"
@@ -141,10 +140,7 @@ func wireOf(req memoRequest) any {
 // fastDecode runs the hand-written decoder alone and reports whether it
 // accepted src.
 func fastDecode(src string, req memoRequest) bool {
-	d := jsondec.New(src)
-	req.DecodeJSON(&d)
-	d.End()
-	return d.OK()
+	return req.decode(src)
 }
 
 // checkDecode holds the hand-written decoder of one endpoint to

@@ -2,6 +2,7 @@ package workload
 
 import (
 	"fmt"
+	"slices"
 	"strconv"
 
 	"vmcloud/internal/jsondec"
@@ -46,10 +47,29 @@ func (q *QueryJSON) DecodeJSON(d *jsondec.Decoder) {
 	}
 }
 
-// AppendJSON appends exactly what encoding/json writes for q.
+// AppendJSON appends exactly what encoding/json writes for q. A query in
+// resolved wire form — a name, the level names and point of one sales
+// cuboid, a frequency — is most of every canonical key, so its bytes up
+// to the frequency are copied from the sales tables (queryKey), name and
+// all when it is the cuboid's paper or default name.
 //
 //mvlint:hotpath
 func (q QueryJSON) AppendJSON(dst []byte) ([]byte, error) {
+	if id, ok := sales.resolvedID(&q); ok {
+		k := &sales.keys[id]
+		switch q.Name {
+		case k.names[0]:
+			dst = append(dst, k.named[0]...)
+		case k.names[1]:
+			dst = append(dst, k.named[1]...)
+		default:
+			dst = append(dst, `{"name":`...)
+			dst = jsonenc.AppendString(dst, q.Name)
+			dst = append(dst, k.tail...)
+		}
+		dst = strconv.AppendInt(dst, int64(q.Frequency), 10)
+		return append(dst, '}'), nil
+	}
 	mark := len(dst)
 	if q.Name != "" {
 		dst = append(dst, `,"name":`...)
@@ -70,14 +90,30 @@ func (q QueryJSON) AppendJSON(dst []byte) ([]byte, error) {
 	return jsonenc.EndObject(dst, mark), nil
 }
 
+// resolvedID reports the cuboid of a query in resolved wire form: one
+// with a name and a frequency, whose point is a sales cuboid's and whose
+// level names are that cuboid's.
+func (t *salesTables) resolvedID(q *QueryJSON) (int, bool) {
+	if q.Name == "" || q.Frequency == 0 {
+		return 0, false
+	}
+	id, err := t.lat.ID(q.Point)
+	if err != nil || !slices.Equal(q.Levels, t.levels[id]) {
+		return 0, false
+	}
+	return id, true
+}
+
 // JSON renders the workload in wire form, with the sales schema's level
 // names. The level slices are the sales tables' own: read-only.
-func (w Workload) JSON() []QueryJSON {
+func (w Workload) JSON() []QueryJSON { return w.wire(&sales) }
+
+func (w Workload) wire(t *salesTables) []QueryJSON {
 	out := make([]QueryJSON, len(w.Queries))
 	for i, q := range w.Queries {
 		out[i] = QueryJSON{Name: q.Name, Point: q.Point, Frequency: q.Frequency}
-		if id, err := sales.lat.ID(q.Point); err == nil {
-			out[i].Levels = sales.levels[id]
+		if id, err := t.lat.ID(q.Point); err == nil {
+			out[i].Levels = t.levels[id]
 		}
 	}
 	return out

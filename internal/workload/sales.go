@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"slices"
 
+	"vmcloud/internal/jsonenc"
 	"vmcloud/internal/lattice"
 	"vmcloud/internal/schema"
 )
@@ -22,8 +23,28 @@ type salesTables struct {
 	// names, by lattice id.
 	names  []string
 	levels [][]string
-	// paper is Sales(lat, 10).
-	paper []Query
+	// paper is Sales(lat, 10), and paperJSON the same in resolved wire
+	// form (JSON).
+	paper     []Query
+	paperJSON []QueryJSON
+	// keys are each cuboid's key bytes, by lattice id (QueryJSON.AppendJSON).
+	keys []queryKey
+}
+
+// queryKey is what QueryJSON.AppendJSON copies for a query in resolved
+// wire form on one cuboid, everything but the frequency's digits and the
+// closing brace. names are the two names such a query is usually given —
+// its paper query's ("profit per year and country", "" on a cuboid no
+// paper query is on) and its default ("year×country") — and named[i] is
+// the query's bytes under names[i]:
+//
+//	{"name":"year×country","levels":["year","country"],"point":[2,2],"frequency":
+//
+// tail is the part after the name, for a query named otherwise.
+type queryKey struct {
+	names [2]string
+	named [2][]byte
+	tail  []byte
 }
 
 var sales = func() salesTables {
@@ -44,6 +65,25 @@ var sales = func() salesTables {
 		panic(err)
 	}
 	t.paper = w.Queries
+	t.keys = make([]queryKey, l.NumNodes())
+	for id, n := range l.Nodes() {
+		k := &t.keys[id]
+		k.tail = append([]byte(`,"levels":`), jsonenc.AppendStrings(nil, t.levels[id])...)
+		k.tail = append(k.tail, `,"point":`...)
+		k.tail = append(jsonenc.AppendInts(k.tail, n.Point), `,"frequency":`...)
+		k.names[1] = t.names[id]
+	}
+	for _, q := range t.paper {
+		id, _ := l.ID(q.Point)
+		t.keys[id].names[0] = q.Name
+	}
+	for id := range t.keys {
+		k := &t.keys[id]
+		for i, name := range k.names {
+			k.named[i] = append(jsonenc.AppendString([]byte(`{"name":`), name), k.tail...)
+		}
+	}
+	t.paperJSON = w.wire(&t)
 	return t
 }()
 
@@ -69,6 +109,22 @@ func SalesPrefix(n int) (Workload, error) {
 		return Workload{}, err
 	}
 	return Workload{Queries: slices.Clone(sales.paper[:n])}, nil
+}
+
+// SalesJSON is SalesPrefix(n).JSON() copied from the tables, with every
+// query's frequency set to frequency when it is positive: one slice,
+// nothing looked up. Its level and point slices are shared, read-only.
+func SalesJSON(n, frequency int) ([]QueryJSON, error) {
+	if err := checkSalesSize(n); err != nil {
+		return nil, err
+	}
+	qs := slices.Clone(sales.paperJSON[:n])
+	if frequency > 0 {
+		for i := range qs {
+			qs[i].Frequency = frequency
+		}
+	}
+	return qs, nil
 }
 
 func checkSalesSize(n int) error {
