@@ -108,11 +108,16 @@ func (a *admission) admit(deadline time.Duration) (ok bool, retryAfter time.Dura
 func (a *admission) acquire(ctx context.Context) bool {
 	// An already-dead context never gets a slot, even if one is free —
 	// keeps the abandoned-solve path deterministic instead of racing the
-	// select below.
-	select {
-	case <-ctx.Done():
+	// select below. Err, not Done: a free slot is taken without asking
+	// the context for a channel (a solve's context makes its channel and
+	// arms its deadline timer only when something waits on it).
+	if ctx.Err() != nil {
 		a.backlog.Add(-1)
 		return false
+	}
+	select {
+	case a.sem <- struct{}{}:
+		return true
 	default:
 	}
 	select {

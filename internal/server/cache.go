@@ -15,9 +15,18 @@ import "sync"
 // evicts the first unvisited entry and leaves the hand on its successor,
 // so a run of once-asked keys cannot flush a set that is asked again.
 //
-// A response entry also carries clen, its Content-Length header value,
-// formatted once at fill time so a hit hands it to the header map
-// without allocating. Raw-key entries have none.
+// A response entry also carries clen, its Content-Length header value
+// (contentLength's shared one), so a hit hands it to the header map
+// without formatting. A raw-key entry carries a label and a ref instead
+// of a value: the request's stats label and its canonical cache key, the
+// string the response entry is keyed by, shared rather than copied.
+//
+// Entries are recycled: an entry taken off the list (evicted, or adopted
+// by another cache) is never linked anywhere else while a reference to
+// it remains, and every read copies its fields out under the lock, so
+// once off the list it is free to be the next insert's entry. Its old
+// value is dropped, never written into: a body served from it stays as it
+// was.
 type sieveCache struct {
 	mu       sync.Mutex
 	cap      int
@@ -31,22 +40,28 @@ type sieveCache struct {
 	// evictions counts entries removed by the capacity bounds (not
 	// replacements), exported as mvcloud_cache_evictions_total.
 	evictions int64
-	// onEvict, when non-nil, receives each capacity-evicted entry (the
-	// graceful-degradation hook: the server feeds evicted responses into
-	// its stale cache). Called with c.mu held, so the callback must not
-	// touch this cache; ownership of val transfers to the callback.
-	onEvict func(key string, val []byte)
+	// onEvict, when non-nil, takes each capacity-evicted entry, off the
+	// list, and returns one this cache may reuse, or nil (the
+	// graceful-degradation hook: the server's stale tier adopts what the
+	// response cache evicts and hands back its own victim). Called with
+	// c.mu held, so the callback must not touch this cache. Without it,
+	// the cache reuses its victims itself.
+	onEvict func(e *sieveEntry) *sieveEntry
+	// spare is an entry no list holds, zeroed, for the next insert.
+	spare *sieveEntry
 }
 
 type sieveEntry struct {
 	key          string
 	val          []byte
 	clen         []string
+	ref          string
+	label        int
 	visited      bool
 	newer, older *sieveEntry
 }
 
-func (e *sieveEntry) size() int64 { return int64(len(e.key) + len(e.val)) }
+func (e *sieveEntry) size() int64 { return int64(len(e.key) + len(e.val) + len(e.ref)) }
 
 // newSieveCache builds a cache holding at most capacity entries and
 // maxBytes resident bytes; capacity < 1 disables caching (every Get
@@ -72,19 +87,18 @@ func (c *sieveCache) Get(key string) ([]byte, bool) {
 }
 
 // view returns the cached value without copying and marks the key
-// visited. The key is taken as bytes so the compiler's map[string]
-// lookup optimization applies — a hot-path probe allocates nothing. The
-// returned slice aliases cache-owned memory: values are only ever
-// replaced wholesale (never scribbled in place), so the view — and the
-// entry's Content-Length value returned beside it — stays byte-stable
-// for as long as the caller holds it, but the caller must treat it as
-// read-only and must not retain it past the request. Callers that hand
-// the bytes to arbitrary code want Get's defensive copy instead.
+// visited. The returned slice aliases cache-owned memory: values are only
+// ever replaced wholesale (never scribbled in place, not even when their
+// entry is recycled), so the view — and the entry's Content-Length value
+// returned beside it — stays byte-stable for as long as the caller holds
+// it, but the caller must treat it as read-only and must not retain it
+// past the request. Callers that hand the bytes to arbitrary code want
+// Get's defensive copy instead.
 //
 //mvlint:hotpath
-func (c *sieveCache) view(key []byte) (val []byte, clen []string, ok bool) {
+func (c *sieveCache) view(key string) (val []byte, clen []string, ok bool) {
 	c.mu.Lock()
-	e, ok := c.entries[string(key)]
+	e, ok := c.entries[key]
 	if ok {
 		e.visited = true
 		val, clen = e.val, e.clen
@@ -93,31 +107,114 @@ func (c *sieveCache) view(key []byte) (val []byte, clen []string, ok bool) {
 	return val, clen, ok
 }
 
+// ref returns the label and canonical key of a raw-key entry and marks
+// it visited, as view does for a response. The key is taken as bytes so
+// the compiler's map[string] lookup optimization applies — a hot-path
+// probe allocates nothing.
+//
+//mvlint:hotpath
+func (c *sieveCache) ref(key []byte) (label int, ref string, ok bool) {
+	c.mu.Lock()
+	e, ok := c.entries[string(key)]
+	if ok {
+		e.visited = true
+		label, ref = e.label, e.ref
+	}
+	c.mu.Unlock()
+	return label, ref, ok
+}
+
 // Put inserts or refreshes (a visit, in place) a value, evicting while a
 // bound would be exceeded. An entry over the byte bound is not cached.
-func (c *sieveCache) Put(key string, val []byte) { c.PutResponse(key, val, nil) }
+func (c *sieveCache) Put(key string, val []byte) { c.put(sieveEntry{key: key, val: val}, nil) }
 
 // PutResponse is Put for a response body, stored with its Content-Length
 // header value for view to hand back.
 func (c *sieveCache) PutResponse(key string, val []byte, clen []string) {
-	size := int64(len(key) + len(val))
+	c.put(sieveEntry{key: key, val: val, clen: clen}, nil)
+}
+
+// PutRef is Put for a raw-key entry: key's label and canonical cache key.
+// The key is taken as bytes and copied into a string only when it is
+// inserted, not when an entry for it is refreshed.
+func (c *sieveCache) PutRef(key []byte, label int, ref string) {
+	c.put(sieveEntry{ref: ref, label: label}, key)
+}
+
+// put inserts or refreshes an entry holding v's value, under v's key or,
+// when rawKey is non-nil, under rawKey's bytes.
+func (c *sieveCache) put(v sieveEntry, rawKey []byte) {
+	size := v.size() + int64(len(rawKey))
 	if c.cap < 1 || (c.capBytes > 0 && size > c.capBytes) {
 		return
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if e, ok := c.entries[key]; ok {
+	e, ok := c.entries[v.key]
+	if rawKey != nil {
+		e, ok = c.entries[string(rawKey)]
+	}
+	if ok {
 		c.bytes += size - e.size()
-		e.val, e.clen, e.visited = val, clen, true
+		e.val, e.clen, e.ref, e.label, e.visited = v.val, v.clen, v.ref, v.label, true
 		c.evict(0, 0)
 		return
 	}
+	if rawKey != nil {
+		v.key = string(rawKey)
+	}
 	// Make room first, so the hand never lands on the entry being added.
 	c.evict(1, size)
-	e := &sieveEntry{key: key, val: val, clen: clen, newer: &c.root, older: c.root.older}
-	e.older.newer, c.root.older = e, e
-	c.entries[key] = e
+	e = c.spare
+	if e != nil {
+		c.spare = nil
+	} else {
+		e = new(sieveEntry)
+	}
+	*e = v
+	c.link(e)
 	c.bytes += size
+}
+
+// link appends e, off every list, as the newest entry.
+func (c *sieveCache) link(e *sieveEntry) {
+	e.newer, e.older = &c.root, c.root.older
+	e.older.newer, c.root.older = e, e
+	c.entries[e.key] = e
+}
+
+// adopt inserts e, an entry another cache has just evicted (off its
+// list, held by no one else), as itself, and returns the entry that
+// cache may reuse: this cache's victim, or e when this cache already
+// holds the key (refreshed from e) or e does not fit. It is the stale
+// tier's side of the response cache's onEvict.
+func (c *sieveCache) adopt(e *sieveEntry) *sieveEntry {
+	size := e.size()
+	if c.cap < 1 || (c.capBytes > 0 && size > c.capBytes) {
+		return recycled(e)
+	}
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if old, ok := c.entries[e.key]; ok {
+		c.bytes += size - old.size()
+		old.val, old.clen, old.ref, old.label, old.visited = e.val, e.clen, e.ref, e.label, true
+		c.evict(0, 0)
+		return recycled(e)
+	}
+	c.evict(1, size)
+	e.visited = false
+	c.link(e)
+	c.bytes += size
+	spare := c.spare
+	c.spare = nil
+	return spare
+}
+
+// recycled zeroes e, an entry off every list, for reuse: nothing it held
+// stays reachable through it.
+func recycled(e *sieveEntry) *sieveEntry {
+	*e = sieveEntry{}
+	return e
 }
 
 // evict removes entries until n more entries of size bytes fit.
@@ -133,7 +230,12 @@ func (c *sieveCache) evict(n int, size int64) {
 		c.bytes -= e.size()
 		c.evictions++
 		if c.onEvict != nil {
-			c.onEvict(e.key, e.val)
+			e = c.onEvict(e)
+		} else {
+			e = recycled(e)
+		}
+		if e != nil {
+			c.spare = e
 		}
 	}
 }

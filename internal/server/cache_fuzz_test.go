@@ -15,6 +15,7 @@ type cacheModel struct {
 	order    []modelEntry // oldest first
 	hand     int          // next eviction starts here; -1 means the oldest
 	evicted  []string     // key=val, in eviction order
+	onEvict  func(key, val string)
 }
 
 type modelEntry struct {
@@ -65,35 +66,54 @@ func (m *cacheModel) evict(n int, size int64) {
 				i = 0
 			}
 		}
-		m.evicted = append(m.evicted, m.order[i].key+"="+m.order[i].val)
+		e := m.order[i]
+		m.evicted = append(m.evicted, e.key+"="+e.val)
 		m.order = slices.Delete(m.order, i, i+1)
 		if m.hand = i; i == len(m.order) {
 			m.hand = -1
+		}
+		if m.onEvict != nil {
+			m.onEvict(e.key, e.val)
 		}
 	}
 }
 
 // FuzzCacheOps runs a random sequence of Put, PutResponse, Get and view
-// calls with random value sizes against both bounds and checks the cache
-// against cacheModel after every call: the same answers, the same
-// entries in the same order with the same visited bits, the same hand,
-// and the same evictions reaching onEvict once each, in order. It also
-// checks the structure itself: Len() ≤ Cap(), Bytes() is the sum of the
-// resident sizes, the map and the list hold the same entries, and the
-// hand is the sentinel or a resident entry.
+// calls with random value sizes against both bounds on a response cache
+// wired to a stale tier as the server wires them (what the first evicts,
+// the second adopts, and the second's victim is the first's next entry),
+// and checks both against cacheModel after every call: the same answers,
+// the same entries in the same order with the same visited bits, the
+// same hand, and the same evictions reaching onEvict once each, in order.
+// It also checks the structure itself: Len() ≤ Cap(), Bytes() is the sum
+// of the resident sizes, the map and the list hold the same entries, and
+// the hand is the sentinel or a resident entry. And it checks recycling:
+// no entry is on both lists, a spare is on neither, and every body a
+// view handed out still reads as it did, however its entry moved on.
 func FuzzCacheOps(f *testing.F) {
 	f.Add(uint8(4), uint8(0), []byte{0, 3, 4, 5, 8, 1, 12, 2, 2, 0, 16, 7, 3, 0})
 	f.Add(uint8(9), uint8(40), []byte{1, 20, 5, 9, 9, 0, 13, 15, 2, 0, 17, 23, 21, 4, 6, 0})
 	f.Add(uint8(0), uint8(0), []byte{0, 1, 2, 0})
 	f.Add(uint8(3), uint8(12), []byte{0, 10, 4, 11, 8, 2, 2, 0, 12, 9, 0, 1})
+	f.Add(uint8(23), uint8(0), []byte{0, 3, 4, 5, 8, 1, 12, 2, 16, 0, 20, 7, 24, 0, 28, 4, 3, 0, 32, 9, 36, 1, 7, 0})
 	f.Fuzz(func(t *testing.T, capacity, maxBytes uint8, ops []byte) {
 		if len(ops) > 512 {
 			ops = ops[:512]
 		}
 		c := newSieveCache(int(capacity%10)-1, int64(maxBytes%64))
-		m := &cacheModel{cap: c.cap, capBytes: c.capBytes, hand: -1}
+		stale := newSieveCache(int(capacity/10%4)-1, c.capBytes)
+		sm := &cacheModel{cap: stale.cap, capBytes: stale.capBytes, hand: -1}
+		m := &cacheModel{cap: c.cap, capBytes: c.capBytes, hand: -1, onEvict: sm.put}
 		var evicted []string
-		c.onEvict = func(key string, val []byte) { evicted = append(evicted, key+"="+string(val)) }
+		c.onEvict = func(e *sieveEntry) *sieveEntry {
+			evicted = append(evicted, e.key+"="+string(e.val))
+			return stale.adopt(e)
+		}
+		type served struct {
+			body []byte
+			want string
+		}
+		var views []served
 		for k := 0; k+1 < len(ops); k += 2 {
 			key := fmt.Sprintf("k%d", ops[k]/4%12)
 			val := string(bytes.Repeat([]byte{'a' + byte(k%26)}, int(ops[k+1]%24)))
@@ -108,19 +128,31 @@ func FuzzCacheOps(f *testing.F) {
 			case 2:
 				got, ok = c.Get(key)
 			case 3:
-				got, _, ok = c.view([]byte(key))
+				got, _, ok = c.view(key)
+				if ok {
+					views = append(views, served{got, string(got)})
+				}
 			}
 			if op < 2 {
 				m.put(key, val)
 			} else if want, wantOK := m.get(key); ok != wantOK || string(got) != want {
 				t.Fatalf("op %d: %s(%q) = %q, %v; model %q, %v", k/2, [...]string{2: "Get", 3: "view"}[op], key, got, ok, want, wantOK)
 			}
-			checkAgainstModel(t, c, m, evicted)
+			checkAgainstModel(t, c, m, &evicted)
+			checkAgainstModel(t, stale, sm, nil)
+			checkRecycling(t, c, stale)
+			for _, v := range views {
+				if string(v.body) != v.want {
+					t.Fatalf("op %d: a served body changed from %q to %q", k/2, v.want, v.body)
+				}
+			}
 		}
 	})
 }
 
-func checkAgainstModel(t *testing.T, c *sieveCache, m *cacheModel, evicted []string) {
+// checkAgainstModel holds c to m; evicted, when non-nil, is what c's
+// onEvict saw.
+func checkAgainstModel(t *testing.T, c *sieveCache, m *cacheModel, evicted *[]string) {
 	t.Helper()
 	if c.Len() > max(c.Cap(), 0) {
 		t.Fatalf("Len() = %d > Cap() = %d", c.Len(), c.Cap())
@@ -149,7 +181,27 @@ func checkAgainstModel(t *testing.T, c *sieveCache, m *cacheModel, evicted []str
 	if wantHand := m.hand; (c.hand == &c.root) != (wantHand < 0) || wantHand >= 0 && c.hand.key != m.order[wantHand].key {
 		t.Fatalf("hand on %q, model's at %d", c.hand.key, wantHand)
 	}
-	if !slices.Equal(evicted, m.evicted) || c.Evictions() != int64(len(evicted)) {
-		t.Fatalf("onEvict saw %v (Evictions() = %d), model evicted %v", evicted, c.Evictions(), m.evicted)
+	if c.Evictions() != int64(len(m.evicted)) || evicted != nil && !slices.Equal(*evicted, m.evicted) {
+		t.Fatalf("Evictions() = %d (onEvict saw %v), model evicted %v", c.Evictions(), evicted, m.evicted)
+	}
+}
+
+// checkRecycling holds the two tiers' entries apart: no entry is on both
+// lists, and a spare — an entry about to be reused — is on neither.
+func checkRecycling(t *testing.T, caches ...*sieveCache) {
+	t.Helper()
+	linked := map[*sieveEntry]bool{}
+	for _, c := range caches {
+		for e := c.root.newer; e != &c.root; e = e.newer {
+			if linked[e] {
+				t.Fatalf("entry %q is on two lists", e.key)
+			}
+			linked[e] = true
+		}
+	}
+	for _, c := range caches {
+		if c.spare != nil && (linked[c.spare] || c.spare.key != "" || c.spare.val != nil) {
+			t.Fatalf("a spare entry (%q) is linked or still holds its value", c.spare.key)
+		}
 	}
 }

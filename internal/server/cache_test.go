@@ -163,7 +163,7 @@ func TestCacheByteBound(t *testing.T) {
 // in the order it sees them.
 func recordEvictions(c *sieveCache) *[]string {
 	var got []string
-	c.onEvict = func(key string, _ []byte) { got = append(got, key) }
+	c.onEvict = func(e *sieveEntry) *sieveEntry { got = append(got, e.key); return nil }
 	return &got
 }
 
@@ -176,7 +176,7 @@ func TestCacheVisitedSurvivesEviction(t *testing.T) {
 	c.Put("a", []byte("1"))
 	c.Put("b", []byte("2"))
 	c.Put("c", []byte("3"))
-	c.view([]byte("a"))     // oldest, but visited
+	c.view("a")     // oldest, but visited
 	c.Put("d", []byte("4")) // the hand passes a and evicts b
 	if want := []string{"b"}; !slices.Equal(*evicted, want) {
 		t.Fatalf("evicted %v, want %v", *evicted, want)
@@ -186,13 +186,13 @@ func TestCacheVisitedSurvivesEviction(t *testing.T) {
 	// to the oldest end, where a — not hit since the hand passed — goes.
 	c.Put("e", []byte("5"))
 	c.Put("f", []byte("6"))
-	c.view([]byte("e"))
+	c.view("e")
 	c.Put("g", []byte("7"))
 	c.Put("h", []byte("8"))
 	if want := []string{"b", "c", "d", "f", "a"}; !slices.Equal(*evicted, want) {
 		t.Fatalf("evicted %v, want %v", *evicted, want)
 	}
-	if _, _, ok := c.view([]byte("e")); !ok {
+	if _, _, ok := c.view("e"); !ok {
 		t.Fatal("e evicted despite a visit")
 	}
 }
@@ -224,7 +224,7 @@ func TestCacheScanResistance(t *testing.T) {
 	}
 	for scan := 0; scan < 100; scan++ {
 		for i := 0; i < hot; i++ {
-			if _, _, ok := c.view([]byte(fmt.Sprintf("hot%d", i))); !ok {
+			if _, _, ok := c.view(fmt.Sprintf("hot%d", i)); !ok {
 				t.Fatalf("after %d scanned keys hot%d was flushed", scan, i)
 			}
 		}
@@ -243,7 +243,7 @@ func TestCacheOnEvictOncePerEviction(t *testing.T) {
 	type ev struct{ key, val string }
 	c := newSieveCache(100, 20)
 	var got []ev
-	c.onEvict = func(key string, val []byte) { got = append(got, ev{key, string(val)}) }
+	c.onEvict = func(e *sieveEntry) *sieveEntry { got = append(got, ev{e.key, string(e.val)}); return nil }
 	c.Put("a", []byte("aaaa"))               // 5 bytes
 	c.Put("b", []byte("bbbb"))               // 5
 	c.Put("c", []byte("cccc"))               // 5
@@ -307,9 +307,9 @@ func strideZipf(n int) []int {
 func TestCacheZipfReplay(t *testing.T) {
 	seq := strideZipf(1 << 15)
 	c := newSieveCache(256, 0)
-	key := func(id int) []byte { return []byte(fmt.Sprintf("k%d", id)) }
+	key := func(id int) string { return fmt.Sprintf("k%d", id) }
 	for id := 0; id < 400; id++ {
-		c.Put(string(key(id)), []byte("v"))
+		c.Put(key(id), []byte("v"))
 	}
 	var hits int
 	for p := 0; p < 3; p++ {
@@ -318,7 +318,7 @@ func TestCacheZipfReplay(t *testing.T) {
 			if _, _, ok := c.view(key(id)); ok {
 				hits++
 			} else {
-				c.Put(string(key(id)), []byte("v"))
+				c.Put(key(id), []byte("v"))
 			}
 		}
 	}

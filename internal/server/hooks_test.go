@@ -1,6 +1,21 @@
 package server
 
+import "context"
+
 // Test hooks: read-outs and fault controls only the tests use.
+
+// setCancel attaches cancel to the call, to run beside the cancellation
+// of its solve context — a test's stand-in for a solve. If every waiter
+// already left, it runs on the spot.
+func (g *flightGroup) setCancel(c *flightCall, cancel context.CancelFunc) {
+	g.mu.Lock()
+	c.cancel = cancel
+	orphaned := c.waiters == 0
+	g.mu.Unlock()
+	if orphaned {
+		cancel()
+	}
+}
 
 // InflightSolves reports the number of live solves (queued, running, or
 // finishing), each on its leader's request goroutine. After every

@@ -213,8 +213,9 @@ func New(opts Options) *Server {
 	s.rawKeys = newSieveCache(s.opts.CacheSize, s.opts.CacheMaxBytes)
 	s.stale = newSieveCache(s.opts.CacheSize, s.opts.CacheMaxBytes)
 	// Responses the primary cache evicts for capacity become the stale
-	// serving tier (graceful degradation under overload).
-	s.cache.onEvict = func(key string, val []byte) { s.stale.Put(key, val) }
+	// serving tier (graceful degradation under overload), each entry as
+	// itself; the stale tier's victim is the response cache's next entry.
+	s.cache.onEvict = s.stale.adopt
 	s.m = s.newServerMetrics(s.reg)
 	s.admCheap = newAdmission(s.opts.AdviseWorkers, s.opts.AdviseQueue)
 	s.admHeavy = newAdmission(s.opts.HeavyWorkers, s.opts.HeavyQueue)
@@ -285,7 +286,8 @@ func (s *Server) counted(name string, h http.HandlerFunc) http.HandlerFunc {
 type outcome struct {
 	body []byte
 	// clen is body's Content-Length header value when the body went into
-	// the cache, the same slice the entry holds; nil otherwise.
+	// the cache (contentLength's, which the entry holds too); nil
+	// otherwise.
 	clen   []string
 	err    error
 	phases *obs.Trace
@@ -491,22 +493,8 @@ func readBody(r io.Reader, buf []byte, limit int) ([]byte, error) {
 // knownLabels are the stats labels (/v1/stats by_scenario): the advise
 // scenarios, and the endpoint name for compare and sweep. A label
 // travels as its index here — the per-scenario counters are an array,
-// and the hit path reads a label back from a packed raw-key entry
-// without building a string.
+// and a raw-key entry holds the index.
 var knownLabels = [...]string{"mv1", "mv2", "mv3", "pareto", "compare", "sweep"}
-
-// internLabel returns b's index in knownLabels. Every label in a raw-key
-// entry was written from knownLabels (rememberSpelling).
-//
-//mvlint:hotpath
-func internLabel(b []byte) int {
-	for i, l := range knownLabels {
-		if string(b) == l {
-			return i
-		}
-	}
-	return -1
-}
 
 // probeState carries the verbatim body the cache probe missed on into
 // the slow path.
@@ -531,10 +519,11 @@ type probeState struct {
 }
 
 // serveMemoized runs the shared flow of endpoint e. A byte-identical
-// body seen before maps straight to its response cache key (the raw-key
-// cache stores "<label>\x00<endpoint>\x00<account>\x00<canonical key>"),
-// skipping decoding and canonicalization on every repeat. The repeat-hit
-// path is allocation-free: pooled read buffer, byte-keyed cache probes,
+// body seen before maps straight to its response cache key (a raw-key
+// entry holds the label and the "<endpoint>\x00<account>\x00<canonical
+// key>" string the response is cached under), skipping decoding and
+// canonicalization on every repeat. The repeat-hit path is
+// allocation-free: pooled read buffer, a byte-keyed raw-key probe,
 // labels as indices, shared header values, the response written straight
 // from cache-owned bytes, and no per-request closures (the route's
 // handler is built once, in New). Cold keys go through the flight group,
@@ -564,12 +553,10 @@ func (s *Server) serveMemoized(w http.ResponseWriter, r *http.Request, e *endpoi
 	}
 	// Fast path: the response for this verbatim body is resident. A body
 	// whose response was evicted takes the miss path like any other.
-	if packed, _, ok := s.rawKeys.view(rb.b); ok {
-		if i := bytes.IndexByte(packed, 0); i >= 0 {
-			if body, clen, ok := s.cache.view(packed[i+1:]); ok {
-				s.respondAnswer(w, e, internLabel(packed[:i]), outcomeHit, body, clen, start)
-				return
-			}
+	if label, key, ok := s.rawKeys.ref(rb.b); ok {
+		if body, clen, ok := s.cache.view(key); ok {
+			s.respondAnswer(w, e, label, outcomeHit, body, clen, start)
+			return
 		}
 	}
 	s.finishMemoized(w, r, e, probeState{rawKey: rb.b, raw: rb.b[prefix:], buf: rb, prefix: prefix, account: account, start: start})
@@ -580,12 +567,12 @@ func (s *Server) serveMemoized(w http.ResponseWriter, r *http.Request, e *endpoi
 // differently-spelled equivalents, then the solve under the flight group.
 func (s *Server) finishMemoized(w http.ResponseWriter, r *http.Request, e *endpoint, ps probeState) {
 	req := e.newReq()
-	// kb is the cache key "<endpoint>\x00<account>\x00<canonical key>" as
-	// bytes in the pooled buffer, for the copy-free probes; cacheKey is
-	// the string the flight group, the caches' writes and the solve hold
-	// on to. The decoded strings are substrings of the decoder's input and
-	// outlive the request (a solve may), so the body is copied out of the
-	// pooled buffer once, here.
+	// cacheKey is the cache key "<endpoint>\x00<account>\x00<canonical
+	// key>", written behind the body in the pooled buffer and copied out
+	// once: the one string the probes, the flight group, the caches and
+	// the solve all hold. The decoded strings are substrings of the
+	// decoder's input and outlive the request (a solve may), so the body
+	// is copied out of the pooled buffer once too.
 	mark := len(ps.buf.b)
 	buf, label, err := e.canonicalize(append(ps.buf.b, ps.rawKey[:ps.prefix]...), string(ps.raw), req)
 	ps.buf.b = buf
@@ -593,15 +580,14 @@ func (s *Server) finishMemoized(w http.ResponseWriter, r *http.Request, e *endpo
 		e.fail(w, http.StatusBadRequest, err.Error(), ps.start)
 		return
 	}
-	kb := buf[mark:]
+	cacheKey := string(buf[mark:])
 	// A differently-spelled equivalent request may have already cached
 	// the canonical response.
-	if cached, clen, ok := s.cache.view(kb); ok {
-		s.rememberSpelling(ps, label, kb)
+	if cached, clen, ok := s.cache.view(cacheKey); ok {
+		s.rememberSpelling(ps, label, cacheKey)
 		s.respondAnswer(w, e, label, outcomeHit, cached, clen, ps.start)
 		return
 	}
-	cacheKey := string(kb)
 
 	// Singleflight: the first request for a cold key leads — it runs the
 	// solve itself, on this goroutine — and any concurrent identical
@@ -619,9 +605,9 @@ func (s *Server) finishMemoized(w http.ResponseWriter, r *http.Request, e *endpo
 		// (it fills before it retires, so a leader that finds no flight
 		// finds the entry). Without this re-probe a late arrival in a
 		// stampede leads a second solve.
-		if cached, clen, ok := s.cache.view(kb); ok {
+		if cached, clen, ok := s.cache.view(cacheKey); ok {
 			s.flight.finish(cacheKey, call, outcome{body: cached, clen: clen})
-			s.rememberSpelling(ps, label, kb)
+			s.rememberSpelling(ps, label, cacheKey)
 			s.respondAnswer(w, e, label, outcomeHit, cached, clen, ps.start)
 			return
 		}
@@ -651,20 +637,18 @@ func (s *Server) finishMemoized(w http.ResponseWriter, r *http.Request, e *endpo
 		}
 	}
 	if s.respondSolved(w, r, e, label, leader, out, ps.start) {
-		s.rememberSpelling(ps, label, kb)
+		s.rememberSpelling(ps, label, cacheKey)
 	}
 }
 
-// rememberSpelling maps the request's verbatim body to its canonical
-// cache key kb in the raw-key cache, so that a byte-identical repeat skips
-// canonicalization. Only a body that was just answered 200 is
-// remembered: a body whose solve fails, or is shed, leaves no entry in
-// any cache.
-func (s *Server) rememberSpelling(ps probeState, label int, kb []byte) {
-	l := knownLabels[label]
-	packed := make([]byte, 0, len(l)+1+len(kb))
-	packed = append(append(append(packed, l...), 0), kb...)
-	s.rawKeys.Put(string(ps.rawKey), packed)
+// rememberSpelling maps the request's verbatim body to its label and
+// canonical cache key in the raw-key cache, so that a byte-identical
+// repeat skips canonicalization. The entry shares cacheKey, the string
+// the response is cached under. Only a body that was just answered 200
+// is remembered: a body whose solve fails, or is shed, leaves no entry
+// in any cache.
+func (s *Server) rememberSpelling(ps probeState, label int, cacheKey string) {
+	s.rawKeys.PutRef(ps.rawKey, label, cacheKey)
 }
 
 // respondAnswer serves a 200 that answers the request's own problem — a
@@ -737,15 +721,16 @@ func ceilSeconds(d time.Duration) int64 {
 }
 
 // lead runs the solve of the flight call this request leads, in place:
-// a miss stays on the goroutine that asked. The solve's context is its
-// own — parented on Background with the RequestTimeout deadline, because
-// a follower may outlive the leader's request — and that deadline is
-// what bounds the leader: admission.acquire, the search gate and the
-// cluster transport all honour it. The leader is one of the
+// a miss stays on the goroutine that asked. The solve's context is the
+// call's own (solveContext) — not the request's, because a follower may
+// outlive the leader's request — with the RequestTimeout deadline, and
+// that deadline is what bounds the leader: admission.acquire, the search
+// gate and the cluster transport all honour it. The leader is one of the
 // call's waiters like any follower, so its client going away (rctx) is a
 // leave: with a follower still waiting the solve carries on for it, and
 // with none the flight group cancels the solve and retires the key. gone
 // reports that this happened; the outcome is then nobody's to serve here.
+// A request context that can never be cancelled registers no leave.
 //
 // net/http swallows a panic on a request goroutine, so every exit —
 // return or panic, from anywhere in the body (the solver, the slow-log
@@ -755,9 +740,11 @@ func ceilSeconds(d time.Duration) int64 {
 // before any waiter can see the outcome, so a client's next request is
 // never shed against its own finished solve.
 func (s *Server) lead(rctx context.Context, e *endpoint, req memoRequest, label int, ps probeState, cacheKey string, call *flightCall) (out outcome, gone bool) {
-	ctx, cancel := context.WithTimeout(context.Background(), s.opts.RequestTimeout)
-	s.flight.setCancel(call, cancel)
-	stop := context.AfterFunc(rctx, func() { s.flight.leave(cacheKey, call) })
+	ctx := call.ctx.start(s.opts.RequestTimeout)
+	var stop func() bool
+	if rctx.Done() != nil {
+		stop = context.AfterFunc(rctx, func() { s.flight.leave(cacheKey, call) })
+	}
 	s.inflightSolves.Add(1)
 	admitted := false
 	defer func() {
@@ -769,7 +756,7 @@ func (s *Server) lead(rctx context.Context, e *endpoint, req memoRequest, label 
 		}
 		s.flight.finish(cacheKey, call, out)
 		s.inflightSolves.Add(-1)
-		gone = !stop()
+		gone = stop != nil && !stop()
 	}()
 
 	if s.cluster != nil {
@@ -784,16 +771,15 @@ func (s *Server) lead(rctx context.Context, e *endpoint, req memoRequest, label 
 		return outcome{err: ctx.Err()}, false
 	}
 	admitted = true
-	return s.runSolve(ctx, e, req, label, cacheKey), false
+	return s.runSolve(ctx, e, req, label, cacheKey, &call.trace), false
 }
 
 // runSolve is an admitted leader's work: the solve itself, its
-// telemetry and the cache fill. It runs inside lead's recovered region,
-// beforeSolve included, so an injected fault meets the same containment
-// a real panic would hit.
-func (s *Server) runSolve(ctx context.Context, e *endpoint, req memoRequest, label int, cacheKey string) outcome {
+// telemetry (on tr, the flight call's trace) and the cache fill. It runs
+// inside lead's recovered region, beforeSolve included, so an injected
+// fault meets the same containment a real panic would hit.
+func (s *Server) runSolve(ctx context.Context, e *endpoint, req memoRequest, label int, cacheKey string, tr *obs.Trace) outcome {
 	s.m.solves.Inc()
-	tr := obs.NewTrace()
 	t0 := tr.StartTimer()
 	if s.beforeSolve != nil {
 		s.beforeSolve(ctx, cacheKey)
@@ -964,10 +950,35 @@ var (
 	headerValTrue = []string{"true"}
 )
 
-// contentLength is the Content-Length header value of body.
+// contentLength is the Content-Length header value of body: for a body
+// under maxInternedLength bytes, the one value of its length, made the
+// first time a body of that length is written and shared, unchanged,
+// by every later one — so neither a cache fill nor any response
+// formats it again, and a cache entry or header map may hold it for as
+// long as it likes.
+//
+//mvlint:hotpath
 func contentLength(body []byte) []string {
-	return []string{strconv.Itoa(len(body))}
+	n := len(body)
+	if n >= maxInternedLength {
+		return []string{strconv.Itoa(n)}
+	}
+	chunk := &contentLengths[n>>8]
+	if chunk.Load() == nil {
+		chunk.CompareAndSwap(nil, new([256]atomic.Pointer[[1]string]))
+	}
+	v := &chunk.Load()[n&255]
+	if v.Load() == nil {
+		v.CompareAndSwap(nil, &[1]string{strconv.Itoa(n)})
+	}
+	return v.Load()[:]
 }
+
+// maxInternedLength bounds the body lengths contentLength interns: at
+// most 64 Ki values, made 256 lengths to a chunk as lengths are seen.
+const maxInternedLength = 1 << 16
+
+var contentLengths [maxInternedLength >> 8]atomic.Pointer[[256]atomic.Pointer[[1]string]]
 
 // writeBody sends a pre-marshaled, newline-terminated JSON body with
 // its Content-Length — clen when the caller holds the value (a cached

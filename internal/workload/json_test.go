@@ -172,6 +172,13 @@ func TestQueryJSONCodecMatchesEncodingJSON(t *testing.T) {
 		{Levels: []string{}, Point: []int{}},
 		{Name: "<&>\u2028 \"q\" ×", Point: []int{-1, 0, 7}},
 		{Frequency: -3},
+		// Near the resolved form, which AppendJSON copies from the tables.
+		{Name: "profit per year and country", Levels: []string{"year", "region"}, Point: []int{2, 2}, Frequency: 12},
+		{Name: "profit per year and country", Levels: []string{"year", "country"}, Point: []int{2, 2}},
+		{Levels: []string{"year", "country"}, Point: []int{2, 2}, Frequency: 12},
+		{Name: "x", Levels: []string{"year", "country", "x"}, Point: []int{2, 2}, Frequency: 1},
+		{Name: "x", Levels: []string{"year", "country"}, Point: []int{2, 2, 0}, Frequency: 1},
+		{Name: "x", Levels: []string{"all", "all"}, Point: []int{4, 3}, Frequency: 1},
 	} {
 		want, err := json.Marshal(q)
 		if err != nil {
@@ -180,6 +187,25 @@ func TestQueryJSONCodecMatchesEncodingJSON(t *testing.T) {
 		got, err := q.AppendJSON([]byte("x"))
 		if err != nil || string(got) != "x"+string(want) {
 			t.Errorf("AppendJSON(%+v) = %s, %v; want x%s", q, got, err, want)
+		}
+	}
+	// Every cuboid in resolved form, under its paper name, its default
+	// name and names of its own.
+	for _, n := range testLattice(t).Nodes() {
+		w, err := FromJSON([]QueryJSON{{Point: n.Point}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		q := w.JSON()[0]
+		for _, name := range []string{q.Name, "profit per year and country", "profit per all and all", "<&>\u2028 \"q\"", "named"} {
+			q.Name, q.Frequency = name, len(name)-3
+			want, err := json.Marshal(q)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got, err := q.AppendJSON([]byte("x")); err != nil || string(got) != "x"+string(want) {
+				t.Errorf("AppendJSON(%+v) = %s, %v; want x%s", q, got, err, want)
+			}
 		}
 	}
 	for src, accept := range map[string]bool{
