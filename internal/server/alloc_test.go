@@ -237,7 +237,7 @@ func TestCanonAllocBudget(t *testing.T) {
 		allocs         float64
 		bytes          uint64
 	}{
-		{"advise", adviseShapeBody, 4, 1_000},   // 952 B
+		{"advise", adviseShapeBody, 4, 1_000},    // 952 B
 		{"compare", compareShapeBody, 13, 1_350}, // 1,288 B
 		{"sweep", sweepShapeBody, 10, 1_200},     // 1,144 B
 	} {

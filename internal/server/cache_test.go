@@ -176,7 +176,7 @@ func TestCacheVisitedSurvivesEviction(t *testing.T) {
 	c.Put("a", []byte("1"))
 	c.Put("b", []byte("2"))
 	c.Put("c", []byte("3"))
-	c.view("a")     // oldest, but visited
+	c.view("a")             // oldest, but visited
 	c.Put("d", []byte("4")) // the hand passes a and evicts b
 	if want := []string{"b"}; !slices.Equal(*evicted, want) {
 		t.Fatalf("evicted %v, want %v", *evicted, want)

@@ -1,6 +1,7 @@
 package server
 
 import (
+	"context"
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
@@ -184,6 +185,11 @@ func TestErrorBodyMatchesEncodingJSON(t *testing.T) {
 	}
 }
 
+// paper16MV1 is TestMissAllocBudget's mv1 problem at fact_rows + n.
+func paper16MV1(n int) []byte {
+	return fmt.Appendf(nil, `{"scenario":"mv1","budget":25,"queries":10,"frequency":30,"fact_rows":%d}`, 200_000_000+n)
+}
+
 // TestMissAllocBudget gates the miss path in counts, which repeat, not
 // in nanoseconds, which do not: one request through ServeHTTP that
 // misses both caches — decode, canonicalize, solve, encode, cache fill
@@ -208,12 +214,21 @@ func TestErrorBodyMatchesEncodingJSON(t *testing.T) {
 // cells fanned out over a worker pool instead of running in key order,
 // and 176 (mv1 64, mv3 66, pareto 80, sweep 138; 55.2 KB, 15.1 KB,
 // 15.2 KB, 20.7 KB, 34.9 KB) before every solve built on a recycled
-// workspace.
+// workspace, and 73 (mv1 31, mv3 33, pareto 30, sweep 51; 34.1 KB,
+// 7.5 KB, 7.6 KB, 7.3 KB, 16.5 KB) while the plumbing around a solve
+// allocated its own flight call, done channel, timeout context and
+// trace, a new entry per cache insert and a Content-Length value per
+// fill, a packed copy of the canonical key per raw key, and Normalize
+// rebuilt the paper's workload twice.
 //
 // The evicted rows re-post one primed body whose response is gone but
 // whose raw key survives: it takes the same miss path as a new body. A
 // second route, which decoded the remembered canonical key back into a
-// request, cost 78 (compare 187).
+// request, cost 78 (compare 187); the evicted rows cost 28 and 70 before
+// the record above. The requests here carry no cancellable context, so
+// the leader registers no leave on it; the cancellable row is the same
+// miss under one, as net/http's requests are: context.AfterFunc costs
+// three allocations more.
 //
 // The race detector makes sync.Pool drop a quarter of what is put back,
 // so under it the workspace pool cannot hold these budgets.
@@ -227,29 +242,32 @@ func TestMissAllocBudget(t *testing.T) {
 		allocs     float64
 		bytes      uint64
 		evicted    bool
+		cancelable bool
 	}{
-		{"load-compare-2x2", "/v1/compare", compareMiss2x2Body, 77, 37_200, false}, // 73, 34.8–35.4 KB
-		{"paper16-mv1", "/v1/advise", func(n int) []byte {
-			return fmt.Appendf(nil, `{"scenario":"mv1","budget":25,"queries":10,"frequency":30,"fact_rows":%d}`, 200_000_000+n)
-		}, 33, 7_900, false}, // 31, 7.5 KB
+		{"load-compare-2x2", "/v1/compare", compareMiss2x2Body, 60, 33_400, false, false}, // 57, 31.8 KB
+		{"paper16-mv1", "/v1/advise", paper16MV1, 15, 5_600, false, false},                // 14, 5.3 KB
 		{"paper16-mv3", "/v1/advise", func(n int) []byte {
 			return fmt.Appendf(nil, `{"scenario":"mv3","alpha":0.5,"queries":10,"frequency":30,"fact_rows":%d}`, 200_000_000+n)
-		}, 35, 7_950, false}, // 33, 7.6 KB
+		}, 17, 5_650, false, false}, // 16, 5.4 KB
 		{"paper16-pareto", "/v1/advise", func(n int) []byte {
 			return fmt.Appendf(nil, `{"scenario":"pareto","steps":11,"queries":10,"frequency":30,"fact_rows":%d}`, 200_000_000+n)
-		}, 32, 7_800, false}, // 30, 7.3–7.4 KB
+		}, 14, 5_350, false, false}, // 13, 5.1 KB
 		{"sweep-2x2", "/v1/sweep", func(n int) []byte {
 			return fmt.Appendf(nil, `{"budget":25,"providers":["aws-2012","cumulus"],"fleet_sizes":[3,5],"fact_rows":%d,"queries":10,"frequency":30}`, 50_000_000+n)
-		}, 54, 17_400, false}, // 51, 16.5 KB
-		{"evicted-paper16-mv1", "/v1/advise", func(n int) []byte {
-			return fmt.Appendf(nil, `{"scenario":"mv1","budget":25,"queries":10,"frequency":30,"fact_rows":%d}`, 200_000_000+n)
-		}, 30, 7_600, true}, // 28, 7.2 KB
-		{"evicted-load-compare-2x2", "/v1/compare", compareMiss2x2Body, 74, 35_500, true}, // 70, 33.8 KB
+		}, 36, 15_000, false, false}, // 34, 14.3 KB
+		{"evicted-paper16-mv1", "/v1/advise", paper16MV1, 14, 5_500, true, false},                // 13, 5.2 KB
+		{"evicted-load-compare-2x2", "/v1/compare", compareMiss2x2Body, 58, 33_200, true, false}, // 55, 31.6 KB
+		{"cancelable-paper16-mv1", "/v1/advise", paper16MV1, 18, 5_850, false, true},             // 17, 5.5 KB
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			s := New(Options{CacheSize: 1})
 			body := &resettableBody{}
 			req := &http.Request{Method: "POST", URL: &url.URL{Path: c.path}, Body: body}
+			if c.cancelable {
+				ctx, cancel := context.WithCancel(context.Background())
+				defer cancel()
+				req = req.WithContext(ctx)
+			}
 			w := &nullResponseWriter{h: make(http.Header)}
 			n := 0
 			if c.evicted {
