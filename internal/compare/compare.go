@@ -562,7 +562,7 @@ func mergeFrontiers(configs []ConfigResult) []ParetoEntry {
 			all = append(all, ParetoEntry{Key: c.Key, Point: p})
 		}
 	}
-	front := core.NonDominated(nil, all, func(e ParetoEntry) core.ParetoPoint { return e.Point })
+	front := core.NonDominated(nil, all, func(e ParetoEntry) core.ParetoPoint { return e.Point }, nil)
 	sort.Slice(front, func(i, j int) bool {
 		p, q := front[i], front[j]
 		return cmp.Or(cmp.Compare(p.Point.Time, q.Point.Time), cmp.Compare(p.Point.Cost, q.Point.Cost), p.Key.compare(q.Key)) < 0

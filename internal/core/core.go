@@ -6,6 +6,7 @@
 package core
 
 import (
+	"cmp"
 	"context"
 	"fmt"
 	"slices"
@@ -679,21 +680,55 @@ func (a *Advisor) ParetoFront(steps int) ([]ParetoPoint, error) {
 			Degraded: sel.Degraded,
 		}
 	}
-	return NonDominated(c.front.Cut(len(all))[:0], all, func(p ParetoPoint) ParetoPoint { return p }), nil
+	c.order = reuse.Zeroed(c.order, 2*len(all))
+	return NonDominated(c.front.Cut(len(all))[:0], all, func(p ParetoPoint) ParetoPoint { return p }, c.order), nil
 }
 
-// dominates reports whether p dominates q: no slower, no dearer, and
-// strictly better on one of the two. A point never dominates itself.
-func (p ParetoPoint) dominates(q ParetoPoint) bool {
-	return p.Time <= q.Time && p.Cost <= q.Cost && (p.Time < q.Time || p.Cost < q.Cost)
-}
-
-// NonDominated appends to front, in order, the items whose point no
-// other item's point dominates: a sweep's frontier, or a comparison's
-// across cells.
-func NonDominated[T any](front, all []T, point func(T) ParetoPoint) []T {
-	for _, p := range all {
-		if !slices.ContainsFunc(all, func(q T) bool { return point(q).dominates(point(p)) }) {
+// NonDominated appends to front, in input order, the items whose point
+// no other item's point dominates — is no slower, no dearer, and
+// strictly better on one of the two: a sweep's frontier, or a
+// comparison's across cells. Two items at one point both stay; neither
+// dominates the other. scratch is 2×len(all) ints of scratch, made here
+// when it is shorter.
+//
+// An item is dominated exactly when a faster one costs no more, or an
+// equally fast one costs less. So the items are sorted by time, then
+// cost, and swept once with the least cost of the faster items: in a run
+// of equal times the first costs least, and every later one dearer than
+// it is dominated, as is every one that faster least cost reaches.
+func NonDominated[T any](front, all []T, point func(T) ParetoPoint, scratch []int) []T {
+	n := len(all)
+	if cap(scratch) < 2*n {
+		scratch = make([]int, 2*n)
+	}
+	order, dominated := scratch[:n], scratch[n:2*n]
+	for i := range order {
+		order[i], dominated[i] = i, 0
+	}
+	slices.SortFunc(order, func(i, j int) int {
+		p, q := point(all[i]), point(all[j])
+		return cmp.Or(cmp.Compare(p.Time, q.Time), cmp.Compare(p.Cost, q.Cost))
+	})
+	var faster money.Money // the least cost of the items faster than the run
+	for g := 0; g < n; {
+		first := point(all[order[g]])
+		h := g
+		for ; h < n; h++ {
+			p := point(all[order[h]])
+			if p.Time != first.Time {
+				break
+			}
+			if g > 0 && faster <= p.Cost || p.Cost > first.Cost {
+				dominated[order[h]] = 1
+			}
+		}
+		if g == 0 || first.Cost < faster {
+			faster = first.Cost
+		}
+		g = h
+	}
+	for i, p := range all {
+		if dominated[i] == 0 {
 			front = append(front, p)
 		}
 	}

@@ -50,12 +50,14 @@ type cell struct {
 	ev   optimizer.Evaluator
 	sess optimizer.KernelSession
 	// names is where recommendations' view names are cut from, front
-	// where frontiers are; scs, sels and all are ParetoFront's scratch.
+	// where frontiers are; scs, sels, all and order are ParetoFront's
+	// scratch (order NonDominated's).
 	names reuse.Arena[string]
 	front reuse.Arena[ParetoPoint]
 	scs   []optimizer.Scenario
 	sels  []optimizer.Selection
 	all   []ParetoPoint
+	order []int
 }
 
 // start begins a solve on the workspace: every cell is free again.
@@ -89,7 +91,7 @@ func (ws *Workspace) Bytes() int {
 		reuse.Bytes(ws.qids) + ws.pool.Bytes() + ws.kern.Bytes() + reuse.Bytes(ws.names) + reuse.Bytes(ws.cells)
 	for _, c := range ws.cells {
 		n += int(unsafe.Sizeof(*c)) + c.sess.Bytes() + c.names.Bytes() + c.front.Bytes() +
-			reuse.Bytes(c.scs) + reuse.Bytes(c.sels) + reuse.Bytes(c.all)
+			reuse.Bytes(c.scs) + reuse.Bytes(c.sels) + reuse.Bytes(c.all) + reuse.Bytes(c.order)
 	}
 	return n
 }

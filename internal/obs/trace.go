@@ -61,13 +61,12 @@ func (p Phase) String() string {
 // solver packages thread it unconditionally and only the serving layer
 // decides whether tracing is on. The timer helpers keep the
 // determinism-scoped packages (core, optimizer, search, compare) from
-// calling time.Now themselves: obs owns the clock.
+// calling time.Now themselves: obs owns the clock. The zero value is an
+// empty trace, ready to record; the server keeps one in each miss's
+// flight call.
 type Trace struct {
 	durs [NumPhases]atomic.Int64
 }
-
-// NewTrace returns an empty trace arena.
-func NewTrace() *Trace { return &Trace{} }
 
 // StartTimer begins a phase measurement. On a nil trace it returns the
 // zero time, which the matching ObserveSince treats as "not recording".

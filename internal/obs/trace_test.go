@@ -34,7 +34,7 @@ func TestTraceNilSafe(t *testing.T) {
 // TestTraceAccumulates: repeated observations into one phase add up
 // (a comparison records one bind per cell under one trace).
 func TestTraceAccumulates(t *testing.T) {
-	tr := obs.NewTrace()
+	tr := new(obs.Trace)
 	tr.Observe(obs.PhaseBind, 10*time.Millisecond)
 	tr.Observe(obs.PhaseBind, 5*time.Millisecond)
 	if got := tr.Duration(obs.PhaseBind); got != 15*time.Millisecond {
@@ -50,7 +50,7 @@ func TestTraceAccumulates(t *testing.T) {
 // TestTraceHeader pins the X-Solve-Phases wire form: semicolon-joined
 // name=duration pairs in pipeline order, empty phases skipped.
 func TestTraceHeader(t *testing.T) {
-	tr := obs.NewTrace()
+	tr := new(obs.Trace)
 	tr.Observe(obs.PhaseLattice, 52*time.Microsecond)
 	tr.Observe(obs.PhaseSolve, 3*time.Millisecond)
 	tr.Observe(obs.PhaseTotal, 4*time.Millisecond)
@@ -59,7 +59,7 @@ func TestTraceHeader(t *testing.T) {
 	if got != want {
 		t.Errorf("String = %q, want %q", got, want)
 	}
-	if empty := obs.NewTrace().String(); empty != "" {
+	if empty := new(obs.Trace).String(); empty != "" {
 		t.Errorf("empty trace String = %q", empty)
 	}
 }
@@ -67,7 +67,7 @@ func TestTraceHeader(t *testing.T) {
 // TestTraceJSON: the slow-log fragment must be valid JSON with phase
 // names as keys and seconds as values.
 func TestTraceJSON(t *testing.T) {
-	tr := obs.NewTrace()
+	tr := new(obs.Trace)
 	tr.Observe(obs.PhaseKernel, 250*time.Millisecond)
 	tr.Observe(obs.PhaseEncode, 1*time.Millisecond)
 	var m map[string]float64
@@ -109,7 +109,7 @@ func TestPhaseNames(t *testing.T) {
 // lose durations; -race covers the memory model, the sum covers the
 // arithmetic.
 func TestTraceConcurrent(t *testing.T) {
-	tr := obs.NewTrace()
+	tr := new(obs.Trace)
 	const goroutines = 8
 	const perG = 1000
 	var wg sync.WaitGroup

@@ -7,7 +7,8 @@ import "sync"
 // Simpler than LRU", NSDI 2024). It is bounded in entry count and in
 // resident bytes (keys + values), so operators can cap the daemon's
 // cache memory. Get returns a defensive copy, so the interior bytes can
-// never be mutated through an escaped slice; Put takes ownership of val.
+// never be mutated through an escaped slice; PutResponse takes ownership
+// of val.
 //
 // Entries sit in one list in insertion order. A hit only sets the
 // entry's visited bit; nothing is relinked. Eviction walks a hand from
@@ -124,17 +125,16 @@ func (c *sieveCache) ref(key []byte) (label int, ref string, ok bool) {
 	return label, ref, ok
 }
 
-// Put inserts or refreshes (a visit, in place) a value, evicting while a
-// bound would be exceeded. An entry over the byte bound is not cached.
-func (c *sieveCache) Put(key string, val []byte) { c.put(sieveEntry{key: key, val: val}, nil) }
-
-// PutResponse is Put for a response body, stored with its Content-Length
-// header value for view to hand back.
+// PutResponse inserts or refreshes (a visit, in place) a response body,
+// stored with its Content-Length header value for view to hand back,
+// evicting while a bound would be exceeded. An entry over the byte bound
+// is not cached.
 func (c *sieveCache) PutResponse(key string, val []byte, clen []string) {
 	c.put(sieveEntry{key: key, val: val, clen: clen}, nil)
 }
 
-// PutRef is Put for a raw-key entry: key's label and canonical cache key.
+// PutRef is PutResponse for a raw-key entry: key's label and canonical
+// cache key.
 // The key is taken as bytes and copied into a string only when it is
 // inserted, not when an entry for it is refreshed.
 func (c *sieveCache) PutRef(key []byte, label int, ref string) {

@@ -7,6 +7,9 @@ import (
 	"testing"
 )
 
+// Put is PutResponse without a Content-Length value.
+func (c *sieveCache) Put(key string, val []byte) { c.PutResponse(key, val, nil) }
+
 func TestCacheBasics(t *testing.T) {
 	c := newSieveCache(2, 0)
 	if _, ok := c.Get("a"); ok {

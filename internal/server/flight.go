@@ -231,6 +231,12 @@ func (c *solveContext) stop(state uint32) {
 	}
 }
 
+// solveContext is context's afterFuncer: what propagateCancel asks a
+// parent it does not know for before it resorts to a goroutine.
+var _ interface {
+	AfterFunc(func()) (stop func() bool)
+} = (*solveContext)(nil)
+
 // AfterFunc arranges for f to run once c is done, and returns a stop
 // function that reports whether it kept f from running — context's
 // afterFuncer, through which propagateCancel links a derived context.

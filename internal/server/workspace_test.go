@@ -28,7 +28,7 @@ func solveOn(t *testing.T, ep, body string, steps int, ws *core.Workspace) ([]by
 	if steps != 0 {
 		req.(*adviseRequest).Steps = steps
 	}
-	b, _, err := req.solve(context.Background(), obs.NewTrace(), ws)
+	b, _, err := req.solve(context.Background(), new(obs.Trace), ws)
 	return b, err
 }
 
@@ -58,7 +58,7 @@ func adviseLarge(t *testing.T, rows int64, ws *core.Workspace) []byte {
 		t.Fatal(err)
 	}
 	ans := adviseAnswer{scenario: "mv3", size: core.DatasetSizeOf(adv), candidates: len(adv.Candidates), rec: &rec}
-	b, err := encodeBody(obs.NewTrace(), &ans)
+	b, err := encodeBody(new(obs.Trace), &ans)
 	if err != nil {
 		t.Fatal(err)
 	}
