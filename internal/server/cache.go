@@ -7,8 +7,7 @@ import "sync"
 // Simpler than LRU", NSDI 2024). It is bounded in entry count and in
 // resident bytes (keys + values), so operators can cap the daemon's
 // cache memory. Get returns a defensive copy, so the interior bytes can
-// never be mutated through an escaped slice; PutResponse takes ownership
-// of val.
+// never be mutated through an escaped slice; Put takes ownership of val.
 //
 // Entries sit in one list in insertion order. A hit only sets the
 // entry's visited bit; nothing is relinked. Eviction walks a hand from
@@ -16,18 +15,15 @@ import "sync"
 // evicts the first unvisited entry and leaves the hand on its successor,
 // so a run of once-asked keys cannot flush a set that is asked again.
 //
-// A response entry also carries clen, its Content-Length header value
-// (contentLength's shared one), so a hit hands it to the header map
-// without formatting. A raw-key entry carries a label and a ref instead
-// of a value: the request's stats label and its canonical cache key, the
-// string the response entry is keyed by, shared rather than copied.
+// A raw-key entry carries a label and a ref instead of a value: the
+// request's stats label and its canonical cache key, the string the
+// response entry is keyed by, shared rather than copied.
 //
-// Entries are recycled: an entry taken off the list (evicted, or adopted
-// by another cache) is never linked anywhere else while a reference to
-// it remains, and every read copies its fields out under the lock, so
-// once off the list it is free to be the next insert's entry. Its old
-// value is dropped, never written into: a body served from it stays as it
-// was.
+// Entries are recycled. An entry taken off the list is held by no one
+// else — every read copies its fields out under the lock — so it can be
+// the next insert's entry: its own cache's (spare), or, through onEvict,
+// another cache's, which adopts it as it is. Its old value is dropped,
+// never written into, so a body served from it stays as it was.
 type sieveCache struct {
 	mu       sync.Mutex
 	cap      int
@@ -55,7 +51,6 @@ type sieveCache struct {
 type sieveEntry struct {
 	key          string
 	val          []byte
-	clen         []string
 	ref          string
 	label        int
 	visited      bool
@@ -90,22 +85,21 @@ func (c *sieveCache) Get(key string) ([]byte, bool) {
 // view returns the cached value without copying and marks the key
 // visited. The returned slice aliases cache-owned memory: values are only
 // ever replaced wholesale (never scribbled in place, not even when their
-// entry is recycled), so the view — and the entry's Content-Length value
-// returned beside it — stays byte-stable for as long as the caller holds
-// it, but the caller must treat it as read-only and must not retain it
-// past the request. Callers that hand the bytes to arbitrary code want
-// Get's defensive copy instead.
+// entry is recycled), so the view stays byte-stable for as long as the
+// caller holds it, but the caller must treat it as read-only and must
+// not retain it past the request. Callers that hand the bytes to
+// arbitrary code want Get's defensive copy instead.
 //
 //mvlint:hotpath
-func (c *sieveCache) view(key string) (val []byte, clen []string, ok bool) {
+func (c *sieveCache) view(key string) (val []byte, ok bool) {
 	c.mu.Lock()
 	e, ok := c.entries[key]
 	if ok {
 		e.visited = true
-		val, clen = e.val, e.clen
+		val = e.val
 	}
 	c.mu.Unlock()
-	return val, clen, ok
+	return val, ok
 }
 
 // ref returns the label and canonical key of a raw-key entry and marks
@@ -125,62 +119,31 @@ func (c *sieveCache) ref(key []byte) (label int, ref string, ok bool) {
 	return label, ref, ok
 }
 
-// PutResponse inserts or refreshes (a visit, in place) a response body,
-// stored with its Content-Length header value for view to hand back,
-// evicting while a bound would be exceeded. An entry over the byte bound
-// is not cached.
-func (c *sieveCache) PutResponse(key string, val []byte, clen []string) {
-	c.put(sieveEntry{key: key, val: val, clen: clen}, nil)
+// Put inserts or refreshes (a visit, in place) a value, evicting while a
+// bound would be exceeded. An entry over the byte bound is not cached.
+func (c *sieveCache) Put(key string, val []byte) { c.put(sieveEntry{key: key, val: val}) }
+
+// PutRef is Put for a raw-key entry: key's label and canonical cache key.
+func (c *sieveCache) PutRef(key string, label int, ref string) {
+	c.put(sieveEntry{key: key, ref: ref, label: label})
 }
 
-// PutRef is PutResponse for a raw-key entry: key's label and canonical
-// cache key.
-// The key is taken as bytes and copied into a string only when it is
-// inserted, not when an entry for it is refreshed.
-func (c *sieveCache) PutRef(key []byte, label int, ref string) {
-	c.put(sieveEntry{ref: ref, label: label}, key)
-}
-
-// put inserts or refreshes an entry holding v's value, under v's key or,
-// when rawKey is non-nil, under rawKey's bytes.
-func (c *sieveCache) put(v sieveEntry, rawKey []byte) {
-	size := v.size() + int64(len(rawKey))
-	if c.cap < 1 || (c.capBytes > 0 && size > c.capBytes) {
+// put stores v's key and value in the spare entry, or a new one.
+func (c *sieveCache) put(v sieveEntry) {
+	if !c.fits(v.size()) {
 		return
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	e, ok := c.entries[v.key]
-	if rawKey != nil {
-		e, ok = c.entries[string(rawKey)]
-	}
-	if ok {
-		c.bytes += size - e.size()
-		e.val, e.clen, e.ref, e.label, e.visited = v.val, v.clen, v.ref, v.label, true
-		c.evict(0, 0)
-		return
-	}
-	if rawKey != nil {
-		v.key = string(rawKey)
-	}
-	// Make room first, so the hand never lands on the entry being added.
-	c.evict(1, size)
-	e = c.spare
-	if e != nil {
-		c.spare = nil
-	} else {
+	e := c.spare
+	if e == nil {
 		e = new(sieveEntry)
 	}
+	c.spare = nil
 	*e = v
-	c.link(e)
-	c.bytes += size
-}
-
-// link appends e, off every list, as the newest entry.
-func (c *sieveCache) link(e *sieveEntry) {
-	e.newer, e.older = &c.root, c.root.older
-	e.older.newer, c.root.older = e, e
-	c.entries[e.key] = e
+	if !c.insert(e) {
+		c.spare = recycled(e)
+	}
 }
 
 // adopt inserts e, an entry another cache has just evicted (off its
@@ -189,25 +152,44 @@ func (c *sieveCache) link(e *sieveEntry) {
 // holds the key (refreshed from e) or e does not fit. It is the stale
 // tier's side of the response cache's onEvict.
 func (c *sieveCache) adopt(e *sieveEntry) *sieveEntry {
-	size := e.size()
-	if c.cap < 1 || (c.capBytes > 0 && size > c.capBytes) {
+	if !c.fits(e.size()) {
 		return recycled(e)
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if old, ok := c.entries[e.key]; ok {
-		c.bytes += size - old.size()
-		old.val, old.clen, old.ref, old.label, old.visited = e.val, e.clen, e.ref, e.label, true
-		c.evict(0, 0)
+	if !c.insert(e) {
 		return recycled(e)
 	}
-	c.evict(1, size)
-	e.visited = false
-	c.link(e)
-	c.bytes += size
 	spare := c.spare
 	c.spare = nil
 	return spare
+}
+
+// fits reports whether an entry of size bytes may be cached at all.
+func (c *sieveCache) fits(size int64) bool {
+	return c.cap >= 1 && (c.capBytes <= 0 || size <= c.capBytes)
+}
+
+// insert links e, off every list, as the newest entry, evicting first
+// while a bound would be exceeded, so the hand never lands on it. When
+// the cache holds e's key already, that entry takes e's value instead (a
+// visit, in place) and insert reports false: e is linked nowhere. Called
+// with c.mu held.
+func (c *sieveCache) insert(e *sieveEntry) bool {
+	size := e.size()
+	if old, ok := c.entries[e.key]; ok {
+		c.bytes += size - old.size()
+		old.val, old.ref, old.label, old.visited = e.val, e.ref, e.label, true
+		c.evict(0, 0)
+		return false
+	}
+	c.evict(1, size)
+	e.visited = false
+	e.newer, e.older = &c.root, c.root.older
+	e.older.newer, c.root.older = e, e
+	c.entries[e.key] = e
+	c.bytes += size
+	return true
 }
 
 // recycled zeroes e, an entry off every list, for reuse: nothing it held

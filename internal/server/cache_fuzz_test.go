@@ -14,13 +14,22 @@ type cacheModel struct {
 	capBytes int64
 	order    []modelEntry // oldest first
 	hand     int          // next eviction starts here; -1 means the oldest
-	evicted  []string     // key=val, in eviction order
-	onEvict  func(key, val string)
+	evicted  []string     // entry.String(), in eviction order
+	onEvict  func(modelEntry)
 }
 
+// modelEntry is a value (Put) or, with ref set, a raw-key entry's
+// canonical key (PutRef), which Get and view read as nothing.
 type modelEntry struct {
-	key, val string
-	visited  bool
+	key, val     string
+	ref, visited bool
+}
+
+func (e modelEntry) String() string {
+	if e.ref {
+		return e.key + "=&" + e.val
+	}
+	return e.key + "=" + e.val
 }
 
 func (m *cacheModel) bytes() (n int64) {
@@ -40,21 +49,25 @@ func (m *cacheModel) get(key string) (string, bool) {
 		return "", false
 	}
 	m.order[i].visited = true
+	if m.order[i].ref {
+		return "", true
+	}
 	return m.order[i].val, true
 }
 
-func (m *cacheModel) put(key, val string) {
-	size := int64(len(key) + len(val))
+func (m *cacheModel) put(v modelEntry) {
+	size := int64(len(v.key) + len(v.val))
 	if m.cap < 1 || (m.capBytes > 0 && size > m.capBytes) {
 		return
 	}
-	if i := m.find(key); i >= 0 {
-		m.order[i].val, m.order[i].visited = val, true
+	if i := m.find(v.key); i >= 0 {
+		m.order[i].val, m.order[i].ref, m.order[i].visited = v.val, v.ref, true
 		m.evict(0, 0)
 		return
 	}
 	m.evict(1, size)
-	m.order = append(m.order, modelEntry{key: key, val: val})
+	v.visited = false
+	m.order = append(m.order, v)
 }
 
 func (m *cacheModel) evict(n int, size int64) {
@@ -67,18 +80,18 @@ func (m *cacheModel) evict(n int, size int64) {
 			}
 		}
 		e := m.order[i]
-		m.evicted = append(m.evicted, e.key+"="+e.val)
+		m.evicted = append(m.evicted, e.String())
 		m.order = slices.Delete(m.order, i, i+1)
 		if m.hand = i; i == len(m.order) {
 			m.hand = -1
 		}
 		if m.onEvict != nil {
-			m.onEvict(e.key, e.val)
+			m.onEvict(e)
 		}
 	}
 }
 
-// FuzzCacheOps runs a random sequence of Put, PutResponse, Get and view
+// FuzzCacheOps runs a random sequence of Put, PutRef, Get and view
 // calls with random value sizes against both bounds on a response cache
 // wired to a stale tier as the server wires them (what the first evicts,
 // the second adopts, and the second's victim is the first's next entry),
@@ -106,7 +119,7 @@ func FuzzCacheOps(f *testing.F) {
 		m := &cacheModel{cap: c.cap, capBytes: c.capBytes, hand: -1, onEvict: sm.put}
 		var evicted []string
 		c.onEvict = func(e *sieveEntry) *sieveEntry {
-			evicted = append(evicted, e.key+"="+string(e.val))
+			evicted = append(evicted, residentOf(e).String())
 			return stale.adopt(e)
 		}
 		type served struct {
@@ -124,17 +137,17 @@ func FuzzCacheOps(f *testing.F) {
 			case 0:
 				c.Put(key, []byte(val))
 			case 1:
-				c.PutResponse(key, []byte(val), []string{fmt.Sprint(len(val))})
+				c.PutRef(key, 1+int(ops[k+1]), val)
 			case 2:
 				got, ok = c.Get(key)
 			case 3:
-				got, _, ok = c.view(key)
+				got, ok = c.view(key)
 				if ok {
 					views = append(views, served{got, string(got)})
 				}
 			}
 			if op < 2 {
-				m.put(key, val)
+				m.put(modelEntry{key: key, val: val, ref: op == 1})
 			} else if want, wantOK := m.get(key); ok != wantOK || string(got) != want {
 				t.Fatalf("op %d: %s(%q) = %q, %v; model %q, %v", k/2, [...]string{2: "Get", 3: "view"}[op], key, got, ok, want, wantOK)
 			}
@@ -163,7 +176,7 @@ func checkAgainstModel(t *testing.T, c *sieveCache, m *cacheModel, evicted *[]st
 		if e.newer.older != e || c.entries[e.key] != e {
 			t.Fatalf("list entry %q is not linked both ways or not the map's", e.key)
 		}
-		resident = append(resident, modelEntry{e.key, string(e.val), e.visited})
+		resident = append(resident, residentOf(e))
 		size += e.size()
 	}
 	if len(resident) != len(c.entries) || c.Len() != len(c.entries) {
@@ -184,6 +197,15 @@ func checkAgainstModel(t *testing.T, c *sieveCache, m *cacheModel, evicted *[]st
 	if c.Evictions() != int64(len(m.evicted)) || evicted != nil && !slices.Equal(*evicted, m.evicted) {
 		t.Fatalf("Evictions() = %d (onEvict saw %v), model evicted %v", c.Evictions(), evicted, m.evicted)
 	}
+}
+
+// residentOf is e as cacheModel holds it: a raw-key entry (PutRef, a
+// label from 1 up) by its ref.
+func residentOf(e *sieveEntry) modelEntry {
+	if e.label != 0 {
+		return modelEntry{key: e.key, val: e.ref, ref: true, visited: e.visited}
+	}
+	return modelEntry{key: e.key, val: string(e.val), visited: e.visited}
 }
 
 // checkRecycling holds the two tiers' entries apart: no entry is on both

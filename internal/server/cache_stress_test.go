@@ -57,7 +57,7 @@ func TestCacheConcurrentStress(t *testing.T) {
 						}
 					}
 				case 3:
-					if v, _, ok := c.view(key); ok {
+					if v, ok := c.view(key); ok {
 						// Views are read-only: verify, never mutate.
 						if string(v) != string(valFor(ns, k)) {
 							t.Errorf("corrupt view for %q: %q", key, v)

@@ -7,9 +7,6 @@ import (
 	"testing"
 )
 
-// Put is PutResponse without a Content-Length value.
-func (c *sieveCache) Put(key string, val []byte) { c.PutResponse(key, val, nil) }
-
 func TestCacheBasics(t *testing.T) {
 	c := newSieveCache(2, 0)
 	if _, ok := c.Get("a"); ok {
@@ -195,7 +192,7 @@ func TestCacheVisitedSurvivesEviction(t *testing.T) {
 	if want := []string{"b", "c", "d", "f", "a"}; !slices.Equal(*evicted, want) {
 		t.Fatalf("evicted %v, want %v", *evicted, want)
 	}
-	if _, _, ok := c.view("e"); !ok {
+	if _, ok := c.view("e"); !ok {
 		t.Fatal("e evicted despite a visit")
 	}
 }
@@ -227,7 +224,7 @@ func TestCacheScanResistance(t *testing.T) {
 	}
 	for scan := 0; scan < 100; scan++ {
 		for i := 0; i < hot; i++ {
-			if _, _, ok := c.view(fmt.Sprintf("hot%d", i)); !ok {
+			if _, ok := c.view(fmt.Sprintf("hot%d", i)); !ok {
 				t.Fatalf("after %d scanned keys hot%d was flushed", scan, i)
 			}
 		}
@@ -318,7 +315,7 @@ func TestCacheZipfReplay(t *testing.T) {
 	for p := 0; p < 3; p++ {
 		hits = 0
 		for _, id := range seq {
-			if _, _, ok := c.view(key(id)); ok {
+			if _, ok := c.view(key(id)); ok {
 				hits++
 			} else {
 				c.Put(key(id), []byte("v"))

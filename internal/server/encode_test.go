@@ -255,8 +255,8 @@ func TestMissAllocBudget(t *testing.T) {
 		{"sweep-2x2", "/v1/sweep", func(n int) []byte {
 			return fmt.Appendf(nil, `{"budget":25,"providers":["aws-2012","cumulus"],"fleet_sizes":[3,5],"fact_rows":%d,"queries":10,"frequency":30}`, 50_000_000+n)
 		}, 36, 15_000, false, false}, // 34, 14.3 KB
-		{"evicted-paper16-mv1", "/v1/advise", paper16MV1, 14, 5_500, true, false},                // 13, 5.2 KB
-		{"evicted-load-compare-2x2", "/v1/compare", compareMiss2x2Body, 58, 33_200, true, false}, // 55, 31.6 KB
+		{"evicted-paper16-mv1", "/v1/advise", paper16MV1, 15, 5_600, true, false},                // 14, 5.3 KB
+		{"evicted-load-compare-2x2", "/v1/compare", compareMiss2x2Body, 59, 33_400, true, false}, // 56, 31.7 KB
 		{"cancelable-paper16-mv1", "/v1/advise", paper16MV1, 18, 5_850, false, true},             // 17, 5.5 KB
 	} {
 		t.Run(c.name, func(t *testing.T) {

@@ -121,9 +121,9 @@ func (e *endpoint) observe(o outcomeKind, start time.Time) {
 // cache-hit path pays for its telemetry.
 //
 //mvlint:hotpath
-func (e *endpoint) respond(w http.ResponseWriter, status int, body []byte, clen []string, o outcomeKind, start time.Time) {
+func (e *endpoint) respond(w http.ResponseWriter, status int, body []byte, o outcomeKind, start time.Time) {
 	e.count(o)
-	writeBody(w, status, body, clen, xCache[o])
+	writeBody(w, status, body, xCache[o])
 	e.observe(o, start)
 }
 
@@ -131,5 +131,5 @@ func (e *endpoint) respond(w http.ResponseWriter, status int, body []byte, clen 
 // timeout, a cancel, a failed solve; shed and panic are outcomes of
 // their own.
 func (e *endpoint) fail(w http.ResponseWriter, status int, msg string, start time.Time) {
-	e.respond(w, status, errorBody(msg), nil, outcomeError, start)
+	e.respond(w, status, errorBody(msg), outcomeError, start)
 }

@@ -162,8 +162,8 @@ func TestRecycledEntriesStayApart(t *testing.T) {
 	seen := map[*sieveEntry]bool{}
 	for i := range 64 {
 		key := fmt.Sprintf("k%d", i)
-		c.PutResponse(key, []byte(key+"-body"), contentLength([]byte(key+"-body")))
-		if b, _, ok := c.view(key); ok {
+		c.Put(key, []byte(key+"-body"))
+		if b, ok := c.view(key); ok {
 			views = append(views, served{b, string(b)})
 		}
 		if b, ok := stale.Get(fmt.Sprintf("k%d", i-4)); ok && string(b) != fmt.Sprintf("k%d-body", i-4) {
@@ -206,11 +206,10 @@ func TestRecycledEntriesConcurrent(t *testing.T) {
 				key := fmt.Sprint(k)
 				switch i % 3 {
 				case 0:
-					b := body(k)
-					c.PutResponse(key, b, contentLength(b))
+					c.Put(key, body(k))
 				case 1:
-					if v, clen, ok := c.view(key); ok && (string(v) != string(body(k)) || clen[0] != fmt.Sprint(len(v))) {
-						t.Errorf("view(%s) = %q, Content-Length %q", key, v, clen[0])
+					if v, ok := c.view(key); ok && string(v) != string(body(k)) {
+						t.Errorf("view(%s) = %q", key, v)
 					}
 				case 2:
 					if v, ok := stale.Get(key); ok && string(v) != string(body(k)) {

@@ -284,11 +284,7 @@ func (s *Server) counted(name string, h http.HandlerFunc) http.HandlerFunc {
 // admission control (optionally with a stale body to serve instead of
 // the 429), degraded at the solve deadline, or a contained panic.
 type outcome struct {
-	body []byte
-	// clen is body's Content-Length header value when the body went into
-	// the cache (contentLength's, which the entry holds too); nil
-	// otherwise.
-	clen   []string
+	body   []byte
 	err    error
 	phases *obs.Trace
 	// degraded marks a solve that stopped at its deadline with the best
@@ -554,8 +550,8 @@ func (s *Server) serveMemoized(w http.ResponseWriter, r *http.Request, e *endpoi
 	// Fast path: the response for this verbatim body is resident. A body
 	// whose response was evicted takes the miss path like any other.
 	if label, key, ok := s.rawKeys.ref(rb.b); ok {
-		if body, clen, ok := s.cache.view(key); ok {
-			s.respondAnswer(w, e, label, outcomeHit, body, clen, start)
+		if body, ok := s.cache.view(key); ok {
+			s.respondAnswer(w, e, label, outcomeHit, body, start)
 			return
 		}
 	}
@@ -583,9 +579,9 @@ func (s *Server) finishMemoized(w http.ResponseWriter, r *http.Request, e *endpo
 	cacheKey := string(buf[mark:])
 	// A differently-spelled equivalent request may have already cached
 	// the canonical response.
-	if cached, clen, ok := s.cache.view(cacheKey); ok {
+	if cached, ok := s.cache.view(cacheKey); ok {
 		s.rememberSpelling(ps, label, cacheKey)
-		s.respondAnswer(w, e, label, outcomeHit, cached, clen, ps.start)
+		s.respondAnswer(w, e, label, outcomeHit, cached, ps.start)
 		return
 	}
 
@@ -605,10 +601,10 @@ func (s *Server) finishMemoized(w http.ResponseWriter, r *http.Request, e *endpo
 		// (it fills before it retires, so a leader that finds no flight
 		// finds the entry). Without this re-probe a late arrival in a
 		// stampede leads a second solve.
-		if cached, clen, ok := s.cache.view(cacheKey); ok {
-			s.flight.finish(cacheKey, call, outcome{body: cached, clen: clen})
+		if cached, ok := s.cache.view(cacheKey); ok {
+			s.flight.finish(cacheKey, call, outcome{body: cached})
 			s.rememberSpelling(ps, label, cacheKey)
-			s.respondAnswer(w, e, label, outcomeHit, cached, clen, ps.start)
+			s.respondAnswer(w, e, label, outcomeHit, cached, ps.start)
 			return
 		}
 		var gone bool
@@ -648,7 +644,7 @@ func (s *Server) finishMemoized(w http.ResponseWriter, r *http.Request, e *endpo
 // is remembered: a body whose solve fails, or is shed, leaves no entry
 // in any cache.
 func (s *Server) rememberSpelling(ps probeState, label int, cacheKey string) {
-	s.rawKeys.PutRef(ps.rawKey, label, cacheKey)
+	s.rawKeys.PutRef(string(ps.rawKey), label, cacheKey)
 }
 
 // respondAnswer serves a 200 that answers the request's own problem — a
@@ -656,9 +652,9 @@ func (s *Server) rememberSpelling(ps probeState, label int, cacheKey string) {
 // under its scenario label.
 //
 //mvlint:hotpath
-func (s *Server) respondAnswer(w http.ResponseWriter, e *endpoint, label int, o outcomeKind, body []byte, clen []string, start time.Time) {
+func (s *Server) respondAnswer(w http.ResponseWriter, e *endpoint, label int, o outcomeKind, body []byte, start time.Time) {
 	s.m.scenarios[label].Inc()
-	e.respond(w, http.StatusOK, body, clen, o, start)
+	e.respond(w, http.StatusOK, body, o, start)
 }
 
 // respondSolved maps a finished solve's outcome onto the HTTP response
@@ -673,7 +669,7 @@ func (s *Server) respondSolved(w http.ResponseWriter, r *http.Request, e *endpoi
 		// Admission (or an all-down ring neighborhood) refused the solve
 		// but an evicted cached response for this exact key survives:
 		// serve it, clearly marked.
-		e.respond(w, http.StatusOK, out.body, nil, outcomeStale, start)
+		e.respond(w, http.StatusOK, out.body, outcomeStale, start)
 		return true
 	case out.shed:
 		w.Header().Set("Retry-After", strconv.FormatInt(ceilSeconds(out.retryAfter), 10))
@@ -681,9 +677,9 @@ func (s *Server) respondSolved(w http.ResponseWriter, r *http.Request, e *endpoi
 		if msg == "" {
 			msg = "overloaded: solve queue full, retry later"
 		}
-		e.respond(w, http.StatusTooManyRequests, errorBody(msg), nil, outcomeShed, start)
+		e.respond(w, http.StatusTooManyRequests, errorBody(msg), outcomeShed, start)
 	case out.panicked:
-		e.respond(w, http.StatusInternalServerError, errorBody(out.err.Error()), nil, outcomePanic, start)
+		e.respond(w, http.StatusInternalServerError, errorBody(out.err.Error()), outcomePanic, start)
 	case out.err != nil:
 		status := http.StatusBadRequest
 		if errors.Is(out.err, context.Canceled) || errors.Is(out.err, context.DeadlineExceeded) {
@@ -704,7 +700,7 @@ func (s *Server) respondSolved(w http.ResponseWriter, r *http.Request, e *endpoi
 				o = outcomeDegraded
 			}
 		}
-		s.respondAnswer(w, e, label, o, out.body, out.clen, start)
+		s.respondAnswer(w, e, label, o, out.body, start)
 		return true
 	}
 	return false
@@ -800,8 +796,8 @@ func (s *Server) runSolve(ctx context.Context, e *endpoint, req memoRequest, lab
 }
 
 // fill memoizes a leader's outcome under cacheKey, solved here or
-// forwarded, and returns it with its Content-Length set when it was
-// cached. Only a successful, non-degraded body is: degraded and stale
+// forwarded, and returns it. Only a successful, non-degraded body is
+// cached: degraded and stale
 // bodies are timing-dependent, sheds and errors have nothing to cache,
 // and nobody is waiting for an abandoned solve's answer (the knapsack
 // path has no cancellation point, so it finishes anyway). A local solve
@@ -809,8 +805,7 @@ func (s *Server) runSolve(ctx context.Context, e *endpoint, req memoRequest, lab
 // tests only ever fail for a forward.
 func (s *Server) fill(ctx context.Context, cacheKey string, out outcome) outcome {
 	if out.err == nil && !out.degraded && !out.shed && len(out.body) > 0 && !abandoned(ctx) {
-		out.clen = contentLength(out.body)
-		s.cache.PutResponse(cacheKey, out.body, out.clen)
+		s.cache.Put(cacheKey, out.body)
 	}
 	return out
 }
@@ -937,7 +932,7 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 		writeError(w, http.StatusInternalServerError, err.Error())
 		return
 	}
-	writeBody(w, status, buf.Bytes(), nil, nil)
+	writeBody(w, status, buf.Bytes(), nil)
 }
 
 // Shared header values: assigning a preallocated []string into the
@@ -953,9 +948,9 @@ var (
 // contentLength is the Content-Length header value of body: for a body
 // under maxInternedLength bytes, the one value of its length, made the
 // first time a body of that length is written and shared, unchanged,
-// by every later one — so neither a cache fill nor any response
-// formats it again, and a cache entry or header map may hold it for as
-// long as it likes.
+// by every later one — so a response, a cache hit's included, formats
+// and allocates nothing for it, and a header map may hold it for as long
+// as it likes.
 //
 //mvlint:hotpath
 func contentLength(body []byte) []string {
@@ -981,22 +976,17 @@ const maxInternedLength = 1 << 16
 var contentLengths [maxInternedLength >> 8]atomic.Pointer[[256]atomic.Pointer[[1]string]]
 
 // writeBody sends a pre-marshaled, newline-terminated JSON body with
-// its Content-Length — clen when the caller holds the value (a cached
-// body's, formatted when the cache was filled), formatted here
-// otherwise — and the X-Cache header cache when it is non-nil. The
-// length is always declared: left to net/http, a body over 2 KB goes out
-// chunked, which is one more write to the socket per response. The body
-// may alias cache-owned memory: it is only ever written to the wire,
-// never mutated.
+// its Content-Length and the X-Cache header cache when it is non-nil.
+// The length is always declared: left to net/http, a body over 2 KB goes
+// out chunked, which is one more write to the socket per response. The
+// body may alias cache-owned memory: it is only ever written to the
+// wire, never mutated.
 //
 //mvlint:hotpath
-func writeBody(w http.ResponseWriter, status int, body []byte, clen, cache []string) {
+func writeBody(w http.ResponseWriter, status int, body []byte, cache []string) {
 	h := w.Header()
 	h["Content-Type"] = headerValJSON
-	if clen == nil {
-		clen = contentLength(body)
-	}
-	h["Content-Length"] = clen
+	h["Content-Length"] = contentLength(body)
 	if cache != nil {
 		h["X-Cache"] = cache
 	}
@@ -1015,5 +1005,5 @@ func errorBody(msg string) []byte {
 }
 
 func writeError(w http.ResponseWriter, status int, msg string) {
-	writeBody(w, status, errorBody(msg), nil, nil)
+	writeBody(w, status, errorBody(msg), nil)
 }
