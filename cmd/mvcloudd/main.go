@@ -5,7 +5,7 @@
 //
 // Usage:
 //
-//	mvcloudd [-addr :8080] [-cache-size 256] [-cache-max-mb 64]
+//	mvcloudd [-addr :8080] [-cache-size 512] [-cache-max-mb 64]
 //	         [-request-timeout 30s] [-shutdown-grace 10s]
 //	         [-debug-addr localhost:6060] [-slow-solve 0]
 //	         [-cluster 0] [-cluster-seed 0]
@@ -32,8 +32,8 @@
 // -cluster N serves the fault-tolerant cluster mode in a single
 // binary: a stateless frontend on -addr routing solves to N in-process
 // workers by rendezvous hashing, with failover (a slow or silent worker
-// is timed out per attempt, and three failed forwards eject it) and
-// shed-or-stale degradation. -cluster-seed keys the ring
+// is timed out per attempt, and three failed forwards eject it) and a
+// shed when a key's every worker is down. -cluster-seed keys the ring
 // (frontends sharing a worker tier must agree on it).
 //
 // Every serving flag sets the server.Options field it names; in cluster
@@ -106,8 +106,8 @@ func parseFlags(fs *flag.FlagSet, args []string) (options, error) {
 	var o options
 	so := &o.server
 	fs.StringVar(&o.addr, "addr", ":8080", "listen address")
-	fs.IntVar(&so.CacheSize, "cache-size", 256, "max memoized recommendations (negative disables)")
-	fs.Int64Var(&so.CacheMaxBytes, "cache-max-mb", 64, "max resident megabytes per cache (negative unbounds)")
+	fs.IntVar(&so.CacheSize, "cache-size", 512, "max memoized answers, and max remembered request spellings (negative disables)")
+	fs.Int64Var(&so.CacheMaxBytes, "cache-max-mb", 64, "max resident megabytes per cache, of the two: answers and request spellings (negative unbounds)")
 	fs.DurationVar(&so.RequestTimeout, "request-timeout", 30*time.Second, "per-request solve timeout")
 	fs.DurationVar(&o.shutdownGrace, "shutdown-grace", 10*time.Second, "graceful shutdown drain window")
 	fs.Int64Var(&so.MaxFactRows, "max-fact-rows", 0, "largest accepted fact_rows (0 = server default)")

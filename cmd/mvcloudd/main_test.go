@@ -372,7 +372,7 @@ func TestParseFlags(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	wantDefaults := server.Options{CacheSize: 256, CacheMaxBytes: 64 << 20, RequestTimeout: 30 * time.Second}
+	wantDefaults := server.Options{CacheSize: 512, CacheMaxBytes: 64 << 20, RequestTimeout: 30 * time.Second}
 	if d.server != wantDefaults || d.addr != ":8080" || d.shutdownGrace != 10*time.Second ||
 		d.debugAddr != "" || d.clusterWorkers != 0 || d.clusterSeed != 0 {
 		t.Errorf("defaults: %+v", d)

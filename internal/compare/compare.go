@@ -265,7 +265,7 @@ func (r Request) normalize() (normalized, error) {
 			if err != nil {
 				return normalized{}, err
 			}
-			providers = append(providers, p)
+			providers = append(providers, *p)
 		}
 	}
 	seen := map[string]bool{}

@@ -217,7 +217,7 @@ func resolveGrid(cj core.ConfigJSON, names []string, budget *money.Money, limit 
 		if err != nil {
 			return core.Config{}, nil, 0, 0, err
 		}
-		provs = append(provs, p)
+		provs = append(provs, *p)
 	}
 	var b money.Money
 	if budget != nil {

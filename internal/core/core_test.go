@@ -296,7 +296,7 @@ func TestSharedAllocBudget(t *testing.T) {
 		t.Fatal(err)
 	}
 	if allocs := testing.AllocsPerRun(50, func() {
-		if _, err := sh.Advisor(prov, "small", 5); err != nil {
+		if _, err := sh.Advisor(*prov, "small", 5); err != nil {
 			t.Fatal(err)
 		}
 	}); allocs > 11 { // 10

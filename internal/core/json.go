@@ -243,7 +243,7 @@ func (cj ConfigJSON) Config() (Config, error) {
 // own (pricing.LookupShared): Config.Provider is to be read, not edited.
 // A config that names no tariff (the grid wire forms, whose tariffs are
 // lists of their own) resolves with a nil Provider, New's default.
-func (cj ConfigJSON) Resolve() (Config, error) {
+func (cj *ConfigJSON) Resolve() (Config, error) {
 	cfg := Config{
 		InstanceType:    cj.InstanceType,
 		Instances:       cj.Instances,
@@ -266,7 +266,7 @@ func (cj ConfigJSON) Resolve() (Config, error) {
 		if err != nil {
 			return Config{}, err
 		}
-		cfg.Provider = &p
+		cfg.Provider = p
 	}
 	if cj.MaintenancePolicy == "deferred" {
 		cfg.MaintenancePolicy = views.DeferredMaintenance

@@ -237,14 +237,15 @@ func MeridianGrid() Provider {
 // builtins is the immutable, built-once catalog state; the exported
 // accessors hand out clones so callers can never corrupt the fixtures.
 type builtins struct {
-	providers map[string]Provider
+	providers map[string]*Provider
 	names     []string // sorted
 }
 
 var loadBuiltins = sync.OnceValue(func() builtins {
 	ps := []Provider{AWS2012(), StratusCloud(), NimbusCompute(), CumulusStore(), MeridianGrid()}
-	b := builtins{providers: make(map[string]Provider, len(ps))}
-	for _, p := range ps {
+	b := builtins{providers: make(map[string]*Provider, len(ps))}
+	for i := range ps {
+		p := &ps[i]
 		b.providers[p.Name] = p
 		b.names = append(b.names, p.Name)
 	}
@@ -280,14 +281,14 @@ func Lookup(name string) (Provider, error) {
 }
 
 // LookupShared returns a built-in provider by name without copying it:
-// the value's instance map and tier slices are the catalog's own, so the
-// caller may read and price against it but must not write through them.
-// The serving path, which resolves a provider per request and only ever
-// reads it, uses this; anything that edits a tariff wants Lookup.
-func LookupShared(name string) (Provider, error) {
+// the pointer is to the catalog's own value, so the caller may read and
+// price against it but must not write through it. The serving path,
+// which resolves a provider per request and only ever reads it, uses
+// this; anything that edits a tariff wants Lookup.
+func LookupShared(name string) (*Provider, error) {
 	p, ok := loadBuiltins().providers[name]
 	if !ok {
-		return Provider{}, fmt.Errorf("pricing: unknown provider %q (have %v)", name, ProviderNames())
+		return nil, fmt.Errorf("pricing: unknown provider %q (have %v)", name, ProviderNames())
 	}
 	return p, nil
 }

@@ -107,7 +107,7 @@ func TestLookupSharedMatchesLookup(t *testing.T) {
 			t.Fatal(err)
 		}
 		got, err := LookupShared(name)
-		if err != nil || !reflect.DeepEqual(got, want) {
+		if err != nil || !reflect.DeepEqual(*got, want) {
 			t.Errorf("LookupShared(%s) = %+v, %v; Lookup gives %+v", name, got, err, want)
 		}
 	}

@@ -6,8 +6,7 @@ import "sync"
 // keys to marshaled response bodies, evicting by SIEVE ("SIEVE is
 // Simpler than LRU", NSDI 2024). It is bounded in entry count and in
 // resident bytes (keys + values), so operators can cap the daemon's
-// cache memory. Get returns a defensive copy, so the interior bytes can
-// never be mutated through an escaped slice; Put takes ownership of val.
+// cache memory. Put takes ownership of val; view hands it out read-only.
 //
 // Entries sit in one list in insertion order. A hit only sets the
 // entry's visited bit; nothing is relinked. Eviction walks a hand from
@@ -21,8 +20,7 @@ import "sync"
 //
 // Entries are recycled. An entry taken off the list is held by no one
 // else — every read copies its fields out under the lock — so it can be
-// the next insert's entry: its own cache's (spare), or, through onEvict,
-// another cache's, which adopts it as it is. Its old value is dropped,
+// the cache's next insert's entry (spare). Its old value is dropped,
 // never written into, so a body served from it stays as it was.
 type sieveCache struct {
 	mu       sync.Mutex
@@ -37,13 +35,6 @@ type sieveCache struct {
 	// evictions counts entries removed by the capacity bounds (not
 	// replacements), exported as mvcloud_cache_evictions_total.
 	evictions int64
-	// onEvict, when non-nil, takes each capacity-evicted entry, off the
-	// list, and returns one this cache may reuse, or nil (the
-	// graceful-degradation hook: the server's stale tier adopts what the
-	// response cache evicts and hands back its own victim). Called with
-	// c.mu held, so the callback must not touch this cache. Without it,
-	// the cache reuses its victims itself.
-	onEvict func(e *sieveEntry) *sieveEntry
 	// spare is an entry no list holds, zeroed, for the next insert.
 	spare *sieveEntry
 }
@@ -60,7 +51,7 @@ type sieveEntry struct {
 func (e *sieveEntry) size() int64 { return int64(len(e.key) + len(e.val) + len(e.ref)) }
 
 // newSieveCache builds a cache holding at most capacity entries and
-// maxBytes resident bytes; capacity < 1 disables caching (every Get
+// maxBytes resident bytes; capacity < 1 disables caching (every view
 // misses, every Put is dropped), maxBytes < 1 means unbounded bytes.
 func newSieveCache(capacity int, maxBytes int64) *sieveCache {
 	c := &sieveCache{cap: capacity, capBytes: maxBytes, entries: make(map[string]*sieveEntry)}
@@ -68,27 +59,12 @@ func newSieveCache(capacity int, maxBytes int64) *sieveCache {
 	return c
 }
 
-// Get returns a copy of the cached value and marks the key visited.
-// Copying keeps the cached bytes unaliased: a caller scribbling on the
-// returned slice cannot corrupt what later readers are served.
-func (c *sieveCache) Get(key string) ([]byte, bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	e, ok := c.entries[key]
-	if !ok {
-		return nil, false
-	}
-	e.visited = true
-	return append([]byte(nil), e.val...), true
-}
-
 // view returns the cached value without copying and marks the key
 // visited. The returned slice aliases cache-owned memory: values are only
 // ever replaced wholesale (never scribbled in place, not even when their
 // entry is recycled), so the view stays byte-stable for as long as the
 // caller holds it, but the caller must treat it as read-only and must
-// not retain it past the request. Callers that hand the bytes to
-// arbitrary code want Get's defensive copy instead.
+// not retain it past the request.
 //
 //mvlint:hotpath
 func (c *sieveCache) view(key string) (val []byte, ok bool) {
@@ -128,9 +104,11 @@ func (c *sieveCache) PutRef(key string, label int, ref string) {
 	c.put(sieveEntry{key: key, ref: ref, label: label})
 }
 
-// put stores v's key and value in the spare entry, or a new one.
+// put stores v's key and value in the spare entry, or a new one. An
+// entry over the byte bound, or any entry when caching is disabled, is
+// not cached.
 func (c *sieveCache) put(v sieveEntry) {
-	if !c.fits(v.size()) {
+	if c.cap < 1 || (c.capBytes > 0 && v.size() > c.capBytes) {
 		return
 	}
 	c.mu.Lock()
@@ -146,31 +124,7 @@ func (c *sieveCache) put(v sieveEntry) {
 	}
 }
 
-// adopt inserts e, an entry another cache has just evicted (off its
-// list, held by no one else), as itself, and returns the entry that
-// cache may reuse: this cache's victim, or e when this cache already
-// holds the key (refreshed from e) or e does not fit. It is the stale
-// tier's side of the response cache's onEvict.
-func (c *sieveCache) adopt(e *sieveEntry) *sieveEntry {
-	if !c.fits(e.size()) {
-		return recycled(e)
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if !c.insert(e) {
-		return recycled(e)
-	}
-	spare := c.spare
-	c.spare = nil
-	return spare
-}
-
-// fits reports whether an entry of size bytes may be cached at all.
-func (c *sieveCache) fits(size int64) bool {
-	return c.cap >= 1 && (c.capBytes <= 0 || size <= c.capBytes)
-}
-
-// insert links e, off every list, as the newest entry, evicting first
+// insert links e, off the list, as the newest entry, evicting first
 // while a bound would be exceeded, so the hand never lands on it. When
 // the cache holds e's key already, that entry takes e's value instead (a
 // visit, in place) and insert reports false: e is linked nowhere. Called
@@ -192,7 +146,7 @@ func (c *sieveCache) insert(e *sieveEntry) bool {
 	return true
 }
 
-// recycled zeroes e, an entry off every list, for reuse: nothing it held
+// recycled zeroes e, an entry off the list, for reuse: nothing it held
 // stays reachable through it.
 func recycled(e *sieveEntry) *sieveEntry {
 	*e = sieveEntry{}
@@ -211,14 +165,7 @@ func (c *sieveCache) evict(n int, size int64) {
 		delete(c.entries, e.key)
 		c.bytes -= e.size()
 		c.evictions++
-		if c.onEvict != nil {
-			e = c.onEvict(e)
-		} else {
-			e = recycled(e)
-		}
-		if e != nil {
-			c.spare = e
-		}
+		c.spare = recycled(e)
 	}
 }
 

@@ -15,11 +15,11 @@ type cacheModel struct {
 	order    []modelEntry // oldest first
 	hand     int          // next eviction starts here; -1 means the oldest
 	evicted  []string     // entry.String(), in eviction order
-	onEvict  func(modelEntry)
 }
 
 // modelEntry is a value (Put) or, with ref set, a raw-key entry's
-// canonical key (PutRef), which Get and view read as nothing.
+// canonical key (PutRef): view reads a value, ref a canonical key, and
+// each reads the other kind as nothing.
 type modelEntry struct {
 	key, val     string
 	ref, visited bool
@@ -43,13 +43,15 @@ func (m *cacheModel) find(key string) int {
 	return slices.IndexFunc(m.order, func(e modelEntry) bool { return e.key == key })
 }
 
-func (m *cacheModel) get(key string) (string, bool) {
+// get marks key visited and returns what view (ref false) or ref (ref
+// true) reads from it.
+func (m *cacheModel) get(key string, ref bool) (string, bool) {
 	i := m.find(key)
 	if i < 0 {
 		return "", false
 	}
 	m.order[i].visited = true
-	if m.order[i].ref {
+	if m.order[i].ref != ref {
 		return "", true
 	}
 	return m.order[i].val, true
@@ -85,24 +87,20 @@ func (m *cacheModel) evict(n int, size int64) {
 		if m.hand = i; i == len(m.order) {
 			m.hand = -1
 		}
-		if m.onEvict != nil {
-			m.onEvict(e)
-		}
 	}
 }
 
-// FuzzCacheOps runs a random sequence of Put, PutRef, Get and view
-// calls with random value sizes against both bounds on a response cache
-// wired to a stale tier as the server wires them (what the first evicts,
-// the second adopts, and the second's victim is the first's next entry),
-// and checks both against cacheModel after every call: the same answers,
-// the same entries in the same order with the same visited bits, the
-// same hand, and the same evictions reaching onEvict once each, in order.
-// It also checks the structure itself: Len() ≤ Cap(), Bytes() is the sum
-// of the resident sizes, the map and the list hold the same entries, and
-// the hand is the sentinel or a resident entry. And it checks recycling:
-// no entry is on both lists, a spare is on neither, and every body a
-// view handed out still reads as it did, however its entry moved on.
+// FuzzCacheOps runs a random sequence of Put, PutRef, ref and view
+// calls with random value sizes against both bounds on one cache, as the
+// server's response and raw-key caches each are, and checks it against
+// cacheModel after every call: the same answers, the same entries in the
+// same order with the same visited bits, the same hand, and as many
+// evictions. It also checks the structure itself: Len() ≤ Cap(), Bytes()
+// is the sum of the resident sizes, the map and the list hold the same
+// entries, and the hand is the sentinel or a resident entry. And it
+// checks recycling: the spare is off the list and holds nothing, and
+// every body a view handed out still reads as it did, however its entry
+// moved on.
 func FuzzCacheOps(f *testing.F) {
 	f.Add(uint8(4), uint8(0), []byte{0, 3, 4, 5, 8, 1, 12, 2, 2, 0, 16, 7, 3, 0})
 	f.Add(uint8(9), uint8(40), []byte{1, 20, 5, 9, 9, 0, 13, 15, 2, 0, 17, 23, 21, 4, 6, 0})
@@ -114,14 +112,7 @@ func FuzzCacheOps(f *testing.F) {
 			ops = ops[:512]
 		}
 		c := newSieveCache(int(capacity%10)-1, int64(maxBytes%64))
-		stale := newSieveCache(int(capacity/10%4)-1, c.capBytes)
-		sm := &cacheModel{cap: stale.cap, capBytes: stale.capBytes, hand: -1}
-		m := &cacheModel{cap: c.cap, capBytes: c.capBytes, hand: -1, onEvict: sm.put}
-		var evicted []string
-		c.onEvict = func(e *sieveEntry) *sieveEntry {
-			evicted = append(evicted, residentOf(e).String())
-			return stale.adopt(e)
-		}
+		m := &cacheModel{cap: c.cap, capBytes: c.capBytes, hand: -1}
 		type served struct {
 			body []byte
 			want string
@@ -131,7 +122,7 @@ func FuzzCacheOps(f *testing.F) {
 			key := fmt.Sprintf("k%d", ops[k]/4%12)
 			val := string(bytes.Repeat([]byte{'a' + byte(k%26)}, int(ops[k+1]%24)))
 			op := ops[k] % 4
-			var got []byte
+			var got string
 			var ok bool
 			switch op {
 			case 0:
@@ -139,21 +130,21 @@ func FuzzCacheOps(f *testing.F) {
 			case 1:
 				c.PutRef(key, 1+int(ops[k+1]), val)
 			case 2:
-				got, ok = c.Get(key)
+				_, got, ok = c.ref([]byte(key))
 			case 3:
-				got, ok = c.view(key)
-				if ok {
-					views = append(views, served{got, string(got)})
+				var b []byte
+				if b, ok = c.view(key); ok {
+					views = append(views, served{b, string(b)})
 				}
+				got = string(b)
 			}
 			if op < 2 {
 				m.put(modelEntry{key: key, val: val, ref: op == 1})
-			} else if want, wantOK := m.get(key); ok != wantOK || string(got) != want {
-				t.Fatalf("op %d: %s(%q) = %q, %v; model %q, %v", k/2, [...]string{2: "Get", 3: "view"}[op], key, got, ok, want, wantOK)
+			} else if want, wantOK := m.get(key, op == 2); ok != wantOK || got != want {
+				t.Fatalf("op %d: %s(%q) = %q, %v; model %q, %v", k/2, [...]string{2: "ref", 3: "view"}[op], key, got, ok, want, wantOK)
 			}
-			checkAgainstModel(t, c, m, &evicted)
-			checkAgainstModel(t, stale, sm, nil)
-			checkRecycling(t, c, stale)
+			checkAgainstModel(t, c, m)
+			checkRecycling(t, c)
 			for _, v := range views {
 				if string(v.body) != v.want {
 					t.Fatalf("op %d: a served body changed from %q to %q", k/2, v.want, v.body)
@@ -163,9 +154,8 @@ func FuzzCacheOps(f *testing.F) {
 	})
 }
 
-// checkAgainstModel holds c to m; evicted, when non-nil, is what c's
-// onEvict saw.
-func checkAgainstModel(t *testing.T, c *sieveCache, m *cacheModel, evicted *[]string) {
+// checkAgainstModel holds c to m.
+func checkAgainstModel(t *testing.T, c *sieveCache, m *cacheModel) {
 	t.Helper()
 	if c.Len() > max(c.Cap(), 0) {
 		t.Fatalf("Len() = %d > Cap() = %d", c.Len(), c.Cap())
@@ -194,8 +184,8 @@ func checkAgainstModel(t *testing.T, c *sieveCache, m *cacheModel, evicted *[]st
 	if wantHand := m.hand; (c.hand == &c.root) != (wantHand < 0) || wantHand >= 0 && c.hand.key != m.order[wantHand].key {
 		t.Fatalf("hand on %q, model's at %d", c.hand.key, wantHand)
 	}
-	if c.Evictions() != int64(len(m.evicted)) || evicted != nil && !slices.Equal(*evicted, m.evicted) {
-		t.Fatalf("Evictions() = %d (onEvict saw %v), model evicted %v", c.Evictions(), evicted, m.evicted)
+	if c.Evictions() != int64(len(m.evicted)) {
+		t.Fatalf("Evictions() = %d, model evicted %v", c.Evictions(), m.evicted)
 	}
 }
 
@@ -208,22 +198,20 @@ func residentOf(e *sieveEntry) modelEntry {
 	return modelEntry{key: e.key, val: string(e.val), visited: e.visited}
 }
 
-// checkRecycling holds the two tiers' entries apart: no entry is on both
-// lists, and a spare — an entry about to be reused — is on neither.
-func checkRecycling(t *testing.T, caches ...*sieveCache) {
+// checkRecycling holds c's spare — the entry its next insert reuses —
+// off the list and empty, so nothing a recycled entry held stays
+// reachable through it.
+func checkRecycling(t *testing.T, c *sieveCache) {
 	t.Helper()
-	linked := map[*sieveEntry]bool{}
-	for _, c := range caches {
-		for e := c.root.newer; e != &c.root; e = e.newer {
-			if linked[e] {
-				t.Fatalf("entry %q is on two lists", e.key)
-			}
-			linked[e] = true
+	if c.spare == nil {
+		return
+	}
+	for e := c.root.newer; e != &c.root; e = e.newer {
+		if e == c.spare {
+			t.Fatalf("the spare entry is linked as %q", e.key)
 		}
 	}
-	for _, c := range caches {
-		if c.spare != nil && (linked[c.spare] || c.spare.key != "" || c.spare.val != nil) {
-			t.Fatalf("a spare entry (%q) is linked or still holds its value", c.spare.key)
-		}
+	if c.spare.key != "" || c.spare.val != nil || c.spare.ref != "" {
+		t.Fatalf("the spare entry still holds %q", c.spare.key)
 	}
 }

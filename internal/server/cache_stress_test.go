@@ -6,14 +6,15 @@ import (
 	"testing"
 )
 
-// TestCacheConcurrentStress hammers Get/Put/view/NamespaceStats/Bytes/Len
+// TestCacheConcurrentStress hammers Put/view/ref/NamespaceStats/Bytes/Len
 // from many goroutines — run under -race this is the memory-model check
 // for the serving caches — and then asserts the byte-accounting
 // invariants hold exactly: the resident byte counter must equal the sum
 // of the surviving entries' sizes, the namespace breakdown must
 // partition the cache, and both configured bounds must be respected.
-// Writers concurrently scribble on every Get result, so a defensive-copy
-// regression shows up as corrupted reads.
+// Evicted entries are recycled for later puts while views of them are
+// being read, so a recycled entry written into shows up as a corrupted
+// read.
 func TestCacheConcurrentStress(t *testing.T) {
 	const (
 		workers  = 16
@@ -46,15 +47,9 @@ func TestCacheConcurrentStress(t *testing.T) {
 					// Put hands ownership to the cache: always a fresh slice.
 					c.Put(key, valFor(ns, k))
 				case 2:
-					if v, ok := c.Get(key); ok {
-						if string(v) != string(valFor(ns, k)) {
-							t.Errorf("corrupt read for %q: %q", key, v)
-						}
-						// Scribble on the returned copy; later readers must
-						// still see pristine bytes.
-						for j := range v {
-							v[j] = '!'
-						}
+					// A value entry carries no label and no canonical key.
+					if label, ref, ok := c.ref([]byte(key)); ok && (label != 0 || ref != "") {
+						t.Errorf("ref(%q) = %d, %q on a value entry", key, label, ref)
 					}
 				case 3:
 					if v, ok := c.view(key); ok {
@@ -115,11 +110,10 @@ func TestCacheConcurrentStress(t *testing.T) {
 			t.Errorf("unexpected namespace %q", ns)
 		}
 	}
-	// Every surviving entry still round-trips pristine bytes despite the
-	// concurrent scribbling above.
+	// Every surviving entry still round-trips the bytes it was put with.
 	for _, ns := range namespaces {
 		for k := 0; k < keySpace; k++ {
-			if v, ok := c.Get(keyFor(ns, k)); ok {
+			if v, ok := c.view(keyFor(ns, k)); ok {
 				if want := valFor(ns, k); string(v) != string(want) {
 					t.Errorf("entry %q corrupted: %q != %q", keyFor(ns, k), v, want)
 				}

@@ -34,7 +34,7 @@ type clusterState struct {
 	forwards  atomic.Int64
 	failovers atomic.Int64
 	// allDown counts requests whose every candidate was unusable or
-	// failed — the shed-or-stale degradation path.
+	// failed — shed with the detector's cooldown as their backoff.
 	allDown atomic.Int64
 }
 
@@ -60,7 +60,7 @@ func (cl *clusterState) registerClusterMetrics(reg *obs.Registry) {
 		func() float64 { return float64(cl.forwards.Load()) })
 	reg.CounterFunc("mvcloud_cluster_failovers_total", "Forwarded attempts that failed over to a ring successor.",
 		func() float64 { return float64(cl.failovers.Load()) })
-	reg.CounterFunc("mvcloud_cluster_all_down_total", "Requests whose every ring candidate was down (shed or served stale).",
+	reg.CounterFunc("mvcloud_cluster_all_down_total", "Requests whose every ring candidate was down (shed).",
 		func() float64 { return float64(cl.allDown.Load()) })
 	reg.GaugeFunc("mvcloud_cluster_workers", "Workers in the ring.",
 		func() float64 { return float64(cl.ring.Len()) })
@@ -107,9 +107,9 @@ func (s *Server) runForward(ctx context.Context, e *endpoint, account, key, cach
 // successors, skipping workers the failure detector has ejected, up to
 // the maxAttempts failover budget. When every candidate is down or
 // failed, or the request deadline passes with waiters still there, the
-// request degrades: the frontend's stale tier if it holds
-// the key, otherwise a shed with Retry-After set to the detector
-// cooldown — never a hang, never a raw 5xx.
+// request is shed with Retry-After set to the detector cooldown — never
+// a hang, never a raw 5xx. An answer the frontend holds never gets here:
+// it is a hit before any forward.
 func (s *Server) forward(ctx context.Context, e *endpoint, account, body, cacheKey string) outcome {
 	cl := s.cluster
 	cands := cl.ring.Prefer(cacheKey, make([]string, 0, cl.ring.Len()))
@@ -122,7 +122,7 @@ func (s *Server) forward(ctx context.Context, e *endpoint, account, body, cacheK
 			continue
 		}
 		attempts++
-		out, failover := s.forwardOnce(ctx, w, e, account, bodyBytes, cacheKey)
+		out, failover := s.forwardOnce(ctx, w, e, account, bodyBytes)
 		if !failover {
 			return out
 		}
@@ -135,11 +135,9 @@ func (s *Server) forward(ctx context.Context, e *endpoint, account, body, cacheK
 	}
 
 	// Every candidate down, ejected, or failed, or the deadline gone:
-	// degrade rather than error. The stale tier is consulted for every
-	// endpoint here — unlike admission sheds, where only advise qualifies
-	// — because an outdated answer beats no answer when the fleet is gone.
+	// shed rather than error.
 	cl.allDown.Add(1)
-	return s.shedOrStale(true, cacheKey, outcome{retryAfter: cl.health.Cooldown(), shedMsg: "no healthy worker for this request, retry later"})
+	return outcome{shed: true, retryAfter: cl.health.Cooldown(), shedMsg: "no healthy worker for this request, retry later"}
 }
 
 // forwardOnce sends one attempt to one worker under the per-attempt
@@ -149,7 +147,7 @@ func (s *Server) forward(ctx context.Context, e *endpoint, account, body, cacheK
 // candidate, or the request deadline passed and the caller should
 // degrade. Otherwise the outcome is final (success, shed passthrough,
 // client error, or the solve abandoned by its last waiter).
-func (s *Server) forwardOnce(ctx context.Context, worker string, e *endpoint, account string, body []byte, cacheKey string) (outcome, bool) {
+func (s *Server) forwardOnce(ctx context.Context, worker string, e *endpoint, account string, body []byte) (outcome, bool) {
 	cl := s.cluster
 	cl.forwards.Add(1)
 	actx, cancel := context.WithTimeout(ctx, cl.attemptTimeout)
@@ -164,7 +162,7 @@ func (s *Server) forwardOnce(ctx context.Context, worker string, e *endpoint, ac
 			// the worker. The detector only frees the half-open probe slot
 			// this forward may hold. An abandoned solve has nobody to
 			// answer; a deadline still has waiters, who get forward's
-			// shed-or-stale.
+			// shed.
 			cl.health.ReportAbandoned(worker)
 			if abandoned(ctx) {
 				return outcome{err: ctx.Err()}, false
@@ -186,7 +184,7 @@ func (s *Server) forwardOnce(ctx context.Context, worker string, e *endpoint, ac
 		// The owner is alive but refusing work: pass the shed through
 		// with the worker's own backoff hint rather than failing over —
 		// a loaded fleet does not need the successor loaded too.
-		return s.shedOrStale(e.staleOK, cacheKey, outcome{retryAfter: rep.RetryAfter, worker: worker}), false
+		return outcome{shed: true, retryAfter: rep.RetryAfter, worker: worker}, false
 	default:
 		// 4xx: the request itself is bad; retrying elsewhere cannot fix
 		// it.

@@ -63,10 +63,10 @@ func e2eBody(endpoint, n int) string {
 // not a 200 or a 429 carrying Retry-After is an error: the traffic is
 // all valid, so an error is a server bug or an injected panic.
 type e2eTally struct {
-	requests, errors, shed         int
-	hits, misses, coalesced, stale int
-	degraded                       int
-	latency                        []time.Duration
+	requests, errors, shed  int
+	hits, misses, coalesced int
+	degraded                int
+	latency                 []time.Duration
 }
 
 func (a e2eTally) served() int { return a.hits + a.misses + a.coalesced }
@@ -81,7 +81,6 @@ func e2eTotal(by [3]e2eTally) e2eTally {
 		sum.hits += a.hits
 		sum.misses += a.misses
 		sum.coalesced += a.coalesced
-		sum.stale += a.stale
 		sum.degraded += a.degraded
 		sum.latency = append(sum.latency, a.latency...)
 	}
@@ -149,8 +148,6 @@ func (l e2eLoad) run(t *testing.T, s *Server) [3]e2eTally {
 						a.misses++
 					case "coalesced":
 						a.coalesced++
-					case "stale":
-						a.stale++
 					}
 				}
 				mu.Unlock()
@@ -296,8 +293,7 @@ func TestChaosPanicContainmentE2E(t *testing.T) {
 // 3-worker fleet takes a mixed load while 2 of the 3 workers are
 // killed mid-run. The contract is the overload-safe serving story
 // extended across the topology — zero hung requests, zero hard errors
-// (every response is a success, degraded, stale serve, or
-// 429+Retry-After), and after the run drains there is not one solve
+// (every response is a success, degraded, or 429+Retry-After), and after the run drains there is not one solve
 // goroutine left anywhere: frontend, survivors, or corpses.
 func TestClusterChaosKillAllButOneE2E(t *testing.T) {
 	lc := testCluster(t, LocalClusterOptions{
@@ -334,7 +330,7 @@ func TestClusterChaosKillAllButOneE2E(t *testing.T) {
 
 	// The hard gate: nothing but 200s and 429s ever reached a client.
 	if all.errors+after.errors != 0 {
-		t.Fatalf("%d+%d hard errors with 2/3 workers dead (want only success/degraded/stale/429)", all.errors, after.errors)
+		t.Fatalf("%d+%d hard errors with 2/3 workers dead (want only success/degraded/429)", all.errors, after.errors)
 	}
 	if all.served() == 0 || after.served() == 0 {
 		t.Fatalf("served %d during, %d after the kill: the surviving worker did not carry its share of the ring",
@@ -342,8 +338,8 @@ func TestClusterChaosKillAllButOneE2E(t *testing.T) {
 	}
 	for _, a := range []e2eTally{all, after} {
 		if a.served()+a.shed != a.requests {
-			t.Errorf("outcome accounting: served %d + shed %d != total %d (stale %d, degraded %d)",
-				a.served(), a.shed, a.requests, a.stale, a.degraded)
+			t.Errorf("outcome accounting: served %d + shed %d != total %d (degraded %d)",
+				a.served(), a.shed, a.requests, a.degraded)
 		}
 	}
 	// Whole-topology drain: the killed workers' cancelled solves, the

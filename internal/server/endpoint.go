@@ -13,8 +13,7 @@ import (
 // request (the leader), an error (bad request, timeout, cancel, failed
 // solve), or one of the overload outcomes — shed (429 under admission
 // control), degraded (solve stopped at its deadline with the best
-// incumbent), stale (shed request served an evicted cache entry), panic
-// (solve panicked and was contained to a 500).
+// incumbent), panic (solve panicked and was contained to a 500).
 type outcomeKind uint8
 
 const (
@@ -24,12 +23,11 @@ const (
 	outcomeError
 	outcomeShed
 	outcomeDegraded
-	outcomeStale
 	outcomePanic
 	numOutcomes
 )
 
-var outcomeNames = [numOutcomes]string{"hit", "coalesced", "solve", "error", "shed", "degraded", "stale", "panic"}
+var outcomeNames = [numOutcomes]string{"hit", "coalesced", "solve", "error", "shed", "degraded", "panic"}
 
 // xCache is each outcome's X-Cache header value; nil (the error
 // outcomes) sends none. A leader's response is a miss whether or not
@@ -39,7 +37,6 @@ var xCache = [numOutcomes][]string{
 	outcomeCoalesced: {"coalesced"},
 	outcomeSolve:     {"miss"},
 	outcomeDegraded:  {"miss"},
-	outcomeStale:     {"stale"},
 }
 
 // endpoint is one memoized POST route as a row: everything the shared
@@ -56,11 +53,6 @@ type endpoint struct {
 	newReq func() memoRequest
 	// adm is the admission class the endpoint's solve leaders queue in.
 	adm *admission
-	// staleOK lets a shed request be served an evicted cache entry
-	// instead of a 429. Only advise qualifies: its responses are small and
-	// per-problem, exactly what a client polling under overload wants;
-	// compare/sweep grids are the floods being shed in the first place.
-	staleOK bool
 
 	// The ceilings: the server-side bounds checkCeilings holds a
 	// normalized request to, beyond what its Normalize rejects. A request

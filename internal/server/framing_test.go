@@ -88,8 +88,8 @@ func serve(t *testing.T, s *Server) (addr string) {
 // TestResponseFraming: every response body leaves with its
 // Content-Length, however it was produced — a miss, a byte-identical
 // hit, a re-spelled hit, a follower's copy of another request's solve,
-// a stale entry, a 400, a 429, a cluster frontend's forwarded miss and
-// its hit. Left to net/http, any body over 2 KB (every compare and
+// a hit and a 429 under shed, a 400, a cluster frontend's forwarded miss
+// and its hit. Left to net/http, any body over 2 KB (every compare and
 // sweep answer) goes out chunked.
 func TestResponseFraming(t *testing.T) {
 	endpoints := []struct {
@@ -154,19 +154,25 @@ func TestResponseFraming(t *testing.T) {
 		})
 	}
 
-	// Stale: only advise may be answered from the stale tier on a shed.
-	t.Run("advise/stale", func(t *testing.T) {
+	// Under shed: the answer the cache holds is a hit, the one it evicted
+	// a 429 with Retry-After.
+	t.Run("advise/evicted", func(t *testing.T) {
 		s := New(Options{CacheSize: 1, AdviseWorkers: 1, AdviseQueue: -1})
 		addr := serve(t, s)
-		first := rawPost(t, addr, "/v1/advise", adviseBody("mv1", `"budget":25`))
-		checkFramed(t, "prime", first, 200, "miss")
-		checkFramed(t, "evict", rawPost(t, addr, "/v1/advise", adviseBody("mv1", `"budget":40`)), 200, "miss")
+		checkFramed(t, "prime", rawPost(t, addr, "/v1/advise", adviseBody("mv1", `"budget":25`)), 200, "miss")
+		second := rawPost(t, addr, "/v1/advise", adviseBody("mv1", `"budget":40`))
+		checkFramed(t, "evict", second, 200, "miss")
 		drainSolves(t, s, 5*time.Second)
 		s.admCheap.backlog.Add(1)
-		stale := rawPost(t, addr, "/v1/advise", adviseBody("mv1", `"budget":25`))
-		checkFramed(t, "stale", stale, 200, "stale")
-		if !bytes.Equal(stale.after, first.after) {
-			t.Error("stale body differs from the original")
+		hit := rawPost(t, addr, "/v1/advise", adviseBody("mv1", `"budget":40`))
+		checkFramed(t, "resident", hit, 200, "hit")
+		if !bytes.Equal(hit.after, second.after) {
+			t.Error("the hit's body differs from the miss's")
+		}
+		shed := rawPost(t, addr, "/v1/advise", adviseBody("mv1", `"budget":25`))
+		checkFramed(t, "evicted", shed, 429, "")
+		if shed.header.Get("Retry-After") == "" {
+			t.Error("429 without Retry-After")
 		}
 	})
 

@@ -141,9 +141,9 @@ func TestClusterFailoverOnDeadWorker(t *testing.T) {
 }
 
 // TestClusterAllDownDegrades is the darkest corner: every worker dead.
-// A key the frontend's stale tier still holds is served with
-// X-Cache: stale; anything else is shed with 429 + Retry-After. No
-// hangs, no raw 5xx.
+// A key the frontend holds is an ordinary hit — it never reaches a
+// forward — and anything else, the key the frontend evicted included, is
+// shed with 429 + Retry-After. No hangs, no raw 5xx.
 func TestClusterAllDownDegrades(t *testing.T) {
 	lc := testCluster(t, LocalClusterOptions{
 		Workers:  2,
@@ -155,45 +155,40 @@ func TestClusterAllDownDegrades(t *testing.T) {
 	if w := do(t, lc.Frontend, "POST", "/v1/advise", bodyA); w.Code != 200 {
 		t.Fatalf("prime A: status %d: %s", w.Code, w.Body.String())
 	}
-	// B evicts A from the 1-entry frontend cache into the stale tier.
+	// B evicts A from the 1-entry frontend cache.
 	if w := do(t, lc.Frontend, "POST", "/v1/advise", bodyB); w.Code != 200 {
 		t.Fatalf("prime B: status %d: %s", w.Code, w.Body.String())
-	}
-	if lc.Frontend.stale.Len() == 0 {
-		t.Fatal("eviction did not populate the frontend stale tier")
 	}
 	drainCluster(t, lc, 5*time.Second)
 	for _, id := range lc.ids {
 		lc.Transport.Kill(id)
 	}
 
-	// A's response is only in the stale tier: served, clearly marked.
 	start := time.Now()
-	w := do(t, lc.Frontend, "POST", "/v1/advise", bodyA)
-	if w.Code != 200 || w.Header().Get("X-Cache") != "stale" {
-		t.Fatalf("stale serve: status %d, X-Cache %q: %s", w.Code, w.Header().Get("X-Cache"), w.Body.String())
+	// B is resident: an ordinary hit, fleet or no fleet.
+	if w := do(t, lc.Frontend, "POST", "/v1/advise", bodyB); w.Code != 200 || w.Header().Get("X-Cache") != "hit" {
+		t.Errorf("resident key during outage: status %d, X-Cache %q, want a 200 hit", w.Code, w.Header().Get("X-Cache"))
 	}
-	// B is still in the primary cache: an ordinary hit, fleet or no fleet.
-	if w := do(t, lc.Frontend, "POST", "/v1/advise", bodyB); w.Header().Get("X-Cache") != "hit" {
-		t.Errorf("resident key during outage: X-Cache = %q, want \"hit\"", w.Header().Get("X-Cache"))
-	}
-	// A cold key has nothing to fall back on: shed with backoff advice.
-	w = do(t, lc.Frontend, "POST", "/v1/advise", adviseBody("mv1", `"budget":77`))
-	if w.Code != 429 {
-		t.Fatalf("cold key during outage: status %d, want 429: %s", w.Code, w.Body.String())
-	}
-	if secs, err := strconv.Atoi(w.Header().Get("Retry-After")); err != nil || secs < 1 {
-		t.Errorf("Retry-After = %q, want a positive integer", w.Header().Get("Retry-After"))
-	}
-	if !strings.Contains(w.Body.String(), "no healthy worker") {
-		t.Errorf("shed body: %s", w.Body.String())
+	// The evicted key and a cold one have nothing to be served from: shed
+	// with backoff advice.
+	for what, body := range map[string]string{"evicted": bodyA, "cold": adviseBody("mv1", `"budget":77`)} {
+		w := do(t, lc.Frontend, "POST", "/v1/advise", body)
+		if w.Code != 429 {
+			t.Fatalf("%s key during outage: status %d, want 429: %s", what, w.Code, w.Body.String())
+		}
+		if secs, err := strconv.Atoi(w.Header().Get("Retry-After")); err != nil || secs < 1 {
+			t.Errorf("%s key: Retry-After = %q, want a positive integer", what, w.Header().Get("Retry-After"))
+		}
+		if !strings.Contains(w.Body.String(), "no healthy worker") {
+			t.Errorf("%s key: shed body: %s", what, w.Body.String())
+		}
 	}
 	// Dead workers refuse instantly; nothing above may burn a timeout.
 	if elapsed := time.Since(start); elapsed > 2*time.Second {
 		t.Errorf("all-down handling took %v, want fast-fail", elapsed)
 	}
-	if got := lc.Frontend.cluster.allDown.Load(); got < 2 {
-		t.Errorf("allDown = %d, want ≥ 2", got)
+	if got := lc.Frontend.cluster.allDown.Load(); got != 2 {
+		t.Errorf("allDown = %d, want 2", got)
 	}
 	drainCluster(t, lc, 5*time.Second)
 }
@@ -586,8 +581,8 @@ func TestAbandonedProbeFreesTheSlot(t *testing.T) {
 
 // TestClusterForwardPastDeadlineDegrades: a forward still in flight when the
 // request deadline passes has waiters left, so the request degrades as
-// when the whole ring is down — a 429 with Retry-After here, where no
-// stale copy exists — never a raw 503. The deadline is the request's,
+// when the whole ring is down — a 429 with Retry-After — never a raw
+// 503. The deadline is the request's,
 // not the worker's: nothing is held against the owner, and no successor
 // is tried with the dead context.
 func TestClusterForwardPastDeadlineDegrades(t *testing.T) {

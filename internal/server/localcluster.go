@@ -7,12 +7,12 @@ import (
 
 // LocalClusterOptions configures a single-process cluster: one
 // stateless frontend plus N workers wired over a MemTransport. The
-// frontend keeps its own canonicalization, memoization, singleflight and
-// stale tiers, but routes every cold solve to a worker chosen by
+// frontend keeps its own canonicalization, memoization and
+// singleflight, but routes every cold solve to a worker chosen by
 // rendezvous hashing on the canonical cache key — so each worker's
 // cache, kernel sessions and pools stay hot for "its" problems — with
-// failover to the ring successor, and shed-or-stale degradation when a
-// key's whole candidate set is down. The frontend learns worker health
+// failover to the ring successor, and a shed when a key's whole
+// candidate set is down. The frontend learns worker health
 // from its own forwards only: failed ones eject a worker (shard.Tracker),
 // and there is no background prober. A slow or silent worker is the
 // per-attempt timeout's business (TestClusterPartitionFailsOver): half

@@ -68,54 +68,53 @@ func TestShedRetryAfter(t *testing.T) {
 	drainSolves(t, s, 5*time.Second)
 }
 
-// TestStaleServeUnderShed pins the degradation ladder's stale tier: a
-// shed advise request whose response was evicted from the primary
-// cache is served the evicted entry with X-Cache: stale instead of a
-// 429, byte-identical to the original response; a shed request with no
-// stale entry still gets the 429.
-func TestStaleServeUnderShed(t *testing.T) {
+// TestResidentAnswerUnderShed pins the one-cache degradation ladder: with
+// the cheap class saturated, an advise answer the cache holds is served
+// as a hit, byte-identical, because a hit never asks admission; the
+// answer the cache evicted to make room is a solve like any cold one, so
+// it is shed with 429 + Retry-After. No outcome="stale" series exists.
+func TestResidentAnswerUnderShed(t *testing.T) {
 	s := New(Options{CacheSize: 1, AdviseWorkers: 1, AdviseQueue: -1})
 
-	bodyA := adviseBody("mv1", `"budget":25`)
-	wA := do(t, s, "POST", "/v1/advise", bodyA)
-	if wA.Code != 200 {
-		t.Fatalf("prime A: status %d: %s", wA.Code, wA.Body.String())
+	bodyA, bodyB := adviseBody("mv1", `"budget":25`), adviseBody("mv1", `"budget":40`)
+	if w := do(t, s, "POST", "/v1/advise", bodyA); w.Code != 200 {
+		t.Fatalf("prime A: status %d: %s", w.Code, w.Body.String())
 	}
-	// B evicts A from the 1-entry primary cache into the stale tier.
-	if w := do(t, s, "POST", "/v1/advise", adviseBody("mv1", `"budget":40`)); w.Code != 200 {
-		t.Fatalf("prime B: status %d: %s", w.Code, w.Body.String())
-	}
-	if s.stale.Len() == 0 {
-		t.Fatal("eviction did not populate the stale tier")
+	// B evicts A from the 1-entry cache.
+	wB := do(t, s, "POST", "/v1/advise", bodyB)
+	if wB.Code != 200 {
+		t.Fatalf("prime B: status %d: %s", wB.Code, wB.Body.String())
 	}
 	drainSolves(t, s, 5*time.Second)
 
 	s.admCheap.backlog.Add(1) // cheap class saturated from here on
 
-	// A's leader is shed, but its evicted response survives: 200, marked.
-	w := do(t, s, "POST", "/v1/advise", bodyA)
-	if w.Code != 200 {
-		t.Fatalf("stale serve: status %d: %s", w.Code, w.Body.String())
+	w := do(t, s, "POST", "/v1/advise", bodyB)
+	if w.Code != 200 || w.Header().Get("X-Cache") != "hit" {
+		t.Fatalf("resident answer under shed: status %d, X-Cache %q, want a 200 hit", w.Code, w.Header().Get("X-Cache"))
 	}
-	if got := w.Header().Get("X-Cache"); got != "stale" {
-		t.Errorf("X-Cache = %q, want \"stale\"", got)
+	if w.Body.String() != wB.Body.String() {
+		t.Error("the hit is not byte-identical to the solve")
 	}
-	if w.Body.String() != wA.Body.String() {
-		t.Error("stale response is not byte-identical to the original")
+	w = do(t, s, "POST", "/v1/advise", bodyA)
+	if w.Code != 429 {
+		t.Fatalf("evicted answer under shed: status %d, want 429: %s", w.Code, w.Body.String())
 	}
-	if got := statsOf(t, s).Advise.Stale; got != 1 {
-		t.Errorf("/v1/stats stale = %d, want 1", got)
+	if secs, err := strconv.Atoi(w.Header().Get("Retry-After")); err != nil || secs < 1 {
+		t.Errorf("Retry-After = %q, want a positive integer", w.Header().Get("Retry-After"))
 	}
-
-	// A request with no stale entry has nothing to fall back on: 429.
-	if w := do(t, s, "POST", "/v1/advise", adviseBody("mv1", `"budget":33`)); w.Code != 429 {
-		t.Errorf("shed without stale entry: status %d, want 429", w.Code)
+	if a := statsOf(t, s).Advise; a.CacheHits != 1 || a.Shed != 1 || a.Solves != 2 {
+		t.Errorf("/v1/stats hits %d, shed %d, solves %d; want 1, 1, 2", a.CacheHits, a.Shed, a.Solves)
 	}
 
 	samples := scrape(t, s)
 	if v, _ := findSample(samples, "mvcloud_http_requests_total",
-		map[string]string{"endpoint": "advise", "outcome": "stale"}); v != 1 {
-		t.Errorf("requests_total{advise,stale} = %g, want 1", v)
+		map[string]string{"endpoint": "advise", "outcome": "shed"}); v != 1 {
+		t.Errorf("requests_total{advise,shed} = %g, want 1", v)
+	}
+	if _, ok := findSample(samples, "mvcloud_http_requests_total",
+		map[string]string{"endpoint": "advise", "outcome": "stale"}); ok {
+		t.Error("/metrics still carries an outcome=\"stale\" series")
 	}
 	s.admCheap.backlog.Add(-1)
 	drainSolves(t, s, 5*time.Second)

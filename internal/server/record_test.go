@@ -146,14 +146,12 @@ func TestSolveContextDerivedStartsNoGoroutine(t *testing.T) {
 	}
 }
 
-// TestRecycledEntriesStayApart wires a response cache to a stale tier as
-// the server does and checks, through a run of evictions, that the
-// response cache's inserts reuse the stale tier's victims, that no entry
-// is ever on both lists, and that every body a view handed out still
-// reads as it did.
+// TestRecycledEntriesStayApart runs a 4-entry cache through a run of
+// evictions and checks that each insert reuses the entry the last one
+// evicted, that the spare is never linked, and that every body a view
+// handed out still reads as it did.
 func TestRecycledEntriesStayApart(t *testing.T) {
-	c, stale := newSieveCache(4, 0), newSieveCache(4, 0)
-	c.onEvict = stale.adopt
+	c := newSieveCache(4, 0)
 	type served struct {
 		body []byte
 		want string
@@ -166,14 +164,9 @@ func TestRecycledEntriesStayApart(t *testing.T) {
 		if b, ok := c.view(key); ok {
 			views = append(views, served{b, string(b)})
 		}
-		if b, ok := stale.Get(fmt.Sprintf("k%d", i-4)); ok && string(b) != fmt.Sprintf("k%d-body", i-4) {
-			t.Fatalf("stale tier holds %q under k%d", b, i-4)
-		}
-		checkRecycling(t, c, stale)
-		for _, cc := range []*sieveCache{c, stale} {
-			for e := cc.root.newer; e != &cc.root; e = e.newer {
-				seen[e] = true
-			}
+		checkRecycling(t, c)
+		for e := c.root.newer; e != &c.root; e = e.newer {
+			seen[e] = true
 		}
 		for _, v := range views {
 			if !bytes.Equal(v.body, []byte(v.want)) {
@@ -181,20 +174,20 @@ func TestRecycledEntriesStayApart(t *testing.T) {
 			}
 		}
 	}
-	// 8 entries fill both tiers, plus the one in hand while the stale
-	// tier's victim moves over; every later insert reuses one of them.
-	if len(seen) > 9 {
-		t.Errorf("%d distinct entries for 64 inserts into two 4-entry tiers; the victims are not reused", len(seen))
+	// 4 entries fill the cache, plus the one the first eviction frees;
+	// every later insert reuses the last victim.
+	if len(seen) > 5 {
+		t.Errorf("%d distinct entries for 64 inserts into a 4-entry cache; the victims are not reused", len(seen))
 	}
 }
 
 // TestRecycledEntriesConcurrent is the race detector's half: readers
-// view and copy while writers insert through a full response cache into
-// a full stale tier, so entries are recycled under the readers' feet. A
-// body read must always be the one its key was written with.
+// view values and raw keys while writers insert through a full cache,
+// so entries are recycled under the readers' feet. A body read must
+// always be the one its key was written with, and a raw key's canonical
+// key the one it was remembered with.
 func TestRecycledEntriesConcurrent(t *testing.T) {
-	c, stale := newSieveCache(8, 0), newSieveCache(8, 0)
-	c.onEvict = stale.adopt
+	c := newSieveCache(8, 0)
 	body := func(k int) []byte { return []byte(fmt.Sprintf("body-%d-%s", k, bytes.Repeat([]byte{'x'}, k%7))) }
 	var wg sync.WaitGroup
 	for g := range 4 {
@@ -204,21 +197,23 @@ func TestRecycledEntriesConcurrent(t *testing.T) {
 			for i := range 2000 {
 				k := (g*13 + i*7) % 40
 				key := fmt.Sprint(k)
-				switch i % 3 {
+				switch i % 4 {
 				case 0:
 					c.Put(key, body(k))
 				case 1:
+					c.PutRef("raw"+key, 1+k%5, string(body(k)))
+				case 2:
 					if v, ok := c.view(key); ok && string(v) != string(body(k)) {
 						t.Errorf("view(%s) = %q", key, v)
 					}
-				case 2:
-					if v, ok := stale.Get(key); ok && string(v) != string(body(k)) {
-						t.Errorf("stale Get(%s) = %q", key, v)
+				case 3:
+					if label, ref, ok := c.ref([]byte("raw" + key)); ok && (label != 1+k%5 || ref != string(body(k))) {
+						t.Errorf("ref(raw%s) = %d, %q", key, label, ref)
 					}
 				}
 			}
 		}()
 	}
 	wg.Wait()
-	checkRecycling(t, c, stale)
+	checkRecycling(t, c)
 }

@@ -300,7 +300,7 @@ func (r *adviseRequest) solve(ctx context.Context, tr *obs.Trace, ws *core.Works
 		rec:        &rec,
 		front:      front,
 	}
-	b, err := encodeBody(tr, &ans)
+	b, err := encodeBody(tr, ans.AppendJSON)
 	return b, ans.degraded(), err
 }
 
@@ -338,7 +338,7 @@ func (r *compareRequest) solve(ctx context.Context, tr *obs.Trace, ws *core.Work
 	if err != nil {
 		return nil, false, err
 	}
-	b, err := encodeBody(tr, comp)
+	b, err := encodeBody(tr, comp.AppendJSON)
 	return b, comp.Degraded, err
 }
 
@@ -376,7 +376,7 @@ func (r *sweepRequest) solve(ctx context.Context, tr *obs.Trace, ws *core.Worksp
 	if err != nil {
 		return nil, false, err
 	}
-	b, err := encodeBody(tr, sw)
+	b, err := encodeBody(tr, sw.AppendJSON)
 	return b, sw.Degraded, err
 }
 

@@ -67,10 +67,11 @@ import (
 
 // Options tunes a Server. Zero values select sensible defaults.
 type Options struct {
-	// CacheSize bounds the advise cache entry count; default 256.
-	// Negative disables caching.
+	// CacheSize bounds the entry count of each memoization cache (solved
+	// response bodies, and the raw-body keys that map a verbatim repeat
+	// to one); default 512. Negative disables caching.
 	CacheSize int
-	// CacheMaxBytes bounds the resident bytes of each advise cache
+	// CacheMaxBytes bounds the resident bytes of each memoization cache
 	// (responses and raw-body keys are bounded separately); default
 	// 64 MB. Negative removes the byte bound.
 	CacheMaxBytes int64
@@ -108,7 +109,7 @@ type Options struct {
 
 func (o Options) withDefaults() Options {
 	if o.CacheSize == 0 {
-		o.CacheSize = 256
+		o.CacheSize = 512
 	}
 	if o.CacheMaxBytes == 0 {
 		o.CacheMaxBytes = 64 << 20
@@ -167,9 +168,6 @@ type Server struct {
 	// queues + worker pools for advise vs compare/sweep.
 	admCheap *admission
 	admHeavy *admission
-	// stale holds responses evicted from the primary cache; shed advise
-	// requests may be served from it (X-Cache: stale) instead of a 429.
-	stale *sieveCache
 	// degradeGrace is how much longer than RequestTimeout a follower
 	// waits for its solve's degraded result before giving up with 503.
 	// The solve's own deadline fires first, so under deadline pressure
@@ -211,11 +209,6 @@ func New(opts Options) *Server {
 	}
 	s.cache = newSieveCache(s.opts.CacheSize, s.opts.CacheMaxBytes)
 	s.rawKeys = newSieveCache(s.opts.CacheSize, s.opts.CacheMaxBytes)
-	s.stale = newSieveCache(s.opts.CacheSize, s.opts.CacheMaxBytes)
-	// Responses the primary cache evicts for capacity become the stale
-	// serving tier (graceful degradation under overload), each entry as
-	// itself; the stale tier's victim is the response cache's next entry.
-	s.cache.onEvict = s.stale.adopt
 	s.m = s.newServerMetrics(s.reg)
 	s.admCheap = newAdmission(s.opts.AdviseWorkers, s.opts.AdviseQueue)
 	s.admHeavy = newAdmission(s.opts.HeavyWorkers, s.opts.HeavyQueue)
@@ -224,7 +217,7 @@ func New(opts Options) *Server {
 	o := &s.opts
 	s.endpoints = []*endpoint{
 		newEndpoint(s.reg, endpoint{
-			name: "advise", newReq: func() memoRequest { return &adviseRequest{} }, adm: s.admCheap, staleOK: true,
+			name: "advise", newReq: func() memoRequest { return &adviseRequest{} }, adm: s.admCheap,
 			maxFactRows: o.MaxFactRows, maxSteps: o.MaxParetoSteps, stepsText: "steps %d out of [2,%d]",
 		}),
 		newEndpoint(s.reg, endpoint{
@@ -281,8 +274,8 @@ func (s *Server) counted(name string, h http.HandlerFunc) http.HandlerFunc {
 // outcome is a finished solve: the marshaled response body or an error,
 // plus the leader's per-phase trace (shared with followers; a Trace is
 // read-safe under concurrency) and the overload disposition — shed by
-// admission control (optionally with a stale body to serve instead of
-// the 429), degraded at the solve deadline, or a contained panic.
+// admission control, degraded at the solve deadline, or a contained
+// panic.
 type outcome struct {
 	body   []byte
 	err    error
@@ -294,10 +287,8 @@ type outcome struct {
 	// shed means admission control (or, in cluster mode, an all-down
 	// ring neighborhood) refused the solve; retryAfter is the backoff to
 	// advertise and shedMsg the optional reason (defaulting to the
-	// admission-control message). When stale is also set, body holds an
-	// evicted cache entry to serve (200, X-Cache: stale) instead.
+	// admission-control message).
 	shed       bool
-	stale      bool
 	retryAfter time.Duration
 	shedMsg    string
 	// panicked marks a solve that panicked and was contained; err holds
@@ -424,16 +415,16 @@ var workspacePool = sync.Pool{New: func() any { return new(core.Workspace) }}
 // size behind every small solve that follows.
 const maxPooledWorkspace = 64 << 10
 
-// encodeBody runs a body's writer and returns the newline-terminated
-// response body in a slice of exactly its length — the cache owns it
-// from here, and its byte bound counts len, not cap. The encode phase
-// is timed on tr.
-func encodeBody(tr *obs.Trace, v interface {
-	AppendJSON([]byte) ([]byte, error)
-}) ([]byte, error) {
+// encodeBody runs a body's writer, appendJSON (its AppendJSON method
+// value: unlike the value behind an interface, what it is bound to need
+// not move to the heap), and returns the newline-terminated response
+// body in a slice of exactly its length — the cache owns it from here,
+// and its byte bound counts len, not cap. The encode phase is timed on
+// tr.
+func encodeBody(tr *obs.Trace, appendJSON func([]byte) ([]byte, error)) ([]byte, error) {
 	t0 := tr.StartTimer()
 	buf := encodeBufPool.Get().(*reqBuf)
-	b, err := v.AppendJSON(buf.b[:0])
+	b, err := appendJSON(buf.b[:0])
 	var body []byte
 	if err == nil {
 		body = make([]byte, len(b)+1)
@@ -665,12 +656,6 @@ func (s *Server) respondSolved(w http.ResponseWriter, r *http.Request, e *endpoi
 		w.Header().Set("X-Worker", out.worker)
 	}
 	switch {
-	case out.shed && out.stale:
-		// Admission (or an all-down ring neighborhood) refused the solve
-		// but an evicted cached response for this exact key survives:
-		// serve it, clearly marked.
-		e.respond(w, http.StatusOK, out.body, outcomeStale, start)
-		return true
 	case out.shed:
 		w.Header().Set("Retry-After", strconv.FormatInt(ceilSeconds(out.retryAfter), 10))
 		msg := out.shedMsg
@@ -760,7 +745,7 @@ func (s *Server) lead(rctx context.Context, e *endpoint, req memoRequest, label 
 	}
 	ok, retry := e.adm.admit(s.opts.RequestTimeout)
 	if !ok {
-		return s.shedOrStale(e.staleOK, cacheKey, outcome{retryAfter: retry}), false
+		return outcome{shed: true, retryAfter: retry}, false
 	}
 	if !e.adm.acquire(ctx) {
 		// Abandoned while queued: every waiter already left.
@@ -797,28 +782,15 @@ func (s *Server) runSolve(ctx context.Context, e *endpoint, req memoRequest, lab
 
 // fill memoizes a leader's outcome under cacheKey, solved here or
 // forwarded, and returns it. Only a successful, non-degraded body is
-// cached: degraded and stale
-// bodies are timing-dependent, sheds and errors have nothing to cache,
-// and nobody is waiting for an abandoned solve's answer (the knapsack
-// path has no cancellation point, so it finishes anyway). A local solve
+// cached: degraded bodies are timing-dependent, sheds and errors have
+// nothing to cache, and nobody is waiting for an abandoned solve's
+// answer (the knapsack path has no cancellation point, so it finishes
+// anyway). A local solve
 // is never shed and never succeeds with an empty body, so those two
 // tests only ever fail for a forward.
 func (s *Server) fill(ctx context.Context, cacheKey string, out outcome) outcome {
 	if out.err == nil && !out.degraded && !out.shed && len(out.body) > 0 && !abandoned(ctx) {
 		s.cache.Put(cacheKey, out.body)
-	}
-	return out
-}
-
-// shedOrStale marks out shed and, where the stale tier may answer
-// (staleOK) and still holds the key, attaches the evicted response to
-// serve in place of the 429.
-func (s *Server) shedOrStale(staleOK bool, cacheKey string, out outcome) outcome {
-	out.shed = true
-	if staleOK {
-		if b, hit := s.stale.Get(cacheKey); hit {
-			out.body, out.stale = b, true
-		}
 	}
 	return out
 }

@@ -165,6 +165,58 @@ func TestCacheHit(t *testing.T) {
 	}
 }
 
+// TestResidentAnswersAreHits: an answer the daemon holds is served from
+// memory, never solved again. At CacheSize N, N distinct problems are
+// solved; each is then re-asked verbatim and re-spelled, and every reply
+// is a hit with the solve count unchanged. One problem more evicts the
+// SIEVE victim — the oldest answer, every bit having been cleared on the
+// hand's first lap — and of the N re-asked again, exactly that one
+// re-solves. On advise, compare, sweep and a tenant's advise route.
+func TestResidentAnswersAreHits(t *testing.T) {
+	const n = 6
+	respelled := func(body string) string { return body[:len(body)-1] + " }" }
+	for _, c := range []struct{ endpoint, path string }{
+		{"advise", "/v1/advise"},
+		{"compare", "/v1/compare"},
+		{"sweep", "/v1/sweep"},
+		{"tenant", "/v1/t/acme/advise"},
+	} {
+		t.Run(c.endpoint, func(t *testing.T) {
+			s := New(Options{CacheSize: n})
+			ep := c.endpoint
+			if ep == "tenant" {
+				ep = "advise"
+			}
+			ask := func(i int, body, want string) {
+				t.Helper()
+				w := do(t, s, "POST", c.path, body)
+				if w.Code != 200 || w.Header().Get("X-Cache") != want {
+					t.Fatalf("problem %d: status %d, X-Cache %q, want a 200 %s: %s", i, w.Code, w.Header().Get("X-Cache"), want, w.Body.String())
+				}
+			}
+			for i := range n {
+				ask(i, problem(ep, i, ""), "miss")
+			}
+			solves := s.m.solves.Value()
+			for i := range n {
+				ask(i, problem(ep, i, ""), "hit")
+				ask(i, respelled(problem(ep, i, "")), "hit")
+			}
+			if got := s.m.solves.Value(); got != solves {
+				t.Fatalf("%d solves while every answer was resident", got-solves)
+			}
+			ask(n, problem(ep, n, ""), "miss")
+			for i := 1; i < n; i++ {
+				ask(i, problem(ep, i, ""), "hit")
+			}
+			ask(0, problem(ep, 0, ""), "miss")
+			if got := s.m.solves.Value(); got != solves+2 {
+				t.Errorf("%d solves after one new problem and its victim, want 2", got-solves)
+			}
+		})
+	}
+}
+
 // TestEvictedResponseRecovery exercises the corner where a raw body still
 // maps to its canonical key but the response itself was evicted: the
 // body takes the one miss path — canonicalized like any new body — and
@@ -308,8 +360,23 @@ func TestStatsCounts(t *testing.T) {
 	if got.ByEndpoint["advise"] != 3 || got.ByEndpoint["stats"] != 1 {
 		t.Errorf("endpoint counts = %v", got.ByEndpoint)
 	}
-	if got.Cache.Entries != 1 || got.Cache.Capacity != 256 {
+	if got.Cache.Entries != 1 || got.Cache.Capacity != 512 {
 		t.Errorf("cache = %+v", got.Cache)
+	}
+}
+
+// TestDefaultCacheBounds pins what a default server may keep: two
+// caches — the answers and the remembered spellings — of 512 entries and
+// 64 MB each, 2 × 64 MB in all.
+func TestDefaultCacheBounds(t *testing.T) {
+	cs := caches(New(Options{}))
+	if len(cs) != 2 {
+		t.Fatalf("a server holds %d caches, want 2", len(cs))
+	}
+	for _, c := range cs {
+		if c.Cap() != 512 || c.capBytes != 64<<20 {
+			t.Errorf("a cache bounded at %d entries and %d bytes, want 512 and 64 MB", c.Cap(), c.capBytes)
+		}
 	}
 }
 

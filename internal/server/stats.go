@@ -50,12 +50,11 @@ type adviseStatsJSON struct {
 	Coalesced int64 `json:"coalesced"`
 	Solves    int64 `json:"solves"`
 	Errors    int64 `json:"errors"`
-	// Shed/Degraded/Stale/Panics are the overload outcomes: 429s from
-	// admission control, deadline-degraded responses, stale cache serves
-	// under shedding, and contained solver panics.
+	// Shed/Degraded/Panics are the overload outcomes: 429s from
+	// admission control, deadline-degraded responses, and contained
+	// solver panics.
 	Shed       int64            `json:"shed"`
 	Degraded   int64            `json:"degraded"`
-	Stale      int64            `json:"stale"`
 	Panics     int64            `json:"panics"`
 	ByScenario map[string]int64 `json:"by_scenario"`
 }
@@ -119,7 +118,6 @@ func (s *Server) statsSnapshot(now time.Time) statsJSON {
 		a.Errors += n[outcomeError] + n[outcomePanic]
 		a.Shed += n[outcomeShed]
 		a.Degraded += n[outcomeDegraded]
-		a.Stale += n[outcomeStale]
 		a.Panics += n[outcomePanic]
 	}
 	if s.cluster != nil {

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"net/http/httptest"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -119,11 +120,11 @@ func TestStatsMatchesMetrics(t *testing.T) {
 				ByScenario: map[string]int64{"mv1": 5, "compare": 4, "sweep": 4}},
 		},
 		{
-			name: "shed and stale",
+			name: "shed",
 			opts: Options{CacheSize: 1},
 			drive: func(t *testing.T, s *Server) {
-				// Problem 1 evicts problem 0 into the one-entry stale tier;
-				// advise goes last, so its problem 0 is the entry that stays.
+				// Each problem evicts the one solved before it; advise goes
+				// last, so its problem 1 is the answer that stays.
 				for i := len(s.endpoints) - 1; i >= 0; i-- {
 					e := s.endpoints[i]
 					do(t, s, "POST", "/v1/"+e.name, problem(e.name, 0, ""))
@@ -132,23 +133,18 @@ func TestStatsMatchesMetrics(t *testing.T) {
 				drainSolves(t, s, 5*time.Second)
 				s.admCheap.backlog.Add(saturated)
 				s.admHeavy.backlog.Add(saturated)
-				// Only advise may answer a shed request from the stale tier.
-				for _, e := range s.endpoints {
-					status, xcache := 429, ""
-					if e.staleOK {
-						status, xcache = 200, "stale"
-					}
-					w := do(t, s, "POST", "/v1/"+e.name, problem(e.name, 0, ""))
-					if w.Code != status || w.Header().Get("X-Cache") != xcache {
-						t.Fatalf("%s under shed: status %d, X-Cache %q, want %d, %q", e.name, w.Code, w.Header().Get("X-Cache"), status, xcache)
-					}
+				// The resident answer is a hit however loaded the solvers
+				// are; every evicted or cold one is shed.
+				if w := do(t, s, "POST", "/v1/advise", problem("advise", 1, "")); w.Code != 200 || w.Header().Get("X-Cache") != "hit" {
+					t.Fatalf("resident advise under shed: status %d, X-Cache %q", w.Code, w.Header().Get("X-Cache"))
 				}
+				post(t, s, 0, "", 429, "")
 				post(t, s, 2, "", 429, "")
 				s.admCheap.backlog.Add(-saturated)
 				s.admHeavy.backlog.Add(-saturated)
 			},
-			want: adviseStatsJSON{CacheMisses: 6, Solves: 6, Shed: 5, Stale: 1,
-				ByScenario: map[string]int64{"mv1": 2, "compare": 2, "sweep": 2}},
+			want: adviseStatsJSON{CacheHits: 1, CacheMisses: 6, Solves: 6, Shed: 6,
+				ByScenario: map[string]int64{"mv1": 3, "compare": 2, "sweep": 2}},
 		},
 		{
 			name: "degraded",
@@ -264,7 +260,6 @@ func checkStatsMatchMetrics(t *testing.T, s *Server, want adviseStatsJSON) {
 	same("advise.errors", a.Errors, total[outcomeError]+total[outcomePanic])
 	same("advise.shed", a.Shed, total[outcomeShed])
 	same("advise.degraded", a.Degraded, total[outcomeDegraded])
-	same("advise.stale", a.Stale, total[outcomeStale])
 	same("advise.panics", a.Panics, total[outcomePanic])
 	same("advise.solves", a.Solves, metric("mvcloud_stats_solves_total"))
 	for _, l := range knownLabels {
@@ -277,11 +272,36 @@ func checkStatsMatchMetrics(t *testing.T, s *Server, want adviseStatsJSON) {
 	same("cache.entries", int64(snap.Cache.Entries), metric("mvcloud_cache_entries", "cache", "responses"))
 	same("cache.bytes", snap.Cache.Bytes,
 		metric("mvcloud_cache_bytes", "cache", "responses")+metric("mvcloud_cache_bytes", "cache", "rawkeys"))
+	// Every resident byte is counted: the keys, bodies and canonical-key
+	// references of every cache the server holds sum to cache.bytes.
+	var resident int64
+	for _, c := range caches(s) {
+		c.mu.Lock()
+		for e := c.root.newer; e != &c.root; e = e.newer {
+			resident += int64(len(e.key) + len(e.val) + len(e.ref))
+		}
+		c.mu.Unlock()
+	}
+	if snap.Cache.Bytes != resident {
+		t.Errorf("cache.bytes = %d, but the caches' keys and bodies sum to %d", snap.Cache.Bytes, resident)
+	}
 	if cl := snap.Cluster; cl != nil {
 		same("cluster.forwards", cl.Forwards, metric("mvcloud_cluster_forwards_total"))
 		same("cluster.failovers", cl.Failovers, metric("mvcloud_cluster_failovers_total"))
 		same("cluster.all_down", cl.AllDown, metric("mvcloud_cluster_all_down_total"))
 	}
+}
+
+// caches returns every cache s holds: each of its *sieveCache fields.
+func caches(s *Server) []*sieveCache {
+	var out []*sieveCache
+	v := reflect.ValueOf(s).Elem()
+	for i := range v.NumField() {
+		if f := v.Field(i); f.Type() == reflect.TypeFor[*sieveCache]() {
+			out = append(out, (*sieveCache)(f.UnsafePointer()))
+		}
+	}
+	return out
 }
 
 // hookWriter runs onWrite before the first byte of the body is written.

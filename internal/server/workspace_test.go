@@ -58,7 +58,7 @@ func adviseLarge(t *testing.T, rows int64, ws *core.Workspace) []byte {
 		t.Fatal(err)
 	}
 	ans := adviseAnswer{scenario: "mv3", size: core.DatasetSizeOf(adv), candidates: len(adv.Candidates), rec: &rec}
-	b, err := encodeBody(new(obs.Trace), &ans)
+	b, err := encodeBody(new(obs.Trace), ans.AppendJSON)
 	if err != nil {
 		t.Fatal(err)
 	}
