@@ -2,12 +2,14 @@ package compare
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
 	"reflect"
 	"testing"
 
 	"vmcloud/internal/core"
 	"vmcloud/internal/money"
+	"vmcloud/internal/obs"
 	"vmcloud/internal/optimizer"
 	"vmcloud/internal/views"
 )
@@ -186,5 +188,67 @@ func TestBreakEvenStopsWhenCancelled(t *testing.T) {
 	}
 	if _, _, err := breakEven(nil, n.sweepBudgets, configs, sessions); err != nil {
 		t.Fatalf("sweep without a context: %v", err)
+	}
+}
+
+// TestCompareMissWork pins the solver work of compare misses, each body
+// decoded and resolved as the daemon does: the request
+// BenchmarkCompareMiss2x2 posts (internal/server), whose views all pay
+// for themselves so that it runs no DP, and the first four bodies of the
+// repo benchmark's compare-cold workload at seed 7. It counts the DP
+// solves that built a frontier, the knapsacks answered without one
+// because every paying view fit, and the Add/Drop moves the sessions'
+// engines made to price their picks. A count that rises is work a miss
+// has taken on again; one that falls lowers its pin.
+func TestCompareMissWork(t *testing.T) {
+	for _, c := range []struct {
+		name, body                  string
+		frontiers, allFit, pricings int64
+	}{
+		{"miss-2x2", `{"budget":25,"limit":"4h","alpha":0.8,"providers":["aws-2012","cumulus"],"fleet_sizes":[3,5],"fact_rows":50000000,"queries":10,"frequency":30}`, 0, 0, 32},
+		{"compare-cold-7-0", `{"budget":"$39.174676","limit":"7h33m54s","alpha":0.962,"providers":["aws-2012","stratus"],"fleet_sizes":[3,5],"fact_rows":13428441,"queries":10,"frequency":21,"months":6}`, 3, 8, 60},
+		{"compare-cold-7-1", `{"budget":"$6.148258","limit":"2h38m53s","alpha":0.6692,"providers":["aws-2012","nimbus"],"fleet_sizes":[3,5],"fact_rows":24839383,"queries":5,"frequency":14,"months":3}`, 2, 8, 29},
+		{"compare-cold-7-2", `{"budget":"$22.824058","limit":"4h19m18s","alpha":0.8503,"providers":["meridian","nimbus"],"fleet_sizes":[3,5],"fact_rows":7466695,"queries":9,"frequency":14,"months":6}`, 7, 10, 56},
+		{"compare-cold-7-3", `{"budget":"$47.679913","limit":"11h6m16s","alpha":0.8841,"providers":["aws-2012","nimbus"],"fleet_sizes":[3,5],"fact_rows":8784028,"queries":9,"frequency":35,"months":6}`, 3, 9, 50},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			var rj RequestJSON
+			if err := json.Unmarshal([]byte(c.body), &rj); err != nil {
+				t.Fatal(err)
+			}
+			if err := rj.Normalize(); err != nil {
+				t.Fatal(err)
+			}
+			req, err := rj.Resolve()
+			if err != nil {
+				t.Fatal(err)
+			}
+			counts := []struct {
+				name string
+				c    *obs.Counter
+				want int64
+			}{
+				{"frontier builds", obs.DPFrontiers, c.frontiers},
+				{"all-fit returns", obs.DPAllFit, c.allFit},
+				{"pricing moves", obs.PricingMoves, c.pricings},
+			}
+			before := make([]int64, len(counts))
+			for i, n := range counts {
+				before[i] = n.c.Value()
+			}
+			if _, err := Run(req); err != nil {
+				t.Fatal(err)
+			}
+			for i, n := range counts {
+				got := n.c.Value() - before[i]
+				switch {
+				case got > n.want:
+					t.Errorf("%s: %d, up from %d", n.name, got, n.want)
+				case got < n.want:
+					t.Errorf("%s: %d, down from %d: lower the pin", n.name, got, n.want)
+				}
+				t.Logf("%s: %d", n.name, got)
+			}
+		})
 	}
 }

@@ -680,14 +680,24 @@ var (
 // appendReport writes the report through w: as Render's text, or as the
 // inside of the wire form's "report" string. Scenario, provider and
 // instance type names come from the request and go through w's
-// escaping, directly or as table cells.
+// escaping, directly or as table cells. Each configuration's key is
+// formatted once, for the matrix of every scenario.
 //
 //mvlint:hotpath
 func (c *Comparison) appendReport(w *jsonenc.Text) {
 	var (
 		t  report.Table
 		sb [64]byte
+		// keys holds the configurations' keys back to back, the i-th
+		// ending at ends[i]; the arrays hold a 2×2 grid's keys and more.
+		keyArena [512]byte
+		endArena [16]int
 	)
+	keys, ends := keyArena[:0], endArena[:0]
+	for i := range c.Configs {
+		keys = c.Configs[i].Key.AppendString(keys)
+		ends = append(ends, len(keys))
+	}
 	for _, s := range c.Scenarios {
 		if s == "pareto" {
 			continue
@@ -697,13 +707,15 @@ func (c *Comparison) appendReport(w *jsonenc.Text) {
 		w.Buf = append(w.Buf, " — cost/time matrix"...)
 		w.Newline()
 		t.Reset("", matrixHeaders)
+		start := 0
 		for i := range c.Configs {
-			cfg := &c.Configs[i]
-			rec, ok := cfg.Result(s)
+			key := keys[start:ends[i]]
+			start = ends[i]
+			rec, ok := c.Configs[i].Result(s)
 			if !ok {
 				continue
 			}
-			t.Cell(cfg.Key.AppendString(sb[:0]))
+			t.Cell(key)
 			t.Cell(report.AppendHours(sb[:0], rec.Selection.Time))
 			t.Cell(rec.Selection.Bill.Total().AppendString(sb[:0]))
 			t.Cell(strconv.AppendBool(sb[:0], rec.Selection.Feasible))

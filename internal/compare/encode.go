@@ -155,9 +155,12 @@ func appendConfigResult(dst []byte, cfg *ConfigResult) ([]byte, error) {
 }
 
 // appendResults writes a solved row's matrix cells, each distinct answer
-// once: a scenario whose answer equals an earlier scenario's in the row
-// (core.Recommendation.SameAnswer) copies that one's bytes and writes
-// only its own scenario, feasibility, strategy and report heading.
+// and each distinct baseline once: a scenario whose answer equals an
+// earlier scenario's in the row (core.Recommendation.SameAnswer) copies
+// that one's bytes and writes only its own scenario, feasibility,
+// strategy and report heading, and one whose baseline alone equals an
+// earlier one's (SameBaseline, as a row's scenarios share their
+// configuration's) copies the baseline member.
 //
 //mvlint:hotpath
 func appendResults(dst []byte, results []ScenarioResult) ([]byte, error) {
@@ -168,11 +171,13 @@ func appendResults(dst []byte, results []ScenarioResult) ([]byte, error) {
 			dst = append(dst, ',')
 		}
 		rec := &results[k].Rec
-		var same *core.AnswerSpan
+		var same, baseline *core.AnswerSpan
 		for p := 0; p < min(k, len(spans)); p++ {
-			if results[p].Rec.SameAnswer(rec) {
+			if prior := &results[p].Rec; prior.SameAnswer(rec) {
 				same = &spans[p]
 				break
+			} else if baseline == nil && prior.SameBaseline(rec) {
+				baseline = &spans[p]
 			}
 		}
 		dst = append(dst, `{"scenario":`...)
@@ -182,7 +187,7 @@ func appendResults(dst []byte, results []ScenarioResult) ([]byte, error) {
 			span core.AnswerSpan
 			err  error
 		)
-		if dst, span, err = rec.AppendWire(dst, same); err != nil {
+		if dst, span, err = rec.AppendRowWire(dst, same, baseline); err != nil {
 			return dst, err
 		}
 		dst = append(dst, '}')

@@ -151,13 +151,39 @@ func TestAppendJSONMatchesReflection(t *testing.T) {
 		search.Solver, search.Seed, search.Scenarios = "search", 42, []string{"mv1", "pareto"}
 		tight := testRequest(t)
 		tight.Budget, tight.Limit = money.Cent, time.Second // nothing feasible
-		for name, req := range map[string]Request{"full": full, "grid": grid, "skipped": skipped, "search": search, "tight": tight} {
+		// Caller-supplied tariffs whose provider and instance type names
+		// need escaping, so that every key cell of the report's tables
+		// takes the escaping path.
+		hostile := bench2x2Request(t)
+		renamed := hostile.Providers[0].Clone()
+		renamed.Name = "aws \"2012\" <&>\u2028\\"
+		odd := renamed.Compute.Instances["small"]
+		odd.Name = "sm\x01all\u2029\xff"
+		renamed.Compute.Instances[odd.Name] = odd
+		hostile.Providers[0] = renamed
+		hostile.InstanceTypes = []string{"small", odd.Name}
+		// A grid whose rows mix equal and different answers: at a $5
+		// budget some scenarios of a row answer alike and others do not,
+		// so both the copied answer and the copied baseline alone are
+		// written (rowCopies counts them).
+		mixed := bench2x2Request(t)
+		mixed.Budget = money.FromDollars(5)
+		for name, req := range map[string]Request{"full": full, "grid": grid, "skipped": skipped, "search": search, "tight": tight, "hostile": hostile, "mixed": mixed} {
 			comp, err := Run(req)
 			if err != nil {
 				t.Fatalf("%s: %v", name, err)
 			}
 			if name == "skipped" && len(comp.Skipped) == 0 {
 				t.Fatal("no provider lacks the xlarge type: the skipped case tests nothing")
+			}
+			if name == "hostile" && (len(comp.Configs) != 6 || len(comp.Skipped) != 2) {
+				t.Fatalf("hostile grid solved %d cells and skipped %d, want 6 and 2 (cumulus lacks the odd type)", len(comp.Configs), len(comp.Skipped))
+			}
+			if name == "mixed" {
+				same, baselineOnly := rowCopies(comp)
+				if same == 0 || baselineOnly == 0 {
+					t.Fatalf("mixed grid: %d copied answers and %d copied baselines alone, want both", same, baselineOnly)
+				}
 			}
 			checkComparison(t, name, comp)
 		}
@@ -184,6 +210,30 @@ func TestAppendJSONMatchesReflection(t *testing.T) {
 			checkSweep(t, "random sweep", randSweep(rng))
 		}
 	})
+}
+
+// rowCopies counts, over c's rows, the results appendResults writes by
+// copying an earlier result's answer, and those that copy only its
+// baseline.
+func rowCopies(c *Comparison) (same, baselineOnly int) {
+	for _, cfg := range c.Configs {
+		for k := range cfg.Results {
+			rec, baseline := &cfg.Results[k].Rec, false
+			for p := 0; p < k; p++ {
+				if prior := &cfg.Results[p].Rec; prior.SameAnswer(rec) {
+					same++
+					baseline = false
+					break
+				} else if prior.SameBaseline(rec) {
+					baseline = true
+				}
+			}
+			if baseline {
+				baselineOnly++
+			}
+		}
+	}
+	return same, baselineOnly
 }
 
 func mustProvider(t testing.TB, name string) pricing.Provider {

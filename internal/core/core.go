@@ -6,6 +6,7 @@
 package core
 
 import (
+	"bytes"
 	"cmp"
 	"context"
 	"fmt"
@@ -456,7 +457,7 @@ var recommendationHeaders = []string{"", "workload time", "total cost", "compute
 //mvlint:hotpath
 func (r *Recommendation) appendReport(w *jsonenc.Text) {
 	r.appendReportHead(w)
-	r.appendReportBody(w)
+	r.appendReportBody(w, nil)
 }
 
 // appendReportHead writes the report's first line: the scenario and
@@ -473,10 +474,12 @@ func (r *Recommendation) appendReportHead(w *jsonenc.Text) {
 
 // appendReportBody writes the rest of the report, which the answer
 // alone decides: the baseline, the selection's time and bill, the gains
-// and the views.
+// and the views. Through a JSON sink, views is the inside of the views
+// member AppendWire wrote, whose names the materialize line copies as
+// they are escaped there; through a raw sink it is nil.
 //
 //mvlint:hotpath
-func (r *Recommendation) appendReportBody(w *jsonenc.Text) {
+func (r *Recommendation) appendReportBody(w *jsonenc.Text, views []byte) {
 	var t report.Table
 	t.Headers = recommendationHeaders
 	billRow(&t, "without views", r.BaselineTime, &r.BaselineBill)
@@ -488,16 +491,50 @@ func (r *Recommendation) appendReportBody(w *jsonenc.Text) {
 	w.Buf = report.AppendPercent(w.Buf, r.CostImprovement())
 	w.Newline()
 	w.Buf = append(w.Buf, "materialize: "...)
-	if len(r.ViewNames) == 0 {
+	switch {
+	case len(r.ViewNames) == 0:
 		w.Buf = append(w.Buf, "nothing"...)
-	}
-	for i, name := range r.ViewNames {
-		if i > 0 {
-			w.Buf = append(w.Buf, ", "...)
+	case views != nil:
+		w.Buf = appendListed(w.Buf, views)
+	default:
+		for i, name := range r.ViewNames {
+			if i > 0 {
+				w.Buf = append(w.Buf, ", "...)
+			}
+			w.Str(name)
 		}
-		w.Str(name)
 	}
 	w.Newline()
+}
+
+// appendListed appends the strings of list, the inside of a JSON array
+// of strings as jsonenc writes it, still escaped and without their
+// quotes, joined by ", ". A quote inside an escaped string always
+// follows an odd run of backslashes, so the first quote after an even
+// run (or none) closes the string.
+//
+//mvlint:hotpath
+func appendListed(dst, list []byte) []byte {
+	for start := 1; start < len(list); start += 3 { // past `","`
+		end := start
+		for {
+			end += bytes.IndexByte(list[end:], '"')
+			run := end
+			for run > start && list[run-1] == '\\' {
+				run--
+			}
+			if (end-run)%2 == 0 {
+				break
+			}
+			end++
+		}
+		if start > 1 {
+			dst = append(dst, ", "...)
+		}
+		dst = append(dst, list[start:end]...)
+		start = end
+	}
+	return dst
 }
 
 // billRow adds one configuration's time and bill breakdown to t.

@@ -22,12 +22,14 @@ import (
 // AnswerSpan marks where, in the buffer AppendWire wrote it to, a
 // recommendation keeps the bytes its answer alone decides: every member
 // but the scenario, feasibility and strategy, and every line of the
-// report but the first.
+// report but the first. Inside those it marks the baseline member's
+// object and the view names of the views member.
 type AnswerSpan struct {
 	// members is the answer's members, up to the report's opening quote;
 	// report is the report after its first line, with what closes the
-	// recommendation.
-	members, report [2]int
+	// recommendation; baseline is the inside of the baseline member's
+	// braces; views is the inside of the views member's brackets.
+	members, report, baseline, views [2]int
 }
 
 // AppendWire appends r's wire form to dst — the bytes of
@@ -35,13 +37,24 @@ type AnswerSpan struct {
 // no wire struct is built: each duration's text is written from the
 // stack (Duration.String allocates nothing when its result does not
 // escape), the points and view names are borrowed, and the report is
-// rendered straight into dst. With same, the mark of a recommendation
-// earlier in dst whose answer equals r's (SameAnswer), the answer's
-// bytes are copied from there, not written again. It returns the mark
-// of what it wrote.
+// rendered straight into dst, its materialize line from the names the
+// views member has already escaped. With same, the mark of a
+// recommendation earlier in dst whose answer equals r's (SameAnswer),
+// the answer's bytes are copied from there, not written again. It
+// returns the mark of what it wrote.
 //
 //mvlint:hotpath
 func (r *Recommendation) AppendWire(dst []byte, same *AnswerSpan) ([]byte, AnswerSpan, error) {
+	return r.AppendRowWire(dst, same, nil)
+}
+
+// AppendRowWire is AppendWire for a recommendation that shares a
+// comparison row with earlier ones: with baseline, the mark of one
+// earlier in dst whose baseline equals r's (SameBaseline), and no same,
+// the baseline member's bytes are copied from there.
+//
+//mvlint:hotpath
+func (r *Recommendation) AppendRowWire(dst []byte, same, baseline *AnswerSpan) ([]byte, AnswerSpan, error) {
 	var span AnswerSpan
 	dst = append(dst, `{"scenario":`...)
 	dst = jsonenc.AppendString(dst, r.Scenario)
@@ -57,7 +70,7 @@ func (r *Recommendation) AppendWire(dst []byte, same *AnswerSpan) ([]byte, Answe
 		return dst, *same, nil
 	}
 	span.members[0] = len(dst)
-	dst, err := r.appendAnswer(dst)
+	dst, err := r.appendAnswer(dst, &span, baseline)
 	if err != nil {
 		return dst, span, err
 	}
@@ -66,7 +79,7 @@ func (r *Recommendation) AppendWire(dst []byte, same *AnswerSpan) ([]byte, Answe
 	w := jsonenc.StringText(dst)
 	r.appendReportHead(&w)
 	span.report[0] = len(w.Buf)
-	r.appendReportBody(&w)
+	r.appendReportBody(&w, w.Buf[span.views[0]:span.views[1]])
 	dst = append(w.Close(), '}')
 	span.report[1] = len(dst)
 	return dst, span, nil
@@ -78,29 +91,41 @@ func (r *Recommendation) AppendWire(dst []byte, same *AnswerSpan) ([]byte, Answe
 func (r *Recommendation) SameAnswer(o *Recommendation) bool {
 	a, b := &r.Selection, &o.Selection
 	return a.Time == b.Time && a.Bill == b.Bill && a.Degraded == b.Degraded &&
-		r.BaselineTime == o.BaselineTime && r.BaselineBill == o.BaselineBill &&
+		r.SameBaseline(o) &&
 		slices.EqualFunc(a.Points, b.Points, func(p, q lattice.Point) bool {
 			return (p == nil) == (q == nil) && slices.Equal(p, q)
 		}) &&
 		slices.Equal(r.ViewNames, o.ViewNames)
 }
 
+// SameBaseline reports whether r and o write the same baseline member:
+// the same no-view time and bill, as every scenario of one configuration
+// has.
+func (r *Recommendation) SameBaseline(o *Recommendation) bool {
+	return r.BaselineTime == o.BaselineTime && r.BaselineBill == o.BaselineBill
+}
+
 // appendAnswer writes the answer's members, from "degraded" through
 // "improvement", as the wire form has them: nil views and points are
-// written empty, a nil point inside the selection null.
+// written empty, a nil point inside the selection null. It marks the
+// views and the baseline in span, and copies the baseline from the one
+// baseline marks if that is not nil.
 //
 //mvlint:hotpath
-func (r *Recommendation) appendAnswer(dst []byte) ([]byte, error) {
+func (r *Recommendation) appendAnswer(dst []byte, span, baseline *AnswerSpan) ([]byte, error) {
 	if r.Selection.Degraded {
 		dst = append(dst, `,"degraded":true`...)
 	}
-	dst = append(dst, `,"views":`...)
-	if r.ViewNames == nil {
-		dst = append(dst, "[]"...)
-	} else {
-		dst = jsonenc.AppendStrings(dst, r.ViewNames)
+	dst = append(dst, `,"views":[`...)
+	span.views[0] = len(dst)
+	for i, name := range r.ViewNames {
+		if i > 0 {
+			dst = append(dst, ',')
+		}
+		dst = jsonenc.AppendString(dst, name)
 	}
-	dst = append(dst, `,"points":[`...)
+	span.views[1] = len(dst)
+	dst = append(dst, `],"points":[`...)
 	for i, p := range r.Selection.Points {
 		if i > 0 {
 			dst = append(dst, ',')
@@ -124,9 +149,13 @@ func (r *Recommendation) appendAnswer(dst []byte) ([]byte, error) {
 		return dst, err
 	}
 	dst = append(dst, `,"baseline":{`...)
-	if dst, err = appendTimed(dst, r.BaselineTime, &r.BaselineBill); err != nil {
+	span.baseline[0] = len(dst)
+	if baseline != nil {
+		dst = append(dst, dst[baseline.baseline[0]:baseline.baseline[1]]...)
+	} else if dst, err = appendTimed(dst, r.BaselineTime, &r.BaselineBill); err != nil {
 		return dst, err
 	}
+	span.baseline[1] = len(dst)
 	dst = append(dst, `},"improvement":{"time":`...)
 	if dst, err = jsonenc.AppendFloat(dst, r.TimeImprovement()); err != nil {
 		return dst, err

@@ -93,6 +93,34 @@ func appendEscaped[S ~string | ~[]byte](dst []byte, s S) []byte {
 	return append(dst, s[start:]...)
 }
 
+// Measure reads s once and returns its width in runes, as
+// utf8.RuneCount counts them (a byte of invalid UTF-8 is one), and
+// whether it is plain: AppendString writes it between its quotes
+// unchanged, because it holds no byte that is escaped, no invalid UTF-8
+// and no U+2028 or U+2029. A report renderer measures each cell with it
+// and copies a plain one through either sink.
+//
+//mvlint:hotpath
+func Measure[S ~string | ~[]byte](s S) (width int, plain bool) {
+	plain = true
+	for i := 0; i < len(s); width++ {
+		switch escape[s[i]] {
+		case 0:
+			i++
+		case multi:
+			r, size := decodeRune(s[i:])
+			if (r == utf8.RuneError && size == 1) || r == '\u2028' || r == '\u2029' {
+				plain = false
+			}
+			i += size
+		default:
+			plain = false
+			i++
+		}
+	}
+	return width, plain
+}
+
 func decodeRune[S ~string | ~[]byte](s S) (rune, int) {
 	// Convert at most one rune's worth of bytes, so that for a []byte
 	// the string is a stack temporary (as encoding/json does).

@@ -10,8 +10,9 @@ import (
 )
 
 // checkString holds every form of the escaper to encoding/json:
-// AppendString over a string and over a []byte, and the JSON sink fed
-// the text in two pieces, as a string and as bytes. cut is where the
+// AppendString over a string and over a []byte, Measure's width and
+// plainness over both, and the JSON sink fed the text in two pieces, as
+// a string and as bytes. cut is where the
 // pieces part, moved on to the start of a UTF-8 sequence: a renderer
 // hands the sink whole names and cells, never half a rune.
 func checkString(t *testing.T, s string, cut int) {
@@ -36,6 +37,13 @@ func checkString(t *testing.T, s string, cut int) {
 	w.Bytes([]byte(s[cut:]))
 	if got := w.Close(); !bytes.HasPrefix(got, prefix) || !bytes.Equal(got[len(prefix):], want) {
 		t.Errorf("JSON sink(%q, %q) = %s, want %s%s", s[:cut], s[cut:], got, prefix, want)
+	}
+	plain := string(want) == `"`+s+`"`
+	if width, ok := Measure(s); width != utf8.RuneCountInString(s) || ok != plain {
+		t.Errorf("Measure(%q) = %d, %v; want %d, %v", s, width, ok, utf8.RuneCountInString(s), plain)
+	}
+	if width, ok := Measure([]byte(s)); width != utf8.RuneCountInString(s) || ok != plain {
+		t.Errorf("Measure([]byte(%q)) = %d, %v; want %d, %v", s, width, ok, utf8.RuneCountInString(s), plain)
 	}
 	raw := Text{Buf: bytes.Clone(prefix)}
 	raw.Str(s[:cut])

@@ -35,4 +35,17 @@ var (
 	// built, added once per solve: solver work in problem-size units.
 	DPStates = Default.Counter("mvcloud_solver_dp_states_total",
 		"Pareto frontier states built by the knapsack and min-cost-cover DP, added once per solve.")
+
+	// DPFrontiers counts the knapsack and min-cost-cover solves that
+	// built a prefix frontier; DPAllFit the knapsack solves that did not
+	// need one, because every item fit the capacity at once.
+	DPFrontiers = Default.Counter("mvcloud_solver_dp_frontiers_total",
+		"Knapsack and min-cost-cover DP solves that built a prefix frontier.")
+	DPAllFit = Default.Counter("mvcloud_solver_dp_all_fit_total",
+		"Knapsack DP solves answered without a frontier: every item fit the capacity.")
+
+	// PricingMoves counts the Add/Drop moves a Section 5 session's engine
+	// made to reach the subsets it priced, added once per subset.
+	PricingMoves = Default.Counter("mvcloud_solver_pricing_moves_total",
+		"Incremental evaluator Add/Drop moves made to price the Section 5 solvers' picks.")
 )

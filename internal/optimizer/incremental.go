@@ -3,6 +3,8 @@ package optimizer
 import (
 	"errors"
 	"fmt"
+	"math/bits"
+	"slices"
 	"time"
 
 	"vmcloud/internal/costmodel"
@@ -48,9 +50,9 @@ import (
 //
 // This engine is the one served subset pricer: a search prices its
 // moves and probes on it, and a KernelSession prices each Section 5 pick
-// by moving its own engine onto the pick. Full re-pricing runs in
-// exactly two places: pinning an arbitrary subset from empty (Reset at
-// search restarts, KernelSession.priceSel for each pick) and the Bill
+// by moving its own engine onto the pick, one move per candidate that
+// differs (moveTo). Full re-pricing runs in exactly two places: pinning
+// an arbitrary subset from empty (Reset at search restarts) and the Bill
 // arithmetic in Score and Probe (tier boundaries and billing rounding
 // are global, so the exact bill is always recomputed from the
 // aggregates — never linearized). Probe prices a neighbor — one flip or
@@ -100,6 +102,16 @@ type IncrementalEvaluator struct {
 	// for the engine's next binding.
 	durations []time.Duration
 	bools     []bool
+
+	// The session's pricing, kept apart from the fields a search's moves
+	// and probes touch: want is moveTo's scratch, the target subset
+	// packed as words; priced is the subset pricePick last priced, at
+	// pricedT and pricedBill (valid once pricedOK).
+	want       []uint64
+	priced     []uint64
+	pricedT    time.Duration
+	pricedBill costmodel.Bill
+	pricedOK   bool
 }
 
 // bindInto binds the kernel to one tariff in an engine the caller
@@ -121,12 +133,18 @@ func (k *ComparisonKernel) bindInto(inc *IncrementalEvaluator, ev *Evaluator) er
 	// curTerm, then bindScalars' arena.
 	durations := reuse.Zeroed(inc.durations, nq+4*n+nq+len(k.ansCand))
 	bools := reuse.Zeroed(inc.bools, n+nq)
+	// words, want, then priced: words keeps the slab's capacity for the
+	// next binding, and Words hands it out cut to its length.
+	nw := (n + 63) / 64
+	words := reuse.Zeroed(inc.words, 3*nw)
 	*inc = IncrementalEvaluator{
 		ev:             ev,
 		k:              k,
 		sessionScalars: k.bindScalars(ev, durations[nq:]),
 		selected:       bools[:n:n],
-		words:          reuse.Zeroed(inc.words, (n+63)/64),
+		words:          words[:nw],
+		want:           words[nw : 2*nw : 2*nw],
+		priced:         words[2*nw:],
 		assigned:       reuse.Zeroed(inc.assigned, nq),
 		curTerm:        durations[:nq:nq],
 		served:         reuse.Zeroed(inc.served, n),
@@ -173,7 +191,7 @@ func (inc *IncrementalEvaluator) Selected(i int) bool { return inc.selected[i] }
 // Words exposes the packed selection bitmap (64 candidates per uint64,
 // candidate i at bit i%64 of word i/64). The slice is live — callers
 // must copy it before mutating the evaluator further.
-func (inc *IncrementalEvaluator) Words() []uint64 { return inc.words }
+func (inc *IncrementalEvaluator) Words() []uint64 { return inc.words[:len(inc.words):len(inc.words)] }
 
 // resetEmpty pins the empty subset: every query runs on the base table.
 func (inc *IncrementalEvaluator) resetEmpty() {
@@ -207,6 +225,52 @@ func (inc *IncrementalEvaluator) Reset(sel []bool) error {
 		}
 	}
 	return nil
+}
+
+// moveTo moves the engine onto the candidate subset sel, which lists
+// each pick once in any order, and returns the moves it made: one Drop
+// or Add per candidate whose membership differs, in candidate order, and
+// none when the engine already holds sel. The state is a function of
+// the selected set alone, so it equals Reset's for the same subset.
+//
+//mvlint:hotpath
+func (inc *IncrementalEvaluator) moveTo(sel []int32) int64 {
+	want := inc.want
+	clear(want)
+	for _, ci := range sel {
+		want[ci>>6] |= 1 << (uint32(ci) & 63)
+	}
+	moves := inc.moves
+	for w, held := range inc.words {
+		for diff := held ^ want[w]; diff != 0; diff &= diff - 1 {
+			b := bits.TrailingZeros64(diff)
+			if i := w<<6 | b; held&(1<<b) != 0 {
+				inc.Drop(i)
+			} else {
+				inc.Add(i)
+			}
+		}
+	}
+	return inc.moves - moves
+}
+
+// pricePick moves the engine onto the subset sel (moveTo) and prices it
+// as Score does, returning the moves it made. When the engine holds the
+// subset pricePick last priced, the price is that one again: the state
+// is a function of the selected set alone, and so is Score's answer.
+//
+//mvlint:hotpath
+func (inc *IncrementalEvaluator) pricePick(sel []int32) (int64, time.Duration, costmodel.Bill, error) {
+	moves := inc.moveTo(sel)
+	if inc.pricedOK && slices.Equal(inc.words, inc.priced) {
+		return moves, inc.pricedT, inc.pricedBill, nil
+	}
+	t, bill, err := inc.Score()
+	if err == nil {
+		copy(inc.priced, inc.words)
+		inc.pricedT, inc.pricedBill, inc.pricedOK = t, bill, true
+	}
+	return moves, t, bill, err
 }
 
 // Price pins the engine to an arbitrary subset, as Reset does, and

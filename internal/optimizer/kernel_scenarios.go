@@ -8,6 +8,7 @@ import (
 	"vmcloud/internal/costmodel"
 	"vmcloud/internal/lattice"
 	"vmcloud/internal/money"
+	"vmcloud/internal/obs"
 	"vmcloud/internal/reuse"
 	"vmcloud/internal/views"
 )
@@ -195,21 +196,23 @@ func (s *KernelSession) MinTime() time.Duration {
 }
 
 // priceSel moves the session's engine onto the candidate subset sel and
-// prices it exactly: the empty subset, one Add per pick, then Score. The
-// engine's state is a function of the selected set alone, so the price
-// does not depend on the order sel lists its picks. These moves are the
-// session's, not a search's, so the engine's move count is put back.
+// prices it exactly: one Add or Drop per candidate that differs between
+// the subset the engine holds and sel, then Score, unless the subset is
+// the one last priced (pricePick). The engine's state is a function of
+// the selected set alone, so the price depends neither on the subset it
+// moved from nor on the order sel lists its picks. These moves are the
+// session's, not a search's, so the engine's move count is put back;
+// obs.PricingMoves counts them.
 //
 //mvlint:hotpath
 func (s *KernelSession) priceSel(sel []int32) (time.Duration, costmodel.Bill, error) {
 	inc := &s.inc
-	moves := inc.moves
-	inc.resetEmpty()
-	for _, ci := range sel {
-		inc.Add(int(ci))
+	moves, t, bill, err := inc.pricePick(sel)
+	if moves > 0 {
+		inc.moves -= moves
+		obs.PricingMoves.Add(moves)
 	}
-	inc.moves = moves
-	return inc.Score()
+	return t, bill, err
 }
 
 // selectionFor assembles a Selection for an already-priced subset:

@@ -11,6 +11,7 @@ import (
 	"vmcloud/internal/costmodel"
 	"vmcloud/internal/lattice"
 	"vmcloud/internal/money"
+	"vmcloud/internal/obs"
 	"vmcloud/internal/pricing"
 	"vmcloud/internal/schema"
 	"vmcloud/internal/units"
@@ -244,6 +245,79 @@ func paperSession(t testing.TB, policy views.MaintenancePolicy) (*KernelSession,
 		t.Fatal(err)
 	}
 	return session(t, ev, cands), ev, cands
+}
+
+// TestPriceSelMovesByDifference: a session prices a pick from whatever
+// subset its engine holds, with one move per candidate that differs and
+// none for a repeat, and the price is Evaluate's for the pick's points
+// whatever subset came before and whatever order the pick lists, under
+// both maintenance policies — also when the engine was moved off the
+// last pick and back, as the MV1 repair moves it, so that the price
+// pricePick keeps for that pick must not go stale. The moves are counted
+// by obs.PricingMoves, not by the engine.
+func TestPriceSelMovesByDifference(t *testing.T) {
+	for _, policy := range []views.MaintenancePolicy{views.ImmediateMaintenance, views.DeferredMaintenance} {
+		sess, ev, cands := paperSession(t, policy)
+		rng := rand.New(rand.NewSource(int64(policy) + 7))
+		held := make([]bool, len(cands))
+		var sel []int32
+		for step := 0; step < 300; step++ {
+			if step%5 != 4 { // every fifth pick repeats the last one
+				sel = sel[:0]
+				for i := range cands {
+					if rng.Intn(3) == 0 {
+						sel = append(sel, int32(i))
+					}
+				}
+				rng.Shuffle(len(sel), func(a, b int) { sel[a], sel[b] = sel[b], sel[a] })
+			}
+			if step%7 == 6 { // the engine moved by someone else
+				i := rng.Intn(len(cands))
+				if held[i] {
+					sess.inc.Drop(i)
+				} else {
+					sess.inc.Add(i)
+				}
+				held[i] = !held[i]
+			}
+			want := make([]bool, len(cands))
+			pts := make([]lattice.Point, 0, len(sel))
+			for _, ci := range sel {
+				want[ci] = true
+				pts = append(pts, cands[ci].Point)
+			}
+			diff := int64(0)
+			for i := range want {
+				if want[i] != held[i] {
+					diff++
+				}
+			}
+			moves, counted := sess.inc.Moves(), obs.PricingMoves.Value()
+			gotT, gotBill, err := sess.priceSel(sel)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if n := obs.PricingMoves.Value() - counted; n != diff {
+				t.Fatalf("policy %v step %d: %d pricing moves, want %d (the candidates that differ)", policy, step, n, diff)
+			}
+			if sess.inc.Moves() != moves {
+				t.Fatalf("policy %v step %d: pricing moved the engine's move count", policy, step)
+			}
+			for i := range want {
+				if sess.inc.Selected(i) != want[i] {
+					t.Fatalf("policy %v step %d: candidate %d selected %v, want %v", policy, step, i, sess.inc.Selected(i), want[i])
+				}
+			}
+			wantT, wantBill, err := ev.Evaluate(pts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if gotT != wantT || gotBill != wantBill {
+				t.Fatalf("policy %v step %d: %v priced at (%v,%v), Evaluate gives (%v,%v)", policy, step, sel, gotT, gotBill, wantT, wantBill)
+			}
+			held = want
+		}
+	}
 }
 
 // TestKernelSessionBudgetSweep is the comparison engine's break-even

@@ -155,18 +155,44 @@ func (d *frontierDP) knapsack01(values, weights []int64, capacity int64) ([]int,
 	scale := dpScale(n, capacity)
 	scaledCap := capacity / scale
 	w := d.scaled[:0]
+	// fits holds while the scaled weights so far sum to at most
+	// scaledCap. The sum never passes scaledCap, so it cannot overflow.
+	fits, total := true, int64(0)
 	for i := range weights {
-		w = append(w, ceilDiv(weights[i], scale))
+		wi := ceilDiv(weights[i], scale)
+		w = append(w, wi)
+		if fits && wi <= scaledCap-total {
+			total += wi
+		} else {
+			fits = false
+		}
 	}
 	d.scaled = w
 
 	// Every state is reachable (the empty selection weighs 0), so P_0 is
 	// the single state (0, 0) and every prefix starts at weight 0.
 	d.reset(state{0, 0})
+	if fits {
+		// Every item fits at once. The traceback below starts at c =
+		// scaledCap ≥ w_0 + … + w_{n-1} and keeps c ≥ w_0 + … + w_i as it
+		// steps down to item i, so f_i(c) and f_i(c − w_i) both equal
+		// v_0 + … + v_{i-1}, and its rule takes item i iff v_i > 0. No
+		// frontier is built: the arena is left a solve of P_0.
+		chosen := d.chosen[:0]
+		for i, v := range values {
+			if v > 0 {
+				chosen = append(chosen, i)
+			}
+		}
+		d.chosen = chosen
+		obs.DPAllFit.Inc()
+		return chosen, nil
+	}
 	for i := 0; i < n-1; i++ {
 		// Only states that still fit after taking item i are shifted.
 		d.extend(reach(d.prefix(i), scaledCap-w[i]), w[i], values[i])
 	}
+	obs.DPFrontiers.Inc()
 	obs.DPStates.Add(int64(len(d.states)))
 
 	// Trace back with the table DP's rule (denseKnapsack01 in the tests):
@@ -245,6 +271,7 @@ func (d *frontierDP) minCostCover(costs, gains []int64, need int64) ([]int, bool
 	for i := 0; i < n-1; i++ {
 		d.extend(len(d.prefix(i)), -g[i], -costs[i])
 	}
+	obs.DPFrontiers.Inc()
 	obs.DPStates.Add(int64(len(d.states)))
 
 	// Trace back with the table DP's rule: at remaining need s item i

@@ -517,13 +517,15 @@ func FuzzKnapsackSparseVsDense(f *testing.F) {
 // The work a solve does is bounded by what its items can reach: prefix k
 // has at most min(2ᵏ, scaledCap+1) states, each a strict improvement on
 // the one before, so the whole arena stays within min(2ⁿ, n·(scaledCap+1))
-// — never more than the dense table had cells.
+// — never more than the dense table had cells. A knapsack whose scaled
+// weights all fit its scaled capacity builds no frontier at all: its
+// arena is P_0 alone and it returns every item of positive value.
 func TestFrontierWorkBound(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	var d frontierDP
 	checkArena := func(n int, limit, cells int64) {
 		t.Helper()
-		for k := 0; k < n; k++ {
+		for k := 0; k < len(d.starts)-1; k++ {
 			p := d.prefix(k)
 			if bound := min(int64(1)<<k, cells); int64(len(p)) > bound {
 				t.Fatalf("n=%d limit=%d: |P_%d| = %d > %d", n, limit, k, len(p), bound)
@@ -538,12 +540,33 @@ func TestFrontierWorkBound(t *testing.T) {
 			t.Fatalf("n=%d limit=%d: %d states > %d", n, limit, len(d.states), bound)
 		}
 	}
+	fitCases := 0
 	for i := 0; i < 200; i++ {
 		n := rng.Intn(20) + 1
 		a, b, limit := dpCase(rng, n, uint8(i))
 		scale := dpScale(n, limit)
-		if _, err := d.knapsack01(a, b, limit); err != nil {
+		got, err := d.knapsack01(a, b, limit)
+		if err != nil {
 			t.Fatal(err)
+		}
+		var scaled int64
+		for _, w := range b {
+			scaled += ceilDiv(w, scale) // dpCase weights are small: no overflow
+		}
+		if scaled <= limit/scale {
+			fitCases++
+			var want []int
+			for j, v := range a {
+				if v > 0 {
+					want = append(want, j)
+				}
+			}
+			if len(d.starts) != 2 || len(d.states) != 1 || !slices.Equal(got, want) {
+				t.Fatalf("n=%d limit=%d: every item fits, but %d prefixes and %d states were built and %v returned, want none and %v",
+					n, limit, len(d.starts)-1, len(d.states), got, want)
+			}
+		} else if len(d.starts) != n+1 {
+			t.Fatalf("n=%d limit=%d: not every item fits, but %d prefixes were built, want %d", n, limit, len(d.starts)-1, n)
 		}
 		checkArena(n, limit, limit/scale+1)
 		// A cover that returns before its DP leaves the knapsack's arena,
@@ -553,18 +576,40 @@ func TestFrontierWorkBound(t *testing.T) {
 		}
 		checkArena(n, limit, ceilDiv(limit, scale)+1)
 	}
+	if fitCases == 0 || fitCases == 200 {
+		t.Fatalf("%d of 200 cases fit at once: the cases test one path only", fitCases)
+	}
 
 	// The paper's 16-node lattice, 8 paying candidates, budgets from a
-	// cent above the base bill to far past everything.
+	// cent above the base bill to far past everything. A budget where
+	// every paying view fits builds no frontier and takes them all; the
+	// others build 1..256 states.
 	sess, _, _ := sweepFixture(t)
 	before := obs.DPStates.Value()
+	var fit, built int
 	for _, dollars := range []float64{0.94, 1.2, 1.5, 2, 5, 400} {
+		allFit, frontiers := obs.DPAllFit.Value(), obs.DPFrontiers.Value()
 		if _, err := sess.SolveMV1(money.FromDollars(dollars)); err != nil {
 			t.Fatal(err)
 		}
-		if got := len(sess.dp.states); got == 0 || got > 256 {
-			t.Errorf("paper MV1 at $%g built %d states, want 1..256", dollars, got)
+		switch paying := len(sess.valBuf); {
+		case obs.DPAllFit.Value() > allFit:
+			fit++
+			if len(sess.dp.states) != 1 || len(sess.dp.chosen) != paying {
+				t.Errorf("paper MV1 at $%g: every paying view fits, but %d states were built and %d of %d views taken",
+					dollars, len(sess.dp.states), len(sess.dp.chosen), paying)
+			}
+		case obs.DPFrontiers.Value() > frontiers:
+			built++
+			if got := len(sess.dp.states); got == 0 || got > 256 {
+				t.Errorf("paper MV1 at $%g built %d states, want 1..256", dollars, got)
+			}
+		default:
+			t.Errorf("paper MV1 at $%g neither built a frontier nor took every view", dollars)
 		}
+	}
+	if fit == 0 || built == 0 {
+		t.Errorf("%d budgets fit every paying view and %d built a frontier: want both kinds", fit, built)
 	}
 	if obs.DPStates.Value() == before {
 		t.Error("mvcloud_solver_dp_states_total did not move across MV1 solves")
@@ -595,6 +640,12 @@ func TestDPLimitMaxInt64(t *testing.T) {
 	idx, err := Knapsack01([]int64{3, 4}, []int64{math.MaxInt64, 1}, math.MaxInt64)
 	if err != nil || !slices.Equal(idx, []int{1}) {
 		t.Errorf("Knapsack01 at MaxInt64 = %v, %v; want [1] (item 0 rounds up past the scaled capacity)", idx, err)
+	}
+	// Both weights fit together in true units but not once rounded up, so
+	// the solve is no all-fit return: it takes the better one alone.
+	idx, err = Knapsack01([]int64{3, 4}, []int64{math.MaxInt64 / 2, math.MaxInt64 / 2}, math.MaxInt64)
+	if err != nil || !slices.Equal(idx, []int{1}) {
+		t.Errorf("Knapsack01 of two halves of MaxInt64 = %v, %v; want [1] (together they pass the scaled capacity)", idx, err)
 	}
 	if _, ok, err := MinCostCover([]int64{1}, []int64{5}, math.MaxInt64); err != nil || ok {
 		t.Errorf("MinCostCover of an uncoverable MaxInt64 need: ok=%v err=%v", ok, err)

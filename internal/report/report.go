@@ -9,7 +9,6 @@ import (
 	"strconv"
 	"strings"
 	"time"
-	"unicode/utf8"
 
 	"vmcloud/internal/jsonenc"
 )
@@ -25,8 +24,9 @@ type Table struct {
 	Headers []string
 
 	// The rows are one byte stream: per cell a mark — text length and
-	// display width, a uint32 each — followed by the text, and per row a
-	// closing rowEnd word. The stream fills inline first and moves to
+	// display width, a uint32 each, the width's escapeBit set when the
+	// text is not plain (jsonenc.Measure) — followed by the text, and per
+	// row a closing rowEnd word. The stream fills inline first and moves to
 	// spill, whole, when it outgrows it; inline holds a ten-cell sweep's
 	// grid (about 130 bytes a row).
 	n      int
@@ -35,8 +35,9 @@ type Table struct {
 }
 
 const (
-	markSize = 8
-	rowEnd   = ^uint32(0)
+	markSize  = 8
+	rowEnd    = ^uint32(0)
+	escapeBit = 1 << 31
 )
 
 // NewTable creates a table with the given headers.
@@ -86,21 +87,19 @@ func appendValue(dst []byte, c any) []byte {
 //	t.Cell(append(sb[:0], "with views"...))
 //	t.EndRow()
 //
-// The cell's display width, in runes, is taken here, once: its byte
-// length unless the text leaves ASCII.
+// The cell is measured here, in one pass (jsonenc.Measure): its display
+// width in runes, and whether a JSON sink may copy it unescaped.
 //
 //mvlint:hotpath
 func (t *Table) Cell(text []byte) {
-	width := len(text)
-	for _, c := range text {
-		if c >= utf8.RuneSelf {
-			width = utf8.RuneCount(text)
-			break
-		}
+	width, plain := jsonenc.Measure(text)
+	mark := uint32(width)
+	if !plain {
+		mark |= escapeBit
 	}
 	b := t.grow(markSize + len(text))
 	binary.LittleEndian.PutUint32(b, uint32(len(text)))
-	binary.LittleEndian.PutUint32(b[4:], uint32(width))
+	binary.LittleEndian.PutUint32(b[4:], mark)
 	copy(b[markSize:], text)
 }
 
@@ -135,20 +134,22 @@ func (t *Table) stream() []byte {
 	return t.inline[:t.n]
 }
 
-// nextCell splits the first cell off the stream s. At the end of a row
-// (or of the stream) ok is false and s is returned as it came.
+// nextCell splits the first cell off the stream s: its text, its width
+// and whether it is plain. At the end of a row (or of the stream) ok is
+// false and s is returned as it came.
 //
 //mvlint:hotpath
-func nextCell(s []byte) (text []byte, width int, rest []byte, ok bool) {
+func nextCell(s []byte) (text []byte, width int, plain bool, rest []byte, ok bool) {
 	if len(s) < markSize {
-		return nil, 0, s, false
+		return nil, 0, false, s, false
 	}
 	n := binary.LittleEndian.Uint32(s)
 	if n == rowEnd {
-		return nil, 0, s, false
+		return nil, 0, false, s, false
 	}
 	end := markSize + int(n)
-	return s[markSize:end], int(binary.LittleEndian.Uint32(s[4:])), s[end:], true
+	mark := binary.LittleEndian.Uint32(s[4:])
+	return s[markSize:end], int(mark &^ escapeBit), mark&escapeBit == 0, s[end:], true
 }
 
 // endRow steps s, which nextCell has exhausted, over the row's closing
@@ -172,21 +173,27 @@ func (t *Table) AppendTo(dst []byte) []byte {
 }
 
 // AppendText writes what AppendTo appends through w. Titles, headers
-// and cells may hold anything and go through w's escaping; the rules
-// and the padding between them do not need it. Widths were counted on
-// the cells' own text, so a column is as wide in the rendered report as
-// it is once a JSON decoder has undone the escapes.
+// and cells may hold anything; those that are not plain go through w's
+// escaping, and plain ones, like the rules and the padding between
+// them, are copied through. Widths were counted on the cells' own text,
+// so a column is as wide in the rendered report as it is once a JSON
+// decoder has undone the escapes.
 //
 //mvlint:hotpath
 func (t *Table) AppendText(w *jsonenc.Text) {
-	var widthArena [16]int
-	widths := widthArena[:0]
+	var (
+		widthArena  [16]int
+		headerArena [16]header
+	)
+	widths, headers := widthArena[:0], headerArena[:0]
 	for _, h := range t.Headers {
-		widths = append(widths, utf8.RuneCountInString(h))
+		width, plain := jsonenc.Measure(h)
+		widths = append(widths, width)
+		headers = append(headers, header{width, plain})
 	}
 	col := 0
 	for s := t.stream(); len(s) > 0; {
-		_, width, rest, ok := nextCell(s)
+		_, width, _, rest, ok := nextCell(s)
 		if !ok {
 			s, col = endRow(s), 0
 			continue
@@ -206,8 +213,12 @@ func (t *Table) AppendText(w *jsonenc.Text) {
 		if i > 0 {
 			w.Buf = append(w.Buf, " | "...)
 		}
-		w.Str(h)
-		w.Buf = appendRun(w.Buf, spaces, widths[i]-utf8.RuneCountInString(h))
+		if headers[i].plain {
+			w.Buf = append(w.Buf, h...)
+		} else {
+			w.Str(h)
+		}
+		w.Buf = appendRun(w.Buf, spaces, widths[i]-headers[i].width)
 	}
 	w.Buf = append(w.Buf, " |"...)
 	w.Newline()
@@ -227,19 +238,29 @@ func (t *Table) AppendText(w *jsonenc.Text) {
 			if i > 0 {
 				w.Buf = append(w.Buf, " | "...)
 			}
-			if text, tw, rest, ok := nextCell(s); ok {
-				w.Bytes(text)
+			if text, tw, plain, rest, ok := nextCell(s); ok {
+				if plain {
+					w.Buf = append(w.Buf, text...)
+				} else {
+					w.Bytes(text)
+				}
 				width -= tw
 				s = rest
 			}
 			w.Buf = appendRun(w.Buf, spaces, width)
 		}
 		for ok := true; ok; { // past any cells beyond the last header
-			_, _, s, ok = nextCell(s)
+			_, _, _, s, ok = nextCell(s)
 		}
 		w.Buf = append(w.Buf, " |"...)
 		w.Newline()
 	}
+}
+
+// header is a header's measure (jsonenc.Measure).
+type header struct {
+	width int
+	plain bool
 }
 
 const (
@@ -272,7 +293,7 @@ func (t *Table) Rows() [][]string {
 	for s := t.stream(); len(s) > 0; s = endRow(s) {
 		row := []string{}
 		for {
-			text, _, rest, ok := nextCell(s)
+			text, _, _, rest, ok := nextCell(s)
 			if !ok {
 				break
 			}

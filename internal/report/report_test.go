@@ -1,6 +1,7 @@
 package report
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -233,6 +234,76 @@ func TestAppendToMatchesReference(t *testing.T) {
 			t.Fatalf("trial %d: Rows() = %q, want %q", trial, got, rows)
 		}
 	}
+}
+
+// FuzzTableMatchesReference renders fuzzed tables through AppendTo and
+// through AppendText on both sinks, and holds them to referenceRender:
+// the raw forms byte for byte, the JSON sink to the reference's text as
+// jsonenc.AppendString quotes it. The title is the fuzzer's; the
+// headers and cells are consecutive pieces of data, so they hold any
+// byte — control bytes, " \ < &, invalid UTF-8, U+2028 and U+2029,
+// runes cut in half — and seed lays out how many headers there are, how
+// long each piece is and how many cells each row has, short and
+// over-long rows included.
+func FuzzTableMatchesReference(f *testing.F) {
+	f.Add("title", []byte("configuration|time|aws-2012/small×5|12.345h|$1.00"), int64(1))
+	f.Add("", bytes.Repeat([]byte("\x00\x1f\"\\<>&\u2028\u2029\xff\xe2\x80α😀—\t\n"), 8), int64(5))
+	f.Add("a \"title\"\n<&>\u2029", bytes.Repeat([]byte("\u2028\xf0\x9f\x98\u2029"), 16), int64(7))
+	f.Add("wide", bytes.Repeat([]byte("cell×"), 400), int64(4))
+	f.Fuzz(func(t *testing.T, title string, data []byte, seed int64) {
+		rng := rand.New(rand.NewSource(seed))
+		piece := func() string {
+			n := min(rng.Intn(12), len(data))
+			p := string(data[:n])
+			data = data[n:]
+			return p
+		}
+		headers := make([]string, rng.Intn(7))
+		if rng.Intn(8) == 0 {
+			headers = make([]string, 20) // past AppendText's inline arrays
+		}
+		for i := range headers {
+			headers[i] = piece()
+		}
+		tb := NewTable(title, headers...)
+		nrows := rng.Intn(6)
+		if rng.Intn(8) == 0 {
+			nrows = 40 // past the table's inline stream
+		}
+		rows := make([][]string, nrows)
+		for r := range rows {
+			rows[r] = make([]string, rng.Intn(len(headers)+3))
+			for i := range rows[r] {
+				rows[r][i] = piece()
+			}
+			if r%2 == 0 {
+				cells := make([]any, len(rows[r]))
+				for i, c := range rows[r] {
+					cells[i] = c
+				}
+				tb.AddRow(cells...)
+				continue
+			}
+			for _, c := range rows[r] {
+				tb.Cell([]byte(c))
+			}
+			tb.EndRow()
+		}
+		want := referenceRender(title, headers, rows)
+		if got := string(tb.AppendTo([]byte("prefix"))); got != "prefix"+want {
+			t.Fatalf("AppendTo:\ngot:\n%q\nwant:\n%q", got, "prefix"+want)
+		}
+		raw := jsonenc.Text{Buf: []byte("prefix")}
+		tb.AppendText(&raw)
+		if got := string(raw.Close()); got != "prefix"+want {
+			t.Fatalf("AppendText, raw sink:\ngot:\n%q\nwant:\n%q", got, "prefix"+want)
+		}
+		lit := jsonenc.StringText([]byte("prefix"))
+		tb.AppendText(&lit)
+		if got, want := string(lit.Close()), string(jsonenc.AppendString([]byte("prefix"), want)); got != want {
+			t.Fatalf("AppendText, JSON sink:\ngot:  %s\nwant: %s", got, want)
+		}
+	})
 }
 
 type appendStringer int

@@ -84,6 +84,9 @@ func TestMetricsEndpointValidates(t *testing.T) {
 		"mvcloud_solver_incremental_moves_total",
 		"mvcloud_solver_search_evals_total",
 		"mvcloud_solver_dp_states_total",
+		"mvcloud_solver_dp_frontiers_total",
+		"mvcloud_solver_dp_all_fit_total",
+		"mvcloud_solver_pricing_moves_total",
 	} {
 		if _, ok := findSample(samples, name, nil); !ok {
 			t.Errorf("missing solver series %s", name)
@@ -124,17 +127,22 @@ func TestMetricsEndpointValidates(t *testing.T) {
 		t.Errorf("inflight gauge = %g during scrape, want 1 (the scrape itself)", v)
 	}
 
-	// One mv1 miss whose views all cost money runs the knapsack DP, so
-	// the solver's work counter has moved by the next scrape (and the
-	// render still validates with traffic behind it).
-	req := httptest.NewRequest("POST", "/v1/advise", strings.NewReader(adviseBody("mv1", `"budget":25`)))
+	// One mv1 miss whose budget cannot buy every view that costs money
+	// runs the knapsack DP's frontier (at $25 they all fit, and the DP
+	// returns them without one), so the solver's work counters have
+	// moved by the next scrape (and the render still validates with
+	// traffic behind it).
+	req := httptest.NewRequest("POST", "/v1/advise", strings.NewReader(adviseBody("mv1", `"budget":1`)))
 	w := httptest.NewRecorder()
 	s.ServeHTTP(w, req)
 	if w.Code != 200 || w.Header().Get("X-Cache") != "miss" {
 		t.Fatalf("mv1 advise: status %d, X-Cache %q: %s", w.Code, w.Header().Get("X-Cache"), w.Body.String())
 	}
-	if v, _ := findSample(scrape(t, s), "mvcloud_solver_dp_states_total", nil); v <= 0 {
-		t.Errorf("mvcloud_solver_dp_states_total = %g after a DP miss, want > 0", v)
+	after := scrape(t, s)
+	for _, name := range []string{"mvcloud_solver_dp_states_total", "mvcloud_solver_dp_frontiers_total"} {
+		if v, _ := findSample(after, name, nil); v <= 0 {
+			t.Errorf("%s = %g after a DP miss, want > 0", name, v)
+		}
 	}
 }
 
